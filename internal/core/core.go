@@ -302,9 +302,8 @@ type node struct {
 	finalGVT vtime.VTime
 
 	// Per-node message accounting.
-	eventsBuilt     stats.Counter // event-like packets built by the host
-	antisBuilt      stats.Counter // anti-message packets built by the host
-	antisSuppressed stats.Counter // antis suppressed against the drop buffer
+	eventsBuilt stats.Counter // event-like packets built by the host
+	antisBuilt  stats.Counter // anti-message packets built by the host
 }
 
 // inboundPkt is one packet crossing the NIC-to-host pipeline.
@@ -809,7 +808,6 @@ func nodePumpStep(x interface{}) {
 		return
 	}
 	res := n.kernel.ProcessOne()
-	n.cluster.noteProcessed()
 	// The step's remote sends are parked by finishStep; until then they are
 	// invisible to the kernel's LVT, so expose them to outboundMin across
 	// the OnProcessed hook (a root manager can initiate a GVT computation
@@ -824,19 +822,17 @@ func nodePumpStep(x interface{}) {
 // finishStep charges the communication and rollback costs of a kernel step
 // and dispatches its remote messages.
 func (n *node) finishStep(res timewarp.StepResult, cat hostmodel.Category) {
-	outbound, suppressChecks := n.filterSuppressed(res.Remote)
 	c := n.cpu.Costs
-	cost := vtime.ModelTime(len(outbound))*c.SendOverhead +
-		vtime.ModelTime(suppressChecks)*c.SharedWrite +
+	cost := vtime.ModelTime(len(res.Remote))*c.SendOverhead +
 		vtime.ModelTime(res.Rollbacks)*c.RollbackBase +
 		vtime.ModelTime(res.UndoneEvents+res.AntisEmitted)*c.RollbackPerEvent
-	if cost == 0 && len(outbound) == 0 {
+	if cost == 0 && len(res.Remote) == 0 {
 		return
 	}
 	if res.Rollbacks > 0 {
 		cat = hostmodel.CatRollback
 	}
-	n.pushBatch(outbound)
+	n.pushBatch(res.Remote)
 	n.cpu.DoArg(cat, cost, nodeSendBatch, n)
 }
 
@@ -885,22 +881,6 @@ func (n *node) popBatch() []*timewarp.Event {
 		n.batchHead = 0
 	}
 	return b
-}
-
-// filterSuppressed is where the paper suppresses anti-messages on the host
-// against the NIC's dropped-ID buffer ("the host can avoid sending negative
-// messages by accessing this buffer"). The reproduction deliberately does
-// NOT do so: host-side suppression can consume a drop record whose
-// anti-message is already in flight toward the NIC, and when rollback
-// re-execution regenerates a message with an identical identity, the
-// mispairing strands an unmatched anti-message at the destination — which
-// later annihilates a legitimate re-send and silently corrupts results (a
-// correctness hazard inherent in the paper's design). Filtering solely at
-// the NIC keeps drops and anti-messages paired in a single FIFO stream,
-// which is provably race-free; the saved wire/remote costs — the dominant
-// savings — are identical.
-func (n *node) filterSuppressed(events []*timewarp.Event) (out []*timewarp.Event, checks int) {
-	return events, 0
 }
 
 // transmitEvent converts a kernel event into a packet and pushes it down
@@ -1156,23 +1136,7 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 	}
 	switch pkt.Kind {
 	case proto.KindEvent, proto.KindAnti:
-		if pkt.Kind == proto.KindAnti {
-			n.remoteAntisDelivered++
-		}
-		if ck := n.cluster.checker; ck != nil {
-			ck.OnDelivered(n.id, pkt)
-		}
-		n.mgr.OnReceived(view{n}, pkt)
-		n.scratchEv = timewarp.Event{
-			ID:      pkt.EventID,
-			Src:     timewarp.ObjectID(pkt.SrcObj),
-			Dst:     timewarp.ObjectID(pkt.DstObj),
-			SendTS:  pkt.SendTS,
-			RecvTS:  pkt.RecvTS,
-			Sign:    pkt.Sign(),
-			Payload: pkt.Payload,
-		}
-		res := n.kernel.Deliver(&n.scratchEv)
+		res := n.deliverEventLike(pkt)
 		// The packet is fully decoded and no layer retained it; only
 		// event kinds are released — control packets can be captured by
 		// deferred GVT work.
@@ -1200,6 +1164,30 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 	default:
 		panic(fmt.Sprintf("core: node %d received unexpected packet %v", n.id, pkt))
 	}
+}
+
+// deliverEventLike hands one BIP-accepted event or anti-message (a solo
+// packet or a batch sub-message view) to the checker, the GVT manager and
+// the kernel. The packet is only read: the kernel copies scratchEv at the
+// Deliver boundary, so the caller may release or reuse pkt on return.
+func (n *node) deliverEventLike(pkt *proto.Packet) timewarp.StepResult {
+	if pkt.Kind == proto.KindAnti {
+		n.remoteAntisDelivered++
+	}
+	if ck := n.cluster.checker; ck != nil {
+		ck.OnDelivered(n.id, pkt)
+	}
+	n.mgr.OnReceived(view{n}, pkt)
+	n.scratchEv = timewarp.Event{
+		ID:      pkt.EventID,
+		Src:     timewarp.ObjectID(pkt.SrcObj),
+		Dst:     timewarp.ObjectID(pkt.DstObj),
+		SendTS:  pkt.SendTS,
+		RecvTS:  pkt.RecvTS,
+		Sign:    pkt.Sign(),
+		Payload: pkt.Payload,
+	}
+	return n.kernel.Deliver(&n.scratchEv)
 }
 
 // hostReceiveBatch unpacks a batch frame: each sub-message is verified
@@ -1238,24 +1226,7 @@ func (n *node) hostReceiveBatch(frame *proto.Packet) {
 			continue
 		}
 		seqSubs++
-		if pkt.Kind == proto.KindAnti {
-			n.remoteAntisDelivered++
-		}
-		if ck := n.cluster.checker; ck != nil {
-			ck.OnDelivered(n.id, pkt)
-		}
-		n.mgr.OnReceived(view{n}, pkt)
-		n.scratchEv = timewarp.Event{
-			ID:      pkt.EventID,
-			Src:     timewarp.ObjectID(pkt.SrcObj),
-			Dst:     timewarp.ObjectID(pkt.DstObj),
-			SendTS:  pkt.SendTS,
-			RecvTS:  pkt.RecvTS,
-			Sign:    pkt.Sign(),
-			Payload: pkt.Payload,
-		}
-		res := n.kernel.Deliver(&n.scratchEv)
-		n.finishStep(res, hostmodel.CatComm)
+		n.finishStep(n.deliverEventLike(pkt), hostmodel.CatComm)
 	}
 	n.scratchPkt = proto.Packet{}
 	if seqSubs > 0 {
@@ -1318,9 +1289,6 @@ func idleGVTKick(x interface{}) {
 		n.mgr.OnIdle(view{n})
 	}
 }
-
-// noteProcessed counts globally processed events (progress diagnostics).
-func (cl *Cluster) noteProcessed() {}
 
 // scheduleSample arms the next time-series sample (closure-free; the
 // cluster is the threaded receiver). Sampling reads cross-node state at one

@@ -45,7 +45,6 @@ type Result struct {
 	EventMsgsOnWire  int64 // event-like packets actually transmitted (Figure 6b's "messages sent")
 	AntisBuilt       int64 // anti-messages built by hosts
 	DroppedInPlace   int64 // positives cancelled in the NIC send queue
-	AntisSuppressed  int64 // always zero: host-side suppression is disabled (see node.filterSuppressed)
 	AntisFiltered    int64 // antis dropped at the NIC (drop-buffer hit)
 	DropBufEvictions int64 // drop-buffer overflow events (correctness hazards)
 	OrphanAntis      int64 // anti-messages orphaned by evictions (results may deviate)
@@ -106,14 +105,6 @@ type Result struct {
 	Samples []Sample
 }
 
-// CancelledTotal returns the number of positive messages that were cancelled
-// by any means: anti-message on the wire, or dropped in place. Figure 7b's
-// "percentage of cancelled messages dropped by NIC" is DroppedInPlace over
-// this.
-func (r *Result) CancelledTotal() int64 {
-	return r.AntisBuilt + r.AntisSuppressed
-}
-
 // GVTConvAvg returns the mean GVT convergence latency at the root (zero
 // when no computation completed or the mode does not track convergence).
 func (r *Result) GVTConvAvg() vtime.ModelTime {
@@ -132,14 +123,15 @@ func (r *Result) RollbackDepth() float64 {
 	return float64(r.RolledBackEvents) / float64(r.Rollbacks)
 }
 
-// NICDropRate returns DroppedInPlace / CancelledTotal in percent, Figure
-// 7b's metric. Zero when nothing was cancelled.
+// NICDropRate returns Figure 7b's "percentage of cancelled messages dropped
+// by NIC": DroppedInPlace over AntisBuilt (every cancelled positive has one
+// anti-message built for it, whether it reaches the wire or the NIC filters
+// it). Zero when nothing was cancelled.
 func (r *Result) NICDropRate() float64 {
-	total := r.CancelledTotal()
-	if total == 0 {
+	if r.AntisBuilt == 0 {
 		return 0
 	}
-	return 100 * float64(r.DroppedInPlace) / float64(total)
+	return 100 * float64(r.DroppedInPlace) / float64(r.AntisBuilt)
 }
 
 // String renders a multi-line summary.
@@ -150,8 +142,8 @@ func (r *Result) String() string {
 		r.CommittedEvents, r.ProcessedEvents, r.RolledBackEvents, r.Rollbacks)
 	fmt.Fprintf(&b, "event msgs       built %d, on wire %d, dropped in place %d\n",
 		r.EventMsgsBuilt, r.EventMsgsOnWire, r.DroppedInPlace)
-	fmt.Fprintf(&b, "antis            built %d, suppressed %d, filtered %d\n",
-		r.AntisBuilt, r.AntisSuppressed, r.AntisFiltered)
+	fmt.Fprintf(&b, "antis            built %d, filtered %d\n",
+		r.AntisBuilt, r.AntisFiltered)
 	fmt.Fprintf(&b, "gvt              %d computations, %d rounds, %d control msgs, final %v\n",
 		r.GVTComputations, r.GVTRounds, r.GVTControlMsgs, r.FinalGVT)
 	fmt.Fprintf(&b, "utilization      host %.2f, bus %.2f, nic %.2f\n",
@@ -179,7 +171,6 @@ func (cl *Cluster) collect() *Result {
 		r.Rollbacks += ks.Rollbacks.Value()
 
 		r.EventMsgsBuilt += n.eventsBuilt.Value()
-		r.AntisSuppressed += n.antisSuppressed.Value()
 
 		ns := &n.nicDev.Stats
 		r.DroppedInPlace += ns.DroppedInPlace.Value()

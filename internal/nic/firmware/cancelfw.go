@@ -54,12 +54,11 @@ type CancelFirmware struct {
 	lastHostEpoch uint64 // highest processed-anti count piggybacked by the host
 
 	// Statistics.
-	ScansRun        stats.Counter
-	ScannedPackets  stats.Counter
-	Dropped         stats.Counter // positives cancelled in place
-	AntisSuppressed stats.Counter // antis filtered against the drop buffer
-	CreditRefunds   stats.Counter // stranded credits refunded to the host
-	EntriesExpired  stats.Counter
+	ScansRun       stats.Counter
+	ScannedPackets stats.Counter
+	Dropped        stats.Counter // positives cancelled in place
+	CreditRefunds  stats.Counter // stranded credits refunded to the host
+	EntriesExpired stats.Counter
 }
 
 // cancelEntry is one active cancellation window: anti number seq for object
@@ -151,10 +150,15 @@ func (f *CancelFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict 
 		}
 	case proto.KindAnti:
 		// An anti whose positive was dropped in place must not travel: the
-		// destination never saw the positive.
+		// destination never saw the positive. This is the only consumer of
+		// the drop buffer: the paper also lets the host suppress the anti
+		// by reading the buffer, but a host-side read can take a record
+		// whose anti is already in flight to the NIC, and once rollback
+		// re-execution regenerates the same message identity the stranded
+		// anti annihilates a legitimate re-send (DESIGN.md §9 item 3).
+		// Here drops and antis pair up in one FIFO stream.
 		if api.Shared().Dropped.Take(pkt.SrcObj, dropKey(pkt)) {
 			api.Charge(CyclesDropRecord)
-			f.AntisSuppressed.Inc()
 			api.Stats().AntisFiltered.Inc()
 			f.accountDrop(api, pkt)
 			api.Charge(CyclesNotify)

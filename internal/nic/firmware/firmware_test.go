@@ -177,48 +177,80 @@ func TestGVTFirmwareTokenRing(t *testing.T) {
 	}
 }
 
+// gvtPrograms are the two GVT firmwares; both embed the one sendLedger and
+// share extractPiggy, so the ledger tests run over each.
+var gvtPrograms = []struct {
+	name string
+	fw   func(int) nic.Firmware
+}{
+	{"ring", func(int) nic.Firmware { return NewGVT() }},
+	{"tree", func(int) nic.Firmware { return NewTreeGVT(2) }},
+}
+
 func TestGVTFirmwareWhiteCounting(t *testing.T) {
-	r := newRig(t, 2, func(int) nic.Firmware { return NewGVT() })
-	// Three white transmits (stamp 0) before any wave.
-	for k := 0; k < 3; k++ {
-		r.nics[0].HostEnqueue(ev(0, 1, 1, 2, vtime.VTime(k), vtime.VTime(k+1), uint64(k)))
-	}
-	r.run()
-	// Initiation for wave 1: the NIC folds its three white transmits.
-	w := r.nics[0].Shared()
-	w.GVTTokenPending = true
-	w.ReceivedHostVariables = true
-	w.TokenIsInitiation = true
-	w.TokenEpoch = 1
-	w.TokenMin = vtime.Infinity
-	w.TokenOrigin = 0
-	w.HostT = vtime.Infinity
-	w.HostTMin = vtime.Infinity
-	w.HostV = 0 // host received none of them (they went to node 1)
-	r.nics[0].Doorbell()
-	r.run()
-	w1 := r.nics[1].Shared()
-	if w1.TokenCount != 3 {
-		t.Fatalf("token count at NIC 1 = %d, want 3 white transmits", w1.TokenCount)
+	for _, prog := range gvtPrograms {
+		t.Run(prog.name, func(t *testing.T) {
+			r := newRig(t, 2, prog.fw)
+			// Three white transmits (stamp 0) before any wave.
+			for k := 0; k < 3; k++ {
+				r.nics[0].HostEnqueue(ev(0, 1, 1, 2, vtime.VTime(k), vtime.VTime(k+1), uint64(k)))
+			}
+			r.run()
+			// Initiation for wave 1: the NIC folds its three white transmits.
+			w := r.nics[0].Shared()
+			w.GVTTokenPending = true
+			w.ReceivedHostVariables = true
+			w.TokenIsInitiation = true
+			w.TokenEpoch = 1
+			w.TokenMin = vtime.Infinity
+			w.TokenOrigin = 0
+			w.HostT = vtime.Infinity
+			w.HostTMin = vtime.Infinity
+			w.HostV = 0 // host received none of them (they went to node 1)
+			r.nics[0].Doorbell()
+			r.run()
+			// Host 1 has not absorbed them either, so whichever way the
+			// balance travels (on the ring token through NIC 1, or up the
+			// tree as NIC 1's reduce folded into the root's own sum), the
+			// root is re-staged with all three still in transit.
+			w1 := r.nics[1].Shared()
+			if !w1.GVTTokenPending {
+				t.Fatal("computation did not reach NIC 1")
+			}
+			w1.ReceivedHostVariables = true
+			w1.HostT = vtime.Infinity
+			w1.HostTMin = vtime.Infinity
+			w1.HostV = 0
+			r.nics[1].Doorbell()
+			r.run()
+			if !w.GVTTokenPending || w.TokenCount != 3 {
+				t.Fatalf("root window pending=%v count=%d, want 3 white transmits in transit",
+					w.GVTTokenPending, w.TokenCount)
+			}
+		})
 	}
 }
 
 func TestGVTFirmwarePiggybackExtraction(t *testing.T) {
-	r := newRig(t, 2, func(int) nic.Firmware { return NewGVT() })
-	p := ev(0, 1, 1, 2, 5, 10, 1)
-	p.PiggyGVTValid = true
-	p.PiggyT = 33
-	p.PiggyTMin = 44
-	p.PiggyV = 7
-	r.nics[0].HostEnqueue(p)
-	r.run()
-	w := r.nics[0].Shared()
-	if !w.ReceivedHostVariables || w.HostT != 33 || w.HostTMin != 44 || w.HostV != 7 {
-		t.Fatalf("piggyback not extracted: %+v", w)
-	}
-	// The piggyback is scrubbed before the packet crosses the wire.
-	if len(r.toHost[1]) != 1 || r.toHost[1][0].PiggyGVTValid {
-		t.Fatal("piggyback leaked to the destination")
+	for _, prog := range gvtPrograms {
+		t.Run(prog.name, func(t *testing.T) {
+			r := newRig(t, 2, prog.fw)
+			p := ev(0, 1, 1, 2, 5, 10, 1)
+			p.PiggyGVTValid = true
+			p.PiggyT = 33
+			p.PiggyTMin = 44
+			p.PiggyV = 7
+			r.nics[0].HostEnqueue(p)
+			r.run()
+			w := r.nics[0].Shared()
+			if !w.ReceivedHostVariables || w.HostT != 33 || w.HostTMin != 44 || w.HostV != 7 {
+				t.Fatalf("piggyback not extracted: %+v", w)
+			}
+			// The piggyback is scrubbed before the packet crosses the wire.
+			if len(r.toHost[1]) != 1 || r.toHost[1][0].PiggyGVTValid {
+				t.Fatal("piggyback leaked to the destination")
+			}
+		})
 	}
 }
 

@@ -24,12 +24,7 @@ import (
 // safe despite host/NIC state being observed at different instants (the
 // paper's "consistency is a major issue" lesson).
 type GVTFirmware struct {
-	// Transmit-side colour accounting, the mirror image of gvt.Ledger's
-	// receive side.
-	epoch       uint32
-	sentOld     int64 // transmitted with stamp below epoch (folded)
-	sentByStamp map[uint32]int64
-	reportedOld int64 // white sends already folded into the current token
+	sendLedger
 
 	// Statistics.
 	TokensForwarded stats.Counter
@@ -41,62 +36,11 @@ type GVTFirmware struct {
 
 // NewGVT returns the NIC-GVT firmware.
 func NewGVT() *GVTFirmware {
-	return &GVTFirmware{sentByStamp: make(map[uint32]int64)}
+	return &GVTFirmware{sendLedger: newSendLedger()}
 }
 
 // Name implements nic.Firmware.
 func (f *GVTFirmware) Name() string { return "nic-gvt" }
-
-// countSend accounts one transmitted event-like packet by its stamp.
-func (f *GVTFirmware) countSend(stamp uint32) {
-	if stamp < f.epoch {
-		f.sentOld++
-	} else {
-		f.sentByStamp[stamp]++
-	}
-}
-
-// join advances to computation c, folding now-white transmit counts.
-func (f *GVTFirmware) join(c uint32) {
-	if c <= f.epoch {
-		return
-	}
-	f.epoch = c
-	//nicwarp:ordered commutative fold: sums counters and deletes folded keys
-	for s, n := range f.sentByStamp {
-		if s < c {
-			f.sentOld += n
-			delete(f.sentByStamp, s)
-		}
-	}
-	f.reportedOld = 0
-}
-
-// takeSentDelta returns white transmits not yet folded into the token.
-func (f *GVTFirmware) takeSentDelta() int64 {
-	d := f.sentOld - f.reportedOld
-	f.reportedOld = f.sentOld
-	return d
-}
-
-// queuedSendMin returns the minimum send timestamp over event-like packets
-// still waiting in the NIC transmit queue. countSend runs at dequeue, so a
-// packet stamped in an earlier computation that stays queued (stop/go
-// backpressure) across this entire computation is in neither the white
-// balance nor the host's red-send minimum; the reported floor must bound it.
-// Red-stamped packets re-fold harmlessly — their stamp-time fold into the
-// host ledger already bounds them.
-func queuedSendMin(api nic.API) vtime.VTime {
-	q := api.SendQueue()
-	api.Charge(int64(len(q)) * CyclesQueueScanPerPacket)
-	min := vtime.Infinity
-	for _, pkt := range q {
-		if pkt.IsEventLike() {
-			min = vtime.MinV(min, pkt.SendTS)
-		}
-	}
-	return min
-}
 
 // OnHostSend implements nic.Firmware: count white transmits and intercept
 // piggybacked host handshake values.
@@ -105,16 +49,7 @@ func (f *GVTFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict {
 	if pkt.IsEventLike() {
 		f.countSend(pkt.ColorEpoch)
 	}
-	if pkt.PiggyGVTValid {
-		api.Charge(CyclesPiggyExtract)
-		w := api.Shared()
-		w.HostT = pkt.PiggyT
-		w.HostTMin = pkt.PiggyTMin
-		w.HostV = pkt.PiggyV
-		w.ReceivedHostVariables = true
-		// The piggyback is meaning only to this NIC; scrub it so the
-		// destination cannot misread source-local handshake state.
-		pkt.PiggyGVTValid = false
+	if extractPiggy(pkt, api) {
 		f.advance(api)
 	}
 	return nic.VerdictForward
@@ -131,15 +66,7 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 		}
 		api.Charge(CyclesTokenFold + CyclesNotify)
 		api.Stats().TokensSeen.Inc()
-		w.GVTTokenPending = true
-		w.ControlMessagePending = true
-		w.ReceivedHostVariables = false
-		w.TokenIsInitiation = false
-		w.TokenRound = pkt.TokenRound
-		w.TokenCount = pkt.TokenCount
-		w.TokenMin = pkt.TokenMin
-		w.TokenEpoch = pkt.TokenEpoch
-		w.TokenOrigin = pkt.TokenOrigin
+		stageToken(w, pkt.TokenRound, pkt.TokenCount, pkt.TokenMin, pkt.TokenOrigin, pkt.TokenEpoch)
 		f.join(uint32(pkt.TokenEpoch))
 		api.NotifyHost(nic.NotifyGVTControl)
 		return nic.VerdictConsume
@@ -198,7 +125,7 @@ func (f *GVTFirmware) advance(api nic.API) {
 			} else {
 				// In-transit messages on a single node can only be in the
 				// local stack; re-run the handshake as round 1.
-				f.requeue(api, 1, count, min, origin, epoch)
+				requeue(api, 1, count, min, origin, epoch)
 			}
 			return
 		}
@@ -216,23 +143,6 @@ func (f *GVTFirmware) advance(api nic.API) {
 		f.TokensForwarded.Inc()
 		f.emitToken(api, round, count, min, origin, epoch)
 	}
-}
-
-// requeue re-stages the token locally and asks the host for fresh values —
-// only used on single-node rings, where the token has nowhere to travel.
-func (f *GVTFirmware) requeue(api nic.API, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
-	w := api.Shared()
-	w.GVTTokenPending = true
-	w.ControlMessagePending = true
-	w.ReceivedHostVariables = false
-	w.TokenIsInitiation = false
-	w.TokenRound = round
-	w.TokenCount = count
-	w.TokenMin = min
-	w.TokenOrigin = origin
-	w.TokenEpoch = epoch
-	api.Charge(CyclesNotify)
-	api.NotifyHost(nic.NotifyGVTControl)
 }
 
 // emitToken injects a token bound for the next LP on the ring.

@@ -1,0 +1,116 @@
+package firmware
+
+import (
+	"nicwarp/internal/nic"
+	"nicwarp/internal/proto"
+	"nicwarp/internal/vtime"
+)
+
+// sendLedger is the transmit-side Mattern colour accounting both GVT
+// programs embed — the mirror image of gvt.Ledger's receive side. How the
+// balance travels (ring token or tree reduction) is the embedding
+// program's business.
+type sendLedger struct {
+	epoch       uint32
+	sentOld     int64 // transmitted with stamp below epoch (folded)
+	sentByStamp map[uint32]int64
+	reportedOld int64 // white sends already folded into the current computation
+}
+
+func newSendLedger() sendLedger {
+	return sendLedger{sentByStamp: make(map[uint32]int64)}
+}
+
+// countSend accounts one transmitted event-like packet by its stamp.
+func (l *sendLedger) countSend(stamp uint32) {
+	if stamp < l.epoch {
+		l.sentOld++
+	} else {
+		l.sentByStamp[stamp]++
+	}
+}
+
+// join advances to computation c, folding now-white transmit counts.
+func (l *sendLedger) join(c uint32) {
+	if c <= l.epoch {
+		return
+	}
+	l.epoch = c
+	//nicwarp:ordered commutative fold: sums counters and deletes folded keys
+	for s, n := range l.sentByStamp {
+		if s < c {
+			l.sentOld += n
+			delete(l.sentByStamp, s)
+		}
+	}
+	l.reportedOld = 0
+}
+
+// takeSentDelta returns white transmits not yet folded into the token.
+func (l *sendLedger) takeSentDelta() int64 {
+	d := l.sentOld - l.reportedOld
+	l.reportedOld = l.sentOld
+	return d
+}
+
+// extractPiggy intercepts a host handshake piggybacked on an outgoing
+// packet. It reports whether values landed in the shared window, in which
+// case the caller advances its computation.
+func extractPiggy(pkt *proto.Packet, api nic.API) bool {
+	if !pkt.PiggyGVTValid {
+		return false
+	}
+	api.Charge(CyclesPiggyExtract)
+	w := api.Shared()
+	w.HostT = pkt.PiggyT
+	w.HostTMin = pkt.PiggyTMin
+	w.HostV = pkt.PiggyV
+	w.ReceivedHostVariables = true
+	// The piggyback is meaning only to this NIC; scrub it so the
+	// destination cannot misread source-local handshake state.
+	pkt.PiggyGVTValid = false
+	return true
+}
+
+// stageToken parks a token in the shared window, waiting for the host's
+// handshake values.
+func stageToken(w *nic.SharedWindow, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
+	w.GVTTokenPending = true
+	w.ControlMessagePending = true
+	w.ReceivedHostVariables = false
+	w.TokenIsInitiation = false
+	w.TokenRound = round
+	w.TokenCount = count
+	w.TokenMin = min
+	w.TokenOrigin = origin
+	w.TokenEpoch = epoch
+}
+
+// requeue re-stages a token on this NIC and asks the host for fresh values:
+// the root's next round when messages were in transit across the cut and
+// the token has nowhere to travel first (a single-node ring, or the tree
+// root between reductions).
+func requeue(api nic.API, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
+	stageToken(api.Shared(), round, count, min, origin, epoch)
+	api.Charge(CyclesNotify)
+	api.NotifyHost(nic.NotifyGVTControl)
+}
+
+// queuedSendMin returns the minimum send timestamp over event-like packets
+// still waiting in the NIC transmit queue. countSend runs at dequeue, so a
+// packet stamped in an earlier computation that stays queued (stop/go
+// backpressure) across this entire computation is in neither the white
+// balance nor the host's red-send minimum; the reported floor must bound it.
+// Red-stamped packets re-fold harmlessly — their stamp-time fold into the
+// host ledger already bounds them.
+func queuedSendMin(api nic.API) vtime.VTime {
+	q := api.SendQueue()
+	api.Charge(int64(len(q)) * CyclesQueueScanPerPacket)
+	min := vtime.Infinity
+	for _, pkt := range q {
+		if pkt.IsEventLike() {
+			min = vtime.MinV(min, pkt.SendTS)
+		}
+	}
+	return min
+}

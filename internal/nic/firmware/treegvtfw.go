@@ -50,13 +50,8 @@ const DefaultTreeArity = 8
 // from random wire faults — the fault plane only delays them — so a
 // drop/reorder scenario stretches a computation but cannot wedge it.
 type TreeGVTFirmware struct {
+	sendLedger
 	arity int
-
-	// Transmit-side colour accounting, identical to GVTFirmware.
-	epoch       uint32
-	sentOld     int64 // transmitted with stamp below epoch (folded)
-	sentByStamp map[uint32]int64
-	reportedOld int64 // white sends already folded into the current round
 
 	// Per-round reduction state. A node is "collecting" from the moment
 	// it learns of a round (start token, or staged initiation at the
@@ -87,9 +82,9 @@ func NewTreeGVT(arity int) *TreeGVTFirmware {
 		arity = DefaultTreeArity
 	}
 	return &TreeGVTFirmware{
-		arity:       arity,
-		sentByStamp: make(map[uint32]int64),
-		accMin:      vtime.Infinity,
+		sendLedger: newSendLedger(),
+		arity:      arity,
+		accMin:     vtime.Infinity,
 	}
 }
 
@@ -112,38 +107,6 @@ func (f *TreeGVTFirmware) numChildren(api nic.API) int {
 	return last - first + 1
 }
 
-// countSend accounts one transmitted event-like packet by its stamp.
-func (f *TreeGVTFirmware) countSend(stamp uint32) {
-	if stamp < f.epoch {
-		f.sentOld++
-	} else {
-		f.sentByStamp[stamp]++
-	}
-}
-
-// join advances to computation c, folding now-white transmit counts.
-func (f *TreeGVTFirmware) join(c uint32) {
-	if c <= f.epoch {
-		return
-	}
-	f.epoch = c
-	//nicwarp:ordered commutative fold: sums counters and deletes folded keys
-	for s, n := range f.sentByStamp {
-		if s < c {
-			f.sentOld += n
-			delete(f.sentByStamp, s)
-		}
-	}
-	f.reportedOld = 0
-}
-
-// takeSentDelta returns white transmits not yet folded into the round.
-func (f *TreeGVTFirmware) takeSentDelta() int64 {
-	d := f.sentOld - f.reportedOld
-	f.reportedOld = f.sentOld
-	return d
-}
-
 // OnHostSend implements nic.Firmware: count white transmits and intercept
 // piggybacked host handshake values, exactly as the ring firmware does.
 func (f *TreeGVTFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict {
@@ -151,14 +114,7 @@ func (f *TreeGVTFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict
 	if pkt.IsEventLike() {
 		f.countSend(pkt.ColorEpoch)
 	}
-	if pkt.PiggyGVTValid {
-		api.Charge(CyclesPiggyExtract)
-		w := api.Shared()
-		w.HostT = pkt.PiggyT
-		w.HostTMin = pkt.PiggyTMin
-		w.HostV = pkt.PiggyV
-		w.ReceivedHostVariables = true
-		pkt.PiggyGVTValid = false
+	if extractPiggy(pkt, api) {
 		f.advance(api)
 	}
 	return nic.VerdictForward
@@ -180,15 +136,7 @@ func (f *TreeGVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verd
 		api.Stats().TokensSeen.Inc()
 		f.join(uint32(pkt.TokenEpoch))
 		f.beginRound(api, pkt.TokenRound, pkt.TokenOrigin, pkt.TokenEpoch)
-		w.GVTTokenPending = true
-		w.ControlMessagePending = true
-		w.ReceivedHostVariables = false
-		w.TokenIsInitiation = false
-		w.TokenRound = pkt.TokenRound
-		w.TokenCount = pkt.TokenCount
-		w.TokenMin = pkt.TokenMin
-		w.TokenEpoch = pkt.TokenEpoch
-		w.TokenOrigin = pkt.TokenOrigin
+		stageToken(w, pkt.TokenRound, pkt.TokenCount, pkt.TokenMin, pkt.TokenOrigin, pkt.TokenEpoch)
 		api.NotifyHost(nic.NotifyGVTControl)
 		return nic.VerdictConsume
 	case proto.KindGVTReduce:
@@ -316,7 +264,7 @@ func (f *TreeGVTFirmware) maybeComplete(api nic.API) {
 		// Messages were in transit across the cut: restage the host
 		// handshake and reduce again, carrying the balance and min
 		// forward exactly like a ring re-circulation.
-		f.requeue(api, f.round+1, count, min, f.origin, f.compEpoch)
+		requeue(api, f.round+1, count, min, f.origin, f.compEpoch)
 		return
 	}
 	api.Charge(CyclesTokenBuild)
@@ -332,23 +280,6 @@ func (f *TreeGVTFirmware) maybeComplete(api nic.API) {
 		TokenOrigin: f.origin,
 		TokenEpoch:  f.compEpoch,
 	})
-}
-
-// requeue re-stages the round locally at the root and asks the host for
-// fresh values; the next advance re-opens the round down the tree.
-func (f *TreeGVTFirmware) requeue(api nic.API, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
-	w := api.Shared()
-	w.GVTTokenPending = true
-	w.ControlMessagePending = true
-	w.ReceivedHostVariables = false
-	w.TokenIsInitiation = false
-	w.TokenRound = round
-	w.TokenCount = count
-	w.TokenMin = min
-	w.TokenOrigin = origin
-	w.TokenEpoch = epoch
-	api.Charge(CyclesNotify)
-	api.NotifyHost(nic.NotifyGVTControl)
 }
 
 // relayValue forwards a committed GVT value to every child.

@@ -132,32 +132,20 @@ func PCS(p PCSParams) App { return pcs.New(p) }
 func PCSDefault() PCSParams { return pcs.DefaultParams() }
 
 // Run assembles and executes one experiment. Options adjust how the run
-// executes — WithShards, WithMeter — or layer extras onto the config —
-// WithFaultPlan. Run(cfg) with no options is the historical serial path;
-// see options.go for the contract that execution options never change what
-// a config computes.
+// executes — WithShards — or layer extras onto the config — WithFaultPlan.
+// Run(cfg) with no options is the historical serial path; see options.go
+// for the contract that execution options never change what a config
+// computes.
 func Run(cfg Config, opts ...RunOption) (*Result, error) {
 	o := applyOptions(opts)
 	if o.fault != nil {
 		cfg.Fault = *o.fault
 	}
-	run := func() (*Result, error) {
-		cl, err := core.NewClusterExec(cfg, o.exec)
-		if err != nil {
-			return nil, err
-		}
-		return cl.Run()
+	cl, err := core.NewClusterExec(cfg, o.exec)
+	if err != nil {
+		return nil, err
 	}
-	if o.meter == nil {
-		return run()
-	}
-	var res *Result
-	var err error
-	p := o.meter.Measure(o.name, func() { res, err = run() })
-	if err == nil && o.sink != nil {
-		o.sink(p)
-	}
-	return res, err
+	return cl.Run()
 }
 
 // MustRun is Run for examples and benchmarks where a failure is fatal.

@@ -3,16 +3,15 @@ package nicwarp
 import (
 	"nicwarp/internal/core"
 	"nicwarp/internal/fault"
-	"nicwarp/internal/perfbench"
 )
 
 // This file is the functional-options surface of Run. Config stays what it
 // always was — the model parameters that define an experiment's identity
 // and feed its digest — while everything about *how* the run executes
-// (shard count, instrumentation, injected faults from a named plan) arrives
-// as a RunOption. New execution knobs must land here, not as positional
-// Config struct fields: an option composes, documents itself at the call
-// site, and cannot silently change the digest of every cached result.
+// (shard count, injected faults from a named plan) arrives as a RunOption.
+// New execution knobs must land here, not as positional Config struct
+// fields: an option composes, documents itself at the call site, and cannot
+// silently change the digest of every cached result.
 
 // Exec is the execution strategy applied to a run: knobs that change how
 // the simulation executes but, by the sharded-identity guarantee, never
@@ -32,23 +31,13 @@ func FaultScenario(name string, seed uint64) (FaultPlan, error) {
 // order.
 func ScenarioNames() []string { return fault.Scenarios() }
 
-// Meter measures runs against an injected wall clock (see WithMeter).
-type Meter = perfbench.Meter
-
-// MeterPoint is one run's telemetry as captured by WithMeter.
-type MeterPoint = perfbench.Point
-
 // RunOption customizes one Run call. The zero set of options reproduces
-// the historical Run(cfg) behavior exactly: serial execution, no faults,
-// no instrumentation.
+// the historical Run(cfg) behavior exactly: serial execution, no faults.
 type RunOption func(*runOptions)
 
 type runOptions struct {
 	exec  core.Exec
 	fault *FaultPlan
-	meter *Meter
-	name  string
-	sink  func(MeterPoint)
 }
 
 func applyOptions(opts []RunOption) runOptions {
@@ -80,17 +69,5 @@ func WithFaultPlan(plan FaultPlan) RunOption {
 	return func(o *runOptions) {
 		p := plan
 		o.fault = &p
-	}
-}
-
-// WithMeter measures the run — cluster assembly plus execution, on a
-// quiesced heap — on m and hands the telemetry point, recorded under name,
-// to sink. A nil sink discards the point (useful when m aggregates
-// elsewhere via its clock).
-func WithMeter(m *Meter, name string, sink func(MeterPoint)) RunOption {
-	return func(o *runOptions) {
-		o.meter = m
-		o.name = name
-		o.sink = sink
 	}
 }

@@ -107,7 +107,8 @@ func (fs *FactSet) FuncFact(fn *types.Func) *FuncFact {
 }
 
 // EnsureFunc returns the (created if absent) fact record for fn, or nil for
-// functions without a stable key (func literals, interface methods).
+// functions without a stable key (func literals, methods of unnamed
+// interfaces).
 func (fs *FactSet) EnsureFunc(fn *types.Func) *FuncFact {
 	key := FuncKey(fn)
 	if key == "" {

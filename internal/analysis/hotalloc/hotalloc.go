@@ -15,6 +15,14 @@
 // loaded package during the facts pass. Removing an annotation from a root
 // does not excuse its callees if another hot root still reaches them.
 //
+// A call through an interface is dynamic and normally counts as allocating.
+// An interface method whose declaration carries `//nicwarp:hotpath` is the
+// exception: the contract moves onto the interface. Every implementation
+// in the declaring package becomes a hot root, and callers anywhere judge
+// the call by those implementations' facts — which is what lets firmware
+// hooks, written against the nic.API capability interface, be hot roots
+// at all. Implementations in other packages (test doubles) are not checked.
+//
 // Inside hot code the following constructs are flagged:
 //
 //   - func literals (closure allocation + captured-variable escape)
@@ -191,7 +199,9 @@ const allocConsequence = "per-event garbage turns into GC pauses that show " +
 // collect builds the per-function summaries: hot annotation, allocating
 // constructs, and statically resolved callees.
 func collect(pass *framework.Pass) []*fnInfo {
-	var out []*fnInfo
+	// Hot interface methods first: their facts must exist before any
+	// function body that calls through them is scanned.
+	out := hotInterfaceMethods(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -212,6 +222,66 @@ func collect(pass *framework.Pass) []*fnInfo {
 			sc.cold = coldRanges(fd.Body)
 			sc.scan(fd.Body)
 			out = append(out, info)
+		}
+	}
+	return out
+}
+
+// hotInterfaceMethods summarizes each //nicwarp:hotpath-annotated method of
+// an interface declared in the package as a hot root whose callees are the
+// package's implementations of it, and registers its fact so calleeFunc
+// resolves calls through it.
+func hotInterfaceMethods(pass *framework.Pass) []*fnInfo {
+	var out []*fnInfo
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			it, ok := ts.Type.(*ast.InterfaceType)
+			if !ok {
+				return true
+			}
+			iface, _ := pass.TypesInfo.TypeOf(ts.Name).Underlying().(*types.Interface)
+			for _, field := range it.Methods.List {
+				if iface == nil || len(field.Names) != 1 || !pass.Annotated(field.Pos(), "hotpath") {
+					continue
+				}
+				m, _ := pass.TypesInfo.Defs[field.Names[0]].(*types.Func)
+				if m == nil || pass.Facts.EnsureFunc(m) == nil {
+					continue
+				}
+				out = append(out, &fnInfo{
+					fn:      m,
+					hot:     true,
+					callees: implementations(pass.Pkg, iface, m.Name()),
+					calls:   make(map[*types.Func]token.Pos),
+				})
+			}
+			return false
+		})
+	}
+	return out
+}
+
+// implementations returns method name of every concrete named type in pkg
+// whose pointer method set satisfies iface.
+func implementations(pkg *types.Package, iface *types.Interface, name string) []*types.Func {
+	var out []*types.Func
+	for _, typeName := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(typeName).(*types.TypeName)
+		if !ok || types.IsInterface(tn.Type()) {
+			continue
+		}
+		ptr := types.NewPointer(tn.Type())
+		if !types.Implements(ptr, iface) {
+			continue
+		}
+		if obj, _, _ := types.LookupFieldOrMethod(ptr, true, pkg, name); obj != nil {
+			if fn, ok := obj.(*types.Func); ok {
+				out = append(out, fn)
+			}
 		}
 	}
 	return out
@@ -513,8 +583,9 @@ func isConstExpr(pass *framework.Pass, e ast.Expr) bool {
 }
 
 // calleeFunc resolves the static callee of a call, or nil for dynamic
-// calls. Interface-method calls resolve to the interface method object,
-// which has no fact key — callers treat that as unknown.
+// calls. An interface-method call is dynamic unless the interface declared
+// the method //nicwarp:hotpath, which gave the method object a fact (see
+// hotInterfaceMethods).
 func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -524,6 +595,9 @@ func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 		if sel, ok := pass.TypesInfo.Selections[fun]; ok {
 			if sel.Kind() == types.MethodVal {
 				if types.IsInterface(sel.Recv()) {
+					if fn, _ := sel.Obj().(*types.Func); pass.Facts.FuncFact(fn) != nil {
+						return fn
+					}
 					return nil // dynamic dispatch
 				}
 				fn, _ := sel.Obj().(*types.Func)

@@ -56,3 +56,27 @@ func sample(k *kernel) []uint64 {
 	ids := make([]uint64, 0, len(k.queue)) // want `make \(heap allocation\) in hot path sample`
 	return ids
 }
+
+// store declares put hot on the interface: the implementation in this
+// package becomes a hot root, and the caller through the interface is
+// judged by what that implementation does. get carries no annotation and
+// stays a dynamic call.
+type store interface {
+	//nicwarp:hotpath per-event write
+	put(e event)
+	get() event
+}
+
+type sliceStore struct{ events []event }
+
+func (s *sliceStore) put(e event) {
+	s.events = append(s.events, e) // want `append \(amortized growth is still growth; pre-size the slice\) in hot path put`
+}
+
+func (s *sliceStore) get() event { return s.events[0] }
+
+//nicwarp:hotpath record fast path
+func record(s store, e event) event {
+	s.put(e)
+	return s.get() // want `dynamic call \(function value or interface method`
+}

@@ -86,3 +86,22 @@ func cold() []event {
 	out = append(out, event{id: 1})
 	return out
 }
+
+// queue is a capability interface. A call through peek would be a dynamic
+// call, assumed to allocate — but peek is declared hot on the interface, so
+// the package's implementation (ringQueue.peek) is held to the contract
+// and callers are judged by its facts instead.
+type queue interface {
+	// peek returns the oldest event's timestamp.
+	//nicwarp:hotpath read on every scheduling step
+	peek() int64
+}
+
+type ringQueue struct{ r *ring }
+
+func (q ringQueue) peek() int64 { return q.r.buf[q.r.head].ts }
+
+//nicwarp:hotpath scheduling step over the capability interface
+func next(q queue) int64 {
+	return q.peek()
+}

@@ -26,6 +26,7 @@ package bip
 import (
 	"fmt"
 
+	"nicwarp/internal/dense"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/stats"
 )
@@ -63,8 +64,10 @@ func (v Verdict) String() string {
 type Endpoint struct {
 	node     int
 	tolerant bool
-	nextSeq  map[int32]uint64 // per destination, next sequence to assign
-	expect   map[int32]uint64 // per source, next sequence expected
+	// nextSeq and expect are indexed by node id, each grown to the highest
+	// peer it has been asked about; a peer beyond them has seen no traffic.
+	nextSeq []uint64 // per destination, last sequence assigned
+	expect  []uint64 // per source, last sequence accepted
 	// missing tracks, per source, the sequence numbers inside detected
 	// gaps that have not yet been filled by a late arrival. In strict
 	// mode holes are never filled (deliberate NIC drops on a FIFO fabric
@@ -83,11 +86,7 @@ type Endpoint struct {
 
 // New creates the endpoint for a node.
 func New(node int) *Endpoint {
-	return &Endpoint{
-		node:    node,
-		nextSeq: make(map[int32]uint64),
-		expect:  make(map[int32]uint64),
-	}
+	return &Endpoint{node: node}
 }
 
 // SetTolerant switches the endpoint between strict mode (regressions
@@ -102,6 +101,11 @@ func (e *Endpoint) Stamp(pkt *proto.Packet) {
 	if int(pkt.SrcNode) != e.node {
 		panic(fmt.Sprintf("bip: node %d stamping packet from node %d", e.node, pkt.SrcNode))
 	}
+	if pkt.DstNode < 0 {
+		// Sequence streams are per destination; a broadcast belongs to none.
+		panic(fmt.Sprintf("bip: node %d stamping a broadcast packet", e.node))
+	}
+	e.nextSeq = dense.Grow(e.nextSeq, pkt.DstNode, 0)
 	e.nextSeq[pkt.DstNode]++
 	pkt.Seq = e.nextSeq[pkt.DstNode]
 	e.Stamped.Inc()
@@ -136,6 +140,7 @@ func (e *Endpoint) AcceptV(pkt *proto.Packet) (Verdict, int) {
 // sequence by sequence and an assembly-time drop inside the frame's range
 // surfaces here as an ordinary gap.
 func (e *Endpoint) AcceptSeqV(src int32, seq uint64) (Verdict, int) {
+	e.expect = dense.Grow(e.expect, src, 0)
 	want := e.expect[src] + 1
 	if seq < want {
 		if !e.tolerant {
@@ -191,7 +196,7 @@ func (e *Endpoint) OutstandingMissing() int {
 }
 
 // StampedTo returns the highest sequence number stamped toward dst.
-func (e *Endpoint) StampedTo(dst int32) uint64 { return e.nextSeq[dst] }
+func (e *Endpoint) StampedTo(dst int32) uint64 { return dense.At(e.nextSeq, dst) }
 
 // HighestFrom returns the highest sequence number accepted from src.
-func (e *Endpoint) HighestFrom(src int32) uint64 { return e.expect[src] }
+func (e *Endpoint) HighestFrom(src int32) uint64 { return dense.At(e.expect, src) }

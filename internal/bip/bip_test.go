@@ -218,3 +218,55 @@ func TestTolerantHolesArePerSource(t *testing.T) {
 		t.Fatalf("after fill: per-source holes = %d,%d, want 1,1", e.MissingFrom(0), e.MissingFrom(1))
 	}
 }
+
+// TestPeerTablesGrowOnDemand: the per-destination and per-source sequence
+// tables are indexed by node id and grown to the highest peer touched.
+// Reaching a peer beyond every one seen so far, in any order, starts its
+// stream at 1 and disturbs no other stream — what the maps the tables
+// replaced did.
+func TestPeerTablesGrowOnDemand(t *testing.T) {
+	for _, peers := range [][]int32{
+		{1, 5, 900},
+		{900, 5, 1},
+		{5, 1023, 5, 7, 1023},
+	} {
+		tx, rx := New(0), New(2000)
+		want := map[int32]uint64{}
+		for _, peer := range peers {
+			if tx.StampedTo(peer) != want[peer] || rx.HighestFrom(peer) != want[peer] {
+				t.Fatalf("%v: peer %d reads %d/%d before its next packet, want %d", peers, peer,
+					tx.StampedTo(peer), rx.HighestFrom(peer), want[peer])
+			}
+			want[peer]++
+			out := pkt(0, peer, 0)
+			tx.Stamp(out)
+			if out.Seq != want[peer] {
+				t.Fatalf("%v: stamp toward %d = %d, want %d", peers, peer, out.Seq, want[peer])
+			}
+			if v, missing := rx.AcceptV(pkt(peer, 2000, want[peer])); v != VerdictFresh || missing != 0 {
+				t.Fatalf("%v: in-order packet from %d classified %v with %d missing", peers, peer, v, missing)
+			}
+		}
+		for peer, seq := range want {
+			if tx.StampedTo(peer) != seq || rx.HighestFrom(peer) != seq {
+				t.Fatalf("%v: peer %d ends at %d/%d, want %d", peers, peer, tx.StampedTo(peer), rx.HighestFrom(peer), seq)
+			}
+		}
+		// Peers inside the tables' range but never touched, past it, and the
+		// broadcast id all read as untouched.
+		for _, peer := range []int32{2, 1500, -1} {
+			if tx.StampedTo(peer) != 0 || rx.HighestFrom(peer) != 0 || rx.MissingFrom(peer) != 0 {
+				t.Fatalf("%v: untouched peer %d has state", peers, peer)
+			}
+		}
+	}
+}
+
+func TestStampBroadcastPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a broadcast belongs to no per-destination stream and must not be stamped")
+		}
+	}()
+	New(0).Stamp(pkt(0, -1, 0))
+}

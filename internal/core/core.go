@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nicwarp/internal/bip"
@@ -296,6 +295,9 @@ type node struct {
 	// node's engine.
 	pktFree []*proto.Packet //nicwarp:owns the packet free list is the release destination itself
 
+	// doorbells holds the per-tag receivers for NIC doorbell completions.
+	doorbells [nic.NotifyCreditRefund + 1]doorbell
+
 	// finalGVT is the highest GVT this node has committed. Per node (not on
 	// the cluster) because commits fire on shard engines concurrently; the
 	// cluster-wide value is the max, folded after the run quiesces.
@@ -445,6 +447,9 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{id: i, cluster: cl, finalGVT: -1}
+		for tag := range n.doorbells {
+			n.doorbells[tag] = doorbell{n: n, tag: nic.NotifyTag(tag)}
+		}
 		n.eng = cl.engines[i%cl.shards]
 		n.eng.SetLane(uint32(i))
 		n.cpu = hostmodel.NewCPU(n.eng, i, cfg.Costs)
@@ -719,22 +724,13 @@ func (cl *Cluster) runQuiescenceChecks() {
 			stamped := s.bipEnd.StampedTo(int32(r.id))
 			highest := r.bipEnd.HighestFrom(int32(s.id))
 			holes := r.bipEnd.MissingFrom(int32(s.id))
-			drops := w.DropsByDst[int32(r.id)]
+			drops := w.DropsByDst.At(int32(r.id))
 			if stamped == 0 && highest == 0 && holes == 0 && drops == 0 {
 				continue
 			}
 			ck.CheckBIPPair(s.id, r.id, holes, stamped, highest, drops)
 		}
-		var refundLeft, salvageLeft int64
-		//nicwarp:ordered commutative sum over undrained refunds
-		for _, v := range w.CreditRefund {
-			refundLeft += v
-		}
-		//nicwarp:ordered commutative sum over undrained salvage
-		for _, v := range w.CreditSalvage {
-			salvageLeft += v
-		}
-		ck.CheckDrained(s.id, refundLeft, salvageLeft)
+		ck.CheckDrained(s.id, w.CreditRefund.Sum(), w.CreditSalvage.Sum())
 		ck.CheckZombies(s.id, s.kernel.ZombieCount(), w.Dropped.Evictions.Value())
 	}
 	ck.CheckTransitEmpty()
@@ -1055,57 +1051,74 @@ func (n *node) popOutbound() *proto.Packet {
 	return pkt
 }
 
+// doorbell is the threaded receiver for one NIC-to-host doorbell tag's
+// completions. A node keeps one per tag, so raising a doorbell captures
+// nothing and allocates nothing.
+type doorbell struct {
+	n   *node
+	tag nic.NotifyTag
+}
+
 // nicNotify is wired into the NIC: a doorbell crosses the bus and interrupts
 // the host.
 func (n *node) nicNotify(tag nic.NotifyTag) {
-	n.bus.Word(func() {
-		c := n.cpu.Costs
-		if tag == nic.NotifyCreditRefund {
-			n.cpu.Do(hostmodel.CatComm, c.InterruptOverhead+c.SharedWrite, func() {
-				n.drainCreditRefunds()
-				n.pump()
-			})
-			return
-		}
-		n.cpu.Do(hostmodel.CatGVT, c.InterruptOverhead+c.SharedWrite, func() {
-			n.mgr.OnNotify(view{n}, tag)
-			n.pump()
-		})
-	})
+	n.bus.WordArg(doorbellWordDone, &n.doorbells[tag])
+}
+
+// doorbellWordDone: the doorbell word crossed the bus; take the interrupt.
+func doorbellWordDone(x interface{}) {
+	d := x.(*doorbell)
+	c := d.n.cpu.Costs
+	cat := hostmodel.CatGVT
+	if d.tag == nic.NotifyCreditRefund {
+		cat = hostmodel.CatComm
+	}
+	d.n.cpu.DoArg(cat, c.InterruptOverhead+c.SharedWrite, doorbellInterrupt, d)
+}
+
+// doorbellInterrupt: the host services the doorbell.
+func doorbellInterrupt(x interface{}) {
+	d := x.(*doorbell)
+	n := d.n
+	if d.tag == nic.NotifyCreditRefund {
+		n.drainCreditRefunds()
+	} else {
+		n.mgr.OnNotify(view{n}, d.tag)
+	}
+	n.pump()
 }
 
 // drainCreditRefunds reclaims flow-control credit for packets the NIC
 // cancelled in place, and re-books credit returns that were riding on them.
+// Both tables are indexed by destination node and walked ascending:
+// BookOwed can emit a credit-return packet, and the order those leave in is
+// observable in the hardware model.
+//
+//nicwarp:hotpath runs on every credit-refund doorbell, one per dropped packet under early cancellation
 func (n *node) drainCreditRefunds() {
 	w := n.nicDev.Shared()
-	// Both maps are keyed by destination node, and BookOwed can emit a
-	// credit-return packet whose transmit order is observable in the
-	// hardware model, so drain in ascending destination order rather than
-	// randomized map order.
-	for _, dst := range sortedNodeKeys(w.CreditRefund) {
-		n.flow.Refund(dst, int(w.CreditRefund[dst]))
-		delete(w.CreditRefund, dst)
+	for dst, k := range w.CreditRefund {
+		if k != 0 {
+			w.CreditRefund[dst] = 0
+			n.flow.Refund(int32(dst), int(k))
+		}
 	}
-	for _, dst := range sortedNodeKeys(w.CreditSalvage) {
-		k := w.CreditSalvage[dst]
-		delete(w.CreditSalvage, dst)
-		if reply := n.flow.BookOwed(dst, int(k)); reply != nil {
-			c := n.cpu.Costs
-			n.cpu.Do(hostmodel.CatComm, c.SendOverhead, func() {
-				n.transmitHostPacket(reply)
-			})
+	for dst, k := range w.CreditSalvage {
+		if k != 0 {
+			w.CreditSalvage[dst] = 0
+			if reply := n.flow.BookOwed(int32(dst), int(k)); reply != nil {
+				n.sendCreditReply(reply) //nicwarp:alloc explicit credit message, one per ReturnThreshold salvaged credits
+			}
 		}
 	}
 }
 
-// sortedNodeKeys returns the keys of a node-indexed credit map, ascending.
-func sortedNodeKeys(m map[int32]int64) []int32 {
-	keys := make([]int32, 0, len(m))
-	for dst := range m {
-		keys = append(keys, dst)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+// sendCreditReply charges the host for and transmits an explicit
+// flow-control credit message MPICH asked for.
+func (n *node) sendCreditReply(reply *proto.Packet) {
+	n.cpu.Do(hostmodel.CatComm, n.cpu.Costs.SendOverhead, func() {
+		n.transmitHostPacket(reply)
+	})
 }
 
 // hostReceive integrates one inbound packet on the host.
@@ -1129,10 +1142,7 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 		return
 	}
 	if reply := n.flow.OnReceive(pkt); reply != nil {
-		c := n.cpu.Costs
-		n.cpu.Do(hostmodel.CatComm, c.SendOverhead, func() {
-			n.transmitHostPacket(reply)
-		})
+		n.sendCreditReply(reply)
 	}
 	switch pkt.Kind {
 	case proto.KindEvent, proto.KindAnti:
@@ -1231,10 +1241,7 @@ func (n *node) hostReceiveBatch(frame *proto.Packet) {
 	n.scratchPkt = proto.Packet{}
 	if seqSubs > 0 {
 		if reply := n.flow.OnReceiveBatch(frame, seqSubs); reply != nil {
-			c := n.cpu.Costs
-			n.cpu.Do(hostmodel.CatComm, c.SendOverhead, func() {
-				n.transmitHostPacket(reply)
-			})
+			n.sendCreditReply(reply)
 		}
 	}
 	n.nicDev.ReleaseFrame(frame)

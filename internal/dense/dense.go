@@ -1,0 +1,28 @@
+// Package dense holds the directly indexed tables behind the simulator's
+// per-packet bookkeeping. Wave epochs, colour stamps and node ids are small
+// dense integers, so state keyed by them lives in slices — the bounded,
+// directly indexed scratch state a NIC handler would use (sPIN, PAPERS.md)
+// — instead of hash maps: no hashing per packet, no per-operation
+// allocation, and iteration is ascending by construction, which is the
+// order the deterministic model needs anyway.
+package dense
+
+// Grow returns s extended, with fill in every new slot, so that index i
+// exists: a table keyed by node id is sized by the highest id it has been
+// asked about, not by the cluster.
+func Grow[T any](s []T, i int32, fill T) []T {
+	for int(i) >= len(s) {
+		s = append(s, fill) //nicwarp:alloc table growth on first touch of a higher index, amortized across the run
+	}
+	return s
+}
+
+// At returns s[i], or the zero value for an index the table has not grown
+// to (or a negative one, such as the broadcast destination).
+func At[T any](s []T, i int32) T {
+	if uint(i) < uint(len(s)) {
+		return s[i]
+	}
+	var zero T
+	return zero
+}

@@ -1,0 +1,146 @@
+package dense
+
+import (
+	"math/rand"
+	"testing"
+)
+
+func TestGrowAndAt(t *testing.T) {
+	var s []int
+	if At(s, 3) != 0 || At(s, -1) != 0 {
+		t.Fatal("At outside the table must read zero")
+	}
+	s = Grow(s, 3, 7)
+	if len(s) != 4 || s[0] != 7 || s[3] != 7 {
+		t.Fatalf("Grow(nil, 3, 7) = %v, want four sevens", s)
+	}
+	s[1] = 1
+	if g := Grow(s, 2, 9); len(g) != 4 || g[1] != 1 {
+		t.Fatalf("Grow within the table must not touch it, got %v", g)
+	}
+	if At(s, 1) != 1 || At(s, 4) != 0 {
+		t.Fatal("At inside/past the table")
+	}
+}
+
+// mapWindow is the representation EpochWindow replaced — a folded bucket
+// plus a hash map by epoch — and the reference it is tested against.
+type mapWindow struct {
+	base    uint32
+	old     int64
+	byEpoch map[uint32]int64
+}
+
+func (w *mapWindow) add(epoch uint32, n int64) {
+	if epoch < w.base {
+		w.old += n
+	} else {
+		w.byEpoch[epoch] += n
+	}
+}
+
+func (w *mapWindow) below(epoch uint32) int64 {
+	sum := w.old
+	for e, n := range w.byEpoch {
+		if e < epoch {
+			sum += n
+		}
+	}
+	return sum
+}
+
+func (w *mapWindow) fold(epoch uint32) {
+	if epoch <= w.base {
+		return
+	}
+	w.base = epoch
+	for e, n := range w.byEpoch {
+		if e < epoch {
+			w.old += n
+			delete(w.byEpoch, e)
+		}
+	}
+}
+
+// TestEpochWindowMatchesMapReference drives a window and the map model
+// through seeded random schedules: adds below, inside and ahead of the
+// window, folds forward, backward and past everything counted. A second
+// window feeds it the way the shared window's DroppedWhite feeds a GVT
+// ledger — filled by adds, emptied by MoveTo and re-based only by it — and
+// is modelled by a plain map of true stamps: whatever the feeder folded on
+// the way must land exactly where the unfolded stamps would have.
+func TestEpochWindowMatchesMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got, feeder EpochWindow
+		want := mapWindow{byEpoch: map[uint32]int64{}}
+		fed := map[uint32]int64{}
+		around := func(spread int) uint32 { // an epoch near the base, either side
+			return want.base + uint32(rng.Intn(spread)) - min(want.base, 3)
+		}
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				epoch, n := around(12), int64(1+rng.Intn(4))
+				got.Add(epoch, n)
+				want.add(epoch, n)
+			case op < 6:
+				epoch := around(8)
+				got.Fold(epoch)
+				want.fold(epoch)
+			case op < 9:
+				epoch, n := around(12), int64(1+rng.Intn(4))
+				feeder.Add(epoch, n)
+				fed[epoch] += n
+			default:
+				feeder.MoveTo(&got)
+				for e, n := range fed {
+					want.add(e, n)
+					delete(fed, e)
+				}
+				if feeder.Base() != got.Base() || feeder.Below(^uint32(0)) != 0 {
+					t.Fatalf("seed %d step %d: drained feeder holds %d, based at %d not %d",
+						seed, step, feeder.Below(^uint32(0)), feeder.Base(), got.Base())
+				}
+			}
+			if got.Base() != want.base || got.Folded() != want.old {
+				t.Fatalf("seed %d step %d: base/folded = %d/%d, reference %d/%d",
+					seed, step, got.Base(), got.Folded(), want.base, want.old)
+			}
+			for _, probe := range []uint32{0, want.base, around(20), ^uint32(0)} {
+				if g, w := got.Below(probe), want.below(probe); g != w {
+					t.Fatalf("seed %d step %d: Below(%d) = %d, reference %d", seed, step, probe, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestEpochWindowMoveToRejectsLaggingSink(t *testing.T) {
+	var src, dst EpochWindow
+	src.Fold(3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MoveTo into a window based below the source must panic: folded counts would be misfiled")
+		}
+	}()
+	src.MoveTo(&dst)
+}
+
+func TestEpochWindowSteadyStateAllocatesNothing(t *testing.T) {
+	var w EpochWindow
+	for e := uint32(0); e < 64; e++ {
+		w.Add(e, 1)
+	}
+	base := uint32(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		base++
+		w.Fold(base)
+		w.Add(base+63, 1)
+		w.Add(base-1, 1)
+		_ = w.Below(base + 32)
+	})
+	if allocs != 0 {
+		t.Fatalf("sliding a full window allocates %.1f times per step, want 0", allocs)
+	}
+}

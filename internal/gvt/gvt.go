@@ -11,6 +11,7 @@
 package gvt
 
 import (
+	"nicwarp/internal/dense"
 	"nicwarp/internal/des"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
@@ -111,21 +112,17 @@ type Stats struct {
 // bucket at Join time (epochs only grow, so such stamps stay white for
 // every future computation).
 type Ledger struct {
-	epoch        uint32 // computations joined; outgoing stamp
-	sentTotal    int64  // event-like packets sent, any stamp
-	sentAtJoin   int64  // sentTotal captured when joining the current epoch
-	recvOld      int64  // receives with stamp below epoch (folded)
-	recvByStamp  map[uint32]int64
-	reportedRecv int64       // white receives already reported this epoch
-	minRedSend   vtime.VTime // min SendTS among packets sent since joining
+	epoch        uint32            // computations joined; outgoing stamp
+	sentTotal    int64             // event-like packets sent, any stamp
+	sentAtJoin   int64             // sentTotal captured when joining the current epoch
+	recv         dense.EpochWindow // receives by stamp, based at epoch
+	reportedRecv int64             // white receives already reported this epoch
+	minRedSend   vtime.VTime       // min SendTS among packets sent since joining
 }
 
 // NewLedger returns an empty ledger at epoch zero.
 func NewLedger() *Ledger {
-	return &Ledger{
-		recvByStamp: make(map[uint32]int64),
-		minRedSend:  vtime.Infinity,
-	}
+	return &Ledger{minRedSend: vtime.Infinity}
 }
 
 // Epoch returns the current computation epoch (the outgoing colour stamp).
@@ -140,7 +137,7 @@ func (l *Ledger) OnSend(pkt *proto.Packet) {
 
 // OnRecv accounts one inbound event-like packet by its colour stamp.
 func (l *Ledger) OnRecv(pkt *proto.Packet) {
-	l.account(pkt.ColorEpoch, 1)
+	l.recv.Add(pkt.ColorEpoch, 1)
 }
 
 // OnDropped accounts packets that the NIC cancelled in place: for GVT
@@ -148,15 +145,7 @@ func (l *Ledger) OnRecv(pkt *proto.Packet) {
 // arrive anywhere), otherwise the white balance would never close and GVT
 // would stall.
 func (l *Ledger) OnDropped(stamp uint32, n int64) {
-	l.account(stamp, n)
-}
-
-func (l *Ledger) account(stamp uint32, n int64) {
-	if stamp < l.epoch {
-		l.recvOld += n
-	} else {
-		l.recvByStamp[stamp] += n
-	}
+	l.recv.Add(stamp, n)
 }
 
 // Join enters computation c: sends from now on are red with respect to c.
@@ -166,13 +155,7 @@ func (l *Ledger) Join(c uint32) {
 		return
 	}
 	l.epoch = c
-	//nicwarp:ordered commutative fold: sums counters and deletes folded keys
-	for s, cnt := range l.recvByStamp {
-		if s < c {
-			l.recvOld += cnt
-			delete(l.recvByStamp, s)
-		}
-	}
+	l.recv.Fold(c)
 	l.sentAtJoin = l.sentTotal
 	l.reportedRecv = 0
 	l.minRedSend = vtime.Infinity
@@ -184,7 +167,7 @@ func (l *Ledger) WhiteSent() int64 { return l.sentAtJoin }
 
 // whiteRecv returns the cumulative count of received messages with stamp
 // below the current epoch.
-func (l *Ledger) whiteRecv() int64 { return l.recvOld }
+func (l *Ledger) whiteRecv() int64 { return l.recv.Folded() }
 
 // TakeRecvDelta returns the white receives not yet reported to the token in
 // this computation and marks them reported.

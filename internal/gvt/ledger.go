@@ -3,6 +3,7 @@ package gvt
 import (
 	"fmt"
 
+	"nicwarp/internal/dense"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
 )
@@ -20,72 +21,63 @@ import (
 // Waves are identified by their epoch number, assigned in initiation order
 // by the root. The ring is FIFO, so every LP joins waves in ascending
 // order, but an older wave's later rounds may revisit an LP after it has
-// joined younger waves — hence per-wave bookkeeping:
+// joined younger waves — hence per-wave bookkeeping (see wave).
 //
-//   - joinSent[c]: cumulative sends when the LP joined wave c. All of them
-//     carry stamps below c, so they are white for wave c.
-//   - reported[c]: white receives already folded into wave c's token.
-//   - minRed[c]: minimum send timestamp among sends made since joining
-//     wave c (red with respect to c).
+// Live waves are kept in one slice ascending by epoch, which is also join
+// order. A wave is red-exposed to every send made since it was joined, so
+// an older wave has seen a superset of a younger one's sends and the red
+// minima are non-decreasing along the slice. OnSend relies on that: it
+// walks back from the youngest wave and stops at the first minimum the send
+// does not lower, because no older one can be higher.
 //
-// Receive counts are kept per stamp; stamps below the oldest wave still
-// active are folded into a single bucket when waves retire.
+// Receive counts are kept per stamp in a window based at the oldest live
+// wave; stamps below it fold into a single bucket when waves retire.
 type WaveLedger struct {
 	epoch     uint32 // highest wave joined; the outgoing stamp
 	sentTotal int64
 
-	recvOld     int64 // receives with stamp below every active wave
-	recvByStamp map[uint32]int64
-	oldestLive  uint32 // stamps below this are foldable
+	recv  dense.EpochWindow // receives by stamp, based at the oldest live wave
+	waves []wave            // live waves, ascending by c
+}
 
-	joinSent map[uint32]int64
-	reported map[uint32]int64
-	minRed   map[uint32]vtime.VTime
+// wave is one live computation's bookkeeping.
+type wave struct {
+	c        uint32
+	joinSent int64       // cumulative sends at join: all stamped below c, so white for c
+	reported int64       // white receives already folded into the wave's token
+	minRed   vtime.VTime // minimum send timestamp since joining (red with respect to c)
 }
 
 // NewWaveLedger returns an empty ledger at epoch zero.
-func NewWaveLedger() *WaveLedger {
-	return &WaveLedger{
-		recvByStamp: make(map[uint32]int64),
-		joinSent:    make(map[uint32]int64),
-		reported:    make(map[uint32]int64),
-		minRed:      make(map[uint32]vtime.VTime),
-	}
-}
+func NewWaveLedger() *WaveLedger { return &WaveLedger{} }
 
 // Epoch returns the outgoing colour stamp (highest wave joined).
 func (l *WaveLedger) Epoch() uint32 { return l.epoch }
 
 // OnSend accounts one outgoing event-like packet: stamp it and fold its
 // send timestamp into every active wave's red minimum.
+//
+//nicwarp:hotpath runs for every outgoing event-like packet under host Mattern GVT
 func (l *WaveLedger) OnSend(pkt *proto.Packet) {
 	pkt.ColorEpoch = l.epoch
 	l.sentTotal++
-	//nicwarp:ordered commutative fold: per-wave min over an order-free set
-	for c, m := range l.minRed {
-		if pkt.SendTS < m {
-			l.minRed[c] = pkt.SendTS
-		}
+	for i := len(l.waves) - 1; i >= 0 && pkt.SendTS < l.waves[i].minRed; i-- {
+		l.waves[i].minRed = pkt.SendTS
 	}
 }
 
 // OnRecv accounts one inbound event-like packet by stamp.
+//
+//nicwarp:hotpath runs for every inbound event-like packet under host Mattern GVT
 func (l *WaveLedger) OnRecv(pkt *proto.Packet) {
-	l.account(pkt.ColorEpoch, 1)
+	l.recv.Add(pkt.ColorEpoch, 1)
 }
 
-// OnDropped accounts a NIC-cancelled packet as received (see
-// Ledger.OnDropped).
-func (l *WaveLedger) OnDropped(stamp uint32, n int64) {
-	l.account(stamp, n)
-}
-
-func (l *WaveLedger) account(stamp uint32, n int64) {
-	if stamp < l.oldestLive {
-		l.recvOld += n
-	} else {
-		l.recvByStamp[stamp] += n
-	}
+// DrainDropped accounts the packets the NIC cancelled in place, counted by
+// stamp in the shared window's DroppedWhite, as received (see
+// Ledger.OnDropped) and empties it.
+func (l *WaveLedger) DrainDropped(dropped *dense.EpochWindow) {
+	dropped.MoveTo(&l.recv)
 }
 
 // Join enters wave c. Waves are numbered from 1 and must be joined in
@@ -99,27 +91,27 @@ func (l *WaveLedger) Join(c uint32) {
 		panic(fmt.Sprintf("gvt: wave %d joined after wave %d (FIFO ring violated)", c, l.epoch))
 	}
 	l.epoch = c
-	l.joinSent[c] = l.sentTotal
-	l.reported[c] = 0
-	l.minRed[c] = vtime.Infinity
+	l.waves = append(l.waves, wave{c: c, joinSent: l.sentTotal, minRed: vtime.Infinity})
 }
 
 // Joined reports whether wave c has been joined.
-func (l *WaveLedger) Joined(c uint32) bool {
-	_, ok := l.joinSent[c]
-	return ok
-}
+func (l *WaveLedger) Joined(c uint32) bool { return l.find(c) >= 0 }
 
-// whiteRecv returns cumulative receives with stamp below c.
-func (l *WaveLedger) whiteRecv(c uint32) int64 {
-	n := l.recvOld
-	//nicwarp:ordered commutative fold: sums counters below the horizon
-	for s, cnt := range l.recvByStamp {
-		if s < c {
-			n += cnt
+// find returns wave c's index in waves, or -1.
+func (l *WaveLedger) find(c uint32) int {
+	lo, hi := 0, len(l.waves)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.waves[mid].c < c {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return n
+	if lo < len(l.waves) && l.waves[lo].c == c {
+		return lo
+	}
+	return -1
 }
 
 // Visit folds this LP's contribution into wave c's token: returns the count
@@ -127,45 +119,39 @@ func (l *WaveLedger) whiteRecv(c uint32) int64 {
 // the timestamp floor (min of lvt and the wave's red send minimum).
 // firstVisit must be true exactly when the LP joined the wave on this token
 // arrival.
+//
+//nicwarp:hotpath runs on every token visit, several per event at GVT_COUNT=1
 func (l *WaveLedger) Visit(c uint32, firstVisit bool, lvt vtime.VTime) (countDelta int64, floor vtime.VTime) {
-	if !l.Joined(c) {
+	i := l.find(c)
+	if i < 0 {
 		panic(fmt.Sprintf("gvt: Visit of unjoined wave %d", c))
 	}
+	w := &l.waves[i]
 	if firstVisit {
-		countDelta += l.joinSent[c]
+		countDelta += w.joinSent
 	}
-	cur := l.whiteRecv(c)
-	countDelta -= cur - l.reported[c]
-	l.reported[c] = cur
-	floor = vtime.MinV(lvt, l.minRed[c])
+	cur := l.recv.Below(c) // cumulative receives with stamp below c
+	countDelta -= cur - w.reported
+	w.reported = cur
+	floor = vtime.MinV(lvt, w.minRed)
 	return countDelta, floor
 }
 
 // Retire discards wave c's bookkeeping after its computation completes, and
 // folds receive stamps no active wave can reference.
+//
+//nicwarp:hotpath runs once per wave per LP, several per event at GVT_COUNT=1
 func (l *WaveLedger) Retire(c uint32) {
-	delete(l.joinSent, c)
-	delete(l.reported, c)
-	delete(l.minRed, c)
+	if i := l.find(c); i >= 0 {
+		l.waves = l.waves[:i+copy(l.waves[i:], l.waves[i+1:])]
+	}
 	// Advance the fold horizon to the oldest wave still active.
 	oldest := l.epoch + 1
-	//nicwarp:ordered commutative fold: min over live wave numbers
-	for w := range l.joinSent {
-		if w < oldest {
-			oldest = w
-		}
+	if len(l.waves) > 0 {
+		oldest = l.waves[0].c
 	}
-	if oldest > l.oldestLive {
-		l.oldestLive = oldest
-		//nicwarp:ordered commutative fold: sums counters and deletes folded keys
-		for s, cnt := range l.recvByStamp {
-			if s < l.oldestLive {
-				l.recvOld += cnt
-				delete(l.recvByStamp, s)
-			}
-		}
-	}
+	l.recv.Fold(oldest)
 }
 
 // ActiveWaves returns the number of waves with live bookkeeping.
-func (l *WaveLedger) ActiveWaves() int { return len(l.joinSent) }
+func (l *WaveLedger) ActiveWaves() int { return len(l.waves) }

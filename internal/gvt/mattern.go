@@ -246,13 +246,7 @@ func (m *MatternManager) OnNotify(h Host, tag nic.NotifyTag) {}
 // Present for the early-cancellation firmware, which must tell the GVT
 // subsystem about packets it discarded in place.
 func (m *MatternManager) drainNICDrops(h Host) {
-	w := h.Shared()
-	if w == nil || len(w.DroppedWhite) == 0 {
-		return
-	}
-	//nicwarp:ordered commutative drain: OnDropped folds per-stamp counters
-	for stamp, n := range w.DroppedWhite {
-		m.ledger.OnDropped(stamp, n)
-		delete(w.DroppedWhite, stamp)
+	if w := h.Shared(); w != nil {
+		m.ledger.DrainDropped(&w.DroppedWhite)
 	}
 }

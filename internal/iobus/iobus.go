@@ -96,6 +96,13 @@ func (b *Bus) Word(done func()) {
 	b.res.Submit(b.cfg.DMASetup, done)
 }
 
+// WordArg is the closure-free Word: at completion fn(arg) runs. See
+// des.Resource.SubmitArg for the calling convention.
+func (b *Bus) WordArg(fn func(interface{}), arg interface{}) {
+	b.Transfers.Inc()
+	b.res.SubmitArg(b.cfg.DMASetup, fn, arg)
+}
+
 // Utilization returns the fraction of model time the bus has been busy.
 func (b *Bus) Utilization() float64 { return b.res.Utilization() }
 

@@ -14,8 +14,8 @@ package mpich
 
 import (
 	"fmt"
-	"sort"
 
+	"nicwarp/internal/dense"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
@@ -69,9 +69,12 @@ type Endpoint struct {
 	node     int
 	transmit func(*proto.Packet)
 
-	credits map[int32]int             // per destination, remaining send credits
-	owed    map[int32]int             // per source, credit to return
-	waiting map[int32][]*proto.Packet //nicwarp:owns stalled sends; drained to the wire when credit arrives
+	// Per-peer state is indexed by node id, each table grown to the highest
+	// peer it has been asked about: a peer beyond a table has a full
+	// window, is owed nothing, has nothing waiting.
+	credits []int             // per destination, remaining send credits
+	owed    []int             // per source, credit to return
+	waiting [][]*proto.Packet //nicwarp:owns stalled sends; drained to the wire when credit arrives
 
 	// Stats.
 	Sent         stats.Counter // packets passed to transmit
@@ -92,14 +95,7 @@ func New(node int, cfg Config, transmit func(*proto.Packet)) *Endpoint {
 	if transmit == nil {
 		panic("mpich: nil transmit")
 	}
-	return &Endpoint{
-		cfg:      cfg,
-		node:     node,
-		transmit: transmit,
-		credits:  make(map[int32]int),
-		owed:     make(map[int32]int),
-		waiting:  make(map[int32][]*proto.Packet),
-	}
+	return &Endpoint{cfg: cfg, node: node, transmit: transmit}
 }
 
 // flowControlled reports whether a packet kind consumes credits. Event
@@ -108,12 +104,10 @@ func flowControlled(k proto.Kind) bool {
 	return k == proto.KindEvent || k == proto.KindAnti
 }
 
-// creditsFor returns the remaining credit toward dst, initializing to the
-// window on first use.
+// creditsFor returns the remaining credit toward dst, opening its window
+// on first use.
 func (e *Endpoint) creditsFor(dst int32) int {
-	if _, ok := e.credits[dst]; !ok {
-		e.credits[dst] = e.cfg.Window
-	}
+	e.credits = dense.Grow(e.credits, dst, e.cfg.Window)
 	return e.credits[dst]
 }
 
@@ -125,6 +119,7 @@ func (e *Endpoint) Send(pkt *proto.Packet) {
 		return
 	}
 	if e.creditsFor(pkt.DstNode) <= 0 {
+		e.waiting = dense.Grow(e.waiting, pkt.DstNode, nil)
 		e.waiting[pkt.DstNode] = append(e.waiting[pkt.DstNode], pkt)
 		e.waitingTotal++
 		e.Blocked.Inc()
@@ -146,19 +141,41 @@ func (e *Endpoint) dispatch(pkt *proto.Packet) {
 		pkt.Credits = 0
 	}
 	pkt.CreditRepair = 0
-	if owed := e.owed[pkt.DstNode]; owed > 0 {
+	// A broadcast (destination -1) addresses no single peer and carries no
+	// credit: dense.At reads nothing owed for it.
+	if owed := dense.At(e.owed, pkt.DstNode); owed > 0 {
 		pkt.Credits += int32(owed)
 		e.Returned.Add(int64(owed))
-		delete(e.owed, pkt.DstNode)
+		e.owed[pkt.DstNode] = 0
 	}
 	e.Sent.Inc()
-	e.transmit(pkt)
+	e.transmit(pkt) //nicwarp:alloc wired by the cluster assembly (core's bipTransmit, closure-free); opaque to the analyzer
 }
 
 // OnReceive books an inbound packet's flow-control effects and returns an
 // explicit credit packet to send back, or nil. The caller transmits it
 // through the normal stack.
 func (e *Endpoint) OnReceive(pkt *proto.Packet) (creditReply *proto.Packet) {
+	owed := 0
+	if flowControlled(pkt.Kind) && pkt.Seq != 0 {
+		owed = 1
+	}
+	return e.onReceive(pkt, owed)
+}
+
+// OnReceiveBatch books the flow-control effects of an inbound batch frame
+// carrying seqSubs accepted event-like sub-messages. The frame's header
+// fields (piggybacked credit, NIC-repaired credit) are booked once, like a
+// solo packet's; each sub-message consumed one sender credit at Send time,
+// so each owes one credit back. Returns an explicit credit packet exactly
+// as OnReceive does.
+func (e *Endpoint) OnReceiveBatch(frame *proto.Packet, seqSubs int) (creditReply *proto.Packet) {
+	return e.onReceive(frame, seqSubs)
+}
+
+// onReceive books one inbound packet or frame that consumed owed of its
+// sender's credits.
+func (e *Endpoint) onReceive(pkt *proto.Packet, owed int) *proto.Packet {
 	src := pkt.SrcNode
 	// Credit returned to us by the peer.
 	if pkt.Credits > 0 {
@@ -170,98 +187,55 @@ func (e *Endpoint) OnReceive(pkt *proto.Packet) (creditReply *proto.Packet) {
 	// dropped packets count as consumed here and their credit flows back
 	// like any other.
 	if pkt.CreditRepair > 0 {
-		e.owed[src] += int(pkt.CreditRepair)
+		owed += int(pkt.CreditRepair)
 		e.Repaired.Add(int64(pkt.CreditRepair))
 	}
-	if flowControlled(pkt.Kind) && pkt.Seq != 0 {
-		e.owed[src]++
-	}
-	if e.owed[src] >= e.cfg.ReturnThreshold {
-		owed := e.owed[src]
-		delete(e.owed, src)
-		e.Returned.Add(int64(owed))
-		e.CreditMsgs.Inc()
-		return &proto.Packet{
-			Kind:    proto.KindCredit,
-			SrcNode: int32(e.node),
-			DstNode: src,
-			Credits: int32(owed),
-		}
-	}
-	return nil
+	return e.BookOwed(src, owed)
 }
 
-// OnReceiveBatch books the flow-control effects of an inbound batch frame
-// carrying seqSubs accepted event-like sub-messages. The frame's header
-// fields (piggybacked credit, NIC-repaired credit) are booked once, like a
-// solo packet's; each sub-message consumed one sender credit at Send time,
-// so each owes one credit back. Returns an explicit credit packet exactly
-// as OnReceive does.
-func (e *Endpoint) OnReceiveBatch(frame *proto.Packet, seqSubs int) (creditReply *proto.Packet) {
-	src := frame.SrcNode
-	if frame.Credits > 0 {
-		e.creditsFor(src)
-		e.credits[src] += int(frame.Credits)
-		e.drain(src)
-	}
-	if frame.CreditRepair > 0 {
-		e.owed[src] += int(frame.CreditRepair)
-		e.Repaired.Add(int64(frame.CreditRepair))
-	}
-	e.owed[src] += seqSubs
-	if e.owed[src] >= e.cfg.ReturnThreshold {
-		owed := e.owed[src]
-		delete(e.owed, src)
-		e.Returned.Add(int64(owed))
-		e.CreditMsgs.Inc()
-		return &proto.Packet{
-			Kind:    proto.KindCredit,
-			SrcNode: int32(e.node),
-			DstNode: src,
-			Credits: int32(owed),
-		}
-	}
-	return nil
-}
-
-// drain releases buffered packets toward dst while credit lasts.
+// drain releases buffered packets toward dst while credit lasts, then
+// closes the gap so the queue's storage is reused by the next stall.
 func (e *Endpoint) drain(dst int32) {
-	q := e.waiting[dst]
-	for len(q) > 0 && e.credits[dst] > 0 {
-		pkt := q[0]
-		q = q[1:]
+	q := dense.At(e.waiting, dst)
+	sent := 0
+	for sent < len(q) && e.credits[dst] > 0 {
 		e.waitingTotal--
 		e.credits[dst]--
-		e.dispatch(pkt)
+		e.dispatch(q[sent])
+		sent++
 	}
-	if len(q) == 0 {
-		delete(e.waiting, dst)
-	} else {
-		e.waiting[dst] = q
+	if sent > 0 {
+		rest := copy(q, q[sent:])
+		clear(q[rest:])
+		e.waiting[dst] = q[:rest]
 	}
 }
 
-// BookOwed re-books n credits as owed to peer (credit returns salvaged
-// from a dropped packet). Returns an explicit credit packet when the owed
-// total crosses the return threshold, exactly as OnReceive does.
+// BookOwed books n credits as owed to peer — consumed by traffic from it,
+// or credit returns salvaged from a dropped packet. When the owed total
+// reaches the return threshold it is returned at once in an explicit
+// credit packet for the caller to transmit; otherwise it waits to ride on
+// reverse traffic and BookOwed returns nil.
 func (e *Endpoint) BookOwed(peer int32, n int) (creditReply *proto.Packet) {
 	if n <= 0 {
 		return nil
 	}
+	e.owed = dense.Grow(e.owed, peer, 0)
 	e.owed[peer] += n
-	if e.owed[peer] >= e.cfg.ReturnThreshold {
-		owed := e.owed[peer]
-		delete(e.owed, peer)
-		e.Returned.Add(int64(owed))
-		e.CreditMsgs.Inc()
-		return &proto.Packet{
-			Kind:    proto.KindCredit,
-			SrcNode: int32(e.node),
-			DstNode: peer,
-			Credits: int32(owed),
-		}
+	if e.owed[peer] < e.cfg.ReturnThreshold {
+		return nil
 	}
-	return nil
+	owed := e.owed[peer]
+	e.owed[peer] = 0
+	e.Returned.Add(int64(owed))
+	e.CreditMsgs.Inc()
+	//nicwarp:alloc explicit credit message, one per ReturnThreshold credits owed
+	return &proto.Packet{
+		Kind:    proto.KindCredit,
+		SrcNode: int32(e.node),
+		DstNode: peer,
+		Credits: int32(owed),
+	}
 }
 
 // Refund returns n stranded credits for dst directly to this sender (the
@@ -282,11 +256,9 @@ func (e *Endpoint) WaitingCount() int { return e.waitingTotal }
 // PendingMin returns the minimum send timestamp among event-like packets
 // waiting for credit. A packet can sit here across an entire GVT
 // computation: it is not yet in the NIC's transmitted-white count, so the
-// GVT report's floor must bound it (gvt.Host.LVT folds this in). Map
-// iteration order does not matter — min is order-independent.
+// GVT report's floor must bound it (gvt.Host.LVT folds this in).
 func (e *Endpoint) PendingMin() vtime.VTime {
 	min := vtime.Infinity
-	//nicwarp:ordered commutative fold: min over stalled send timestamps
 	for _, q := range e.waiting {
 		for _, pkt := range q {
 			if pkt.IsEventLike() {
@@ -306,26 +278,18 @@ func (e *Endpoint) Congested() bool { return e.waitingTotal >= e.cfg.SendBufferP
 func (e *Endpoint) CreditsAvailable(dst int32) int { return e.creditsFor(dst) }
 
 // OwedTo returns credit owed to src (for tests).
-func (e *Endpoint) OwedTo(src int32) int { return e.owed[src] }
+func (e *Endpoint) OwedTo(src int32) int { return dense.At(e.owed, src) }
 
-// TouchedPeers returns, sorted, every peer this endpoint has flow-control
-// state with (credit spent toward, or credit owed to). The invariant
-// checker walks it to verify per-pair credit conservation at quiescence.
+// TouchedPeers returns, ascending, every peer this endpoint may have
+// flow-control state with (credit spent toward, or credit owed to): all
+// node ids up to the highest either table has grown to. The invariant
+// checker walks it to verify per-pair credit conservation at quiescence;
+// a peer in range but never touched holds a full window and conserves
+// trivially.
 func (e *Endpoint) TouchedPeers() []int32 {
-	seen := make(map[int32]bool, len(e.credits)+len(e.owed))
-	//nicwarp:ordered keys are sorted before use
-	for p := range e.credits {
-		seen[p] = true
+	peers := make([]int32, max(len(e.credits), len(e.owed)))
+	for i := range peers {
+		peers[i] = int32(i)
 	}
-	//nicwarp:ordered keys are sorted before use
-	for p := range e.owed {
-		seen[p] = true
-	}
-	peers := make([]int32, 0, len(seen))
-	//nicwarp:ordered keys are sorted before use
-	for p := range seen {
-		peers = append(peers, p)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 	return peers
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"nicwarp/internal/proto"
+	"nicwarp/internal/vtime"
 )
 
 func ev(src, dst int32) *proto.Packet {
@@ -429,5 +430,112 @@ func TestRefundConservesGlobalCredit(t *testing.T) {
 	}
 	if e1.OwedTo(0) != 0 {
 		t.Fatalf("receiver still owes %d", e1.OwedTo(0))
+	}
+}
+
+// TestPeerTablesGrowOnDemand: per-peer state lives in tables indexed by
+// node id and grown to the highest peer touched. Reaching a peer beyond
+// every one seen so far — as sender, receiver or refund target, in any
+// order — must behave as the maps the tables replaced did: a full window,
+// nothing owed, and no effect on peers already in the tables.
+func TestPeerTablesGrowOnDemand(t *testing.T) {
+	cfg := withBuf(Config{Window: 2, ReturnThreshold: 2})
+	for _, tc := range []struct {
+		name  string
+		peers []int32 // touched in this order
+	}{
+		{"ascending", []int32{1, 5, 900}},
+		{"descending", []int32{900, 5, 1}},
+		{"revisit", []int32{5, 1023, 5, 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out []*proto.Packet
+			e := New(0, cfg, func(p *proto.Packet) { out = append(out, p) })
+			// Untouched peers read as fresh without growing anything.
+			if e.OwedTo(1023) != 0 || len(e.TouchedPeers()) != 0 {
+				t.Fatal("fresh endpoint must hold no peer state")
+			}
+			spent := map[int32]int{}
+			for _, peer := range tc.peers {
+				if got, want := e.CreditsAvailable(peer), cfg.Window-spent[peer]; got != want {
+					t.Fatalf("credits toward %d = %d, want %d", peer, got, want)
+				}
+				if spent[peer] < cfg.Window {
+					e.Send(ev(0, peer))
+					spent[peer]++
+				}
+				// One packet from the peer: one credit owed back to it.
+				in := ev(peer, 0)
+				if reply := e.OnReceive(in); reply != nil {
+					t.Fatalf("peer %d: explicit credit below the threshold", peer)
+				}
+			}
+			for peer, n := range spent {
+				if e.CreditsAvailable(peer) != cfg.Window-n {
+					t.Fatalf("credits toward %d = %d, want %d", peer, e.CreditsAvailable(peer), cfg.Window-n)
+				}
+				if e.OwedTo(peer) == 0 {
+					t.Fatalf("nothing owed to %d after receiving from it", peer)
+				}
+			}
+			// A refund to a peer beyond every table opens its window first.
+			e.Refund(2000, 1)
+			if got := e.CreditsAvailable(2000); got != cfg.Window+1 {
+				t.Fatalf("credits toward 2000 after refund = %d, want %d", got, cfg.Window+1)
+			}
+			peers := e.TouchedPeers()
+			if len(peers) != 2001 || peers[0] != 0 || peers[2000] != 2000 {
+				t.Fatalf("TouchedPeers spans %d ids, want 0..2000", len(peers))
+			}
+			// A broadcast addresses no peer: it passes through carrying no
+			// credit and touching no table.
+			bc := &proto.Packet{Kind: proto.KindGVTBroadcast, SrcNode: 0, DstNode: -1}
+			e.Send(bc)
+			if out[len(out)-1] != bc || bc.Credits != 0 {
+				t.Fatal("broadcast must pass through without a credit piggyback")
+			}
+		})
+	}
+}
+
+// TestDrainReusesWaitingStorage: packets stalled for credit are released in
+// FIFO order across partial drains, and draining a queue keeps its storage
+// for the next stall instead of dropping it.
+func TestDrainReusesWaitingStorage(t *testing.T) {
+	cfg := withBuf(Config{Window: 1, ReturnThreshold: 1})
+	var out []*proto.Packet
+	e := New(0, cfg, func(p *proto.Packet) { out = append(out, p) })
+	stall := func(n int) []*proto.Packet {
+		pkts := make([]*proto.Packet, n)
+		for i := range pkts {
+			pkts[i] = ev(0, 4)
+			e.Send(pkts[i])
+		}
+		return pkts
+	}
+	first := stall(5) // one travels, four wait
+	e.Refund(4, 2)
+	e.Refund(4, 2)
+	if e.WaitingCount() != 0 || len(out) != 5 {
+		t.Fatalf("waiting %d, transmitted %d after full refund", e.WaitingCount(), len(out))
+	}
+	for i, p := range first {
+		if out[i] != p {
+			t.Fatalf("packet %d left out of FIFO order", i)
+		}
+	}
+	if e.PendingMin() != vtime.Infinity {
+		t.Fatal("a drained queue must hold no pending timestamp")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		out = out[:0]
+		for _, p := range first[:4] {
+			e.Send(p) // no credit left: all wait
+		}
+		e.Refund(4, 4)
+		// The refunded credits were spent again by the released packets.
+	})
+	if allocs != 0 {
+		t.Fatalf("stall-and-drain in steady state allocates %.1f times, want 0", allocs)
 	}
 }

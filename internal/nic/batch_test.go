@@ -276,7 +276,7 @@ func TestGatherBatchStopRule(t *testing.T) {
 		}
 	}
 	n.clearScratch()
-	if len(n.gbScratch) != 0 {
+	if len(n.gbScratch.view) != 0 {
 		t.Fatal("gather scratch not cleared")
 	}
 }

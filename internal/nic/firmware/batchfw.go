@@ -153,6 +153,7 @@ func (f *BatchFirmware) AssembleBatch(head *proto.Packet, api nic.API) *proto.Pa
 			f.SubsDropped.Inc()
 			api.Stats().BatchSubDrops.Inc()
 			api.DiscardHostPacket(p)
+			api.RecycleHostPacket(p)
 			continue
 		}
 		// Flow-control state rides once per frame: fold any credit return

@@ -53,6 +53,12 @@ type CancelFirmware struct {
 	antisToHost   uint64 // anti-messages forwarded to the host, in order
 	lastHostEpoch uint64 // highest processed-anti count piggybacked by the host
 
+	// scan is the window the in-progress send-queue scan applies, and
+	// scanPred is f.scanMatches bound once: the queue walk takes a func
+	// value, and a literal capturing the window would allocate per anti.
+	scan     cancelEntry
+	scanPred func(*proto.Packet) bool
+
 	// Statistics.
 	ScansRun       stats.Counter
 	ScannedPackets stats.Counter
@@ -71,7 +77,23 @@ type cancelEntry struct {
 
 // NewCancel returns the early-cancellation firmware.
 func NewCancel() *CancelFirmware {
-	return &CancelFirmware{}
+	f := &CancelFirmware{}
+	f.scanPred = f.scanMatches
+	return f
+}
+
+// matches reports whether the window cancels positive p: same sending
+// object as the anti's destination object, sent above the anti's receive
+// timestamp, generated before the host processed the anti.
+func (e cancelEntry) matches(p *proto.Packet) bool {
+	return p.SrcObj == e.obj && p.SendTS > e.ts && p.PiggyAntiEpoch < e.seq
+}
+
+// scanMatches is the send-queue scan's predicate for the window in f.scan.
+func (f *CancelFirmware) scanMatches(p *proto.Packet) bool {
+	return p.Kind == proto.KindEvent &&
+		!p.PiggyGVTValid && // never lose a GVT handshake in flight
+		f.scan.matches(p)
 }
 
 // Name implements nic.Firmware.
@@ -79,6 +101,8 @@ func (f *CancelFirmware) Name() string { return "early-cancel" }
 
 // OnWireReceive implements nic.Firmware: every inbound anti-message opens a
 // cancellation window and triggers a send-queue scan.
+//
+//nicwarp:hotpath runs for every packet off the wire; the scan for every anti-message
 func (f *CancelFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict {
 	api.Charge(CyclesHeaderCheck)
 	if !pkt.IsAnti() {
@@ -93,23 +117,17 @@ func (f *CancelFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdi
 		return nic.VerdictForward
 	}
 	f.antisToHost++
-	e := cancelEntry{obj: pkt.DstObj, ts: pkt.RecvTS, seq: f.antisToHost}
-	f.entries = append(f.entries, e)
+	f.scan = cancelEntry{obj: pkt.DstObj, ts: pkt.RecvTS, seq: f.antisToHost}
+	f.entries = append(f.entries, f.scan) //nicwarp:alloc window list growth, amortized: expire compacts in place
 
 	// Scan the transmit backlog for messages the rollback will cancel
 	// (paper Figure 3(b): the anti with timestamp 100 kills the queued
 	// messages with timestamps 102..120).
-	queueLen := len(api.SendQueue())
-	api.Charge(int64(queueLen) * CyclesQueueScanPerPacket)
+	queueLen := int64(api.SendQueueLen())
+	api.Charge(queueLen * CyclesQueueScanPerPacket)
 	f.ScansRun.Inc()
-	f.ScannedPackets.Add(int64(queueLen))
-	removed := api.RemoveFromSendQueue(func(p *proto.Packet) bool {
-		return p.Kind == proto.KindEvent &&
-			!p.PiggyGVTValid && // never lose a GVT handshake in flight
-			p.SrcObj == e.obj &&
-			p.SendTS > e.ts &&
-			p.PiggyAntiEpoch < e.seq
-	})
+	f.ScannedPackets.Add(queueLen)
+	removed := api.RemoveFromSendQueue(f.scanPred)
 	for _, p := range removed {
 		f.recordDrop(api, p)
 	}
@@ -123,6 +141,8 @@ func (f *CancelFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdi
 // OnHostSend implements nic.Firmware: apply active cancellation windows to
 // outgoing positives, filter anti-messages whose positive was dropped, and
 // repair flow-control credit.
+//
+//nicwarp:hotpath runs for every host packet dequeued for transmission
 func (f *CancelFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict {
 	api.Charge(CyclesHeaderCheck)
 	if !pkt.IsEventLike() {
@@ -141,7 +161,7 @@ func (f *CancelFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict 
 			break
 		}
 		for _, e := range f.entries {
-			if pkt.SrcObj == e.obj && pkt.SendTS > e.ts && pkt.PiggyAntiEpoch < e.seq {
+			if e.matches(pkt) {
 				api.Charge(CyclesDropRecord + CyclesNotify)
 				f.recordDrop(api, pkt)
 				api.NotifyHost(nic.NotifyCreditRefund)
@@ -185,6 +205,8 @@ func dropKey(p *proto.Packet) nic.DropKey {
 
 // recordDrop books a cancelled-in-place positive: drop-buffer entry for
 // anti suppression, GVT accounting, credit repair, statistics.
+//
+//nicwarp:hotpath runs for every positive cancelled in place
 func (f *CancelFirmware) recordDrop(api nic.API, p *proto.Packet) {
 	api.Shared().Dropped.Record(p.SrcObj, dropKey(p))
 	f.Dropped.Inc()
@@ -195,16 +217,18 @@ func (f *CancelFirmware) recordDrop(api nic.API, p *proto.Packet) {
 // accountDrop handles the bookkeeping shared by dropped positives and
 // filtered antis: the GVT white balance and the stranded flow-control
 // credit.
+//
+//nicwarp:hotpath runs for every packet discarded on the NIC
 func (f *CancelFirmware) accountDrop(api nic.API, p *proto.Packet) {
 	w := api.Shared()
-	w.DroppedWhite[p.ColorEpoch]++
-	w.CreditRefund[p.DstNode]++
-	w.DropsByDst[p.DstNode]++
+	w.DroppedWhite.Add(p.ColorEpoch, 1)
+	w.CreditRefund.Add(p.DstNode, 1)
+	w.DropsByDst.Add(p.DstNode, 1)
 	f.CreditRefunds.Inc()
 	// Salvage any credit return riding on the dropped packet; the host
 	// re-books it as owed to the destination.
 	if p.Credits > 0 {
-		w.CreditSalvage[p.DstNode] += int64(p.Credits)
+		w.CreditSalvage.Add(p.DstNode, int64(p.Credits))
 	}
 }
 
@@ -216,7 +240,7 @@ func (f *CancelFirmware) expire() {
 	kept := f.entries[:0]
 	for _, e := range f.entries {
 		if e.seq > f.lastHostEpoch {
-			kept = append(kept, e)
+			kept = append(kept, e) //nicwarp:alloc aliases entries[:0], never exceeds its capacity
 		} else {
 			f.EntriesExpired.Inc()
 		}

@@ -362,11 +362,7 @@ func TestCancelFirmwareCreditRefund(t *testing.T) {
 	if drops == 0 {
 		t.Skip("timing did not produce drops")
 	}
-	var refund int64
-	for _, k := range r.nics[0].Shared().CreditRefund {
-		refund += k
-	}
-	if refund != drops {
+	if refund := r.nics[0].Shared().CreditRefund.Sum(); refund != drops {
 		t.Fatalf("credit refund %d != drops %d", refund, drops)
 	}
 	// A refund doorbell was raised.
@@ -395,7 +391,8 @@ func TestCancelFirmwareDropAccountsWhiteBalance(t *testing.T) {
 	if r.nics[0].Stats.DroppedInPlace.Value() == 0 {
 		t.Skip("timing did not produce a drop")
 	}
-	if got := r.nics[0].Shared().DroppedWhite[4]; got != 1 {
-		t.Fatalf("DroppedWhite[4] = %d, want 1", got)
+	white := &r.nics[0].Shared().DroppedWhite
+	if at4, total := white.Below(5)-white.Below(4), white.Below(^uint32(0)); at4 != 1 || total != 1 {
+		t.Fatalf("DroppedWhite counts %d at stamp 4 of %d in all, want 1 of 1", at4, total)
 	}
 }

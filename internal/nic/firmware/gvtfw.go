@@ -36,7 +36,7 @@ type GVTFirmware struct {
 
 // NewGVT returns the NIC-GVT firmware.
 func NewGVT() *GVTFirmware {
-	return &GVTFirmware{sendLedger: newSendLedger()}
+	return &GVTFirmware{}
 }
 
 // Name implements nic.Firmware.

@@ -1,6 +1,7 @@
 package firmware
 
 import (
+	"nicwarp/internal/dense"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
@@ -11,45 +12,27 @@ import (
 // balance travels (ring token or tree reduction) is the embedding
 // program's business.
 type sendLedger struct {
-	epoch       uint32
-	sentOld     int64 // transmitted with stamp below epoch (folded)
-	sentByStamp map[uint32]int64
-	reportedOld int64 // white sends already folded into the current computation
-}
-
-func newSendLedger() sendLedger {
-	return sendLedger{sentByStamp: make(map[uint32]int64)}
+	sent        dense.EpochWindow // transmitted, by stamp, based at the current computation
+	reportedOld int64             // white sends already folded into the current computation
 }
 
 // countSend accounts one transmitted event-like packet by its stamp.
-func (l *sendLedger) countSend(stamp uint32) {
-	if stamp < l.epoch {
-		l.sentOld++
-	} else {
-		l.sentByStamp[stamp]++
-	}
-}
+func (l *sendLedger) countSend(stamp uint32) { l.sent.Add(stamp, 1) }
 
 // join advances to computation c, folding now-white transmit counts.
 func (l *sendLedger) join(c uint32) {
-	if c <= l.epoch {
+	if c <= l.sent.Base() {
 		return
 	}
-	l.epoch = c
-	//nicwarp:ordered commutative fold: sums counters and deletes folded keys
-	for s, n := range l.sentByStamp {
-		if s < c {
-			l.sentOld += n
-			delete(l.sentByStamp, s)
-		}
-	}
+	l.sent.Fold(c)
 	l.reportedOld = 0
 }
 
 // takeSentDelta returns white transmits not yet folded into the token.
 func (l *sendLedger) takeSentDelta() int64 {
-	d := l.sentOld - l.reportedOld
-	l.reportedOld = l.sentOld
+	white := l.sent.Folded()
+	d := white - l.reportedOld
+	l.reportedOld = white
 	return d
 }
 

@@ -82,9 +82,8 @@ func NewTreeGVT(arity int) *TreeGVTFirmware {
 		arity = DefaultTreeArity
 	}
 	return &TreeGVTFirmware{
-		sendLedger: newSendLedger(),
-		arity:      arity,
-		accMin:     vtime.Infinity,
+		arity:  arity,
+		accMin: vtime.Infinity,
 	}
 }
 

@@ -165,30 +165,46 @@ type Firmware interface {
 // API is the capability surface a firmware hook sees — the paper's
 // programming model: queue access, shared host memory, packet injection and
 // host notification.
+//
+// The methods marked //nicwarp:hotpath are the ones hot firmware hooks call
+// per packet: the marker makes hotalloc hold this package's implementation
+// to the zero-allocation contract and lets hooks written against the
+// interface be hot roots themselves.
 type API interface {
 	// Node returns this NIC's node id.
 	Node() int
 	// NumNodes returns the cluster size (for ring next-hop and broadcast).
 	NumNodes() int
 	// Charge accounts n extra NIC processor cycles to the current hook.
+	//nicwarp:hotpath called several times per hook
 	Charge(n int64)
 	// SendQueue returns the packets queued for transmission and not yet
 	// in flight. The returned slice is scratch reused by the next
 	// SendQueue call — read it within the hook, never retain it; use
 	// RemoveFromSendQueue to mutate the queue.
 	SendQueue() []*proto.Packet
+	// SendQueueLen returns the number of packets SendQueue would return,
+	// without materializing the view.
+	//nicwarp:hotpath sizes the cancel scan's cycle charge, once per anti-message
+	SendQueueLen() int
 	// RemoveFromSendQueue removes every queued packet matching pred and
 	// returns the removed packets in queue order. The returned slice is
-	// scratch reused by the next call; consume it within the hook.
+	// scratch reused by the next call; consume it within the hook. The
+	// removed packets are dead once the view is: event-like ones go back to
+	// the host's packet pool (SetPacketRecycler).
+	//nicwarp:hotpath the cancel scan, once per anti-message
 	RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet
 	// Inject queues a NIC-generated packet for transmission. Injected
 	// packets do not pass through OnHostSend.
 	Inject(pkt *proto.Packet)
 	// Shared returns the host/NIC shared memory window.
+	//nicwarp:hotpath read by every hook that keeps state in the window
 	Shared() *SharedWindow
 	// NotifyHost raises a doorbell interrupt toward the host.
+	//nicwarp:hotpath one doorbell per packet dropped in place
 	NotifyHost(tag NotifyTag)
 	// Stats returns the NIC's counters for firmware-maintained metrics.
+	//nicwarp:hotpath bumped per dropped or filtered packet
 	Stats() *Stats
 
 	// GatherBatch removes from the send queue, in queue order, up to max
@@ -331,9 +347,9 @@ type NIC struct {
 
 	// The scratch slices back the []*proto.Packet views handed to firmware
 	// hooks; they are valid only until the hook returns (clearScratch).
-	sqScratch []*proto.Packet //nicwarp:owns hook-scoped view, emptied by clearScratch when the hook returns
-	rmScratch []*proto.Packet //nicwarp:owns hook-scoped view, emptied by clearScratch when the hook returns
-	gbScratch []*proto.Packet //nicwarp:owns hook-scoped view, emptied by clearScratch when the hook returns
+	sqScratch hookScratch
+	rmScratch hookScratch
+	gbScratch hookScratch
 
 	// Batching machinery (active when cfg.BatchMax > 1).
 	batcher   Batcher         // fw's Batcher extension, resolved once at New
@@ -773,8 +789,13 @@ func nicTxProcessed(x interface{}) {
 		pkt := n.txEntry.pkt
 		fromNIC := n.txEntry.fromNIC
 		n.txEntry = outEntry{}
-		if !fromNIC && n.onHostDiscard != nil {
-			n.onHostDiscard(pkt)
+		if !fromNIC {
+			if n.onHostDiscard != nil {
+				n.onHostDiscard(pkt)
+			}
+			if n.txVerdict == VerdictDrop {
+				n.recycleDropped(pkt) // a consumed packet belongs to the firmware
+			}
 		}
 		n.txDone()
 	default:
@@ -902,6 +923,31 @@ func (n *NIC) Doorbell() {
 	n.proc.Submit(cost, nil)
 }
 
+// hookScratch backs one []*proto.Packet view handed to firmware hooks. A
+// hook may take the view more than once, and a later one may be shorter
+// (the queue shrank in between), so the slots written since the last clear
+// are tracked as a high-water mark rather than read off the last view.
+type hookScratch struct {
+	view []*proto.Packet //nicwarp:owns hook-scoped view, emptied by clearScratch when the hook returns
+	high int             // longest view published since the last clear
+}
+
+// publish installs v — built by appending to view[:0] — as the current view.
+func (s *hookScratch) publish(v []*proto.Packet) []*proto.Packet {
+	s.view = v
+	s.high = max(s.high, len(v))
+	return v
+}
+
+// clear nils every slot written since the last clear. Clearing the whole
+// backing array instead would cost a pointer-memclr over the deepest queue
+// ever seen, after every hook.
+func (s *hookScratch) clear() {
+	clear(s.view[:s.high])
+	s.view = s.view[:0]
+	s.high = 0
+}
+
 // clearScratch empties the firmware-facing scratch slices after a hook
 // returns. The packets they point at go back to the cluster pool as soon
 // as the destination host decodes them; a pointer lingering in a backing
@@ -910,12 +956,31 @@ func (n *NIC) Doorbell() {
 // meanwhile. (Surfaced by the poolown analyzer: latent pooled-pointer
 // retention. Regression-tested by TestScratchClearedAfterHooks.)
 func (n *NIC) clearScratch() {
-	clear(n.sqScratch[:cap(n.sqScratch)])
-	n.sqScratch = n.sqScratch[:0]
-	clear(n.rmScratch[:cap(n.rmScratch)])
-	n.rmScratch = n.rmScratch[:0]
-	clear(n.gbScratch[:cap(n.gbScratch)])
-	n.gbScratch = n.gbScratch[:0]
+	n.recycleRemoved()
+	n.sqScratch.clear()
+	n.rmScratch.clear()
+	n.gbScratch.clear()
+}
+
+// recycleRemoved returns the packets of the current RemoveFromSendQueue
+// view to the host pool. They left the send queue for good and the discard
+// observer has seen them; the view is the last reference, and it dies when
+// the hook returns or takes its next view.
+func (n *NIC) recycleRemoved() {
+	for _, pkt := range n.rmScratch.view {
+		n.recycleDropped(pkt)
+	}
+}
+
+// recycleDropped returns a host packet the NIC discarded instead of
+// sending to the host's packet pool, which holds event-like packets only.
+// The destination host releases a packet that travels; one that dies here
+// has no other way home, and under heavy cancellation most packets die
+// here.
+func (n *NIC) recycleDropped(pkt *proto.Packet) {
+	if n.recycle != nil && pkt.IsEventLike() {
+		n.recycle(pkt) //nicwarp:alloc wired by the cluster assembly (the host free list's amortized growth); opaque to the analyzer
+	}
 }
 
 // apiImpl implements API as a view over the NIC. A distinct type keeps the
@@ -933,24 +998,27 @@ func (a apiImpl) Charge(c int64) {
 
 func (a apiImpl) SendQueue() []*proto.Packet {
 	n := a.n
-	out := n.sqScratch[:0]
+	out := n.sqScratch.view[:0]
 	for _, e := range n.sendQ[n.sendHead:] {
 		out = append(out, e.pkt)
 	}
-	n.sqScratch = out
-	return out
+	return n.sqScratch.publish(out)
 }
+
+func (a apiImpl) SendQueueLen() int { return a.n.sendLen() }
 
 func (a apiImpl) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet {
 	n := a.n
-	removed := n.rmScratch[:0]
+	n.recycleRemoved() // the previous view is dead
+	removed := n.rmScratch.view[:0]
 	live := n.sendQ[n.sendHead:]
 	kept := live[:0]
 	for _, e := range live {
+		//nicwarp:alloc firmware-supplied predicate; hot callers bind it once (CancelFirmware.scanPred)
 		if !e.fromNIC && pred(e.pkt) {
-			removed = append(removed, e.pkt)
+			removed = append(removed, e.pkt) //nicwarp:alloc scratch growth, amortized across the run
 		} else {
-			kept = append(kept, e)
+			kept = append(kept, e) //nicwarp:alloc aliases live[:0], never exceeds its capacity
 		}
 	}
 	// Zero the tail so removed entries do not linger.
@@ -958,14 +1026,13 @@ func (a apiImpl) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Pac
 		live[i] = outEntry{}
 	}
 	n.sendQ = n.sendQ[:n.sendHead+len(kept)]
-	n.rmScratch = removed
 	n.Stats.SendQDepth.Set(int64(n.sendLen()))
 	if n.onHostDiscard != nil {
 		for _, pkt := range removed {
-			n.onHostDiscard(pkt)
+			n.onHostDiscard(pkt) //nicwarp:alloc invariant-checker observer, installed only under CheckInvariants
 		}
 	}
-	return removed
+	return n.rmScratch.publish(removed)
 }
 
 func (a apiImpl) Inject(pkt *proto.Packet) {
@@ -981,7 +1048,7 @@ func (a apiImpl) NotifyHost(tag NotifyTag) {
 	if a.n.notifyHost == nil {
 		panic("nic: NotifyHost before Wire")
 	}
-	a.n.notifyHost(tag)
+	a.n.notifyHost(tag) //nicwarp:alloc wired by the cluster assembly (core's nicNotify, closure-free); opaque to the analyzer
 }
 
 func (a apiImpl) Stats() *Stats { return &a.n.Stats }
@@ -999,7 +1066,7 @@ func (a apiImpl) Stats() *Stats { return &a.n.Stats }
 //nicwarp:hotpath batch gather, executed once per assembled frame
 func (a apiImpl) GatherBatch(dst int32, max int) []*proto.Packet {
 	n := a.n
-	out := n.gbScratch[:0]
+	out := n.gbScratch.view[:0]
 	live := n.sendQ[n.sendHead:]
 	kept := live[:0]
 	stopped := false
@@ -1017,9 +1084,8 @@ func (a apiImpl) GatherBatch(dst int32, max int) []*proto.Packet {
 		live[i] = outEntry{}
 	}
 	n.sendQ = n.sendQ[:n.sendHead+len(kept)]
-	n.gbScratch = out
 	n.Stats.SendQDepth.Set(int64(n.sendLen()))
-	return out
+	return n.gbScratch.publish(out)
 }
 
 // AllocFrame hands the batcher an empty frame from this NIC's pool (or a
@@ -1041,8 +1107,9 @@ func (a apiImpl) AllocFrame() *proto.Packet {
 }
 
 // DiscardHostPacket reports a firmware-dropped gathered packet to the host
-// discard observer (the invariant checker books the drop), without
-// recycling it — the observer still reads it.
+// discard observer (the invariant checker books the drop). It does not
+// recycle the packet — the observer reads it; the firmware recycles it
+// once this returns.
 func (a apiImpl) DiscardHostPacket(pkt *proto.Packet) {
 	if a.n.onHostDiscard != nil {
 		a.n.onHostDiscard(pkt)

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"slices"
 	"testing"
 
 	"nicwarp/internal/des"
@@ -423,14 +424,22 @@ func TestScratchClearedAfterHooks(t *testing.T) {
 	// poolown analyzer: the SendQueue/RemoveFromSendQueue scratch slices
 	// kept packet pointers in their backing arrays between firmware hooks,
 	// pinning packets the pool had long since recycled.
+	//
+	// The hook takes the send-queue view, shrinks the queue, and takes the
+	// view again: the second view is shorter than the first, so clearing
+	// only what the last view covers would leave the first view's tail
+	// behind. clearScratch clears the high-water prefix instead of the whole
+	// backing array; the assertions below still walk the whole array.
+	var views [2]int
 	r := newRig(t, 2, func(i int) Firmware {
 		if i == 0 {
 			return &stubFirmware{onWireReceive: func(p *proto.Packet, a API) Verdict {
 				if p.IsAnti() {
-					_ = a.SendQueue()
+					views[0] = len(a.SendQueue())
 					a.RemoveFromSendQueue(func(q *proto.Packet) bool {
 						return q.SendTS > p.RecvTS
 					})
+					views[1] = len(a.SendQueue())
 				}
 				return VerdictForward
 			}}
@@ -443,22 +452,127 @@ func TestScratchClearedAfterHooks(t *testing.T) {
 		p.EventID = uint64(k)
 		r.nics[0].HostEnqueue(p)
 	}
-	anti := &proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0, RecvTS: 115}
+	anti := &proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0, RecvTS: 125}
 	r.nics[1].HostEnqueue(anti)
 	r.eng.Run(vtime.ModelInfinity)
+	if views[1] == 0 || views[1] >= views[0] {
+		t.Fatalf("send-queue views %v: the hook must see a non-empty queue shrink", views)
+	}
 	for _, n := range r.nics {
-		if cap(n.sqScratch) == 0 && cap(n.rmScratch) == 0 {
-			continue
-		}
-		for i, p := range n.sqScratch[:cap(n.sqScratch)] {
-			if p != nil {
-				t.Errorf("node %d: sqScratch[%d] retains %p after hooks", n.node, i, p)
+		for name, s := range map[string]*hookScratch{"sq": &n.sqScratch, "rm": &n.rmScratch, "gb": &n.gbScratch} {
+			if len(s.view) != 0 || s.high != 0 {
+				t.Errorf("node %d: %sScratch not reset after hooks (len %d, high %d)", n.node, name, len(s.view), s.high)
+			}
+			for i, p := range s.view[:cap(s.view)] {
+				if p != nil {
+					t.Errorf("node %d: %sScratch[%d] retains %p after hooks", n.node, name, i, p)
+				}
 			}
 		}
-		for i, p := range n.rmScratch[:cap(n.rmScratch)] {
-			if p != nil {
-				t.Errorf("node %d: rmScratch[%d] retains %p after hooks", n.node, i, p)
-			}
+	}
+}
+
+// TestDroppedHostPacketsAreRecycled: a host packet the NIC discards instead
+// of sending never reaches a destination host, so nothing downstream would
+// return it to the sender's pool. The NIC hands event-like ones to the
+// recycler itself — after the discard observer has read the packet, and for
+// the packets of a RemoveFromSendQueue view only once that view is dead
+// (the hook took its next view, or returned). Packets that travel, packets
+// the firmware consumed and control packets are not the NIC's to recycle.
+func TestDroppedHostPacketsAreRecycled(t *testing.T) {
+	const dropID, consumeID = 99, 98
+	var events []string // "discard <id>" / "recycle <id>", in call order
+	recycled := map[*proto.Packet]int{}
+	r := newRig(t, 2, func(i int) Firmware {
+		if i != 0 {
+			return &stubFirmware{}
 		}
+		return &stubFirmware{
+			onHostSend: func(p *proto.Packet, a API) Verdict {
+				switch {
+				case p.EventID == dropID || p.Kind == proto.KindGVTControl:
+					return VerdictDrop
+				case p.EventID == consumeID:
+					return VerdictConsume
+				}
+				return VerdictForward
+			},
+			onWireReceive: func(p *proto.Packet, a API) Verdict {
+				if !p.IsAnti() {
+					return VerdictForward
+				}
+				first := a.RemoveFromSendQueue(func(q *proto.Packet) bool { return q.EventID == 1 })
+				if len(first) != 1 || recycled[first[0]] != 0 {
+					t.Errorf("first view: %d packets, recycled while live: %v", len(first), recycled)
+				}
+				gone := first[0]
+				second := a.RemoveFromSendQueue(func(q *proto.Packet) bool { return q.EventID == 2 })
+				if recycled[gone] != 1 {
+					t.Error("the first view's packet must be recycled once the second view replaces it")
+				}
+				if len(second) != 1 || recycled[second[0]] != 0 {
+					t.Errorf("second view: %d packets, recycled while live: %v", len(second), recycled)
+				}
+				return VerdictForward
+			},
+		}
+	})
+	name := func(p *proto.Packet) string {
+		if p.Kind == proto.KindGVTControl {
+			return "control"
+		}
+		return string(rune('0' + p.EventID%10))
+	}
+	r.nics[0].SetHostDiscardHook(func(p *proto.Packet) { events = append(events, "discard "+name(p)) })
+	r.nics[0].SetPacketRecycler(func(p *proto.Packet) {
+		events = append(events, "recycle "+name(p))
+		recycled[p]++
+	})
+	// Queue: a forwarded head, then the drop, the consume and the control
+	// drop, then the two the scan removes.
+	ids := []uint64{0, dropID, consumeID, 0, 1, 2}
+	var pkts []*proto.Packet
+	for i, id := range ids {
+		p := evPkt(0, 1)
+		p.EventID = id
+		if i == 3 {
+			p = &proto.Packet{Kind: proto.KindGVTControl, SrcNode: 0, DstNode: 1}
+		}
+		pkts = append(pkts, p)
+		r.nics[0].HostEnqueue(p)
+	}
+	r.nics[1].HostEnqueue(&proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0})
+	r.eng.Run(vtime.ModelInfinity)
+
+	want := []string{
+		"discard 9", "recycle 9", // dropped head: observer first, then the pool
+		"discard 8",       // consumed: the firmware's now
+		"discard control", // dropped, but the pool holds event packets only
+		"discard 1", "recycle 1", "discard 2", "recycle 2",
+	}
+	if len(recycled) != 3 {
+		t.Fatalf("recycled %d distinct packets, want 3; events %v", len(recycled), events)
+	}
+	for p, n := range recycled {
+		if n != 1 {
+			t.Fatalf("packet %v recycled %d times", p, n)
+		}
+	}
+	// The drop and the scan race in model time, so compare per packet
+	// rather than globally: every recycle directly follows nothing but its
+	// own discard.
+	for _, id := range []string{"9", "1", "2"} {
+		d, rc := slices.Index(events, "discard "+id), slices.Index(events, "recycle "+id)
+		if d < 0 || rc < d {
+			t.Fatalf("packet %s: discard at %d, recycle at %d in %v", id, d, rc, events)
+		}
+	}
+	slices.Sort(events)
+	slices.Sort(want)
+	if !slices.Equal(events, want) {
+		t.Fatalf("events %v, want %v", events, want)
+	}
+	if len(r.toHost[1]) != 1 || r.toHost[1][0] != pkts[0] {
+		t.Fatalf("only the head should travel, got %v", r.toHost[1])
 	}
 }

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"nicwarp/internal/dense"
 	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
 )
@@ -65,14 +66,14 @@ type SharedWindow struct {
 	// DroppedWhite counts packets the NIC cancelled in place, by colour
 	// stamp. The host GVT manager drains it into its ledger: a dropped
 	// message must count as received or the white balance never closes.
-	DroppedWhite map[uint32]int64
+	DroppedWhite dense.EpochWindow
 	// CreditSalvage counts flow-control credits that were piggybacked on a
 	// dropped packet as returned credit for its destination; the host
 	// re-books them as owed so they are returned again by later traffic or
 	// an explicit credit message. Without salvage, every dropped packet
 	// that happened to carry a credit return would destroy those credits
 	// and eventually wedge the peer's window.
-	CreditSalvage map[int32]int64
+	CreditSalvage NodeCounts
 	// CreditRefund counts flow-control credits stranded by in-place drops,
 	// per destination node. The host drains it into MPICH after a
 	// NotifyCreditRefund doorbell: a dropped packet occupies no receiver
@@ -80,28 +81,48 @@ type SharedWindow struct {
 	// paper's receiver-side estimate repair leaves credit stranded when a
 	// dropped packet is the last traffic to its destination, which
 	// deadlocks the sender's window.)
-	CreditRefund map[int32]int64
+	CreditRefund NodeCounts
 	// DropsByDst is the permanent per-destination count of packets this
 	// NIC deliberately discarded (cancelled positives and suppressed
-	// antis). Unlike the maps above it is never drained: it is the
+	// antis). Unlike the tables above it is never drained: it is the
 	// sender-side ground truth the invariant checker reconciles against
 	// the receiver's BIP sequence gaps — every permanent hole in a
 	// destination's sequence space must be attributable to exactly these
 	// drops.
-	DropsByDst map[int32]int64
+	DropsByDst NodeCounts
+}
+
+// NodeCounts is a counter per node id, grown on first touch: only the
+// cancel firmware writes these tables, so a NIC that never drops carries
+// none, and the host drains them in ascending node order — the order the
+// credit messages a drain can emit must leave in.
+type NodeCounts []int64
+
+// Add adds n to node's counter.
+func (c *NodeCounts) Add(node int32, n int64) {
+	*c = dense.Grow(*c, node, 0)
+	(*c)[node] += n
+}
+
+// At returns node's counter.
+func (c NodeCounts) At(node int32) int64 { return dense.At(c, node) }
+
+// Sum returns the total over all nodes.
+func (c NodeCounts) Sum() int64 {
+	var sum int64
+	for _, v := range c {
+		sum += v
+	}
+	return sum
 }
 
 // NewSharedWindow returns a window with the paper's default drop-buffer
 // capacity.
 func NewSharedWindow() *SharedWindow {
 	return &SharedWindow{
-		LatestGVT:     -1,
-		HostTMin:      vtime.Infinity,
-		Dropped:       NewDropBuffer(DefaultDropBufferCap),
-		DroppedWhite:  make(map[uint32]int64),
-		CreditRefund:  make(map[int32]int64),
-		CreditSalvage: make(map[int32]int64),
-		DropsByDst:    make(map[int32]int64),
+		LatestGVT: -1,
+		HostTMin:  vtime.Infinity,
+		Dropped:   NewDropBuffer(DefaultDropBufferCap),
 	}
 }
 
@@ -145,9 +166,14 @@ type DropKey struct {
 // entry is evicted and counted in Evictions — an eviction means a dropped
 // positive whose anti-message can no longer be matched, which the kernel
 // then tolerates through its unmatched-negative path.
+//
+// Each object's entries live in a ring (see dropRing) found by indexing a
+// table with the object id, so recording, matching and consuming touch no
+// hash table and, once the ring has grown to its working size, allocate
+// nothing.
 type DropBuffer struct {
 	cap   int
-	byObj map[int32][]DropKey
+	rings []*dropRing // by sending object id; nil until the object's first drop
 
 	Records   stats.Counter
 	Takes     stats.Counter
@@ -155,62 +181,132 @@ type DropBuffer struct {
 	Evictions stats.Counter
 }
 
+// dropRing is one object's recorded drops, oldest first: n entries starting
+// at buf[head] and wrapping. buf starts small and doubles up to the buffer's
+// per-object capacity, so a deep capacity costs only what is used.
+type dropRing struct {
+	buf  []DropKey
+	head int
+	n    int
+}
+
+// at returns the i-th oldest entry's slot.
+func (r *dropRing) at(i int) *DropKey {
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
+
+// find returns the age rank of the oldest entry equal to key, or -1.
+func (r *dropRing) find(key DropKey) int {
+	for i := 0; i < r.n; i++ {
+		if *r.at(i) == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropOldest advances the head over the oldest entry.
+func (r *dropRing) dropOldest() {
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+}
+
+// dropRingMinCap is a ring's first allocation, in entries.
+const dropRingMinCap = 8
+
 // NewDropBuffer creates a buffer with the given per-object capacity.
 func NewDropBuffer(capPerObj int) *DropBuffer {
 	if capPerObj <= 0 {
 		panic("nic: drop buffer capacity must be positive")
 	}
-	return &DropBuffer{cap: capPerObj, byObj: make(map[int32][]DropKey)}
+	return &DropBuffer{cap: capPerObj}
 }
 
 // Cap returns the per-object capacity.
 func (b *DropBuffer) Cap() int { return b.cap }
 
+// ring returns obj's ring, or nil if nothing was ever recorded for it.
+func (b *DropBuffer) ring(obj int32) *dropRing { return dense.At(b.rings, obj) }
+
 // Record stores a dropped message identity for obj, evicting the oldest
 // entry if the object's ring is full.
+//
+//nicwarp:hotpath runs for every positive the cancel firmware drops in place
 func (b *DropBuffer) Record(obj int32, key DropKey) {
 	b.Records.Inc()
-	q := b.byObj[obj]
-	if len(q) >= b.cap {
-		q = q[1:]
+	b.rings = dense.Grow(b.rings, obj, nil)
+	r := b.rings[obj]
+	if r == nil {
+		r = new(dropRing) //nicwarp:alloc one ring per object that ever has a drop
+		b.rings[obj] = r
+	}
+	if r.n == b.cap {
+		r.dropOldest()
 		b.Evictions.Inc()
 	}
-	b.byObj[obj] = append(q, key)
+	if r.n == len(r.buf) {
+		grown := make([]DropKey, min(b.cap, max(dropRingMinCap, 2*len(r.buf)))) //nicwarp:alloc ring doubling up to cap, amortized across the run
+		for i := 0; i < r.n; i++ {
+			grown[i] = *r.at(i)
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.n++
+	*r.at(r.n - 1) = key
 }
 
 // Contains reports whether key is recorded for obj without consuming it.
 func (b *DropBuffer) Contains(obj int32, key DropKey) bool {
-	for _, v := range b.byObj[obj] {
-		if v == key {
-			return true
-		}
-	}
-	return false
+	r := b.ring(obj)
+	return r != nil && r.find(key) >= 0
 }
 
 // Take consumes the entry (obj, key) and reports whether it was present.
+// Drops and their anti-messages pair up in one FIFO stream, so the match is
+// usually the oldest entry: the gap closes from the head side, which keeps
+// the survivors in order and moves nothing in that common case.
+//
+//nicwarp:hotpath runs for every outgoing anti-message under early cancellation
 func (b *DropBuffer) Take(obj int32, key DropKey) bool {
-	q := b.byObj[obj]
-	for i, v := range q {
-		if v == key {
-			b.byObj[obj] = append(q[:i:i], q[i+1:]...)
-			b.Takes.Inc()
-			return true
-		}
+	r := b.ring(obj)
+	i := -1
+	if r != nil {
+		i = r.find(key)
 	}
-	b.Misses.Inc()
-	return false
+	if i < 0 {
+		b.Misses.Inc()
+		return false
+	}
+	for ; i > 0; i-- {
+		*r.at(i) = *r.at(i - 1)
+	}
+	r.dropOldest()
+	b.Takes.Inc()
+	return true
 }
 
 // Len returns the number of recorded IDs for obj.
-func (b *DropBuffer) Len(obj int32) int { return len(b.byObj[obj]) }
+func (b *DropBuffer) Len(obj int32) int {
+	if r := b.ring(obj); r != nil {
+		return r.n
+	}
+	return 0
+}
 
 // TotalLen returns the number of recorded IDs across all objects.
 func (b *DropBuffer) TotalLen() int {
 	n := 0
-	//nicwarp:ordered commutative fold: sums lengths, order-free
-	for _, q := range b.byObj {
-		n += len(q)
+	for _, r := range b.rings {
+		if r != nil {
+			n += r.n
+		}
 	}
 	return n
 }

@@ -1,6 +1,9 @@
 package nic
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -111,5 +114,178 @@ func TestDropBufferConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sliceDropBuffer is the map-of-slices buffer DropBuffer replaced, kept as
+// the reference for its ring: Record evicts by reslicing, Take deletes by
+// copying the queue.
+type sliceDropBuffer struct {
+	cap       int
+	byObj     map[int32][]DropKey
+	evictions int64
+}
+
+func (b *sliceDropBuffer) record(obj int32, key DropKey) {
+	q := b.byObj[obj]
+	if len(q) >= b.cap {
+		q = q[1:]
+		b.evictions++
+	}
+	b.byObj[obj] = append(q, key)
+}
+
+func (b *sliceDropBuffer) take(obj int32, key DropKey) bool {
+	q := b.byObj[obj]
+	for i, v := range q {
+		if v == key {
+			b.byObj[obj] = append(q[:i:i], q[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// TestDropBufferMatchesSliceReference: the per-object rings keep exactly
+// the entries, in exactly the FIFO order, the reslicing buffer kept — same
+// Take results, same eviction victims, same Evictions count — at the
+// paper-scale capacity where every Record evicts and at the deep capacity
+// the benchmark runs, where the ring has to grow.
+func TestDropBufferMatchesSliceReference(t *testing.T) {
+	for _, capPerObj := range []int{2, PaperDropBufferCap, 4096} {
+		rng := rand.New(rand.NewSource(int64(capPerObj)))
+		got := NewDropBuffer(capPerObj)
+		want := &sliceDropBuffer{cap: capPerObj, byObj: map[int32][]DropKey{}}
+		next := uint64(0)
+		for step := 0; step < 40000; step++ {
+			obj := int32(rng.Intn(3) * 5) // sparse ids: 0, 5, 10
+			q := want.byObj[obj]
+			switch op := rng.Intn(10); {
+			case op < 6:
+				next++
+				key := DropKey{ID: next % 50, Dst: obj, SendTS: vtime.VTime(next)} // ids recur, as after rollback
+				got.Record(obj, key)
+				want.record(obj, key)
+			case len(q) > 0 && op < 9:
+				// Mostly the oldest entry (drops and antis pair up FIFO),
+				// sometimes one from the middle.
+				key := q[0]
+				if rng.Intn(4) == 0 {
+					key = q[rng.Intn(len(q))]
+				}
+				if g, w := got.Take(obj, key), want.take(obj, key); g != w {
+					t.Fatalf("cap %d step %d: Take = %v, reference %v", capPerObj, step, g, w)
+				}
+			default:
+				key := DropKey{ID: uint64(rng.Intn(50)), Dst: obj}
+				if g, w := got.Take(obj, key), want.take(obj, key); g != w {
+					t.Fatalf("cap %d step %d: Take(miss) = %v, reference %v", capPerObj, step, g, w)
+				}
+			}
+			q = want.byObj[obj]
+			if got.Len(obj) != len(q) || got.Evictions.Value() != want.evictions {
+				t.Fatalf("cap %d step %d: len/evictions = %d/%d, reference %d/%d", capPerObj, step,
+					got.Len(obj), got.Evictions.Value(), len(q), want.evictions)
+			}
+			r := got.ring(obj)
+			for i, key := range q {
+				if *r.at(i) != key {
+					t.Fatalf("cap %d step %d: obj %d entry %d = %+v, reference %+v", capPerObj, step, obj, i, *r.at(i), key)
+				}
+			}
+		}
+		if got.Records.Value() != got.Takes.Value()+got.Evictions.Value()+int64(got.TotalLen()) {
+			t.Fatalf("cap %d: records %d != takes %d + evictions %d + held %d", capPerObj,
+				got.Records.Value(), got.Takes.Value(), got.Evictions.Value(), got.TotalLen())
+		}
+	}
+}
+
+// TestDropBufferSteadyStateAllocatesNothing is the regression for the two
+// allocation bugs of the slice buffer (Take reallocated the queue on every
+// hit; eviction by q[1:] leaked capacity until append re-grew it): once an
+// object's ring has reached its working size, Record, Contains and Take —
+// hit, miss and evicting — allocate nothing.
+func TestDropBufferSteadyStateAllocatesNothing(t *testing.T) {
+	for _, capPerObj := range []int{2, 4096} {
+		b := NewDropBuffer(capPerObj)
+		// The ring holds the ids [lo, id): full at cap 2, so every Record
+		// evicts; a hundred deep at cap 4096, after the ring has grown.
+		lo, id := uint64(0), uint64(min(capPerObj, 100))
+		for i := lo; i < id; i++ {
+			b.Record(3, DropKey{ID: i})
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			b.Record(3, DropKey{ID: id})
+			if !b.Contains(3, DropKey{ID: id}) || b.Contains(3, DropKey{ID: id + 1}) {
+				t.Fatal("Contains")
+			}
+			if b.Take(3, DropKey{ID: id + 1}) {
+				t.Fatal("Take of an entry never recorded")
+			}
+			// The newest entry: the longest search and the longest shift.
+			if !b.Take(3, DropKey{ID: id}) {
+				t.Fatal("Take of the newest entry")
+			}
+			b.Record(3, DropKey{ID: id})
+			// The oldest entry: evicted by the first Record at cap 2, still
+			// there to take at cap 4096.
+			if b.Take(3, DropKey{ID: lo}) != (capPerObj > 2) {
+				t.Fatal("Take of the oldest entry")
+			}
+			lo++
+			id++
+		})
+		if b.Len(3) != int(id-lo) || (capPerObj == 2) != (b.Evictions.Value() > 1000) {
+			t.Fatalf("cap %d: holds %d entries after %d evictions", capPerObj, b.Len(3), b.Evictions.Value())
+		}
+		if allocs != 0 {
+			t.Fatalf("cap %d: steady-state Record/Contains/Take allocate %.1f times per round, want 0", capPerObj, allocs)
+		}
+	}
+}
+
+// TestNodeCountsWalkIsSortedKeyOrder: the host drains CreditRefund and
+// CreditSalvage by walking the tables in index order and skipping zeros;
+// that must visit the same (node, count) pairs, in the same order, as
+// sorting the keys of the map the tables replaced — credit messages leave
+// in that order. Includes ids larger than any touched before.
+func TestNodeCountsWalkIsSortedKeyOrder(t *testing.T) {
+	touches := [][]int32{
+		{},
+		{3},
+		{5, 2, 7, 2, 3},
+		{0, 1023, 4, 1023, 512},
+		{7, 6, 5, 4, 3, 2, 1, 0},
+	}
+	for _, dsts := range touches {
+		var c NodeCounts
+		ref := map[int32]int64{}
+		for i, dst := range dsts {
+			c.Add(dst, int64(i+1))
+			ref[dst] += int64(i + 1)
+			if c.At(dst) != ref[dst] {
+				t.Fatalf("%v: At(%d) = %d, want %d", dsts, dst, c.At(dst), ref[dst])
+			}
+		}
+		keys := make([]int32, 0, len(ref))
+		for dst := range ref {
+			keys = append(keys, dst)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		var walked []int32
+		var sum int64
+		for dst, k := range c {
+			if k != 0 {
+				walked = append(walked, int32(dst))
+				if k != ref[int32(dst)] {
+					t.Fatalf("%v: node %d counts %d, want %d", dsts, dst, k, ref[int32(dst)])
+				}
+				sum += k
+			}
+		}
+		if !slices.Equal(walked, keys) || sum != c.Sum() || c.At(2000) != 0 {
+			t.Fatalf("%v: walk visits %v (sum %d of %d), sorted keys are %v", dsts, walked, sum, c.Sum(), keys)
+		}
 	}
 }

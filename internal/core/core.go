@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"nicwarp/internal/bip"
+	"nicwarp/internal/dense"
 	"nicwarp/internal/des"
 	"nicwarp/internal/fault"
 	"nicwarp/internal/gvt"
@@ -251,8 +252,7 @@ type node struct {
 	// CPU jobs that transmit them. The CPU resource completes jobs in
 	// submission order, so a FIFO ring pairs each nodeSendBatch job with
 	// the batch pushed when it was submitted — no per-step closure.
-	sendBatches [][]*timewarp.Event //nicwarp:owns in flight toward the NIC; events recycled after encoding
-	batchHead   int
+	sendBatches dense.FIFO[[]*timewarp.Event] //nicwarp:owns in flight toward the NIC; events recycled after encoding
 	// draining is the batch nodeSendBatch is currently encoding and
 	// drainFrom the first entry not yet handed to transmitEvent: the
 	// events a GVT report filled mid-batch (piggybacked on an earlier
@@ -265,13 +265,11 @@ type node struct {
 	// inbox pairs inbound packets with their rx-slot release callbacks for
 	// the DMA + absorb pipeline (same FIFO-completion argument: the bus and
 	// the CPU each preserve submission order).
-	inbox     []inboundPkt
-	inboxHead int
+	inbox dense.FIFO[inboundPkt]
 	// outbox holds packets DMAing toward the NIC; the bus is FIFO, so each
 	// completion pops exactly the packet pushed for it — no per-packet
 	// closure on the transmit path.
-	outbox     []*proto.Packet //nicwarp:owns DMA queue; packets leave via the NIC or the free list
-	outboxHead int
+	outbox dense.FIFO[*proto.Packet] //nicwarp:owns DMA queue; packets leave via the NIC or the free list
 	// scratchEv is the reused decode target for inbound event packets; the
 	// kernel copies at the Deliver boundary.
 	scratchEv timewarp.Event
@@ -282,7 +280,7 @@ type node struct {
 	scratchPkt proto.Packet
 	// absorbsQueued counts inbound packets whose DMA finished but whose
 	// absorb job has not yet run; it locates the packet a DMA completion
-	// belongs to (inbox[inboxHead+absorbsQueued]) so its absorb cost can
+	// belongs to (inbox.Live()[absorbsQueued]) so its absorb cost can
 	// depend on the packet — a batch frame pays one interrupt but per-sub
 	// protocol work.
 	absorbsQueued int
@@ -328,9 +326,7 @@ func (v view) CommitGVT(g vtime.VTime) {
 func (v view) SendControl(pkt *proto.Packet) {
 	n := v.n
 	c := n.cpu.Costs
-	n.cpu.Do(hostmodel.CatGVT, c.GVTMsgBuild+c.SendOverhead, func() {
-		n.transmitHostPacket(pkt)
-	})
+	n.cpu.DoArg2(hostmodel.CatGVT, c.GVTMsgBuild+c.SendOverhead, nodeTransmitHostPacket, n, pkt)
 }
 func (v view) Shared() *nic.SharedWindow { return v.n.nicDev.Shared() }
 func (v view) RingDoorbell() {
@@ -688,7 +684,7 @@ func (cl *Cluster) invariantFloor() vtime.VTime {
 		if lvt := n.kernel.LVT(); lvt < floor {
 			floor = lvt
 		}
-		for _, batch := range n.sendBatches[n.batchHead:] {
+		for _, batch := range n.sendBatches.Live() {
 			for _, ev := range batch {
 				if ev.RecvTS < floor {
 					floor = ev.RecvTS
@@ -780,7 +776,7 @@ func (n *node) pump() {
 	if !n.kernel.HasWork() {
 		if !n.idleNotified {
 			n.idleNotified = true
-			n.mgr.OnIdle(view{n})
+			n.mgr.OnIdle(view{n}) //nicwarp:alloc GVT manager dispatch, once per idle transition; view is one pointer wide and boxes without a heap copy
 		}
 		return
 	}
@@ -828,7 +824,7 @@ func (n *node) finishStep(res timewarp.StepResult, cat hostmodel.Category) {
 	if res.Rollbacks > 0 {
 		cat = hostmodel.CatRollback
 	}
-	n.pushBatch(res.Remote)
+	n.sendBatches.Push(res.Remote)
 	n.cpu.DoArg(cat, cost, nodeSendBatch, n)
 }
 
@@ -836,7 +832,7 @@ func (n *node) finishStep(res timewarp.StepResult, cat hostmodel.Category) {
 // its events and re-arm the main loop.
 func nodeSendBatch(x interface{}) {
 	n := x.(*node)
-	batch := n.popBatch()
+	batch := n.sendBatches.Pop()
 	// A GVT report can be piggybacked on any entry (OnSent fires inside
 	// transmitEvent); keep the not-yet-encoded tail visible to outboundMin
 	// so the report's floor covers it.
@@ -851,32 +847,6 @@ func nodeSendBatch(x interface{}) {
 	// back too so the kernel's next remote emission reuses it.
 	n.kernel.RecycleRemoteBuf(batch)
 	n.pump()
-}
-
-// pushBatch appends to the outbound ring, compacting the consumed prefix in
-// place before the slice would grow.
-func (n *node) pushBatch(batch []*timewarp.Event) {
-	if len(n.sendBatches) == cap(n.sendBatches) && n.batchHead > 0 {
-		m := copy(n.sendBatches, n.sendBatches[n.batchHead:])
-		for i := m; i < len(n.sendBatches); i++ {
-			n.sendBatches[i] = nil
-		}
-		n.sendBatches = n.sendBatches[:m]
-		n.batchHead = 0
-	}
-	n.sendBatches = append(n.sendBatches, batch)
-}
-
-// popBatch removes and returns the oldest outbound batch.
-func (n *node) popBatch() []*timewarp.Event {
-	b := n.sendBatches[n.batchHead]
-	n.sendBatches[n.batchHead] = nil
-	n.batchHead++
-	if n.batchHead == len(n.sendBatches) {
-		n.sendBatches = n.sendBatches[:0]
-		n.batchHead = 0
-	}
-	return b
 }
 
 // transmitEvent converts a kernel event into a packet and pushes it down
@@ -911,16 +881,20 @@ func (n *node) transmitEvent(ev *timewarp.Event) {
 	n.flow.Send(pkt)
 }
 
-// transmitHostPacket pushes a host control packet down the stack.
-func (n *node) transmitHostPacket(pkt *proto.Packet) {
-	n.flow.Send(pkt)
+// nodeTransmitHostPacket is the CPU job that built a host control packet
+// (a GVT token or an explicit credit message) finishing: push the packet
+// down the stack.
+//
+//nicwarp:hotpath one per host GVT control packet — several per committed event under host Mattern at period 1
+func nodeTransmitHostPacket(x, p interface{}) {
+	x.(*node).flow.Send(p.(*proto.Packet)) //nicwarp:alloc MPICH parks the packet when the peer's credit window is exhausted; that buffer's growth is amortized
 }
 
 // bipTransmit is the mpich endpoint's transmit callback: BIP stamps the
 // sequence number and the packet DMAs across the I/O bus into the NIC.
 func (n *node) bipTransmit(pkt *proto.Packet) {
 	n.bipEnd.Stamp(pkt)
-	n.pushOutbound(pkt)
+	n.outbox.Push(pkt)
 	n.bus.DMAArg(pkt.EncodedSize(), nodeOutboundDMADone, n)
 }
 
@@ -928,7 +902,7 @@ func (n *node) bipTransmit(pkt *proto.Packet) {
 // outbound packet to the NIC's send machinery.
 func nodeOutboundDMADone(x interface{}) {
 	n := x.(*node)
-	n.nicDev.HostEnqueue(n.popOutbound())
+	n.nicDev.HostEnqueue(n.outbox.Pop())
 }
 
 // nicDeliver is wired into the NIC: an inbound packet DMAs across the bus,
@@ -936,7 +910,7 @@ func nodeOutboundDMADone(x interface{}) {
 // the NIC receive slot once the host has consumed the packet, which is what
 // propagates host congestion back through the fabric to the sender.
 func (n *node) nicDeliver(pkt *proto.Packet, done func()) {
-	n.pushInbound(inboundPkt{pkt: pkt, done: done})
+	n.inbox.Push(inboundPkt{pkt: pkt, done: done})
 	n.bus.DMAArg(pkt.EncodedSize(), nodeInboundDMADone, n)
 }
 
@@ -951,7 +925,7 @@ func nodeInboundDMADone(x interface{}) {
 	// packet without a queued absorb job. A batch frame amortizes the
 	// interrupt across its sub-messages but pays full per-message protocol
 	// cost for each.
-	if in := n.inbox[n.inboxHead+n.absorbsQueued]; in.pkt.Kind == proto.KindBatch {
+	if in := n.inbox.Live()[n.absorbsQueued]; in.pkt.Kind == proto.KindBatch {
 		cost = c.InterruptOverhead + vtime.ModelTime(len(in.pkt.Subs))*c.RecvOverhead
 	}
 	n.absorbsQueued++
@@ -962,50 +936,10 @@ func nodeInboundDMADone(x interface{}) {
 func nodeAbsorbPacket(x interface{}) {
 	n := x.(*node)
 	n.absorbsQueued--
-	in := n.popInbound()
+	in := n.inbox.Pop()
 	n.hostReceive(in.pkt)
 	in.done()
 	n.pump()
-}
-
-// pushInbound appends to the inbound ring, compacting the consumed prefix in
-// place before the slice would grow.
-func (n *node) pushInbound(in inboundPkt) {
-	if len(n.inbox) == cap(n.inbox) && n.inboxHead > 0 {
-		m := copy(n.inbox, n.inbox[n.inboxHead:])
-		for i := m; i < len(n.inbox); i++ {
-			n.inbox[i] = inboundPkt{}
-		}
-		n.inbox = n.inbox[:m]
-		n.inboxHead = 0
-	}
-	n.inbox = append(n.inbox, in)
-}
-
-// popInbound removes and returns the oldest inbound packet.
-func (n *node) popInbound() inboundPkt {
-	in := n.inbox[n.inboxHead]
-	n.inbox[n.inboxHead] = inboundPkt{}
-	n.inboxHead++
-	if n.inboxHead == len(n.inbox) {
-		n.inbox = n.inbox[:0]
-		n.inboxHead = 0
-	}
-	return in
-}
-
-// pushOutbound appends to the outbound ring, compacting the consumed prefix
-// in place before the slice would grow.
-func (n *node) pushOutbound(pkt *proto.Packet) {
-	if len(n.outbox) == cap(n.outbox) && n.outboxHead > 0 {
-		m := copy(n.outbox, n.outbox[n.outboxHead:])
-		for i := m; i < len(n.outbox); i++ {
-			n.outbox[i] = nil
-		}
-		n.outbox = n.outbox[:m]
-		n.outboxHead = 0
-	}
-	n.outbox = append(n.outbox, pkt)
 }
 
 // outboundMin returns the minimum send timestamp over every message the
@@ -1021,7 +955,7 @@ func (n *node) outboundMin() vtime.VTime {
 	for _, ev := range n.emitted {
 		min = vtime.MinV(min, ev.SendTS)
 	}
-	for _, batch := range n.sendBatches[n.batchHead:] {
+	for _, batch := range n.sendBatches.Live() {
 		for _, ev := range batch {
 			min = vtime.MinV(min, ev.SendTS)
 		}
@@ -1031,24 +965,12 @@ func (n *node) outboundMin() vtime.VTime {
 			min = vtime.MinV(min, ev.SendTS)
 		}
 	}
-	for _, pkt := range n.outbox[n.outboxHead:] {
+	for _, pkt := range n.outbox.Live() {
 		if pkt.IsEventLike() {
 			min = vtime.MinV(min, pkt.SendTS)
 		}
 	}
 	return vtime.MinV(min, n.flow.PendingMin())
-}
-
-// popOutbound removes and returns the oldest outbound packet.
-func (n *node) popOutbound() *proto.Packet {
-	pkt := n.outbox[n.outboxHead]
-	n.outbox[n.outboxHead] = nil
-	n.outboxHead++
-	if n.outboxHead == len(n.outbox) {
-		n.outbox = n.outbox[:0]
-		n.outboxHead = 0
-	}
-	return pkt
 }
 
 // doorbell is the threaded receiver for one NIC-to-host doorbell tag's
@@ -1116,9 +1038,7 @@ func (n *node) drainCreditRefunds() {
 // sendCreditReply charges the host for and transmits an explicit
 // flow-control credit message MPICH asked for.
 func (n *node) sendCreditReply(reply *proto.Packet) {
-	n.cpu.Do(hostmodel.CatComm, n.cpu.Costs.SendOverhead, func() {
-		n.transmitHostPacket(reply)
-	})
+	n.cpu.DoArg2(hostmodel.CatComm, n.cpu.Costs.SendOverhead, nodeTransmitHostPacket, n, reply)
 }
 
 // hostReceive integrates one inbound packet on the host.
@@ -1156,24 +1076,28 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 		c := n.cpu.Costs
 		// Token handling includes WARPED's per-object LVT recomputation.
 		cost := c.GVTHostCompute + vtime.ModelTime(n.numObjects)*c.GVTScanPerObject
-		n.cpu.Do(hostmodel.CatGVT, cost, func() {
-			n.mgr.OnControl(view{n}, pkt)
-			n.pump()
-		})
+		n.cpu.DoArg2(hostmodel.CatGVT, cost, nodeGVTControl, n, pkt)
 	case proto.KindGVTBroadcast:
 		n.mgr.OnControl(view{n}, pkt)
 	case proto.KindAck:
 		// Delivery acknowledgement for the pGVT manager.
-		c := n.cpu.Costs
-		n.cpu.Do(hostmodel.CatGVT, c.GVTHostCompute, func() {
-			n.mgr.OnControl(view{n}, pkt)
-			n.pump()
-		})
+		n.cpu.DoArg2(hostmodel.CatGVT, n.cpu.Costs.GVTHostCompute, nodeGVTControl, n, pkt)
 	case proto.KindCredit:
 		// Flow control handled above.
 	default:
 		panic(fmt.Sprintf("core: node %d received unexpected packet %v", n.id, pkt))
 	}
+}
+
+// nodeGVTControl is the CPU job charged for an inbound GVT token or pGVT
+// acknowledgement finishing: the manager handles the packet and the main
+// loop re-arms.
+//
+//nicwarp:hotpath one per inbound host GVT control packet
+func nodeGVTControl(x, p interface{}) {
+	n := x.(*node)
+	n.mgr.OnControl(view{n}, p.(*proto.Packet)) //nicwarp:alloc GVT manager dispatch (view is one pointer wide and boxes without a heap copy); host Mattern clones the token per hop, see EXPERIMENTS.md
+	n.pump()
 }
 
 // deliverEventLike hands one BIP-accepted event or anti-message (a solo

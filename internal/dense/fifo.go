@@ -1,0 +1,66 @@
+package dense
+
+// FIFO is a first-in-first-out queue in one slice: entries are appended at
+// the tail and consumed from a moving head, and the consumed prefix is
+// compacted away in place just before the slice would otherwise grow, so a
+// queue whose depth stays bounded stops allocating once it has reached that
+// depth. Every vacated slot is zeroed, so the queue never pins what has
+// left it. It is the shape every "the server is FIFO, so the completion
+// belongs to the oldest entry" pairing in the model uses.
+//
+// The zero value is an empty queue.
+type FIFO[T any] struct {
+	q    []T
+	head int
+}
+
+// Len returns the number of queued entries.
+func (f *FIFO[T]) Len() int { return len(f.q) - f.head }
+
+// Push appends v.
+func (f *FIFO[T]) Push(v T) { *f.PushSlot() = v }
+
+// PushSlot appends a zero entry and returns it for the caller to fill in
+// place — the way to enqueue an entry too wide to pass by value cheaply.
+// The pointer is valid until the next push.
+//
+//nicwarp:hotpath one push per FIFO-server job and per packet crossing the host pipeline
+func (f *FIFO[T]) PushSlot() *T {
+	if len(f.q) == cap(f.q) && f.head > 0 {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q = f.q[:n]
+		f.head = 0
+	}
+	var zero T
+	f.q = append(f.q, zero) //nicwarp:alloc queue growth to a new high-water depth, amortized: the consumed prefix is reused first
+	return &f.q[len(f.q)-1]
+}
+
+// Front returns the oldest entry in place; it panics on an empty queue. The
+// pointer is valid until the next push or pop.
+func (f *FIFO[T]) Front() *T { return &f.q[f.head] }
+
+// Drop removes the oldest entry without copying it out.
+//
+//nicwarp:hotpath one pop per FIFO-server job and per packet crossing the host pipeline
+func (f *FIFO[T]) Drop() {
+	var zero T
+	f.q[f.head] = zero
+	f.head++
+	if f.head == len(f.q) {
+		f.q = f.q[:0]
+		f.head = 0
+	}
+}
+
+// Pop removes and returns the oldest entry.
+func (f *FIFO[T]) Pop() T {
+	v := f.q[f.head]
+	f.Drop()
+	return v
+}
+
+// Live returns the queued entries, oldest first, as a view into the queue:
+// valid until the next push or pop.
+func (f *FIFO[T]) Live() []T { return f.q[f.head:] }

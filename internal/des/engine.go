@@ -76,14 +76,8 @@ func (t *Timer) Cancel() bool {
 	if t == nil || t.cancel {
 		return false
 	}
-	e := t.eng
-	if e.arena[t.ei].seq != t.seq || e.pos[t.ei] < 0 {
-		return false
-	}
-	t.cancel = true
-	e.heap.remove(e.pos, int(e.pos[t.ei]))
-	e.recycle(t.ei)
-	return true
+	t.cancel = t.eng.cancel(t.ei, t.seq)
+	return t.cancel
 }
 
 // Stopped reports whether the timer was cancelled.
@@ -108,13 +102,7 @@ func (r TimerRef) Cancel() bool {
 	if r.eng == nil {
 		return false
 	}
-	e := r.eng
-	if e.arena[r.ei].seq != r.seq || e.pos[r.ei] < 0 {
-		return false
-	}
-	e.heap.remove(e.pos, int(e.pos[r.ei]))
-	e.recycle(r.ei)
-	return true
+	return r.eng.cancel(r.ei, r.seq)
 }
 
 // stagedEv is one cross-shard event parked in the source engine's outbox
@@ -161,7 +149,12 @@ func (e *Engine) Now() vtime.ModelTime { return e.now }
 // and runaway-detection in tests.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of scheduled, uncancelled callbacks.
+// Pending returns the number of scheduled, uncancelled callbacks, not
+// counting one that is currently executing. It counts armed events, not
+// queued work: a busy Resource keeps exactly one event on the list however
+// many jobs wait behind its head-of-line one (Resource.InFlight counts
+// those), so Pending is a quiescence test — zero or not — rather than a
+// backlog measure.
 func (e *Engine) Pending() int { return e.heap.len() }
 
 // SetLane switches the engine's current execution lane. A lane is one
@@ -207,8 +200,8 @@ func (e *Engine) alloc(t vtime.ModelTime, ord uint64, lane uint32) uint32 {
 		ei = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		e.arena = append(e.arena, event{})
-		e.pos = append(e.pos, -1)
+		e.arena = append(e.arena, event{}) //nicwarp:alloc arena growth to a new high-water event count, amortized: fired slots are reused first
+		e.pos = append(e.pos, -1)          //nicwarp:alloc grows in step with the arena
 		ei = uint32(len(e.arena) - 1)
 	}
 	ev := &e.arena[ei]
@@ -228,7 +221,21 @@ func (e *Engine) recycle(ei uint32) {
 	ev.fn2 = nil
 	ev.arg = nil
 	ev.argB = nil
-	e.free = append(e.free, ei)
+	e.free = append(e.free, ei) //nicwarp:alloc free-list growth, bounded by the arena's high-water size
+}
+
+// cancel unschedules the event in slot ei if it is still incarnation seq and
+// still on the heap: the shared body of Timer.Cancel and TimerRef.Cancel.
+// A cancel issued from inside a callback meets a vacated root, which is
+// closed first so remove works on a whole heap.
+func (e *Engine) cancel(ei uint32, seq uint64) bool {
+	if e.arena[ei].seq != seq || e.pos[ei] < 0 {
+		return false
+	}
+	e.settle()
+	e.heap.remove(e.pos, int(e.pos[ei]))
+	e.recycle(ei)
+	return true
 }
 
 // Schedule runs fn after delay d (which may be zero but not negative) and
@@ -357,7 +364,11 @@ func (e *Engine) at(t vtime.ModelTime) uint32 {
 	return e.insert(t, e.nextOrd(), e.curLane)
 }
 
-// insert allocates a slot for (t, ord, lane) and pushes it on the heap.
+// insert allocates a slot for (t, ord, lane) and pushes it on the heap. The
+// key need not be freshly drawn: a Resource reserves each job's key at
+// submit and inserts it only when the job reaches the head of the line.
+//
+//nicwarp:hotpath every scheduled event passes through here
 func (e *Engine) insert(t vtime.ModelTime, ord uint64, lane uint32) uint32 {
 	ei := e.alloc(t, ord, lane)
 	e.heap.push(e.pos, t, ord, ei)
@@ -372,19 +383,25 @@ func (e *Engine) Run(limit vtime.ModelTime) vtime.ModelTime {
 		panic("des: reentrant Run")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.running = false
+		e.settle() // a callback that panicked left the root vacated
+	}()
 	for e.heap.len() > 0 {
 		at := e.heap.minAt()
 		if at > limit {
 			break
 		}
-		ei := e.heap.pop(e.pos)
-		e.now = at
-		e.processed++
-		e.fire(ei)
+		e.fire(at)
 	}
 	return e.now
 }
+
+// settle closes the root a fired event vacated, if the callback did not
+// refill it (see timerHeap). A method rather than an inline call so that a
+// deferred settle reads the pos index as it is then, not as it was before
+// the callback grew the arena.
+func (e *Engine) settle() { e.heap.settle(e.pos) }
 
 // runWindow executes callbacks strictly below horizon h. It is the
 // per-round body of the Group protocol: cross-shard events produced while
@@ -392,15 +409,13 @@ func (e *Engine) Run(limit vtime.ModelTime) vtime.ModelTime {
 // touch each other's state.
 func (e *Engine) runWindow(h vtime.ModelTime) {
 	e.windowEnd = h
+	defer e.settle()
 	for e.heap.len() > 0 {
 		at := e.heap.minAt()
 		if at >= h {
 			break
 		}
-		ei := e.heap.pop(e.pos)
-		e.now = at
-		e.processed++
-		e.fire(ei)
+		e.fire(at)
 	}
 }
 
@@ -410,29 +425,36 @@ func (e *Engine) Step() bool {
 	if e.heap.len() == 0 {
 		return false
 	}
-	ei := e.heap.pop(e.pos)
-	e.now = e.arena[ei].at
-	e.processed++
-	e.fire(ei)
+	defer e.settle()
+	e.fire(e.heap.minAt())
 	return true
 }
 
-// fire recycles the popped slot and invokes its callback on its lane.
-// Recycling first lets the callback's own scheduling reuse the slot, and
-// bumps the seq generation so stale Timer handles see a mismatch. The
-// callback state is read out before the callback runs: its own scheduling
-// may grow the arena, which would invalidate any pointer into it.
-func (e *Engine) fire(ei uint32) {
+// fire advances the clock to at — the root event's time — and runs that
+// event: the root is vacated (not popped: see timerHeap), the slot recycled,
+// and the callback invoked on its lane; the hole the callback's own
+// scheduling did not refill is closed after it returns. Recycling first
+// lets that scheduling reuse the slot; a stale Timer handle stays inert
+// because the slot is off the heap until its next incarnation restamps seq.
+// The callback state is read out before the callback runs: its own
+// scheduling may grow the arena, which would invalidate any pointer into it.
+//
+//nicwarp:hotpath the event loop body
+func (e *Engine) fire(at vtime.ModelTime) {
+	ei := e.heap.take(e.pos)
+	e.now = at
+	e.processed++
 	ev := &e.arena[ei]
 	fn, fnArg, fn2, a, b := ev.fn, ev.fnArg, ev.fn2, ev.arg, ev.argB
 	e.curLane = ev.lane
 	e.recycle(ei)
 	switch {
 	case fn2 != nil:
-		fn2(a, b)
+		fn2(a, b) //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
 	case fnArg != nil:
-		fnArg(a)
+		fnArg(a) //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
 	default:
-		fn()
+		fn() //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
 	}
+	e.settle()
 }

@@ -87,7 +87,8 @@ func (g *Group) Now() vtime.ModelTime {
 }
 
 // Pending returns the total number of scheduled callbacks across members,
-// including staged cross-shard events not yet merged.
+// including staged cross-shard events not yet merged. Like Engine.Pending
+// it counts armed events — one per busy Resource — not queued jobs.
 func (g *Group) Pending() int {
 	n := 0
 	for _, e := range g.engines {

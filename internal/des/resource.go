@@ -3,15 +3,21 @@ package des
 import (
 	"fmt"
 
+	"nicwarp/internal/dense"
 	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
 )
 
-// doneEntry is one queued completion callback: a plain closure, a
-// closure-free (fn, arg) pair, or a two-receiver (fn2, arg, argB) triple.
-// All nil means fire-and-forget.
+// doneEntry is one submitted job waiting for its completion: the key
+// reserved for the completion event, and the callback — a closure-free
+// (fnArg, arg) pair or a two-receiver (fn2, arg, argB) triple; both nil
+// means fire-and-forget. One cache line; entries are filled and read in
+// place in the ring, because copying one per job shows in profiles.
 type doneEntry struct {
-	fn    func()
+	// key is (completion time, order key drawn at submit); the order key's
+	// lane bits are the lane the completion fires on.
+	key timerKey
+
 	fnArg func(interface{})
 	fn2   func(interface{}, interface{})
 	arg   interface{}
@@ -29,14 +35,21 @@ type Resource struct {
 	name string
 
 	busyUntil vtime.ModelTime
-	inFlight  int
 
-	// Completion callbacks, FIFO. Jobs provably complete in submission
-	// order — busyUntil is monotone, so finish times are non-decreasing,
-	// and the engine breaks finish-time ties in scheduling order — which
-	// is what lets one shared ring replace a per-job closure.
-	doneQ    []doneEntry
-	doneHead int
+	// done holds the submitted, incomplete jobs. A FIFO server's finish
+	// times are known at submit and never decrease, so the engine needs to
+	// hold only one event per resource — armed for the head-of-line job —
+	// instead of one per job: submit reserves the job's completion key
+	// (finish time, lane-keyed order key) exactly as scheduling the event
+	// then would have drawn it, and the completion inserts the next job's
+	// reserved key when it becomes the head. Every completion therefore
+	// fires under the key a per-job event would have carried, and the
+	// engine's event order cannot tell the difference (DESIGN.md §3).
+	// Callbacks run in submission order; keys fire in key order. The two
+	// coincide except for a zero-cost job submitted from a lower lane onto
+	// a tied finish time, which undercut handles.
+	done  dense.FIFO[doneEntry]
+	armed uint32 // arena slot of the head-of-line completion event while done is non-empty
 
 	// Metrics.
 	Busy    stats.BusyTime // integrated service time
@@ -61,91 +74,122 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) BusyUntil() vtime.ModelTime { return r.busyUntil }
 
 // Idle reports whether the resource has no queued or executing work.
-func (r *Resource) Idle() bool { return r.inFlight == 0 }
+func (r *Resource) Idle() bool { return r.done.Len() == 0 }
 
 // InFlight returns the number of submitted-but-incomplete jobs.
-func (r *Resource) InFlight() int { return r.inFlight }
+func (r *Resource) InFlight() int { return r.done.Len() }
 
 // Submit enqueues a job with the given service cost. done (which may be nil)
 // runs at the job's completion time. Jobs complete in submission order.
 // Returns the completion time.
 func (r *Resource) Submit(cost vtime.ModelTime, done func()) vtime.ModelTime {
-	return r.submit(cost, doneEntry{fn: done})
+	d := r.submit(cost)
+	if done != nil {
+		d.fnArg, d.arg = runClosure, done
+	}
+	return r.busyUntil
 }
+
+// runClosure adapts a plain closure to the (fnArg, arg) callback form.
+func runClosure(fn interface{}) { fn.(func())() }
 
 // SubmitArg is the closure-free Submit: at completion fn(arg) runs. fn
 // should be a top-level function and arg a threaded receiver, so hot callers
 // allocate nothing per job.
 func (r *Resource) SubmitArg(cost vtime.ModelTime, fn func(interface{}), arg interface{}) vtime.ModelTime {
-	return r.submit(cost, doneEntry{fnArg: fn, arg: arg})
+	d := r.submit(cost)
+	d.fnArg, d.arg = fn, arg
+	return r.busyUntil
 }
 
 // SubmitArg2 is SubmitArg with two threaded receivers: at completion
 // fn(a, b) runs. Used by pipelines that pair a component with a payload
 // without a wrapper allocation.
 func (r *Resource) SubmitArg2(cost vtime.ModelTime, fn func(interface{}, interface{}), a, b interface{}) vtime.ModelTime {
-	return r.submit(cost, doneEntry{fn2: fn, arg: a, argB: b})
+	d := r.submit(cost)
+	d.fn2, d.arg, d.argB = fn, a, b
+	return r.busyUntil
 }
 
-func (r *Resource) submit(cost vtime.ModelTime, done doneEntry) vtime.ModelTime {
+// submit books the job on the server, reserves its completion key and
+// returns its ring entry for the caller to fill in the callback. Only a job
+// that finds the server idle puts an event on the engine.
+//
+//nicwarp:hotpath every modeled hardware stage submits one job per packet
+func (r *Resource) submit(cost vtime.ModelTime) *doneEntry {
 	if cost < 0 {
 		panic(fmt.Sprintf("des: Submit with negative cost on %s", r.name))
 	}
-	now := r.eng.Now()
+	e := r.eng
+	now := e.now
 	start := vtime.MaxM(now, r.busyUntil)
 	finish := start + cost
 	r.busyUntil = finish
-	r.inFlight++
-	r.Queue.Set(int64(r.inFlight))
 	r.Busy.AddInterval(cost)
 	r.WaitAvg.Observe(float64(start - now))
-	r.pushDone(done)
-	r.eng.AtArg(finish, resourceComplete, r)
-	return finish
-}
-
-// resourceComplete is the shared completion trampoline: the oldest queued
-// job on the resource finishes now.
-func resourceComplete(x interface{}) {
-	r := x.(*Resource)
-	d := r.popDone()
-	r.inFlight--
-	r.Queue.Set(int64(r.inFlight))
-	r.Jobs.Inc()
-	switch {
-	case d.fn2 != nil:
-		d.fn2(d.arg, d.argB)
-	case d.fnArg != nil:
-		d.fnArg(d.arg)
-	case d.fn != nil:
-		d.fn()
-	}
-}
-
-// pushDone appends to the completion ring, compacting the consumed prefix
-// in place before the slice would grow.
-func (r *Resource) pushDone(d doneEntry) {
-	if len(r.doneQ) == cap(r.doneQ) && r.doneHead > 0 {
-		n := copy(r.doneQ, r.doneQ[r.doneHead:])
-		for i := n; i < len(r.doneQ); i++ {
-			r.doneQ[i] = doneEntry{}
-		}
-		r.doneQ = r.doneQ[:n]
-		r.doneHead = 0
-	}
-	r.doneQ = append(r.doneQ, d)
-}
-
-// popDone removes and returns the oldest completion entry.
-func (r *Resource) popDone() doneEntry {
-	d := r.doneQ[r.doneHead]
-	r.doneQ[r.doneHead] = doneEntry{}
-	r.doneHead++
-	if r.doneHead == len(r.doneQ) {
-		r.doneQ = r.doneQ[:0]
-		r.doneHead = 0
+	d := r.done.PushSlot()
+	d.key = timerKey{at: finish, seq: e.nextOrd()}
+	n := r.done.Len()
+	r.Queue.Set(int64(n))
+	if n == 1 {
+		r.arm(d)
+	} else if q := r.done.Live(); timerLess(&d.key, &q[n-2].key) {
+		r.undercut(q)
 	}
 	return d
+}
+
+// arm puts the completion event for the head-of-line job d on the engine
+// under d's reserved key.
+func (r *Resource) arm(d *doneEntry) {
+	e := r.eng
+	r.armed = e.insert(d.key.at, d.key.seq, uint32(d.key.seq>>laneSeqBits))
+	ev := &e.arena[r.armed]
+	ev.fnArg = resourceComplete
+	ev.arg = r
+}
+
+// undercut restores key order after a submit whose key sorts before its
+// predecessor's. Finish times never decrease and a lane's order keys only
+// grow, so this takes a zero-cost job submitted from a lower lane than the
+// job it ties with. Per-job events would fire the lower key first and hand
+// it the oldest callback; sorting the keys while the callbacks stay put does
+// the same, and if the new key reaches the head the armed event moves to it.
+func (r *Resource) undercut(q []doneEntry) {
+	armedSeq := q[0].key.seq
+	i := len(q) - 1
+	for ; i > 0 && timerLess(&q[i].key, &q[i-1].key); i-- {
+		q[i].key, q[i-1].key = q[i-1].key, q[i].key
+	}
+	if i == 0 {
+		r.eng.cancel(r.armed, armedSeq)
+		r.arm(&q[0])
+	}
+}
+
+// resourceComplete is the resource's one armed event firing: the
+// head-of-line job finishes now. The next job's reserved key goes on the
+// engine before the callback runs, so it is the insert that refills the
+// root this event vacated.
+//
+//nicwarp:hotpath one completion per job
+func resourceComplete(x interface{}) {
+	r := x.(*Resource)
+	d := r.done.Front()
+	fnArg, fn2, a, b := d.fnArg, d.fn2, d.arg, d.argB
+	r.done.Drop()
+	n := r.done.Len()
+	r.Queue.Set(int64(n))
+	r.Jobs.Inc()
+	if n > 0 {
+		r.arm(r.done.Front())
+	}
+	switch {
+	case fn2 != nil:
+		fn2(a, b) //nicwarp:alloc completion dispatch; the callee is held to its own hot root, not this one
+	case fnArg != nil:
+		fnArg(a) //nicwarp:alloc completion dispatch; the callee is held to its own hot root, not this one
+	}
 }
 
 // Utilization returns the fraction of elapsed model time this resource was

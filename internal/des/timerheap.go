@@ -20,9 +20,19 @@ import "nicwarp/internal/vtime"
 // the pop sequence is the sorted order regardless of arity or layout — the
 // invariant that keeps this representation swap observationally invisible
 // (DESIGN.md §3).
+//
+// Firing an event is take, not pop: the root slot is vacated and left open
+// while the callback runs, because the callback almost always schedules a
+// successor (a busy Resource re-arming for its next job, a link handing the
+// packet on) and that push can then refill the root with a single sift-down
+// instead of paying a pop's sift-down plus a push's sift-up. While the root
+// is vacant (hole == 1) slot 0 holds no event: len discounts it, push fills
+// it, and everything else — remove, minAt, a second take — requires settle
+// first, which closes a hole nobody refilled the way pop would have.
 type timerHeap struct {
-	k  []timerKey // heap-ordered sort keys
-	ei []uint32   // arena index of each key's event, parallel to k
+	k    []timerKey // heap-ordered sort keys
+	ei   []uint32   // arena index of each key's event, parallel to k
+	hole int        // 1 while the root is vacated by take, else 0
 }
 
 // timerKey is the inline sort key; four per 64-byte cache line.
@@ -42,23 +52,45 @@ func timerLess(a, b *timerKey) bool {
 	return a.seq < b.seq
 }
 
-func (h *timerHeap) len() int { return len(h.k) }
+// len counts the scheduled events; a vacated root is not one.
+func (h *timerHeap) len() int { return len(h.k) - h.hole }
 
 // minAt returns the earliest scheduled time without touching any event.
+// The root must not be vacant.
 func (h *timerHeap) minAt() vtime.ModelTime { return h.k[0].at }
 
 // push inserts the event at arena slot ei keyed by (at, seq). The caller
-// passes the engine's pos index so sifts can maintain it.
+// passes the engine's pos index so sifts can maintain it. A vacated root is
+// refilled in place.
 func (h *timerHeap) push(pos []int32, at vtime.ModelTime, seq uint64, ei uint32) {
-	h.k = append(h.k, timerKey{})
-	h.ei = append(h.ei, 0)
-	h.up(pos, len(h.k)-1, timerKey{at: at, seq: seq}, ei)
+	k := timerKey{at: at, seq: seq}
+	if h.hole != 0 {
+		h.hole = 0
+		h.down(pos, 0, k, ei)
+		return
+	}
+	h.k = append(h.k, timerKey{}) //nicwarp:alloc heap growth to a new high-water depth, amortized
+	h.ei = append(h.ei, 0)        //nicwarp:alloc heap growth to a new high-water depth, amortized
+	h.up(pos, len(h.k)-1, k, ei)
 }
 
-// pop removes and returns the arena slot of the earliest event. Panics when
-// empty.
-func (h *timerHeap) pop(pos []int32) uint32 {
+// take vacates the root and returns the arena slot of the earliest event,
+// leaving the hole for the next push to refill or settle to close. Panics
+// when empty; the root must not already be vacant.
+func (h *timerHeap) take(pos []int32) uint32 {
 	min := h.ei[0]
+	pos[min] = -1
+	h.hole = 1
+	return min
+}
+
+// settle closes a vacated root no push refilled: the last leaf sifts down
+// from it, completing the pop. A no-op on a whole heap.
+func (h *timerHeap) settle(pos []int32) {
+	if h.hole == 0 {
+		return
+	}
+	h.hole = 0
 	n := len(h.k) - 1
 	lastK, lastE := h.k[n], h.ei[n]
 	h.k = h.k[:n]
@@ -66,12 +98,10 @@ func (h *timerHeap) pop(pos []int32) uint32 {
 	if n > 0 {
 		h.down(pos, 0, lastK, lastE)
 	}
-	pos[min] = -1
-	return min
 }
 
 // remove deletes the heap slot i (an event's pos entry), the Timer.Cancel
-// path. O(log n).
+// path. O(log n). The root must not be vacant.
 func (h *timerHeap) remove(pos []int32, i int) {
 	ev := h.ei[i]
 	n := len(h.k) - 1
@@ -89,6 +119,8 @@ func (h *timerHeap) remove(pos []int32, i int) {
 }
 
 // up sifts the (k, ei) pair toward the root from the hole at slot i.
+//
+//nicwarp:hotpath one sift per scheduled event
 func (h *timerHeap) up(pos []int32, i int, k timerKey, ei uint32) {
 	for i > 0 {
 		p := (i - 1) / timerArity
@@ -107,6 +139,8 @@ func (h *timerHeap) up(pos []int32, i int, k timerKey, ei uint32) {
 
 // down sifts the (k, ei) pair toward the leaves: promote the minimum of up
 // to four children into the hole until the key fits.
+//
+//nicwarp:hotpath one sift per fired event
 func (h *timerHeap) down(pos []int32, i int, k timerKey, ei uint32) {
 	n := len(h.k)
 	for {

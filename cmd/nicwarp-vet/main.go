@@ -1,351 +1,66 @@
-// Command nicwarp-vet is the multichecker driver for the repo's
-// determinism analyzers (see internal/analysis and DESIGN.md "Determinism
-// invariants"). It runs in two modes:
-//
-// Standalone, over package patterns — the form CI uses:
+// Command nicwarp-vet is the driver for the repo's determinism analyzers
+// (see internal/analysis and DESIGN.md "Determinism invariants"):
 //
 //	go run ./cmd/nicwarp-vet ./...
 //	go run ./cmd/nicwarp-vet -list
 //	go run ./cmd/nicwarp-vet -only=poolown,hotalloc ./internal/timewarp
-//	go run ./cmd/nicwarp-vet -sarif=results/vet.sarif -summary=- ./...
-//	go run ./cmd/nicwarp-vet -fix ./...
-//	go run ./cmd/nicwarp-vet -writebaseline ./...
 //
-// As a go vet tool, speaking the unitchecker .cfg protocol (cross-package
-// facts ride in the .vetx files the protocol exchanges):
-//
-//	go vet -vettool=$(which nicwarp-vet) ./...
-//
-// Standalone mode loads and type-checks packages itself (no go command, no
-// network; see internal/analysis/framework.Loader), walks the module in
-// dependency order so exported facts (ownership, allocation purity,
-// entropy taint) exist before their importers are analyzed, and folds the
-// findings through the suppression baseline (results/VET_baseline.json).
-// Exit status is nonzero iff any finding survives the baseline — or, with
-// -ratchet, if the baseline holds stale entries that must be removed.
+// It loads and type-checks packages itself (no go command, no network; see
+// internal/analysis/framework.Loader), walks the module in dependency order
+// so exported facts (ownership, allocation purity) exist before their
+// importers are analyzed, prints each finding as file:line:col: msg
+// (analyzer), and exits nonzero iff there is any finding.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"nicwarp/internal/analysis"
 	"nicwarp/internal/analysis/framework"
 )
 
-// defaultBaseline is the committed suppression baseline, resolved relative
-// to the module root.
-const defaultBaseline = "results/VET_baseline.json"
-
 func main() {
-	analyzers := analysis.All()
-
-	// go vet probes its tool with -V=full for cache fingerprinting; the go
-	// command requires the reply to name the tool and carry a buildID, so
-	// hash the executable the way x/tools' unitchecker does.
-	for _, arg := range os.Args[1:] {
-		if arg == "-V=full" || arg == "--V=full" {
-			printVersion()
-			return
-		}
-	}
-
-	var (
-		list          = flag.Bool("list", false, "list registered analyzers with their docs and flags, then exit")
-		only          = flag.String("only", "", "comma-separated analyzer names to run (default: all; unknown names are an error)")
-		baselinePath  = flag.String("baseline", defaultBaseline, "suppression baseline file, relative to the module root (missing file = empty baseline; empty string disables)")
-		writeBaseline = flag.Bool("writebaseline", false, "regenerate the baseline from the current findings and exit (the ratchet: review the diff — it should only shrink)")
-		ratchet       = flag.Bool("ratchet", false, "fail when the baseline holds stale entries no finding matches (CI mode: forces the baseline to shrink)")
-		sarifPath     = flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file ('-' for stdout)")
-		summaryPath   = flag.String("summary", "", "write a per-analyzer markdown summary table to this file ('-' for stdout; CI appends it to the job summary)")
-		fix           = flag.Bool("fix", false, "apply suggested fixes (mechanical rewrites such as the vtime.AddSat migration) to the source files")
-		factsPath     = flag.String("facts", "", "facts cache file: hash-validated dependency facts are reused across runs and the refreshed cache is written back")
-	)
-	for _, a := range analyzers {
-		prefix := a.Name + "."
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			flag.Var(f.Value, prefix+f.Name, f.Usage)
-		})
-	}
-	// go vet also probes with -flags, expecting a JSON description of the
-	// tool's flags so it can decide which command-line flags to forward.
-	for _, arg := range os.Args[1:] {
-		if arg == "-flags" || arg == "--flags" {
-			printFlagsJSON()
-			return
-		}
-	}
-
+	list := flag.Bool("list", false, "list registered analyzers with their docs, then exit")
+	only := flag.String("only", "", "comma-separated analyzer names to run (default: all; unknown names are an error)")
 	flag.Parse()
 
 	if *list {
-		printList(analyzers)
+		for _, a := range analysis.All() {
+			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+		}
+		fmt.Printf("%-12s %s\n", framework.AnnotationAnalyzer,
+			"(always on) malformed //nicwarp: annotations: unknown verbs or missing reasons")
 		return
 	}
-
-	selected, err := framework.SelectAnalyzers(analyzers, *only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
-		os.Exit(1)
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnitchecker(args[0], selected))
-	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(runStandalone(args, selected, standaloneOptions{
-		baseline:      *baselinePath,
-		writeBaseline: *writeBaseline,
-		ratchet:       *ratchet,
-		sarif:         *sarifPath,
-		summary:       *summaryPath,
-		fix:           *fix,
-		facts:         *factsPath,
-	}))
+	os.Exit(vet(os.Stderr, ".", *only, flag.Args()))
 }
 
-// printList renders every analyzer with its doc line and flags.
-func printList(analyzers []*framework.Analyzer) {
-	for _, a := range analyzers {
-		fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			fmt.Printf("  -%s.%s (default %q)\n      %s\n", a.Name, f.Name, f.DefValue, f.Usage)
-		})
+// vet runs the selected analyzers over patterns in the module enclosing
+// dir, prints the findings to w and returns the process exit status.
+func vet(w io.Writer, dir, only string, patterns []string) int {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	fmt.Printf("%-12s %s\n", framework.AnnotationAnalyzer,
-		"(always on) malformed //nicwarp: annotations: unknown verbs or missing reasons")
-}
-
-// printVersion answers the go command's -V=full probe. The expected shape
-// is "<name> version <words...> buildID=<id>", where the ID fingerprints
-// this binary for go's action cache.
-func printVersion() {
-	exe, err := os.Executable()
+	selected, err := framework.SelectAnalyzers(analysis.All(), only)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
-		os.Exit(1)
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
-		os.Exit(1)
-	}
-	sum := sha256.Sum256(data)
-	fmt.Printf("%s version devel buildID=%02x\n", filepath.Base(os.Args[0]), string(sum[:]))
-}
-
-// printFlagsJSON answers the go command's -flags probe with the schema
-// cmd/go expects from a vet tool.
-func printFlagsJSON() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.CommandLine.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
-		os.Exit(1)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
-}
-
-type standaloneOptions struct {
-	baseline      string
-	writeBaseline bool
-	ratchet       bool
-	sarif         string
-	summary       string
-	fix           bool
-	facts         string
-}
-
-// runStandalone drives the framework engine and renders its result:
-// text findings on stderr, optional SARIF/summary artifacts, the fix
-// applier, and the baseline ratchet.
-func runStandalone(patterns []string, analyzers []*framework.Analyzer, opts standaloneOptions) int {
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
+		fmt.Fprintln(w, "nicwarp-vet:", err)
 		return 1
 	}
-	modRoot, err := framework.FindModuleRoot(cwd)
+	findings, err := framework.RunVet(dir, selected, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
+		fmt.Fprintln(w, "nicwarp-vet:", err)
 		return 1
 	}
-	resolve := func(p string) string {
-		if p == "" || p == "-" || filepath.IsAbs(p) {
-			return p
-		}
-		return filepath.Join(modRoot, p)
-	}
-
-	res, err := framework.RunVet(framework.VetOptions{
-		Analyzers:    analyzers,
-		Patterns:     patterns,
-		Dir:          cwd,
-		BaselinePath: resolve(opts.baseline),
-		FactsPath:    resolve(opts.facts),
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
-		return 1
-	}
-
-	if opts.facts != "" {
-		if err := res.Facts.Save(resolve(opts.facts)); err != nil {
-			fmt.Fprintln(os.Stderr, "nicwarp-vet: saving facts:", err)
-			return 1
-		}
-	}
-
-	if opts.writeBaseline {
-		path := resolve(opts.baseline)
-		if path == "" {
-			fmt.Fprintln(os.Stderr, "nicwarp-vet: -writebaseline requires -baseline")
-			return 1
-		}
-		if err := framework.NewBaseline(res.Findings).Save(path); err != nil {
-			fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "nicwarp-vet: wrote %d baseline entr%s to %s\n",
-			len(res.Findings), plural(len(res.Findings), "y", "ies"), path)
-		return 0
-	}
-
-	if opts.fix {
-		contents, err := framework.ApplyFixes(res.Fset, res.Findings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
-			return 1
-		}
-		if err := framework.WriteFixes(contents); err != nil {
-			fmt.Fprintln(os.Stderr, "nicwarp-vet:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "nicwarp-vet: applied %d fix(es) across %d file(s)\n",
-			framework.FixCount(res.Findings), len(contents))
-	}
-
-	if opts.sarif != "" {
-		if err := writeTo(resolve(opts.sarif), func(w io.Writer) error {
-			return framework.WriteSARIF(w, analyzers, res)
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "nicwarp-vet: writing SARIF:", err)
-			return 1
-		}
-	}
-	if opts.summary != "" {
-		if err := writeTo(resolve(opts.summary), func(w io.Writer) error {
-			return writeSummary(w, analyzers, res)
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "nicwarp-vet: writing summary:", err)
-			return 1
-		}
-	}
-
-	newFindings := res.NewFindings()
-	for _, f := range newFindings {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n",
+	for _, f := range findings {
+		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n",
 			f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, f.Analyzer)
 	}
-
-	exit := 0
-	if len(newFindings) > 0 {
-		suppressed := len(res.Findings) - len(newFindings)
-		fmt.Fprintf(os.Stderr, "nicwarp-vet: %d finding(s) across %d package(s) (%d baselined)\n",
-			len(newFindings), res.Packages, suppressed)
-		exit = 1
+	if len(findings) > 0 {
+		fmt.Fprintf(w, "nicwarp-vet: %d finding(s)\n", len(findings))
+		return 1
 	}
-	if len(res.Stale) > 0 {
-		for _, e := range res.Stale {
-			fmt.Fprintf(os.Stderr, "nicwarp-vet: stale baseline entry: %s %s/%s: %q (count %d)\n",
-				e.Analyzer, e.Package, e.File, e.Message, e.Count)
-		}
-		if opts.ratchet {
-			fmt.Fprintf(os.Stderr, "nicwarp-vet: baseline is a ratchet: remove the %d stale entr%s "+
-				"from %s (or regenerate with -writebaseline and review the shrink)\n",
-				len(res.Stale), plural(len(res.Stale), "y", "ies"), opts.baseline)
-			exit = 1
-		}
-	}
-	return exit
-}
-
-// writeTo writes via fn to path, with "-" meaning stdout.
-func writeTo(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeSummary renders the per-analyzer counts table CI puts in the job
-// summary: total findings, baseline-suppressed, and new (failing).
-func writeSummary(w io.Writer, analyzers []*framework.Analyzer, res *framework.VetResult) error {
-	counts := res.CountsByAnalyzer()
-	names := make([]string, 0, len(analyzers)+1)
-	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	names = append(names, framework.AnnotationAnalyzer)
-	sort.Strings(names)
-
-	fmt.Fprintf(w, "### nicwarp-vet (%d packages)\n\n", res.Packages)
-	fmt.Fprintln(w, "| analyzer | findings | baselined | new |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|")
-	totalAll, totalSup := 0, 0
-	for _, name := range names {
-		c := counts[name]
-		fmt.Fprintf(w, "| %s | %d | %d | %d |\n", name, c[0], c[1], c[0]-c[1])
-		totalAll += c[0]
-		totalSup += c[1]
-	}
-	fmt.Fprintf(w, "| **total** | **%d** | **%d** | **%d** |\n", totalAll, totalSup, totalAll-totalSup)
-	if len(res.Stale) > 0 {
-		fmt.Fprintf(w, "\n**%d stale baseline entr%s** — the ratchet requires removing them.\n",
-			len(res.Stale), plural(len(res.Stale), "y", "ies"))
-	}
-	if len(res.FactsReused) > 0 {
-		fmt.Fprintf(w, "\nfacts cache: reused %d package(s).\n", len(res.FactsReused))
-	}
-	return nil
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
+	return 0
 }

@@ -12,7 +12,6 @@ import (
 	"nicwarp/internal/analysis/infmath"
 	"nicwarp/internal/analysis/maprange"
 	"nicwarp/internal/analysis/poolown"
-	"nicwarp/internal/analysis/seedflow"
 	"nicwarp/internal/analysis/shardsafe"
 	"nicwarp/internal/analysis/statealias"
 	"nicwarp/internal/analysis/walltime"
@@ -26,7 +25,6 @@ func All() []*framework.Analyzer {
 		infmath.Analyzer,
 		maprange.Analyzer,
 		poolown.Analyzer,
-		seedflow.Analyzer,
 		shardsafe.Analyzer,
 		statealias.Analyzer,
 		walltime.Analyzer,

@@ -5,7 +5,7 @@ import "strings"
 // MatchPackage reports whether pkgPath matches the comma-separated
 // allowlist patterns: each pattern is an exact import path or a `p/...`
 // prefix pattern (which also matches p itself) — the go command's pattern
-// convention, shared by every analyzer exposing a package allowlist flag.
+// convention, shared by the analyzers with a package allowlist.
 func MatchPackage(allowlist, pkgPath string) bool {
 	for _, pat := range strings.Split(allowlist, ",") {
 		pat = strings.TrimSpace(pat)

@@ -26,7 +26,6 @@ var Verbs = map[string]string{
 	"hotpath":   "function (and everything it calls) must be allocation-free",
 	"sharded":   "package-level state reviewed for the deterministic-sharding plan",
 	"alloc":     "sanctioned allocation on a hot path (amortized growth, pool miss)",
-	"seeded":    "value is seed-derived despite flowing from an entropy-shaped source",
 }
 
 // Annotation is one parsed `//nicwarp:<verb> <reason>` marker.

@@ -1,12 +1,8 @@
 package framework
 
 import (
-	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -45,122 +41,35 @@ func TestFactKeys(t *testing.T) {
 	}
 }
 
+// TestFactSetRoundTrip: a fact recorded through one symbol object is read
+// back through any object with the same stable key — the property that
+// makes facts written while visiting a dependency visible to its importers.
 func TestFactSetRoundTrip(t *testing.T) {
 	pkg := types.NewPackage("example.com/p", "p")
 	named := fakeNamed(pkg, "T")
-	fn := fakeFunc(pkg, "Consume")
 
 	fs := NewFactSet()
-	ff := fs.EnsureFunc(fn)
+	ff := fs.EnsureFunc(fakeFunc(pkg, "Consume"))
 	ff.Owns = true
 	ff.MayAlloc = true
 	ff.AllocWhat = "make([]byte, n)"
-	ff.Tainted = true
-	ff.TaintWhat = "time.Now (wall clock)"
 	fs.EnsureField(named, "held").Owns = true
 	fs.EnsureField(named, "arena").Arena = true
-	fs.SetHash("example.com/p", "deadbeef")
 
-	path := filepath.Join(t.TempDir(), "facts.json")
-	if err := fs.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	got, err := LoadFacts(path)
-	if err != nil {
-		t.Fatalf("LoadFacts: %v", err)
-	}
-	gf := got.FuncFact(fn)
-	if gf == nil || !gf.Owns || !gf.MayAlloc || gf.AllocWhat != "make([]byte, n)" ||
-		!gf.Tainted || gf.TaintWhat != "time.Now (wall clock)" {
+	gf := fs.FuncFact(fakeFunc(pkg, "Consume"))
+	if gf == nil || !gf.Owns || !gf.MayAlloc || gf.AllocWhat != "make([]byte, n)" {
 		t.Errorf("func fact did not round-trip: %+v", gf)
 	}
-	if f := got.FieldFact(named, "held"); f == nil || !f.Owns {
+	if f := fs.FieldFact(fakeNamed(pkg, "T"), "held"); f == nil || !f.Owns {
 		t.Errorf("field fact held did not round-trip: %+v", f)
 	}
-	if f := got.FieldFact(named, "arena"); f == nil || !f.Arena {
+	if f := fs.FieldFact(named, "arena"); f == nil || !f.Arena {
 		t.Errorf("field fact arena did not round-trip: %+v", f)
 	}
-	if got.hashes["example.com/p"] != "deadbeef" {
-		t.Errorf("hash did not round-trip: %q", got.hashes["example.com/p"])
+	if fs.FuncFact(fakeFunc(pkg, "Other")) != nil || fs.FieldFact(named, "other") != nil {
+		t.Error("lookup of an unrecorded symbol returned a fact")
 	}
-}
-
-func TestLoadFactsMissingAndStale(t *testing.T) {
-	got, err := LoadFacts(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatalf("missing file: %v", err)
-	}
-	if len(got.funcs) != 0 {
-		t.Error("missing file should yield empty set")
-	}
-
-	// A version mismatch self-invalidates to an empty set, not an error.
-	path := filepath.Join(t.TempDir(), "stale.json")
-	os.WriteFile(path, []byte(`{"version":999,"funcs":{"p.F":{"owns":true}}}`), 0o644)
-	got, err = LoadFacts(path)
-	if err != nil {
-		t.Fatalf("stale file: %v", err)
-	}
-	if len(got.funcs) != 0 {
-		t.Error("version mismatch should yield empty set")
-	}
-}
-
-func TestMergeFreshValidatesHashes(t *testing.T) {
-	// A real on-disk package, so PackageHash has sources to hash.
-	dir := t.TempDir()
-	src := filepath.Join(dir, "q.go")
-	if err := os.WriteFile(src, []byte("package q\n\nfunc G() {}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, src, nil, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := &Package{Path: "example.com/q", Dir: dir, Fset: fset, Files: []*ast.File{f}}
-
-	h, err := PackageHash(pkg)
-	if err != nil {
-		t.Fatalf("PackageHash: %v", err)
-	}
-
-	cache := NewFactSet()
-	cache.funcs["example.com/q.G"] = &FuncFact{Hot: true}
-	cache.SetHash("example.com/q", h)
-
-	fs := NewFactSet()
-	fresh := fs.MergeFresh(cache, []*Package{pkg})
-	if len(fresh) != 1 || fresh[0] != "example.com/q" {
-		t.Fatalf("MergeFresh = %v, want [example.com/q]", fresh)
-	}
-	if f := fs.funcs["example.com/q.G"]; f == nil || !f.Hot {
-		t.Error("fresh facts not merged")
-	}
-
-	// Source changed: the cached hash no longer matches; nothing merges.
-	if err := os.WriteFile(src, []byte("package q\n\nfunc G() { _ = 1 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs2 := NewFactSet()
-	if fresh := fs2.MergeFresh(cache, []*Package{pkg}); len(fresh) != 0 {
-		t.Errorf("MergeFresh after edit = %v, want none", fresh)
-	}
-	if fs2.funcs["example.com/q.G"] != nil {
-		t.Error("stale facts merged despite hash mismatch")
-	}
-}
-
-func TestMergeUnconditional(t *testing.T) {
-	a := NewFactSet()
-	a.funcs["p.F"] = &FuncFact{Owns: true}
-	b := NewFactSet()
-	b.funcs["p.G"] = &FuncFact{Borrows: true}
-	b.fields["p.(T).f"] = &FieldFact{Owns: true}
-	b.hashes["p"] = "h"
-	a.Merge(b)
-	if a.funcs["p.F"] == nil || a.funcs["p.G"] == nil ||
-		a.fields["p.(T).f"] == nil || a.hashes["p"] != "h" {
-		t.Errorf("Merge dropped entries: %+v", a)
+	if fs.EnsureFunc(nil) != nil {
+		t.Error("EnsureFunc(nil) should have no stable key")
 	}
 }

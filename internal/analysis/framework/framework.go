@@ -18,24 +18,19 @@
 package framework
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer describes one static check, mirroring analysis.Analyzer.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in diagnostics and flags.
+	// Name is the analyzer's identifier, used in diagnostics and -only.
 	Name string
 	// Doc is the analyzer's documentation, shown by `nicwarp-vet -list`.
 	Doc string
-	// Flags holds analyzer-specific flags; the driver re-registers them
-	// namespaced as -<name>.<flag>.
-	Flags flag.FlagSet
 	// Run applies the analyzer to one package, reporting diagnostics and
 	// (for fact-bearing analyzers) recording facts about the package's
 	// symbols in Pass.Facts.
@@ -47,25 +42,10 @@ type Analyzer struct {
 	FactsRun func(*Pass) error
 }
 
-// TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// SuggestedFix is one mechanical rewrite attached to a diagnostic, applied
-// by `nicwarp-vet -fix`.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
 // Diagnostic is one finding, mirroring analysis.Diagnostic.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	Fixes   []SuggestedFix
 }
 
 // Pass carries one (analyzer, package) unit of work, mirroring
@@ -102,8 +82,6 @@ func (p *Pass) Annotated(pos token.Pos, name string) bool {
 }
 
 // newPass assembles a Pass over pkg sharing the run-wide fact store.
-// Diagnostics inside _test.go files are suppressed (the loader does not
-// parse them, but unitchecker units may).
 func newPass(a *Analyzer, pkg *Package, facts *FactSet, sink *[]Diagnostic) *Pass {
 	return &Pass{
 		Analyzer:  a,
@@ -113,20 +91,8 @@ func newPass(a *Analyzer, pkg *Package, facts *FactSet, sink *[]Diagnostic) *Pas
 		TypesInfo: pkg.Info,
 		Annots:    CollectAnnotations(pkg.Fset, pkg.Files),
 		Facts:     facts,
-		Report: func(d Diagnostic) {
-			if strings.HasSuffix(pkg.Fset.Position(d.Pos).Filename, "_test.go") {
-				return
-			}
-			*sink = append(*sink, d)
-		},
+		Report:    func(d Diagnostic) { *sink = append(*sink, d) },
 	}
-}
-
-// Run applies one analyzer to one loaded package and returns its
-// diagnostics sorted by position, using a throwaway fact store. Callers
-// that need cross-package facts use RunWith.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunWith(a, pkg, NewFactSet())
 }
 
 // RunWith applies one analyzer to one loaded package against a shared fact

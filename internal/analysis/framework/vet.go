@@ -7,13 +7,12 @@ import (
 	"strings"
 )
 
-// This file is the multichecker engine behind cmd/nicwarp-vet's standalone
-// mode: load the module, walk packages in dependency order so exported
-// facts exist before their importers are analyzed, apply the analyzer
-// suite to the requested packages and the facts-only passes to everything
-// else, then fold the findings through the suppression baseline. It lives
-// in the framework (not the command) so the baseline, facts and fix
-// machinery are unit-testable without spawning the binary.
+// This file is the engine behind cmd/nicwarp-vet: load the module, walk
+// packages in dependency order so exported facts exist before their
+// importers are analyzed, apply the analyzer suite to the requested
+// packages and the facts-only passes to everything else. It lives in the
+// framework (not the command) so it is testable without spawning the
+// binary.
 
 // AnnotationAnalyzer is the pseudo-analyzer name under which annotation
 // grammar errors are reported.
@@ -22,87 +21,14 @@ const AnnotationAnalyzer = "annotation"
 // Finding is one diagnostic located in a file, attributed to an analyzer.
 type Finding struct {
 	Analyzer string
-	Package  string
 	Pos      token.Position
 	Message  string
-	// Suppressed marks a finding consumed by the baseline: reported in
-	// SARIF as suppressed, excluded from the failing count.
-	Suppressed bool
-	Fixes      []SuggestedFix
 }
 
-// VetOptions configures one engine run.
-type VetOptions struct {
-	// Analyzers is the (possibly -only-filtered) suite to apply.
-	Analyzers []*Analyzer
-	// Patterns are the package patterns to analyze ("./...", import paths).
-	Patterns []string
-	// Dir is the directory whose enclosing module is analyzed; "" means
-	// the process working directory.
-	Dir string
-	// BaselinePath, when non-empty, names the suppression baseline to load
-	// and match findings against. A missing file is an empty baseline.
-	BaselinePath string
-	// FactsPath, when non-empty, names a facts cache: hash-validated
-	// package facts are reused instead of recomputed, and the final fact
-	// set is available in the result for saving back.
-	FactsPath string
-}
-
-// VetResult is everything one engine run produced.
-type VetResult struct {
-	Fset    *token.FileSet
-	ModRoot string
-	// Findings from the analyzed packages, in file/line order, with
-	// baseline-matched entries marked Suppressed.
-	Findings []Finding
-	// Stale lists baseline entries no current finding matched — the
-	// ratchet debt that must be removed from the committed file.
-	Stale []BaselineEntry
-	// Packages is the number of packages analyzed (not merely loaded).
-	Packages int
-	// FactsReused lists dependency packages whose facts came from the
-	// cache instead of a facts pass.
-	FactsReused []string
-	// Facts is the final fact store (for saving back to the cache).
-	Facts *FactSet
-	// Baseline is the loaded baseline (for -writebaseline regeneration).
-	Baseline *Baseline
-}
-
-// NewFindings returns the findings the baseline did not absorb — the ones
-// that fail the build.
-func (r *VetResult) NewFindings() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// CountsByAnalyzer aggregates findings per analyzer name into
-// (total, suppressed) pairs, for the driver's summary table.
-func (r *VetResult) CountsByAnalyzer() map[string][2]int {
-	m := make(map[string][2]int)
-	for _, f := range r.Findings {
-		c := m[f.Analyzer]
-		c[0]++
-		if f.Suppressed {
-			c[1]++
-		}
-		m[f.Analyzer] = c
-	}
-	return m
-}
-
-// RunVet executes the engine.
-func RunVet(opts VetOptions) (*VetResult, error) {
-	dir := opts.Dir
-	if dir == "" {
-		dir = "."
-	}
+// RunVet applies analyzers to the packages matching patterns ("./...",
+// "./dir", import paths) in the module enclosing dir, and returns the
+// findings in file/line order. Any finding fails the build.
+func RunVet(dir string, analyzers []*Analyzer, patterns ...string) ([]Finding, error) {
 	modRoot, err := FindModuleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -111,7 +37,7 @@ func RunVet(opts VetOptions) (*VetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	requested, err := loader.LoadPatterns(opts.Patterns...)
+	requested, err := loader.LoadPatterns(patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -121,56 +47,33 @@ func RunVet(opts VetOptions) (*VetResult, error) {
 	}
 
 	facts := NewFactSet()
-	res := &VetResult{Fset: loader.Fset, ModRoot: modRoot, Facts: facts, Packages: len(requested)}
-
-	all := Toposort(loader.Loaded())
-	if opts.FactsPath != "" {
-		cached, err := LoadFacts(opts.FactsPath)
-		if err != nil {
-			return nil, err
+	var findings []Finding
+	add := func(analyzer string, diags []Diagnostic) {
+		for _, d := range diags {
+			findings = append(findings, Finding{analyzer, loader.Fset.Position(d.Pos), d.Message})
 		}
-		var deps []*Package
-		for _, pkg := range all {
-			if !isRequested[pkg.Path] {
-				deps = append(deps, pkg)
-			}
-		}
-		res.FactsReused = facts.MergeFresh(cached, deps)
 	}
-	reused := make(map[string]bool, len(res.FactsReused))
-	for _, path := range res.FactsReused {
-		reused[path] = true
-	}
-
-	for _, pkg := range all {
-		switch {
-		case isRequested[pkg.Path]:
-			for _, d := range CheckAnnotations(pkg) {
-				res.addFinding(AnnotationAnalyzer, pkg, d)
-			}
-			for _, a := range opts.Analyzers {
-				diags, err := RunWith(a, pkg, facts)
-				if err != nil {
-					return nil, err
-				}
-				for _, d := range diags {
-					res.addFinding(a.Name, pkg, d)
-				}
-			}
-		case !reused[pkg.Path]:
-			for _, a := range opts.Analyzers {
+	for _, pkg := range Toposort(loader.Loaded()) {
+		if !isRequested[pkg.Path] {
+			for _, a := range analyzers {
 				if err := RunFacts(a, pkg, facts); err != nil {
 					return nil, err
 				}
 			}
+			continue
 		}
-		if h, err := PackageHash(pkg); err == nil {
-			facts.SetHash(pkg.Path, h)
+		add(AnnotationAnalyzer, CheckAnnotations(pkg))
+		for _, a := range analyzers {
+			diags, err := RunWith(a, pkg, facts)
+			if err != nil {
+				return nil, err
+			}
+			add(a.Name, diags)
 		}
 	}
 
-	sort.Slice(res.Findings, func(i, j int) bool {
-		a, b := res.Findings[i].Pos, res.Findings[j].Pos
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i].Pos, findings[j].Pos
 		switch {
 		case a.Filename != b.Filename:
 			return a.Filename < b.Filename
@@ -179,33 +82,10 @@ func RunVet(opts VetOptions) (*VetResult, error) {
 		case a.Column != b.Column:
 			return a.Column < b.Column
 		default:
-			return res.Findings[i].Analyzer < res.Findings[j].Analyzer
+			return findings[i].Analyzer < findings[j].Analyzer
 		}
 	})
-
-	baseline := NewBaseline(nil)
-	if opts.BaselinePath != "" {
-		baseline, err = LoadBaseline(opts.BaselinePath)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Baseline = baseline
-	for i := range res.Findings {
-		res.Findings[i].Suppressed = baseline.Match(res.Findings[i])
-	}
-	res.Stale = baseline.Stale()
-	return res, nil
-}
-
-func (r *VetResult) addFinding(analyzer string, pkg *Package, d Diagnostic) {
-	r.Findings = append(r.Findings, Finding{
-		Analyzer: analyzer,
-		Package:  pkg.Path,
-		Pos:      r.Fset.Position(d.Pos),
-		Message:  d.Message,
-		Fixes:    d.Fixes,
-	})
+	return findings, nil
 }
 
 // SelectAnalyzers filters the suite down to the comma-separated names in

@@ -20,11 +20,8 @@
 package infmath
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strconv"
 
 	"nicwarp/internal/analysis/framework"
 )
@@ -44,32 +41,11 @@ func isVTime(pass *framework.Pass, e ast.Expr) bool {
 	return framework.IsNamed(pass.TypesInfo.TypeOf(e), VTimePkg, "VTime")
 }
 
-// vtimeQualifier returns the file-local name under which the vtime package
-// is imported ("vtime" unless renamed), or "" when it is not imported or
-// dot-imported — in which case no textual rewrite is offered.
-func vtimeQualifier(file *ast.File) string {
-	for _, imp := range file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || path != VTimePkg {
-			continue
-		}
-		if imp.Name == nil {
-			return "vtime"
-		}
-		if imp.Name.Name == "." || imp.Name.Name == "_" {
-			return ""
-		}
-		return imp.Name.Name
-	}
-	return ""
-}
-
 func run(pass *framework.Pass) error {
 	if pass.Pkg.Path() == VTimePkg {
 		return nil // the checked helpers themselves live here
 	}
 	for _, file := range pass.Files {
-		vtimeName := vtimeQualifier(file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
@@ -87,27 +63,10 @@ func run(pass *framework.Pass) error {
 				if pass.Annotated(n.Pos(), "finite") {
 					return true
 				}
-				d := framework.Diagnostic{
-					Pos: n.Pos(),
-					Message: fmt.Sprintf(
-						"unchecked %q on vtime.VTime may wrap past Infinity; use "+
-							"vtime.AddSat/vtime.Advance or annotate //nicwarp:finite <reason>",
-						n.Op.String()),
-				}
-				// The a+b form has a drop-in saturating replacement; offer it
-				// as a mechanical rewrite for `nicwarp-vet -fix`.
-				if n.Op == token.ADD && vtimeName != "" && isVTime(pass, n) {
-					d.Fixes = []framework.SuggestedFix{{
-						Message: "replace with " + vtimeName + ".AddSat",
-						Edits: []framework.TextEdit{{
-							Pos: n.Pos(),
-							End: n.End(),
-							NewText: vtimeName + ".AddSat(" +
-								types.ExprString(n.X) + ", " + types.ExprString(n.Y) + ")",
-						}},
-					}}
-				}
-				pass.Report(d)
+				pass.Reportf(n.Pos(),
+					"unchecked %q on vtime.VTime may wrap past Infinity; use "+
+						"vtime.AddSat/vtime.Advance or annotate //nicwarp:finite <reason>",
+					n.Op.String())
 			case *ast.AssignStmt:
 				switch n.Tok {
 				case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:

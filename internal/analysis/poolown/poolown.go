@@ -56,8 +56,12 @@ import (
 	"nicwarp/internal/analysis/framework"
 )
 
-// DefaultPooled lists the pooled types whose pointers the analyzer tracks.
-const DefaultPooled = "nicwarp/internal/timewarp.Event,nicwarp/internal/proto.Packet"
+// pooled lists, as "pkgpath.Name", the pooled object types whose pointers
+// the analyzer tracks.
+var pooled = map[string]bool{
+	"nicwarp/internal/timewarp.Event": true,
+	"nicwarp/internal/proto.Packet":   true,
+}
 
 // Analyzer implements the poolown check.
 var Analyzer = &framework.Analyzer{
@@ -67,13 +71,6 @@ var Analyzer = &framework.Analyzer{
 		"fields, no arena interior pointers across //nicwarp:grows calls",
 	Run:      run,
 	FactsRun: factsRun,
-}
-
-var pooledList string
-
-func init() {
-	Analyzer.Flags.StringVar(&pooledList, "types", DefaultPooled,
-		"comma-separated pkgpath.Type list of pooled object types")
 }
 
 // factsRun records the package's ownership annotations as exported facts:
@@ -157,20 +154,14 @@ func isArenaType(t types.Type) bool {
 }
 
 type checker struct {
-	pass   *framework.Pass
-	pooled map[string]bool // "pkgpath.Name" of pooled object types
+	pass *framework.Pass
 }
 
 func run(pass *framework.Pass) error {
 	if err := factsRun(pass); err != nil {
 		return err
 	}
-	c := &checker{pass: pass, pooled: map[string]bool{}}
-	for _, entry := range strings.Split(pooledList, ",") {
-		if entry = strings.TrimSpace(entry); entry != "" {
-			c.pooled[entry] = true
-		}
-	}
+	c := &checker{pass: pass}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -185,7 +176,7 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// isPooledPtr reports whether t is a pointer to a configured pooled type.
+// isPooledPtr reports whether t is a pointer to a pooled type.
 func (c *checker) isPooledPtr(t types.Type) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
@@ -195,7 +186,7 @@ func (c *checker) isPooledPtr(t types.Type) bool {
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	return c.pooled[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
+	return pooled[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
 }
 
 // containsPooled reports whether t transitively holds pooled pointers

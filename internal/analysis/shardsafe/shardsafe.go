@@ -28,8 +28,8 @@
 // moment anything mutates them.
 //
 // Tooling and driver packages (cmd/, examples/, the analysis suite itself)
-// are allowlisted by default — flag variables and CLI registries are
-// package-level by Go convention and run pre-shard.
+// are allowlisted — flag variables and CLI registries are package-level by
+// Go convention and run pre-shard.
 package shardsafe
 
 import (
@@ -40,9 +40,9 @@ import (
 	"nicwarp/internal/analysis/framework"
 )
 
-// DefaultAllow exempts driver/tooling packages where package-level state is
-// conventional and runs outside any shard.
-const DefaultAllow = "nicwarp,nicwarp/cmd/...,nicwarp/examples/...,nicwarp/internal/analysis/..."
+// allowList exempts driver/tooling packages (pkg or pkg/... patterns) where
+// package-level state is conventional and runs outside any shard.
+const allowList = "nicwarp,nicwarp/cmd/...,nicwarp/examples/...,nicwarp/internal/analysis/..."
 
 // Analyzer implements the shardsafe check.
 var Analyzer = &framework.Analyzer{
@@ -51,13 +51,6 @@ var Analyzer = &framework.Analyzer{
 		"variables: shards must not share state; //nicwarp:sharded marks " +
 		"reviewed exceptions",
 	Run: run,
-}
-
-var allowList string
-
-func init() {
-	Analyzer.Flags.StringVar(&allowList, "allow", DefaultAllow,
-		"comma-separated package patterns (pkg or pkg/...) exempt from the rule")
 }
 
 func run(pass *framework.Pass) error {

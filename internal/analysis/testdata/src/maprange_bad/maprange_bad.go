@@ -2,6 +2,8 @@
 // body is neither a pure key-collection nor annotated //nicwarp:ordered.
 package maprange_bad
 
+import "nicwarp/internal/timewarp"
+
 func sum(m map[string]int) int {
 	n := 0
 	for _, v := range m { // want `iteration over map m has runtime-randomized order`
@@ -38,5 +40,14 @@ type bag map[string]int
 func drain(b bag) {
 	for k := range b { // want `iteration over map b`
 		delete(b, k)
+	}
+}
+
+// "Pick any key" into a committed payload: map iteration order is
+// per-process seeded.
+func anyKey(m map[uint64]bool, e *timewarp.Event) {
+	for k := range m { // want `iteration over map m`
+		e.Payload = k
+		break
 	}
 }

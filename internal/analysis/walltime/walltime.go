@@ -9,10 +9,14 @@
 // nicwarp/internal/vtime and all randomness in nicwarp/internal/rng.
 //
 // Driver and CLI packages legitimately read the wall clock (progress
-// meters, output timestamps); they are exempted through the -allow package
-// allowlist, which defaults to nicwarp/cmd/... and nicwarp/examples/....
-// An individual site in a non-allowlisted package can be sanctioned with a
-// `//nicwarp:wallclock <reason>` annotation.
+// meters, elapsed-time reports); nicwarp/cmd/... and nicwarp/examples/...
+// are exempt from the clock-read rule, and an individual site elsewhere can
+// be sanctioned with a `//nicwarp:wallclock <reason>` annotation. Two rules
+// hold even there, because a driver is exactly where a run gets its seed:
+// no math/rand or crypto/rand import anywhere in the module, and no integer
+// extracted from a time.Time (Unix, UnixNano, ...) — elapsed time as a
+// Duration (time.Since(t).Seconds()) stays legal, a clock-derived integer
+// that could become Config.Seed does not.
 package walltime
 
 import (
@@ -23,22 +27,16 @@ import (
 	"nicwarp/internal/analysis/framework"
 )
 
-// DefaultAllow is the default package allowlist: the driver/CLI layers.
-const DefaultAllow = "nicwarp/cmd/...,nicwarp/examples/..."
+// allow is the package allowlist for clock reads: the driver/CLI layers.
+const allow = "nicwarp/cmd/...,nicwarp/examples/..."
 
 // Analyzer implements the walltime check.
 var Analyzer = &framework.Analyzer{
 	Name: "walltime",
-	Doc: "forbid wall-clock reads (time.Now etc.) and ambient randomness " +
-		"(math/rand, crypto/rand) outside the driver allowlist",
+	Doc: "forbid wall-clock reads (time.Now etc.) outside the driver " +
+		"allowlist, and ambient randomness (math/rand, crypto/rand) and " +
+		"integers extracted from time.Time everywhere",
 	Run: run,
-}
-
-var allow string
-
-func init() {
-	Analyzer.Flags.StringVar(&allow, "allow", DefaultAllow,
-		"comma-separated package patterns exempt from the check (p or p/...)")
 }
 
 // bannedImports are packages whose mere import defeats seeded determinism.
@@ -56,10 +54,14 @@ var bannedTimeFuncs = map[string]bool{
 	"NewTimer": true, "NewTicker": true,
 }
 
+// clockInts are the time.Time methods that turn an instant into an integer.
+var clockInts = map[string]bool{
+	"Unix": true, "UnixNano": true, "UnixMilli": true, "UnixMicro": true,
+	"Nanosecond": true,
+}
+
 func run(pass *framework.Pass) error {
-	if framework.MatchPackage(allow, pass.Pkg.Path()) {
-		return nil
-	}
+	allowed := framework.MatchPackage(allow, pass.Pkg.Path())
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
@@ -73,29 +75,48 @@ func run(pass *framework.Pass) error {
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || pass.Annotated(call.Pos(), "wallclock") {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			ident, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-			if !ok || pkgName.Imported().Path() != "time" {
-				return true
-			}
-			if bannedTimeFuncs[sel.Sel.Name] && !pass.Annotated(call.Pos(), "wallclock") {
+			if clockInts[sel.Sel.Name] && framework.IsNamed(pass.TypesInfo.TypeOf(sel.X), "time", "Time") {
+				// time.Now().UnixNano() outside the allowlist is one bug,
+				// reported once: at the clock read.
+				if inner, ok := sel.X.(*ast.CallExpr); allowed || !ok || clockRead(pass, inner) == "" {
+					pass.Reportf(call.Pos(),
+						"integer extracted from the wall clock (time.Time.%s) in %s: "+
+							"a clock-derived integer must never reach a seed or simulation "+
+							"state; report elapsed time as a time.Duration",
+						sel.Sel.Name, pass.Pkg.Path())
+				}
+			} else if name := clockRead(pass, call); name != "" && !allowed {
 				pass.Reportf(call.Pos(),
 					"wall-clock access time.%s in deterministic package %s: "+
 						"simulated time must come from nicwarp/internal/vtime",
-					sel.Sel.Name, pass.Pkg.Path())
+					name, pass.Pkg.Path())
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// clockRead returns the name of the banned time-package function call
+// invokes, or "" when it is not one.
+func clockRead(pass *framework.Pass, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !bannedTimeFuncs[sel.Sel.Name] {
+		return ""
+	}
+	ident, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName); !ok || pkgName.Imported().Path() != "time" {
+		return ""
+	}
+	return sel.Sel.Name
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWalltime(t *testing.T) {
-	analysistest.Run(t, "../testdata", Analyzer, "walltime_bad", "walltime_ok", "faultplane_bad_walltime", "faultplane_ok", "d4heap_ok")
+	analysistest.Run(t, "../testdata", Analyzer, "walltime_bad", "walltime_ok", "nicwarp/cmd/walltime_driver", "faultplane_bad_walltime", "faultplane_ok", "d4heap_ok")
 }
 
 func TestAllowed(t *testing.T) {

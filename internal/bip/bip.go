@@ -77,7 +77,6 @@ type Endpoint struct {
 
 	// Stats.
 	Stamped      stats.Counter // packets stamped on the send side
-	Accepted     stats.Counter // packets accepted on the receive side
 	GapsDetected stats.Counter // receive-side gap episodes
 	MissingSeqs  stats.Counter // total sequence numbers skipped at detection time
 	LateFilled   stats.Counter // gap holes later filled by a late arrival
@@ -151,14 +150,12 @@ func (e *Endpoint) AcceptSeqV(src int32, seq uint64) (Verdict, int) {
 			if _, open := holes[seq]; open {
 				delete(holes, seq)
 				e.LateFilled.Inc()
-				e.Accepted.Inc()
 				return VerdictLate, 0
 			}
 		}
 		e.Duplicates.Inc()
 		return VerdictDuplicate, 0
 	}
-	e.Accepted.Inc()
 	missing := 0
 	if seq > want {
 		missing = int(seq - want)

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"nicwarp/internal/bip"
@@ -359,10 +360,8 @@ type Cluster struct {
 	home   map[timewarp.ObjectID]int
 	objIDs []timewarp.ObjectID // global ascending order
 
-	gvtFW    []*firmware.GVTFirmware     // per node, when GVTNIC
-	treeFW   []*firmware.TreeGVTFirmware // per node, when GVTNICTree
-	cancelFW []*firmware.CancelFirmware  // per node, when EarlyCancel
-	batchFW  []*firmware.BatchFirmware   // per node, when NIC.BatchMax > 1
+	gvtFW  []*firmware.GVTFirmware     // per node, when GVTNIC
+	treeFW []*firmware.TreeGVTFirmware // per node, when GVTNICTree
 
 	plane   *fault.Plane       // fault-injection plane, when cfg.Fault is set
 	checker *invariant.Checker // protocol oracles, when cfg.CheckInvariants
@@ -390,6 +389,8 @@ func (n *node) allocPacket() *proto.Packet {
 // only after the destination host decoded them into a kernel event, and
 // every intermediate layer (BIP, MPICH, GVT managers, NIC firmware) reads
 // inbound packets without retaining them.
+//
+//nicwarp:owns the free list is the release destination: p may be handed out again at the next allocPacket
 func (n *node) releasePacket(p *proto.Packet) {
 	n.pktFree = append(n.pktFree, p)
 }
@@ -427,8 +428,6 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	cl.fabric = simnet.NewFabric(cfg.Net, cfg.Nodes)
 	cl.gvtFW = make([]*firmware.GVTFirmware, cfg.Nodes)
 	cl.treeFW = make([]*firmware.TreeGVTFirmware, cfg.Nodes)
-	cl.cancelFW = make([]*firmware.CancelFirmware, cfg.Nodes)
-	cl.batchFW = make([]*firmware.BatchFirmware, cfg.Nodes)
 
 	if cfg.Fault.Enabled() {
 		cl.plane = fault.NewPlane(cfg.Fault, cfg.Nodes)
@@ -453,9 +452,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 
 		var parts []nic.Firmware
 		if cfg.EarlyCancel {
-			cf := firmware.NewCancel()
-			cl.cancelFW[i] = cf
-			parts = append(parts, cf)
+			parts = append(parts, firmware.NewCancel())
 		}
 		if cfg.GVT == GVTNIC {
 			gf := firmware.NewGVT()
@@ -477,9 +474,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			fw = firmware.NewChain(parts...)
 		}
 		if cfg.NIC.BatchMax > 1 {
-			bf := firmware.NewBatch(fw, cfg.NIC.BatchMax, cfg.NIC.PerSubMsgCycles)
-			cl.batchFW[i] = bf
-			fw = bf
+			fw = firmware.NewBatch(fw, cfg.NIC.BatchMax, cfg.NIC.PerSubMsgCycles)
 		}
 		n.nicDev = nic.New(n.eng, i, cfg.NIC, cl.fabric, fw)
 		n.nicDev.SetPacketRecycler(n.releasePacket)
@@ -544,7 +539,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	for id := range objs {
 		cl.objIDs = append(cl.objIDs, id)
 	}
-	sortObjIDs(cl.objIDs)
+	slices.Sort(cl.objIDs)
 	for _, id := range cl.objIDs {
 		lp := place(id)
 		if lp < 0 || lp >= cfg.Nodes {
@@ -565,16 +560,6 @@ func treeArity(cfg Config) int {
 		return cfg.Net.Radix
 	}
 	return firmware.DefaultTreeArity
-}
-
-// sortObjIDs sorts object IDs ascending (insertion sort; the slice is built
-// once per run).
-func sortObjIDs(ids []timewarp.ObjectID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // Engine exposes the first shard's engine (examples and tests inspect the

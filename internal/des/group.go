@@ -71,9 +71,6 @@ func NewGroup(engines []*Engine, lookahead vtime.ModelTime) *Group {
 	return g
 }
 
-// Engines returns the member engines in shard order.
-func (g *Group) Engines() []*Engine { return g.engines }
-
 // Now returns the run's clock: the maximum of the member clocks. Members
 // advance independently inside a window, but at every barrier all clocks
 // sit within one window of each other, and after Run returns the maximum

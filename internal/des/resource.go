@@ -69,10 +69,6 @@ func NewResource(eng *Engine, name string) *Resource {
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// BusyUntil returns the model time at which the last submitted job will
-// complete, or a time in the past if the resource is idle.
-func (r *Resource) BusyUntil() vtime.ModelTime { return r.busyUntil }
-
 // Idle reports whether the resource has no queued or executing work.
 func (r *Resource) Idle() bool { return r.done.Len() == 0 }
 

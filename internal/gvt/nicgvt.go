@@ -86,9 +86,6 @@ func NewNICTreeGVT(period int) *NICGVTManager {
 	return m
 }
 
-// Tree reports whether this is the tree-reduction variant.
-func (m *NICGVTManager) Tree() bool { return m.tree }
-
 // Name implements Manager.
 func (m *NICGVTManager) Name() string {
 	if m.tree {

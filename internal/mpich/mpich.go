@@ -79,9 +79,7 @@ type Endpoint struct {
 	// Stats.
 	Sent         stats.Counter // packets passed to transmit
 	Blocked      stats.Counter // packets that had to wait for credit
-	WaitingPeak  stats.Gauge   // high-water of buffered packets
 	CreditMsgs   stats.Counter // explicit credit messages sent
-	Returned     stats.Counter // credits returned (piggybacked + explicit)
 	Repaired     stats.Counter // credits recovered via receiver-side CreditRepair
 	Refunded     stats.Counter // credits refunded at the sender (NIC drop refund)
 	waitingTotal int
@@ -123,7 +121,6 @@ func (e *Endpoint) Send(pkt *proto.Packet) {
 		e.waiting[pkt.DstNode] = append(e.waiting[pkt.DstNode], pkt)
 		e.waitingTotal++
 		e.Blocked.Inc()
-		e.WaitingPeak.Set(int64(e.waitingTotal))
 		return
 	}
 	e.credits[pkt.DstNode]--
@@ -145,7 +142,6 @@ func (e *Endpoint) dispatch(pkt *proto.Packet) {
 	// credit: dense.At reads nothing owed for it.
 	if owed := dense.At(e.owed, pkt.DstNode); owed > 0 {
 		pkt.Credits += int32(owed)
-		e.Returned.Add(int64(owed))
 		e.owed[pkt.DstNode] = 0
 	}
 	e.Sent.Inc()
@@ -227,7 +223,6 @@ func (e *Endpoint) BookOwed(peer int32, n int) (creditReply *proto.Packet) {
 	}
 	owed := e.owed[peer]
 	e.owed[peer] = 0
-	e.Returned.Add(int64(owed))
 	e.CreditMsgs.Inc()
 	//nicwarp:alloc explicit credit message, one per ReturnThreshold credits owed
 	return &proto.Packet{

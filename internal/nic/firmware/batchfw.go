@@ -5,7 +5,6 @@ import (
 
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
-	"nicwarp/internal/stats"
 )
 
 // BatchFirmware is the send-batching / anti-coalescing offload: when the
@@ -38,13 +37,6 @@ type BatchFirmware struct {
 	// pointers past its hook (the NIC clears its scratch views on the same
 	// contract).
 	sub proto.Packet
-
-	// Statistics.
-	FramesAssembled stats.Counter // frames built (≥2 sub-messages each)
-	SubsFolded      stats.Counter // packets folded into frames
-	SubsDropped     stats.Counter // gathered packets cancelled at assembly
-	AntisCoalesced  stats.Counter // anti-messages among the folded subs
-	FramesExpanded  stats.Counter // inbound frames expanded for the host
 }
 
 // NewBatch wraps inner with batch assembly. max is the frame capacity in
@@ -88,7 +80,6 @@ func (f *BatchFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdic
 		return f.inner.OnWireReceive(pkt, api)
 	}
 	api.Charge(CyclesHeaderCheck + f.perSubCycles*int64(len(pkt.Subs)))
-	f.FramesExpanded.Inc()
 	for i := range pkt.Subs {
 		s := &pkt.Subs[i]
 		f.sub = proto.Packet{
@@ -150,8 +141,6 @@ func (f *BatchFirmware) AssembleBatch(head *proto.Packet, api nic.API) *proto.Pa
 			// this sub-message's sequence number. The drop is booked by
 			// the inner firmware (drop buffer, credit refund, white
 			// balance) and observed by the host like any send-side drop.
-			f.SubsDropped.Inc()
-			api.Stats().BatchSubDrops.Inc()
 			api.DiscardHostPacket(p)
 			api.RecycleHostPacket(p)
 			continue
@@ -167,7 +156,6 @@ func (f *BatchFirmware) AssembleBatch(head *proto.Packet, api nic.API) *proto.Pa
 		api.RecycleHostPacket(p)
 	}
 	api.Charge(f.perSubCycles * int64(len(frame.Subs)))
-	f.FramesAssembled.Inc()
 	return frame
 }
 
@@ -187,8 +175,4 @@ func (f *BatchFirmware) fold(frame, p *proto.Packet) {
 		Payload:    p.Payload,
 		ColorEpoch: p.ColorEpoch,
 	})
-	f.SubsFolded.Inc()
-	if p.Kind == proto.KindAnti {
-		f.AntisCoalesced.Inc()
-	}
 }

@@ -60,11 +60,7 @@ type CancelFirmware struct {
 	scanPred func(*proto.Packet) bool
 
 	// Statistics.
-	ScansRun       stats.Counter
-	ScannedPackets stats.Counter
-	Dropped        stats.Counter // positives cancelled in place
-	CreditRefunds  stats.Counter // stranded credits refunded to the host
-	EntriesExpired stats.Counter
+	Dropped stats.Counter // positives cancelled in place
 }
 
 // cancelEntry is one active cancellation window: anti number seq for object
@@ -125,8 +121,6 @@ func (f *CancelFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdi
 	// messages with timestamps 102..120).
 	queueLen := int64(api.SendQueueLen())
 	api.Charge(queueLen * CyclesQueueScanPerPacket)
-	f.ScansRun.Inc()
-	f.ScannedPackets.Add(queueLen)
 	removed := api.RemoveFromSendQueue(f.scanPred)
 	for _, p := range removed {
 		f.recordDrop(api, p)
@@ -224,7 +218,6 @@ func (f *CancelFirmware) accountDrop(api nic.API, p *proto.Packet) {
 	w.DroppedWhite.Add(p.ColorEpoch, 1)
 	w.CreditRefund.Add(p.DstNode, 1)
 	w.DropsByDst.Add(p.DstNode, 1)
-	f.CreditRefunds.Inc()
 	// Salvage any credit return riding on the dropped packet; the host
 	// re-books it as owed to the destination.
 	if p.Credits > 0 {
@@ -241,8 +234,6 @@ func (f *CancelFirmware) expire() {
 	for _, e := range f.entries {
 		if e.seq > f.lastHostEpoch {
 			kept = append(kept, e) //nicwarp:alloc aliases entries[:0], never exceeds its capacity
-		} else {
-			f.EntriesExpired.Inc()
 		}
 	}
 	f.entries = kept

@@ -31,7 +31,6 @@ type GVTFirmware struct {
 	TokensStarted   stats.Counter
 	Broadcasts      stats.Counter
 	RoundsAtRoot    stats.Counter
-	ValueReports    stats.Counter
 }
 
 // NewGVT returns the NIC-GVT firmware.
@@ -65,14 +64,12 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 			panic(fmt.Sprintf("firmware: node %d received a token while one is pending", api.Node()))
 		}
 		api.Charge(CyclesTokenFold + CyclesNotify)
-		api.Stats().TokensSeen.Inc()
 		stageToken(w, pkt.TokenRound, pkt.TokenCount, pkt.TokenMin, pkt.TokenOrigin, pkt.TokenEpoch)
 		f.join(uint32(pkt.TokenEpoch))
 		api.NotifyHost(nic.NotifyGVTControl)
 		return nic.VerdictConsume
 	case proto.KindGVTBroadcast:
 		api.Charge(CyclesNotify)
-		f.ValueReports.Inc()
 		w.LatestGVT = pkt.TokenGVT
 		api.NotifyHost(nic.NotifyGVTValue)
 		return nic.VerdictConsume
@@ -178,6 +175,5 @@ func (f *GVTFirmware) announce(api nic.API, g vtime.VTime, epoch uint64) {
 	}
 	w := api.Shared()
 	w.LatestGVT = g
-	f.ValueReports.Inc()
 	api.NotifyHost(nic.NotifyGVTValue)
 }

@@ -72,7 +72,6 @@ type TreeGVTFirmware struct {
 	Reduces         stats.Counter // partial reductions sent toward the parent
 	Broadcasts      stats.Counter // value announcements made at the root
 	RoundsAtRoot    stats.Counter // completed reduction rounds at the root
-	ValueReports    stats.Counter // GVT values reported to the local host
 }
 
 // NewTreeGVT returns the tree-reduction GVT firmware with the given
@@ -89,9 +88,6 @@ func NewTreeGVT(arity int) *TreeGVTFirmware {
 
 // Name implements nic.Firmware.
 func (f *TreeGVTFirmware) Name() string { return "nic-tree-gvt" }
-
-// Arity returns the tree branching factor.
-func (f *TreeGVTFirmware) Arity() int { return f.arity }
 
 // numChildren returns how many tree children this node has.
 func (f *TreeGVTFirmware) numChildren(api nic.API) int {
@@ -132,7 +128,6 @@ func (f *TreeGVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verd
 			panic(fmt.Sprintf("firmware: node %d received a start token while one is pending", api.Node()))
 		}
 		api.Charge(CyclesTokenFold + CyclesNotify)
-		api.Stats().TokensSeen.Inc()
 		f.join(uint32(pkt.TokenEpoch))
 		f.beginRound(api, pkt.TokenRound, pkt.TokenOrigin, pkt.TokenEpoch)
 		stageToken(w, pkt.TokenRound, pkt.TokenCount, pkt.TokenMin, pkt.TokenOrigin, pkt.TokenEpoch)
@@ -145,7 +140,6 @@ func (f *TreeGVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verd
 				api.Node(), pkt, f.round, f.compEpoch))
 		}
 		api.Charge(CyclesTokenFold)
-		api.Stats().TokensSeen.Inc()
 		f.accCount += pkt.TokenCount
 		f.accMin = vtime.MinV(f.accMin, pkt.TokenMin)
 		f.childrenSeen++
@@ -156,7 +150,6 @@ func (f *TreeGVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verd
 		// report to the local host.
 		api.Charge(CyclesNotify)
 		f.relayValue(api, pkt.TokenGVT, pkt.TokenEpoch)
-		f.ValueReports.Inc()
 		w.LatestGVT = pkt.TokenGVT
 		api.NotifyHost(nic.NotifyGVTValue)
 		return nic.VerdictConsume
@@ -305,6 +298,5 @@ func (f *TreeGVTFirmware) announce(api nic.API, g vtime.VTime, epoch uint64) {
 	f.relayValue(api, g, epoch)
 	w := api.Shared()
 	w.LatestGVT = g
-	f.ValueReports.Inc()
 	api.NotifyHost(nic.NotifyGVTValue)
 }

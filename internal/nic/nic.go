@@ -14,6 +14,7 @@ package nic
 import (
 	"fmt"
 
+	"nicwarp/internal/dense"
 	"nicwarp/internal/des"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/simnet"
@@ -250,18 +251,15 @@ type Stats struct {
 	NICTx       stats.Counter // NIC-originated packets transmitted
 	RxDelivered stats.Counter // packets DMAed to the host
 	RxConsumed  stats.Counter // packets absorbed by firmware
-	RxDropped   stats.Counter // inbound packets dropped by firmware
 
 	DroppedInPlace stats.Counter // outgoing positives cancelled in the send queue
 	AntisFiltered  stats.Counter // outgoing antis filtered against the drop buffer
-	TokensSeen     stats.Counter // GVT tokens handled on the NIC
 	SendQDepth     stats.Gauge   // transmit backlog high-water
 	SendQOverflow  stats.Counter // enqueue attempts beyond SendQueueCap
 	FirmwareCycles stats.Counter // extra cycles charged by firmware hooks
 
-	BatchFrames   stats.Counter // batch frames put on the wire
-	BatchSubs     stats.Counter // sub-messages carried inside batch frames
-	BatchSubDrops stats.Counter // batch partners cancelled at assembly time
+	BatchFrames stats.Counter // batch frames put on the wire
+	BatchSubs   stats.Counter // sub-messages carried inside batch frames
 }
 
 // outEntry is one transmit-queue slot.
@@ -292,13 +290,13 @@ type NIC struct {
 	// peer resolves another node's NIC for credit-return addressing.
 	peer func(node int) *NIC
 
-	// sendQ/recvQ are head-indexed FIFO rings: live entries start at the
-	// head index, and the consumed prefix is compacted in place before the
-	// slice would grow, so steady-state queueing allocates nothing.
+	// sendQ is a head-indexed FIFO ring like dense.FIFO (live entries
+	// start at the head index; the consumed prefix is compacted in place
+	// before the slice would grow, so steady-state queueing allocates
+	// nothing), kept by hand because firmware also removes from its middle.
 	sendQ     []outEntry
 	sendHead  int
-	recvQ     []*proto.Packet //nicwarp:owns receive ring; slots nilled as packets advance to rxPkt
-	recvHead  int
+	recvQ     dense.FIFO[*proto.Packet] //nicwarp:owns receive ring; slots zeroed as packets advance to rxPkt
 	txPumping bool
 	rxPumping bool
 	txStalled bool // head-of-line blocked on a closed destination window
@@ -324,22 +322,21 @@ type NIC struct {
 	// have outstanding toward each destination. A credit is taken when a
 	// host-bound packet leaves the send queue for the wire and comes back
 	// (after CreditReturnDelay) once the destination host consumes it.
-	// txFree mirrors tx.BusyUntil so the wire departure time of the packet
-	// being pumped is known analytically at pump time — the tx serializer
-	// is fed only by this NIC's FIFO transmit pump, so the mirror is exact.
+	// txFree mirrors tx's busy-until frontier so the wire departure time of
+	// the packet being pumped is known analytically at pump time — the tx
+	// serializer is fed only by this NIC's FIFO transmit pump, so the
+	// mirror is exact.
 	txCredit []int
 	txFree   vtime.ModelTime
 
 	// Receiver-side credit bookkeeping. rxSrcQ pairs host-delivery
 	// completions with the source that gets the credit back: deliveries
 	// complete in delivery order (the host bus and CPU are FIFO), so a
-	// head-indexed ring suffices. While the fault plane holds buffer slots
-	// (faultHeld), returning credits park in debtQ instead of traveling
-	// back, one per held slot.
-	rxSrcQ    []int32
-	rxSrcHead int
-	debtQ     []int32
-	debtHead  int
+	// FIFO suffices. While the fault plane holds buffer slots (faultHeld),
+	// returning credits park in debtQ instead of traveling back, one per
+	// held slot.
+	rxSrcQ dense.FIFO[int32]
+	debtQ  dense.FIFO[int32]
 
 	creditDoneFn func() // n.creditDone as a once-allocated func value
 
@@ -436,32 +433,15 @@ func (n *NIC) WirePeers(peer func(node int) *NIC) {
 // packet's sender. Deliveries complete in delivery order (FIFO host bus
 // and CPU), which is what pairs the ring head with the right source.
 func (n *NIC) creditDone() {
-	src := n.rxSrcQ[n.rxSrcHead]
-	n.rxSrcHead++
-	if n.rxSrcHead == len(n.rxSrcQ) {
-		n.rxSrcQ = n.rxSrcQ[:0]
-		n.rxSrcHead = 0
-	}
-	n.returnCredit(src)
-}
-
-// pushRxSrc records the source of a host-bound delivery in the completion
-// ring, compacting the consumed prefix before the slice would grow.
-func (n *NIC) pushRxSrc(src int32) {
-	if len(n.rxSrcQ) == cap(n.rxSrcQ) && n.rxSrcHead > 0 {
-		m := copy(n.rxSrcQ, n.rxSrcQ[n.rxSrcHead:])
-		n.rxSrcQ = n.rxSrcQ[:m]
-		n.rxSrcHead = 0
-	}
-	n.rxSrcQ = append(n.rxSrcQ, src)
+	n.returnCredit(n.rxSrcQ.Pop())
 }
 
 // returnCredit sends one flow-control credit back toward src, unless the
 // fault plane currently holds buffer slots, in which case the credit parks
 // in the debt queue until FaultReleaseRx.
 func (n *NIC) returnCredit(src int32) {
-	if n.faultHeld > len(n.debtQ)-n.debtHead {
-		n.debtQ = append(n.debtQ, src)
+	if n.faultHeld > n.debtQ.Len() {
+		n.debtQ.Push(src)
 		return
 	}
 	n.sendCredit(src)
@@ -594,14 +574,8 @@ func (n *NIC) FaultReleaseRx(k int) {
 	}
 	n.faultHeld -= k
 	for i := 0; i < k; i++ {
-		if n.debtHead < len(n.debtQ) {
-			src := n.debtQ[n.debtHead]
-			n.debtHead++
-			if n.debtHead == len(n.debtQ) {
-				n.debtQ = n.debtQ[:0]
-				n.debtHead = 0
-			}
-			n.sendCredit(src)
+		if n.debtQ.Len() > 0 {
+			n.sendCredit(n.debtQ.Pop())
 		}
 	}
 }
@@ -635,7 +609,7 @@ func (n *NIC) ProcUtilizationAt(end vtime.ModelTime) float64 { return n.proc.Uti
 
 // Idle reports whether the NIC has no queued or in-flight work.
 func (n *NIC) Idle() bool {
-	return n.sendLen() == 0 && n.recvLen() == 0 && n.proc.Idle() && n.tx.Idle()
+	return n.sendLen() == 0 && n.recvQ.Len() == 0 && n.proc.Idle() && n.tx.Idle()
 }
 
 // SendQueueLen returns the current transmit backlog (for tests).
@@ -643,9 +617,6 @@ func (n *NIC) SendQueueLen() int { return n.sendLen() }
 
 // sendLen returns the live transmit-queue depth.
 func (n *NIC) sendLen() int { return len(n.sendQ) - n.sendHead }
-
-// recvLen returns the live receive-queue depth.
-func (n *NIC) recvLen() int { return len(n.recvQ) - n.recvHead }
 
 // HostEnqueue accepts a packet whose host-to-NIC DMA just completed.
 func (n *NIC) HostEnqueue(pkt *proto.Packet) {
@@ -708,7 +679,7 @@ func (n *NIC) takeCharge() int64 {
 // time, so a forwarded packet is announced to the fabric immediately: its
 // departure is max(processor finish, serializer free) + serialization,
 // which is exact because the serializer is fed only by this FIFO pump
-// (txFree mirrors tx.BusyUntil). Announcing ahead of the modeled stages is
+// (txFree mirrors tx's busy-until frontier). Announcing ahead of the modeled stages is
 // what gives a cross-shard receiver the full NIC-plus-wire latency as
 // lookahead; the processor and serializer jobs still run for their time
 // and utilization accounting.
@@ -838,15 +809,7 @@ func (n *NIC) linkBandwidth() float64 { return n.fabric.LinkBandwidth() }
 
 // wireReceive accepts a packet delivered by the fabric.
 func (n *NIC) wireReceive(pkt *proto.Packet) {
-	if len(n.recvQ) == cap(n.recvQ) && n.recvHead > 0 {
-		m := copy(n.recvQ, n.recvQ[n.recvHead:])
-		for i := m; i < len(n.recvQ); i++ {
-			n.recvQ[i] = nil
-		}
-		n.recvQ = n.recvQ[:m]
-		n.recvHead = 0
-	}
-	n.recvQ = append(n.recvQ, pkt)
+	n.recvQ.Push(pkt)
 	n.rxPump()
 }
 
@@ -855,17 +818,11 @@ var noopDone = func() {}
 
 // rxPump drives the receive side: run firmware, then DMA to the host.
 func (n *NIC) rxPump() {
-	if n.rxPumping || n.recvLen() == 0 {
+	if n.rxPumping || n.recvQ.Len() == 0 {
 		return
 	}
 	n.rxPumping = true
-	pkt := n.recvQ[n.recvHead]
-	n.recvQ[n.recvHead] = nil
-	n.recvHead++
-	if n.recvHead == len(n.recvQ) {
-		n.recvQ = n.recvQ[:0]
-		n.recvHead = 0
-	}
+	pkt := n.recvQ.Pop()
 
 	// rxPumping covers the processor stage, so the in-flight packet rides on
 	// the NIC struct instead of a closure.
@@ -892,7 +849,7 @@ func nicRxProcessed(x interface{}) {
 			panic("nic: receive before Wire")
 		}
 		if gated(pkt.Kind) && !pkt.WireDup {
-			n.pushRxSrc(pkt.SrcNode)
+			n.rxSrcQ.Push(pkt.SrcNode)
 			n.deliverToHost(pkt, n.creditDoneFn)
 		} else {
 			n.deliverToHost(pkt, noopDone)
@@ -903,7 +860,6 @@ func nicRxProcessed(x interface{}) {
 			n.returnCredit(pkt.SrcNode)
 		}
 	case VerdictDrop:
-		n.Stats.RxDropped.Inc()
 		if gated(pkt.Kind) && !pkt.WireDup {
 			n.returnCredit(pkt.SrcNode)
 		}

@@ -150,31 +150,6 @@ func (c Config) ExtraStages(src, dst int) int {
 	}
 }
 
-// MaxStages returns the worst-case ExtraStages over any port pair of an
-// n-port fabric: the pipeline depth the lookahead and window sizing must
-// absorb. Like MinTransitTime it is a pure function of the config.
-func (c Config) MaxStages(n int) int {
-	switch c.Topology {
-	case TopoFatTree:
-		r := c.radix()
-		switch {
-		case n <= r:
-			return 0
-		case n <= r*r:
-			return 2
-		default:
-			return 4
-		}
-	case TopoDragonfly:
-		if n <= c.radix() {
-			return 0
-		}
-		return 2
-	default:
-		return 0
-	}
-}
-
 // LastStageFanIn returns the number of sources whose minimal paths can
 // contend for one destination's last-hop link: the topology fan-in the
 // NIC's per-destination credit windows are sized from. On the crossbar

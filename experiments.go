@@ -284,17 +284,6 @@ func ScaleTable(rows []ScaleRow) *stats.Table {
 	return t
 }
 
-// FigureScale runs the large-N scaling experiment: ring vs tree NIC GVT
-// over the node-count axis on the multi-stage fabric. It is a thin wrapper
-// over the "figscale" registry entry.
-func FigureScale(opts FigureOpts) ([]ScaleRow, error) {
-	results, err := figureResults("figscale", opts)
-	if err != nil {
-		return nil, err
-	}
-	return foldScaleRows(ScaleNodeCounts(opts.withDefaults()), results)
-}
-
 // cancelSweepJobs expands one application family across an x-axis with
 // early cancellation off and on: for each x, a baseline point then a
 // cancellation point.
@@ -354,70 +343,6 @@ func foldCancelRows(xs []int, results []runner.Result) ([]CancelRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// defaultRunner is the pool behind the convenience FigureN/AblationX
-// wrappers: all cores, no cache, sharded per opts. cmd/experiments builds
-// its own runner so it can thread -j/-cache/-shards/progress through.
-func defaultRunner(opts FigureOpts) *runner.Runner {
-	return &runner.Runner{Exec: Exec{Shards: opts.Shards}}
-}
-
-// figureResults resolves a registry experiment and executes its batch on
-// the default parallel runner.
-func figureResults(name string, opts FigureOpts) ([]runner.Result, error) {
-	exp, err := ExperimentByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return defaultRunner(opts).Run(exp.Jobs(opts)), nil
-}
-
-// Figure4 reproduces "RAID Performance with NIC GVT": execution time vs GVT
-// period for the WARPED host implementation and NIC-GVT, on the paper's
-// 10-source/8-fork/8-disk RAID model. It is a thin wrapper over the "fig4"
-// registry entry.
-func Figure4(opts FigureOpts) ([]GVTRow, error) {
-	results, err := figureResults("fig4", opts)
-	if err != nil {
-		return nil, err
-	}
-	return foldGVTRows(results)
-}
-
-// Figure5 reproduces "POLICE Performance with NIC GVT" (5a, execution time)
-// and "POLICE — NIC GVT Rounds" (5b, round counts) in one sweep. It is a
-// thin wrapper over the "fig5" registry entry.
-func Figure5(opts FigureOpts) ([]GVTRow, error) {
-	results, err := figureResults("fig5", opts)
-	if err != nil {
-		return nil, err
-	}
-	return foldGVTRows(results)
-}
-
-// Figure6 reproduces "RAID Performance with NIC Direct Cancelation" (6a,
-// percentage improvement) and "RAID Message Count" (6b) over the request
-// sweep, on the 16-source RAID configuration. It is a thin wrapper over the
-// "fig6" registry entry.
-func Figure6(opts FigureOpts) ([]CancelRow, error) {
-	results, err := figureResults("fig6", opts)
-	if err != nil {
-		return nil, err
-	}
-	return foldCancelRows(raidCancelXs(opts.withDefaults()), results)
-}
-
-// Figure7and8 reproduces "POLICE Performance with NIC Direct Cancelation"
-// (7a), "Percentage of Canceled Messages Dropped by NIC" (7b) and "Police
-// Message Count" (Figure 8) over the station sweep. It is a thin wrapper
-// over the "fig78" registry entry.
-func Figure7and8(opts FigureOpts) ([]CancelRow, error) {
-	results, err := figureResults("fig78", opts)
-	if err != nil {
-		return nil, err
-	}
-	return foldCancelRows(policeCancelXs(opts.withDefaults()), results)
 }
 
 // GVTTable renders a Figure 4/5 sweep.
@@ -799,64 +724,4 @@ func ablationDefs() []ablationDef {
 			},
 		},
 	}
-}
-
-// ablationRows resolves an ablation by registry name and executes it on the
-// default parallel runner.
-func ablationRows(name string, opts FigureOpts) ([]AblationRow, error) {
-	for _, a := range ablationDefs() {
-		if a.name == name {
-			return a.fold(opts, defaultRunner(opts).Run(a.jobs(opts)))
-		}
-	}
-	return nil, fmt.Errorf("unknown ablation %q", name)
-}
-
-// AblationNICSpeed sweeps the NIC processor clock — the paper's future-work
-// question of how better NIC processors change the trade-off — running
-// NIC-GVT with early cancellation at each speed. It is a thin wrapper over
-// the "abl-nic-speed" registry entry.
-func AblationNICSpeed(opts FigureOpts) ([]AblationRow, error) {
-	return ablationRows("abl-nic-speed", opts)
-}
-
-// AblationDropBuffer sweeps the per-object dropped-ID buffer capacity (the
-// paper fixes it at 10) and reports the correctness hazards (evictions) and
-// performance at each size. It is a thin wrapper over the "abl-drop-buffer"
-// registry entry.
-func AblationDropBuffer(opts FigureOpts) ([]AblationRow, error) {
-	return ablationRows("abl-drop-buffer", opts)
-}
-
-// AblationCancellationPolicy compares aggressive and lazy kernel
-// cancellation (without NIC early cancellation, which requires aggressive).
-// It is a thin wrapper over the "abl-cancel-policy" registry entry.
-func AblationCancellationPolicy(opts FigureOpts) ([]AblationRow, error) {
-	return ablationRows("abl-cancel-policy", opts)
-}
-
-// AblationPiggybackPatience sweeps the NIC-GVT handshake fallback delay:
-// the trade-off between waiting for event traffic to piggyback on and
-// paying doorbell bus crossings. It is a thin wrapper over the
-// "abl-piggyback-patience" registry entry.
-func AblationPiggybackPatience(opts FigureOpts) ([]AblationRow, error) {
-	return ablationRows("abl-piggyback-patience", opts)
-}
-
-// AblationGVTAlgorithms compares the three GVT implementations — pGVT
-// (acknowledgement-heavy centralized baseline), host Mattern (WARPED's
-// default) and NIC-GVT — at an aggressive period, quantifying the paper's
-// "we use Mattern's algorithm because it has a lower overhead" choice and
-// its own improvement on top. It is a thin wrapper over the
-// "abl-gvt-algorithms" registry entry.
-func AblationGVTAlgorithms(opts FigureOpts) ([]AblationRow, error) {
-	return ablationRows("abl-gvt-algorithms", opts)
-}
-
-// AblationRxBuffer sweeps the NIC receive-buffer capacity, the knob that
-// controls how far receiver congestion backs up into sender NIC queues (and
-// with it, how much backlog early cancellation can reach). It is a thin
-// wrapper over the "abl-rx-buffer" registry entry.
-func AblationRxBuffer(opts FigureOpts) ([]AblationRow, error) {
-	return ablationRows("abl-rx-buffer", opts)
 }

@@ -52,7 +52,7 @@ const (
 	// GVTNICTree is the tree-reduction variant of the NIC-level GVT: the
 	// NICs fold subtree partial sums up a static k-ary tree and broadcast
 	// the committed value back down, converging in O(log n) link hops
-	// instead of the ring's O(n) circulation (firmware.TreeGVTFirmware).
+	// instead of the ring's O(n) circulation (firmware.NewTreeGVT).
 	GVTNICTree
 )
 
@@ -214,6 +214,10 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "NIC.BatchMax", Value: c.NIC.BatchMax,
 			Reason: "batch size must be >= 0 (0 and 1 both mean no batching)"}
 	}
+	if c.NIC.BatchMax > proto.MaxBatchSubs {
+		return &FieldError{Field: "NIC.BatchMax", Value: c.NIC.BatchMax,
+			Reason: fmt.Sprintf("a batch frame carries at most %d sub-messages", proto.MaxBatchSubs)}
+	}
 	if c.NIC.FlushHorizon < 0 {
 		return &FieldError{Field: "NIC.FlushHorizon", Value: int(c.NIC.FlushHorizon),
 			Reason: "flush horizon must be >= 0"}
@@ -360,8 +364,7 @@ type Cluster struct {
 	home   map[timewarp.ObjectID]int
 	objIDs []timewarp.ObjectID // global ascending order
 
-	gvtFW  []*firmware.GVTFirmware     // per node, when GVTNIC
-	treeFW []*firmware.TreeGVTFirmware // per node, when GVTNICTree
+	gvtFW []*firmware.GVTFirmware // per node, when GVTNIC or GVTNICTree
 
 	plane   *fault.Plane       // fault-injection plane, when cfg.Fault is set
 	checker *invariant.Checker // protocol oracles, when cfg.CheckInvariants
@@ -427,7 +430,6 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	}
 	cl.fabric = simnet.NewFabric(cfg.Net, cfg.Nodes)
 	cl.gvtFW = make([]*firmware.GVTFirmware, cfg.Nodes)
-	cl.treeFW = make([]*firmware.TreeGVTFirmware, cfg.Nodes)
 
 	if cfg.Fault.Enabled() {
 		cl.plane = fault.NewPlane(cfg.Fault, cfg.Nodes)
@@ -454,15 +456,14 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		if cfg.EarlyCancel {
 			parts = append(parts, firmware.NewCancel())
 		}
-		if cfg.GVT == GVTNIC {
-			gf := firmware.NewGVT()
-			cl.gvtFW[i] = gf
-			parts = append(parts, gf)
+		switch cfg.GVT {
+		case GVTNIC:
+			cl.gvtFW[i] = firmware.NewGVT()
+		case GVTNICTree:
+			cl.gvtFW[i] = firmware.NewTreeGVT(treeArity(cfg))
 		}
-		if cfg.GVT == GVTNICTree {
-			tf := firmware.NewTreeGVT(treeArity(cfg))
-			cl.treeFW[i] = tf
-			parts = append(parts, tf)
+		if cl.gvtFW[i] != nil {
+			parts = append(parts, cl.gvtFW[i])
 		}
 		var fw nic.Firmware
 		switch len(parts) {
@@ -472,9 +473,6 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			fw = parts[0]
 		default:
 			fw = firmware.NewChain(parts...)
-		}
-		if cfg.NIC.BatchMax > 1 {
-			fw = firmware.NewBatch(fw, cfg.NIC.BatchMax, cfg.NIC.PerSubMsgCycles)
 		}
 		n.nicDev = nic.New(n.eng, i, cfg.NIC, cl.fabric, fw)
 		n.nicDev.SetPacketRecycler(n.releasePacket)
@@ -490,20 +488,18 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		switch cfg.GVT {
 		case GVTHostMattern:
 			n.mgr = gvt.NewMattern(cfg.GVTPeriod)
-		case GVTNIC:
-			m := gvt.NewNICGVT(cfg.GVTPeriod)
+		case GVTNIC, GVTNICTree:
+			newMgr := gvt.NewNICGVT
+			if cfg.GVT == GVTNICTree {
+				newMgr = gvt.NewNICTreeGVT
+			}
+			m := newMgr(cfg.GVTPeriod)
 			if cfg.GVTFallbackDelay > 0 {
 				m.FallbackDelay = cfg.GVTFallbackDelay
 			}
 			n.mgr = m
 		case GVTPGVT:
 			n.mgr = gvt.NewPGVT(cfg.GVTPeriod)
-		case GVTNICTree:
-			m := gvt.NewNICTreeGVT(cfg.GVTPeriod)
-			if cfg.GVTFallbackDelay > 0 {
-				m.FallbackDelay = cfg.GVTFallbackDelay
-			}
-			n.mgr = m
 		default:
 			return nil, fmt.Errorf("core: unknown GVT mode %d", cfg.GVT)
 		}
@@ -1121,22 +1117,8 @@ func (n *node) deliverEventLike(pkt *proto.Packet) timewarp.StepResult {
 func (n *node) hostReceiveBatch(frame *proto.Packet) {
 	seqSubs := 0
 	for i := range frame.Subs {
-		s := &frame.Subs[i]
-		n.scratchPkt = proto.Packet{
-			Seq:        frame.Seq + uint64(s.SeqDelta),
-			SrcNode:    frame.SrcNode,
-			DstNode:    frame.DstNode,
-			WireDup:    frame.WireDup,
-			Kind:       s.Kind,
-			SrcObj:     s.SrcObj,
-			DstObj:     s.DstObj,
-			SendTS:     s.SendTS,
-			RecvTS:     s.RecvTS,
-			EventID:    s.EventID,
-			Payload:    s.Payload,
-			ColorEpoch: s.ColorEpoch,
-		}
 		pkt := &n.scratchPkt
+		frame.SubPacket(i, pkt)
 		verdict, _ := n.bipEnd.AcceptSeqV(pkt.SrcNode, pkt.Seq)
 		if verdict == bip.VerdictDuplicate {
 			if ck := n.cluster.checker; ck != nil {

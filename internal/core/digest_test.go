@@ -10,6 +10,7 @@ import (
 	"nicwarp/internal/iobus"
 	"nicwarp/internal/mpich"
 	"nicwarp/internal/nic"
+	"nicwarp/internal/proto"
 	"nicwarp/internal/simnet"
 	"nicwarp/internal/timewarp"
 	"nicwarp/internal/vtime"
@@ -156,6 +157,7 @@ func TestValidateFieldErrors(t *testing.T) {
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, GVT: GVTMode(99)}, "GVT"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, EarlyCancel: true, Cancellation: timewarp.Lazy}, "EarlyCancel"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, EarlyCancel: true, GVT: GVTPGVT}, "EarlyCancel"},
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.Config{BatchMax: proto.MaxBatchSubs + 1}}, "NIC.BatchMax"},
 	}
 	for _, c := range cases {
 		cfg := c.cfg

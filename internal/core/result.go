@@ -203,11 +203,7 @@ func (cl *Cluster) collect() *Result {
 		}
 		if fw := cl.gvtFW[i]; fw != nil {
 			r.GVTRounds += fw.RoundsAtRoot.Value()
-			r.GVTTokensOnNIC += fw.TokensForwarded.Value() + fw.TokensStarted.Value()
-		}
-		if fw := cl.treeFW[i]; fw != nil {
-			r.GVTRounds += fw.RoundsAtRoot.Value()
-			r.GVTTokensOnNIC += fw.StartsForwarded.Value() + fw.Reduces.Value() + fw.TokensStarted.Value()
+			r.GVTTokensOnNIC += fw.TokensOnNIC.Value()
 		}
 
 		r.HostUtil += n.cpu.UtilizationAt(end)

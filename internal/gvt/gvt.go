@@ -99,7 +99,6 @@ type Stats struct {
 	ControlMsgs  stats.Counter // dedicated host control messages sent
 	Piggybacks   stats.Counter // handshake values piggybacked on event traffic
 	Doorbells    stats.Counter // fallback doorbell handshakes
-	LastGVT      stats.Gauge   // most recent committed GVT (as int64)
 }
 
 // Ledger is the white/red colour accounting for one LP.

@@ -227,7 +227,6 @@ func (m *MatternManager) commit(h Host, g vtime.VTime) {
 		return
 	}
 	m.lastGVT = g
-	m.Stats.LastGVT.Set(int64(g))
 	h.CommitGVT(g)
 }
 

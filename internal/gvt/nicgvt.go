@@ -78,8 +78,8 @@ func NewNICGVT(period int) *NICGVTManager {
 }
 
 // NewNICTreeGVT creates the host half of the tree-reduction NIC GVT. It is
-// the same host protocol as NewNICGVT; pair it with
-// firmware.TreeGVTFirmware instead of firmware.GVTFirmware.
+// the same host protocol as NewNICGVT; pair it with firmware.NewTreeGVT
+// instead of firmware.NewGVT.
 func NewNICTreeGVT(period int) *NICGVTManager {
 	m := NewNICGVT(period)
 	m.tree = true
@@ -228,7 +228,6 @@ func (m *NICGVTManager) OnNotify(h Host, tag nic.NotifyTag) {
 	case nic.NotifyGVTValue:
 		g := w.LatestGVT
 		m.lastGVT = g
-		m.Stats.LastGVT.Set(int64(g))
 		if m.isRoot(h) {
 			if m.inProgress {
 				d := h.Now() - m.convStart

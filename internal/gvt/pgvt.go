@@ -291,7 +291,6 @@ func (m *PGVTManager) commit(h Host, g vtime.VTime) {
 		return
 	}
 	m.lastGVT = g
-	m.Stats.LastGVT.Set(int64(g))
 	h.CommitGVT(g)
 }
 

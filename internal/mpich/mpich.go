@@ -77,7 +77,6 @@ type Endpoint struct {
 	waiting [][]*proto.Packet //nicwarp:owns stalled sends; drained to the wire when credit arrives
 
 	// Stats.
-	Sent         stats.Counter // packets passed to transmit
 	Blocked      stats.Counter // packets that had to wait for credit
 	CreditMsgs   stats.Counter // explicit credit messages sent
 	Repaired     stats.Counter // credits recovered via receiver-side CreditRepair
@@ -144,7 +143,6 @@ func (e *Endpoint) dispatch(pkt *proto.Packet) {
 		pkt.Credits += int32(owed)
 		e.owed[pkt.DstNode] = 0
 	}
-	e.Sent.Inc()
 	e.transmit(pkt) //nicwarp:alloc wired by the cluster assembly (core's bipTransmit, closure-free); opaque to the analyzer
 }
 

@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"nicwarp/internal/des"
@@ -150,58 +152,44 @@ func batchRig(t *testing.T, cfg Config, fw func(i int) Firmware) *rig {
 	return r
 }
 
-// stubBatcher is a minimal Batcher: gather partners, fold everything, no
-// drops. Embeds stubFirmware so it satisfies Firmware too.
-type stubBatcher struct {
-	stubFirmware
-	max int
-}
-
-func (s *stubBatcher) AssembleBatch(head *proto.Packet, api API) *proto.Packet {
-	partners := api.GatherBatch(head.DstNode, s.max-1)
-	if len(partners) == 0 {
-		return nil
-	}
-	frame := api.AllocFrame()
-	frame.Kind = proto.KindBatch
-	frame.Seq = head.Seq
-	frame.SrcNode = head.SrcNode
-	frame.DstNode = head.DstNode
-	fold := func(p *proto.Packet) {
-		frame.Subs = append(frame.Subs, proto.SubMsg{
-			Kind:     p.Kind,
-			SeqDelta: uint32(p.Seq - frame.Seq),
-			EventID:  p.EventID,
-		})
-	}
-	fold(head)
-	api.RecycleHostPacket(head)
-	for _, p := range partners {
-		fold(p)
-		api.RecycleHostPacket(p)
-	}
-	return frame
-}
-
+// seqPkt builds a stamped event packet whose event fields are all derived
+// from seq, so a folded sub-message can be checked against its source.
 func seqPkt(src, dst int32, seq uint64) *proto.Packet {
 	p := evPkt(src, dst)
 	p.Seq = seq
 	p.EventID = seq
+	p.SrcObj = int32(10 + seq)
+	p.DstObj = int32(20 + seq)
+	p.SendTS = vtime.VTime(100 + seq)
+	p.RecvTS = vtime.VTime(200 + seq)
+	p.Payload = 1000 + seq
+	p.ColorEpoch = uint32(seq % 3)
 	return p
 }
 
-// TestBatchAssemblyOnPump checks the transmit path end to end with a
-// batcher installed: queued same-destination packets leave as one frame,
+// checkSubs fails unless frame carries exactly the packets seqPkt builds
+// for wantSeqs, in order, every folded field intact.
+func checkSubs(t *testing.T, frame *proto.Packet, wantSeqs ...uint64) {
+	t.Helper()
+	if len(frame.Subs) != len(wantSeqs) {
+		t.Fatalf("frame carries %d subs, want %d", len(frame.Subs), len(wantSeqs))
+	}
+	var got proto.Packet
+	for i, seq := range wantSeqs {
+		frame.SubPacket(i, &got)
+		if want := seqPkt(frame.SrcNode, frame.DstNode, seq); !reflect.DeepEqual(&got, want) {
+			t.Fatalf("sub %d = %+v, want %+v", i, got, *want)
+		}
+	}
+}
+
+// TestBatchAssemblyOnPump checks the transmit path end to end under plain
+// forwarding firmware: queued same-destination packets leave as one frame,
 // counted once on the wire, with the batch counters tracking contents.
 func TestBatchAssemblyOnPump(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchMax = 8
-	r := batchRig(t, cfg, func(i int) Firmware {
-		if i == 0 {
-			return &stubBatcher{max: 8}
-		}
-		return &stubFirmware{}
-	})
+	r := batchRig(t, cfg, func(i int) Firmware { return &stubFirmware{} })
 	// Head enters flight solo; the next four queue and batch behind it.
 	for s := uint64(1); s <= 5; s++ {
 		r.nics[0].HostEnqueue(seqPkt(0, 1, s))
@@ -212,12 +200,10 @@ func TestBatchAssemblyOnPump(t *testing.T) {
 	for _, p := range r.toHost[1] {
 		if p.Kind == proto.KindBatch {
 			frames++
-			if len(p.Subs) != 4 {
-				t.Fatalf("frame carries %d subs, want 4", len(p.Subs))
+			if p.Seq != 2 {
+				t.Fatalf("frame base %d, want 2", p.Seq)
 			}
-			if p.Seq != 2 || p.Subs[3].SeqDelta != 3 {
-				t.Fatalf("frame range wrong: base %d, last delta %d", p.Seq, p.Subs[3].SeqDelta)
-			}
+			checkSubs(t, p, 2, 3, 4, 5)
 		} else {
 			solos++
 		}
@@ -235,6 +221,100 @@ func TestBatchAssemblyOnPump(t *testing.T) {
 	if got := r.nics[0].Stats.HostTx.Value(); got != 2 {
 		t.Fatalf("HostTx = %d, want 2", got)
 	}
+	// Assembly and expansion are priced per sub-message, plus one header
+	// check for the inbound frame; the stub firmware charges nothing.
+	if got, want := r.nics[0].Stats.FirmwareCycles.Value(), 4*cfg.PerSubMsgCycles; got != want {
+		t.Fatalf("sender charged %d cycles, want %d", got, want)
+	}
+	if got, want := r.nics[1].Stats.FirmwareCycles.Value(), frameHeaderCycles+4*cfg.PerSubMsgCycles; got != want {
+		t.Fatalf("receiver charged %d cycles, want %d", got, want)
+	}
+}
+
+// TestBatchingComposesWithAnyFirmware: batching is the NIC's business, so
+// a firmware that knows nothing about frames still batches, and still sees
+// every message exactly once on each side — including the one it drops at
+// assembly time, which leaves a hole in the frame's sequence range.
+func TestBatchingComposesWithAnyFirmware(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchMax = 4
+	sent := map[uint64]int{}
+	received := map[uint64]int{}
+	r := batchRig(t, cfg, func(i int) Firmware {
+		if i == 0 {
+			return &stubFirmware{onHostSend: func(p *proto.Packet, _ API) Verdict {
+				sent[p.Seq]++
+				if p.Seq == 3 {
+					return VerdictDrop
+				}
+				return VerdictForward
+			}}
+		}
+		return &stubFirmware{onWireReceive: func(p *proto.Packet, _ API) Verdict {
+			if p.Kind == proto.KindBatch {
+				t.Error("firmware was handed a raw frame")
+			}
+			received[p.Seq]++
+			return VerdictForward
+		}}
+	})
+	var discarded, recycled []uint64
+	r.nics[0].SetHostDiscardHook(func(p *proto.Packet) { discarded = append(discarded, p.Seq) })
+	r.nics[0].SetPacketRecycler(func(p *proto.Packet) { recycled = append(recycled, p.Seq) })
+	// 1 enters flight solo; 2..5 fill one frame, of which 3 is dropped.
+	for s := uint64(1); s <= 5; s++ {
+		r.nics[0].HostEnqueue(seqPkt(0, 1, s))
+	}
+	r.eng.Run(vtime.ModelInfinity)
+
+	if len(r.toHost[1]) != 2 || r.toHost[1][1].Kind != proto.KindBatch {
+		t.Fatalf("delivered %v, want one solo packet then one frame", r.toHost[1])
+	}
+	checkSubs(t, r.toHost[1][1], 2, 4, 5)
+	for s := uint64(1); s <= 5; s++ {
+		if sent[s] != 1 {
+			t.Errorf("seq %d passed OnHostSend %d times, want 1", s, sent[s])
+		}
+		want := 1
+		if s == 3 {
+			want = 0
+		}
+		if received[s] != want {
+			t.Errorf("seq %d passed OnWireReceive %d times, want %d", s, received[s], want)
+		}
+	}
+	if !slices.Equal(discarded, []uint64{3}) {
+		t.Errorf("discard hook saw %v, want [3]", discarded)
+	}
+	// The folded head, the dropped partner and the folded partners all die
+	// on the NIC; the solo packet travels and is not recycled here.
+	if !slices.Equal(recycled, []uint64{2, 3, 4, 5}) {
+		t.Errorf("recycler saw %v, want [2 3 4 5]", recycled)
+	}
+}
+
+// TestBatchSubMessageMustBeForwarded: a frame is delivered as a unit, so a
+// receive hook that consumes or drops one of its sub-messages is a bug.
+func TestBatchSubMessageMustBeForwarded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchMax = 4
+	r := batchRig(t, cfg, func(i int) Firmware {
+		return &stubFirmware{onWireReceive: func(p *proto.Packet, _ API) Verdict {
+			if p.Seq == 3 {
+				return VerdictConsume
+			}
+			return VerdictForward
+		}}
+	})
+	for s := uint64(1); s <= 3; s++ {
+		r.nics[0].HostEnqueue(seqPkt(0, 1, s))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("consuming a batched sub-message did not panic")
+		}
+	}()
+	r.eng.Run(vtime.ModelInfinity)
 }
 
 // TestGatherBatchStopRule checks the queue edit underneath assembly:
@@ -258,7 +338,7 @@ func TestGatherBatchStopRule(t *testing.T) {
 	tok := &proto.Packet{Kind: proto.KindGVTToken, SrcNode: 0, DstNode: 1}
 	n.enqueue(outEntry{pkt: tok, fromNIC: true}) // NIC-originated: retained
 
-	got := apiImpl{n}.GatherBatch(1, 7)
+	got := n.gatherBatch(1, 7)
 	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
 		t.Fatalf("gathered %v", got)
 	}
@@ -289,12 +369,7 @@ func TestFlushHorizonHoldsThenFires(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchMax = 8
 	cfg.FlushHorizon = horizon
-	r := batchRig(t, cfg, func(i int) Firmware {
-		if i == 0 {
-			return &stubBatcher{max: 8}
-		}
-		return &stubFirmware{}
-	})
+	r := batchRig(t, cfg, func(i int) Firmware { return &stubFirmware{} })
 	r.nics[0].HostEnqueue(seqPkt(0, 1, 1))
 	r.eng.Run(horizon / 2)
 	if len(r.toHost[1]) != 0 {
@@ -316,12 +391,7 @@ func TestFlushHorizonBatchesArrivals(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchMax = 4
 	cfg.FlushHorizon = horizon
-	r := batchRig(t, cfg, func(i int) Firmware {
-		if i == 0 {
-			return &stubBatcher{max: 4}
-		}
-		return &stubFirmware{}
-	})
+	r := batchRig(t, cfg, func(i int) Firmware { return &stubFirmware{} })
 	for s := uint64(1); s <= 4; s++ {
 		s := s
 		r.eng.Schedule(vtime.ModelTime(s)*vtime.Microsecond, func() {
@@ -335,6 +405,7 @@ func TestFlushHorizonBatchesArrivals(t *testing.T) {
 	if got := len(r.toHost[1]); got != 1 {
 		t.Fatalf("full batch did not flush before the horizon: %d delivered", got)
 	}
+	checkSubs(t, r.toHost[1][0], 1, 2, 3, 4)
 	if got := r.nics[0].Stats.BatchFrames.Value(); got != 1 {
 		t.Fatalf("BatchFrames = %d, want 1", got)
 	}

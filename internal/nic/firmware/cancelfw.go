@@ -3,7 +3,6 @@ package firmware
 import (
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
-	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
 )
 
@@ -58,9 +57,6 @@ type CancelFirmware struct {
 	// value, and a literal capturing the window would allocate per anti.
 	scan     cancelEntry
 	scanPred func(*proto.Packet) bool
-
-	// Statistics.
-	Dropped stats.Counter // positives cancelled in place
 }
 
 // cancelEntry is one active cancellation window: anti number seq for object
@@ -203,7 +199,6 @@ func dropKey(p *proto.Packet) nic.DropKey {
 //nicwarp:hotpath runs for every positive cancelled in place
 func (f *CancelFirmware) recordDrop(api nic.API, p *proto.Packet) {
 	api.Shared().Dropped.Record(p.SrcObj, dropKey(p))
-	f.Dropped.Inc()
 	api.Stats().DroppedInPlace.Inc()
 	f.accountDrop(api, p)
 }

@@ -21,6 +21,11 @@ type rig struct {
 
 func newRig(t *testing.T, n int, fw func(i int) nic.Firmware) *rig {
 	t.Helper()
+	return newRigCfg(t, n, nic.DefaultConfig(), fw)
+}
+
+func newRigCfg(t *testing.T, n int, cfg nic.Config, fw func(i int) nic.Firmware) *rig {
+	t.Helper()
 	r := &rig{
 		eng:    des.NewEngine(),
 		toHost: make([][]*proto.Packet, n),
@@ -29,7 +34,7 @@ func newRig(t *testing.T, n int, fw func(i int) nic.Firmware) *rig {
 	fabric := simnet.NewFabric(simnet.DefaultConfig(), n)
 	for i := 0; i < n; i++ {
 		i := i
-		dev := nic.New(r.eng, i, nic.DefaultConfig(), fabric, fw(i))
+		dev := nic.New(r.eng, i, cfg, fabric, fw(i))
 		dev.Wire(
 			func(p *proto.Packet, done func()) {
 				r.toHost[i] = append(r.toHost[i], p)
@@ -95,6 +100,31 @@ func TestChainShortCircuits(t *testing.T) {
 	}
 	if len(r.bells[0]) != 1 || r.bells[0][0] != nic.NotifyGVTControl {
 		t.Fatalf("bells = %v", r.bells[0])
+	}
+}
+
+// TestBatchFrameCyclePrice pins what an inbound batch frame costs the NIC
+// processor before any firmware program looks at its sub-messages: one
+// header check — the nic package's own constant, which must stay equal to
+// CyclesHeaderCheck — plus PerSubMsgCycles per sub-message.
+func TestBatchFrameCyclePrice(t *testing.T) {
+	cfg := nic.DefaultConfig()
+	cfg.BatchMax = 4
+	r := newRigCfg(t, 2, cfg, func(int) nic.Firmware { return NewForwarder() })
+	// The first packet enters flight alone; the other three queue behind
+	// it and leave as one frame.
+	for seq := uint64(1); seq <= 4; seq++ {
+		p := ev(0, 1, 1, 2, 5, 10, seq)
+		p.Seq = seq
+		r.nics[0].HostEnqueue(p)
+	}
+	r.run()
+	if got := r.nics[0].Stats.BatchSubs.Value(); got != 3 {
+		t.Fatalf("BatchSubs = %d, want one frame of 3", got)
+	}
+	want := CyclesHeaderCheck + 3*cfg.PerSubMsgCycles
+	if got := r.nics[1].Stats.FirmwareCycles.Value(); got != want {
+		t.Fatalf("receiver charged %d cycles for the frame, want %d", got, want)
 	}
 }
 

@@ -53,13 +53,15 @@ type Config struct {
 	// contract.
 	CreditReturnDelay vtime.ModelTime
 
-	// BatchMax, when > 1, enables NIC-side send batching: at dequeue time
-	// the firmware gathers up to BatchMax-1 additional queued event-like
-	// packets bound for the head packet's destination and folds them, with
-	// the head, into one KindBatch frame — one wire header, one BIP
-	// sequence range, one link arbitration, one I/O-bus crossing at the
-	// receiver. 0 or 1 leaves batching off (the default), keeping every
-	// committed schedule byte-identical to the unbatched simulator.
+	// BatchMax, when > 1, enables NIC-side send batching under whatever
+	// firmware is installed: at dequeue time the NIC gathers up to
+	// BatchMax-1 additional queued event-like packets bound for the head
+	// packet's destination and folds them, with the head, into one
+	// KindBatch frame — one wire header, one BIP sequence range, one link
+	// arbitration, one I/O-bus crossing at the receiver (at most
+	// proto.MaxBatchSubs sub-messages). 0 or 1 leaves batching off (the
+	// default), keeping every committed schedule byte-identical to the
+	// unbatched simulator.
 	BatchMax int
 	// FlushHorizon bounds the extra latency batching may add: a
 	// batch-eligible head packet waits at most this long (in model time,
@@ -151,11 +153,15 @@ type Firmware interface {
 	// Name identifies the firmware in diagnostics.
 	Name() string
 	// OnHostSend runs when a host-originated packet is dequeued for
-	// transmission. VerdictConsume and VerdictDrop both prevent
-	// transmission; Consume means the firmware took ownership.
+	// transmission — once per packet, whether it then travels alone or
+	// folded into a batch frame. VerdictConsume and VerdictDrop both
+	// prevent transmission; Consume means the firmware took ownership.
 	OnHostSend(pkt *proto.Packet, api API) Verdict
 	// OnWireReceive runs when a packet arrives from the fabric, before any
-	// DMA toward the host.
+	// DMA toward the host. Firmware never sees a KindBatch frame: the NIC
+	// presents each sub-message as the solo packet it was folded from,
+	// valid for the one call, and a frame is delivered as a unit, so the
+	// verdict for a sub-message must be Forward.
 	OnWireReceive(pkt *proto.Packet, api API) Verdict
 	// OnDoorbell runs when the host rings the NIC after updating the
 	// shared window (the fallback path when there is no outgoing traffic
@@ -207,42 +213,6 @@ type API interface {
 	// Stats returns the NIC's counters for firmware-maintained metrics.
 	//nicwarp:hotpath bumped per dropped or filtered packet
 	Stats() *Stats
-
-	// GatherBatch removes from the send queue, in queue order, up to max
-	// host-submitted packets bound for dst that may ride in a batch frame,
-	// and returns them. Gathering stops at the first dst-bound host packet
-	// that is not batchable: every host packet toward dst carries a BIP
-	// sequence number, and folding traffic from beyond such a packet would
-	// reorder the per-destination stream. The returned slice is scratch
-	// reused by the next call; consume it within the hook. Unlike
-	// RemoveFromSendQueue, gathered packets are NOT reported as discards —
-	// they still travel, inside the frame.
-	GatherBatch(dst int32, max int) []*proto.Packet
-	// AllocFrame returns a zeroed packet for batch assembly from the NIC's
-	// frame pool, its Subs slice empty with capacity retained across
-	// reuses. The frame returns to a pool via NIC.ReleaseFrame once the
-	// destination host has expanded it.
-	AllocFrame() *proto.Packet
-	// DiscardHostPacket reports a host-submitted packet the firmware
-	// removed from the transmit path without sending (a batch partner
-	// dropped by early cancellation at assembly time), feeding the same
-	// invariant accounting as a drop verdict from OnHostSend.
-	DiscardHostPacket(pkt *proto.Packet)
-	// RecycleHostPacket returns a dead host packet to the host's free
-	// list: a packet folded into a batch frame is fully copied into the
-	// frame and its struct would otherwise be garbage. No-op when the
-	// cluster assembly has not installed a recycler.
-	RecycleHostPacket(pkt *proto.Packet)
-}
-
-// Batcher is the optional firmware extension the transmit pump invokes
-// when batching is enabled (Config.BatchMax > 1): after the head packet's
-// OnHostSend returned Forward, AssembleBatch may gather queued partners
-// and fold them into a single KindBatch frame, which then replaces the
-// head on the wire. Returning nil sends the head unchanged. The
-// implementation must charge its assembly work through api.Charge.
-type Batcher interface {
-	AssembleBatch(head *proto.Packet, api API) *proto.Packet
 }
 
 // Stats aggregates NIC counters, including those maintained by firmware.
@@ -348,9 +318,9 @@ type NIC struct {
 	rmScratch hookScratch
 	gbScratch hookScratch
 
-	// Batching machinery (active when cfg.BatchMax > 1).
-	batcher   Batcher         // fw's Batcher extension, resolved once at New
+	// Batching machinery (transmit side active when cfg.BatchMax > 1).
 	frameFree []*proto.Packet //nicwarp:owns batch-frame free list; frames migrate between NIC pools like event packets between host pools
+	rxSub     proto.Packet    // the sub-message view expandBatch hands to firmware, one hook call at a time
 	recycle   func(*proto.Packet)
 	flushAt   vtime.ModelTime // deadline of the armed flush timer (0 = none)
 
@@ -376,9 +346,6 @@ func New(eng *des.Engine, node int, cfg Config, fabric *simnet.Fabric, fw Firmwa
 		shared: NewSharedWindow(),
 	}
 	n.creditDoneFn = n.creditDone
-	if b, ok := fw.(Batcher); ok {
-		n.batcher = b
-	}
 	fabric.Attach(node, eng, uint32(node), n.wireReceive)
 	return n
 }
@@ -477,12 +444,12 @@ func (n *NIC) TxCredit(dst int) int { return n.txCredit[dst] }
 // before traffic flows; a nil hook disables observation.
 func (n *NIC) SetHostDiscardHook(fn func(*proto.Packet)) { n.onHostDiscard = fn }
 
-// SetPacketRecycler installs the host packet free-list hook used by batch
-// assembly: a packet folded into a batch frame dies on the NIC (its fields
-// were copied into the frame), so it is handed back to the host pool it
-// came from instead of becoming garbage. The NIC and its host share one
-// node and one engine, so the return is single-threaded. Call before
-// traffic flows; nil disables recycling.
+// SetPacketRecycler installs the host packet free-list hook: a host packet
+// that dies on the NIC — dropped in place, or folded into a batch frame,
+// which copies its fields — is handed back to the host pool it came from
+// instead of becoming garbage. The NIC and its host share one node and one
+// engine, so the return is single-threaded. Call before traffic flows; nil
+// disables recycling.
 func (n *NIC) SetPacketRecycler(fn func(*proto.Packet)) { n.recycle = fn }
 
 // ReleaseFrame returns a consumed batch frame to this NIC's frame pool,
@@ -504,7 +471,7 @@ func (n *NIC) ReleaseFrame(f *proto.Packet) {
 // frame: ordinary unicast event traffic that BIP has stamped. GVT
 // handshake piggybacks are excluded — a queued piggyback must dequeue
 // individually so its extraction hook fires before any fold — and they
-// stop a gather toward their destination (see API.GatherBatch).
+// stop a gather toward their destination (see gatherBatch).
 func batchEligible(p *proto.Packet) bool {
 	return p.IsEventLike() && !p.PiggyGVTValid && p.DstNode >= 0 && p.Seq != 0
 }
@@ -701,7 +668,7 @@ func (n *NIC) txPump() {
 	// wait — within its flush horizon — for more traffic to the same
 	// destination, so one pump flushes a whole frame. A zero horizon batches
 	// only backlog that already exists.
-	if n.cfg.BatchMax > 1 && n.batcher != nil && !head.fromNIC && batchEligible(head.pkt) {
+	if n.cfg.BatchMax > 1 && !head.fromNIC && batchEligible(head.pkt) {
 		if avail := n.batchAvailable(head.pkt.DstNode); avail < n.cfg.BatchMax && n.cfg.FlushHorizon > 0 {
 			deadline := head.enqAt + n.cfg.FlushHorizon
 			if n.eng.Now() < deadline {
@@ -721,12 +688,10 @@ func (n *NIC) txPump() {
 		// Batch assembly runs after the head has cleared firmware (so a
 		// piggybacked GVT snapshot has already been extracted and scrubbed)
 		// and substitutes a frame for the head in place; the frame then pays
-		// the per-sub-message cycle charges the batcher accrued.
-		if verdict == VerdictForward && n.batcher != nil && n.cfg.BatchMax > 1 && batchEligible(entry.pkt) {
-			if frame := n.batcher.AssembleBatch(entry.pkt, apiImpl{n}); frame != nil {
+		// the per-sub-message cycle charges assembly accrued.
+		if verdict == VerdictForward && n.cfg.BatchMax > 1 && batchEligible(entry.pkt) {
+			if frame := n.assembleBatch(entry.pkt); frame != nil {
 				entry.pkt = frame
-				n.Stats.BatchFrames.Inc()
-				n.Stats.BatchSubs.Add(int64(len(frame.Subs)))
 			}
 			n.clearScratch()
 		}
@@ -765,7 +730,7 @@ func nicTxProcessed(x interface{}) {
 				n.onHostDiscard(pkt)
 			}
 			if n.txVerdict == VerdictDrop {
-				n.recycleDropped(pkt) // a consumed packet belongs to the firmware
+				n.recycleDead(pkt) // a consumed packet belongs to the firmware
 			}
 		}
 		n.txDone()
@@ -827,7 +792,12 @@ func (n *NIC) rxPump() {
 	// rxPumping covers the processor stage, so the in-flight packet rides on
 	// the NIC struct instead of a closure.
 	n.rxPkt = pkt
-	n.rxVerdict = n.fw.OnWireReceive(pkt, apiImpl{n})
+	if pkt.Kind == proto.KindBatch {
+		n.expandBatch(pkt)
+		n.rxVerdict = VerdictForward
+	} else {
+		n.rxVerdict = n.fw.OnWireReceive(pkt, apiImpl{n})
+	}
 	n.clearScratch()
 	cost := n.cycles(n.cfg.RecvCycles + n.takeCharge())
 	n.proc.SubmitArg(cost, nicRxProcessed, n)
@@ -924,16 +894,16 @@ func (n *NIC) clearScratch() {
 // the hook returns or takes its next view.
 func (n *NIC) recycleRemoved() {
 	for _, pkt := range n.rmScratch.view {
-		n.recycleDropped(pkt)
+		n.recycleDead(pkt)
 	}
 }
 
-// recycleDropped returns a host packet the NIC discarded instead of
-// sending to the host's packet pool, which holds event-like packets only.
-// The destination host releases a packet that travels; one that dies here
-// has no other way home, and under heavy cancellation most packets die
-// here.
-func (n *NIC) recycleDropped(pkt *proto.Packet) {
+// recycleDead returns a host packet that dies on the NIC — discarded
+// instead of sent, or folded into a batch frame — to the host's packet
+// pool, which holds event-like packets only. The destination host releases
+// a packet that travels; one that dies here has no other way home, and
+// under heavy cancellation most packets die here.
+func (n *NIC) recycleDead(pkt *proto.Packet) {
 	if n.recycle != nil && pkt.IsEventLike() {
 		n.recycle(pkt) //nicwarp:alloc wired by the cluster assembly (the host free list's amortized growth); opaque to the analyzer
 	}
@@ -1009,19 +979,96 @@ func (a apiImpl) NotifyHost(tag NotifyTag) {
 
 func (a apiImpl) Stats() *Stats { return &a.n.Stats }
 
-// GatherBatch extracts from the send queue, in order, the host packets
-// bound for dst that may join the current frame, up to max. The gather
-// stops at the first same-destination host packet that is not batch
-// eligible — that packet carries state (a credit reply, a GVT piggyback)
-// that must dequeue on its own, and stopping there keeps the gathered
-// sequence numbers a contiguous prefix of the per-destination BIP stream.
+// frameHeaderCycles is the processor work to classify an inbound batch
+// frame before expanding it: one header check, what firmware pays to
+// classify any packet (firmware.CyclesHeaderCheck, which this package
+// cannot import; firmware's TestBatchFrameCyclePrice pins the two equal).
+const frameHeaderCycles = 10
+
+// assembleBatch runs after the dequeued head cleared firmware with a
+// Forward verdict: it gathers the queued same-destination partners, passes
+// each through the firmware's OnHostSend exactly once — the white-send GVT
+// count, piggyback extraction and the early-cancel drop predicate all see
+// the same per-packet traffic as an unbatched run — and folds the
+// survivors behind one header, charging PerSubMsgCycles per folded message.
+// A partner the firmware refuses leaves a hole at its sequence number (the
+// receiver's BIP endpoint records it through the ordinary missing-range
+// machinery; the firmware booked the drop) and is observed as a discard
+// like any send-side drop. Every partner is gathered before the first
+// partner hook runs: a hook may scan the send queue, and a packet about to
+// ride in this frame must not be there. Returns nil when no partner is
+// available, leaving the head to travel as an ordinary packet.
+func (n *NIC) assembleBatch(head *proto.Packet) *proto.Packet {
+	partners := n.gatherBatch(head.DstNode, n.cfg.BatchMax-1)
+	if len(partners) == 0 {
+		return nil
+	}
+	frame := n.allocFrame()
+	frame.Kind = proto.KindBatch
+	frame.Seq = head.Seq
+	frame.SrcNode = head.SrcNode
+	frame.DstNode = head.DstNode
+	frame.Credits = head.Credits
+	frame.CreditRepair = head.CreditRepair
+	frame.ColorEpoch = head.ColorEpoch
+	frame.PiggyAntiEpoch = head.PiggyAntiEpoch
+	frame.AppendSub(head)
+	n.recycleDead(head)
+	for _, p := range partners {
+		if v := n.fw.OnHostSend(p, apiImpl{n}); v != VerdictForward {
+			if n.onHostDiscard != nil {
+				n.onHostDiscard(p)
+			}
+			n.recycleDead(p)
+			continue
+		}
+		// Flow-control state rides once per frame: fold any credit return
+		// or repaired credit the partner carried into the header.
+		frame.Credits += p.Credits
+		frame.CreditRepair += p.CreditRepair
+		frame.PiggyAntiEpoch = max(frame.PiggyAntiEpoch, p.PiggyAntiEpoch)
+		frame.AppendSub(p)
+		n.recycleDead(p)
+	}
+	n.pendingCycles += n.cfg.PerSubMsgCycles * int64(len(frame.Subs))
+	n.Stats.BatchFrames.Inc()
+	n.Stats.BatchSubs.Add(int64(len(frame.Subs)))
+	return frame
+}
+
+// expandBatch is assembleBatch's receive half: the frame pays one header
+// check plus PerSubMsgCycles per sub-message, and the firmware's
+// OnWireReceive sees each sub-message as the solo packet it was folded
+// from — in particular, each folded anti-message is numbered and opens its
+// cancellation window exactly as a solo anti would. The frame itself is
+// always forwarded to the host, which unpacks it the same way.
+func (n *NIC) expandBatch(frame *proto.Packet) {
+	n.pendingCycles += frameHeaderCycles + n.cfg.PerSubMsgCycles*int64(len(frame.Subs))
+	for i := range frame.Subs {
+		frame.SubPacket(i, &n.rxSub)
+		if v := n.fw.OnWireReceive(&n.rxSub, apiImpl{n}); v != VerdictForward {
+			// A frame travels and is delivered as a unit; no firmware
+			// consumes event-like traffic on receive, and a partial frame
+			// consumption has no meaning here.
+			panic(fmt.Sprintf("nic: firmware %s returned %v for batched sub-message", n.fw.Name(), v))
+		}
+	}
+	n.rxSub = proto.Packet{}
+}
+
+// gatherBatch extracts from the send queue, in order, up to max host
+// packets bound for dst that may join the current frame. The gather stops
+// at the first same-destination host packet that is not batch eligible —
+// that packet carries state (a credit reply, a GVT piggyback) that must
+// dequeue on its own, and stopping there keeps the gathered sequence
+// numbers a contiguous prefix of the per-destination BIP stream.
 // Other-destination and NIC-originated entries are skipped and retained.
-// The removed packets are NOT reported to the host discard observer: they
-// are not discarded, their content travels on inside the frame.
+// The returned slice is hook scratch (clearScratch). Unlike
+// RemoveFromSendQueue, gathered packets are NOT reported to the host
+// discard observer: their content travels on inside the frame.
 //
 //nicwarp:hotpath batch gather, executed once per assembled frame
-func (a apiImpl) GatherBatch(dst int32, max int) []*proto.Packet {
-	n := a.n
+func (n *NIC) gatherBatch(dst int32, max int) []*proto.Packet {
 	out := n.gbScratch.view[:0]
 	live := n.sendQ[n.sendHead:]
 	kept := live[:0]
@@ -1044,13 +1091,13 @@ func (a apiImpl) GatherBatch(dst int32, max int) []*proto.Packet {
 	return n.gbScratch.publish(out)
 }
 
-// AllocFrame hands the batcher an empty frame from this NIC's pool (or a
-// fresh one sized to the configured batch limit). The frame is released
-// into the destination NIC's pool after delivery.
+// allocFrame returns an empty frame from this NIC's pool (or a fresh one
+// sized to the configured batch limit), its Subs capacity retained across
+// reuses. The frame is released into the destination NIC's pool after
+// delivery (ReleaseFrame).
 //
 //nicwarp:hotpath frame allocation, executed once per assembled frame
-func (a apiImpl) AllocFrame() *proto.Packet {
-	n := a.n
+func (n *NIC) allocFrame() *proto.Packet {
 	if k := len(n.frameFree); k > 0 {
 		f := n.frameFree[k-1]
 		n.frameFree[k-1] = nil
@@ -1060,22 +1107,4 @@ func (a apiImpl) AllocFrame() *proto.Packet {
 	f := &proto.Packet{}                             //nicwarp:alloc pool miss; amortized to zero by reuse
 	f.Subs = make([]proto.SubMsg, 0, n.cfg.BatchMax) //nicwarp:alloc pool miss; amortized to zero by reuse
 	return f
-}
-
-// DiscardHostPacket reports a firmware-dropped gathered packet to the host
-// discard observer (the invariant checker books the drop). It does not
-// recycle the packet — the observer reads it; the firmware recycles it
-// once this returns.
-func (a apiImpl) DiscardHostPacket(pkt *proto.Packet) {
-	if a.n.onHostDiscard != nil {
-		a.n.onHostDiscard(pkt)
-	}
-}
-
-// RecycleHostPacket returns a gathered packet whose content was folded
-// into a frame to the host packet pool it was allocated from.
-func (a apiImpl) RecycleHostPacket(pkt *proto.Packet) {
-	if a.n.recycle != nil {
-		a.n.recycle(pkt)
-	}
 }

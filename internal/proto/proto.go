@@ -188,6 +188,50 @@ const batchCountWireSize = 2
 // (the count is encoded as a u16).
 const MaxBatchSubs = 1<<16 - 1
 
+// AppendSub folds the event-like packet p into frame f as its next
+// sub-message: the Basic Event Message fields are copied and p's BIP
+// sequence number is kept as an offset from the frame's base. SubPacket is
+// the inverse; with the wire codec below they are the only code that spells
+// out the sub-message field list.
+func (f *Packet) AppendSub(p *Packet) {
+	if p.Seq < f.Seq {
+		panic("proto: batch sub-message sequence below frame base")
+	}
+	f.Subs = append(f.Subs, SubMsg{
+		Kind:       p.Kind,
+		SeqDelta:   uint32(p.Seq - f.Seq),
+		SrcObj:     p.SrcObj,
+		DstObj:     p.DstObj,
+		SendTS:     p.SendTS,
+		RecvTS:     p.RecvTS,
+		EventID:    p.EventID,
+		Payload:    p.Payload,
+		ColorEpoch: p.ColorEpoch,
+	})
+}
+
+// SubPacket overwrites *into with sub-message i of frame f as the solo
+// packet it was folded from: its own sequence number and event fields under
+// the frame's route and WireDup mark. The frame-level header (credits,
+// piggyback block) is booked once per frame and stays zero in the view.
+func (f *Packet) SubPacket(i int, into *Packet) {
+	s := &f.Subs[i]
+	*into = Packet{
+		Seq:        f.Seq + uint64(s.SeqDelta),
+		SrcNode:    f.SrcNode,
+		DstNode:    f.DstNode,
+		WireDup:    f.WireDup,
+		Kind:       s.Kind,
+		SrcObj:     s.SrcObj,
+		DstObj:     s.DstObj,
+		SendTS:     s.SendTS,
+		RecvTS:     s.RecvTS,
+		EventID:    s.EventID,
+		Payload:    s.Payload,
+		ColorEpoch: s.ColorEpoch,
+	}
+}
+
 // Sign returns the Time Warp sign of the sub-message.
 func (s *SubMsg) Sign() int8 {
 	switch s.Kind {
@@ -392,7 +436,11 @@ func decodeFixed(data []byte) (*Packet, error) {
 	p.EventID = get64()
 	p.Payload = get64()
 	p.ColorEpoch = get32()
-	p.PiggyGVTValid = get8() != 0
+	valid := get8()
+	if valid > 1 {
+		return nil, fmt.Errorf("proto: piggyback-valid flag byte %d, want 0 or 1", valid)
+	}
+	p.PiggyGVTValid = valid == 1
 	p.PiggyT = vtime.VTime(get64())
 	p.PiggyTMin = vtime.VTime(get64())
 	p.PiggyV = int64(get64())

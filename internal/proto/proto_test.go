@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -341,4 +342,100 @@ func TestBatchUnmarshalRejectsBadFrames(t *testing.T) {
 	if _, err := Unmarshal(bad2); err == nil {
 		t.Fatal("accepted control sub kind")
 	}
+}
+
+// TestAppendSubSubPacketRoundTrip: folding a packet into a frame and
+// viewing it back yields the same message — its own sequence number and
+// event fields under the frame's route and WireDup mark — in memory and
+// across the wire, with none of the per-packet header state (credits,
+// piggyback block) leaking into the view.
+func TestAppendSubSubPacketRoundTrip(t *testing.T) {
+	f := func(base uint64, delta uint32, src, dst int32, dup, isAnti bool,
+		srcObj, dstObj int32, sendTS, recvTS int64, id, payload uint64, color uint32) bool {
+		base >>= 1 // room for base+delta
+		kind := KindEvent
+		if isAnti {
+			kind = KindAnti
+		}
+		want := Packet{
+			Seq: base + uint64(delta), SrcNode: src, DstNode: dst, WireDup: dup, Kind: kind,
+			SrcObj: srcObj, DstObj: dstObj, SendTS: vtime.VTime(sendTS), RecvTS: vtime.VTime(recvTS),
+			EventID: id, Payload: payload, ColorEpoch: color,
+		}
+		solo := want
+		solo.WireDup = false
+		solo.Credits, solo.CreditRepair = 3, 1
+		solo.PiggyGVTValid, solo.PiggyT, solo.PiggyAntiEpoch = true, 9, 7
+
+		frame := &Packet{Kind: KindBatch, Seq: base, SrcNode: src, DstNode: dst, WireDup: dup}
+		frame.AppendSub(&Packet{Kind: KindEvent, Seq: base}) // a sub before it: index != 0
+		frame.AppendSub(&solo)
+		var got Packet
+		frame.SubPacket(1, &got)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("in memory: got %+v, want %+v", got, want)
+			return false
+		}
+		decoded, err := Unmarshal(frame.Marshal())
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		decoded.WireDup = dup // model bookkeeping, never on the wire
+		got = *samplePacket() // SubPacket must overwrite every field
+		decoded.SubPacket(1, &got)
+		return reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAppendSubRejectsSeqBelowBase(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a sub-message below the frame base")
+		}
+	}()
+	frame := &Packet{Kind: KindBatch, Seq: 10}
+	frame.AppendSub(&Packet{Kind: KindEvent, Seq: 9})
+}
+
+// FuzzUnmarshal feeds arbitrary wire images to the decoder. It must never
+// panic; an image it accepts must be canonical (re-encoding gives the same
+// bytes back, so no two images decode to one packet); and every decoded
+// sub-message must be viewable. The seeds — one packet of each kind, and
+// frames of 0, 1 and 8 sub-messages — run under plain `go test`.
+func FuzzUnmarshal(f *testing.F) {
+	for k := Kind(0); k < numKinds; k++ {
+		p := samplePacket()
+		p.Kind = k
+		f.Add(p.Marshal())
+	}
+	for _, n := range []int{1, 8} {
+		frame := &Packet{Kind: KindBatch, Seq: 100, SrcNode: 2, DstNode: 6}
+		for i := 0; i < n; i++ {
+			sub := samplePacket()
+			sub.Seq = frame.Seq + uint64(2*i)
+			sub.Kind = Kind(i % 2) // alternate events and antis
+			frame.AppendSub(sub)
+		}
+		f.Add(frame.Marshal())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if again := p.Marshal(); !bytes.Equal(again, data) {
+			t.Fatalf("accepted image is not canonical:\n in  %x\n out %x", data, again)
+		}
+		var sub Packet
+		for i := range p.Subs {
+			p.SubPacket(i, &sub)
+			if !sub.IsEventLike() || sub.Seq != p.Seq+uint64(p.Subs[i].SeqDelta) {
+				t.Fatalf("sub %d of accepted frame decodes to %+v", i, sub)
+			}
+		}
+	})
 }

@@ -60,11 +60,6 @@ func (s *Source) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Int63 returns a nonnegative int64.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). Panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {

@@ -9,7 +9,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nicwarp/internal/vtime"
@@ -109,54 +108,6 @@ func (b *BusyTime) Utilization(elapsed vtime.ModelTime) float64 {
 	}
 	return u
 }
-
-// Histogram is a fixed-bucket histogram for latency-style observations.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; final bucket is +inf
-	counts []int64
-	sum    float64
-	n      int64
-}
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds. An implicit overflow bucket is appended.
-func NewHistogram(bounds ...float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]int64, len(bounds)+1),
-	}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.n++
-}
-
-// Count returns the total number of samples.
-func (h *Histogram) Count() int64 { return h.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Bucket returns the count in bucket i (the bucket after the last bound is
-// the overflow bucket).
-func (h *Histogram) Bucket(i int) int64 { return h.counts[i] }
-
-// NumBuckets returns the number of buckets including overflow.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
 
 // Table renders aligned experiment output, mirroring the row/series layout
 // of the paper's figures so results can be compared by eye.

@@ -96,64 +96,6 @@ func TestBusyTimeRejectsNegative(t *testing.T) {
 	b.AddInterval(-1)
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	for _, v := range []float64{1, 5, 50, 500, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	want := []int64{2, 1, 1, 1}
-	for i, w := range want {
-		if h.Bucket(i) != w {
-			t.Fatalf("bucket %d = %d, want %d", i, h.Bucket(i), w)
-		}
-	}
-	if h.NumBuckets() != 4 {
-		t.Fatalf("buckets = %d, want 4", h.NumBuckets())
-	}
-	if got := h.Mean(); got != (1+5+50+500+5000)/5.0 {
-		t.Fatalf("mean = %v", got)
-	}
-}
-
-func TestHistogramBoundaryGoesUp(t *testing.T) {
-	// A sample exactly on a bound lands in the bucket whose upper bound it
-	// is (SearchFloat64s returns the first index with bounds[i] >= v).
-	h := NewHistogram(10, 20)
-	h.Observe(10)
-	if h.Bucket(0) != 1 {
-		t.Fatalf("bucket 0 = %d, want 1", h.Bucket(0))
-	}
-}
-
-func TestHistogramRejectsUnsortedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unsorted bounds")
-		}
-	}()
-	NewHistogram(10, 5)
-}
-
-func TestHistogramCountConservation(t *testing.T) {
-	f := func(samples []float64) bool {
-		h := NewHistogram(0.25, 0.5, 0.75)
-		for _, s := range samples {
-			h.Observe(s)
-		}
-		var sum int64
-		for i := 0; i < h.NumBuckets(); i++ {
-			sum += h.Bucket(i)
-		}
-		return sum == int64(len(samples)) && h.Count() == int64(len(samples))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTableFormatting(t *testing.T) {
 	tb := NewTable("period", "warped_sec", "nicgvt_sec")
 	tb.AddRow(1, 35.5, 12.25)

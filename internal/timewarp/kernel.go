@@ -306,15 +306,6 @@ func (k *Kernel) AddObject(id ObjectID, obj Object) {
 	k.sched.Push(o)
 }
 
-// Objects returns the local object IDs in registration order.
-func (k *Kernel) Objects() []ObjectID {
-	ids := make([]ObjectID, len(k.order))
-	for i, o := range k.order {
-		ids[i] = o.id
-	}
-	return ids
-}
-
 // IsLocal reports whether the object lives on this LP.
 func (k *Kernel) IsLocal(id ObjectID) bool {
 	_, ok := k.objs[id]

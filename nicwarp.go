@@ -4,9 +4,10 @@
 // workstations whose programmable NICs can host application firmware.
 //
 // The package is the public face of the repository. It re-exports the
-// experiment configuration surface and provides one entry point per figure
-// of the paper's evaluation (Figure4 … Figure8), plus ablation experiments
-// for the design choices called out in DESIGN.md.
+// experiment configuration surface and the named experiment registry
+// (Experiments, ExperimentByName): one entry per figure of the paper's
+// evaluation (fig4 … fig78), plus ablation experiments for the design
+// choices called out in DESIGN.md. cmd/experiments runs the registry.
 //
 // Quick start:
 //

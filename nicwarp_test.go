@@ -3,11 +3,41 @@ package nicwarp
 import (
 	"strings"
 	"testing"
+
+	"nicwarp/internal/runner"
 )
 
 // tiny returns options that keep public-API tests to fractions of a second
 // per cell.
 func tiny() FigureOpts { return FigureOpts{Nodes: 4, Seed: 3, Scale: 0.004} }
+
+// runExperiment executes one registry entry's batch on an uncached
+// all-cores runner, the way cmd/experiments does, and returns the point
+// results in Jobs order for the fold functions.
+func runExperiment(t *testing.T, name string, opts FigureOpts) []runner.Result {
+	t.Helper()
+	exp, err := ExperimentByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (&runner.Runner{Exec: Exec{Shards: opts.Shards}}).Run(exp.Jobs(opts))
+}
+
+// ablationRows runs one abl-* registry entry down to its typed rows.
+func ablationRows(t *testing.T, name string, opts FigureOpts) []AblationRow {
+	t.Helper()
+	for _, a := range ablationDefs() {
+		if a.name == name {
+			rows, err := a.fold(opts, runExperiment(t, name, opts))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return rows
+		}
+	}
+	t.Fatalf("unknown ablation %q", name)
+	return nil
+}
 
 func TestRunPublicAPI(t *testing.T) {
 	res, err := Run(Config{
@@ -89,8 +119,8 @@ func TestAblationTableRendering(t *testing.T) {
 	}
 }
 
-// TestFiguresSmokeTiny exercises every figure function end to end at a
-// minuscule scale so the public experiment surface stays green.
+// TestFiguresSmokeTiny exercises every paper-figure registry entry end to
+// end at a minuscule scale so the public experiment surface stays green.
 func TestFiguresSmokeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -106,17 +136,18 @@ func TestFiguresSmokeTiny(t *testing.T) {
 	RAIDRequestCounts = []int{50000}
 	defer func() { RAIDRequestCounts = savedReqs }()
 
-	if rows, err := Figure4(tiny()); err != nil || len(rows) != 2 {
-		t.Fatalf("Figure4: %v (%d rows)", err, len(rows))
+	o := tiny().withDefaults()
+	if rows, err := foldGVTRows(runExperiment(t, "fig4", o)); err != nil || len(rows) != 2 {
+		t.Fatalf("fig4: %v (%d rows)", err, len(rows))
 	}
-	if rows, err := Figure5(tiny()); err != nil || len(rows) != 2 {
-		t.Fatalf("Figure5: %v (%d rows)", err, len(rows))
+	if rows, err := foldGVTRows(runExperiment(t, "fig5", o)); err != nil || len(rows) != 2 {
+		t.Fatalf("fig5: %v (%d rows)", err, len(rows))
 	}
-	if rows, err := Figure6(tiny()); err != nil || len(rows) != 1 {
-		t.Fatalf("Figure6: %v (%d rows)", err, len(rows))
+	if rows, err := foldCancelRows(raidCancelXs(o), runExperiment(t, "fig6", o)); err != nil || len(rows) != 1 {
+		t.Fatalf("fig6: %v (%d rows)", err, len(rows))
 	}
-	if rows, err := Figure7and8(tiny()); err != nil || len(rows) != 1 {
-		t.Fatalf("Figure7and8: %v (%d rows)", err, len(rows))
+	if rows, err := foldCancelRows(policeCancelXs(o), runExperiment(t, "fig78", o)); err != nil || len(rows) != 1 {
+		t.Fatalf("fig78: %v (%d rows)", err, len(rows))
 	}
 }
 
@@ -124,23 +155,20 @@ func TestAblationsSmokeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if rows, err := AblationNICSpeed(tiny()); err != nil || len(rows) != 5 {
-		t.Fatalf("NICSpeed: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationDropBuffer(tiny()); err != nil || len(rows) != 4 {
-		t.Fatalf("DropBuffer: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationCancellationPolicy(tiny()); err != nil || len(rows) != 2 {
-		t.Fatalf("CancellationPolicy: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationPiggybackPatience(tiny()); err != nil || len(rows) != 5 {
-		t.Fatalf("PiggybackPatience: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationRxBuffer(tiny()); err != nil || len(rows) != 4 {
-		t.Fatalf("RxBuffer: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationGVTAlgorithms(tiny()); err != nil || len(rows) != 3 {
-		t.Fatalf("GVTAlgorithms: %v (%d rows)", err, len(rows))
+	for _, c := range []struct {
+		name string
+		rows int
+	}{
+		{"abl-nic-speed", 5},
+		{"abl-drop-buffer", 4},
+		{"abl-cancel-policy", 2},
+		{"abl-piggyback-patience", 5},
+		{"abl-rx-buffer", 4},
+		{"abl-gvt-algorithms", 3},
+	} {
+		if rows := ablationRows(t, c.name, tiny()); len(rows) != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.name, len(rows), c.rows)
+		}
 	}
 }
 

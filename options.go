@@ -22,14 +22,10 @@ type Exec = core.Exec
 type FaultPlan = fault.Plan
 
 // FaultScenario resolves a named fault scenario ("drop", "dup", "chaos",
-// …; see ScenarioNames) and a fault seed to a validated plan.
+// …; cmd/stress -list prints them) and a fault seed to a validated plan.
 func FaultScenario(name string, seed uint64) (FaultPlan, error) {
 	return fault.PlanFor(name, seed)
 }
-
-// ScenarioNames returns the loss-free fault scenario names, in registry
-// order.
-func ScenarioNames() []string { return fault.Scenarios() }
 
 // RunOption customizes one Run call. The zero set of options reproduces
 // the historical Run(cfg) behavior exactly: serial execution, no faults.

@@ -8,7 +8,7 @@ import "testing"
 // EXPERIMENTS.md. Thresholds are deliberately loose: they assert direction
 // and rough magnitude, not exact values.
 
-func shapeOpts() FigureOpts { return FigureOpts{Scale: 0.1, Seed: 1} }
+func shapeOpts() FigureOpts { return FigureOpts{Scale: 0.1, Seed: 1}.withDefaults() }
 
 // TestShapeFigure4 asserts Figure 4's claims: the host implementation
 // degrades substantially at aggressive GVT while NIC-GVT stays flat, and
@@ -21,7 +21,7 @@ func TestShapeFigure4(t *testing.T) {
 	GVTPeriods = []int{1, 10000}
 	defer func() { GVTPeriods = saved }()
 
-	rows, err := Figure4(shapeOpts())
+	rows, err := foldGVTRows(runExperiment(t, "fig4", shapeOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestShapeFigure5b(t *testing.T) {
 	GVTPeriods = []int{1, 100}
 	defer func() { GVTPeriods = saved }()
 
-	rows, err := Figure5(shapeOpts())
+	rows, err := foldGVTRows(runExperiment(t, "fig5", shapeOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestShapeFigure7and8(t *testing.T) {
 	PoliceStations = []int{2000} // scaled to 200
 	defer func() { PoliceStations = saved }()
 
-	rows, err := Figure7and8(shapeOpts())
+	rows, err := foldCancelRows(policeCancelXs(shapeOpts()), runExperiment(t, "fig78", shapeOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestShapeFigure6(t *testing.T) {
 	RAIDRequestCounts = []int{100000} // scaled to 10000
 	defer func() { RAIDRequestCounts = saved }()
 
-	rows, err := Figure6(FigureOpts{Scale: 0.1, Seed: 1})
+	rows, err := foldCancelRows(raidCancelXs(shapeOpts()), runExperiment(t, "fig6", shapeOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +155,7 @@ func TestShapeGVTAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationGVTAlgorithms(shapeOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, "abl-gvt-algorithms", shapeOpts())
 	pg, mat, nicr := rows[0], rows[1], rows[2]
 	if pg.Extra["ctrlMsgs"] <= mat.Extra["ctrlMsgs"] {
 		t.Errorf("pGVT ctrl msgs %.0f <= mattern %.0f", pg.Extra["ctrlMsgs"], mat.Extra["ctrlMsgs"])

@@ -1,0 +1,73 @@
+package nicwarp
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"nicwarp/internal/timewarp"
+)
+
+// TestSteadyStateAllocationsPerEvent is the end-to-end allocation gate: the
+// raid-hostgvt benchmark shape (host Mattern GVT at period 1, several
+// control packets per committed event) runs at two sizes, and the extra
+// heap objects the longer run makes, divided by the extra events it
+// commits, must stay a small fraction of one. Set-up and warm-up cost the
+// same at both sizes and cancel; what is left is the steady state, where
+// tokens travel in the packets they arrived in, snapshots and output rows
+// are recycled per object and pool misses come in slabs. With one packet
+// clone per token hop and one boxed snapshot per event this read about 11.
+func TestSteadyStateAllocationsPerEvent(t *testing.T) {
+	run := func(requests int) (mallocs uint64, committed int) {
+		cfg := Config{App: RAID(RAIDGVTConfig(requests)), Nodes: 8, Seed: 1, GVT: GVTHostMattern, GVTPeriod: 1}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.Mallocs - m0.Mallocs, res.CommittedEvents
+	}
+	smallAllocs, smallEvents := run(500)
+	largeAllocs, largeEvents := run(2000)
+	if largeEvents < 2*smallEvents {
+		t.Fatalf("the larger run committed %d events against %d: not a size sweep", largeEvents, smallEvents)
+	}
+	perEvent := (float64(largeAllocs) - float64(smallAllocs)) / float64(largeEvents-smallEvents)
+	t.Logf("%d allocations for %d events, %d for %d: %.3f per extra committed event",
+		smallAllocs, smallEvents, largeAllocs, largeEvents, perEvent)
+	if perEvent > 0.5 {
+		t.Fatalf("%.2f heap allocations per extra committed event, want at most 0.5", perEvent)
+	}
+}
+
+// TestEveryModelObjectReusesSnapshots: each simulation object the four
+// application models build implements timewarp.StateReuser, and a snapshot
+// handed back to it is the one it returns.
+func TestEveryModelObjectReusesSnapshots(t *testing.T) {
+	apps := []App{
+		RAID(RAIDGVTConfig(10)),
+		Police(PoliceConfig(16)),
+		PHOLD(PHOLDParams{Objects: 8, Population: 1, Hops: 4, MeanDelay: 10}),
+		PCS(PCSDefault()),
+	}
+	kinds := map[string]bool{}
+	for _, app := range apps {
+		objs, _ := app.Build(4, 1)
+		for id, obj := range objs {
+			r, ok := obj.(timewarp.StateReuser)
+			if !ok {
+				t.Fatalf("%s: object %d (%T) does not implement timewarp.StateReuser", app.Name(), id, obj)
+			}
+			first := obj.SaveState()
+			if again := r.SaveStateInto(first); again != first {
+				t.Fatalf("%s: object %d (%T) did not reuse the snapshot it was handed", app.Name(), id, obj)
+			}
+			kinds[fmt.Sprintf("%T", obj)] = true
+		}
+	}
+	if len(kinds) != 7 {
+		t.Fatalf("checked %d object types %v, want the seven the models define", len(kinds), kinds)
+	}
+}

@@ -18,6 +18,11 @@
 // implementations either return a composite literal / clone call, or carry
 // a `//nicwarp:deepcopy <reason>` annotation on the return.
 //
+// SaveStateInto (timewarp.StateReuser) writes the snapshot through the
+// pointer it was handed instead of returning a fresh value, so there the
+// same rule applies to the store: `*snap = recv.field` with a plain-value
+// right-hand side whose type holds reference fields is the shallow copy.
+//
 // States built only of scalars — including rng.Source, whose whole state is
 // one uint64, and fixed-size arrays as in the POLICE centre's open-incident
 // table — pass untouched: value copying is exactly how Time Warp state
@@ -35,8 +40,8 @@ import (
 // Analyzer implements the statealias check.
 var Analyzer = &framework.Analyzer{
 	Name: "statealias",
-	Doc: "flag SaveState snapshots that shallow-copy slices/maps/pointers " +
-		"(rollback would alias live state)",
+	Doc: "flag SaveState/SaveStateInto snapshots that shallow-copy " +
+		"slices/maps/pointers (rollback would alias live state)",
 	Run: run,
 }
 
@@ -44,20 +49,25 @@ func run(pass *framework.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != "SaveState" || fn.Recv == nil || fn.Body == nil {
+			if !ok || fn.Recv == nil || fn.Body == nil || fn.Type.Results.NumFields() != 1 {
 				continue
 			}
-			if fn.Type.Params.NumFields() != 0 || fn.Type.Results.NumFields() != 1 {
-				continue
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok || len(ret.Results) != 1 {
+			switch {
+			case fn.Name.Name == "SaveState" && fn.Type.Params.NumFields() == 0:
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+						checkReturn(pass, ret)
+					}
 					return true
-				}
-				checkReturn(pass, ret)
-				return true
-			})
+				})
+			case fn.Name.Name == "SaveStateInto" && fn.Type.Params.NumFields() == 1:
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if as, ok := n.(*ast.AssignStmt); ok {
+						checkStoreThrough(pass, as)
+					}
+					return true
+				})
+			}
 		}
 	}
 	return nil
@@ -106,6 +116,32 @@ func checkReturn(pass *framework.Pass, ret *ast.ReturnStmt) {
 				"copy shares storage with the live object and rollback will alias "+
 				"it; deep-copy the field or annotate //nicwarp:deepcopy <reason>",
 			path)
+	}
+}
+
+// checkStoreThrough applies the shallow-copy rule to `*p = expr` inside
+// SaveStateInto: the store that fills the reused snapshot.
+func checkStoreThrough(pass *framework.Pass, as *ast.AssignStmt) {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 || pass.Annotated(as.Pos(), "deepcopy") {
+		return
+	}
+	if _, deref := ast.Unparen(as.Lhs[0]).(*ast.StarExpr); !deref {
+		return
+	}
+	switch ast.Unparen(as.Rhs[0]).(type) {
+	case *ast.CompositeLit, *ast.CallExpr:
+		return // freshly built; assumed to deep-copy its inputs
+	}
+	t := pass.TypesInfo.TypeOf(as.Rhs[0])
+	if t == nil {
+		return
+	}
+	if path, shared := refField(t, nil); shared {
+		pass.Reportf(as.Pos(),
+			"SaveStateInto shallow-copies reference state into the snapshot "+
+				"(field %s): the copy shares storage with the live object and "+
+				"rollback will alias it; deep-copy the field or annotate "+
+				"//nicwarp:deepcopy <reason>", path)
 	}
 }
 

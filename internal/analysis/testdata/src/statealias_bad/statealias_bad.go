@@ -46,3 +46,25 @@ func (r *ring) SaveState() interface{} {
 	p := &r.slots
 	return p // want `pointer-typed snapshot`
 }
+
+type journal struct {
+	entries []int
+	n       int
+}
+
+type reuser struct {
+	st journal
+}
+
+func (r *reuser) SaveState() interface{} { return r.SaveStateInto(nil) }
+
+// Filling a reused snapshot by plain assignment is the same shallow copy:
+// the snapshot's entries slice shares the live backing array.
+func (r *reuser) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*journal)
+	if snap == nil {
+		snap = new(journal)
+	}
+	*snap = r.st // want `shallow-copies reference state into the snapshot \(field entries\)`
+	return snap
+}

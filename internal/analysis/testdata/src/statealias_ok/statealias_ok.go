@@ -64,3 +64,34 @@ func (a *annotated) SaveState() interface{} {
 	//nicwarp:deepcopy queue is append-only; restore truncates by saved length
 	return a.st
 }
+
+type reuser struct {
+	st scalarState
+}
+
+func (r *reuser) SaveState() interface{} { return r.SaveStateInto(nil) }
+
+// Overwriting a reused scalar-only snapshot is the StateReuser idiom every
+// in-repo model uses.
+func (r *reuser) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*scalarState)
+	if snap == nil {
+		snap = new(scalarState)
+	}
+	*snap = r.st
+	return snap
+}
+
+type deepReuser struct {
+	st refState
+}
+
+// A reused snapshot with reference state is refilled field by field.
+func (d *deepReuser) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*refState)
+	if snap == nil {
+		snap = new(refState)
+	}
+	snap.queue = append(snap.queue[:0], d.st.queue...)
+	return snap
+}

@@ -211,10 +211,21 @@ func (c *cell) admit(ctx *timewarp.Context, duration uint64) {
 }
 
 // SaveState implements timewarp.Object.
-func (c *cell) SaveState() interface{} { return c.st }
+func (c *cell) SaveState() interface{} { return c.SaveStateInto(nil) }
+
+// SaveStateInto implements timewarp.StateReuser: the snapshot is a *state
+// the kernel hands back once no history entry needs it.
+func (c *cell) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*state)
+	if snap == nil {
+		snap = new(state)
+	}
+	*snap = c.st
+	return snap
+}
 
 // RestoreState implements timewarp.Object.
-func (c *cell) RestoreState(v interface{}) { c.st = v.(state) }
+func (c *cell) RestoreState(v interface{}) { c.st = *v.(*state) }
 
 // Digest implements timewarp.Object.
 func (c *cell) Digest() uint64 {

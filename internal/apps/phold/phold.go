@@ -146,10 +146,21 @@ func (o *object) pick() timewarp.ObjectID {
 }
 
 // SaveState implements timewarp.Object.
-func (o *object) SaveState() interface{} { return o.st }
+func (o *object) SaveState() interface{} { return o.SaveStateInto(nil) }
+
+// SaveStateInto implements timewarp.StateReuser: the snapshot is a *state
+// the kernel hands back once no history entry needs it.
+func (o *object) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*state)
+	if snap == nil {
+		snap = new(state)
+	}
+	*snap = o.st
+	return snap
+}
 
 // RestoreState implements timewarp.Object.
-func (o *object) RestoreState(s interface{}) { o.st = s.(state) }
+func (o *object) RestoreState(s interface{}) { o.st = *s.(*state) }
 
 // Digest implements timewarp.Object.
 func (o *object) Digest() uint64 {

@@ -233,8 +233,19 @@ func (s *station) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
 	}
 }
 
-func (s *station) SaveState() interface{}     { return s.st }
-func (s *station) RestoreState(v interface{}) { s.st = v.(stationState) }
+func (s *station) SaveState() interface{} { return s.SaveStateInto(nil) }
+
+// SaveStateInto implements timewarp.StateReuser: the snapshot is a
+// *stationState the kernel hands back once no history entry needs it.
+func (s *station) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*stationState)
+	if snap == nil {
+		snap = new(stationState)
+	}
+	*snap = s.st
+	return snap
+}
+func (s *station) RestoreState(v interface{}) { s.st = *v.(*stationState) }
 func (s *station) Digest() uint64 {
 	h := s.st.acc
 	h = timewarp.DigestMix(h, s.st.resolved)
@@ -373,8 +384,19 @@ func (c *centre) precinctStation() timewarp.ObjectID {
 	return c.p.stationID(base + k*c.p.Centres)
 }
 
-func (c *centre) SaveState() interface{}     { return c.st }
-func (c *centre) RestoreState(v interface{}) { c.st = v.(centreState) }
+func (c *centre) SaveState() interface{} { return c.SaveStateInto(nil) }
+
+// SaveStateInto implements timewarp.StateReuser: the snapshot is a
+// *centreState the kernel hands back once no history entry needs it.
+func (c *centre) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*centreState)
+	if snap == nil {
+		snap = new(centreState)
+	}
+	*snap = c.st
+	return snap
+}
+func (c *centre) RestoreState(v interface{}) { c.st = *v.(*centreState) }
 func (c *centre) Digest() uint64 {
 	h := c.st.acc
 	h = timewarp.DigestMix(h, c.st.resolved)

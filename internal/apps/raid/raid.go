@@ -194,8 +194,19 @@ func (s *source) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
 	}
 }
 
-func (s *source) SaveState() interface{}     { return s.st }
-func (s *source) RestoreState(v interface{}) { s.st = v.(sourceState) }
+func (s *source) SaveState() interface{} { return s.SaveStateInto(nil) }
+
+// SaveStateInto implements timewarp.StateReuser: the snapshot is a
+// *sourceState the kernel hands back once no history entry needs it.
+func (s *source) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*sourceState)
+	if snap == nil {
+		snap = new(sourceState)
+	}
+	*snap = s.st
+	return snap
+}
+func (s *source) RestoreState(v interface{}) { s.st = *v.(*sourceState) }
 func (s *source) Digest() uint64 {
 	h := s.st.acc
 	h = timewarp.DigestMix(h, s.st.done)
@@ -232,8 +243,19 @@ func (f *fork) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
 	}
 }
 
-func (f *fork) SaveState() interface{}     { return f.st }
-func (f *fork) RestoreState(v interface{}) { f.st = v.(forkState) }
+func (f *fork) SaveState() interface{} { return f.SaveStateInto(nil) }
+
+// SaveStateInto implements timewarp.StateReuser: the snapshot is a
+// *forkState the kernel hands back once no history entry needs it.
+func (f *fork) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*forkState)
+	if snap == nil {
+		snap = new(forkState)
+	}
+	*snap = f.st
+	return snap
+}
+func (f *fork) RestoreState(v interface{}) { f.st = *v.(*forkState) }
 func (f *fork) Digest() uint64 {
 	h := f.st.routed
 	h = timewarp.DigestMix(h, f.st.rnd.State())
@@ -270,8 +292,19 @@ func (d *disk) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
 	ctx.Send(src, service, uint64(uint32(d.id))<<33|uint64(uint32(ev.RecvTS)))
 }
 
-func (d *disk) SaveState() interface{}     { return d.st }
-func (d *disk) RestoreState(v interface{}) { d.st = v.(diskState) }
+func (d *disk) SaveState() interface{} { return d.SaveStateInto(nil) }
+
+// SaveStateInto implements timewarp.StateReuser: the snapshot is a
+// *diskState the kernel hands back once no history entry needs it.
+func (d *disk) SaveStateInto(old interface{}) interface{} {
+	snap, _ := old.(*diskState)
+	if snap == nil {
+		snap = new(diskState)
+	}
+	*snap = d.st
+	return snap
+}
+func (d *disk) RestoreState(v interface{}) { d.st = *v.(*diskState) }
 func (d *disk) Digest() uint64 {
 	h := d.st.acc
 	h = timewarp.DigestMix(h, d.st.served)

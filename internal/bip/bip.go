@@ -17,14 +17,15 @@
 // FIFO per path, so a regression can only be a model bug, and the endpoint
 // panics. Tolerant mode (SetTolerant) exists for the fault-injection
 // plane, whose link faults deliberately duplicate, reorder and
-// retransmit: there the endpoint keeps a per-source set of outstanding
-// missing sequence numbers so a late arrival fills its hole exactly once
+// retransmit: there the endpoint keeps a per-source list of outstanding
+// missing sequence ranges so a late arrival fills its hole exactly once
 // and a genuine duplicate is identified and discarded — the classifying
 // layer real BIP's sequence numbers make possible.
 package bip
 
 import (
 	"fmt"
+	"slices"
 
 	"nicwarp/internal/dense"
 	"nicwarp/internal/proto"
@@ -68,12 +69,13 @@ type Endpoint struct {
 	// peer it has been asked about; a peer beyond them has seen no traffic.
 	nextSeq []uint64 // per destination, last sequence assigned
 	expect  []uint64 // per source, last sequence accepted
-	// missing tracks, per source, the sequence numbers inside detected
-	// gaps that have not yet been filled by a late arrival. In strict
-	// mode holes are never filled (deliberate NIC drops on a FIFO fabric
-	// are permanent), so the set is exactly the permanent-hole record the
-	// invariant checker reconciles against the sender NIC's drop counts.
-	missing map[int32]map[uint64]struct{}
+	// missing tracks, per source (indexed by node id like expect), the
+	// sequence numbers inside detected gaps that have not yet been filled
+	// by a late arrival. In strict mode holes are never filled (deliberate
+	// NIC drops on a FIFO fabric are permanent), so the record is exactly
+	// the permanent-hole count the invariant checker reconciles against
+	// the sender NIC's drop counts.
+	missing []holes
 
 	// Stats.
 	Stamped      stats.Counter // packets stamped on the send side
@@ -81,6 +83,48 @@ type Endpoint struct {
 	MissingSeqs  stats.Counter // total sequence numbers skipped at detection time
 	LateFilled   stats.Counter // gap holes later filled by a late arrival
 	Duplicates   stats.Counter // duplicate deliveries identified and discarded
+}
+
+// holes is one source's open sequence holes: disjoint inclusive ranges in
+// ascending order, and how many sequence numbers they cover. A gap always
+// opens above everything seen so far, so detection appends one range
+// whatever the gap's width; only a tolerant-mode late fill searches.
+type holes struct {
+	ranges []seqRange
+	count  int
+}
+
+// seqRange is the inclusive run lo..hi of missing sequence numbers.
+type seqRange struct{ lo, hi uint64 }
+
+// fill closes the hole at seq, reporting whether one was open there.
+func (h *holes) fill(seq uint64) bool {
+	i, open := slices.BinarySearchFunc(h.ranges, seq, func(r seqRange, seq uint64) int {
+		switch {
+		case r.hi < seq:
+			return -1
+		case r.lo > seq:
+			return 1
+		}
+		return 0
+	})
+	if !open {
+		return false
+	}
+	switch r := &h.ranges[i]; {
+	case r.lo == r.hi:
+		h.ranges = slices.Delete(h.ranges, i, i+1)
+	case seq == r.lo:
+		r.lo++
+	case seq == r.hi:
+		r.hi--
+	default:
+		upper := seqRange{lo: seq + 1, hi: r.hi}
+		r.hi = seq - 1
+		h.ranges = slices.Insert(h.ranges, i+1, upper)
+	}
+	h.count--
+	return true
 }
 
 // New creates the endpoint for a node.
@@ -146,12 +190,9 @@ func (e *Endpoint) AcceptSeqV(src int32, seq uint64) (Verdict, int) {
 			panic(fmt.Sprintf("bip: node %d got stale/duplicate seq %d from node %d (want >= %d)",
 				e.node, seq, src, want))
 		}
-		if holes := e.missing[src]; holes != nil {
-			if _, open := holes[seq]; open {
-				delete(holes, seq)
-				e.LateFilled.Inc()
-				return VerdictLate, 0
-			}
+		if int(src) < len(e.missing) && e.missing[src].fill(seq) {
+			e.LateFilled.Inc()
+			return VerdictLate, 0
 		}
 		e.Duplicates.Inc()
 		return VerdictDuplicate, 0
@@ -161,33 +202,25 @@ func (e *Endpoint) AcceptSeqV(src int32, seq uint64) (Verdict, int) {
 		missing = int(seq - want)
 		e.GapsDetected.Inc()
 		e.MissingSeqs.Add(int64(missing))
-		holes := e.missing[src]
-		if holes == nil {
-			if e.missing == nil {
-				e.missing = make(map[int32]map[uint64]struct{})
-			}
-			holes = make(map[uint64]struct{})
-			e.missing[src] = holes
-		}
-		for s := want; s < seq; s++ {
-			holes[s] = struct{}{}
-		}
+		e.missing = dense.Grow(e.missing, src, holes{})
+		h := &e.missing[src]
+		h.ranges = append(h.ranges, seqRange{lo: want, hi: seq - 1})
+		h.count += missing
 	}
 	e.expect[src] = seq
 	return VerdictFresh, missing
 }
 
 // MissingFrom returns the number of still-open sequence holes from src.
-func (e *Endpoint) MissingFrom(src int32) int { return len(e.missing[src]) }
+func (e *Endpoint) MissingFrom(src int32) int { return dense.At(e.missing, src).count }
 
 // OutstandingMissing returns the total number of still-open sequence
 // holes across all sources. In strict mode holes are never filled, so
 // this equals the cumulative MissingSeqs count.
 func (e *Endpoint) OutstandingMissing() int {
 	total := 0
-	//nicwarp:ordered commutative sum over hole sets
-	for _, holes := range e.missing {
-		total += len(holes)
+	for i := range e.missing {
+		total += e.missing[i].count
 	}
 	return total
 }

@@ -270,3 +270,91 @@ func TestStampBroadcastPanics(t *testing.T) {
 	}()
 	New(0).Stamp(pkt(0, -1, 0))
 }
+
+// mapHoles is the hole bookkeeping the endpoint had before the range list,
+// kept verbatim as FuzzAcceptSeqV's model: one map entry per missing
+// sequence number.
+type mapHoles struct {
+	expect  map[int32]uint64
+	missing map[int32]map[uint64]struct{}
+}
+
+func (m *mapHoles) accept(src int32, seq uint64) (Verdict, int) {
+	want := m.expect[src] + 1
+	if seq < want {
+		if holes := m.missing[src]; holes != nil {
+			if _, open := holes[seq]; open {
+				delete(holes, seq)
+				return VerdictLate, 0
+			}
+		}
+		return VerdictDuplicate, 0
+	}
+	missing := 0
+	if seq > want {
+		missing = int(seq - want)
+		holes := m.missing[src]
+		if holes == nil {
+			holes = make(map[uint64]struct{})
+			m.missing[src] = holes
+		}
+		for s := want; s < seq; s++ {
+			holes[s] = struct{}{}
+		}
+	}
+	m.expect[src] = seq
+	return VerdictFresh, missing
+}
+
+// FuzzAcceptSeqV drives a tolerant endpoint and the map model with the same
+// arbitrary (source, sequence) stream — three bytes per arrival: a source
+// among four and a sequence number below 1024, so streams regress, jump and
+// refill constantly. Every verdict and gap width must agree, MissingFrom
+// must agree for every source after every call, and the range list must
+// stay ascending, disjoint and consistent with its running count.
+func FuzzAcceptSeqV(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0})                   // in order
+	f.Add([]byte{0, 9, 0, 0, 5, 0, 0, 5, 0, 0, 1, 0, 0, 8, 0}) // one gap: split, refill, trim both ends
+	f.Add([]byte{1, 4, 0, 1, 9, 0, 1, 7, 0, 1, 2, 0, 1, 3, 0, 1, 1, 0, 1, 6, 0, 1, 5, 0, 1, 8, 0})
+	f.Add([]byte{0, 0xff, 3, 1, 0xff, 3, 0, 0, 2, 1, 0, 1, 0, 0, 0, 2, 1, 0, 3, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const sources = 4
+		e := New(sources)
+		e.SetTolerant(true)
+		model := &mapHoles{expect: map[int32]uint64{}, missing: map[int32]map[uint64]struct{}{}}
+		for step := 0; len(data) >= 3; step, data = step+1, data[3:] {
+			src := int32(data[0] % sources)
+			seq := (uint64(data[1]) | uint64(data[2])<<8) % 1024
+			gotV, gotMissing := e.AcceptSeqV(src, seq)
+			wantV, wantMissing := model.accept(src, seq)
+			if gotV != wantV || gotMissing != wantMissing {
+				t.Fatalf("step %d (src %d seq %d): got (%v, %d), model (%v, %d)",
+					step, src, seq, gotV, gotMissing, wantV, wantMissing)
+			}
+			total := 0
+			for s := int32(0); s < sources; s++ {
+				if got, want := e.MissingFrom(s), len(model.missing[s]); got != want {
+					t.Fatalf("step %d (src %d seq %d): MissingFrom(%d) = %d, model %d", step, src, seq, s, got, want)
+				}
+				total += len(model.missing[s])
+			}
+			if got := e.OutstandingMissing(); got != total {
+				t.Fatalf("step %d: OutstandingMissing = %d, model %d", step, got, total)
+			}
+			for s := range e.missing {
+				h, covered, prev := &e.missing[s], 0, uint64(0)
+				for i, r := range h.ranges {
+					if r.lo > r.hi || (i > 0 && r.lo <= prev) {
+						t.Fatalf("step %d: source %d ranges not ascending and disjoint: %v", step, s, h.ranges)
+					}
+					prev = r.hi
+					covered += int(r.hi - r.lo + 1)
+				}
+				if covered != h.count {
+					t.Fatalf("step %d: source %d ranges %v cover %d, count %d", step, s, h.ranges, covered, h.count)
+				}
+			}
+		}
+	})
+}

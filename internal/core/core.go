@@ -372,19 +372,16 @@ type Cluster struct {
 	samples []Sample
 }
 
-// allocPacket takes a packet from the node's free list, or allocates one.
-// The caller must overwrite every field. Control packets and broadcast
-// clones are allocated fresh and simply feed the pool once they pass
-// through hostReceive's event path — never, in practice, since only event
-// kinds are released.
+// packetSlab is how many packets one free-list miss allocates.
+const packetSlab = 32
+
+// allocPacket takes an event/anti packet from the node's free list,
+// refilling it a slab at a time. The caller must overwrite every field.
+// Control packets never pass through here: a GVT control packet belongs to
+// the manager it was delivered to, which sends it on or keeps it
+// (gvt.MatternManager), and credit messages are built by MPICH.
 func (n *node) allocPacket() *proto.Packet {
-	if k := len(n.pktFree); k > 0 {
-		p := n.pktFree[k-1]
-		n.pktFree[k-1] = nil
-		n.pktFree = n.pktFree[:k-1]
-		return p
-	}
-	return &proto.Packet{}
+	return dense.Take(&n.pktFree, packetSlab)
 }
 
 // releasePacket returns a packet to this node's free list. The caller
@@ -1048,14 +1045,14 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 	switch pkt.Kind {
 	case proto.KindEvent, proto.KindAnti:
 		res := n.deliverEventLike(pkt)
-		// The packet is fully decoded and no layer retained it; only
-		// event kinds are released — control packets can be captured by
-		// deferred GVT work.
+		// The packet is fully decoded and no layer retained it.
 		n.releasePacket(pkt)
 		n.finishStep(res, hostmodel.CatComm)
 	case proto.KindGVTControl:
 		c := n.cpu.Costs
 		// Token handling includes WARPED's per-object LVT recomputation.
+		// The packet is the manager's from here on: no layer below holds
+		// it, and the manager sends it on rewritten in place.
 		cost := c.GVTHostCompute + vtime.ModelTime(n.numObjects)*c.GVTScanPerObject
 		n.cpu.DoArg2(hostmodel.CatGVT, cost, nodeGVTControl, n, pkt)
 	case proto.KindGVTBroadcast:
@@ -1077,7 +1074,7 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 //nicwarp:hotpath one per inbound host GVT control packet
 func nodeGVTControl(x, p interface{}) {
 	n := x.(*node)
-	n.mgr.OnControl(view{n}, p.(*proto.Packet)) //nicwarp:alloc GVT manager dispatch (view is one pointer wide and boxes without a heap copy); host Mattern clones the token per hop, see EXPERIMENTS.md
+	n.mgr.OnControl(view{n}, p.(*proto.Packet)) //nicwarp:alloc GVT manager dispatch (view is one pointer wide and boxes without a heap copy)
 	n.pump()
 }
 

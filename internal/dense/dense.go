@@ -26,3 +26,25 @@ func At[T any](s []T, i int32) T {
 	var zero T
 	return zero
 }
+
+// Take pops a pointer off the LIFO free list *free. An empty list is first
+// refilled with slab freshly allocated objects — one allocation however
+// many — so a list that is warming up to its working set pays per slab, not
+// per object. The object's contents are unspecified: the caller overwrites
+// every field. Putting an object back is a plain append by its owner.
+func Take[T any](free *[]*T, slab int) *T {
+	if len(*free) == 0 {
+		if cap(*free) < slab {
+			*free = make([]*T, 0, slab) //nicwarp:alloc first miss: room for a slab at once instead of by doubling
+		}
+		fresh := make([]T, slab) //nicwarp:alloc pool miss, one per slab
+		for i := range fresh {
+			*free = append(*free, &fresh[i]) //nicwarp:alloc free-list growth, amortized across the run
+		}
+	}
+	last := len(*free) - 1
+	p := (*free)[last]
+	(*free)[last] = nil
+	*free = (*free)[:last]
+	return p
+}

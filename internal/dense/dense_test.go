@@ -144,3 +144,34 @@ func TestEpochWindowSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("sliding a full window allocates %.1f times per step, want 0", allocs)
 	}
 }
+
+// TestTakeRefillsBySlab: an empty free list is refilled slab objects at a
+// time with one allocation, every object handed out is distinct, and an
+// object put back is the next one taken.
+func TestTakeRefillsBySlab(t *testing.T) {
+	const slab = 8
+	var free []*[4]uint64
+	seen := map[*[4]uint64]bool{}
+	for i := 0; i < 3*slab; i++ {
+		p := Take(&free, slab)
+		if seen[p] {
+			t.Fatalf("take %d handed out %p twice", i, p)
+		}
+		seen[p] = true
+		if want := (slab - 1 - i%slab); len(free) != want {
+			t.Fatalf("take %d left %d free, want %d", i, len(free), want)
+		}
+	}
+	back := Take(&free, slab)
+	free = append(free, back)
+	if allocs := testing.AllocsPerRun(100, func() { free = append(free, Take(&free, slab)) }); allocs != 0 {
+		t.Fatalf("%v allocations per take from a stocked list, want 0", allocs)
+	}
+	if got := Take(&free, slab); got != back {
+		t.Fatalf("took %p, want the object just put back (%p)", got, back)
+	}
+	var misses []*int
+	if allocs := testing.AllocsPerRun(10, func() { misses = misses[:0]; Take(&misses, 1) }); allocs != 1 {
+		t.Fatalf("%v allocations per miss at slab 1, want 1", allocs)
+	}
+}

@@ -64,3 +64,15 @@ func (f *FIFO[T]) Pop() T {
 // Live returns the queued entries, oldest first, as a view into the queue:
 // valid until the next push or pop.
 func (f *FIFO[T]) Live() []T { return f.q[f.head:] }
+
+// DropTail removes the newest n entries — the un-push a queue needs when
+// its owner rolls the producing work back.
+func (f *FIFO[T]) DropTail(n int) {
+	keep := len(f.q) - n
+	clear(f.q[keep:])
+	f.q = f.q[:keep]
+	if f.head == keep {
+		f.q = f.q[:0]
+		f.head = 0
+	}
+}

@@ -6,7 +6,8 @@ import (
 )
 
 // TestFIFOMatchesSlice drives a FIFO and a plain slice queue through random
-// pushes and pops (by value and in place) and compares them throughout.
+// pushes, pops (by value and in place) and tail drops and compares them
+// throughout.
 func TestFIFOMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var f FIFO[int]
@@ -20,6 +21,10 @@ func TestFIFOMatchesSlice(t *testing.T) {
 			pushBias = 3
 		}
 		switch r := rng.Intn(10); {
+		case r == 9 && len(ref) > 0:
+			n := rng.Intn(len(ref) + 1)
+			f.DropTail(n)
+			ref = ref[:len(ref)-n]
 		case r < pushBias:
 			if r%2 == 0 {
 				f.Push(next)
@@ -64,6 +69,9 @@ func TestFIFOPinsNothing(t *testing.T) {
 		}
 		for i := 0; i < 1+round%5 && f.Len() > 0; i++ {
 			f.Pop()
+		}
+		if round%3 == 0 {
+			f.DropTail(f.Len() / 2)
 		}
 		backing := f.q[:cap(f.q)]
 		for i, p := range backing {

@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,9 +15,10 @@ import (
 // engine to run its own events strictly inside the window on its own
 // goroutine. Cross-shard events produced during the window are staged in
 // the source engine's per-destination outbox; at the barrier the
-// coordinator merges each destination's inbound events in a deterministic
-// order — sorted by (time, order key), where the order key encodes
-// (source lane, source sequence) — before the next round opens.
+// coordinator moves each destination's inbound events into its heap before
+// the next round opens. Their (time, order key) — the order key encodes
+// (source lane, source sequence) — decides when they fire, exactly as for
+// locally scheduled events.
 //
 // Safety requires that every cross-shard event lands at least `lookahead`
 // past the sender's clock; AtCross enforces this at staging time, so a
@@ -28,7 +28,6 @@ type Group struct {
 	engines   []*Engine
 	lookahead vtime.ModelTime
 	workers   []shardWorker
-	mergeBuf  []stagedEv
 }
 
 // shardWorker is the coordinator↔worker mailbox for one non-coordinator
@@ -195,9 +194,9 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 // runInline is the window protocol without workers or barriers: each
 // round's active windows run back to back in shard order on the calling
 // goroutine. Within a round every engine touches only its own heap, arena,
-// and staging buffers, and the barrier merge already imposes an execution-
-// order-independent sort, so the committed schedule is byte-identical to
-// the parallel path's.
+// and staging buffers, and what the barrier merge leaves in each heap does
+// not depend on the order windows ran in, so the committed schedule is
+// byte-identical to the parallel path's.
 func (g *Group) runInline(limit vtime.ModelTime) vtime.ModelTime {
 	for {
 		m := vtime.ModelInfinity
@@ -246,48 +245,29 @@ func (g *Group) workerLoop(e *Engine, w *shardWorker, wg *sync.WaitGroup) {
 }
 
 // merge moves every staged cross-shard event into its destination heap.
-// For each destination, inbound events from all sources are collected and
-// sorted by (time, order key) before insertion: the order key embeds
-// (source lane, source sequence), so the resulting heap order is the
-// ISSUE's stable (vtime, src, seq) merge rule and is independent of shard
-// count and of goroutine completion order. Runs only on the coordinator
-// between windows.
+// The order they are inserted in — which depends on the shard count — is
+// immaterial: (time, order key) is a strict total order over every event of
+// the run (the key embeds the source lane and its sequence number), so the
+// heap pops the same sequence whatever order it was filled in. Runs only on
+// the coordinator between windows.
 func (g *Group) merge() {
 	for d, dst := range g.engines {
-		buf := g.mergeBuf[:0]
 		for _, src := range g.engines {
 			s := src.staged[d]
-			if len(s) == 0 {
-				continue
-			}
-			buf = append(buf, s...)
 			for i := range s {
+				se := &s[i]
+				if se.at < dst.now {
+					panic(fmt.Sprintf("des: merged cross-shard event at %v is before destination clock %v", se.at, dst.now))
+				}
+				dst.ensureLane(se.lane)
+				ei := dst.insert(se.at, se.ord, se.lane)
+				ev := &dst.arena[ei]
+				ev.fn2 = se.fn2
+				ev.arg = se.a
+				ev.argB = se.b
 				s[i] = stagedEv{}
 			}
 			src.staged[d] = s[:0]
 		}
-		if len(buf) == 0 {
-			continue
-		}
-		sort.Slice(buf, func(i, j int) bool {
-			if buf[i].at != buf[j].at {
-				return buf[i].at < buf[j].at
-			}
-			return buf[i].ord < buf[j].ord
-		})
-		for i := range buf {
-			se := &buf[i]
-			if se.at < dst.now {
-				panic(fmt.Sprintf("des: merged cross-shard event at %v is before destination clock %v", se.at, dst.now))
-			}
-			dst.ensureLane(se.lane)
-			ei := dst.insert(se.at, se.ord, se.lane)
-			ev := &dst.arena[ei]
-			ev.fn2 = se.fn2
-			ev.arg = se.a
-			ev.argB = se.b
-			buf[i] = stagedEv{}
-		}
-		g.mergeBuf = buf[:0]
 	}
 }

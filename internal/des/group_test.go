@@ -2,7 +2,9 @@ package des
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"nicwarp/internal/vtime"
@@ -178,5 +180,62 @@ func TestAtCrossLocal(t *testing.T) {
 	e.Run(vtime.ModelInfinity)
 	if gotLane != 5 {
 		t.Fatalf("executed on lane %d, want 5", gotLane)
+	}
+}
+
+// TestMergeOrderIsImmaterial: merge inserts staged events in whatever order
+// the source outboxes hold them, which depends on the shard count. (time,
+// order key) is a strict total order, so the destination must fire the same
+// sequence however the staged set is shuffled and however it is split across
+// sources — ties in time included.
+func TestMergeOrderIsImmaterial(t *testing.T) {
+	const events, sources = 200, 3
+	rng := rand.New(rand.NewSource(7))
+	var fired []int
+	record := func(a, b interface{}) { fired = append(fired, b.(int)) }
+	// Unique order keys over few distinct times, so most events tie on time.
+	// Each event's payload is its index in the sorted order.
+	staged := make([]stagedEv, events)
+	for i := range staged {
+		lane := uint32(rng.Intn(5))
+		staged[i] = stagedEv{
+			at:   vtime.ModelTime(10 * (1 + rng.Intn(8))),
+			ord:  uint64(lane)<<laneSeqBits | uint64(i+1),
+			lane: lane,
+			fn2:  record,
+		}
+	}
+	sort.Slice(staged, func(i, j int) bool {
+		if staged[i].at != staged[j].at {
+			return staged[i].at < staged[j].at
+		}
+		return staged[i].ord < staged[j].ord
+	})
+	want := make([]int, events)
+	for i := range staged {
+		staged[i].b = i
+		want[i] = i
+	}
+
+	for trial := 0; trial < 20; trial++ {
+		rng.Shuffle(events, func(i, j int) { staged[i], staged[j] = staged[j], staged[i] })
+		engines := make([]*Engine, 1+sources)
+		for i := range engines {
+			engines[i] = NewEngine()
+		}
+		g := NewGroup(engines, 1)
+		for _, se := range staged {
+			src := engines[1+rng.Intn(sources)]
+			src.staged[0] = append(src.staged[0], se)
+		}
+		g.merge()
+		if g.Pending() != events {
+			t.Fatalf("trial %d: %d events pending after merge, want %d", trial, g.Pending(), events)
+		}
+		fired = fired[:0]
+		engines[0].Run(vtime.ModelInfinity)
+		if !reflect.DeepEqual(fired, want) {
+			t.Fatalf("trial %d: fired %v, want ascending (time, order key)", trial, fired)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func (l *WaveLedger) Join(c uint32) {
 		panic(fmt.Sprintf("gvt: wave %d joined after wave %d (FIFO ring violated)", c, l.epoch))
 	}
 	l.epoch = c
-	l.waves = append(l.waves, wave{c: c, joinSent: l.sentTotal, minRed: vtime.Infinity})
+	l.waves = append(l.waves, wave{c: c, joinSent: l.sentTotal, minRed: vtime.Infinity}) //nicwarp:alloc wave-table growth to a new high-water count of live waves (at most MaxWaves), amortized
 }
 
 // Joined reports whether wave c has been joined.

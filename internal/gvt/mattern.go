@@ -3,6 +3,7 @@ package gvt
 import (
 	"fmt"
 
+	"nicwarp/internal/dense"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
@@ -37,6 +38,13 @@ type MatternManager struct {
 	inFlight int
 	compSeq  uint32
 	lastGVT  vtime.VTime
+	// spare holds the control packets that ended their journey at the root
+	// — a token whose cut closed, an announcement back from its lap — for
+	// finish and initiate to send out again. Every other hop rewrites the
+	// packet it was handed and sends that (OnControl owns its packet), so
+	// a wave travels in one packet, token and then announcement, and a
+	// ring in steady state circulates one packet per outstanding wave.
+	spare []*proto.Packet //nicwarp:owns control packets retired at the root; each leaves again through newControl
 
 	Stats Stats
 }
@@ -107,19 +115,37 @@ func (m *MatternManager) initiate(h Host) {
 		}
 		return
 	}
-	tok := &proto.Packet{
+	tok := m.newControl(h, c)
+	tok.TokenCount = delta
+	tok.TokenMin = floor
+	m.Stats.TokenVisits.Inc()
+	m.sendOn(h, tok)
+}
+
+// newControl returns a round-0 control packet of computation c originating
+// here, every other field zero: a retired packet when the root holds one, a
+// fresh one otherwise.
+func (m *MatternManager) newControl(h Host, c uint32) *proto.Packet {
+	pkt := dense.Take(&m.spare, 1)
+	*pkt = proto.Packet{
 		Kind:        proto.KindGVTControl,
-		SrcNode:     int32(h.LP()),
-		DstNode:     int32(next(h.LP(), h.NumLPs())),
-		TokenRound:  0,
-		TokenCount:  delta,
-		TokenMin:    floor,
 		TokenOrigin: int32(h.LP()),
 		TokenEpoch:  uint64(c),
 	}
-	m.Stats.TokenVisits.Inc()
+	return pkt
+}
+
+// sendOn addresses a control packet from this LP to its ring successor and
+// sends it. BIP and MPICH restamp Seq, Credits and CreditRepair on the way
+// down; every other field travels as the caller left it.
+//
+//nicwarp:hotpath one per control-packet hop
+func (m *MatternManager) sendOn(h Host, pkt *proto.Packet) {
+	lp := h.LP() //nicwarp:alloc gvt.Host dispatch: an accessor in core
+	pkt.SrcNode = int32(lp)
+	pkt.DstNode = int32(next(lp, h.NumLPs())) //nicwarp:alloc gvt.Host dispatch: an accessor in core
 	m.Stats.ControlMsgs.Inc()
-	h.SendControl(tok)
+	h.SendControl(pkt) //nicwarp:alloc gvt.Host dispatch: core queues a closure-free CPU job
 }
 
 // OnSent implements Manager: stamp the outgoing packet's colour.
@@ -133,6 +159,8 @@ func (m *MatternManager) OnReceived(h Host, pkt *proto.Packet) {
 }
 
 // OnControl implements Manager: handle a token or value-announcement visit.
+// The packet is the manager's from here on: it is sent on rewritten in
+// place, or retired at the root.
 func (m *MatternManager) OnControl(h Host, pkt *proto.Packet) {
 	switch {
 	case pkt.Kind == proto.KindGVTControl && pkt.TokenRound >= 0:
@@ -146,6 +174,8 @@ func (m *MatternManager) OnControl(h Host, pkt *proto.Packet) {
 
 // onToken folds this LP's contribution into the token and forwards it, or —
 // at the root — decides whether the wave has closed its cut.
+//
+//nicwarp:hotpath one per token hop — several per committed event at period 1
 func (m *MatternManager) onToken(h Host, pkt *proto.Packet) {
 	m.Stats.TokenVisits.Inc()
 	m.drainNICDrops(h)
@@ -153,33 +183,24 @@ func (m *MatternManager) onToken(h Host, pkt *proto.Packet) {
 	c := uint32(pkt.TokenEpoch)
 	first := !m.ledger.Joined(c)
 	m.ledger.Join(c)
-	delta, floor := m.ledger.Visit(c, first, h.LVT())
-	count := pkt.TokenCount + delta
-	min := vtime.MinV(pkt.TokenMin, floor)
+	delta, floor := m.ledger.Visit(c, first, h.LVT()) //nicwarp:alloc gvt.Host dispatch: the kernel's LVT read allocates nothing
+	pkt.TokenCount += delta
+	pkt.TokenMin = vtime.MinV(pkt.TokenMin, floor)
 
-	if int32(h.LP()) == pkt.TokenOrigin {
+	if int32(h.LP()) == pkt.TokenOrigin { //nicwarp:alloc gvt.Host dispatch: an accessor in core
 		m.Stats.Rounds.Inc()
-		if count == 0 {
-			m.finish(h, min, c)
+		if pkt.TokenCount == 0 {
+			// The cut closed and the token retires here — ahead of finish,
+			// so the announcement leaves in it.
+			g := pkt.TokenMin
+			m.spare = append(m.spare, pkt) //nicwarp:alloc free-list growth, bounded by one packet per outstanding wave
+			m.finish(h, g, c)              //nicwarp:alloc once per computation, not per hop: CommitGVT runs fossil collection, which has hot roots of its own
 			return
 		}
 		// Whites still in transit: another round.
-		m.forward(h, pkt, pkt.TokenRound+1, count, min)
-		return
+		pkt.TokenRound++
 	}
-	m.forward(h, pkt, pkt.TokenRound, count, min)
-}
-
-// forward sends the token to the next LP on the ring.
-func (m *MatternManager) forward(h Host, pkt *proto.Packet, round int32, count int64, min vtime.VTime) {
-	fwd := pkt.Clone()
-	fwd.SrcNode = int32(h.LP())
-	fwd.DstNode = int32(next(h.LP(), h.NumLPs()))
-	fwd.TokenRound = round
-	fwd.TokenCount = count
-	fwd.TokenMin = min
-	m.Stats.ControlMsgs.Inc()
-	h.SendControl(fwd)
+	m.sendOn(h, pkt)
 }
 
 // finish completes wave c at the root: commit, retire, announce.
@@ -191,32 +212,24 @@ func (m *MatternManager) finish(h Host, g vtime.VTime, c uint32) {
 	if h.NumLPs() == 1 {
 		return
 	}
-	ann := &proto.Packet{
-		Kind:        proto.KindGVTControl,
-		SrcNode:     int32(h.LP()),
-		DstNode:     int32(next(h.LP(), h.NumLPs())),
-		TokenRound:  -1,
-		TokenGVT:    g,
-		TokenOrigin: int32(h.LP()),
-		TokenEpoch:  uint64(c),
-	}
-	m.Stats.ControlMsgs.Inc()
-	h.SendControl(ann)
+	ann := m.newControl(h, c)
+	ann.TokenRound = -1
+	ann.TokenGVT = g
+	m.sendOn(h, ann)
 }
 
 // onAnnounce commits the announced value, retires the wave, and forwards
-// the announcement until it returns to the root.
+// the announcement until it returns to the root, where it retires.
+//
+//nicwarp:hotpath one per announcement hop
 func (m *MatternManager) onAnnounce(h Host, pkt *proto.Packet) {
-	if int32(h.LP()) == pkt.TokenOrigin {
-		return // announcement completed the ring
+	if int32(h.LP()) == pkt.TokenOrigin { //nicwarp:alloc gvt.Host dispatch: an accessor in core
+		m.spare = append(m.spare, pkt) //nicwarp:alloc free-list growth, bounded by one packet per outstanding wave
+		return
 	}
-	m.commit(h, pkt.TokenGVT)
+	m.commit(h, pkt.TokenGVT) //nicwarp:alloc CommitGVT runs fossil collection, which has hot roots of its own
 	m.ledger.Retire(uint32(pkt.TokenEpoch))
-	fwd := pkt.Clone()
-	fwd.SrcNode = int32(h.LP())
-	fwd.DstNode = int32(next(h.LP(), h.NumLPs()))
-	m.Stats.ControlMsgs.Inc()
-	h.SendControl(fwd)
+	m.sendOn(h, pkt)
 }
 
 // commit installs a new GVT value locally. Concurrent waves can complete
@@ -245,7 +258,7 @@ func (m *MatternManager) OnNotify(h Host, tag nic.NotifyTag) {}
 // Present for the early-cancellation firmware, which must tell the GVT
 // subsystem about packets it discarded in place.
 func (m *MatternManager) drainNICDrops(h Host) {
-	if w := h.Shared(); w != nil {
+	if w := h.Shared(); w != nil { //nicwarp:alloc gvt.Host dispatch: an accessor in core
 		m.ledger.DrainDropped(&w.DroppedWhite)
 	}
 }

@@ -242,3 +242,63 @@ func TestNewMatternValidation(t *testing.T) {
 	}()
 	NewMattern(0)
 }
+
+// TestMatternTokenTravelsInOnePacket pins the ownership rule for control
+// packets: OnControl owns the packet it is handed, so every hop sends on
+// the very packet that arrived and a circulating token allocates nothing;
+// the root keeps the token and the announcement that end there and sends
+// the next computation out in them.
+func TestMatternTokenTravelsInOnePacket(t *testing.T) {
+	r := newRing(t, 4, 10)
+	r.hosts[3].lvt = 21
+	// A white message that stays in transit keeps the cut open, so the
+	// token keeps circulating for as long as the test wants.
+	white := r.send(1, 5)
+	r.managers[0].OnIdle(r.hosts[0])
+	tok := r.queue[0]
+	// hop delivers the one queued control packet and leaves the queue's
+	// backing array in place, so the harness itself allocates nothing.
+	hop := func() {
+		pkt := r.queue[0]
+		r.queue = r.queue[:0]
+		dst := int(pkt.DstNode)
+		r.managers[dst].OnControl(r.hosts[dst], pkt)
+		if len(r.queue) != 1 || r.queue[0] != pkt {
+			t.Fatalf("LP %d did not send on the packet it was handed", dst)
+		}
+	}
+	// Once round the ring joins the wave at every LP (the wave table's one
+	// allocation); the second lap must then be allocation-free per hop.
+	for i := 0; i < 4; i++ {
+		hop()
+	}
+	if allocs := testing.AllocsPerRun(3, hop); allocs != 0 {
+		t.Fatalf("%v allocations per token hop, want 0", allocs)
+	}
+	if r.queue[0] != tok || tok.TokenRound != 2 || tok.DstNode != 1 {
+		t.Fatalf("after two laps the token is %v (initiated as %p, now %p)", tok, tok, r.queue[0])
+	}
+
+	// Close the cut: the token retires at the root and the announcement
+	// leaves in it, then retires there too after its own lap.
+	r.deliver(2, white)
+	r.drain()
+	root := r.managers[0]
+	if root.Stats.Computations.Value() != 1 || r.hosts[2].committed[0] != 21 {
+		t.Fatalf("computation did not close at 21: %v", r.hosts[2].committed)
+	}
+	if len(root.spare) != 1 || root.spare[0] != tok {
+		t.Fatalf("root holds %d spare packets after one computation, want the one token/announcement packet", len(root.spare))
+	}
+	// The next computation goes out in it.
+	root.OnIdle(r.hosts[0])
+	if r.queue[0] != tok || tok.TokenRound != 0 || tok.TokenEpoch != 2 || tok.WireDup || tok.Seq != 0 {
+		t.Fatalf("second computation's token is %v at %p, want a rewritten %p", r.queue[0], r.queue[0], tok)
+	}
+	r.drain()
+	for i, m := range r.managers[1:] {
+		if len(m.spare) != 0 {
+			t.Fatalf("LP %d kept %d control packets; only the root retires any", i+1, len(m.spare))
+		}
+	}
+}

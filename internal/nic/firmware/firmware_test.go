@@ -207,6 +207,58 @@ func TestGVTFirmwareTokenRing(t *testing.T) {
 	}
 }
 
+// TestGVTFirmwareTokenTravelsInOnePacket: a packet the firmware consumes is
+// the firmware's, and it refills it for its next injection, so one ring
+// token makes the whole circulation in the packet the root first sent; the
+// free list behind that is bounded, so a NIC that consumes more than it
+// injects (every broadcast receiver) keeps no more than spareCap packets.
+func TestGVTFirmwareTokenTravelsInOnePacket(t *testing.T) {
+	fws := []*GVTFirmware{NewGVT(), NewGVT(), NewGVT()}
+	r := newRig(t, 3, func(i int) nic.Firmware { return fws[i] })
+	answer := func(i int, lvt vtime.VTime) {
+		w := r.nics[i].Shared()
+		w.ReceivedHostVariables = true
+		w.HostT = lvt
+		w.HostTMin = vtime.Infinity
+		w.HostV = 0
+		r.nics[i].Doorbell()
+		r.run()
+	}
+	w := r.nics[0].Shared()
+	w.GVTTokenPending = true
+	w.TokenIsInitiation = true
+	w.TokenMin = vtime.Infinity
+	w.TokenEpoch = 1
+	answer(0, 50)
+	if len(fws[1].spare) != 1 {
+		t.Fatalf("NIC 1 holds %d consumed packets with the token staged, want 1", len(fws[1].spare))
+	}
+	tok := fws[1].spare[0]
+	answer(1, 70)
+	if len(fws[1].spare) != 0 || len(fws[2].spare) != 1 || fws[2].spare[0] != tok {
+		t.Fatalf("NIC 1 did not forward the token in the packet it consumed (NIC 1 holds %d, NIC 2 holds %d)",
+			len(fws[1].spare), len(fws[2].spare))
+	}
+	answer(2, 90)
+	if len(fws[0].spare) != 1 || fws[0].spare[0] != tok {
+		t.Fatal("the token did not return to the root in the packet it left in")
+	}
+	answer(0, 55)
+	// The root's broadcast left in it too; each receiver keeps its replica.
+	for i, want := range []int{0, 1, 1} {
+		if got := r.nics[i].Shared().LatestGVT; got != 50 || len(fws[i].spare) != want {
+			t.Fatalf("NIC %d: LatestGVT %v (want 50), %d spare packets (want %d)", i, got, len(fws[i].spare), want)
+		}
+	}
+	for i := 0; i < 3*spareCap; i++ {
+		r.nics[0].HostEnqueue(&proto.Packet{Kind: proto.KindGVTBroadcast, SrcNode: 0, DstNode: 1, TokenGVT: 60})
+	}
+	r.run()
+	if len(fws[1].spare) != spareCap {
+		t.Fatalf("NIC 1 holds %d spare packets after %d broadcasts, want the cap of %d", len(fws[1].spare), 3*spareCap, spareCap)
+	}
+}
+
 // gvtPrograms are the two GVT firmwares; both embed the one sendLedger and
 // share extractPiggy, so the ledger tests run over each.
 var gvtPrograms = []struct {

@@ -3,6 +3,7 @@ package firmware
 import (
 	"fmt"
 
+	"nicwarp/internal/dense"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/stats"
@@ -79,6 +80,12 @@ type GVTFirmware struct {
 	accCount     int64
 	accMin       vtime.VTime
 
+	// spare holds control packets this NIC consumed (nic.VerdictConsume
+	// makes them the firmware's) for newControl to send out again — the
+	// firmware's share of the 1 MB SRAM, so bounded: a node that consumes
+	// more than it injects (every broadcast receiver) lets the surplus go.
+	spare []*proto.Packet //nicwarp:owns consumed control packets; each leaves again through newControl
+
 	// Statistics. TokensOnNIC counts the control packets this NIC originated
 	// or passed on (initiations, ring hops, tree starts and reduces);
 	// RoundsAtRoot the circulations or reductions completed at the root.
@@ -147,6 +154,7 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 		}
 		stageToken(w, pkt.TokenRound, pkt.TokenCount, pkt.TokenMin, pkt.TokenOrigin, pkt.TokenEpoch)
 		api.NotifyHost(nic.NotifyGVTControl)
+		f.retire(pkt)
 		return nic.VerdictConsume
 	case proto.KindGVTReduce:
 		// One child subtree's partial sum.
@@ -158,14 +166,17 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 		f.accCount += pkt.TokenCount
 		f.accMin = vtime.MinV(f.accMin, pkt.TokenMin)
 		f.childrenSeen++
+		f.retire(pkt)
 		f.maybeComplete(api)
 		return nic.VerdictConsume
 	case proto.KindGVTBroadcast:
 		// The committed value: relay it to the subtree (the ring has
 		// none), then report to the local host.
 		api.Charge(CyclesNotify)
-		f.relayValue(api, pkt.TokenGVT, pkt.TokenEpoch)
-		deliverValue(api, pkt.TokenGVT)
+		g, epoch := pkt.TokenGVT, pkt.TokenEpoch
+		f.retire(pkt)
+		f.relayValue(api, g, epoch)
+		deliverValue(api, g)
 		return nic.VerdictConsume
 	default:
 		return nic.VerdictForward
@@ -243,14 +254,14 @@ func (f *GVTFirmware) advance(api nic.API) {
 			}
 			return
 		}
-		injectToken(api, proto.KindGVTToken, next, round, count, min, origin, epoch)
+		f.injectToken(api, proto.KindGVTToken, next, round, count, min, origin, epoch)
 	case atRoot:
 		// Token returned to the root: end of a circulation.
 		f.decide(api, round, count, min, origin, epoch)
 	default:
 		// Intermediate hop: forward.
 		f.TokensOnNIC.Inc()
-		injectToken(api, proto.KindGVTToken, next, round, count, min, origin, epoch)
+		f.injectToken(api, proto.KindGVTToken, next, round, count, min, origin, epoch)
 	}
 }
 
@@ -267,7 +278,7 @@ func (f *GVTFirmware) decide(api nic.API, round int32, count int64, min vtime.VT
 		// completion opens the next reduction.
 		requeue(api, round+1, count, min, origin, epoch)
 	default:
-		injectToken(api, proto.KindGVTToken, (api.Node()+1)%api.NumNodes(), round+1, count, min, origin, epoch)
+		f.injectToken(api, proto.KindGVTToken, (api.Node()+1)%api.NumNodes(), round+1, count, min, origin, epoch)
 	}
 }
 
@@ -288,7 +299,7 @@ func (f *GVTFirmware) beginRound(api nic.API, round, origin int32, epoch uint64)
 
 	for c, end := f.children(api); c < end; c++ {
 		f.TokensOnNIC.Inc()
-		injectToken(api, proto.KindGVTToken, c, round, 0, vtime.Infinity, origin, epoch)
+		f.injectToken(api, proto.KindGVTToken, c, round, 0, vtime.Infinity, origin, epoch)
 	}
 }
 
@@ -307,23 +318,45 @@ func (f *GVTFirmware) maybeComplete(api nic.API) {
 		return
 	}
 	f.TokensOnNIC.Inc()
-	injectToken(api, proto.KindGVTReduce, (api.Node()-1)/f.arity, f.round, f.accCount, f.accMin, f.origin, f.compEpoch)
+	f.injectToken(api, proto.KindGVTReduce, (api.Node()-1)/f.arity, f.round, f.accCount, f.accMin, f.origin, f.compEpoch)
+}
+
+// spareCap bounds the consumed-packet free list.
+const spareCap = 16
+
+// retire takes a packet OnWireReceive is about to answer with
+// VerdictConsume. Call it after the last read of pkt.
+//
+//nicwarp:owns pkt joins the free list and may be rewritten by the next newControl
+func (f *GVTFirmware) retire(pkt *proto.Packet) {
+	if len(f.spare) < spareCap {
+		f.spare = append(f.spare, pkt) //nicwarp:alloc free-list growth, at most spareCap entries
+	}
+}
+
+// newControl returns a zeroed control packet of the given kind from this
+// NIC to dst: a retired one when there is one, a fresh one otherwise.
+func (f *GVTFirmware) newControl(api nic.API, kind proto.Kind, dst int) *proto.Packet {
+	// A miss means this NIC injects more control packets than it consumes:
+	// the ring root's broadcast, a tree parent's fan-out.
+	pkt := dense.Take(&f.spare, 1)
+	*pkt = proto.Packet{Kind: kind, SrcNode: int32(api.Node()), DstNode: int32(dst)}
+	return pkt
 }
 
 // injectToken queues one token-bodied control packet for dst: a ring token,
 // a tree start, or a subtree's partial reduction.
-func injectToken(api nic.API, kind proto.Kind, dst int, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
+//
+//nicwarp:hotpath one per token hop, tree start and reduce
+func (f *GVTFirmware) injectToken(api nic.API, kind proto.Kind, dst int, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
 	api.Charge(CyclesTokenBuild)
-	api.Inject(&proto.Packet{
-		Kind:        kind,
-		SrcNode:     int32(api.Node()),
-		DstNode:     int32(dst),
-		TokenRound:  round,
-		TokenCount:  count,
-		TokenMin:    min,
-		TokenOrigin: origin,
-		TokenEpoch:  epoch,
-	})
+	pkt := f.newControl(api, kind, dst)
+	pkt.TokenRound = round
+	pkt.TokenCount = count
+	pkt.TokenMin = min
+	pkt.TokenOrigin = origin
+	pkt.TokenEpoch = epoch
+	api.Inject(pkt) //nicwarp:alloc nic.API dispatch: the transmit ring's growth is amortized
 }
 
 // announce distributes the newly computed GVT from the root — one fabric
@@ -336,7 +369,7 @@ func (f *GVTFirmware) announce(api nic.API, g vtime.VTime, epoch uint64) {
 	} else {
 		api.Charge(CyclesTokenBuild)
 		if api.NumNodes() > 1 {
-			injectValue(api, -1, g, epoch)
+			f.injectValue(api, -1, g, epoch)
 		}
 	}
 	deliverValue(api, g)
@@ -346,20 +379,19 @@ func (f *GVTFirmware) announce(api nic.API, g vtime.VTime, epoch uint64) {
 func (f *GVTFirmware) relayValue(api nic.API, g vtime.VTime, epoch uint64) {
 	for c, end := f.children(api); c < end; c++ {
 		api.Charge(CyclesTokenBuild)
-		injectValue(api, c, g, epoch)
+		f.injectValue(api, c, g, epoch)
 	}
 }
 
 // injectValue queues one value announcement for dst (-1: every other NIC).
-func injectValue(api nic.API, dst int, g vtime.VTime, epoch uint64) {
-	api.Inject(&proto.Packet{
-		Kind:        proto.KindGVTBroadcast,
-		SrcNode:     int32(api.Node()),
-		DstNode:     int32(dst),
-		TokenGVT:    g,
-		TokenOrigin: int32(api.Node()),
-		TokenEpoch:  epoch,
-	})
+//
+//nicwarp:hotpath one per committed value and tree child
+func (f *GVTFirmware) injectValue(api nic.API, dst int, g vtime.VTime, epoch uint64) {
+	pkt := f.newControl(api, proto.KindGVTBroadcast, dst)
+	pkt.TokenGVT = g
+	pkt.TokenOrigin = int32(api.Node())
+	pkt.TokenEpoch = epoch
+	api.Inject(pkt) //nicwarp:alloc nic.API dispatch: the transmit ring's growth is amortized
 }
 
 // deliverValue hands a committed GVT value to the local host.

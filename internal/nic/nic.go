@@ -110,7 +110,9 @@ const (
 	// wire for outgoing packets, to the host for incoming ones.
 	VerdictForward Verdict = iota
 	// VerdictConsume ends the packet's journey at the NIC: the firmware has
-	// handled it (a GVT token absorbed and regenerated, for example).
+	// handled it (a GVT token absorbed and regenerated, for example) and the
+	// packet is the firmware's from the moment the hook returns — it may
+	// rewrite it and inject it again.
 	VerdictConsume
 	// VerdictDrop discards the packet (early cancellation).
 	VerdictDrop
@@ -179,6 +181,7 @@ type Firmware interface {
 // interface be hot roots themselves.
 type API interface {
 	// Node returns this NIC's node id.
+	//nicwarp:hotpath read by every hook that addresses a packet
 	Node() int
 	// NumNodes returns the cluster size (for ring next-hop and broadcast).
 	NumNodes() int
@@ -285,8 +288,13 @@ type NIC struct {
 	// trampolines below) replace per-packet completion closures.
 	txEntry   outEntry
 	txVerdict Verdict
-	rxPkt     *proto.Packet //nicwarp:owns in-flight receive; nilled by nicRxProcessed
+	txWire    vtime.ModelTime // serialization time of the announced packet
+	rxPkt     *proto.Packet   //nicwarp:owns in-flight receive bound for the host; nil once the firmware consumed or dropped it
 	rxVerdict Verdict
+	// rxSlotSrc is the sender owed a receive-buffer credit for the in-flight
+	// packet (a gated kind, not a wire duplicate), or -1. Latched before the
+	// firmware hook runs: a consumed packet is the firmware's to rewrite.
+	rxSlotSrc int32
 
 	// Sender-side stop/go flow control: the window of packets this NIC may
 	// have outstanding toward each destination. A credit is taken when a
@@ -708,10 +716,13 @@ func (n *NIC) txPump() {
 			// it comes back once the destination host consumes it.
 			n.txCredit[entry.pkt.DstNode]--
 		}
-		serialize := vtime.TransferTime(entry.pkt.EncodedSize(), n.linkBandwidth())
-		depart := vtime.MaxM(finishProc, n.txFree) + serialize
+		n.txWire = vtime.TransferTime(entry.pkt.EncodedSize(), n.linkBandwidth())
+		depart := vtime.MaxM(finishProc, n.txFree) + n.txWire
 		n.txFree = depart
 		n.fabric.Announce(n.node, entry.pkt, depart)
+		// The packet is the fabric's now, and then its receiver's, which may
+		// be rewriting it on another shard before the stages below finish.
+		n.txEntry.pkt = nil
 	}
 }
 
@@ -742,9 +753,7 @@ func nicTxProcessed(x interface{}) {
 // transmit occupies the wire serializer for the in-flight packet (its
 // delivery was already announced at pump time), then continues the pump.
 func (n *NIC) transmit() {
-	size := n.txEntry.pkt.EncodedSize()
-	serialize := vtime.TransferTime(size, n.linkBandwidth())
-	n.tx.SubmitArg(serialize, nicTxSerialized, n)
+	n.tx.SubmitArg(n.txWire, nicTxSerialized, n)
 }
 
 // nicTxSerialized is the wire-stage completion for the transmit pump: the
@@ -791,12 +800,18 @@ func (n *NIC) rxPump() {
 
 	// rxPumping covers the processor stage, so the in-flight packet rides on
 	// the NIC struct instead of a closure.
-	n.rxPkt = pkt
+	n.rxSlotSrc = -1
+	if gated(pkt.Kind) && !pkt.WireDup {
+		n.rxSlotSrc = pkt.SrcNode
+	}
 	if pkt.Kind == proto.KindBatch {
 		n.expandBatch(pkt)
 		n.rxVerdict = VerdictForward
 	} else {
 		n.rxVerdict = n.fw.OnWireReceive(pkt, apiImpl{n})
+	}
+	if n.rxVerdict == VerdictForward {
+		n.rxPkt = pkt
 	}
 	n.clearScratch()
 	cost := n.cycles(n.cfg.RecvCycles + n.takeCharge())
@@ -804,10 +819,10 @@ func (n *NIC) rxPump() {
 }
 
 // nicRxProcessed is the processor-stage completion for the receive pump.
-// A packet that occupies a buffer slot (gated kind, not a wire duplicate)
-// owes its sender a credit: for host-bound deliveries the credit returns
-// when the host consumes the packet (creditDone); for packets the firmware
-// consumes or drops on the NIC, the slot frees right here.
+// A packet that occupies a buffer slot (rxSlotSrc) owes its sender a
+// credit: for host-bound deliveries the credit returns when the host
+// consumes the packet (creditDone); for packets the firmware consumes or
+// drops on the NIC, the slot frees right here.
 func nicRxProcessed(x interface{}) {
 	n := x.(*NIC)
 	pkt := n.rxPkt
@@ -818,20 +833,18 @@ func nicRxProcessed(x interface{}) {
 		if n.deliverToHost == nil {
 			panic("nic: receive before Wire")
 		}
-		if gated(pkt.Kind) && !pkt.WireDup {
-			n.rxSrcQ.Push(pkt.SrcNode)
+		if n.rxSlotSrc >= 0 {
+			n.rxSrcQ.Push(n.rxSlotSrc)
 			n.deliverToHost(pkt, n.creditDoneFn)
 		} else {
 			n.deliverToHost(pkt, noopDone)
 		}
-	case VerdictConsume:
-		n.Stats.RxConsumed.Inc()
-		if gated(pkt.Kind) && !pkt.WireDup {
-			n.returnCredit(pkt.SrcNode)
+	case VerdictConsume, VerdictDrop:
+		if n.rxVerdict == VerdictConsume {
+			n.Stats.RxConsumed.Inc()
 		}
-	case VerdictDrop:
-		if gated(pkt.Kind) && !pkt.WireDup {
-			n.returnCredit(pkt.SrcNode)
+		if n.rxSlotSrc >= 0 {
+			n.returnCredit(n.rxSlotSrc)
 		}
 	default:
 		panic(fmt.Sprintf("nic: bad receive verdict %v", n.rxVerdict))

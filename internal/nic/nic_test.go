@@ -131,6 +131,45 @@ func TestReceiveVerdictConsume(t *testing.T) {
 	}
 }
 
+// TestConsumedPacketBelongsToFirmware: VerdictConsume hands the packet to
+// the firmware from the moment the hook returns, so a hook may rewrite it
+// on the spot (the GVT firmware refills consumed tokens). What the NIC does
+// with the packet's receive-buffer credit is decided by what arrived, not
+// by what the firmware left behind: a gated original returns exactly one
+// credit to its real sender, a wire duplicate none.
+func TestConsumedPacketBelongsToFirmware(t *testing.T) {
+	for _, wireDup := range []bool{false, true} {
+		r := newRig(t, 3, func(i int) Firmware {
+			if i != 2 {
+				return &stubFirmware{}
+			}
+			return &stubFirmware{onWireReceive: func(p *proto.Packet, a API) Verdict {
+				// A different kind (ungated), a different sender, not a dup.
+				*p = proto.Packet{Kind: proto.KindGVTToken, SrcNode: 1, DstNode: 0}
+				return VerdictConsume
+			}}
+		})
+		open0, open1 := r.nics[0].TxCredit(2), r.nics[1].TxCredit(2)
+		if wireDup {
+			// The fabric injects duplicates past the sender's window: no
+			// credit was taken for one.
+			dup := evPkt(0, 2)
+			dup.WireDup = true
+			r.fabric.Announce(0, dup, 0)
+		} else {
+			r.nics[0].HostEnqueue(evPkt(0, 2))
+		}
+		r.eng.Run(vtime.ModelInfinity)
+		if r.nics[2].Stats.RxConsumed.Value() != 1 || r.nics[2].rxPkt != nil {
+			t.Fatalf("wireDup=%v: consumed %d, NIC still holds %v", wireDup, r.nics[2].Stats.RxConsumed.Value(), r.nics[2].rxPkt)
+		}
+		if got0, got1 := r.nics[0].TxCredit(2), r.nics[1].TxCredit(2); got0 != open0 || got1 != open1 {
+			t.Fatalf("wireDup=%v: windows toward node 2 ended at %d (node 0) and %d (node 1), opened at %d and %d",
+				wireDup, got0, got1, open0, open1)
+		}
+	}
+}
+
 func TestFirmwareChargeSlowsNIC(t *testing.T) {
 	// The same traffic with an expensive firmware must take longer: this is
 	// the mechanism behind the paper's NIC-GVT overhead at large periods.

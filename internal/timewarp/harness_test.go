@@ -20,6 +20,9 @@ type harness struct {
 	rnd     rng.Source
 	steps   int
 	window  int // delivery reordering window
+	// trace folds every StepResult run() saw, in order, into one hash, so two
+	// runs can be compared step for step.
+	trace uint64
 }
 
 func newHarness(nLP int, objs map[ObjectID]Object, assign func(ObjectID) int, policy CancellationPolicy, seed uint64) *harness {
@@ -63,6 +66,26 @@ func (h *harness) post(evs []*Event) {
 	h.mailbox = append(h.mailbox, evs...)
 }
 
+// step folds one kernel step's result into the trace and posts its remote
+// messages.
+func (h *harness) step(res StepResult) {
+	annihilated := uint64(0)
+	if res.Annihilated {
+		annihilated = 1
+	}
+	for _, v := range [...]uint64{uint64(res.Executed), uint64(res.Rollbacks), uint64(res.UndoneEvents),
+		uint64(res.AntisEmitted), uint64(res.LocalDeliveries), annihilated, uint64(len(res.Remote))} {
+		h.trace = DigestMix(h.trace, v)
+	}
+	for _, ev := range res.Remote {
+		for _, v := range [...]uint64{uint64(ev.ID), uint64(ev.Src), uint64(ev.Dst), uint64(ev.SendTS),
+			uint64(ev.RecvTS), uint64(ev.Sign), ev.Payload} {
+			h.trace = DigestMix(h.trace, v)
+		}
+	}
+	h.post(res.Remote)
+}
+
 // deliveryWindow bounds message reordering: a message can be overtaken by
 // at most this many younger messages. Unbounded staleness makes optimistic
 // execution thrash (rollback echo dominates and net progress crawls), which
@@ -78,8 +101,7 @@ const lazyDeliveryWindow = 4
 func (h *harness) run(t *testing.T) int {
 	t.Helper()
 	for _, k := range h.kernels {
-		res := k.Bootstrap()
-		h.post(res.Remote)
+		h.step(k.Bootstrap())
 	}
 	const bound = 5_000_000
 	for {
@@ -108,8 +130,7 @@ func (h *harness) run(t *testing.T) int {
 				i := h.rnd.Intn(w)
 				ev := h.mailbox[i]
 				h.mailbox = append(h.mailbox[:i], h.mailbox[i+1:]...)
-				res := h.kernels[h.home[ev.Dst]].Deliver(ev)
-				h.post(res.Remote)
+				h.step(h.kernels[h.home[ev.Dst]].Deliver(ev))
 			} else {
 				// Pick a random busy kernel.
 				pick := h.rnd.Intn(busyKernels)
@@ -118,8 +139,7 @@ func (h *harness) run(t *testing.T) int {
 						continue
 					}
 					if pick == 0 {
-						res := k.ProcessOne()
-						h.post(res.Remote)
+						h.step(k.ProcessOne())
 						break
 					}
 					pick--
@@ -138,7 +158,7 @@ func (h *harness) run(t *testing.T) int {
 			if len(res.Remote) > 0 {
 				emitted = true
 			}
-			h.post(res.Remote)
+			h.step(res)
 		}
 		busy := false
 		for _, k := range h.kernels {

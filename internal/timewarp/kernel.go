@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nicwarp/internal/d4heap"
+	"nicwarp/internal/dense"
 	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
 )
@@ -84,13 +85,14 @@ type snapshot struct {
 }
 
 // histEntry is one execution-history record: the executed event, the state
-// snapshot taken before it ran, and the positives sent while executing it.
-// The three former parallel slices (processed/states/outputs) are one
-// struct so the ring-buffer head index advances them together.
+// snapshot taken before it ran, and how many positives it sent. The sent
+// positives themselves are its row of the object's outs ring (see
+// objRuntime.outs): the record holds no slice, so pushing one never
+// allocates.
 type histEntry struct {
-	ev      *Event //nicwarp:owns history record; released by fossil collection or returned on rollback
-	state   snapshot
-	outputs []*Event //nicwarp:owns sent positives held for anti-generation; recycled on commit
+	ev    *Event //nicwarp:owns history record; released by fossil collection or returned on rollback
+	state snapshot
+	nOut  int // length of this entry's row in objRuntime.outs
 }
 
 // objRuntime carries the kernel bookkeeping for one local object.
@@ -112,9 +114,22 @@ type objRuntime struct {
 	// advances histHead in O(reclaimed) and compacts the backing array
 	// only when the dead prefix reaches half the slice, so reclamation is
 	// O(reclaimed) amortized instead of the former O(remaining) re-copy.
-	// Vacated slots keep their outputs slice capacity for reuse.
 	hist     []histEntry
 	histHead int
+	// outs holds the positives sent by the live history entries, held for
+	// anti-generation: one row per entry, rows contiguous and in history
+	// order, each as long as its entry's nOut. Sends append to the newest
+	// row at the tail, fossil collection pops whole rows from the head and
+	// rollback drops them from the tail, so the ring moves exactly as hist
+	// does and a steady-state send allocates nothing.
+	outs dense.FIFO[*Event] //nicwarp:owns sent positives held for anti-generation; released on commit or once their anti is routed
+
+	// reuser is obj's StateReuser side (nil when obj does not implement it)
+	// and stateFree the snapshots no history entry references any more:
+	// saveState hands one back to the object to overwrite instead of
+	// letting it allocate.
+	reuser    StateReuser
+	stateFree []interface{} //nicwarp:owns snapshots vacated by fossil collection or rollback; each is handed back to SaveStateInto exactly once
 
 	sendSeq uint64
 
@@ -131,18 +146,33 @@ func (o *objRuntime) liveLen() int { return len(o.hist) - o.histHead }
 // live returns the i-th retained history entry (0 = oldest).
 func (o *objRuntime) live(i int) *histEntry { return &o.hist[o.histHead+i] }
 
-// pushHist appends a history entry, reusing the vacated slot (and its
-// outputs capacity) left behind by an earlier rollback or compaction.
-func (o *objRuntime) pushHist(ev *Event, snap snapshot) {
-	if len(o.hist) < cap(o.hist) {
-		o.hist = o.hist[:len(o.hist)+1]
-		e := &o.hist[len(o.hist)-1]
-		e.ev = ev
-		e.state = snap
-		e.outputs = e.outputs[:0]
-		return
+// saveState snapshots the object before an execution, into a recycled
+// snapshot when the object can reuse one.
+//
+//nicwarp:hotpath one state save per executed event
+func (o *objRuntime) saveState() interface{} {
+	if o.reuser == nil {
+		return o.obj.SaveState() //nicwarp:alloc an object without StateReuser builds a fresh snapshot per event
 	}
-	o.hist = append(o.hist, histEntry{ev: ev, state: snap})
+	var old interface{}
+	if n := len(o.stateFree); n > 0 {
+		old = o.stateFree[n-1]
+		o.stateFree[n-1] = nil
+		o.stateFree = o.stateFree[:n-1]
+	}
+	return o.reuser.SaveStateInto(old) //nicwarp:alloc the object allocates only when handed no snapshot to overwrite (history at a new high-water depth)
+}
+
+// vacate clears a history entry whose event and output row have already
+// moved on, handing its snapshot back for reuse. After a rollback this runs
+// once RestoreState has copied out of the snapshot.
+//
+//nicwarp:hotpath one per fossil-collected or undone history entry
+func (o *objRuntime) vacate(e *histEntry) {
+	if o.reuser != nil {
+		o.stateFree = append(o.stateFree, e.state.app) //nicwarp:alloc free-list growth to the history's high-water depth, amortized
+	}
+	*e = histEntry{}
 }
 
 // lastHist returns the newest live history entry.
@@ -301,6 +331,7 @@ func (k *Kernel) AddObject(id ObjectID, obj Object) {
 		panic(fmt.Sprintf("timewarp: duplicate object %d", id))
 	}
 	o := &objRuntime{id: id, obj: obj}
+	o.reuser, _ = obj.(StateReuser)
 	k.objs[id] = o
 	k.order = append(k.order, o)
 	k.sched.Push(o)
@@ -404,7 +435,7 @@ func (k *Kernel) ProcessOne() StepResult {
 	k.fixSched(o)
 
 	// State saving (period 1, the WARPED default).
-	o.pushHist(ev, snapshot{app: o.obj.SaveState(), sendSeq: o.sendSeq})
+	o.hist = append(o.hist, histEntry{ev: ev, state: snapshot{app: o.saveState(), sendSeq: o.sendSeq}})
 	k.histCount++
 	k.Stats.StateSaves.Inc()
 	k.Stats.Processed.Inc()
@@ -467,19 +498,16 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) StepResult {
 			k.Stats.FossilEvents.Add(int64(q))
 			o.fossilCount += q
 			k.histCount -= q
-			// Release the reclaimed entries' events and outputs, clear
-			// the slots, and advance the ring head — O(reclaimed), not
-			// O(remaining).
+			// Release the reclaimed entries' events and output rows,
+			// clear the slots, and advance the ring head — O(reclaimed),
+			// not O(remaining).
 			for i := 0; i < q; i++ {
 				e := o.live(i)
 				k.release(e.ev)
-				for j, out := range e.outputs {
-					k.release(out)
-					e.outputs[j] = nil
+				for j := 0; j < e.nOut; j++ {
+					k.release(o.outs.Pop())
 				}
-				e.ev = nil
-				e.state = snapshot{}
-				e.outputs = e.outputs[:0]
+				o.vacate(e)
 			}
 			o.histHead += q
 			o.compactHist()
@@ -525,11 +553,7 @@ func (o *objRuntime) compactHist() {
 		return
 	}
 	n := copy(o.hist, o.hist[o.histHead:])
-	// Sever the moved entries' old slots: their outputs headers now alias
-	// the live copies at the front and must not be reused or released.
-	for i := n; i < len(o.hist); i++ {
-		o.hist[i] = histEntry{}
-	}
+	clear(o.hist[n:])
 	o.hist = o.hist[:n]
 	o.histHead = 0
 }
@@ -598,20 +622,19 @@ func (k *Kernel) send(c *Context, dst ObjectID, delay vtime.VTime, payload uint6
 		k.Stats.PositivesSent.Inc()
 		return
 	}
+	// The executing entry is the newest, so its row is the tail of outs.
+	o.lastHist().nOut++
+	o.outs.Push(ev)
 	// Lazy cancellation: a regenerated send identical to a cancelled
 	// one means the original message is still correct; keep it and do
 	// not re-send.
 	if k.cfg.Cancellation == Lazy && k.lazyMatch(o, ev) {
-		last := o.lastHist()
-		last.outputs = append(last.outputs, ev)
 		k.Stats.LazyHits.Inc()
 		return
 	}
-	// The outputs row keeps its own copy (for rollback cancellation);
+	// The output row keeps its own copy (for rollback cancellation);
 	// routing gets another. The two copies are what lets fossil
 	// collection release the row without racing the in-flight message.
-	last := o.lastHist()
-	last.outputs = append(last.outputs, ev)
 	k.route(k.copyEvent(ev))
 	k.Stats.PositivesSent.Inc()
 }
@@ -796,27 +819,27 @@ func (k *Kernel) rollback(o *objRuntime, p int) {
 	for i := n - 1; i >= p; i-- {
 		o.pendPush(o.live(i).ev)
 	}
-	// Cancel outputs of the undone executions, oldest first. Under
-	// aggressive cancellation the output copy dies here, right after its
-	// anti-message is built; under lazy it moves to lazyPending.
+	// The undone entries' rows are the tail of outs. Cancel them oldest
+	// first: under aggressive cancellation the output copy dies here, right
+	// after its anti-message is built; under lazy it moves to lazyPending.
+	rows := 0
 	for i := p; i < n; i++ {
-		e := o.live(i)
-		for j, out := range e.outputs {
-			switch k.cfg.Cancellation {
-			case Aggressive:
-				k.route(k.antiOf(out))
-				k.release(out)
-			case Lazy:
-				o.lazyPending = append(o.lazyPending, out)
-			}
-			e.outputs[j] = nil
-		}
-		// Clear the slot; the event pointer now lives in pending. The
-		// outputs slice keeps its capacity for the next pushHist.
-		e.ev = nil
-		e.state = snapshot{}
-		e.outputs = e.outputs[:0]
+		rows += o.live(i).nOut
+		// The event pointer now lives in pending and the restore above has
+		// copied out of entry p's snapshot.
+		o.vacate(o.live(i))
 	}
+	live := o.outs.Live()
+	for _, out := range live[len(live)-rows:] {
+		switch k.cfg.Cancellation {
+		case Aggressive:
+			k.route(k.antiOf(out))
+			k.release(out)
+		case Lazy:
+			o.lazyPending = append(o.lazyPending, out)
+		}
+	}
+	o.outs.DropTail(rows)
 	o.hist = o.hist[:o.histHead+p]
 	k.fixSched(o)
 }

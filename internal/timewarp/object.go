@@ -29,6 +29,24 @@ type Object interface {
 	Digest() uint64
 }
 
+// StateReuser is an optional Object extension: an object that implements it
+// is handed back the snapshots its history no longer needs, so steady-state
+// state saving allocates nothing. It is an extension rather than a change
+// to Object (like core.Grained for App) so that an Object written against
+// the five-method interface keeps working unchanged; the kernel then simply
+// takes a fresh SaveState per event.
+type StateReuser interface {
+	// SaveStateInto is SaveState with somewhere to put the result: old is
+	// nil or a snapshot this object returned earlier that the kernel has
+	// finished with (fossil-collected, or rolled back and restored from).
+	// The object overwrites old completely and returns it, or allocates
+	// when old is nil; either way the result must share no mutable storage
+	// with the live state, and RestoreState must copy out of it — the
+	// kernel hands a snapshot back for reuse right after restoring from
+	// it. SaveState must equal SaveStateInto(nil).
+	SaveStateInto(old interface{}) interface{}
+}
+
 // Context is the capability surface an object sees while executing. It is
 // only valid for the duration of the Init or Execute call it is passed to.
 type Context struct {

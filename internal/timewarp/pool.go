@@ -1,13 +1,15 @@
 package timewarp
 
+import "nicwarp/internal/dense"
+
 // eventPool is a per-kernel free list of Event structs. The kernel is
 // single-threaded (one LP driven by one cluster loop), so the pool needs no
 // synchronization.
 //
 // Ownership discipline (the invariant that makes pooling safe in a Time
 // Warp kernel): every kernel-internal structure — an object's pending heap,
-// history outputs rows, the lazy-pending list, the zombie list, the local
-// delivery queue — holds its *own* pooled copy of an event; no two
+// its history's output rows, the lazy-pending list, the zombie list, the
+// local delivery queue — holds its *own* pooled copy of an event; no two
 // structures ever share a pointer. Inbound events are copied at the Deliver
 // boundary, and outbound events in StepResult.Remote are transferred out of
 // the kernel entirely (the caller may hand them back through
@@ -21,23 +23,22 @@ type eventPool struct {
 	disabled bool     // property tests disable reuse to prove observational equivalence
 }
 
+// eventSlab is how many events one pool miss allocates: a kernel warming up
+// to its working set pays one allocation per 32 events instead of one each.
+const eventSlab = 32
+
 // get returns an event with unspecified contents; the caller must overwrite
 // every field.
 //
 //nicwarp:hotpath per-event acquisition on the execution fast path (Fig4 allocs/op gate)
 func (p *eventPool) get() *Event {
-	if n := len(p.free); n > 0 {
-		e := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return e
-	}
-	return &Event{} //nicwarp:alloc pool miss; amortized to zero by reuse
+	return dense.Take(&p.free, eventSlab)
 }
 
 // put returns an event to the pool. The caller guarantees no live structure
 // still references it.
 //
+//nicwarp:owns the free list is the release destination: e may be handed out again at the next get
 //nicwarp:hotpath per-event release on the execution fast path (Fig4 allocs/op gate)
 func (p *eventPool) put(e *Event) {
 	if p.disabled || e == nil {
@@ -47,6 +48,8 @@ func (p *eventPool) put(e *Event) {
 }
 
 // release returns an event the kernel owns to the pool.
+//
+//nicwarp:owns the event goes back to the pool and may be handed out again at the next get
 func (k *Kernel) release(e *Event) { k.pool.put(e) }
 
 // copyEvent returns a pooled copy of e.
@@ -73,6 +76,8 @@ func (k *Kernel) antiOf(e *Event) *Event {
 // recycle them once the conversion is done; callers that do not recycle
 // simply leave the events to the garbage collector. The caller must not
 // retain ev after Recycle.
+//
+//nicwarp:owns the event goes back to the pool and may be handed out again at the next send
 func (k *Kernel) Recycle(ev *Event) { k.pool.put(ev) }
 
 // RecycleRemoteBuf returns the backing array of a StepResult.Remote slice

@@ -12,9 +12,7 @@ import (
 // of the sequential oracle. Each run self-checks against the oracle
 // (VerifyOracle), and the committed-state digests must agree across batch
 // sizes — batching may only change when messages move, never what the
-// simulation computes. DropBufferCap is raised so early-cancellation
-// drop-buffer evictions (a deliberate, separately-ablated approximation)
-// cannot orphan an anti-message and muddy the property.
+// simulation computes.
 func TestBatchingObservationallyInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12-run sweep")
@@ -37,14 +35,13 @@ func TestBatchingObservationallyInvisible(t *testing.T) {
 			digests := make(map[int]uint64)
 			for _, bm := range []int{1, 4, 16} {
 				cfg := Config{
-					App:           a.app,
-					Nodes:         4,
-					Seed:          3,
-					GVT:           GVTNIC,
-					GVTPeriod:     100,
-					EarlyCancel:   true,
-					DropBufferCap: 4096,
-					VerifyOracle:  true,
+					App:          a.app,
+					Nodes:        4,
+					Seed:         3,
+					GVT:          GVTNIC,
+					GVTPeriod:    100,
+					EarlyCancel:  true,
+					VerifyOracle: true,
 				}.WithDefaults()
 				cfg.NIC.BatchMax = bm
 				if bm > 1 {

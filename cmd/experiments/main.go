@@ -33,7 +33,6 @@ import (
 	"nicwarp/internal/cliopt"
 	"nicwarp/internal/runner"
 	"nicwarp/internal/stats"
-	"nicwarp/internal/stress"
 )
 
 func main() {
@@ -46,19 +45,18 @@ func main() {
 	}
 
 	var (
-		out       = flag.String("out", "results", "output directory")
-		scale     = flag.Float64("scale", 1.0, "workload scale relative to the paper")
-		seed      = flag.Uint64("seed", 1, "experiment seed")
-		nodes     = flag.Int("nodes", 8, "cluster size")
-		only      = flag.String("only", "", "comma-separated experiment subset (see -list); alias: ablations")
-		topo      = cliopt.Topology(flag.CommandLine)
-		shards    = cliopt.Shards(flag.CommandLine)
-		workers   = flag.Int("j", runtime.GOMAXPROCS(0), "parallel experiment points (1 = serial)")
-		cache     = flag.Bool("cache", false, "persist results under <out>/cache keyed on config digest")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		list      = flag.Bool("list", false, "list registered experiments and exit")
-		stressRun = flag.Bool("stress", false, "run the fault-plane stress smoke matrix and write <out>/stress_smoke.json")
+		out     = flag.String("out", "results", "output directory")
+		scale   = flag.Float64("scale", 1.0, "workload scale relative to the paper")
+		seed    = flag.Uint64("seed", 1, "experiment seed")
+		nodes   = flag.Int("nodes", 8, "cluster size")
+		only    = flag.String("only", "", "comma-separated experiment subset (see -list); alias: ablations")
+		topo    = cliopt.Topology(flag.CommandLine)
+		shards  = cliopt.Shards(flag.CommandLine)
+		workers = flag.Int("j", runtime.GOMAXPROCS(0), "parallel experiment points (1 = serial)")
+		cache   = flag.Bool("cache", false, "persist results under <out>/cache keyed on config digest")
+		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		list    = flag.Bool("list", false, "list registered experiments and exit")
 	)
 	flag.Parse()
 
@@ -80,16 +78,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	defer writeMemProfile(*memprof)
-
-	if *stressRun {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		if err := runStressSmoke(*out, *nodes, *scale, *shards, *workers); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	selected, err := selectExperiments(*only)
 	if err != nil {
@@ -205,52 +193,6 @@ func progressPrinter(total int) func(runner.Progress) {
 		fmt.Printf("[%3d/%3d %7.1fs]%s %s%s\n",
 			p.Done, p.Total, elapsed.Seconds(), eta, p.Name, status)
 	}
-}
-
-// runStressSmoke runs the short fault-plane stress matrix (3 loss-free
-// scenarios × 4 seeds on the PHOLD workload) and writes the judged report
-// to <out>/stress_smoke.json — the artifact CI uploads. A failing point
-// fails the invocation; its shrunken repro command is in the report.
-func runStressSmoke(out string, nodes int, scale float64, shards, workers int) error {
-	opts := stress.Options{
-		Apps:      []string{"phold"},
-		Scenarios: []string{"drop", "dup", "chaos"},
-		Seeds:     []uint64{1, 2, 3, 4},
-		Nodes:     nodes,
-		Scale:     scale,
-		Shards:    shards,
-		Workers:   workers,
-		Shrink:    true,
-		OnProgress: func(p runner.Progress) {
-			status := ""
-			if p.Err != nil {
-				status = " FAILED: " + p.Err.Error()
-			}
-			fmt.Printf("[%3d/%3d] %s%s\n", p.Done, p.Total, p.Name, status)
-		},
-	}
-	rep, err := stress.Sweep(opts)
-	if err != nil {
-		return err
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(out, "stress_smoke.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("stress: %d points, %d failures -> %s\n", len(rep.Points), rep.Failures, path)
-	if rep.Failures > 0 {
-		for _, p := range rep.Points {
-			if !p.Pass && p.Repro != "" {
-				fmt.Println("stress: repro:", p.Repro)
-			}
-		}
-		return fmt.Errorf("stress smoke: %d point(s) failed", rep.Failures)
-	}
-	return nil
 }
 
 // writeMemProfile captures the post-GC heap when -memprofile was given.

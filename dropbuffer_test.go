@@ -1,0 +1,63 @@
+package nicwarp
+
+import (
+	"fmt"
+	"testing"
+
+	"nicwarp/internal/vtime"
+)
+
+// TestEarlyCancelMatchesOracleAtEveryCapacity is the end-to-end property
+// behind the drop buffer's "no slot, no drop" rule: on congested POLICE —
+// where drops come in bursts far deeper than a small ring — every capacity
+// commits exactly the sequential oracle's events and digest (VerifyOracle)
+// and leaves the protocol invariants intact, under both GVT placements,
+// with and without send batching, serial and sharded. A full ring only
+// makes the firmware decline drops, which the smallest capacity must do.
+func TestEarlyCancelMatchesOracleAtEveryCapacity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("32-run sweep")
+	}
+	gvts := []struct {
+		mode   GVTMode
+		period int
+	}{{GVTHostMattern, 1000}, {GVTNIC, 100}}
+	for _, g := range gvts {
+		for _, batch := range []int{1, 8} {
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%v/batch=%d/shards=%d", g.mode, batch, shards), func(t *testing.T) {
+					for _, capPerObj := range []int{1, 2, 10, 64} {
+						cfg := Config{
+							App:             Police(PoliceConfig(45)),
+							Nodes:           8,
+							Seed:            1,
+							GVT:             g.mode,
+							GVTPeriod:       g.period,
+							EarlyCancel:     true,
+							DropBufferCap:   capPerObj,
+							VerifyOracle:    true,
+							CheckInvariants: true,
+						}.WithDefaults()
+						cfg.NIC.BatchMax = batch
+						if batch > 1 {
+							cfg.NIC.FlushHorizon = 20 * vtime.Microsecond
+						}
+						res, err := Run(cfg, WithShards(shards))
+						if err != nil {
+							t.Fatalf("cap=%d: %v", capPerObj, err)
+						}
+						if res.Invariants.Failed() {
+							t.Fatalf("cap=%d: %v", capPerObj, res.Invariants.Violations)
+						}
+						if res.DroppedInPlace == 0 {
+							t.Errorf("cap=%d: nothing dropped in place; the rule went unexercised", capPerObj)
+						}
+						if capPerObj == 1 && res.DropsDeclined == 0 {
+							t.Errorf("cap=1: no drop declined; the ring never filled")
+						}
+					}
+				})
+			}
+		}
+	}
+}

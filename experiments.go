@@ -286,7 +286,9 @@ func ScaleTable(rows []ScaleRow) *stats.Table {
 
 // cancelSweepJobs expands one application family across an x-axis with
 // early cancellation off and on: for each x, a baseline point then a
-// cancellation point.
+// cancellation point. Every early-cancellation point in this file checks
+// itself against the sequential oracle, so no committed figure can come
+// from a run the offload changed.
 func cancelSweepJobs(prefix string, app func(x int) App, xs []int, opts FigureOpts) []runner.Job {
 	opts = opts.withDefaults()
 	var jobs []runner.Job
@@ -299,13 +301,14 @@ func cancelSweepJobs(prefix string, app func(x int) App, xs []int, opts FigureOp
 			jobs = append(jobs, runner.Job{
 				Name: fmt.Sprintf("%s/x=%d/%s", prefix, x, variant),
 				Config: Config{
-					App:         app(x),
-					Nodes:       opts.Nodes,
-					Seed:        opts.Seed,
-					GVT:         GVTHostMattern,
-					GVTPeriod:   1000,
-					EarlyCancel: cancel,
-					Net:         netFor(opts),
+					App:          app(x),
+					Nodes:        opts.Nodes,
+					Seed:         opts.Seed,
+					GVT:          GVTHostMattern,
+					GVTPeriod:    1000,
+					EarlyCancel:  cancel,
+					VerifyOracle: cancel,
+					Net:          netFor(opts),
 				},
 			})
 		}
@@ -461,12 +464,13 @@ func ablationDefs() []ablationDef {
 				var vs []ablationVariant
 				for _, mhz := range []float64{33, 66, 132, 264, 528} {
 					cfg := Config{
-						App:         Police(PoliceConfig(o.scaled(900))),
-						Nodes:       o.Nodes,
-						Seed:        o.Seed,
-						GVT:         GVTNIC,
-						GVTPeriod:   100,
-						EarlyCancel: true,
+						App:          Police(PoliceConfig(o.scaled(900))),
+						Nodes:        o.Nodes,
+						Seed:         o.Seed,
+						GVT:          GVTNIC,
+						GVTPeriod:    100,
+						EarlyCancel:  true,
+						VerifyOracle: true,
 					}
 					cfg = cfg.WithDefaults()
 					cfg.NIC.ClockHz = mhz * 1e6
@@ -482,7 +486,7 @@ func ablationDefs() []ablationDef {
 			name:        "abl-drop-buffer",
 			output:      "ablation_drop_buffer",
 			description: "Ablation: drop-buffer capacity",
-			extras:      []string{"evictions", "dropped"},
+			extras:      []string{"declined", "dropped"},
 			variants: func(o FigureOpts) []ablationVariant {
 				var vs []ablationVariant
 				for _, cap := range []int{2, 10, 64, 1024} {
@@ -494,14 +498,15 @@ func ablationDefs() []ablationDef {
 						GVTPeriod:     1000,
 						EarlyCancel:   true,
 						DropBufferCap: cap,
+						VerifyOracle:  true,
 					}})
 				}
 				return vs
 			},
 			extract: func(res *Result) map[string]float64 {
 				return map[string]float64{
-					"evictions": float64(res.DropBufEvictions),
-					"dropped":   float64(res.DroppedInPlace),
+					"declined": float64(res.DropsDeclined),
+					"dropped":  float64(res.DroppedInPlace),
 				}
 			},
 		},
@@ -565,12 +570,13 @@ func ablationDefs() []ablationDef {
 				var vs []ablationVariant
 				for _, cap := range []int{6, 12, 28, 96} {
 					cfg := Config{
-						App:         Police(PoliceConfig(o.scaled(900))),
-						Nodes:       o.Nodes,
-						Seed:        o.Seed,
-						GVT:         GVTHostMattern,
-						GVTPeriod:   1000,
-						EarlyCancel: true,
+						App:          Police(PoliceConfig(o.scaled(900))),
+						Nodes:        o.Nodes,
+						Seed:         o.Seed,
+						GVT:          GVTHostMattern,
+						GVTPeriod:    1000,
+						EarlyCancel:  true,
+						VerifyOracle: true,
 					}
 					cfg = cfg.WithDefaults()
 					cfg.NIC.RxQueueCap = cap
@@ -633,6 +639,7 @@ func ablationDefs() []ablationDef {
 						GVT:             GVTNIC,
 						GVTPeriod:       50,
 						EarlyCancel:     true,
+						VerifyOracle:    true,
 						CheckInvariants: true,
 					}
 					cfg.Fault = plan
@@ -686,19 +693,13 @@ func ablationDefs() []ablationDef {
 				var vs []ablationVariant
 				for _, bm := range []int{1, 2, 4, 8, 16} {
 					cfg := Config{
-						App:         Police(PoliceConfig(o.scaled(900))),
-						Nodes:       o.Nodes,
-						Seed:        o.Seed,
-						GVT:         GVTNIC,
-						GVTPeriod:   100,
-						EarlyCancel: true,
-						// Batching must be observationally invisible; every
-						// variant is checked against the sequential oracle.
-						// The oversized drop buffer keeps the check sound:
-						// evictions orphan antis and may legitimately
-						// deviate from the oracle, batching or not.
-						DropBufferCap: 4096,
-						VerifyOracle:  true,
+						App:          Police(PoliceConfig(o.scaled(900))),
+						Nodes:        o.Nodes,
+						Seed:         o.Seed,
+						GVT:          GVTNIC,
+						GVTPeriod:    100,
+						EarlyCancel:  true,
+						VerifyOracle: true,
 					}
 					cfg = cfg.WithDefaults()
 					cfg.NIC.BatchMax = bm

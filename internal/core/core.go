@@ -478,9 +478,8 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		}
 
 		n.kernel = timewarp.NewKernel(timewarp.Config{
-			LP:                  i,
-			Cancellation:        cfg.Cancellation,
-			TolerateOrphanAntis: cfg.EarlyCancel,
+			LP:           i,
+			Cancellation: cfg.Cancellation,
 		})
 		switch cfg.GVT {
 		case GVTHostMattern:
@@ -705,7 +704,7 @@ func (cl *Cluster) runQuiescenceChecks() {
 			ck.CheckBIPPair(s.id, r.id, holes, stamped, highest, drops)
 		}
 		ck.CheckDrained(s.id, w.CreditRefund.Sum(), w.CreditSalvage.Sum())
-		ck.CheckZombies(s.id, s.kernel.ZombieCount(), w.Dropped.Evictions.Value())
+		ck.CheckZombies(s.id, s.kernel.ZombieCount(), w.Dropped.TotalLen())
 	}
 	ck.CheckTransitEmpty()
 }
@@ -1106,8 +1105,7 @@ func (n *node) deliverEventLike(pkt *proto.Packet) timewarp.StepResult {
 // against the per-source BIP stream and delivered exactly as a solo packet
 // would be, through a reused packet view (no layer below the kernel
 // retains inbound packets). The frame's flow-control header — piggybacked
-// credit, NIC-repaired credit, and one owed credit per accepted
-// sub-message — is booked once, after classification, mirroring a solo
+// credit and one owed credit per accepted sub-message — is booked once, after classification, mirroring a solo
 // packet's OnReceive; assembly-time drops inside the frame's sequence
 // range surface as ordinary BIP gaps, and a wire-duplicated frame
 // duplicates every sub-message, so nothing is double-booked.

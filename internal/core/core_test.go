@@ -91,8 +91,8 @@ func TestEarlyCancelMatchesOracle(t *testing.T) {
 		t.Fatalf("BIP missing %d != dropped %d + filtered %d",
 			res.BIPMissing, res.DroppedInPlace, res.AntisFiltered)
 	}
-	if res.DropBufEvictions != 0 {
-		t.Fatalf("drop buffer evicted %d entries in a small run", res.DropBufEvictions)
+	if res.DropsDeclined != 0 {
+		t.Fatalf("drop buffer declined %d drops in a small run", res.DropsDeclined)
 	}
 }
 

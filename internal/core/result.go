@@ -41,13 +41,12 @@ type Result struct {
 	Rollbacks        int64
 
 	// Message accounting.
-	EventMsgsBuilt   int64 // host-built event-like packets (Figure 8's "overall messages generated")
-	EventMsgsOnWire  int64 // event-like packets actually transmitted (Figure 6b's "messages sent")
-	AntisBuilt       int64 // anti-messages built by hosts
-	DroppedInPlace   int64 // positives cancelled in the NIC send queue
-	AntisFiltered    int64 // antis dropped at the NIC (drop-buffer hit)
-	DropBufEvictions int64 // drop-buffer overflow events (correctness hazards)
-	OrphanAntis      int64 // anti-messages orphaned by evictions (results may deviate)
+	EventMsgsBuilt  int64 // host-built event-like packets (Figure 8's "overall messages generated")
+	EventMsgsOnWire int64 // event-like packets actually transmitted (Figure 6b's "messages sent")
+	AntisBuilt      int64 // anti-messages built by hosts
+	DroppedInPlace  int64 // positives cancelled in the NIC send queue
+	AntisFiltered   int64 // antis dropped at the NIC (drop-buffer hit)
+	DropsDeclined   int64 // cancellable positives forwarded because their object's drop ring was full
 
 	// GVT accounting.
 	GVTComputations int64       // completed computations
@@ -175,12 +174,11 @@ func (cl *Cluster) collect() *Result {
 		ns := &n.nicDev.Stats
 		r.DroppedInPlace += ns.DroppedInPlace.Value()
 		r.AntisFiltered += ns.AntisFiltered.Value()
+		r.DropsDeclined += ns.DropsDeclined.Value()
 		r.BatchFrames += ns.BatchFrames.Value()
 		r.BatchSubs += ns.BatchSubs.Value()
 		r.WirePackets += ns.HostTx.Value() + ns.NICTx.Value()
 		r.BusCrossings += n.bus.Transfers.Value()
-		r.DropBufEvictions += n.nicDev.Shared().Dropped.Evictions.Value()
-		r.OrphanAntis += ks.OrphanAntis.Value()
 
 		switch mgr := n.mgr.(type) {
 		case *gvt.MatternManager:

@@ -136,8 +136,8 @@ func (m *MatternManager) newControl(h Host, c uint32) *proto.Packet {
 }
 
 // sendOn addresses a control packet from this LP to its ring successor and
-// sends it. BIP and MPICH restamp Seq, Credits and CreditRepair on the way
-// down; every other field travels as the caller left it.
+// sends it. BIP and MPICH restamp Seq and Credits on the way down; every
+// other field travels as the caller left it.
 //
 //nicwarp:hotpath one per control-packet hop
 func (m *MatternManager) sendOn(h Host, pkt *proto.Packet) {

@@ -194,10 +194,11 @@ func TestQuiescenceChecksTable(t *testing.T) {
 			wantRule: "credit-undrained"},
 		{name: "no zombies",
 			run: func(c *Checker) { c.CheckZombies(0, 0, 0) }},
-		{name: "zombies excused by evictions",
-			run: func(c *Checker) { c.CheckZombies(0, 3, 1) }},
-		{name: "zombies without evictions",
+		{name: "zombies",
 			run:      func(c *Checker) { c.CheckZombies(0, 3, 0) },
+			wantRule: "anti-annihilation"},
+		{name: "drop records left in the buffer",
+			run:      func(c *Checker) { c.CheckZombies(0, 0, 2) },
 			wantRule: "anti-annihilation"},
 	}
 	for _, tc := range cases {

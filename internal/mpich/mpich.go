@@ -5,11 +5,10 @@
 //
 // The layer exists in the reproduction because early cancellation breaks
 // naïve credit flow: "dropped packets cause credit to be lost and the
-// sender's window to close up". The repair is the paper's: the NIC
-// accumulates the credit of packets it drops and piggybacks it as
-// CreditRepair on the next packet to the same destination; the receiver
-// books repaired credit as consumed-and-returnable, so the global credit
-// supply is conserved (an invariant the tests check).
+// sender's window to close up". A packet the NIC drops in place never
+// occupies receiver buffering, so its credit is refunded at the sender
+// (Refund, driven by the firmware's NotifyCreditRefund doorbell) and the
+// global credit supply is conserved — an invariant the tests check.
 package mpich
 
 import (
@@ -79,7 +78,6 @@ type Endpoint struct {
 	// Stats.
 	Blocked      stats.Counter // packets that had to wait for credit
 	CreditMsgs   stats.Counter // explicit credit messages sent
-	Repaired     stats.Counter // credits recovered via receiver-side CreditRepair
 	Refunded     stats.Counter // credits refunded at the sender (NIC drop refund)
 	waitingTotal int
 }
@@ -127,16 +125,15 @@ func (e *Endpoint) Send(pkt *proto.Packet) {
 }
 
 // dispatch piggybacks owed credit for the destination and transmits. The
-// flow-control header fields are always rewritten: a forwarded packet (a
-// cloned GVT token, say) would otherwise re-deliver the stale credit
-// piggyback of its previous hop and mint credit out of thin air.
+// flow-control header field is always rewritten: a forwarded packet (a
+// GVT token, say) would otherwise re-deliver the stale credit piggyback of
+// its previous hop and mint credit out of thin air.
 func (e *Endpoint) dispatch(pkt *proto.Packet) {
 	// Explicit credit messages carry their grant in Credits; everything
 	// else gets the field rewritten here.
 	if pkt.Kind != proto.KindCredit {
 		pkt.Credits = 0
 	}
-	pkt.CreditRepair = 0
 	// A broadcast (destination -1) addresses no single peer and carries no
 	// credit: dense.At reads nothing owed for it.
 	if owed := dense.At(e.owed, pkt.DstNode); owed > 0 {
@@ -158,9 +155,9 @@ func (e *Endpoint) OnReceive(pkt *proto.Packet) (creditReply *proto.Packet) {
 }
 
 // OnReceiveBatch books the flow-control effects of an inbound batch frame
-// carrying seqSubs accepted event-like sub-messages. The frame's header
-// fields (piggybacked credit, NIC-repaired credit) are booked once, like a
-// solo packet's; each sub-message consumed one sender credit at Send time,
+// carrying seqSubs accepted event-like sub-messages. The frame's
+// piggybacked credit is booked once, like a solo packet's; each
+// sub-message consumed one sender credit at Send time,
 // so each owes one credit back. Returns an explicit credit packet exactly
 // as OnReceive does.
 func (e *Endpoint) OnReceiveBatch(frame *proto.Packet, seqSubs int) (creditReply *proto.Packet) {
@@ -176,13 +173,6 @@ func (e *Endpoint) onReceive(pkt *proto.Packet, owed int) *proto.Packet {
 		e.creditsFor(src)
 		e.credits[src] += int(pkt.Credits)
 		e.drain(src)
-	}
-	// Credit stranded by NIC drops, recovered by the sender's firmware: the
-	// dropped packets count as consumed here and their credit flows back
-	// like any other.
-	if pkt.CreditRepair > 0 {
-		owed += int(pkt.CreditRepair)
-		e.Repaired.Add(int64(pkt.CreditRepair))
 	}
 	return e.BookOwed(src, owed)
 }

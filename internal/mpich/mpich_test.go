@@ -113,36 +113,6 @@ func TestControlTrafficBypassesFlowControl(t *testing.T) {
 	}
 }
 
-func TestCreditRepairConservation(t *testing.T) {
-	cfg := Config{Window: 4, ReturnThreshold: 3}
-	e0, e1, out0, _ := newPair(t, cfg)
-	// Sender transmits 4 packets; the NIC drops two in place and repairs
-	// the credit on the next one through.
-	for i := 0; i < 4; i++ {
-		e0.Send(ev(0, 1))
-	}
-	// Simulate the NIC: packets 1 and 2 dropped; packet 3 carries repair 2.
-	delivered := []*proto.Packet{(*out0)[0], (*out0)[3]}
-	delivered[1].CreditRepair = 2
-	var reply *proto.Packet
-	for _, p := range delivered {
-		if r := e1.OnReceive(p); r != nil {
-			reply = r
-		}
-	}
-	// Receiver owes 2 consumed + 2 repaired = 4 >= threshold 3.
-	if reply == nil {
-		t.Fatal("no credit reply despite repair crossing threshold")
-	}
-	e0.OnReceive(reply)
-	if got := e0.CreditsAvailable(1); got != 4 {
-		t.Fatalf("credits after repair = %d, want full window 4 (conservation)", got)
-	}
-	if e1.Repaired.Value() != 2 {
-		t.Fatalf("repaired = %d", e1.Repaired.Value())
-	}
-}
-
 // TestCreditConservationProperty: under any interleaving of sends and
 // deliveries with no drops, credits outstanding plus credits held plus
 // credits owed equals the window.
@@ -255,11 +225,11 @@ func TestDispatchSanitizesForwardedPackets(t *testing.T) {
 	cfg := withBuf(Config{Window: 8, ReturnThreshold: 4})
 	var out []*proto.Packet
 	e := New(0, cfg, func(p *proto.Packet) { out = append(out, p) })
-	// A forwarded GVT token cloned from a previous hop carries stale
-	// credit piggybacks; dispatch must scrub them.
-	stale := &proto.Packet{Kind: proto.KindGVTControl, SrcNode: 0, DstNode: 1, Credits: 9, CreditRepair: 4}
+	// A forwarded GVT token carries the stale credit piggyback of its
+	// previous hop; dispatch must scrub it.
+	stale := &proto.Packet{Kind: proto.KindGVTControl, SrcNode: 0, DstNode: 1, Credits: 9}
 	e.Send(stale)
-	if out[0].Credits != 0 || out[0].CreditRepair != 0 {
+	if out[0].Credits != 0 {
 		t.Fatalf("stale piggyback not scrubbed: %+v", out[0])
 	}
 	// But an explicit credit message's payload survives.

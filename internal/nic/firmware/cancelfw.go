@@ -29,7 +29,11 @@ import (
 //     accessed by both the host and the NIC"): the host suppresses the
 //     matching anti-message before building it, and the NIC filters
 //     anti-messages that were already in flight when their positive was
-//     dropped.
+//     dropped. A ring holds a fixed number of records per sending object,
+//     so a positive is dropped only while its object's ring has a free
+//     slot; with none the packet is forwarded untouched and Time Warp
+//     cancels it the ordinary way (an undropped packet is an ordinary
+//     packet), which is why no capacity can change committed results.
 //
 //  3. Credit-based flow control is repaired: each drop strands one MPICH
 //     credit at the sender. The paper recovers it on the receive side ("the
@@ -55,7 +59,12 @@ type CancelFirmware struct {
 	// scan is the window the in-progress send-queue scan applies, and
 	// scanPred is f.scanMatches bound once: the queue walk takes a func
 	// value, and a literal capturing the window would allocate per anti.
+	// scanRoom starts at the free drop-ring slots of scan.obj and counts
+	// down once per cancellable packet, so a burst cannot over-reserve:
+	// the oldest matches take the slots, and a negative value is the
+	// number of matches the scan declined.
 	scan     cancelEntry
+	scanRoom int
 	scanPred func(*proto.Packet) bool
 }
 
@@ -81,11 +90,16 @@ func (e cancelEntry) matches(p *proto.Packet) bool {
 	return p.SrcObj == e.obj && p.SendTS > e.ts && p.PiggyAntiEpoch < e.seq
 }
 
-// scanMatches is the send-queue scan's predicate for the window in f.scan.
+// scanMatches is the send-queue scan's predicate for the window in f.scan:
+// a cancellable packet is removed only if a drop-ring slot is left for it.
 func (f *CancelFirmware) scanMatches(p *proto.Packet) bool {
-	return p.Kind == proto.KindEvent &&
-		!p.PiggyGVTValid && // never lose a GVT handshake in flight
-		f.scan.matches(p)
+	if p.Kind != proto.KindEvent ||
+		p.PiggyGVTValid || // never lose a GVT handshake in flight
+		!f.scan.matches(p) {
+		return false
+	}
+	f.scanRoom--
+	return f.scanRoom >= 0
 }
 
 // Name implements nic.Firmware.
@@ -117,7 +131,11 @@ func (f *CancelFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdi
 	// messages with timestamps 102..120).
 	queueLen := int64(api.SendQueueLen())
 	api.Charge(queueLen * CyclesQueueScanPerPacket)
+	f.scanRoom = api.Shared().Dropped.Room(f.scan.obj)
 	removed := api.RemoveFromSendQueue(f.scanPred)
+	if f.scanRoom < 0 {
+		api.Stats().DropsDeclined.Add(int64(-f.scanRoom))
+	}
 	for _, p := range removed {
 		f.recordDrop(api, p)
 	}
@@ -129,8 +147,7 @@ func (f *CancelFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdi
 }
 
 // OnHostSend implements nic.Firmware: apply active cancellation windows to
-// outgoing positives, filter anti-messages whose positive was dropped, and
-// repair flow-control credit.
+// outgoing positives and filter anti-messages whose positive was dropped.
 //
 //nicwarp:hotpath runs for every host packet dequeued for transmission
 func (f *CancelFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict {
@@ -152,6 +169,10 @@ func (f *CancelFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict 
 		}
 		for _, e := range f.entries {
 			if e.matches(pkt) {
+				if api.Shared().Dropped.Room(pkt.SrcObj) == 0 {
+					api.Stats().DropsDeclined.Inc()
+					break
+				}
 				api.Charge(CyclesDropRecord + CyclesNotify)
 				f.recordDrop(api, pkt)
 				api.NotifyHost(nic.NotifyCreditRefund)
@@ -194,7 +215,7 @@ func dropKey(p *proto.Packet) nic.DropKey {
 }
 
 // recordDrop books a cancelled-in-place positive: drop-buffer entry for
-// anti suppression, GVT accounting, credit repair, statistics.
+// anti suppression, GVT accounting, credit refund, statistics.
 //
 //nicwarp:hotpath runs for every positive cancelled in place
 func (f *CancelFirmware) recordDrop(api nic.API, p *proto.Packet) {

@@ -38,9 +38,6 @@ const (
 	// CyclesDropRecord is the cost of recording a dropped event ID in the
 	// shared drop buffer.
 	CyclesDropRecord = 30
-	// CyclesCreditRepair is the cost of folding recovered credit into an
-	// outgoing packet header.
-	CyclesCreditRepair = 16
 )
 
 // Forwarder is the baseline firmware: the stock control program that moves

@@ -1,6 +1,7 @@
 package firmware
 
 import (
+	"slices"
 	"testing"
 
 	"nicwarp/internal/des"
@@ -476,5 +477,121 @@ func TestCancelFirmwareDropAccountsWhiteBalance(t *testing.T) {
 	white := &r.nics[0].Shared().DroppedWhite
 	if at4, total := white.Below(5)-white.Below(4), white.Below(^uint32(0)); at4 != 1 || total != 1 {
 		t.Fatalf("DroppedWhite counts %d at stamp 4 of %d in all, want 1 of 1", at4, total)
+	}
+}
+
+// fakeAPI is nic.API over a bare slice, for driving one firmware hook at a
+// time with the send queue and drop buffer in an exact state — the rig's
+// real NICs drain their queues on their own schedule.
+type fakeAPI struct {
+	queue  []*proto.Packet
+	shared *nic.SharedWindow
+	stats  nic.Stats
+	bells  []nic.NotifyTag
+}
+
+func newFakeAPI(dropCap int) *fakeAPI {
+	w := nic.NewSharedWindow()
+	w.Dropped = nic.NewDropBuffer(dropCap)
+	return &fakeAPI{shared: w}
+}
+
+func (a *fakeAPI) Node() int                  { return 0 }
+func (a *fakeAPI) NumNodes() int              { return 2 }
+func (a *fakeAPI) Charge(int64)               {}
+func (a *fakeAPI) SendQueue() []*proto.Packet { return a.queue }
+func (a *fakeAPI) SendQueueLen() int          { return len(a.queue) }
+func (a *fakeAPI) Inject(*proto.Packet)       { panic("cancel firmware injects nothing") }
+func (a *fakeAPI) Shared() *nic.SharedWindow  { return a.shared }
+func (a *fakeAPI) NotifyHost(t nic.NotifyTag) { a.bells = append(a.bells, t) }
+func (a *fakeAPI) Stats() *nic.Stats          { return &a.stats }
+func (a *fakeAPI) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet {
+	var removed, kept []*proto.Packet
+	for _, p := range a.queue {
+		if pred(p) {
+			removed = append(removed, p)
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	a.queue = kept
+	return removed
+}
+
+// antiFor returns an inbound anti-message that rolls object obj back to ts.
+func antiFor(obj int32, ts vtime.VTime) *proto.Packet {
+	return &proto.Packet{
+		Kind: proto.KindAnti, SrcNode: 1, DstNode: 0,
+		SrcObj: 9, DstObj: obj, SendTS: ts - 10, RecvTS: ts, EventID: 77, Seq: 1,
+	}
+}
+
+// TestCancelFirmwareDeclinesDropWithoutSlot: with the sending object's drop
+// ring full, a cancellable positive is forwarded as an ordinary packet —
+// nothing recorded, no credit refunded, no doorbell — and dropping resumes
+// once the anti-message of a recorded drop frees a slot.
+func TestCancelFirmwareDeclinesDropWithoutSlot(t *testing.T) {
+	f, api := NewCancel(), newFakeAPI(1)
+	f.OnWireReceive(antiFor(5, 100), api)
+	first := ev(0, 1, 5, 9, 120, 125, 10)
+	if v := f.OnHostSend(first, api); v != nic.VerdictDrop {
+		t.Fatalf("first positive: verdict %v, want drop (one free slot)", v)
+	}
+	bells := len(api.bells)
+	if v := f.OnHostSend(ev(0, 1, 5, 9, 140, 145, 11), api); v != nic.VerdictForward {
+		t.Fatalf("second positive: verdict %v, want forward (ring full)", v)
+	}
+	w := api.shared
+	if w.Dropped.TotalLen() != 1 || w.CreditRefund.Sum() != 1 || w.DropsByDst.Sum() != 1 || len(api.bells) != bells {
+		t.Fatalf("declined drop left traces: %d records, %d refunds, %d drops by dst, %d new doorbells",
+			w.Dropped.TotalLen(), w.CreditRefund.Sum(), w.DropsByDst.Sum(), len(api.bells)-bells)
+	}
+	if api.stats.DropsDeclined.Value() != 1 || api.stats.DroppedInPlace.Value() != 1 {
+		t.Fatalf("declined %d, dropped %d, want 1 and 1",
+			api.stats.DropsDeclined.Value(), api.stats.DroppedInPlace.Value())
+	}
+	// The forwarded positive's anti finds no record and travels too; the
+	// dropped one's is filtered and frees the slot.
+	if v := f.OnHostSend(anti(ev(0, 1, 5, 9, 140, 145, 11)), api); v != nic.VerdictForward {
+		t.Fatalf("anti of the forwarded positive: verdict %v, want forward", v)
+	}
+	if v := f.OnHostSend(anti(first), api); v != nic.VerdictDrop || w.Dropped.TotalLen() != 0 {
+		t.Fatalf("anti of the dropped positive: verdict %v with %d records left", v, w.Dropped.TotalLen())
+	}
+	if v := f.OnHostSend(ev(0, 1, 5, 9, 160, 165, 12), api); v != nic.VerdictDrop {
+		t.Fatalf("positive after the slot was freed: verdict %v, want drop", v)
+	}
+}
+
+// TestCancelFirmwareScanTakesOnlyFreeSlots: a scan that matches five queued
+// positives while the object's ring has two free slots removes exactly the
+// two oldest; the other three stay queued, in order, and are counted as
+// declined.
+func TestCancelFirmwareScanTakesOnlyFreeSlots(t *testing.T) {
+	f, api := NewCancel(), newFakeAPI(3)
+	api.shared.Dropped.Record(5, nic.DropKey{ID: 1}) // an earlier drop still awaiting its anti
+	bystander := ev(0, 1, 6, 9, 130, 135, 99)        // another object's output
+	api.queue = []*proto.Packet{bystander}
+	for k := 0; k < 5; k++ {
+		api.queue = append(api.queue, ev(0, 1, 5, 9, vtime.VTime(120+k), vtime.VTime(125+k), uint64(20+k)))
+	}
+	f.OnWireReceive(antiFor(5, 100), api)
+	var left []uint64
+	for _, p := range api.queue {
+		left = append(left, p.EventID)
+	}
+	if want := []uint64{99, 22, 23, 24}; !slices.Equal(left, want) {
+		t.Fatalf("queue after the scan holds events %v, want %v", left, want)
+	}
+	d := api.shared.Dropped
+	if d.Room(5) != 0 || !d.Contains(5, dropKey(ev(0, 1, 5, 9, 120, 125, 20))) || !d.Contains(5, dropKey(ev(0, 1, 5, 9, 121, 126, 21))) {
+		t.Fatalf("ring holds %d records, want the earlier drop plus events 20 and 21", d.Len(5))
+	}
+	if api.stats.DroppedInPlace.Value() != 2 || api.stats.DropsDeclined.Value() != 3 {
+		t.Fatalf("dropped %d, declined %d, want 2 and 3",
+			api.stats.DroppedInPlace.Value(), api.stats.DropsDeclined.Value())
+	}
+	if refund := api.shared.CreditRefund.Sum(); refund != 2 {
+		t.Fatalf("credit refund %d, want 2", refund)
 	}
 }

@@ -227,6 +227,7 @@ type Stats struct {
 
 	DroppedInPlace stats.Counter // outgoing positives cancelled in the send queue
 	AntisFiltered  stats.Counter // outgoing antis filtered against the drop buffer
+	DropsDeclined  stats.Counter // cancellable positives forwarded because their object's drop ring was full
 	SendQDepth     stats.Gauge   // transmit backlog high-water
 	SendQOverflow  stats.Counter // enqueue attempts beyond SendQueueCap
 	FirmwareCycles stats.Counter // extra cycles charged by firmware hooks
@@ -1022,7 +1023,6 @@ func (n *NIC) assembleBatch(head *proto.Packet) *proto.Packet {
 	frame.SrcNode = head.SrcNode
 	frame.DstNode = head.DstNode
 	frame.Credits = head.Credits
-	frame.CreditRepair = head.CreditRepair
 	frame.ColorEpoch = head.ColorEpoch
 	frame.PiggyAntiEpoch = head.PiggyAntiEpoch
 	frame.AppendSub(head)
@@ -1036,9 +1036,8 @@ func (n *NIC) assembleBatch(head *proto.Packet) *proto.Packet {
 			continue
 		}
 		// Flow-control state rides once per frame: fold any credit return
-		// or repaired credit the partner carried into the header.
+		// the partner carried into the header.
 		frame.Credits += p.Credits
-		frame.CreditRepair += p.CreditRepair
 		frame.PiggyAntiEpoch = max(frame.PiggyAntiEpoch, p.PiggyAntiEpoch)
 		frame.AppendSub(p)
 		n.recycleDead(p)

@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"fmt"
+
 	"nicwarp/internal/dense"
 	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
@@ -127,13 +129,12 @@ func NewSharedWindow() *SharedWindow {
 }
 
 // DefaultDropBufferCap sizes the per-object dropped-ID buffer. The paper
-// allocates 10 entries per object; under bursty cancellation that
-// overflows, evicted records let anti-messages for dropped positives
-// escape filtering, and the destination is left with an orphan
-// anti-message — a silent correctness hazard the paper does not discuss.
-// The reproduction defaults to a size that makes eviction practically
-// impossible and exposes the paper's value through the DropBufferCap
-// configuration (see the drop-buffer ablation).
+// allocates 10 entries per object; under bursty cancellation that fills,
+// and a full ring makes the cancel firmware decline further drops for the
+// object until an anti-message frees a slot (see DropBuffer). Capacity
+// therefore trades modeled time, never correctness. The reproduction
+// defaults to a size POLICE rarely fills and exposes the paper's value
+// through the DropBufferCap configuration (see the drop-buffer ablation).
 const DefaultDropBufferCap = 256
 
 // PaperDropBufferCap is the buffer size the paper uses.
@@ -162,10 +163,11 @@ type DropKey struct {
 // Entries are one-shot: a successful Take removes the entry, since exactly
 // one anti-message per dropped positive must be suppressed or filtered.
 //
-// The buffer is bounded per object (10 in the paper). When full, the oldest
-// entry is evicted and counted in Evictions — an eviction means a dropped
-// positive whose anti-message can no longer be matched, which the kernel
-// then tolerates through its unmatched-negative path.
+// The buffer is bounded per object (10 in the paper) and cannot overflow:
+// the firmware drops a positive in place only while Room reports a free
+// slot for its sending object and forwards it otherwise, so every recorded
+// drop is still there when its anti-message comes to take it. Recording
+// into a full ring is a firmware bug and panics.
 //
 // Each object's entries live in a ring (see dropRing) found by indexing a
 // table with the object id, so recording, matching and consuming touch no
@@ -175,10 +177,9 @@ type DropBuffer struct {
 	cap   int
 	rings []*dropRing // by sending object id; nil until the object's first drop
 
-	Records   stats.Counter
-	Takes     stats.Counter
-	Misses    stats.Counter
-	Evictions stats.Counter
+	Records stats.Counter
+	Takes   stats.Counter
+	Misses  stats.Counter
 }
 
 // dropRing is one object's recorded drops, oldest first: n entries starting
@@ -235,8 +236,10 @@ func (b *DropBuffer) Cap() int { return b.cap }
 // ring returns obj's ring, or nil if nothing was ever recorded for it.
 func (b *DropBuffer) ring(obj int32) *dropRing { return dense.At(b.rings, obj) }
 
-// Record stores a dropped message identity for obj, evicting the oldest
-// entry if the object's ring is full.
+// Room returns the number of drops that can still be recorded for obj.
+func (b *DropBuffer) Room(obj int32) int { return b.cap - b.Len(obj) }
+
+// Record stores a dropped message identity for obj, which must have Room.
 //
 //nicwarp:hotpath runs for every positive the cancel firmware drops in place
 func (b *DropBuffer) Record(obj int32, key DropKey) {
@@ -248,8 +251,7 @@ func (b *DropBuffer) Record(obj int32, key DropKey) {
 		b.rings[obj] = r
 	}
 	if r.n == b.cap {
-		r.dropOldest()
-		b.Evictions.Inc()
+		panic(fmt.Sprintf("nic: drop recorded for object %d with no room (capacity %d)", obj, b.cap))
 	}
 	if r.n == len(r.buf) {
 		grown := make([]DropKey, min(b.cap, max(dropRingMinCap, 2*len(r.buf)))) //nicwarp:alloc ring doubling up to cap, amortized across the run

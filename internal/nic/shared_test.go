@@ -54,24 +54,36 @@ func TestDropBufferRecordTake(t *testing.T) {
 	}
 }
 
-func TestDropBufferEviction(t *testing.T) {
+// TestDropBufferRecordAtCapacityPanics: Room counts a ring down to zero,
+// a Take frees a slot, and recording with no room — which the firmware's
+// Room check makes unreachable — panics instead of evicting a record whose
+// anti-message is still to come.
+func TestDropBufferRecordAtCapacityPanics(t *testing.T) {
 	b := NewDropBuffer(3)
-	for id := uint64(0); id < 5; id++ {
+	for id := uint64(0); id < 3; id++ {
+		if b.Room(7) != 3-int(id) {
+			t.Fatalf("room = %d before record %d", b.Room(7), id)
+		}
 		b.Record(7, DropKey{ID: id})
 	}
-	if b.Len(7) != 3 {
-		t.Fatalf("len = %d, want capacity 3", b.Len(7))
+	if b.Room(7) != 0 || b.Room(8) != 3 {
+		t.Fatalf("room = %d (full ring), %d (untouched object)", b.Room(7), b.Room(8))
 	}
-	if b.Evictions.Value() != 2 {
-		t.Fatalf("evictions = %d, want 2", b.Evictions.Value())
+	if !b.Take(7, DropKey{ID: 1}) || b.Room(7) != 1 {
+		t.Fatal("a Take must free one slot")
 	}
-	// Oldest entries evicted, newest retained.
-	if b.Contains(7, DropKey{ID: 0}) || b.Contains(7, DropKey{ID: 1}) {
-		t.Fatal("oldest entries should be evicted")
-	}
-	if !b.Contains(7, DropKey{ID: 4}) {
-		t.Fatal("newest entry missing")
-	}
+	b.Record(7, DropKey{ID: 3})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic recording into a full ring")
+		}
+		for _, id := range []uint64{0, 2, 3} {
+			if !b.Contains(7, DropKey{ID: id}) {
+				t.Fatalf("entry %d lost", id)
+			}
+		}
+	}()
+	b.Record(7, DropKey{ID: 4})
 }
 
 func TestDropBufferPerObjectIsolation(t *testing.T) {
@@ -95,8 +107,8 @@ func TestDropBufferZeroCapPanics(t *testing.T) {
 	NewDropBuffer(0)
 }
 
-// TestDropBufferConservation: every recorded ID is either still present,
-// was taken, or was evicted — records = takes + evictions + remaining.
+// TestDropBufferConservation: every recorded ID is either still present
+// or was taken — records = takes + remaining.
 func TestDropBufferConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
 		b := NewDropBuffer(3)
@@ -104,13 +116,15 @@ func TestDropBufferConservation(t *testing.T) {
 		for _, op := range ops {
 			obj := int32(op % 4)
 			if op%3 == 0 {
-				id++
-				b.Record(obj, DropKey{ID: id})
+				if b.Room(obj) > 0 {
+					id++
+					b.Record(obj, DropKey{ID: id})
+				}
 			} else {
 				b.Take(obj, DropKey{ID: uint64(op)})
 			}
 		}
-		return b.Records.Value() == b.Takes.Value()+b.Evictions.Value()+int64(b.TotalLen())
+		return b.Records.Value() == b.Takes.Value()+int64(b.TotalLen())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -118,21 +132,14 @@ func TestDropBufferConservation(t *testing.T) {
 }
 
 // sliceDropBuffer is the map-of-slices buffer DropBuffer replaced, kept as
-// the reference for its ring: Record evicts by reslicing, Take deletes by
-// copying the queue.
+// the reference for its ring: Record appends, Take deletes by copying the
+// queue.
 type sliceDropBuffer struct {
-	cap       int
-	byObj     map[int32][]DropKey
-	evictions int64
+	byObj map[int32][]DropKey
 }
 
 func (b *sliceDropBuffer) record(obj int32, key DropKey) {
-	q := b.byObj[obj]
-	if len(q) >= b.cap {
-		q = q[1:]
-		b.evictions++
-	}
-	b.byObj[obj] = append(q, key)
+	b.byObj[obj] = append(b.byObj[obj], key)
 }
 
 func (b *sliceDropBuffer) take(obj int32, key DropKey) bool {
@@ -147,21 +154,25 @@ func (b *sliceDropBuffer) take(obj int32, key DropKey) bool {
 }
 
 // TestDropBufferMatchesSliceReference: the per-object rings keep exactly
-// the entries, in exactly the FIFO order, the reslicing buffer kept — same
-// Take results, same eviction victims, same Evictions count — at the
-// paper-scale capacity where every Record evicts and at the deep capacity
-// the benchmark runs, where the ring has to grow.
+// the entries, in exactly the FIFO order, the slice buffer kept — same Take
+// results, same Room — at the paper-scale capacities where the ring is
+// mostly full and wraps, and at the deep capacity the benchmark runs, where
+// the ring has to grow. Like the firmware, the driver records only into
+// Room.
 func TestDropBufferMatchesSliceReference(t *testing.T) {
 	for _, capPerObj := range []int{2, PaperDropBufferCap, 4096} {
 		rng := rand.New(rand.NewSource(int64(capPerObj)))
 		got := NewDropBuffer(capPerObj)
-		want := &sliceDropBuffer{cap: capPerObj, byObj: map[int32][]DropKey{}}
+		want := &sliceDropBuffer{byObj: map[int32][]DropKey{}}
 		next := uint64(0)
 		for step := 0; step < 40000; step++ {
 			obj := int32(rng.Intn(3) * 5) // sparse ids: 0, 5, 10
 			q := want.byObj[obj]
 			switch op := rng.Intn(10); {
 			case op < 6:
+				if len(q) == capPerObj {
+					break
+				}
 				next++
 				key := DropKey{ID: next % 50, Dst: obj, SendTS: vtime.VTime(next)} // ids recur, as after rollback
 				got.Record(obj, key)
@@ -183,9 +194,9 @@ func TestDropBufferMatchesSliceReference(t *testing.T) {
 				}
 			}
 			q = want.byObj[obj]
-			if got.Len(obj) != len(q) || got.Evictions.Value() != want.evictions {
-				t.Fatalf("cap %d step %d: len/evictions = %d/%d, reference %d/%d", capPerObj, step,
-					got.Len(obj), got.Evictions.Value(), len(q), want.evictions)
+			if got.Len(obj) != len(q) || got.Room(obj) != capPerObj-len(q) {
+				t.Fatalf("cap %d step %d: len/room = %d/%d, reference %d/%d", capPerObj, step,
+					got.Len(obj), got.Room(obj), len(q), capPerObj-len(q))
 			}
 			r := got.ring(obj)
 			for i, key := range q {
@@ -194,24 +205,25 @@ func TestDropBufferMatchesSliceReference(t *testing.T) {
 				}
 			}
 		}
-		if got.Records.Value() != got.Takes.Value()+got.Evictions.Value()+int64(got.TotalLen()) {
-			t.Fatalf("cap %d: records %d != takes %d + evictions %d + held %d", capPerObj,
-				got.Records.Value(), got.Takes.Value(), got.Evictions.Value(), got.TotalLen())
+		if got.Records.Value() != got.Takes.Value()+int64(got.TotalLen()) {
+			t.Fatalf("cap %d: records %d != takes %d + held %d", capPerObj,
+				got.Records.Value(), got.Takes.Value(), got.TotalLen())
 		}
 	}
 }
 
-// TestDropBufferSteadyStateAllocatesNothing is the regression for the two
-// allocation bugs of the slice buffer (Take reallocated the queue on every
-// hit; eviction by q[1:] leaked capacity until append re-grew it): once an
-// object's ring has reached its working size, Record, Contains and Take —
-// hit, miss and evicting — allocate nothing.
+// TestDropBufferSteadyStateAllocatesNothing is the regression for the
+// allocation bug of the slice buffer (Take reallocated the queue on every
+// hit): once an object's ring has reached its working size, Record,
+// Contains and Take — hit and miss, on a ring that wraps at its capacity
+// and on one that has grown — allocate nothing.
 func TestDropBufferSteadyStateAllocatesNothing(t *testing.T) {
 	for _, capPerObj := range []int{2, 4096} {
 		b := NewDropBuffer(capPerObj)
-		// The ring holds the ids [lo, id): full at cap 2, so every Record
-		// evicts; a hundred deep at cap 4096, after the ring has grown.
-		lo, id := uint64(0), uint64(min(capPerObj, 100))
+		// The ring holds the ids [lo, id) with one slot to spare at cap 2,
+		// so every round fills it; ninety-nine deep at cap 4096, after the
+		// ring has grown.
+		lo, id := uint64(0), uint64(min(capPerObj, 100)-1)
 		for i := lo; i < id; i++ {
 			b.Record(3, DropKey{ID: i})
 		}
@@ -228,16 +240,14 @@ func TestDropBufferSteadyStateAllocatesNothing(t *testing.T) {
 				t.Fatal("Take of the newest entry")
 			}
 			b.Record(3, DropKey{ID: id})
-			// The oldest entry: evicted by the first Record at cap 2, still
-			// there to take at cap 4096.
-			if b.Take(3, DropKey{ID: lo}) != (capPerObj > 2) {
+			if !b.Take(3, DropKey{ID: lo}) {
 				t.Fatal("Take of the oldest entry")
 			}
 			lo++
 			id++
 		})
-		if b.Len(3) != int(id-lo) || (capPerObj == 2) != (b.Evictions.Value() > 1000) {
-			t.Fatalf("cap %d: holds %d entries after %d evictions", capPerObj, b.Len(3), b.Evictions.Value())
+		if b.Len(3) != int(id-lo) || (capPerObj == 2) != (b.Room(3) == 1) {
+			t.Fatalf("cap %d: holds %d entries with room for %d", capPerObj, b.Len(3), b.Room(3))
 		}
 		if allocs != 0 {
 			t.Fatalf("cap %d: steady-state Record/Contains/Take allocate %.1f times per round, want 0", capPerObj, allocs)

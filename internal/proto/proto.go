@@ -53,7 +53,7 @@ const (
 	// KindBatch is a NIC-assembled frame carrying N event-like sub-messages
 	// to the same destination node under one wire header: one BIP sequence
 	// range, MPICH credits piggybacked once, one link arbitration. The
-	// outer header fields (Seq, Credits, CreditRepair, piggyback block)
+	// outer header fields (Seq, Credits, piggyback block)
 	// describe the frame; each SubMsg carries the per-event fields.
 	KindBatch
 	numKinds
@@ -106,9 +106,8 @@ type Packet struct {
 	WireDup bool
 
 	// ---- MPICH flow-control header ----
-	Kind         Kind
-	Credits      int32 // piggybacked credit returned to SrcNode's view of DstNode
-	CreditRepair int32 // NIC-added credit recovered from packets dropped in place
+	Kind    Kind
+	Credits int32 // piggybacked credit returned to SrcNode's view of DstNode
 
 	// ---- WARPED Basic Event Message ----
 	SrcObj  int32 // sending simulation object (global id)
@@ -246,8 +245,12 @@ func (s *SubMsg) Sign() int8 {
 // packetWireSize is the fixed encoded size in bytes of the header fields
 // above. Event payloads are modeled as part of Payload; the paper's models
 // exchange small fixed-size events, matching WARPED's Basic Event Message.
+// The reserved word is where the paper's NIC would write receive-side
+// credit repair; the reproduction refunds at the sender (DESIGN.md §9), so
+// it is always zero, and it stays in the image so wire sizes — and with
+// them every modeled transfer time — are what the figures were made with.
 const packetWireSize = 8 + 4 + 4 + // Seq, SrcNode, DstNode
-	1 + 4 + 4 + // Kind, Credits, CreditRepair
+	1 + 4 + 4 + // Kind, Credits, reserved (zero)
 	4 + 4 + 8 + 8 + 8 + 8 + // SrcObj..Payload
 	4 + // ColorEpoch
 	1 + 8 + 8 + 8 + 4 + // piggyback GVT
@@ -348,7 +351,7 @@ func (p *Packet) MarshalAppend(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.DstNode))
 	buf = append(buf, uint8(p.Kind))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Credits))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.CreditRepair))
+	buf = binary.BigEndian.AppendUint32(buf, 0) // reserved
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.SrcObj))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.DstObj))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.SendTS))
@@ -428,7 +431,9 @@ func decodeFixed(data []byte) (*Packet, error) {
 	}
 	p.Kind = Kind(k)
 	p.Credits = int32(get32())
-	p.CreditRepair = int32(get32())
+	if reserved := get32(); reserved != 0 {
+		return nil, fmt.Errorf("proto: reserved header word %#x, want 0", reserved)
+	}
 	p.SrcObj = int32(get32())
 	p.DstObj = int32(get32())
 	p.SendTS = vtime.VTime(get64())

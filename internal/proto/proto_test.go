@@ -16,7 +16,6 @@ func samplePacket() *Packet {
 		DstNode:        5,
 		Kind:           KindEvent,
 		Credits:        3,
-		CreditRepair:   1,
 		SrcObj:         10,
 		DstObj:         77,
 		SendTS:         100,
@@ -121,6 +120,17 @@ func TestUnmarshalRejectsBadKind(t *testing.T) {
 	data[16] = 200 // Kind offset: 8 (Seq) + 4 + 4 (nodes)
 	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("expected error for invalid kind")
+	}
+}
+
+// TestUnmarshalRejectsNonzeroReserved: the reserved header word is always
+// encoded as zero, so an image with anything else there would decode to a
+// packet that re-encodes differently — accepted images must be canonical.
+func TestUnmarshalRejectsNonzeroReserved(t *testing.T) {
+	data := samplePacket().Marshal()
+	data[kindOffset+1+4+3] = 1 // last byte of the word after Kind and Credits
+	if _, err := Unmarshal(data); err == nil {
+		t.Fatal("expected error for nonzero reserved word")
 	}
 }
 
@@ -272,7 +282,6 @@ func sampleBatch() *Packet {
 		DstNode:        6,
 		Kind:           KindBatch,
 		Credits:        5,
-		CreditRepair:   2,
 		ColorEpoch:     3,
 		PiggyAntiEpoch: 9,
 		Subs: []SubMsg{
@@ -364,7 +373,7 @@ func TestAppendSubSubPacketRoundTrip(t *testing.T) {
 		}
 		solo := want
 		solo.WireDup = false
-		solo.Credits, solo.CreditRepair = 3, 1
+		solo.Credits = 3
 		solo.PiggyGVTValid, solo.PiggyT, solo.PiggyAntiEpoch = true, 9, 7
 
 		frame := &Packet{Kind: KindBatch, Seq: base, SrcNode: src, DstNode: dst, WireDup: dup}

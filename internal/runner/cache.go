@@ -85,7 +85,10 @@ type DiskCache struct {
 //	    and convergence counters to core.Result
 //	v5: NIC send batching added fields to nic.Config (every digest moved)
 //	    and batching counters to core.Result
-const cacheSchema = "v5"
+//	v6: a full drop ring declines the drop instead of evicting a record, so
+//	    small-capacity EarlyCancel configs compute something else, and
+//	    core.Result traded its two eviction counters for DropsDeclined
+const cacheSchema = "v6"
 
 // NewDiskCache opens (creating if needed) a disk cache rooted at dir.
 func NewDiskCache(dir string) (*DiskCache, error) {

@@ -43,13 +43,6 @@ type Config struct {
 	LP int
 	// Cancellation selects aggressive or lazy cancellation.
 	Cancellation CancellationPolicy
-	// TolerateOrphanAntis discards (and counts) unmatched anti-messages
-	// that fall below GVT instead of treating them as fatal. An orphan
-	// anti is the signature of a drop-buffer eviction under NIC early
-	// cancellation: the positive was cancelled in place but its
-	// anti-message escaped filtering. With early cancellation off it can
-	// only mean a kernel bug, so it stays fatal.
-	TolerateOrphanAntis bool
 	// DisableEventPool turns off event reuse: every event is freshly
 	// allocated and released events go to the garbage collector. Pooling
 	// is observationally invisible, so this only exists for the property
@@ -69,7 +62,6 @@ type Stats struct {
 	AntisReceived stats.Counter
 	Annihilations stats.Counter // positive/anti pairs destroyed
 	Zombies       stats.Counter // antis stored awaiting their positive
-	OrphanAntis   stats.Counter // zombies discarded below GVT (drop-buffer evictions)
 	StateSaves    stats.Counter
 	FossilEvents  stats.Counter // history entries reclaimed
 	LazyHits      stats.Counter // re-sends matched under lazy cancellation
@@ -411,9 +403,8 @@ func (k *Kernel) Quiescent() bool {
 
 // ZombieCount returns the number of unmatched anti-messages currently
 // parked across the LP's objects. At quiescence every anti must have
-// annihilated its positive (or been discarded below GVT after a
-// drop-buffer eviction), so the invariant checker requires this to be
-// zero unless evictions occurred.
+// annihilated its positive, so the invariant checker requires this to be
+// zero.
 func (k *Kernel) ZombieCount() int {
 	total := 0
 	for _, o := range k.order {
@@ -515,25 +506,13 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) StepResult {
 		if k.cfg.Cancellation == Lazy {
 			k.lazyFlush(o, gvt)
 		}
-		// A zombie below GVT means its positive can never arrive. Under
-		// NIC early cancellation this is the drop-buffer-eviction hazard
-		// (tolerated and counted); otherwise it is a kernel bug.
-		kept := o.zombies[:0]
+		// A zombie below GVT means its positive can never arrive: a bug in
+		// the kernel or in whatever discarded the positive.
 		for _, z := range o.zombies {
 			if z.RecvTS < gvt {
-				if !k.cfg.TolerateOrphanAntis {
-					panic(fmt.Sprintf("timewarp: zombie anti below GVT: %v (gvt=%v)", z, gvt))
-				}
-				k.Stats.OrphanAntis.Inc()
-				k.release(z)
-				continue
+				panic(fmt.Sprintf("timewarp: zombie anti below GVT: %v (gvt=%v)", z, gvt))
 			}
-			kept = append(kept, z)
 		}
-		for i := len(kept); i < len(o.zombies); i++ {
-			o.zombies[i] = nil
-		}
-		o.zombies = kept
 	}
 	k.drainLocal()
 	return *res

@@ -493,17 +493,16 @@ func TestGVTMovingBackwardsPanics(t *testing.T) {
 	k.FossilCollect(50)
 }
 
-func TestOrphanToleranceSetting(t *testing.T) {
-	k := NewKernel(Config{TolerateOrphanAntis: true})
+func TestZombieBelowGVTPanics(t *testing.T) {
+	k := NewKernel(Config{})
 	k.AddObject(0, newTestObj(0, []ObjectID{0}, false, 0, 1))
 	k.Bootstrap()
 	// A zombie anti whose positive never arrives.
 	k.Deliver(&Event{ID: 7, Src: 9, Dst: 0, SendTS: 9, RecvTS: 10, Sign: -1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for zombie below GVT")
+		}
+	}()
 	k.FossilCollect(20)
-	if k.Stats.OrphanAntis.Value() != 1 {
-		t.Fatalf("orphans = %d, want 1", k.Stats.OrphanAntis.Value())
-	}
-	if !k.Quiescent() {
-		t.Fatal("orphan must be discarded")
-	}
 }

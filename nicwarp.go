@@ -133,15 +133,11 @@ func PCS(p PCSParams) App { return pcs.New(p) }
 func PCSDefault() PCSParams { return pcs.DefaultParams() }
 
 // Run assembles and executes one experiment. Options adjust how the run
-// executes — WithShards — or layer extras onto the config — WithFaultPlan.
-// Run(cfg) with no options is the historical serial path; see options.go
-// for the contract that execution options never change what a config
-// computes.
+// executes — WithShards. Run(cfg) with no options is the historical serial
+// path; see options.go for the contract that execution options never
+// change what a config computes.
 func Run(cfg Config, opts ...RunOption) (*Result, error) {
 	o := applyOptions(opts)
-	if o.fault != nil {
-		cfg.Fault = *o.fault
-	}
 	cl, err := core.NewClusterExec(cfg, o.exec)
 	if err != nil {
 		return nil, err

@@ -8,7 +8,7 @@ import (
 // This file is the functional-options surface of Run. Config stays what it
 // always was — the model parameters that define an experiment's identity
 // and feed its digest — while everything about *how* the run executes
-// (shard count, injected faults from a named plan) arrives as a RunOption.
+// (the shard count) arrives as a RunOption.
 // New execution knobs must land here, not as positional Config struct
 // fields: an option composes, documents itself at the call site, and cannot
 // silently change the digest of every cached result.
@@ -18,7 +18,7 @@ import (
 // what it computes. It is excluded from Config.Digest by construction.
 type Exec = core.Exec
 
-// FaultPlan is a validated fault-injection plan (see WithFaultPlan).
+// FaultPlan is a validated fault-injection plan (see Config.Fault).
 type FaultPlan = fault.Plan
 
 // FaultScenario resolves a named fault scenario ("drop", "dup", "chaos",
@@ -28,12 +28,11 @@ func FaultScenario(name string, seed uint64) (FaultPlan, error) {
 }
 
 // RunOption customizes one Run call. The zero set of options reproduces
-// the historical Run(cfg) behavior exactly: serial execution, no faults.
+// the historical Run(cfg) behavior exactly: serial execution.
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	exec  core.Exec
-	fault *FaultPlan
+	exec core.Exec
 }
 
 func applyOptions(opts []RunOption) runOptions {
@@ -55,15 +54,4 @@ func applyOptions(opts []RunOption) runOptions {
 // enabled) fall back to serial execution.
 func WithShards(n int) RunOption {
 	return func(o *runOptions) { o.exec.Shards = n }
-}
-
-// WithFaultPlan injects the plan's wire and ring faults into the run.
-// Unlike the Exec knobs, a fault plan is a model parameter — it changes
-// what the cluster computes — so it lands in Config.Fault and is covered
-// by the digest.
-func WithFaultPlan(plan FaultPlan) RunOption {
-	return func(o *runOptions) {
-		p := plan
-		o.fault = &p
-	}
 }

@@ -129,39 +129,3 @@ func TestRunOptionsDigestInvariance(t *testing.T) {
 		})
 	}
 }
-
-// TestWithFaultPlanEquivalentToConfigFault asserts the option is sugar for
-// the Config.Fault field — same plan, same run — and that, being a model
-// parameter, it does change the config digest.
-func TestWithFaultPlanEquivalentToConfigFault(t *testing.T) {
-	base := Config{
-		App:       PHOLD(PHOLDParams{Objects: 16, Population: 1, Hops: 50, MeanDelay: 35, Locality: 0.25}),
-		Nodes:     4,
-		Seed:      9,
-		GVT:       GVTNIC,
-		GVTPeriod: 40,
-	}
-	plan, err := FaultScenario("drop", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaOption, err := Run(base, WithFaultPlan(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Fault = plan
-	viaField, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaOption.String() != viaField.String() || viaOption.Digest != viaField.Digest {
-		t.Errorf("WithFaultPlan run differs from Config.Fault run")
-	}
-	if viaOption.FaultsInjected == 0 {
-		t.Errorf("fault plan injected nothing; the option did not reach the run")
-	}
-	if cfg.Digest() == base.Digest() {
-		t.Errorf("fault plan is a model parameter but did not change the digest")
-	}
-}

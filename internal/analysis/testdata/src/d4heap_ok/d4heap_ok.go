@@ -1,89 +1,110 @@
 // Package d4heap_ok is the clean fixture for the scheduler-queue patterns
-// introduced by the 4-ary heap overhaul: intrusive position maintenance,
-// hole-moving sifts, a chained identity index ranged as a slice (never a
-// map), value-copied snapshots of queue-owned state, and sorted-key export
-// of per-queue counters. It must produce no walltime, maprange or
-// statealias diagnostics.
+// of the concrete 4-ary heap: structure-of-arrays keys, ids and an
+// id-indexed position slice, sentinel-padded child groups, hole-moving
+// sifts that select by mask instead of branching, a chained identity index
+// ranged as a slice (never a map), value-copied snapshots of queue-owned
+// state, and sorted-key export of per-queue counters. It must produce no
+// walltime, maprange or statealias diagnostics.
 package d4heap_ok
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
-// item is a queue element with an intrusive heap position.
+// key is a two-word sort key compared unsigned, high word first.
+type key struct{ hi, lo uint64 }
+
+var sentinel = key{^uint64(0), ^uint64(0)}
+
+// item is an identity-index element.
 type item struct {
-	key  int64
 	id   uint64
-	pos  int
 	next *item // identity-chain link
 }
 
-// heap is a miniature 4-ary index-min heap over items.
+// heap is a miniature 4-ary index-min heap in structure-of-arrays form:
+// slots [n, len(k)) hold sentinels so every child group is four wide.
 type heap struct {
-	s []*item
+	k   []key
+	id  []uint32
+	pos []int32
+	n   int
 }
 
-const arity = 4
-
-func (h *heap) push(it *item) {
-	h.s = append(h.s, nil)
-	h.up(len(h.s)-1, it)
+func less(a, b key) uint64 {
+	_, br := bits.Sub64(a.lo, b.lo, 0)
+	_, br = bits.Sub64(a.hi, b.hi, br)
+	return br
 }
 
-func (h *heap) pop() *item {
-	min := h.s[0]
-	n := len(h.s) - 1
-	last := h.s[n]
-	h.s[n] = nil
-	h.s = h.s[:n]
-	if n > 0 {
-		h.down(0, last)
+func (h *heap) push(id uint32, k key) {
+	for int(id) >= len(h.pos) {
+		h.pos = append(h.pos, -1)
 	}
-	min.pos = -1
+	if h.n == len(h.k) {
+		for g := 0; g < 4 && (g == 0 || h.n > 0); g++ {
+			h.k = append(h.k, sentinel)
+			h.id = append(h.id, 0)
+		}
+	}
+	h.n++
+	h.up(h.n-1, k, id)
+}
+
+func (h *heap) pop() uint32 {
+	min := h.id[0]
+	h.n--
+	k, id := h.k[h.n], h.id[h.n]
+	h.k[h.n] = sentinel
+	if h.n > 0 {
+		h.down(0, k, id)
+	}
+	h.pos[min] = -1
 	return min
 }
 
-// up sifts it toward the root from the hole at slot i, maintaining the
-// intrusive positions as slots shift.
-func (h *heap) up(i int, it *item) {
+// up sifts the pair toward the root from the hole at slot i, maintaining
+// the position index as slots shift.
+func (h *heap) up(i int, k key, id uint32) {
 	for i > 0 {
-		p := (i - 1) / arity
-		if it.key >= h.s[p].key {
+		p := (i - 1) / 4
+		if less(k, h.k[p]) == 0 {
 			break
 		}
-		h.s[i] = h.s[p]
-		h.s[i].pos = i
+		h.k[i], h.id[i] = h.k[p], h.id[p]
+		h.pos[h.id[i]] = int32(i)
 		i = p
 	}
-	h.s[i] = it
-	it.pos = i
+	h.k[i], h.id[i] = k, id
+	h.pos[id] = int32(i)
 }
 
-// down sifts it toward the leaves, promoting the minimum child per level.
-func (h *heap) down(i int, it *item) {
-	n := len(h.s)
-	for {
-		c := i*arity + 1
-		if c >= n {
+// min2 selects the lesser key by mask and reports whether it was b.
+func min2(a, b key) (key, uint64) {
+	lt := less(b, a)
+	m := -lt
+	return key{a.hi ^ (a.hi^b.hi)&m, a.lo ^ (a.lo^b.lo)&m}, lt
+}
+
+// down sifts the pair toward the leaves, promoting the minimum of a full
+// group of four per level.
+func (h *heap) down(i int, k key, id uint32) {
+	for c := 4*i + 1; c < h.n; c = 4*i + 1 {
+		g := (*[4]key)(h.k[c:])
+		a, ma := min2(g[0], g[1])
+		b, mb := min2(g[2], g[3])
+		m, mf := min2(a, b)
+		if less(m, k) == 0 {
 			break
 		}
-		m := c
-		end := c + arity
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h.s[j].key < h.s[m].key {
-				m = j
-			}
-		}
-		if h.s[m].key >= it.key {
-			break
-		}
-		h.s[i] = h.s[m]
-		h.s[i].pos = i
-		i = m
+		mi := c + int(mf<<1|ma^(ma^mb)&-mf)
+		h.k[i], h.id[i] = m, h.id[mi]
+		h.pos[h.id[i]] = int32(i)
+		i = mi
 	}
-	h.s[i] = it
-	it.pos = i
+	h.k[i], h.id[i] = k, id
+	h.pos[id] = int32(i)
 }
 
 // index is a chained identity table: buckets are a slice, so iteration is

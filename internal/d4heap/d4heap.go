@@ -1,155 +1,256 @@
-// Package d4heap is a concrete, allocation-free 4-ary index-min heap for
-// the simulator's scheduler cores: the hardware-level des engine's event
-// list, each Time Warp object's pending queue, and the per-LP object
-// scheduler.
+// Package d4heap is the simulator's one scheduler-core heap: a concrete,
+// allocation-free 4-ary index-min heap over 128-bit keys. It sits under
+// both schedulers — the hardware-level des engine's event list, keyed
+// (time, lane-keyed order key) with arena slots as ids, and the Time Warp LP
+// scheduler, keyed (head receive timestamp, object id) with object indices
+// as ids — and both reduce their order to the same thing: an unsigned
+// lexicographic compare of two machine words.
 //
-// Three properties distinguish it from container/heap, which it replaces on
-// every hot path:
+// Layout is structure-of-arrays. The keys live in their own densely packed
+// slice, four 16-byte keys per cache line, so a sift's child scan touches
+// one line per level and dereferences nothing; a parallel slice carries each
+// key's uint32 id, and an id-indexed pos slice the heap owns is the position
+// index that makes Remove and Fix O(log n). No slice holds a pointer, so
+// slot moves are plain memory writes with no GC write barrier.
 //
-//   - No boxing. Elements move through the API as their concrete (pointer)
-//     type via a generic instantiation, never through interface{}; Push and
-//     Pop allocate nothing beyond the backing slice's amortized growth.
-//   - Intrusive position index. Every move reports the element's new slot
-//     through SetHeapPos, so holders of an element can Remove or Fix it in
-//     O(log n) without searching — the operation anti-message cancellation
-//     was degenerating to an O(n) scan for.
-//   - 4-ary layout. Children of slot i are 4i+1..4i+4. The tree is half as
-//     deep as a binary heap, sift-down touches one cache line of children
-//     per level, and moves are single assignments into the current hole
-//     rather than container/heap's pairwise Swap calls.
+// A sift-down never branches on key data. The cost of a sift was never its
+// depth (two levels over fifteen keys) but a dozen two-field compares per
+// pop whose outcomes the branch predictor cannot learn; here less is the
+// final borrow of a chained 128-bit subtract, the minimum of a child group
+// is a tournament of selects on keys already in registers, and a group is
+// always four wide: the backing arrays are padded to 4m+1 slots with
+// sentinel keys {MaxUint64, MaxUint64} that no child beats and no caller
+// may push, so there is no partial-group path. The one data-dependent
+// branch left per level is the loop exit.
 //
-// Ordering contract: LessThan must be a strict total order over any
-// elements that coexist in one heap (ties only between elements that are
-// observationally identical). Under that contract the pop sequence is the
-// sorted order regardless of heap arity or internal layout, which is what
-// keeps the swap from container/heap observationally invisible — the
-// property test in the timewarp package proves it against the old
-// implementation under random push/pop/remove interleavings.
+// Ordering contract: the keys coexisting in one heap are distinct, so the
+// compare is a strict total order and the pop sequence is the sorted order
+// regardless of arity or layout — the invariant that keeps this
+// representation observationally invisible (DESIGN.md §3).
+//
+// Popping is Take, not pop: the root slot is vacated and left open while
+// the caller works, because an engine callback almost always schedules a
+// successor and that Push can then refill the root with a single sift-down
+// instead of paying a pop's sift-down plus a push's sift-up. While the root
+// is vacant slot 0 holds no entry: Len discounts it, Push fills it, and
+// everything else — Remove, Fix, Min, a second Take — requires Settle first,
+// which closes a hole nobody refilled the way pop would have.
 package d4heap
 
-// arity is the tree fan-out. Four keeps the sibling scan inside one cache
-// line for pointer elements while halving the depth of a binary heap.
-const arity = 4
+import (
+	"math/bits"
+	"slices"
+)
 
-// Item is the element contract: a strict-total-order comparison and an
-// intrusive position slot. SetHeapPos is called with the element's current
-// index on every move, and with -1 when the element leaves the heap.
-type Item[E any] interface {
-	LessThan(E) bool
-	SetHeapPos(int)
+// Key is a 128-bit sort key compared as the unsigned number Hi<<64 | Lo.
+type Key struct{ Hi, Lo uint64 }
+
+// sentinel pads the last child group; it must never be pushed.
+var sentinel = Key{^uint64(0), ^uint64(0)}
+
+// pad is the growth unit: one whole child group.
+var (
+	padKeys = [4]Key{sentinel, sentinel, sentinel, sentinel}
+	padIDs  [4]uint32
+)
+
+// Heap is a 4-ary index-min heap of (Key, id) entries. The zero value is an
+// empty heap ready for use. Ids are small dense integers chosen by the
+// caller (arena slots, object indices); an id is on the heap at most once.
+type Heap struct {
+	k    []Key    // heap-ordered keys; len is 0 or 4m+1, slots [n, len) hold sentinels
+	id   []uint32 // id of each key's entry, parallel to k
+	pos  []int32  // slot of each id, -1 while off the heap
+	n    int      // occupied slots, a vacated root included
+	hole int      // 1 while the root is vacated by Take, else 0
 }
 
-// Heap is a 4-ary index-min heap. The zero value is an empty heap ready
-// for use.
-type Heap[E Item[E]] struct {
-	s []E
+// Less reports whether a sorts before b.
+func (a Key) Less(b Key) bool { return less(a, b) != 0 }
+
+// less returns 1 if a sorts before b, else 0: the borrow out of a - b.
+func less(a, b Key) uint64 {
+	_, br := bits.Sub64(a.Lo, b.Lo, 0) //nicwarp:alloc compiler intrinsic (SUB); opaque to the analyzer
+	_, br = bits.Sub64(a.Hi, b.Hi, br) //nicwarp:alloc compiler intrinsic (SBB); opaque to the analyzer
+	return br
 }
 
-// Len returns the number of elements.
-func (h *Heap[E]) Len() int { return len(h.s) }
+// Len counts the entries; a vacated root is not one.
+func (h *Heap) Len() int { return h.n - h.hole }
 
-// Min returns the minimum element without removing it. Panics when empty.
-func (h *Heap[E]) Min() E { return h.s[0] }
+// Min returns the id of the least entry, MinKey its key. The heap must be
+// nonempty and the root not vacant.
+func (h *Heap) Min() uint32 { return h.id[0] }
 
-// Items exposes the backing slice for read-only iteration (diagnostics,
-// invariant checks, tests). Callers must not reorder or mutate positions.
-func (h *Heap[E]) Items() []E { return h.s }
+// MinKey: see Min.
+func (h *Heap) MinKey() Key { return h.k[0] }
 
-// Push inserts e. O(log n), allocation-free beyond slice growth.
-func (h *Heap[E]) Push(e E) {
-	var zero E
-	h.s = append(h.s, zero)
-	h.up(len(h.s)-1, e)
+// Has reports whether id is on the heap.
+func (h *Heap) Has(id uint32) bool { return int(id) < len(h.pos) && h.pos[id] >= 0 }
+
+// Grow reserves room for n entries with ids below n, so that pushing them
+// allocates nothing more: for a caller that knows its population up front.
+func (h *Heap) Grow(n int) {
+	padded := 4*((n+2)/4) + 1
+	h.k = slices.Grow(h.k, max(0, padded-len(h.k)))
+	h.id = slices.Grow(h.id, max(0, padded-len(h.id)))
+	h.pos = slices.Grow(h.pos, max(0, n-len(h.pos)))
 }
 
-// Pop removes and returns the minimum element. Panics when empty.
-func (h *Heap[E]) Pop() E {
-	min := h.s[0]
-	n := len(h.s) - 1
-	last := h.s[n]
-	var zero E
-	h.s[n] = zero
-	h.s = h.s[:n]
-	if n > 0 {
-		h.down(0, last)
+// Push inserts id under key k. A vacated root is refilled in place.
+//
+//nicwarp:hotpath one push per scheduled event
+func (h *Heap) Push(id uint32, k Key) {
+	if k == sentinel {
+		panic("d4heap: Push of the sentinel key")
 	}
-	min.SetHeapPos(-1)
+	for int(id) >= len(h.pos) {
+		h.pos = append(h.pos, -1) //nicwarp:alloc position index growth to a new high-water id, amortized
+	}
+	if h.hole != 0 {
+		h.hole = 0
+		h.down(0, k, id)
+		return
+	}
+	if h.n == len(h.k) {
+		g := 4
+		if h.n == 0 {
+			g = 1 // the root is a group of its own
+		}
+		h.k = append(h.k, padKeys[:g]...)  //nicwarp:alloc heap growth to a new high-water depth, amortized
+		h.id = append(h.id, padIDs[:g]...) //nicwarp:alloc heap growth to a new high-water depth, amortized
+	}
+	h.n++
+	h.up(h.n-1, k, id)
+}
+
+// Take vacates the root and returns the id of the least entry, leaving the
+// hole for the next Push to refill or Settle to close. The heap must be
+// nonempty and the root not already vacant.
+//
+//nicwarp:hotpath one take per fired event
+func (h *Heap) Take() uint32 {
+	min := h.id[0]
+	h.pos[min] = -1
+	h.hole = 1
 	return min
 }
 
-// Remove deletes and returns the element at slot i (as reported through
-// SetHeapPos). O(log n).
-func (h *Heap[E]) Remove(i int) E {
-	e := h.s[i]
-	n := len(h.s) - 1
-	last := h.s[n]
-	var zero E
-	h.s[n] = zero
-	h.s = h.s[:n]
-	if i < n {
-		h.place(i, last)
+// Settle closes a vacated root no Push refilled: the last leaf sifts down
+// from it, completing the pop. A no-op on a whole heap.
+//
+//nicwarp:hotpath one settle per fired event
+func (h *Heap) Settle() {
+	if h.hole == 0 {
+		return
 	}
-	e.SetHeapPos(-1)
-	return e
+	h.hole = 0
+	k, id := h.dropLast()
+	if h.n > 0 {
+		h.down(0, k, id)
+	}
 }
 
-// Fix restores heap order after the element at slot i changed its key in
-// place (the LP scheduler's head-changed case). O(log n).
-func (h *Heap[E]) Fix(i int) {
-	h.place(i, h.s[i])
+// Remove deletes id's entry. O(log n). The root must not be vacant.
+func (h *Heap) Remove(id uint32) {
+	i := int(h.pos[id])
+	k, last := h.dropLast()
+	if i < h.n {
+		h.place(i, k, last)
+	}
+	h.pos[id] = -1
 }
 
-// place routes e, logically occupying the hole at slot i, up or down.
-func (h *Heap[E]) place(i int, e E) {
-	if i > 0 && e.LessThan(h.s[(i-1)/arity]) {
-		h.up(i, e)
+// Fix re-keys id's entry to k and restores heap order. O(log n). The root
+// must not be vacant.
+//
+//nicwarp:hotpath one fix per scheduler head change
+func (h *Heap) Fix(id uint32, k Key) {
+	if k == sentinel {
+		panic("d4heap: Fix to the sentinel key")
+	}
+	h.place(int(h.pos[id]), k, id)
+}
+
+// dropLast vacates the last occupied slot, returning what it held and
+// leaving a sentinel behind so its group stays four wide.
+func (h *Heap) dropLast() (Key, uint32) {
+	h.n--
+	k, id := h.k[h.n], h.id[h.n]
+	h.k[h.n] = sentinel
+	return k, id
+}
+
+// place routes the (k, id) pair, logically occupying the hole at slot i, up
+// or down.
+func (h *Heap) place(i int, k Key, id uint32) {
+	if i > 0 && less(k, h.k[(i-1)/4]) != 0 {
+		h.up(i, k, id)
 	} else {
-		h.down(i, e)
+		h.down(i, k, id)
 	}
 }
 
-// up sifts e toward the root from the hole at slot i, moving displaced
-// ancestors down into the hole instead of swapping.
-func (h *Heap[E]) up(i int, e E) {
+// up sifts the (k, id) pair toward the root from the hole at slot i.
+//
+//nicwarp:hotpath one sift per scheduled event
+func (h *Heap) up(i int, k Key, id uint32) {
+	ks, ids, pos := h.k, h.id, h.pos
 	for i > 0 {
-		p := (i - 1) / arity
-		if !e.LessThan(h.s[p]) {
+		p := (i - 1) / 4
+		if less(k, ks[p]) == 0 {
 			break
 		}
-		h.s[i] = h.s[p]
-		h.s[i].SetHeapPos(i)
+		ks[i] = ks[p]
+		ids[i] = ids[p]
+		pos[ids[i]] = int32(i)
 		i = p
 	}
-	h.s[i] = e
-	e.SetHeapPos(i)
+	ks[i] = k
+	ids[i] = id
+	pos[id] = int32(i)
 }
 
-// down sifts e toward the leaves from the hole at slot i: at each level the
-// minimum of up to four children is promoted into the hole.
-func (h *Heap[E]) down(i int, e E) {
-	n := len(h.s)
-	for {
-		c := i*arity + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + arity
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h.s[j].LessThan(h.s[m]) {
-				m = j
-			}
-		}
-		if !h.s[m].LessThan(e) {
-			break
-		}
-		h.s[i] = h.s[m]
-		h.s[i].SetHeapPos(i)
-		i = m
+// min2 returns the lesser of two keys, and 1 if that is b (0 if a: a tie —
+// two sentinels — keeps a). The conditional assignment touches only the two
+// key words, which the compiler turns into conditional moves; a slot index
+// assigned alongside would keep the branch (the compiler never makes a load
+// address wait on a conditional move), so the caller rebuilds the slot from
+// the returned bits instead.
+func min2(a, b Key) (Key, uint64) {
+	lt := less(b, a)
+	if lt != 0 {
+		a = b
 	}
-	h.s[i] = e
-	e.SetHeapPos(i)
+	return a, lt
+}
+
+// down sifts the (k, id) pair toward the leaves: promote the minimum of the
+// four children into the hole until the key fits. Every group a live parent
+// reaches is fully backed (see Heap.k), sentinels losing every compare. The
+// winner's key comes out of the tournament in registers, so the exit test
+// waits on no reload; its slot is rebuilt from the three compare bits.
+//
+//nicwarp:hotpath one sift per fired event
+func (h *Heap) down(i int, k Key, id uint32) {
+	ks, pos := h.k, h.pos
+	ids := h.id[:len(ks)] // parallel arrays: one bounds check serves both
+	n := h.n
+	for c := 4*i + 1; c < n; c = 4*i + 1 {
+		g := (*[4]Key)(ks[c:])
+		a, ma := min2(g[0], g[1])
+		b, mb := min2(g[2], g[3])
+		m, mf := min2(a, b)
+		if less(m, k) == 0 {
+			break
+		}
+		mi := c + int(mf<<1|ma^(ma^mb)&-mf)
+		ks[i] = m
+		ids[i] = ids[mi]
+		pos[ids[i]] = int32(i)
+		i = mi
+	}
+	ks[i] = k
+	ids[i] = id
+	pos[id] = int32(i)
 }

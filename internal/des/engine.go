@@ -29,6 +29,7 @@ package des
 import (
 	"fmt"
 
+	"nicwarp/internal/d4heap"
 	"nicwarp/internal/vtime"
 )
 
@@ -45,13 +46,14 @@ const maxLanes = 1 << (64 - laneSeqBits)
 // lane-keyed order key (lane << laneSeqBits | per-lane sequence): it breaks
 // ties among equal times deterministically regardless of sharding, and is
 // unique per incarnation, so it doubles as the generation counter that keeps
-// a stale Timer handle from cancelling the slot's next incarnation.
+// a stale Timer handle from cancelling the slot's next incarnation. The
+// event's time is not here: nothing reads it but the heap, whose key carries
+// it, and without it the record is one 64-byte cache line. A plain func()
+// callback rides in arg behind runClosure.
 type event struct {
-	at    vtime.ModelTime
 	seq   uint64 // lane-keyed order key; unique per incarnation
 	lane  uint32 // execution lane, restored to curLane when the event fires
-	fn    func()
-	fnArg func(interface{})              // closure-free variant
+	fnArg func(interface{})
 	fn2   func(interface{}, interface{}) // two-receiver variant (cross-shard handoff)
 	arg   interface{}
 	argB  interface{}
@@ -119,13 +121,12 @@ type stagedEv struct {
 // usable; construct with NewEngine.
 type Engine struct {
 	now       vtime.ModelTime
-	heap      timerHeap
-	laneSeq   []uint64 // next per-lane sequence, indexed by lane
-	curLane   uint32   // lane of the currently executing event
+	heap      d4heap.Heap // event list keyed (time, order key), ids are arena slots
+	laneSeq   []uint64    // next per-lane sequence, indexed by lane
+	curLane   uint32      // lane of the currently executing event
 	running   bool
 	processed uint64
 	arena     []event  // every event ever scheduled, addressed by slot index
-	pos       []int32  // heap index of each arena slot, -1 when popped/cancelled
 	free      []uint32 // recycled arena slots, reused LIFO
 
 	// Shard-group wiring (nil/zero outside a Group). staged is indexed by
@@ -155,7 +156,11 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // many jobs wait behind its head-of-line one (Resource.InFlight counts
 // those), so Pending is a quiescence test — zero or not — rather than a
 // backlog measure.
-func (e *Engine) Pending() int { return e.heap.len() }
+func (e *Engine) Pending() int { return e.heap.Len() }
+
+// minAt returns the earliest scheduled time. The event list must be nonempty
+// and its root not vacant.
+func (e *Engine) minAt() vtime.ModelTime { return vtime.ModelTime(e.heap.MinKey().Hi) }
 
 // SetLane switches the engine's current execution lane. A lane is one
 // deterministic sub-stream of events — one modeled node — whose order keys
@@ -191,21 +196,19 @@ func (e *Engine) nextOrd() uint64 {
 }
 
 // alloc takes an arena slot from the free list, or grows the arena, and
-// stamps it with (at, ord, lane). The returned index stays valid across
-// arena growth; a *event into the arena would not, so pointers to slots
-// never outlive the expression that takes them.
-func (e *Engine) alloc(t vtime.ModelTime, ord uint64, lane uint32) uint32 {
+// stamps it with (ord, lane). The returned index stays valid across arena
+// growth; a *event into the arena would not, so pointers to slots never
+// outlive the expression that takes them.
+func (e *Engine) alloc(ord uint64, lane uint32) uint32 {
 	var ei uint32
 	if n := len(e.free); n > 0 {
 		ei = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
 		e.arena = append(e.arena, event{}) //nicwarp:alloc arena growth to a new high-water event count, amortized: fired slots are reused first
-		e.pos = append(e.pos, -1)          //nicwarp:alloc grows in step with the arena
 		ei = uint32(len(e.arena) - 1)
 	}
 	ev := &e.arena[ei]
-	ev.at = t
 	ev.seq = ord
 	ev.lane = lane
 	return ei
@@ -216,7 +219,6 @@ func (e *Engine) alloc(t vtime.ModelTime, ord uint64, lane uint32) uint32 {
 // cancelled event never pins a captured closure or threaded receiver.
 func (e *Engine) recycle(ei uint32) {
 	ev := &e.arena[ei]
-	ev.fn = nil
 	ev.fnArg = nil
 	ev.fn2 = nil
 	ev.arg = nil
@@ -229,11 +231,11 @@ func (e *Engine) recycle(ei uint32) {
 // A cancel issued from inside a callback meets a vacated root, which is
 // closed first so remove works on a whole heap.
 func (e *Engine) cancel(ei uint32, seq uint64) bool {
-	if e.arena[ei].seq != seq || e.pos[ei] < 0 {
+	if e.arena[ei].seq != seq || !e.heap.Has(ei) {
 		return false
 	}
-	e.settle()
-	e.heap.remove(e.pos, int(e.pos[ei]))
+	e.heap.Settle()
+	e.heap.Remove(ei)
 	e.recycle(ei)
 	return true
 }
@@ -255,7 +257,8 @@ func (e *Engine) At(t vtime.ModelTime, fn func()) *Timer {
 	}
 	ei := e.at(t)
 	ev := &e.arena[ei]
-	ev.fn = fn
+	ev.fnArg = runClosure
+	ev.arg = fn
 	return &Timer{eng: e, ei: ei, seq: ev.seq}
 }
 
@@ -339,7 +342,7 @@ func (e *Engine) AtCross(dst *Engine, lane uint32, t vtime.ModelTime, fn func(in
 			panic(fmt.Sprintf("des: AtCross(%v) is before now (%v)", t, e.now))
 		}
 		e.ensureLane(lane)
-		ei := e.insert(t, ord, lane)
+		ei := e.insert(eventKey(t, ord), lane)
 		ev := &e.arena[ei]
 		ev.fn2 = fn
 		ev.arg = a
@@ -361,17 +364,30 @@ func (e *Engine) at(t vtime.ModelTime) uint32 {
 	if t < e.now {
 		panic(fmt.Sprintf("des: At(%v) is before now (%v)", t, e.now))
 	}
-	return e.insert(t, e.nextOrd(), e.curLane)
+	return e.insert(eventKey(t, e.nextOrd()), e.curLane)
 }
 
-// insert allocates a slot for (t, ord, lane) and pushes it on the heap. The
-// key need not be freshly drawn: a Resource reserves each job's key at
-// submit and inserts it only when the job reaches the head of the line.
+// eventKey builds the heap key of an event at time t with order key ord.
+// The heap compares unsigned, which is the signed (time, ord) order only
+// because no time is negative: every caller has already checked t against a
+// nonnegative clock, finish time or horizon, and this is where that is
+// asserted.
+func eventKey(t vtime.ModelTime, ord uint64) d4heap.Key {
+	if t < 0 {
+		panic(fmt.Sprintf("des: event at negative time %d", int64(t)))
+	}
+	return d4heap.Key{Hi: uint64(t), Lo: ord}
+}
+
+// insert allocates a slot for key k on the given lane and pushes it on the
+// heap. The key need not be freshly drawn: a Resource reserves each job's
+// key at submit and inserts it only when the job reaches the head of the
+// line.
 //
 //nicwarp:hotpath every scheduled event passes through here
-func (e *Engine) insert(t vtime.ModelTime, ord uint64, lane uint32) uint32 {
-	ei := e.alloc(t, ord, lane)
-	e.heap.push(e.pos, t, ord, ei)
+func (e *Engine) insert(k d4heap.Key, lane uint32) uint32 {
+	ei := e.alloc(k.Lo, lane)
+	e.heap.Push(ei, k)
 	return ei
 }
 
@@ -385,10 +401,10 @@ func (e *Engine) Run(limit vtime.ModelTime) vtime.ModelTime {
 	e.running = true
 	defer func() {
 		e.running = false
-		e.settle() // a callback that panicked left the root vacated
+		e.heap.Settle() // a callback that panicked left the root vacated
 	}()
-	for e.heap.len() > 0 {
-		at := e.heap.minAt()
+	for e.heap.Len() > 0 {
+		at := e.minAt()
 		if at > limit {
 			break
 		}
@@ -397,21 +413,15 @@ func (e *Engine) Run(limit vtime.ModelTime) vtime.ModelTime {
 	return e.now
 }
 
-// settle closes the root a fired event vacated, if the callback did not
-// refill it (see timerHeap). A method rather than an inline call so that a
-// deferred settle reads the pos index as it is then, not as it was before
-// the callback grew the arena.
-func (e *Engine) settle() { e.heap.settle(e.pos) }
-
 // runWindow executes callbacks strictly below horizon h. It is the
 // per-round body of the Group protocol: cross-shard events produced while
 // it runs are staged (never delivered), so engines in the same window never
 // touch each other's state.
 func (e *Engine) runWindow(h vtime.ModelTime) {
 	e.windowEnd = h
-	defer e.settle()
-	for e.heap.len() > 0 {
-		at := e.heap.minAt()
+	defer e.heap.Settle()
+	for e.heap.Len() > 0 {
+		at := e.minAt()
 		if at >= h {
 			break
 		}
@@ -422,16 +432,16 @@ func (e *Engine) runWindow(h vtime.ModelTime) {
 // Step executes exactly one callback if any is pending and reports whether
 // one ran. Used by tests that need fine-grained control.
 func (e *Engine) Step() bool {
-	if e.heap.len() == 0 {
+	if e.heap.Len() == 0 {
 		return false
 	}
-	defer e.settle()
-	e.fire(e.heap.minAt())
+	defer e.heap.Settle()
+	e.fire(e.minAt())
 	return true
 }
 
 // fire advances the clock to at — the root event's time — and runs that
-// event: the root is vacated (not popped: see timerHeap), the slot recycled,
+// event: the root is vacated (not popped: see d4heap), the slot recycled,
 // and the callback invoked on its lane; the hole the callback's own
 // scheduling did not refill is closed after it returns. Recycling first
 // lets that scheduling reuse the slot; a stale Timer handle stays inert
@@ -441,20 +451,17 @@ func (e *Engine) Step() bool {
 //
 //nicwarp:hotpath the event loop body
 func (e *Engine) fire(at vtime.ModelTime) {
-	ei := e.heap.take(e.pos)
+	ei := e.heap.Take()
 	e.now = at
 	e.processed++
 	ev := &e.arena[ei]
-	fn, fnArg, fn2, a, b := ev.fn, ev.fnArg, ev.fn2, ev.arg, ev.argB
+	fnArg, fn2, a, b := ev.fnArg, ev.fn2, ev.arg, ev.argB
 	e.curLane = ev.lane
 	e.recycle(ei)
-	switch {
-	case fn2 != nil:
+	if fn2 != nil {
 		fn2(a, b) //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
-	case fnArg != nil:
+	} else {
 		fnArg(a) //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
-	default:
-		fn() //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
 	}
-	e.settle()
+	e.heap.Settle()
 }

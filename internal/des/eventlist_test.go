@@ -4,43 +4,51 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"nicwarp/internal/vtime"
 )
 
-// checkHeap asserts the event list is well formed: every slot but a vacated
-// root obeys the heap order against its parent, the pos index agrees with
-// the slots, and exactly len() arena slots are on the heap.
+// checkHeap asserts the engine and its event list agree on which arena
+// slots are scheduled: exactly Len() slots are on the heap and none of them
+// is on the free list. (The heap's own order and position-index invariants
+// are checked slot by slot against the reference model in d4heap's tests.)
 func checkHeap(t *testing.T, e *Engine) {
 	t.Helper()
-	h := &e.heap
-	if len(h.k) != len(h.ei) {
-		t.Fatalf("heap: %d keys, %d slots", len(h.k), len(h.ei))
-	}
-	for i := h.hole; i < len(h.k); i++ {
-		if got := e.pos[h.ei[i]]; int(got) != i {
-			t.Fatalf("heap: slot %d holds event %d whose pos is %d", i, h.ei[i], got)
-		}
-		if i == 0 {
-			continue
-		}
-		p := (i - 1) / timerArity
-		if p == 0 && h.hole != 0 {
-			continue // children of a vacated root have no parent to obey
-		}
-		if timerLess(&h.k[i], &h.k[p]) {
-			t.Fatalf("heap: slot %d (%+v) sorts before its parent %d (%+v)", i, h.k[i], p, h.k[p])
-		}
-	}
 	on := 0
-	for _, p := range e.pos {
-		if p >= 0 {
+	for ei := range e.arena {
+		if e.heap.Has(uint32(ei)) {
 			on++
 		}
 	}
-	if on != h.len() {
-		t.Fatalf("heap: %d events indexed, len() = %d", on, h.len())
+	if on != e.heap.Len() {
+		t.Fatalf("heap: %d events indexed, Len() = %d", on, e.heap.Len())
 	}
+	for _, ei := range e.free {
+		if e.heap.Has(ei) {
+			t.Fatalf("heap: recycled slot %d is still scheduled", ei)
+		}
+	}
+}
+
+// TestEventIsOneCacheLine pins the event record's size: the arena is
+// walked by slot index on every fire, and a record that straddles two lines
+// doubles that traffic.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("event is %d bytes, want 64", n)
+	}
+}
+
+// TestNegativeTimeKeyPanics: the event list compares times unsigned, so a
+// negative one must never reach it.
+func TestNegativeTimeKeyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("eventKey accepted a negative time")
+		}
+	}()
+	eventKey(-1, 1)
 }
 
 // refEvent is one scheduled callback in the sorted reference model. On a

@@ -88,7 +88,7 @@ func (g *Group) Now() vtime.ModelTime {
 func (g *Group) Pending() int {
 	n := 0
 	for _, e := range g.engines {
-		n += e.heap.len()
+		n += e.heap.Len()
 		for _, s := range e.staged {
 			n += len(s)
 		}
@@ -141,9 +141,9 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 		m := vtime.ModelInfinity
 		none := true
 		for _, e := range g.engines {
-			if e.heap.len() > 0 {
+			if e.heap.Len() > 0 {
 				none = false
-				m = vtime.MinM(m, e.heap.minAt())
+				m = vtime.MinM(m, e.minAt())
 			}
 		}
 		if none || m > limit {
@@ -154,7 +154,7 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 		h := vtime.MinM(addSatM(m, g.lookahead), addSatM(limit, 1))
 		active, solo := 0, -1
 		for i, e := range g.engines {
-			if e.heap.len() > 0 && e.heap.minAt() < h {
+			if e.heap.Len() > 0 && e.minAt() < h {
 				active++
 				solo = i
 			}
@@ -202,9 +202,9 @@ func (g *Group) runInline(limit vtime.ModelTime) vtime.ModelTime {
 		m := vtime.ModelInfinity
 		none := true
 		for _, e := range g.engines {
-			if e.heap.len() > 0 {
+			if e.heap.Len() > 0 {
 				none = false
-				m = vtime.MinM(m, e.heap.minAt())
+				m = vtime.MinM(m, e.minAt())
 			}
 		}
 		if none || m > limit {
@@ -212,7 +212,7 @@ func (g *Group) runInline(limit vtime.ModelTime) vtime.ModelTime {
 		}
 		h := vtime.MinM(addSatM(m, g.lookahead), addSatM(limit, 1))
 		for _, e := range g.engines {
-			if e.heap.len() > 0 && e.heap.minAt() < h {
+			if e.heap.Len() > 0 && e.minAt() < h {
 				e.runWindow(h)
 			}
 		}
@@ -260,7 +260,7 @@ func (g *Group) merge() {
 					panic(fmt.Sprintf("des: merged cross-shard event at %v is before destination clock %v", se.at, dst.now))
 				}
 				dst.ensureLane(se.lane)
-				ei := dst.insert(se.at, se.ord, se.lane)
+				ei := dst.insert(eventKey(se.at, se.ord), se.lane)
 				ev := &dst.arena[ei]
 				ev.fn2 = se.fn2
 				ev.arg = se.a

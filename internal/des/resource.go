@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 
+	"nicwarp/internal/d4heap"
 	"nicwarp/internal/dense"
 	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
@@ -16,7 +17,7 @@ import (
 type doneEntry struct {
 	// key is (completion time, order key drawn at submit); the order key's
 	// lane bits are the lane the completion fires on.
-	key timerKey
+	key d4heap.Key
 
 	fnArg func(interface{})
 	fn2   func(interface{}, interface{})
@@ -124,12 +125,12 @@ func (r *Resource) submit(cost vtime.ModelTime) *doneEntry {
 	r.Busy.AddInterval(cost)
 	r.WaitAvg.Observe(float64(start - now))
 	d := r.done.PushSlot()
-	d.key = timerKey{at: finish, seq: e.nextOrd()}
+	d.key = eventKey(finish, e.nextOrd())
 	n := r.done.Len()
 	r.Queue.Set(int64(n))
 	if n == 1 {
 		r.arm(d)
-	} else if q := r.done.Live(); timerLess(&d.key, &q[n-2].key) {
+	} else if q := r.done.Live(); d.key.Less(q[n-2].key) {
 		r.undercut(q)
 	}
 	return d
@@ -139,7 +140,7 @@ func (r *Resource) submit(cost vtime.ModelTime) *doneEntry {
 // under d's reserved key.
 func (r *Resource) arm(d *doneEntry) {
 	e := r.eng
-	r.armed = e.insert(d.key.at, d.key.seq, uint32(d.key.seq>>laneSeqBits))
+	r.armed = e.insert(d.key, uint32(d.key.Lo>>laneSeqBits))
 	ev := &e.arena[r.armed]
 	ev.fnArg = resourceComplete
 	ev.arg = r
@@ -152,9 +153,9 @@ func (r *Resource) arm(d *doneEntry) {
 // it the oldest callback; sorting the keys while the callbacks stay put does
 // the same, and if the new key reaches the head the armed event moves to it.
 func (r *Resource) undercut(q []doneEntry) {
-	armedSeq := q[0].key.seq
+	armedSeq := q[0].key.Lo
 	i := len(q) - 1
-	for ; i > 0 && timerLess(&q[i].key, &q[i-1].key); i-- {
+	for ; i > 0 && q[i].key.Less(q[i-1].key); i-- {
 		q[i].key, q[i-1].key = q[i-1].key, q[i].key
 	}
 	if i == 0 {

@@ -43,8 +43,9 @@ func DefaultConfig() Config {
 
 // Bus is one node's I/O bus.
 type Bus struct {
-	cfg Config
-	res *des.Resource
+	cfg  Config
+	res  *des.Resource
+	xfer vtime.TransferMemo // of cfg.Bandwidth
 
 	// Metrics.
 	Transfers stats.Counter
@@ -69,7 +70,7 @@ func (b *Bus) DMA(size int, done func()) {
 	if size < 0 {
 		panic("iobus: negative transfer size")
 	}
-	cost := b.cfg.DMASetup + vtime.TransferTime(size, b.cfg.Bandwidth)
+	cost := b.cfg.DMASetup + b.xfer.Time(size, b.cfg.Bandwidth)
 	b.Transfers.Inc()
 	b.Bytes.Add(int64(size))
 	b.res.Submit(cost, done)
@@ -81,7 +82,7 @@ func (b *Bus) DMAArg(size int, fn func(interface{}), arg interface{}) {
 	if size < 0 {
 		panic("iobus: negative transfer size")
 	}
-	cost := b.cfg.DMASetup + vtime.TransferTime(size, b.cfg.Bandwidth)
+	cost := b.cfg.DMASetup + b.xfer.Time(size, b.cfg.Bandwidth)
 	b.Transfers.Inc()
 	b.Bytes.Add(int64(size))
 	b.res.SubmitArg(cost, fn, arg)

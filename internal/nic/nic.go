@@ -289,8 +289,9 @@ type NIC struct {
 	// trampolines below) replace per-packet completion closures.
 	txEntry   outEntry
 	txVerdict Verdict
-	txWire    vtime.ModelTime // serialization time of the announced packet
-	rxPkt     *proto.Packet   //nicwarp:owns in-flight receive bound for the host; nil once the firmware consumed or dropped it
+	txWire    vtime.ModelTime    // serialization time of the announced packet
+	xfer      vtime.TransferMemo // of linkBandwidth
+	rxPkt     *proto.Packet      //nicwarp:owns in-flight receive bound for the host; nil once the firmware consumed or dropped it
 	rxVerdict Verdict
 	// rxSlotSrc is the sender owed a receive-buffer credit for the in-flight
 	// packet (a gated kind, not a wire duplicate), or -1. Latched before the
@@ -717,7 +718,7 @@ func (n *NIC) txPump() {
 			// it comes back once the destination host consumes it.
 			n.txCredit[entry.pkt.DstNode]--
 		}
-		n.txWire = vtime.TransferTime(entry.pkt.EncodedSize(), n.linkBandwidth())
+		n.txWire = n.xfer.Time(entry.pkt.EncodedSize(), n.linkBandwidth())
 		depart := vtime.MaxM(finishProc, n.txFree) + n.txWire
 		n.txFree = depart
 		n.fabric.Announce(n.node, entry.pkt, depart)

@@ -245,6 +245,10 @@ type port struct {
 	lane    uint32
 	deliver func(*proto.Packet)
 	out     *des.Resource // output-port serializer (switch -> NIC link)
+	// xfer memoizes link serialization times. Both its users — launch for
+	// the source port, portArrival for the destination — run on this port's
+	// engine.
+	xfer vtime.TransferMemo
 
 	forwarded  stats.Counter // packets delivered out of this port
 	bytes      stats.Counter // bytes delivered out of this port
@@ -377,7 +381,7 @@ func (f *Fabric) launch(srcPort, dstPort int, pkt *proto.Packet, depart vtime.Mo
 	at := depart + f.cfg.LinkLatency + f.cfg.SwitchLatency + extra
 	if stages := f.cfg.ExtraStages(srcPort, dstPort); stages > 0 {
 		perStage := f.cfg.LinkLatency + f.cfg.SwitchLatency +
-			vtime.TransferTime(pkt.EncodedSize(), f.cfg.LinkBandwidth)
+			src.xfer.Time(pkt.EncodedSize(), f.cfg.LinkBandwidth)
 		at += vtime.ModelTime(stages) * perStage
 	}
 	src.eng.AtCross(dst.eng, dst.lane, at, portArrival, dst, pkt)
@@ -388,7 +392,7 @@ func (f *Fabric) launch(srcPort, dstPort int, pkt *proto.Packet, depart vtime.Mo
 func portArrival(a, b interface{}) {
 	p := a.(*port)
 	pkt := b.(*proto.Packet)
-	serialize := vtime.TransferTime(pkt.EncodedSize(), p.f.cfg.LinkBandwidth)
+	serialize := p.xfer.Time(pkt.EncodedSize(), p.f.cfg.LinkBandwidth)
 	p.out.SubmitArg2(serialize, portSerialized, p, pkt)
 }
 

@@ -23,6 +23,8 @@ type harness struct {
 	// trace folds every StepResult run() saw, in order, into one hash, so two
 	// runs can be compared step for step.
 	trace uint64
+	// after, when set, inspects a kernel after each of its public calls.
+	after func(*Kernel)
 }
 
 func newHarness(nLP int, objs map[ObjectID]Object, assign func(ObjectID) int, policy CancellationPolicy, seed uint64) *harness {
@@ -66,9 +68,12 @@ func (h *harness) post(evs []*Event) {
 	h.mailbox = append(h.mailbox, evs...)
 }
 
-// step folds one kernel step's result into the trace and posts its remote
-// messages.
-func (h *harness) step(res StepResult) {
+// step folds the result of one step kernel k just took into the trace and
+// posts its remote messages.
+func (h *harness) step(k *Kernel, res StepResult) {
+	if h.after != nil {
+		h.after(k)
+	}
 	annihilated := uint64(0)
 	if res.Annihilated {
 		annihilated = 1
@@ -101,7 +106,7 @@ const lazyDeliveryWindow = 4
 func (h *harness) run(t *testing.T) int {
 	t.Helper()
 	for _, k := range h.kernels {
-		h.step(k.Bootstrap())
+		h.step(k, k.Bootstrap())
 	}
 	const bound = 5_000_000
 	for {
@@ -130,7 +135,8 @@ func (h *harness) run(t *testing.T) int {
 				i := h.rnd.Intn(w)
 				ev := h.mailbox[i]
 				h.mailbox = append(h.mailbox[:i], h.mailbox[i+1:]...)
-				h.step(h.kernels[h.home[ev.Dst]].Deliver(ev))
+				k := h.kernels[h.home[ev.Dst]]
+				h.step(k, k.Deliver(ev))
 			} else {
 				// Pick a random busy kernel.
 				pick := h.rnd.Intn(busyKernels)
@@ -139,7 +145,7 @@ func (h *harness) run(t *testing.T) int {
 						continue
 					}
 					if pick == 0 {
-						h.step(k.ProcessOne())
+						h.step(k, k.ProcessOne())
 						break
 					}
 					pick--
@@ -158,7 +164,7 @@ func (h *harness) run(t *testing.T) int {
 			if len(res.Remote) > 0 {
 				emitted = true
 			}
-			h.step(res)
+			h.step(k, res)
 		}
 		busy := false
 		for _, k := range h.kernels {

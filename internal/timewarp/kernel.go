@@ -129,7 +129,7 @@ type objRuntime struct {
 	zombies     []*Event //nicwarp:owns unmatched anti-messages; recycled on annihilation or fossil collection
 	fossilCount int      // history entries already reclaimed
 
-	heapIdx int // position in the kernel scheduler heap
+	idx uint32 // index in Kernel.order; the object's id in the scheduler heap
 }
 
 // liveLen returns the number of retained history entries.
@@ -170,18 +170,15 @@ func (o *objRuntime) vacate(e *histEntry) {
 // lastHist returns the newest live history entry.
 func (o *objRuntime) lastHist() *histEntry { return &o.hist[len(o.hist)-1] }
 
-// head returns the object's lowest unprocessed event, or nil.
-func (o *objRuntime) head() *Event {
-	if o.pending.Len() == 0 {
-		return nil
-	}
-	return o.pending.Min()
-}
-
 // pendPush inserts an event into the pending queue and its identity index.
 // The index chain is newest-first; order within a chain is irrelevant
-// because lookups match on full identity.
+// because lookups match on full identity. A pending event is addressed to
+// its owner — the fact that lets the scheduler order objects by
+// (head.RecvTS, id) alone (see schedKey).
 func (o *objRuntime) pendPush(ev *Event) {
+	if ev.Dst != o.id {
+		panic(fmt.Sprintf("timewarp: %v queued on object %d", ev, o.id))
+	}
 	o.pindex.add(ev)
 	o.pending.Push(ev)
 }
@@ -215,24 +212,29 @@ func (o *objRuntime) clock() vtime.VTime {
 	return o.lastHist().ev.RecvTS
 }
 
-// LessThan orders objects by their head pending event for the LP
-// scheduler; objects with no pending events sort last. Ties occur only
-// between idle objects, which the scheduler never selects, so root
-// selection is deterministic regardless of heap layout.
-func (o *objRuntime) LessThan(p *objRuntime) bool {
-	a, b := o.head(), p.head()
-	switch {
-	case a == nil:
-		return false
-	case b == nil:
-		return true
-	default:
-		return a.Before(b)
-	}
-}
+// The scheduler heap compares unsigned. XOR with the sign bit maps a signed
+// value onto the unsigned one with the same order.
+const (
+	signBit64 = 1 << 63
+	signBit32 = 1 << 31
+	// idleLo marks an idle object's key: above every ObjectID, so an idle
+	// object sorts after an event at Infinity too, and below the heap's
+	// all-ones sentinel.
+	idleLo = 1 << 32
+)
 
-// SetHeapPos records the object's scheduler-heap slot.
-func (o *objRuntime) SetHeapPos(i int) { o.heapIdx = i }
+// schedKey is the object's place in the LP scheduler: (head.RecvTS, id), or
+// (Infinity, idle|id) with nothing pending. Heads of distinct objects differ
+// in Dst (pendPush), so comparing (RecvTS, Dst) orders them exactly as
+// Event.Compare does without reading past its second step; idle objects
+// sort last, as the scheduler never selects them, and apart.
+func (o *objRuntime) schedKey() d4heap.Key {
+	id := uint64(uint32(o.id) ^ signBit32)
+	if o.pending.Len() == 0 {
+		return d4heap.Key{Hi: uint64(vtime.Infinity) ^ signBit64, Lo: idleLo | id}
+	}
+	return d4heap.Key{Hi: uint64(o.pending.Min().RecvTS) ^ signBit64, Lo: id}
+}
 
 // StepResult reports what a kernel operation did, in counts the cluster
 // layer converts into host CPU costs, plus the remote messages to ship.
@@ -264,7 +266,7 @@ type Kernel struct {
 	cfg   Config
 	objs  map[ObjectID]*objRuntime
 	order []*objRuntime
-	sched d4heap.Heap[*objRuntime]
+	sched d4heap.Heap // every object, keyed schedKey, ids index order
 	pool  eventPool
 
 	// Per-call scratch, reset by each public entry point. res aliases
@@ -322,11 +324,10 @@ func (k *Kernel) AddObject(id ObjectID, obj Object) {
 	if _, dup := k.objs[id]; dup {
 		panic(fmt.Sprintf("timewarp: duplicate object %d", id))
 	}
-	o := &objRuntime{id: id, obj: obj}
+	o := &objRuntime{id: id, obj: obj, idx: uint32(len(k.order))}
 	o.reuser, _ = obj.(StateReuser)
 	k.objs[id] = o
 	k.order = append(k.order, o)
-	k.sched.Push(o)
 }
 
 // IsLocal reports whether the object lives on this LP.
@@ -351,6 +352,12 @@ func (k *Kernel) Bootstrap() StepResult {
 	}
 	k.booted = true
 	res := k.begin()
+	// The object set is final: the scheduler takes its arrays at their one
+	// size and every object enters it idle.
+	k.sched.Grow(len(k.order))
+	for _, o := range k.order {
+		k.sched.Push(o.idx, o.schedKey())
+	}
 	for _, o := range k.order {
 		k.ctxScratch = Context{k: k, st: o, now: 0, inInit: true}
 		o.obj.Init(&k.ctxScratch)
@@ -361,7 +368,7 @@ func (k *Kernel) Bootstrap() StepResult {
 
 // HasWork reports whether any object has an unprocessed event.
 func (k *Kernel) HasWork() bool {
-	return k.sched.Len() > 0 && k.sched.Min().head() != nil
+	return k.sched.Len() > 0 && k.sched.MinKey().Lo < idleLo
 }
 
 // NextTS returns the timestamp of the lowest unprocessed event on this LP,
@@ -371,7 +378,7 @@ func (k *Kernel) NextTS() vtime.VTime {
 	if !k.HasWork() {
 		return vtime.Infinity
 	}
-	return k.sched.Min().head().RecvTS
+	return vtime.VTime(k.sched.MinKey().Hi ^ signBit64)
 }
 
 // LVT returns the LP's lower bound on future message timestamps: the lowest
@@ -421,7 +428,7 @@ func (k *Kernel) ProcessOne() StepResult {
 		panic("timewarp: ProcessOne on idle LP")
 	}
 	res := k.begin()
-	o := k.sched.Min()
+	o := k.order[k.sched.Min()]
 	ev := o.pendPop()
 	k.fixSched(o)
 
@@ -861,7 +868,8 @@ func (k *Kernel) lazyFlush(o *objRuntime, bound vtime.VTime) {
 	o.lazyPending = kept
 }
 
-// fixSched re-heapifies the scheduler after o's head changed.
+// fixSched re-keys o in the scheduler after its head changed: the one place
+// every head change passes through.
 func (k *Kernel) fixSched(o *objRuntime) {
-	k.sched.Fix(o.heapIdx)
+	k.sched.Fix(o.idx, o.schedKey())
 }

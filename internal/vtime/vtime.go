@@ -161,9 +161,44 @@ func TransferTime(size int, bytesPerSecond float64) ModelTime {
 		panic("vtime: TransferTime with nonpositive bandwidth")
 	}
 	ns := float64(size) / bytesPerSecond * 1e9
-	t := ModelTime(math.Ceil(ns))
+	t := ModelTime(math.Ceil(ns)) //nicwarp:alloc standard-library arithmetic; opaque to the analyzer
 	if t < 1 {
 		t = 1
+	}
+	return t
+}
+
+// TransferMemo remembers what TransferTime returned for the first few
+// distinct sizes one component moves. A link, port or bus sees a handful of
+// encoded sizes in a run and pays TransferTime's divide and Ceil on every
+// packet; the memo answers a repeat from four inline pairs and falls through
+// to TransferTime otherwise, so every result is TransferTime's own bits. It
+// lives by value inside its component — no allocation, nothing shared
+// between shards — and the zero value is ready. A change of bandwidth
+// empties it.
+type TransferMemo struct {
+	bw   float64
+	n    int32
+	size [4]int32
+	t    [4]ModelTime
+}
+
+// Time returns TransferTime(size, bytesPerSecond).
+//
+//nicwarp:hotpath four to five lookups per wire packet
+func (m *TransferMemo) Time(size int, bytesPerSecond float64) ModelTime {
+	if m.bw != bytesPerSecond {
+		*m = TransferMemo{bw: bytesPerSecond}
+	}
+	for i := range m.size[:m.n] {
+		if int(m.size[i]) == size {
+			return m.t[i]
+		}
+	}
+	t := TransferTime(size, bytesPerSecond)
+	if int(m.n) < len(m.size) && size == int(int32(size)) {
+		m.size[m.n], m.t[m.n] = int32(size), t
+		m.n++
 	}
 	return t
 }

@@ -152,6 +152,37 @@ func TestTransferTimePanics(t *testing.T) {
 	TransferTime(10, 0)
 }
 
+// TestTransferMemoIsTransferTime: whatever mix of sizes and bandwidths a
+// memo is asked, hit or miss, full or emptied, the answer is TransferTime's,
+// and asking allocates nothing.
+func TestTransferMemoIsTransferTime(t *testing.T) {
+	f := func(sizes []int32, bws []uint8) bool {
+		var m TransferMemo
+		for i, sz := range sizes {
+			bw := 132e6
+			if len(bws) > 0 && bws[i%len(bws)]%16 == 0 {
+				bw = 160e6 + float64(bws[i%len(bws)]) // a rare change of bandwidth
+			}
+			size := int(sz % 9 * 61) // nine sizes, more than the memo holds; zero among them
+			if i%7 == 0 {
+				size = int(sz) // and the odd arbitrary one, negatives included
+			}
+			if got, want := m.Time(size, bw), TransferTime(size, bw); got != want {
+				t.Logf("Time(%d, %v) = %v, TransferTime gives %v", size, bw, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	var m TransferMemo
+	if n := testing.AllocsPerRun(100, func() { m.Time(61, 132e6); m.Time(122, 132e6); m.Time(1<<40, 132e6) }); n != 0 {
+		t.Fatalf("memo lookups allocate %v times", n)
+	}
+}
+
 func TestCycles(t *testing.T) {
 	// 66 cycles at 66 MHz is 1 microsecond.
 	got := Cycles(66, 66e6)

@@ -249,7 +249,6 @@ type NIC struct {
 	node   int
 	cfg    Config
 	proc   *des.Resource // the LanAI processor
-	tx     *des.Resource // wire serializer toward the switch
 	fabric *simnet.Fabric
 	fw     Firmware
 	shared *SharedWindow
@@ -289,7 +288,7 @@ type NIC struct {
 	// trampolines below) replace per-packet completion closures.
 	txEntry   outEntry
 	txVerdict Verdict
-	txWire    vtime.ModelTime    // serialization time of the announced packet
+	txDepart  vtime.ModelTime    // instant the announced packet finishes serializing onto the wire
 	xfer      vtime.TransferMemo // of linkBandwidth
 	rxPkt     *proto.Packet      //nicwarp:owns in-flight receive bound for the host; nil once the firmware consumed or dropped it
 	rxVerdict Verdict
@@ -302,12 +301,7 @@ type NIC struct {
 	// have outstanding toward each destination. A credit is taken when a
 	// host-bound packet leaves the send queue for the wire and comes back
 	// (after CreditReturnDelay) once the destination host consumes it.
-	// txFree mirrors tx's busy-until frontier so the wire departure time of
-	// the packet being pumped is known analytically at pump time — the tx
-	// serializer is fed only by this NIC's FIFO transmit pump, so the
-	// mirror is exact.
 	txCredit []int
-	txFree   vtime.ModelTime
 
 	// Receiver-side credit bookkeeping. rxSrcQ pairs host-delivery
 	// completions with the source that gets the credit back: deliveries
@@ -350,7 +344,6 @@ func New(eng *des.Engine, node int, cfg Config, fabric *simnet.Fabric, fw Firmwa
 		node:   node,
 		cfg:    cfg,
 		proc:   des.NewResource(eng, fmt.Sprintf("nic-proc-%d", node)),
-		tx:     des.NewResource(eng, fmt.Sprintf("nic-tx-%d", node)),
 		fabric: fabric,
 		fw:     fw,
 		shared: NewSharedWindow(),
@@ -586,7 +579,7 @@ func (n *NIC) ProcUtilizationAt(end vtime.ModelTime) float64 { return n.proc.Uti
 
 // Idle reports whether the NIC has no queued or in-flight work.
 func (n *NIC) Idle() bool {
-	return n.sendLen() == 0 && n.recvQ.Len() == 0 && n.proc.Idle() && n.tx.Idle()
+	return n.sendLen() == 0 && n.recvQ.Len() == 0 && n.proc.Idle() && !n.txPumping
 }
 
 // SendQueueLen returns the current transmit backlog (for tests).
@@ -654,12 +647,12 @@ func (n *NIC) takeCharge() int64 {
 //
 // The firmware verdict and the wire departure time are both known at pump
 // time, so a forwarded packet is announced to the fabric immediately: its
-// departure is max(processor finish, serializer free) + serialization,
-// which is exact because the serializer is fed only by this FIFO pump
-// (txFree mirrors tx's busy-until frontier). Announcing ahead of the modeled stages is
-// what gives a cross-shard receiver the full NIC-plus-wire latency as
-// lookahead; the processor and serializer jobs still run for their time
-// and utilization accounting.
+// departure is processor finish + serialization. The wire is always free by
+// then — txPumping holds the next pump back until nicTxSerialized — so it
+// is one timer, not a queueing server. Announcing ahead of the modeled
+// stages is what gives a cross-shard receiver the full NIC-plus-wire
+// latency as lookahead; the processor job (time and utilization accounting)
+// and the serialization timer still run.
 func (n *NIC) txPump() {
 	if n.txPumping || n.txStalled || n.txFaultStalled || n.sendLen() == 0 {
 		return
@@ -706,8 +699,8 @@ func (n *NIC) txPump() {
 			n.clearScratch()
 		}
 	}
-	// txPumping covers both transmit stages (processor, then serializer), so
-	// the in-flight entry rides on the NIC struct instead of a closure.
+	// txPumping covers both transmit stages (processor, then wire), so the
+	// in-flight entry rides on the NIC struct instead of a closure.
 	n.txEntry = entry
 	n.txVerdict = verdict
 	cost := n.cycles(n.cfg.SendCycles + n.takeCharge())
@@ -718,10 +711,8 @@ func (n *NIC) txPump() {
 			// it comes back once the destination host consumes it.
 			n.txCredit[entry.pkt.DstNode]--
 		}
-		n.txWire = n.xfer.Time(entry.pkt.EncodedSize(), n.linkBandwidth())
-		depart := vtime.MaxM(finishProc, n.txFree) + n.txWire
-		n.txFree = depart
-		n.fabric.Announce(n.node, entry.pkt, depart)
+		n.txDepart = finishProc + n.xfer.Time(entry.pkt.EncodedSize(), n.linkBandwidth())
+		n.fabric.Announce(n.node, entry.pkt, n.txDepart)
 		// The packet is the fabric's now, and then its receiver's, which may
 		// be rewriting it on another shard before the stages below finish.
 		n.txEntry.pkt = nil
@@ -733,7 +724,7 @@ func nicTxProcessed(x interface{}) {
 	n := x.(*NIC)
 	switch n.txVerdict {
 	case VerdictForward:
-		n.transmit()
+		n.eng.AtArg(n.txDepart, nicTxSerialized, n)
 	case VerdictConsume, VerdictDrop:
 		pkt := n.txEntry.pkt
 		fromNIC := n.txEntry.fromNIC
@@ -750,12 +741,6 @@ func nicTxProcessed(x interface{}) {
 	default:
 		panic(fmt.Sprintf("nic: bad send verdict %v", n.txVerdict))
 	}
-}
-
-// transmit occupies the wire serializer for the in-flight packet (its
-// delivery was already announced at pump time), then continues the pump.
-func (n *NIC) transmit() {
-	n.tx.SubmitArg(n.txWire, nicTxSerialized, n)
 }
 
 // nicTxSerialized is the wire-stage completion for the transmit pump: the

@@ -5,14 +5,24 @@ package dense
 // compacted away in place just before the slice would otherwise grow, so a
 // queue whose depth stays bounded stops allocating once it has reached that
 // depth. Every vacated slot is zeroed, so the queue never pins what has
-// left it. It is the shape every "the server is FIFO, so the completion
-// belongs to the oldest entry" pairing in the model uses.
+// left it. It is every FIFO-shaped queue in the model: the "the server is
+// FIFO, so the completion belongs to the oldest entry" pairings, the host
+// pipeline queues, the Time Warp history and its output rows, the NIC send
+// and receive queues, the drop rings, the MPICH wait queues and the cancel
+// windows.
+//
+// Entries may also leave from the middle: filter Live() into its own prefix,
+// then DropTail the rest.
 //
 // The zero value is an empty queue.
 type FIFO[T any] struct {
 	q    []T
 	head int
 }
+
+// firstCap is the first push's allocation, in entries: most queues here
+// stay a few entries deep, and growing 1→2→4→8 would cost four.
+const firstCap = 8
 
 // Len returns the number of queued entries.
 func (f *FIFO[T]) Len() int { return len(f.q) - f.head }
@@ -26,11 +36,15 @@ func (f *FIFO[T]) Push(v T) { *f.PushSlot() = v }
 //
 //nicwarp:hotpath one push per FIFO-server job and per packet crossing the host pipeline
 func (f *FIFO[T]) PushSlot() *T {
-	if len(f.q) == cap(f.q) && f.head > 0 {
-		n := copy(f.q, f.q[f.head:])
-		clear(f.q[n:])
-		f.q = f.q[:n]
-		f.head = 0
+	if len(f.q) == cap(f.q) {
+		if f.head > 0 {
+			n := copy(f.q, f.q[f.head:])
+			clear(f.q[n:])
+			f.q = f.q[:n]
+			f.head = 0
+		} else if cap(f.q) == 0 {
+			f.q = make([]T, 0, firstCap) //nicwarp:alloc first push, once per queue
+		}
 	}
 	var zero T
 	f.q = append(f.q, zero) //nicwarp:alloc queue growth to a new high-water depth, amortized: the consumed prefix is reused first

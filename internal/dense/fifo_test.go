@@ -5,9 +5,22 @@ import (
 	"testing"
 )
 
+// filterInPlace is how a queue loses entries from its middle: the kept ones
+// are filtered into Live()'s own prefix, the rest dropped from the tail.
+func filterInPlace[T any](f *FIFO[T], keep func(T) bool) {
+	live := f.Live()
+	kept := live[:0]
+	for _, v := range live {
+		if keep(v) {
+			kept = append(kept, v)
+		}
+	}
+	f.DropTail(len(live) - len(kept))
+}
+
 // TestFIFOMatchesSlice drives a FIFO and a plain slice queue through random
-// pushes, pops (by value and in place) and tail drops and compares them
-// throughout.
+// pushes, pops (by value and in place), tail drops and in-place filters, and
+// compares them throughout.
 func TestFIFOMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var f FIFO[int]
@@ -20,12 +33,23 @@ func TestFIFOMatchesSlice(t *testing.T) {
 		if op/500%2 == 1 {
 			pushBias = 3
 		}
-		switch r := rng.Intn(10); {
-		case r == 9 && len(ref) > 0:
+		switch r := rng.Intn(20); {
+		case r == 19 && len(ref) > 0:
 			n := rng.Intn(len(ref) + 1)
 			f.DropTail(n)
 			ref = ref[:len(ref)-n]
-		case r < pushBias:
+		case r == 18 && len(ref) > 0:
+			mod := 2 + rng.Intn(3)
+			keep := func(v int) bool { return v%mod != 0 }
+			filterInPlace(&f, keep)
+			kept := ref[:0:0]
+			for _, v := range ref {
+				if keep(v) {
+					kept = append(kept, v)
+				}
+			}
+			ref = kept
+		case r/2 < pushBias:
 			if r%2 == 0 {
 				f.Push(next)
 			} else {
@@ -58,9 +82,9 @@ func TestFIFOMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestFIFOPinsNothing: a slot an entry has left — by pop or by compaction —
-// is zeroed, so the queue's backing array never keeps a departed pointer
-// reachable.
+// TestFIFOPinsNothing: a slot an entry has left — by pop, by tail drop, by
+// an in-place filter or by compaction — is zeroed, so the queue's backing
+// array never keeps a departed pointer reachable.
 func TestFIFOPinsNothing(t *testing.T) {
 	var f FIFO[*int]
 	for round := 0; round < 50; round++ {
@@ -70,8 +94,12 @@ func TestFIFOPinsNothing(t *testing.T) {
 		for i := 0; i < 1+round%5 && f.Len() > 0; i++ {
 			f.Pop()
 		}
-		if round%3 == 0 {
+		switch round % 3 {
+		case 0:
 			f.DropTail(f.Len() / 2)
+		case 1:
+			i := 0
+			filterInPlace(&f, func(*int) bool { i++; return i%2 == 0 })
 		}
 		backing := f.q[:cap(f.q)]
 		for i, p := range backing {
@@ -79,6 +107,57 @@ func TestFIFOPinsNothing(t *testing.T) {
 				t.Fatalf("round %d: dead slot %d still holds a pointer (head %d, len %d)", round, i, f.head, len(f.q))
 			}
 		}
+	}
+}
+
+// TestFIFOSlidesConsumedPrefix: a push that finds the backing array full
+// while a consumed prefix exists slides the live entries to the front of
+// the same array instead of growing it, in order, whatever in-place
+// filtering happened in between.
+func TestFIFOSlidesConsumedPrefix(t *testing.T) {
+	var f FIFO[int]
+	next := 0
+	for f.Len() < firstCap {
+		f.Push(next)
+		next++
+	}
+	for round := 0; round < 20; round++ {
+		f.Drop()
+		filterInPlace(&f, func(v int) bool { return v%7 != round%7 })
+		for len(f.q) < cap(f.q) {
+			f.Push(next)
+			next++
+		}
+		want := append([]int(nil), f.Live()...)
+		backing := &f.q[:cap(f.q)][0]
+		f.Push(next) // len == cap with head > 0: slides
+		next++
+		if f.head != 0 || &f.q[0] != backing {
+			t.Fatalf("round %d: full push with a consumed prefix did not slide in place (head %d)", round, f.head)
+		}
+		want = append(want, next-1)
+		for i, v := range f.Live() {
+			if v != want[i] {
+				t.Fatalf("round %d: after the slide live = %v, want %v", round, f.Live(), want)
+			}
+		}
+	}
+}
+
+// TestFIFOFirstPushAllocatesOnce: an empty queue's first push allocates
+// room for firstCap entries at once, so filling that far costs one
+// allocation, not the four of growing 1→2→4→8.
+func TestFIFOFirstPushAllocatesOnce(t *testing.T) {
+	var keep [][]int
+	allocs := testing.AllocsPerRun(100, func() {
+		var f FIFO[int]
+		for i := 0; i < firstCap; i++ {
+			f.Push(i)
+		}
+		keep = append(keep[:0], f.q)
+	})
+	if allocs != 1 {
+		t.Fatalf("filling a fresh queue to %d entries allocated %.1f times, want 1", firstCap, allocs)
 	}
 }
 

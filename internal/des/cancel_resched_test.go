@@ -2,7 +2,7 @@ package des
 
 import "testing"
 
-// The tests below pin the Timer generation check against the free-list
+// The tests below pin the TimerRef generation check against the free-list
 // recycling that cancel and fire perform: a cancelled event's struct is
 // reused by the very next schedule, so a same-tick reschedule lands in the
 // same *event allocation. Only the seq generation stands between a stale
@@ -35,7 +35,7 @@ func TestCancelThenSameTickRescheduleDoesNotResurrect(t *testing.T) {
 }
 
 // TestCancelThenSameTickScheduleArg is the closure-free variant: the
-// cancelled Timer's event is reused by an AtArg at the same instant. The
+// cancelled timer's event is reused by an AtArg at the same instant. The
 // recycled event must carry only the threaded argument callback.
 func TestCancelThenSameTickScheduleArg(t *testing.T) {
 	e := NewEngine()
@@ -63,7 +63,7 @@ func TestCancelThenSameTickScheduleArg(t *testing.T) {
 func TestFiredTimerHandleInertAfterSameTickReuse(t *testing.T) {
 	e := NewEngine()
 	chained := 0
-	var tm *Timer
+	var tm TimerRef
 	tm = e.At(7, func() {
 		// fire() recycles before invoking, so this At reuses tm's event.
 		e.At(7, func() { chained++ })
@@ -75,8 +75,8 @@ func TestFiredTimerHandleInertAfterSameTickReuse(t *testing.T) {
 	if chained != 1 {
 		t.Fatalf("chained same-tick callback fired %d times, want 1", chained)
 	}
-	if tm.Stopped() {
-		t.Fatal("fired timer must not report Stopped")
+	if tm.Cancel() {
+		t.Fatal("cancel of a fired timer took effect")
 	}
 }
 
@@ -97,7 +97,7 @@ func TestDoubleCancelIsNoOp(t *testing.T) {
 		t.Fatal("stale handle re-cancelled across generations")
 	}
 	e.Run(100)
-	if !a.Stopped() || !b.Stopped() {
-		t.Fatal("both handles must report Stopped")
+	if a.Cancel() || b.Cancel() {
+		t.Fatal("a cancelled handle's Cancel took effect again")
 	}
 }

@@ -41,12 +41,12 @@ const laneSeqBits = 48
 const maxLanes = 1 << (64 - laneSeqBits)
 
 // event is one scheduled callback, stored in the engine's arena and
-// addressed by slot index everywhere (heap, Timer handles, free list) —
+// addressed by slot index everywhere (heap, TimerRef handles, free list) —
 // never by pointer, which may dangle across arena growth. seq is the
 // lane-keyed order key (lane << laneSeqBits | per-lane sequence): it breaks
 // ties among equal times deterministically regardless of sharding, and is
 // unique per incarnation, so it doubles as the generation counter that keeps
-// a stale Timer handle from cancelling the slot's next incarnation. The
+// a stale TimerRef from cancelling the slot's next incarnation. The
 // event's time is not here: nothing reads it but the heap, whose key carries
 // it, and without it the record is one 64-byte cache line. A plain func()
 // callback rides in arg behind runClosure.
@@ -59,38 +59,12 @@ type event struct {
 	argB  interface{}
 }
 
-// Timer is a handle to a scheduled callback that can be cancelled before it
-// fires. The handle records the event's generation (its seq), so a Timer
-// kept past its event's firing is inert even after the engine recycles the
-// slot for an unrelated callback.
-type Timer struct {
-	eng    *Engine
-	ei     uint32
-	seq    uint64
-	cancel bool
-}
-
-// Cancel prevents the timer's callback from running. Cancelling an already
-// fired or cancelled timer is a no-op. Reports whether the cancellation took
-// effect. The cancelled event is recycled immediately, dropping its callback
-// so the handle cannot pin captured state.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.cancel {
-		return false
-	}
-	t.cancel = t.eng.cancel(t.ei, t.seq)
-	return t.cancel
-}
-
-// Stopped reports whether the timer was cancelled.
-func (t *Timer) Stopped() bool { return t != nil && t.cancel }
-
-// TimerRef is a by-value cancellable handle to a callback scheduled with
-// ScheduleArgRef/AtArgRef. Unlike Timer it is not heap-allocated: hot paths
-// that need cancellation keep the ref in a struct field at zero cost. The
-// zero TimerRef is inert. Safety against recycled slots comes from the same
-// generation check Timer uses: the handle records the event's seq, which
-// changes when the engine reallocates the slot.
+// TimerRef is a by-value cancellable handle to a scheduled callback: hot
+// paths that need cancellation keep it in a struct field at zero cost. The
+// zero TimerRef is inert. The handle records the event's generation (its
+// seq), which changes when the engine reallocates the slot, so a handle
+// kept past its event's firing is inert even after the slot is recycled for
+// an unrelated callback.
 type TimerRef struct {
 	eng *Engine
 	ei  uint32
@@ -99,7 +73,8 @@ type TimerRef struct {
 
 // Cancel prevents the callback from running. Cancelling a zero ref or an
 // already fired or cancelled ref is a no-op. Reports whether the
-// cancellation took effect.
+// cancellation took effect. The cancelled event is recycled immediately,
+// dropping its callback so the handle cannot pin captured state.
 func (r TimerRef) Cancel() bool {
 	if r.eng == nil {
 		return false
@@ -184,7 +159,7 @@ func (e *Engine) ensureLane(l uint32) {
 
 // nextOrd draws the next order key from the current lane's counter. Keys
 // are unique for the lifetime of the run (the per-lane counter never
-// resets), which is what lets seq double as the Timer generation check.
+// resets), which is what lets seq double as the TimerRef generation check.
 func (e *Engine) nextOrd() uint64 {
 	l := e.curLane
 	s := e.laneSeq[l] + 1
@@ -227,7 +202,7 @@ func (e *Engine) recycle(ei uint32) {
 }
 
 // cancel unschedules the event in slot ei if it is still incarnation seq and
-// still on the heap: the shared body of Timer.Cancel and TimerRef.Cancel.
+// still on the heap: the body of TimerRef.Cancel.
 // A cancel issued from inside a callback meets a vacated root, which is
 // closed first so remove works on a whole heap.
 func (e *Engine) cancel(ei uint32, seq uint64) bool {
@@ -243,7 +218,7 @@ func (e *Engine) cancel(ei uint32, seq uint64) bool {
 // Schedule runs fn after delay d (which may be zero but not negative) and
 // returns a cancelable handle. Callbacks at the same instant run in
 // lane-keyed scheduling order.
-func (e *Engine) Schedule(d vtime.ModelTime, fn func()) *Timer {
+func (e *Engine) Schedule(d vtime.ModelTime, fn func()) TimerRef {
 	if d < 0 {
 		panic(fmt.Sprintf("des: Schedule with negative delay %v", d))
 	}
@@ -251,19 +226,15 @@ func (e *Engine) Schedule(d vtime.ModelTime, fn func()) *Timer {
 }
 
 // At runs fn at absolute model time t, which must not be in the past.
-func (e *Engine) At(t vtime.ModelTime, fn func()) *Timer {
+func (e *Engine) At(t vtime.ModelTime, fn func()) TimerRef {
 	if fn == nil {
 		panic("des: nil callback")
 	}
-	ei := e.at(t)
-	ev := &e.arena[ei]
-	ev.fnArg = runClosure
-	ev.arg = fn
-	return &Timer{eng: e, ei: ei, seq: ev.seq}
+	return e.AtArgRef(t, runClosure, fn)
 }
 
 // ScheduleArg runs fn(arg) after delay d. Unlike Schedule it captures no
-// closure and returns no Timer, so steady-state callers allocate nothing:
+// closure and returns no handle, so steady-state callers allocate nothing:
 // fn should be a top-level function and arg a pointer threaded through as
 // the receiver.
 func (e *Engine) ScheduleArg(d vtime.ModelTime, fn func(interface{}), arg interface{}) {
@@ -444,7 +415,7 @@ func (e *Engine) Step() bool {
 // event: the root is vacated (not popped: see d4heap), the slot recycled,
 // and the callback invoked on its lane; the hole the callback's own
 // scheduling did not refill is closed after it returns. Recycling first
-// lets that scheduling reuse the slot; a stale Timer handle stays inert
+// lets that scheduling reuse the slot; a stale TimerRef stays inert
 // because the slot is off the heap until its next incarnation restamps seq.
 // The callback state is read out before the callback runs: its own
 // scheduling may grow the arena, which would invalidate any pointer into it.

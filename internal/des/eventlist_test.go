@@ -57,7 +57,7 @@ func TestNegativeTimeKeyPanics(t *testing.T) {
 type refEvent struct {
 	at vtime.ModelTime
 	id int
-	tm *Timer
+	tm TimerRef
 }
 
 // heapModel plays random At/Cancel/Step against an engine and a sorted

@@ -7,8 +7,8 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// TestCancelDropsCallback is the regression test for the Timer retention
-// bug: a cancelled Timer handle used to pin the cancelled *event and its
+// TestCancelDropsCallback is the regression test for the timer retention
+// bug: a cancelled timer handle used to pin the cancelled *event and its
 // captured closure until the handle itself was dropped.
 func TestCancelDropsCallback(t *testing.T) {
 	e := NewEngine()
@@ -27,7 +27,7 @@ func TestCancelDropsCallback(t *testing.T) {
 }
 
 // TestStaleTimerCannotCancelRecycledEvent: after an event fires it returns
-// to the free list and is reused; a Timer for the old incarnation must not
+// to the free list and is reused; a handle for the old incarnation must not
 // cancel the new one.
 func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	e := NewEngine()
@@ -36,7 +36,7 @@ func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	e.Run(1) // t1 fires; its event is recycled
 	e.Schedule(2, func() { fired += 10 })
 	if t1.Cancel() {
-		t.Fatal("stale Timer cancelled a recycled event")
+		t.Fatal("stale handle cancelled a recycled event")
 	}
 	e.Run(10)
 	if fired != 11 {
@@ -125,12 +125,12 @@ func TestResourceFIFOWithMixedSubmits(t *testing.T) {
 }
 
 // TestCancelReleasesCapturedMemory is a finalizer-based check that the
-// closure captured by a cancelled timer becomes collectable while the Timer
-// handle is still live.
+// closure captured by a cancelled timer becomes collectable while its handle
+// is still live.
 func TestCancelReleasesCapturedMemory(t *testing.T) {
 	e := NewEngine()
 	collected := make(chan struct{})
-	tm := func() *Timer {
+	tm := func() TimerRef {
 		big := new([1 << 16]byte)
 		runtime.SetFinalizer(big, func(*[1 << 16]byte) { close(collected) })
 		return e.Schedule(vtime.ModelTime(10), func() { _ = big[0] })

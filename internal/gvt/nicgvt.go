@@ -151,7 +151,7 @@ func (m *NICGVTManager) initiate(h Host) {
 // piggyback if event traffic appears, by doorbell otherwise. The fallback
 // is armed closure-free (top-level callback, manager as the threaded
 // receiver): GVT rounds fire on every token visit, so a per-arm closure
-// and Timer would be a steady allocation stream.
+// would be a steady allocation stream.
 func (m *NICGVTManager) armReport(h Host) {
 	m.pendingReport = true
 	m.fallback = h.Schedule(m.FallbackDelay, fallbackDoorbell, m)

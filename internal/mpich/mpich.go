@@ -71,9 +71,9 @@ type Endpoint struct {
 	// Per-peer state is indexed by node id, each table grown to the highest
 	// peer it has been asked about: a peer beyond a table has a full
 	// window, is owed nothing, has nothing waiting.
-	credits []int             // per destination, remaining send credits
-	owed    []int             // per source, credit to return
-	waiting [][]*proto.Packet //nicwarp:owns stalled sends; drained to the wire when credit arrives
+	credits []int                       // per destination, remaining send credits
+	owed    []int                       // per source, credit to return
+	waiting []dense.FIFO[*proto.Packet] //nicwarp:owns stalled sends; drained to the wire when credit arrives
 
 	// Stats.
 	Blocked      stats.Counter // packets that had to wait for credit
@@ -114,8 +114,8 @@ func (e *Endpoint) Send(pkt *proto.Packet) {
 		return
 	}
 	if e.creditsFor(pkt.DstNode) <= 0 {
-		e.waiting = dense.Grow(e.waiting, pkt.DstNode, nil)
-		e.waiting[pkt.DstNode] = append(e.waiting[pkt.DstNode], pkt)
+		e.waiting = dense.Grow(e.waiting, pkt.DstNode, dense.FIFO[*proto.Packet]{})
+		e.waiting[pkt.DstNode].Push(pkt)
 		e.waitingTotal++
 		e.Blocked.Inc()
 		return
@@ -177,21 +177,16 @@ func (e *Endpoint) onReceive(pkt *proto.Packet, owed int) *proto.Packet {
 	return e.BookOwed(src, owed)
 }
 
-// drain releases buffered packets toward dst while credit lasts, then
-// closes the gap so the queue's storage is reused by the next stall.
+// drain releases buffered packets toward dst while credit lasts.
 func (e *Endpoint) drain(dst int32) {
-	q := dense.At(e.waiting, dst)
-	sent := 0
-	for sent < len(q) && e.credits[dst] > 0 {
+	if int(dst) >= len(e.waiting) {
+		return
+	}
+	q := &e.waiting[dst]
+	for q.Len() > 0 && e.credits[dst] > 0 {
 		e.waitingTotal--
 		e.credits[dst]--
-		e.dispatch(q[sent])
-		sent++
-	}
-	if sent > 0 {
-		rest := copy(q, q[sent:])
-		clear(q[rest:])
-		e.waiting[dst] = q[:rest]
+		e.dispatch(q.Pop())
 	}
 }
 
@@ -242,8 +237,8 @@ func (e *Endpoint) WaitingCount() int { return e.waitingTotal }
 // GVT report's floor must bound it (gvt.Host.LVT folds this in).
 func (e *Endpoint) PendingMin() vtime.VTime {
 	min := vtime.Infinity
-	for _, q := range e.waiting {
-		for _, pkt := range q {
+	for i := range e.waiting {
+		for _, pkt := range e.waiting[i].Live() {
 			if pkt.IsEventLike() {
 				min = vtime.MinV(min, pkt.SendTS)
 			}

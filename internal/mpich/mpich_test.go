@@ -509,3 +509,50 @@ func TestDrainReusesWaitingStorage(t *testing.T) {
 		t.Fatalf("stall-and-drain in steady state allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestPartialDrainsKeepPerDestinationOrder: packets stalled toward two
+// destinations, interleaved, are released in each destination's send order
+// across two partial drains per destination, and a drain toward one
+// destination releases nothing toward the other.
+func TestPartialDrainsKeepPerDestinationOrder(t *testing.T) {
+	cfg := withBuf(Config{Window: 1, ReturnThreshold: 1})
+	var out []*proto.Packet
+	e := New(0, cfg, func(p *proto.Packet) { out = append(out, p) })
+	sent := map[int32][]*proto.Packet{}
+	for i := 0; i < 6; i++ {
+		for _, dst := range []int32{2, 5} {
+			p := ev(0, dst)
+			p.SendTS = vtime.VTime(10*i + int(dst))
+			sent[dst] = append(sent[dst], p)
+			e.Send(p)
+		}
+	}
+	// One packet per destination traveled; five wait behind each.
+	if len(out) != 2 || e.WaitingCount() != 10 {
+		t.Fatalf("transmitted %d, waiting %d; want 2 and 10", len(out), e.WaitingCount())
+	}
+	e.Refund(2, 2)
+	e.Refund(5, 1)
+	e.Refund(2, 1)
+	e.Refund(5, 3)
+	if e.WaitingCount() != 3 {
+		t.Fatalf("waiting %d after partial drains, want 3", e.WaitingCount())
+	}
+	got := map[int32][]*proto.Packet{}
+	for _, p := range out {
+		got[p.DstNode] = append(got[p.DstNode], p)
+	}
+	for dst, want := range map[int32]int{2: 4, 5: 5} {
+		if len(got[dst]) != want {
+			t.Fatalf("dst %d: released %d, want %d", dst, len(got[dst]), want)
+		}
+		for i, p := range got[dst] {
+			if p != sent[dst][i] {
+				t.Fatalf("dst %d: packet %d released out of send order", dst, i)
+			}
+		}
+	}
+	if min := e.PendingMin(); min != sent[2][4].SendTS {
+		t.Fatalf("PendingMin %v, want the oldest still waiting (%v)", min, sent[2][4].SendTS)
+	}
+}

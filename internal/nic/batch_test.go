@@ -25,12 +25,12 @@ func runUntil(t *testing.T, eng *des.Engine, cond func() bool, what string) {
 	t.Fatalf("condition never held: %s", what)
 }
 
-// TestSendQCompactionWithFirmwareDrops is the regression test for the
-// transmit-ring head slide: when the queue's backing array fills while a
-// consumed prefix exists (sendHead > 0), enqueue compacts the live entries
-// to the front. Interleaving firmware removals (early cancellation editing
-// the queue in place) with the slide must neither lose nor duplicate nor
-// reorder entries.
+// TestSendQCompactionWithFirmwareDrops: firmware removals from the middle
+// of the transmit queue (early cancellation editing it in place),
+// interleaved with departures from its head and with refills past every
+// depth it has reached, must neither lose nor duplicate nor reorder
+// entries. That a refill slides the consumed prefix instead of growing the
+// queue is dense's TestFIFOSlidesConsumedPrefix.
 func TestSendQCompactionWithFirmwareDrops(t *testing.T) {
 	r := newRig(t, 2, func(i int) Firmware {
 		if i == 0 {
@@ -50,60 +50,41 @@ func TestSendQCompactionWithFirmwareDrops(t *testing.T) {
 	})
 	n0 := r.nics[0]
 	total := 0
-	slides := 0
-	enq := func(id int) {
-		if len(n0.sendQ) == cap(n0.sendQ) && n0.sendHead > 0 {
-			slides++ // this enqueue triggers the ring slide
-		}
-		p := evPkt(0, 1)
-		p.EventID = uint64(id)
-		p.SendTS = vtime.VTime(id)
-		n0.HostEnqueue(p)
-		total++
-	}
-
-	// Fill the backing array: the first packet enters flight immediately,
-	// the rest queue behind it.
 	id := 0
-	for ; id < 9; id++ {
-		enq(id)
-	}
-	// Let a prefix depart so the consumed head region exists.
-	runUntil(t, r.eng, func() bool { return n0.sendHead >= 3 }, "transmit head advanced")
-
-	// A firmware removal edits the live region in place (drops the highest
-	// timestamps still queued), interleaved with the slide below.
-	anti := &proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0, RecvTS: 6}
-	r.nics[1].HostEnqueue(anti)
-	runUntil(t, r.eng, func() bool { return n0.Stats.DroppedInPlace.Value() > 0 }, "firmware dropped queued packets")
-
-	// Refill to capacity: the enqueue that lands with len==cap and
-	// sendHead>0 slides the ring. Keep going through a few slide rounds,
-	// each followed by a firmware drop against the freshly compacted queue.
-	for round := 0; round < 3; round++ {
-		for len(n0.sendQ) < cap(n0.sendQ) {
-			enq(id)
+	enq := func(k int) {
+		for ; k > 0; k-- {
+			p := evPkt(0, 1)
+			p.EventID = uint64(id)
+			p.SendTS = vtime.VTime(id)
+			n0.HostEnqueue(p)
+			total++
 			id++
 		}
-		if n0.sendHead == 0 {
-			runUntil(t, r.eng, func() bool { return n0.sendHead > 0 }, "departure before slide")
-		}
-		enq(id) // len==cap with head>0: slides
-		id++
-		if n0.sendHead != 0 {
-			t.Fatalf("round %d: enqueue at capacity did not compact (head=%d)", round, n0.sendHead)
-		}
+	}
+	// cancelAbove sends n0 an anti that drops every queued packet sent
+	// above ts, and waits until the drop happened.
+	cancelAbove := func(ts int, what string) {
 		before := n0.Stats.DroppedInPlace.Value()
-		anti := &proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0, RecvTS: vtime.VTime(id - 3)}
-		r.nics[1].HostEnqueue(anti)
-		runUntil(t, r.eng, func() bool { return n0.Stats.DroppedInPlace.Value() > before },
-			"firmware drop against the compacted queue")
+		r.nics[1].HostEnqueue(&proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0, RecvTS: vtime.VTime(ts)})
+		runUntil(t, r.eng, func() bool { return n0.Stats.DroppedInPlace.Value() > before }, what)
+	}
+
+	// The first packet enters flight immediately, the rest queue behind it;
+	// let a prefix depart, then drop from the middle of what is left.
+	enq(9)
+	runUntil(t, r.eng, func() bool { return n0.Stats.HostTx.Value() >= 3 }, "transmit head advanced")
+	cancelAbove(6, "firmware dropped queued packets")
+
+	// Refill deeper each round, let some depart, and drop against the
+	// refilled queue.
+	for round := 0; round < 3; round++ {
+		enq(8 + 4*round)
+		tx := n0.Stats.HostTx.Value()
+		runUntil(t, r.eng, func() bool { return n0.Stats.HostTx.Value() > tx }, "departure after refill")
+		cancelAbove(id-3, "firmware drop against the refilled queue")
 	}
 	r.eng.Run(vtime.ModelInfinity)
 
-	if slides == 0 {
-		t.Fatal("test never exercised the ring slide")
-	}
 	dropped := n0.Stats.DroppedInPlace.Value()
 	var delivered []uint64
 	for _, p := range r.toHost[1] {
@@ -116,10 +97,10 @@ func TestSendQCompactionWithFirmwareDrops(t *testing.T) {
 	}
 	for i := 1; i < len(delivered); i++ {
 		if delivered[i] <= delivered[i-1] {
-			t.Fatalf("FIFO order violated across slides: %v", delivered)
+			t.Fatalf("FIFO order violated under firmware removals: %v", delivered)
 		}
 	}
-	if n0.sendLen() != 0 || !n0.Idle() {
+	if n0.SendQueueLen() != 0 || !n0.Idle() {
 		t.Fatal("sender did not drain")
 	}
 }
@@ -343,7 +324,7 @@ func TestGatherBatchStopRule(t *testing.T) {
 		t.Fatalf("gathered %v", got)
 	}
 	var left []uint64
-	for _, e := range n.sendQ[n.sendHead:] {
+	for _, e := range n.sendQ.Live() {
 		left = append(left, e.pkt.Seq)
 	}
 	want := []uint64{9, 3, 4, 0}

@@ -1,6 +1,7 @@
 package firmware
 
 import (
+	"nicwarp/internal/dense"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
@@ -52,7 +53,9 @@ import (
 // host's aggressive cancellation is guaranteed to anti-message, which is
 // what keeps the optimization invisible to simulation results.
 type CancelFirmware struct {
-	entries       []cancelEntry
+	// entries are the open cancellation windows in opening order, which is
+	// ascending seq, so they also expire oldest first.
+	entries       dense.FIFO[cancelEntry]
 	antisToHost   uint64 // anti-messages forwarded to the host, in order
 	lastHostEpoch uint64 // highest processed-anti count piggybacked by the host
 
@@ -124,7 +127,7 @@ func (f *CancelFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdi
 	}
 	f.antisToHost++
 	f.scan = cancelEntry{obj: pkt.DstObj, ts: pkt.RecvTS, seq: f.antisToHost}
-	f.entries = append(f.entries, f.scan) //nicwarp:alloc window list growth, amortized: expire compacts in place
+	f.entries.Push(f.scan)
 
 	// Scan the transmit backlog for messages the rollback will cancel
 	// (paper Figure 3(b): the anti with timestamp 100 kills the queued
@@ -167,7 +170,7 @@ func (f *CancelFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict 
 		if pkt.PiggyGVTValid {
 			break
 		}
-		for _, e := range f.entries {
+		for _, e := range f.entries.Live() {
 			if e.matches(pkt) {
 				if api.Shared().Dropped.Room(pkt.SrcObj) == 0 {
 					api.Stats().DropsDeclined.Inc()
@@ -244,13 +247,10 @@ func (f *CancelFirmware) accountDrop(api nic.API, p *proto.Packet) {
 // expire discards cancellation windows the host has confirmed processing:
 // every message generated before the host processed anti k has, by FIFO
 // order, already passed this point once a packet with piggybacked count
-// >= k is dequeued.
+// >= k is dequeued. Windows open in ascending seq, so the expired ones are
+// a prefix.
 func (f *CancelFirmware) expire() {
-	kept := f.entries[:0]
-	for _, e := range f.entries {
-		if e.seq > f.lastHostEpoch {
-			kept = append(kept, e) //nicwarp:alloc aliases entries[:0], never exceeds its capacity
-		}
+	for f.entries.Len() > 0 && f.entries.Front().seq <= f.lastHostEpoch {
+		f.entries.Drop()
 	}
-	f.entries = kept
 }

@@ -595,3 +595,53 @@ func TestCancelFirmwareScanTakesOnlyFreeSlots(t *testing.T) {
 		t.Fatalf("credit refund %d, want 2", refund)
 	}
 }
+
+// TestCancelFirmwareWindowExpiresAtItsSeq: a cancellation window stays open
+// while dequeued packets piggyback a processed-anti count below its seq and
+// closes exactly when one piggybacks a count >= its seq. Windows open in seq
+// order, so they close oldest first and a later window outlives an earlier
+// one.
+func TestCancelFirmwareWindowExpiresAtItsSeq(t *testing.T) {
+	f, api := NewCancel(), newFakeAPI(nic.DefaultDropBufferCap)
+	f.OnWireReceive(antiFor(5, 100), api) // window seq 1, object 5
+	f.OnWireReceive(antiFor(6, 100), api) // window seq 2, object 6
+	id := uint64(0)
+	send := func(obj int32, epoch uint64) nic.Verdict {
+		id++
+		p := ev(0, 1, obj, 9, 120, 125, id)
+		p.PiggyAntiEpoch = epoch
+		return f.OnHostSend(p, api)
+	}
+	open := func(want ...uint64) {
+		t.Helper()
+		var got []uint64
+		for _, e := range f.entries.Live() {
+			got = append(got, e.seq)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("open windows %v, want %v", got, want)
+		}
+	}
+	const bystander = 7 // an object no window cancels: it only carries counts
+
+	send(bystander, 0)
+	open(1, 2)
+	if v := send(5, 0); v != nic.VerdictDrop {
+		t.Fatalf("object 5 under window 1: verdict %v, want drop", v)
+	}
+	send(bystander, 1) // the host processed anti 1: window 1 closes, 2 stays
+	open(2)
+	if v := send(5, 0); v != nic.VerdictForward {
+		t.Fatalf("object 5 after window 1 closed: verdict %v, want forward", v)
+	}
+	if v := send(6, 1); v != nic.VerdictDrop {
+		t.Fatalf("object 6 under window 2: verdict %v, want drop", v)
+	}
+	send(bystander, 1) // a repeated count closes nothing
+	open(2)
+	send(bystander, 2)
+	open()
+	if v := send(6, 1); v != nic.VerdictForward {
+		t.Fatalf("object 6 after window 2 closed: verdict %v, want forward", v)
+	}
+}

@@ -30,10 +30,6 @@ type Config struct {
 	SendCycles int64
 	// RecvCycles is the base processor work to accept one packet.
 	RecvCycles int64
-	// SendQueueCap bounds the transmit backlog in packets (the paper's NIC
-	// buffer is small; the cap exists to surface runaway backlogs — hitting
-	// it is recorded, not fatal).
-	SendQueueCap int
 	// RxQueueCap is the receive-buffer capacity in packets (the paper's
 	// NIC has a 4 KB buffer, roughly 28 wire packets). Myrinet's link-level
 	// stop/go flow control propagates a full receive buffer back to the
@@ -87,7 +83,6 @@ func DefaultConfig() Config {
 		ClockHz:           66e6,
 		SendCycles:        400, // ~6us firmware transmit path
 		RecvCycles:        320, // ~4.8us firmware receive path
-		SendQueueCap:      4096,
 		RxQueueCap:        6,
 		CreditReturnDelay: 8 * vtime.Microsecond, // stop/go credit round trip
 		PerSubMsgCycles:   60,                    // ~0.9us per folded/expanded sub-message
@@ -229,7 +224,6 @@ type Stats struct {
 	AntisFiltered  stats.Counter // outgoing antis filtered against the drop buffer
 	DropsDeclined  stats.Counter // cancellable positives forwarded because their object's drop ring was full
 	SendQDepth     stats.Gauge   // transmit backlog high-water
-	SendQOverflow  stats.Counter // enqueue attempts beyond SendQueueCap
 	FirmwareCycles stats.Counter // extra cycles charged by firmware hooks
 
 	BatchFrames stats.Counter // batch frames put on the wire
@@ -263,12 +257,10 @@ type NIC struct {
 	// peer resolves another node's NIC for credit-return addressing.
 	peer func(node int) *NIC
 
-	// sendQ is a head-indexed FIFO ring like dense.FIFO (live entries
-	// start at the head index; the consumed prefix is compacted in place
-	// before the slice would grow, so steady-state queueing allocates
-	// nothing), kept by hand because firmware also removes from its middle.
-	sendQ     []outEntry
-	sendHead  int
+	// sendQ is the transmit queue. The cancel scan and the batch gather
+	// also remove from its middle: they filter Live() into its own prefix
+	// and DropTail the rest.
+	sendQ     dense.FIFO[outEntry]
 	recvQ     dense.FIFO[*proto.Packet] //nicwarp:owns receive ring; slots zeroed as packets advance to rxPkt
 	txPumping bool
 	rxPumping bool
@@ -486,7 +478,7 @@ func batchEligible(p *proto.Packet) bool {
 //nicwarp:hotpath batch-availability scan, executed on every transmit pump while batching
 func (n *NIC) batchAvailable(dst int32) int {
 	count := 0
-	for _, e := range n.sendQ[n.sendHead:] {
+	for _, e := range n.sendQ.Live() {
 		if e.fromNIC || e.pkt.DstNode != dst {
 			continue
 		}
@@ -579,14 +571,11 @@ func (n *NIC) ProcUtilizationAt(end vtime.ModelTime) float64 { return n.proc.Uti
 
 // Idle reports whether the NIC has no queued or in-flight work.
 func (n *NIC) Idle() bool {
-	return n.sendLen() == 0 && n.recvQ.Len() == 0 && n.proc.Idle() && !n.txPumping
+	return n.sendQ.Len() == 0 && n.recvQ.Len() == 0 && n.proc.Idle() && !n.txPumping
 }
 
 // SendQueueLen returns the current transmit backlog (for tests).
-func (n *NIC) SendQueueLen() int { return n.sendLen() }
-
-// sendLen returns the live transmit-queue depth.
-func (n *NIC) sendLen() int { return len(n.sendQ) - n.sendHead }
+func (n *NIC) SendQueueLen() int { return n.sendQ.Len() }
 
 // HostEnqueue accepts a packet whose host-to-NIC DMA just completed.
 func (n *NIC) HostEnqueue(pkt *proto.Packet) {
@@ -596,32 +585,9 @@ func (n *NIC) HostEnqueue(pkt *proto.Packet) {
 // enqueue adds to the transmit queue and starts the pump.
 func (n *NIC) enqueue(e outEntry) {
 	e.enqAt = n.eng.Now()
-	if n.sendLen() >= n.cfg.SendQueueCap {
-		n.Stats.SendQOverflow.Inc()
-	}
-	if len(n.sendQ) == cap(n.sendQ) && n.sendHead > 0 {
-		m := copy(n.sendQ, n.sendQ[n.sendHead:])
-		for i := m; i < len(n.sendQ); i++ {
-			n.sendQ[i] = outEntry{}
-		}
-		n.sendQ = n.sendQ[:m]
-		n.sendHead = 0
-	}
-	n.sendQ = append(n.sendQ, e)
-	n.Stats.SendQDepth.Set(int64(n.sendLen()))
+	n.sendQ.Push(e)
+	n.Stats.SendQDepth.Set(int64(n.sendQ.Len()))
 	n.txPump()
-}
-
-// popSend removes and returns the transmit-queue head.
-func (n *NIC) popSend() outEntry {
-	e := n.sendQ[n.sendHead]
-	n.sendQ[n.sendHead] = outEntry{}
-	n.sendHead++
-	if n.sendHead == len(n.sendQ) {
-		n.sendQ = n.sendQ[:0]
-		n.sendHead = 0
-	}
-	return e
 }
 
 // cycles converts a processor cycle count to model time at the NIC clock.
@@ -654,10 +620,10 @@ func (n *NIC) takeCharge() int64 {
 // latency as lookahead; the processor job (time and utilization accounting)
 // and the serialization timer still run.
 func (n *NIC) txPump() {
-	if n.txPumping || n.txStalled || n.txFaultStalled || n.sendLen() == 0 {
+	if n.txPumping || n.txStalled || n.txFaultStalled || n.sendQ.Len() == 0 {
 		return
 	}
-	head := n.sendQ[n.sendHead]
+	head := *n.sendQ.Front()
 	if gated(head.pkt.Kind) && head.pkt.DstNode >= 0 {
 		if n.peer == nil {
 			panic("nic: transmit before WirePeers")
@@ -681,8 +647,8 @@ func (n *NIC) txPump() {
 		}
 	}
 	n.txPumping = true
-	entry := n.popSend()
-	n.Stats.SendQDepth.Set(int64(n.sendLen()))
+	entry := n.sendQ.Pop()
+	n.Stats.SendQDepth.Set(int64(n.sendQ.Len()))
 
 	verdict := VerdictForward
 	if !entry.fromNIC {
@@ -925,19 +891,19 @@ func (a apiImpl) Charge(c int64) {
 func (a apiImpl) SendQueue() []*proto.Packet {
 	n := a.n
 	out := n.sqScratch.view[:0]
-	for _, e := range n.sendQ[n.sendHead:] {
+	for _, e := range n.sendQ.Live() {
 		out = append(out, e.pkt)
 	}
 	return n.sqScratch.publish(out)
 }
 
-func (a apiImpl) SendQueueLen() int { return a.n.sendLen() }
+func (a apiImpl) SendQueueLen() int { return a.n.sendQ.Len() }
 
 func (a apiImpl) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet {
 	n := a.n
 	n.recycleRemoved() // the previous view is dead
 	removed := n.rmScratch.view[:0]
-	live := n.sendQ[n.sendHead:]
+	live := n.sendQ.Live()
 	kept := live[:0]
 	for _, e := range live {
 		//nicwarp:alloc firmware-supplied predicate; hot callers bind it once (CancelFirmware.scanPred)
@@ -947,12 +913,8 @@ func (a apiImpl) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Pac
 			kept = append(kept, e) //nicwarp:alloc aliases live[:0], never exceeds its capacity
 		}
 	}
-	// Zero the tail so removed entries do not linger.
-	for i := len(kept); i < len(live); i++ {
-		live[i] = outEntry{}
-	}
-	n.sendQ = n.sendQ[:n.sendHead+len(kept)]
-	n.Stats.SendQDepth.Set(int64(n.sendLen()))
+	n.sendQ.DropTail(len(live) - len(kept))
+	n.Stats.SendQDepth.Set(int64(n.sendQ.Len()))
 	if n.onHostDiscard != nil {
 		for _, pkt := range removed {
 			n.onHostDiscard(pkt) //nicwarp:alloc invariant-checker observer, installed only under CheckInvariants
@@ -1068,7 +1030,7 @@ func (n *NIC) expandBatch(frame *proto.Packet) {
 //nicwarp:hotpath batch gather, executed once per assembled frame
 func (n *NIC) gatherBatch(dst int32, max int) []*proto.Packet {
 	out := n.gbScratch.view[:0]
-	live := n.sendQ[n.sendHead:]
+	live := n.sendQ.Live()
 	kept := live[:0]
 	stopped := false
 	for _, e := range live {
@@ -1081,11 +1043,8 @@ func (n *NIC) gatherBatch(dst int32, max int) []*proto.Packet {
 		}
 		kept = append(kept, e) //nicwarp:alloc aliases live[:0], never exceeds its capacity
 	}
-	for i := len(kept); i < len(live); i++ {
-		live[i] = outEntry{}
-	}
-	n.sendQ = n.sendQ[:n.sendHead+len(kept)]
-	n.Stats.SendQDepth.Set(int64(n.sendLen()))
+	n.sendQ.DropTail(len(live) - len(kept))
+	n.Stats.SendQDepth.Set(int64(n.sendQ.Len()))
 	return n.gbScratch.publish(out)
 }
 

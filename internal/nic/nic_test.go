@@ -417,29 +417,6 @@ func TestSendQueueDepthHighWater(t *testing.T) {
 	}
 }
 
-func TestQueueOverflowCounted(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SendQueueCap = 2
-	e := des.NewEngine()
-	f := simnet.NewFabric(simnet.DefaultConfig(), 2)
-	n0 := New(e, 0, cfg, f, &stubFirmware{})
-	n1 := New(e, 1, DefaultConfig(), f, &stubFirmware{})
-	sink := func(p *proto.Packet, done func()) { done() }
-	bell := func(NotifyTag) {}
-	n0.Wire(sink, bell)
-	n1.Wire(sink, bell)
-	peers := []*NIC{n0, n1}
-	n0.WirePeers(func(i int) *NIC { return peers[i] })
-	n1.WirePeers(func(i int) *NIC { return peers[i] })
-	for k := 0; k < 5; k++ {
-		n0.HostEnqueue(evPkt(0, 1))
-	}
-	if n0.Stats.SendQOverflow.Value() == 0 {
-		t.Fatal("overflow not recorded")
-	}
-	e.Run(vtime.ModelInfinity)
-}
-
 func TestNilFirmwarePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -169,58 +169,20 @@ type DropKey struct {
 // drop is still there when its anti-message comes to take it. Recording
 // into a full ring is a firmware bug and panics.
 //
-// Each object's entries live in a ring (see dropRing) found by indexing a
+// Each object's entries, oldest first, live in a FIFO found by indexing a
 // table with the object id, so recording, matching and consuming touch no
-// hash table and, once the ring has grown to its working size, allocate
-// nothing.
+// hash table and, once the queue has grown to its working depth, allocate
+// nothing. A deep capacity costs only what is used. The table holds
+// pointers: object ids are sparse global ids, so it grows to the highest id
+// that ever dropped, and an empty slot should cost a word, not a queue.
 type DropBuffer struct {
 	cap   int
-	rings []*dropRing // by sending object id; nil until the object's first drop
+	rings []*dense.FIFO[DropKey] // by sending object id; nil until the object's first drop
 
 	Records stats.Counter
 	Takes   stats.Counter
 	Misses  stats.Counter
 }
-
-// dropRing is one object's recorded drops, oldest first: n entries starting
-// at buf[head] and wrapping. buf starts small and doubles up to the buffer's
-// per-object capacity, so a deep capacity costs only what is used.
-type dropRing struct {
-	buf  []DropKey
-	head int
-	n    int
-}
-
-// at returns the i-th oldest entry's slot.
-func (r *dropRing) at(i int) *DropKey {
-	i += r.head
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	return &r.buf[i]
-}
-
-// find returns the age rank of the oldest entry equal to key, or -1.
-func (r *dropRing) find(key DropKey) int {
-	for i := 0; i < r.n; i++ {
-		if *r.at(i) == key {
-			return i
-		}
-	}
-	return -1
-}
-
-// dropOldest advances the head over the oldest entry.
-func (r *dropRing) dropOldest() {
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.n--
-}
-
-// dropRingMinCap is a ring's first allocation, in entries.
-const dropRingMinCap = 8
 
 // NewDropBuffer creates a buffer with the given per-object capacity.
 func NewDropBuffer(capPerObj int) *DropBuffer {
@@ -233,8 +195,23 @@ func NewDropBuffer(capPerObj int) *DropBuffer {
 // Cap returns the per-object capacity.
 func (b *DropBuffer) Cap() int { return b.cap }
 
-// ring returns obj's ring, or nil if nothing was ever recorded for it.
-func (b *DropBuffer) ring(obj int32) *dropRing { return dense.At(b.rings, obj) }
+// ring returns obj's recorded drops, oldest first.
+func (b *DropBuffer) ring(obj int32) []DropKey {
+	if r := dense.At(b.rings, obj); r != nil {
+		return r.Live()
+	}
+	return nil
+}
+
+// find returns the age rank of the oldest entry of live equal to key, or -1.
+func find(live []DropKey, key DropKey) int {
+	for i := range live {
+		if live[i] == key {
+			return i
+		}
+	}
+	return -1
+}
 
 // Room returns the number of drops that can still be recorded for obj.
 func (b *DropBuffer) Room(obj int32) int { return b.cap - b.Len(obj) }
@@ -247,27 +224,18 @@ func (b *DropBuffer) Record(obj int32, key DropKey) {
 	b.rings = dense.Grow(b.rings, obj, nil)
 	r := b.rings[obj]
 	if r == nil {
-		r = new(dropRing) //nicwarp:alloc one ring per object that ever has a drop
+		r = new(dense.FIFO[DropKey]) //nicwarp:alloc one queue per object that ever has a drop
 		b.rings[obj] = r
 	}
-	if r.n == b.cap {
+	if r.Len() == b.cap {
 		panic(fmt.Sprintf("nic: drop recorded for object %d with no room (capacity %d)", obj, b.cap))
 	}
-	if r.n == len(r.buf) {
-		grown := make([]DropKey, min(b.cap, max(dropRingMinCap, 2*len(r.buf)))) //nicwarp:alloc ring doubling up to cap, amortized across the run
-		for i := 0; i < r.n; i++ {
-			grown[i] = *r.at(i)
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.n++
-	*r.at(r.n - 1) = key
+	r.Push(key)
 }
 
 // Contains reports whether key is recorded for obj without consuming it.
 func (b *DropBuffer) Contains(obj int32, key DropKey) bool {
-	r := b.ring(obj)
-	return r != nil && r.find(key) >= 0
+	return find(b.ring(obj), key) >= 0
 }
 
 // Take consumes the entry (obj, key) and reports whether it was present.
@@ -277,37 +245,27 @@ func (b *DropBuffer) Contains(obj int32, key DropKey) bool {
 //
 //nicwarp:hotpath runs for every outgoing anti-message under early cancellation
 func (b *DropBuffer) Take(obj int32, key DropKey) bool {
-	r := b.ring(obj)
-	i := -1
-	if r != nil {
-		i = r.find(key)
-	}
+	live := b.ring(obj)
+	i := find(live, key)
 	if i < 0 {
 		b.Misses.Inc()
 		return false
 	}
-	for ; i > 0; i-- {
-		*r.at(i) = *r.at(i - 1)
-	}
-	r.dropOldest()
+	copy(live[1:i+1], live[:i])
+	b.rings[obj].Drop()
 	b.Takes.Inc()
 	return true
 }
 
 // Len returns the number of recorded IDs for obj.
-func (b *DropBuffer) Len(obj int32) int {
-	if r := b.ring(obj); r != nil {
-		return r.n
-	}
-	return 0
-}
+func (b *DropBuffer) Len(obj int32) int { return len(b.ring(obj)) }
 
 // TotalLen returns the number of recorded IDs across all objects.
 func (b *DropBuffer) TotalLen() int {
 	n := 0
 	for _, r := range b.rings {
 		if r != nil {
-			n += r.n
+			n += r.Len()
 		}
 	}
 	return n

@@ -132,7 +132,7 @@ func TestDropBufferConservation(t *testing.T) {
 }
 
 // sliceDropBuffer is the map-of-slices buffer DropBuffer replaced, kept as
-// the reference for its ring: Record appends, Take deletes by copying the
+// the reference for its queues: Record appends, Take deletes by copying the
 // queue.
 type sliceDropBuffer struct {
 	byObj map[int32][]DropKey
@@ -153,12 +153,11 @@ func (b *sliceDropBuffer) take(obj int32, key DropKey) bool {
 	return false
 }
 
-// TestDropBufferMatchesSliceReference: the per-object rings keep exactly
+// TestDropBufferMatchesSliceReference: the per-object queues keep exactly
 // the entries, in exactly the FIFO order, the slice buffer kept — same Take
-// results, same Room — at the paper-scale capacities where the ring is
-// mostly full and wraps, and at the deep capacity the benchmark runs, where
-// the ring has to grow. Like the firmware, the driver records only into
-// Room.
+// results, same Room — at the paper-scale capacities where the queue is
+// mostly full and slides, and at the deep capacity the benchmark runs, where
+// it has to grow. Like the firmware, the driver records only into Room.
 func TestDropBufferMatchesSliceReference(t *testing.T) {
 	for _, capPerObj := range []int{2, PaperDropBufferCap, 4096} {
 		rng := rand.New(rand.NewSource(int64(capPerObj)))
@@ -198,10 +197,10 @@ func TestDropBufferMatchesSliceReference(t *testing.T) {
 				t.Fatalf("cap %d step %d: len/room = %d/%d, reference %d/%d", capPerObj, step,
 					got.Len(obj), got.Room(obj), len(q), capPerObj-len(q))
 			}
-			r := got.ring(obj)
+			live := got.ring(obj)
 			for i, key := range q {
-				if *r.at(i) != key {
-					t.Fatalf("cap %d step %d: obj %d entry %d = %+v, reference %+v", capPerObj, step, obj, i, *r.at(i), key)
+				if live[i] != key {
+					t.Fatalf("cap %d step %d: obj %d entry %d = %+v, reference %+v", capPerObj, step, obj, i, live[i], key)
 				}
 			}
 		}
@@ -214,15 +213,15 @@ func TestDropBufferMatchesSliceReference(t *testing.T) {
 
 // TestDropBufferSteadyStateAllocatesNothing is the regression for the
 // allocation bug of the slice buffer (Take reallocated the queue on every
-// hit): once an object's ring has reached its working size, Record,
-// Contains and Take — hit and miss, on a ring that wraps at its capacity
-// and on one that has grown — allocate nothing.
+// hit): once an object's queue has reached its working depth, Record,
+// Contains and Take — hit and miss, on a queue full at its capacity and on
+// one that has grown — allocate nothing.
 func TestDropBufferSteadyStateAllocatesNothing(t *testing.T) {
 	for _, capPerObj := range []int{2, 4096} {
 		b := NewDropBuffer(capPerObj)
-		// The ring holds the ids [lo, id) with one slot to spare at cap 2,
+		// The queue holds the ids [lo, id) with one slot to spare at cap 2,
 		// so every round fills it; ninety-nine deep at cap 4096, after the
-		// ring has grown.
+		// queue has grown.
 		lo, id := uint64(0), uint64(min(capPerObj, 100)-1)
 		for i := lo; i < id; i++ {
 			b.Record(3, DropKey{ID: i})

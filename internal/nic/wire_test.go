@@ -130,7 +130,7 @@ func (p *wireProbe) observe() {
 
 // drained is every term of NIC.Idle but the wire's.
 func (p *wireProbe) drained() bool {
-	return p.n.sendLen() == 0 && p.n.recvQ.Len() == 0 && p.n.proc.Idle()
+	return p.n.sendQ.Len() == 0 && p.n.recvQ.Len() == 0 && p.n.proc.Idle()
 }
 
 // run steps the engine dry. Idle is compared once per model instant, after

@@ -101,13 +101,10 @@ type objRuntime struct {
 	pending pendHeap
 	pindex  pendIndex
 
-	// hist is the execution history as a head-indexed ring: live entries
-	// are hist[histHead:] in execution (total) order. Fossil collection
-	// advances histHead in O(reclaimed) and compacts the backing array
-	// only when the dead prefix reaches half the slice, so reclamation is
-	// O(reclaimed) amortized instead of the former O(remaining) re-copy.
-	hist     []histEntry
-	histHead int
+	// hist is the execution history in execution (total) order: executions
+	// push at the tail, fossil collection drops from the head in
+	// O(reclaimed), rollback drops from the tail.
+	hist dense.FIFO[histEntry]
 	// outs holds the positives sent by the live history entries, held for
 	// anti-generation: one row per entry, rows contiguous and in history
 	// order, each as long as its entry's nOut. Sends append to the newest
@@ -132,12 +129,6 @@ type objRuntime struct {
 	idx uint32 // index in Kernel.order; the object's id in the scheduler heap
 }
 
-// liveLen returns the number of retained history entries.
-func (o *objRuntime) liveLen() int { return len(o.hist) - o.histHead }
-
-// live returns the i-th retained history entry (0 = oldest).
-func (o *objRuntime) live(i int) *histEntry { return &o.hist[o.histHead+i] }
-
 // saveState snapshots the object before an execution, into a recycled
 // snapshot when the object can reuse one.
 //
@@ -155,20 +146,22 @@ func (o *objRuntime) saveState() interface{} {
 	return o.reuser.SaveStateInto(old) //nicwarp:alloc the object allocates only when handed no snapshot to overwrite (history at a new high-water depth)
 }
 
-// vacate clears a history entry whose event and output row have already
-// moved on, handing its snapshot back for reuse. After a rollback this runs
-// once RestoreState has copied out of the snapshot.
+// vacate hands the snapshot of a history entry about to leave the history
+// back for reuse. After a rollback this runs once RestoreState has copied
+// out of the snapshot.
 //
 //nicwarp:hotpath one per fossil-collected or undone history entry
 func (o *objRuntime) vacate(e *histEntry) {
 	if o.reuser != nil {
 		o.stateFree = append(o.stateFree, e.state.app) //nicwarp:alloc free-list growth to the history's high-water depth, amortized
 	}
-	*e = histEntry{}
 }
 
 // lastHist returns the newest live history entry.
-func (o *objRuntime) lastHist() *histEntry { return &o.hist[len(o.hist)-1] }
+func (o *objRuntime) lastHist() *histEntry {
+	h := o.hist.Live()
+	return &h[len(h)-1]
+}
 
 // pendPush inserts an event into the pending queue and its identity index.
 // The index chain is newest-first; order within a chain is irrelevant
@@ -206,7 +199,7 @@ func (o *objRuntime) pendFind(ev *Event) *Event {
 // clock returns the object's local virtual time: the receive timestamp of
 // its last executed event, or zero before any execution.
 func (o *objRuntime) clock() vtime.VTime {
-	if o.liveLen() == 0 {
+	if o.hist.Len() == 0 {
 		return 0
 	}
 	return o.lastHist().ev.RecvTS
@@ -433,7 +426,7 @@ func (k *Kernel) ProcessOne() StepResult {
 	k.fixSched(o)
 
 	// State saving (period 1, the WARPED default).
-	o.hist = append(o.hist, histEntry{ev: ev, state: snapshot{app: o.saveState(), sendSeq: o.sendSeq}})
+	o.hist.Push(histEntry{ev: ev, state: snapshot{app: o.saveState(), sendSeq: o.sendSeq}})
 	k.histCount++
 	k.Stats.StateSaves.Inc()
 	k.Stats.Processed.Inc()
@@ -483,10 +476,11 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) StepResult {
 	res := k.begin()
 	for _, o := range k.order {
 		// First live history index that must be retained.
-		lo, hi := 0, o.liveLen()
+		h := o.hist.Live()
+		lo, hi := 0, len(h)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if o.live(mid).ev.RecvTS >= gvt {
+			if h[mid].ev.RecvTS >= gvt {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -496,19 +490,17 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) StepResult {
 			k.Stats.FossilEvents.Add(int64(q))
 			o.fossilCount += q
 			k.histCount -= q
-			// Release the reclaimed entries' events and output rows,
-			// clear the slots, and advance the ring head — O(reclaimed),
-			// not O(remaining).
+			// Release the reclaimed entries' events and output rows and
+			// drop them from the head — O(reclaimed), not O(remaining).
 			for i := 0; i < q; i++ {
-				e := o.live(i)
+				e := o.hist.Front()
 				k.release(e.ev)
 				for j := 0; j < e.nOut; j++ {
 					k.release(o.outs.Pop())
 				}
 				o.vacate(e)
+				o.hist.Drop()
 			}
-			o.histHead += q
-			o.compactHist()
 		}
 		if k.cfg.Cancellation == Lazy {
 			k.lazyFlush(o, gvt)
@@ -523,25 +515,6 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) StepResult {
 	}
 	k.drainLocal()
 	return *res
-}
-
-// compactHist bounds the dead prefix of the history ring: when the head
-// reaches half the slice, the live tail slides to the front of the same
-// backing array. The copy is O(live), but it only happens after at least
-// live entries were reclaimed, so reclamation stays O(reclaimed) amortized.
-func (o *objRuntime) compactHist() {
-	if o.histHead == len(o.hist) {
-		o.hist = o.hist[:0]
-		o.histHead = 0
-		return
-	}
-	if o.histHead*2 < len(o.hist) {
-		return
-	}
-	n := copy(o.hist, o.hist[o.histHead:])
-	clear(o.hist[n:])
-	o.hist = o.hist[:n]
-	o.histHead = 0
 }
 
 // ObjectDigest returns the current state digest of one local object.
@@ -571,7 +544,7 @@ func (k *Kernel) CommittedDigest() uint64 {
 func (k *Kernel) ProcessedCounts() map[ObjectID]int {
 	m := make(map[ObjectID]int, len(k.order))
 	for _, o := range k.order {
-		m[o.id] = o.liveLen() + o.fossilCount
+		m[o.id] = o.hist.Len() + o.fossilCount
 	}
 	return m
 }
@@ -581,7 +554,7 @@ func (k *Kernel) ProcessedCounts() map[ObjectID]int {
 func (k *Kernel) CommittedEvents() int {
 	n := 0
 	for _, o := range k.order {
-		n += o.liveLen() + o.fossilCount
+		n += o.hist.Len() + o.fossilCount
 	}
 	return n
 }
@@ -702,12 +675,12 @@ func (k *Kernel) deliverPositive(o *objRuntime, ev *Event) {
 		}
 	}
 	// Straggler: the event sorts before something already executed.
-	if n := o.liveLen(); n > 0 && ev.Before(o.lastHist().ev) {
+	if h := o.hist.Live(); len(h) > 0 && ev.Before(h[len(h)-1].ev) {
 		k.Stats.Stragglers.Inc()
-		lo, hi := 0, n
+		lo, hi := 0, len(h)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if ev.Before(o.live(mid).ev) {
+			if ev.Before(h[mid].ev) {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -726,17 +699,18 @@ func (k *Kernel) deliverPositive(o *objRuntime, ev *Event) {
 // over that run — which has more than one entry only when observationally
 // identical duplicates were both executed.
 func (o *objRuntime) findProcessed(ev *Event) int {
-	lo, hi := 0, o.liveLen()
+	h := o.hist.Live()
+	lo, hi := 0, len(h)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if o.live(mid).ev.Compare(ev) < 0 {
+		if h[mid].ev.Compare(ev) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	for i := lo; i < o.liveLen() && o.live(i).ev.Compare(ev) == 0; i++ {
-		if sameIdentity(o.live(i).ev, ev) {
+	for i := lo; i < len(h) && h[i].ev.Compare(ev) == 0; i++ {
+		if sameIdentity(h[i].ev, ev) {
 			return i
 		}
 	}
@@ -787,7 +761,8 @@ func (k *Kernel) deliverAnti(o *objRuntime, ev *Event) {
 // restores the saved state, reinserts the undone events as pending, and
 // cancels the outputs of the undone executions per the cancellation policy.
 func (k *Kernel) rollback(o *objRuntime, p int) {
-	n := o.liveLen()
+	h := o.hist.Live()
+	n := len(h)
 	if p >= n {
 		return // nothing executed after the straggler point
 	}
@@ -798,22 +773,22 @@ func (k *Kernel) rollback(o *objRuntime, p int) {
 	k.Stats.RollbackDepth.Observe(float64(undone))
 	k.res.UndoneEvents += undone
 
-	o.obj.RestoreState(o.live(p).state.app)
-	o.sendSeq = o.live(p).state.sendSeq
+	o.obj.RestoreState(h[p].state.app)
+	o.sendSeq = h[p].state.sendSeq
 	k.histCount -= undone
 
 	for i := n - 1; i >= p; i-- {
-		o.pendPush(o.live(i).ev)
+		o.pendPush(h[i].ev)
 	}
 	// The undone entries' rows are the tail of outs. Cancel them oldest
 	// first: under aggressive cancellation the output copy dies here, right
 	// after its anti-message is built; under lazy it moves to lazyPending.
 	rows := 0
 	for i := p; i < n; i++ {
-		rows += o.live(i).nOut
+		rows += h[i].nOut
 		// The event pointer now lives in pending and the restore above has
 		// copied out of entry p's snapshot.
-		o.vacate(o.live(i))
+		o.vacate(&h[i])
 	}
 	live := o.outs.Live()
 	for _, out := range live[len(live)-rows:] {
@@ -826,7 +801,7 @@ func (k *Kernel) rollback(o *objRuntime, p int) {
 		}
 	}
 	o.outs.DropTail(rows)
-	o.hist = o.hist[:o.histHead+p]
+	o.hist.DropTail(undone)
 	k.fixSched(o)
 }
 

@@ -181,8 +181,8 @@ func TestOutputRowsReleasedExactlyOnce(t *testing.T) {
 		t.Fatalf("%d lazy antis: re-execution should have regenerated every cancelled send", k.Stats.LazyAntis.Value())
 	}
 	o := k.objs[self]
-	if !k.Quiescent() || o.liveLen() != 0 || o.outs.Len() != 0 {
-		t.Fatalf("not drained: quiescent %v, history %d, output rows %d", k.Quiescent(), o.liveLen(), o.outs.Len())
+	if !k.Quiescent() || o.hist.Len() != 0 || o.outs.Len() != 0 {
+		t.Fatalf("not drained: quiescent %v, history %d, output rows %d", k.Quiescent(), o.hist.Len(), o.outs.Len())
 	}
 	// Whole slabs, every event distinct: nothing leaked, nothing released
 	// twice.

@@ -2,11 +2,11 @@ package nicwarp
 
 import (
 	"fmt"
+	"strconv"
 
 	"nicwarp/internal/fault"
 	"nicwarp/internal/runner"
 	"nicwarp/internal/simnet"
-	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
 )
 
@@ -73,12 +73,10 @@ func netFor(o FigureOpts) simnet.Config {
 // crossbar: the scaling experiment sweeps to 1024 nodes, where a
 // single-stage crossbar stops being a credible switch.
 func scaleNet(o FigureOpts) simnet.Config {
-	net := simnet.DefaultConfig()
-	net.Topology = o.Topology
-	if net.Topology == TopoCrossbar {
-		net.Topology = TopoFatTree
+	if o.Topology == TopoCrossbar {
+		o.Topology = TopoFatTree
 	}
-	return net
+	return netFor(o)
 }
 
 // GVTPeriods is the GVT_COUNT sweep used by Figures 4 and 5 (the paper
@@ -90,96 +88,6 @@ var PoliceStations = []int{900, 1000, 2000, 3000, 4000}
 
 // RAIDRequestCounts is the request sweep of Figure 6.
 var RAIDRequestCounts = []int{50000, 100000, 200000, 400000}
-
-// GVTRow is one point of a Figure 4/5 sweep.
-type GVTRow struct {
-	Period      int
-	HostSec     float64 // execution time, host Mattern (WARPED)
-	NICSec      float64 // execution time, NIC-GVT
-	HostRounds  int64
-	NICRounds   int64
-	HostCtrl    int64 // dedicated GVT control messages (host only)
-	NICPiggy    int64 // piggybacked handshakes (NIC only)
-	HostGVTTime float64
-	NICGVTTime  float64
-}
-
-// CancelRow is one point of a Figure 6/7/8 sweep.
-type CancelRow struct {
-	X               int     // requests (RAID) or stations (POLICE)
-	BaseSec         float64 // execution time without early cancellation
-	CancelSec       float64 // execution time with early cancellation
-	ImprovementPct  float64 // Figures 6a/7a
-	BaseMsgs        int64   // messages generated, baseline (Figures 6b/8)
-	CancelMsgs      int64   // messages generated, with cancellation
-	DroppedInPlace  int64
-	NICDropRatePct  float64 // Figure 7b
-	BaseRollbacks   int64
-	CancelRollbacks int64
-}
-
-// ---- sweep expansion and folding ----
-//
-// Each sweep is expanded into a flat batch of independent experiment points
-// (runner.Job) and folded back into figure rows positionally. The expansion
-// order is load-bearing: fold functions consume results pairwise in the
-// exact order the job builders emit them, which is what lets the serial
-// loop, the parallel pool and a cache-warm replay produce byte-identical
-// tables.
-
-// gvtSweepJobs expands one application family across GVTPeriods under both
-// GVT implementations: for each period, a host-Mattern point then a NIC-GVT
-// point.
-func gvtSweepJobs(prefix string, app func() App, opts FigureOpts) []runner.Job {
-	opts = opts.withDefaults()
-	var jobs []runner.Job
-	for _, period := range GVTPeriods {
-		for _, mode := range []GVTMode{GVTHostMattern, GVTNIC} {
-			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("%s/period=%d/%v", prefix, period, mode),
-				Config: Config{
-					App:       app(),
-					Nodes:     opts.Nodes,
-					Seed:      opts.Seed,
-					GVT:       mode,
-					GVTPeriod: period,
-					Net:       netFor(opts),
-				},
-			})
-		}
-	}
-	return jobs
-}
-
-// foldGVTRows folds gvtSweepJobs results (host/NIC pairs per period) back
-// into rows.
-func foldGVTRows(results []runner.Result) ([]GVTRow, error) {
-	if len(results)%2 != 0 {
-		return nil, fmt.Errorf("gvt sweep: odd result count %d", len(results))
-	}
-	var rows []GVTRow
-	for i := 0; i+1 < len(results); i += 2 {
-		host, nic := results[i], results[i+1]
-		if host.Err != nil {
-			return nil, host.Err
-		}
-		if nic.Err != nil {
-			return nil, nic.Err
-		}
-		rows = append(rows, GVTRow{
-			Period:      host.Job.Config.GVTPeriod,
-			HostSec:     host.Res.ExecTime.Seconds(),
-			NICSec:      nic.Res.ExecTime.Seconds(),
-			HostRounds:  host.Res.GVTRounds,
-			NICRounds:   nic.Res.GVTRounds,
-			HostCtrl:    host.Res.GVTControlMsgs,
-			NICPiggy:    nic.Res.GVTPiggybacks,
-			HostGVTTime: host.Res.HostGVTTime.Seconds(),
-			NICGVTTime:  nic.Res.HostGVTTime.Seconds(),
-		})
-	}
-	return rows, nil
-}
 
 // ScaleNodeCounts is the node axis of the scaling experiment ("figscale"),
 // truncated by Scale so smoke runs (CI sweeps the registry at -scale 0.05)
@@ -203,525 +111,307 @@ func scaleApp(o FigureOpts, n int) App {
 	return PHOLD(PHOLDParams{Objects: 2 * n, Population: 1, Hops: o.scaled(30), MeanDelay: 50, Locality: 0.2})
 }
 
-// scaleSweepJobs expands the scaling experiment: for each node count, a
-// ring NIC-GVT point then a tree NIC-GVT point, on the multi-stage fabric.
-func scaleSweepJobs(prefix string, opts FigureOpts) []runner.Job {
-	o := opts.withDefaults()
-	var jobs []runner.Job
-	for _, n := range ScaleNodeCounts(o) {
-		for _, mode := range []GVTMode{GVTNIC, GVTNICTree} {
-			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("%s/nodes=%d/%v", prefix, n, mode),
-				Config: Config{
-					App:       scaleApp(o, n),
-					Nodes:     n,
-					Seed:      o.Seed,
-					GVT:       mode,
-					GVTPeriod: 100,
-					Net:       scaleNet(o),
-				},
-			})
-		}
+// point is the config every registry point starts from: app on the opts
+// cluster under one GVT mode and period.
+func (o FigureOpts) point(app App, mode GVTMode, period int) Config {
+	return Config{App: app, Nodes: o.Nodes, Seed: o.Seed, GVT: mode, GVTPeriod: period}
+}
+
+// cancelPoint is point with early cancellation on. Every early-cancellation
+// point checks itself against the sequential oracle, so no committed table
+// can come from a run the offload changed.
+func (o FigureOpts) cancelPoint(app App, mode GVTMode, period int) Config {
+	cfg := o.point(app, mode, period)
+	cfg.EarlyCancel, cfg.VerifyOracle = true, true
+	return cfg
+}
+
+// row is one line of an experiment's table: the label in its first column
+// and the points whose results fill the rest. Point names are relative to
+// the experiment; Experiment.Jobs prefixes its name.
+type row struct {
+	label  string
+	points []runner.Job
+}
+
+// add appends one point to the row.
+func (r *row) add(name string, cfg Config) {
+	r.points = append(r.points, runner.Job{Name: name, Config: cfg})
+}
+
+// variants is an ablation's rows: one single-point row per value, labelled
+// and named fmt.Sprintf(format, value).
+func variants[T any](format string, vals []T, cfg func(v T) Config) []row {
+	rows := make([]row, len(vals))
+	for i, v := range vals {
+		rows[i].label = fmt.Sprintf(format, v)
+		rows[i].add(rows[i].label, cfg(v))
 	}
-	return jobs
+	return rows
 }
 
-// ScaleRow is one node count of the scaling sweep: the ring and tree GVT
-// reductions compared on execution time, GVT convergence latency (the
-// O(n)-hops vs O(log n)-hops headline), rounds and rollback depth.
-type ScaleRow struct {
-	Nodes       int
-	RingSec     float64
-	TreeSec     float64
-	RingConvUs  float64 // mean initiate-to-commit latency, microseconds
-	TreeConvUs  float64
-	RingRounds  int64
-	TreeRounds  int64
-	RingRbDepth float64 // mean events undone per rollback
-	TreeRbDepth float64
-}
-
-// foldScaleRows folds scaleSweepJobs results (ring/tree pairs per node
-// count) back into rows.
-func foldScaleRows(xs []int, results []runner.Result) ([]ScaleRow, error) {
-	if len(results) != 2*len(xs) {
-		return nil, fmt.Errorf("scale sweep: %d results for %d node counts", len(results), len(xs))
-	}
-	var rows []ScaleRow
-	for i, n := range xs {
-		ring, tree := results[2*i], results[2*i+1]
-		if ring.Err != nil {
-			return nil, ring.Err
-		}
-		if tree.Err != nil {
-			return nil, tree.Err
-		}
-		rows = append(rows, ScaleRow{
-			Nodes:       n,
-			RingSec:     ring.Res.ExecTime.Seconds(),
-			TreeSec:     tree.Res.ExecTime.Seconds(),
-			RingConvUs:  float64(ring.Res.GVTConvAvg()) / 1e3,
-			TreeConvUs:  float64(tree.Res.GVTConvAvg()) / 1e3,
-			RingRounds:  ring.Res.GVTRounds,
-			TreeRounds:  tree.Res.GVTRounds,
-			RingRbDepth: ring.Res.RollbackDepth(),
-			TreeRbDepth: tree.Res.RollbackDepth(),
-		})
-	}
-	return rows, nil
-}
-
-// ScaleTable renders the scaling sweep. Node counts span three orders of
-// magnitude, so the numeric columns are right-aligned (the committed
-// crossbar tables keep their historical left alignment).
-func ScaleTable(rows []ScaleRow) *stats.Table {
-	t := stats.NewTable("nodes", "ring_sec", "tree_sec", "ring_conv_us", "tree_conv_us",
-		"ring_rounds", "tree_rounds", "ring_rb_depth", "tree_rb_depth").AlignRight()
-	for _, r := range rows {
-		t.AddRow(r.Nodes, r.RingSec, r.TreeSec, r.RingConvUs, r.TreeConvUs,
-			r.RingRounds, r.TreeRounds, r.RingRbDepth, r.TreeRbDepth)
-	}
-	return t
-}
-
-// cancelSweepJobs expands one application family across an x-axis with
-// early cancellation off and on: for each x, a baseline point then a
-// cancellation point. Every early-cancellation point in this file checks
-// itself against the sequential oracle, so no committed figure can come
-// from a run the offload changed.
-func cancelSweepJobs(prefix string, app func(x int) App, xs []int, opts FigureOpts) []runner.Job {
-	opts = opts.withDefaults()
-	var jobs []runner.Job
-	for _, x := range xs {
-		for _, cancel := range []bool{false, true} {
-			variant := "base"
-			if cancel {
-				variant = "cancel"
-			}
-			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("%s/x=%d/%s", prefix, x, variant),
-				Config: Config{
-					App:          app(x),
-					Nodes:        opts.Nodes,
-					Seed:         opts.Seed,
-					GVT:          GVTHostMattern,
-					GVTPeriod:    1000,
-					EarlyCancel:  cancel,
-					VerifyOracle: cancel,
-					Net:          netFor(opts),
-				},
-			})
-		}
-	}
-	return jobs
-}
-
-// foldCancelRows folds cancelSweepJobs results (base/cancel pairs, one per
-// x) back into rows.
-func foldCancelRows(xs []int, results []runner.Result) ([]CancelRow, error) {
-	if len(results) != 2*len(xs) {
-		return nil, fmt.Errorf("cancel sweep: %d results for %d x values", len(results), len(xs))
-	}
-	var rows []CancelRow
-	for i, x := range xs {
-		base, cancel := results[2*i], results[2*i+1]
-		if base.Err != nil {
-			return nil, base.Err
-		}
-		if cancel.Err != nil {
-			return nil, cancel.Err
-		}
-		row := CancelRow{
-			X:               x,
-			BaseSec:         base.Res.ExecTime.Seconds(),
-			CancelSec:       cancel.Res.ExecTime.Seconds(),
-			BaseMsgs:        base.Res.EventMsgsBuilt,
-			CancelMsgs:      cancel.Res.EventMsgsBuilt,
-			DroppedInPlace:  cancel.Res.DroppedInPlace,
-			NICDropRatePct:  cancel.Res.NICDropRate(),
-			BaseRollbacks:   base.Res.Rollbacks,
-			CancelRollbacks: cancel.Res.Rollbacks,
-		}
-		row.ImprovementPct = 100 * (row.BaseSec - row.CancelSec) / row.BaseSec
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// GVTTable renders a Figure 4/5 sweep.
-func GVTTable(rows []GVTRow) *stats.Table {
-	t := stats.NewTable("gvt_period", "warped_sec", "nicgvt_sec", "warped_rounds", "nicgvt_rounds", "warped_ctrl_msgs", "nicgvt_piggybacks")
-	for _, r := range rows {
-		t.AddRow(r.Period, r.HostSec, r.NICSec, r.HostRounds, r.NICRounds, r.HostCtrl, r.NICPiggy)
-	}
-	return t
-}
-
-// CancelTable renders a Figure 6/7/8 sweep.
-func CancelTable(rows []CancelRow, xName string) *stats.Table {
-	t := stats.NewTable(xName, "warped_sec", "cancel_sec", "improvement_pct",
-		"warped_msgs", "cancel_msgs", "dropped_in_place", "nic_drop_rate_pct")
-	for _, r := range rows {
-		t.AddRow(r.X, r.BaseSec, r.CancelSec, r.ImprovementPct,
-			r.BaseMsgs, r.CancelMsgs, r.DroppedInPlace, r.NICDropRatePct)
-	}
-	return t
-}
-
-// AblationRow is a generic (label, exec time) result row.
-type AblationRow struct {
-	Label string
-	Sec   float64
-	Extra map[string]float64
-}
-
-// AblationTable renders ablation rows with their extra columns.
-func AblationTable(rows []AblationRow, extras ...string) *stats.Table {
-	header := append([]string{"variant", "exec_sec"}, extras...)
-	t := stats.NewTable(header...)
-	for _, r := range rows {
-		cells := []interface{}{r.Label, r.Sec}
-		for _, e := range extras {
-			cells = append(cells, r.Extra[e])
-		}
-		t.AddRow(cells...)
-	}
-	return t
-}
-
-// ---- ablation definitions ----
-
-// ablationVariant is one labelled point of an ablation sweep.
-type ablationVariant struct {
-	label string
-	cfg   Config
-}
-
-// ablationDef declares one ablation experiment: its labelled config
-// variants and how to extract the extra columns from a result.
-type ablationDef struct {
-	name        string // registry name ("abl-nic-speed")
-	output      string // results file stem ("ablation_nic_speed")
-	description string
-	extras      []string // extra table columns, in order
-	variants    func(o FigureOpts) []ablationVariant
-	extract     func(res *Result) map[string]float64
-}
-
-// jobs expands the ablation into runner jobs, one per variant.
-func (a ablationDef) jobs(opts FigureOpts) []runner.Job {
-	o := opts.withDefaults()
-	var jobs []runner.Job
-	for _, v := range a.variants(o) {
-		jobs = append(jobs, runner.Job{Name: a.name + "/" + v.label, Config: v.cfg})
-	}
-	return jobs
-}
-
-// fold rebuilds the ablation rows from results in variant order.
-func (a ablationDef) fold(opts FigureOpts, results []runner.Result) ([]AblationRow, error) {
-	variants := a.variants(opts.withDefaults())
-	if len(results) != len(variants) {
-		return nil, fmt.Errorf("%s: %d results for %d variants", a.name, len(results), len(variants))
-	}
-	var rows []AblationRow
-	for i, v := range variants {
-		if results[i].Err != nil {
-			return nil, results[i].Err
-		}
-		res := results[i].Res
-		rows = append(rows, AblationRow{Label: v.label, Sec: res.ExecTime.Seconds(), Extra: a.extract(res)})
-	}
-	return rows, nil
-}
-
-// experiment adapts the definition to a registry entry.
-func (a ablationDef) experiment() Experiment {
+// gvtSweep declares a Figure 4/5 experiment: one row per GVTPeriods entry,
+// each a host-Mattern point then a NIC-GVT point of the same workload.
+func gvtSweep(name, output, description string, app func(o FigureOpts) App) Experiment {
 	return Experiment{
-		Name:        a.name,
-		Output:      a.output,
-		Description: a.description,
-		Jobs:        a.jobs,
-		Render: func(opts FigureOpts, results []runner.Result) (*stats.Table, error) {
-			rows, err := a.fold(opts, results)
-			if err != nil {
-				return nil, err
+		Name:        name,
+		Output:      output,
+		Description: description,
+		header: []string{"gvt_period", "warped_sec", "nicgvt_sec", "warped_rounds", "nicgvt_rounds",
+			"warped_ctrl_msgs", "nicgvt_piggybacks"},
+		rows: func(o FigureOpts) []row {
+			var rows []row
+			for _, period := range GVTPeriods {
+				r := row{label: strconv.Itoa(period)}
+				for _, mode := range []GVTMode{GVTHostMattern, GVTNIC} {
+					cfg := o.point(app(o), mode, period)
+					cfg.Net = netFor(o)
+					r.add(fmt.Sprintf("period=%d/%v", period, mode), cfg)
+				}
+				rows = append(rows, r)
 			}
-			return AblationTable(rows, a.extras...), nil
+			return rows
+		},
+		cells: func(r []*Result) []interface{} {
+			host, nic := r[0], r[1]
+			return []interface{}{host.ExecTime.Seconds(), nic.ExecTime.Seconds(),
+				host.GVTRounds, nic.GVTRounds, host.GVTControlMsgs, nic.GVTPiggybacks}
 		},
 	}
 }
 
-// ablationDefs lists the ablation studies of DESIGN.md, in suite order.
-func ablationDefs() []ablationDef {
-	return []ablationDef{
-		{
-			name:        "abl-nic-speed",
-			output:      "ablation_nic_speed",
-			description: "Ablation: NIC processor speed",
-			extras:      []string{"dropRatePct", "nicUtil"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
-				for _, mhz := range []float64{33, 66, 132, 264, 528} {
-					cfg := Config{
-						App:          Police(PoliceConfig(o.scaled(900))),
-						Nodes:        o.Nodes,
-						Seed:         o.Seed,
-						GVT:          GVTNIC,
-						GVTPeriod:    100,
-						EarlyCancel:  true,
-						VerifyOracle: true,
-					}
-					cfg = cfg.WithDefaults()
-					cfg.NIC.ClockHz = mhz * 1e6
-					vs = append(vs, ablationVariant{fmt.Sprintf("%.0fMHz", mhz), cfg})
-				}
-				return vs
-			},
-			extract: func(res *Result) map[string]float64 {
-				return map[string]float64{"dropRatePct": res.NICDropRate(), "nicUtil": res.NICUtil}
-			},
+// cancelSweep declares a Figure 6/7/8 experiment: one row per x (each of xs
+// scaled by opts), a baseline point then an early-cancellation point.
+func cancelSweep(name, output, description, xName string, xs []int, app func(x int) App) Experiment {
+	return Experiment{
+		Name:        name,
+		Output:      output,
+		Description: description,
+		header: []string{xName, "warped_sec", "cancel_sec", "improvement_pct",
+			"warped_msgs", "cancel_msgs", "dropped_in_place", "nic_drop_rate_pct"},
+		rows: func(o FigureOpts) []row {
+			var rows []row
+			for _, x := range xs {
+				x = o.scaled(x)
+				r := row{label: strconv.Itoa(x)}
+				base := o.point(app(x), GVTHostMattern, 1000)
+				base.Net = netFor(o)
+				r.add(fmt.Sprintf("x=%d/base", x), base)
+				cancel := o.cancelPoint(app(x), GVTHostMattern, 1000)
+				cancel.Net = netFor(o)
+				r.add(fmt.Sprintf("x=%d/cancel", x), cancel)
+				rows = append(rows, r)
+			}
+			return rows
 		},
-		{
-			name:        "abl-drop-buffer",
-			output:      "ablation_drop_buffer",
-			description: "Ablation: drop-buffer capacity",
-			extras:      []string{"declined", "dropped"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
-				for _, cap := range []int{2, 10, 64, 1024} {
-					vs = append(vs, ablationVariant{fmt.Sprintf("cap=%d", cap), Config{
-						App:           Police(PoliceConfig(o.scaled(900))),
-						Nodes:         o.Nodes,
-						Seed:          o.Seed,
-						GVT:           GVTHostMattern,
-						GVTPeriod:     1000,
-						EarlyCancel:   true,
-						DropBufferCap: cap,
-						VerifyOracle:  true,
-					}})
-				}
-				return vs
-			},
-			extract: func(res *Result) map[string]float64 {
-				return map[string]float64{
-					"declined": float64(res.DropsDeclined),
-					"dropped":  float64(res.DroppedInPlace),
-				}
-			},
+		cells: func(r []*Result) []interface{} {
+			base, cancel := r[0], r[1]
+			baseSec, cancelSec := base.ExecTime.Seconds(), cancel.ExecTime.Seconds()
+			return []interface{}{baseSec, cancelSec, 100 * (baseSec - cancelSec) / baseSec,
+				base.EventMsgsBuilt, cancel.EventMsgsBuilt, cancel.DroppedInPlace, cancel.NICDropRate()}
 		},
-		{
-			name:        "abl-cancel-policy",
-			output:      "ablation_cancellation_policy",
-			description: "Ablation: cancellation policy",
-			extras:      []string{"antis", "rollbacks"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
-				for _, pol := range []CancellationPolicy{Aggressive, Lazy} {
-					vs = append(vs, ablationVariant{pol.String(), Config{
-						App:          RAID(RAIDCancelConfig(o.scaled(20000))),
-						Nodes:        o.Nodes,
-						Seed:         o.Seed,
-						GVT:          GVTHostMattern,
-						GVTPeriod:    100,
-						Cancellation: pol,
-					}})
-				}
-				return vs
-			},
-			extract: func(res *Result) map[string]float64 {
-				return map[string]float64{
-					"antis":     float64(res.AntisBuilt),
-					"rollbacks": float64(res.Rollbacks),
-				}
-			},
-		},
-		{
-			name:        "abl-gvt-algorithms",
-			output:      "ablation_gvt_algorithms",
-			description: "Ablation: GVT algorithms (pGVT vs Mattern vs NIC-GVT)",
-			extras:      []string{"ctrlMsgs", "computations"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
-				for _, mode := range []GVTMode{GVTPGVT, GVTHostMattern, GVTNIC} {
-					vs = append(vs, ablationVariant{mode.String(), Config{
-						App:       RAID(RAIDGVTConfig(o.scaled(20000))),
-						Nodes:     o.Nodes,
-						Seed:      o.Seed,
-						GVT:       mode,
-						GVTPeriod: 10,
-					}})
-				}
-				return vs
-			},
-			extract: func(res *Result) map[string]float64 {
-				return map[string]float64{
-					"ctrlMsgs":     float64(res.GVTControlMsgs),
-					"computations": float64(res.GVTComputations),
-				}
-			},
-		},
-		{
-			name:        "abl-rx-buffer",
-			output:      "ablation_rx_buffer",
-			description: "Ablation: NIC receive-buffer depth",
-			extras:      []string{"dropRatePct", "dropped"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
-				for _, cap := range []int{6, 12, 28, 96} {
-					cfg := Config{
-						App:          Police(PoliceConfig(o.scaled(900))),
-						Nodes:        o.Nodes,
-						Seed:         o.Seed,
-						GVT:          GVTHostMattern,
-						GVTPeriod:    1000,
-						EarlyCancel:  true,
-						VerifyOracle: true,
-					}
-					cfg = cfg.WithDefaults()
-					cfg.NIC.RxQueueCap = cap
-					vs = append(vs, ablationVariant{fmt.Sprintf("rx=%d", cap), cfg})
-				}
-				return vs
-			},
-			extract: func(res *Result) map[string]float64 {
-				return map[string]float64{
-					"dropRatePct": res.NICDropRate(),
-					"dropped":     float64(res.DroppedInPlace),
-				}
-			},
-		},
-		{
-			name:        "abl-gvt-tree",
-			output:      "ablation_gvt_tree",
-			description: "Ablation: ring vs tree NIC GVT reduction at one node count (fat-tree fabric)",
-			extras:      []string{"convUs", "rounds", "rbDepth", "computations"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
+	}
+}
+
+// figScale declares the scaling experiment: one row per ScaleNodeCounts
+// entry, a ring NIC-GVT point then a tree NIC-GVT point on the multi-stage
+// fabric, compared on execution time, GVT convergence latency (the
+// O(n)-hops vs O(log n)-hops headline), rounds and rollback depth. Node
+// counts span three orders of magnitude, so the numeric columns are
+// right-aligned (the committed crossbar tables keep their historical left
+// alignment).
+func figScale() Experiment {
+	return Experiment{
+		Name:        "figscale",
+		Output:      "figure_scale_gvt",
+		Description: "Scaling: ring vs tree NIC GVT over node count (multi-stage fabric)",
+		header: []string{"nodes", "ring_sec", "tree_sec", "ring_conv_us", "tree_conv_us",
+			"ring_rounds", "tree_rounds", "ring_rb_depth", "tree_rb_depth"},
+		alignRight: true,
+		rows: func(o FigureOpts) []row {
+			var rows []row
+			for _, n := range ScaleNodeCounts(o) {
+				r := row{label: strconv.Itoa(n)}
 				for _, mode := range []GVTMode{GVTNIC, GVTNICTree} {
-					vs = append(vs, ablationVariant{mode.String(), Config{
-						App:             scaleApp(o, o.Nodes),
-						Nodes:           o.Nodes,
-						Seed:            o.Seed,
-						GVT:             mode,
-						GVTPeriod:       100,
-						CheckInvariants: true,
-						Net:             scaleNet(o),
-					}})
+					cfg := o.point(scaleApp(o, n), mode, 100)
+					cfg.Nodes, cfg.Net = n, scaleNet(o)
+					r.add(fmt.Sprintf("nodes=%d/%v", n, mode), cfg)
 				}
-				return vs
+				rows = append(rows, r)
+			}
+			return rows
+		},
+		cells: func(r []*Result) []interface{} {
+			ring, tree := r[0], r[1]
+			return []interface{}{ring.ExecTime.Seconds(), tree.ExecTime.Seconds(),
+				float64(ring.GVTConvAvg()) / 1e3, float64(tree.GVTConvAvg()) / 1e3,
+				ring.GVTRounds, tree.GVTRounds, ring.RollbackDepth(), tree.RollbackDepth()}
+		},
+	}
+}
+
+// ablations declares the ablation studies of DESIGN.md, in suite order.
+// Every row is one labelled variant; its cells are the execution time and
+// the study's extras, each a float64 so every extra column prints %.4g.
+func ablations() []Experiment {
+	return []Experiment{
+		{
+			Name:        "abl-nic-speed",
+			Output:      "ablation_nic_speed",
+			Description: "Ablation: NIC processor speed",
+			header:      []string{"variant", "exec_sec", "dropRatePct", "nicUtil"},
+			rows: func(o FigureOpts) []row {
+				return variants("%.0fMHz", []float64{33, 66, 132, 264, 528}, func(mhz float64) Config {
+					cfg := o.cancelPoint(Police(PoliceConfig(o.scaled(900))), GVTNIC, 100).WithDefaults()
+					cfg.NIC.ClockHz = mhz * 1e6
+					return cfg
+				})
 			},
-			extract: func(res *Result) map[string]float64 {
-				return map[string]float64{
-					"convUs":       float64(res.GVTConvAvg()) / 1e3,
-					"rounds":       float64(res.GVTRounds),
-					"rbDepth":      res.RollbackDepth(),
-					"computations": float64(res.GVTComputations),
-				}
+			cells: func(r []*Result) []interface{} {
+				return []interface{}{r[0].ExecTime.Seconds(), r[0].NICDropRate(), r[0].NICUtil}
 			},
 		},
 		{
-			name:        "abl-stress-faults",
-			output:      "ablation_stress_faults",
-			description: "Ablation: fault-plane scenarios (overhead of loss-free wire chaos)",
-			extras:      []string{"faults", "bipDuplicates", "lateFilled", "rollbacks"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
-				for _, sc := range append([]string{"none"}, fault.Scenarios()...) {
+			Name:        "abl-drop-buffer",
+			Output:      "ablation_drop_buffer",
+			Description: "Ablation: drop-buffer capacity",
+			header:      []string{"variant", "exec_sec", "declined", "dropped"},
+			rows: func(o FigureOpts) []row {
+				return variants("cap=%d", []int{2, 10, 64, 1024}, func(cap int) Config {
+					cfg := o.cancelPoint(Police(PoliceConfig(o.scaled(900))), GVTHostMattern, 1000)
+					cfg.DropBufferCap = cap
+					return cfg
+				})
+			},
+			cells: func(r []*Result) []interface{} {
+				return []interface{}{r[0].ExecTime.Seconds(), float64(r[0].DropsDeclined), float64(r[0].DroppedInPlace)}
+			},
+		},
+		{
+			Name:        "abl-cancel-policy",
+			Output:      "ablation_cancellation_policy",
+			Description: "Ablation: cancellation policy",
+			header:      []string{"variant", "exec_sec", "antis", "rollbacks"},
+			rows: func(o FigureOpts) []row {
+				return variants("%v", []CancellationPolicy{Aggressive, Lazy}, func(pol CancellationPolicy) Config {
+					cfg := o.point(RAID(RAIDCancelConfig(o.scaled(20000))), GVTHostMattern, 100)
+					cfg.Cancellation = pol
+					return cfg
+				})
+			},
+			cells: func(r []*Result) []interface{} {
+				return []interface{}{r[0].ExecTime.Seconds(), float64(r[0].AntisBuilt), float64(r[0].Rollbacks)}
+			},
+		},
+		{
+			Name:        "abl-gvt-algorithms",
+			Output:      "ablation_gvt_algorithms",
+			Description: "Ablation: GVT algorithms (pGVT vs Mattern vs NIC-GVT)",
+			header:      []string{"variant", "exec_sec", "ctrlMsgs", "computations"},
+			rows: func(o FigureOpts) []row {
+				return variants("%v", []GVTMode{GVTPGVT, GVTHostMattern, GVTNIC}, func(mode GVTMode) Config {
+					return o.point(RAID(RAIDGVTConfig(o.scaled(20000))), mode, 10)
+				})
+			},
+			cells: func(r []*Result) []interface{} {
+				return []interface{}{r[0].ExecTime.Seconds(), float64(r[0].GVTControlMsgs), float64(r[0].GVTComputations)}
+			},
+		},
+		{
+			Name:        "abl-rx-buffer",
+			Output:      "ablation_rx_buffer",
+			Description: "Ablation: NIC receive-buffer depth",
+			header:      []string{"variant", "exec_sec", "dropRatePct", "dropped"},
+			rows: func(o FigureOpts) []row {
+				return variants("rx=%d", []int{6, 12, 28, 96}, func(cap int) Config {
+					cfg := o.cancelPoint(Police(PoliceConfig(o.scaled(900))), GVTHostMattern, 1000).WithDefaults()
+					cfg.NIC.RxQueueCap = cap
+					return cfg
+				})
+			},
+			cells: func(r []*Result) []interface{} {
+				return []interface{}{r[0].ExecTime.Seconds(), r[0].NICDropRate(), float64(r[0].DroppedInPlace)}
+			},
+		},
+		{
+			Name:        "abl-gvt-tree",
+			Output:      "ablation_gvt_tree",
+			Description: "Ablation: ring vs tree NIC GVT reduction at one node count (fat-tree fabric)",
+			header:      []string{"variant", "exec_sec", "convUs", "rounds", "rbDepth", "computations"},
+			rows: func(o FigureOpts) []row {
+				return variants("%v", []GVTMode{GVTNIC, GVTNICTree}, func(mode GVTMode) Config {
+					cfg := o.point(scaleApp(o, o.Nodes), mode, 100)
+					cfg.CheckInvariants, cfg.Net = true, scaleNet(o)
+					return cfg
+				})
+			},
+			cells: func(r []*Result) []interface{} {
+				return []interface{}{r[0].ExecTime.Seconds(), float64(r[0].GVTConvAvg()) / 1e3,
+					float64(r[0].GVTRounds), r[0].RollbackDepth(), float64(r[0].GVTComputations)}
+			},
+		},
+		{
+			Name:        "abl-stress-faults",
+			Output:      "ablation_stress_faults",
+			Description: "Ablation: fault-plane scenarios (overhead of loss-free wire chaos)",
+			header:      []string{"variant", "exec_sec", "faults", "bipDuplicates", "lateFilled", "rollbacks"},
+			rows: func(o FigureOpts) []row {
+				return variants("%s", append([]string{"none"}, fault.Scenarios()...), func(sc string) Config {
 					plan, err := fault.PlanFor(sc, o.Seed)
 					if err != nil {
 						panic(err) // registry names come from fault.Scenarios
 					}
-					cfg := Config{
-						App:             PHOLD(PHOLDParams{Objects: 16, Population: 1, Hops: o.scaled(400), MeanDelay: 40, Locality: 0.2}),
-						Nodes:           o.Nodes,
-						Seed:            o.Seed,
-						GVT:             GVTNIC,
-						GVTPeriod:       50,
-						EarlyCancel:     true,
-						VerifyOracle:    true,
-						CheckInvariants: true,
-					}
-					cfg.Fault = plan
-					vs = append(vs, ablationVariant{sc, cfg})
-				}
-				return vs
+					app := PHOLD(PHOLDParams{Objects: 16, Population: 1, Hops: o.scaled(400), MeanDelay: 40, Locality: 0.2})
+					cfg := o.cancelPoint(app, GVTNIC, 50)
+					cfg.CheckInvariants, cfg.Fault = true, plan
+					return cfg
+				})
 			},
-			extract: func(res *Result) map[string]float64 {
-				return map[string]float64{
-					"faults":        float64(res.FaultsInjected),
-					"bipDuplicates": float64(res.BIPDuplicates),
-					"lateFilled":    float64(res.BIPLateFilled),
-					"rollbacks":     float64(res.Rollbacks),
-				}
+			cells: func(r []*Result) []interface{} {
+				return []interface{}{r[0].ExecTime.Seconds(), float64(r[0].FaultsInjected),
+					float64(r[0].BIPDuplicates), float64(r[0].BIPLateFilled), float64(r[0].Rollbacks)}
 			},
 		},
 		{
-			name:        "abl-piggyback-patience",
-			output:      "ablation_piggyback_patience",
-			description: "Ablation: NIC-GVT piggyback patience",
-			extras:      []string{"piggybacks", "doorbells", "rounds"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
-				for _, us := range []int{10, 50, 150, 500, 2000} {
-					cfg := Config{
-						App:       RAID(RAIDGVTConfig(o.scaled(20000))),
-						Nodes:     o.Nodes,
-						Seed:      o.Seed,
-						GVT:       GVTNIC,
-						GVTPeriod: 1,
-					}
+			Name:        "abl-piggyback-patience",
+			Output:      "ablation_piggyback_patience",
+			Description: "Ablation: NIC-GVT piggyback patience",
+			header:      []string{"variant", "exec_sec", "piggybacks", "doorbells", "rounds"},
+			rows: func(o FigureOpts) []row {
+				return variants("%dus", []int{10, 50, 150, 500, 2000}, func(us int) Config {
+					cfg := o.point(RAID(RAIDGVTConfig(o.scaled(20000))), GVTNIC, 1)
 					cfg.GVTFallbackDelay = vtime.ModelTime(us) * vtime.Microsecond
-					vs = append(vs, ablationVariant{fmt.Sprintf("%dus", us), cfg})
-				}
-				return vs
+					return cfg
+				})
 			},
-			extract: func(res *Result) map[string]float64 {
-				return map[string]float64{
-					"piggybacks": float64(res.GVTPiggybacks),
-					"doorbells":  float64(res.GVTDoorbells),
-					"rounds":     float64(res.GVTRounds),
-				}
+			cells: func(r []*Result) []interface{} {
+				return []interface{}{r[0].ExecTime.Seconds(), float64(r[0].GVTPiggybacks),
+					float64(r[0].GVTDoorbells), float64(r[0].GVTRounds)}
 			},
 		},
 		{
-			name:        "abl-batching",
-			output:      "ablation_batching",
-			description: "Ablation: NIC send batching and anti coalescing (frame capacity sweep)",
-			extras:      []string{"wirePkts", "busXings", "frames", "subsPerFrame", "nicUtil"},
-			variants: func(o FigureOpts) []ablationVariant {
-				var vs []ablationVariant
-				for _, bm := range []int{1, 2, 4, 8, 16} {
-					cfg := Config{
-						App:          Police(PoliceConfig(o.scaled(900))),
-						Nodes:        o.Nodes,
-						Seed:         o.Seed,
-						GVT:          GVTNIC,
-						GVTPeriod:    100,
-						EarlyCancel:  true,
-						VerifyOracle: true,
-					}
-					cfg = cfg.WithDefaults()
+			Name:        "abl-batching",
+			Output:      "ablation_batching",
+			Description: "Ablation: NIC send batching and anti coalescing (frame capacity sweep)",
+			header:      []string{"variant", "exec_sec", "wirePkts", "busXings", "frames", "subsPerFrame", "nicUtil"},
+			rows: func(o FigureOpts) []row {
+				return variants("batch=%d", []int{1, 2, 4, 8, 16}, func(bm int) Config {
+					cfg := o.cancelPoint(Police(PoliceConfig(o.scaled(900))), GVTNIC, 100).WithDefaults()
 					cfg.NIC.BatchMax = bm
 					if bm > 1 {
 						cfg.NIC.FlushHorizon = 20 * vtime.Microsecond
 					}
-					vs = append(vs, ablationVariant{fmt.Sprintf("batch=%d", bm), cfg})
-				}
-				return vs
+					return cfg
+				})
 			},
-			extract: func(res *Result) map[string]float64 {
+			cells: func(r []*Result) []interface{} {
+				res := r[0]
 				subsPerFrame := 0.0
 				if res.BatchFrames > 0 {
 					subsPerFrame = float64(res.BatchSubs) / float64(res.BatchFrames)
 				}
-				return map[string]float64{
-					"wirePkts":     float64(res.WirePackets),
-					"busXings":     float64(res.BusCrossings),
-					"frames":       float64(res.BatchFrames),
-					"subsPerFrame": subsPerFrame,
-					"nicUtil":      res.NICUtil,
-				}
+				return []interface{}{res.ExecTime.Seconds(), float64(res.WirePackets), float64(res.BusCrossings),
+					float64(res.BatchFrames), subsPerFrame, res.NICUtil}
 			},
 		},
 	}

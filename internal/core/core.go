@@ -609,18 +609,30 @@ func (cl *Cluster) Run() (*Result, error) {
 		cl.plane.InstallRings(rings, engs, cl.nodeBusy)
 		cl.plane.Start()
 	}
-	if cl.group != nil {
-		cl.group.Run(cl.cfg.MaxModelTime)
-	} else {
-		cl.engines[0].Run(cl.cfg.MaxModelTime)
+	cl.runEngines()
+	// A run ends only when every kernel is quiescent. Under lazy
+	// cancellation the event list can drain while kernels still hold
+	// deferred cancellations, which only a GVT commit past their send time
+	// flushes — and a GVT computation that made no progress commits nothing
+	// and starts no next one. Wake the root manager until the kernels drain.
+	// Every shard clock then reads the cluster clock (des.Group.Run), so the
+	// wake-up acts at the same time serially and sharded.
+	root := cl.nodes[0]
+	for cl.pendingEvents() == 0 && !cl.quiescent() {
+		root.eng.SetLane(uint32(root.id))
+		root.mgr.OnIdle(view{root})
+		if cl.pendingEvents() == 0 {
+			break // the manager started nothing
+		}
+		cl.runEngines()
 	}
 	if pending := cl.pendingEvents(); pending > 0 {
 		return nil, fmt.Errorf("core: run exceeded MaxModelTime=%v (pending=%d)",
 			cl.cfg.MaxModelTime, pending)
 	}
 	for _, n := range cl.nodes {
-		if n.kernel.HasWork() {
-			return nil, fmt.Errorf("core: node %d still has kernel work at quiescence", n.id)
+		if !n.kernel.Quiescent() {
+			return nil, fmt.Errorf("core: node %d kernel not quiescent at end of run", n.id)
 		}
 		if n.flow.WaitingCount() > 0 {
 			return nil, fmt.Errorf("core: node %d has %d packets stuck in flow control",
@@ -637,6 +649,26 @@ func (cl *Cluster) Run() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// runEngines runs the cluster's engines until the event list drains or
+// passes MaxModelTime.
+func (cl *Cluster) runEngines() {
+	if cl.group != nil {
+		cl.group.Run(cl.cfg.MaxModelTime)
+	} else {
+		cl.engines[0].Run(cl.cfg.MaxModelTime)
+	}
+}
+
+// quiescent reports whether every node's kernel is quiescent.
+func (cl *Cluster) quiescent() bool {
+	for _, n := range cl.nodes {
+		if !n.kernel.Quiescent() {
+			return false
+		}
+	}
+	return true
 }
 
 // nodeBusy reports whether one node still has real model work: the fault

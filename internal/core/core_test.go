@@ -6,6 +6,7 @@ import (
 
 	"nicwarp/internal/apps/phold"
 	"nicwarp/internal/apps/police"
+	"nicwarp/internal/apps/raid"
 	"nicwarp/internal/hostmodel"
 	"nicwarp/internal/timewarp"
 	"nicwarp/internal/vtime"
@@ -209,6 +210,45 @@ func TestLazyCancellationInCluster(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Cancellation = timewarp.Lazy
 	mustRun(t, cfg)
+}
+
+// TestLazyRAIDMatchesOracle runs RAID under lazy cancellation across every
+// GVT mode at an aggressive and a relaxed period. Here the event list can
+// drain while kernels still hold deferred cancellations; a run that stops
+// there commits events the sequential oracle does not, and a NIC GVT that
+// commits the lower value a late lazy flush produces moves GVT backwards.
+// Waking GVT after the event list drains must also keep a sharded run
+// identical to the serial one.
+func TestLazyRAIDMatchesOracle(t *testing.T) {
+	for _, requests := range []int{400, 1000} {
+		for _, mode := range []GVTMode{GVTHostMattern, GVTPGVT, GVTNIC, GVTNICTree} {
+			for _, period := range []int{1, 100} {
+				t.Run(fmt.Sprintf("requests=%d/%v/period=%d", requests, mode, period), func(t *testing.T) {
+					cfg := Config{
+						App:          raid.New(raid.CancelConfig(requests)),
+						Nodes:        8,
+						Seed:         1,
+						GVT:          mode,
+						GVTPeriod:    period,
+						Cancellation: timewarp.Lazy,
+						VerifyOracle: true,
+					}
+					serial := mustRun(t, cfg)
+					cl, err := NewClusterExec(cfg, Exec{Shards: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sharded, err := cl.Run()
+					if err != nil {
+						t.Fatalf("shards=2: %v", err)
+					}
+					if sharded.ExecTime != serial.ExecTime || sharded.String() != serial.String() {
+						t.Errorf("shards=2 differs from serial:\n%s--- serial ---\n%s", sharded, serial)
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestEarlyCancelRequiresAggressive(t *testing.T) {

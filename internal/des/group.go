@@ -28,6 +28,9 @@ type Group struct {
 	engines   []*Engine
 	lookahead vtime.ModelTime
 	workers   []shardWorker
+	// round numbers every worker release over the group's life, so a Run
+	// after a drained one never mistakes an earlier round for its own.
+	round uint32
 }
 
 // shardWorker is the coordinator↔worker mailbox for one non-coordinator
@@ -72,8 +75,8 @@ func NewGroup(engines []*Engine, lookahead vtime.ModelTime) *Group {
 
 // Now returns the run's clock: the maximum of the member clocks. Members
 // advance independently inside a window, but at every barrier all clocks
-// sit within one window of each other, and after Run returns the maximum
-// equals the serial engine's final clock.
+// sit within one window of each other, and after Run returns every member
+// clock equals the serial engine's final clock.
 func (g *Group) Now() vtime.ModelTime {
 	var m vtime.ModelTime
 	for _, e := range g.engines {
@@ -134,9 +137,8 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 	var wg sync.WaitGroup
 	for i := 1; i < len(g.engines); i++ {
 		wg.Add(1)
-		go g.workerLoop(g.engines[i], &g.workers[i-1], &wg)
+		go g.workerLoop(g.engines[i], &g.workers[i-1], g.round, &wg)
 	}
-	round := uint32(0)
 	for {
 		m := vtime.ModelInfinity
 		none := true
@@ -163,16 +165,16 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 			// One busy shard: run it inline instead of paying the barrier.
 			g.engines[solo].runWindow(h)
 		} else {
-			round++
+			g.round++
 			for i := range g.workers {
 				w := &g.workers[i]
 				w.horizon = h
-				w.round.Store(round)
+				w.round.Store(g.round)
 			}
 			g.engines[0].runWindow(h)
 			for i := range g.workers {
 				w := &g.workers[i]
-				for spin := 0; w.done.Load() != round; spin++ {
+				for spin := 0; w.done.Load() != g.round; spin++ {
 					if spin > 64 {
 						runtime.Gosched()
 					}
@@ -181,14 +183,14 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 		}
 		g.merge()
 	}
-	round++
+	g.round++
 	for i := range g.workers {
 		w := &g.workers[i]
 		w.stop = true
-		w.round.Store(round)
+		w.round.Store(g.round)
 	}
 	wg.Wait()
-	return g.Now()
+	return g.align()
 }
 
 // runInline is the window protocol without workers or barriers: each
@@ -208,7 +210,7 @@ func (g *Group) runInline(limit vtime.ModelTime) vtime.ModelTime {
 			}
 		}
 		if none || m > limit {
-			return g.Now()
+			return g.align()
 		}
 		h := vtime.MinM(addSatM(m, g.lookahead), addSatM(limit, 1))
 		for _, e := range g.engines {
@@ -220,12 +222,11 @@ func (g *Group) runInline(limit vtime.ModelTime) vtime.ModelTime {
 	}
 }
 
-// workerLoop parks on the mailbox until the coordinator releases a round,
-// runs the shard's window, and reports done. Plain loads of horizon/stop
-// are ordered by the acquiring load of round.
-func (g *Group) workerLoop(e *Engine, w *shardWorker, wg *sync.WaitGroup) {
+// workerLoop parks on the mailbox until the coordinator releases a round
+// after seen, runs the shard's window, and reports done. Plain loads of
+// horizon/stop are ordered by the acquiring load of round.
+func (g *Group) workerLoop(e *Engine, w *shardWorker, seen uint32, wg *sync.WaitGroup) {
 	defer wg.Done()
-	seen := uint32(0)
 	for {
 		for spin := 0; ; spin++ {
 			if r := w.round.Load(); r != seen {
@@ -237,11 +238,23 @@ func (g *Group) workerLoop(e *Engine, w *shardWorker, wg *sync.WaitGroup) {
 			}
 		}
 		if w.stop {
+			w.stop = false // the next Run's worker starts afresh
 			return
 		}
 		e.runWindow(w.horizon)
 		w.done.Store(seen)
 	}
+}
+
+// align sets every member clock to the group clock as Run returns, so work
+// scheduled between runs starts from the serial engine's final clock on
+// every shard. No member holds an event at or below that clock.
+func (g *Group) align() vtime.ModelTime {
+	now := g.Now()
+	for _, e := range g.engines {
+		e.now = now
+	}
+	return now
 }
 
 // merge moves every staged cross-shard event into its destination heap.

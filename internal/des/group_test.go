@@ -113,6 +113,42 @@ func TestGroupProgressAndClock(t *testing.T) {
 	}
 }
 
+// TestGroupRunsAgainAfterDraining: events scheduled after a drained Run
+// returns run under a second Run exactly as on a single engine.
+func TestGroupRunsAgainAfterDraining(t *testing.T) {
+	run := func(shards int) [][]string {
+		engines := make([]*Engine, shards)
+		for i := range engines {
+			engines[i] = NewEngine()
+		}
+		g := NewGroup(engines, ringLatency)
+		ring := buildRing(engines, 4, 2, 10)
+		g.Run(vtime.ModelInfinity)
+		// Two tokens on neighbouring nodes keep two shards busy per window,
+		// so the second run goes through the worker barrier.
+		start := g.Now() + ringLatency
+		for _, n := range ring[:2] {
+			n.eng.SetLane(n.lane)
+			n.eng.AtCross(n.eng, n.lane, start, ringArrive, n, 10)
+		}
+		g.Run(vtime.ModelInfinity)
+		if g.Pending() != 0 {
+			t.Fatalf("shards=%d: pending %d after the second drain", shards, g.Pending())
+		}
+		logs := make([][]string, len(ring))
+		for i, n := range ring {
+			logs[i] = n.log
+		}
+		return logs
+	}
+	want := run(1)
+	for _, shards := range []int{2, 4} {
+		if got := run(shards); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: per-lane logs differ from serial\nserial: %v\nsharded: %v", shards, want, got)
+		}
+	}
+}
+
 // TestGroupRunLimitInclusive checks events exactly at the limit run, and
 // events past it stay pending — matching Engine.Run semantics.
 func TestGroupRunLimitInclusive(t *testing.T) {

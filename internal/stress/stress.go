@@ -44,9 +44,8 @@ type Options struct {
 	// Scale multiplies workload sizes; 0 means 1.
 	Scale float64
 	// GVT selects the GVT implementation for every point; the zero value
-	// means the paper's NIC ring GVT (core.GVTNIC). The host Mattern mode
-	// is core.GVTMode's zero value and therefore not selectable here — the
-	// stress matrix exists to exercise the NIC-resident protocols.
+	// is core.GVTMode's, host Mattern. cmd/stress defaults its flag to the
+	// paper's NIC ring GVT (core.GVTNIC).
 	GVT core.GVTMode
 	// Topology selects the interconnect model; the zero value is the
 	// crossbar.
@@ -92,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scale == 0 {
 		o.Scale = 1
-	}
-	if o.GVT == 0 {
-		o.GVT = core.GVTNIC
 	}
 	return o
 }

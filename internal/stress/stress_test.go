@@ -16,6 +16,7 @@ func smallOptions() Options {
 		Apps:      []string{"phold"},
 		Scenarios: []string{"drop", "skewgvt"},
 		Seeds:     []uint64{1, 2},
+		GVT:       core.GVTNIC,
 		Shrink:    true,
 	}
 }
@@ -147,6 +148,35 @@ func TestPointConfigRejectsUnknownAxes(t *testing.T) {
 	}
 }
 
+// TestHostMatternSelectable: the zero GVT mode is host Mattern, in every
+// point config and in the report, not a stand-in for NIC GVT.
+func TestHostMatternSelectable(t *testing.T) {
+	o := Options{
+		Apps:      []string{"phold"},
+		Scenarios: []string{"drop"},
+		Seeds:     []uint64{1},
+		GVT:       core.GVTHostMattern,
+		Workers:   2,
+	}
+	cfg, err := PointConfig("phold", o, "drop", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.GVT != core.GVTHostMattern {
+		t.Fatalf("point config runs %v, want mattern", cfg.GVT)
+	}
+	rep, err := Sweep(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GVT != "mattern" {
+		t.Fatalf("report says gvt %q, want mattern", rep.GVT)
+	}
+	if rep.Failures != 0 {
+		t.Fatalf("%d failures: %+v", rep.Failures, rep.Points)
+	}
+}
+
 func atoiOrFail(t *testing.T, s string) int {
 	t.Helper()
 	n, err := strconv.Atoi(s)
@@ -177,6 +207,7 @@ func TestSweepShardedMatchesSerial(t *testing.T) {
 		Apps:      []string{"phold"},
 		Scenarios: []string{"drop", "dup", "chaos"},
 		Seeds:     []uint64{1, 2},
+		GVT:       core.GVTNIC,
 		Workers:   2,
 	}
 	render := func(o Options) string {
@@ -221,6 +252,7 @@ func TestSweepBatchedUnderFaultPlane(t *testing.T) {
 		Apps:      []string{"phold", "raid"},
 		Scenarios: []string{"drop", "dup", "chaos"},
 		Seeds:     []uint64{1, 2},
+		GVT:       core.GVTNIC,
 		Batch:     8,
 		Workers:   2,
 	}

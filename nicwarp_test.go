@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nicwarp/internal/runner"
+	"nicwarp/internal/vtime"
 )
 
 // tiny returns options that keep public-API tests to fractions of a second
@@ -13,30 +14,41 @@ func tiny() FigureOpts { return FigureOpts{Nodes: 4, Seed: 3, Scale: 0.004} }
 
 // runExperiment executes one registry entry's batch on an uncached
 // all-cores runner, the way cmd/experiments does, and returns the point
-// results in Jobs order for the fold functions.
-func runExperiment(t *testing.T, name string, opts FigureOpts) []runner.Result {
+// results in Jobs order: row by row, each row's points in declaration order.
+func runExperiment(t *testing.T, name string, opts FigureOpts) []*Result {
 	t.Helper()
 	exp, err := ExperimentByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return (&runner.Runner{Exec: Exec{Shards: opts.Shards}}).Run(exp.Jobs(opts))
+	results := (&runner.Runner{Exec: Exec{Shards: opts.Shards}}).Run(exp.Jobs(opts))
+	if err := runner.FirstErr(results); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	res := make([]*Result, len(results))
+	for i := range results {
+		res[i] = results[i].Res
+	}
+	return res
 }
 
-// ablationRows runs one abl-* registry entry down to its typed rows.
-func ablationRows(t *testing.T, name string, opts FigureOpts) []AblationRow {
+// renderFake renders a registry entry from hand-made point results, one
+// per Jobs point, so a table's bytes can be checked without running it.
+func renderFake(t *testing.T, name string, opts FigureOpts, res ...*Result) string {
 	t.Helper()
-	for _, a := range ablationDefs() {
-		if a.name == name {
-			rows, err := a.fold(opts, runExperiment(t, name, opts))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return rows
-		}
+	exp, err := ExperimentByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("unknown ablation %q", name)
-	return nil
+	results := make([]runner.Result, len(res))
+	for i, r := range res {
+		results[i].Res = r
+	}
+	tbl, err := exp.Render(opts, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl.String()
 }
 
 func TestRunPublicAPI(t *testing.T) {
@@ -92,9 +104,14 @@ func TestPaperSweepConstants(t *testing.T) {
 }
 
 func TestGVTTableRendering(t *testing.T) {
-	rows := []GVTRow{{Period: 1, HostSec: 2.5, NICSec: 1.0, HostRounds: 100, NICRounds: 10}}
-	out := GVTTable(rows).String()
-	for _, want := range []string{"gvt_period", "warped_sec", "nicgvt_sec", "2.5"} {
+	saved := GVTPeriods
+	GVTPeriods = []int{1}
+	defer func() { GVTPeriods = saved }()
+	out := renderFake(t, "fig4", FigureOpts{},
+		&Result{ExecTime: 2500 * vtime.Millisecond, GVTRounds: 123456},
+		&Result{ExecTime: vtime.Second, GVTRounds: 10})
+	// Counts print as integers, not %.4g ("1.235e+05").
+	for _, want := range []string{"gvt_period", "warped_sec", "nicgvt_sec", "2.5", "123456"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
@@ -102,9 +119,13 @@ func TestGVTTableRendering(t *testing.T) {
 }
 
 func TestCancelTableRendering(t *testing.T) {
-	rows := []CancelRow{{X: 900, BaseSec: 10, CancelSec: 8, ImprovementPct: 20, NICDropRatePct: 55}}
-	out := CancelTable(rows, "stations").String()
-	for _, want := range []string{"stations", "improvement_pct", "900", "55"} {
+	saved := PoliceStations
+	PoliceStations = []int{900}
+	defer func() { PoliceStations = saved }()
+	out := renderFake(t, "fig78", FigureOpts{},
+		&Result{ExecTime: 10 * vtime.Second},
+		&Result{ExecTime: 8 * vtime.Second, DroppedInPlace: 55, AntisBuilt: 100})
+	for _, want := range []string{"stations", "improvement_pct", "900", "20", "55"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
@@ -112,10 +133,15 @@ func TestCancelTableRendering(t *testing.T) {
 }
 
 func TestAblationTableRendering(t *testing.T) {
-	rows := []AblationRow{{Label: "66MHz", Sec: 1.5, Extra: map[string]float64{"x": 3}}}
-	out := AblationTable(rows, "x").String()
-	if !strings.Contains(out, "66MHz") || !strings.Contains(out, "variant") {
-		t.Fatalf("table:\n%s", out)
+	res := make([]*Result, 5) // one per abl-nic-speed variant
+	for i := range res {
+		res[i] = &Result{ExecTime: 1500 * vtime.Millisecond, NICUtil: 0.25}
+	}
+	out := renderFake(t, "abl-nic-speed", FigureOpts{}, res...)
+	for _, want := range []string{"variant", "nicUtil", "66MHz", "1.5", "0.25"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("table missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -136,18 +162,14 @@ func TestFiguresSmokeTiny(t *testing.T) {
 	RAIDRequestCounts = []int{50000}
 	defer func() { RAIDRequestCounts = savedReqs }()
 
-	o := tiny().withDefaults()
-	if rows, err := foldGVTRows(runExperiment(t, "fig4", o)); err != nil || len(rows) != 2 {
-		t.Fatalf("fig4: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := foldGVTRows(runExperiment(t, "fig5", o)); err != nil || len(rows) != 2 {
-		t.Fatalf("fig5: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := foldCancelRows(raidCancelXs(o), runExperiment(t, "fig6", o)); err != nil || len(rows) != 1 {
-		t.Fatalf("fig6: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := foldCancelRows(policeCancelXs(o), runExperiment(t, "fig78", o)); err != nil || len(rows) != 1 {
-		t.Fatalf("fig78: %v (%d rows)", err, len(rows))
+	// Two points per row: host/NIC GVT, or baseline/cancellation.
+	for _, c := range []struct {
+		name string
+		rows int
+	}{{"fig4", 2}, {"fig5", 2}, {"fig6", 1}, {"fig78", 1}} {
+		if n := len(runExperiment(t, c.name, tiny())); n != 2*c.rows {
+			t.Fatalf("%s: %d points, want %d", c.name, n, 2*c.rows)
+		}
 	}
 }
 
@@ -166,8 +188,8 @@ func TestAblationsSmokeTiny(t *testing.T) {
 		{"abl-rx-buffer", 4},
 		{"abl-gvt-algorithms", 3},
 	} {
-		if rows := ablationRows(t, c.name, tiny()); len(rows) != c.rows {
-			t.Fatalf("%s: %d rows, want %d", c.name, len(rows), c.rows)
+		if n := len(runExperiment(t, c.name, tiny())); n != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.name, n, c.rows)
 		}
 	}
 }

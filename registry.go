@@ -10,11 +10,13 @@ import (
 )
 
 // Experiment is one named entry of the evaluation suite: a figure of the
-// paper or an ablation from DESIGN.md. An experiment separates *what to
-// run* (Jobs: a flat batch of independent points for internal/runner) from
-// *how to present it* (Render: fold the point results back into the
-// figure's table), so any executor — the serial loop, the parallel pool, a
-// cache-warm replay — produces byte-identical tables from the same opts.
+// paper or an ablation from DESIGN.md. Every entry is one table shape — a
+// header, then one row per x-axis value or variant, each row filled from
+// the results of that row's experiment points. Jobs (what to run: a flat
+// batch of independent points for internal/runner) and Render (how to
+// present it) walk the same rows, so any executor — the serial loop, the
+// parallel pool, a cache-warm replay — produces byte-identical tables from
+// the same opts.
 type Experiment struct {
 	// Name is the stable CLI name ("fig4", "abl-nic-speed") resolved by
 	// cmd/experiments -only and ExperimentByName.
@@ -25,83 +27,90 @@ type Experiment struct {
 	// Description is a one-line summary shown in listings and progress
 	// headers.
 	Description string
-	// Jobs expands the experiment into its experiment points. The batch
-	// order is part of the experiment's definition: Render consumes
-	// results positionally, in this exact order.
-	Jobs func(opts FigureOpts) []runner.Job
-	// Render folds the point results (in Jobs order, as returned by
-	// runner.Runner.Run) into the experiment's table. It fails on the
-	// first errored point, naming it.
-	Render func(opts FigureOpts, results []runner.Result) (*stats.Table, error)
+
+	// header names the table's columns; the first holds the row label.
+	header []string
+	// alignRight right-aligns every column after the first.
+	alignRight bool
+	// rows lists the table's rows under opts (defaults applied).
+	rows func(o FigureOpts) []row
+	// cells fills in a row after its label from the row's point results,
+	// in point order. A cell's Go type is part of the table's bytes:
+	// counts print as integers, float64 values with %.4g.
+	cells func(r []*Result) []interface{}
+}
+
+// Jobs expands the experiment into its points: every row's points, in row
+// order, each named "<experiment>/<point>".
+func (e Experiment) Jobs(opts FigureOpts) []runner.Job {
+	var jobs []runner.Job
+	for _, r := range e.rows(opts.withDefaults()) {
+		for _, p := range r.points {
+			p.Name = e.Name + "/" + p.Name
+			jobs = append(jobs, p)
+		}
+	}
+	return jobs
+}
+
+// Render folds the point results (in Jobs order, as returned by
+// runner.Runner.Run) into the experiment's table. It fails on the first
+// errored point, on a result count that does not match Jobs, and on a row
+// whose cell count differs from the header.
+func (e Experiment) Render(opts FigureOpts, results []runner.Result) (*stats.Table, error) {
+	if n := len(e.Jobs(opts)); len(results) != n {
+		return nil, fmt.Errorf("%s: %d results for %d points", e.Name, len(results), n)
+	}
+	t := stats.NewTable(e.header...)
+	if e.alignRight {
+		t.AlignRight()
+	}
+	for _, r := range e.rows(opts.withDefaults()) {
+		res := make([]*Result, len(r.points))
+		for i := range res {
+			if err := results[i].Err; err != nil {
+				return nil, err
+			}
+			res[i] = results[i].Res
+		}
+		results = results[len(res):]
+		cells := append([]interface{}{r.label}, e.cells(res)...)
+		if len(cells) != len(e.header) {
+			return nil, fmt.Errorf("%s: row %s has %d cells for %d columns", e.Name, r.label, len(cells), len(e.header))
+		}
+		t.AddRow(cells...)
+	}
+	return t, nil
 }
 
 // Experiments returns the full registry, in suite order: the paper's
 // figures first, then the ablations. The slice is freshly allocated;
 // callers may reorder or filter it.
 func Experiments() []Experiment {
-	exps := []Experiment{
-		{
-			Name:        "fig4",
-			Output:      "figure4_raid_gvt",
-			Description: "Figure 4: RAID execution time vs GVT period (WARPED vs NIC-GVT)",
-			Jobs: func(opts FigureOpts) []runner.Job {
-				o := opts.withDefaults()
-				return gvtSweepJobs("fig4", func() App { return RAID(RAIDGVTConfig(o.scaled(20000))) }, o)
-			},
-			Render: renderGVT,
-		},
-		{
-			Name:        "fig5",
-			Output:      "figure5_police_gvt",
-			Description: "Figure 5: POLICE execution time and GVT rounds vs GVT period",
-			Jobs: func(opts FigureOpts) []runner.Job {
-				o := opts.withDefaults()
-				return gvtSweepJobs("fig5", func() App { return Police(PoliceConfig(o.scaled(900))) }, o)
-			},
-			Render: renderGVT,
-		},
-		{
-			Name:        "fig6",
-			Output:      "figure6_raid_cancel",
-			Description: "Figure 6: RAID early cancellation vs request count",
-			Jobs: func(opts FigureOpts) []runner.Job {
-				o := opts.withDefaults()
-				return cancelSweepJobs("fig6", func(x int) App { return RAID(RAIDCancelConfig(x)) }, raidCancelXs(o), o)
-			},
-			Render: renderCancel("requests", raidCancelXs),
-		},
-		{
-			Name:        "fig78",
-			Output:      "figure7_8_police_cancel",
-			Description: "Figures 7 and 8: POLICE early cancellation vs station count",
-			Jobs: func(opts FigureOpts) []runner.Job {
-				o := opts.withDefaults()
-				return cancelSweepJobs("fig78", func(x int) App { return Police(PoliceConfig(x)) }, policeCancelXs(o), o)
-			},
-			Render: renderCancel("stations", policeCancelXs),
-		},
-		{
-			Name:        "figscale",
-			Output:      "figure_scale_gvt",
-			Description: "Scaling: ring vs tree NIC GVT over node count (multi-stage fabric)",
-			Jobs: func(opts FigureOpts) []runner.Job {
-				return scaleSweepJobs("figscale", opts)
-			},
-			Render: renderScale,
-		},
-	}
-	for _, a := range ablationDefs() {
-		exps = append(exps, a.experiment())
-	}
-	return exps
+	return append([]Experiment{
+		gvtSweep("fig4", "figure4_raid_gvt",
+			"Figure 4: RAID execution time vs GVT period (WARPED vs NIC-GVT)",
+			func(o FigureOpts) App { return RAID(RAIDGVTConfig(o.scaled(20000))) }),
+		gvtSweep("fig5", "figure5_police_gvt",
+			"Figure 5: POLICE execution time and GVT rounds vs GVT period",
+			func(o FigureOpts) App { return Police(PoliceConfig(o.scaled(900))) }),
+		cancelSweep("fig6", "figure6_raid_cancel",
+			"Figure 6: RAID early cancellation vs request count",
+			"requests", RAIDRequestCounts, func(x int) App { return RAID(RAIDCancelConfig(x)) }),
+		cancelSweep("fig78", "figure7_8_police_cancel",
+			"Figures 7 and 8: POLICE early cancellation vs station count",
+			"stations", PoliceStations, func(x int) App { return Police(PoliceConfig(x)) }),
+		figScale(),
+	}, ablations()...)
 }
 
-// AblationNames returns the names of the ablation experiments, in suite
-// order. cmd/experiments expands the "ablations" alias through it.
+// AblationNames returns the names of the ablation experiments (the abl-*
+// entries), in suite order. cmd/experiments expands the "ablations" alias
+// through it.
 func AblationNames() []string {
 	var names []string
-	for _, a := range ablationDefs() {
-		names = append(names, a.name)
+	for _, a := range ablations() {
+		names = append(names, a.Name)
 	}
 	return names
 }
@@ -128,53 +137,4 @@ func ExperimentByName(name string) (Experiment, error) {
 	sort.Strings(valid)
 	return Experiment{}, fmt.Errorf("unknown experiment %q (valid: %s, or the alias %q)",
 		name, strings.Join(valid, ", "), "ablations")
-}
-
-// renderGVT renders a GVT-sweep experiment (Figures 4 and 5).
-func renderGVT(_ FigureOpts, results []runner.Result) (*stats.Table, error) {
-	rows, err := foldGVTRows(results)
-	if err != nil {
-		return nil, err
-	}
-	return GVTTable(rows), nil
-}
-
-// renderScale renders the scaling experiment ("figscale").
-func renderScale(opts FigureOpts, results []runner.Result) (*stats.Table, error) {
-	rows, err := foldScaleRows(ScaleNodeCounts(opts.withDefaults()), results)
-	if err != nil {
-		return nil, err
-	}
-	return ScaleTable(rows), nil
-}
-
-// renderCancel renders a cancellation-sweep experiment (Figures 6, 7, 8)
-// with the given x-axis name.
-func renderCancel(xName string, xs func(FigureOpts) []int) func(FigureOpts, []runner.Result) (*stats.Table, error) {
-	return func(opts FigureOpts, results []runner.Result) (*stats.Table, error) {
-		rows, err := foldCancelRows(xs(opts.withDefaults()), results)
-		if err != nil {
-			return nil, err
-		}
-		return CancelTable(rows, xName), nil
-	}
-}
-
-// raidCancelXs is Figure 6's x-axis (request counts) under opts scaling.
-func raidCancelXs(o FigureOpts) []int {
-	xs := make([]int, len(RAIDRequestCounts))
-	for i, r := range RAIDRequestCounts {
-		xs[i] = o.scaled(r)
-	}
-	return xs
-}
-
-// policeCancelXs is Figures 7/8's x-axis (station counts) under opts
-// scaling.
-func policeCancelXs(o FigureOpts) []int {
-	xs := make([]int, len(PoliceStations))
-	for i, s := range PoliceStations {
-		xs[i] = o.scaled(s)
-	}
-	return xs
 }

@@ -132,8 +132,10 @@ type Config struct {
 	VerifyOracle bool
 
 	// SampleEvery, when nonzero, records a time series of cluster state
-	// (GVT, processed/rolled-back counts, utilization) at this model-time
-	// interval into Result.Samples.
+	// (GVT, processed/rolled-back counts, utilization) into Result.Samples:
+	// one sample at the first window barrier past each multiple of this
+	// model-time interval. Sampling schedules nothing, so it changes no
+	// modeled time, and it reads the same at any shard count.
 	SampleEvery vtime.ModelTime
 
 	// Fault installs the deterministic fault-injection plane at the
@@ -336,16 +338,22 @@ func (v view) SendControl(pkt *proto.Packet) {
 func (v view) Shared() *nic.SharedWindow { return v.n.nicDev.Shared() }
 func (v view) RingDoorbell() {
 	n := v.n
-	n.cpu.Do(hostmodel.CatGVT, n.cpu.Costs.SharedWrite, func() {
-		n.bus.Word(func() {
-			n.nicDev.Doorbell()
-		})
-	})
+	n.cpu.DoArg(hostmodel.CatGVT, n.cpu.Costs.SharedWrite, nodeDoorbellWritten, n)
 }
 func (v view) Schedule(d vtime.ModelTime, fn func(interface{}), arg interface{}) des.TimerRef {
 	return v.n.eng.ScheduleArgRef(d, fn, arg)
 }
 func (v view) Now() vtime.ModelTime { return v.n.eng.Now() }
+
+// nodeDoorbellWritten: the host finished its shared-window write; the
+// doorbell word crosses the bus.
+func nodeDoorbellWritten(x interface{}) {
+	n := x.(*node)
+	n.bus.WordArg(nodeDoorbellCrossed, n)
+}
+
+// nodeDoorbellCrossed: the doorbell word reached the NIC.
+func nodeDoorbellCrossed(x interface{}) { x.(*node).nicDev.Doorbell() }
 
 // Cluster is an assembled experiment.
 type Cluster struct {
@@ -355,7 +363,7 @@ type Cluster struct {
 
 	// engines holds one event engine per shard; node i lives on engine
 	// i mod shards, lane i. group couples them under the bounded-window
-	// protocol and is nil for a serial (one-shard) run.
+	// protocol; a serial run is a group of one.
 	engines []*des.Engine
 	group   *des.Group
 
@@ -369,7 +377,8 @@ type Cluster struct {
 	plane   *fault.Plane       // fault-injection plane, when cfg.Fault is set
 	checker *invariant.Checker // protocol oracles, when cfg.CheckInvariants
 
-	samples []Sample
+	samples    []Sample
+	nextSample vtime.ModelTime // the SampleEvery boundary the next sample waits for
 }
 
 // packetSlab is how many packets one free-list miss allocates.
@@ -422,9 +431,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	for i := range cl.engines {
 		cl.engines[i] = des.NewEngine()
 	}
-	if cl.shards > 1 {
-		cl.group = des.NewGroup(cl.engines, Lookahead(cfg))
-	}
+	cl.group = des.NewGroup(cl.engines, Lookahead(cfg))
 	cl.fabric = simnet.NewFabric(cfg.Net, cfg.Nodes)
 	cl.gvtFW = make([]*firmware.GVTFirmware, cfg.Nodes)
 
@@ -434,9 +441,10 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	}
 	if cfg.CheckInvariants || cfg.Fault.Enabled() {
 		cl.checker = invariant.NewChecker(cfg.Nodes)
-		if cl.shards > 1 {
-			cl.checker.SetSharded(true)
-		}
+	}
+	if cl.checker != nil || cfg.SampleEvery > 0 {
+		cl.nextSample = cfg.SampleEvery
+		cl.group.SetBarrier(cl.barrier)
 	}
 
 	for i := 0; i < cfg.Nodes; i++ {
@@ -562,20 +570,7 @@ func (cl *Cluster) Engine() *des.Engine { return cl.engines[0] }
 func (cl *Cluster) Shards() int { return cl.shards }
 
 // Now returns the cluster clock: the furthest shard's model time.
-func (cl *Cluster) Now() vtime.ModelTime {
-	if cl.group != nil {
-		return cl.group.Now()
-	}
-	return cl.engines[0].Now()
-}
-
-// pendingEvents counts unprocessed events across all shards.
-func (cl *Cluster) pendingEvents() int {
-	if cl.group != nil {
-		return cl.group.Pending()
-	}
-	return cl.engines[0].Pending()
-}
+func (cl *Cluster) Now() vtime.ModelTime { return cl.group.Now() }
 
 // Run executes the experiment to quiescence and returns the results.
 func (cl *Cluster) Run() (*Result, error) {
@@ -596,9 +591,6 @@ func (cl *Cluster) Run() (*Result, error) {
 		n.eng.SetLane(uint32(n.id))
 		n.pump()
 	}
-	if cl.cfg.SampleEvery > 0 {
-		cl.scheduleSample()
-	}
 	if cl.plane != nil {
 		rings := make([]fault.RingCtrl, len(cl.nodes))
 		engs := make([]*des.Engine, len(cl.nodes))
@@ -609,7 +601,7 @@ func (cl *Cluster) Run() (*Result, error) {
 		cl.plane.InstallRings(rings, engs, cl.nodeBusy)
 		cl.plane.Start()
 	}
-	cl.runEngines()
+	cl.group.Run(cl.cfg.MaxModelTime)
 	// A run ends only when every kernel is quiescent. Under lazy
 	// cancellation the event list can drain while kernels still hold
 	// deferred cancellations, which only a GVT commit past their send time
@@ -618,15 +610,15 @@ func (cl *Cluster) Run() (*Result, error) {
 	// Every shard clock then reads the cluster clock (des.Group.Run), so the
 	// wake-up acts at the same time serially and sharded.
 	root := cl.nodes[0]
-	for cl.pendingEvents() == 0 && !cl.quiescent() {
+	for cl.group.Pending() == 0 && !cl.quiescent() {
 		root.eng.SetLane(uint32(root.id))
 		root.mgr.OnIdle(view{root})
-		if cl.pendingEvents() == 0 {
+		if cl.group.Pending() == 0 {
 			break // the manager started nothing
 		}
-		cl.runEngines()
+		cl.group.Run(cl.cfg.MaxModelTime)
 	}
-	if pending := cl.pendingEvents(); pending > 0 {
+	if pending := cl.group.Pending(); pending > 0 {
 		return nil, fmt.Errorf("core: run exceeded MaxModelTime=%v (pending=%d)",
 			cl.cfg.MaxModelTime, pending)
 	}
@@ -651,16 +643,6 @@ func (cl *Cluster) Run() (*Result, error) {
 	return res, nil
 }
 
-// runEngines runs the cluster's engines until the event list drains or
-// passes MaxModelTime.
-func (cl *Cluster) runEngines() {
-	if cl.group != nil {
-		cl.group.Run(cl.cfg.MaxModelTime)
-	} else {
-		cl.engines[0].Run(cl.cfg.MaxModelTime)
-	}
-}
-
 // quiescent reports whether every node's kernel is quiescent.
 func (cl *Cluster) quiescent() bool {
 	for _, n := range cl.nodes {
@@ -682,11 +664,27 @@ func (cl *Cluster) nodeBusy(node int) bool {
 	return n.kernel.HasWork() || !n.cpu.Idle() || !n.nicDev.Idle() || n.flow.WaitingCount() > 0
 }
 
-// invariantFloor computes the host-visible part of the true GVT bound:
-// the minimum over every node's LVT and the receive timestamps of kernel
-// output parked in send batches (emitted by the kernel, not yet handed to
-// the protocol stack — the only messages the checker's in-transit map
-// cannot see yet).
+// barrier runs at every window close of the cluster's group: the one place
+// a run reads state across nodes. Every engine has then run exactly the
+// events below the window horizon, and the horizons are the same at any
+// shard count, so what it folds and samples is too.
+func (cl *Cluster) barrier() {
+	if cl.checker != nil {
+		cl.checker.Fold(cl.invariantFloor())
+	}
+	if every := cl.cfg.SampleEvery; every > 0 {
+		if now := cl.group.Now(); now >= cl.nextSample {
+			cl.sample(now)
+			cl.nextSample = (now/every + 1) * every
+		}
+	}
+}
+
+// invariantFloor computes the host-visible part of the true GVT bound at a
+// window barrier: the minimum over every node's LVT and the receive
+// timestamps of kernel output parked in send batches (emitted by the
+// kernel, not yet handed to the protocol stack — the only messages the
+// checker's in-transit map cannot see yet).
 func (cl *Cluster) invariantFloor() vtime.VTime {
 	floor := vtime.Infinity
 	for _, n := range cl.nodes {
@@ -707,9 +705,11 @@ func (cl *Cluster) invariantFloor() vtime.VTime {
 // runQuiescenceChecks feeds the drained cluster's final state to the
 // invariant oracles: per-pair credit conservation, BIP gap accounting
 // against the NIC drop records, ledger drain, anti annihilation, and
-// message conservation.
+// message conservation. It folds once more first: the post-drain OnIdle
+// wake-up runs outside any window.
 func (cl *Cluster) runQuiescenceChecks() {
 	ck := cl.checker
+	ck.Fold(cl.invariantFloor())
 	window := cl.cfg.Flow.Window
 	for _, s := range cl.nodes {
 		for _, peer := range s.flow.TouchedPeers() {
@@ -1177,14 +1177,7 @@ func (n *node) commitGVT(g vtime.VTime) {
 		if skew := cl.cfg.Fault.Spec.SkewGVT; skew > 0 && !g.IsInf() {
 			reported = vtime.AddSat(g, skew)
 		}
-		// The floor reads every node's kernel, which only a serial run can
-		// do mid-flight; a sharded checker skips the instantaneous safety
-		// comparison anyway (see Checker.SetSharded).
-		floor := vtime.Infinity
-		if cl.group == nil {
-			floor = cl.invariantFloor()
-		}
-		ck.OnCommitGVT(n.id, reported, floor)
+		ck.OnCommitGVT(n.id, reported)
 	}
 	if g > n.finalGVT || n.finalGVT == -1 {
 		n.finalGVT = g
@@ -1195,7 +1188,7 @@ func (n *node) commitGVT(g vtime.VTime) {
 	c := n.cpu.Costs
 	fossilCost := vtime.ModelTime(reclaimed)*c.FossilPerEvent +
 		vtime.ModelTime(n.numObjects)*c.FossilPerObject
-	n.cpu.Do(hostmodel.CatGVT, fossilCost, nil)
+	n.cpu.DoArg(hostmodel.CatGVT, fossilCost, nil, nil)
 	n.finishStep(res, hostmodel.CatGVT)
 	// Keep termination detection alive: if the LP is idle after the
 	// commit, let the manager decide whether another computation is needed
@@ -1215,13 +1208,6 @@ func idleGVTKick(x interface{}) {
 	}
 }
 
-// scheduleSample arms the next time-series sample (closure-free; the
-// cluster is the threaded receiver). Sampling reads cross-node state at one
-// instant, so Exec.shards forces SampleEvery runs onto a single engine.
-func (cl *Cluster) scheduleSample() {
-	cl.engines[0].ScheduleArg(cl.cfg.SampleEvery, takeSample, cl)
-}
-
 // committedGVT folds the per-node commit high-water marks into the
 // cluster-wide value.
 func (cl *Cluster) committedGVT() vtime.VTime {
@@ -1234,27 +1220,17 @@ func (cl *Cluster) committedGVT() vtime.VTime {
 	return g
 }
 
-// takeSample records one time-series sample and re-arms while the cluster
-// still has activity.
-func takeSample(x interface{}) {
-	cl := x.(*Cluster)
-	var s Sample
-	s.T = cl.engines[0].Now()
-	s.GVT = cl.committedGVT()
-	busy := false
+// sample records one time-series point at group clock t, a window
+// barrier.
+func (cl *Cluster) sample(t vtime.ModelTime) {
+	s := Sample{T: t, GVT: cl.committedGVT()}
 	for _, n := range cl.nodes {
 		s.Processed += n.kernel.Stats.Processed.Value()
 		s.RolledBack += n.kernel.Stats.RolledBack.Value()
 		s.MsgsBuilt += n.eventsBuilt.Value()
 		s.DroppedInPlace += n.nicDev.Stats.DroppedInPlace.Value()
-		s.HostUtil += n.cpu.Utilization()
-		if n.kernel.HasWork() || !n.cpu.Idle() {
-			busy = true
-		}
+		s.HostUtil += n.cpu.UtilizationAt(t)
 	}
 	s.HostUtil /= float64(len(cl.nodes))
 	cl.samples = append(cl.samples, s)
-	if busy || cl.engines[0].Pending() > 0 {
-		cl.scheduleSample()
-	}
 }

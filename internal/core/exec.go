@@ -13,9 +13,7 @@ type Exec struct {
 	// partitioned across (node i lives on engine i mod Shards). 0 and 1
 	// both mean a serial run. The value is clamped to [1, Config.Nodes]
 	// and forced to 1 when the model offers no cross-shard lookahead
-	// (Lookahead(cfg) <= 0) or when time-series sampling is on —
-	// Config.SampleEvery reads cross-node state at one instant, which
-	// only a single engine can provide.
+	// (Lookahead(cfg) <= 0).
 	Shards int
 }
 
@@ -42,7 +40,7 @@ func (x Exec) shards(cfg Config) int {
 	if s > cfg.Nodes {
 		s = cfg.Nodes
 	}
-	if s > 1 && (Lookahead(cfg) <= 0 || cfg.SampleEvery > 0) {
+	if s > 1 && Lookahead(cfg) <= 0 {
 		s = 1
 	}
 	return s

@@ -41,8 +41,8 @@ func TestLookaheadPositive(t *testing.T) {
 }
 
 // TestExecShardsClamp asserts the shard count is clamped to the viable
-// range: at least 1, at most the node count, and serial whenever run-time
-// sampling (whose wall-clock snapshots are inherently cross-shard) is on.
+// range: at least 1 and at most the node count. Run-time sampling reads at
+// the window barrier, so it keeps the shards it was given.
 func TestExecShardsClamp(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -54,7 +54,7 @@ func TestExecShardsClamp(t *testing.T) {
 		{"negative means serial", -3, nil, 1},
 		{"two", 2, nil, 2},
 		{"clamped to nodes", 99, nil, 4},
-		{"sampling forces serial", 4, func(c *Config) { c.SampleEvery = vtime.Millisecond }, 1},
+		{"sampling keeps shards", 4, func(c *Config) { c.SampleEvery = vtime.Millisecond }, 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -100,6 +100,48 @@ func TestShardedIdentity(t *testing.T) {
 		}
 		if got, want := res.String(), ref.String(); got != want {
 			t.Errorf("shards=%d: result differs from serial:\n--- serial ---\n%s--- sharded ---\n%s", shards, want, got)
+		}
+	}
+}
+
+// TestSamplesIgnoreShardCount: the run-time series is read at window
+// barriers, so it is identical at every shard count, and sampling schedules
+// nothing, so the sampled run ends at the same time with the same digest as
+// the unsampled one.
+func TestSamplesIgnoreShardCount(t *testing.T) {
+	plain, err := NewClusterExec(execConfig(), Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := execConfig()
+	cfg.SampleEvery = 200 * vtime.Microsecond
+	var ref []Sample
+	for _, shards := range []int{1, 2, 4} {
+		cl, err := NewClusterExec(cfg, Exec{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if res.ExecTime != want.ExecTime || res.Digest != want.Digest {
+			t.Fatalf("shards=%d: sampling moved the run: exec %v digest %016x, unsampled %v %016x",
+				shards, res.ExecTime, res.Digest, want.ExecTime, want.Digest)
+		}
+		if len(res.Samples) < 3 {
+			t.Fatalf("shards=%d: only %d samples over %v", shards, len(res.Samples), res.ExecTime)
+		}
+		if ref == nil {
+			ref = res.Samples
+			continue
+		}
+		if !reflect.DeepEqual(res.Samples, ref) {
+			t.Fatalf("shards=%d: samples differ from serial:\n%+v\nvs\n%+v", shards, res.Samples, ref)
 		}
 	}
 }

@@ -102,29 +102,37 @@ func TestFaultReplayIsByteIdentical(t *testing.T) {
 // TestSkewGVTCaughtByOracle proves the oracle detects a deliberately
 // broken invariant: the skewgvt scenario corrupts only the GVT value
 // reported to the checker, so the run itself stays sound while the
-// gvt-safety rule must fire.
+// gvt-safety rule must fire — with the same report at every shard count.
 func TestSkewGVTCaughtByOracle(t *testing.T) {
-	cl, err := NewCluster(faultConfig("skewgvt", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Run()
-	if err != nil {
-		t.Fatalf("skewgvt must not break the run itself: %v", err)
-	}
-	rep := res.Invariants
-	if !rep.Failed() {
-		t.Fatal("skewed GVT reports were not flagged")
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if v.Rule == "gvt-safety" {
-			found = true
-			break
+	var ref *Result
+	for _, shards := range []int{1, 2, 4} {
+		cl, err := NewClusterExec(faultConfig("skewgvt", 1), Exec{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("expected a gvt-safety violation, got %+v", rep.Violations)
+		res, err := cl.Run()
+		if err != nil {
+			t.Fatalf("shards=%d: skewgvt must not break the run itself: %v", shards, err)
+		}
+		rep := res.Invariants
+		if !rep.Failed() {
+			t.Fatalf("shards=%d: skewed GVT reports were not flagged", shards)
+		}
+		found := false
+		for _, v := range rep.Violations {
+			if v.Rule == "gvt-safety" {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("shards=%d: expected a gvt-safety violation, got %+v", shards, rep.Violations)
+		}
+		if ref == nil {
+			ref = res
+		} else if !reflect.DeepEqual(rep, ref.Invariants) {
+			t.Fatalf("shards=%d: invariant report differs from serial:\n%+v\nvs\n%+v", shards, rep, ref.Invariants)
+		}
 	}
 }
 

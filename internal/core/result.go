@@ -10,7 +10,8 @@ import (
 )
 
 // Sample is one point of the optional run-time series (Config.SampleEvery):
-// cumulative counters and instantaneous cluster state at model time T.
+// cumulative counters and cluster state at model time T, the clock of the
+// first window barrier at or past a multiple of the interval.
 type Sample struct {
 	T              vtime.ModelTime
 	GVT            vtime.VTime

@@ -107,10 +107,9 @@ type Engine struct {
 	// Shard-group wiring (nil/zero outside a Group). staged is indexed by
 	// destination shard; each engine appends to its own outbox only, so
 	// staging needs no synchronization.
-	group     *Group
-	shard     int
-	windowEnd vtime.ModelTime // horizon of the current window; floor for staged events
-	staged    [][]stagedEv
+	group  *Group
+	shard  int
+	staged [][]stagedEv
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -298,20 +297,27 @@ func (e *Engine) ScheduleArg2(d vtime.ModelTime, fn func(interface{}, interface{
 // deterministic merge rule that keeps sharded execution byte-identical to
 // serial.
 //
-// When dst is the scheduling engine itself (serial execution, or a
-// same-shard neighbour) the event is inserted directly. Otherwise both
-// engines must belong to the same Group and t must not undercut the current
-// window horizon: the event is staged in the source's outbox and merged
-// into dst's heap at the next window barrier.
+// An event bound for another lane must land at least the group lookahead
+// past now, whether or not that lane shares the engine: that is the
+// contract the window protocol rests on, checked at every shard count. It
+// also keeps a cross-engine event out of the window it was sent in, since
+// now is at least the window's start. When dst is the scheduling engine
+// itself the event is inserted directly; otherwise both engines must belong
+// to the same Group, and the event is staged in the source's outbox and
+// merged into dst's heap at the next window barrier.
 func (e *Engine) AtCross(dst *Engine, lane uint32, t vtime.ModelTime, fn func(interface{}, interface{}), a, b interface{}) {
 	if fn == nil {
 		panic("des: nil callback")
 	}
+	if t < e.now {
+		panic(fmt.Sprintf("des: AtCross(%v) is before now (%v)", t, e.now))
+	}
+	if (dst != e || lane != e.curLane) && e.group != nil && t < e.now+e.group.lookahead {
+		panic(fmt.Sprintf("des: event for lane %d at %v undercuts now %v + lookahead %v (lookahead violation)",
+			lane, t, e.now, e.group.lookahead))
+	}
 	ord := e.nextOrd()
 	if dst == e {
-		if t < e.now {
-			panic(fmt.Sprintf("des: AtCross(%v) is before now (%v)", t, e.now))
-		}
 		e.ensureLane(lane)
 		ei := e.insert(eventKey(t, ord), lane)
 		ev := &e.arena[ei]
@@ -322,10 +328,6 @@ func (e *Engine) AtCross(dst *Engine, lane uint32, t vtime.ModelTime, fn func(in
 	}
 	if e.group == nil || e.group != dst.group {
 		panic("des: AtCross between engines that do not share a Group")
-	}
-	if t < e.windowEnd {
-		panic(fmt.Sprintf("des: cross-shard event at %v undercuts the window horizon %v (lookahead violation)",
-			t, e.windowEnd))
 	}
 	e.staged[dst.shard] = append(e.staged[dst.shard], stagedEv{at: t, ord: ord, lane: lane, fn2: fn, a: a, b: b})
 }
@@ -389,7 +391,6 @@ func (e *Engine) Run(limit vtime.ModelTime) vtime.ModelTime {
 // it runs are staged (never delivered), so engines in the same window never
 // touch each other's state.
 func (e *Engine) runWindow(h vtime.ModelTime) {
-	e.windowEnd = h
 	defer e.heap.Settle()
 	for e.heap.Len() > 0 {
 		at := e.minAt()

@@ -9,25 +9,30 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// Group ties several engines into one sharded run under a bounded-lag
-// window protocol. Each round the coordinator computes the global minimum
-// pending time M, opens a window [M, M+lookahead), and releases every
-// engine to run its own events strictly inside the window on its own
-// goroutine. Cross-shard events produced during the window are staged in
-// the source engine's per-destination outbox; at the barrier the
-// coordinator moves each destination's inbound events into its heap before
-// the next round opens. Their (time, order key) — the order key encodes
-// (source lane, source sequence) — decides when they fire, exactly as for
-// locally scheduled events.
+// Group ties one or more engines into a run under a bounded-lag window
+// protocol. Each round the coordinator computes the global minimum pending
+// time M, opens a window [M, M+lookahead), and releases every engine to run
+// its own events strictly inside the window on its own goroutine.
+// Cross-shard events produced during the window are staged in the source
+// engine's per-destination outbox; at the barrier the coordinator moves
+// each destination's inbound events into its heap before the next round
+// opens. Their (time, order key) — the order key encodes (source lane,
+// source sequence) — decides when they fire, exactly as for locally
+// scheduled events.
 //
-// Safety requires that every cross-shard event lands at least `lookahead`
-// past the sender's clock; AtCross enforces this at staging time, so a
-// model whose minimum cross-shard latency is overstated fails loudly
-// instead of silently reordering.
+// Safety requires that every event bound for another lane lands at least
+// `lookahead` past the sender's clock; AtCross enforces this at every
+// engine count, so a model whose minimum cross-node latency is overstated
+// fails loudly, serially too, instead of silently reordering.
+//
+// The barrier is the one point where every engine has run exactly the
+// events below the same horizon, at any engine count: a barrier function
+// (SetBarrier) may read state across all of them there.
 type Group struct {
 	engines   []*Engine
 	lookahead vtime.ModelTime
 	workers   []shardWorker
+	barrier   func()
 	// round numbers every worker release over the group's life, so a Run
 	// after a drained one never mistakes an earlier round for its own.
 	round uint32
@@ -47,16 +52,16 @@ type shardWorker struct {
 	_       [64]byte
 }
 
-// NewGroup wires engines into a shard group with the given minimum
-// cross-shard latency. Lookahead must be positive: it is the window width,
-// and a zero window cannot make progress. Engines must not already belong
-// to a group.
+// NewGroup wires engines into a group with the given minimum cross-lane
+// latency. Lookahead is the window width, and a zero window cannot carry
+// events between engines, so it must be positive unless there is only one
+// engine. Engines must not already belong to a group.
 func NewGroup(engines []*Engine, lookahead vtime.ModelTime) *Group {
 	if len(engines) == 0 {
 		panic("des: NewGroup with no engines")
 	}
-	if lookahead <= 0 {
-		panic(fmt.Sprintf("des: NewGroup with nonpositive lookahead %v", lookahead))
+	if lookahead <= 0 && len(engines) > 1 {
+		panic(fmt.Sprintf("des: NewGroup of %d engines with nonpositive lookahead %v", len(engines), lookahead))
 	}
 	g := &Group{engines: engines, lookahead: lookahead}
 	for i, e := range engines {
@@ -72,6 +77,13 @@ func NewGroup(engines []*Engine, lookahead vtime.ModelTime) *Group {
 	}
 	return g
 }
+
+// SetBarrier installs fn to run on the coordinator after each window's
+// merge. Every engine has then run exactly the events below the window
+// horizon, and the horizons do not depend on the engine count, so what fn
+// reads across engines is the same at any shard count. Setting a barrier
+// makes even a lone engine run window by window.
+func (g *Group) SetBarrier(fn func()) { g.barrier = fn }
 
 // Now returns the run's clock: the maximum of the member clocks. Members
 // advance independently inside a window, but at every barrier all clocks
@@ -118,26 +130,37 @@ func addSatM(a, b vtime.ModelTime) vtime.ModelTime {
 }
 
 // Run executes the group until no member has an event at or below limit.
-// With one member it is exactly Engine.Run. With several it runs the
-// window protocol, spinning up one goroutine per extra shard for the
-// duration of the call — except on a single-processor runtime, where the
-// spin barrier could only burn scheduler quanta and every window runs
-// sequentially on the calling goroutine instead.
+// It is one window loop for any member count. Each window opens at the
+// global minimum pending time M and closes at M+lookahead, so the horizons
+// depend only on the events, never on how lanes are dealt to engines. A
+// lone engine with no barrier has nothing to close windows for: its whole
+// horizon is one window, which is exactly Engine.Run.
+//
+// A round's windows run back to back on the calling goroutine when there
+// is one engine, one processor (GOMAXPROCS=1, where the spin barrier could
+// only burn scheduler quanta) or one engine with work below the horizon;
+// otherwise on one worker goroutine per extra engine, spun up for the
+// duration of the call. Within a round every engine touches only its own
+// heap, arena and staging buffers, and what the merge leaves in each heap
+// does not depend on the order windows ran in, so the two are
+// indistinguishable.
 func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
-	if len(g.engines) == 1 {
-		return g.engines[0].Run(limit)
-	}
 	// Events staged before Run (boot-time cross-shard scheduling) must be
 	// merged before the first window opens.
 	g.merge()
-	if runtime.GOMAXPROCS(0) == 1 {
-		return g.runInline(limit)
-	}
-
+	parallel := len(g.engines) > 1 && runtime.GOMAXPROCS(0) > 1
 	var wg sync.WaitGroup
-	for i := 1; i < len(g.engines); i++ {
-		wg.Add(1)
-		go g.workerLoop(g.engines[i], &g.workers[i-1], g.round, &wg)
+	if parallel {
+		for i := 1; i < len(g.engines); i++ {
+			wg.Add(1)
+			go g.workerLoop(g.engines[i], &g.workers[i-1], g.round, &wg)
+		}
+	}
+	// A lone engine may have no lookahead; one-tick windows still let its
+	// barrier see the run advance.
+	width := vtime.MaxM(g.lookahead, 1)
+	if len(g.engines) == 1 && g.barrier == nil {
+		width = vtime.ModelInfinity
 	}
 	for {
 		m := vtime.ModelInfinity
@@ -153,17 +176,17 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 		}
 		// Events exactly at limit must run (Engine.Run is inclusive), and
 		// runWindow is strict, so the horizon is capped at limit+1.
-		h := vtime.MinM(addSatM(m, g.lookahead), addSatM(limit, 1))
-		active, solo := 0, -1
-		for i, e := range g.engines {
+		h := vtime.MinM(addSatM(m, width), addSatM(limit, 1))
+		active := 0
+		for _, e := range g.engines {
 			if e.heap.Len() > 0 && e.minAt() < h {
 				active++
-				solo = i
 			}
 		}
-		if active == 1 {
-			// One busy shard: run it inline instead of paying the barrier.
-			g.engines[solo].runWindow(h)
+		if !parallel || active == 1 {
+			for _, e := range g.engines {
+				e.runWindow(h)
+			}
 		} else {
 			g.round++
 			for i := range g.workers {
@@ -182,44 +205,20 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 			}
 		}
 		g.merge()
+		if g.barrier != nil {
+			g.barrier()
+		}
 	}
-	g.round++
-	for i := range g.workers {
-		w := &g.workers[i]
-		w.stop = true
-		w.round.Store(g.round)
+	if parallel {
+		g.round++
+		for i := range g.workers {
+			w := &g.workers[i]
+			w.stop = true
+			w.round.Store(g.round)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	return g.align()
-}
-
-// runInline is the window protocol without workers or barriers: each
-// round's active windows run back to back in shard order on the calling
-// goroutine. Within a round every engine touches only its own heap, arena,
-// and staging buffers, and what the barrier merge leaves in each heap does
-// not depend on the order windows ran in, so the committed schedule is
-// byte-identical to the parallel path's.
-func (g *Group) runInline(limit vtime.ModelTime) vtime.ModelTime {
-	for {
-		m := vtime.ModelInfinity
-		none := true
-		for _, e := range g.engines {
-			if e.heap.Len() > 0 {
-				none = false
-				m = vtime.MinM(m, e.minAt())
-			}
-		}
-		if none || m > limit {
-			return g.align()
-		}
-		h := vtime.MinM(addSatM(m, g.lookahead), addSatM(limit, 1))
-		for _, e := range g.engines {
-			if e.heap.Len() > 0 && e.minAt() < h {
-				e.runWindow(h)
-			}
-		}
-		g.merge()
-	}
 }
 
 // workerLoop parks on the mailbox until the coordinator releases a round

@@ -166,21 +166,66 @@ func TestGroupRunLimitInclusive(t *testing.T) {
 	}
 }
 
-// TestGroupLookaheadViolationPanics: a cross-shard event scheduled below
-// the window horizon must fail loudly, not silently reorder.
+// TestGroupLookaheadViolationPanics: an event bound for another lane that
+// lands before now + lookahead must fail loudly, not silently reorder —
+// across engines, and across lanes of one engine, so a serial run checks
+// the contract a sharded run relies on.
 func TestGroupLookaheadViolationPanics(t *testing.T) {
-	engines := []*Engine{NewEngine(), NewEngine()}
-	g := NewGroup(engines, 100)
-	engines[0].At(0, func() {
-		// Claimed lookahead is 100, actual latency 1: a violation.
-		engines[0].AtCross(engines[1], 0, 1, func(a, b interface{}) {}, nil, nil)
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected lookahead-violation panic")
+	cases := []struct {
+		name    string
+		engines int
+	}{
+		{"cross-engine", 2},
+		{"one engine, cross-lane", 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			engines := make([]*Engine, tc.engines)
+			for i := range engines {
+				engines[i] = NewEngine()
+			}
+			g := NewGroup(engines, 100)
+			dst := engines[len(engines)-1]
+			engines[0].At(0, func() {
+				// Claimed lookahead is 100, actual latency 1: a violation.
+				engines[0].AtCross(dst, 1, 1, func(a, b interface{}) {}, nil, nil)
+			})
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected lookahead-violation panic")
+				}
+			}()
+			g.Run(vtime.ModelInfinity)
+		})
+	}
+}
+
+// TestBarrierHorizonsIgnoreShardCount: a barrier sees the same sequence of
+// window closes — clock, events run, events pending — whether the lanes
+// share one engine or split across two. Everything read at the barrier
+// leans on this.
+func TestBarrierHorizonsIgnoreShardCount(t *testing.T) {
+	closes := func(shards int) []string {
+		engines := make([]*Engine, shards)
+		for i := range engines {
+			engines[i] = NewEngine()
 		}
-	}()
-	g.Run(vtime.ModelInfinity)
+		g := NewGroup(engines, ringLatency)
+		var seen []string
+		g.SetBarrier(func() {
+			seen = append(seen, fmt.Sprintf("now=%d processed=%d pending=%d", g.Now(), g.Processed(), g.Pending()))
+		})
+		buildRing(engines, 4, 3, 20)
+		g.Run(vtime.ModelInfinity)
+		return seen
+	}
+	want := closes(1)
+	if len(want) < 20 {
+		t.Fatalf("only %d windows closed; the ring should need many", len(want))
+	}
+	if got := closes(2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("two engines closed windows differently from one:\none: %v\ntwo: %v", want, got)
+	}
 }
 
 // TestLaneTieBreak: same-instant events on different lanes of one engine

@@ -167,16 +167,9 @@ func NewCPU(eng *des.Engine, node int, costs CostTable) *CPU {
 	}
 }
 
-// Do charges cost on the CPU under the given category and runs done at
-// completion.
-func (c *CPU) Do(cat Category, cost vtime.ModelTime, done func()) {
-	c.charge(cat, cost)
-	c.res.Submit(cost, done)
-}
-
-// DoArg is the closure-free Do: at completion fn(arg) runs. fn should be a
-// top-level function and arg a threaded receiver, so steady-state callers
-// allocate nothing per job.
+// DoArg charges cost on the CPU under the given category; at completion
+// fn(arg) runs, unless fn is nil. fn should be a top-level function and arg
+// a threaded receiver, so steady-state callers allocate nothing per job.
 func (c *CPU) DoArg(cat Category, cost vtime.ModelTime, fn func(interface{}), arg interface{}) {
 	c.charge(cat, cost)
 	c.res.SubmitArg(cost, fn, arg)
@@ -207,11 +200,9 @@ func (c *CPU) charge(cat Category, cost vtime.ModelTime) {
 // Idle reports whether the CPU has no queued work.
 func (c *CPU) Idle() bool { return c.res.Idle() }
 
-// Utilization returns total CPU utilization.
-func (c *CPU) Utilization() float64 { return c.res.Utilization() }
-
-// UtilizationAt is Utilization against an explicit end-of-run clock, for
-// sharded runs where a member engine's clock stops at its last local event.
+// UtilizationAt returns the fraction of model time up to end the CPU was
+// busy. The clock is explicit because a shard engine's own clock stops at
+// its last local event; callers pass the group clock.
 func (c *CPU) UtilizationAt(end vtime.ModelTime) float64 { return c.res.UtilizationAt(end) }
 
 // Jobs returns the number of completed CPU jobs.

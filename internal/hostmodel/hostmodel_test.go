@@ -36,13 +36,16 @@ func TestNewCPUPanicsOnBadCosts(t *testing.T) {
 	NewCPU(des.NewEngine(), 0, c)
 }
 
+// call runs a closure threaded through DoArg's receiver.
+func call(fn interface{}) { fn.(func())() }
+
 func TestDoCategorizesWork(t *testing.T) {
 	e := des.NewEngine()
 	cpu := NewCPU(e, 0, DefaultCostTable())
-	cpu.Do(CatEvent, 10*vtime.Microsecond, nil)
-	cpu.Do(CatComm, 5*vtime.Microsecond, nil)
-	cpu.Do(CatGVT, 3*vtime.Microsecond, nil)
-	cpu.Do(CatRollback, 2*vtime.Microsecond, nil)
+	cpu.DoArg(CatEvent, 10*vtime.Microsecond, nil, nil)
+	cpu.DoArg(CatComm, 5*vtime.Microsecond, nil, nil)
+	cpu.DoArg(CatGVT, 3*vtime.Microsecond, nil, nil)
+	cpu.DoArg(CatRollback, 2*vtime.Microsecond, nil, nil)
 	e.Run(vtime.ModelInfinity)
 	if cpu.EventWork.Total() != 10*vtime.Microsecond {
 		t.Fatalf("event work = %v", cpu.EventWork.Total())
@@ -65,8 +68,8 @@ func TestCPUSerializesJobs(t *testing.T) {
 	e := des.NewEngine()
 	cpu := NewCPU(e, 0, DefaultCostTable())
 	var order []int
-	cpu.Do(CatEvent, 10, func() { order = append(order, 1) })
-	cpu.Do(CatComm, 10, func() { order = append(order, 2) })
+	cpu.DoArg(CatEvent, 10, call, func() { order = append(order, 1) })
+	cpu.DoArg(CatComm, 10, call, func() { order = append(order, 2) })
 	e.Run(vtime.ModelInfinity)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v", order)
@@ -83,7 +86,7 @@ func TestDoUnknownCategoryPanics(t *testing.T) {
 		}
 	}()
 	e := des.NewEngine()
-	NewCPU(e, 0, DefaultCostTable()).Do(Category(99), 1, nil)
+	NewCPU(e, 0, DefaultCostTable()).DoArg(Category(99), 1, nil, nil)
 }
 
 func TestIdle(t *testing.T) {
@@ -92,7 +95,7 @@ func TestIdle(t *testing.T) {
 	if !cpu.Idle() {
 		t.Fatal("fresh CPU should be idle")
 	}
-	cpu.Do(CatEvent, 100, nil)
+	cpu.DoArg(CatEvent, 100, nil, nil)
 	if cpu.Idle() {
 		t.Fatal("CPU with work should not be idle")
 	}

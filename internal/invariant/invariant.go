@@ -18,20 +18,24 @@
 //   - Anti annihilation: no unmatched anti-message survives quiescence,
 //     on a host or as an unconsumed record in a NIC's drop buffer.
 //
-// The checker is deterministic for serial runs: hooks fire inside the
-// event engine, violations are recorded in arrival order, and the report
-// is plain data — the same run produces a byte-identical report. Sharded
-// runs fire hooks from several engines at once, so the checker guards its
-// state with a mutex and (see SetSharded) skips the one check that reads
-// a cross-shard instantaneous snapshot; healthy sharded reports remain
-// byte-identical to serial because every surviving field is a
-// commutative count.
+// Hooks only log. Each appends a record to its node's log, which only that
+// node's engine writes; Fold, called at each window barrier of the run's
+// des.Group, is the one reader. At a barrier every engine has run exactly
+// the events below the window horizon, and the horizons are the same at
+// any shard count, so the report is byte-identical serial and sharded —
+// the gvt-safety check included.
+//
+// The trade: a commit is judged against the true bound at the horizon of
+// the window it was made in (at most one lookahead, 6.861 µs at default
+// hardware, later), not at the instant it was made. The true bound never
+// falls during a run, so a commit that was safe when made always passes;
+// a commit made unsafe by a message that arrives and executes within that
+// same window can go unreported.
 package invariant
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
@@ -76,8 +80,8 @@ type Report struct {
 	Discarded  int64
 	Duplicates int64 // duplicate deliveries the checker was told about
 	GVTCommits int64
-	// Violations holds the first maxViolations breaches, in the order the
-	// single-threaded engine observed them; ViolationsTotal counts all.
+	// Violations holds the first maxViolations breaches, in the order Fold
+	// judged them; ViolationsTotal counts all.
 	Violations      []Violation
 	ViolationsTotal int64
 }
@@ -85,19 +89,37 @@ type Report struct {
 // Failed reports whether any invariant was breached.
 func (r *Report) Failed() bool { return r != nil && r.ViolationsTotal > 0 }
 
-// Checker is the runtime oracle for one cluster. Hooks may fire from
-// several shard engines concurrently; a mutex serializes them.
+// Checker is the runtime oracle for one cluster.
 type Checker struct {
-	mu      sync.Mutex
-	sharded bool
+	logs    [][]record // per node, appended by that node's hooks since the last Fold
 	transit map[TransitKey]int
 	lastGVT []vtime.VTime // per node, last committed estimate
 	rep     Report
 }
 
+// recKind tags one logged hook call.
+type recKind uint8
+
+const (
+	recSent recKind = iota
+	recDelivered
+	recDuplicate
+	recDiscard
+	recCommit
+)
+
+// record is one hook call awaiting the next Fold: the message's identity,
+// or the committed GVT estimate.
+type record struct {
+	kind recKind
+	key  TransitKey
+	gvt  vtime.VTime
+}
+
 // NewChecker returns a checker for a cluster of nodes.
 func NewChecker(nodes int) *Checker {
 	c := &Checker{
+		logs:    make([][]record, nodes),
 		transit: make(map[TransitKey]int),
 		lastGVT: make([]vtime.VTime, nodes),
 	}
@@ -107,15 +129,6 @@ func NewChecker(nodes int) *Checker {
 	c.rep.Checked = true
 	return c
 }
-
-// SetSharded tells the checker the run is partitioned across engines.
-// The instantaneous GVT-safety comparison is then skipped: it relates a
-// commit on one shard to the wall-clock-current transit map, but another
-// shard may not yet have recorded a send that is already in the commit's
-// virtual past, so the comparison would report false violations. The
-// monotonicity check (per node, always observed in that node's own order)
-// and every quiescence check still run.
-func (c *Checker) SetSharded(v bool) { c.sharded = v }
 
 func key(pkt *proto.Packet) TransitKey {
 	return TransitKey{
@@ -135,79 +148,108 @@ func (c *Checker) violate(rule string, node int, format string, args ...interfac
 	}
 }
 
-// OnSent records an event-like message leaving a host toward the NIC.
-func (c *Checker) OnSent(pkt *proto.Packet) {
-	if !pkt.IsEventLike() {
-		return
+// logMsg appends an event-like message's record to node's log.
+func (c *Checker) logMsg(node int, kind recKind, pkt *proto.Packet) {
+	if pkt.IsEventLike() {
+		c.logs[node] = append(c.logs[node], record{kind: kind, key: key(pkt)})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rep.Sent++
-	c.transit[key(pkt)]++
 }
+
+// OnSent records an event-like message leaving its source host toward the
+// NIC.
+func (c *Checker) OnSent(pkt *proto.Packet) { c.logMsg(int(pkt.SrcNode), recSent, pkt) }
 
 // OnDelivered records an event-like message accepted by the destination
 // host. The caller must have already discarded BIP duplicates.
-func (c *Checker) OnDelivered(node int, pkt *proto.Packet) {
-	if !pkt.IsEventLike() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rep.Delivered++
-	k := key(pkt)
-	if c.transit[k] <= 0 {
-		c.violate("transit-unknown", node, "delivered message never sent (or delivered twice): %v", pkt)
-		return
-	}
-	c.retire(k)
-}
+func (c *Checker) OnDelivered(node int, pkt *proto.Packet) { c.logMsg(node, recDelivered, pkt) }
 
 // OnDuplicate records a BIP-identified duplicate delivery (discarded by
 // the host, so no transit record is retired).
-func (c *Checker) OnDuplicate(node int, pkt *proto.Packet) {
-	if !pkt.IsEventLike() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rep.Duplicates++
-}
+func (c *Checker) OnDuplicate(node int, pkt *proto.Packet) { c.logMsg(node, recDuplicate, pkt) }
 
 // OnNICDiscard records a deliberate transmit-side NIC discard (early
 // cancellation or anti suppression) of a host-submitted message.
-func (c *Checker) OnNICDiscard(node int, pkt *proto.Packet) {
-	if !pkt.IsEventLike() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rep.Discarded++
-	k := key(pkt)
-	if c.transit[k] <= 0 {
-		c.violate("transit-unknown", node, "NIC discarded message never sent: %v", pkt)
-		return
-	}
-	c.retire(k)
+func (c *Checker) OnNICDiscard(node int, pkt *proto.Packet) { c.logMsg(node, recDiscard, pkt) }
+
+// OnCommitGVT records one node's committed GVT estimate g, judged at the
+// next Fold.
+func (c *Checker) OnCommitGVT(node int, g vtime.VTime) {
+	c.logs[node] = append(c.logs[node], record{kind: recCommit, gvt: g})
 }
 
-func (c *Checker) retire(k TransitKey) {
-	if c.transit[k] == 1 {
+// Fold applies every logged record and empties the logs. floor is the
+// caller's minimum over local LVTs and host-buffered messages at the
+// moment of the call, which must be a window barrier (or after the run).
+// Every node's sends go first: a message cannot arrive in the window it was
+// sent in, but its sender's NIC can discard it there. Then, in node order,
+// deliveries, discards and duplicates retire what they name; last, each
+// commit is checked for per-node monotonicity and for safety against
+// min(floor, in-transit minimum). A terminal commit of Infinity is only
+// checked for monotonicity.
+func (c *Checker) Fold(floor vtime.VTime) {
+	for _, log := range c.logs {
+		for _, r := range log {
+			if r.kind == recSent {
+				c.rep.Sent++
+				c.transit[r.key]++
+			}
+		}
+	}
+	for node, log := range c.logs {
+		for _, r := range log {
+			switch r.kind {
+			case recDelivered:
+				c.rep.Delivered++
+				c.retire(node, r.key, "delivered message never sent (or delivered twice)")
+			case recDiscard:
+				c.rep.Discarded++
+				c.retire(node, r.key, "NIC discarded message never sent")
+			case recDuplicate:
+				c.rep.Duplicates++
+			}
+		}
+	}
+	limit := minVTime // the true bound, computed at the first commit that needs it
+	for node, log := range c.logs {
+		for _, r := range log {
+			if r.kind != recCommit {
+				continue
+			}
+			g := r.gvt
+			c.rep.GVTCommits++
+			if g < c.lastGVT[node] {
+				c.violate("gvt-monotonic", node, "GVT regressed: %v after %v", g, c.lastGVT[node])
+			}
+			c.lastGVT[node] = g
+			if g.IsInf() {
+				continue
+			}
+			if limit == minVTime {
+				limit = vtime.MinV(floor, c.minTransit())
+			}
+			if g > limit {
+				c.violate("gvt-safety", node, "GVT %v exceeds true bound %v", g, limit)
+			}
+		}
+		c.logs[node] = log[:0]
+	}
+}
+
+// retire removes one in-transit record for k, or reports why it cannot.
+func (c *Checker) retire(node int, k TransitKey, unknown string) {
+	switch n := c.transit[k]; {
+	case n <= 0:
+		c.violate("transit-unknown", node, "%s: %v", unknown, k)
+	case n == 1:
 		delete(c.transit, k)
-	} else {
-		c.transit[k]--
+	default:
+		c.transit[k] = n - 1
 	}
 }
 
-// MinTransitTS returns the minimum receive timestamp over all in-transit
+// minTransit returns the minimum receive timestamp over all in-transit
 // messages, or Infinity when none are in flight.
-func (c *Checker) MinTransitTS() vtime.VTime {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.minTransitLocked()
-}
-
-func (c *Checker) minTransitLocked() vtime.VTime {
+func (c *Checker) minTransit() vtime.VTime {
 	min := vtime.Infinity
 	//nicwarp:ordered commutative min fold
 	for k := range c.transit {
@@ -216,32 +258,6 @@ func (c *Checker) minTransitLocked() vtime.VTime {
 		}
 	}
 	return min
-}
-
-// OnCommitGVT checks one node's committed GVT estimate g against the true
-// bound: floor is the caller's minimum over local LVTs and host-buffered
-// messages, and the checker folds in its own in-transit minimum. A
-// terminal commit of Infinity is only checked for monotonicity.
-func (c *Checker) OnCommitGVT(node int, g, floor vtime.VTime) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rep.GVTCommits++
-	if g < c.lastGVT[node] {
-		c.violate("gvt-monotonic", node, "GVT regressed: %v after %v", g, c.lastGVT[node])
-	}
-	c.lastGVT[node] = g
-	if g.IsInf() || c.sharded {
-		// Sharded runs skip the instantaneous safety comparison: see
-		// SetSharded for why the wall-clock transit snapshot would lie.
-		return
-	}
-	limit := floor
-	if m := c.minTransitLocked(); m < limit {
-		limit = m
-	}
-	if g > limit {
-		c.violate("gvt-safety", node, "GVT %v exceeds true bound %v", g, limit)
-	}
 }
 
 // CheckCreditPair verifies credit conservation for one (sender, receiver)
@@ -298,11 +314,11 @@ func (c *Checker) CheckZombies(node, zombies, dropRecords int) {
 }
 
 // CheckTransitEmpty verifies message conservation at quiescence: every
-// sent message was delivered or deliberately discarded.
+// sent message was delivered or deliberately discarded. Fold first.
 func (c *Checker) CheckTransitEmpty() {
 	if n := len(c.transit); n > 0 {
 		c.violate("transit-leak", -1,
-			"%d messages neither delivered nor discarded (min RecvTS %v)", n, c.MinTransitTS())
+			"%d messages neither delivered nor discarded (min RecvTS %v)", n, c.minTransit())
 	}
 }
 

@@ -41,8 +41,9 @@ func TestCleanLifecycleReportsNothing(t *testing.T) {
 	c.OnDelivered(1, evPkt(1, 100))
 	c.OnNICDiscard(0, evPkt(2, 200)) // early cancellation
 	c.OnDelivered(1, evPkt(3, 300))
-	c.OnCommitGVT(0, 90, 95) // under both floor and transit minimum
-	c.OnCommitGVT(1, 90, 95)
+	c.OnCommitGVT(0, 90) // under both floor and transit minimum
+	c.OnCommitGVT(1, 90)
+	c.Fold(95)
 	c.CheckTransitEmpty()
 	c.CheckCreditPair(0, 1, 60, 4, 64)
 	// One deliberately wrong BIP pair (1 hole + 2 tail != 2 drops) proves
@@ -81,7 +82,8 @@ func TestGVTSafety(t *testing.T) {
 			if tc.transitTS != 0 {
 				c.OnSent(evPkt(1, tc.transitTS))
 			}
-			c.OnCommitGVT(0, tc.commit, tc.floor)
+			c.OnCommitGVT(0, tc.commit)
+			c.Fold(tc.floor)
 			rep := c.Report()
 			if tc.wantRule == "" {
 				if rep.Failed() {
@@ -94,14 +96,45 @@ func TestGVTSafety(t *testing.T) {
 	}
 }
 
+// TestFoldJudgesAtTheHorizon pins what one Fold sees: every node's sends
+// before any node's deliveries, and commits judged against the in-transit
+// set as it stands after the whole window — so a message delivered in the
+// commit's own window no longer bounds it (the documented trade).
+func TestFoldJudgesAtTheHorizon(t *testing.T) {
+	fromNode1 := evPkt(1, 100)
+	fromNode1.SrcNode, fromNode1.DstNode = 1, 0
+	c := NewChecker(2)
+	c.OnDelivered(0, fromNode1) // node 0's log is folded before node 1's
+	c.OnSent(fromNode1)
+	c.Fold(vtime.Infinity)
+	if c.Report().Failed() {
+		t.Fatalf("a send logged by a later node was not applied first: %v", rules(c.Report()))
+	}
+
+	c = NewChecker(2)
+	c.OnSent(evPkt(2, 100))
+	c.OnCommitGVT(0, 150)
+	c.OnDelivered(1, evPkt(2, 100))
+	c.Fold(200)
+	if c.Report().Failed() {
+		t.Fatalf("a commit was judged against a message its window retired: %v", rules(c.Report()))
+	}
+	c.OnSent(evPkt(3, 100))
+	c.OnCommitGVT(0, 150)
+	c.Fold(200)
+	wantViolation(t, c.Report(), "gvt-safety")
+}
+
 func TestGVTMonotonicityPerNode(t *testing.T) {
 	c := NewChecker(2)
-	c.OnCommitGVT(0, 100, vtime.Infinity)
-	c.OnCommitGVT(1, 50, vtime.Infinity) // other node may lag; no violation
+	c.OnCommitGVT(0, 100)
+	c.OnCommitGVT(1, 50) // other node may lag; no violation
+	c.Fold(vtime.Infinity)
 	if c.Report().Failed() {
 		t.Fatalf("cross-node lag flagged: %v", rules(c.Report()))
 	}
-	c.OnCommitGVT(0, 90, vtime.Infinity) // regression on node 0
+	c.OnCommitGVT(0, 90) // regression on node 0
+	c.Fold(vtime.Infinity)
 	wantViolation(t, c.Report(), "gvt-monotonic")
 	if c.Report().GVTCommits != 3 {
 		t.Fatalf("GVTCommits = %d", c.Report().GVTCommits)
@@ -114,12 +147,14 @@ func TestConservationCatchesLeaksAndGhosts(t *testing.T) {
 		c.OnSent(evPkt(1, 100))
 		c.OnSent(evPkt(2, 200))
 		c.OnDelivered(1, evPkt(1, 100))
+		c.Fold(vtime.Infinity)
 		c.CheckTransitEmpty()
 		wantViolation(t, c.Report(), "transit-leak")
 	})
 	t.Run("ghost delivery", func(t *testing.T) {
 		c := NewChecker(2)
 		c.OnDelivered(1, evPkt(9, 100))
+		c.Fold(vtime.Infinity)
 		wantViolation(t, c.Report(), "transit-unknown")
 	})
 	t.Run("double delivery", func(t *testing.T) {
@@ -127,6 +162,7 @@ func TestConservationCatchesLeaksAndGhosts(t *testing.T) {
 		c.OnSent(evPkt(1, 100))
 		c.OnDelivered(1, evPkt(1, 100))
 		c.OnDelivered(1, evPkt(1, 100))
+		c.Fold(vtime.Infinity)
 		wantViolation(t, c.Report(), "transit-unknown")
 	})
 	t.Run("bip duplicate is not a double delivery", func(t *testing.T) {
@@ -134,6 +170,7 @@ func TestConservationCatchesLeaksAndGhosts(t *testing.T) {
 		c.OnSent(evPkt(1, 100))
 		c.OnDelivered(1, evPkt(1, 100))
 		c.OnDuplicate(1, evPkt(1, 100)) // fabric dup, discarded by BIP
+		c.Fold(vtime.Infinity)
 		c.CheckTransitEmpty()
 		if c.Report().Failed() {
 			t.Fatalf("unexpected violations: %v", rules(c.Report()))
@@ -150,6 +187,7 @@ func TestConservationCatchesLeaksAndGhosts(t *testing.T) {
 		c.OnSent(evPkt(1, 100))
 		c.OnDelivered(1, evPkt(1, 100))
 		c.OnDelivered(1, evPkt(1, 100))
+		c.Fold(vtime.Infinity)
 		c.CheckTransitEmpty()
 		if c.Report().Failed() {
 			t.Fatalf("unexpected violations: %v", rules(c.Report()))
@@ -163,6 +201,7 @@ func TestConservationCatchesLeaksAndGhosts(t *testing.T) {
 		c.OnSent(ev)
 		c.OnSent(anti)
 		c.OnDelivered(1, anti)
+		c.Fold(vtime.Infinity)
 		c.CheckTransitEmpty() // the positive event still in flight
 		wantViolation(t, c.Report(), "transit-leak")
 	})
@@ -225,6 +264,7 @@ func TestViolationCapBoundsReport(t *testing.T) {
 	for i := 0; i < maxViolations+50; i++ {
 		c.OnDelivered(0, evPkt(uint64(i+1), 100)) // every one a ghost
 	}
+	c.Fold(vtime.Infinity)
 	rep := c.Report()
 	if len(rep.Violations) != maxViolations {
 		t.Fatalf("kept %d violations, want cap %d", len(rep.Violations), maxViolations)

@@ -63,21 +63,10 @@ func NewBus(eng *des.Engine, node int, cfg Config) *Bus {
 	}
 }
 
-// DMA queues a transfer of size bytes and invokes done when it completes.
-// Direction does not matter to the shared-bus model; both directions contend
-// for the same cycles.
-func (b *Bus) DMA(size int, done func()) {
-	if size < 0 {
-		panic("iobus: negative transfer size")
-	}
-	cost := b.cfg.DMASetup + b.xfer.Time(size, b.cfg.Bandwidth)
-	b.Transfers.Inc()
-	b.Bytes.Add(int64(size))
-	b.res.Submit(cost, done)
-}
-
-// DMAArg is the closure-free DMA: at completion fn(arg) runs. See
-// des.Resource.SubmitArg for the calling convention.
+// DMAArg queues a transfer of size bytes; at completion fn(arg) runs (see
+// des.Resource.SubmitArg for the calling convention). Direction does not
+// matter to the shared-bus model; both directions contend for the same
+// cycles.
 func (b *Bus) DMAArg(size int, fn func(interface{}), arg interface{}) {
 	if size < 0 {
 		panic("iobus: negative transfer size")
@@ -88,17 +77,10 @@ func (b *Bus) DMAArg(size int, fn func(interface{}), arg interface{}) {
 	b.res.SubmitArg(cost, fn, arg)
 }
 
-// Word queues a small control-word transfer (shared-memory flag write,
-// doorbell). It pays only the setup cost; used for the host/NIC handshakes
-// the paper implements through the "global buffer shared between the host
-// and the NIC".
-func (b *Bus) Word(done func()) {
-	b.Transfers.Inc()
-	b.res.Submit(b.cfg.DMASetup, done)
-}
-
-// WordArg is the closure-free Word: at completion fn(arg) runs. See
-// des.Resource.SubmitArg for the calling convention.
+// WordArg queues a small control-word transfer (shared-memory flag write,
+// doorbell); at completion fn(arg) runs. It pays only the setup cost; used
+// for the host/NIC handshakes the paper implements through the "global
+// buffer shared between the host and the NIC".
 func (b *Bus) WordArg(fn func(interface{}), arg interface{}) {
 	b.Transfers.Inc()
 	b.res.SubmitArg(b.cfg.DMASetup, fn, arg)

@@ -7,12 +7,15 @@ import (
 	"nicwarp/internal/vtime"
 )
 
+// call runs a closure threaded through the Arg forms' receiver.
+func call(fn interface{}) { fn.(func())() }
+
 func TestDMACost(t *testing.T) {
 	e := des.NewEngine()
 	cfg := Config{Bandwidth: 100e6, DMASetup: 500 * vtime.Nanosecond}
 	b := NewBus(e, 0, cfg)
 	var done vtime.ModelTime
-	b.DMA(1000, func() { done = e.Now() })
+	b.DMAArg(1000, call, func() { done = e.Now() })
 	e.Run(vtime.ModelInfinity)
 	want := cfg.DMASetup + vtime.TransferTime(1000, cfg.Bandwidth)
 	if done != want {
@@ -30,8 +33,8 @@ func TestBusContention(t *testing.T) {
 	cfg := Config{Bandwidth: 100e6, DMASetup: 0}
 	b := NewBus(e, 0, cfg)
 	var first, second vtime.ModelTime
-	b.DMA(1000, func() { first = e.Now() })
-	b.DMA(1000, func() { second = e.Now() })
+	b.DMAArg(1000, call, func() { first = e.Now() })
+	b.DMAArg(1000, call, func() { second = e.Now() })
 	e.Run(vtime.ModelInfinity)
 	per := vtime.TransferTime(1000, cfg.Bandwidth)
 	if first != per || second != 2*per {
@@ -44,7 +47,7 @@ func TestWordTransfer(t *testing.T) {
 	cfg := Config{Bandwidth: 100e6, DMASetup: 700 * vtime.Nanosecond}
 	b := NewBus(e, 0, cfg)
 	var at vtime.ModelTime
-	b.Word(func() { at = e.Now() })
+	b.WordArg(call, func() { at = e.Now() })
 	e.Run(vtime.ModelInfinity)
 	if at != cfg.DMASetup {
 		t.Fatalf("word transfer at %v, want %v", at, cfg.DMASetup)
@@ -55,7 +58,7 @@ func TestZeroSizeDMA(t *testing.T) {
 	e := des.NewEngine()
 	b := NewBus(e, 0, DefaultConfig())
 	ran := false
-	b.DMA(0, func() { ran = true })
+	b.DMAArg(0, call, func() { ran = true })
 	e.Run(vtime.ModelInfinity)
 	if !ran {
 		t.Fatal("zero-size DMA never completed")
@@ -69,7 +72,7 @@ func TestNegativeSizePanics(t *testing.T) {
 		}
 	}()
 	e := des.NewEngine()
-	NewBus(e, 0, DefaultConfig()).DMA(-1, nil)
+	NewBus(e, 0, DefaultConfig()).DMAArg(-1, nil, nil)
 }
 
 func TestIdleAndUtilization(t *testing.T) {
@@ -78,7 +81,7 @@ func TestIdleAndUtilization(t *testing.T) {
 	if !b.Idle() {
 		t.Fatal("new bus should be idle")
 	}
-	b.DMA(100000, nil)
+	b.DMAArg(100000, nil, nil)
 	if b.Idle() {
 		t.Fatal("bus with queued DMA should not be idle")
 	}

@@ -812,7 +812,7 @@ func (n *NIC) Doorbell() {
 	n.fw.OnDoorbell(apiImpl{n})
 	n.clearScratch()
 	cost := n.cycles(n.takeCharge())
-	n.proc.Submit(cost, nil)
+	n.proc.SubmitArg(cost, nil, nil)
 }
 
 // hookScratch backs one []*proto.Packet view handed to firmware hooks. A

@@ -196,16 +196,15 @@ func atofOrFail(t *testing.T, s string) float64 {
 }
 
 // TestSweepShardedMatchesSerial crosses the fault plane with the shard
-// plane: a sweep over every loss-free wire scenario, executed at 2 and 3
-// shards (3 leaves the 4-node cluster unevenly partitioned), must produce
-// a byte-identical report to the serial sweep — same digests, same oracle
-// verdicts, same baselines. The hostile skewgvt hook is deliberately
-// absent: its gvt-safety oracle is a serial-only instantaneous check (see
-// invariant.Checker.SetSharded).
+// plane: a sweep over every loss-free wire scenario plus the hostile
+// skewgvt hook, executed at 2 and 3 shards (3 leaves the 4-node cluster
+// unevenly partitioned), must produce a byte-identical report to the
+// serial sweep — same digests, same oracle verdicts, same baselines. Every
+// loss-free point passes and every skewgvt point fails the same way.
 func TestSweepShardedMatchesSerial(t *testing.T) {
 	base := Options{
 		Apps:      []string{"phold"},
-		Scenarios: []string{"drop", "dup", "chaos"},
+		Scenarios: []string{"drop", "dup", "chaos", "skewgvt"},
 		Seeds:     []uint64{1, 2},
 		GVT:       core.GVTNIC,
 		Workers:   2,
@@ -216,13 +215,13 @@ func TestSweepShardedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Failures != 0 {
-			for _, p := range rep.Points {
-				if !p.Pass {
-					t.Errorf("shards=%d: point %s failed: %s %v", o.Shards, p.Name, p.Error, p.Violations)
-				}
+		for _, p := range rep.Points {
+			if p.Pass == (p.Scenario == "skewgvt") {
+				t.Errorf("shards=%d: point %s pass=%v: %s %v", o.Shards, p.Name, p.Pass, p.Error, p.Violations)
 			}
-			t.Fatalf("shards=%d: %d failures", o.Shards, rep.Failures)
+		}
+		if t.Failed() {
+			t.FailNow()
 		}
 		data, err := rep.JSON()
 		if err != nil {

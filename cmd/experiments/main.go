@@ -181,8 +181,6 @@ func progressPrinter(total int) func(runner.Progress) {
 			status = " FAILED: " + p.Err.Error()
 		case p.Cached:
 			status = " (cached)"
-		case p.Attempts > 1:
-			status = fmt.Sprintf(" (attempt %d)", p.Attempts)
 		}
 		elapsed := time.Since(start)
 		eta := ""

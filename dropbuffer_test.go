@@ -61,3 +61,44 @@ func TestEarlyCancelMatchesOracleAtEveryCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestDropCountsAgree pins the accounting that lets the drop buffer keep no
+// counters of its own: every packet the cancel firmware discards — a
+// positive dropped in place (one drop-buffer record) or the anti-message
+// filtered against it (one drop-buffer take) — strands exactly one credit,
+// and the host refunds each one. So the credits MPICH got back equal the
+// NIC's two discard counters, with and without send batching.
+func TestDropCountsAgree(t *testing.T) {
+	for _, batch := range []int{1, 8} {
+		cfg := Config{
+			App:             Police(PoliceConfig(45)),
+			Nodes:           8,
+			Seed:            1,
+			GVT:             GVTNIC,
+			GVTPeriod:       100,
+			EarlyCancel:     true,
+			CheckInvariants: true,
+		}.WithDefaults()
+		cfg.NIC.BatchMax = batch
+		if batch > 1 {
+			cfg.NIC.FlushHorizon = 20 * vtime.Microsecond
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("batch=%d: %v", batch, err)
+		}
+		if res.Invariants.Failed() {
+			t.Fatalf("batch=%d: %v", batch, res.Invariants.Violations)
+		}
+		if res.DroppedInPlace == 0 || res.AntisFiltered == 0 {
+			t.Fatalf("batch=%d: dropped %d, filtered %d; the firmware never discarded both kinds",
+				batch, res.DroppedInPlace, res.AntisFiltered)
+		}
+		if res.CreditRepair != res.DroppedInPlace+res.AntisFiltered {
+			t.Errorf("batch=%d: %d credits refunded, but %d dropped in place + %d antis filtered",
+				batch, res.CreditRepair, res.DroppedInPlace, res.AntisFiltered)
+		}
+		t.Logf("batch=%d: %d dropped in place + %d antis filtered = %d credits refunded",
+			batch, res.DroppedInPlace, res.AntisFiltered, res.CreditRepair)
+	}
+}

@@ -78,7 +78,6 @@ type Endpoint struct {
 	missing []holes
 
 	// Stats.
-	Stamped      stats.Counter // packets stamped on the send side
 	GapsDetected stats.Counter // receive-side gap episodes
 	MissingSeqs  stats.Counter // total sequence numbers skipped at detection time
 	LateFilled   stats.Counter // gap holes later filled by a late arrival
@@ -151,7 +150,6 @@ func (e *Endpoint) Stamp(pkt *proto.Packet) {
 	e.nextSeq = dense.Grow(e.nextSeq, pkt.DstNode, 0)
 	e.nextSeq[pkt.DstNode]++
 	pkt.Seq = e.nextSeq[pkt.DstNode]
-	e.Stamped.Inc()
 }
 
 // Accept verifies the packet's sequence number and returns the number of

@@ -24,8 +24,8 @@ func TestStampAssignsPerDestinationSequences(t *testing.T) {
 	if c.Seq != 1 {
 		t.Fatalf("seq to node 2: %d (independent stream expected)", c.Seq)
 	}
-	if e.Stamped.Value() != 3 {
-		t.Fatalf("stamped = %d", e.Stamped.Value())
+	if e.StampedTo(1) != 2 || e.StampedTo(2) != 1 || e.StampedTo(3) != 0 {
+		t.Fatalf("stamped to nodes 1, 2, 3: %d, %d, %d", e.StampedTo(1), e.StampedTo(2), e.StampedTo(3))
 	}
 }
 

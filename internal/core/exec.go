@@ -26,8 +26,7 @@ type Exec struct {
 // the smaller of the two.
 func Lookahead(cfg Config) vtime.ModelTime {
 	cfg = cfg.WithDefaults()
-	wire := vtime.Cycles(cfg.NIC.SendCycles, cfg.NIC.ClockHz) +
-		cfg.Net.LinkLatency + cfg.Net.SwitchLatency
+	wire := vtime.Cycles(cfg.NIC.SendCycles, cfg.NIC.ClockHz) + cfg.Net.MinTransitTime()
 	return vtime.MinM(wire, cfg.NIC.CreditReturnDelay)
 }
 

@@ -79,14 +79,13 @@ type Result struct {
 	HostRollbackTime vtime.ModelTime
 
 	// Flow control.
-	FlowBlocked    int64 // packets that waited for credit
-	CreditMsgs     int64
-	BIPGaps        int64 // receive-side sequence gaps (should equal drop count)
-	BIPMissing     int64 // missing sequence numbers observed at detection time
-	BIPLateFilled  int64 // gap holes later filled by late/retransmitted packets
-	BIPDuplicates  int64 // duplicate deliveries identified and discarded
-	BIPOutstanding int64 // sequence holes still open at quiescence
-	CreditRepair   int64 // credits refunded for packets dropped in place
+	FlowBlocked   int64 // packets that waited for credit
+	CreditMsgs    int64
+	BIPGaps       int64 // receive-side sequence gaps (should equal drop count)
+	BIPMissing    int64 // missing sequence numbers observed at detection time
+	BIPLateFilled int64 // gap holes later filled by late/retransmitted packets
+	BIPDuplicates int64 // duplicate deliveries identified and discarded
+	CreditRepair  int64 // credits refunded for packets dropped in place
 
 	// Batching (zero unless Config.NIC.BatchMax > 1).
 	BatchFrames  int64 // batch frames put on the wire
@@ -171,6 +170,7 @@ func (cl *Cluster) collect() *Result {
 		r.Rollbacks += ks.Rollbacks.Value()
 
 		r.EventMsgsBuilt += n.eventsBuilt.Value()
+		r.AntisBuilt += n.antisBuilt.Value()
 
 		ns := &n.nicDev.Stats
 		r.DroppedInPlace += ns.DroppedInPlace.Value()
@@ -220,7 +220,6 @@ func (cl *Cluster) collect() *Result {
 		r.BIPMissing += n.bipEnd.MissingSeqs.Value()
 		r.BIPLateFilled += n.bipEnd.LateFilled.Value()
 		r.BIPDuplicates += n.bipEnd.Duplicates.Value()
-		r.BIPOutstanding += int64(n.bipEnd.OutstandingMissing())
 	}
 	if cl.plane != nil {
 		r.FaultsInjected = cl.plane.Injected()
@@ -232,20 +231,6 @@ func (cl *Cluster) collect() *Result {
 	r.HostUtil /= nNodes
 	r.BusUtil /= nNodes
 	r.NICUtil /= nNodes
-
-	// Antis built = event messages built that are negative. eventsBuilt
-	// counts both signs; split using kernel counters (remote antis only
-	// were built as packets, so derive from the wire-side accounting).
-	var antisBuilt int64
-	for _, n := range cl.nodes {
-		antisBuilt += antisBuiltOn(n)
-	}
-	r.AntisBuilt = antisBuilt
 	r.EventMsgsOnWire = r.EventMsgsBuilt - r.DroppedInPlace - r.AntisFiltered
 	return r
-}
-
-// antisBuiltOn counts the anti-message packets node n actually built.
-func antisBuiltOn(n *node) int64 {
-	return n.antisBuilt.Value()
 }

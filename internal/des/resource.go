@@ -53,10 +53,8 @@ type Resource struct {
 	armed uint32 // arena slot of the head-of-line completion event while done is non-empty
 
 	// Metrics.
-	Busy    stats.BusyTime // integrated service time
-	Jobs    stats.Counter  // completed jobs
-	Queue   stats.Gauge    // jobs submitted but not yet completed
-	WaitAvg stats.Mean     // mean queueing delay (ns) before service starts
+	Busy stats.BusyTime // integrated service time
+	Jobs stats.Counter  // completed jobs
 }
 
 // NewResource creates a named resource on the engine.
@@ -118,17 +116,12 @@ func (r *Resource) submit(cost vtime.ModelTime) *doneEntry {
 		panic(fmt.Sprintf("des: Submit with negative cost on %s", r.name))
 	}
 	e := r.eng
-	now := e.now
-	start := vtime.MaxM(now, r.busyUntil)
-	finish := start + cost
+	finish := vtime.MaxM(e.now, r.busyUntil) + cost
 	r.busyUntil = finish
 	r.Busy.AddInterval(cost)
-	r.WaitAvg.Observe(float64(start - now))
 	d := r.done.PushSlot()
 	d.key = eventKey(finish, e.nextOrd())
-	n := r.done.Len()
-	r.Queue.Set(int64(n))
-	if n == 1 {
+	if n := r.done.Len(); n == 1 {
 		r.arm(d)
 	} else if q := r.done.Live(); d.key.Less(q[n-2].key) {
 		r.undercut(q)
@@ -175,10 +168,8 @@ func resourceComplete(x interface{}) {
 	d := r.done.Front()
 	fnArg, fn2, a, b := d.fnArg, d.fn2, d.arg, d.argB
 	r.done.Drop()
-	n := r.done.Len()
-	r.Queue.Set(int64(n))
 	r.Jobs.Inc()
-	if n > 0 {
+	if r.done.Len() > 0 {
 		r.arm(r.done.Front())
 	}
 	switch {

@@ -83,27 +83,23 @@ func TestResourceMetrics(t *testing.T) {
 	if !r.Idle() {
 		t.Fatal("resource should be idle after drain")
 	}
-	// Second job waited 30ns, first waited 0.
-	if got := r.WaitAvg.Value(); got != 15 {
-		t.Fatalf("mean wait = %v, want 15", got)
-	}
 }
 
+// TestResourceQueueGauge: the queue depth a caller sees is InFlight, and a
+// completion callback already sees its own job gone.
 func TestResourceQueueGauge(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu")
+	var seen []int
 	for i := 0; i < 5; i++ {
-		r.Submit(10, nil)
-	}
-	if r.Queue.Max() != 5 {
-		t.Fatalf("queue high-water = %d, want 5", r.Queue.Max())
+		r.Submit(10, func() { seen = append(seen, r.InFlight()) })
 	}
 	if r.InFlight() != 5 {
 		t.Fatalf("in flight = %d", r.InFlight())
 	}
 	e.Run(vtime.ModelInfinity)
-	if r.Queue.Value() != 0 {
-		t.Fatalf("queue after drain = %d", r.Queue.Value())
+	if fmt.Sprint(seen) != "[4 3 2 1 0]" || r.InFlight() != 0 {
+		t.Fatalf("in flight at each completion = %v, after drain %d", seen, r.InFlight())
 	}
 }
 
@@ -166,10 +162,8 @@ type perJobResource struct {
 	doneQ    []perJobDone
 	doneHead int
 
-	Busy    stats.BusyTime
-	Jobs    stats.Counter
-	Queue   stats.Gauge
-	WaitAvg stats.Mean
+	Busy stats.BusyTime
+	Jobs stats.Counter
 }
 
 type perJobDone struct {
@@ -198,14 +192,10 @@ func (r *perJobResource) submit(cost vtime.ModelTime, done perJobDone) vtime.Mod
 	if cost < 0 {
 		panic(fmt.Sprintf("des: Submit with negative cost on %s", r.name))
 	}
-	now := r.eng.Now()
-	start := vtime.MaxM(now, r.busyUntil)
-	finish := start + cost
+	finish := vtime.MaxM(r.eng.Now(), r.busyUntil) + cost
 	r.busyUntil = finish
 	r.inFlight++
-	r.Queue.Set(int64(r.inFlight))
 	r.Busy.AddInterval(cost)
-	r.WaitAvg.Observe(float64(start - now))
 	r.pushDone(done)
 	r.eng.AtArg(finish, perJobComplete, r)
 	return finish
@@ -215,7 +205,6 @@ func perJobComplete(x interface{}) {
 	r := x.(*perJobResource)
 	d := r.popDone()
 	r.inFlight--
-	r.Queue.Set(int64(r.inFlight))
 	r.Jobs.Inc()
 	switch {
 	case d.fn2 != nil:
@@ -259,13 +248,13 @@ type fifoServer interface {
 	InFlight() int
 }
 
-// serverMetrics reads the four metrics both implementations keep.
-func serverMetrics(s fifoServer) [4]float64 {
+// serverMetrics reads the two metrics both implementations keep.
+func serverMetrics(s fifoServer) [2]int64 {
 	switch r := s.(type) {
 	case *Resource:
-		return [4]float64{float64(r.Busy.Total()), float64(r.Jobs.Value()), float64(r.Queue.Max()), r.WaitAvg.Value()}
+		return [2]int64{int64(r.Busy.Total()), r.Jobs.Value()}
 	case *perJobResource:
-		return [4]float64{float64(r.Busy.Total()), float64(r.Jobs.Value()), float64(r.Queue.Max()), r.WaitAvg.Value()}
+		return [2]int64{int64(r.Busy.Total()), r.Jobs.Value()}
 	}
 	panic("unknown server")
 }
@@ -421,7 +410,7 @@ func TestResourceMatchesPerJobOracle(t *testing.T) {
 		}
 		for i := range want.srv {
 			if g, w := serverMetrics(got.srv[i]), serverMetrics(want.srv[i]); g != w {
-				t.Fatalf("seed %d server %d: busy/jobs/qmax/wait = %v, oracle %v", seed, i, g, w)
+				t.Fatalf("seed %d server %d: busy/jobs = %v, oracle %v", seed, i, g, w)
 			}
 		}
 		jobs += got.jobs

@@ -35,16 +35,9 @@ type RingCtrl interface {
 // mutable decision input and counter by source port is what keeps the tap
 // both race-free and deterministic under sharding.
 type wireState struct {
-	rng     rng.Source
-	scratch []byte // wire image buffer for the corruption model
-
-	dropped         stats.Counter
-	duplicated      stats.Counter
-	delayed         stats.Counter
-	corruptDetected stats.Counter
-	corruptMissed   stats.Counter
-	trueLost        stats.Counter
-	degraded        stats.Counter
+	rng      rng.Source
+	scratch  []byte        // wire image buffer for the corruption model
+	injected stats.Counter // fault decisions that bit: one per degrade, loss, corruption, drop, dup or delay
 }
 
 // ringState is the per-node episode driver state. Episode timers live on
@@ -55,8 +48,7 @@ type ringState struct {
 	eng  *des.Engine
 	rng  rng.Source
 
-	rxHolds  stats.Counter
-	txStalls stats.Counter
+	injected stats.Counter // receive-ring slots held plus transmit stalls
 }
 
 // Plane is the runtime fault injector for one cluster: it implements
@@ -119,40 +111,40 @@ func (p *Plane) OnRoute(srcPort, dstPort int, pkt *proto.Packet) simnet.TapDecis
 	w := &p.wire[srcPort]
 	if p.degraded != nil && (p.degraded[srcPort] || p.degraded[dstPort]) {
 		d.ExtraDelay += s.DegradeDelay
-		w.degraded.Inc()
+		w.injected.Inc()
 	}
 	if pkt.Seq == 0 {
 		return d
 	}
 	r := &w.rng
 	if s.TrueLossProb > 0 && r.Float64() < s.TrueLossProb {
-		w.trueLost.Inc()
+		w.injected.Inc()
 		d.Drop = true
 		d.Redeliver = 0
 		return d
 	}
 	if s.CorruptProb > 0 && r.Float64() < s.CorruptProb {
 		if w.corruptionDetected(pkt) {
-			w.corruptDetected.Inc()
+			w.injected.Inc()
 			d.Drop = true
 			d.Redeliver = s.RetxDelay
 			return d
 		}
-		w.corruptMissed.Inc()
+		w.injected.Inc()
 	}
 	if s.DropProb > 0 && r.Float64() < s.DropProb {
-		w.dropped.Inc()
+		w.injected.Inc()
 		d.Drop = true
 		d.Redeliver = s.RetxDelay
 		return d
 	}
 	if s.DupProb > 0 && r.Float64() < s.DupProb {
-		w.duplicated.Inc()
+		w.injected.Inc()
 		d.Dup = true
 		d.DupDelay = s.DupDelay
 	}
 	if s.DelayProb > 0 && r.Float64() < s.DelayProb {
-		w.delayed.Inc()
+		w.injected.Inc()
 		d.ExtraDelay += vtime.ModelTime(1 + r.Int63n(int64(s.DelayMax)))
 	}
 	return d
@@ -226,7 +218,7 @@ func (p *Plane) fireRx(i int) {
 	}
 	ring := &p.rings[i]
 	if held := ring.ctrl.FaultHoldRx(p.spec.RxHoldSlots); held > 0 {
-		ring.rxHolds.Add(int64(held))
+		ring.injected.Add(int64(held))
 		ctrl := ring.ctrl
 		ring.eng.Schedule(p.spec.RxHoldFor, func() { ctrl.FaultReleaseRx(held) })
 	}
@@ -243,68 +235,24 @@ func (p *Plane) fireTx(i int) {
 		return
 	}
 	ring := &p.rings[i]
-	ring.txStalls.Inc()
+	ring.injected.Inc()
 	ctrl := ring.ctrl
 	ctrl.SetTxFaultStall(true)
 	ring.eng.Schedule(p.spec.TxStallFor, func() { ctrl.SetTxFaultStall(false) })
 	p.armTx(i)
 }
 
-// sumWire folds one counter across the per-port wire states. Call after
-// the run quiesces (or, in tests, from a single goroutine).
-func (p *Plane) sumWire(pick func(*wireState) *stats.Counter) int64 {
+// Injected totals the fault decisions that bit, over every port and node:
+// wire faults per routing attempt, receive-ring slots held, transmit stalls.
+// The stress harness uses it to assert a scenario bit on a given workload.
+// Call after the run quiesces.
+func (p *Plane) Injected() int64 {
 	var n int64
 	for i := range p.wire {
-		n += pick(&p.wire[i]).Value()
+		n += p.wire[i].injected.Value()
 	}
-	return n
-}
-
-// Per-kind totals, for reports and for asserting a scenario actually bit.
-func (p *Plane) DroppedCount() int64 {
-	return p.sumWire(func(w *wireState) *stats.Counter { return &w.dropped })
-}
-func (p *Plane) DuplicatedCount() int64 {
-	return p.sumWire(func(w *wireState) *stats.Counter { return &w.duplicated })
-}
-func (p *Plane) DelayedCount() int64 {
-	return p.sumWire(func(w *wireState) *stats.Counter { return &w.delayed })
-}
-func (p *Plane) CorruptDetectedCount() int64 {
-	return p.sumWire(func(w *wireState) *stats.Counter { return &w.corruptDetected })
-}
-func (p *Plane) CorruptMissedCount() int64 {
-	return p.sumWire(func(w *wireState) *stats.Counter { return &w.corruptMissed })
-}
-func (p *Plane) TrueLostCount() int64 {
-	return p.sumWire(func(w *wireState) *stats.Counter { return &w.trueLost })
-}
-func (p *Plane) DegradedCount() int64 {
-	return p.sumWire(func(w *wireState) *stats.Counter { return &w.degraded })
-}
-
-// RxHoldsCount totals receive-ring slots held by episodes across nodes.
-func (p *Plane) RxHoldsCount() int64 {
-	var n int64
 	for i := range p.rings {
-		n += p.rings[i].rxHolds.Value()
+		n += p.rings[i].injected.Value()
 	}
 	return n
-}
-
-// TxStallsCount totals transmit-pump stall episodes across nodes.
-func (p *Plane) TxStallsCount() int64 {
-	var n int64
-	for i := range p.rings {
-		n += p.rings[i].txStalls.Value()
-	}
-	return n
-}
-
-// Injected reports whether the plane actually did anything — used by the
-// stress harness to assert a scenario bit on a given workload.
-func (p *Plane) Injected() int64 {
-	return p.DroppedCount() + p.DuplicatedCount() + p.DelayedCount() +
-		p.CorruptDetectedCount() + p.CorruptMissedCount() + p.TrueLostCount() +
-		p.DegradedCount() + p.RxHoldsCount() + p.TxStallsCount()
 }

@@ -95,7 +95,6 @@ type Manager interface {
 type Stats struct {
 	Computations stats.Counter // completed GVT computations
 	Rounds       stats.Counter // token circulations (ring traversals)
-	TokenVisits  stats.Counter // per-LP token handling episodes
 	ControlMsgs  stats.Counter // dedicated host control messages sent
 	Piggybacks   stats.Counter // handshake values piggybacked on event traffic
 	Doorbells    stats.Counter // fallback doorbell handshakes

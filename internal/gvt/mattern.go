@@ -118,7 +118,6 @@ func (m *MatternManager) initiate(h Host) {
 	tok := m.newControl(h, c)
 	tok.TokenCount = delta
 	tok.TokenMin = floor
-	m.Stats.TokenVisits.Inc()
 	m.sendOn(h, tok)
 }
 
@@ -177,7 +176,6 @@ func (m *MatternManager) OnControl(h Host, pkt *proto.Packet) {
 //
 //nicwarp:hotpath one per token hop — several per committed event at period 1
 func (m *MatternManager) onToken(h Host, pkt *proto.Packet) {
-	m.Stats.TokenVisits.Inc()
 	m.drainNICDrops(h)
 
 	c := uint32(pkt.TokenEpoch)

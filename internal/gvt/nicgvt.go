@@ -222,7 +222,6 @@ func (m *NICGVTManager) OnNotify(h Host, tag nic.NotifyTag) {
 	case nic.NotifyGVTControl:
 		// A token arrived on the NIC: join the computation (colour change)
 		// and stage the report.
-		m.Stats.TokenVisits.Inc()
 		m.ledger.Join(uint32(w.TokenEpoch))
 		m.armReport(h)
 	case nic.NotifyGVTValue:

@@ -150,9 +150,6 @@ func TestNICGVTTokenArrivalHandshake(t *testing.T) {
 	w.TokenEpoch = 3
 	w.TokenRound = 0
 	m.OnNotify(h, nic.NotifyGVTControl)
-	if m.Stats.TokenVisits.Value() != 1 {
-		t.Fatal("token visit not counted")
-	}
 	// The handshake is staged: the next send answers it.
 	h.lvt = 12
 	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 15}

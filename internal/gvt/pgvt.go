@@ -52,7 +52,6 @@ type PGVTManager struct {
 	candidate  vtime.VTime
 	votes      int
 	vetoed     bool
-	vetoFloor  vtime.VTime
 	inProgress bool
 
 	Stats Stats
@@ -221,7 +220,6 @@ func (m *PGVTManager) OnControl(h Host, pkt *proto.Packet) {
 	}
 	switch pkt.TokenRound {
 	case pgvtRequest:
-		m.Stats.TokenVisits.Inc()
 		m.reply(h, pkt.SrcNode, pgvtResponse, m.bound(h), pkt.TokenEpoch)
 	case pgvtResponse:
 		if pkt.TokenEpoch != m.round || m.phase != pgvtCollect {

@@ -47,9 +47,7 @@ type Bus struct {
 	res  *des.Resource
 	xfer vtime.TransferMemo // of cfg.Bandwidth
 
-	// Metrics.
-	Transfers stats.Counter
-	Bytes     stats.Counter
+	Transfers stats.Counter // DMA and control-word crossings
 }
 
 // NewBus creates the bus for a node.
@@ -73,7 +71,6 @@ func (b *Bus) DMAArg(size int, fn func(interface{}), arg interface{}) {
 	}
 	cost := b.cfg.DMASetup + b.xfer.Time(size, b.cfg.Bandwidth)
 	b.Transfers.Inc()
-	b.Bytes.Add(int64(size))
 	b.res.SubmitArg(cost, fn, arg)
 }
 

@@ -21,8 +21,8 @@ func TestDMACost(t *testing.T) {
 	if done != want {
 		t.Fatalf("DMA completed at %v, want %v", done, want)
 	}
-	if b.Transfers.Value() != 1 || b.Bytes.Value() != 1000 {
-		t.Fatalf("stats: transfers=%d bytes=%d", b.Transfers.Value(), b.Bytes.Value())
+	if b.Transfers.Value() != 1 {
+		t.Fatalf("transfers = %d", b.Transfers.Value())
 	}
 }
 

@@ -27,14 +27,15 @@ import (
 //
 //  2. Dropped event IDs are recorded in the host-shared drop buffer ("for
 //     every object on the LP we allocate a buffer ... so that it can be
-//     accessed by both the host and the NIC"): the host suppresses the
-//     matching anti-message before building it, and the NIC filters
-//     anti-messages that were already in flight when their positive was
-//     dropped. A ring holds a fixed number of records per sending object,
-//     so a positive is dropped only while its object's ring has a free
-//     slot; with none the packet is forwarded untouched and Time Warp
-//     cancels it the ordinary way (an undropped packet is an ordinary
-//     packet), which is why no capacity can change committed results.
+//     accessed by both the host and the NIC"). The NIC is its only
+//     consumer: it filters the matching anti-message when the host sends
+//     it (the paper also lets the host read the buffer; the KindAnti arm
+//     of OnHostSend says why this reproduction does not). A ring holds a
+//     fixed number of records per sending object, so a positive is
+//     dropped only while its object's ring has a free slot; with none the
+//     packet is forwarded untouched and Time Warp cancels it the ordinary
+//     way (an undropped packet is an ordinary packet), which is why no
+//     capacity can change committed results.
 //
 //  3. Credit-based flow control is repaired: each drop strands one MPICH
 //     credit at the sender. The paper recovers it on the receive side ("the
@@ -218,7 +219,7 @@ func dropKey(p *proto.Packet) nic.DropKey {
 }
 
 // recordDrop books a cancelled-in-place positive: drop-buffer entry for
-// anti suppression, GVT accounting, credit refund, statistics.
+// anti filtering, GVT accounting, credit refund, statistics.
 //
 //nicwarp:hotpath runs for every positive cancelled in place
 func (f *CancelFirmware) recordDrop(api nic.API, p *proto.Packet) {

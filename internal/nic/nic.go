@@ -223,7 +223,6 @@ type Stats struct {
 	DroppedInPlace stats.Counter // outgoing positives cancelled in the send queue
 	AntisFiltered  stats.Counter // outgoing antis filtered against the drop buffer
 	DropsDeclined  stats.Counter // cancellable positives forwarded because their object's drop ring was full
-	SendQDepth     stats.Gauge   // transmit backlog high-water
 	FirmwareCycles stats.Counter // extra cycles charged by firmware hooks
 
 	BatchFrames stats.Counter // batch frames put on the wire
@@ -586,7 +585,6 @@ func (n *NIC) HostEnqueue(pkt *proto.Packet) {
 func (n *NIC) enqueue(e outEntry) {
 	e.enqAt = n.eng.Now()
 	n.sendQ.Push(e)
-	n.Stats.SendQDepth.Set(int64(n.sendQ.Len()))
 	n.txPump()
 }
 
@@ -648,7 +646,6 @@ func (n *NIC) txPump() {
 	}
 	n.txPumping = true
 	entry := n.sendQ.Pop()
-	n.Stats.SendQDepth.Set(int64(n.sendQ.Len()))
 
 	verdict := VerdictForward
 	if !entry.fromNIC {
@@ -914,7 +911,6 @@ func (a apiImpl) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Pac
 		}
 	}
 	n.sendQ.DropTail(len(live) - len(kept))
-	n.Stats.SendQDepth.Set(int64(n.sendQ.Len()))
 	if n.onHostDiscard != nil {
 		for _, pkt := range removed {
 			n.onHostDiscard(pkt) //nicwarp:alloc invariant-checker observer, installed only under CheckInvariants
@@ -1044,7 +1040,6 @@ func (n *NIC) gatherBatch(dst int32, max int) []*proto.Packet {
 		kept = append(kept, e) //nicwarp:alloc aliases live[:0], never exceeds its capacity
 	}
 	n.sendQ.DropTail(len(live) - len(kept))
-	n.Stats.SendQDepth.Set(int64(n.sendQ.Len()))
 	return n.gbScratch.publish(out)
 }
 

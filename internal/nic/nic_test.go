@@ -405,15 +405,17 @@ func TestDoorbellInvokesFirmware(t *testing.T) {
 
 func TestSendQueueDepthHighWater(t *testing.T) {
 	r := newRig(t, 2, func(int) Firmware { return &stubFirmware{} })
+	highWater := 0
 	for k := 0; k < 10; k++ {
 		r.nics[0].HostEnqueue(evPkt(0, 1))
+		highWater = max(highWater, r.nics[0].SendQueueLen())
 	}
-	if r.nics[0].Stats.SendQDepth.Max() < 5 {
-		t.Fatalf("high-water = %d, want a real backlog", r.nics[0].Stats.SendQDepth.Max())
+	if highWater < 5 {
+		t.Fatalf("high-water = %d, want a real backlog", highWater)
 	}
 	r.eng.Run(vtime.ModelInfinity)
-	if len(r.toHost[1]) != 10 {
-		t.Fatalf("delivered %d", len(r.toHost[1]))
+	if len(r.toHost[1]) != 10 || r.nics[0].SendQueueLen() != 0 {
+		t.Fatalf("delivered %d, %d left queued", len(r.toHost[1]), r.nics[0].SendQueueLen())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nicwarp/internal/dense"
-	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
 )
 
@@ -61,10 +60,6 @@ type SharedWindow struct {
 	// global structures of the NIC, so that it can be accessed by both the
 	// host and the NIC".
 	Dropped *DropBuffer
-	// HostAntiEpoch mirrors the host's count of processed anti-messages;
-	// the host piggybacks it on outgoing messages and the firmware keeps
-	// the latest value here.
-	HostAntiEpoch uint64
 	// DroppedWhite counts packets the NIC cancelled in place, by colour
 	// stamp. The host GVT manager drains it into its ledger: a dropped
 	// message must count as received or the white balance never closes.
@@ -156,12 +151,12 @@ type DropKey struct {
 }
 
 // DropBuffer records the identities of positive messages cancelled in place
-// on the NIC, per sending object. The host consults it to suppress the
-// corresponding anti-messages; the NIC consults it to filter anti-messages
-// that were already in flight toward the NIC when the positive was dropped.
+// on the NIC, per sending object. The NIC is its only consumer: it consults
+// it to filter the anti-message of each dropped positive when the host sends
+// it.
 //
 // Entries are one-shot: a successful Take removes the entry, since exactly
-// one anti-message per dropped positive must be suppressed or filtered.
+// one anti-message per dropped positive must be filtered.
 //
 // The buffer is bounded per object (10 in the paper) and cannot overflow:
 // the firmware drops a positive in place only while Room reports a free
@@ -178,10 +173,6 @@ type DropKey struct {
 type DropBuffer struct {
 	cap   int
 	rings []*dense.FIFO[DropKey] // by sending object id; nil until the object's first drop
-
-	Records stats.Counter
-	Takes   stats.Counter
-	Misses  stats.Counter
 }
 
 // NewDropBuffer creates a buffer with the given per-object capacity.
@@ -220,7 +211,6 @@ func (b *DropBuffer) Room(obj int32) int { return b.cap - b.Len(obj) }
 //
 //nicwarp:hotpath runs for every positive the cancel firmware drops in place
 func (b *DropBuffer) Record(obj int32, key DropKey) {
-	b.Records.Inc()
 	b.rings = dense.Grow(b.rings, obj, nil)
 	r := b.rings[obj]
 	if r == nil {
@@ -248,12 +238,10 @@ func (b *DropBuffer) Take(obj int32, key DropKey) bool {
 	live := b.ring(obj)
 	i := find(live, key)
 	if i < 0 {
-		b.Misses.Inc()
 		return false
 	}
 	copy(live[1:i+1], live[:i])
 	b.rings[obj].Drop()
-	b.Takes.Inc()
 	return true
 }
 

@@ -71,25 +71,21 @@ type Progress struct {
 	// Done counts finished points (including failures); Total is the batch
 	// size.
 	Done, Total int
-	// Name, Cached, Attempts and Err describe the point that just finished.
-	Name     string
-	Cached   bool
-	Attempts int
-	Err      error
+	// Name, Cached and Err describe the point that just finished.
+	Name   string
+	Cached bool
+	Err    error
 }
 
-// DefaultRetries is how many times a failed point is re-executed before its
-// error sticks. Runs are deterministic, so retries exist for environmental
-// failures (memory pressure, a panicking experiment build), not flakes.
-const DefaultRetries = 1
-
-// Runner executes job batches. The zero value runs on GOMAXPROCS workers
-// with DefaultRetries and no cache.
+// Runner executes job batches. The zero value runs on GOMAXPROCS workers,
+// fails a point on its first error and has no cache.
 type Runner struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Retries is the number of re-executions after a failed attempt; < 0
-	// means DefaultRetries. (0 is a valid choice: fail on first error.)
+	// Retries is the number of re-executions after a failed attempt; 0 or
+	// less fails a point on its first error. Runs are deterministic, so a
+	// retry can only help against environmental failures (memory
+	// pressure), never a flake.
 	Retries int
 	// Cache, when non-nil, serves and stores results by config digest.
 	Cache Cache
@@ -137,8 +133,7 @@ func (r *Runner) Run(jobs []Job) []Result {
 					res := &results[i]
 					r.OnProgress(Progress{
 						Done: done, Total: len(jobs),
-						Name: res.Job.Name, Cached: res.Cached,
-						Attempts: res.Attempts, Err: res.Err,
+						Name: res.Job.Name, Cached: res.Cached, Err: res.Err,
 					})
 				}
 				mu.Unlock()
@@ -163,11 +158,7 @@ func (r *Runner) runOne(job Job) Result {
 			return res
 		}
 	}
-	retries := r.Retries
-	if retries < 0 {
-		retries = DefaultRetries
-	}
-	for attempt := 1; attempt <= 1+retries; attempt++ {
+	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
 		out, err := execute(job.Config, r.Exec)
 		if err == nil {
@@ -177,10 +168,11 @@ func (r *Runner) runOne(job Job) Result {
 			}
 			return res
 		}
-		res.Err = fmt.Errorf("runner: point %q attempt %d/%d: %w",
-			job.Name, attempt, 1+retries, err)
+		res.Err = fmt.Errorf("runner: point %q attempt %d: %w", job.Name, attempt, err)
+		if attempt > r.Retries {
+			return res
+		}
 	}
-	return res
 }
 
 // execute runs one cluster experiment, converting a panic anywhere in the

@@ -30,7 +30,6 @@ import (
 
 	"nicwarp/internal/des"
 	"nicwarp/internal/proto"
-	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
 )
 
@@ -237,8 +236,7 @@ type TapDecision struct {
 func (f *Fabric) SetTap(t Tap) { f.tap = t }
 
 // port is one switch port: the engine and lane of the NIC it connects, the
-// delivery callback, and the output-port serializer. Counters are per-port
-// because ports on different shards count concurrently.
+// delivery callback, and the output-port serializer.
 type port struct {
 	f       *Fabric
 	eng     *des.Engine
@@ -249,10 +247,6 @@ type port struct {
 	// the source port, portArrival for the destination — run on this port's
 	// engine.
 	xfer vtime.TransferMemo
-
-	forwarded  stats.Counter // packets delivered out of this port
-	bytes      stats.Counter // bytes delivered out of this port
-	broadcasts stats.Counter // broadcasts announced by this port's NIC
 }
 
 // NewFabric creates a fabric with n unattached ports.
@@ -327,7 +321,6 @@ func (f *Fabric) Announce(srcPort int, pkt *proto.Packet, depart vtime.ModelTime
 		panic(fmt.Sprintf("simnet: departure %v is before now %v", depart, src.eng.Now()))
 	}
 	if pkt.DstNode == -1 {
-		src.broadcasts.Inc()
 		for i := range f.ports {
 			if i == srcPort {
 				continue
@@ -405,50 +398,5 @@ func portSerialized(a, b interface{}) {
 
 // portDeliver: the packet fully arrived at the destination NIC.
 func portDeliver(a, b interface{}) {
-	p := a.(*port)
-	pkt := b.(*proto.Packet)
-	p.forwarded.Inc()
-	p.bytes.Add(int64(pkt.EncodedSize()))
-	p.deliver(pkt)
-}
-
-// Forwarded returns the total packets delivered (unicast count, broadcasts
-// expanded), summed over ports. Call after the run quiesces.
-func (f *Fabric) Forwarded() int64 {
-	var n int64
-	for i := range f.ports {
-		n += f.ports[i].forwarded.Value()
-	}
-	return n
-}
-
-// Bytes returns the total bytes delivered, summed over ports.
-func (f *Fabric) Bytes() int64 {
-	var n int64
-	for i := range f.ports {
-		n += f.ports[i].bytes.Value()
-	}
-	return n
-}
-
-// Broadcasts returns the number of broadcast announcements.
-func (f *Fabric) Broadcasts() int64 {
-	var n int64
-	for i := range f.ports {
-		n += f.ports[i].broadcasts.Value()
-	}
-	return n
-}
-
-// PortUtilization returns the output-port utilization of portID against
-// its own engine's clock.
-func (f *Fabric) PortUtilization(portID int) float64 {
-	return f.ports[portID].out.Utilization()
-}
-
-// PortUtilizationAt is PortUtilization against an explicit end-of-run
-// clock, for sharded runs where member clocks stop at their last local
-// event.
-func (f *Fabric) PortUtilizationAt(portID int, end vtime.ModelTime) float64 {
-	return f.ports[portID].out.UtilizationAt(end)
+	a.(*port).deliver(b.(*proto.Packet))
 }

@@ -33,52 +33,6 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
 
-// Gauge is a signed instantaneous value with high-water tracking.
-type Gauge struct {
-	v   int64
-	max int64
-}
-
-// Set assigns the gauge.
-func (g *Gauge) Set(v int64) {
-	g.v = v
-	if v > g.max {
-		g.max = v
-	}
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.Set(g.v + delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v }
-
-// Max returns the largest value the gauge has held.
-func (g *Gauge) Max() int64 { return g.max }
-
-// Mean is a running arithmetic mean of observed samples.
-type Mean struct {
-	sum float64
-	n   int64
-}
-
-// Observe records one sample.
-func (m *Mean) Observe(v float64) {
-	m.sum += v
-	m.n++
-}
-
-// Count returns the number of samples.
-func (m *Mean) Count() int64 { return m.n }
-
-// Value returns the mean, or 0 with no samples.
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
 // BusyTime integrates the busy time of a hardware resource so that
 // experiments can report utilization. The caller marks busy intervals; the
 // accumulator tolerates back-to-back intervals.

@@ -3,7 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"nicwarp/internal/vtime"
 )
@@ -25,47 +24,6 @@ func TestCounterRejectsNegative(t *testing.T) {
 	}()
 	var c Counter
 	c.Add(-1)
-}
-
-func TestGaugeHighWater(t *testing.T) {
-	var g Gauge
-	g.Set(3)
-	g.Add(4) // 7
-	g.Add(-5)
-	if g.Value() != 2 {
-		t.Fatalf("gauge = %d, want 2", g.Value())
-	}
-	if g.Max() != 7 {
-		t.Fatalf("gauge max = %d, want 7", g.Max())
-	}
-}
-
-func TestGaugeMaxNeverBelowValue(t *testing.T) {
-	f := func(vals []int8) bool {
-		var g Gauge
-		for _, v := range vals {
-			g.Add(int64(v))
-			if g.Max() < g.Value() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	m.Observe(2)
-	m.Observe(4)
-	if m.Value() != 3 || m.Count() != 2 {
-		t.Fatalf("mean = %v count = %d", m.Value(), m.Count())
-	}
 }
 
 func TestBusyTimeUtilization(t *testing.T) {

@@ -55,14 +55,9 @@ type Stats struct {
 	Processed     stats.Counter // event executions, including later-undone ones
 	RolledBack    stats.Counter // event executions undone by rollbacks
 	Rollbacks     stats.Counter // rollback episodes
-	RollbackDepth stats.Mean    // events undone per rollback
 	Stragglers    stats.Counter // positive events arriving in the processed past
-	PositivesSent stats.Counter // positive events emitted (local + remote)
-	AntisSent     stats.Counter // anti-messages emitted (local + remote)
-	AntisReceived stats.Counter
 	Annihilations stats.Counter // positive/anti pairs destroyed
 	Zombies       stats.Counter // antis stored awaiting their positive
-	StateSaves    stats.Counter
 	FossilEvents  stats.Counter // history entries reclaimed
 	LazyHits      stats.Counter // re-sends matched under lazy cancellation
 	LazyAntis     stats.Counter // lazy entries eventually cancelled
@@ -428,7 +423,6 @@ func (k *Kernel) ProcessOne() StepResult {
 	// State saving (period 1, the WARPED default).
 	o.hist.Push(histEntry{ev: ev, state: snapshot{app: o.saveState(), sendSeq: o.sendSeq}})
 	k.histCount++
-	k.Stats.StateSaves.Inc()
 	k.Stats.Processed.Inc()
 	res.Executed = 1
 
@@ -578,7 +572,6 @@ func (k *Kernel) send(c *Context, dst ObjectID, delay vtime.VTime, payload uint6
 		// Initial sends are recorded nowhere and routed directly; route
 		// takes ownership.
 		k.route(ev)
-		k.Stats.PositivesSent.Inc()
 		return
 	}
 	// The executing entry is the newest, so its row is the tail of outs.
@@ -595,7 +588,6 @@ func (k *Kernel) send(c *Context, dst ObjectID, delay vtime.VTime, payload uint6
 	// routing gets another. The two copies are what lets fossil
 	// collection release the row without racing the in-flight message.
 	k.route(k.copyEvent(ev))
-	k.Stats.PositivesSent.Inc()
 }
 
 // route sends an event toward its destination: the local delivery queue or
@@ -603,7 +595,6 @@ func (k *Kernel) send(c *Context, dst ObjectID, delay vtime.VTime, payload uint6
 // remote emission transfers it to the caller via StepResult.Remote.
 func (k *Kernel) route(ev *Event) {
 	if ev.Sign < 0 {
-		k.Stats.AntisSent.Inc()
 		k.res.AntisEmitted++
 	}
 	if k.IsLocal(ev.Dst) {
@@ -723,7 +714,6 @@ func (k *Kernel) deliverAnti(o *objRuntime, ev *Event) {
 	if ev.RecvTS < k.committedGVT {
 		panic(fmt.Sprintf("timewarp: anti-message below committed GVT %v: %v", k.committedGVT, ev))
 	}
-	k.Stats.AntisReceived.Inc()
 	// Unprocessed positive: remove silently — O(1) identity lookup plus an
 	// O(log n) indexed heap removal, the host-side cost NIC early
 	// cancellation budgets for (the former code scanned the whole pending
@@ -770,7 +760,6 @@ func (k *Kernel) rollback(o *objRuntime, p int) {
 	k.res.Rollbacks++
 	undone := n - p
 	k.Stats.RolledBack.Add(int64(undone))
-	k.Stats.RollbackDepth.Observe(float64(undone))
 	k.res.UndoneEvents += undone
 
 	o.obj.RestoreState(h[p].state.app)

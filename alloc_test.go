@@ -42,9 +42,43 @@ func TestSteadyStateAllocationsPerEvent(t *testing.T) {
 	}
 }
 
+// TestDeepHistoryAllocationsPerEvent is the same measurement where history
+// grows as deep as a run lets it: POLICE under host Mattern with a GVT
+// period no run reaches, so nothing is fossil-collected before the end and
+// every object keeps a snapshot per event it executed. Snapshots then come
+// a slab at a time from each object's free list and rollbacks hand theirs
+// back for re-execution to reuse. With one fresh snapshot per history entry
+// above the object's earlier depth this read about 2.
+func TestDeepHistoryAllocationsPerEvent(t *testing.T) {
+	run := func(incidents int) (mallocs uint64, committed int) {
+		p := PoliceConfig(60)
+		p.IncidentsPerStation = incidents
+		cfg := Config{App: Police(p), Nodes: 8, Seed: 1, GVT: GVTHostMattern, GVTPeriod: 1_000_000_000}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.Mallocs - m0.Mallocs, res.CommittedEvents
+	}
+	smallAllocs, smallEvents := run(5)
+	largeAllocs, largeEvents := run(20)
+	if largeEvents < 2*smallEvents {
+		t.Fatalf("the larger run committed %d events against %d: not a size sweep", largeEvents, smallEvents)
+	}
+	perEvent := (float64(largeAllocs) - float64(smallAllocs)) / float64(largeEvents-smallEvents)
+	t.Logf("%d allocations for %d events, %d for %d: %.3f per extra committed event",
+		smallAllocs, smallEvents, largeAllocs, largeEvents, perEvent)
+	if perEvent > 1.0 {
+		t.Fatalf("%.2f heap allocations per extra committed event, want at most 1.0", perEvent)
+	}
+}
+
 // TestEveryModelObjectReusesSnapshots: each simulation object the four
 // application models build implements timewarp.StateReuser, and a snapshot
-// handed back to it is the one it returns.
+// handed back to it is the one its next SaveState returns.
 func TestEveryModelObjectReusesSnapshots(t *testing.T) {
 	apps := []App{
 		RAID(RAIDGVTConfig(10)),
@@ -61,7 +95,8 @@ func TestEveryModelObjectReusesSnapshots(t *testing.T) {
 				t.Fatalf("%s: object %d (%T) does not implement timewarp.StateReuser", app.Name(), id, obj)
 			}
 			first := obj.SaveState()
-			if again := r.SaveStateInto(first); again != first {
+			r.ReleaseState(first)
+			if again := obj.SaveState(); again != first {
 				t.Fatalf("%s: object %d (%T) did not reuse the snapshot it was handed", app.Name(), id, obj)
 			}
 			kinds[fmt.Sprintf("%T", obj)] = true

@@ -18,10 +18,10 @@
 // implementations either return a composite literal / clone call, or carry
 // a `//nicwarp:deepcopy <reason>` annotation on the return.
 //
-// SaveStateInto (timewarp.StateReuser) writes the snapshot through the
-// pointer it was handed instead of returning a fresh value, so there the
-// same rule applies to the store: `*snap = recv.field` with a plain-value
-// right-hand side whose type holds reference fields is the shallow copy.
+// The one call that is not assumed to build afresh is Save on a
+// timewarp.Snapshots[T], the free list every in-repo model snapshots
+// through: it copies a T by value, so `return o.snaps.Save(&o.st)` is held
+// to the rule for T, exactly as `return o.st` would be.
 //
 // States built only of scalars — including rng.Source, whose whole state is
 // one uint64, and fixed-size arrays as in the POLICE centre's open-incident
@@ -40,7 +40,7 @@ import (
 // Analyzer implements the statealias check.
 var Analyzer = &framework.Analyzer{
 	Name: "statealias",
-	Doc: "flag SaveState/SaveStateInto snapshots that shallow-copy " +
+	Doc: "flag SaveState snapshots that shallow-copy " +
 		"slices/maps/pointers (rollback would alias live state)",
 	Run: run,
 }
@@ -49,25 +49,16 @@ func run(pass *framework.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Body == nil || fn.Type.Results.NumFields() != 1 {
+			if !ok || fn.Recv == nil || fn.Body == nil || fn.Name.Name != "SaveState" ||
+				fn.Type.Params.NumFields() != 0 || fn.Type.Results.NumFields() != 1 {
 				continue
 			}
-			switch {
-			case fn.Name.Name == "SaveState" && fn.Type.Params.NumFields() == 0:
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
-						checkReturn(pass, ret)
-					}
-					return true
-				})
-			case fn.Name.Name == "SaveStateInto" && fn.Type.Params.NumFields() == 1:
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if as, ok := n.(*ast.AssignStmt); ok {
-						checkStoreThrough(pass, as)
-					}
-					return true
-				})
-			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+					checkReturn(pass, ret)
+				}
+				return true
+			})
 		}
 	}
 	return nil
@@ -79,9 +70,16 @@ func checkReturn(pass *framework.Pass, ret *ast.ReturnStmt) {
 	if pass.Annotated(ret.Pos(), "deepcopy") {
 		return
 	}
+	t := pass.TypesInfo.TypeOf(expr)
 	switch e := expr.(type) {
-	case *ast.CompositeLit, *ast.CallExpr:
+	case *ast.CompositeLit:
 		return // freshly built; assumed to deep-copy its inputs
+	case *ast.CallExpr:
+		// Freshly built and assumed to deep-copy its inputs, unless it is
+		// the value copy a snapshot free list makes.
+		if t = snapshotsSave(pass, e); t == nil {
+			return
+		}
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
 			if _, lit := ast.Unparen(e.X).(*ast.CompositeLit); lit {
@@ -99,7 +97,6 @@ func checkReturn(pass *framework.Pass, ret *ast.ReturnStmt) {
 			return
 		}
 	}
-	t := pass.TypesInfo.TypeOf(expr)
 	if t == nil {
 		return
 	}
@@ -119,30 +116,26 @@ func checkReturn(pass *framework.Pass, ret *ast.ReturnStmt) {
 	}
 }
 
-// checkStoreThrough applies the shallow-copy rule to `*p = expr` inside
-// SaveStateInto: the store that fills the reused snapshot.
-func checkStoreThrough(pass *framework.Pass, as *ast.AssignStmt) {
-	if len(as.Lhs) != 1 || len(as.Rhs) != 1 || pass.Annotated(as.Pos(), "deepcopy") {
-		return
+// snapshotsSave returns T when call is Save on a timewarp.Snapshots[T] (or
+// a pointer to one), and nil for any other call.
+func snapshotsSave(pass *framework.Pass, call *ast.CallExpr) types.Type {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Save" {
+		return nil
 	}
-	if _, deref := ast.Unparen(as.Lhs[0]).(*ast.StarExpr); !deref {
-		return
+	t := pass.TypesInfo.TypeOf(sel.X)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	switch ast.Unparen(as.Rhs[0]).(type) {
-	case *ast.CompositeLit, *ast.CallExpr:
-		return // freshly built; assumed to deep-copy its inputs
+	named, ok := t.(*types.Named)
+	if !ok || named.TypeArgs().Len() != 1 {
+		return nil
 	}
-	t := pass.TypesInfo.TypeOf(as.Rhs[0])
-	if t == nil {
-		return
+	if obj := named.Obj(); obj.Name() != "Snapshots" || obj.Pkg() == nil ||
+		obj.Pkg().Path() != "nicwarp/internal/timewarp" {
+		return nil
 	}
-	if path, shared := refField(t, nil); shared {
-		pass.Reportf(as.Pos(),
-			"SaveStateInto shallow-copies reference state into the snapshot "+
-				"(field %s): the copy shares storage with the live object and "+
-				"rollback will alias it; deep-copy the field or annotate "+
-				"//nicwarp:deepcopy <reason>", path)
-	}
+	return named.TypeArgs().At(0)
 }
 
 // refField reports whether t transitively contains a field whose storage a

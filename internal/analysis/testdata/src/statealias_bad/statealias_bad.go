@@ -2,6 +2,8 @@
 // snapshots that shallow-copy reference fields or alias the live object.
 package statealias_bad
 
+import "nicwarp/internal/timewarp"
+
 type buffers struct {
 	queue []int
 	index map[int]int
@@ -53,18 +55,14 @@ type journal struct {
 }
 
 type reuser struct {
-	st journal
+	st    journal
+	snaps timewarp.Snapshots[journal]
 }
 
-func (r *reuser) SaveState() interface{} { return r.SaveStateInto(nil) }
-
-// Filling a reused snapshot by plain assignment is the same shallow copy:
-// the snapshot's entries slice shares the live backing array.
-func (r *reuser) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*journal)
-	if snap == nil {
-		snap = new(journal)
-	}
-	*snap = r.st // want `shallow-copies reference state into the snapshot \(field entries\)`
-	return snap
+// A snapshot free list copies the state by value: the snapshot's entries
+// slice shares the live backing array.
+func (r *reuser) SaveState() interface{} {
+	return r.snaps.Save(&r.st) // want `shallow-copies reference state \(field entries\)`
 }
+
+func (r *reuser) ReleaseState(v interface{}) { r.snaps.Release(v) }

@@ -1,7 +1,9 @@
 // Package statealias_ok must produce no statealias diagnostics: scalar
-// value copies, freshly built snapshots, clone calls and annotated deep
-// copies are all compliant.
+// value copies, freshly built snapshots, clone calls, annotated deep copies
+// and snapshot free lists over scalar or array state are all compliant.
 package statealias_ok
+
+import "nicwarp/internal/timewarp"
 
 type scalarState struct {
 	count uint64
@@ -66,32 +68,26 @@ func (a *annotated) SaveState() interface{} {
 }
 
 type reuser struct {
-	st scalarState
+	st    scalarState
+	snaps timewarp.Snapshots[scalarState]
 }
 
-func (r *reuser) SaveState() interface{} { return r.SaveStateInto(nil) }
+// A scalar-only state copied through a snapshot free list is the
+// StateReuser idiom every in-repo model uses.
+func (r *reuser) SaveState() interface{}     { return r.snaps.Save(&r.st) }
+func (r *reuser) ReleaseState(v interface{}) { r.snaps.Release(v) }
 
-// Overwriting a reused scalar-only snapshot is the StateReuser idiom every
-// in-repo model uses.
-func (r *reuser) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*scalarState)
-	if snap == nil {
-		snap = new(scalarState)
-	}
-	*snap = r.st
-	return snap
+// slot is one entry of a fixed-size table, like the POLICE centre's
+// open-incident table: the array is copied with the state.
+type slot struct {
+	id, replies uint32
+	assigned    bool
 }
 
-type deepReuser struct {
-	st refState
+type tabler struct {
+	st    [4]slot
+	snaps timewarp.Snapshots[[4]slot]
 }
 
-// A reused snapshot with reference state is refilled field by field.
-func (d *deepReuser) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*refState)
-	if snap == nil {
-		snap = new(refState)
-	}
-	snap.queue = append(snap.queue[:0], d.st.queue...)
-	return snap
-}
+func (t *tabler) SaveState() interface{}     { return t.snaps.Save(&t.st) }
+func (t *tabler) ReleaseState(v interface{}) { t.snaps.Release(v) }

@@ -131,6 +131,7 @@ type cell struct {
 	index int
 	p     Params
 	st    state
+	snaps timewarp.Snapshots[state]
 }
 
 // neighbors returns the adjacent cell IDs (4-connected grid).
@@ -211,18 +212,10 @@ func (c *cell) admit(ctx *timewarp.Context, duration uint64) {
 }
 
 // SaveState implements timewarp.Object.
-func (c *cell) SaveState() interface{} { return c.SaveStateInto(nil) }
+func (c *cell) SaveState() interface{} { return c.snaps.Save(&c.st) }
 
-// SaveStateInto implements timewarp.StateReuser: the snapshot is a *state
-// the kernel hands back once no history entry needs it.
-func (c *cell) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*state)
-	if snap == nil {
-		snap = new(state)
-	}
-	*snap = c.st
-	return snap
-}
+// ReleaseState implements timewarp.StateReuser.
+func (c *cell) ReleaseState(v interface{}) { c.snaps.Release(v) }
 
 // RestoreState implements timewarp.Object.
 func (c *cell) RestoreState(v interface{}) { c.st = *v.(*state) }

@@ -107,6 +107,7 @@ type object struct {
 	numLPs int
 	p      Params
 	st     state
+	snaps  timewarp.Snapshots[state]
 }
 
 // Init implements timewarp.Object.
@@ -146,18 +147,10 @@ func (o *object) pick() timewarp.ObjectID {
 }
 
 // SaveState implements timewarp.Object.
-func (o *object) SaveState() interface{} { return o.SaveStateInto(nil) }
+func (o *object) SaveState() interface{} { return o.snaps.Save(&o.st) }
 
-// SaveStateInto implements timewarp.StateReuser: the snapshot is a *state
-// the kernel hands back once no history entry needs it.
-func (o *object) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*state)
-	if snap == nil {
-		snap = new(state)
-	}
-	*snap = o.st
-	return snap
-}
+// ReleaseState implements timewarp.StateReuser.
+func (o *object) ReleaseState(v interface{}) { o.snaps.Release(v) }
 
 // RestoreState implements timewarp.Object.
 func (o *object) RestoreState(s interface{}) { o.st = *s.(*state) }

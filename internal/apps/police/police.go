@@ -188,6 +188,7 @@ type station struct {
 	index int
 	p     Params
 	st    stationState
+	snaps timewarp.Snapshots[stationState]
 }
 
 // Init schedules the first incident.
@@ -233,18 +234,8 @@ func (s *station) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
 	}
 }
 
-func (s *station) SaveState() interface{} { return s.SaveStateInto(nil) }
-
-// SaveStateInto implements timewarp.StateReuser: the snapshot is a
-// *stationState the kernel hands back once no history entry needs it.
-func (s *station) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*stationState)
-	if snap == nil {
-		snap = new(stationState)
-	}
-	*snap = s.st
-	return snap
-}
+func (s *station) SaveState() interface{}     { return s.snaps.Save(&s.st) }
+func (s *station) ReleaseState(v interface{}) { s.snaps.Release(v) }
 func (s *station) RestoreState(v interface{}) { s.st = *v.(*stationState) }
 func (s *station) Digest() uint64 {
 	h := s.st.acc
@@ -284,6 +275,7 @@ type centre struct {
 	index int
 	p     Params
 	st    centreState
+	snaps timewarp.Snapshots[centreState]
 }
 
 func (c *centre) Init(ctx *timewarp.Context) {}
@@ -384,18 +376,8 @@ func (c *centre) precinctStation() timewarp.ObjectID {
 	return c.p.stationID(base + k*c.p.Centres)
 }
 
-func (c *centre) SaveState() interface{} { return c.SaveStateInto(nil) }
-
-// SaveStateInto implements timewarp.StateReuser: the snapshot is a
-// *centreState the kernel hands back once no history entry needs it.
-func (c *centre) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*centreState)
-	if snap == nil {
-		snap = new(centreState)
-	}
-	*snap = c.st
-	return snap
-}
+func (c *centre) SaveState() interface{}     { return c.snaps.Save(&c.st) }
+func (c *centre) ReleaseState(v interface{}) { c.snaps.Release(v) }
 func (c *centre) RestoreState(v interface{}) { c.st = *v.(*centreState) }
 func (c *centre) Digest() uint64 {
 	h := c.st.acc

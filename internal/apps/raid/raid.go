@@ -163,9 +163,10 @@ type sourceState struct {
 }
 
 type source struct {
-	id timewarp.ObjectID
-	p  Params
-	st sourceState
+	id    timewarp.ObjectID
+	p     Params
+	st    sourceState
+	snaps timewarp.Snapshots[sourceState]
 }
 
 // Init fills the outstanding window.
@@ -194,18 +195,8 @@ func (s *source) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
 	}
 }
 
-func (s *source) SaveState() interface{} { return s.SaveStateInto(nil) }
-
-// SaveStateInto implements timewarp.StateReuser: the snapshot is a
-// *sourceState the kernel hands back once no history entry needs it.
-func (s *source) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*sourceState)
-	if snap == nil {
-		snap = new(sourceState)
-	}
-	*snap = s.st
-	return snap
-}
+func (s *source) SaveState() interface{}     { return s.snaps.Save(&s.st) }
+func (s *source) ReleaseState(v interface{}) { s.snaps.Release(v) }
 func (s *source) RestoreState(v interface{}) { s.st = *v.(*sourceState) }
 func (s *source) Digest() uint64 {
 	h := s.st.acc
@@ -223,9 +214,10 @@ type forkState struct {
 }
 
 type fork struct {
-	id timewarp.ObjectID
-	p  Params
-	st forkState
+	id    timewarp.ObjectID
+	p     Params
+	st    forkState
+	snaps timewarp.Snapshots[forkState]
 }
 
 func (f *fork) Init(ctx *timewarp.Context) {}
@@ -243,18 +235,8 @@ func (f *fork) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
 	}
 }
 
-func (f *fork) SaveState() interface{} { return f.SaveStateInto(nil) }
-
-// SaveStateInto implements timewarp.StateReuser: the snapshot is a
-// *forkState the kernel hands back once no history entry needs it.
-func (f *fork) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*forkState)
-	if snap == nil {
-		snap = new(forkState)
-	}
-	*snap = f.st
-	return snap
-}
+func (f *fork) SaveState() interface{}     { return f.snaps.Save(&f.st) }
+func (f *fork) ReleaseState(v interface{}) { f.snaps.Release(v) }
 func (f *fork) RestoreState(v interface{}) { f.st = *v.(*forkState) }
 func (f *fork) Digest() uint64 {
 	h := f.st.routed
@@ -271,9 +253,10 @@ type diskState struct {
 }
 
 type disk struct {
-	id timewarp.ObjectID
-	p  Params
-	st diskState
+	id    timewarp.ObjectID
+	p     Params
+	st    diskState
+	snaps timewarp.Snapshots[diskState]
 }
 
 func (d *disk) Init(ctx *timewarp.Context) {}
@@ -292,18 +275,8 @@ func (d *disk) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
 	ctx.Send(src, service, uint64(uint32(d.id))<<33|uint64(uint32(ev.RecvTS)))
 }
 
-func (d *disk) SaveState() interface{} { return d.SaveStateInto(nil) }
-
-// SaveStateInto implements timewarp.StateReuser: the snapshot is a
-// *diskState the kernel hands back once no history entry needs it.
-func (d *disk) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*diskState)
-	if snap == nil {
-		snap = new(diskState)
-	}
-	*snap = d.st
-	return snap
-}
+func (d *disk) SaveState() interface{}     { return d.snaps.Save(&d.st) }
+func (d *disk) ReleaseState(v interface{}) { d.snaps.Release(v) }
 func (d *disk) RestoreState(v interface{}) { d.st = *v.(*diskState) }
 func (d *disk) Digest() uint64 {
 	h := d.st.acc

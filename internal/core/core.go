@@ -388,7 +388,8 @@ const packetSlab = 32
 // refilling it a slab at a time. The caller must overwrite every field.
 // Control packets never pass through here: a GVT control packet belongs to
 // the manager it was delivered to, which sends it on or keeps it
-// (gvt.MatternManager), and credit messages are built by MPICH.
+// (gvt.MatternManager), and an explicit credit message belongs to MPICH,
+// whose receiving endpoint sends it out again as its own next credit reply.
 func (n *node) allocPacket() *proto.Packet {
 	return dense.Take(&n.pktFree, packetSlab)
 }
@@ -1038,7 +1039,7 @@ func (n *node) drainCreditRefunds() {
 		if k != 0 {
 			w.CreditSalvage[dst] = 0
 			if reply := n.flow.BookOwed(int32(dst), int(k)); reply != nil {
-				n.sendCreditReply(reply) //nicwarp:alloc explicit credit message, one per ReturnThreshold salvaged credits
+				n.sendCreditReply(reply)
 			}
 		}
 	}
@@ -1070,10 +1071,14 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 		}
 		return
 	}
+	// An explicit credit message belongs to MPICH once OnReceive has booked
+	// it (it may leave again as this node's next credit reply), so the
+	// dispatch below reads the kind taken before.
+	kind := pkt.Kind
 	if reply := n.flow.OnReceive(pkt); reply != nil {
 		n.sendCreditReply(reply)
 	}
-	switch pkt.Kind {
+	switch kind {
 	case proto.KindEvent, proto.KindAnti:
 		res := n.deliverEventLike(pkt)
 		// The packet is fully decoded and no layer retained it.
@@ -1092,7 +1097,7 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 		// Delivery acknowledgement for the pGVT manager.
 		n.cpu.DoArg2(hostmodel.CatGVT, n.cpu.Costs.GVTHostCompute, nodeGVTControl, n, pkt)
 	case proto.KindCredit:
-		// Flow control handled above.
+		// Flow control handled above; the packet is MPICH's now.
 	default:
 		panic(fmt.Sprintf("core: node %d received unexpected packet %v", n.id, pkt))
 	}

@@ -74,6 +74,10 @@ type Endpoint struct {
 	credits []int                       // per destination, remaining send credits
 	owed    []int                       // per source, credit to return
 	waiting []dense.FIFO[*proto.Packet] //nicwarp:owns stalled sends; drained to the wire when credit arrives
+	// spare holds the explicit credit messages this endpoint has received
+	// and booked; BookOwed sends the next one back out. Only this node's
+	// engine touches it, whatever the shard count.
+	spare []*proto.Packet //nicwarp:owns received credit packets; each is reused by a later BookOwed
 
 	// Stats.
 	Blocked      stats.Counter // packets that had to wait for credit
@@ -145,7 +149,8 @@ func (e *Endpoint) dispatch(pkt *proto.Packet) {
 
 // OnReceive books an inbound packet's flow-control effects and returns an
 // explicit credit packet to send back, or nil. The caller transmits it
-// through the normal stack.
+// through the normal stack. An explicit credit message is the endpoint's
+// from here on: the caller must not read it after OnReceive returns.
 func (e *Endpoint) OnReceive(pkt *proto.Packet) (creditReply *proto.Packet) {
 	owed := 0
 	if flowControlled(pkt.Kind) && pkt.Seq != 0 {
@@ -174,6 +179,11 @@ func (e *Endpoint) onReceive(pkt *proto.Packet, owed int) *proto.Packet {
 		e.credits[src] += int(pkt.Credits)
 		e.drain(src)
 	}
+	if pkt.Kind == proto.KindCredit {
+		// Booked in full, and never flow-controlled (owed is 0): the packet
+		// becomes the spare of a later BookOwed.
+		e.spare = append(e.spare, pkt)
+	}
 	return e.BookOwed(src, owed)
 }
 
@@ -194,7 +204,8 @@ func (e *Endpoint) drain(dst int32) {
 // or credit returns salvaged from a dropped packet. When the owed total
 // reaches the return threshold it is returned at once in an explicit
 // credit packet for the caller to transmit; otherwise it waits to ride on
-// reverse traffic and BookOwed returns nil.
+// reverse traffic and BookOwed returns nil. The packet is a credit message
+// this endpoint received earlier when it has one.
 func (e *Endpoint) BookOwed(peer int32, n int) (creditReply *proto.Packet) {
 	if n <= 0 {
 		return nil
@@ -207,13 +218,14 @@ func (e *Endpoint) BookOwed(peer int32, n int) (creditReply *proto.Packet) {
 	owed := e.owed[peer]
 	e.owed[peer] = 0
 	e.CreditMsgs.Inc()
-	//nicwarp:alloc explicit credit message, one per ReturnThreshold credits owed
-	return &proto.Packet{
+	p := dense.Take(&e.spare, 1)
+	*p = proto.Packet{
 		Kind:    proto.KindCredit,
 		SrcNode: int32(e.node),
 		DstNode: peer,
 		Credits: int32(owed),
 	}
+	return p
 }
 
 // Refund returns n stranded credits for dst directly to this sender (the

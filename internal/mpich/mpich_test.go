@@ -221,6 +221,61 @@ func TestBookOwedThreshold(t *testing.T) {
 	}
 }
 
+// TestCreditMessageTravelsInOnePacket: an explicit credit message belongs to
+// the endpoint that received it, which sends the same packet out as its own
+// next credit reply. Two endpoints trading events at a return threshold of
+// one therefore bounce one credit packet between them, and a steady-state
+// exchange allocates nothing.
+func TestCreditMessageTravelsInOnePacket(t *testing.T) {
+	cfg := withBuf(Config{Window: 4, ReturnThreshold: 1})
+	e0 := New(0, cfg, func(*proto.Packet) {})
+	e1 := New(1, cfg, func(*proto.Packet) {})
+	grant := e1.OnReceive(ev(0, 1))
+	if grant == nil || grant.Kind != proto.KindCredit {
+		t.Fatalf("credit reply = %+v, want an explicit credit message", grant)
+	}
+	if e0.OnReceive(grant) != nil {
+		t.Fatal("a credit message owes nothing back")
+	}
+	reply := e0.OnReceive(ev(1, 0))
+	if reply != grant {
+		t.Fatalf("the next credit reply is %p, not the credit packet received (%p)", reply, grant)
+	}
+	if reply.SrcNode != 0 || reply.DstNode != 1 || reply.Credits != 1 {
+		t.Fatalf("reused credit reply = %+v, want 1 credit from 0 to 1", reply)
+	}
+
+	// Loopback: each endpoint's wire delivers into its peer, which sends any
+	// credit reply back through its own stack.
+	var a, b *Endpoint
+	a = New(0, cfg, func(p *proto.Packet) {
+		if r := b.OnReceive(p); r != nil {
+			b.Send(r)
+		}
+	})
+	b = New(1, cfg, func(p *proto.Packet) {
+		if r := a.OnReceive(p); r != nil {
+			a.Send(r)
+		}
+	})
+	ab, ba := ev(0, 1), ev(1, 0)
+	exchange := func() {
+		a.Send(ab)
+		b.Send(ba)
+	}
+	exchange()
+	if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
+		t.Fatalf("a steady-state event exchange allocates %.1f times, want 0", allocs)
+	}
+	if a.CreditMsgs.Value() < 100 || b.CreditMsgs.Value() < 100 {
+		t.Fatalf("credit messages sent %d and %d: the exchange did not return credit explicitly",
+			a.CreditMsgs.Value(), b.CreditMsgs.Value())
+	}
+	if a.CreditsAvailable(1) != cfg.Window || b.CreditsAvailable(0) != cfg.Window {
+		t.Fatalf("windows %d and %d after the exchange, want %d", a.CreditsAvailable(1), b.CreditsAvailable(0), cfg.Window)
+	}
+}
+
 func TestDispatchSanitizesForwardedPackets(t *testing.T) {
 	cfg := withBuf(Config{Window: 8, ReturnThreshold: 4})
 	var out []*proto.Packet

@@ -108,12 +108,10 @@ type objRuntime struct {
 	// does and a steady-state send allocates nothing.
 	outs dense.FIFO[*Event] //nicwarp:owns sent positives held for anti-generation; released on commit or once their anti is routed
 
-	// reuser is obj's StateReuser side (nil when obj does not implement it)
-	// and stateFree the snapshots no history entry references any more:
-	// saveState hands one back to the object to overwrite instead of
-	// letting it allocate.
-	reuser    StateReuser
-	stateFree []interface{} //nicwarp:owns snapshots vacated by fossil collection or rollback; each is handed back to SaveStateInto exactly once
+	// reuser is obj's StateReuser side (nil when obj does not implement
+	// it): vacate hands it each snapshot no history entry references any
+	// more.
+	reuser StateReuser
 
 	sendSeq uint64
 
@@ -124,31 +122,14 @@ type objRuntime struct {
 	idx uint32 // index in Kernel.order; the object's id in the scheduler heap
 }
 
-// saveState snapshots the object before an execution, into a recycled
-// snapshot when the object can reuse one.
-//
-//nicwarp:hotpath one state save per executed event
-func (o *objRuntime) saveState() interface{} {
-	if o.reuser == nil {
-		return o.obj.SaveState() //nicwarp:alloc an object without StateReuser builds a fresh snapshot per event
-	}
-	var old interface{}
-	if n := len(o.stateFree); n > 0 {
-		old = o.stateFree[n-1]
-		o.stateFree[n-1] = nil
-		o.stateFree = o.stateFree[:n-1]
-	}
-	return o.reuser.SaveStateInto(old) //nicwarp:alloc the object allocates only when handed no snapshot to overwrite (history at a new high-water depth)
-}
-
 // vacate hands the snapshot of a history entry about to leave the history
-// back for reuse. After a rollback this runs once RestoreState has copied
-// out of the snapshot.
+// back to its object. After a rollback this runs once RestoreState has
+// copied out of the snapshot.
 //
 //nicwarp:hotpath one per fossil-collected or undone history entry
 func (o *objRuntime) vacate(e *histEntry) {
 	if o.reuser != nil {
-		o.stateFree = append(o.stateFree, e.state.app) //nicwarp:alloc free-list growth to the history's high-water depth, amortized
+		o.reuser.ReleaseState(e.state.app) //nicwarp:alloc the object's free list grows to its history's high-water depth, amortized
 	}
 }
 
@@ -421,7 +402,7 @@ func (k *Kernel) ProcessOne() StepResult {
 	k.fixSched(o)
 
 	// State saving (period 1, the WARPED default).
-	o.hist.Push(histEntry{ev: ev, state: snapshot{app: o.saveState(), sendSeq: o.sendSeq}})
+	o.hist.Push(histEntry{ev: ev, state: snapshot{app: o.obj.SaveState(), sendSeq: o.sendSeq}})
 	k.histCount++
 	k.Stats.Processed.Inc()
 	res.Executed = 1

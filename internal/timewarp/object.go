@@ -1,6 +1,9 @@
 package timewarp
 
-import "nicwarp/internal/vtime"
+import (
+	"nicwarp/internal/dense"
+	"nicwarp/internal/vtime"
+)
 
 // Object is a simulation object (the unit the application model is written
 // in; several objects share one LP, as in WARPED).
@@ -34,17 +37,39 @@ type Object interface {
 // state saving allocates nothing. It is an extension rather than a change
 // to Object (like core.Grained for App) so that an Object written against
 // the five-method interface keeps working unchanged; the kernel then simply
-// takes a fresh SaveState per event.
+// drops each snapshot it is done with.
 type StateReuser interface {
-	// SaveStateInto is SaveState with somewhere to put the result: old is
-	// nil or a snapshot this object returned earlier that the kernel has
-	// finished with (fossil-collected, or rolled back and restored from).
-	// The object overwrites old completely and returns it, or allocates
-	// when old is nil; either way the result must share no mutable storage
-	// with the live state, and RestoreState must copy out of it — the
-	// kernel hands a snapshot back for reuse right after restoring from
-	// it. SaveState must equal SaveStateInto(nil).
-	SaveStateInto(old interface{}) interface{}
+	// ReleaseState hands back a snapshot this object's SaveState returned,
+	// exactly once, when no history entry needs it any more: after fossil
+	// collection, or after a rollback whose RestoreState has copied out of
+	// it. The object may return it from a later SaveState, so RestoreState
+	// must copy out rather than keep a reference.
+	ReleaseState(s interface{})
+}
+
+// snapshotSlab is how many snapshots one free-list miss allocates.
+const snapshotSlab = 32
+
+// Snapshots is an object's snapshot free list: the one place its saved
+// states live between uses. An object keeps one in a field, returns
+// Save(&st) from SaveState and forwards ReleaseState to Release; a history
+// growing to a new depth then allocates a slab at a time, and a steady
+// state not at all.
+type Snapshots[T any] struct {
+	free []*T //nicwarp:owns snapshots no history entry references; each is handed out by Save again
+}
+
+// Save returns a copy of *st in a snapshot taken from the free list. T must
+// be a value type (no slices, maps or pointers): the copy is shallow.
+func (s *Snapshots[T]) Save(st *T) interface{} {
+	snap := dense.Take(&s.free, snapshotSlab)
+	*snap = *st
+	return snap
+}
+
+// Release puts back a snapshot Save returned.
+func (s *Snapshots[T]) Release(v interface{}) {
+	s.free = append(s.free, v.(*T)) //nicwarp:alloc free-list growth to the history's high-water depth, amortized
 }
 
 // Context is the capability surface an object sees while executing. It is

@@ -6,24 +6,30 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// reuseObj is testObj with the StateReuser extension: its snapshot is a
-// *testState the kernel hands back, the representation every in-repo model
-// uses.
-type reuseObj struct{ *testObj }
-
-func (o reuseObj) SaveState() interface{} { return o.SaveStateInto(nil) }
-func (o reuseObj) SaveStateInto(old interface{}) interface{} {
-	snap, _ := old.(*testState)
-	if snap == nil {
-		snap = new(testState)
-	}
-	*snap = o.st
-	return snap
+// reuseObj is testObj with the StateReuser extension: it snapshots through
+// a Snapshots free list, the representation every in-repo model uses. It
+// counts the snapshots the kernel hands back and the Saves that found the
+// free list empty (each of those allocates one slab).
+type reuseObj struct {
+	*testObj
+	snaps            Snapshots[testState]
+	released, misses int
 }
-func (o reuseObj) RestoreState(s interface{}) { o.st = *s.(*testState) }
+
+func (o *reuseObj) SaveState() interface{} {
+	if len(o.snaps.free) == 0 {
+		o.misses++
+	}
+	return o.snaps.Save(&o.st)
+}
+func (o *reuseObj) ReleaseState(s interface{}) {
+	o.released++
+	o.snaps.Release(s)
+}
+func (o *reuseObj) RestoreState(s interface{}) { o.st = *s.(*testState) }
 
 // plainObj hides everything but the five Object methods, so the kernel sees
-// the same object without StateReuser and takes a fresh snapshot per event.
+// the same object without StateReuser and hands no snapshot back.
 type plainObj struct{ Object }
 
 // buildReuseObjs is buildObjs over reuseObj, optionally hidden behind
@@ -31,12 +37,24 @@ type plainObj struct{ Object }
 func buildReuseObjs(nObj, budget int, seed uint64, hide bool) map[ObjectID]Object {
 	objs := buildObjs(nObj, budget, seed)
 	for id, o := range objs {
-		objs[id] = reuseObj{o.(*testObj)}
+		objs[id] = &reuseObj{testObj: o.(*testObj)}
 		if hide {
 			objs[id] = plainObj{objs[id]}
 		}
 	}
 	return objs
+}
+
+// handedBack returns how many snapshots the kernel handed back to obj,
+// looking through plainObj.
+func handedBack(obj Object) int {
+	switch o := obj.(type) {
+	case *reuseObj:
+		return o.released
+	case plainObj:
+		return handedBack(o.Object)
+	}
+	return 0
 }
 
 // TestStateReuseIsInvisible is pool_equiv_test.go's sibling for snapshots:
@@ -62,7 +80,8 @@ func TestStateReuseIsInvisible(t *testing.T) {
 				t.Fatalf("%v seed %d: reuse committed %d digest %x trace %x, hidden %d / %x / %x",
 					policy, seed, committed, reuse.digest(), reuse.trace, plainCommitted, plain.digest(), plain.trace)
 			}
-			var rollbacks, reused int64
+			var rollbacks int64
+			reused := 0
 			for i, k := range reuse.kernels {
 				if k.Stats != plain.kernels[i].Stats {
 					t.Fatalf("%v seed %d: kernel %d stats diverge:\nreuse:  %+v\nhidden: %+v",
@@ -70,10 +89,10 @@ func TestStateReuseIsInvisible(t *testing.T) {
 				}
 				rollbacks += k.Stats.Rollbacks.Value()
 				for _, o := range k.order {
-					reused += int64(len(o.stateFree))
+					reused += handedBack(o.obj)
 				}
 				for _, o := range plain.kernels[i].order {
-					if o.reuser != nil || len(o.stateFree) != 0 {
+					if o.reuser != nil || handedBack(o.obj) != 0 {
 						t.Fatalf("%v seed %d: the hidden twin reuses snapshots", policy, seed)
 					}
 				}
@@ -96,7 +115,7 @@ func TestStateReuseIsInvisible(t *testing.T) {
 // all come back from where the previous cycle left them.
 func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 	k := NewKernel(Config{})
-	k.AddObject(0, reuseObj{newTestObj(0, []ObjectID{0}, true, 1<<30, 1)})
+	k.AddObject(0, &reuseObj{testObj: newTestObj(0, []ObjectID{0}, true, 1<<30, 1)})
 	k.Bootstrap()
 	cycle := func() {
 		k.ProcessOne()
@@ -114,42 +133,83 @@ func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestSnapshotsComeInSlabs: a history growing to a new depth pays one
+// allocation per snapshotSlab snapshots, not one per event, and a history
+// that fossil collection has emptied refills from the snapshots it handed
+// back without allocating at all.
+func TestSnapshotsComeInSlabs(t *testing.T) {
+	const events = 1000
+	k := NewKernel(Config{})
+	o := &reuseObj{testObj: newTestObj(0, []ObjectID{0}, true, 1<<30, 1)}
+	k.AddObject(0, o)
+	k.Bootstrap()
+	for i := 0; i < events; i++ {
+		k.ProcessOne()
+	}
+	if k.HistoryEvents() != events {
+		t.Fatalf("history %d after %d events with no fossil collection", k.HistoryEvents(), events)
+	}
+	if limit := (events + snapshotSlab - 1) / snapshotSlab; o.misses > limit {
+		t.Fatalf("%d snapshot slabs allocated for %d events, want at most %d", o.misses, events, limit)
+	}
+	slabs := o.misses
+	k.FossilCollect(k.NextTS())
+	if k.HistoryEvents() != 0 || o.released != events {
+		t.Fatalf("after fossil collection: history %d, %d snapshots handed back, want 0 and %d",
+			k.HistoryEvents(), o.released, events)
+	}
+	for i := 0; i < events; i++ {
+		k.ProcessOne()
+	}
+	if o.misses != slabs {
+		t.Fatalf("%d more snapshot slabs allocated after fossil collection, want none", o.misses-slabs)
+	}
+}
+
+// fanState is fanObj's rolled-back state.
+type fanState struct {
+	budget int
+	count  uint64
+}
+
 // fanObj sends, per event, two messages to a remote object and one to
 // itself, so every history entry owns a three-event output row. Payloads
 // depend only on the event's timestamp: re-execution after a rollback
 // regenerates identical sends, which is what lazy cancellation matches.
 type fanObj struct {
 	remote ObjectID
-	budget int
-	count  uint64
+	st     fanState
+	snaps  Snapshots[fanState]
 }
 
 func (o *fanObj) Init(ctx *Context) { ctx.Send(ctx.Self(), 10, 0) }
 func (o *fanObj) Execute(ctx *Context, ev *Event) {
-	o.count++
-	if ev.Src != ctx.Self() || o.budget == 0 {
+	o.st.count++
+	if ev.Src != ctx.Self() || o.st.budget == 0 {
 		return // the straggler, or the end of the chain
 	}
-	o.budget--
+	o.st.budget--
 	ctx.Send(o.remote, 5, uint64(ev.RecvTS))
 	ctx.Send(o.remote, 7, uint64(ev.RecvTS)+1)
 	ctx.Send(ctx.Self(), 10, 0)
 }
-func (o *fanObj) SaveState() interface{}     { return *o }
-func (o *fanObj) RestoreState(s interface{}) { *o = s.(fanObj) }
-func (o *fanObj) Digest() uint64             { return DigestMix(o.count, uint64(o.budget)) }
+func (o *fanObj) SaveState() interface{}     { return o.snaps.Save(&o.st) }
+func (o *fanObj) ReleaseState(s interface{}) { o.snaps.Release(s) }
+func (o *fanObj) RestoreState(s interface{}) { o.st = *s.(*fanState) }
+func (o *fanObj) Digest() uint64             { return DigestMix(o.st.count, uint64(o.st.budget)) }
 
-// TestOutputRowsReleasedExactlyOnce walks the outs ring through every move
-// it makes, under lazy cancellation: rows appended at the tail, popped from
-// the head by fossil collection (across the ring's compactions — the chain
-// is several times longer than the ring ever is), dropped from the tail by
-// rollbacks into the middle of history, and re-appended by lazy hits. At
-// the end every event the kernel ever took from its pool must be back in
-// it exactly once.
-func TestOutputRowsReleasedExactlyOnce(t *testing.T) {
+// runFanSchedule drives one fanObj through every move its history and outs
+// ring make, under lazy cancellation: entries appended at the tail, popped
+// from the head by fossil collection (across the rings' compactions — the
+// chain is several times longer than the rings ever are), dropped from the
+// tail by rollbacks into the middle of history, and re-appended by lazy
+// hits. It ends with everything fossil-collected.
+func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
+	t.Helper()
 	const self, remote = ObjectID(0), ObjectID(9)
 	k := NewKernel(Config{Cancellation: Lazy})
-	k.AddObject(self, &fanObj{remote: remote, budget: 400})
+	obj := &fanObj{remote: remote, st: fanState{budget: 400}}
+	k.AddObject(self, obj)
 	recycle := func(res StepResult) {
 		for _, ev := range res.Remote {
 			k.Recycle(ev)
@@ -174,7 +234,7 @@ func TestOutputRowsReleasedExactlyOnce(t *testing.T) {
 	recycle(k.FossilCollect(vtime.Infinity))
 
 	if k.Stats.Rollbacks.Value() < 10 || k.Stats.LazyHits.Value() < 100 || k.Stats.FossilEvents.Value() < 400 {
-		t.Fatalf("rollbacks %d, lazy hits %d, fossil-collected %d: the ring was not exercised",
+		t.Fatalf("rollbacks %d, lazy hits %d, fossil-collected %d: the schedule was not exercised",
 			k.Stats.Rollbacks.Value(), k.Stats.LazyHits.Value(), k.Stats.FossilEvents.Value())
 	}
 	if k.Stats.LazyAntis.Value() != 0 {
@@ -184,16 +244,37 @@ func TestOutputRowsReleasedExactlyOnce(t *testing.T) {
 	if !k.Quiescent() || o.hist.Len() != 0 || o.outs.Len() != 0 {
 		t.Fatalf("not drained: quiescent %v, history %d, output rows %d", k.Quiescent(), o.hist.Len(), o.outs.Len())
 	}
-	// Whole slabs, every event distinct: nothing leaked, nothing released
-	// twice.
-	if len(k.pool.free)%eventSlab != 0 {
-		t.Fatalf("pool holds %d events, not a whole number of %d-event slabs: some were never released", len(k.pool.free), eventSlab)
+	return k, obj
+}
+
+// wholeSlabs fails t unless free holds whole slabs of distinct pointers:
+// everything taken was released, and nothing twice.
+func wholeSlabs[T any](t *testing.T, what string, free []*T, slab int) {
+	t.Helper()
+	if len(free)%slab != 0 {
+		t.Fatalf("free list holds %d %s, not a whole number of %d-%s slabs: some were never released", len(free), what, slab, what)
 	}
-	seen := make(map[*Event]bool, len(k.pool.free))
-	for _, ev := range k.pool.free {
-		if seen[ev] {
-			t.Fatalf("event %p is in the pool twice", ev)
+	seen := make(map[*T]bool, len(free))
+	for _, p := range free {
+		if seen[p] {
+			t.Fatalf("%s %p is on the free list twice", what, p)
 		}
-		seen[ev] = true
+		seen[p] = true
 	}
+}
+
+// TestOutputRowsReleasedExactlyOnce: at the end of runFanSchedule every
+// event the kernel ever took from its pool is back in it exactly once.
+func TestOutputRowsReleasedExactlyOnce(t *testing.T) {
+	k, _ := runFanSchedule(t)
+	wholeSlabs(t, "event", k.pool.free, eventSlab)
+}
+
+// TestSnapshotsReleasedExactlyOnce is its sibling for snapshots: rollbacks
+// into the middle of history hand snapshots back from the tail, fossil
+// collection from the head, and at the end every snapshot the object ever
+// took from its free list is back on it exactly once.
+func TestSnapshotsReleasedExactlyOnce(t *testing.T) {
+	_, obj := runFanSchedule(t)
+	wholeSlabs(t, "snapshot", obj.snaps.free, snapshotSlab)
 }

@@ -76,7 +76,7 @@ func TestDeepHistoryAllocationsPerEvent(t *testing.T) {
 	}
 }
 
-// TestEveryModelObjectReusesSnapshots: each simulation object the four
+// TestEveryModelObjectReusesSnapshots: each simulation object the three
 // application models build implements timewarp.StateReuser, and a snapshot
 // handed back to it is the one its next SaveState returns.
 func TestEveryModelObjectReusesSnapshots(t *testing.T) {
@@ -84,7 +84,6 @@ func TestEveryModelObjectReusesSnapshots(t *testing.T) {
 		RAID(RAIDGVTConfig(10)),
 		Police(PoliceConfig(16)),
 		PHOLD(PHOLDParams{Objects: 8, Population: 1, Hops: 4, MeanDelay: 10}),
-		PCS(PCSDefault()),
 	}
 	kinds := map[string]bool{}
 	for _, app := range apps {
@@ -102,7 +101,7 @@ func TestEveryModelObjectReusesSnapshots(t *testing.T) {
 			kinds[fmt.Sprintf("%T", obj)] = true
 		}
 	}
-	if len(kinds) != 7 {
-		t.Fatalf("checked %d object types %v, want the seven the models define", len(kinds), kinds)
+	if len(kinds) != 6 {
+		t.Fatalf("checked %d object types %v, want the six the models define", len(kinds), kinds)
 	}
 }

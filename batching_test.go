@@ -15,11 +15,8 @@ import (
 // simulation computes.
 func TestBatchingObservationallyInvisible(t *testing.T) {
 	if testing.Short() {
-		t.Skip("12-run sweep")
+		t.Skip("9-run sweep")
 	}
-	pcsParams := PCSDefault()
-	pcsParams.Width, pcsParams.Height = 4, 2
-	pcsParams.CallsPerCell = 25
 	apps := []struct {
 		name string
 		app  App
@@ -27,7 +24,6 @@ func TestBatchingObservationallyInvisible(t *testing.T) {
 		{"phold", PHOLD(PHOLDParams{Objects: 16, Population: 1, Hops: 60, MeanDelay: 30, Locality: 0.25})},
 		{"raid", RAID(RAIDGVTConfig(500))},
 		{"police", Police(PoliceConfig(12))},
-		{"pcs", PCS(pcsParams)},
 	}
 	for _, a := range apps {
 		a := a

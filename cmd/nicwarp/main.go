@@ -32,13 +32,12 @@ func appBuilders(requests, stations, objects, hops int) map[string]func() nicwar
 		"phold": func() nicwarp.App {
 			return nicwarp.PHOLD(nicwarp.PHOLDParams{Objects: objects, Population: 1, Hops: hops, MeanDelay: 50, Locality: 0.2})
 		},
-		"pcs": func() nicwarp.App { return nicwarp.PCS(nicwarp.PCSDefault()) },
 	}
 }
 
 func main() {
 	var (
-		app      = flag.String("app", "phold", "application: raid, police, phold, pcs")
+		app      = flag.String("app", "phold", "application: raid, police, phold")
 		nodes    = flag.Int("nodes", 8, "cluster size (LPs)")
 		seed     = flag.Uint64("seed", 1, "experiment seed")
 		gvtMode  = cliopt.GVT(flag.CommandLine, core.GVTHostMattern)

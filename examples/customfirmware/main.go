@@ -36,8 +36,6 @@ func newCensus() *censusFirmware {
 	}
 }
 
-func (f *censusFirmware) Name() string { return "census" }
-
 func (f *censusFirmware) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict {
 	api.Charge(firmware.CyclesHeaderCheck)
 	f.sent[pkt.Kind]++
@@ -93,7 +91,6 @@ func main() {
 	}
 	eng.Run(vtime.ModelInfinity)
 
-	fmt.Println("custom firmware:", fws[0].Name())
 	fmt.Printf("node 0 sent by kind:       %v\n", fws[0].sent)
 	fmt.Printf("node 0 filtered on NIC:    %d packets (odd payloads)\n", fws[0].filtered)
 	fmt.Printf("node 1 received by kind:   %v\n", fws[1].received)

@@ -34,11 +34,6 @@ type Params struct {
 	Locality float64
 }
 
-// DefaultParams returns a small but busy configuration.
-func DefaultParams() Params {
-	return Params{Objects: 32, Population: 1, Hops: 200, MeanDelay: 50, Locality: 0.2}
-}
-
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	if p.Objects < 1 {

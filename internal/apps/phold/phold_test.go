@@ -6,9 +6,12 @@ import (
 	"nicwarp/internal/timewarp"
 )
 
+// busyParams is a small but busy configuration.
+var busyParams = Params{Objects: 32, Population: 1, Hops: 200, MeanDelay: 50, Locality: 0.2}
+
 func TestParamsValidate(t *testing.T) {
-	if DefaultParams().Validate() != nil {
-		t.Fatal("default params must validate")
+	if busyParams.Validate() != nil {
+		t.Fatal("busy params must validate")
 	}
 	bad := []Params{
 		{Objects: 0, MeanDelay: 1},
@@ -58,7 +61,7 @@ func TestLocalityPlacement(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() timewarp.SequentialResult {
-		objs, _ := New(DefaultParams()).Build(4, 3)
+		objs, _ := New(busyParams).Build(4, 3)
 		return timewarp.Sequential(objs, 1_000_000)
 	}
 	a, b := run(), run()

@@ -152,14 +152,6 @@ func (e *Endpoint) Stamp(pkt *proto.Packet) {
 	pkt.Seq = e.nextSeq[pkt.DstNode]
 }
 
-// Accept verifies the packet's sequence number and returns the number of
-// sequence numbers newly detected missing. Kept for strict-mode callers
-// and tests; AcceptV is the full interface.
-func (e *Endpoint) Accept(pkt *proto.Packet) (missing int) {
-	_, missing = e.AcceptV(pkt)
-	return missing
-}
-
 // AcceptV verifies the packet's sequence number against the per-source
 // expectation. It returns the packet's verdict and, for a fresh packet
 // that opened a gap, how many sequence numbers were skipped.
@@ -211,17 +203,6 @@ func (e *Endpoint) AcceptSeqV(src int32, seq uint64) (Verdict, int) {
 
 // MissingFrom returns the number of still-open sequence holes from src.
 func (e *Endpoint) MissingFrom(src int32) int { return dense.At(e.missing, src).count }
-
-// OutstandingMissing returns the total number of still-open sequence
-// holes across all sources. In strict mode holes are never filled, so
-// this equals the cumulative MissingSeqs count.
-func (e *Endpoint) OutstandingMissing() int {
-	total := 0
-	for i := range e.missing {
-		total += e.missing[i].count
-	}
-	return total
-}
 
 // StampedTo returns the highest sequence number stamped toward dst.
 func (e *Endpoint) StampedTo(dst int32) uint64 { return dense.At(e.nextSeq, dst) }

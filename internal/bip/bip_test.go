@@ -41,7 +41,7 @@ func TestStampWrongNodePanics(t *testing.T) {
 func TestAcceptInOrder(t *testing.T) {
 	e := New(1)
 	for seq := uint64(1); seq <= 5; seq++ {
-		if missing := e.Accept(pkt(0, 1, seq)); missing != 0 {
+		if _, missing := e.AcceptV(pkt(0, 1, seq)); missing != 0 {
 			t.Fatalf("seq %d: missing = %d", seq, missing)
 		}
 	}
@@ -52,9 +52,9 @@ func TestAcceptInOrder(t *testing.T) {
 
 func TestAcceptDetectsGap(t *testing.T) {
 	e := New(1)
-	e.Accept(pkt(0, 1, 1))
+	e.AcceptV(pkt(0, 1, 1))
 	// Seqs 2,3,4 were dropped by the NIC.
-	missing := e.Accept(pkt(0, 1, 5))
+	_, missing := e.AcceptV(pkt(0, 1, 5))
 	if missing != 3 {
 		t.Fatalf("missing = %d, want 3", missing)
 	}
@@ -62,39 +62,41 @@ func TestAcceptDetectsGap(t *testing.T) {
 		t.Fatalf("gaps=%d missing=%d", e.GapsDetected.Value(), e.MissingSeqs.Value())
 	}
 	// Stream continues normally afterwards.
-	if e.Accept(pkt(0, 1, 6)) != 0 {
+	if _, missing := e.AcceptV(pkt(0, 1, 6)); missing != 0 {
 		t.Fatal("stream did not resume")
 	}
 }
 
 func TestAcceptPerSourceStreams(t *testing.T) {
 	e := New(2)
-	if e.Accept(pkt(0, 2, 1)) != 0 || e.Accept(pkt(1, 2, 1)) != 0 {
-		t.Fatal("independent source streams")
+	for src := int32(0); src < 2; src++ {
+		if _, missing := e.AcceptV(pkt(src, 2, 1)); missing != 0 {
+			t.Fatal("independent source streams")
+		}
 	}
 }
 
 func TestAcceptSeqZeroSkipsChecking(t *testing.T) {
 	e := New(1)
-	e.Accept(pkt(0, 1, 1))
+	e.AcceptV(pkt(0, 1, 1))
 	tok := &proto.Packet{Kind: proto.KindGVTToken, SrcNode: 0, DstNode: 1, Seq: 0}
-	if e.Accept(tok) != 0 {
+	if v, missing := e.AcceptV(tok); v != VerdictFresh || missing != 0 {
 		t.Fatal("NIC-originated packet must bypass sequencing")
 	}
-	if e.Accept(pkt(0, 1, 2)) != 0 {
+	if _, missing := e.AcceptV(pkt(0, 1, 2)); missing != 0 {
 		t.Fatal("stream disturbed by seq-0 packet")
 	}
 }
 
 func TestAcceptDuplicatePanics(t *testing.T) {
 	e := New(1)
-	e.Accept(pkt(0, 1, 1))
+	e.AcceptV(pkt(0, 1, 1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.Accept(pkt(0, 1, 1))
+	e.AcceptV(pkt(0, 1, 1))
 }
 
 // TestTolerantClassification drives one tolerant-mode endpoint through
@@ -184,9 +186,6 @@ func TestTolerantClassification(t *testing.T) {
 			if got := e.MissingFrom(0); got != tc.wantOutstanding {
 				t.Errorf("MissingFrom(0) = %d, want %d", got, tc.wantOutstanding)
 			}
-			if got := e.OutstandingMissing(); got != tc.wantOutstanding {
-				t.Errorf("OutstandingMissing() = %d, want %d", got, tc.wantOutstanding)
-			}
 			if got := e.LateFilled.Value(); got != tc.wantLateFilled {
 				t.Errorf("LateFilled = %d, want %d", got, tc.wantLateFilled)
 			}
@@ -206,9 +205,6 @@ func TestTolerantHolesArePerSource(t *testing.T) {
 	e.AcceptV(pkt(1, 2, 3)) // src 1: holes at 1,2
 	if e.MissingFrom(0) != 1 || e.MissingFrom(1) != 2 {
 		t.Fatalf("per-source holes = %d,%d, want 1,2", e.MissingFrom(0), e.MissingFrom(1))
-	}
-	if e.OutstandingMissing() != 3 {
-		t.Fatalf("OutstandingMissing = %d, want 3", e.OutstandingMissing())
 	}
 	// src 1's seq-1 fill must not touch src 0's hole at the same number.
 	if v, _ := e.AcceptV(pkt(1, 2, 1)); v != VerdictLate {
@@ -332,15 +328,10 @@ func FuzzAcceptSeqV(f *testing.F) {
 				t.Fatalf("step %d (src %d seq %d): got (%v, %d), model (%v, %d)",
 					step, src, seq, gotV, gotMissing, wantV, wantMissing)
 			}
-			total := 0
 			for s := int32(0); s < sources; s++ {
 				if got, want := e.MissingFrom(s), len(model.missing[s]); got != want {
 					t.Fatalf("step %d (src %d seq %d): MissingFrom(%d) = %d, model %d", step, src, seq, s, got, want)
 				}
-				total += len(model.missing[s])
-			}
-			if got := e.OutstandingMissing(); got != total {
-				t.Fatalf("step %d: OutstandingMissing = %d, model %d", step, got, total)
 			}
 			for s := range e.missing {
 				h, covered, prev := &e.missing[s], 0, uint64(0)

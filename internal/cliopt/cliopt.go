@@ -84,13 +84,13 @@ func GVT(fs *flag.FlagSet, def core.GVTMode) *core.GVTMode {
 // the core.ParseTopology field error listing the accepted names.
 func Topology(fs *flag.FlagSet) *simnet.Topology {
 	v := topoValue(simnet.TopoCrossbar)
-	fs.Var(&v, "topo", "interconnect topology: crossbar, fattree, dragonfly")
+	fs.Var(&v, "topo", "interconnect topology: crossbar, fattree")
 	return (*simnet.Topology)(&v)
 }
 
 // Radix registers the -radix flag on fs and returns the destination. Zero
-// (the default) means the topology's default switch radix; it only matters
-// for the multi-stage topologies.
+// (the default) means the default switch radix; it only matters for the
+// fat-tree.
 func Radix(fs *flag.FlagSet) *int {
-	return fs.Int("radix", 0, "switch radix for multi-stage topologies (0 = default)")
+	return fs.Int("radix", 0, "fat-tree switch radix (0 = default)")
 }

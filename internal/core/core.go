@@ -228,6 +228,15 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "NIC.FlushHorizon", Value: int(c.NIC.FlushHorizon),
 			Reason: "flush horizon requires batching (NIC.BatchMax >= 2)"}
 	}
+	// A topology is valid when its name parses back; an out-of-range value
+	// prints as "Topology(n)", which does not.
+	if _, err := ParseTopology(c.Net.Topology.String()); err != nil {
+		return err
+	}
+	if c.Net.Radix < 0 {
+		return &FieldError{Field: "Net.Radix", Value: c.Net.Radix,
+			Reason: "switch radix must be >= 0 (0 means simnet.DefaultRadix)"}
+	}
 	return c.Flow.Validate()
 }
 
@@ -405,12 +414,6 @@ func (n *node) releasePacket(p *proto.Packet) {
 	n.pktFree = append(n.pktFree, p)
 }
 
-// NewCluster assembles (but does not run) a serial experiment. Use
-// NewClusterExec to shard the run across engines.
-func NewCluster(cfg Config) (*Cluster, error) {
-	return NewClusterExec(cfg, Exec{})
-}
-
 // NewClusterExec assembles (but does not run) an experiment under the given
 // execution strategy. The strategy never changes what the run computes:
 // committed results and digests are byte-identical at every shard count.
@@ -494,11 +497,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		case GVTHostMattern:
 			n.mgr = gvt.NewMattern(cfg.GVTPeriod)
 		case GVTNIC, GVTNICTree:
-			newMgr := gvt.NewNICGVT
-			if cfg.GVT == GVTNICTree {
-				newMgr = gvt.NewNICTreeGVT
-			}
-			m := newMgr(cfg.GVTPeriod)
+			m := gvt.NewNICGVT(cfg.GVTPeriod)
 			if cfg.GVTFallbackDelay > 0 {
 				m.FallbackDelay = cfg.GVTFallbackDelay
 			}

@@ -35,7 +35,7 @@ func baseConfig() Config {
 
 func mustRun(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	cl, err := NewCluster(cfg)
+	cl, err := NewClusterExec(cfg, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPGVTRejectsEarlyCancel(t *testing.T) {
 	cfg := baseConfig()
 	cfg.GVT = GVTPGVT
 	cfg.EarlyCancel = true
-	if _, err := NewCluster(cfg); err == nil {
+	if _, err := NewClusterExec(cfg, Exec{}); err == nil {
 		t.Fatal("expected config rejection")
 	}
 }
@@ -255,7 +255,7 @@ func TestEarlyCancelRequiresAggressive(t *testing.T) {
 	cfg := baseConfig()
 	cfg.EarlyCancel = true
 	cfg.Cancellation = timewarp.Lazy
-	if _, err := NewCluster(cfg); err == nil {
+	if _, err := NewClusterExec(cfg, Exec{}); err == nil {
 		t.Fatal("expected config rejection")
 	}
 }
@@ -267,7 +267,7 @@ func TestConfigValidation(t *testing.T) {
 		{App: pholdApp(4, 4), Nodes: -1}, // negative nodes
 	}
 	for i, cfg := range bad {
-		if _, err := NewCluster(cfg); err == nil {
+		if _, err := NewClusterExec(cfg, Exec{}); err == nil {
 			t.Fatalf("config %d accepted", i)
 		}
 	}
@@ -354,7 +354,7 @@ func TestGrainedAppOverridesEventGrain(t *testing.T) {
 	fine := mustRun(t, Config{App: app(), Nodes: 4, Seed: 1, GVTPeriod: 100})
 	coarseCosts := hostmodel.DefaultCostTable()
 	coarseCosts.EventGrain = 200 * vtime.Microsecond
-	coarse, err := NewCluster(Config{App: app(), Nodes: 4, Seed: 1, GVTPeriod: 100, Costs: coarseCosts})
+	coarse, err := NewClusterExec(Config{App: app(), Nodes: 4, Seed: 1, GVTPeriod: 100, Costs: coarseCosts}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Digest returns the content address of a configuration: the hex SHA-256 of
@@ -92,7 +93,7 @@ func writeCanonical(w io.Writer, name string, v reflect.Value) {
 		entries := make([]string, 0, v.Len())
 		iter := v.MapRange()
 		for iter.Next() {
-			var kb, vb canonicalBuf
+			var kb, vb strings.Builder
 			writeCanonical(&kb, "k", iter.Key())
 			writeCanonical(&vb, "v", iter.Value())
 			entries = append(entries, kb.String()+vb.String())
@@ -108,10 +109,3 @@ func writeCanonical(w io.Writer, name string, v reflect.Value) {
 		fmt.Fprintf(w, "%s:%s=opaque;", name, v.Type())
 	}
 }
-
-// canonicalBuf is a minimal strings.Builder stand-in that implements
-// io.Writer without the copy checks (values never escape writeCanonical).
-type canonicalBuf struct{ b []byte }
-
-func (c *canonicalBuf) Write(p []byte) (int, error) { c.b = append(c.b, p...); return len(p), nil }
-func (c *canonicalBuf) String() string              { return string(c.b) }

@@ -158,6 +158,9 @@ func TestValidateFieldErrors(t *testing.T) {
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, EarlyCancel: true, Cancellation: timewarp.Lazy}, "EarlyCancel"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, EarlyCancel: true, GVT: GVTPGVT}, "EarlyCancel"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.Config{BatchMax: proto.MaxBatchSubs + 1}}, "NIC.BatchMax"},
+		// 2 was the retired dragonfly: out of range, not a crossbar.
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, Net: simnet.Config{Topology: 2}}, "Net.Topology"},
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, Net: simnet.Config{Radix: -1}}, "Net.Radix"},
 	}
 	for _, c := range cases {
 		cfg := c.cfg
@@ -197,5 +200,29 @@ func TestParseGVTMode(t *testing.T) {
 		if err != nil || got != m {
 			t.Errorf("ParseGVTMode(%v.String()) = %v, %v", m, got, err)
 		}
+	}
+}
+
+// TestParseTopology asserts the accepted spellings resolve, every name
+// round-trips through String, and an unknown name (the retired dragonfly
+// included) produces a Net.Topology FieldError.
+func TestParseTopology(t *testing.T) {
+	for name, want := range map[string]simnet.Topology{
+		"": simnet.TopoCrossbar, "crossbar": simnet.TopoCrossbar,
+		"fattree": simnet.TopoFatTree, "fat-tree": simnet.TopoFatTree,
+	} {
+		if got, err := ParseTopology(name); err != nil || got != want {
+			t.Errorf("ParseTopology(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for i, name := range simnet.TopologyNames() {
+		if got, err := ParseTopology(name); err != nil || int(got) != i || got.String() != name {
+			t.Errorf("ParseTopology(%q) = %v, %v; want topology %d", name, got, err, i)
+		}
+	}
+	_, err := ParseTopology("dragonfly")
+	var fe *FieldError
+	if !errors.As(err, &fe) || fe.Field != "Net.Topology" {
+		t.Fatalf("want Net.Topology FieldError for dragonfly, got %v", err)
 	}
 }

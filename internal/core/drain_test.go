@@ -32,7 +32,7 @@ func TestDrainCreditRefundsAscendingDestination(t *testing.T) {
 			cfg.Nodes = 8
 			cfg.GVT = GVTNIC
 			cfg.EarlyCancel = true
-			cl, err := NewCluster(cfg)
+			cl, err := NewClusterExec(cfg, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func TestFaultFreeInvariantsHold(t *testing.T) {
 	if rep == nil || !rep.Checked {
 		t.Fatal("no invariant report attached")
 	}
-	if rep.Failed() {
+	if rep.ViolationsTotal > 0 {
 		t.Fatalf("fault-free run violated invariants: %+v", rep.Violations)
 	}
 	if rep.Sent == 0 || rep.Delivered == 0 || rep.GVTCommits == 0 {
@@ -58,7 +58,7 @@ func TestFaultScenariosPreserveResults(t *testing.T) {
 	for _, scenario := range fault.Scenarios() {
 		t.Run(scenario, func(t *testing.T) {
 			res := mustRun(t, faultConfig(scenario, 99))
-			if res.Invariants.Failed() {
+			if res.Invariants.ViolationsTotal > 0 {
 				t.Fatalf("invariants violated: %+v", res.Invariants.Violations)
 			}
 			if res.FaultsInjected == 0 {
@@ -115,7 +115,7 @@ func TestSkewGVTCaughtByOracle(t *testing.T) {
 			t.Fatalf("shards=%d: skewgvt must not break the run itself: %v", shards, err)
 		}
 		rep := res.Invariants
-		if !rep.Failed() {
+		if rep.ViolationsTotal == 0 {
 			t.Fatalf("shards=%d: skewed GVT reports were not flagged", shards)
 		}
 		found := false
@@ -144,7 +144,7 @@ func TestRingStressBackpressures(t *testing.T) {
 	if res.FaultsInjected == 0 {
 		t.Fatal("ringstress never held a slot or stalled a pump")
 	}
-	if res.Invariants.Failed() {
+	if res.Invariants.ViolationsTotal > 0 {
 		t.Fatalf("ringstress violated invariants: %+v", res.Invariants.Violations)
 	}
 }

@@ -62,20 +62,21 @@ func ParseGVTMode(s string) (GVTMode, error) {
 	}
 }
 
-// ParseTopology resolves a CLI topology spelling ("crossbar", "fattree",
-// "dragonfly" and their aliases) to a simnet topology. Unknown names return
-// a *FieldError listing the accepted values, the same contract
-// ParseGVTMode has.
+// ParseTopology resolves a CLI topology spelling ("crossbar", "fattree" or
+// "fat-tree") to a simnet topology. Unknown names return a *FieldError
+// listing the accepted values, the same contract ParseGVTMode has.
 func ParseTopology(s string) (simnet.Topology, error) {
-	t, err := simnet.ParseTopology(strings.ToLower(strings.TrimSpace(s)))
-	if err != nil {
-		return t, &FieldError{
-			Field:  "Net.Topology",
-			Value:  s,
-			Reason: "unknown topology (want " + strings.Join(simnet.TopologyNames(), ", ") + ")",
-		}
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "crossbar", "":
+		return simnet.TopoCrossbar, nil
+	case "fattree", "fat-tree":
+		return simnet.TopoFatTree, nil
 	}
-	return t, nil
+	return simnet.TopoCrossbar, &FieldError{
+		Field:  "Net.Topology",
+		Value:  s,
+		Reason: "unknown topology (want " + strings.Join(simnet.TopologyNames(), ", ") + ")",
+	}
 }
 
 // ParseShards resolves a CLI shard-count spelling to an Exec shard count.

@@ -124,14 +124,6 @@ func (e *Engine) Now() vtime.ModelTime { return e.now }
 // and runaway-detection in tests.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of scheduled, uncancelled callbacks, not
-// counting one that is currently executing. It counts armed events, not
-// queued work: a busy Resource keeps exactly one event on the list however
-// many jobs wait behind its head-of-line one (Resource.InFlight counts
-// those), so Pending is a quiescence test — zero or not — rather than a
-// backlog measure.
-func (e *Engine) Pending() int { return e.heap.Len() }
-
 // minAt returns the earliest scheduled time. The event list must be nonempty
 // and its root not vacant.
 func (e *Engine) minAt() vtime.ModelTime { return vtime.ModelTime(e.heap.MinKey().Hi) }
@@ -231,6 +223,9 @@ func (e *Engine) At(t vtime.ModelTime, fn func()) TimerRef {
 	}
 	return e.AtArgRef(t, runClosure, fn)
 }
+
+// runClosure adapts a plain closure to the (fnArg, arg) callback form.
+func runClosure(fn interface{}) { fn.(func())() }
 
 // ScheduleArg runs fn(arg) after delay d. Unlike Schedule it captures no
 // closure and returns no handle, so steady-state callers allocate nothing:

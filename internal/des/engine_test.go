@@ -62,8 +62,8 @@ func TestRunLimit(t *testing.T) {
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2 (event at limit must run)", ran)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if e.heap.Len() != 1 {
+		t.Fatalf("pending = %d, want 1", e.heap.Len())
 	}
 	e.Run(vtime.ModelInfinity)
 	if ran != 3 {
@@ -123,7 +123,7 @@ func TestTimerCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled callback ran")
 	}
-	if e.Pending() != 0 {
+	if e.heap.Len() != 0 {
 		t.Fatal("cancelled event left in heap")
 	}
 }

@@ -101,8 +101,8 @@ func (m *heapModel) cancelRandom() {
 
 func (m *heapModel) agree(when string) {
 	m.t.Helper()
-	if m.e.Pending() != len(m.live) {
-		m.t.Fatalf("%s: Pending() = %d, reference holds %d", when, m.e.Pending(), len(m.live))
+	if m.e.heap.Len() != len(m.live) {
+		m.t.Fatalf("%s: %d events pending, reference holds %d", when, m.e.heap.Len(), len(m.live))
 	}
 	checkHeap(m.t, m.e)
 }
@@ -192,8 +192,8 @@ func TestVacatedRootSingleElement(t *testing.T) {
 	e := NewEngine()
 	// No insert: the hole closes over an empty heap.
 	e.At(1, func() {
-		if e.Pending() != 0 {
-			t.Errorf("pending inside the only event = %d", e.Pending())
+		if e.heap.Len() != 0 {
+			t.Errorf("pending inside the only event = %d", e.heap.Len())
 		}
 	})
 	e.Run(vtime.ModelInfinity)
@@ -202,14 +202,14 @@ func TestVacatedRootSingleElement(t *testing.T) {
 	ran := false
 	e.At(2, func() {
 		e.At(3, func() { ran = true })
-		if e.Pending() != 1 {
-			t.Errorf("pending after refill = %d", e.Pending())
+		if e.heap.Len() != 1 {
+			t.Errorf("pending after refill = %d", e.heap.Len())
 		}
 	})
 	e.Run(vtime.ModelInfinity)
 	checkHeap(t, e)
-	if !ran || e.Now() != 3 || e.Pending() != 0 {
-		t.Fatalf("ran=%v now=%v pending=%d", ran, e.Now(), e.Pending())
+	if !ran || e.Now() != 3 || e.heap.Len() != 0 {
+		t.Fatalf("ran=%v now=%v pending=%d", ran, e.Now(), e.heap.Len())
 	}
 	// Cancel of the only other event while the root is vacant, then panic.
 	victim := e.At(9, func() { t.Error("cancelled event fired") })
@@ -228,8 +228,8 @@ func TestVacatedRootSingleElement(t *testing.T) {
 		e.Run(vtime.ModelInfinity)
 	}()
 	checkHeap(t, e)
-	if e.Pending() != 0 {
-		t.Fatalf("pending after panic = %d", e.Pending())
+	if e.heap.Len() != 0 {
+		t.Fatalf("pending after panic = %d", e.heap.Len())
 	}
 	// The engine is still usable.
 	e.At(6, func() { ran = false })

@@ -97,9 +97,12 @@ func (g *Group) Now() vtime.ModelTime {
 	return m
 }
 
-// Pending returns the total number of scheduled callbacks across members,
-// including staged cross-shard events not yet merged. Like Engine.Pending
-// it counts armed events — one per busy Resource — not queued jobs.
+// Pending returns the total number of scheduled, uncancelled callbacks
+// across members, not counting one that is currently executing, including
+// staged cross-shard events not yet merged. It counts armed events, not
+// queued work: a busy Resource keeps exactly one event on the list however
+// many jobs wait behind its head-of-line one, so Pending is a quiescence
+// test — zero or not — rather than a backlog measure.
 func (g *Group) Pending() int {
 	n := 0
 	for _, e := range g.engines {
@@ -107,15 +110,6 @@ func (g *Group) Pending() int {
 		for _, s := range e.staged {
 			n += len(s)
 		}
-	}
-	return n
-}
-
-// Processed returns the total number of callbacks executed across members.
-func (g *Group) Processed() uint64 {
-	var n uint64
-	for _, e := range g.engines {
-		n += e.processed
 	}
 	return n
 }

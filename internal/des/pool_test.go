@@ -95,19 +95,19 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestResourceFIFOWithMixedSubmits checks completion order across Submit and
-// SubmitArg interleavings, including zero-cost jobs at the same instant.
+// TestResourceFIFOWithMixedSubmits checks completion order across SubmitArg
+// and SubmitArg2 interleavings, including zero-cost jobs at the same instant.
 func TestResourceFIFOWithMixedSubmits(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "mix")
 	var order []int
-	add := func(i int) func() { return func() { order = append(order, i) } }
 	addArg := func(x interface{}) { order = append(order, x.(int)) }
-	r.Submit(5, add(0))
+	addArg2 := func(_, x interface{}) { order = append(order, x.(int)) }
+	r.SubmitArg2(5, addArg2, nil, 0)
 	r.SubmitArg(0, addArg, 1)
-	r.Submit(0, add(2))
+	r.SubmitArg2(0, addArg2, nil, 2)
 	r.SubmitArg(3, addArg, 3)
-	r.Submit(2, nil) // nil done must not disturb the ring
+	r.SubmitArg(2, nil, nil) // nil done must not disturb the ring
 	r.SubmitArg(1, addArg, 4)
 	e.Run(100)
 	want := []int{0, 1, 2, 3, 4}

@@ -65,32 +65,13 @@ func NewResource(eng *Engine, name string) *Resource {
 	return &Resource{eng: eng, name: name}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Idle reports whether the resource has no queued or executing work.
 func (r *Resource) Idle() bool { return r.done.Len() == 0 }
 
-// InFlight returns the number of submitted-but-incomplete jobs.
-func (r *Resource) InFlight() int { return r.done.Len() }
-
-// Submit enqueues a job with the given service cost. done (which may be nil)
-// runs at the job's completion time. Jobs complete in submission order.
-// Returns the completion time.
-func (r *Resource) Submit(cost vtime.ModelTime, done func()) vtime.ModelTime {
-	d := r.submit(cost)
-	if done != nil {
-		d.fnArg, d.arg = runClosure, done
-	}
-	return r.busyUntil
-}
-
-// runClosure adapts a plain closure to the (fnArg, arg) callback form.
-func runClosure(fn interface{}) { fn.(func())() }
-
-// SubmitArg is the closure-free Submit: at completion fn(arg) runs. fn
-// should be a top-level function and arg a threaded receiver, so hot callers
-// allocate nothing per job.
+// SubmitArg enqueues a job with the given service cost; at its completion
+// fn(arg) runs, unless fn is nil. Jobs complete in submission order.
+// Returns the completion time. fn should be a top-level function and arg a
+// threaded receiver, so hot callers allocate nothing per job.
 func (r *Resource) SubmitArg(cost vtime.ModelTime, fn func(interface{}), arg interface{}) vtime.ModelTime {
 	d := r.submit(cost)
 	d.fnArg, d.arg = fn, arg

@@ -10,13 +10,16 @@ import (
 	"nicwarp/internal/vtime"
 )
 
+// InFlight returns the number of submitted-but-incomplete jobs.
+func (r *Resource) InFlight() int { return r.done.Len() }
+
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu")
 	var done []vtime.ModelTime
-	r.Submit(10, func() { done = append(done, e.Now()) })
-	r.Submit(10, func() { done = append(done, e.Now()) })
-	r.Submit(5, func() { done = append(done, e.Now()) })
+	r.SubmitArg(10, runClosure, func() { done = append(done, e.Now()) })
+	r.SubmitArg(10, runClosure, func() { done = append(done, e.Now()) })
+	r.SubmitArg(5, runClosure, func() { done = append(done, e.Now()) })
 	e.Run(vtime.ModelInfinity)
 	want := []vtime.ModelTime{10, 20, 25}
 	if len(done) != 3 {
@@ -33,10 +36,10 @@ func TestResourceQueueingAfterIdle(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
 	var second vtime.ModelTime
-	r.Submit(10, nil)
+	r.SubmitArg(10, nil, nil)
 	// Submit more work at t=50, after the resource went idle at t=10.
 	e.Schedule(50, func() {
-		r.Submit(10, func() { second = e.Now() })
+		r.SubmitArg(10, runClosure, func() { second = e.Now() })
 	})
 	e.Run(vtime.ModelInfinity)
 	if second != 60 {
@@ -48,7 +51,7 @@ func TestResourceZeroCost(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "wire")
 	ran := false
-	r.Submit(0, func() { ran = true })
+	r.SubmitArg(0, runClosure, func() { ran = true })
 	e.Run(vtime.ModelInfinity)
 	if !ran || e.Now() != 0 {
 		t.Fatalf("zero-cost job: ran=%v now=%v", ran, e.Now())
@@ -62,14 +65,14 @@ func TestResourceNegativeCostPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	NewResource(e, "x").Submit(-1, nil)
+	NewResource(e, "x").SubmitArg(-1, nil, nil)
 }
 
 func TestResourceMetrics(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu")
-	r.Submit(30, nil)
-	r.Submit(30, nil)
+	r.SubmitArg(30, nil, nil)
+	r.SubmitArg(30, nil, nil)
 	e.Run(vtime.ModelInfinity)
 	if r.Jobs.Value() != 2 {
 		t.Fatalf("jobs = %d", r.Jobs.Value())
@@ -92,7 +95,7 @@ func TestResourceQueueGauge(t *testing.T) {
 	r := NewResource(e, "cpu")
 	var seen []int
 	for i := 0; i < 5; i++ {
-		r.Submit(10, func() { seen = append(seen, r.InFlight()) })
+		r.SubmitArg(10, runClosure, func() { seen = append(seen, r.InFlight()) })
 	}
 	if r.InFlight() != 5 {
 		t.Fatalf("in flight = %d", r.InFlight())
@@ -114,7 +117,7 @@ func TestResourceConservation(t *testing.T) {
 		for _, c := range costs {
 			d := vtime.ModelTime(c)
 			sum += d
-			last = r.Submit(d, nil)
+			last = r.SubmitArg(d, nil, nil)
 		}
 		e.Run(vtime.ModelInfinity)
 		return r.Busy.Total() == sum && last == sum && r.Jobs.Value() == int64(len(costs))
@@ -130,8 +133,8 @@ func TestResourceCompletionOrderFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "nic")
 	var order []string
-	r.Submit(100, func() { order = append(order, "big") })
-	r.Submit(1, func() { order = append(order, "small") })
+	r.SubmitArg(100, runClosure, func() { order = append(order, "big") })
+	r.SubmitArg(1, runClosure, func() { order = append(order, "small") })
 	e.Run(vtime.ModelInfinity)
 	if order[0] != "big" || order[1] != "small" {
 		t.Fatalf("order = %v", order)
@@ -167,7 +170,6 @@ type perJobResource struct {
 }
 
 type perJobDone struct {
-	fn    func()
 	fnArg func(interface{})
 	fn2   func(interface{}, interface{})
 	arg   interface{}
@@ -175,10 +177,6 @@ type perJobDone struct {
 }
 
 func (r *perJobResource) InFlight() int { return r.inFlight }
-
-func (r *perJobResource) Submit(cost vtime.ModelTime, done func()) vtime.ModelTime {
-	return r.submit(cost, perJobDone{fn: done})
-}
 
 func (r *perJobResource) SubmitArg(cost vtime.ModelTime, fn func(interface{}), arg interface{}) vtime.ModelTime {
 	return r.submit(cost, perJobDone{fnArg: fn, arg: arg})
@@ -211,8 +209,6 @@ func perJobComplete(x interface{}) {
 		d.fn2(d.arg, d.argB)
 	case d.fnArg != nil:
 		d.fnArg(d.arg)
-	case d.fn != nil:
-		d.fn()
 	}
 }
 
@@ -242,7 +238,6 @@ func (r *perJobResource) popDone() perJobDone {
 // fifoServer is what the differential schedules need of either
 // implementation.
 type fifoServer interface {
-	Submit(cost vtime.ModelTime, done func()) vtime.ModelTime
 	SubmitArg(cost vtime.ModelTime, fn func(interface{}), arg interface{}) vtime.ModelTime
 	SubmitArg2(cost vtime.ModelTime, fn func(interface{}, interface{}), a, b interface{}) vtime.ModelTime
 	InFlight() int
@@ -290,7 +285,7 @@ func (s *schedRun) record(id int) {
 	s.trace = append(s.trace, fired{s.e.Now(), s.e.curLane, id})
 }
 
-// submit places one job, picking the Submit flavour at random; its
+// submit places one job, picking the SubmitArg flavour at random; its
 // completion records itself and then acts.
 func (s *schedRun) submit(which int, cost vtime.ModelTime) {
 	if s.jobs >= s.budget {
@@ -303,10 +298,8 @@ func (s *schedRun) submit(which int, cost vtime.ModelTime) {
 		s.undercut++
 	}
 	s.lastLane[which] = s.e.curLane
-	switch s.rng.Intn(3) {
+	switch s.rng.Intn(2) {
 	case 0:
-		srv.Submit(cost, func() { s.completed(which, id) })
-	case 1:
 		srv.SubmitArg(cost, func(x interface{}) { s.completed(which, x.(int)) }, id)
 	default:
 		srv.SubmitArg2(cost, func(a, b interface{}) { s.completed(a.(int), b.(int)) }, which, id)
@@ -369,7 +362,7 @@ func playSchedule(seed int64, budget int, mk func(e *Engine, name string) fifoSe
 		e.Schedule(vtime.ModelTime(s.rng.Intn(50)), func() { s.act(s.rng.Intn(2)) })
 	}
 	// Drain in slices so a run that re-enters Run many times is covered too.
-	for limit := vtime.ModelTime(25); e.Pending() > 0; limit += 25 {
+	for limit := vtime.ModelTime(25); e.heap.Len() > 0; limit += 25 {
 		e.Run(limit)
 	}
 	return s
@@ -463,14 +456,14 @@ func TestResourceArmsOneEvent(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r")
 	for i := 0; i < 10; i++ {
-		r.Submit(5, nil)
+		r.SubmitArg(5, nil, nil)
 	}
-	if e.Pending() != 1 || r.InFlight() != 10 {
-		t.Fatalf("pending = %d, in flight = %d; want 1 and 10", e.Pending(), r.InFlight())
+	if e.heap.Len() != 1 || r.InFlight() != 10 {
+		t.Fatalf("pending = %d, in flight = %d; want 1 and 10", e.heap.Len(), r.InFlight())
 	}
 	e.Run(vtime.ModelInfinity)
-	if e.Pending() != 0 || r.InFlight() != 0 || e.Processed() != 10 {
-		t.Fatalf("after drain: pending %d, in flight %d, processed %d", e.Pending(), r.InFlight(), e.Processed())
+	if e.heap.Len() != 0 || r.InFlight() != 0 || e.Processed() != 10 {
+		t.Fatalf("after drain: pending %d, in flight %d, processed %d", e.heap.Len(), r.InFlight(), e.Processed())
 	}
 }
 

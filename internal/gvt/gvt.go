@@ -67,8 +67,6 @@ type Host interface {
 // packets the manager wants sent go through Host.SendControl or by mutating
 // the outgoing packet in OnSent (piggybacking).
 type Manager interface {
-	// Name identifies the algorithm ("mattern", "nic-gvt", ...).
-	Name() string
 	// Start runs once before the simulation begins.
 	Start(h Host)
 	// OnProcessed runs after each locally processed event; managers use it
@@ -136,14 +134,6 @@ func (l *Ledger) OnSend(pkt *proto.Packet) {
 // OnRecv accounts one inbound event-like packet by its colour stamp.
 func (l *Ledger) OnRecv(pkt *proto.Packet) {
 	l.recv.Add(pkt.ColorEpoch, 1)
-}
-
-// OnDropped accounts packets that the NIC cancelled in place: for GVT
-// purposes a deliberately dropped message has been "received" (it will never
-// arrive anywhere), otherwise the white balance would never close and GVT
-// would stall.
-func (l *Ledger) OnDropped(stamp uint32, n int64) {
-	l.recv.Add(stamp, n)
 }
 
 // Join enters computation c: sends from now on are red with respect to c.

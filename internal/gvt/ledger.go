@@ -51,9 +51,6 @@ type wave struct {
 // NewWaveLedger returns an empty ledger at epoch zero.
 func NewWaveLedger() *WaveLedger { return &WaveLedger{} }
 
-// Epoch returns the outgoing colour stamp (highest wave joined).
-func (l *WaveLedger) Epoch() uint32 { return l.epoch }
-
 // OnSend accounts one outgoing event-like packet: stamp it and fold its
 // send timestamp into every active wave's red minimum.
 //
@@ -74,8 +71,9 @@ func (l *WaveLedger) OnRecv(pkt *proto.Packet) {
 }
 
 // DrainDropped accounts the packets the NIC cancelled in place, counted by
-// stamp in the shared window's DroppedWhite, as received (see
-// Ledger.OnDropped) and empties it.
+// stamp in the shared window's DroppedWhite, as received — a deliberately
+// dropped message will never arrive anywhere, so otherwise the white
+// balance would never close and GVT would stall — and empties it.
 func (l *WaveLedger) DrainDropped(dropped *dense.EpochWindow) {
 	dropped.MoveTo(&l.recv)
 }
@@ -152,6 +150,3 @@ func (l *WaveLedger) Retire(c uint32) {
 	}
 	l.recv.Fold(oldest)
 }
-
-// ActiveWaves returns the number of waves with live bookkeeping.
-func (l *WaveLedger) ActiveWaves() int { return len(l.waves) }

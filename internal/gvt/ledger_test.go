@@ -105,7 +105,7 @@ func TestLedgerDroppedCountsAsReceived(t *testing.T) {
 		t.Fatalf("balance = %d", da+db)
 	}
 	// The NIC drops the packet in place; the sender's ledger accounts it.
-	a.OnDropped(p.ColorEpoch, 1)
+	a.recv.Add(p.ColorEpoch, 1)
 	da2, _ := NewLedgerVisit(a, 1, false, 10)
 	if da+db+da2 != 0 {
 		t.Fatal("dropped packet did not close the balance")
@@ -139,12 +139,12 @@ func TestWaveLedgerConcurrentWaves(t *testing.T) {
 	if floor1 != 20 {
 		t.Fatalf("wave 1 floor = %v, want 20", floor1)
 	}
-	if l.ActiveWaves() != 2 {
-		t.Fatalf("active waves = %d", l.ActiveWaves())
+	if len(l.waves) != 2 {
+		t.Fatalf("active waves = %d", len(l.waves))
 	}
 	l.Retire(1)
 	l.Retire(2)
-	if l.ActiveWaves() != 0 {
+	if len(l.waves) != 0 {
 		t.Fatal("waves not retired")
 	}
 }
@@ -311,7 +311,7 @@ func (l *mapWaveLedger) OnRecv(pkt *proto.Packet) {
 }
 
 // OnDropped accounts a NIC-cancelled packet as received (see
-// Ledger.OnDropped).
+// WaveLedger.DrainDropped).
 func (l *mapWaveLedger) OnDropped(stamp uint32, n int64) {
 	l.account(stamp, n)
 }
@@ -414,9 +414,9 @@ type waveOracle struct {
 
 func (o *waveOracle) check(op string) {
 	o.t.Helper()
-	if o.got.Epoch() != o.want.Epoch() || o.got.ActiveWaves() != o.want.ActiveWaves() {
+	if o.got.epoch != o.want.Epoch() || len(o.got.waves) != o.want.ActiveWaves() {
 		o.t.Fatalf("step %d after %s: epoch/active = %d/%d, reference %d/%d", o.step, op,
-			o.got.Epoch(), o.got.ActiveWaves(), o.want.Epoch(), o.want.ActiveWaves())
+			o.got.epoch, len(o.got.waves), o.want.Epoch(), o.want.ActiveWaves())
 	}
 	// The early exit in OnSend is only sound while the red minima are
 	// non-decreasing from the oldest wave to the youngest.
@@ -557,7 +557,7 @@ func TestWaveLedgerSteadyStateAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state OnSend/OnRecv/Visit/Retire/Join allocate %.1f times per round, want 0", allocs)
 	}
-	if l.ActiveWaves() != DefaultMaxWaves {
-		t.Fatalf("active waves = %d, want %d", l.ActiveWaves(), DefaultMaxWaves)
+	if len(l.waves) != DefaultMaxWaves {
+		t.Fatalf("active waves = %d, want %d", len(l.waves), DefaultMaxWaves)
 	}
 }

@@ -65,9 +65,6 @@ func NewMattern(period int) *MatternManager {
 	}
 }
 
-// Name implements Manager.
-func (m *MatternManager) Name() string { return "mattern" }
-
 // Start implements Manager.
 func (m *MatternManager) Start(h Host) {}
 
@@ -240,13 +237,6 @@ func (m *MatternManager) commit(h Host, g vtime.VTime) {
 	m.lastGVT = g
 	h.CommitGVT(g)
 }
-
-// LastGVT returns the most recently committed GVT at this LP.
-func (m *MatternManager) LastGVT() vtime.VTime { return m.lastGVT }
-
-// ActiveWaves returns the number of computations currently outstanding (at
-// the root) or joined (elsewhere).
-func (m *MatternManager) ActiveWaves() int { return m.ledger.ActiveWaves() }
 
 // OnNotify implements Manager; the host-resident algorithm uses no NIC
 // support.

@@ -178,14 +178,14 @@ func TestMatternPipelinedWaves(t *testing.T) {
 	r.managers[0].OnProcessed(r.hosts[0])
 	r.managers[0].sinceGVT = 1
 	r.managers[0].OnProcessed(r.hosts[0])
-	if r.managers[0].ActiveWaves() != 3 {
-		t.Fatalf("active waves = %d, want 3", r.managers[0].ActiveWaves())
+	if len(r.managers[0].ledger.waves) != 3 {
+		t.Fatalf("active waves = %d, want 3", len(r.managers[0].ledger.waves))
 	}
 	r.drain()
 	if got := r.managers[0].Stats.Computations.Value(); got != 3 {
 		t.Fatalf("computations = %d, want 3", got)
 	}
-	if r.managers[0].ActiveWaves() != 0 {
+	if len(r.managers[0].ledger.waves) != 0 {
 		t.Fatal("waves not retired after completion")
 	}
 	// GVT commits are monotone.
@@ -205,8 +205,8 @@ func TestMatternMaxWavesDefersInitiation(t *testing.T) {
 		r.managers[0].sinceGVT = 1
 		r.managers[0].OnProcessed(r.hosts[0])
 	}
-	if r.managers[0].ActiveWaves() > 2 {
-		t.Fatalf("cap violated: %d waves", r.managers[0].ActiveWaves())
+	if len(r.managers[0].ledger.waves) > 2 {
+		t.Fatalf("cap violated: %d waves", len(r.managers[0].ledger.waves))
 	}
 	r.drain()
 }

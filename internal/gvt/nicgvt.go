@@ -37,14 +37,6 @@ type NICGVTManager struct {
 	pendingReport bool
 	fallback      des.TimerRef
 
-	// tree marks the host half of the tree-reduction variant. The host
-	// protocol is identical — root-driven initiation through the shared
-	// window, piggyback/doorbell handshake at every node — only the NIC
-	// firmware differs (ring circulation vs. tree reduce/broadcast), so
-	// one manager serves both and the flag exists for naming and stats
-	// attribution.
-	tree bool
-
 	// Root-only state.
 	inProgress bool
 	sinceGVT   int
@@ -64,7 +56,11 @@ type NICGVTManager struct {
 // DefaultFallbackDelay is the default piggyback patience.
 const DefaultFallbackDelay = 150 * vtime.Microsecond
 
-// NewNICGVT creates the host half with the given GVT period.
+// NewNICGVT creates the host half with the given GVT period. The ring and
+// the tree-reduction NIC GVT share it: the host protocol — root-driven
+// initiation through the shared window, piggyback/doorbell handshake at
+// every node — is identical, and only the NIC firmware differs
+// (firmware.NewGVT vs firmware.NewTreeGVT).
 func NewNICGVT(period int) *NICGVTManager {
 	if period < 1 {
 		panic("gvt: NIC-GVT period must be >= 1")
@@ -75,23 +71,6 @@ func NewNICGVT(period int) *NICGVTManager {
 		ledger:        NewLedger(),
 		lastGVT:       -1,
 	}
-}
-
-// NewNICTreeGVT creates the host half of the tree-reduction NIC GVT. It is
-// the same host protocol as NewNICGVT; pair it with firmware.NewTreeGVT
-// instead of firmware.NewGVT.
-func NewNICTreeGVT(period int) *NICGVTManager {
-	m := NewNICGVT(period)
-	m.tree = true
-	return m
-}
-
-// Name implements Manager.
-func (m *NICGVTManager) Name() string {
-	if m.tree {
-		return "nic-tree-gvt"
-	}
-	return "nic-gvt"
 }
 
 // Start implements Manager: report the LP rank through the shared window,
@@ -248,6 +227,3 @@ func (m *NICGVTManager) OnNotify(h Host, tag nic.NotifyTag) {
 		h.CommitGVT(g)
 	}
 }
-
-// LastGVT returns the most recently committed GVT at this LP.
-func (m *NICGVTManager) LastGVT() vtime.VTime { return m.lastGVT }

@@ -169,8 +169,8 @@ func TestNICGVTValueCommit(t *testing.T) {
 	if len(h.committed) != 1 || h.committed[0] != 55 {
 		t.Fatalf("committed %v", h.committed)
 	}
-	if m.LastGVT() != 55 {
-		t.Fatalf("LastGVT = %v", m.LastGVT())
+	if m.lastGVT != 55 {
+		t.Fatalf("LastGVT = %v", m.lastGVT)
 	}
 	if m.Stats.Computations.Value() != 1 {
 		t.Fatal("computation completion not counted at the root")

@@ -90,9 +90,6 @@ func NewPGVT(period int) *PGVTManager {
 	}
 }
 
-// Name implements Manager.
-func (m *PGVTManager) Name() string { return "pgvt" }
-
 // Start implements Manager.
 func (m *PGVTManager) Start(h Host) {}
 
@@ -308,9 +305,6 @@ func (m *PGVTManager) onAck(pkt *proto.Packet) {
 		m.minValid = false
 	}
 }
-
-// LastGVT returns the most recently committed GVT at this LP.
-func (m *PGVTManager) LastGVT() vtime.VTime { return m.lastGVT }
 
 // OnNotify implements Manager; pGVT uses no NIC support.
 func (m *PGVTManager) OnNotify(h Host, tag nic.NotifyTag) {}

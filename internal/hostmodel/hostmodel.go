@@ -204,6 +204,3 @@ func (c *CPU) Idle() bool { return c.res.Idle() }
 // busy. The clock is explicit because a shard engine's own clock stops at
 // its last local event; callers pass the group clock.
 func (c *CPU) UtilizationAt(end vtime.ModelTime) float64 { return c.res.UtilizationAt(end) }
-
-// Jobs returns the number of completed CPU jobs.
-func (c *CPU) Jobs() int64 { return c.res.Jobs.Value() }

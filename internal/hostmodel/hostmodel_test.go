@@ -59,8 +59,8 @@ func TestDoCategorizesWork(t *testing.T) {
 	if cpu.RollbackWork.Total() != 2*vtime.Microsecond {
 		t.Fatalf("rollback work = %v", cpu.RollbackWork.Total())
 	}
-	if cpu.Jobs() != 4 {
-		t.Fatalf("jobs = %d", cpu.Jobs())
+	if cpu.res.Jobs.Value() != 4 {
+		t.Fatalf("jobs = %d", cpu.res.Jobs.Value())
 	}
 }
 

@@ -86,9 +86,6 @@ type Report struct {
 	ViolationsTotal int64
 }
 
-// Failed reports whether any invariant was breached.
-func (r *Report) Failed() bool { return r != nil && r.ViolationsTotal > 0 }
-
 // Checker is the runtime oracle for one cluster.
 type Checker struct {
 	logs    [][]record // per node, appended by that node's hooks since the last Fold

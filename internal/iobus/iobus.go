@@ -83,12 +83,7 @@ func (b *Bus) WordArg(fn func(interface{}), arg interface{}) {
 	b.res.SubmitArg(b.cfg.DMASetup, fn, arg)
 }
 
-// Utilization returns the fraction of model time the bus has been busy.
-func (b *Bus) Utilization() float64 { return b.res.Utilization() }
-
-// UtilizationAt is Utilization against an explicit end-of-run clock, for
-// sharded runs where a member engine's clock stops at its last local event.
+// UtilizationAt returns the fraction of model time up to end the bus was
+// busy. The clock is explicit because a shard engine's own clock stops at
+// its last local event; callers pass the group clock.
 func (b *Bus) UtilizationAt(end vtime.ModelTime) float64 { return b.res.UtilizationAt(end) }
-
-// Idle reports whether no transfer is queued or in progress.
-func (b *Bus) Idle() bool { return b.res.Idle() }

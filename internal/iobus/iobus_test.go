@@ -78,16 +78,16 @@ func TestNegativeSizePanics(t *testing.T) {
 func TestIdleAndUtilization(t *testing.T) {
 	e := des.NewEngine()
 	b := NewBus(e, 0, DefaultConfig())
-	if !b.Idle() {
+	if !b.res.Idle() {
 		t.Fatal("new bus should be idle")
 	}
 	b.DMAArg(100000, nil, nil)
-	if b.Idle() {
+	if b.res.Idle() {
 		t.Fatal("bus with queued DMA should not be idle")
 	}
 	e.Run(vtime.ModelInfinity)
-	if !b.Idle() || b.Utilization() != 1.0 {
-		t.Fatalf("idle=%v utilization=%v", b.Idle(), b.Utilization())
+	if !b.res.Idle() || b.res.Utilization() != 1.0 {
+		t.Fatalf("idle=%v utilization=%v", b.res.Idle(), b.res.Utilization())
 	}
 }
 

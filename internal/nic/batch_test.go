@@ -100,7 +100,7 @@ func TestSendQCompactionWithFirmwareDrops(t *testing.T) {
 			t.Fatalf("FIFO order violated under firmware removals: %v", delivered)
 		}
 	}
-	if n0.SendQueueLen() != 0 || !n0.Idle() {
+	if n0.sendQ.Len() != 0 || !n0.Idle() {
 		t.Fatal("sender did not drain")
 	}
 }

@@ -106,9 +106,6 @@ func (f *CancelFirmware) scanMatches(p *proto.Packet) bool {
 	return f.scanRoom >= 0
 }
 
-// Name implements nic.Firmware.
-func (f *CancelFirmware) Name() string { return "early-cancel" }
-
 // OnWireReceive implements nic.Firmware: every inbound anti-message opens a
 // cancellation window and triggers a send-queue scan.
 //

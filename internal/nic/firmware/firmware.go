@@ -47,9 +47,6 @@ type Forwarder struct{}
 // NewForwarder returns the baseline firmware.
 func NewForwarder() *Forwarder { return &Forwarder{} }
 
-// Name implements nic.Firmware.
-func (*Forwarder) Name() string { return "forwarder" }
-
 // OnHostSend implements nic.Firmware.
 func (*Forwarder) OnHostSend(pkt *proto.Packet, api nic.API) nic.Verdict {
 	return nic.VerdictForward
@@ -76,18 +73,6 @@ func NewChain(parts ...nic.Firmware) *Chain {
 		panic("firmware: empty chain")
 	}
 	return &Chain{parts: parts}
-}
-
-// Name implements nic.Firmware.
-func (c *Chain) Name() string {
-	name := "chain("
-	for i, p := range c.parts {
-		if i > 0 {
-			name += "+"
-		}
-		name += p.Name()
-	}
-	return name + ")"
 }
 
 // OnHostSend implements nic.Firmware.

@@ -107,14 +107,6 @@ func NewTreeGVT(arity int) *GVTFirmware {
 	return &GVTFirmware{arity: arity}
 }
 
-// Name implements nic.Firmware.
-func (f *GVTFirmware) Name() string {
-	if f.arity > 0 {
-		return "nic-tree-gvt"
-	}
-	return "nic-gvt"
-}
-
 // children returns this node's tree children as the id range [first, end):
 // empty at a leaf, and at every node of the ring.
 func (f *GVTFirmware) children(api nic.API) (first, end int) {

@@ -147,8 +147,6 @@ const (
 // the hooks and account for it with API.Charge; they must not retain the
 // API between hooks.
 type Firmware interface {
-	// Name identifies the firmware in diagnostics.
-	Name() string
 	// OnHostSend runs when a host-originated packet is dequeued for
 	// transmission — once per packet, whether it then travels alone or
 	// folded into a batch frame. VerdictConsume and VerdictDrop both
@@ -431,9 +429,6 @@ func nicCreditArrive(a, b interface{}) {
 	}
 }
 
-// TxCredit returns the sender-side window toward dst (for tests).
-func (n *NIC) TxCredit(dst int) int { return n.txCredit[dst] }
-
 // SetHostDiscardHook installs the transmit-side discard observer. Call
 // before traffic flows; a nil hook disables observation.
 func (n *NIC) SetHostDiscardHook(fn func(*proto.Packet)) { n.onHostDiscard = fn }
@@ -554,12 +549,6 @@ func (n *NIC) SetTxFaultStall(v bool) {
 // Shared returns the host/NIC shared memory window.
 func (n *NIC) Shared() *SharedWindow { return n.shared }
 
-// Firmware returns the installed firmware.
-func (n *NIC) Firmware() Firmware { return n.fw }
-
-// Node returns the NIC's node id.
-func (n *NIC) Node() int { return n.node }
-
 // ProcUtilization returns the NIC processor utilization.
 func (n *NIC) ProcUtilization() float64 { return n.proc.Utilization() }
 
@@ -572,9 +561,6 @@ func (n *NIC) ProcUtilizationAt(end vtime.ModelTime) float64 { return n.proc.Uti
 func (n *NIC) Idle() bool {
 	return n.sendQ.Len() == 0 && n.recvQ.Len() == 0 && n.proc.Idle() && !n.txPumping
 }
-
-// SendQueueLen returns the current transmit backlog (for tests).
-func (n *NIC) SendQueueLen() int { return n.sendQ.Len() }
 
 // HostEnqueue accepts a packet whose host-to-NIC DMA just completed.
 func (n *NIC) HostEnqueue(pkt *proto.Packet) {
@@ -1006,7 +992,7 @@ func (n *NIC) expandBatch(frame *proto.Packet) {
 			// A frame travels and is delivered as a unit; no firmware
 			// consumes event-like traffic on receive, and a partial frame
 			// consumption has no meaning here.
-			panic(fmt.Sprintf("nic: firmware %s returned %v for batched sub-message", n.fw.Name(), v))
+			panic(fmt.Sprintf("nic: firmware %T returned %v for batched sub-message", n.fw, v))
 		}
 	}
 	n.rxSub = proto.Packet{}

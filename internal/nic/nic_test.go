@@ -17,7 +17,6 @@ type stubFirmware struct {
 	onDoorbell    func(API)
 }
 
-func (s *stubFirmware) Name() string { return "stub" }
 func (s *stubFirmware) OnHostSend(p *proto.Packet, a API) Verdict {
 	if s.onHostSend != nil {
 		return s.onHostSend(p, a)
@@ -149,7 +148,7 @@ func TestConsumedPacketBelongsToFirmware(t *testing.T) {
 				return VerdictConsume
 			}}
 		})
-		open0, open1 := r.nics[0].TxCredit(2), r.nics[1].TxCredit(2)
+		open0, open1 := r.nics[0].txCredit[2], r.nics[1].txCredit[2]
 		if wireDup {
 			// The fabric injects duplicates past the sender's window: no
 			// credit was taken for one.
@@ -163,7 +162,7 @@ func TestConsumedPacketBelongsToFirmware(t *testing.T) {
 		if r.nics[2].Stats.RxConsumed.Value() != 1 || r.nics[2].rxPkt != nil {
 			t.Fatalf("wireDup=%v: consumed %d, NIC still holds %v", wireDup, r.nics[2].Stats.RxConsumed.Value(), r.nics[2].rxPkt)
 		}
-		if got0, got1 := r.nics[0].TxCredit(2), r.nics[1].TxCredit(2); got0 != open0 || got1 != open1 {
+		if got0, got1 := r.nics[0].txCredit[2], r.nics[1].txCredit[2]; got0 != open0 || got1 != open1 {
 			t.Fatalf("wireDup=%v: windows toward node 2 ended at %d (node 0) and %d (node 1), opened at %d and %d",
 				wireDup, got0, got1, open0, open1)
 		}
@@ -315,8 +314,8 @@ func TestCreditWindowBackpressure(t *testing.T) {
 	if len(parked) != 3 {
 		t.Fatalf("delivered %d with window 3", len(parked))
 	}
-	if n0.TxCredit(1) != 0 || !n0.txStalled {
-		t.Fatalf("sender not stalled on closed window: credit=%d stalled=%v", n0.TxCredit(1), n0.txStalled)
+	if n0.txCredit[1] != 0 || !n0.txStalled {
+		t.Fatalf("sender not stalled on closed window: credit=%d stalled=%v", n0.txCredit[1], n0.txStalled)
 	}
 	// The host consumes everything delivered so far; credits return and the
 	// pump resumes until all 8 packets arrive.
@@ -331,8 +330,8 @@ func TestCreditWindowBackpressure(t *testing.T) {
 	if got := n1.Stats.RxDelivered.Value(); got != 8 {
 		t.Fatalf("RxDelivered = %d, want 8", got)
 	}
-	if n0.TxCredit(1) != 3 {
-		t.Fatalf("window not fully restored: %d", n0.TxCredit(1))
+	if n0.txCredit[1] != 3 {
+		t.Fatalf("window not fully restored: %d", n0.txCredit[1])
 	}
 }
 
@@ -358,13 +357,13 @@ func TestFaultHoldWithholdsCredits(t *testing.T) {
 	e.Run(vtime.ModelInfinity)
 	// All four packets travel (the sender's window was open), but two
 	// credits are withheld by the hold: the window stays two short.
-	if n0.TxCredit(1) != 2 {
-		t.Fatalf("window = %d with 2 slots held, want 2", n0.TxCredit(1))
+	if n0.txCredit[1] != 2 {
+		t.Fatalf("window = %d with 2 slots held, want 2", n0.txCredit[1])
 	}
 	n1.FaultReleaseRx(2)
 	e.Run(vtime.ModelInfinity)
-	if n0.TxCredit(1) != 4 {
-		t.Fatalf("window = %d after release, want 4", n0.TxCredit(1))
+	if n0.txCredit[1] != 4 {
+		t.Fatalf("window = %d after release, want 4", n0.txCredit[1])
 	}
 }
 
@@ -408,14 +407,14 @@ func TestSendQueueDepthHighWater(t *testing.T) {
 	highWater := 0
 	for k := 0; k < 10; k++ {
 		r.nics[0].HostEnqueue(evPkt(0, 1))
-		highWater = max(highWater, r.nics[0].SendQueueLen())
+		highWater = max(highWater, r.nics[0].sendQ.Len())
 	}
 	if highWater < 5 {
 		t.Fatalf("high-water = %d, want a real backlog", highWater)
 	}
 	r.eng.Run(vtime.ModelInfinity)
-	if len(r.toHost[1]) != 10 || r.nics[0].SendQueueLen() != 0 {
-		t.Fatalf("delivered %d, %d left queued", len(r.toHost[1]), r.nics[0].SendQueueLen())
+	if len(r.toHost[1]) != 10 || r.nics[0].sendQ.Len() != 0 {
+		t.Fatalf("delivered %d, %d left queued", len(r.toHost[1]), r.nics[0].sendQ.Len())
 	}
 }
 

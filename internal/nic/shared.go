@@ -183,9 +183,6 @@ func NewDropBuffer(capPerObj int) *DropBuffer {
 	return &DropBuffer{cap: capPerObj}
 }
 
-// Cap returns the per-object capacity.
-func (b *DropBuffer) Cap() int { return b.cap }
-
 // ring returns obj's recorded drops, oldest first.
 func (b *DropBuffer) ring(obj int32) []DropKey {
 	if r := dense.At(b.rings, obj); r != nil {
@@ -221,11 +218,6 @@ func (b *DropBuffer) Record(obj int32, key DropKey) {
 		panic(fmt.Sprintf("nic: drop recorded for object %d with no room (capacity %d)", obj, b.cap))
 	}
 	r.Push(key)
-}
-
-// Contains reports whether key is recorded for obj without consuming it.
-func (b *DropBuffer) Contains(obj int32, key DropKey) bool {
-	return find(b.ring(obj), key) >= 0
 }
 
 // Take consumes the entry (obj, key) and reports whether it was present.

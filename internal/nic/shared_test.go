@@ -10,6 +10,11 @@ import (
 	"nicwarp/internal/vtime"
 )
 
+// Contains reports whether key is recorded for obj without consuming it.
+func (b *DropBuffer) Contains(obj int32, key DropKey) bool {
+	return find(b.ring(obj), key) >= 0
+}
+
 func TestNewSharedWindowDefaults(t *testing.T) {
 	w := NewSharedWindow()
 	if w.HostTMin != vtime.Infinity {
@@ -18,7 +23,7 @@ func TestNewSharedWindowDefaults(t *testing.T) {
 	if w.LatestGVT != -1 {
 		t.Fatal("LatestGVT must start below any valid virtual time")
 	}
-	if w.Dropped == nil || w.Dropped.Cap() != DefaultDropBufferCap {
+	if w.Dropped == nil || w.Dropped.cap != DefaultDropBufferCap {
 		t.Fatal("drop buffer must exist with the default capacity")
 	}
 	if PaperDropBufferCap != 10 {

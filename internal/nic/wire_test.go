@@ -80,12 +80,16 @@ func (p *wireProbe) OnRoute(src, dst int, pkt *proto.Packet) simnet.TapDecision 
 	if p.inFlight {
 		p.t.Errorf("forward pump at %v while the previous packet has not left the wire", p.r.eng.Now())
 	}
-	// The pump submits the processor job before it announces.
+	// The pump submits the processor job before it announces. The processor
+	// holds at most one transmit job (txPumping) and one receive job
+	// (rxPumping) at a time — these schedules ring no doorbell — so this job
+	// is behind other work exactly when a receive is in flight.
 	p.inFlight, p.procDone = true, false
-	p.procJob = p.n.proc.Jobs.Value() + int64(p.n.proc.InFlight())
+	p.procJob = p.n.proc.Jobs.Value() + 1
 	p.wire = vtime.TransferTime(pkt.EncodedSize(), p.net.LinkBandwidth)
 	p.forwards++
-	if p.n.proc.InFlight() > 1 {
+	if p.n.rxPumping {
+		p.procJob++
 		p.behindRx++
 	}
 	return simnet.TapDecision{}
@@ -116,7 +120,7 @@ func (p *wireProbe) observe() {
 			p.t.Errorf("at %v: processor finished a packet while the serializer still holds the previous one", now)
 		}
 		p.procDone = true
-		p.depart = p.ref.Submit(p.wire, nil)
+		p.depart = p.ref.SubmitArg(p.wire, nil, nil)
 		// The fabric's path for a packet announced to depart then.
 		atPort := p.depart + p.net.LinkLatency + p.net.SwitchLatency
 		p.portFree = vtime.MaxM(atPort, p.portFree) + p.wire

@@ -7,7 +7,7 @@
 //
 // The format is flattened into a single Packet struct, the way NIC firmware
 // sees a frame: one header it can parse with fixed offsets. Packets carry a
-// real binary encoding (Marshal/Unmarshal) so the hardware model charges
+// real binary encoding (MarshalAppend/Unmarshal) so the hardware model charges
 // bandwidth for actual on-wire bytes, and so the encoding itself is tested.
 package proto
 
@@ -334,11 +334,6 @@ func Checksum(buf []byte) uint32 {
 		h *= prime32
 	}
 	return h
-}
-
-// Marshal encodes the packet into its wire representation.
-func (p *Packet) Marshal() []byte {
-	return p.MarshalAppend(make([]byte, 0, p.EncodedSize()))
 }
 
 // MarshalAppend appends the packet's wire representation to buf and returns

@@ -39,7 +39,7 @@ func samplePacket() *Packet {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	p := samplePacket()
-	data := p.Marshal()
+	data := p.MarshalAppend(nil)
 	if len(data) != p.EncodedSize() {
 		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), p.EncodedSize())
 	}
@@ -54,7 +54,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestMarshalAppendMatchesMarshal(t *testing.T) {
 	p := samplePacket()
-	want := p.Marshal()
+	want := p.MarshalAppend(nil)
 
 	// Append to a prefix: the prefix must survive untouched.
 	prefix := []byte{0xAA, 0xBB}
@@ -95,7 +95,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
 		p := samplePacket()
 		p.Kind = k
-		q, err := Unmarshal(p.Marshal())
+		q, err := Unmarshal(p.MarshalAppend(nil))
 		if err != nil {
 			t.Fatalf("kind %v: %v", k, err)
 		}
@@ -116,7 +116,7 @@ func TestUnmarshalRejectsBadSize(t *testing.T) {
 
 func TestUnmarshalRejectsBadKind(t *testing.T) {
 	p := samplePacket()
-	data := p.Marshal()
+	data := p.MarshalAppend(nil)
 	data[16] = 200 // Kind offset: 8 (Seq) + 4 + 4 (nodes)
 	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("expected error for invalid kind")
@@ -127,7 +127,7 @@ func TestUnmarshalRejectsBadKind(t *testing.T) {
 // encoded as zero, so an image with anything else there would decode to a
 // packet that re-encodes differently — accepted images must be canonical.
 func TestUnmarshalRejectsNonzeroReserved(t *testing.T) {
-	data := samplePacket().Marshal()
+	data := samplePacket().MarshalAppend(nil)
 	data[kindOffset+1+4+3] = 1 // last byte of the word after Kind and Credits
 	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("expected error for nonzero reserved word")
@@ -136,7 +136,7 @@ func TestUnmarshalRejectsNonzeroReserved(t *testing.T) {
 
 func TestUnmarshalRejectsInconsistentSign(t *testing.T) {
 	p := samplePacket()
-	data := p.Marshal()
+	data := p.MarshalAppend(nil)
 	data[len(data)-1] = 0xFF // corrupt trailing sign byte
 	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("expected error for inconsistent sign byte")
@@ -212,7 +212,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 			PiggyV:         v,
 			PiggyAntiEpoch: epoch,
 		}
-		q, err := Unmarshal(p.Marshal())
+		q, err := Unmarshal(p.MarshalAppend(nil))
 		return err == nil && reflect.DeepEqual(p, q)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -259,12 +259,12 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 // is the identity on bytes.
 func TestMarshalUnmarshalIdempotent(t *testing.T) {
 	p := samplePacket()
-	data := p.Marshal()
+	data := p.MarshalAppend(nil)
 	q, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data2 := q.Marshal()
+	data2 := q.MarshalAppend(nil)
 	if len(data) != len(data2) {
 		t.Fatal("length changed")
 	}
@@ -294,7 +294,7 @@ func sampleBatch() *Packet {
 
 func TestBatchRoundTrip(t *testing.T) {
 	p := sampleBatch()
-	data := p.Marshal()
+	data := p.MarshalAppend(nil)
 	if len(data) != p.EncodedSize() {
 		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), p.EncodedSize())
 	}
@@ -332,7 +332,7 @@ func TestBatchMarshalAppendZeroAlloc(t *testing.T) {
 
 func TestBatchUnmarshalRejectsBadFrames(t *testing.T) {
 	p := sampleBatch()
-	data := p.Marshal()
+	data := p.MarshalAppend(nil)
 
 	// Truncated sub records.
 	if _, err := Unmarshal(data[:len(data)-1]); err == nil {
@@ -385,7 +385,7 @@ func TestAppendSubSubPacketRoundTrip(t *testing.T) {
 			t.Logf("in memory: got %+v, want %+v", got, want)
 			return false
 		}
-		decoded, err := Unmarshal(frame.Marshal())
+		decoded, err := Unmarshal(frame.MarshalAppend(nil))
 		if err != nil {
 			t.Log(err)
 			return false
@@ -419,7 +419,7 @@ func FuzzUnmarshal(f *testing.F) {
 	for k := Kind(0); k < numKinds; k++ {
 		p := samplePacket()
 		p.Kind = k
-		f.Add(p.Marshal())
+		f.Add(p.MarshalAppend(nil))
 	}
 	for _, n := range []int{1, 8} {
 		frame := &Packet{Kind: KindBatch, Seq: 100, SrcNode: 2, DstNode: 6}
@@ -429,14 +429,14 @@ func FuzzUnmarshal(f *testing.F) {
 			sub.Kind = Kind(i % 2) // alternate events and antis
 			frame.AppendSub(sub)
 		}
-		f.Add(frame.Marshal())
+		f.Add(frame.MarshalAppend(nil))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Unmarshal(data)
 		if err != nil {
 			return
 		}
-		if again := p.Marshal(); !bytes.Equal(again, data) {
+		if again := p.MarshalAppend(nil); !bytes.Equal(again, data) {
 			t.Fatalf("accepted image is not canonical:\n in  %x\n out %x", data, again)
 		}
 		var sub Packet

@@ -48,13 +48,6 @@ func (c *MemCache) Put(key string, res *core.Result) {
 	c.m[key] = res
 }
 
-// Len reports the number of cached results.
-func (c *MemCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // DiskCache persists results under dir (conventionally results/cache/), one
 // gob-encoded file per config digest, with an in-memory layer in front. A
 // file that fails to decode — typically written by a build whose Result

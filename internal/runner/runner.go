@@ -101,7 +101,7 @@ type Runner struct {
 
 // Run executes the batch and returns one Result per job, in submission
 // order. It never returns an error itself: per-point failures are recorded
-// in their Result. Use FirstErr or Unwrap to surface them.
+// in their Result.
 func (r *Runner) Run(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
@@ -189,30 +189,6 @@ func execute(cfg core.Config, ex core.Exec) (res *core.Result, err error) {
 		return nil, err
 	}
 	return cl.Run()
-}
-
-// FirstErr returns the first failed point's error, in submission order, or
-// nil when every point succeeded.
-func FirstErr(results []Result) error {
-	for i := range results {
-		if results[i].Err != nil {
-			return results[i].Err
-		}
-	}
-	return nil
-}
-
-// Unwrap extracts the core results in submission order, failing on the
-// first errored point.
-func Unwrap(results []Result) ([]*core.Result, error) {
-	out := make([]*core.Result, len(results))
-	for i := range results {
-		if results[i].Err != nil {
-			return nil, results[i].Err
-		}
-		out[i] = results[i].Res
-	}
-	return out, nil
 }
 
 // CachedCount reports how many points were served from the cache.

@@ -47,43 +47,31 @@ const (
 	// hop apart, nodes sharing a pod (Radix edge switches) cross an
 	// aggregation stage, and inter-pod traffic crosses the core.
 	TopoFatTree
-	// TopoDragonfly is a dragonfly-lite: all-to-all wired groups of
-	// Radix nodes behind one router each; inter-group traffic takes a
-	// local exit hop plus one global link.
-	TopoDragonfly
 
 	numTopologies // sentinel
 )
 
-// String implements fmt.Stringer with the spellings ParseTopology accepts.
+// String implements fmt.Stringer with the spellings core.ParseTopology
+// accepts.
 func (t Topology) String() string {
 	switch t {
 	case TopoCrossbar:
 		return "crossbar"
 	case TopoFatTree:
 		return "fattree"
-	case TopoDragonfly:
-		return "dragonfly"
 	default:
 		return fmt.Sprintf("Topology(%d)", uint8(t))
 	}
 }
 
-// TopologyNames returns the accepted topology spellings, in enum order.
-func TopologyNames() []string { return []string{"crossbar", "fattree", "dragonfly"} }
-
-// ParseTopology resolves a topology name. It accepts the String spellings
-// plus the hyphenated aliases "fat-tree" and "dragonfly-lite".
-func ParseTopology(s string) (Topology, error) {
-	switch s {
-	case "crossbar", "":
-		return TopoCrossbar, nil
-	case "fattree", "fat-tree":
-		return TopoFatTree, nil
-	case "dragonfly", "dragonfly-lite":
-		return TopoDragonfly, nil
+// TopologyNames returns the spellings of the valid topologies, in enum
+// order.
+func TopologyNames() []string {
+	names := make([]string, numTopologies)
+	for t := range names {
+		names[t] = Topology(t).String()
 	}
-	return TopoCrossbar, fmt.Errorf("simnet: unknown topology %q (valid: %v)", s, TopologyNames())
+	return names
 }
 
 // Config holds fabric timing parameters.
@@ -100,9 +88,8 @@ type Config struct {
 	// per-stage latency and per-stage store-and-forward serialization on
 	// top of the crossbar path (see ExtraStages).
 	Topology Topology
-	// Radix is the stage radix of a multi-stage topology: down-links per
-	// edge switch for the fat-tree, nodes per group for the dragonfly.
-	// Zero picks DefaultRadix. Ignored by the crossbar.
+	// Radix is the stage radix of the fat-tree: down-links per edge
+	// switch. Zero picks DefaultRadix. Ignored by the crossbar.
 	Radix int
 }
 
@@ -128,51 +115,33 @@ func (c Config) radix() int {
 // dst), so the sender's engine can resolve the whole path at announce
 // time — the shard-safety contract of the fabric.
 func (c Config) ExtraStages(src, dst int) int {
-	switch c.Topology {
-	case TopoFatTree:
-		r := c.radix()
-		switch {
-		case src/r == dst/r: // same edge switch
-			return 0
-		case src/(r*r) == dst/(r*r): // same pod: edge-agg-edge
-			return 2
-		default: // inter-pod: edge-agg-core-agg-edge
-			return 4
-		}
-	case TopoDragonfly:
-		if src/c.radix() == dst/c.radix() { // same group router
-			return 0
-		}
-		return 2 // local exit hop + global link
-	default:
+	r := c.radix()
+	switch {
+	case c.Topology != TopoFatTree, src/r == dst/r: // crossbar, or same edge switch
 		return 0
+	case src/(r*r) == dst/(r*r): // same pod: edge-agg-edge
+		return 2
+	default: // inter-pod: edge-agg-core-agg-edge
+		return 4
 	}
 }
 
 // LastStageFanIn returns the number of sources whose minimal paths can
 // contend for one destination's last-hop link: the topology fan-in the
 // NIC's per-destination credit windows are sized from. On the crossbar
-// every other port contends; on a multi-stage topology the last hop is
-// fed by a single edge switch (fat-tree) or group router (dragonfly), so
-// the concurrent set is bounded by the stage radix rather than the
-// cluster size.
+// every other port contends; on the fat-tree the last hop is fed by a
+// single edge switch, so the concurrent set is bounded by the stage radix
+// rather than the cluster size.
 func (c Config) LastStageFanIn(n int) int {
 	if n <= 1 {
 		return 1
 	}
-	switch c.Topology {
-	case TopoFatTree, TopoDragonfly:
-		r := c.radix()
-		// The local peers behind the same edge switch/router plus one
-		// up-link feeding remote traffic in.
-		fan := r // r-1 local peers + 1 up-link
-		if fan > n-1 {
-			fan = n - 1
-		}
-		return fan
-	default:
-		return n - 1
+	// On the fat-tree: the r-1 local peers behind the same edge switch plus
+	// one up-link feeding remote traffic in.
+	if r := c.radix(); c.Topology == TopoFatTree && r < n-1 {
+		return r
 	}
+	return n - 1
 }
 
 // DefaultConfig returns parameters calibrated to the paper's cluster: a
@@ -271,9 +240,6 @@ func (f *Fabric) NumPorts() int { return len(f.ports) }
 // Config.LastStageFanIn): the number of senders the NICs size their
 // per-destination credit windows against.
 func (f *Fabric) FanIn() int { return f.cfg.LastStageFanIn(len(f.ports)) }
-
-// Topology returns the fabric's switching structure.
-func (f *Fabric) Topology() Topology { return f.cfg.Topology }
 
 // LinkBandwidth returns the per-link bandwidth in bytes per second, shared
 // with the NICs that drive the links.

@@ -259,7 +259,7 @@ func TestPendingIndexConsistency(t *testing.T) {
 				if o.pindex.bucket(p.ID) != b {
 					t.Fatalf("%s: event %v chained in bucket %d, hashes to %d", when, p, b, o.pindex.bucket(p.ID))
 				}
-				if int(p.pos) < 0 || int(p.pos) >= o.pending.Len() || o.pending.Slots()[p.pos].ev != p {
+				if int(p.pos) < 0 || int(p.pos) >= o.pending.Len() || o.pending.s[p.pos].ev != p {
 					t.Fatalf("%s: indexed event %v has stale pos %d", when, p, p.pos)
 				}
 			}

@@ -279,9 +279,6 @@ func NewKernel(cfg Config) *Kernel {
 	}
 }
 
-// LP returns the kernel's logical-process id.
-func (k *Kernel) LP() int { return k.cfg.LP }
-
 // AddObject registers a local object. Must be called before Bootstrap.
 func (k *Kernel) AddObject(id ObjectID, obj Object) {
 	if k.booted {
@@ -407,7 +404,7 @@ func (k *Kernel) ProcessOne() StepResult {
 	k.Stats.Processed.Inc()
 	res.Executed = 1
 
-	k.ctxScratch = Context{k: k, st: o, now: ev.RecvTS, current: ev}
+	k.ctxScratch = Context{k: k, st: o, now: ev.RecvTS}
 	o.obj.Execute(&k.ctxScratch, ev)
 	k.drainLocal()
 	// Lazy cancellation: entries whose send time the object's clock has
@@ -436,9 +433,6 @@ func (k *Kernel) Deliver(ev *Event) StepResult {
 // HistoryEvents returns the number of processed events whose state and
 // output history is still retained (not yet fossil-collected).
 func (k *Kernel) HistoryEvents() int { return k.histCount }
-
-// CommittedGVT returns the highest GVT installed so far.
-func (k *Kernel) CommittedGVT() vtime.VTime { return k.committedGVT }
 
 // FossilCollect releases history strictly below gvt and flushes lazy
 // cancellations that can no longer be matched. It returns the (possibly

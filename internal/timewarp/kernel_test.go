@@ -469,8 +469,8 @@ func TestDeliveryBelowGVTPanics(t *testing.T) {
 	k.Deliver(&Event{ID: 1, Src: 9, Dst: 0, SendTS: 9, RecvTS: 10, Sign: 1})
 	k.ProcessOne()
 	k.FossilCollect(50)
-	if k.CommittedGVT() != 50 {
-		t.Fatalf("committed GVT = %v", k.CommittedGVT())
+	if k.committedGVT != 50 {
+		t.Fatalf("committed GVT = %v", k.committedGVT)
 	}
 	defer func() {
 		if recover() == nil {

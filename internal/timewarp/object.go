@@ -75,11 +75,10 @@ func (s *Snapshots[T]) Release(v interface{}) {
 // Context is the capability surface an object sees while executing. It is
 // only valid for the duration of the Init or Execute call it is passed to.
 type Context struct {
-	k       *Kernel
-	st      *objRuntime
-	now     vtime.VTime
-	inInit  bool
-	current *Event //nicwarp:owns Execute-scoped view; ctxScratch is overwritten at the next step
+	k      *Kernel
+	st     *objRuntime
+	now    vtime.VTime
+	inInit bool
 }
 
 // Self returns the executing object's ID.
@@ -88,9 +87,6 @@ func (c *Context) Self() ObjectID { return c.st.id }
 // Now returns the current virtual time (the receive timestamp of the event
 // being executed; zero during Init).
 func (c *Context) Now() vtime.VTime { return c.now }
-
-// Event returns the event being executed, or nil during Init.
-func (c *Context) Event() *Event { return c.current }
 
 // Send schedules a positive event for dst at Now()+delay. Delay must be at
 // least 1: zero-delay messages would allow causal cycles at a single

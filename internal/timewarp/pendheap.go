@@ -62,10 +62,6 @@ func (h *pendHeap) Len() int { return len(h.s) }
 // Min returns the lowest pending event. Panics when empty.
 func (h *pendHeap) Min() *Event { return h.s[0].ev }
 
-// Slots exposes the backing array for read-only iteration (tests,
-// invariant checks). Callers must not reorder it.
-func (h *pendHeap) Slots() []pendSlot { return h.s }
-
 // Push inserts ev keyed by its RecvTS.
 //
 //nicwarp:hotpath pending-queue insert, executed once per delivered event

@@ -228,7 +228,7 @@ func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 				SendTS: now - 65, RecvTS: now - 55, Sign: 1}))
 		case step%7 == 0:
 			// Commit all but the last dozen executions.
-			recycle(k.FossilCollect(vtime.MaxV(k.CommittedGVT(), now-120)))
+			recycle(k.FossilCollect(max(k.committedGVT, now-120)))
 		}
 	}
 	recycle(k.FossilCollect(vtime.Infinity))

@@ -85,7 +85,7 @@ func TestSchedulerKeyOrderIsEventOrder(t *testing.T) {
 			case rnd.Bool(0.5):
 				o.pendPop()
 			default:
-				o.pendRemove(o.pending.Slots()[rnd.Intn(n)].ev)
+				o.pendRemove(o.pending.s[rnd.Intn(n)].ev)
 			}
 			k.fixSched(o)
 			checkSched(t, k)

@@ -84,14 +84,6 @@ func Advance(t, d VTime) VTime {
 	return AddSat(t, d)
 }
 
-// MaxV returns the larger of two virtual times.
-func MaxV(a, b VTime) VTime {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // String renders the timestamp, using "inf" for Infinity.
 func (t VTime) String() string {
 	if t.IsInf() {

@@ -21,19 +21,16 @@ func TestVTimeInfinity(t *testing.T) {
 }
 
 func TestMinMaxV(t *testing.T) {
-	cases := []struct{ a, b, min, max VTime }{
-		{1, 2, 1, 2},
-		{2, 1, 1, 2},
-		{5, 5, 5, 5},
-		{Infinity, 3, 3, Infinity},
-		{-1, 0, -1, 0},
+	cases := []struct{ a, b, min VTime }{
+		{1, 2, 1},
+		{2, 1, 1},
+		{5, 5, 5},
+		{Infinity, 3, 3},
+		{-1, 0, -1},
 	}
 	for _, c := range cases {
 		if got := MinV(c.a, c.b); got != c.min {
 			t.Errorf("MinV(%v,%v) = %v, want %v", c.a, c.b, got, c.min)
-		}
-		if got := MaxV(c.a, c.b); got != c.max {
-			t.Errorf("MaxV(%v,%v) = %v, want %v", c.a, c.b, got, c.max)
 		}
 	}
 }

@@ -24,7 +24,6 @@
 package nicwarp
 
 import (
-	"nicwarp/internal/apps/pcs"
 	"nicwarp/internal/apps/phold"
 	"nicwarp/internal/apps/police"
 	"nicwarp/internal/apps/raid"
@@ -61,9 +60,9 @@ const (
 	GVTNICTree = core.GVTNICTree
 )
 
-// Topology selects the cluster interconnect model (crossbar, fat-tree,
-// dragonfly-lite). Set it on Config.Net.Topology; Config.Net.Radix sets the
-// switch radix for the multi-stage topologies.
+// Topology selects the cluster interconnect model (crossbar or fat-tree).
+// Set it on Config.Net.Topology; Config.Net.Radix sets the fat-tree's
+// switch radix.
 type Topology = simnet.Topology
 
 // Topologies.
@@ -72,8 +71,6 @@ const (
 	TopoCrossbar = simnet.TopoCrossbar
 	// TopoFatTree is a three-level folded-Clos fat tree.
 	TopoFatTree = simnet.TopoFatTree
-	// TopoDragonfly is the dragonfly-lite two-stage group topology.
-	TopoDragonfly = simnet.TopoDragonfly
 )
 
 // CancellationPolicy selects aggressive or lazy cancellation.
@@ -122,15 +119,6 @@ type PHOLDParams = phold.Params
 
 // PHOLD builds the PHOLD application.
 func PHOLD(p PHOLDParams) App { return phold.New(p) }
-
-// PCSParams configures the PCS cellular-network model (extension workload).
-type PCSParams = pcs.Params
-
-// PCS builds the Personal Communication Services application.
-func PCS(p PCSParams) App { return pcs.New(p) }
-
-// PCSDefault returns the default PCS grid.
-func PCSDefault() PCSParams { return pcs.DefaultParams() }
 
 // Run assembles and executes one experiment. Options adjust how the run
 // executes — WithShards. Run(cfg) with no options is the historical serial

@@ -1,9 +1,11 @@
 package nicwarp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"nicwarp/internal/fault"
 	"nicwarp/internal/runner"
 	"nicwarp/internal/vtime"
 )
@@ -22,11 +24,11 @@ func runExperiment(t *testing.T, name string, opts FigureOpts) []*Result {
 		t.Fatal(err)
 	}
 	results := (&runner.Runner{Exec: Exec{Shards: opts.Shards}}).Run(exp.Jobs(opts))
-	if err := runner.FirstErr(results); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
 	res := make([]*Result, len(results))
 	for i := range results {
+		if results[i].Err != nil {
+			t.Fatalf("%s: %v", name, results[i].Err)
+		}
 		res[i] = results[i].Res
 	}
 	return res
@@ -209,25 +211,31 @@ func TestPaperConfigsExposed(t *testing.T) {
 	}
 }
 
-func TestPCSInCluster(t *testing.T) {
-	p := PCSDefault()
-	p.Width, p.Height = 4, 2
-	p.CallsPerCell = 25
-	for _, cancel := range []bool{false, true} {
-		res, err := Run(Config{
-			App:          PCS(p),
-			Nodes:        4,
-			Seed:         5,
-			GVT:          GVTNIC,
-			GVTPeriod:    100,
-			EarlyCancel:  cancel,
-			VerifyOracle: true,
-		})
-		if err != nil {
-			t.Fatalf("cancel=%v: %v", cancel, err)
+// TestFaultScenarioIsPlanFor: the public FaultScenario resolves a name and
+// seed to exactly the plan the fault plane builds, and an unknown name is an
+// error rather than the empty plan.
+func TestFaultScenarioIsPlanFor(t *testing.T) {
+	got, err := FaultScenario("drop", 1)
+	want, wantErr := fault.PlanFor("drop", 1)
+	if err != nil || wantErr != nil || got != want || got == (FaultPlan{}) {
+		t.Fatalf("FaultScenario(drop, 1) = %+v, %v; PlanFor gives %+v, %v", got, err, want, wantErr)
+	}
+	if _, err := FaultScenario("dorp", 1); err == nil {
+		t.Fatal("an unknown scenario name must be an error")
+	}
+}
+
+// TestAblationNamesAreTheAblEntries: the "ablations" alias cmd/experiments
+// expands through AblationNames selects exactly the abl-* registry entries,
+// in suite order.
+func TestAblationNamesAreTheAblEntries(t *testing.T) {
+	var want []string
+	for _, e := range Experiments() {
+		if strings.HasPrefix(e.Name, "abl-") {
+			want = append(want, e.Name)
 		}
-		if res.CommittedEvents == 0 {
-			t.Fatal("nothing committed")
-		}
+	}
+	if got := AblationNames(); len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("AblationNames() = %v, want %v", got, want)
 	}
 }

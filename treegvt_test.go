@@ -46,7 +46,6 @@ func TestTreeCommitsRespectSerialOracle(t *testing.T) {
 	}{
 		{"crossbar/8", 8, simnet.Config{}},
 		{"fattree/16", 16, netWith(simnet.TopoFatTree)},
-		{"dragonfly/16", 16, netWith(simnet.TopoDragonfly)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := treeTestConfig(tc.nodes, GVTNICTree, tc.net)
@@ -86,7 +85,6 @@ func TestTreeDigestMatchesRing(t *testing.T) {
 	}{
 		{"phold/crossbar/8", func(m GVTMode) Config { return treeTestConfig(8, m, simnet.Config{}) }},
 		{"phold/fattree/16", func(m GVTMode) Config { return treeTestConfig(16, m, netWith(simnet.TopoFatTree)) }},
-		{"phold/dragonfly/16", func(m GVTMode) Config { return treeTestConfig(16, m, netWith(simnet.TopoDragonfly)) }},
 		{"raid/fattree/8", func(m GVTMode) Config {
 			return Config{
 				App:   RAID(RAIDGVTConfig(400)),

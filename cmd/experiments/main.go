@@ -86,7 +86,7 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	opts := nicwarp.FigureOpts{Nodes: *nodes, Seed: *seed, Scale: *scale, Shards: *shards, Topology: *topo}
+	opts := nicwarp.FigureOpts{Nodes: *nodes, Seed: *seed, Scale: *scale, Topology: *topo}
 
 	// Expand every selected experiment into one flat batch so small
 	// ablations ride along with the big sweeps and the pool never idles;
@@ -109,7 +109,7 @@ func main() {
 		fmt.Println("cache:", dc.Dir())
 		c = dc
 	}
-	pool := &runner.Runner{Workers: *workers, Cache: c, OnProgress: progressPrinter(len(jobs)),
+	pool := &runner.Runner{Workers: *workers, Cache: c, OnProgress: progressPrinter(),
 		Exec: nicwarp.Exec{Shards: *shards}}
 	results := pool.Run(jobs)
 
@@ -172,7 +172,7 @@ func selectExperiments(only string) ([]nicwarp.Experiment, error) {
 // progressPrinter renders per-point progress with a wall-clock ETA. The
 // clock stays in this package: internal/runner is deterministic code under
 // the nicwarp-vet walltime rule and only reports counts.
-func progressPrinter(total int) func(runner.Progress) {
+func progressPrinter() func(runner.Progress) {
 	start := time.Now()
 	return func(p runner.Progress) {
 		status := ""

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"nicwarp/internal/fault"
+	"nicwarp/internal/nic"
 	"nicwarp/internal/runner"
 	"nicwarp/internal/simnet"
 	"nicwarp/internal/vtime"
@@ -22,11 +23,6 @@ type FigureOpts struct {
 	Seed uint64
 	// Scale multiplies workload sizes (requests, incidents); 0 means 1.
 	Scale float64
-	// Shards is the per-point shard count; 0 or 1 means serial. It is pure
-	// execution strategy: tables and digests are identical at any value,
-	// which is why it rides on the runner (runner.Runner.Exec) rather than
-	// in the job configs, and never reaches the cache key.
-	Shards int
 	// Topology selects the interconnect model for every experiment point;
 	// the zero value is the crossbar the paper measured on, which keeps the
 	// default figure digests identical to configs that predate the field.
@@ -277,7 +273,7 @@ func ablations() []Experiment {
 			Description: "Ablation: drop-buffer capacity",
 			header:      []string{"variant", "exec_sec", "declined", "dropped"},
 			rows: func(o FigureOpts) []row {
-				return variants("cap=%d", []int{2, 10, 64, 1024}, func(cap int) Config {
+				return variants("cap=%d", []int{2, nic.PaperDropBufferCap, 64, 1024}, func(cap int) Config {
 					cfg := o.cancelPoint(Police(PoliceConfig(o.scaled(900))), GVTHostMattern, 1000)
 					cfg.DropBufferCap = cap
 					return cfg

@@ -21,26 +21,18 @@ var Verbs = map[string]string{
 	"finite":    "VTime operands provably below Infinity at this site",
 	"deepcopy":  "SaveState snapshot shares no mutable storage with live state",
 	"owns":      "field/function takes ownership of pooled objects stored or passed in",
-	"borrows":   "function uses pooled arguments transiently and retains none",
 	"grows":     "call may grow a //nicwarp:owns arena; interior pointers die here",
 	"hotpath":   "function (and everything it calls) must be allocation-free",
 	"sharded":   "package-level state reviewed for the deterministic-sharding plan",
 	"alloc":     "sanctioned allocation on a hot path (amortized growth, pool miss)",
 }
 
-// Annotation is one parsed `//nicwarp:<verb> <reason>` marker.
-type Annotation struct {
-	Verb   string
-	Reason string
-	Pos    token.Pos
-}
-
-// AnnotationSet holds every parsed annotation of one package, indexed for
-// the same-line-or-line-above lookup the grammar defines, plus the grammar
-// errors encountered while parsing.
+// AnnotationSet holds every well-formed annotation of one package, indexed
+// for the same-line-or-line-above lookup the grammar defines, plus the
+// grammar errors encountered while parsing.
 type AnnotationSet struct {
-	// byLine maps file name and line to the annotations anchored there.
-	byLine map[string]map[int][]Annotation
+	// byLine maps file name and line to the verbs anchored there.
+	byLine map[string]map[int][]string
 	errs   []Diagnostic
 }
 
@@ -48,7 +40,7 @@ type AnnotationSet struct {
 // annotations (empty or unknown verb, missing reason) are recorded as
 // diagnostics retrievable via Errors; they do not suppress anything.
 func CollectAnnotations(fset *token.FileSet, files []*ast.File) *AnnotationSet {
-	s := &AnnotationSet{byLine: make(map[string]map[int][]Annotation)}
+	s := &AnnotationSet{byLine: make(map[string]map[int][]string)}
 	for _, f := range files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
@@ -56,7 +48,7 @@ func CollectAnnotations(fset *token.FileSet, files []*ast.File) *AnnotationSet {
 				if !ok {
 					continue
 				}
-				ann, err := parseAnnotation(rest, c.Slash)
+				verb, err := parseAnnotation(rest)
 				if err != nil {
 					s.errs = append(s.errs, Diagnostic{Pos: c.Slash, Message: err.Error()})
 					continue
@@ -64,34 +56,35 @@ func CollectAnnotations(fset *token.FileSet, files []*ast.File) *AnnotationSet {
 				pos := fset.Position(c.Slash)
 				lines := s.byLine[pos.Filename]
 				if lines == nil {
-					lines = make(map[int][]Annotation)
+					lines = make(map[int][]string)
 					s.byLine[pos.Filename] = lines
 				}
-				lines[pos.Line] = append(lines[pos.Line], ann)
+				lines[pos.Line] = append(lines[pos.Line], verb)
 			}
 		}
 	}
 	return s
 }
 
-// parseAnnotation parses the text after "//nicwarp:". The grammar is
-// `<verb> <reason>`: a known verb followed by a non-empty free-text reason.
-func parseAnnotation(text string, pos token.Pos) (Annotation, error) {
+// parseAnnotation parses the text after "//nicwarp:" and returns its verb.
+// The grammar is `<verb> <reason>`: a known verb followed by a non-empty
+// free-text reason.
+func parseAnnotation(text string) (string, error) {
 	verb, reason, _ := strings.Cut(text, " ")
 	verb = strings.TrimSpace(verb)
 	reason = strings.TrimSpace(reason)
 	if verb == "" {
-		return Annotation{}, fmt.Errorf("//nicwarp: annotation without a verb; grammar is //nicwarp:<verb> <reason>")
+		return "", fmt.Errorf("//nicwarp: annotation without a verb; grammar is //nicwarp:<verb> <reason>")
 	}
 	if _, known := Verbs[verb]; !known {
-		return Annotation{}, fmt.Errorf("unknown //nicwarp:%s annotation verb (known: %s); "+
+		return "", fmt.Errorf("unknown //nicwarp:%s annotation verb (known: %s); "+
 			"a misspelled verb suppresses nothing", verb, strings.Join(VerbNames(), ", "))
 	}
 	if reason == "" {
-		return Annotation{}, fmt.Errorf("//nicwarp:%s without a reason; the reason is the "+
+		return "", fmt.Errorf("//nicwarp:%s without a reason; the reason is the "+
 			"reviewable justification and is required", verb)
 	}
-	return Annotation{Verb: verb, Reason: reason, Pos: pos}, nil
+	return verb, nil
 }
 
 // VerbNames returns the registered verbs in sorted order.
@@ -114,8 +107,8 @@ func (s *AnnotationSet) At(fset *token.FileSet, pos token.Pos, verb string) bool
 		return false
 	}
 	for _, line := range [2]int{p.Line, p.Line - 1} {
-		for _, a := range lines[line] {
-			if a.Verb == verb {
+		for _, v := range lines[line] {
+			if v == verb {
 				return true
 			}
 		}

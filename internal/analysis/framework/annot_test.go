@@ -91,7 +91,7 @@ func TestVerbNamesSortedAndComplete(t *testing.T) {
 			t.Fatalf("VerbNames not sorted: %q before %q", names[i-1], names[i])
 		}
 	}
-	for _, required := range []string{"owns", "borrows", "grows", "hotpath", "sharded", "alloc"} {
+	for _, required := range []string{"owns", "grows", "hotpath", "sharded", "alloc"} {
 		if _, ok := Verbs[required]; !ok {
 			t.Errorf("verb %q missing from registry", required)
 		}

@@ -21,14 +21,9 @@ type FuncFact struct {
 	// Owns: the function takes ownership of pooled-pointer arguments —
 	// callers must not touch those arguments after the call (poolown).
 	Owns bool
-	// Borrows: the function promises to retain no pooled-pointer argument
-	// past its return (poolown; documentation-grade, declared not proven).
-	Borrows bool
 	// Grows: the function may grow an owned arena, so interior pointers
 	// into that arena obtained before the call are dangling after it.
 	Grows bool
-	// Hot: the function is a declared //nicwarp:hotpath root.
-	Hot bool
 	// MayAlloc: the function (transitively) may allocate; AllocWhat names
 	// the first offending construct for the diagnostic chain.
 	MayAlloc  bool

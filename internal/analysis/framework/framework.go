@@ -51,7 +51,6 @@ type Diagnostic struct {
 // Pass carries one (analyzer, package) unit of work, mirroring
 // analysis.Pass.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
@@ -82,9 +81,8 @@ func (p *Pass) Annotated(pos token.Pos, name string) bool {
 }
 
 // newPass assembles a Pass over pkg sharing the run-wide fact store.
-func newPass(a *Analyzer, pkg *Package, facts *FactSet, sink *[]Diagnostic) *Pass {
+func newPass(pkg *Package, facts *FactSet, sink *[]Diagnostic) *Pass {
 	return &Pass{
-		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
@@ -99,7 +97,7 @@ func newPass(a *Analyzer, pkg *Package, facts *FactSet, sink *[]Diagnostic) *Pas
 // store and returns its diagnostics sorted by position.
 func RunWith(a *Analyzer, pkg *Package, facts *FactSet) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	pass := newPass(a, pkg, facts, &diags)
+	pass := newPass(pkg, facts, &diags)
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
 	}
@@ -123,7 +121,7 @@ func RunFacts(a *Analyzer, pkg *Package, facts *FactSet) error {
 		return nil
 	}
 	var discard []Diagnostic
-	pass := newPass(a, pkg, facts, &discard)
+	pass := newPass(pkg, facts, &discard)
 	if err := a.FactsRun(pass); err != nil {
 		return fmt.Errorf("%s: facts for %s: %v", a.Name, pkg.Path, err)
 	}

@@ -16,9 +16,7 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	// Path is the package's import path.
-	Path string
-	// Dir is the directory holding its sources.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -319,7 +317,7 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

@@ -69,7 +69,6 @@ type allocSite struct {
 
 // fnInfo is the per-function summary the package-local fixpoint runs on.
 type fnInfo struct {
-	decl    *ast.FuncDecl
 	fn      *types.Func
 	hot     bool
 	sites   []allocSite   // local allocating constructs (escapes applied)
@@ -78,7 +77,7 @@ type fnInfo struct {
 	unknown []allocSite // calls outside the module (assumed allocating)
 }
 
-// factsRun computes Hot and MayAlloc facts for every function in the
+// factsRun computes the MayAlloc fact of every function in the
 // package. MayAlloc is transitive: a function allocates if its body does or
 // if any callee's fact says it may. Unknown callees (outside the loaded
 // module, or dynamic) count as allocating — the analyzer is conservative at
@@ -93,9 +92,6 @@ func factsRun(pass *framework.Pass) error {
 			fact := pass.Facts.EnsureFunc(info.fn)
 			if fact == nil {
 				continue
-			}
-			if info.hot {
-				fact.Hot = true
 			}
 			if fact.MayAlloc {
 				continue
@@ -213,7 +209,6 @@ func collect(pass *framework.Pass) []*fnInfo {
 				continue
 			}
 			info := &fnInfo{
-				decl:  fd,
 				fn:    fn,
 				hot:   pass.Annotated(fd.Pos(), "hotpath"),
 				calls: make(map[*types.Func]token.Pos),

@@ -12,8 +12,8 @@
 // observationally invisible); poolown turns the discipline into a vet
 // failure at the offending line instead of a bench-time bisection.
 //
-// Three rules, all driven by the `//nicwarp:owns` / `//nicwarp:borrows` /
-// `//nicwarp:grows` annotation facts exported across packages:
+// Three rules, all driven by the `//nicwarp:owns` / `//nicwarp:grows`
+// annotation facts exported across packages:
 //
 //  1. Use after ownership transfer. Calling a function annotated
 //     `//nicwarp:owns` transfers ownership of its pooled-pointer arguments
@@ -74,7 +74,7 @@ var Analyzer = &framework.Analyzer{
 }
 
 // factsRun records the package's ownership annotations as exported facts:
-// owns/borrows/grows on function declarations, owns on struct fields (an
+// owns/grows on function declarations, owns on struct fields (an
 // owning field whose type is a slice of value structs is an arena).
 func factsRun(pass *framework.Pass) error {
 	for _, file := range pass.Files {
@@ -85,7 +85,7 @@ func factsRun(pass *framework.Pass) error {
 				if fn == nil {
 					continue
 				}
-				for _, verb := range [...]string{"owns", "borrows", "grows"} {
+				for _, verb := range [...]string{"owns", "grows"} {
 					if !pass.Annotated(d.Pos(), verb) {
 						continue
 					}
@@ -96,8 +96,6 @@ func factsRun(pass *framework.Pass) error {
 					switch verb {
 					case "owns":
 						fact.Owns = true
-					case "borrows":
-						fact.Borrows = true
 					case "grows":
 						fact.Grows = true
 					}

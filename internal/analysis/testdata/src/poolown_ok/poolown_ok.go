@@ -27,9 +27,7 @@ func (p *pool) get() *timewarp.Event {
 	return &timewarp.Event{}
 }
 
-// inspect only borrows: it promises to retain nothing.
-//
-//nicwarp:borrows reads the payload, stores nothing
+// inspect is unannotated, so it borrows: it retains nothing.
 func inspect(e *timewarp.Event) uint64 {
 	return e.Payload
 }

@@ -150,7 +150,7 @@ func (a *App) Build(numLPs int, seed uint64) (map[timewarp.ObjectID]timewarp.Obj
 	objs := make(map[timewarp.ObjectID]timewarp.Object, p.Centres+p.Stations)
 	for c := 0; c < p.Centres; c++ {
 		objs[p.centreID(c)] = &centre{
-			id: p.centreID(c), index: c, p: p,
+			index: c, p: p,
 			st: centreState{rnd: rng.NewFor(seed, 50000+uint64(c))},
 		}
 	}
@@ -271,7 +271,6 @@ type centreState struct {
 }
 
 type centre struct {
-	id    timewarp.ObjectID
 	index int
 	p     Params
 	st    centreState

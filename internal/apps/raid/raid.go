@@ -124,13 +124,13 @@ func (a *App) Build(numLPs int, seed uint64) (map[timewarp.ObjectID]timewarp.Obj
 	}
 	for i := 0; i < p.Forks; i++ {
 		objs[p.forkID(i)] = &fork{
-			id: p.forkID(i), p: p,
+			p:  p,
 			st: forkState{rnd: rng.NewFor(seed, 1000+uint64(i))},
 		}
 	}
 	for i := 0; i < p.Disks; i++ {
 		objs[p.diskID(i)] = &disk{
-			id: p.diskID(i), p: p,
+			id: p.diskID(i),
 			st: diskState{rnd: rng.NewFor(seed, 2000+uint64(i))},
 		}
 	}
@@ -156,7 +156,6 @@ const parityFlag uint64 = 1 << 32
 
 type sourceState struct {
 	remaining int // requests not yet issued
-	inFlight  int
 	done      uint64
 	acc       uint64
 	rnd       rng.Source
@@ -179,7 +178,6 @@ func (s *source) Init(ctx *timewarp.Context) {
 // issue sends one request to a random fork after a think delay.
 func (s *source) issue(ctx *timewarp.Context) {
 	s.st.remaining--
-	s.st.inFlight++
 	f := s.p.forkID(s.st.rnd.Intn(s.p.Forks))
 	delay := vtime.VTime(s.st.rnd.ExpInt64(s.p.ThinkMean))
 	ctx.Send(f, delay, uint64(uint32(s.id)))
@@ -187,7 +185,6 @@ func (s *source) issue(ctx *timewarp.Context) {
 
 // Execute handles a disk completion.
 func (s *source) Execute(ctx *timewarp.Context, ev *timewarp.Event) {
-	s.st.inFlight--
 	s.st.done++
 	s.st.acc = timewarp.DigestMix(s.st.acc, ev.Payload^uint64(ev.RecvTS))
 	if s.st.remaining > 0 {
@@ -214,7 +211,6 @@ type forkState struct {
 }
 
 type fork struct {
-	id    timewarp.ObjectID
 	p     Params
 	st    forkState
 	snaps timewarp.Snapshots[forkState]
@@ -254,7 +250,6 @@ type diskState struct {
 
 type disk struct {
 	id    timewarp.ObjectID
-	p     Params
 	st    diskState
 	snaps timewarp.Snapshots[diskState]
 }

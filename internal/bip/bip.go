@@ -79,7 +79,6 @@ type Endpoint struct {
 
 	// Stats.
 	GapsDetected stats.Counter // receive-side gap episodes
-	MissingSeqs  stats.Counter // total sequence numbers skipped at detection time
 	LateFilled   stats.Counter // gap holes later filled by a late arrival
 	Duplicates   stats.Counter // duplicate deliveries identified and discarded
 }
@@ -191,7 +190,6 @@ func (e *Endpoint) AcceptSeqV(src int32, seq uint64) (Verdict, int) {
 	if seq > want {
 		missing = int(seq - want)
 		e.GapsDetected.Inc()
-		e.MissingSeqs.Add(int64(missing))
 		e.missing = dense.Grow(e.missing, src, holes{})
 		h := &e.missing[src]
 		h.ranges = append(h.ranges, seqRange{lo: want, hi: seq - 1})

@@ -58,8 +58,8 @@ func TestAcceptDetectsGap(t *testing.T) {
 	if missing != 3 {
 		t.Fatalf("missing = %d, want 3", missing)
 	}
-	if e.GapsDetected.Value() != 1 || e.MissingSeqs.Value() != 3 {
-		t.Fatalf("gaps=%d missing=%d", e.GapsDetected.Value(), e.MissingSeqs.Value())
+	if e.GapsDetected.Value() != 1 || e.MissingFrom(0) != 3 {
+		t.Fatalf("gaps=%d missing=%d", e.GapsDetected.Value(), e.MissingFrom(0))
 	}
 	// Stream continues normally afterwards.
 	if _, missing := e.AcceptV(pkt(0, 1, 6)); missing != 0 {

@@ -42,13 +42,13 @@ func TestBatchingComposesWithOffloads(t *testing.T) {
 	cfg := batchConfig(8)
 	cfg.GVT = GVTNIC
 	cfg.EarlyCancel = true
+	cfg.CheckInvariants = true
 	res := mustRun(t, cfg)
 	if res.CommittedEvents == 0 {
 		t.Fatal("nothing committed")
 	}
-	if res.Rollbacks > 0 && res.BIPMissing != res.DroppedInPlace+res.AntisFiltered {
-		t.Fatalf("BIP missing %d != dropped %d + filtered %d",
-			res.BIPMissing, res.DroppedInPlace, res.AntisFiltered)
+	if v := res.Invariants.ViolationsTotal; v != 0 {
+		t.Fatalf("%d invariant violations: %+v", v, res.Invariants.Violations)
 	}
 }
 

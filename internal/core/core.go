@@ -177,7 +177,9 @@ func (c Config) WithDefaults() Config {
 }
 
 // Validate rejects inconsistent configurations. Violations are reported as
-// *FieldError values naming the offending Config field.
+// *FieldError values naming the offending Config field. A hardware
+// sub-config that is entirely zero stands for its defaults (WithDefaults);
+// one that is set only in part must still be runnable.
 func (c Config) Validate() error {
 	if c.App == nil {
 		return &FieldError{Field: "App", Value: nil, Reason: "no application configured"}
@@ -206,8 +208,20 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "EarlyCancel", Value: true,
 			Reason: "early cancellation is incompatible with pGVT (dropped packets are never acknowledged)"}
 	}
+	if c.GVTFallbackDelay < 0 {
+		return &FieldError{Field: "GVTFallbackDelay", Value: c.GVTFallbackDelay,
+			Reason: "piggyback patience must be >= 0 (0 keeps the default)"}
+	}
+	if c.DropBufferCap < 0 {
+		return &FieldError{Field: "DropBufferCap", Value: c.DropBufferCap,
+			Reason: "drop-buffer capacity must be >= 0 (0 keeps the default)"}
+	}
+	if c.MaxModelTime < 0 {
+		return &FieldError{Field: "MaxModelTime", Value: c.MaxModelTime,
+			Reason: "model-time limit must be >= 0 (0 keeps the default)"}
+	}
 	if err := c.Costs.Validate(); err != nil {
-		return err
+		return &FieldError{Field: "Costs", Value: c.Costs, Reason: err.Error()}
 	}
 	if err := c.Fault.Validate(); err != nil {
 		return &FieldError{Field: "Fault", Value: c.Fault.Scenario, Reason: err.Error()}
@@ -228,6 +242,10 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "NIC.FlushHorizon", Value: int(c.NIC.FlushHorizon),
 			Reason: "flush horizon requires batching (NIC.BatchMax >= 2)"}
 	}
+	if c.NIC != (nic.Config{}) && c.NIC.ClockHz <= 0 {
+		return &FieldError{Field: "NIC.ClockHz", Value: c.NIC.ClockHz,
+			Reason: "NIC clock must be positive (start a partial NIC config from nic.DefaultConfig)"}
+	}
 	// A topology is valid when its name parses back; an out-of-range value
 	// prints as "Topology(n)", which does not.
 	if _, err := ParseTopology(c.Net.Topology.String()); err != nil {
@@ -237,7 +255,20 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "Net.Radix", Value: c.Net.Radix,
 			Reason: "switch radix must be >= 0 (0 means simnet.DefaultRadix)"}
 	}
-	return c.Flow.Validate()
+	if c.Net != (simnet.Config{}) && c.Net.LinkBandwidth <= 0 {
+		return &FieldError{Field: "Net.LinkBandwidth", Value: c.Net.LinkBandwidth,
+			Reason: "link bandwidth must be positive (start a partial Net config from simnet.DefaultConfig)"}
+	}
+	if c.Bus != (iobus.Config{}) && c.Bus.Bandwidth <= 0 {
+		return &FieldError{Field: "Bus.Bandwidth", Value: c.Bus.Bandwidth,
+			Reason: "bus bandwidth must be positive (start a partial Bus config from iobus.DefaultConfig)"}
+	}
+	if c.Flow != (mpich.Config{}) {
+		if err := c.Flow.Validate(); err != nil {
+			return &FieldError{Field: "Flow", Value: c.Flow, Reason: err.Error()}
+		}
+	}
+	return nil
 }
 
 // idleGVTBackoff throttles GVT re-initiation while an LP sits idle, so the
@@ -367,7 +398,6 @@ func nodeDoorbellCrossed(x interface{}) { x.(*node).nicDev.Doorbell() }
 // Cluster is an assembled experiment.
 type Cluster struct {
 	cfg    Config
-	exec   Exec
 	shards int
 
 	// engines holds one event engine per shard; node i lives on engine
@@ -427,7 +457,6 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	}
 	cl := &Cluster{
 		cfg:    cfg,
-		exec:   ex,
 		shards: ex.shards(cfg),
 		home:   make(map[timewarp.ObjectID]int),
 	}
@@ -1231,8 +1260,6 @@ func (cl *Cluster) sample(t vtime.ModelTime) {
 	for _, n := range cl.nodes {
 		s.Processed += n.kernel.Stats.Processed.Value()
 		s.RolledBack += n.kernel.Stats.RolledBack.Value()
-		s.MsgsBuilt += n.eventsBuilt.Value()
-		s.DroppedInPlace += n.nicDev.Stats.DroppedInPlace.Value()
 		s.HostUtil += n.cpu.UtilizationAt(t)
 	}
 	s.HostUtil /= float64(len(cl.nodes))

@@ -83,14 +83,15 @@ func TestNICGVTMatchesOracle(t *testing.T) {
 func TestEarlyCancelMatchesOracle(t *testing.T) {
 	cfg := baseConfig()
 	cfg.EarlyCancel = true
+	cfg.CheckInvariants = true
 	res := mustRun(t, cfg)
 	if res.Rollbacks == 0 {
 		t.Skip("no rollbacks in this seeding; cancellation unexercised")
 	}
-	// Consistency: the BIP gap count must equal the deliberate drops.
-	if res.BIPMissing != res.DroppedInPlace+res.AntisFiltered {
-		t.Fatalf("BIP missing %d != dropped %d + filtered %d",
-			res.BIPMissing, res.DroppedInPlace, res.AntisFiltered)
+	// Consistency: each receiver's BIP holes must equal the deliberate
+	// drops its sender's NIC made (the checker's bip-gap-accounting rule).
+	if v := res.Invariants.ViolationsTotal; v != 0 {
+		t.Fatalf("%d invariant violations: %+v", v, res.Invariants.Violations)
 	}
 	if res.DropsDeclined != 0 {
 		t.Fatalf("drop buffer declined %d drops in a small run", res.DropsDeclined)

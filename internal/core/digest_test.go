@@ -161,12 +161,19 @@ func TestValidateFieldErrors(t *testing.T) {
 		// 2 was the retired dragonfly: out of range, not a crossbar.
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, Net: simnet.Config{Topology: 2}}, "Net.Topology"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, Net: simnet.Config{Radix: -1}}, "Net.Radix"},
+		// A sub-config set only in part is not filled with defaults.
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.Config{BatchMax: 8}}, "NIC.ClockHz"},
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, Net: simnet.Config{Topology: simnet.TopoFatTree}}, "Net.LinkBandwidth"},
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, Bus: iobus.Config{DMASetup: 1}}, "Bus.Bandwidth"},
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, Costs: hostmodel.CostTable{EventGrain: -1}}, "Costs"},
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, Flow: mpich.Config{Window: 4}}, "Flow"},
+		// Negative overrides are errors, not the defaults zero stands for.
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, DropBufferCap: -1}, "DropBufferCap"},
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, GVTFallbackDelay: -5}, "GVTFallbackDelay"},
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, MaxModelTime: -1}, "MaxModelTime"},
 	}
 	for _, c := range cases {
-		cfg := c.cfg
-		cfg.Costs = hostmodel.DefaultCostTable()
-		cfg.Flow = mpich.DefaultConfig()
-		err := cfg.Validate()
+		err := c.cfg.Validate()
 		var fe *FieldError
 		if !errors.As(err, &fe) {
 			t.Fatalf("want *FieldError for %s, got %v", c.field, err)

@@ -13,13 +13,11 @@ import (
 // cumulative counters and cluster state at model time T, the clock of the
 // first window barrier at or past a multiple of the interval.
 type Sample struct {
-	T              vtime.ModelTime
-	GVT            vtime.VTime
-	Processed      int64
-	RolledBack     int64
-	MsgsBuilt      int64
-	DroppedInPlace int64
-	HostUtil       float64
+	T          vtime.ModelTime
+	GVT        vtime.VTime
+	Processed  int64
+	RolledBack int64
+	HostUtil   float64
 }
 
 // Result aggregates everything an experiment reports — the quantities behind
@@ -82,7 +80,6 @@ type Result struct {
 	FlowBlocked   int64 // packets that waited for credit
 	CreditMsgs    int64
 	BIPGaps       int64 // receive-side sequence gaps (should equal drop count)
-	BIPMissing    int64 // missing sequence numbers observed at detection time
 	BIPLateFilled int64 // gap holes later filled by late/retransmitted packets
 	BIPDuplicates int64 // duplicate deliveries identified and discarded
 	CreditRepair  int64 // credits refunded for packets dropped in place
@@ -217,7 +214,6 @@ func (cl *Cluster) collect() *Result {
 		r.CreditMsgs += n.flow.CreditMsgs.Value()
 		r.CreditRepair += n.flow.Refunded.Value()
 		r.BIPGaps += n.bipEnd.GapsDetected.Value()
-		r.BIPMissing += n.bipEnd.MissingSeqs.Value()
 		r.BIPLateFilled += n.bipEnd.LateFilled.Value()
 		r.BIPDuplicates += n.bipEnd.Duplicates.Value()
 	}

@@ -15,7 +15,7 @@ import (
 // GVT values.
 //
 // The host↔NIC handshake follows the paper: when a token arrives, the NIC
-// raises ControlMessagePending and notifies the host; the host processes the
+// stages it in the shared window and notifies the host; the host processes the
 // colour change and piggybacks its (T, Tmin, V) values "in four unused
 // fields in the Basic Event Message" of the next outgoing message. If no
 // event traffic appears within FallbackDelay, the host writes the shared
@@ -73,16 +73,12 @@ func NewNICGVT(period int) *NICGVTManager {
 	}
 }
 
-// Start implements Manager: report the LP rank through the shared window,
-// as the paper's initialization does.
+// Start implements Manager.
 func (m *NICGVTManager) Start(h Host) {
 	m.host = h
-	w := h.Shared()
-	if w == nil {
+	if h.Shared() == nil {
 		panic("gvt: NIC-GVT requires a programmable NIC (no shared window)")
 	}
-	w.Rank = h.LP()
-	w.TimewarpInitialized = true
 }
 
 func (m *NICGVTManager) isRoot(h Host) bool { return h.LP() == 0 }
@@ -180,7 +176,6 @@ func (m *NICGVTManager) OnSent(h Host, pkt *proto.Packet) {
 	m.fallback = des.TimerRef{}
 	pkt.PiggyGVTValid = true
 	m.fillReport(h, &pkt.PiggyT, &pkt.PiggyTMin, &pkt.PiggyV)
-	pkt.PiggyRound = h.Shared().TokenRound
 	m.Stats.Piggybacks.Inc()
 }
 

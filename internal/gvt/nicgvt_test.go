@@ -56,15 +56,6 @@ func (h *nicHost) fireTimers() {
 	h.timers = nil
 }
 
-func TestNICGVTStartReportsRank(t *testing.T) {
-	h := newNICHost(3, 8)
-	m := NewNICGVT(100)
-	m.Start(h)
-	if !h.window.TimewarpInitialized || h.window.Rank != 3 {
-		t.Fatalf("window after Start: %+v", h.window)
-	}
-}
-
 func TestNICGVTInitiationStagesTokenAndPiggybacks(t *testing.T) {
 	h := newNICHost(0, 4)
 	m := NewNICGVT(2)
@@ -146,7 +137,6 @@ func TestNICGVTTokenArrivalHandshake(t *testing.T) {
 	// The firmware stored a token and rang NotifyGVTControl.
 	w := h.window
 	w.GVTTokenPending = true
-	w.ControlMessagePending = true
 	w.TokenEpoch = 3
 	w.TokenRound = 0
 	m.OnNotify(h, nic.NotifyGVTControl)

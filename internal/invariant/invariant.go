@@ -74,7 +74,6 @@ const maxViolations = 64
 
 // Report is the plain-data outcome of a checked run.
 type Report struct {
-	Checked    bool // a checker was installed
 	Sent       int64
 	Delivered  int64
 	Discarded  int64
@@ -123,7 +122,6 @@ func NewChecker(nodes int) *Checker {
 	for i := range c.lastGVT {
 		c.lastGVT[i] = minVTime
 	}
-	c.rep.Checked = true
 	return c
 }
 

@@ -204,7 +204,6 @@ func (f *GVTFirmware) advance(api nic.API) {
 	initiation := w.TokenIsInitiation
 
 	w.GVTTokenPending = false
-	w.ControlMessagePending = false
 	w.ReceivedHostVariables = false
 	w.TokenIsInitiation = false
 

@@ -59,7 +59,6 @@ func extractPiggy(pkt *proto.Packet, api nic.API) bool {
 // handshake values.
 func stageToken(w *nic.SharedWindow, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
 	w.GVTTokenPending = true
-	w.ControlMessagePending = true
 	w.ReceivedHostVariables = false
 	w.TokenIsInitiation = false
 	w.TokenRound = round

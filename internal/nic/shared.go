@@ -13,23 +13,16 @@ import (
 // performs the access (host SharedWrite cost, NIC cycles).
 //
 // Field names follow the paper's variable names where it gives them
-// (TimewarpInitialised, GvtTokenPending, ControlMessagePending,
-// ReceivedHostVariables, V, T, Tmin).
+// (GvtTokenPending, ReceivedHostVariables, V, T, Tmin). The paper's rank
+// report, TimewarpInitialised and ControlMessagePending have no reader
+// here: firmware knows its node from the NIC, and the NotifyGVTControl
+// doorbell is the pending control message.
 type SharedWindow struct {
-	// Rank is the LP rank the host reported at initialization ("initially,
-	// each LP reports its rank to the NIC through the global buffer").
-	Rank int
-	// TimewarpInitialized is set once the host stack is up and Rank valid.
-	TimewarpInitialized bool
-
 	// ---- NIC-level GVT handshake state ----
 
-	// GVTTokenPending: a GVT computation is in progress at this NIC.
+	// GVTTokenPending: a GVT computation is in progress at this NIC; while
+	// ReceivedHostVariables is false it waits for the host's variables.
 	GVTTokenPending bool
-	// ControlMessagePending: a GVT token was received by the NIC and
-	// reported to the host for processing; the NIC is waiting for the host
-	// variables.
-	ControlMessagePending bool
 	// ReceivedHostVariables: the host has processed the pending control
 	// message and its (T, Tmin, V) values came off the last outgoing
 	// message or doorbell.

@@ -130,7 +130,6 @@ type Packet struct {
 	PiggyT        vtime.VTime // host's LVT estimate (T)
 	PiggyTMin     vtime.VTime // min timestamp of red messages sent (Tmin)
 	PiggyV        int64       // outstanding white message count (V)
-	PiggyRound    int32       // round of the GVT computation being answered
 
 	// Early-cancellation consistency: the host piggybacks the epoch of the
 	// last anti-message it has processed ("the host reports the last
@@ -245,15 +244,18 @@ func (s *SubMsg) Sign() int8 {
 // packetWireSize is the fixed encoded size in bytes of the header fields
 // above. Event payloads are modeled as part of Payload; the paper's models
 // exchange small fixed-size events, matching WARPED's Basic Event Message.
-// The reserved word is where the paper's NIC would write receive-side
-// credit repair; the reproduction refunds at the sender (DESIGN.md §9), so
-// it is always zero, and it stays in the image so wire sizes — and with
-// them every modeled transfer time — are what the figures were made with.
+// The reserved header word is where the paper's NIC would write
+// receive-side credit repair; the reproduction refunds at the sender
+// (DESIGN.md §9). The reserved piggyback word is the fourth of the paper's
+// "four unused fields", which the handshake does not need: the NIC keeps
+// the round it waits on in its shared window. Both are always zero, and
+// they stay in the image so wire sizes — and with them every modeled
+// transfer time — are what the figures were made with.
 const packetWireSize = 8 + 4 + 4 + // Seq, SrcNode, DstNode
 	1 + 4 + 4 + // Kind, Credits, reserved (zero)
 	4 + 4 + 8 + 8 + 8 + 8 + // SrcObj..Payload
 	4 + // ColorEpoch
-	1 + 8 + 8 + 8 + 4 + // piggyback GVT
+	1 + 8 + 8 + 8 + 4 + // piggyback GVT, reserved (zero)
 	8 + // PiggyAntiEpoch
 	4 + 8 + 8 + 8 + 4 + 8 + // token body
 	1 // Sign byte (encoded from Kind redundancy; kept for firmware parity)
@@ -362,7 +364,7 @@ func (p *Packet) MarshalAppend(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.PiggyT))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.PiggyTMin))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.PiggyV))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.PiggyRound))
+	buf = binary.BigEndian.AppendUint32(buf, 0) // reserved
 	buf = binary.BigEndian.AppendUint64(buf, p.PiggyAntiEpoch)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.TokenRound))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.TokenCount))
@@ -444,7 +446,9 @@ func decodeFixed(data []byte) (*Packet, error) {
 	p.PiggyT = vtime.VTime(get64())
 	p.PiggyTMin = vtime.VTime(get64())
 	p.PiggyV = int64(get64())
-	p.PiggyRound = int32(get32())
+	if reserved := get32(); reserved != 0 {
+		return nil, fmt.Errorf("proto: reserved piggyback word %#x, want 0", reserved)
+	}
 	p.PiggyAntiEpoch = get64()
 	p.TokenRound = int32(get32())
 	p.TokenCount = int64(get64())

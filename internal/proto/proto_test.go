@@ -26,7 +26,6 @@ func samplePacket() *Packet {
 		PiggyT:         99,
 		PiggyTMin:      vtime.Infinity,
 		PiggyV:         -4,
-		PiggyRound:     2,
 		PiggyAntiEpoch: 7,
 		TokenRound:     1,
 		TokenCount:     -12,
@@ -123,14 +122,19 @@ func TestUnmarshalRejectsBadKind(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRejectsNonzeroReserved: the reserved header word is always
+// TestUnmarshalRejectsNonzeroReserved: the reserved words are always
 // encoded as zero, so an image with anything else there would decode to a
 // packet that re-encodes differently — accepted images must be canonical.
 func TestUnmarshalRejectsNonzeroReserved(t *testing.T) {
-	data := samplePacket().MarshalAppend(nil)
-	data[kindOffset+1+4+3] = 1 // last byte of the word after Kind and Credits
-	if _, err := Unmarshal(data); err == nil {
-		t.Fatal("expected error for nonzero reserved word")
+	for _, last := range []int{
+		kindOffset + 1 + 4 + 3,          // the word after Kind and Credits
+		packetWireSize - 1 - 40 - 8 - 1, // the word after PiggyV: before PiggyAntiEpoch, the token body and Sign
+	} {
+		data := samplePacket().MarshalAppend(nil)
+		data[last] = 1
+		if _, err := Unmarshal(data); err == nil {
+			t.Fatalf("expected error for nonzero reserved byte %d", last)
+		}
 	}
 }
 

@@ -74,12 +74,8 @@ func (h *harness) step(k *Kernel, res StepResult) {
 	if h.after != nil {
 		h.after(k)
 	}
-	annihilated := uint64(0)
-	if res.Annihilated {
-		annihilated = 1
-	}
-	for _, v := range [...]uint64{uint64(res.Executed), uint64(res.Rollbacks), uint64(res.UndoneEvents),
-		uint64(res.AntisEmitted), uint64(res.LocalDeliveries), annihilated, uint64(len(res.Remote))} {
+	for _, v := range [...]uint64{uint64(k.Stats.Processed.Value()), uint64(res.Rollbacks), uint64(res.UndoneEvents),
+		uint64(res.AntisEmitted), uint64(k.Stats.Annihilations.Value()), uint64(len(res.Remote))} {
 		h.trace = DigestMix(h.trace, v)
 	}
 	for _, ev := range res.Remote {

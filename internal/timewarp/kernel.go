@@ -208,9 +208,6 @@ func (o *objRuntime) schedKey() d4heap.Key {
 // StepResult reports what a kernel operation did, in counts the cluster
 // layer converts into host CPU costs, plus the remote messages to ship.
 type StepResult struct {
-	// Executed is the number of events executed (0 or 1; local cascades do
-	// not execute events, they only enqueue).
-	Executed int
 	// Remote holds events (positive and anti) destined for other LPs, in
 	// emission order. Ownership transfers to the caller: the kernel keeps
 	// no reference, and the caller may return the events to the kernel's
@@ -222,12 +219,6 @@ type StepResult struct {
 	UndoneEvents int
 	// AntisEmitted counts anti-messages emitted (local and remote).
 	AntisEmitted int
-	// LocalDeliveries counts events delivered object-to-object within the
-	// LP.
-	LocalDeliveries int
-	// Annihilated reports that a delivered message annihilated against its
-	// counterpart (or a zombie).
-	Annihilated bool
 }
 
 // Kernel is one LP: a set of simulation objects executing optimistically.
@@ -402,7 +393,6 @@ func (k *Kernel) ProcessOne() StepResult {
 	o.hist.Push(histEntry{ev: ev, state: snapshot{app: o.obj.SaveState(), sendSeq: o.sendSeq}})
 	k.histCount++
 	k.Stats.Processed.Inc()
-	res.Executed = 1
 
 	k.ctxScratch = Context{k: k, st: o, now: ev.RecvTS}
 	o.obj.Execute(&k.ctxScratch, ev)
@@ -574,7 +564,6 @@ func (k *Kernel) route(ev *Event) {
 	}
 	if k.IsLocal(ev.Dst) {
 		k.localQ = append(k.localQ, ev)
-		k.res.LocalDeliveries++
 	} else {
 		if k.res.Remote == nil {
 			if n := len(k.remoteSpare); n > 0 {
@@ -634,7 +623,6 @@ func (k *Kernel) deliverPositive(o *objRuntime, ev *Event) {
 			o.zombies[len(o.zombies)-1] = nil
 			o.zombies = o.zombies[:len(o.zombies)-1]
 			k.Stats.Annihilations.Inc()
-			k.res.Annihilated = true
 			k.release(z)
 			k.release(ev)
 			return
@@ -697,7 +685,6 @@ func (k *Kernel) deliverAnti(o *objRuntime, ev *Event) {
 		o.pendRemove(p)
 		k.fixSched(o)
 		k.Stats.Annihilations.Inc()
-		k.res.Annihilated = true
 		k.release(p)
 		k.release(ev)
 		return
@@ -713,7 +700,6 @@ func (k *Kernel) deliverAnti(o *objRuntime, ev *Event) {
 		}
 		k.fixSched(o)
 		k.Stats.Annihilations.Inc()
-		k.res.Annihilated = true
 		k.release(ev)
 		return
 	}

@@ -33,9 +33,6 @@ type VTime int64
 // the min operator in GVT reductions.
 const Infinity VTime = math.MaxInt64
 
-// ZeroV is the origin of virtual time. All application models begin at ZeroV.
-const ZeroV VTime = 0
-
 // IsInf reports whether t is the infinite timestamp.
 func (t VTime) IsInf() bool { return t == Infinity }
 

@@ -23,7 +23,7 @@ func runExperiment(t *testing.T, name string, opts FigureOpts) []*Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := (&runner.Runner{Exec: Exec{Shards: opts.Shards}}).Run(exp.Jobs(opts))
+	results := (&runner.Runner{}).Run(exp.Jobs(opts))
 	res := make([]*Result, len(results))
 	for i := range results {
 		if results[i].Err != nil {

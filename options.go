@@ -50,8 +50,9 @@ func applyOptions(opts []RunOption) runOptions {
 // byte-identical to the serial run at any shard count — sharding is pure
 // execution strategy — so the config digest, and with it the result cache
 // key, does not see n. Counts below 1 or above the node count are clamped;
-// configurations without a positive lookahead (or with run-time sampling
-// enabled) fall back to serial execution.
+// configurations without a positive lookahead fall back to serial
+// execution. Run-time sampling and the invariant checker read at the
+// window barrier, so they shard like any other run.
 func WithShards(n int) RunOption {
 	return func(o *runOptions) { o.exec.Shards = n }
 }

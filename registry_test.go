@@ -78,3 +78,21 @@ func TestRenderRejectsMisshapenRow(t *testing.T) {
 		t.Fatal("a result count that does not match the points rendered")
 	}
 }
+
+// TestValidateAllocatesNothing pins Config.Validate to zero allocations on
+// a valid config: it runs once per point, and an error message built on
+// the success path (a joined list of names, a formatted value) is a cost
+// every run pays for nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, exp := range Experiments() {
+		for _, job := range exp.Jobs(FigureOpts{Scale: 0.02}) {
+			cfg := job.Config.WithDefaults()
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s: %v", job.Name, err)
+			}
+			if n := testing.AllocsPerRun(10, func() { _ = cfg.Validate() }); n != 0 {
+				t.Errorf("%s: Validate allocates %v times per call", job.Name, n)
+			}
+		}
+	}
+}

@@ -17,8 +17,14 @@ import (
 // tokens travel in the packets they arrived in, snapshots and output rows
 // are recycled per object and pool misses come in slabs. With one packet
 // clone per token hop and one boxed snapshot per event this read about 11.
+//
+// Bytes are gated beside objects, because one slab miss is one object but
+// kilobytes: a pool that keeps growing with traffic shows up here first.
+// With a packet free list per node, where packets left their sender's list
+// and piled up in their receiver's, this read 94 bytes per extra committed
+// event; one pool per shard brings every packet back to the list it left.
 func TestSteadyStateAllocationsPerEvent(t *testing.T) {
-	run := func(requests int) (mallocs uint64, committed int) {
+	run := func(requests int) (mallocs, bytes uint64, committed int) {
 		cfg := Config{App: RAID(RAIDGVTConfig(requests)), Nodes: 8, Seed: 1, GVT: GVTHostMattern, GVTPeriod: 1}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -27,18 +33,23 @@ func TestSteadyStateAllocationsPerEvent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m1.Mallocs - m0.Mallocs, res.CommittedEvents
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, res.CommittedEvents
 	}
-	smallAllocs, smallEvents := run(500)
-	largeAllocs, largeEvents := run(2000)
+	smallAllocs, smallBytes, smallEvents := run(500)
+	largeAllocs, largeBytes, largeEvents := run(2000)
 	if largeEvents < 2*smallEvents {
 		t.Fatalf("the larger run committed %d events against %d: not a size sweep", largeEvents, smallEvents)
 	}
-	perEvent := (float64(largeAllocs) - float64(smallAllocs)) / float64(largeEvents-smallEvents)
-	t.Logf("%d allocations for %d events, %d for %d: %.3f per extra committed event",
-		smallAllocs, smallEvents, largeAllocs, largeEvents, perEvent)
+	extra := float64(largeEvents - smallEvents)
+	perEvent := (float64(largeAllocs) - float64(smallAllocs)) / extra
+	bytesPerEvent := (float64(largeBytes) - float64(smallBytes)) / extra
+	t.Logf("%d allocations (%d B) for %d events, %d (%d B) for %d: %.3f allocations and %.1f B per extra committed event",
+		smallAllocs, smallBytes, smallEvents, largeAllocs, largeBytes, largeEvents, perEvent, bytesPerEvent)
 	if perEvent > 0.5 {
 		t.Fatalf("%.2f heap allocations per extra committed event, want at most 0.5", perEvent)
+	}
+	if bytesPerEvent > 32 {
+		t.Fatalf("%.1f heap bytes per extra committed event, want at most 32", bytesPerEvent)
 	}
 }
 

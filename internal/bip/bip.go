@@ -86,7 +86,9 @@ type Endpoint struct {
 // holes is one source's open sequence holes: disjoint inclusive ranges in
 // ascending order, and how many sequence numbers they cover. A gap always
 // opens above everything seen so far, so detection appends one range
-// whatever the gap's width; only a tolerant-mode late fill searches.
+// whatever the gap's width; only a tolerant-mode late fill searches. A
+// strict endpoint keeps the count alone: its holes are never filled, so it
+// never needs to know where they are.
 type holes struct {
 	ranges []seqRange
 	count  int
@@ -192,7 +194,11 @@ func (e *Endpoint) AcceptSeqV(src int32, seq uint64) (Verdict, int) {
 		e.GapsDetected.Inc()
 		e.missing = dense.Grow(e.missing, src, holes{})
 		h := &e.missing[src]
-		h.ranges = append(h.ranges, seqRange{lo: want, hi: seq - 1})
+		if e.tolerant {
+			// Only a late fill reads the ranges, and only tolerant mode
+			// has late arrivals.
+			h.ranges = append(h.ranges, seqRange{lo: want, hi: seq - 1})
+		}
 		h.count += missing
 	}
 	e.expect[src] = seq

@@ -67,6 +67,42 @@ func TestAcceptDetectsGap(t *testing.T) {
 	}
 }
 
+// TestStrictGapsDoNotAllocate: a strict endpoint never fills a hole, so it
+// counts the sequence numbers its gaps skip and keeps no list of where they
+// are. Ten thousand gapped arrivals are counted exactly, and the second
+// half of them allocates nothing; a list of ranges would still be growing.
+func TestStrictGapsDoNotAllocate(t *testing.T) {
+	const arrivals = 10_000
+	e := New(1)
+	var seq uint64
+	calls, skipped := 0, 0
+	half := func() {
+		for range arrivals / 2 {
+			calls++
+			gap := calls%7 + 1
+			seq += uint64(gap) + 1
+			skipped += gap
+			if v, missing := e.AcceptSeqV(0, seq); v != VerdictFresh || missing != gap {
+				t.Errorf("seq %d: verdict %v, %d missing, want fresh with %d", seq, v, missing, gap)
+			}
+		}
+	}
+	// AllocsPerRun runs half once to warm up, then once measured.
+	allocs := testing.AllocsPerRun(1, half)
+	if calls != arrivals {
+		t.Fatalf("%d arrivals, want %d", calls, arrivals)
+	}
+	if got := e.MissingFrom(0); got != skipped {
+		t.Fatalf("MissingFrom(0) = %d, want the %d sequence numbers the gaps skipped", got, skipped)
+	}
+	if got := e.GapsDetected.Value(); got != arrivals {
+		t.Fatalf("%d gaps detected, want %d", got, arrivals)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d gapped arrivals allocated %.0f times after warm-up, want 0", arrivals/2, allocs)
+	}
+}
+
 func TestAcceptPerSourceStreams(t *testing.T) {
 	e := New(2)
 	for src := int32(0); src < 2; src++ {

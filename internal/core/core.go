@@ -332,13 +332,13 @@ type node struct {
 	// protocol work.
 	absorbsQueued int
 
-	// pktFree recycles event/anti packets. The pool is per node so shards
-	// never contend: a packet is acquired by its source node's engine in
-	// transmitEvent (which fully overwrites every field) and released into
-	// the *destination* node's pool once that host has decoded it — packets
-	// migrate between pools, but each pool is only ever touched by its own
-	// node's engine.
-	pktFree []*proto.Packet //nicwarp:owns the packet free list is the release destination itself
+	// pool is the packet pool of this node's engine, shared with its NIC
+	// and MPICH endpoint and with every other node on the same engine. A
+	// packet is taken by its source node's engine in transmitEvent (which
+	// fully overwrites every field) and released into the *destination*
+	// node's engine's pool once that host has decoded it; each pool is only
+	// ever touched by its own engine's goroutine.
+	pool *proto.Pool
 
 	// doorbells holds the per-tag receivers for NIC doorbell completions.
 	doorbells [nic.NotifyCreditRefund + 1]doorbell
@@ -420,28 +420,12 @@ type Cluster struct {
 	nextSample vtime.ModelTime // the SampleEvery boundary the next sample waits for
 }
 
-// packetSlab is how many packets one free-list miss allocates.
-const packetSlab = 32
-
-// allocPacket takes an event/anti packet from the node's free list,
-// refilling it a slab at a time. The caller must overwrite every field.
-// Control packets never pass through here: a GVT control packet belongs to
-// the manager it was delivered to, which sends it on or keeps it
-// (gvt.MatternManager), and an explicit credit message belongs to MPICH,
-// whose receiving endpoint sends it out again as its own next credit reply.
-func (n *node) allocPacket() *proto.Packet {
-	return dense.Take(&n.pktFree, packetSlab)
-}
-
-// releasePacket returns a packet to this node's free list. The caller
-// guarantees no layer still references it: event/anti packets are released
-// only after the destination host decoded them into a kernel event, and
-// every intermediate layer (BIP, MPICH, GVT managers, NIC firmware) reads
-// inbound packets without retaining them.
-//
-//nicwarp:owns the free list is the release destination: p may be handed out again at the next allocPacket
-func (n *node) releasePacket(p *proto.Packet) {
-	n.pktFree = append(n.pktFree, p)
+// shardPool is one engine's packet pool, padded so that the pools of two
+// shards, written by different goroutines on every packet, never share a
+// cache line.
+type shardPool struct {
+	proto.Pool
+	_ [64]byte
 }
 
 // NewClusterExec assembles (but does not run) an experiment under the given
@@ -464,6 +448,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	for i := range cl.engines {
 		cl.engines[i] = des.NewEngine()
 	}
+	pools := make([]shardPool, cl.shards)
 	cl.group = des.NewGroup(cl.engines, Lookahead(cfg))
 	cl.fabric = simnet.NewFabric(cfg.Net, cfg.Nodes)
 	cl.gvtFW = make([]*firmware.GVTFirmware, cfg.Nodes)
@@ -486,6 +471,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			n.doorbells[tag] = doorbell{n: n, tag: nic.NotifyTag(tag)}
 		}
 		n.eng = cl.engines[i%cl.shards]
+		n.pool = &pools[i%cl.shards].Pool
 		n.eng.SetLane(uint32(i))
 		n.cpu = hostmodel.NewCPU(n.eng, i, cfg.Costs)
 		n.bus = iobus.NewBus(n.eng, i, cfg.Bus)
@@ -513,7 +499,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			fw = firmware.NewChain(parts...)
 		}
 		n.nicDev = nic.New(n.eng, i, cfg.NIC, cl.fabric, fw)
-		n.nicDev.SetPacketRecycler(n.releasePacket)
+		n.nicDev.SetPool(n.pool)
 		if cfg.DropBufferCap > 0 {
 			n.nicDev.Shared().Dropped = nic.NewDropBuffer(cfg.DropBufferCap)
 		}
@@ -545,6 +531,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			n.bipEnd.SetTolerant(true)
 		}
 		n.flow = mpich.New(i, cfg.Flow, n.bipTransmit)
+		n.flow.SetPool(n.pool)
 
 		n.nicDev.Wire(n.nicDeliver, n.nicNotify)
 		if cl.checker != nil {
@@ -889,7 +876,7 @@ func nodeSendBatch(x interface{}) {
 
 // transmitEvent converts a kernel event into a packet and pushes it down
 // the stack. The send overhead was charged by finishStep. The packet comes
-// from the cluster pool (fully overwritten here) and the kernel event goes
+// from the engine's pool (fully overwritten here) and the kernel event goes
 // back to the kernel pool once its fields are copied out.
 func (n *node) transmitEvent(ev *timewarp.Event) {
 	kind := proto.KindEvent
@@ -897,7 +884,7 @@ func (n *node) transmitEvent(ev *timewarp.Event) {
 		kind = proto.KindAnti
 		n.antisBuilt.Inc()
 	}
-	pkt := n.allocPacket()
+	pkt := n.pool.Packet()
 	*pkt = proto.Packet{
 		Kind:           kind,
 		SrcNode:        int32(n.id),
@@ -1095,13 +1082,13 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 			ck.OnDuplicate(n.id, pkt)
 		}
 		if pkt.IsEventLike() {
-			n.releasePacket(pkt)
+			n.pool.Release(pkt)
 		}
 		return
 	}
-	// An explicit credit message belongs to MPICH once OnReceive has booked
-	// it (it may leave again as this node's next credit reply), so the
-	// dispatch below reads the kind taken before.
+	// An explicit credit message goes back to the pool once OnReceive has
+	// booked it (it may leave again as a credit reply), so the dispatch
+	// below reads the kind taken before.
 	kind := pkt.Kind
 	if reply := n.flow.OnReceive(pkt); reply != nil {
 		n.sendCreditReply(reply)
@@ -1110,7 +1097,7 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 	case proto.KindEvent, proto.KindAnti:
 		res := n.deliverEventLike(pkt)
 		// The packet is fully decoded and no layer retained it.
-		n.releasePacket(pkt)
+		n.pool.Release(pkt)
 		n.finishStep(res, hostmodel.CatComm)
 	case proto.KindGVTControl:
 		c := n.cpu.Costs
@@ -1125,7 +1112,7 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 		// Delivery acknowledgement for the pGVT manager.
 		n.cpu.DoArg2(hostmodel.CatGVT, n.cpu.Costs.GVTHostCompute, nodeGVTControl, n, pkt)
 	case proto.KindCredit:
-		// Flow control handled above; the packet is MPICH's now.
+		// Flow control handled above; the packet is back in the pool.
 	default:
 		panic(fmt.Sprintf("core: node %d received unexpected packet %v", n.id, pkt))
 	}
@@ -1195,7 +1182,7 @@ func (n *node) hostReceiveBatch(frame *proto.Packet) {
 			n.sendCreditReply(reply)
 		}
 	}
-	n.nicDev.ReleaseFrame(frame)
+	n.pool.ReleaseFrame(frame)
 }
 
 // commitGVT installs a new GVT value on this node.

@@ -74,10 +74,9 @@ type Endpoint struct {
 	credits []int                       // per destination, remaining send credits
 	owed    []int                       // per source, credit to return
 	waiting []dense.FIFO[*proto.Packet] //nicwarp:owns stalled sends; drained to the wire when credit arrives
-	// spare holds the explicit credit messages this endpoint has received
-	// and booked; BookOwed sends the next one back out. Only this node's
-	// engine touches it, whatever the shard count.
-	spare []*proto.Packet //nicwarp:owns received credit packets; each is reused by a later BookOwed
+	// pool takes back the explicit credit messages this endpoint has
+	// received and booked, and BookOwed builds its own from it (SetPool).
+	pool *proto.Pool
 
 	// Stats.
 	Blocked      stats.Counter // packets that had to wait for credit
@@ -94,8 +93,15 @@ func New(node int, cfg Config, transmit func(*proto.Packet)) *Endpoint {
 	if transmit == nil {
 		panic("mpich: nil transmit")
 	}
-	return &Endpoint{cfg: cfg, node: node, transmit: transmit}
+	return &Endpoint{cfg: cfg, node: node, transmit: transmit, pool: new(proto.Pool)}
 }
+
+// SetPool replaces the endpoint's own packet pool with p, the pool of the
+// engine its node runs on: explicit credit messages are built from it and
+// released into it once booked. A cluster hands every host, NIC and MPICH
+// endpoint on one engine the same pool, so only that engine's goroutine
+// touches it. Call before traffic flows.
+func (e *Endpoint) SetPool(p *proto.Pool) { e.pool = p }
 
 // flowControlled reports whether a packet kind consumes credits. Event
 // traffic does; GVT control and credit messages ride the eager channel.
@@ -149,8 +155,8 @@ func (e *Endpoint) dispatch(pkt *proto.Packet) {
 
 // OnReceive books an inbound packet's flow-control effects and returns an
 // explicit credit packet to send back, or nil. The caller transmits it
-// through the normal stack. An explicit credit message is the endpoint's
-// from here on: the caller must not read it after OnReceive returns.
+// through the normal stack. An explicit credit message goes back to the
+// packet pool: the caller must not read it after OnReceive returns.
 func (e *Endpoint) OnReceive(pkt *proto.Packet) (creditReply *proto.Packet) {
 	owed := 0
 	if flowControlled(pkt.Kind) && pkt.Seq != 0 {
@@ -181,8 +187,8 @@ func (e *Endpoint) onReceive(pkt *proto.Packet, owed int) *proto.Packet {
 	}
 	if pkt.Kind == proto.KindCredit {
 		// Booked in full, and never flow-controlled (owed is 0): the packet
-		// becomes the spare of a later BookOwed.
-		e.spare = append(e.spare, pkt)
+		// is dead.
+		e.pool.Release(pkt)
 	}
 	return e.BookOwed(src, owed)
 }
@@ -204,8 +210,8 @@ func (e *Endpoint) drain(dst int32) {
 // or credit returns salvaged from a dropped packet. When the owed total
 // reaches the return threshold it is returned at once in an explicit
 // credit packet for the caller to transmit; otherwise it waits to ride on
-// reverse traffic and BookOwed returns nil. The packet is a credit message
-// this endpoint received earlier when it has one.
+// reverse traffic and BookOwed returns nil. The packet comes from the
+// packet pool.
 func (e *Endpoint) BookOwed(peer int32, n int) (creditReply *proto.Packet) {
 	if n <= 0 {
 		return nil
@@ -218,7 +224,7 @@ func (e *Endpoint) BookOwed(peer int32, n int) (creditReply *proto.Packet) {
 	owed := e.owed[peer]
 	e.owed[peer] = 0
 	e.CreditMsgs.Inc()
-	p := dense.Take(&e.spare, 1)
+	p := e.pool.Packet()
 	*p = proto.Packet{
 		Kind:    proto.KindCredit,
 		SrcNode: int32(e.node),

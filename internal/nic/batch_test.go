@@ -240,13 +240,25 @@ func TestBatchingComposesWithAnyFirmware(t *testing.T) {
 		}}
 	})
 	var discarded, recycled []uint64
-	r.nics[0].SetHostDiscardHook(func(p *proto.Packet) { discarded = append(discarded, p.Seq) })
-	r.nics[0].SetPacketRecycler(func(p *proto.Packet) { recycled = append(recycled, p.Seq) })
+	w := watchPool(r.nics[0])
+	note := func() {
+		for _, p := range w.released() {
+			recycled = append(recycled, p.Seq)
+		}
+	}
+	r.nics[0].SetHostDiscardHook(func(p *proto.Packet) {
+		note()
+		if slices.Contains(recycled, p.Seq) {
+			t.Errorf("seq %d was released into the pool before the discard hook saw it", p.Seq)
+		}
+		discarded = append(discarded, p.Seq)
+	})
 	// 1 enters flight solo; 2..5 fill one frame, of which 3 is dropped.
 	for s := uint64(1); s <= 5; s++ {
 		r.nics[0].HostEnqueue(seqPkt(0, 1, s))
 	}
 	r.eng.Run(vtime.ModelInfinity)
+	note()
 
 	if len(r.toHost[1]) != 2 || r.toHost[1][1].Kind != proto.KindBatch {
 		t.Fatalf("delivered %v, want one solo packet then one frame", r.toHost[1])
@@ -270,7 +282,7 @@ func TestBatchingComposesWithAnyFirmware(t *testing.T) {
 	// The folded head, the dropped partner and the folded partners all die
 	// on the NIC; the solo packet travels and is not recycled here.
 	if !slices.Equal(recycled, []uint64{2, 3, 4, 5}) {
-		t.Errorf("recycler saw %v, want [2 3 4 5]", recycled)
+		t.Errorf("pool took back %v, want [2 3 4 5]", recycled)
 	}
 }
 

@@ -194,7 +194,7 @@ type API interface {
 	// returns the removed packets in queue order. The returned slice is
 	// scratch reused by the next call; consume it within the hook. The
 	// removed packets are dead once the view is: event-like ones go back to
-	// the host's packet pool (SetPacketRecycler).
+	// the NIC's packet pool (SetPool).
 	//nicwarp:hotpath the cancel scan, once per anti-message
 	RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet
 	// Inject queues a NIC-generated packet for transmission. Injected
@@ -311,11 +311,13 @@ type NIC struct {
 	rmScratch hookScratch
 	gbScratch hookScratch
 
+	// pool is where batch frames come from and where host packets that die
+	// here go (SetPool).
+	pool *proto.Pool
+
 	// Batching machinery (transmit side active when cfg.BatchMax > 1).
-	frameFree []*proto.Packet //nicwarp:owns batch-frame free list; frames migrate between NIC pools like event packets between host pools
-	rxSub     proto.Packet    // the sub-message view expandBatch hands to firmware, one hook call at a time
-	recycle   func(*proto.Packet)
-	flushAt   vtime.ModelTime // deadline of the armed flush timer (0 = none)
+	rxSub   proto.Packet    // the sub-message view expandBatch hands to firmware, one hook call at a time
+	flushAt vtime.ModelTime // deadline of the armed flush timer (0 = none)
 
 	Stats Stats
 }
@@ -336,6 +338,7 @@ func New(eng *des.Engine, node int, cfg Config, fabric *simnet.Fabric, fw Firmwa
 		fabric: fabric,
 		fw:     fw,
 		shared: NewSharedWindow(),
+		pool:   new(proto.Pool),
 	}
 	n.creditDoneFn = n.creditDone
 	fabric.Attach(node, eng, uint32(node), n.wireReceive)
@@ -433,28 +436,14 @@ func nicCreditArrive(a, b interface{}) {
 // before traffic flows; a nil hook disables observation.
 func (n *NIC) SetHostDiscardHook(fn func(*proto.Packet)) { n.onHostDiscard = fn }
 
-// SetPacketRecycler installs the host packet free-list hook: a host packet
-// that dies on the NIC — dropped in place, or folded into a batch frame,
-// which copies its fields — is handed back to the host pool it came from
-// instead of becoming garbage. The NIC and its host share one node and one
-// engine, so the return is single-threaded. Call before traffic flows; nil
-// disables recycling.
-func (n *NIC) SetPacketRecycler(fn func(*proto.Packet)) { n.recycle = fn }
-
-// ReleaseFrame returns a consumed batch frame to this NIC's frame pool,
-// zeroing everything but the Subs capacity. Frames are allocated at the
-// sending NIC and released at the receiving one — they migrate between
-// pools exactly as event packets migrate between host pools, and each
-// pool is only ever touched by its own node's engine.
-//
-//nicwarp:hotpath frame release, executed once per delivered batch frame
-func (n *NIC) ReleaseFrame(f *proto.Packet) {
-	subs := f.Subs[:0]
-	clear(f.Subs[:cap(f.Subs)])
-	*f = proto.Packet{}
-	f.Subs = subs
-	n.frameFree = append(n.frameFree, f) //nicwarp:alloc free-list growth, amortized across the run
-}
+// SetPool replaces the NIC's own packet pool with p, the pool of the
+// engine it runs on: batch frames are taken from it, and a host packet that
+// dies on the NIC — dropped in place, or folded into a batch frame, which
+// copies its fields — is released into it instead of becoming garbage. A
+// cluster hands every NIC, host and MPICH endpoint on one engine the same
+// pool, so only that engine's goroutine touches it. Call before traffic
+// flows.
+func (n *NIC) SetPool(p *proto.Pool) { n.pool = p }
 
 // batchEligible reports whether a host packet may lead or join a batch
 // frame: ordinary unicast event traffic that BIP has stamped. GVT
@@ -824,7 +813,7 @@ func (s *hookScratch) clear() {
 }
 
 // clearScratch empties the firmware-facing scratch slices after a hook
-// returns. The packets they point at go back to the cluster pool as soon
+// returns. The packets they point at go back to a packet pool as soon
 // as the destination host decodes them; a pointer lingering in a backing
 // array between hooks would resurface as a recycled object if any later
 // hook read a stale tail, and pins the packet against collection
@@ -838,7 +827,7 @@ func (n *NIC) clearScratch() {
 }
 
 // recycleRemoved returns the packets of the current RemoveFromSendQueue
-// view to the host pool. They left the send queue for good and the discard
+// view to the packet pool. They left the send queue for good and the discard
 // observer has seen them; the view is the last reference, and it dies when
 // the hook returns or takes its next view.
 func (n *NIC) recycleRemoved() {
@@ -848,13 +837,15 @@ func (n *NIC) recycleRemoved() {
 }
 
 // recycleDead returns a host packet that dies on the NIC — discarded
-// instead of sent, or folded into a batch frame — to the host's packet
-// pool, which holds event-like packets only. The destination host releases
-// a packet that travels; one that dies here has no other way home, and
-// under heavy cancellation most packets die here.
+// instead of sent, or folded into a batch frame — to the packet pool. The
+// destination host releases a packet that travels; one that dies here has
+// no other way back, and under heavy cancellation most packets die here.
+// Only event-like packets come back this way: no firmware discards a
+// credit message, and a GVT control packet belongs to the manager that
+// built it.
 func (n *NIC) recycleDead(pkt *proto.Packet) {
-	if n.recycle != nil && pkt.IsEventLike() {
-		n.recycle(pkt) //nicwarp:alloc wired by the cluster assembly (the host free list's amortized growth); opaque to the analyzer
+	if pkt.IsEventLike() {
+		n.pool.Release(pkt)
 	}
 }
 
@@ -947,7 +938,7 @@ func (n *NIC) assembleBatch(head *proto.Packet) *proto.Packet {
 	if len(partners) == 0 {
 		return nil
 	}
-	frame := n.allocFrame()
+	frame := n.pool.Frame(n.cfg.BatchMax)
 	frame.Kind = proto.KindBatch
 	frame.Seq = head.Seq
 	frame.SrcNode = head.SrcNode
@@ -1027,22 +1018,4 @@ func (n *NIC) gatherBatch(dst int32, max int) []*proto.Packet {
 	}
 	n.sendQ.DropTail(len(live) - len(kept))
 	return n.gbScratch.publish(out)
-}
-
-// allocFrame returns an empty frame from this NIC's pool (or a fresh one
-// sized to the configured batch limit), its Subs capacity retained across
-// reuses. The frame is released into the destination NIC's pool after
-// delivery (ReleaseFrame).
-//
-//nicwarp:hotpath frame allocation, executed once per assembled frame
-func (n *NIC) allocFrame() *proto.Packet {
-	if k := len(n.frameFree); k > 0 {
-		f := n.frameFree[k-1]
-		n.frameFree[k-1] = nil
-		n.frameFree = n.frameFree[:k-1]
-		return f
-	}
-	f := &proto.Packet{}                             //nicwarp:alloc pool miss; amortized to zero by reuse
-	f.Subs = make([]proto.SubMsg, 0, n.cfg.BatchMax) //nicwarp:alloc pool miss; amortized to zero by reuse
-	return f
 }

@@ -73,6 +73,43 @@ func evPkt(src, dst int32) *proto.Packet {
 	return &proto.Packet{Kind: proto.KindEvent, SrcNode: src, DstNode: dst}
 }
 
+// poolWatch reports which packets a NIC has released into its packet pool.
+// A standalone NIC only ever releases into that list, which is a LIFO, so
+// popping back to the newest packet already reported and pushing the rest
+// again leaves the pool exactly as it was.
+type poolWatch struct {
+	pool *proto.Pool
+	top  *proto.Packet // the newest packet already reported
+}
+
+// watchPool seeds n's pool with a sentinel packet, so that a read never
+// finds the pool empty (an empty pool would refill itself with a slab).
+func watchPool(n *NIC) *poolWatch {
+	w := &poolWatch{pool: n.pool, top: &proto.Packet{}}
+	n.pool.Release(w.top)
+	return w
+}
+
+// released returns the packets released since the last call, oldest first.
+func (w *poolWatch) released() []*proto.Packet {
+	var out []*proto.Packet
+	for p := w.pool.Packet(); p != w.top; p = w.pool.Packet() {
+		if len(out) > 1000 {
+			panic("poolWatch: the newest reported packet left the pool")
+		}
+		out = append(out, p)
+	}
+	w.pool.Release(w.top)
+	slices.Reverse(out)
+	for _, p := range out {
+		w.pool.Release(p)
+	}
+	if len(out) > 0 {
+		w.top = out[len(out)-1]
+	}
+	return out
+}
+
 func TestEndToEndForwarding(t *testing.T) {
 	r := newRig(t, 2, func(int) Firmware { return &stubFirmware{} })
 	p := evPkt(0, 1)
@@ -491,15 +528,19 @@ func TestScratchClearedAfterHooks(t *testing.T) {
 
 // TestDroppedHostPacketsAreRecycled: a host packet the NIC discards instead
 // of sending never reaches a destination host, so nothing downstream would
-// return it to the sender's pool. The NIC hands event-like ones to the
-// recycler itself — after the discard observer has read the packet, and for
-// the packets of a RemoveFromSendQueue view only once that view is dead
-// (the hook took its next view, or returned). Packets that travel, packets
-// the firmware consumed and control packets are not the NIC's to recycle.
+// return it to a pool. The NIC releases event-like ones into its packet
+// pool itself — after the discard observer has read the packet, and for the
+// packets of a RemoveFromSendQueue view only once that view is dead (the
+// hook took its next view, or returned). Packets that travel, packets the
+// firmware consumed and control packets are not the NIC's to recycle.
 func TestDroppedHostPacketsAreRecycled(t *testing.T) {
 	const dropID, consumeID = 99, 98
 	var events []string // "discard <id>" / "recycle <id>", in call order
 	recycled := map[*proto.Packet]int{}
+	// note appends a "recycle" event for each packet released into the
+	// pool since the last note; every hook calls it first, so a release
+	// lands in events no later than the next thing the hooks see.
+	var note func()
 	r := newRig(t, 2, func(i int) Firmware {
 		if i != 0 {
 			return &stubFirmware{}
@@ -519,11 +560,13 @@ func TestDroppedHostPacketsAreRecycled(t *testing.T) {
 					return VerdictForward
 				}
 				first := a.RemoveFromSendQueue(func(q *proto.Packet) bool { return q.EventID == 1 })
+				note()
 				if len(first) != 1 || recycled[first[0]] != 0 {
 					t.Errorf("first view: %d packets, recycled while live: %v", len(first), recycled)
 				}
 				gone := first[0]
 				second := a.RemoveFromSendQueue(func(q *proto.Packet) bool { return q.EventID == 2 })
+				note()
 				if recycled[gone] != 1 {
 					t.Error("the first view's packet must be recycled once the second view replaces it")
 				}
@@ -540,10 +583,16 @@ func TestDroppedHostPacketsAreRecycled(t *testing.T) {
 		}
 		return string(rune('0' + p.EventID%10))
 	}
-	r.nics[0].SetHostDiscardHook(func(p *proto.Packet) { events = append(events, "discard "+name(p)) })
-	r.nics[0].SetPacketRecycler(func(p *proto.Packet) {
-		events = append(events, "recycle "+name(p))
-		recycled[p]++
+	w := watchPool(r.nics[0])
+	note = func() {
+		for _, p := range w.released() {
+			events = append(events, "recycle "+name(p))
+			recycled[p]++
+		}
+	}
+	r.nics[0].SetHostDiscardHook(func(p *proto.Packet) {
+		note()
+		events = append(events, "discard "+name(p))
 	})
 	// Queue: a forwarded head, then the drop, the consume and the control
 	// drop, then the two the scan removes.
@@ -560,6 +609,7 @@ func TestDroppedHostPacketsAreRecycled(t *testing.T) {
 	}
 	r.nics[1].HostEnqueue(&proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0})
 	r.eng.Run(vtime.ModelInfinity)
+	note()
 
 	want := []string{
 		"discard 9", "recycle 9", // dropped head: observer first, then the pool

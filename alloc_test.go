@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nicwarp/internal/simnet"
 	"nicwarp/internal/timewarp"
 )
 
@@ -84,6 +85,45 @@ func TestDeepHistoryAllocationsPerEvent(t *testing.T) {
 		smallAllocs, smallEvents, largeAllocs, largeEvents, perEvent)
 	if perEvent > 1.0 {
 		t.Fatalf("%.2f heap allocations per extra committed event, want at most 1.0", perEvent)
+	}
+}
+
+// TestTreeGVTAllocationsPerComputation gates what grows with the cluster
+// rather than with traffic: PHOLD on a 64-node fat tree under the
+// tree-reduction NIC GVT runs at two lengths, and the extra heap objects
+// the longer run makes, divided by the extra GVT computations it completes,
+// must stay a handful. A computation sends one start, one reduce and one
+// value packet over every tree edge; a tree parent injects more of them
+// than it consumes. With control packets drawn from a per-NIC free list, a
+// step's remote sends growing a fresh slice and peer tables grown a slot at
+// a time, this read about 60.
+func TestTreeGVTAllocationsPerComputation(t *testing.T) {
+	run := func(hops int) (mallocs uint64, computations int64) {
+		net := simnet.DefaultConfig()
+		net.Topology = TopoFatTree
+		cfg := Config{
+			App:   PHOLD(PHOLDParams{Objects: 128, Population: 1, Hops: hops, MeanDelay: 50, Locality: 0.2}),
+			Nodes: 64, Seed: 1, GVT: GVTNICTree, GVTPeriod: 100, Net: net,
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.Mallocs - m0.Mallocs, res.GVTComputations
+	}
+	shortAllocs, shortComps := run(100)
+	longAllocs, longComps := run(800)
+	if longComps < 2*shortComps {
+		t.Fatalf("the longer run completed %d GVT computations against %d: not a length sweep", longComps, shortComps)
+	}
+	perComp := (float64(longAllocs) - float64(shortAllocs)) / float64(longComps-shortComps)
+	t.Logf("%d allocations for %d computations, %d for %d: %.1f per extra computation",
+		shortAllocs, shortComps, longAllocs, longComps, perComp)
+	if perComp > 8 {
+		t.Fatalf("%.1f heap allocations per extra GVT computation, want at most 8", perComp)
 	}
 }
 

@@ -295,20 +295,15 @@ type node struct {
 	idleNotified         bool
 	numObjects           int // local simulation objects (cost scaling)
 
-	// sendBatches queues the Remote slices of finished kernel steps for the
-	// CPU jobs that transmit them. The CPU resource completes jobs in
-	// submission order, so a FIFO ring pairs each nodeSendBatch job with
-	// the batch pushed when it was submitted — no per-step closure.
-	sendBatches dense.FIFO[[]*timewarp.Event] //nicwarp:owns in flight toward the NIC; events recycled after encoding
-	// draining is the batch nodeSendBatch is currently encoding and
-	// drainFrom the first entry not yet handed to transmitEvent: the
-	// events a GVT report filled mid-batch (piggybacked on an earlier
-	// entry) would otherwise not see. emitted is the same visibility for
-	// the instant between ProcessOne and finishStep, where OnProcessed can
-	// initiate a GVT computation before the step's output is parked.
-	draining  []*timewarp.Event //nicwarp:owns outboundMin-scoped alias of the batch being encoded; nilled before RecycleRemoteBuf
-	drainFrom int
-	emitted   []*timewarp.Event //nicwarp:owns outboundMin-scoped alias of step output; nilled before finishStep parks the events
+	// outgoing holds the remote events of finished kernel steps, oldest
+	// first, until the CPU jobs that transmit them run; sendBatches holds
+	// how many of them each such job sends. The CPU resource completes jobs
+	// in submission order, so a FIFO pairs each nodeSendBatch job with the
+	// count pushed when it was submitted — no per-step closure — and an
+	// event leaves outgoing just before it is encoded, so outboundMin sees
+	// exactly the events not yet handed to transmitEvent.
+	outgoing    dense.FIFO[*timewarp.Event] //nicwarp:owns in flight toward the NIC; events recycled after encoding
+	sendBatches dense.FIFO[int]
 	// inbox pairs inbound packets with their rx-slot release callbacks for
 	// the DMA + absorb pipeline (same FIFO-completion argument: the bus and
 	// the CPU each preserve submission order).
@@ -601,6 +596,7 @@ func (cl *Cluster) Run() (*Result, error) {
 	for _, n := range cl.nodes {
 		n.eng.SetLane(uint32(n.id))
 		res := n.kernel.Bootstrap()
+		n.park(res.Remote)
 		n.finishStep(res, hostmodel.CatEvent)
 	}
 	for _, n := range cl.nodes {
@@ -698,20 +694,18 @@ func (cl *Cluster) barrier() {
 
 // invariantFloor computes the host-visible part of the true GVT bound at a
 // window barrier: the minimum over every node's LVT and the receive
-// timestamps of kernel output parked in send batches (emitted by the
-// kernel, not yet handed to the protocol stack — the only messages the
-// checker's in-transit map cannot see yet).
+// timestamps of kernel output parked in outgoing (emitted by the kernel,
+// not yet handed to the protocol stack — the only messages the checker's
+// in-transit map cannot see yet).
 func (cl *Cluster) invariantFloor() vtime.VTime {
 	floor := vtime.Infinity
 	for _, n := range cl.nodes {
 		if lvt := n.kernel.LVT(); lvt < floor {
 			floor = lvt
 		}
-		for _, batch := range n.sendBatches.Live() {
-			for _, ev := range batch {
-				if ev.RecvTS < floor {
-					floor = ev.RecvTS
-				}
+		for _, ev := range n.outgoing.Live() {
+			if ev.RecvTS < floor {
+				floor = ev.RecvTS
 			}
 		}
 	}
@@ -825,19 +819,28 @@ func nodePumpStep(x interface{}) {
 		return
 	}
 	res := n.kernel.ProcessOne()
-	// The step's remote sends are parked by finishStep; until then they are
-	// invisible to the kernel's LVT, so expose them to outboundMin across
-	// the OnProcessed hook (a root manager can initiate a GVT computation
-	// there and must bound them).
-	n.emitted = res.Remote
+	// Park the step's remote sends before OnProcessed: a root manager can
+	// initiate a GVT computation there, which must bound them (outboundMin),
+	// and a commit there calls into the kernel, which reuses res.Remote. (A
+	// commit inside OnProcessed happens only on a one-LP cluster, where no
+	// step has remote output, so its count cannot overtake this step's.)
+	n.park(res.Remote)
 	n.mgr.OnProcessed(view{n})
-	n.emitted = nil
 	n.finishStep(res, hostmodel.CatEvent)
 	n.pump()
 }
 
+// park queues a kernel step's remote events in outgoing. It runs right after
+// the kernel call that returned them: remote is kernel scratch, valid only
+// until the kernel's next step.
+func (n *node) park(remote []*timewarp.Event) {
+	for _, ev := range remote {
+		n.outgoing.Push(ev)
+	}
+}
+
 // finishStep charges the communication and rollback costs of a kernel step
-// and dispatches its remote messages.
+// and dispatches its remote messages, which park has queued.
 func (n *node) finishStep(res timewarp.StepResult, cat hostmodel.Category) {
 	c := n.cpu.Costs
 	cost := vtime.ModelTime(len(res.Remote))*c.SendOverhead +
@@ -849,28 +852,17 @@ func (n *node) finishStep(res timewarp.StepResult, cat hostmodel.Category) {
 	if res.Rollbacks > 0 {
 		cat = hostmodel.CatRollback
 	}
-	n.sendBatches.Push(res.Remote)
+	n.sendBatches.Push(len(res.Remote))
 	n.cpu.DoArg(cat, cost, nodeSendBatch, n)
 }
 
-// nodeSendBatch is the CPU job paired (FIFO) with one pushed batch: transmit
-// its events and re-arm the main loop.
+// nodeSendBatch is the CPU job paired (FIFO) with one pushed count: transmit
+// that many of the oldest outgoing events and re-arm the main loop.
 func nodeSendBatch(x interface{}) {
 	n := x.(*node)
-	batch := n.sendBatches.Pop()
-	// A GVT report can be piggybacked on any entry (OnSent fires inside
-	// transmitEvent); keep the not-yet-encoded tail visible to outboundMin
-	// so the report's floor covers it.
-	n.draining = batch
-	for i, ev := range batch {
-		n.drainFrom = i + 1
-		n.transmitEvent(ev)
+	for k := n.sendBatches.Pop(); k > 0; k-- {
+		n.transmitEvent(n.outgoing.Pop())
 	}
-	n.draining = nil
-	n.drainFrom = 0
-	// Every event was recycled by transmitEvent; hand the backing array
-	// back too so the kernel's next remote emission reuses it.
-	n.kernel.RecycleRemoteBuf(batch)
 	n.pump()
 }
 
@@ -969,26 +961,16 @@ func nodeAbsorbPacket(x interface{}) {
 
 // outboundMin returns the minimum send timestamp over every message the
 // kernel has emitted that has not yet reached the NIC's transmit-side GVT
-// accounting point: step output not yet parked (emitted), parked batches
-// (sendBatches), the tail of the batch being encoded (draining), packets
+// accounting point: kernel output not yet encoded (outgoing — a GVT report
+// piggybacked on one event of a batch covers the rest of it), packets
 // stalled in MPICH flow control, and packets DMAing toward the NIC
 // (outbox). The NIC covers its own transmit queue (firmware queuedSendMin);
 // past that, countSend and the receive ledger take over. Scanned only when
 // a GVT report is filled, never on the event hot path.
 func (n *node) outboundMin() vtime.VTime {
 	min := vtime.Infinity
-	for _, ev := range n.emitted {
+	for _, ev := range n.outgoing.Live() {
 		min = vtime.MinV(min, ev.SendTS)
-	}
-	for _, batch := range n.sendBatches.Live() {
-		for _, ev := range batch {
-			min = vtime.MinV(min, ev.SendTS)
-		}
-	}
-	if n.draining != nil {
-		for _, ev := range n.draining[n.drainFrom:] {
-			min = vtime.MinV(min, ev.SendTS)
-		}
 	}
 	for _, pkt := range n.outbox.Live() {
 		if pkt.IsEventLike() {
@@ -1131,8 +1113,9 @@ func nodeGVTControl(x, p interface{}) {
 
 // deliverEventLike hands one BIP-accepted event or anti-message (a solo
 // packet or a batch sub-message view) to the checker, the GVT manager and
-// the kernel. The packet is only read: the kernel copies scratchEv at the
-// Deliver boundary, so the caller may release or reuse pkt on return.
+// the kernel, and parks the kernel's remote output. The packet is only
+// read: the kernel copies scratchEv at the Deliver boundary, so the caller
+// may release or reuse pkt on return.
 func (n *node) deliverEventLike(pkt *proto.Packet) timewarp.StepResult {
 	if pkt.Kind == proto.KindAnti {
 		n.remoteAntisDelivered++
@@ -1150,7 +1133,9 @@ func (n *node) deliverEventLike(pkt *proto.Packet) timewarp.StepResult {
 		Sign:    pkt.Sign(),
 		Payload: pkt.Payload,
 	}
-	return n.kernel.Deliver(&n.scratchEv)
+	res := n.kernel.Deliver(&n.scratchEv)
+	n.park(res.Remote)
+	return res
 }
 
 // hostReceiveBatch unpacks a batch frame: each sub-message is verified
@@ -1204,6 +1189,7 @@ func (n *node) commitGVT(g vtime.VTime) {
 	}
 	before := n.kernel.Stats.FossilEvents.Value()
 	res := n.kernel.FossilCollect(g)
+	n.park(res.Remote)
 	reclaimed := n.kernel.Stats.FossilEvents.Value() - before
 	c := n.cpu.Costs
 	fossilCost := vtime.ModelTime(reclaimed)*c.FossilPerEvent +

@@ -7,12 +7,31 @@
 // order the deterministic model needs anyway.
 package dense
 
+import "math/bits"
+
 // Grow returns s extended, with fill in every new slot, so that index i
 // exists: a table keyed by node id is sized by the highest id it has been
-// asked about, not by the cluster.
+// asked about, not by the cluster. A growth is one allocation however far it
+// reaches: the backing array jumps to the next power of two above i instead
+// of doubling its way there a slot at a time.
 func Grow[T any](s []T, i int32, fill T) []T {
-	for int(i) >= len(s) {
-		s = append(s, fill) //nicwarp:alloc table growth on first touch of a higher index, amortized across the run
+	if int(i) < len(s) {
+		return s
+	}
+	return grow(s, i, fill)
+}
+
+// grow is Grow's slow path, kept out of line so the check above inlines.
+func grow[T any](s []T, i int32, fill T) []T {
+	n := len(s)
+	if int(i) >= cap(s) {
+		grown := make([]T, n, 1<<bits.Len32(uint32(i))) //nicwarp:alloc table growth to the next power of two, once per doubling of the highest index
+		copy(grown, s)
+		s = grown
+	}
+	s = s[:i+1]
+	for j := n; j < len(s); j++ {
+		s[j] = fill
 	}
 	return s
 }

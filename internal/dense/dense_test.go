@@ -23,6 +23,43 @@ func TestGrowAndAt(t *testing.T) {
 	}
 }
 
+// TestGrowAllocatesOncePerGrowth: reaching index 255 from an empty table is
+// one allocation, where appending a slot at a time doubled its way there in
+// nine; every slot it opens holds fill, and a later growth past the new
+// capacity keeps what the table held.
+func TestGrowAllocatesOncePerGrowth(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { _ = Grow([]int64(nil), 255, -1) }); allocs != 1 {
+		t.Fatalf("Grow(nil, 255) made %v allocations, want 1", allocs)
+	}
+	s := Grow([]int64(nil), 255, -1)
+	if len(s) != 256 || cap(s) < 256 {
+		t.Fatalf("Grow(nil, 255): len %d cap %d, want 256 slots", len(s), cap(s))
+	}
+	for i := range s {
+		if s[i] != -1 {
+			t.Fatalf("slot %d = %d, want the fill -1", i, s[i])
+		}
+		s[i] = int64(i)
+	}
+	s = Grow(s, 300, -2)
+	if len(s) != 301 || cap(s) < 512 {
+		t.Fatalf("Grow to 300: len %d cap %d, want 301 slots in at least 512", len(s), cap(s))
+	}
+	for i := range s {
+		want := int64(i)
+		if i > 255 {
+			want = -2 // a slot this growth opened
+		}
+		if s[i] != want {
+			t.Fatalf("slot %d = %d after growth, want %d", i, s[i], want)
+		}
+	}
+	// Within the capacity a growth opens slots without allocating.
+	if allocs := testing.AllocsPerRun(100, func() { _ = Grow(s[:301:512], 511, -3) }); allocs != 0 {
+		t.Fatalf("Grow within capacity made %v allocations, want 0", allocs)
+	}
+}
+
 // mapWindow is the representation EpochWindow replaced — a folded bucket
 // plus a hash map by epoch — and the reference it is tested against.
 type mapWindow struct {

@@ -205,14 +205,25 @@ func TestGVTFirmwareTokenRing(t *testing.T) {
 	}
 }
 
-// TestGVTFirmwareTokenTravelsInOnePacket: a packet the firmware consumes is
-// the firmware's, and it refills it for its next injection, so one ring
-// token makes the whole circulation in the packet the root first sent; the
-// free list behind that is bounded, so a NIC that consumes more than it
-// injects (every broadcast receiver) keeps no more than spareCap packets.
+// TestGVTFirmwareTokenTravelsInOnePacket: a control packet the firmware
+// consumes goes back to its NIC's pool when the receive hook returns, and
+// that NIC's next injection takes it from there, so one ring token makes
+// the whole circulation — and leaves as the root's broadcast — in the
+// packet the root first sent.
 func TestGVTFirmwareTokenTravelsInOnePacket(t *testing.T) {
 	fws := []*GVTFirmware{NewGVT(), NewGVT(), NewGVT()}
 	r := newRig(t, 3, func(i int) nic.Firmware { return fws[i] })
+	pools := make([]*proto.Pool, len(r.nics))
+	for i, n := range r.nics {
+		pools[i] = new(proto.Pool)
+		n.SetPool(pools[i])
+	}
+	// next returns the packet pool i hands out next, leaving it there.
+	next := func(i int) *proto.Packet {
+		p := pools[i].Packet()
+		pools[i].Release(p)
+		return p
+	}
 	answer := func(i int, lvt vtime.VTime) {
 		w := r.nics[i].Shared()
 		w.ReceivedHostVariables = true
@@ -228,32 +239,29 @@ func TestGVTFirmwareTokenTravelsInOnePacket(t *testing.T) {
 	w.TokenMin = vtime.Infinity
 	w.TokenEpoch = 1
 	answer(0, 50)
-	if len(fws[1].spare) != 1 {
-		t.Fatalf("NIC 1 holds %d consumed packets with the token staged, want 1", len(fws[1].spare))
+	tok := next(1)
+	if tok.Kind != proto.KindGVTToken || tok.SrcNode != 0 || tok.DstNode != 1 {
+		t.Fatalf("NIC 1's pool offers %v with the token staged, want the consumed token", tok)
 	}
-	tok := fws[1].spare[0]
 	answer(1, 70)
-	if len(fws[1].spare) != 0 || len(fws[2].spare) != 1 || fws[2].spare[0] != tok {
-		t.Fatalf("NIC 1 did not forward the token in the packet it consumed (NIC 1 holds %d, NIC 2 holds %d)",
-			len(fws[1].spare), len(fws[2].spare))
+	if next(2) != tok || next(1) == tok {
+		t.Fatal("NIC 1 did not send the token on in the packet it consumed")
 	}
 	answer(2, 90)
-	if len(fws[0].spare) != 1 || fws[0].spare[0] != tok {
-		t.Fatal("the token did not return to the root in the packet it left in")
+	if next(0) != tok {
+		t.Fatal("the token did not return to the root's pool in the packet it left in")
 	}
 	answer(0, 55)
-	// The root's broadcast left in it too; each receiver keeps its replica.
-	for i, want := range []int{0, 1, 1} {
-		if got := r.nics[i].Shared().LatestGVT; got != 50 || len(fws[i].spare) != want {
-			t.Fatalf("NIC %d: LatestGVT %v (want 50), %d spare packets (want %d)", i, got, len(fws[i].spare), want)
+	if next(0) == tok {
+		t.Fatal("the root's broadcast did not leave in the returned token")
+	}
+	for i := range r.nics {
+		if got := r.nics[i].Shared().LatestGVT; got != 50 {
+			t.Fatalf("NIC %d: LatestGVT %v, want 50", i, got)
 		}
-	}
-	for i := 0; i < 3*spareCap; i++ {
-		r.nics[0].HostEnqueue(&proto.Packet{Kind: proto.KindGVTBroadcast, SrcNode: 0, DstNode: 1, TokenGVT: 60})
-	}
-	r.run()
-	if len(fws[1].spare) != spareCap {
-		t.Fatalf("NIC 1 holds %d spare packets after %d broadcasts, want the cap of %d", len(fws[1].spare), 3*spareCap, spareCap)
+		if p := next(i); i > 0 && (p.Kind != proto.KindGVTBroadcast || p.TokenGVT != 50) {
+			t.Fatalf("NIC %d's pool offers %v, want the broadcast replica it consumed", i, p)
+		}
 	}
 }
 
@@ -499,6 +507,7 @@ func (a *fakeAPI) Charge(int64)               {}
 func (a *fakeAPI) SendQueue() []*proto.Packet { return a.queue }
 func (a *fakeAPI) SendQueueLen() int          { return len(a.queue) }
 func (a *fakeAPI) Inject(*proto.Packet)       { panic("cancel firmware injects nothing") }
+func (a *fakeAPI) Packet() *proto.Packet      { panic("cancel firmware builds no packets") }
 func (a *fakeAPI) Shared() *nic.SharedWindow  { return a.shared }
 func (a *fakeAPI) NotifyHost(t nic.NotifyTag) { a.bells = append(a.bells, t) }
 func (a *fakeAPI) Stats() *nic.Stats          { return &a.stats }

@@ -3,7 +3,6 @@ package firmware
 import (
 	"fmt"
 
-	"nicwarp/internal/dense"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/stats"
@@ -80,12 +79,6 @@ type GVTFirmware struct {
 	accCount     int64
 	accMin       vtime.VTime
 
-	// spare holds control packets this NIC consumed (nic.VerdictConsume
-	// makes them the firmware's) for newControl to send out again — the
-	// firmware's share of the 1 MB SRAM, so bounded: a node that consumes
-	// more than it injects (every broadcast receiver) lets the surplus go.
-	spare []*proto.Packet //nicwarp:owns consumed control packets; each leaves again through newControl
-
 	// Statistics. TokensOnNIC counts the control packets this NIC originated
 	// or passed on (initiations, ring hops, tree starts and reduces);
 	// RoundsAtRoot the circulations or reductions completed at the root.
@@ -146,7 +139,6 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 		}
 		stageToken(w, pkt.TokenRound, pkt.TokenCount, pkt.TokenMin, pkt.TokenOrigin, pkt.TokenEpoch)
 		api.NotifyHost(nic.NotifyGVTControl)
-		f.retire(pkt)
 		return nic.VerdictConsume
 	case proto.KindGVTReduce:
 		// One child subtree's partial sum.
@@ -158,7 +150,6 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 		f.accCount += pkt.TokenCount
 		f.accMin = vtime.MinV(f.accMin, pkt.TokenMin)
 		f.childrenSeen++
-		f.retire(pkt)
 		f.maybeComplete(api)
 		return nic.VerdictConsume
 	case proto.KindGVTBroadcast:
@@ -166,7 +157,6 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 		// none), then report to the local host.
 		api.Charge(CyclesNotify)
 		g, epoch := pkt.TokenGVT, pkt.TokenEpoch
-		f.retire(pkt)
 		f.relayValue(api, g, epoch)
 		deliverValue(api, g)
 		return nic.VerdictConsume
@@ -312,25 +302,13 @@ func (f *GVTFirmware) maybeComplete(api nic.API) {
 	f.injectToken(api, proto.KindGVTReduce, (api.Node()-1)/f.arity, f.round, f.accCount, f.accMin, f.origin, f.compEpoch)
 }
 
-// spareCap bounds the consumed-packet free list.
-const spareCap = 16
-
-// retire takes a packet OnWireReceive is about to answer with
-// VerdictConsume. Call it after the last read of pkt.
-//
-//nicwarp:owns pkt joins the free list and may be rewritten by the next newControl
-func (f *GVTFirmware) retire(pkt *proto.Packet) {
-	if len(f.spare) < spareCap {
-		f.spare = append(f.spare, pkt) //nicwarp:alloc free-list growth, at most spareCap entries
-	}
-}
-
 // newControl returns a zeroed control packet of the given kind from this
-// NIC to dst: a retired one when there is one, a fresh one otherwise.
-func (f *GVTFirmware) newControl(api nic.API, kind proto.Kind, dst int) *proto.Packet {
-	// A miss means this NIC injects more control packets than it consumes:
-	// the ring root's broadcast, a tree parent's fan-out.
-	pkt := dense.Take(&f.spare, 1)
+// NIC to dst, taken from the NIC's pool: the control packets this NIC
+// consumed went back there (nic.VerdictConsume), beside the event packets
+// its node recycles, so a tree parent's fan-out finds one as readily as a
+// ring hop does.
+func newControl(api nic.API, kind proto.Kind, dst int) *proto.Packet {
+	pkt := api.Packet()
 	*pkt = proto.Packet{Kind: kind, SrcNode: int32(api.Node()), DstNode: int32(dst)}
 	return pkt
 }
@@ -341,7 +319,7 @@ func (f *GVTFirmware) newControl(api nic.API, kind proto.Kind, dst int) *proto.P
 //nicwarp:hotpath one per token hop, tree start and reduce
 func (f *GVTFirmware) injectToken(api nic.API, kind proto.Kind, dst int, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
 	api.Charge(CyclesTokenBuild)
-	pkt := f.newControl(api, kind, dst)
+	pkt := newControl(api, kind, dst)
 	pkt.TokenRound = round
 	pkt.TokenCount = count
 	pkt.TokenMin = min
@@ -378,7 +356,7 @@ func (f *GVTFirmware) relayValue(api nic.API, g vtime.VTime, epoch uint64) {
 //
 //nicwarp:hotpath one per committed value and tree child
 func (f *GVTFirmware) injectValue(api nic.API, dst int, g vtime.VTime, epoch uint64) {
-	pkt := f.newControl(api, proto.KindGVTBroadcast, dst)
+	pkt := newControl(api, proto.KindGVTBroadcast, dst)
 	pkt.TokenGVT = g
 	pkt.TokenOrigin = int32(api.Node())
 	pkt.TokenEpoch = epoch

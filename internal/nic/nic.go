@@ -105,9 +105,10 @@ const (
 	// wire for outgoing packets, to the host for incoming ones.
 	VerdictForward Verdict = iota
 	// VerdictConsume ends the packet's journey at the NIC: the firmware has
-	// handled it (a GVT token absorbed and regenerated, for example) and the
-	// packet is the firmware's from the moment the hook returns — it may
-	// rewrite it and inject it again.
+	// handled it (a GVT token folded in, for example). A packet consumed on
+	// receive goes back to the NIC's packet pool when the hook returns, so
+	// the hook must not keep it; one consumed on send is the firmware's.
+	// Firmware that sends takes its packets from API.Packet.
 	VerdictConsume
 	// VerdictDrop discards the packet (early cancellation).
 	VerdictDrop
@@ -150,7 +151,7 @@ type Firmware interface {
 	// OnHostSend runs when a host-originated packet is dequeued for
 	// transmission — once per packet, whether it then travels alone or
 	// folded into a batch frame. VerdictConsume and VerdictDrop both
-	// prevent transmission; Consume means the firmware took ownership.
+	// prevent transmission (VerdictConsume says who owns the packet then).
 	OnHostSend(pkt *proto.Packet, api API) Verdict
 	// OnWireReceive runs when a packet arrives from the fabric, before any
 	// DMA toward the host. Firmware never sees a KindBatch frame: the NIC
@@ -197,6 +198,11 @@ type API interface {
 	// the NIC's packet pool (SetPool).
 	//nicwarp:hotpath the cancel scan, once per anti-message
 	RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet
+	// Packet returns a packet from the NIC's pool (SetPool) for the hook to
+	// fill and Inject. Its contents are unspecified: the caller overwrites
+	// every field.
+	//nicwarp:hotpath one per control packet the GVT firmware builds
+	Packet() *proto.Packet
 	// Inject queues a NIC-generated packet for transmission. Injected
 	// packets do not pass through OnHostSend.
 	Inject(pkt *proto.Packet)
@@ -311,8 +317,9 @@ type NIC struct {
 	rmScratch hookScratch
 	gbScratch hookScratch
 
-	// pool is where batch frames come from and where host packets that die
-	// here go (SetPool).
+	// pool is where batch frames and firmware-built packets come from, and
+	// where host packets that die here and packets firmware consumes on
+	// receive go (SetPool).
 	pool *proto.Pool
 
 	// Batching machinery (transmit side active when cfg.BatchMax > 1).
@@ -437,9 +444,10 @@ func nicCreditArrive(a, b interface{}) {
 func (n *NIC) SetHostDiscardHook(fn func(*proto.Packet)) { n.onHostDiscard = fn }
 
 // SetPool replaces the NIC's own packet pool with p, the pool of the
-// engine it runs on: batch frames are taken from it, and a host packet that
-// dies on the NIC — dropped in place, or folded into a batch frame, which
-// copies its fields — is released into it instead of becoming garbage. A
+// engine it runs on: batch frames and firmware-built packets are taken from
+// it, and a packet that dies on the NIC — a host packet dropped in place or
+// folded into a batch frame, which copies its fields, or a packet firmware
+// consumed on receive — is released into it instead of becoming garbage. A
 // cluster hands every NIC, host and MPICH endpoint on one engine the same
 // pool, so only that engine's goroutine touches it. Call before traffic
 // flows.
@@ -735,8 +743,11 @@ func (n *NIC) rxPump() {
 	} else {
 		n.rxVerdict = n.fw.OnWireReceive(pkt, apiImpl{n})
 	}
-	if n.rxVerdict == VerdictForward {
+	switch n.rxVerdict {
+	case VerdictForward:
 		n.rxPkt = pkt
+	case VerdictConsume:
+		n.pool.Release(pkt)
 	}
 	n.clearScratch()
 	cost := n.cycles(n.cfg.RecvCycles + n.takeCharge())
@@ -895,6 +906,8 @@ func (a apiImpl) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Pac
 	}
 	return n.rmScratch.publish(removed)
 }
+
+func (a apiImpl) Packet() *proto.Packet { return a.n.pool.Packet() }
 
 func (a apiImpl) Inject(pkt *proto.Packet) {
 	if pkt == nil {

@@ -148,16 +148,24 @@ func TestSendVerdictDrop(t *testing.T) {
 	}
 }
 
+// TestReceiveVerdictConsume: a packet consumed on receive stops at the NIC
+// and goes back to the NIC's packet pool when the hook returns.
 func TestReceiveVerdictConsume(t *testing.T) {
+	var w *poolWatch
 	r := newRig(t, 2, func(i int) Firmware {
 		if i == 1 {
 			return &stubFirmware{onWireReceive: func(p *proto.Packet, a API) Verdict {
+				if got := w.released(); len(got) != 0 {
+					t.Errorf("%d packets released before the hook returned", len(got))
+				}
 				return VerdictConsume
 			}}
 		}
 		return &stubFirmware{}
 	})
-	r.nics[0].HostEnqueue(evPkt(0, 1))
+	w = watchPool(r.nics[1])
+	p := evPkt(0, 1)
+	r.nics[0].HostEnqueue(p)
 	r.eng.Run(vtime.ModelInfinity)
 	if len(r.toHost[1]) != 0 {
 		t.Fatal("consumed packet reached host")
@@ -165,14 +173,17 @@ func TestReceiveVerdictConsume(t *testing.T) {
 	if r.nics[1].Stats.RxConsumed.Value() != 1 {
 		t.Fatalf("RxConsumed = %d", r.nics[1].Stats.RxConsumed.Value())
 	}
+	if got := w.released(); len(got) != 1 || got[0] != p {
+		t.Fatalf("pool took back %v, want the consumed packet", got)
+	}
 }
 
-// TestConsumedPacketBelongsToFirmware: VerdictConsume hands the packet to
-// the firmware from the moment the hook returns, so a hook may rewrite it
-// on the spot (the GVT firmware refills consumed tokens). What the NIC does
-// with the packet's receive-buffer credit is decided by what arrived, not
-// by what the firmware left behind: a gated original returns exactly one
-// credit to its real sender, a wire duplicate none.
+// TestConsumedPacketBelongsToFirmware: a packet the receive hook consumes
+// is the firmware's until the hook returns, so the hook may rewrite it on
+// the spot. What the NIC does with the packet's receive-buffer credit is
+// decided by what arrived, not by what the firmware left behind: a gated
+// original returns exactly one credit to its real sender, a wire duplicate
+// none.
 func TestConsumedPacketBelongsToFirmware(t *testing.T) {
 	for _, wireDup := range []bool{false, true} {
 		r := newRig(t, 3, func(i int) Firmware {

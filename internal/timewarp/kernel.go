@@ -209,10 +209,10 @@ func (o *objRuntime) schedKey() d4heap.Key {
 // layer converts into host CPU costs, plus the remote messages to ship.
 type StepResult struct {
 	// Remote holds events (positive and anti) destined for other LPs, in
-	// emission order. Ownership transfers to the caller: the kernel keeps
-	// no reference, and the caller may return the events to the kernel's
-	// pool with Recycle once it is done with them.
-	Remote []*Event //nicwarp:owns ownership transfers to the caller, who recycles via Recycle
+	// emission order. The slice is the kernel's scratch, valid until the
+	// next ProcessOne, Deliver or FossilCollect; the events are the
+	// caller's, who may return them to the kernel's pool with Recycle.
+	Remote []*Event //nicwarp:owns events transfer to the caller, who recycles via Recycle; the slice is kernel scratch
 	// Rollbacks is the number of rollback episodes triggered.
 	Rollbacks int
 	// UndoneEvents is the number of executed events undone.
@@ -230,19 +230,16 @@ type Kernel struct {
 	pool  eventPool
 
 	// Per-call scratch, reset by each public entry point. res aliases
-	// resVal so begin() allocates nothing; the Remote slice inside starts
-	// nil each call because its ownership transfers to the caller.
+	// resVal so begin() allocates nothing; res.Remote views remote, which
+	// begin empties, so one backing array serves every step.
 	resVal StepResult
 	res    *StepResult
+	remote []*Event //nicwarp:owns per-call scratch: its events are handed out through StepResult.Remote and nilled by begin
 	localQ []*Event //nicwarp:owns per-call scratch, drained before the entry point returns
 	// ctxScratch is the reused Execute context: Execute never nests and no
 	// object may retain its Context past the call, so one value serves
 	// every step without allocating.
 	ctxScratch Context
-	// remoteSpare holds backing arrays handed back via RecycleRemoteBuf;
-	// route drafts one for a step's first remote emission instead of
-	// growing a fresh Remote slice from nil.
-	remoteSpare [][]*Event //nicwarp:owns spare backing arrays; RecycleRemoteBuf nils every slot on hand-back
 
 	booted bool
 	// histCount is the total number of retained processed events across all
@@ -295,6 +292,8 @@ func (k *Kernel) IsLocal(id ObjectID) bool {
 
 // begin resets per-call scratch and returns the result accumulator.
 func (k *Kernel) begin() *StepResult {
+	clear(k.remote)
+	k.remote = k.remote[:0]
 	k.resVal = StepResult{}
 	k.res = &k.resVal
 	return k.res
@@ -565,13 +564,8 @@ func (k *Kernel) route(ev *Event) {
 	if k.IsLocal(ev.Dst) {
 		k.localQ = append(k.localQ, ev)
 	} else {
-		if k.res.Remote == nil {
-			if n := len(k.remoteSpare); n > 0 {
-				k.res.Remote = k.remoteSpare[n-1]
-				k.remoteSpare = k.remoteSpare[:n-1]
-			}
-		}
-		k.res.Remote = append(k.res.Remote, ev)
+		k.remote = append(k.remote, ev)
+		k.res.Remote = k.remote
 	}
 }
 

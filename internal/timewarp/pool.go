@@ -79,19 +79,3 @@ func (k *Kernel) antiOf(e *Event) *Event {
 //
 //nicwarp:owns the event goes back to the pool and may be handed out again at the next send
 func (k *Kernel) Recycle(ev *Event) { k.pool.put(ev) }
-
-// RecycleRemoteBuf returns the backing array of a StepResult.Remote slice
-// for reuse by a later step's remote emissions. The caller must already
-// have disposed of every event in the slice (typically via Recycle) and
-// must not retain the slice afterwards. Recycling the buffer is optional,
-// exactly like recycling the events.
-func (k *Kernel) RecycleRemoteBuf(buf []*Event) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:cap(buf)]
-	for i := range buf {
-		buf[i] = nil
-	}
-	k.remoteSpare = append(k.remoteSpare, buf[:0])
-}

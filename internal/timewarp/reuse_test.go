@@ -133,6 +133,34 @@ func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestSteadyStateRemoteStepDoesNotAllocate is the same cycle for a step
+// whose output leaves the LP: every execution sends two events to a remote
+// object, which the caller Recycles without handing the Remote slice back.
+// The slice is the kernel's scratch, so that costs nothing either; grown
+// afresh for each step it cost one allocation per step.
+func TestSteadyStateRemoteStepDoesNotAllocate(t *testing.T) {
+	k := NewKernel(Config{})
+	k.AddObject(0, &fanObj{remote: 9, st: fanState{budget: 1 << 30}})
+	k.Bootstrap()
+	sent := 0
+	cycle := func() {
+		for _, ev := range k.ProcessOne().Remote {
+			sent++
+			k.Recycle(ev)
+		}
+		k.FossilCollect(k.NextTS())
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per ProcessOne+FossilCollect cycle with remote output, want 0", allocs)
+	}
+	if k.HistoryEvents() > 1 || sent < 2*500 {
+		t.Fatalf("history %d, %d remote events: the cycle is not in steady state", k.HistoryEvents(), sent)
+	}
+}
+
 // TestSnapshotsComeInSlabs: a history growing to a new depth pays one
 // allocation per snapshotSlab snapshots, not one per event, and a history
 // that fossil collection has emptied refills from the snapshots it handed
@@ -214,7 +242,6 @@ func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 		for _, ev := range res.Remote {
 			k.Recycle(ev)
 		}
-		k.RecycleRemoteBuf(res.Remote)
 	}
 	recycle(k.Bootstrap())
 	for step := 1; k.HasWork(); step++ {

@@ -46,7 +46,6 @@ func main() {
 		shards   = cliopt.Shards(flag.CommandLine)
 		period   = flag.Int("period", 1000, "GVT period (GVT_COUNT)")
 		cancel   = flag.Bool("cancel", false, "enable NIC early cancellation")
-		lazy     = flag.Bool("lazy", false, "use lazy cancellation in the kernel")
 		requests = flag.Int("requests", 50000, "RAID: total disk requests")
 		stations = flag.Int("stations", 900, "POLICE: station count")
 		objects  = flag.Int("objects", 32, "PHOLD: object count")
@@ -74,9 +73,6 @@ func main() {
 		cfg.Net.Topology = *topo
 		cfg.Net.Radix = *radix
 	}
-	if *lazy {
-		cfg.Cancellation = nicwarp.Lazy
-	}
 	builders := appBuilders(*requests, *stations, *objects, *hops)
 	build, ok := builders[*app]
 	if !ok {
@@ -94,7 +90,7 @@ func main() {
 	}
 	cfg.App = build()
 
-	// Validate up front so flag mistakes (e.g. -cancel with -lazy) surface
+	// Validate up front so flag mistakes (e.g. -cancel with -gvt pgvt) surface
 	// as field errors before any model is built.
 	if err := cfg.WithDefaults().Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "invalid configuration:", err)

@@ -80,9 +80,9 @@ func TestParallelAndCachedRunsMatchSerial(t *testing.T) {
 // exercised on every entry by TestRegistryMatchesOracle.
 func TestRegistryCoversSuite(t *testing.T) {
 	want := []string{"fig4", "fig5", "fig6", "fig78", "figscale",
-		"abl-nic-speed", "abl-drop-buffer", "abl-cancel-policy",
-		"abl-gvt-algorithms", "abl-rx-buffer", "abl-gvt-tree",
-		"abl-stress-faults", "abl-piggyback-patience", "abl-batching"}
+		"abl-nic-speed", "abl-drop-buffer", "abl-gvt-algorithms",
+		"abl-rx-buffer", "abl-gvt-tree", "abl-stress-faults",
+		"abl-piggyback-patience", "abl-batching"}
 	got := ExperimentNames()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d: %v", len(got), len(want), got)

@@ -284,22 +284,6 @@ func ablations() []Experiment {
 			},
 		},
 		{
-			Name:        "abl-cancel-policy",
-			Output:      "ablation_cancellation_policy",
-			Description: "Ablation: cancellation policy",
-			header:      []string{"variant", "exec_sec", "antis", "rollbacks"},
-			rows: func(o FigureOpts) []row {
-				return variants("%v", []CancellationPolicy{Aggressive, Lazy}, func(pol CancellationPolicy) Config {
-					cfg := o.point(RAID(RAIDCancelConfig(o.scaled(20000))), GVTHostMattern, 100)
-					cfg.Cancellation = pol
-					return cfg
-				})
-			},
-			cells: func(r []*Result) []interface{} {
-				return []interface{}{r[0].ExecTime.Seconds(), float64(r[0].AntisBuilt), float64(r[0].Rollbacks)}
-			},
-		},
-		{
 			Name:        "abl-gvt-algorithms",
 			Output:      "ablation_gvt_algorithms",
 			Description: "Ablation: GVT algorithms (pGVT vs Mattern vs NIC-GVT)",

@@ -111,10 +111,6 @@ type Config struct {
 	// (paper: 10). Zero keeps the default.
 	DropBufferCap int
 
-	// Cancellation selects the kernel cancellation policy. The paper (and
-	// the early-cancellation correctness argument) uses Aggressive.
-	Cancellation timewarp.CancellationPolicy
-
 	// Hardware model parameters; zero values take defaults.
 	Costs hostmodel.CostTable
 	NIC   nic.Config
@@ -195,12 +191,6 @@ func (c Config) Validate() error {
 	default:
 		return &FieldError{Field: "GVT", Value: int(c.GVT),
 			Reason: "unknown GVT mode (want " + strings.Join(GVTModeNames(), ", ") + ")"}
-	}
-	if c.EarlyCancel && c.Cancellation != timewarp.Aggressive {
-		// The in-place drop is only provably cancelled by the host under
-		// aggressive cancellation (see firmware.CancelFirmware).
-		return &FieldError{Field: "EarlyCancel", Value: true,
-			Reason: "early cancellation requires aggressive cancellation"}
 	}
 	if c.EarlyCancel && c.GVT == GVTPGVT {
 		// A packet dropped in place is never delivered, so it would pin the
@@ -360,7 +350,7 @@ type view struct{ n *node }
 func (v view) LP() int     { return v.n.id }
 func (v view) NumLPs() int { return len(v.n.cluster.nodes) }
 
-func (v view) LVT() vtime.VTime         { return v.n.kernel.LVT() }
+func (v view) LVT() vtime.VTime         { return v.n.kernel.NextTS() }
 func (v view) OutboundMin() vtime.VTime { return v.n.outboundMin() }
 func (v view) CommitGVT(g vtime.VTime) {
 	v.n.commitGVT(g)
@@ -499,10 +489,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			n.nicDev.Shared().Dropped = nic.NewDropBuffer(cfg.DropBufferCap)
 		}
 
-		n.kernel = timewarp.NewKernel(timewarp.Config{
-			LP:           i,
-			Cancellation: cfg.Cancellation,
-		})
+		n.kernel = timewarp.NewKernel(timewarp.Config{})
 		switch cfg.GVT {
 		case GVTHostMattern:
 			n.mgr = gvt.NewMattern(cfg.GVTPeriod)
@@ -614,22 +601,6 @@ func (cl *Cluster) Run() (*Result, error) {
 		cl.plane.Start()
 	}
 	cl.group.Run(cl.cfg.MaxModelTime)
-	// A run ends only when every kernel is quiescent. Under lazy
-	// cancellation the event list can drain while kernels still hold
-	// deferred cancellations, which only a GVT commit past their send time
-	// flushes — and a GVT computation that made no progress commits nothing
-	// and starts no next one. Wake the root manager until the kernels drain.
-	// Every shard clock then reads the cluster clock (des.Group.Run), so the
-	// wake-up acts at the same time serially and sharded.
-	root := cl.nodes[0]
-	for cl.group.Pending() == 0 && !cl.quiescent() {
-		root.eng.SetLane(uint32(root.id))
-		root.mgr.OnIdle(view{root})
-		if cl.group.Pending() == 0 {
-			break // the manager started nothing
-		}
-		cl.group.Run(cl.cfg.MaxModelTime)
-	}
 	if pending := cl.group.Pending(); pending > 0 {
 		return nil, fmt.Errorf("core: run exceeded MaxModelTime=%v (pending=%d)",
 			cl.cfg.MaxModelTime, pending)
@@ -653,16 +624,6 @@ func (cl *Cluster) Run() (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// quiescent reports whether every node's kernel is quiescent.
-func (cl *Cluster) quiescent() bool {
-	for _, n := range cl.nodes {
-		if !n.kernel.Quiescent() {
-			return false
-		}
-	}
-	return true
 }
 
 // nodeBusy reports whether one node still has real model work: the fault
@@ -700,7 +661,7 @@ func (cl *Cluster) barrier() {
 func (cl *Cluster) invariantFloor() vtime.VTime {
 	floor := vtime.Infinity
 	for _, n := range cl.nodes {
-		if lvt := n.kernel.LVT(); lvt < floor {
+		if lvt := n.kernel.NextTS(); lvt < floor {
 			floor = lvt
 		}
 		for _, ev := range n.outgoing.Live() {
@@ -715,11 +676,10 @@ func (cl *Cluster) invariantFloor() vtime.VTime {
 // runQuiescenceChecks feeds the drained cluster's final state to the
 // invariant oracles: per-pair credit conservation, BIP gap accounting
 // against the NIC drop records, ledger drain, anti annihilation, and
-// message conservation. It folds once more first: the post-drain OnIdle
-// wake-up runs outside any window.
+// message conservation. Every window ends at the barrier's fold, so the
+// logs are already folded.
 func (cl *Cluster) runQuiescenceChecks() {
 	ck := cl.checker
-	ck.Fold(cl.invariantFloor())
 	window := cl.cfg.Flow.Window
 	for _, s := range cl.nodes {
 		for _, peer := range s.flow.TouchedPeers() {
@@ -1188,14 +1148,12 @@ func (n *node) commitGVT(g vtime.VTime) {
 		n.finalGVT = g
 	}
 	before := n.kernel.Stats.FossilEvents.Value()
-	res := n.kernel.FossilCollect(g)
-	n.park(res.Remote)
+	n.kernel.FossilCollect(g)
 	reclaimed := n.kernel.Stats.FossilEvents.Value() - before
 	c := n.cpu.Costs
 	fossilCost := vtime.ModelTime(reclaimed)*c.FossilPerEvent +
 		vtime.ModelTime(n.numObjects)*c.FossilPerObject
 	n.cpu.DoArg(hostmodel.CatGVT, fossilCost, nil, nil)
-	n.finishStep(res, hostmodel.CatGVT)
 	// Keep termination detection alive: if the LP is idle after the
 	// commit, let the manager decide whether another computation is needed
 	// (it stops at GVT = Infinity).

@@ -12,7 +12,6 @@ import (
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/simnet"
-	"nicwarp/internal/timewarp"
 	"nicwarp/internal/vtime"
 )
 
@@ -28,7 +27,6 @@ func digestBase() Config {
 		GVTFallbackDelay: 55 * vtime.Microsecond,
 		EarlyCancel:      true,
 		DropBufferCap:    17,
-		Cancellation:     timewarp.Aggressive,
 		Costs:            hostmodel.DefaultCostTable(),
 		NIC:              nic.DefaultConfig(),
 		Net:              simnet.DefaultConfig(),
@@ -136,7 +134,7 @@ func TestDigestStable(t *testing.T) {
 // results/cache/.
 func TestDigestGolden(t *testing.T) {
 	cfg := Config{App: phold.New(phold.Params{Objects: 8, Population: 1, Hops: 40, MeanDelay: 50, Locality: 0.2}), Nodes: 4, Seed: 7}
-	const golden = "c2401d5cba5f528efd9a6ea3c387828e5b8e45460dccc81d6eab59231b4d97bd"
+	const golden = "73ecb74c8aa71ea86d76c360e64d37f2efc57378a731b2ae5c758a46f50747a3"
 	if got := cfg.Digest(); got != golden {
 		t.Fatalf("digest of the pinned config changed:\n got  %s\n want %s\n"+
 			"(expected only when Config's shape changes; update the constant and clear results/cache/)", got, golden)
@@ -155,7 +153,6 @@ func TestValidateFieldErrors(t *testing.T) {
 		{Config{App: app, Nodes: 0, GVTPeriod: 10}, "Nodes"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 0}, "GVTPeriod"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, GVT: GVTMode(99)}, "GVT"},
-		{Config{App: app, Nodes: 4, GVTPeriod: 10, EarlyCancel: true, Cancellation: timewarp.Lazy}, "EarlyCancel"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, EarlyCancel: true, GVT: GVTPGVT}, "EarlyCancel"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.Config{BatchMax: proto.MaxBatchSubs + 1}}, "NIC.BatchMax"},
 		// 2 was the retired dragonfly: out of range, not a crossbar.

@@ -212,12 +212,6 @@ func (m *NICGVTManager) OnNotify(h Host, tag nic.NotifyTag) {
 			m.inProgress = false
 			m.Stats.Computations.Inc()
 		}
-		// A lazy-cancellation flush can send anti-messages below the
-		// committed GVT, and a computation that counts them closes below it:
-		// skip the stale value, as the host managers do.
-		if g < m.lastGVT {
-			return
-		}
 		m.lastGVT = g
 		h.CommitGVT(g)
 	}

@@ -167,6 +167,11 @@ func PointConfig(app string, o Options, scenario string, seed uint64) (core.Conf
 		cfg.NIC.BatchMax = o.Batch
 		cfg.NIC.FlushHorizon = 20 * vtime.Microsecond
 	}
+	// Every point sets EarlyCancel, so a GVT mode that rejects it (pGVT)
+	// fails here, before any point runs.
+	if err := cfg.WithDefaults().Validate(); err != nil {
+		return core.Config{}, err
+	}
 	return cfg, nil
 }
 
@@ -221,8 +226,8 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // Sweep runs the full matrix and judges every point. Per-point failures
-// land in the report; only a malformed Options (unknown app or scenario)
-// errors out.
+// land in the report; only a malformed Options (unknown app or scenario,
+// or a configuration core.Config.Validate rejects) errors out.
 func Sweep(o Options) (*Report, error) {
 	o = o.withDefaults()
 	type slot struct {

@@ -1,6 +1,7 @@
 package stress
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,6 +146,26 @@ func TestPointConfigRejectsUnknownAxes(t *testing.T) {
 	}
 	if _, err := Sweep(Options{Apps: []string{"phold"}, Scenarios: []string{"bogus"}}); err == nil {
 		t.Fatal("sweep with unknown scenario accepted")
+	}
+}
+
+// TestSweepRejectsPGVT: every point enables early cancellation, which
+// pGVT cannot run with, so a pGVT sweep is a configuration error named by
+// field before any point runs, not a report of failed points.
+func TestSweepRejectsPGVT(t *testing.T) {
+	rep, err := Sweep(Options{
+		Apps:      []string{"phold"},
+		Scenarios: []string{"drop"},
+		Seeds:     []uint64{1},
+		GVT:       core.GVTPGVT,
+		Workers:   1,
+	})
+	var fe *core.FieldError
+	if !errors.As(err, &fe) || fe.Field != "EarlyCancel" {
+		t.Fatalf("Sweep error = %v, want a *core.FieldError naming EarlyCancel", err)
+	}
+	if rep != nil {
+		t.Fatalf("Sweep reported %d points for a rejected configuration", len(rep.Points))
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package timewarp implements a WARPED-style optimistic parallel discrete
 // event simulation kernel: logical processes hosting multiple simulation
 // objects, timestamp-ordered optimistic execution, state saving on every
-// event, rollback with aggressive or lazy cancellation, anti-message
-// annihilation, and fossil collection below GVT.
+// event, rollback with aggressive cancellation, anti-message annihilation,
+// and fossil collection below GVT.
 //
 // The kernel is deliberately free of any hardware-model or networking
 // concern: it consumes and produces Events. The cluster layer

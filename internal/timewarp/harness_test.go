@@ -19,7 +19,6 @@ type harness struct {
 	mailbox []*Event
 	rnd     rng.Source
 	steps   int
-	window  int // delivery reordering window
 	// trace folds every StepResult run() saw, in order, into one hash, so two
 	// runs can be compared step for step.
 	trace uint64
@@ -27,24 +26,16 @@ type harness struct {
 	after func(*Kernel)
 }
 
-func newHarness(nLP int, objs map[ObjectID]Object, assign func(ObjectID) int, policy CancellationPolicy, seed uint64) *harness {
-	return newHarnessPool(nLP, objs, assign, policy, seed, false)
+func newHarness(nLP int, objs map[ObjectID]Object, assign func(ObjectID) int, seed uint64) *harness {
+	return newHarnessPool(nLP, objs, assign, seed, false)
 }
 
 // newHarnessPool is newHarness with control over event pooling, for the
 // property test proving pooling is observationally invisible.
-func newHarnessPool(nLP int, objs map[ObjectID]Object, assign func(ObjectID) int, policy CancellationPolicy, seed uint64, disablePool bool) *harness {
-	h := &harness{home: make(map[ObjectID]int), rnd: rng.New(seed), window: deliveryWindow}
-	if policy == Lazy {
-		// Lazy cancellation is echo-prone under heavy reordering: deferred
-		// antis let erroneous computations spread faster than corrections
-		// propagate, a known instability (and the reason the paper uses
-		// aggressive cancellation). Bound the disorder further so the
-		// oracle-equivalence check converges.
-		h.window = lazyDeliveryWindow
-	}
+func newHarnessPool(nLP int, objs map[ObjectID]Object, assign func(ObjectID) int, seed uint64, disablePool bool) *harness {
+	h := &harness{home: make(map[ObjectID]int), rnd: rng.New(seed)}
 	for lp := 0; lp < nLP; lp++ {
-		h.kernels = append(h.kernels, NewKernel(Config{LP: lp, Cancellation: policy, DisableEventPool: disablePool}))
+		h.kernels = append(h.kernels, NewKernel(Config{LP: lp, DisableEventPool: disablePool}))
 	}
 	// Deterministic registration order.
 	ids := make([]ObjectID, 0, len(objs))
@@ -93,10 +84,6 @@ func (h *harness) step(k *Kernel, res StepResult) {
 // is realistic but useless for a convergence test.
 const deliveryWindow = 16
 
-// lazyDeliveryWindow bounds reordering for lazy-cancellation runs (see
-// newHarness).
-const lazyDeliveryWindow = 4
-
 // run drives the system to quiescence and returns the total committed
 // events. Fails the test if the run does not terminate within a bound.
 func (h *harness) run(t *testing.T) int {
@@ -105,76 +92,52 @@ func (h *harness) run(t *testing.T) int {
 		h.step(k, k.Bootstrap())
 	}
 	const bound = 5_000_000
+	// Drive until no kernel has work and the mailbox is empty.
 	for {
-		// Drive until no kernel has work and the mailbox is empty.
-		for {
-			busyKernels := 0
-			for _, k := range h.kernels {
-				if k.HasWork() {
-					busyKernels++
-				}
-			}
-			if busyKernels == 0 && len(h.mailbox) == 0 {
-				break
-			}
-			h.steps++
-			if h.steps > bound {
-				t.Fatal("harness did not quiesce")
-			}
-			// Randomly deliver a mailbox message or step a busy kernel.
-			deliver := len(h.mailbox) > 0 && (busyKernels == 0 || h.rnd.Bool(0.6))
-			if deliver {
-				w := len(h.mailbox)
-				if w > h.window {
-					w = h.window
-				}
-				i := h.rnd.Intn(w)
-				ev := h.mailbox[i]
-				h.mailbox = append(h.mailbox[:i], h.mailbox[i+1:]...)
-				k := h.kernels[h.home[ev.Dst]]
-				h.step(k, k.Deliver(ev))
-			} else {
-				// Pick a random busy kernel.
-				pick := h.rnd.Intn(busyKernels)
-				for _, k := range h.kernels {
-					if !k.HasWork() {
-						continue
-					}
-					if pick == 0 {
-						h.step(k, k.ProcessOne())
-						break
-					}
-					pick--
-				}
-			}
-		}
-		// Idle: run a GVT pass so lazy cancellation can flush deferred
-		// anti-messages (in the cluster this is the GVT manager's job).
-		gvt := vtime.Infinity
-		for _, k := range h.kernels {
-			gvt = vtime.MinV(gvt, k.LVT())
-		}
-		emitted := false
-		for _, k := range h.kernels {
-			res := k.FossilCollect(gvt)
-			if len(res.Remote) > 0 {
-				emitted = true
-			}
-			h.step(k, res)
-		}
-		busy := false
+		busyKernels := 0
 		for _, k := range h.kernels {
 			if k.HasWork() {
-				busy = true
+				busyKernels++
 			}
 		}
-		// Terminate only at GVT = Infinity: a pass can flush purely local
-		// anti-messages (no remote emissions, no new work) and still leave
-		// higher-timestamp lazy entries that the *next*, higher GVT must
-		// flush. GVT rises strictly between such passes, so this converges.
-		if !emitted && !busy && len(h.mailbox) == 0 && gvt == vtime.Infinity {
+		if busyKernels == 0 && len(h.mailbox) == 0 {
 			break
 		}
+		h.steps++
+		if h.steps > bound {
+			t.Fatal("harness did not quiesce")
+		}
+		// Randomly deliver a mailbox message or step a busy kernel.
+		deliver := len(h.mailbox) > 0 && (busyKernels == 0 || h.rnd.Bool(0.6))
+		if deliver {
+			w := len(h.mailbox)
+			if w > deliveryWindow {
+				w = deliveryWindow
+			}
+			i := h.rnd.Intn(w)
+			ev := h.mailbox[i]
+			h.mailbox = append(h.mailbox[:i], h.mailbox[i+1:]...)
+			k := h.kernels[h.home[ev.Dst]]
+			h.step(k, k.Deliver(ev))
+		} else {
+			// Pick a random busy kernel.
+			pick := h.rnd.Intn(busyKernels)
+			for _, k := range h.kernels {
+				if !k.HasWork() {
+					continue
+				}
+				if pick == 0 {
+					h.step(k, k.ProcessOne())
+					break
+				}
+				pick--
+			}
+		}
+	}
+	// Idle: GVT is Infinity, so everything commits (in the cluster this is
+	// the GVT manager's terminal commit).
+	for _, k := range h.kernels {
+		k.FossilCollect(vtime.Infinity)
 	}
 	total := 0
 	for _, k := range h.kernels {
@@ -209,11 +172,11 @@ func (h *harness) digest() uint64 {
 
 // checkAgainstOracle runs the workload distributed and sequentially and
 // compares committed digests and counts.
-func checkAgainstOracle(t *testing.T, nObj, nLP, budget int, policy CancellationPolicy, seed uint64) {
+func checkAgainstOracle(t *testing.T, nObj, nLP, budget int, seed uint64) {
 	t.Helper()
 	assign := func(id ObjectID) int { return int(id) % nLP }
 
-	h := newHarness(nLP, buildObjs(nObj, budget, seed), assign, policy, seed*31+7)
+	h := newHarness(nLP, buildObjs(nObj, budget, seed), assign, seed*31+7)
 	committed := h.run(t)
 
 	ref := Sequential(buildObjs(nObj, budget, seed), 10_000_000)
@@ -237,16 +200,7 @@ func TestDistributedMatchesOracleAggressive(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			checkAgainstOracle(t, 6, 3, 40, Aggressive, seed)
-		})
-	}
-}
-
-func TestDistributedMatchesOracleLazy(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			checkAgainstOracle(t, 6, 3, 40, Lazy, seed)
+			checkAgainstOracle(t, 6, 3, 40, seed)
 		})
 	}
 }
@@ -255,20 +209,17 @@ func TestDistributedLargerConfigurations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cases := []struct {
-		nObj, nLP, budget int
-		policy            CancellationPolicy
-	}{
-		{12, 4, 100, Aggressive},
-		{12, 4, 100, Lazy},
-		{20, 8, 60, Aggressive},
-		{3, 2, 200, Aggressive},
-		{6, 3, 120, Lazy},
+	cases := []struct{ nObj, nLP, budget int }{
+		{12, 4, 100},
+		{12, 4, 100},
+		{20, 8, 60},
+		{3, 2, 200},
+		{6, 3, 120},
 	}
 	for i, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("case%d", i), func(t *testing.T) {
-			checkAgainstOracle(t, c.nObj, c.nLP, c.budget, c.policy, uint64(100+i))
+			checkAgainstOracle(t, c.nObj, c.nLP, c.budget, uint64(100+i))
 		})
 	}
 }
@@ -276,7 +227,7 @@ func TestDistributedLargerConfigurations(t *testing.T) {
 func TestRollbacksActuallyHappen(t *testing.T) {
 	// The adversarial transport must actually provoke rollbacks, otherwise
 	// the oracle tests above prove nothing.
-	h := newHarness(3, buildObjs(6, 60, 42), func(id ObjectID) int { return int(id) % 3 }, Aggressive, 99)
+	h := newHarness(3, buildObjs(6, 60, 42), func(id ObjectID) int { return int(id) % 3 }, 99)
 	h.run(t)
 	var rollbacks int64
 	for _, k := range h.kernels {
@@ -287,25 +238,11 @@ func TestRollbacksActuallyHappen(t *testing.T) {
 	}
 }
 
-func TestLazyProducesFewerAntisOnIdenticalReexecution(t *testing.T) {
-	// With this workload re-execution often regenerates identical sends, so
-	// lazy cancellation should record matches.
-	h := newHarness(3, buildObjs(6, 40, 1), func(id ObjectID) int { return int(id) % 3 }, Lazy, 1*31+7)
-	h.run(t)
-	var hits int64
-	for _, k := range h.kernels {
-		hits += k.Stats.LazyHits.Value()
-	}
-	if hits == 0 {
-		t.Skip("no lazy matches in this seeding; acceptable but unusual")
-	}
-}
-
 func TestPeriodicFossilCollectionPreservesResults(t *testing.T) {
 	// Interleave fossil collection at a safe bound (min LVT across LPs and
 	// mailbox timestamps) and check results still match the oracle.
 	seed := uint64(23)
-	h := newHarness(3, buildObjs(6, 60, seed), func(id ObjectID) int { return int(id) % 3 }, Aggressive, 11)
+	h := newHarness(3, buildObjs(6, 60, seed), func(id ObjectID) int { return int(id) % 3 }, 11)
 	for _, k := range h.kernels {
 		res := k.Bootstrap()
 		h.post(res.Remote)
@@ -343,9 +280,9 @@ func TestPeriodicFossilCollectionPreservesResults(t *testing.T) {
 		}
 		if steps%200 == 0 {
 			// True GVT: min over LP LVTs and in-transit messages.
-			gvt := h.kernels[0].LVT()
+			gvt := h.kernels[0].NextTS()
 			for _, k := range h.kernels[1:] {
-				if v := k.LVT(); v < gvt {
+				if v := k.NextTS(); v < gvt {
 					gvt = v
 				}
 			}
@@ -355,8 +292,7 @@ func TestPeriodicFossilCollectionPreservesResults(t *testing.T) {
 				}
 			}
 			for _, k := range h.kernels {
-				res := k.FossilCollect(gvt)
-				h.post(res.Remote)
+				k.FossilCollect(gvt)
 			}
 		}
 	}

@@ -114,8 +114,8 @@ func TestPendingHeapMatchesContainerHeap(t *testing.T) {
 // TestPendingHeapPreservesTieOrder is the sharper version of the test
 // above: it floods both heaps with events drawn from a tiny key space so
 // many coexisting events Compare equal (same RecvTS, Dst, SendTS, Src and
-// ID — the shape lazy cancellation produces when a rolled-back send
-// sequence is regenerated with a different payload), while unique payloads
+// ID — the shape a rolled-back send re-sent with a different payload makes
+// when it overtakes its anti-message), while unique payloads
 // make every instance distinguishable. For such ties the pop order is
 // decided purely by heap structure, so this test fails for any layout that
 // does not reproduce container/heap's binary sift mechanics — it is the

@@ -9,40 +9,10 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// CancellationPolicy selects how rollbacks cancel erroneously sent messages.
-type CancellationPolicy int
-
-// Cancellation policies.
-const (
-	// Aggressive sends anti-messages for every cancelled output the moment
-	// a rollback happens — the policy the paper uses ("we use aggressive
-	// cancellation [27] where erroneous messages are instantly canceled").
-	// Early cancellation on the NIC requires this policy; its correctness
-	// argument depends on the host emitting the anti-message promptly.
-	Aggressive CancellationPolicy = iota
-	// Lazy defers cancellation: cancelled outputs are kept and compared
-	// against the sends of re-execution; only outputs that re-execution
-	// does not regenerate are cancelled — and the deciding comparison is
-	// synchronized with GVT advancement (see lazyFlush). Provided as the
-	// ablation baseline from Rajan & Wilsey's lazy/aggressive comparison
-	// the paper cites.
-	Lazy
-)
-
-// String implements fmt.Stringer.
-func (p CancellationPolicy) String() string {
-	if p == Lazy {
-		return "lazy"
-	}
-	return "aggressive"
-}
-
 // Config parameterizes a Kernel (one LP).
 type Config struct {
 	// LP is this kernel's logical-process id (its node in the cluster).
 	LP int
-	// Cancellation selects aggressive or lazy cancellation.
-	Cancellation CancellationPolicy
 	// DisableEventPool turns off event reuse: every event is freshly
 	// allocated and released events go to the garbage collector. Pooling
 	// is observationally invisible, so this only exists for the property
@@ -59,8 +29,6 @@ type Stats struct {
 	Annihilations stats.Counter // positive/anti pairs destroyed
 	Zombies       stats.Counter // antis stored awaiting their positive
 	FossilEvents  stats.Counter // history entries reclaimed
-	LazyHits      stats.Counter // re-sends matched under lazy cancellation
-	LazyAntis     stats.Counter // lazy entries eventually cancelled
 }
 
 // snapshot is one state-saving record: the application state plus the
@@ -90,9 +58,9 @@ type objRuntime struct {
 	// pending is the unprocessed-input queue: a binary index-min heap under
 	// the event total order (binary, not 4-ary, to preserve structural tie
 	// order — see pendHeap). pindex is its identity index (see pendIndex).
-	// Together they turn anti-message and lazy-cancellation lookups into
-	// O(1) find + O(log n) remove; the pair is maintained exclusively
-	// through pendPush/pendPop/pendRemove so membership can never diverge.
+	// Together they turn anti-message lookups into O(1) find + O(log n)
+	// remove; the pair is maintained exclusively through
+	// pendPush/pendPop/pendRemove so membership can never diverge.
 	pending pendHeap
 	pindex  pendIndex
 
@@ -115,7 +83,6 @@ type objRuntime struct {
 
 	sendSeq uint64
 
-	lazyPending []*Event //nicwarp:owns cancelled outputs awaiting re-send match (lazy mode); recycled on commit
 	zombies     []*Event //nicwarp:owns unmatched anti-messages; recycled on annihilation or fossil collection
 	fossilCount int      // history entries already reclaimed
 
@@ -172,15 +139,6 @@ func (o *objRuntime) pendFind(ev *Event) *Event {
 	return o.pindex.find(ev)
 }
 
-// clock returns the object's local virtual time: the receive timestamp of
-// its last executed event, or zero before any execution.
-func (o *objRuntime) clock() vtime.VTime {
-	if o.hist.Len() == 0 {
-		return 0
-	}
-	return o.lastHist().ev.RecvTS
-}
-
 // The scheduler heap compares unsigned. XOR with the sign bit maps a signed
 // value onto the unsigned one with the same order.
 const (
@@ -210,8 +168,8 @@ func (o *objRuntime) schedKey() d4heap.Key {
 type StepResult struct {
 	// Remote holds events (positive and anti) destined for other LPs, in
 	// emission order. The slice is the kernel's scratch, valid until the
-	// next ProcessOne, Deliver or FossilCollect; the events are the
-	// caller's, who may return them to the kernel's pool with Recycle.
+	// next ProcessOne or Deliver; the events are the caller's, who may
+	// return them to the kernel's pool with Recycle.
 	Remote []*Event //nicwarp:owns events transfer to the caller, who recycles via Recycle; the slice is kernel scratch
 	// Rollbacks is the number of rollback episodes triggered.
 	Rollbacks int
@@ -223,7 +181,6 @@ type StepResult struct {
 
 // Kernel is one LP: a set of simulation objects executing optimistically.
 type Kernel struct {
-	cfg   Config
 	objs  map[ObjectID]*objRuntime
 	order []*objRuntime
 	sched d4heap.Heap // every object, keyed schedKey, ids index order
@@ -261,7 +218,6 @@ type Kernel struct {
 // NewKernel creates an empty LP kernel.
 func NewKernel(cfg Config) *Kernel {
 	return &Kernel{
-		cfg:  cfg,
 		objs: make(map[ObjectID]*objRuntime),
 		pool: eventPool{disabled: cfg.DisableEventPool},
 	}
@@ -328,8 +284,7 @@ func (k *Kernel) HasWork() bool {
 }
 
 // NextTS returns the timestamp of the lowest unprocessed event on this LP,
-// or Infinity if the LP is idle. This is the LP's LVT contribution for GVT
-// in aggressive mode.
+// or Infinity if the LP is idle: the LP's LVT, its contribution to GVT.
 func (k *Kernel) NextTS() vtime.VTime {
 	if !k.HasWork() {
 		return vtime.Infinity
@@ -337,27 +292,11 @@ func (k *Kernel) NextTS() vtime.VTime {
 	return vtime.VTime(k.sched.MinKey().Hi ^ signBit64)
 }
 
-// LVT returns the LP's lower bound on future message timestamps: the lowest
-// unprocessed event, further lowered by any lazy-cancellation entries whose
-// anti-messages are still unsent. GVT computed from this value is safe under
-// both cancellation policies.
-func (k *Kernel) LVT() vtime.VTime {
-	lvt := k.NextTS()
-	if k.cfg.Cancellation == Lazy {
-		for _, o := range k.order {
-			for _, e := range o.lazyPending {
-				lvt = vtime.MinV(lvt, e.RecvTS)
-			}
-		}
-	}
-	return lvt
-}
-
-// Quiescent reports whether the LP has no pending events, no deferred lazy
-// cancellations and no unmatched anti-messages.
+// Quiescent reports whether the LP has no pending events and no unmatched
+// anti-messages.
 func (k *Kernel) Quiescent() bool {
 	for _, o := range k.order {
-		if o.pending.Len() > 0 || len(o.lazyPending) > 0 || len(o.zombies) > 0 {
+		if o.pending.Len() > 0 || len(o.zombies) > 0 {
 			return false
 		}
 	}
@@ -396,14 +335,6 @@ func (k *Kernel) ProcessOne() StepResult {
 	k.ctxScratch = Context{k: k, st: o, now: ev.RecvTS}
 	o.obj.Execute(&k.ctxScratch, ev)
 	k.drainLocal()
-	// Lazy cancellation: entries whose send time the object's clock has
-	// passed were definitively not regenerated by re-execution; cancel
-	// them now. (FossilCollect performs the same flush against GVT for
-	// objects that have gone idle.)
-	if k.cfg.Cancellation == Lazy {
-		k.lazyFlush(o, o.clock())
-		k.drainLocal()
-	}
 	return *res
 }
 
@@ -423,15 +354,13 @@ func (k *Kernel) Deliver(ev *Event) StepResult {
 // output history is still retained (not yet fossil-collected).
 func (k *Kernel) HistoryEvents() int { return k.histCount }
 
-// FossilCollect releases history strictly below gvt and flushes lazy
-// cancellations that can no longer be matched. It returns the (possibly
-// nonempty, under lazy cancellation) step result.
-func (k *Kernel) FossilCollect(gvt vtime.VTime) StepResult {
+// FossilCollect releases history strictly below gvt. It sends nothing:
+// every cancellation was sent at its rollback.
+func (k *Kernel) FossilCollect(gvt vtime.VTime) {
 	if gvt < k.committedGVT {
 		panic(fmt.Sprintf("timewarp: GVT moved backwards: %v after %v", gvt, k.committedGVT))
 	}
 	k.committedGVT = gvt
-	res := k.begin()
 	for _, o := range k.order {
 		// First live history index that must be retained.
 		h := o.hist.Live()
@@ -460,9 +389,6 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) StepResult {
 				o.hist.Drop()
 			}
 		}
-		if k.cfg.Cancellation == Lazy {
-			k.lazyFlush(o, gvt)
-		}
 		// A zombie below GVT means its positive can never arrive: a bug in
 		// the kernel or in whatever discarded the positive.
 		for _, z := range o.zombies {
@@ -471,8 +397,6 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) StepResult {
 			}
 		}
 	}
-	k.drainLocal()
-	return *res
 }
 
 // ObjectDigest returns the current state digest of one local object.
@@ -541,13 +465,6 @@ func (k *Kernel) send(c *Context, dst ObjectID, delay vtime.VTime, payload uint6
 	// The executing entry is the newest, so its row is the tail of outs.
 	o.lastHist().nOut++
 	o.outs.Push(ev)
-	// Lazy cancellation: a regenerated send identical to a cancelled
-	// one means the original message is still correct; keep it and do
-	// not re-send.
-	if k.cfg.Cancellation == Lazy && k.lazyMatch(o, ev) {
-		k.Stats.LazyHits.Inc()
-		return
-	}
 	// The output row keeps its own copy (for rollback cancellation);
 	// routing gets another. The two copies are what lets fossil
 	// collection release the row without racing the in-flight message.
@@ -704,7 +621,9 @@ func (k *Kernel) deliverAnti(o *objRuntime, ev *Event) {
 
 // rollback undoes o's execution history from live position p onward:
 // restores the saved state, reinserts the undone events as pending, and
-// cancels the outputs of the undone executions per the cancellation policy.
+// sends an anti-message for every output of the undone executions
+// (aggressive cancellation, the paper's policy: "erroneous messages are
+// instantly canceled").
 func (k *Kernel) rollback(o *objRuntime, p int) {
 	h := o.hist.Live()
 	n := len(h)
@@ -725,8 +644,8 @@ func (k *Kernel) rollback(o *objRuntime, p int) {
 		o.pendPush(h[i].ev)
 	}
 	// The undone entries' rows are the tail of outs. Cancel them oldest
-	// first: under aggressive cancellation the output copy dies here, right
-	// after its anti-message is built; under lazy it moves to lazyPending.
+	// first: each output copy dies here, right after its anti-message is
+	// built.
 	rows := 0
 	for i := p; i < n; i++ {
 		rows += h[i].nOut
@@ -736,55 +655,12 @@ func (k *Kernel) rollback(o *objRuntime, p int) {
 	}
 	live := o.outs.Live()
 	for _, out := range live[len(live)-rows:] {
-		switch k.cfg.Cancellation {
-		case Aggressive:
-			k.route(k.antiOf(out))
-			k.release(out)
-		case Lazy:
-			o.lazyPending = append(o.lazyPending, out)
-		}
+		k.route(k.antiOf(out))
+		k.release(out)
 	}
 	o.outs.DropTail(rows)
 	o.hist.DropTail(undone)
 	k.fixSched(o)
-}
-
-// lazyMatch consumes a lazy-pending entry identical to ev, if one exists.
-func (k *Kernel) lazyMatch(o *objRuntime, ev *Event) bool {
-	for i, e := range o.lazyPending {
-		if sameIdentity(e, ev) {
-			copy(o.lazyPending[i:], o.lazyPending[i+1:])
-			o.lazyPending[len(o.lazyPending)-1] = nil
-			o.lazyPending = o.lazyPending[:len(o.lazyPending)-1]
-			k.release(e)
-			return true
-		}
-	}
-	return false
-}
-
-// lazyFlush cancels lazy entries whose send time is strictly below bound:
-// the object's clock (after ProcessOne) or GVT (from FossilCollect) has
-// passed them without re-execution regenerating them. Note that lazy
-// cancellation is susceptible to rollback echoes under heavy message
-// reordering — erroneous computations spread while their cancellation is
-// deferred — which is precisely why the paper runs aggressive cancellation;
-// the harness tests bound reordering when exercising lazy mode.
-func (k *Kernel) lazyFlush(o *objRuntime, bound vtime.VTime) {
-	kept := o.lazyPending[:0]
-	for _, e := range o.lazyPending {
-		if e.SendTS < bound {
-			k.route(k.antiOf(e))
-			k.Stats.LazyAntis.Inc()
-			k.release(e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	for i := len(kept); i < len(o.lazyPending); i++ {
-		o.lazyPending[i] = nil
-	}
-	o.lazyPending = kept
 }
 
 // fixSched re-keys o in the scheduler after its head changed: the one place

@@ -12,8 +12,8 @@ import (
 // the same saved state and the same input event they must make the same
 // sends and state transitions. All randomness must come from generator
 // state embedded in the object's saved state (see rng.Source, whose value
-// semantics make this trivial). Determinism is what lets rollback, lazy
-// cancellation and the sequential oracle agree.
+// semantics make this trivial). Determinism is what lets rollback and the
+// sequential oracle agree.
 type Object interface {
 	// Init runs once at virtual time zero to seed initial events. Sends
 	// made here are unconditional: they can never be rolled back.

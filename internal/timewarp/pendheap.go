@@ -12,10 +12,13 @@ import "nicwarp/internal/vtime"
 //
 // Unlike the engine timer heap and the LP scheduler (both 4-ary), this
 // heap MUST stay binary with container/heap's exact sift mechanics:
-// Event.Compare is not strict over coexisting pending events — lazy
-// cancellation can re-send a rolled-back message ID with a different
-// payload, leaving two live events that Compare equal — and for such ties
-// the pop order is decided by heap structure, not by the comparator.
+// Event.Compare is not strict over coexisting pending events. Rollback
+// restores the sender's send sequence, so re-execution can re-send a
+// rolled-back message ID at the same timestamps with a different payload;
+// where delivery is not FIFO (the fault plane's reorder, the kernel's test
+// harness) that re-send can arrive before the original's anti-message,
+// leaving two live events that Compare equal. For such ties the pop order
+// is decided by heap structure, not by the comparator.
 // Mirroring the retired container/heap implementation (left child unless
 // the right is strictly smaller, sift-down-then-up on Remove) keeps that
 // structural order, and hence committed experiment digests, bit-for-bit

@@ -8,16 +8,16 @@ import "nicwarp/internal/dense"
 //
 // Ownership discipline (the invariant that makes pooling safe in a Time
 // Warp kernel): every kernel-internal structure — an object's pending heap,
-// its history's output rows, the lazy-pending list, the zombie list, the
-// local delivery queue — holds its *own* pooled copy of an event; no two
-// structures ever share a pointer. Inbound events are copied at the Deliver
-// boundary, and outbound events in StepResult.Remote are transferred out of
-// the kernel entirely (the caller may hand them back through
-// Kernel.Recycle). An event is released exactly when the last structure
-// owning it lets go: at annihilation, at fossil collection, at lazy-match
-// consumption, and when a rollback's cancelled outputs have routed their
-// anti-messages. Every allocation fully overwrites the struct, so a
-// recycled event can never leak a stale field into identity comparison.
+// its history's output rows, the zombie list, the local delivery queue —
+// holds its *own* pooled copy of an event; no two structures ever share a
+// pointer. Inbound events are copied at the Deliver boundary, and outbound
+// events in StepResult.Remote are transferred out of the kernel entirely
+// (the caller may hand them back through Kernel.Recycle). An event is
+// released exactly when the last structure owning it lets go: at
+// annihilation, at fossil collection, and when a rollback's cancelled
+// outputs have routed their anti-messages. Every allocation fully
+// overwrites the struct, so a recycled event can never leak a stale field
+// into identity comparison.
 type eventPool struct {
 	free     []*Event //nicwarp:owns the pool free list is the release destination itself
 	disabled bool     // property tests disable reuse to prove observational equivalence

@@ -9,10 +9,10 @@ import (
 // off and returns everything observable: the committed-event total, the
 // global digest, per-object digests and committed counts, and every kernel's
 // full stats block.
-func runPoolVariant(t *testing.T, nObj, nLP, budget int, policy CancellationPolicy, seed uint64, disablePool bool) (int, uint64, map[ObjectID]uint64, map[ObjectID]int, []Stats) {
+func runPoolVariant(t *testing.T, nObj, nLP, budget int, seed uint64, disablePool bool) (int, uint64, map[ObjectID]uint64, map[ObjectID]int, []Stats) {
 	t.Helper()
 	assign := func(id ObjectID) int { return int(id) % nLP }
-	h := newHarnessPool(nLP, buildObjs(nObj, budget, seed), assign, policy, seed*31+7, disablePool)
+	h := newHarnessPool(nLP, buildObjs(nObj, budget, seed), assign, seed*31+7, disablePool)
 	committed := h.run(t)
 	objDigests := make(map[ObjectID]uint64)
 	objCounts := make(map[ObjectID]int)
@@ -28,7 +28,7 @@ func runPoolVariant(t *testing.T, nObj, nLP, budget int, policy CancellationPoli
 }
 
 // TestPoolingIsObservationallyInvisible is the property test required by the
-// pooling work: for random seeds and both cancellation policies, a run with
+// pooling work: for random seeds, a run with
 // event pooling enabled is indistinguishable — digests, per-object state,
 // per-object committed counts, and every stats counter — from a run where
 // every event is freshly allocated. Any stale-field leak, double release, or
@@ -36,31 +36,27 @@ func runPoolVariant(t *testing.T, nObj, nLP, budget int, policy CancellationPoli
 // adversarial harness drives heavy rollback, annihilation and zombie
 // traffic through exactly the paths with release points.
 func TestPoolingIsObservationallyInvisible(t *testing.T) {
-	property := func(rawSeed uint16, lazy bool) bool {
+	property := func(rawSeed uint16) bool {
 		// Same seed range the oracle-equivalence tests prove convergent;
 		// arbitrary seeds can rollback-thrash past the harness step bound.
 		seed := uint64(rawSeed)%8 + 1
-		policy := Aggressive
-		if lazy {
-			policy = Lazy
-		}
-		c1, d1, od1, oc1, st1 := runPoolVariant(t, 6, 3, 40, policy, seed, false)
-		c2, d2, od2, oc2, st2 := runPoolVariant(t, 6, 3, 40, policy, seed, true)
+		c1, d1, od1, oc1, st1 := runPoolVariant(t, 6, 3, 40, seed, false)
+		c2, d2, od2, oc2, st2 := runPoolVariant(t, 6, 3, 40, seed, true)
 		if c1 != c2 || d1 != d2 {
-			t.Logf("seed %d policy %v: committed %d/%d digest %x/%x", seed, policy, c1, c2, d1, d2)
+			t.Logf("seed %d: committed %d/%d digest %x/%x", seed, c1, c2, d1, d2)
 			return false
 		}
 		for id, dg := range od1 {
 			if od2[id] != dg || oc1[id] != oc2[id] {
-				t.Logf("seed %d policy %v: object %d digest %x/%x count %d/%d",
-					seed, policy, id, dg, od2[id], oc1[id], oc2[id])
+				t.Logf("seed %d: object %d digest %x/%x count %d/%d",
+					seed, id, dg, od2[id], oc1[id], oc2[id])
 				return false
 			}
 		}
 		for i := range st1 {
 			if st1[i] != st2[i] {
-				t.Logf("seed %d policy %v: kernel %d stats diverge:\npooled:   %+v\ndisabled: %+v",
-					seed, policy, i, st1[i], st2[i])
+				t.Logf("seed %d: kernel %d stats diverge:\npooled:   %+v\ndisabled: %+v",
+					seed, i, st1[i], st2[i])
 				return false
 			}
 		}
@@ -76,13 +72,13 @@ func TestPoolingIsObservationallyInvisible(t *testing.T) {
 }
 
 // TestPoolingUnderRollbackPressure pins one deliberately nasty configuration
-// (more objects than LPs, long budget, aggressive policy) and additionally
+// (more objects than LPs, long budget) and additionally
 // asserts the run actually recycled events and provoked rollbacks — a pool
 // equivalence test that never exercises the pool proves nothing.
 func TestPoolingUnderRollbackPressure(t *testing.T) {
 	seed := uint64(7)
 	assign := func(id ObjectID) int { return int(id) % 3 }
-	h := newHarnessPool(3, buildObjs(9, 80, seed), assign, Aggressive, seed*31+7, false)
+	h := newHarnessPool(3, buildObjs(9, 80, seed), assign, seed*31+7, false)
 	h.run(t)
 	var rollbacks, annihilations int64
 	pooled := 0
@@ -101,7 +97,7 @@ func TestPoolingUnderRollbackPressure(t *testing.T) {
 		t.Fatal("free lists empty after a run with fossil collection; events are not being recycled")
 	}
 
-	h2 := newHarnessPool(3, buildObjs(9, 80, seed), assign, Aggressive, seed*31+7, true)
+	h2 := newHarnessPool(3, buildObjs(9, 80, seed), assign, seed*31+7, true)
 	h2.run(t)
 	if h.digest() != h2.digest() {
 		t.Fatalf("digest diverges under rollback pressure: pooled %x, disabled %x", h.digest(), h2.digest())

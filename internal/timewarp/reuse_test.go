@@ -59,7 +59,7 @@ func handedBack(obj Object) int {
 
 // TestStateReuseIsInvisible is pool_equiv_test.go's sibling for snapshots:
 // the adversarial harness (stragglers, anti-message races, zombies, fossil
-// collection; both cancellation policies) runs the same schedule over
+// collection) runs the same schedule over
 // StateReuser objects and over the same objects with the extension hidden.
 // A snapshot handed back while history still needs it, or a RestoreState
 // that keeps a reference into one, diverges here: committed counts, digests,
@@ -68,43 +68,41 @@ func handedBack(obj Object) int {
 func TestStateReuseIsInvisible(t *testing.T) {
 	const nObj, nLP, budget = 6, 3, 40
 	assign := func(id ObjectID) int { return int(id) % nLP }
-	for _, policy := range []CancellationPolicy{Aggressive, Lazy} {
-		for seed := uint64(1); seed <= 8; seed++ {
-			run := func(hide bool) (*harness, int) {
-				h := newHarness(nLP, buildReuseObjs(nObj, budget, seed, hide), assign, policy, seed*31+7)
-				return h, h.run(t)
+	for seed := uint64(1); seed <= 8; seed++ {
+		run := func(hide bool) (*harness, int) {
+			h := newHarness(nLP, buildReuseObjs(nObj, budget, seed, hide), assign, seed*31+7)
+			return h, h.run(t)
+		}
+		reuse, committed := run(false)
+		plain, plainCommitted := run(true)
+		if committed != plainCommitted || reuse.digest() != plain.digest() || reuse.trace != plain.trace {
+			t.Fatalf("seed %d: reuse committed %d digest %x trace %x, hidden %d / %x / %x",
+				seed, committed, reuse.digest(), reuse.trace, plainCommitted, plain.digest(), plain.trace)
+		}
+		var rollbacks int64
+		reused := 0
+		for i, k := range reuse.kernels {
+			if k.Stats != plain.kernels[i].Stats {
+				t.Fatalf("seed %d: kernel %d stats diverge:\nreuse:  %+v\nhidden: %+v",
+					seed, i, k.Stats, plain.kernels[i].Stats)
 			}
-			reuse, committed := run(false)
-			plain, plainCommitted := run(true)
-			if committed != plainCommitted || reuse.digest() != plain.digest() || reuse.trace != plain.trace {
-				t.Fatalf("%v seed %d: reuse committed %d digest %x trace %x, hidden %d / %x / %x",
-					policy, seed, committed, reuse.digest(), reuse.trace, plainCommitted, plain.digest(), plain.trace)
+			rollbacks += k.Stats.Rollbacks.Value()
+			for _, o := range k.order {
+				reused += handedBack(o.obj)
 			}
-			var rollbacks int64
-			reused := 0
-			for i, k := range reuse.kernels {
-				if k.Stats != plain.kernels[i].Stats {
-					t.Fatalf("%v seed %d: kernel %d stats diverge:\nreuse:  %+v\nhidden: %+v",
-						policy, seed, i, k.Stats, plain.kernels[i].Stats)
-				}
-				rollbacks += k.Stats.Rollbacks.Value()
-				for _, o := range k.order {
-					reused += handedBack(o.obj)
-				}
-				for _, o := range plain.kernels[i].order {
-					if o.reuser != nil || handedBack(o.obj) != 0 {
-						t.Fatalf("%v seed %d: the hidden twin reuses snapshots", policy, seed)
-					}
+			for _, o := range plain.kernels[i].order {
+				if o.reuser != nil || handedBack(o.obj) != 0 {
+					t.Fatalf("seed %d: the hidden twin reuses snapshots", seed)
 				}
 			}
-			if rollbacks == 0 || reused == 0 {
-				t.Fatalf("%v seed %d: %d rollbacks, %d snapshots handed back; the test exercises nothing", policy, seed, rollbacks, reused)
-			}
-			ref := Sequential(buildReuseObjs(nObj, budget, seed, false), 10_000_000)
-			if committed != ref.TotalEvents || reuse.digest() != ref.Digest {
-				t.Fatalf("%v seed %d: committed %d digest %x, oracle %d / %x",
-					policy, seed, committed, reuse.digest(), ref.TotalEvents, ref.Digest)
-			}
+		}
+		if rollbacks == 0 || reused == 0 {
+			t.Fatalf("seed %d: %d rollbacks, %d snapshots handed back; the test exercises nothing", seed, rollbacks, reused)
+		}
+		ref := Sequential(buildReuseObjs(nObj, budget, seed, false), 10_000_000)
+		if committed != ref.TotalEvents || reuse.digest() != ref.Digest {
+			t.Fatalf("seed %d: committed %d digest %x, oracle %d / %x",
+				seed, committed, reuse.digest(), ref.TotalEvents, ref.Digest)
 		}
 	}
 }
@@ -203,7 +201,7 @@ type fanState struct {
 // fanObj sends, per event, two messages to a remote object and one to
 // itself, so every history entry owns a three-event output row. Payloads
 // depend only on the event's timestamp: re-execution after a rollback
-// regenerates identical sends, which is what lazy cancellation matches.
+// regenerates identical sends.
 type fanObj struct {
 	remote ObjectID
 	st     fanState
@@ -227,18 +225,20 @@ func (o *fanObj) RestoreState(s interface{}) { o.st = *s.(*fanState) }
 func (o *fanObj) Digest() uint64             { return DigestMix(o.st.count, uint64(o.st.budget)) }
 
 // runFanSchedule drives one fanObj through every move its history and outs
-// ring make, under lazy cancellation: entries appended at the tail, popped
-// from the head by fossil collection (across the rings' compactions — the
-// chain is several times longer than the rings ever are), dropped from the
-// tail by rollbacks into the middle of history, and re-appended by lazy
-// hits. It ends with everything fossil-collected.
+// ring make: entries appended at the tail, popped from the head by fossil
+// collection (across the rings' compactions — the chain is several times
+// longer than the rings ever are), dropped from the tail by rollbacks into
+// the middle of history, whose anti-messages cancel them, and re-appended
+// by re-execution. It ends with everything fossil-collected.
 func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 	t.Helper()
 	const self, remote = ObjectID(0), ObjectID(9)
-	k := NewKernel(Config{Cancellation: Lazy})
+	k := NewKernel(Config{})
 	obj := &fanObj{remote: remote, st: fanState{budget: 400}}
 	k.AddObject(self, obj)
+	antis := 0
 	recycle := func(res StepResult) {
+		antis += res.AntisEmitted
 		for _, ev := range res.Remote {
 			k.Recycle(ev)
 		}
@@ -246,26 +246,23 @@ func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 	recycle(k.Bootstrap())
 	for step := 1; k.HasWork(); step++ {
 		recycle(k.ProcessOne())
-		now := k.objs[self].clock()
+		now := k.objs[self].lastHist().ev.RecvTS
 		switch {
 		case step%25 == 0:
 			// A straggler lands six executions back: those rows leave the
-			// tail for lazyPending and re-execution regenerates them.
+			// tail as anti-messages and re-execution regenerates them.
 			recycle(k.Deliver(&Event{ID: MakeEventID(remote, uint64(step)), Src: remote, Dst: self,
 				SendTS: now - 65, RecvTS: now - 55, Sign: 1}))
 		case step%7 == 0:
 			// Commit all but the last dozen executions.
-			recycle(k.FossilCollect(max(k.committedGVT, now-120)))
+			k.FossilCollect(max(k.committedGVT, now-120))
 		}
 	}
-	recycle(k.FossilCollect(vtime.Infinity))
+	k.FossilCollect(vtime.Infinity)
 
-	if k.Stats.Rollbacks.Value() < 10 || k.Stats.LazyHits.Value() < 100 || k.Stats.FossilEvents.Value() < 400 {
-		t.Fatalf("rollbacks %d, lazy hits %d, fossil-collected %d: the schedule was not exercised",
-			k.Stats.Rollbacks.Value(), k.Stats.LazyHits.Value(), k.Stats.FossilEvents.Value())
-	}
-	if k.Stats.LazyAntis.Value() != 0 {
-		t.Fatalf("%d lazy antis: re-execution should have regenerated every cancelled send", k.Stats.LazyAntis.Value())
+	if k.Stats.Rollbacks.Value() < 10 || antis < 100 || k.Stats.FossilEvents.Value() < 400 {
+		t.Fatalf("rollbacks %d, antis %d, fossil-collected %d: the schedule was not exercised",
+			k.Stats.Rollbacks.Value(), antis, k.Stats.FossilEvents.Value())
 	}
 	o := k.objs[self]
 	if !k.Quiescent() || o.hist.Len() != 0 || o.outs.Len() != 0 {

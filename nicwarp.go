@@ -29,7 +29,6 @@ import (
 	"nicwarp/internal/apps/raid"
 	"nicwarp/internal/core"
 	"nicwarp/internal/simnet"
-	"nicwarp/internal/timewarp"
 	"nicwarp/internal/vtime"
 )
 
@@ -71,17 +70,6 @@ const (
 	TopoCrossbar = simnet.TopoCrossbar
 	// TopoFatTree is a three-level folded-Clos fat tree.
 	TopoFatTree = simnet.TopoFatTree
-)
-
-// CancellationPolicy selects aggressive or lazy cancellation.
-type CancellationPolicy = timewarp.CancellationPolicy
-
-// Cancellation policies.
-const (
-	// Aggressive cancellation (the paper's policy).
-	Aggressive = timewarp.Aggressive
-	// Lazy cancellation (ablation baseline).
-	Lazy = timewarp.Lazy
 )
 
 // ModelTime is hardware-model time in nanoseconds.

@@ -185,7 +185,6 @@ func TestAblationsSmokeTiny(t *testing.T) {
 	}{
 		{"abl-nic-speed", 5},
 		{"abl-drop-buffer", 4},
-		{"abl-cancel-policy", 2},
 		{"abl-piggyback-patience", 5},
 		{"abl-rx-buffer", 4},
 		{"abl-gvt-algorithms", 3},

@@ -20,8 +20,6 @@ var readerAllowlist = map[string]string{
 	"timewarp.Stats.Stragglers":           "TestStragglerTriggersRollback",
 	"timewarp.Stats.Zombies":              "TestAntiBeforePositiveZombie",
 	"timewarp.Stats.Annihilations":        "TestAntiAnnihilatesUnprocessed, TestAntiRollsBackProcessed",
-	"timewarp.Stats.LazyHits":             "TestLazyProducesFewerAntisOnIdenticalReexecution",
-	"timewarp.Stats.LazyAntis":            "TestLazyProducesFewerAntisOnIdenticalReexecution",
 	"nic.Stats.RxDelivered":               "TestEndToEndForwarding, TestCreditWindowBackpressure",
 	"nic.Stats.RxConsumed":                "TestReceiveVerdictConsume, TestConsumedPacketBelongsToFirmware",
 	"nic.Stats.FirmwareCycles":            "TestDoorbellInvokesFirmware, TestBatchFrameCyclePrice",

@@ -1,15 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // Digest returns the content address of a configuration: the hex SHA-256 of
@@ -24,88 +22,95 @@ import (
 // Config{GVTPeriod: 1000} run the same experiment and must hit the same
 // cache entry.
 func (c Config) Digest() string {
-	h := sha256.New()
-	writeCanonical(h, "Config", reflect.ValueOf(c.WithDefaults()))
-	return hex.EncodeToString(h.Sum(nil))
+	buf := appendCanonical(make([]byte, 0, 4096), "Config", reflect.ValueOf(c.WithDefaults()))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
-// writeCanonical emits a deterministic, process-independent encoding of v:
-// every value is written with its name and concrete type, struct fields in
-// declaration order, map entries sorted by encoded key, floats as exact
-// IEEE-754 bit patterns. Unexported fields are included (they are read
-// through kind accessors, never Interface), so application parameter
-// structs are fingerprinted in full. Funcs and channels contribute only
-// their type — configs must not carry behavior in closures if they want
-// distinct cache identities.
-func writeCanonical(w io.Writer, name string, v reflect.Value) {
+// appendCanonical appends to b a deterministic, process-independent
+// encoding of v: every value is written with its name and concrete type,
+// struct fields in declaration order, map entries sorted by encoded key,
+// floats as exact IEEE-754 bit patterns. Unexported fields are included
+// (they are read through kind accessors, never Interface), so application
+// parameter structs are fingerprinted in full. Funcs and channels
+// contribute only their type — configs must not carry behavior in closures
+// if they want distinct cache identities. The encoding grows one buffer
+// through strconv's Append functions: no per-field formatting allocations.
+func appendCanonical(b []byte, name string, v reflect.Value) []byte {
+	b = append(append(b, name...), ':')
 	if !v.IsValid() {
-		fmt.Fprintf(w, "%s:invalid;", name)
-		return
+		return append(b, "invalid;"...)
+	}
+	switch v.Kind() {
+	case reflect.Ptr, reflect.Interface, reflect.Slice, reflect.Map:
+		if v.IsNil() {
+			return appendType(b, v, "=nil;")
+		}
 	}
 	switch v.Kind() {
 	case reflect.Bool:
-		fmt.Fprintf(w, "%s:bool=%t;", name, v.Bool())
+		b = strconv.AppendBool(append(b, "bool="...), v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		fmt.Fprintf(w, "%s:%s=%d;", name, v.Type(), v.Int())
+		b = strconv.AppendInt(appendType(b, v, "="), v.Int(), 10)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		fmt.Fprintf(w, "%s:%s=%d;", name, v.Type(), v.Uint())
+		b = strconv.AppendUint(appendType(b, v, "="), v.Uint(), 10)
 	case reflect.Float32, reflect.Float64:
 		// Bit-exact: FormatFloat round-trips, but the bit pattern is the
 		// unambiguous canonical form (it also distinguishes -0 from 0).
-		fmt.Fprintf(w, "%s:%s=%016x;", name, v.Type(), math.Float64bits(v.Float()))
+		b = appendBits(appendType(b, v, "="), v.Float())
 	case reflect.Complex64, reflect.Complex128:
 		c := v.Complex()
-		fmt.Fprintf(w, "%s:%s=%016x,%016x;", name, v.Type(),
-			math.Float64bits(real(c)), math.Float64bits(imag(c)))
+		b = appendBits(append(appendBits(appendType(b, v, "="), real(c)), ','), imag(c))
 	case reflect.String:
-		fmt.Fprintf(w, "%s:string=%s;", name, strconv.Quote(v.String()))
+		b = strconv.AppendQuote(append(b, "string="...), v.String())
 	case reflect.Struct:
-		fmt.Fprintf(w, "%s:%s{", name, v.Type())
-		t := v.Type()
+		b = appendType(b, v, "{")
 		for i := 0; i < v.NumField(); i++ {
-			writeCanonical(w, t.Field(i).Name, v.Field(i))
+			b = appendCanonical(b, v.Type().Field(i).Name, v.Field(i))
 		}
-		fmt.Fprintf(w, "};")
+		b = append(b, '}')
 	case reflect.Ptr, reflect.Interface:
-		if v.IsNil() {
-			fmt.Fprintf(w, "%s:%s=nil;", name, v.Type())
-			return
-		}
-		fmt.Fprintf(w, "%s:%s->", name, v.Type())
-		writeCanonical(w, "elem", v.Elem())
+		return appendCanonical(appendType(b, v, "->"), "elem", v.Elem())
 	case reflect.Slice, reflect.Array:
-		if v.Kind() == reflect.Slice && v.IsNil() {
-			fmt.Fprintf(w, "%s:%s=nil;", name, v.Type())
-			return
-		}
-		fmt.Fprintf(w, "%s:%s[%d]{", name, v.Type(), v.Len())
+		b = append(strconv.AppendInt(appendType(b, v, "["), int64(v.Len()), 10), "]{"...)
 		for i := 0; i < v.Len(); i++ {
-			writeCanonical(w, strconv.Itoa(i), v.Index(i))
+			b = appendCanonical(b, strconv.Itoa(i), v.Index(i))
 		}
-		fmt.Fprintf(w, "};")
+		b = append(b, '}')
 	case reflect.Map:
-		if v.IsNil() {
-			fmt.Fprintf(w, "%s:%s=nil;", name, v.Type())
-			return
+		// Encode the entries past the header, then append them again in
+		// sorted order, so the digest is independent of map iteration
+		// order, and move that copy down over the unsorted one.
+		b = append(strconv.AppendInt(appendType(b, v, "["), int64(v.Len()), 10), "]{"...)
+		start, spans := len(b), make([][2]int, 0, v.Len())
+		for iter := v.MapRange(); iter.Next(); {
+			lo := len(b)
+			b = appendCanonical(appendCanonical(b, "k", iter.Key()), "v", iter.Value())
+			spans = append(spans, [2]int{lo, len(b)})
 		}
-		// Encode each entry to its own buffer, then emit in sorted order so
-		// the digest is independent of map iteration order.
-		entries := make([]string, 0, v.Len())
-		iter := v.MapRange()
-		for iter.Next() {
-			var kb, vb strings.Builder
-			writeCanonical(&kb, "k", iter.Key())
-			writeCanonical(&vb, "v", iter.Value())
-			entries = append(entries, kb.String()+vb.String())
+		slices.SortFunc(spans, func(x, y [2]int) int { return bytes.Compare(b[x[0]:x[1]], b[y[0]:y[1]]) })
+		end := len(b)
+		for _, s := range spans {
+			b = append(b, b[s[0]:s[1]]...)
 		}
-		sort.Strings(entries)
-		fmt.Fprintf(w, "%s:%s[%d]{", name, v.Type(), v.Len())
-		for _, e := range entries {
-			io.WriteString(w, e)
-		}
-		fmt.Fprintf(w, "};")
+		b = append(b[:start+copy(b[start:], b[end:])], '}')
 	default:
 		// Func, Chan, UnsafePointer: type identity only.
-		fmt.Fprintf(w, "%s:%s=opaque;", name, v.Type())
+		b = appendType(b, v, "=opaque")
 	}
+	return append(b, ';')
+}
+
+// appendType appends v's type, then suffix.
+func appendType(b []byte, v reflect.Value, suffix string) []byte {
+	return append(append(b, v.Type().String()...), suffix...)
+}
+
+// appendBits appends f's IEEE-754 bit pattern as 16 lower-case hex digits.
+func appendBits(b []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[bits>>shift&0xf])
+	}
+	return b
 }

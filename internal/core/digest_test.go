@@ -141,6 +141,17 @@ func TestDigestGolden(t *testing.T) {
 	}
 }
 
+// TestDigestAllocations: the runner keys every job with Digest, so its
+// cost is paid per experiment point. Encoding into one buffer keeps it at a
+// handful of allocations; formatting each field into the hasher made 116
+// for this config. The cap is a quarter of that.
+func TestDigestAllocations(t *testing.T) {
+	cfg := digestBase()
+	if allocs := testing.AllocsPerRun(50, func() { _ = cfg.Digest() }); allocs > 29 {
+		t.Fatalf("Digest made %v allocations, want at most 29", allocs)
+	}
+}
+
 // TestValidateFieldErrors asserts Validate reports typed field errors that
 // name the offending field.
 func TestValidateFieldErrors(t *testing.T) {

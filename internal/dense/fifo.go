@@ -7,9 +7,8 @@ package dense
 // depth. Every vacated slot is zeroed, so the queue never pins what has
 // left it. It is every FIFO-shaped queue in the model: the "the server is
 // FIFO, so the completion belongs to the oldest entry" pairings, the host
-// pipeline queues, the Time Warp history and its output rows, the NIC send
-// and receive queues, the drop rings, the MPICH wait queues and the cancel
-// windows.
+// pipeline queues, the Time Warp history, the NIC send and receive queues,
+// the drop rings, the MPICH wait queues and the cancel windows.
 //
 // Entries may also leave from the middle: filter Live() into its own prefix,
 // then DropTail the rest.

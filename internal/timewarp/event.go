@@ -40,14 +40,14 @@ type Event struct {
 	Sign    int8 // +1 positive, -1 anti
 	Payload uint64
 
-	// Kernel-internal queue plumbing, meaningful only while the event sits
-	// in an object's pending queue. pos is the intrusive pendHeap slot
-	// (-1 outside the heap); inext chains same-ID events in the
-	// pending identity index. Both are overwritten on insertion, so events
-	// copied or recycled with stale values are safe, and neither
+	// Kernel-internal queue plumbing. pos is the intrusive pendHeap slot
+	// (-1 outside the heap). inext chains a pending event into its bucket
+	// of the identity index, and an output copy (never pending) into its
+	// history entry's output chain. Both are overwritten on insertion, so
+	// events copied or recycled with stale values are safe, and neither
 	// participates in identity (sameIdentity) or the wire encoding.
 	pos   int32
-	inext *Event //nicwarp:owns intrusive index chain; unlinked by pendIndex.del, overwritten on insert
+	inext *Event //nicwarp:owns intrusive index or output chain; unlinked by pendIndex.del, overwritten on insert
 }
 
 // MakeEventID composes the deterministic event ID from the sending object

@@ -165,7 +165,7 @@ func (h *harness) digest() uint64 {
 	for _, id := range ids {
 		k := h.kernels[h.home[id]]
 		d = DigestMix(d, uint64(uint32(id)))
-		d = DigestMix(d, k.objs[id].obj.Digest())
+		d = DigestMix(d, k.ObjectDigest(id))
 	}
 	return d
 }

@@ -237,35 +237,42 @@ func drop(s []*Event, ev *Event) []*Event {
 	return s
 }
 
-// TestPendingIndexConsistency hammers one object's pending queue through
+// TestPendingIndexConsistency hammers two objects' pending queues through
 // the kernel API (deliver, anti-cancel, process, rollback-reinsert) and
-// checks after every operation that the identity index and the heap agree
-// exactly — the invariant the O(log n) cancellation path stands on.
+// checks after every operation that the kernel's one identity index and the
+// heaps agree exactly — the invariant the O(log n) cancellation path stands
+// on. Every positive goes to both objects with the same ID, so the index
+// chains twins that differ only in Dst, and an anti must take its own.
 func TestPendingIndexConsistency(t *testing.T) {
 	k := NewKernel(Config{LP: 0})
 	k.AddObject(0, &nullTestObject{})
+	k.AddObject(1, &nullTestObject{})
 	k.Bootstrap()
-	o := k.objs[0]
 
 	check := func(when string) {
 		t.Helper()
-		if o.pindex.n != o.pending.Len() {
-			t.Fatalf("%s: index counts %d events for %d pending", when, o.pindex.n, o.pending.Len())
+		pending := 0
+		for i := range k.order {
+			pending += k.order[i].pending.Len()
+		}
+		if k.pindex.n != pending {
+			t.Fatalf("%s: index counts %d events for %d pending", when, k.pindex.n, pending)
 		}
 		indexed := 0
-		for b, head := range o.pindex.buckets {
+		for b, head := range k.pindex.buckets {
 			for p := head; p != nil; p = p.inext {
 				indexed++
-				if o.pindex.bucket(p.ID) != b {
-					t.Fatalf("%s: event %v chained in bucket %d, hashes to %d", when, p, b, o.pindex.bucket(p.ID))
+				if k.pindex.bucket(p.ID) != b {
+					t.Fatalf("%s: event %v chained in bucket %d, hashes to %d", when, p, b, k.pindex.bucket(p.ID))
 				}
+				o := &k.order[k.objs[p.Dst]]
 				if int(p.pos) < 0 || int(p.pos) >= o.pending.Len() || o.pending.s[p.pos].ev != p {
 					t.Fatalf("%s: indexed event %v has stale pos %d", when, p, p.pos)
 				}
 			}
 		}
-		if indexed != o.pending.Len() {
-			t.Fatalf("%s: %d indexed vs %d pending", when, indexed, o.pending.Len())
+		if indexed != pending {
+			t.Fatalf("%s: %d indexed vs %d pending", when, indexed, pending)
 		}
 	}
 
@@ -282,10 +289,12 @@ func TestPendingIndexConsistency(t *testing.T) {
 		switch op := next() % 10; {
 		case op < 5 || len(sent) == 0:
 			ts += vtime.VTime(next()%5 + 1)
-			ev := Event{ID: uint64(step), Src: 99, Dst: 0, SendTS: ts - 1, RecvTS: ts, Sign: 1, Payload: next()}
-			k.Deliver(&ev)
-			sent = append(sent, ev)
-			check("deliver")
+			ev := Event{ID: uint64(step), Src: 99, SendTS: ts - 1, RecvTS: ts, Sign: 1, Payload: next()}
+			for ev.Dst = 0; ev.Dst < 2; ev.Dst++ {
+				k.Deliver(&ev)
+				sent = append(sent, ev)
+				check("deliver")
+			}
 		case op < 7:
 			if k.HasWork() {
 				k.ProcessOne()

@@ -40,14 +40,15 @@ type snapshot struct {
 }
 
 // histEntry is one execution-history record: the executed event, the state
-// snapshot taken before it ran, and how many positives it sent. The sent
-// positives themselves are its row of the object's outs ring (see
-// objRuntime.outs): the record holds no slice, so pushing one never
-// allocates.
+// snapshot taken before it ran, and the positives it sent, held for
+// anti-generation. Those form a chain in send order linked through
+// Event.inext, which an output copy never needs for the identity index
+// because it is never pending: the record holds no slice, so pushing one
+// never allocates, and a send links its copy without allocating either.
 type histEntry struct {
 	ev    *Event //nicwarp:owns history record; released by fossil collection or returned on rollback
 	state snapshot
-	nOut  int // length of this entry's row in objRuntime.outs
+	outs  *Event //nicwarp:owns sent positives held for anti-generation; released on commit or once their anti is routed
 }
 
 // objRuntime carries the kernel bookkeeping for one local object.
@@ -57,24 +58,16 @@ type objRuntime struct {
 
 	// pending is the unprocessed-input queue: a binary index-min heap under
 	// the event total order (binary, not 4-ary, to preserve structural tie
-	// order — see pendHeap). pindex is its identity index (see pendIndex).
-	// Together they turn anti-message lookups into O(1) find + O(log n)
-	// remove; the pair is maintained exclusively through
-	// pendPush/pendPop/pendRemove so membership can never diverge.
+	// order — see pendHeap). Kernel.pindex indexes it together with every
+	// other object's; the pair is maintained exclusively through
+	// Kernel.pendPush/pendPop/pendRemove so membership can never diverge.
 	pending pendHeap
-	pindex  pendIndex
 
 	// hist is the execution history in execution (total) order: executions
 	// push at the tail, fossil collection drops from the head in
-	// O(reclaimed), rollback drops from the tail.
+	// O(reclaimed), rollback drops from the tail. Each entry carries its
+	// own output chain, so the sent positives move exactly as hist does.
 	hist dense.FIFO[histEntry]
-	// outs holds the positives sent by the live history entries, held for
-	// anti-generation: one row per entry, rows contiguous and in history
-	// order, each as long as its entry's nOut. Sends append to the newest
-	// row at the tail, fossil collection pops whole rows from the head and
-	// rollback drops them from the tail, so the ring moves exactly as hist
-	// does and a steady-state send allocates nothing.
-	outs dense.FIFO[*Event] //nicwarp:owns sent positives held for anti-generation; released on commit or once their anti is routed
 
 	// reuser is obj's StateReuser side (nil when obj does not implement
 	// it): vacate hands it each snapshot no history entry references any
@@ -100,43 +93,38 @@ func (o *objRuntime) vacate(e *histEntry) {
 	}
 }
 
-// lastHist returns the newest live history entry.
-func (o *objRuntime) lastHist() *histEntry {
-	h := o.hist.Live()
-	return &h[len(h)-1]
-}
-
-// pendPush inserts an event into the pending queue and its identity index.
-// The index chain is newest-first; order within a chain is irrelevant
-// because lookups match on full identity. A pending event is addressed to
-// its owner — the fact that lets the scheduler order objects by
-// (head.RecvTS, id) alone (see schedKey).
-func (o *objRuntime) pendPush(ev *Event) {
+// pendPush inserts an event into o's pending queue and the kernel's
+// identity index. The index chain is newest-first; order within a chain is
+// irrelevant because lookups match on full identity. A pending event is
+// addressed to its owner — the fact that lets the scheduler order objects
+// by (head.RecvTS, id) alone (see schedKey).
+func (k *Kernel) pendPush(o *objRuntime, ev *Event) {
 	if ev.Dst != o.id {
 		panic(fmt.Sprintf("timewarp: %v queued on object %d", ev, o.id))
 	}
-	o.pindex.add(ev)
+	k.pindex.add(ev)
 	o.pending.Push(ev)
 }
 
-// pendPop removes and returns the lowest pending event.
-func (o *objRuntime) pendPop() *Event {
+// pendPop removes and returns o's lowest pending event.
+func (k *Kernel) pendPop(o *objRuntime) *Event {
 	ev := o.pending.Pop()
-	o.pindex.del(ev)
+	k.pindex.del(ev)
 	return ev
 }
 
-// pendRemove removes a specific event (found via pendFind) from the pending
+// pendRemove removes a specific event (found via pendFind) from o's pending
 // queue in O(log n) using its intrusive heap position.
-func (o *objRuntime) pendRemove(ev *Event) {
+func (k *Kernel) pendRemove(o *objRuntime, ev *Event) {
 	o.pending.Remove(int(ev.pos))
-	o.pindex.del(ev)
+	k.pindex.del(ev)
 }
 
 // pendFind returns the pending positive identical to ev (which may be the
 // anti-message form: identity ignores Sign), or nil. O(1) expected.
-func (o *objRuntime) pendFind(ev *Event) *Event {
-	return o.pindex.find(ev)
+// Identity includes Dst, so the match is on the destination's queue.
+func (k *Kernel) pendFind(ev *Event) *Event {
+	return k.pindex.find(ev)
 }
 
 // The scheduler heap compares unsigned. XOR with the sign bit maps a signed
@@ -181,10 +169,14 @@ type StepResult struct {
 
 // Kernel is one LP: a set of simulation objects executing optimistically.
 type Kernel struct {
-	objs  map[ObjectID]*objRuntime
-	order []*objRuntime
-	sched d4heap.Heap // every object, keyed schedKey, ids index order
-	pool  eventPool
+	objs map[ObjectID]int32 // index in order
+	// order holds every object's runtime by value, in registration order.
+	// AddObject precedes Bootstrap, so nothing holds an *objRuntime while
+	// the slice can still grow.
+	order  []objRuntime
+	sched  d4heap.Heap // every object, keyed schedKey, ids index order
+	pindex pendIndex   // identity index over every object's pending queue
+	pool   eventPool
 
 	// Per-call scratch, reset by each public entry point. res aliases
 	// resVal so begin() allocates nothing; res.Remote views remote, which
@@ -218,7 +210,7 @@ type Kernel struct {
 // NewKernel creates an empty LP kernel.
 func NewKernel(cfg Config) *Kernel {
 	return &Kernel{
-		objs: make(map[ObjectID]*objRuntime),
+		objs: make(map[ObjectID]int32),
 		pool: eventPool{disabled: cfg.DisableEventPool},
 	}
 }
@@ -234,10 +226,9 @@ func (k *Kernel) AddObject(id ObjectID, obj Object) {
 	if _, dup := k.objs[id]; dup {
 		panic(fmt.Sprintf("timewarp: duplicate object %d", id))
 	}
-	o := &objRuntime{id: id, obj: obj, idx: uint32(len(k.order))}
-	o.reuser, _ = obj.(StateReuser)
-	k.objs[id] = o
-	k.order = append(k.order, o)
+	reuser, _ := obj.(StateReuser)
+	k.objs[id] = int32(len(k.order))
+	k.order = append(k.order, objRuntime{id: id, obj: obj, reuser: reuser, idx: uint32(len(k.order))})
 }
 
 // IsLocal reports whether the object lives on this LP.
@@ -257,7 +248,7 @@ func (k *Kernel) begin() *StepResult {
 
 // Bootstrap runs Init on every object in registration order and returns the
 // initial remote sends. Initial sends are unconditional: they are not
-// recorded in any output row and can never be cancelled.
+// recorded in any output chain and can never be cancelled.
 func (k *Kernel) Bootstrap() StepResult {
 	if k.booted {
 		panic("timewarp: double Bootstrap")
@@ -265,13 +256,19 @@ func (k *Kernel) Bootstrap() StepResult {
 	k.booted = true
 	res := k.begin()
 	// The object set is final: the scheduler takes its arrays at their one
-	// size and every object enters it idle.
+	// size, every object enters it idle, and every pending heap starts on
+	// its own pendFirstCap slots of one array (a heap outgrowing them
+	// reallocates on its own).
 	k.sched.Grow(len(k.order))
-	for _, o := range k.order {
+	slots := make([]pendSlot, pendFirstCap*len(k.order))
+	for i := range k.order {
+		o := &k.order[i]
+		o.pending.s = append(slots[i*pendFirstCap:i*pendFirstCap:(i+1)*pendFirstCap], o.pending.s...)
 		k.sched.Push(o.idx, o.schedKey())
 	}
-	for _, o := range k.order {
-		k.ctxScratch = Context{k: k, st: o, now: 0, inInit: true}
+	for i := range k.order {
+		o := &k.order[i]
+		k.ctxScratch = Context{k: k, st: o, now: 0}
 		o.obj.Init(&k.ctxScratch)
 	}
 	k.drainLocal()
@@ -295,8 +292,8 @@ func (k *Kernel) NextTS() vtime.VTime {
 // Quiescent reports whether the LP has no pending events and no unmatched
 // anti-messages.
 func (k *Kernel) Quiescent() bool {
-	for _, o := range k.order {
-		if o.pending.Len() > 0 || len(o.zombies) > 0 {
+	for i := range k.order {
+		if o := &k.order[i]; o.pending.Len() > 0 || len(o.zombies) > 0 {
 			return false
 		}
 	}
@@ -309,8 +306,8 @@ func (k *Kernel) Quiescent() bool {
 // zero.
 func (k *Kernel) ZombieCount() int {
 	total := 0
-	for _, o := range k.order {
-		total += len(o.zombies)
+	for i := range k.order {
+		total += len(k.order[i].zombies)
 	}
 	return total
 }
@@ -323,16 +320,17 @@ func (k *Kernel) ProcessOne() StepResult {
 		panic("timewarp: ProcessOne on idle LP")
 	}
 	res := k.begin()
-	o := k.order[k.sched.Min()]
-	ev := o.pendPop()
+	o := &k.order[k.sched.Min()]
+	ev := k.pendPop(o)
 	k.fixSched(o)
 
 	// State saving (period 1, the WARPED default).
-	o.hist.Push(histEntry{ev: ev, state: snapshot{app: o.obj.SaveState(), sendSeq: o.sendSeq}})
+	e := o.hist.PushSlot()
+	*e = histEntry{ev: ev, state: snapshot{app: o.obj.SaveState(), sendSeq: o.sendSeq}}
 	k.histCount++
 	k.Stats.Processed.Inc()
 
-	k.ctxScratch = Context{k: k, st: o, now: ev.RecvTS}
+	k.ctxScratch = Context{k: k, st: o, now: ev.RecvTS, out: &e.outs}
 	o.obj.Execute(&k.ctxScratch, ev)
 	k.drainLocal()
 	return *res
@@ -361,7 +359,8 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) {
 		panic(fmt.Sprintf("timewarp: GVT moved backwards: %v after %v", gvt, k.committedGVT))
 	}
 	k.committedGVT = gvt
-	for _, o := range k.order {
+	for i := range k.order {
+		o := &k.order[i]
 		// First live history index that must be retained.
 		h := o.hist.Live()
 		lo, hi := 0, len(h)
@@ -377,13 +376,15 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) {
 			k.Stats.FossilEvents.Add(int64(q))
 			o.fossilCount += q
 			k.histCount -= q
-			// Release the reclaimed entries' events and output rows and
+			// Release the reclaimed entries' events and output chains and
 			// drop them from the head — O(reclaimed), not O(remaining).
-			for i := 0; i < q; i++ {
+			for j := 0; j < q; j++ {
 				e := o.hist.Front()
 				k.release(e.ev)
-				for j := 0; j < e.nOut; j++ {
-					k.release(o.outs.Pop())
+				for out := e.outs; out != nil; {
+					next := out.inext
+					k.release(out)
+					out = next
 				}
 				o.vacate(e)
 				o.hist.Drop()
@@ -401,18 +402,19 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) {
 
 // ObjectDigest returns the current state digest of one local object.
 func (k *Kernel) ObjectDigest(id ObjectID) uint64 {
-	o, ok := k.objs[id]
+	i, ok := k.objs[id]
 	if !ok {
 		panic(fmt.Sprintf("timewarp: ObjectDigest of non-local object %d", id))
 	}
-	return o.obj.Digest()
+	return k.order[i].obj.Digest()
 }
 
 // CommittedDigest folds every object's current state into one hash. Only
 // meaningful when the simulation has quiesced (all events committed).
 func (k *Kernel) CommittedDigest() uint64 {
 	h := uint64(0x243F6A8885A308D3)
-	for _, o := range k.order {
+	for i := range k.order {
+		o := &k.order[i]
 		h = DigestMix(h, uint64(uint32(o.id)))
 		h = DigestMix(h, o.obj.Digest())
 	}
@@ -425,7 +427,8 @@ func (k *Kernel) CommittedDigest() uint64 {
 // sequential oracle.
 func (k *Kernel) ProcessedCounts() map[ObjectID]int {
 	m := make(map[ObjectID]int, len(k.order))
-	for _, o := range k.order {
+	for i := range k.order {
+		o := &k.order[i]
 		m[o.id] = o.hist.Len() + o.fossilCount
 	}
 	return m
@@ -435,8 +438,8 @@ func (k *Kernel) ProcessedCounts() map[ObjectID]int {
 // local objects.
 func (k *Kernel) CommittedEvents() int {
 	n := 0
-	for _, o := range k.order {
-		n += o.hist.Len() + o.fossilCount
+	for i := range k.order {
+		n += k.order[i].hist.Len() + k.order[i].fossilCount
 	}
 	return n
 }
@@ -456,18 +459,18 @@ func (k *Kernel) send(c *Context, dst ObjectID, delay vtime.VTime, payload uint6
 	}
 	o.sendSeq++
 
-	if c.inInit {
+	if c.out == nil {
 		// Initial sends are recorded nowhere and routed directly; route
 		// takes ownership.
 		k.route(ev)
 		return
 	}
-	// The executing entry is the newest, so its row is the tail of outs.
-	o.lastHist().nOut++
-	o.outs.Push(ev)
-	// The output row keeps its own copy (for rollback cancellation);
-	// routing gets another. The two copies are what lets fossil
-	// collection release the row without racing the in-flight message.
+	// The executing entry's output chain keeps its own copy, linked at the
+	// tail (for rollback cancellation); routing gets another. The two
+	// copies are what lets fossil collection release the chain without
+	// racing the in-flight message.
+	*c.out = ev
+	c.out = &ev.inext
 	k.route(k.copyEvent(ev))
 }
 
@@ -508,11 +511,11 @@ func sameIdentity(a, b *Event) bool {
 // deliverOne integrates one inbound event (positive or anti) into its
 // destination object. The kernel owns ev.
 func (k *Kernel) deliverOne(ev *Event) {
-	o, ok := k.objs[ev.Dst]
+	i, ok := k.objs[ev.Dst]
 	if !ok {
 		panic(fmt.Sprintf("timewarp: Deliver for non-local object %d", ev.Dst))
 	}
-	if ev.Sign > 0 {
+	if o := &k.order[i]; ev.Sign > 0 {
 		k.deliverPositive(o, ev)
 	} else {
 		k.deliverAnti(o, ev)
@@ -553,7 +556,7 @@ func (k *Kernel) deliverPositive(o *objRuntime, ev *Event) {
 		}
 		k.rollback(o, lo)
 	}
-	o.pendPush(ev)
+	k.pendPush(o, ev)
 	k.fixSched(o)
 }
 
@@ -592,8 +595,8 @@ func (k *Kernel) deliverAnti(o *objRuntime, ev *Event) {
 	// O(log n) indexed heap removal, the host-side cost NIC early
 	// cancellation budgets for (the former code scanned the whole pending
 	// heap per anti).
-	if p := o.pendFind(ev); p != nil {
-		o.pendRemove(p)
+	if p := k.pendFind(ev); p != nil {
+		k.pendRemove(o, p)
 		k.fixSched(o)
 		k.Stats.Annihilations.Inc()
 		k.release(p)
@@ -605,8 +608,8 @@ func (k *Kernel) deliverAnti(o *objRuntime, ev *Event) {
 	// former code rescanned the whole pending heap a second time here).
 	if i := o.findProcessed(ev); i >= 0 {
 		k.rollback(o, i)
-		if q := o.pendFind(ev); q != nil {
-			o.pendRemove(q)
+		if q := k.pendFind(ev); q != nil {
+			k.pendRemove(o, q)
 			k.release(q)
 		}
 		k.fixSched(o)
@@ -641,24 +644,22 @@ func (k *Kernel) rollback(o *objRuntime, p int) {
 	k.histCount -= undone
 
 	for i := n - 1; i >= p; i-- {
-		o.pendPush(h[i].ev)
+		k.pendPush(o, h[i].ev)
 	}
-	// The undone entries' rows are the tail of outs. Cancel them oldest
-	// first: each output copy dies here, right after its anti-message is
-	// built.
-	rows := 0
+	// Cancel the undone entries' outputs oldest entry first, each chain in
+	// send order: each output copy dies here, right after its anti-message
+	// is built.
 	for i := p; i < n; i++ {
-		rows += h[i].nOut
+		for out := h[i].outs; out != nil; {
+			next := out.inext
+			k.route(k.antiOf(out))
+			k.release(out)
+			out = next
+		}
 		// The event pointer now lives in pending and the restore above has
 		// copied out of entry p's snapshot.
 		o.vacate(&h[i])
 	}
-	live := o.outs.Live()
-	for _, out := range live[len(live)-rows:] {
-		k.route(k.antiOf(out))
-		k.release(out)
-	}
-	o.outs.DropTail(rows)
 	o.hist.DropTail(undone)
 	k.fixSched(o)
 }

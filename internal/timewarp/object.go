@@ -75,10 +75,12 @@ func (s *Snapshots[T]) Release(v interface{}) {
 // Context is the capability surface an object sees while executing. It is
 // only valid for the duration of the Init or Execute call it is passed to.
 type Context struct {
-	k      *Kernel
-	st     *objRuntime
-	now    vtime.VTime
-	inInit bool
+	k   *Kernel
+	st  *objRuntime
+	now vtime.VTime
+	// out is where the next send links into the executing history entry's
+	// output chain; nil during Init, whose sends are recorded nowhere.
+	out **Event //nicwarp:owns the tail link of histEntry.outs, whose chain owns what is linked there
 }
 
 // Self returns the executing object's ID.

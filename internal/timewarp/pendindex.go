@@ -1,8 +1,8 @@
 package timewarp
 
-// pendIndex is the identity index over one object's pending queue: event ID
-// (which deterministically encodes sender and send sequence) to the pending
-// events carrying that ID. It is an intrusive chained hash table — buckets
+// pendIndex is the identity index over a kernel's pending queues, one table
+// for every object: event ID (which deterministically encodes sender and
+// send sequence) to the pending events carrying that ID. It is an intrusive chained hash table — buckets
 // hold list heads linked through Event.inext — rather than a Go map, because
 // the index is touched on every deliver and every process: the specialized
 // form inlines the hash, avoids per-key hashing interfaces, and grows by
@@ -61,7 +61,8 @@ func (ix *pendIndex) del(ev *Event) {
 // find returns the pending positive identical to ev (which may be the
 // anti-message form: identity ignores Sign), or nil. O(1) expected. Among
 // several identical duplicates it returns the one lowest in the pending
-// heap array, matching the retired linear scan's first-hit choice.
+// heap array, matching the retired linear scan's first-hit choice: identity
+// includes Dst, so the duplicates compared all sit in one object's heap.
 func (ix *pendIndex) find(ev *Event) *Event {
 	if len(ix.buckets) == 0 {
 		return nil

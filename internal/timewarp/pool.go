@@ -8,7 +8,7 @@ import "nicwarp/internal/dense"
 //
 // Ownership discipline (the invariant that makes pooling safe in a Time
 // Warp kernel): every kernel-internal structure — an object's pending heap,
-// its history's output rows, the zombie list, the local delivery queue —
+// its history's output chains, the zombie list, the local delivery queue —
 // holds its *own* pooled copy of an event; no two structures ever share a
 // pointer. Inbound events are copied at the Deliver boundary, and outbound
 // events in StepResult.Remote are transferred out of the kernel entirely
@@ -68,6 +68,7 @@ func (k *Kernel) antiOf(e *Event) *Event {
 	a := k.pool.get()
 	*a = *e
 	a.Sign = -1
+	a.inext = nil // e's link in its output chain
 	return a
 }
 

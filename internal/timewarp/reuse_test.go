@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"fmt"
 	"testing"
 
 	"nicwarp/internal/vtime"
@@ -224,18 +225,44 @@ func (o *fanObj) ReleaseState(s interface{}) { o.snaps.Release(s) }
 func (o *fanObj) RestoreState(s interface{}) { o.st = *s.(*fanState) }
 func (o *fanObj) Digest() uint64             { return DigestMix(o.st.count, uint64(o.st.budget)) }
 
-// runFanSchedule drives one fanObj through every move its history and outs
-// ring make: entries appended at the tail, popped from the head by fossil
-// collection (across the rings' compactions — the chain is several times
-// longer than the rings ever are), dropped from the tail by rollbacks into
-// the middle of history, whose anti-messages cancel them, and re-appended
-// by re-execution. It ends with everything fossil-collected.
+// checkChains fails t unless every live history entry of o chains exactly
+// the sends its execution made, in send order: a fanObj event from itself
+// with budget left sends at +5 and +7 to the remote object and at +10 to
+// itself, any other event nothing.
+func checkChains(t *testing.T, o *objRuntime) {
+	t.Helper()
+	for _, e := range o.hist.Live() {
+		var got []string
+		for out := e.outs; out != nil; out = out.inext {
+			if out.Sign != 1 || out.Src != o.id || out.SendTS != e.ev.RecvTS {
+				t.Fatalf("entry at %v chains %v", e.ev.RecvTS, out)
+			}
+			got = append(got, fmt.Sprintf("%d@+%d", out.Dst, out.RecvTS-e.ev.RecvTS))
+		}
+		want := "[]"
+		if e.ev.Src == o.id && e.state.app.(*fanState).budget > 0 {
+			want = fmt.Sprintf("[%d@+5 %d@+7 %d@+10]", o.obj.(*fanObj).remote, o.obj.(*fanObj).remote, o.id)
+		}
+		if fmt.Sprint(got) != want {
+			t.Fatalf("entry at %v chains %v, want %s", e.ev.RecvTS, got, want)
+		}
+	}
+}
+
+// runFanSchedule drives one fanObj through every move its history and
+// output chains make: entries appended at the tail, popped from the head by
+// fossil collection (across the ring's compactions — the chain of events is
+// several times longer than the ring ever is), dropped from the tail by
+// rollbacks into the middle of history, whose anti-messages cancel their
+// chains, and re-appended by re-execution. After every step each live entry
+// chains exactly its sends; it ends with everything fossil-collected.
 func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 	t.Helper()
 	const self, remote = ObjectID(0), ObjectID(9)
 	k := NewKernel(Config{})
 	obj := &fanObj{remote: remote, st: fanState{budget: 400}}
 	k.AddObject(self, obj)
+	o := &k.order[k.objs[self]]
 	antis := 0
 	recycle := func(res StepResult) {
 		antis += res.AntisEmitted
@@ -246,7 +273,9 @@ func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 	recycle(k.Bootstrap())
 	for step := 1; k.HasWork(); step++ {
 		recycle(k.ProcessOne())
-		now := k.objs[self].lastHist().ev.RecvTS
+		checkChains(t, o)
+		h := o.hist.Live()
+		now := h[len(h)-1].ev.RecvTS
 		switch {
 		case step%25 == 0:
 			// A straggler lands six executions back: those rows leave the
@@ -257,6 +286,7 @@ func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 			// Commit all but the last dozen executions.
 			k.FossilCollect(max(k.committedGVT, now-120))
 		}
+		checkChains(t, o)
 	}
 	k.FossilCollect(vtime.Infinity)
 
@@ -264,9 +294,8 @@ func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 		t.Fatalf("rollbacks %d, antis %d, fossil-collected %d: the schedule was not exercised",
 			k.Stats.Rollbacks.Value(), antis, k.Stats.FossilEvents.Value())
 	}
-	o := k.objs[self]
-	if !k.Quiescent() || o.hist.Len() != 0 || o.outs.Len() != 0 {
-		t.Fatalf("not drained: quiescent %v, history %d, output rows %d", k.Quiescent(), o.hist.Len(), o.outs.Len())
+	if !k.Quiescent() || o.hist.Len() != 0 {
+		t.Fatalf("not drained: quiescent %v, history %d", k.Quiescent(), o.hist.Len())
 	}
 	return k, obj
 }
@@ -288,7 +317,9 @@ func wholeSlabs[T any](t *testing.T, what string, free []*T, slab int) {
 }
 
 // TestOutputRowsReleasedExactlyOnce: at the end of runFanSchedule every
-// event the kernel ever took from its pool is back in it exactly once.
+// event the kernel ever took from its pool is back in it exactly once — each
+// output chain released whole, by fossil collection or by the rollback that
+// cancelled it, and none twice.
 func TestOutputRowsReleasedExactlyOnce(t *testing.T) {
 	k, _ := runFanSchedule(t)
 	wholeSlabs(t, "event", k.pool.free, eventSlab)
@@ -301,4 +332,65 @@ func TestOutputRowsReleasedExactlyOnce(t *testing.T) {
 func TestSnapshotsReleasedExactlyOnce(t *testing.T) {
 	_, obj := runFanSchedule(t)
 	wholeSlabs(t, "snapshot", obj.snaps.free, snapshotSlab)
+}
+
+// TestRollbackCancelsOutputsInSendOrder: a rollback cancels the undone
+// entries' outputs oldest entry first and in send order within each entry.
+// Anti order moves modeled time (each anti is a packet on the wire), so a
+// chain walked backwards would change results without failing anything
+// else. One fanObj executes three events, each sending two remote
+// positives; a straggler below all three rolls them back.
+func TestRollbackCancelsOutputsInSendOrder(t *testing.T) {
+	const self, remote = ObjectID(0), ObjectID(9)
+	k := NewKernel(Config{})
+	k.AddObject(self, &fanObj{remote: remote, st: fanState{budget: 3}})
+	k.Bootstrap()
+	for i := 0; i < 3; i++ {
+		k.ProcessOne() // at 10, 20 and 30
+	}
+	res := k.Deliver(&Event{ID: MakeEventID(remote, 0), Src: remote, Dst: self, SendTS: 1, RecvTS: 5, Sign: 1})
+	var got []string
+	for _, ev := range res.Remote {
+		got = append(got, fmt.Sprintf("%+d@%d:%d", ev.Sign, ev.RecvTS, ev.Payload))
+	}
+	const want = "[-1@15:10 -1@17:11 -1@25:20 -1@27:21 -1@35:30 -1@37:31]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("rollback sent %v, want %s", got, want)
+	}
+	if res.Rollbacks != 1 || res.UndoneEvents != 3 || res.AntisEmitted != 9 {
+		t.Fatalf("rollbacks %d, undone %d, antis %d; want 1, 3 and 9 (three local)",
+			res.Rollbacks, res.UndoneEvents, res.AntisEmitted)
+	}
+}
+
+// TestKernelAllocationsPerObject: the kernel's bookkeeping for one more
+// object is a few allocations, not one per structure per object. Three of
+// the budget are the object's own (the fanObj, its snapshot slab and the
+// first push of its history ring); the identity index, the pending heaps'
+// first slots and the object runtimes are one array each per kernel.
+func TestKernelAllocationsPerObject(t *testing.T) {
+	const sink = ObjectID(-1) // not on the kernel
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			k := NewKernel(Config{})
+			for id := 0; id < n; id++ {
+				k.AddObject(ObjectID(id), &fanObj{remote: sink, st: fanState{budget: 4}})
+			}
+			recycle := func(res StepResult) {
+				for _, ev := range res.Remote {
+					k.Recycle(ev)
+				}
+			}
+			recycle(k.Bootstrap())
+			for k.HasWork() {
+				recycle(k.ProcessOne())
+			}
+		})
+	}
+	small, large := run(64), run(1024)
+	per := (large - small) / (1024 - 64)
+	t.Logf("%.2f allocations per extra object (%v for 64 objects, %v for 1024)", per, small, large)
+	if per > 5 {
+		t.Fatalf("%.2f allocations per extra object, want at most 5", per)
+	}
 }

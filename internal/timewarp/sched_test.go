@@ -13,8 +13,8 @@ import (
 func checkSched(t *testing.T, k *Kernel) {
 	t.Helper()
 	var best *objRuntime
-	for _, o := range k.order {
-		if o.pending.Len() > 0 && (best == nil || o.pending.Min().Before(best.pending.Min())) {
+	for i := range k.order {
+		if o := &k.order[i]; o.pending.Len() > 0 && (best == nil || o.pending.Min().Before(best.pending.Min())) {
 			best = o
 		}
 	}
@@ -27,7 +27,7 @@ func checkSched(t *testing.T, k *Kernel) {
 	if !k.HasWork() {
 		t.Fatalf("LP with %v pending reports no work", best.pending.Min())
 	}
-	if got := k.order[k.sched.Min()]; got != best {
+	if got := &k.order[k.sched.Min()]; got != best {
 		t.Fatalf("scheduler root is object %d (key %+v), Event.Compare picks object %d with head %v",
 			got.id, k.sched.MinKey(), best.id, best.pending.Min())
 	}
@@ -72,18 +72,18 @@ func TestSchedulerKeyOrderIsEventOrder(t *testing.T) {
 		checkSched(t, k)
 		rnd := rng.New(seed)
 		for step := 0; step < 400; step++ {
-			o := k.order[rnd.Intn(len(k.order))]
+			o := &k.order[rnd.Intn(len(k.order))]
 			switch n := o.pending.Len(); {
 			case n == 0 || rnd.Bool(0.5):
 				ev := &Event{ID: uint64(step), Dst: o.id, Sign: 1, RecvTS: stamps[rnd.Intn(len(stamps))]}
 				if rnd.Bool(0.3) {
 					ev.RecvTS = vtime.VTime(rnd.UniformInt64(-3, 3))
 				}
-				o.pendPush(ev)
+				k.pendPush(o, ev)
 			case rnd.Bool(0.5):
-				o.pendPop()
+				k.pendPop(o)
 			default:
-				o.pendRemove(o.pending.s[rnd.Intn(n)].ev)
+				k.pendRemove(o, o.pending.s[rnd.Intn(n)].ev)
 			}
 			k.fixSched(o)
 			checkSched(t, k)
@@ -103,5 +103,5 @@ func TestPendingEventBelongsToOwner(t *testing.T) {
 			t.Fatal("pendPush accepted an event addressed to another object")
 		}
 	}()
-	k.objs[1].pendPush(&Event{Dst: 2, Sign: 1, RecvTS: 1})
+	k.pendPush(&k.order[k.objs[1]], &Event{Dst: 2, Sign: 1, RecvTS: 1})
 }

@@ -68,13 +68,17 @@ func New(p Params) *App {
 // Name implements core.App.
 func (a *App) Name() string { return "phold" }
 
-// Build implements core.App.
+// Build implements core.App. The objects come in one slice, and the objects
+// on one LP share one snapshot list, which only that LP's kernel touches.
 func (a *App) Build(numLPs int, seed uint64) (map[timewarp.ObjectID]timewarp.Object, func(timewarp.ObjectID) int) {
 	p := a.Params
+	place := func(id timewarp.ObjectID) int { return int(id) % numLPs }
 	objs := make(map[timewarp.ObjectID]timewarp.Object, p.Objects)
-	for i := 0; i < p.Objects; i++ {
+	all := make([]object, p.Objects)
+	snaps := make([]timewarp.Snapshots[state], numLPs)
+	for i := range all {
 		id := timewarp.ObjectID(i)
-		objs[id] = &object{
+		all[i] = object{
 			id:     id,
 			numLPs: numLPs,
 			p:      p,
@@ -82,9 +86,10 @@ func (a *App) Build(numLPs int, seed uint64) (map[timewarp.ObjectID]timewarp.Obj
 				budget: p.Hops,
 				rnd:    rng.NewFor(seed, uint64(i)),
 			},
+			snaps: &snaps[place(id)],
 		}
+		objs[id] = &all[i]
 	}
-	place := func(id timewarp.ObjectID) int { return int(id) % numLPs }
 	return objs, place
 }
 
@@ -102,7 +107,7 @@ type object struct {
 	numLPs int
 	p      Params
 	st     state
-	snaps  timewarp.Snapshots[state]
+	snaps  *timewarp.Snapshots[state] // shared by the objects on this object's LP
 }
 
 // Init implements timewarp.Object.

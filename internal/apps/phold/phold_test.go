@@ -78,3 +78,27 @@ func TestNewRejectsBadParams(t *testing.T) {
 	}()
 	New(Params{})
 }
+
+// TestBuildSharesSnapshotsWithinAnLP: objects share a snapshot list exactly
+// when place puts them on the same LP. A list is then only ever touched by
+// the one kernel that runs those objects, which is what keeps a sharded run
+// free of races.
+func TestBuildSharesSnapshotsWithinAnLP(t *testing.T) {
+	const numLPs = 3
+	objs, place := New(busyParams).Build(numLPs, 1)
+	lpOf := map[*timewarp.Snapshots[state]]int{}
+	listOf := map[int]*timewarp.Snapshots[state]{}
+	for id, obj := range objs {
+		s, lp := obj.(*object).snaps, place(id)
+		if other, ok := lpOf[s]; ok && other != lp {
+			t.Fatalf("object %d on LP %d shares a snapshot list with an object on LP %d", id, lp, other)
+		}
+		if other, ok := listOf[lp]; ok && other != s {
+			t.Fatalf("object %d has a snapshot list of its own on LP %d", id, lp)
+		}
+		lpOf[s], listOf[lp] = lp, s
+	}
+	if len(lpOf) != numLPs {
+		t.Fatalf("%d snapshot lists for %d LPs", len(lpOf), numLPs)
+	}
+}

@@ -144,31 +144,38 @@ func (a *App) Name() string { return "police" }
 func (a *App) EventGrain() vtime.ModelTime { return 4 * vtime.Microsecond }
 
 // Build implements core.App. Centre c lives on LP c%numLPs; station i on LP
-// i%numLPs.
+// i%numLPs. Each object type comes in one slice, and the objects of one type
+// on one LP share one snapshot list, which only that LP's kernel touches.
 func (a *App) Build(numLPs int, seed uint64) (map[timewarp.ObjectID]timewarp.Object, func(timewarp.ObjectID) int) {
 	p := a.Params
-	objs := make(map[timewarp.ObjectID]timewarp.Object, p.Centres+p.Stations)
-	for c := 0; c < p.Centres; c++ {
-		objs[p.centreID(c)] = &centre{
-			index: c, p: p,
-			st: centreState{rnd: rng.NewFor(seed, 50000+uint64(c))},
-		}
-	}
-	for i := 0; i < p.Stations; i++ {
-		objs[p.stationID(i)] = &station{
-			id: p.stationID(i), index: i, p: p,
-			st: stationState{
-				remaining: p.IncidentsPerStation,
-				rnd:       rng.NewFor(seed, uint64(i)),
-			},
-		}
-	}
 	place := func(id timewarp.ObjectID) int {
 		n := int(id)
 		if n < p.Centres {
 			return n % numLPs
 		}
 		return (n - p.Centres) % numLPs
+	}
+	objs := make(map[timewarp.ObjectID]timewarp.Object, p.Centres+p.Stations)
+	centres, centreSnaps := make([]centre, p.Centres), make([]timewarp.Snapshots[centreState], numLPs)
+	for c := range centres {
+		centres[c] = centre{
+			index: c, p: p,
+			st:    centreState{rnd: rng.NewFor(seed, 50000+uint64(c))},
+			snaps: &centreSnaps[place(p.centreID(c))],
+		}
+		objs[p.centreID(c)] = &centres[c]
+	}
+	stations, stationSnaps := make([]station, p.Stations), make([]timewarp.Snapshots[stationState], numLPs)
+	for i := range stations {
+		stations[i] = station{
+			id: p.stationID(i), index: i, p: p,
+			st: stationState{
+				remaining: p.IncidentsPerStation,
+				rnd:       rng.NewFor(seed, uint64(i)),
+			},
+			snaps: &stationSnaps[place(p.stationID(i))],
+		}
+		objs[p.stationID(i)] = &stations[i]
 	}
 	return objs, place
 }
@@ -188,7 +195,7 @@ type station struct {
 	index int
 	p     Params
 	st    stationState
-	snaps timewarp.Snapshots[stationState]
+	snaps *timewarp.Snapshots[stationState] // shared by the stations on this station's LP
 }
 
 // Init schedules the first incident.
@@ -274,7 +281,7 @@ type centre struct {
 	index int
 	p     Params
 	st    centreState
-	snaps timewarp.Snapshots[centreState]
+	snaps *timewarp.Snapshots[centreState] // shared by the centres on this centre's LP
 }
 
 func (c *centre) Init(ctx *timewarp.Context) {}

@@ -156,3 +156,38 @@ func TestSingleCentreConfiguration(t *testing.T) {
 		t.Fatal("single-centre run did nothing")
 	}
 }
+
+// TestBuildSharesSnapshotsWithinAnLP: objects share a snapshot list exactly
+// when they are of one type and place puts them on the same LP. A list is
+// then only ever touched by the one kernel that runs those objects, which is
+// what keeps a sharded run free of races.
+func TestBuildSharesSnapshotsWithinAnLP(t *testing.T) {
+	const numLPs = 3
+	objs, place := New(small(40)).Build(numLPs, 1)
+	type key struct {
+		kind string
+		lp   int
+	}
+	keyOf := map[any]key{}
+	listOf := map[key]any{}
+	for id, obj := range objs {
+		var k key
+		var s any
+		switch o := obj.(type) {
+		case *station:
+			k, s = key{"station", place(id)}, o.snaps
+		case *centre:
+			k, s = key{"centre", place(id)}, o.snaps
+		}
+		if other, ok := keyOf[s]; ok && other != k {
+			t.Fatalf("object %d (%v) shares a snapshot list with a %v", id, k, other)
+		}
+		if other, ok := listOf[k]; ok && other != s {
+			t.Fatalf("object %d has a snapshot list of its own (%v)", id, k)
+		}
+		keyOf[s], listOf[k] = k, s
+	}
+	if len(keyOf) != 2*numLPs {
+		t.Fatalf("%d snapshot lists for two object types on %d LPs", len(keyOf), numLPs)
+	}
+}

@@ -105,35 +105,11 @@ func New(p Params) *App {
 func (a *App) Name() string { return "raid" }
 
 // Build implements core.App. Placement mirrors the paper's layout: fork i
-// and disk i live on LP i%numLPs; sources round-robin across LPs.
+// and disk i live on LP i%numLPs; sources round-robin across LPs. Each
+// object type comes in one slice, and the objects of one type on one LP
+// share one snapshot list, which only that LP's kernel touches.
 func (a *App) Build(numLPs int, seed uint64) (map[timewarp.ObjectID]timewarp.Object, func(timewarp.ObjectID) int) {
 	p := a.Params
-	objs := make(map[timewarp.ObjectID]timewarp.Object)
-
-	perSource := p.Requests / p.Sources
-	extra := p.Requests % p.Sources
-	for i := 0; i < p.Sources; i++ {
-		quota := perSource
-		if i < extra {
-			quota++
-		}
-		objs[p.sourceID(i)] = &source{
-			id: p.sourceID(i), p: p,
-			st: sourceState{remaining: quota, rnd: rng.NewFor(seed, uint64(i))},
-		}
-	}
-	for i := 0; i < p.Forks; i++ {
-		objs[p.forkID(i)] = &fork{
-			p:  p,
-			st: forkState{rnd: rng.NewFor(seed, 1000+uint64(i))},
-		}
-	}
-	for i := 0; i < p.Disks; i++ {
-		objs[p.diskID(i)] = &disk{
-			id: p.diskID(i),
-			st: diskState{rnd: rng.NewFor(seed, 2000+uint64(i))},
-		}
-	}
 	place := func(id timewarp.ObjectID) int {
 		n := int(id)
 		switch {
@@ -144,6 +120,41 @@ func (a *App) Build(numLPs int, seed uint64) (map[timewarp.ObjectID]timewarp.Obj
 		default:
 			return (n - p.Sources - p.Forks) % numLPs
 		}
+	}
+	objs := make(map[timewarp.ObjectID]timewarp.Object, p.Sources+p.Forks+p.Disks)
+
+	perSource := p.Requests / p.Sources
+	extra := p.Requests % p.Sources
+	sources, sourceSnaps := make([]source, p.Sources), make([]timewarp.Snapshots[sourceState], numLPs)
+	for i := range sources {
+		quota := perSource
+		if i < extra {
+			quota++
+		}
+		sources[i] = source{
+			id: p.sourceID(i), p: p,
+			st:    sourceState{remaining: quota, rnd: rng.NewFor(seed, uint64(i))},
+			snaps: &sourceSnaps[place(p.sourceID(i))],
+		}
+		objs[p.sourceID(i)] = &sources[i]
+	}
+	forks, forkSnaps := make([]fork, p.Forks), make([]timewarp.Snapshots[forkState], numLPs)
+	for i := range forks {
+		forks[i] = fork{
+			p:     p,
+			st:    forkState{rnd: rng.NewFor(seed, 1000+uint64(i))},
+			snaps: &forkSnaps[place(p.forkID(i))],
+		}
+		objs[p.forkID(i)] = &forks[i]
+	}
+	disks, diskSnaps := make([]disk, p.Disks), make([]timewarp.Snapshots[diskState], numLPs)
+	for i := range disks {
+		disks[i] = disk{
+			id:    p.diskID(i),
+			st:    diskState{rnd: rng.NewFor(seed, 2000+uint64(i))},
+			snaps: &diskSnaps[place(p.diskID(i))],
+		}
+		objs[p.diskID(i)] = &disks[i]
 	}
 	return objs, place
 }
@@ -165,7 +176,7 @@ type source struct {
 	id    timewarp.ObjectID
 	p     Params
 	st    sourceState
-	snaps timewarp.Snapshots[sourceState]
+	snaps *timewarp.Snapshots[sourceState] // shared by the sources on this source's LP
 }
 
 // Init fills the outstanding window.
@@ -213,7 +224,7 @@ type forkState struct {
 type fork struct {
 	p     Params
 	st    forkState
-	snaps timewarp.Snapshots[forkState]
+	snaps *timewarp.Snapshots[forkState] // shared by the forks on this fork's LP
 }
 
 func (f *fork) Init(ctx *timewarp.Context) {}
@@ -251,7 +262,7 @@ type diskState struct {
 type disk struct {
 	id    timewarp.ObjectID
 	st    diskState
-	snaps timewarp.Snapshots[diskState]
+	snaps *timewarp.Snapshots[diskState] // shared by the disks on this disk's LP
 }
 
 func (d *disk) Init(ctx *timewarp.Context) {}

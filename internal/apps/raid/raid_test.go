@@ -123,3 +123,40 @@ func TestSeedChangesResults(t *testing.T) {
 		t.Fatal("different seeds gave identical digests")
 	}
 }
+
+// TestBuildSharesSnapshotsWithinAnLP: objects share a snapshot list exactly
+// when they are of one type and place puts them on the same LP. A list is
+// then only ever touched by the one kernel that runs those objects, which is
+// what keeps a sharded run free of races.
+func TestBuildSharesSnapshotsWithinAnLP(t *testing.T) {
+	const numLPs = 3
+	objs, place := New(CancelConfig(100)).Build(numLPs, 1)
+	type key struct {
+		kind string
+		lp   int
+	}
+	keyOf := map[any]key{}
+	listOf := map[key]any{}
+	for id, obj := range objs {
+		var k key
+		var s any
+		switch o := obj.(type) {
+		case *source:
+			k, s = key{"source", place(id)}, o.snaps
+		case *fork:
+			k, s = key{"fork", place(id)}, o.snaps
+		case *disk:
+			k, s = key{"disk", place(id)}, o.snaps
+		}
+		if other, ok := keyOf[s]; ok && other != k {
+			t.Fatalf("object %d (%v) shares a snapshot list with a %v", id, k, other)
+		}
+		if other, ok := listOf[k]; ok && other != s {
+			t.Fatalf("object %d has a snapshot list of its own (%v)", id, k)
+		}
+		keyOf[s], listOf[k] = k, s
+	}
+	if len(keyOf) != 3*numLPs {
+		t.Fatalf("%d snapshot lists for three object types on %d LPs", len(keyOf), numLPs)
+	}
+}

@@ -23,6 +23,13 @@ type FIFO[T any] struct {
 // stay a few entries deep, and growing 1→2→4→8 would cost four.
 const firstCap = 8
 
+// On starts the empty queue f on buf's backing array: it holds cap(buf)
+// entries before it allocates. Many queues can share one array, each on its
+// own three-index sub-slice (buf[i:i:j]): a queue never reaches past
+// cap(buf), and one that outgrows it moves to an array of its own and zeroes
+// the slots it leaves.
+func (f *FIFO[T]) On(buf []T) { f.q, f.head = buf[:0], 0 }
+
 // Len returns the number of queued entries.
 func (f *FIFO[T]) Len() int { return len(f.q) - f.head }
 
@@ -35,6 +42,7 @@ func (f *FIFO[T]) Push(v T) { *f.PushSlot() = v }
 //
 //nicwarp:hotpath one push per FIFO-server job and per packet crossing the host pipeline
 func (f *FIFO[T]) PushSlot() *T {
+	var zero T
 	if len(f.q) == cap(f.q) {
 		if f.head > 0 {
 			n := copy(f.q, f.q[f.head:])
@@ -43,10 +51,16 @@ func (f *FIFO[T]) PushSlot() *T {
 			f.head = 0
 		} else if cap(f.q) == 0 {
 			f.q = make([]T, 0, firstCap) //nicwarp:alloc first push, once per queue
+		} else {
+			// Full: move to a larger array and zero the slots left behind,
+			// which may be part of an array shared through On.
+			old := f.q
+			f.q = append(old, zero)[:len(old)] //nicwarp:alloc queue growth to a new high-water depth, amortized: the consumed prefix is reused first
+			clear(old)
 		}
 	}
-	var zero T
-	f.q = append(f.q, zero) //nicwarp:alloc queue growth to a new high-water depth, amortized: the consumed prefix is reused first
+	f.q = f.q[:len(f.q)+1]
+	f.q[len(f.q)-1] = zero
 	return &f.q[len(f.q)-1]
 }
 

@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -179,5 +180,66 @@ func TestFIFOBoundedDepthStopsAllocating(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(200, cycle); allocs > 0 {
 		t.Fatalf("bounded-depth cycle allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestFIFOOnSharedArray: a queue started on a three-index sub-slice of an
+// array it shares with neighbours fills its own slots without allocating,
+// compacts within them, and once it outgrows them moves to an array of its
+// own, zeroing the slots it leaves: no step ever writes a neighbour's slot.
+func TestFIFOOnSharedArray(t *testing.T) {
+	const slots = 4
+	shared := make([]int, 3*slots)
+	for i := range shared {
+		shared[i] = -1
+	}
+	own := shared[slots : 2*slots]
+	neighboursIntact := func(when string) {
+		t.Helper()
+		for i, v := range shared {
+			if (i < slots || i >= 2*slots) && v != -1 {
+				t.Fatalf("%s: neighbour slot %d holds %d", when, i, v)
+			}
+		}
+	}
+	var f FIFO[int]
+	fill := func() {
+		f.On(shared[slots : slots : 2*slots])
+		for i := 0; i < slots; i++ {
+			f.Push(i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Fatalf("filling %d own slots allocated %.1f times, want 0", slots, allocs)
+	}
+	neighboursIntact("after filling")
+
+	// Consume two, push two: the second push compacts in place.
+	f.Drop()
+	f.Drop()
+	if allocs := testing.AllocsPerRun(1, func() { f.Push(4); f.Push(5); f.Drop(); f.Drop() }); allocs != 0 {
+		t.Fatalf("compacting allocated %.1f times, want 0", allocs)
+	}
+	f.Push(6)
+	f.Push(7)
+	neighboursIntact("after compacting")
+	if want := []int{4, 5, 6, 7}; fmt.Sprint(f.Live()) != fmt.Sprint(want) || fmt.Sprint(own) != fmt.Sprint(want) {
+		t.Fatalf("after compacting live = %v in slots %v, want %v in both", f.Live(), own, want)
+	}
+
+	// One more outgrows the own slots: the queue moves and zeroes them.
+	f.Push(8)
+	for v := 9; v < 40; v++ {
+		f.Push(v)
+		f.Drop()
+	}
+	neighboursIntact("after growing")
+	for i, v := range own {
+		if v != 0 {
+			t.Fatalf("left-behind slot %d holds %d, want it zeroed", i, v)
+		}
+	}
+	if want := "[35 36 37 38 39]"; fmt.Sprint(f.Live()) != want {
+		t.Fatalf("after growing live = %v, want %s", f.Live(), want)
 	}
 }

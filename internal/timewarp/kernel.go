@@ -185,6 +185,9 @@ type Kernel struct {
 	res    *StepResult
 	remote []*Event //nicwarp:owns per-call scratch: its events are handed out through StepResult.Remote and nilled by begin
 	localQ []*Event //nicwarp:owns per-call scratch, drained before the entry point returns
+	// remoteBuf and localBuf are where remote and localQ start, so a step
+	// that sends a handful of events allocates neither.
+	remoteBuf, localBuf [scratchCap]*Event
 	// ctxScratch is the reused Execute context: Execute never nests and no
 	// object may retain its Context past the call, so one value serves
 	// every step without allocating.
@@ -207,12 +210,18 @@ type Kernel struct {
 	Stats Stats
 }
 
+// scratchCap is how many events Kernel.remote and localQ hold before they
+// allocate: a step's sends and the antis of a shallow rollback.
+const scratchCap = 10
+
 // NewKernel creates an empty LP kernel.
 func NewKernel(cfg Config) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		objs: make(map[ObjectID]int32),
 		pool: eventPool{disabled: cfg.DisableEventPool},
 	}
+	k.remote, k.localQ = k.remoteBuf[:0], k.localBuf[:0]
+	return k
 }
 
 // AddObject registers a local object. Must be called before Bootstrap.
@@ -256,14 +265,17 @@ func (k *Kernel) Bootstrap() StepResult {
 	k.booted = true
 	res := k.begin()
 	// The object set is final: the scheduler takes its arrays at their one
-	// size, every object enters it idle, and every pending heap starts on
-	// its own pendFirstCap slots of one array (a heap outgrowing them
-	// reallocates on its own).
+	// size, every object enters it idle, and every pending heap and history
+	// ring starts on its own firstSlots slots of one array each (one
+	// outgrowing them reallocates on its own).
 	k.sched.Grow(len(k.order))
-	slots := make([]pendSlot, pendFirstCap*len(k.order))
+	slots := make([]pendSlot, firstSlots*len(k.order))
+	hist := make([]histEntry, firstSlots*len(k.order))
 	for i := range k.order {
 		o := &k.order[i]
-		o.pending.s = append(slots[i*pendFirstCap:i*pendFirstCap:(i+1)*pendFirstCap], o.pending.s...)
+		lo, hi := i*firstSlots, (i+1)*firstSlots
+		o.pending.s = append(slots[lo:lo:hi], o.pending.s...)
+		o.hist.On(hist[lo:lo:hi])
 		k.sched.Push(o.idx, o.schedKey())
 	}
 	for i := range k.order {

@@ -50,8 +50,9 @@ type StateReuser interface {
 // snapshotSlab is how many snapshots one free-list miss allocates.
 const snapshotSlab = 32
 
-// Snapshots is an object's snapshot free list: the one place its saved
-// states live between uses. An object keeps one in a field, returns
+// Snapshots is a snapshot free list: the one place saved states live
+// between uses. An object holds one, or a pointer to one it shares with the
+// other objects of its type on its LP (one kernel, so one goroutine), returns
 // Save(&st) from SaveState and forwards ReleaseState to Release; a history
 // growing to a new depth then allocates a slab at a time, and a steady
 // state not at all.

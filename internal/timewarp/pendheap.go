@@ -34,9 +34,10 @@ type pendSlot struct {
 	ev   *Event //nicwarp:owns pending-queue slot; removed before Recycle
 }
 
-// pendFirstCap is how many slots each object's heap starts with, carved
-// from one per-kernel array at Bootstrap: the first size dense.FIFO uses.
-const pendFirstCap = 8
+// firstSlots is how many slots each object's pending heap and history ring
+// start with, each carved from one per-kernel array at Bootstrap: the first
+// size dense.FIFO uses.
+const firstSlots = 8
 
 // pendArity must be 2: see the type comment — tie order between
 // Compare-equal events is part of the observable behavior.

@@ -20,11 +20,14 @@ import "nicwarp/internal/dense"
 // into identity comparison.
 type eventPool struct {
 	free     []*Event //nicwarp:owns the pool free list is the release destination itself
+	made     int      // events the pool's slabs have allocated
 	disabled bool     // property tests disable reuse to prove observational equivalence
 }
 
-// eventSlab is how many events one pool miss allocates: a kernel warming up
-// to its working set pays one allocation per 32 events instead of one each.
+// eventSlab is the smallest slab one pool miss allocates. A miss allocates
+// an eighth of what the pool has made, when that is more: a kernel warming
+// up to N live events pays O(log N) allocations, and leaves at most N/8 +
+// eventSlab of them unused.
 const eventSlab = 32
 
 // get returns an event with unspecified contents; the caller must overwrite
@@ -32,7 +35,12 @@ const eventSlab = 32
 //
 //nicwarp:hotpath per-event acquisition on the execution fast path (Fig4 allocs/op gate)
 func (p *eventPool) get() *Event {
-	return dense.Take(&p.free, eventSlab)
+	slab := eventSlab
+	if len(p.free) == 0 {
+		slab = max(eventSlab, p.made/8)
+		p.made += slab
+	}
+	return dense.Take(&p.free, slab)
 }
 
 // put returns an event to the pool. The caller guarantees no live structure

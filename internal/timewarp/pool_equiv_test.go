@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -101,5 +102,32 @@ func TestPoolingUnderRollbackPressure(t *testing.T) {
 	h2.run(t)
 	if h.digest() != h2.digest() {
 		t.Fatalf("digest diverges under rollback pressure: pooled %x, disabled %x", h.digest(), h2.digest())
+	}
+}
+
+// TestEventPoolSlabsGrowWithThePool: a pool warming up to N live events
+// allocates O(log N) slabs, not N/eventSlab: past eight minimum slabs each
+// miss allocates an eighth of what the pool has made. What it has made and
+// not handed out stays within an eighth of the pool plus one slab.
+func TestEventPoolSlabsGrowWithThePool(t *testing.T) {
+	for _, n := range []int{1, 100, 1000, 100_000} {
+		var p eventPool
+		slabs := 0
+		for i := 0; i < n; i++ {
+			if len(p.free) == 0 {
+				slabs++
+			}
+			p.get()
+		}
+		// Eight slabs of eventSlab make 256 events; every later slab
+		// multiplies what the pool has made by about 9/8.
+		limit := 8 + max(0, int(math.Ceil(math.Log(float64(n)/256)/math.Log(9.0/8))))
+		if slabs > limit+1 {
+			t.Errorf("%d live events took %d slabs, want at most %d", n, slabs, limit+1)
+		}
+		if unused := len(p.free); p.made != n+unused || unused > n/8+eventSlab {
+			t.Errorf("%d live events: pool made %d and holds %d unused, want made = live + unused and unused ≤ %d",
+				n, p.made, unused, n/8+eventSlab)
+		}
 	}
 }

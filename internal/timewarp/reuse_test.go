@@ -139,7 +139,7 @@ func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 // afresh for each step it cost one allocation per step.
 func TestSteadyStateRemoteStepDoesNotAllocate(t *testing.T) {
 	k := NewKernel(Config{})
-	k.AddObject(0, &fanObj{remote: 9, st: fanState{budget: 1 << 30}})
+	k.AddObject(0, newFanObj(9, 1<<30))
 	k.Bootstrap()
 	sent := 0
 	cycle := func() {
@@ -206,7 +206,15 @@ type fanState struct {
 type fanObj struct {
 	remote ObjectID
 	st     fanState
-	snaps  Snapshots[fanState]
+	snaps  *Snapshots[fanState] // own, or shared with other fanObjs
+	own    Snapshots[fanState]
+}
+
+// newFanObj returns a fanObj with a snapshot list of its own.
+func newFanObj(remote ObjectID, budget int) *fanObj {
+	o := &fanObj{remote: remote, st: fanState{budget: budget}}
+	o.snaps = &o.own
+	return o
 }
 
 func (o *fanObj) Init(ctx *Context) { ctx.Send(ctx.Self(), 10, 0) }
@@ -260,7 +268,7 @@ func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 	t.Helper()
 	const self, remote = ObjectID(0), ObjectID(9)
 	k := NewKernel(Config{})
-	obj := &fanObj{remote: remote, st: fanState{budget: 400}}
+	obj := newFanObj(remote, 400)
 	k.AddObject(self, obj)
 	o := &k.order[k.objs[self]]
 	antis := 0
@@ -322,7 +330,10 @@ func wholeSlabs[T any](t *testing.T, what string, free []*T, slab int) {
 // cancelled it, and none twice.
 func TestOutputRowsReleasedExactlyOnce(t *testing.T) {
 	k, _ := runFanSchedule(t)
-	wholeSlabs(t, "event", k.pool.free, eventSlab)
+	if len(k.pool.free) != k.pool.made {
+		t.Fatalf("pool holds %d of the %d events it made: some were never released", len(k.pool.free), k.pool.made)
+	}
+	wholeSlabs(t, "event", k.pool.free, 1)
 }
 
 // TestSnapshotsReleasedExactlyOnce is its sibling for snapshots: rollbacks
@@ -343,7 +354,7 @@ func TestSnapshotsReleasedExactlyOnce(t *testing.T) {
 func TestRollbackCancelsOutputsInSendOrder(t *testing.T) {
 	const self, remote = ObjectID(0), ObjectID(9)
 	k := NewKernel(Config{})
-	k.AddObject(self, &fanObj{remote: remote, st: fanState{budget: 3}})
+	k.AddObject(self, newFanObj(remote, 3))
 	k.Bootstrap()
 	for i := 0; i < 3; i++ {
 		k.ProcessOne() // at 10, 20 and 30
@@ -364,33 +375,62 @@ func TestRollbackCancelsOutputsInSendOrder(t *testing.T) {
 }
 
 // TestKernelAllocationsPerObject: the kernel's bookkeeping for one more
-// object is a few allocations, not one per structure per object. Three of
-// the budget are the object's own (the fanObj, its snapshot slab and the
-// first push of its history ring); the identity index, the pending heaps'
-// first slots and the object runtimes are one array each per kernel.
+// object is a few allocations, not one per structure per object. The
+// identity index, the pending heaps' and history rings' first slots and the
+// object runtimes are one array each per kernel. What is left is the
+// object's own: the fanObj and its snapshot slab, and the kernel's map entry
+// and event slabs. Objects built the way the application models build them —
+// one slice of them, one snapshot list shared by every object on the kernel
+// — cost a fraction of one allocation each.
 func TestKernelAllocationsPerObject(t *testing.T) {
 	const sink = ObjectID(-1) // not on the kernel
-	run := func(n int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			k := NewKernel(Config{})
-			for id := 0; id < n; id++ {
-				k.AddObject(ObjectID(id), &fanObj{remote: sink, st: fanState{budget: 4}})
+	cases := []struct {
+		name  string
+		build func(n int) []*fanObj
+		limit float64
+	}{
+		{"own snapshot list", func(n int) []*fanObj {
+			objs := make([]*fanObj, n)
+			for i := range objs {
+				objs[i] = newFanObj(sink, 4)
 			}
-			recycle := func(res StepResult) {
-				for _, ev := range res.Remote {
-					k.Recycle(ev)
-				}
+			return objs
+		}, 3.5},
+		{"one slice, shared snapshot list", func(n int) []*fanObj {
+			slice, snaps := make([]fanObj, n), new(Snapshots[fanState])
+			objs := make([]*fanObj, n)
+			for i := range slice {
+				slice[i] = fanObj{remote: sink, st: fanState{budget: 4}, snaps: snaps}
+				objs[i] = &slice[i]
 			}
-			recycle(k.Bootstrap())
-			for k.HasWork() {
-				recycle(k.ProcessOne())
+			return objs
+		}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(n int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					k := NewKernel(Config{})
+					for id, obj := range c.build(n) {
+						k.AddObject(ObjectID(id), obj)
+					}
+					recycle := func(res StepResult) {
+						for _, ev := range res.Remote {
+							k.Recycle(ev)
+						}
+					}
+					recycle(k.Bootstrap())
+					for k.HasWork() {
+						recycle(k.ProcessOne())
+					}
+				})
+			}
+			small, large := run(64), run(1024)
+			per := (large - small) / (1024 - 64)
+			t.Logf("%.2f allocations per extra object (%v for 64 objects, %v for 1024)", per, small, large)
+			if per > c.limit {
+				t.Fatalf("%.2f allocations per extra object, want at most %v", per, c.limit)
 			}
 		})
-	}
-	small, large := run(64), run(1024)
-	per := (large - small) / (1024 - 64)
-	t.Logf("%.2f allocations per extra object (%v for 64 objects, %v for 1024)", per, small, large)
-	if per > 5 {
-		t.Fatalf("%.2f allocations per extra object, want at most 5", per)
 	}
 }

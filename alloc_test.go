@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nicwarp/internal/core"
 	"nicwarp/internal/simnet"
 	"nicwarp/internal/timewarp"
 )
@@ -154,5 +155,64 @@ func TestEveryModelObjectReusesSnapshots(t *testing.T) {
 	}
 	if len(kinds) != 6 {
 		t.Fatalf("checked %d object types %v, want the six the models define", len(kinds), kinds)
+	}
+}
+
+// TestClusterAllocationsPerNode gates what a node costs: PHOLD with two
+// objects per node on a fat tree under the tree-reduction NIC GVT is
+// assembled and run at 64 and 128 nodes, and the extra heap objects the
+// larger cluster makes, divided by the extra nodes, must stay a few. Built
+// from a heap object per hardware component, a formatted name per resource,
+// a private pool per NIC and MPICH endpoint replaced at once and peer tables
+// grown in steps, assembly read 34.1 per extra node and the whole run 60.4
+// (20.4 KB).
+func TestClusterAllocationsPerNode(t *testing.T) {
+	config := func(nodes int) Config {
+		net := simnet.DefaultConfig()
+		net.Topology = TopoFatTree
+		return Config{
+			App:   PHOLD(PHOLDParams{Objects: 2 * nodes, Population: 1, Hops: 1, MeanDelay: 50, Locality: 0.2}),
+			Nodes: nodes, Seed: 1, GVT: GVTNICTree, GVTPeriod: 100, Net: net,
+		}
+	}
+	measure := func(f func()) (mallocs, bytes uint64) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	}
+	assemble := func(nodes int) uint64 {
+		allocs, _ := measure(func() {
+			if _, err := core.NewClusterExec(config(nodes), core.Exec{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs
+	}
+	run := func(nodes int) (mallocs, bytes uint64) {
+		return measure(func() {
+			if _, err := Run(config(nodes)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const small, large = 64, 128
+	extra := float64(large - small)
+	perNode := func(a, b uint64) float64 { return (float64(b) - float64(a)) / extra }
+	assembly := perNode(assemble(small), assemble(large))
+	smallAllocs, smallBytes := run(small)
+	largeAllocs, largeBytes := run(large)
+	allocs, bytes := perNode(smallAllocs, largeAllocs), perNode(smallBytes, largeBytes)
+	t.Logf("per extra node: %.1f allocations to assemble; %.1f allocations and %.0f B to run (%d/%d allocations at %d/%d nodes)",
+		assembly, allocs, bytes, smallAllocs, largeAllocs, small, large)
+	if assembly > 8 {
+		t.Errorf("assembly makes %.1f heap allocations per extra node, want at most 8", assembly)
+	}
+	if allocs > 25 {
+		t.Errorf("a run makes %.1f heap allocations per extra node, want at most 25", allocs)
+	}
+	if bytes > 20_400 {
+		t.Errorf("a run allocates %.0f B per extra node, want at most 20.4 KB", bytes)
 	}
 }

@@ -129,7 +129,16 @@ func (h *holes) fill(seq uint64) bool {
 
 // New creates the endpoint for a node.
 func New(node int) *Endpoint {
-	return &Endpoint{node: node}
+	e := new(Endpoint)
+	e.Init(node, nil, nil)
+	return e
+}
+
+// Init sets e up in place as node's endpoint, its per-destination and
+// per-source sequence tables starting on nextSeq and expect: empty slices
+// with room for every peer, or nil.
+func (e *Endpoint) Init(node int, nextSeq, expect []uint64) {
+	*e = Endpoint{node: node, nextSeq: nextSeq, expect: expect}
 }
 
 // SetTolerant switches the endpoint between strict mode (regressions

@@ -12,9 +12,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"nicwarp/internal/bip"
 	"nicwarp/internal/dense"
@@ -52,7 +54,7 @@ const (
 	// GVTNICTree is the tree-reduction variant of the NIC-level GVT: the
 	// NICs fold subtree partial sums up a static k-ary tree and broadcast
 	// the committed value back down, converging in O(log n) link hops
-	// instead of the ring's O(n) circulation (firmware.NewTreeGVT).
+	// instead of the ring's O(n) circulation (firmware.GVTFirmware.Init).
 	GVTNICTree
 )
 
@@ -265,20 +267,29 @@ func (c Config) Validate() error {
 // termination-detection cycles do not spin at wire speed.
 const idleGVTBackoff = 500 * vtime.Microsecond
 
-// node is one cluster node: the modeled host and its NIC, plus the software
-// stack state.
+// node is one cluster node, padded to a multiple of 64 bytes: a cluster's
+// nodes live in one slice, and a node is written only by its own engine's
+// goroutine, so two shards' neighbouring nodes must not share a cache line.
 type node struct {
+	_ [(64 - unsafe.Sizeof(nodeFields{})%64) % 64]byte // first: a trailing zero-size field would add a word
+	nodeFields
+}
+
+// nodeFields are a node's contents: the modeled host and its NIC, plus the
+// software stack state, every component by value and set up in place
+// (NewClusterExec), so a node's memory is its slot of the cluster's slice.
+type nodeFields struct {
 	id      int
 	cluster *Cluster
 	eng     *des.Engine // the shard engine this node lives on (lane = id)
 
-	cpu    *hostmodel.CPU
-	bus    *iobus.Bus
-	nicDev *nic.NIC
-	kernel *timewarp.Kernel
-	mgr    gvt.Manager
-	bipEnd *bip.Endpoint
-	flow   *mpich.Endpoint
+	cpu    hostmodel.CPU
+	bus    iobus.Bus
+	nicDev nic.NIC
+	kernel timewarp.Kernel
+	mgr    gvt.Manager // an element of the cluster's slice of the configured manager
+	bipEnd bip.Endpoint
+	flow   mpich.Endpoint
 
 	remoteAntisDelivered uint64 // the processed-anti epoch piggybacked on sends
 	loopActive           bool
@@ -292,16 +303,16 @@ type node struct {
 	// count pushed when it was submitted — no per-step closure — and an
 	// event leaves outgoing just before it is encoded, so outboundMin sees
 	// exactly the events not yet handed to transmitEvent.
-	outgoing    dense.FIFO[*timewarp.Event] //nicwarp:owns in flight toward the NIC; events recycled after encoding
-	sendBatches dense.FIFO[int]
+	outgoing    dense.Queue[*timewarp.Event] //nicwarp:owns in flight toward the NIC; events recycled after encoding
+	sendBatches dense.Queue[int]
 	// inbox pairs inbound packets with their rx-slot release callbacks for
 	// the DMA + absorb pipeline (same FIFO-completion argument: the bus and
 	// the CPU each preserve submission order).
-	inbox dense.FIFO[inboundPkt]
+	inbox dense.Queue[inboundPkt]
 	// outbox holds packets DMAing toward the NIC; the bus is FIFO, so each
 	// completion pops exactly the packet pushed for it — no per-packet
 	// closure on the transmit path.
-	outbox dense.FIFO[*proto.Packet] //nicwarp:owns DMA queue; packets leave via the NIC or the free list
+	outbox dense.Queue[*proto.Packet] //nicwarp:owns DMA queue; packets leave via the NIC or the free list
 	// scratchEv is the reused decode target for inbound event packets; the
 	// kernel copies at the Deliver boundary.
 	scratchEv timewarp.Event
@@ -392,11 +403,11 @@ type Cluster struct {
 	group   *des.Group
 
 	fabric *simnet.Fabric
-	nodes  []*node
+	nodes  []node
 	home   map[timewarp.ObjectID]int
 	objIDs []timewarp.ObjectID // global ascending order
 
-	gvtFW []*firmware.GVTFirmware // per node, when GVTNIC or GVTNICTree
+	gvtFW []firmware.GVTFirmware // one per node, when GVTNIC or GVTNICTree
 
 	plane   *fault.Plane       // fault-injection plane, when cfg.Fault is set
 	checker *invariant.Checker // protocol oracles, when cfg.CheckInvariants
@@ -424,11 +435,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	if g, ok := cfg.App.(Grained); ok {
 		cfg.Costs.EventGrain = g.EventGrain()
 	}
-	cl := &Cluster{
-		cfg:    cfg,
-		shards: ex.shards(cfg),
-		home:   make(map[timewarp.ObjectID]int),
-	}
+	cl := &Cluster{cfg: cfg, shards: ex.shards(cfg)}
 	cl.engines = make([]*des.Engine, cl.shards)
 	for i := range cl.engines {
 		cl.engines[i] = des.NewEngine()
@@ -436,7 +443,6 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	pools := make([]shardPool, cl.shards)
 	cl.group = des.NewGroup(cl.engines, Lookahead(cfg))
 	cl.fabric = simnet.NewFabric(cfg.Net, cfg.Nodes)
-	cl.gvtFW = make([]*firmware.GVTFirmware, cfg.Nodes)
 
 	if cfg.Fault.Enabled() {
 		cl.plane = fault.NewPlane(cfg.Fault, cfg.Nodes)
@@ -450,111 +456,132 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		cl.group.SetBarrier(cl.barrier)
 	}
 
-	for i := 0; i < cfg.Nodes; i++ {
-		n := &node{id: i, cluster: cl, finalGVT: -1}
-		for tag := range n.doorbells {
-			n.doorbells[tag] = doorbell{n: n, tag: nic.NotifyTag(tag)}
-		}
-		n.eng = cl.engines[i%cl.shards]
-		n.pool = &pools[i%cl.shards].Pool
-		n.eng.SetLane(uint32(i))
-		n.cpu = hostmodel.NewCPU(n.eng, i, cfg.Costs)
-		n.bus = iobus.NewBus(n.eng, i, cfg.Bus)
-
-		var parts []nic.Firmware
-		if cfg.EarlyCancel {
-			parts = append(parts, firmware.NewCancel())
-		}
-		switch cfg.GVT {
-		case GVTNIC:
-			cl.gvtFW[i] = firmware.NewGVT()
-		case GVTNICTree:
-			cl.gvtFW[i] = firmware.NewTreeGVT(treeArity(cfg))
-		}
-		if cl.gvtFW[i] != nil {
-			parts = append(parts, cl.gvtFW[i])
-		}
-		var fw nic.Firmware
-		switch len(parts) {
-		case 0:
-			fw = firmware.NewForwarder()
-		case 1:
-			fw = parts[0]
-		default:
-			fw = firmware.NewChain(parts...)
-		}
-		n.nicDev = nic.New(n.eng, i, cfg.NIC, cl.fabric, fw)
-		n.nicDev.SetPool(n.pool)
-		if cfg.DropBufferCap > 0 {
-			n.nicDev.Shared().Dropped = nic.NewDropBuffer(cfg.DropBufferCap)
-		}
-
-		n.kernel = timewarp.NewKernel(timewarp.Config{})
-		switch cfg.GVT {
-		case GVTHostMattern:
-			n.mgr = gvt.NewMattern(cfg.GVTPeriod)
-		case GVTNIC, GVTNICTree:
-			m := gvt.NewNICGVT(cfg.GVTPeriod)
-			if cfg.GVTFallbackDelay > 0 {
-				m.FallbackDelay = cfg.GVTFallbackDelay
-			}
-			n.mgr = m
-		case GVTPGVT:
-			n.mgr = gvt.NewPGVT(cfg.GVTPeriod)
-		default:
-			return nil, fmt.Errorf("core: unknown GVT mode %d", cfg.GVT)
-		}
-
-		n.bipEnd = bip.New(i)
-		if cfg.Fault.Enabled() {
-			// Wire faults duplicate, reorder and retransmit; the endpoint
-			// must classify regressions instead of treating them as model
-			// bugs.
-			n.bipEnd.SetTolerant(true)
-		}
-		n.flow = mpich.New(i, cfg.Flow, n.bipTransmit)
-		n.flow.SetPool(n.pool)
-
-		n.nicDev.Wire(n.nicDeliver, n.nicNotify)
-		if cl.checker != nil {
-			nd := n
-			n.nicDev.SetHostDiscardHook(func(p *proto.Packet) {
-				cl.checker.OnNICDiscard(nd.id, p)
-			})
-		}
-		cl.nodes = append(cl.nodes, n)
-	}
-
-	// Backpressure lookup between NICs.
-	for _, n := range cl.nodes {
-		n.nicDev.WirePeers(func(node int) *nic.NIC {
-			return cl.nodes[node].nicDev
-		})
-	}
-
-	// Build and place the application.
+	// Build and place the application first: each kernel is sized for its
+	// objects before they are added.
 	objs, place := cfg.App.Build(cfg.Nodes, cfg.Seed)
+	cl.home = make(map[timewarp.ObjectID]int, len(objs))
+	cl.objIDs = make([]timewarp.ObjectID, 0, len(objs))
 	for id := range objs {
 		cl.objIDs = append(cl.objIDs, id)
 	}
 	slices.Sort(cl.objIDs)
+	cl.nodes = make([]node, cfg.Nodes)
 	for _, id := range cl.objIDs {
 		lp := place(id)
 		if lp < 0 || lp >= cfg.Nodes {
 			return nil, fmt.Errorf("core: object %d placed on invalid LP %d", id, lp)
 		}
 		cl.home[id] = lp
-		cl.nodes[lp].kernel.AddObject(id, objs[id])
 		cl.nodes[lp].numObjects++
 	}
+
+	if cfg.GVT == GVTNIC || cfg.GVT == GVTNICTree {
+		cl.gvtFW = make([]firmware.GVTFirmware, cfg.Nodes)
+	}
+	// The per-peer tables: one array each, a row per node (peerTable).
+	nodes := cfg.Nodes
+	nextSeq, expect := peerTable[uint64](nodes), peerTable[uint64](nodes)
+	credits, owed, txCredit := peerTable[int32](nodes), peerTable[int32](nodes), peerTable[int32](nodes)
+	// BIP stamps only its own node's packets: one transmit serves all nodes.
+	transmit := func(p *proto.Packet) { cl.nodes[p.SrcNode].bipTransmit(p) }
+	dropCap := cmp.Or(cfg.DropBufferCap, nic.DefaultDropBufferCap)
+	for i := range cl.nodes {
+		n := &cl.nodes[i]
+		n.id, n.cluster, n.finalGVT = i, cl, -1
+		for tag := range n.doorbells {
+			n.doorbells[tag] = doorbell{n: n, tag: nic.NotifyTag(tag)}
+		}
+		n.eng = cl.engines[i%cl.shards]
+		n.pool = &pools[i%cl.shards].Pool
+		// The components' resources take the engine's current lane.
+		n.eng.SetLane(uint32(i))
+		n.cpu.Init(n.eng, cfg.Costs)
+		n.bus.Init(n.eng, cfg.Bus)
+
+		var fw nic.Firmware = firmware.NewForwarder()
+		if cl.gvtFW != nil {
+			fw = &cl.gvtFW[i]
+			if cfg.GVT == GVTNICTree {
+				cl.gvtFW[i].Init(treeArity(cfg))
+			}
+		}
+		if cfg.EarlyCancel && cl.gvtFW != nil {
+			fw = firmware.NewChain(firmware.NewCancel(), fw)
+		} else if cfg.EarlyCancel {
+			fw = firmware.NewCancel()
+		}
+		n.nicDev.Init(n.eng, i, cfg.NIC, cl.fabric, fw, n.pool, dropCap, peerRow(txCredit, i, nodes))
+		n.kernel.Init(timewarp.Config{}, n.numObjects)
+		n.bipEnd.Init(i, peerRow(nextSeq, i, nodes), peerRow(expect, i, nodes))
+		if cfg.Fault.Enabled() {
+			// Wire faults duplicate, reorder and retransmit; the endpoint
+			// must classify regressions instead of treating them as model
+			// bugs.
+			n.bipEnd.SetTolerant(true)
+		}
+		n.flow.Init(i, cfg.Flow, transmit, n.pool, peerRow(credits, i, nodes), peerRow(owed, i, nodes))
+
+		n.nicDev.Wire(n.nicDeliver, n.nicNotify)
+		if cl.checker != nil {
+			n.nicDev.SetHostDiscardHook(func(p *proto.Packet) {
+				cl.checker.OnNICDiscard(n.id, p)
+			})
+		}
+	}
+	switch cfg.GVT {
+	case GVTHostMattern:
+		setManagers(cl.nodes, func(m *gvt.MatternManager) { m.Init(cfg.GVTPeriod) })
+	case GVTNIC, GVTNICTree:
+		setManagers(cl.nodes, func(m *gvt.NICGVTManager) { m.Init(cfg.GVTPeriod, cfg.GVTFallbackDelay) })
+	case GVTPGVT:
+		setManagers(cl.nodes, func(m *gvt.PGVTManager) { m.Init(cfg.GVTPeriod) })
+	}
+
+	// Backpressure lookup between NICs.
+	peer := func(node int) *nic.NIC { return &cl.nodes[node].nicDev }
+	for i := range cl.nodes {
+		cl.nodes[i].nicDev.WirePeers(peer)
+	}
+	for _, id := range cl.objIDs {
+		cl.nodes[cl.home[id]].kernel.AddObject(id, objs[id])
+	}
 	return cl, nil
+}
+
+// setManagers gives every node its GVT manager from one slice, each set up
+// in place by init.
+func setManagers[M any, P interface {
+	*M
+	gvt.Manager
+}](nodes []node, init func(P)) {
+	mgrs := make([]M, len(nodes))
+	for i := range nodes {
+		init(&mgrs[i])
+		nodes[i].mgr = P(&mgrs[i])
+	}
+}
+
+// peerTable returns a per-peer table of one row per node, each an entry per
+// node padded to a multiple of 64 bytes, so rows written by two shards never
+// share a cache line. An endpoint starts on its row empty (peerRow) and
+// grows into it as peers appear (dense.Grow) without allocating.
+func peerTable[T any](nodes int) []T {
+	perLine := 64 / int(unsafe.Sizeof(*new(T)))
+	return make([]T, nodes*((nodes+perLine-1)/perLine*perLine))
+}
+
+// peerRow returns node i's row of a table of nodes rows: empty, with the row
+// as its capacity.
+func peerRow[T any](table []T, i, nodes int) []T {
+	stride := len(table) / nodes
+	return table[i*stride : i*stride : (i+1)*stride]
 }
 
 // treeArity derives the GVT reduction-tree branching factor from the
 // fabric's stage radix, so the tree's shape follows the topology's natural
 // fan-out (firmware.DefaultTreeArity when the config does not set one).
 func treeArity(cfg Config) int {
-	if cfg.Net.Radix > 0 {
+	if cfg.Net.Radix >= 2 {
 		return cfg.Net.Radix
 	}
 	return firmware.DefaultTreeArity
@@ -576,26 +603,29 @@ func (cl *Cluster) Run() (*Result, error) {
 	// node's boot work runs under its own lane so the per-lane sequence
 	// draws — and therefore every tie-break — are identical at any shard
 	// count.
-	for _, n := range cl.nodes {
+	for i := range cl.nodes {
+		n := &cl.nodes[i]
 		n.eng.SetLane(uint32(n.id))
 		n.mgr.Start(view{n})
 	}
-	for _, n := range cl.nodes {
+	for i := range cl.nodes {
+		n := &cl.nodes[i]
 		n.eng.SetLane(uint32(n.id))
 		res := n.kernel.Bootstrap()
 		n.park(res.Remote)
 		n.finishStep(res, hostmodel.CatEvent)
 	}
-	for _, n := range cl.nodes {
+	for i := range cl.nodes {
+		n := &cl.nodes[i]
 		n.eng.SetLane(uint32(n.id))
 		n.pump()
 	}
 	if cl.plane != nil {
 		rings := make([]fault.RingCtrl, len(cl.nodes))
 		engs := make([]*des.Engine, len(cl.nodes))
-		for i, n := range cl.nodes {
-			rings[i] = n.nicDev
-			engs[i] = n.eng
+		for i := range cl.nodes {
+			rings[i] = &cl.nodes[i].nicDev
+			engs[i] = cl.nodes[i].eng
 		}
 		cl.plane.InstallRings(rings, engs, cl.nodeBusy)
 		cl.plane.Start()
@@ -605,7 +635,8 @@ func (cl *Cluster) Run() (*Result, error) {
 		return nil, fmt.Errorf("core: run exceeded MaxModelTime=%v (pending=%d)",
 			cl.cfg.MaxModelTime, pending)
 	}
-	for _, n := range cl.nodes {
+	for i := range cl.nodes {
+		n := &cl.nodes[i]
 		if !n.kernel.Quiescent() {
 			return nil, fmt.Errorf("core: node %d kernel not quiescent at end of run", n.id)
 		}
@@ -633,7 +664,7 @@ func (cl *Cluster) Run() (*Result, error) {
 // node (not cluster-wide) because it fires on the node's shard engine and
 // must not read state owned by other shards.
 func (cl *Cluster) nodeBusy(node int) bool {
-	n := cl.nodes[node]
+	n := &cl.nodes[node]
 	return n.kernel.HasWork() || !n.cpu.Idle() || !n.nicDev.Idle() || n.flow.WaitingCount() > 0
 }
 
@@ -660,7 +691,8 @@ func (cl *Cluster) barrier() {
 // in-transit map cannot see yet).
 func (cl *Cluster) invariantFloor() vtime.VTime {
 	floor := vtime.Infinity
-	for _, n := range cl.nodes {
+	for i := range cl.nodes {
+		n := &cl.nodes[i]
 		if lvt := n.kernel.NextTS(); lvt < floor {
 			floor = lvt
 		}
@@ -681,7 +713,8 @@ func (cl *Cluster) invariantFloor() vtime.VTime {
 func (cl *Cluster) runQuiescenceChecks() {
 	ck := cl.checker
 	window := cl.cfg.Flow.Window
-	for _, s := range cl.nodes {
+	for i := range cl.nodes {
+		s := &cl.nodes[i]
 		for _, peer := range s.flow.TouchedPeers() {
 			if int(peer) == s.id {
 				continue
@@ -692,7 +725,8 @@ func (cl *Cluster) runQuiescenceChecks() {
 				window)
 		}
 		w := s.nicDev.Shared()
-		for _, r := range cl.nodes {
+		for j := range cl.nodes {
+			r := &cl.nodes[j]
 			if r.id == s.id {
 				continue
 			}
@@ -730,7 +764,7 @@ func (cl *Cluster) verifyOracle(res *Result) error {
 func (cl *Cluster) Digest() uint64 {
 	h := uint64(0x243F6A8885A308D3)
 	for _, id := range cl.objIDs {
-		n := cl.nodes[cl.home[id]]
+		n := &cl.nodes[cl.home[id]]
 		h = timewarp.DigestMix(h, uint64(uint32(id)))
 		h = timewarp.DigestMix(h, n.kernel.ObjectDigest(id))
 	}
@@ -1176,10 +1210,8 @@ func idleGVTKick(x interface{}) {
 // cluster-wide value.
 func (cl *Cluster) committedGVT() vtime.VTime {
 	g := vtime.VTime(-1)
-	for _, n := range cl.nodes {
-		if n.finalGVT > g {
-			g = n.finalGVT
-		}
+	for i := range cl.nodes {
+		g = max(g, cl.nodes[i].finalGVT)
 	}
 	return g
 }
@@ -1188,7 +1220,8 @@ func (cl *Cluster) committedGVT() vtime.VTime {
 // barrier.
 func (cl *Cluster) sample(t vtime.ModelTime) {
 	s := Sample{T: t, GVT: cl.committedGVT()}
-	for _, n := range cl.nodes {
+	for i := range cl.nodes {
+		n := &cl.nodes[i]
 		s.Processed += n.kernel.Stats.Processed.Value()
 		s.RolledBack += n.kernel.Stats.RolledBack.Value()
 		s.HostUtil += n.cpu.UtilizationAt(t)

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"nicwarp/internal/mpich"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
 )
@@ -36,10 +35,10 @@ func TestDrainCreditRefundsAscendingDestination(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := cl.nodes[0]
+			n := &cl.nodes[0]
 			var sent []*proto.Packet
 			flow := cl.cfg.Flow
-			n.flow = mpich.New(0, flow, func(p *proto.Packet) { sent = append(sent, p) })
+			n.flow.Init(0, flow, func(p *proto.Packet) { sent = append(sent, p) }, n.pool, nil, nil)
 
 			// Refunds: exhaust the window toward every destination and
 			// stall one more packet, then let the NIC book one refund each.

@@ -1,0 +1,50 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"nicwarp/internal/simnet"
+)
+
+// TestLayoutKeepsShardsOffEachOthersLines: a cluster's nodes live in one
+// slice, the fabric's ports in another, and each per-peer table in one array
+// with a row per node. Each node, port and row is written only by the
+// goroutine of the shard it lives on, so each must fill whole 64-byte cache
+// lines, or two shards' neighbours would write the same line.
+func TestLayoutKeepsShardsOffEachOthersLines(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size%64 != 0 {
+		t.Errorf("node is %d bytes, not a multiple of 64", size)
+	}
+	ports, ok := reflect.TypeOf(simnet.Fabric{}).FieldByName("ports")
+	if !ok || ports.Type.Kind() != reflect.Slice {
+		t.Fatal("simnet.Fabric keeps its ports in no slice named ports")
+	}
+	if size := ports.Type.Elem().Size(); size%64 != 0 {
+		t.Errorf("simnet port is %d bytes, not a multiple of 64", size)
+	}
+	for _, nodes := range []int{1, 5, 8, 9, 256} {
+		checkRows(t, peerTable[uint64](nodes), nodes, 8)
+		checkRows(t, peerTable[int32](nodes), nodes, 16)
+	}
+}
+
+// checkRows checks that table holds one row per node of at least nodes
+// entries, padded to a multiple of perLine entries (64 bytes), and that
+// peerRow hands out each row empty with exactly the row as its capacity.
+func checkRows[T any](t *testing.T, table []T, nodes, perLine int) {
+	t.Helper()
+	stride := len(table) / nodes
+	if len(table) != nodes*stride || stride < nodes || stride%perLine != 0 || stride-nodes >= perLine {
+		t.Errorf("%d nodes: %d-entry %T rows, want %d entries padded to a multiple of %d",
+			nodes, stride, table, nodes, perLine)
+	}
+	for i := 0; i < nodes; i++ {
+		row := peerRow(table, i, nodes)
+		if len(row) != 0 || cap(row) != stride || &row[:1][0] != &table[i*stride] {
+			t.Fatalf("%d nodes: row %d is len %d cap %d, want an empty row of %d at entry %d",
+				nodes, i, len(row), cap(row), stride, i*stride)
+		}
+	}
+}

@@ -159,7 +159,8 @@ func (cl *Cluster) collect() *Result {
 		FinalGVT: cl.committedGVT(),
 		Samples:  cl.samples,
 	}
-	for i, n := range cl.nodes {
+	for i := range cl.nodes {
+		n := &cl.nodes[i]
 		ks := &n.kernel.Stats
 		r.CommittedEvents += n.kernel.CommittedEvents()
 		r.ProcessedEvents += ks.Processed.Value()
@@ -197,7 +198,8 @@ func (cl *Cluster) collect() *Result {
 			r.GVTRounds += mgr.Stats.Rounds.Value()
 			r.GVTControlMsgs += mgr.Stats.ControlMsgs.Value() + mgr.Acks
 		}
-		if fw := cl.gvtFW[i]; fw != nil {
+		if cl.gvtFW != nil {
+			fw := &cl.gvtFW[i]
 			r.GVTRounds += fw.RoundsAtRoot.Value()
 			r.GVTTokensOnNIC += fw.TokensOnNIC.Value()
 		}

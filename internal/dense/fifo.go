@@ -30,6 +30,28 @@ const firstCap = 8
 // the slots it leaves.
 func (f *FIFO[T]) On(buf []T) { f.q, f.head = buf[:0], 0 }
 
+// Queue is a FIFO that starts on firstCap entries it carries, so a queue
+// that never holds more allocates nothing: the queues that live inside a
+// node, a NIC, a resource or an object's runtime. A Queue must not be
+// copied once pushed to. The zero value is an empty queue.
+type Queue[T any] struct {
+	FIFO[T]
+	first [firstCap]T
+}
+
+// PushSlot is FIFO.PushSlot, starting an unused queue on its own entries.
+//
+//nicwarp:hotpath one push per FIFO-server job and per packet crossing the host pipeline
+func (q *Queue[T]) PushSlot() *T {
+	if cap(q.q) == 0 {
+		q.On(q.first[:])
+	}
+	return q.FIFO.PushSlot()
+}
+
+// Push appends v.
+func (q *Queue[T]) Push(v T) { *q.PushSlot() = v }
+
 // Len returns the number of queued entries.
 func (f *FIFO[T]) Len() int { return len(f.q) - f.head }
 

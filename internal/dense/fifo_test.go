@@ -243,3 +243,34 @@ func TestFIFOOnSharedArray(t *testing.T) {
 		t.Fatalf("after growing live = %v, want %s", f.Live(), want)
 	}
 }
+
+// TestQueueStartsOnItsOwnEntries: a Queue holds its first firstCap entries
+// in itself, so filling it that far allocates nothing; one more moves it to
+// an array of its own, in order, and zeroes the entries it leaves.
+func TestQueueStartsOnItsOwnEntries(t *testing.T) {
+	q := new(Queue[*int])
+	vals := make([]int, firstCap+1)
+	fill := func() {
+		*q = Queue[*int]{}
+		for i := 0; i < firstCap; i++ {
+			q.Push(&vals[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, fill); allocs != 0 {
+		t.Fatalf("filling a fresh queue to %d entries allocated %.1f times, want 0", firstCap, allocs)
+	}
+	if &q.Live()[0] != &q.first[0] {
+		t.Fatal("a fresh queue must start on its own entries")
+	}
+	q.Push(&vals[firstCap])
+	for i, p := range q.first {
+		if p != nil {
+			t.Fatalf("left-behind entry %d still points at %d", i, *p)
+		}
+	}
+	for i := range vals {
+		if got := q.Pop(); got != &vals[i] {
+			t.Fatalf("pop %d returned the wrong entry", i)
+		}
+	}
+}

@@ -33,7 +33,8 @@ type doneEntry struct {
 // host CPU and I/O bus).
 type Resource struct {
 	eng  *Engine
-	name string
+	kind string // what the resource models, such as "host-cpu"
+	lane uint32 // the engine's lane at Init: with kind, names the resource
 
 	busyUntil vtime.ModelTime
 
@@ -49,20 +50,29 @@ type Resource struct {
 	// Callbacks run in submission order; keys fire in key order. The two
 	// coincide except for a zero-cost job submitted from a lower lane onto
 	// a tied finish time, which undercut handles.
-	done  dense.FIFO[doneEntry]
-	armed uint32 // arena slot of the head-of-line completion event while done is non-empty
+	done  dense.Queue[doneEntry] // so a Resource must not be copied once used
+	armed uint32                 // arena slot of the head-of-line completion event while done is non-empty
 
 	// Metrics.
 	Busy stats.BusyTime // integrated service time
 	Jobs stats.Counter  // completed jobs
 }
 
-// NewResource creates a named resource on the engine.
-func NewResource(eng *Engine, name string) *Resource {
+// NewResource creates a resource of the given kind on the engine.
+func NewResource(eng *Engine, kind string) *Resource {
+	r := new(Resource)
+	r.Init(eng, kind)
+	return r
+}
+
+// Init sets r up in place as a resource of the given kind on the engine's
+// current lane: a component that embeds its resource sets the lane of the
+// node it belongs to first, and needs no formatted name.
+func (r *Resource) Init(eng *Engine, kind string) {
 	if eng == nil {
-		panic("des: NewResource with nil engine")
+		panic("des: Resource.Init with nil engine")
 	}
-	return &Resource{eng: eng, name: name}
+	*r = Resource{eng: eng, kind: kind, lane: eng.curLane}
 }
 
 // Idle reports whether the resource has no queued or executing work.
@@ -94,7 +104,7 @@ func (r *Resource) SubmitArg2(cost vtime.ModelTime, fn func(interface{}, interfa
 //nicwarp:hotpath every modeled hardware stage submits one job per packet
 func (r *Resource) submit(cost vtime.ModelTime) *doneEntry {
 	if cost < 0 {
-		panic(fmt.Sprintf("des: Submit with negative cost on %s", r.name))
+		panic(fmt.Sprintf("des: Submit with negative cost on %s of lane %d", r.kind, r.lane))
 	}
 	e := r.eng
 	finish := vtime.MaxM(e.now, r.busyUntil) + cost

@@ -32,6 +32,8 @@ import (
 //
 // Receive counts are kept per stamp in a window based at the oldest live
 // wave; stamps below it fold into a single bucket when waves retire.
+//
+// The zero value is an empty ledger at epoch zero.
 type WaveLedger struct {
 	epoch     uint32 // highest wave joined; the outgoing stamp
 	sentTotal int64
@@ -47,9 +49,6 @@ type wave struct {
 	reported int64       // white receives already folded into the wave's token
 	minRed   vtime.VTime // minimum send timestamp since joining (red with respect to c)
 }
-
-// NewWaveLedger returns an empty ledger at epoch zero.
-func NewWaveLedger() *WaveLedger { return &WaveLedger{} }
 
 // OnSend accounts one outgoing event-like packet: stamp it and fold its
 // send timestamp into every active wave's red minimum.

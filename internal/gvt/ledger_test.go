@@ -113,7 +113,7 @@ func TestLedgerDroppedCountsAsReceived(t *testing.T) {
 }
 
 func TestWaveLedgerConcurrentWaves(t *testing.T) {
-	l := NewWaveLedger()
+	l := new(WaveLedger)
 	// Three sends before any wave: white for every wave.
 	for i := 0; i < 3; i++ {
 		l.OnSend(evPkt(vtime.VTime(i)))
@@ -150,7 +150,7 @@ func TestWaveLedgerConcurrentWaves(t *testing.T) {
 }
 
 func TestWaveLedgerRecvAccounting(t *testing.T) {
-	l := NewWaveLedger()
+	l := new(WaveLedger)
 	white := evPkt(1) // stamp 0
 	l.Join(1)
 	l.OnRecv(white) // white wrt wave 1
@@ -166,7 +166,7 @@ func TestWaveLedgerRecvAccounting(t *testing.T) {
 }
 
 func TestWaveLedgerFoldAfterRetire(t *testing.T) {
-	l := NewWaveLedger()
+	l := new(WaveLedger)
 	l.Join(1)
 	l.OnRecv(evPkt(1)) // stamp 0
 	l.Visit(1, true, 10)
@@ -184,7 +184,7 @@ func TestWaveLedgerFoldAfterRetire(t *testing.T) {
 }
 
 func TestWaveLedgerJoinValidation(t *testing.T) {
-	l := NewWaveLedger()
+	l := new(WaveLedger)
 	l.Join(2)
 	l.Join(2) // no-op
 	defer func() {
@@ -201,7 +201,7 @@ func TestWaveLedgerVisitUnjoinedPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewWaveLedger().Visit(5, true, 0)
+	new(WaveLedger).Visit(5, true, 0)
 }
 
 // TestWaveLedgerBalanceProperty: for a random message pattern between two
@@ -209,7 +209,7 @@ func TestWaveLedgerVisitUnjoinedPanics(t *testing.T) {
 // accumulated wave balance is zero.
 func TestWaveLedgerBalanceProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		a, b := NewWaveLedger(), NewWaveLedger()
+		a, b := new(WaveLedger), new(WaveLedger)
 		var transit []*proto.Packet
 		wave := uint32(0)
 		total := int64(0)
@@ -444,7 +444,7 @@ func (o *waveOracle) check(op string) {
 func TestWaveLedgerMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		o := &waveOracle{t: t, got: NewWaveLedger(), want: newMapWaveLedger()}
+		o := &waveOracle{t: t, got: new(WaveLedger), want: newMapWaveLedger()}
 		var dropped dense.EpochWindow // the shared window's DroppedWhite
 		var live []uint32             // joined and not yet retired, ascending
 		maxWaves := 1 + rng.Intn(64)
@@ -536,7 +536,7 @@ func (o *waveOracle) visit(c uint32, first bool, rng *rand.Rand) {
 // MaxWaves live waves (the raid-hostgvt regime) the per-packet and
 // per-token operations allocate nothing.
 func TestWaveLedgerSteadyStateAllocatesNothing(t *testing.T) {
-	l := NewWaveLedger()
+	l := new(WaveLedger)
 	for c := uint32(1); c <= DefaultMaxWaves; c++ {
 		l.Join(c)
 	}

@@ -31,7 +31,7 @@ type MatternManager struct {
 	// no such cap; 64 is far above what the ring sustains.
 	MaxWaves int
 
-	ledger *WaveLedger
+	ledger WaveLedger
 
 	// Root-only state.
 	sinceGVT int
@@ -52,17 +52,12 @@ type MatternManager struct {
 // DefaultMaxWaves bounds concurrent GVT waves.
 const DefaultMaxWaves = 64
 
-// NewMattern creates the manager with the given GVT period (GVT_COUNT).
-func NewMattern(period int) *MatternManager {
+// Init sets m up in place with the given GVT period (GVT_COUNT).
+func (m *MatternManager) Init(period int) {
 	if period < 1 {
 		panic("gvt: Mattern period must be >= 1")
 	}
-	return &MatternManager{
-		Period:   period,
-		MaxWaves: DefaultMaxWaves,
-		ledger:   NewWaveLedger(),
-		lastGVT:  -1,
-	}
+	*m = MatternManager{Period: period, MaxWaves: DefaultMaxWaves, lastGVT: -1}
 }
 
 // Start implements Manager.

@@ -46,7 +46,7 @@ func (h *fakeHost) Schedule(d vtime.ModelTime, fn func(interface{}), arg interfa
 func newRing(t *testing.T, n, period int) *ring {
 	r := &ring{t: t}
 	for i := 0; i < n; i++ {
-		r.managers = append(r.managers, NewMattern(period))
+		r.managers = append(r.managers, newMattern(period))
 		r.hosts = append(r.hosts, &fakeHost{r: r, lp: i, lvt: vtime.Infinity})
 	}
 	return r
@@ -234,13 +234,19 @@ func TestMatternSingleLP(t *testing.T) {
 	}
 }
 
+func newMattern(period int) *MatternManager {
+	m := new(MatternManager)
+	m.Init(period)
+	return m
+}
+
 func TestNewMatternValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMattern(0)
+	newMattern(0)
 }
 
 // TestMatternTokenTravelsInOnePacket pins the ownership rule for control

@@ -1,6 +1,8 @@
 package gvt
 
 import (
+	"cmp"
+
 	"nicwarp/internal/des"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
@@ -28,7 +30,7 @@ type NICGVTManager struct {
 	// traffic to piggyback on before paying a doorbell bus crossing.
 	FallbackDelay vtime.ModelTime
 
-	ledger *Ledger
+	ledger Ledger
 
 	// host is the LP capability surface, captured once in Start so the
 	// fallback callback can run closure-free (see armReport).
@@ -56,21 +58,17 @@ type NICGVTManager struct {
 // DefaultFallbackDelay is the default piggyback patience.
 const DefaultFallbackDelay = 150 * vtime.Microsecond
 
-// NewNICGVT creates the host half with the given GVT period. The ring and
-// the tree-reduction NIC GVT share it: the host protocol — root-driven
+// Init sets the host half up in place with the given GVT period and
+// piggyback patience (0 keeps DefaultFallbackDelay). The ring and the
+// tree-reduction NIC GVT share it: the host protocol — root-driven
 // initiation through the shared window, piggyback/doorbell handshake at
-// every node — is identical, and only the NIC firmware differs
-// (firmware.NewGVT vs firmware.NewTreeGVT).
-func NewNICGVT(period int) *NICGVTManager {
+// every node — is identical, and only the NIC firmware's arity differs
+// (firmware.GVTFirmware.Init).
+func (m *NICGVTManager) Init(period int, fallbackDelay vtime.ModelTime) {
 	if period < 1 {
 		panic("gvt: NIC-GVT period must be >= 1")
 	}
-	return &NICGVTManager{
-		Period:        period,
-		FallbackDelay: DefaultFallbackDelay,
-		ledger:        NewLedger(),
-		lastGVT:       -1,
-	}
+	*m = NICGVTManager{Period: period, FallbackDelay: cmp.Or(fallbackDelay, DefaultFallbackDelay), ledger: *NewLedger(), lastGVT: -1}
 }
 
 // Start implements Manager.

@@ -28,7 +28,9 @@ type fakeTimer struct {
 }
 
 func newNICHost(lp, n int) *nicHost {
-	return &nicHost{lp: lp, n: n, lvt: vtime.Infinity, window: nic.NewSharedWindow()}
+	h := &nicHost{lp: lp, n: n, lvt: vtime.Infinity, window: new(nic.SharedWindow)}
+	h.window.Init(nic.DefaultDropBufferCap)
+	return h
 }
 
 func (h *nicHost) LP() int                     { return h.lp }
@@ -58,7 +60,7 @@ func (h *nicHost) fireTimers() {
 
 func TestNICGVTInitiationStagesTokenAndPiggybacks(t *testing.T) {
 	h := newNICHost(0, 4)
-	m := NewNICGVT(2)
+	m := newNICGVT(2)
 	m.Start(h)
 	m.OnProcessed(h) // 1 of 2
 	if h.window.GVTTokenPending {
@@ -95,7 +97,7 @@ func TestNICGVTInitiationStagesTokenAndPiggybacks(t *testing.T) {
 
 func TestNICGVTDoorbellFallback(t *testing.T) {
 	h := newNICHost(0, 4)
-	m := NewNICGVT(1)
+	m := newNICGVT(1)
 	m.Start(h)
 	m.OnProcessed(h) // initiate; fallback timer armed
 	h.lvt = 42
@@ -119,7 +121,7 @@ func TestNICGVTDoorbellFallback(t *testing.T) {
 
 func TestNICGVTPiggybackCancelsFallback(t *testing.T) {
 	h := newNICHost(0, 4)
-	m := NewNICGVT(1)
+	m := newNICGVT(1)
 	m.Start(h)
 	m.OnProcessed(h)
 	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 10}
@@ -132,7 +134,7 @@ func TestNICGVTPiggybackCancelsFallback(t *testing.T) {
 
 func TestNICGVTTokenArrivalHandshake(t *testing.T) {
 	h := newNICHost(2, 4)
-	m := NewNICGVT(100)
+	m := newNICGVT(100)
 	m.Start(h)
 	// The firmware stored a token and rang NotifyGVTControl.
 	w := h.window
@@ -151,7 +153,7 @@ func TestNICGVTTokenArrivalHandshake(t *testing.T) {
 
 func TestNICGVTValueCommit(t *testing.T) {
 	h := newNICHost(0, 4)
-	m := NewNICGVT(1)
+	m := newNICGVT(1)
 	m.Start(h)
 	m.OnProcessed(h) // root has a computation in flight
 	h.window.LatestGVT = 55
@@ -174,7 +176,7 @@ func TestNICGVTValueCommit(t *testing.T) {
 
 func TestNICGVTWhiteAccountingThroughPiggyback(t *testing.T) {
 	h := newNICHost(1, 4)
-	m := NewNICGVT(100)
+	m := newNICGVT(100)
 	m.Start(h)
 	// Receive two white messages (stamp 0) before joining wave 1.
 	m.OnReceived(h, &proto.Packet{Kind: proto.KindEvent, ColorEpoch: 0})
@@ -196,7 +198,7 @@ func TestNICGVTWhiteAccountingThroughPiggyback(t *testing.T) {
 
 func TestNICGVTIdleStopsAtInfinity(t *testing.T) {
 	h := newNICHost(0, 4)
-	m := NewNICGVT(100)
+	m := newNICGVT(100)
 	m.Start(h)
 	m.OnIdle(h)
 	if !h.window.GVTTokenPending {
@@ -214,7 +216,7 @@ func TestNICGVTIdleStopsAtInfinity(t *testing.T) {
 
 func TestNICGVTRejectsHostControl(t *testing.T) {
 	h := newNICHost(0, 4)
-	m := NewNICGVT(100)
+	m := newNICGVT(100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -224,7 +226,7 @@ func TestNICGVTRejectsHostControl(t *testing.T) {
 }
 
 func TestNICGVTRequiresSharedWindow(t *testing.T) {
-	m := NewNICGVT(100)
+	m := newNICGVT(100)
 	bare := &fakeHost{r: &ring{}, lp: 0}
 	bare.r.hosts = []*fakeHost{bare}
 	defer func() {
@@ -235,11 +237,17 @@ func TestNICGVTRequiresSharedWindow(t *testing.T) {
 	m.Start(bare)
 }
 
+func newNICGVT(period int) *NICGVTManager {
+	m := new(NICGVTManager)
+	m.Init(period, 0)
+	return m
+}
+
 func TestNewNICGVTValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewNICGVT(0)
+	newNICGVT(0)
 }

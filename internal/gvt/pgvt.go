@@ -78,16 +78,12 @@ const (
 	pgvtCommit
 )
 
-// NewPGVT creates the manager with the given GVT period.
-func NewPGVT(period int) *PGVTManager {
+// Init sets m up in place with the given GVT period.
+func (m *PGVTManager) Init(period int) {
 	if period < 1 {
 		panic("gvt: pGVT period must be >= 1")
 	}
-	return &PGVTManager{
-		Period:  period,
-		unacked: make(map[vtime.VTime]int),
-		lastGVT: -1,
-	}
+	*m = PGVTManager{Period: period, unacked: make(map[vtime.VTime]int), lastGVT: -1}
 }
 
 // Start implements Manager.

@@ -18,7 +18,7 @@ func newPGVTRing(t *testing.T, n, period int) (*pgvtRing, *ring) {
 	base := &ring{t: t}
 	r := &pgvtRing{t: t}
 	for i := 0; i < n; i++ {
-		r.managers = append(r.managers, NewPGVT(period))
+		r.managers = append(r.managers, newPGVT(period))
 		base.hosts = append(base.hosts, &fakeHost{r: base, lp: i, lvt: vtime.Infinity})
 	}
 	r.hosts = base.hosts
@@ -88,7 +88,7 @@ func TestPGVTUnackedSendBoundsGVT(t *testing.T) {
 }
 
 func TestPGVTAckMultiset(t *testing.T) {
-	m := NewPGVT(10)
+	m := newPGVT(10)
 	h := &fakeHost{lvt: vtime.Infinity}
 	p1 := &proto.Packet{Kind: proto.KindEvent, RecvTS: 7}
 	p2 := &proto.Packet{Kind: proto.KindEvent, RecvTS: 7}
@@ -114,7 +114,7 @@ func TestPGVTAckMultiset(t *testing.T) {
 }
 
 func TestPGVTUnknownAckPanics(t *testing.T) {
-	m := NewPGVT(10)
+	m := newPGVT(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -156,11 +156,17 @@ func TestPGVTSingleLP(t *testing.T) {
 	}
 }
 
+func newPGVT(period int) *PGVTManager {
+	m := new(PGVTManager)
+	m.Init(period)
+	return m
+}
+
 func TestNewPGVTValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewPGVT(0)
+	newPGVT(0)
 }

@@ -136,7 +136,7 @@ func (c *CostTable) Validate() error {
 type CPU struct {
 	Costs CostTable
 
-	res *des.Resource
+	res des.Resource
 
 	// Busy time by category.
 	EventWork    stats.BusyTime // application + kernel event processing
@@ -156,15 +156,20 @@ const (
 	CatRollback
 )
 
-// NewCPU builds the host CPU for a node.
-func NewCPU(eng *des.Engine, node int, costs CostTable) *CPU {
+// NewCPU builds a host CPU. The node is the engine's current lane (Init).
+func NewCPU(eng *des.Engine, _ int, costs CostTable) *CPU {
+	c := new(CPU)
+	c.Init(eng, costs)
+	return c
+}
+
+// Init sets c up in place as the CPU of the node on the engine's lane.
+func (c *CPU) Init(eng *des.Engine, costs CostTable) {
 	if err := costs.Validate(); err != nil {
 		panic(err)
 	}
-	return &CPU{
-		Costs: costs,
-		res:   des.NewResource(eng, fmt.Sprintf("host-cpu-%d", node)),
-	}
+	*c = CPU{Costs: costs}
+	c.res.Init(eng, "host-cpu")
 }
 
 // DoArg charges cost on the CPU under the given category; at completion

@@ -16,8 +16,6 @@
 package iobus
 
 import (
-	"fmt"
-
 	"nicwarp/internal/des"
 	"nicwarp/internal/stats"
 	"nicwarp/internal/vtime"
@@ -44,21 +42,26 @@ func DefaultConfig() Config {
 // Bus is one node's I/O bus.
 type Bus struct {
 	cfg  Config
-	res  *des.Resource
+	res  des.Resource
 	xfer vtime.TransferMemo // of cfg.Bandwidth
 
 	Transfers stats.Counter // DMA and control-word crossings
 }
 
-// NewBus creates the bus for a node.
-func NewBus(eng *des.Engine, node int, cfg Config) *Bus {
+// NewBus creates a bus. The node is the engine's current lane (Init).
+func NewBus(eng *des.Engine, _ int, cfg Config) *Bus {
+	b := new(Bus)
+	b.Init(eng, cfg)
+	return b
+}
+
+// Init sets b up in place as the bus of the node on the engine's lane.
+func (b *Bus) Init(eng *des.Engine, cfg Config) {
 	if cfg.Bandwidth <= 0 {
 		panic("iobus: nonpositive bandwidth")
 	}
-	return &Bus{
-		cfg: cfg,
-		res: des.NewResource(eng, fmt.Sprintf("iobus-%d", node)),
-	}
+	*b = Bus{cfg: cfg}
+	b.res.Init(eng, "iobus")
 }
 
 // DMAArg queues a transfer of size bytes; at completion fn(arg) runs (see

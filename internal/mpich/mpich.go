@@ -71,11 +71,12 @@ type Endpoint struct {
 	// Per-peer state is indexed by node id, each table grown to the highest
 	// peer it has been asked about: a peer beyond a table has a full
 	// window, is owed nothing, has nothing waiting.
-	credits []int                       // per destination, remaining send credits
-	owed    []int                       // per source, credit to return
+	credits []int32                     // per destination, remaining send credits
+	owed    []int32                     // per source, credit to return
 	waiting []dense.FIFO[*proto.Packet] //nicwarp:owns stalled sends; drained to the wire when credit arrives
 	// pool takes back the explicit credit messages this endpoint has
-	// received and booked, and BookOwed builds its own from it (SetPool).
+	// received and booked, and BookOwed builds its own from it: in a
+	// cluster, the pool of the engine its node runs on (Init).
 	pool *proto.Pool
 
 	// Stats.
@@ -85,23 +86,27 @@ type Endpoint struct {
 	waitingTotal int
 }
 
-// New creates an endpoint; transmit receives packets cleared to send.
+// New creates an endpoint with a packet pool of its own; transmit receives
+// packets cleared to send.
 func New(node int, cfg Config, transmit func(*proto.Packet)) *Endpoint {
+	e := new(Endpoint)
+	e.Init(node, cfg, transmit, new(proto.Pool), nil, nil)
+	return e
+}
+
+// Init sets e up in place as node's endpoint: transmit receives packets
+// cleared to send, credit messages come from and return to pool, and the
+// per-destination credit and per-source owed tables start on credits and
+// owed — empty slices with room for every peer, or nil.
+func (e *Endpoint) Init(node int, cfg Config, transmit func(*proto.Packet), pool *proto.Pool, credits, owed []int32) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if transmit == nil {
 		panic("mpich: nil transmit")
 	}
-	return &Endpoint{cfg: cfg, node: node, transmit: transmit, pool: new(proto.Pool)}
+	*e = Endpoint{cfg: cfg, node: node, transmit: transmit, pool: pool, credits: credits, owed: owed}
 }
-
-// SetPool replaces the endpoint's own packet pool with p, the pool of the
-// engine its node runs on: explicit credit messages are built from it and
-// released into it once booked. A cluster hands every host, NIC and MPICH
-// endpoint on one engine the same pool, so only that engine's goroutine
-// touches it. Call before traffic flows.
-func (e *Endpoint) SetPool(p *proto.Pool) { e.pool = p }
 
 // flowControlled reports whether a packet kind consumes credits. Event
 // traffic does; GVT control and credit messages ride the eager channel.
@@ -112,8 +117,8 @@ func flowControlled(k proto.Kind) bool {
 // creditsFor returns the remaining credit toward dst, opening its window
 // on first use.
 func (e *Endpoint) creditsFor(dst int32) int {
-	e.credits = dense.Grow(e.credits, dst, e.cfg.Window)
-	return e.credits[dst]
+	e.credits = dense.Grow(e.credits, dst, int32(e.cfg.Window))
+	return int(e.credits[dst])
 }
 
 // Send submits an outbound packet. Control traffic passes through; event
@@ -147,10 +152,10 @@ func (e *Endpoint) dispatch(pkt *proto.Packet) {
 	// A broadcast (destination -1) addresses no single peer and carries no
 	// credit: dense.At reads nothing owed for it.
 	if owed := dense.At(e.owed, pkt.DstNode); owed > 0 {
-		pkt.Credits += int32(owed)
+		pkt.Credits += owed
 		e.owed[pkt.DstNode] = 0
 	}
-	e.transmit(pkt) //nicwarp:alloc wired by the cluster assembly (core's bipTransmit, closure-free); opaque to the analyzer
+	e.transmit(pkt) //nicwarp:alloc wired by the cluster assembly (one closure per cluster over core's bipTransmit); opaque to the analyzer
 }
 
 // OnReceive books an inbound packet's flow-control effects and returns an
@@ -182,7 +187,7 @@ func (e *Endpoint) onReceive(pkt *proto.Packet, owed int) *proto.Packet {
 	// Credit returned to us by the peer.
 	if pkt.Credits > 0 {
 		e.creditsFor(src)
-		e.credits[src] += int(pkt.Credits)
+		e.credits[src] += pkt.Credits
 		e.drain(src)
 	}
 	if pkt.Kind == proto.KindCredit {
@@ -217,8 +222,8 @@ func (e *Endpoint) BookOwed(peer int32, n int) (creditReply *proto.Packet) {
 		return nil
 	}
 	e.owed = dense.Grow(e.owed, peer, 0)
-	e.owed[peer] += n
-	if e.owed[peer] < e.cfg.ReturnThreshold {
+	e.owed[peer] += int32(n)
+	if e.owed[peer] < int32(e.cfg.ReturnThreshold) {
 		return nil
 	}
 	owed := e.owed[peer]
@@ -229,7 +234,7 @@ func (e *Endpoint) BookOwed(peer int32, n int) (creditReply *proto.Packet) {
 		Kind:    proto.KindCredit,
 		SrcNode: int32(e.node),
 		DstNode: peer,
-		Credits: int32(owed),
+		Credits: owed,
 	}
 	return p
 }
@@ -241,7 +246,7 @@ func (e *Endpoint) Refund(dst int32, n int) {
 		return
 	}
 	e.creditsFor(dst)
-	e.credits[dst] += n
+	e.credits[dst] += int32(n)
 	e.Refunded.Add(int64(n))
 	e.drain(dst)
 }
@@ -274,7 +279,7 @@ func (e *Endpoint) Congested() bool { return e.waitingTotal >= e.cfg.SendBufferP
 func (e *Endpoint) CreditsAvailable(dst int32) int { return e.creditsFor(dst) }
 
 // OwedTo returns credit owed to src (for tests).
-func (e *Endpoint) OwedTo(src int32) int { return dense.At(e.owed, src) }
+func (e *Endpoint) OwedTo(src int32) int { return int(dense.At(e.owed, src)) }
 
 // TouchedPeers returns, ascending, every peer this endpoint may have
 // flow-control state with (credit spent toward, or credit owed to): all

@@ -18,6 +18,17 @@ type rig struct {
 	nics   []*nic.NIC
 	toHost [][]*proto.Packet
 	bells  [][]nic.NotifyTag
+	pools  []proto.Pool // one per NIC, so a test can watch what each hands out
+}
+
+// newGVT and newTreeGVT return the ring-token and the tree-reduction
+// NIC-GVT firmware.
+func newGVT() *GVTFirmware { return new(GVTFirmware) }
+
+func newTreeGVT(arity int) *GVTFirmware {
+	f := new(GVTFirmware)
+	f.Init(arity)
+	return f
 }
 
 func newRig(t *testing.T, n int, fw func(i int) nic.Firmware) *rig {
@@ -30,12 +41,14 @@ func newRigCfg(t *testing.T, n int, cfg nic.Config, fw func(i int) nic.Firmware)
 	r := &rig{
 		eng:    des.NewEngine(),
 		toHost: make([][]*proto.Packet, n),
+		pools:  make([]proto.Pool, n),
 		bells:  make([][]nic.NotifyTag, n),
 	}
 	fabric := simnet.NewFabric(simnet.DefaultConfig(), n)
 	for i := 0; i < n; i++ {
 		i := i
-		dev := nic.New(r.eng, i, cfg, fabric, fw(i))
+		dev := new(nic.NIC)
+		dev.Init(r.eng, i, cfg, fabric, fw(i), &r.pools[i], nic.DefaultDropBufferCap, nil)
 		dev.Wire(
 			func(p *proto.Packet, done func()) {
 				r.toHost[i] = append(r.toHost[i], p)
@@ -80,7 +93,7 @@ func TestForwarderPassesEverything(t *testing.T) {
 
 func TestChainShortCircuits(t *testing.T) {
 	cancel := NewCancel()
-	gvt := NewGVT()
+	gvt := newGVT()
 	c := NewChain(cancel, gvt)
 	r := newRig(t, 2, func(i int) nic.Firmware {
 		if i == 0 {
@@ -138,7 +151,7 @@ func TestEmptyChainPanics(t *testing.T) {
 // ---- GVT firmware ----
 
 func TestGVTFirmwareTokenRing(t *testing.T) {
-	r := newRig(t, 3, func(int) nic.Firmware { return NewGVT() })
+	r := newRig(t, 3, func(int) nic.Firmware { return newGVT() })
 	// Host 0 stages an initiation and supplies its variables by doorbell.
 	w := r.nics[0].Shared()
 	w.GVTTokenPending = true
@@ -211,13 +224,9 @@ func TestGVTFirmwareTokenRing(t *testing.T) {
 // the whole circulation — and leaves as the root's broadcast — in the
 // packet the root first sent.
 func TestGVTFirmwareTokenTravelsInOnePacket(t *testing.T) {
-	fws := []*GVTFirmware{NewGVT(), NewGVT(), NewGVT()}
+	fws := []*GVTFirmware{newGVT(), newGVT(), newGVT()}
 	r := newRig(t, 3, func(i int) nic.Firmware { return fws[i] })
-	pools := make([]*proto.Pool, len(r.nics))
-	for i, n := range r.nics {
-		pools[i] = new(proto.Pool)
-		n.SetPool(pools[i])
-	}
+	pools := r.pools
 	// next returns the packet pool i hands out next, leaving it there.
 	next := func(i int) *proto.Packet {
 		p := pools[i].Packet()
@@ -271,8 +280,8 @@ var gvtPrograms = []struct {
 	name string
 	fw   func(int) nic.Firmware
 }{
-	{"ring", func(int) nic.Firmware { return NewGVT() }},
-	{"tree", func(int) nic.Firmware { return NewTreeGVT(2) }},
+	{"ring", func(int) nic.Firmware { return newGVT() }},
+	{"tree", func(int) nic.Firmware { return newTreeGVT(2) }},
 }
 
 func TestGVTFirmwareWhiteCounting(t *testing.T) {
@@ -496,8 +505,8 @@ type fakeAPI struct {
 }
 
 func newFakeAPI(dropCap int) *fakeAPI {
-	w := nic.NewSharedWindow()
-	w.Dropped = nic.NewDropBuffer(dropCap)
+	w := new(nic.SharedWindow)
+	w.Init(dropCap)
 	return &fakeAPI{shared: w}
 }
 

@@ -86,19 +86,9 @@ type GVTFirmware struct {
 	RoundsAtRoot stats.Counter
 }
 
-// NewGVT returns the paper's ring-token NIC-GVT firmware.
-func NewGVT() *GVTFirmware {
-	return &GVTFirmware{}
-}
-
-// NewTreeGVT returns the tree-reduction NIC-GVT firmware with the given
-// branching factor (DefaultTreeArity if arity < 2).
-func NewTreeGVT(arity int) *GVTFirmware {
-	if arity < 2 {
-		arity = DefaultTreeArity
-	}
-	return &GVTFirmware{arity: arity}
-}
+// Init sets f up in place as the ring-token firmware (arity 0) or the
+// tree-reduction firmware with the given branching factor (at least 2).
+func (f *GVTFirmware) Init(arity int) { *f = GVTFirmware{arity: arity} }
 
 // children returns this node's tree children as the id range [first, end):
 // empty at a leaf, and at every node of the ring.

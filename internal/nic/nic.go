@@ -13,6 +13,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 
 	"nicwarp/internal/dense"
 	"nicwarp/internal/des"
@@ -195,10 +196,10 @@ type API interface {
 	// returns the removed packets in queue order. The returned slice is
 	// scratch reused by the next call; consume it within the hook. The
 	// removed packets are dead once the view is: event-like ones go back to
-	// the NIC's packet pool (SetPool).
+	// the NIC's packet pool.
 	//nicwarp:hotpath the cancel scan, once per anti-message
 	RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet
-	// Packet returns a packet from the NIC's pool (SetPool) for the hook to
+	// Packet returns a packet from the NIC's pool for the hook to
 	// fill and Inject. Its contents are unspecified: the caller overwrites
 	// every field.
 	//nicwarp:hotpath one per control packet the GVT firmware builds
@@ -245,10 +246,10 @@ type NIC struct {
 	eng    *des.Engine
 	node   int
 	cfg    Config
-	proc   *des.Resource // the LanAI processor
+	proc   des.Resource // the LanAI processor
 	fabric *simnet.Fabric
 	fw     Firmware
-	shared *SharedWindow
+	shared SharedWindow
 
 	// deliverToHost is wired by the cluster assembly: it models the
 	// NIC-to-host DMA (I/O bus) and host-side delivery; it must invoke
@@ -263,8 +264,8 @@ type NIC struct {
 	// sendQ is the transmit queue. The cancel scan and the batch gather
 	// also remove from its middle: they filter Live() into its own prefix
 	// and DropTail the rest.
-	sendQ     dense.FIFO[outEntry]
-	recvQ     dense.FIFO[*proto.Packet] //nicwarp:owns receive ring; slots zeroed as packets advance to rxPkt
+	sendQ     dense.Queue[outEntry]
+	recvQ     dense.Queue[*proto.Packet] //nicwarp:owns receive ring; slots zeroed as packets advance to rxPkt
 	txPumping bool
 	rxPumping bool
 	txStalled bool // head-of-line blocked on a closed destination window
@@ -296,7 +297,7 @@ type NIC struct {
 	// have outstanding toward each destination. A credit is taken when a
 	// host-bound packet leaves the send queue for the wire and comes back
 	// (after CreditReturnDelay) once the destination host consumes it.
-	txCredit []int
+	txCredit []int32
 
 	// Receiver-side credit bookkeeping. rxSrcQ pairs host-delivery
 	// completions with the source that gets the credit back: deliveries
@@ -304,7 +305,7 @@ type NIC struct {
 	// FIFO suffices. While the fault plane holds buffer slots (faultHeld),
 	// returning credits park in debtQ instead of traveling back, one per
 	// held slot.
-	rxSrcQ dense.FIFO[int32]
+	rxSrcQ dense.Queue[int32]
 	debtQ  dense.FIFO[int32]
 
 	creditDoneFn func() // n.creditDone as a once-allocated func value
@@ -318,8 +319,10 @@ type NIC struct {
 	gbScratch hookScratch
 
 	// pool is where batch frames and firmware-built packets come from, and
-	// where host packets that die here and packets firmware consumes on
-	// receive go (SetPool).
+	// where host packets that die here (dropped in place, or folded into a
+	// batch frame, which copies their fields) and packets firmware consumes
+	// on receive go. A cluster hands every NIC, host and MPICH endpoint on
+	// one engine that engine's pool, so only its goroutine touches it.
 	pool *proto.Pool
 
 	// Batching machinery (transmit side active when cfg.BatchMax > 1).
@@ -329,27 +332,32 @@ type NIC struct {
 	Stats Stats
 }
 
-// New creates a NIC attached to port node of the fabric, running fw.
+// New creates a NIC attached to port node of the fabric, running fw, with a
+// packet pool of its own and the default drop buffer.
 func New(eng *des.Engine, node int, cfg Config, fabric *simnet.Fabric, fw Firmware) *NIC {
+	n := new(NIC)
+	n.Init(eng, node, cfg, fabric, fw, new(proto.Pool), DefaultDropBufferCap, nil)
+	return n
+}
+
+// Init sets n up in place as the NIC attached to port node of the fabric,
+// running fw, taking packets from and returning them to pool, with a drop
+// buffer of dropCap entries per object. txCredit is where WirePeers opens
+// the per-destination windows: an empty slice with room for every port (a
+// row of one cluster-wide array), or nil. The engine's current lane must be
+// node's.
+func (n *NIC) Init(eng *des.Engine, node int, cfg Config, fabric *simnet.Fabric, fw Firmware, pool *proto.Pool, dropCap int, txCredit []int32) {
 	if fw == nil {
 		panic("nic: nil firmware")
 	}
 	if cfg.ClockHz <= 0 {
 		panic("nic: nonpositive clock")
 	}
-	n := &NIC{
-		eng:    eng,
-		node:   node,
-		cfg:    cfg,
-		proc:   des.NewResource(eng, fmt.Sprintf("nic-proc-%d", node)),
-		fabric: fabric,
-		fw:     fw,
-		shared: NewSharedWindow(),
-		pool:   new(proto.Pool),
-	}
+	*n = NIC{eng: eng, node: node, cfg: cfg, fabric: fabric, fw: fw, pool: pool, txCredit: txCredit}
+	n.proc.Init(eng, "nic-proc")
+	n.shared.Init(dropCap)
 	n.creditDoneFn = n.creditDone
 	fabric.Attach(node, eng, uint32(node), n.wireReceive)
-	return n
 }
 
 // Wire connects the NIC to its host-side delivery and notification paths.
@@ -382,7 +390,7 @@ func (n *NIC) WirePeers(peer func(node int) *NIC) {
 	if senders < 1 {
 		senders = 1
 	}
-	n.txCredit = make([]int, n.fabric.NumPorts())
+	n.txCredit = slices.Grow(n.txCredit[:0], n.fabric.NumPorts())[:n.fabric.NumPorts()]
 	for i := range n.txCredit {
 		cap := peer(i).cfg.RxQueueCap
 		w := (2*cap + senders - 1) / senders
@@ -392,7 +400,7 @@ func (n *NIC) WirePeers(peer func(node int) *NIC) {
 		if w < 1 {
 			w = 1
 		}
-		n.txCredit[i] = w
+		n.txCredit[i] = int32(w)
 	}
 }
 
@@ -442,16 +450,6 @@ func nicCreditArrive(a, b interface{}) {
 // SetHostDiscardHook installs the transmit-side discard observer. Call
 // before traffic flows; a nil hook disables observation.
 func (n *NIC) SetHostDiscardHook(fn func(*proto.Packet)) { n.onHostDiscard = fn }
-
-// SetPool replaces the NIC's own packet pool with p, the pool of the
-// engine it runs on: batch frames and firmware-built packets are taken from
-// it, and a packet that dies on the NIC — a host packet dropped in place or
-// folded into a batch frame, which copies its fields, or a packet firmware
-// consumed on receive — is released into it instead of becoming garbage. A
-// cluster hands every NIC, host and MPICH endpoint on one engine the same
-// pool, so only that engine's goroutine touches it. Call before traffic
-// flows.
-func (n *NIC) SetPool(p *proto.Pool) { n.pool = p }
 
 // batchEligible reports whether a host packet may lead or join a batch
 // frame: ordinary unicast event traffic that BIP has stamped. GVT
@@ -544,7 +542,7 @@ func (n *NIC) SetTxFaultStall(v bool) {
 }
 
 // Shared returns the host/NIC shared memory window.
-func (n *NIC) Shared() *SharedWindow { return n.shared }
+func (n *NIC) Shared() *SharedWindow { return &n.shared }
 
 // ProcUtilization returns the NIC processor utilization.
 func (n *NIC) ProcUtilization() float64 { return n.proc.Utilization() }
@@ -916,7 +914,7 @@ func (a apiImpl) Inject(pkt *proto.Packet) {
 	a.n.enqueue(outEntry{pkt: pkt, fromNIC: true})
 }
 
-func (a apiImpl) Shared() *SharedWindow { return a.n.shared }
+func (a apiImpl) Shared() *SharedWindow { return &a.n.shared }
 
 func (a apiImpl) NotifyHost(tag NotifyTag) {
 	if a.n.notifyHost == nil {

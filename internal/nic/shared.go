@@ -52,7 +52,7 @@ type SharedWindow struct {
 	// keyed by sending object, "a buffer of size 10 ... declared in the
 	// global structures of the NIC, so that it can be accessed by both the
 	// host and the NIC".
-	Dropped *DropBuffer
+	Dropped DropBuffer
 	// DroppedWhite counts packets the NIC cancelled in place, by colour
 	// stamp. The host GVT manager drains it into its ledger: a dropped
 	// message must count as received or the white balance never closes.
@@ -106,14 +106,11 @@ func (c NodeCounts) Sum() int64 {
 	return sum
 }
 
-// NewSharedWindow returns a window with the paper's default drop-buffer
-// capacity.
-func NewSharedWindow() *SharedWindow {
-	return &SharedWindow{
-		LatestGVT: -1,
-		HostTMin:  vtime.Infinity,
-		Dropped:   NewDropBuffer(DefaultDropBufferCap),
-	}
+// Init sets w up in place, empty, with a drop buffer of dropCap entries per
+// object.
+func (w *SharedWindow) Init(dropCap int) {
+	*w = SharedWindow{LatestGVT: -1, HostTMin: vtime.Infinity}
+	w.Dropped.Init(dropCap)
 }
 
 // DefaultDropBufferCap sizes the per-object dropped-ID buffer. The paper
@@ -168,12 +165,12 @@ type DropBuffer struct {
 	rings []*dense.FIFO[DropKey] // by sending object id; nil until the object's first drop
 }
 
-// NewDropBuffer creates a buffer with the given per-object capacity.
-func NewDropBuffer(capPerObj int) *DropBuffer {
+// Init sets b up in place, empty, with the given per-object capacity.
+func (b *DropBuffer) Init(capPerObj int) {
 	if capPerObj <= 0 {
 		panic("nic: drop buffer capacity must be positive")
 	}
-	return &DropBuffer{cap: capPerObj}
+	*b = DropBuffer{cap: capPerObj}
 }
 
 // ring returns obj's recorded drops, oldest first.

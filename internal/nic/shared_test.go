@@ -15,15 +15,27 @@ func (b *DropBuffer) Contains(obj int32, key DropKey) bool {
 	return find(b.ring(obj), key) >= 0
 }
 
+func newSharedWindow() *SharedWindow {
+	w := new(SharedWindow)
+	w.Init(DefaultDropBufferCap)
+	return w
+}
+
+func newDropBuffer(capPerObj int) *DropBuffer {
+	b := new(DropBuffer)
+	b.Init(capPerObj)
+	return b
+}
+
 func TestNewSharedWindowDefaults(t *testing.T) {
-	w := NewSharedWindow()
+	w := newSharedWindow()
 	if w.HostTMin != vtime.Infinity {
 		t.Fatal("HostTMin must start at infinity")
 	}
 	if w.LatestGVT != -1 {
 		t.Fatal("LatestGVT must start below any valid virtual time")
 	}
-	if w.Dropped == nil || w.Dropped.cap != DefaultDropBufferCap {
+	if w.Dropped.cap != DefaultDropBufferCap {
 		t.Fatal("drop buffer must exist with the default capacity")
 	}
 	if PaperDropBufferCap != 10 {
@@ -32,7 +44,7 @@ func TestNewSharedWindowDefaults(t *testing.T) {
 }
 
 func TestDropBufferRecordTake(t *testing.T) {
-	b := NewDropBuffer(4)
+	b := newDropBuffer(4)
 	b.Record(1, DropKey{ID: 100})
 	b.Record(1, DropKey{ID: 200})
 	b.Record(2, DropKey{ID: 100})
@@ -61,7 +73,7 @@ func TestDropBufferRecordTake(t *testing.T) {
 // Room check makes unreachable — panics instead of evicting a record whose
 // anti-message is still to come.
 func TestDropBufferRecordAtCapacityPanics(t *testing.T) {
-	b := NewDropBuffer(3)
+	b := newDropBuffer(3)
 	for id := uint64(0); id < 3; id++ {
 		if b.Room(7) != 3-int(id) {
 			t.Fatalf("room = %d before record %d", b.Room(7), id)
@@ -89,7 +101,7 @@ func TestDropBufferRecordAtCapacityPanics(t *testing.T) {
 }
 
 func TestDropBufferPerObjectIsolation(t *testing.T) {
-	b := NewDropBuffer(2)
+	b := newDropBuffer(2)
 	b.Record(1, DropKey{ID: 5})
 	b.Record(2, DropKey{ID: 5})
 	if !b.Take(1, DropKey{ID: 5}) {
@@ -106,14 +118,14 @@ func TestDropBufferZeroCapPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDropBuffer(0)
+	newDropBuffer(0)
 }
 
 // TestDropBufferConservation: every recorded ID is either still present
 // or was taken — records = takes + remaining.
 func TestDropBufferConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
-		b := NewDropBuffer(3)
+		b := newDropBuffer(3)
 		id := uint64(0)
 		records, takes := 0, 0
 		for _, op := range ops {
@@ -165,7 +177,7 @@ func (b *sliceDropBuffer) take(obj int32, key DropKey) bool {
 func TestDropBufferMatchesSliceReference(t *testing.T) {
 	for _, capPerObj := range []int{2, PaperDropBufferCap, 4096} {
 		rng := rand.New(rand.NewSource(int64(capPerObj)))
-		got := NewDropBuffer(capPerObj)
+		got := newDropBuffer(capPerObj)
 		want := &sliceDropBuffer{byObj: map[int32][]DropKey{}}
 		next := uint64(0)
 		records, takes := 0, 0
@@ -231,7 +243,7 @@ func TestDropBufferMatchesSliceReference(t *testing.T) {
 // one that has grown — allocate nothing.
 func TestDropBufferSteadyStateAllocatesNothing(t *testing.T) {
 	for _, capPerObj := range []int{2, 4096} {
-		b := NewDropBuffer(capPerObj)
+		b := newDropBuffer(capPerObj)
 		// The queue holds the ids [lo, id) with one slot to spare at cap 2,
 		// so every round fills it; ninety-nine deep at cap 4096, after the
 		// queue has grown.

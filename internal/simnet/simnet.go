@@ -27,6 +27,7 @@ package simnet
 
 import (
 	"fmt"
+	"unsafe"
 
 	"nicwarp/internal/des"
 	"nicwarp/internal/proto"
@@ -204,14 +205,22 @@ type TapDecision struct {
 // SetTap installs t as the fabric's tap. Call before traffic flows.
 func (f *Fabric) SetTap(t Tap) { f.tap = t }
 
-// port is one switch port: the engine and lane of the NIC it connects, the
-// delivery callback, and the output-port serializer.
+// port is one switch port, padded to a multiple of 64 bytes: ports live in
+// one slice, and a port is written only by its own engine's goroutine, so
+// two shards' neighbouring ports must not share a cache line.
 type port struct {
+	_ [(64 - unsafe.Sizeof(portFields{})%64) % 64]byte // first: a trailing zero-size field would add a word
+	portFields
+}
+
+// portFields are a port's contents: the engine and lane of the NIC it
+// connects, the delivery callback, and the output-port serializer.
+type portFields struct {
 	f       *Fabric
 	eng     *des.Engine
 	lane    uint32
 	deliver func(*proto.Packet)
-	out     *des.Resource // output-port serializer (switch -> NIC link)
+	out     des.Resource // output-port serializer (switch -> NIC link)
 	// xfer memoizes link serialization times. Both its users — launch for
 	// the source port, portArrival for the destination — run on this port's
 	// engine.
@@ -259,7 +268,7 @@ func (f *Fabric) Attach(portID int, eng *des.Engine, lane uint32, deliver func(*
 	p.eng = eng
 	p.lane = lane
 	p.deliver = deliver
-	p.out = des.NewResource(eng, fmt.Sprintf("switch-port-%d", portID))
+	p.out.Init(eng, "switch-port")
 }
 
 // Announce accepts a send from the NIC at srcPort that will finish

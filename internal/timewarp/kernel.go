@@ -67,7 +67,7 @@ type objRuntime struct {
 	// push at the tail, fossil collection drops from the head in
 	// O(reclaimed), rollback drops from the tail. Each entry carries its
 	// own output chain, so the sent positives move exactly as hist does.
-	hist dense.FIFO[histEntry]
+	hist dense.Queue[histEntry]
 
 	// reuser is obj's StateReuser side (nil when obj does not implement
 	// it): vacate hands it each snapshot no history entry references any
@@ -79,7 +79,8 @@ type objRuntime struct {
 	zombies     []*Event //nicwarp:owns unmatched anti-messages; recycled on annihilation or fossil collection
 	fossilCount int      // history entries already reclaimed
 
-	idx uint32 // index in Kernel.order; the object's id in the scheduler heap
+	idx       uint32               // index in Kernel.order; the object's id in the scheduler heap
+	firstPend [firstSlots]pendSlot // where pending starts (Bootstrap)
 }
 
 // vacate hands the snapshot of a history entry about to leave the history
@@ -216,12 +217,21 @@ const scratchCap = 10
 
 // NewKernel creates an empty LP kernel.
 func NewKernel(cfg Config) *Kernel {
-	k := &Kernel{
-		objs: make(map[ObjectID]int32),
-		pool: eventPool{disabled: cfg.DisableEventPool},
+	k := new(Kernel)
+	k.Init(cfg, 0)
+	return k
+}
+
+// Init sets k up in place as an empty LP kernel sized for objects calls of
+// AddObject, so registering them grows nothing. A Kernel must not be copied
+// once Init has run: its step scratch starts inside it.
+func (k *Kernel) Init(cfg Config, objects int) {
+	*k = Kernel{
+		objs:  make(map[ObjectID]int32, objects),
+		order: make([]objRuntime, 0, objects),
+		pool:  eventPool{disabled: cfg.DisableEventPool},
 	}
 	k.remote, k.localQ = k.remoteBuf[:0], k.localBuf[:0]
-	return k
 }
 
 // AddObject registers a local object. Must be called before Bootstrap.
@@ -266,16 +276,12 @@ func (k *Kernel) Bootstrap() StepResult {
 	res := k.begin()
 	// The object set is final: the scheduler takes its arrays at their one
 	// size, every object enters it idle, and every pending heap and history
-	// ring starts on its own firstSlots slots of one array each (one
-	// outgrowing them reallocates on its own).
+	// ring starts on slots its runtime carries (one outgrowing them
+	// reallocates on its own). The runtimes stay put from here on.
 	k.sched.Grow(len(k.order))
-	slots := make([]pendSlot, firstSlots*len(k.order))
-	hist := make([]histEntry, firstSlots*len(k.order))
 	for i := range k.order {
 		o := &k.order[i]
-		lo, hi := i*firstSlots, (i+1)*firstSlots
-		o.pending.s = append(slots[lo:lo:hi], o.pending.s...)
-		o.hist.On(hist[lo:lo:hi])
+		o.pending.s = append(o.firstPend[:0], o.pending.s...)
 		k.sched.Push(o.idx, o.schedKey())
 	}
 	for i := range k.order {

@@ -34,9 +34,8 @@ type pendSlot struct {
 	ev   *Event //nicwarp:owns pending-queue slot; removed before Recycle
 }
 
-// firstSlots is how many slots each object's pending heap and history ring
-// start with, each carved from one per-kernel array at Bootstrap: the first
-// size dense.FIFO uses.
+// firstSlots is how many slots each object's pending heap starts with,
+// carried in the object's runtime: the first size dense.FIFO uses.
 const firstSlots = 8
 
 // pendArity must be 2: see the type comment — tie order between

@@ -376,12 +376,12 @@ func TestRollbackCancelsOutputsInSendOrder(t *testing.T) {
 
 // TestKernelAllocationsPerObject: the kernel's bookkeeping for one more
 // object is a few allocations, not one per structure per object. The
-// identity index, the pending heaps' and history rings' first slots and the
-// object runtimes are one array each per kernel. What is left is the
-// object's own: the fanObj and its snapshot slab, and the kernel's map entry
-// and event slabs. Objects built the way the application models build them —
-// one slice of them, one snapshot list shared by every object on the kernel
-// — cost a fraction of one allocation each.
+// identity index is one per kernel, and so is the slice of object runtimes,
+// which carry each object's first pending-heap and history slots. What is
+// left is the object's own: the fanObj and its snapshot slab, and the
+// kernel's map entry and event slabs. Objects built the way the application
+// models build them — one slice of them, one snapshot list shared by every
+// object on the kernel — cost a fraction of one allocation each.
 func TestKernelAllocationsPerObject(t *testing.T) {
 	const sink = ObjectID(-1) // not on the kernel
 	cases := []struct {

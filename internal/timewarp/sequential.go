@@ -26,7 +26,8 @@ type SequentialResult struct {
 // maxEvents bounds the run as a safety net against diverging models; pass 0
 // for no bound. Sequential panics if the bound is exceeded.
 func Sequential(objects map[ObjectID]Object, maxEvents int) SequentialResult {
-	k := NewKernel(Config{LP: 0})
+	k := new(Kernel)
+	k.Init(Config{LP: 0}, len(objects))
 	// Deterministic registration order: ascending object ID.
 	ids := make([]ObjectID, 0, len(objects))
 	for id := range objects {

@@ -349,10 +349,11 @@ type nodeFields struct {
 	antisBuilt  stats.Counter // anti-message packets built by the host
 }
 
-// inboundPkt is one packet crossing the NIC-to-host pipeline.
+// inboundPkt is one packet crossing the NIC-to-host pipeline; holdsSlot
+// when it holds a NIC receive slot.
 type inboundPkt struct {
-	pkt  *proto.Packet //nicwarp:owns pipeline slot; released when the host decodes the packet
-	done func()
+	pkt       *proto.Packet //nicwarp:owns pipeline slot; released when the host decodes the packet
+	holdsSlot bool
 }
 
 // view adapts a node to gvt.Host.
@@ -404,7 +405,7 @@ type Cluster struct {
 
 	fabric *simnet.Fabric
 	nodes  []node
-	home   map[timewarp.ObjectID]int
+	rows   *timewarp.Rows      // the kernels' rows and the object directory they share
 	objIDs []timewarp.ObjectID // global ascending order
 
 	gvtFW []firmware.GVTFirmware // one per node, when GVTNIC or GVTNICTree
@@ -416,12 +417,13 @@ type Cluster struct {
 	nextSample vtime.ModelTime // the SampleEvery boundary the next sample waits for
 }
 
-// shardPool is one engine's packet pool, padded so that the pools of two
-// shards, written by different goroutines on every packet, never share a
-// cache line.
+// shardPool is one engine's packet and event pools, padded so that the
+// pools of two shards, written by different goroutines on every packet,
+// never share a cache line.
 type shardPool struct {
 	proto.Pool
-	_ [64]byte
+	events timewarp.EventPool
+	_      [64]byte
 }
 
 // NewClusterExec assembles (but does not run) an experiment under the given
@@ -456,24 +458,27 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		cl.group.SetBarrier(cl.barrier)
 	}
 
-	// Build and place the application first: each kernel is sized for its
-	// objects before they are added.
+	// Build and place the application first: each kernel's rows are sized
+	// for its objects before they are added.
 	objs, place := cfg.App.Build(cfg.Nodes, cfg.Seed)
-	cl.home = make(map[timewarp.ObjectID]int, len(objs))
 	cl.objIDs = make([]timewarp.ObjectID, 0, len(objs))
 	for id := range objs {
 		cl.objIDs = append(cl.objIDs, id)
 	}
 	slices.Sort(cl.objIDs)
+	if len(cl.objIDs) > 0 && cl.objIDs[0] < 0 {
+		return nil, fmt.Errorf("core: %s built object %d: object ids must not be negative", cfg.App.Name(), cl.objIDs[0])
+	}
 	cl.nodes = make([]node, cfg.Nodes)
+	perLP := make([]int, cfg.Nodes)
 	for _, id := range cl.objIDs {
 		lp := place(id)
 		if lp < 0 || lp >= cfg.Nodes {
 			return nil, fmt.Errorf("core: object %d placed on invalid LP %d", id, lp)
 		}
-		cl.home[id] = lp
-		cl.nodes[lp].numObjects++
+		perLP[lp]++
 	}
+	cl.rows = timewarp.NewRows(perLP, cl.objIDs)
 
 	if cfg.GVT == GVTNIC || cfg.GVT == GVTNICTree {
 		cl.gvtFW = make([]firmware.GVTFirmware, cfg.Nodes)
@@ -487,7 +492,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	dropCap := cmp.Or(cfg.DropBufferCap, nic.DefaultDropBufferCap)
 	for i := range cl.nodes {
 		n := &cl.nodes[i]
-		n.id, n.cluster, n.finalGVT = i, cl, -1
+		n.id, n.cluster, n.finalGVT, n.numObjects = i, cl, -1, perLP[i]
 		for tag := range n.doorbells {
 			n.doorbells[tag] = doorbell{n: n, tag: nic.NotifyTag(tag)}
 		}
@@ -511,7 +516,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			fw = firmware.NewCancel()
 		}
 		n.nicDev.Init(n.eng, i, cfg.NIC, cl.fabric, fw, n.pool, dropCap, peerRow(txCredit, i, nodes))
-		n.kernel.Init(timewarp.Config{}, n.numObjects)
+		n.kernel.Init(timewarp.Config{LP: i}, cl.rows, &pools[i%cl.shards].events)
 		n.bipEnd.Init(i, peerRow(nextSeq, i, nodes), peerRow(expect, i, nodes))
 		if cfg.Fault.Enabled() {
 			// Wire faults duplicate, reorder and retransmit; the endpoint
@@ -521,7 +526,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		}
 		n.flow.Init(i, cfg.Flow, transmit, n.pool, peerRow(credits, i, nodes), peerRow(owed, i, nodes))
 
-		n.nicDev.Wire(n.nicDeliver, n.nicNotify)
+		n.nicDev.WireArg(nodeNICDeliver, nodeNICNotify, n)
 		if cl.checker != nil {
 			n.nicDev.SetHostDiscardHook(func(p *proto.Packet) {
 				cl.checker.OnNICDiscard(n.id, p)
@@ -543,7 +548,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		cl.nodes[i].nicDev.WirePeers(peer)
 	}
 	for _, id := range cl.objIDs {
-		cl.nodes[cl.home[id]].kernel.AddObject(id, objs[id])
+		cl.nodes[place(id)].kernel.AddObject(id, objs[id])
 	}
 	return cl, nil
 }
@@ -764,7 +769,7 @@ func (cl *Cluster) verifyOracle(res *Result) error {
 func (cl *Cluster) Digest() uint64 {
 	h := uint64(0x243F6A8885A308D3)
 	for _, id := range cl.objIDs {
-		n := &cl.nodes[cl.home[id]]
+		n := &cl.nodes[cl.rows.Dir.Home(id)]
 		h = timewarp.DigestMix(h, uint64(uint32(id)))
 		h = timewarp.DigestMix(h, n.kernel.ObjectDigest(id))
 	}
@@ -874,7 +879,7 @@ func (n *node) transmitEvent(ev *timewarp.Event) {
 	*pkt = proto.Packet{
 		Kind:           kind,
 		SrcNode:        int32(n.id),
-		DstNode:        int32(n.cluster.home[ev.Dst]),
+		DstNode:        int32(n.cluster.rows.Dir.Home(ev.Dst)),
 		SrcObj:         int32(ev.Src),
 		DstObj:         int32(ev.Dst),
 		SendTS:         ev.SendTS,
@@ -916,12 +921,14 @@ func nodeOutboundDMADone(x interface{}) {
 	n.nicDev.HostEnqueue(n.outbox.Pop())
 }
 
-// nicDeliver is wired into the NIC: an inbound packet DMAs across the bus,
-// then the host absorbs it under interrupt + protocol costs. done releases
-// the NIC receive slot once the host has consumed the packet, which is what
-// propagates host congestion back through the fabric to the sender.
-func (n *node) nicDeliver(pkt *proto.Packet, done func()) {
-	n.inbox.Push(inboundPkt{pkt: pkt, done: done})
+// nodeNICDeliver is wired into the NIC: an inbound packet DMAs across the
+// bus, then the host absorbs it under interrupt + protocol costs. A packet
+// holding a NIC receive slot releases it (HostConsumed) once the host has
+// consumed the packet, which is what propagates host congestion back
+// through the fabric to the sender.
+func nodeNICDeliver(x interface{}, pkt *proto.Packet, holdsSlot bool) {
+	n := x.(*node)
+	n.inbox.Push(inboundPkt{pkt: pkt, holdsSlot: holdsSlot})
 	n.bus.DMAArg(pkt.EncodedSize(), nodeInboundDMADone, n)
 }
 
@@ -949,7 +956,9 @@ func nodeAbsorbPacket(x interface{}) {
 	n.absorbsQueued--
 	in := n.inbox.Pop()
 	n.hostReceive(in.pkt)
-	in.done()
+	if in.holdsSlot {
+		n.nicDev.HostConsumed()
+	}
 	n.pump()
 }
 
@@ -982,9 +991,10 @@ type doorbell struct {
 	tag nic.NotifyTag
 }
 
-// nicNotify is wired into the NIC: a doorbell crosses the bus and interrupts
-// the host.
-func (n *node) nicNotify(tag nic.NotifyTag) {
+// nodeNICNotify is wired into the NIC: a doorbell crosses the bus and
+// interrupts the host.
+func nodeNICNotify(x interface{}, tag nic.NotifyTag) {
+	n := x.(*node)
 	n.bus.WordArg(doorbellWordDone, &n.doorbells[tag])
 }
 

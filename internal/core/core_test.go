@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"nicwarp/internal/apps/phold"
 	"nicwarp/internal/apps/police"
 	"nicwarp/internal/hostmodel"
+	"nicwarp/internal/timewarp"
 	"nicwarp/internal/vtime"
 )
 
@@ -328,5 +330,29 @@ func TestGVTFallbackDelayKnob(t *testing.T) {
 	if eager.GVTDoorbells <= patient.GVTDoorbells {
 		t.Fatalf("eager fallback %d doorbells <= patient %d",
 			eager.GVTDoorbells, patient.GVTDoorbells)
+	}
+}
+
+// negativeApp builds PHOLD with every object id moved down by one, so the
+// first is -1.
+type negativeApp struct{ App }
+
+func (a negativeApp) Build(lps int, seed uint64) (map[timewarp.ObjectID]timewarp.Object, func(timewarp.ObjectID) int) {
+	objs, place := a.App.Build(lps, seed)
+	moved := make(map[timewarp.ObjectID]timewarp.Object, len(objs))
+	for id, o := range objs {
+		moved[id-1] = o
+	}
+	return moved, func(id timewarp.ObjectID) int { return place(id + 1) }
+}
+
+// TestAssemblyRejectsNegativeObjectID: the object directory is indexed by
+// id, so assembly refuses an application that builds a negative one with
+// an error, not a panic.
+func TestAssemblyRejectsNegativeObjectID(t *testing.T) {
+	cfg := baseConfig()
+	cfg.App = negativeApp{cfg.App}
+	if _, err := NewClusterExec(cfg, Exec{}); err == nil || !strings.Contains(err.Error(), "object -1") {
+		t.Fatalf("assembling an application with object -1 returned %v, want an error naming it", err)
 	}
 }

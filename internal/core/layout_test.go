@@ -9,10 +9,12 @@ import (
 )
 
 // TestLayoutKeepsShardsOffEachOthersLines: a cluster's nodes live in one
-// slice, the fabric's ports in another, and each per-peer table in one array
-// with a row per node. Each node, port and row is written only by the
-// goroutine of the shard it lives on, so each must fill whole 64-byte cache
-// lines, or two shards' neighbours would write the same line.
+// slice, the fabric's ports in another, each per-peer table in one array
+// with a row per node, and the kernels' object runtimes, scheduler arrays
+// and first pending-index buckets in one array each with a row per kernel.
+// Each node, port and row is written only by the goroutine of the shard it
+// lives on, so each must fill whole 64-byte cache lines, or two shards'
+// neighbours would write the same line.
 func TestLayoutKeepsShardsOffEachOthersLines(t *testing.T) {
 	if size := unsafe.Sizeof(node{}); size%64 != 0 {
 		t.Errorf("node is %d bytes, not a multiple of 64", size)
@@ -27,6 +29,35 @@ func TestLayoutKeepsShardsOffEachOthersLines(t *testing.T) {
 	for _, nodes := range []int{1, 5, 8, 9, 256} {
 		checkRows(t, peerTable[uint64](nodes), nodes, 8)
 		checkRows(t, peerTable[int32](nodes), nodes, 16)
+	}
+	for _, nodes := range []int{1, 5, 8, 9} {
+		cfg := baseConfig()
+		cfg.Nodes, cfg.App = nodes, pholdApp(3*nodes+2, 1)
+		cl, err := NewClusterExec(cfg, Exec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Kernel 0's rows start their arrays: every row must sit a whole
+		// number of lines past it and span whole lines.
+		rows := func(i int) map[string]reflect.Value {
+			k := reflect.ValueOf(&cl.nodes[i].kernel).Elem()
+			sched := k.FieldByName("sched")
+			return map[string]reflect.Value{
+				"objects": k.FieldByName("order"), "heap keys": sched.FieldByName("k"),
+				"heap ids": sched.FieldByName("id"), "heap positions": sched.FieldByName("pos"),
+				"index buckets": k.FieldByName("pindex").FieldByName("buckets"),
+			}
+		}
+		first := rows(0)
+		for i := range cl.nodes {
+			for name, row := range rows(i) {
+				bytes := uintptr(row.Cap()) * row.Type().Elem().Size()
+				if off := row.Pointer() - first[name].Pointer(); bytes == 0 || bytes%64 != 0 || off%64 != 0 {
+					t.Errorf("%d nodes: kernel %d's %s row is %d bytes at offset %d, want whole 64-byte lines",
+						nodes, i, name, bytes, off)
+				}
+			}
+		}
 	}
 }
 

@@ -37,10 +37,7 @@
 // which closes a hole nobody refilled the way pop would have.
 package d4heap
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // Key is a 128-bit sort key compared as the unsigned number Hi<<64 | Lo.
 type Key struct{ Hi, Lo uint64 }
@@ -88,13 +85,14 @@ func (h *Heap) MinKey() Key { return h.k[0] }
 // Has reports whether id is on the heap.
 func (h *Heap) Has(id uint32) bool { return int(id) < len(h.pos) && h.pos[id] >= 0 }
 
-// Grow reserves room for n entries with ids below n, so that pushing them
-// allocates nothing more: for a caller that knows its population up front.
-func (h *Heap) Grow(n int) {
-	padded := 4*((n+2)/4) + 1
-	h.k = slices.Grow(h.k, max(0, padded-len(h.k)))
-	h.id = slices.Grow(h.id, max(0, padded-len(h.id)))
-	h.pos = slices.Grow(h.pos, max(0, n-len(h.pos)))
+// Slots is how many key and id slots n entries take: padded to 4m+1.
+func Slots(n int) int { return 4*((n+2)/4) + 1 }
+
+// On starts an empty h on the caller's arrays, for a caller that knows its
+// population up front: Slots(n) keys and ids and n positions hold n
+// entries with ids below n without allocating.
+func (h *Heap) On(k []Key, id []uint32, pos []int32) {
+	*h = Heap{k: k[:0], id: id[:0], pos: pos[:0]}
 }
 
 // Push inserts id under key k. A vacated root is refilled in place.

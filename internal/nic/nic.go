@@ -251,13 +251,14 @@ type NIC struct {
 	fw     Firmware
 	shared SharedWindow
 
-	// deliverToHost is wired by the cluster assembly: it models the
-	// NIC-to-host DMA (I/O bus) and host-side delivery; it must invoke
-	// done when the host has consumed the packet, freeing the rx slot.
-	deliverToHost func(pkt *proto.Packet, done func())
-	// notifyHost is wired by the cluster assembly: it models the doorbell
-	// write and the host interrupt.
-	notifyHost func(NotifyTag)
+	// deliverToHost and notifyHost are wired by the cluster assembly
+	// (WireArg), each called with host. deliverToHost models the
+	// NIC-to-host DMA (I/O bus) and host-side delivery; a packet that holds
+	// an rx slot keeps it until the host calls HostConsumed. notifyHost
+	// models the doorbell write and the host interrupt.
+	deliverToHost func(host interface{}, pkt *proto.Packet, holdsSlot bool)
+	notifyHost    func(host interface{}, tag NotifyTag)
+	host          interface{}
 	// peer resolves another node's NIC for credit-return addressing.
 	peer func(node int) *NIC
 
@@ -308,8 +309,6 @@ type NIC struct {
 	rxSrcQ dense.Queue[int32]
 	debtQ  dense.FIFO[int32]
 
-	creditDoneFn func() // n.creditDone as a once-allocated func value
-
 	pendingCycles int64 // accumulated via API.Charge during a hook
 
 	// The scratch slices back the []*proto.Packet views handed to firmware
@@ -356,18 +355,32 @@ func (n *NIC) Init(eng *des.Engine, node int, cfg Config, fabric *simnet.Fabric,
 	*n = NIC{eng: eng, node: node, cfg: cfg, fabric: fabric, fw: fw, pool: pool, txCredit: txCredit}
 	n.proc.Init(eng, "nic-proc")
 	n.shared.Init(dropCap)
-	n.creditDoneFn = n.creditDone
-	fabric.Attach(node, eng, uint32(node), n.wireReceive)
+	fabric.AttachArg(node, eng, uint32(node), pool, nicWireReceive, n)
 }
 
-// Wire connects the NIC to its host-side delivery and notification paths.
-// Must be called before traffic flows.
+// Wire connects the NIC to its host-side delivery and notification paths:
+// deliverToHost must invoke done when the host has consumed the packet,
+// freeing the rx slot. Must be called before traffic flows.
 func (n *NIC) Wire(deliverToHost func(pkt *proto.Packet, done func()), notifyHost func(NotifyTag)) {
 	if deliverToHost == nil || notifyHost == nil {
 		panic("nic: Wire with nil callback")
 	}
-	n.deliverToHost = deliverToHost
-	n.notifyHost = notifyHost
+	done := n.HostConsumed
+	n.WireArg(func(_ interface{}, pkt *proto.Packet, holdsSlot bool) {
+		if holdsSlot {
+			deliverToHost(pkt, done)
+		} else {
+			deliverToHost(pkt, func() {})
+		}
+	}, func(_ interface{}, tag NotifyTag) { notifyHost(tag) }, nil)
+}
+
+// WireArg is Wire with the callbacks threaded through host, as
+// des.Engine.AtArg threads its argument, so a host needs no closure:
+// deliver learns whether the packet holds an rx slot, and the host calls
+// HostConsumed once it has consumed such a packet.
+func (n *NIC) WireArg(deliver func(host interface{}, pkt *proto.Packet, holdsSlot bool), notify func(host interface{}, tag NotifyTag), host interface{}) {
+	n.deliverToHost, n.notifyHost, n.host = deliver, notify, host
 }
 
 // WirePeers supplies the NIC-to-NIC lookup used to address returning
@@ -404,12 +417,12 @@ func (n *NIC) WirePeers(peer func(node int) *NIC) {
 	}
 }
 
-// creditDone is the host-delivery completion for packets that hold a
+// HostConsumed is the host-delivery completion for packets that hold a
 // receive-buffer slot: the host consumed the oldest outstanding delivery,
 // so its slot frees and the credit starts traveling back to that
 // packet's sender. Deliveries complete in delivery order (FIFO host bus
 // and CPU), which is what pairs the ring head with the right source.
-func (n *NIC) creditDone() {
+func (n *NIC) HostConsumed() {
 	n.returnCredit(n.rxSrcQ.Pop())
 }
 
@@ -712,14 +725,12 @@ func (n *NIC) txDone() {
 // same links the fabric models.
 func (n *NIC) linkBandwidth() float64 { return n.fabric.LinkBandwidth() }
 
-// wireReceive accepts a packet delivered by the fabric.
-func (n *NIC) wireReceive(pkt *proto.Packet) {
+// nicWireReceive accepts a packet the fabric delivered to NIC x.
+func nicWireReceive(x interface{}, pkt *proto.Packet) {
+	n := x.(*NIC)
 	n.recvQ.Push(pkt)
 	n.rxPump()
 }
-
-// noopDone is the delivery completion for packets that hold no rx slot.
-var noopDone = func() {}
 
 // rxPump drives the receive side: run firmware, then DMA to the host.
 func (n *NIC) rxPump() {
@@ -755,7 +766,7 @@ func (n *NIC) rxPump() {
 // nicRxProcessed is the processor-stage completion for the receive pump.
 // A packet that occupies a buffer slot (rxSlotSrc) owes its sender a
 // credit: for host-bound deliveries the credit returns when the host
-// consumes the packet (creditDone); for packets the firmware consumes or
+// consumes the packet (HostConsumed); for packets the firmware consumes or
 // drops on the NIC, the slot frees right here.
 func nicRxProcessed(x interface{}) {
 	n := x.(*NIC)
@@ -769,10 +780,8 @@ func nicRxProcessed(x interface{}) {
 		}
 		if n.rxSlotSrc >= 0 {
 			n.rxSrcQ.Push(n.rxSlotSrc)
-			n.deliverToHost(pkt, n.creditDoneFn)
-		} else {
-			n.deliverToHost(pkt, noopDone)
 		}
+		n.deliverToHost(n.host, pkt, n.rxSlotSrc >= 0)
 	case VerdictConsume, VerdictDrop:
 		if n.rxVerdict == VerdictConsume {
 			n.Stats.RxConsumed.Inc()
@@ -920,7 +929,7 @@ func (a apiImpl) NotifyHost(tag NotifyTag) {
 	if a.n.notifyHost == nil {
 		panic("nic: NotifyHost before Wire")
 	}
-	a.n.notifyHost(tag) //nicwarp:alloc wired by the cluster assembly (core's nicNotify, closure-free); opaque to the analyzer
+	a.n.notifyHost(a.n.host, tag) //nicwarp:alloc wired by the cluster assembly (core's nodeNICNotify, closure-free); opaque to the analyzer
 }
 
 func (a apiImpl) Stats() *Stats { return &a.n.Stats }

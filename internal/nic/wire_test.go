@@ -66,7 +66,7 @@ func newWireProbe(t *testing.T, cfg Config, fw Firmware) *wireProbe {
 		} else {
 			p.wantArrive = p.wantArrive[1:]
 		}
-		r.nics[1].wireReceive(pkt)
+		nicWireReceive(r.nics[1], pkt)
 	})
 	return p
 }

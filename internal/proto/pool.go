@@ -53,6 +53,27 @@ func (p *Pool) Frame(subs int) *Packet {
 	return f
 }
 
+// Clone returns a copy of pkt from the pool: a batch frame's from its
+// frames, with the sub-messages copied into the frame's own. A nil pool
+// clones on the heap (Packet.Clone).
+//
+//nicwarp:hotpath one per broadcast replica and fault-plane duplicate
+func (p *Pool) Clone(pkt *Packet) *Packet {
+	if p == nil {
+		return pkt.Clone()
+	}
+	if pkt.Kind != KindBatch {
+		c := p.Packet()
+		*c = *pkt
+		return c
+	}
+	c := p.Frame(len(pkt.Subs))
+	subs := append(c.Subs, pkt.Subs...) //nicwarp:alloc a reused frame's sub-message capacity grows to the largest frame, amortized
+	*c = *pkt
+	c.Subs = subs
+	return c
+}
+
 // ReleaseFrame returns a consumed batch frame to the pool, zeroing
 // everything but its Subs capacity.
 //

@@ -89,3 +89,31 @@ func TestPoolSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a steady-state take/release cycle allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestPoolClone: a pool's copy of a packet comes off its free list, a batch
+// frame's off its frames with the sub-messages copied into the frame's own
+// array, and a nil pool copies on the heap; every copy equals the original
+// and shares nothing with it.
+func TestPoolClone(t *testing.T) {
+	var p Pool
+	pkt := samplePacket()
+	free := p.Packet()
+	p.Release(free)
+	if c := p.Clone(pkt); c != free || !reflect.DeepEqual(c, pkt) {
+		t.Fatalf("pool clone %p %+v, want the pooled packet %p holding %+v", c, c, free, pkt)
+	}
+	frame := sampleBatch()
+	spare := p.Frame(1)
+	p.ReleaseFrame(spare)
+	c := p.Clone(frame)
+	if c != spare || !reflect.DeepEqual(c, frame) {
+		t.Fatalf("pool clone of a frame %p %+v, want the pooled frame %p holding %+v", c, c, spare, frame)
+	}
+	if c.Subs[0].EventID++; frame.Subs[0].EventID == c.Subs[0].EventID {
+		t.Fatal("a frame's clone shares its sub-messages")
+	}
+	var none *Pool
+	if h := none.Clone(frame); h == frame || !reflect.DeepEqual(h, frame) || &h.Subs[0] == &frame.Subs[0] {
+		t.Fatal("a nil pool's clone is not a deep heap copy")
+	}
+}

@@ -295,11 +295,11 @@ func (p *Packet) Sign() int8 {
 // packets clones first, mirroring the copy from host memory into NIC SRAM.
 // Batch sub-messages are deep-copied: the original frame's Subs backing
 // array returns to a pool when the frame is consumed, so a clone (e.g. a
-// fabric-injected duplicate) must not alias it.
+// duplicate the fabric injects for a port with no pool) must not alias it.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	if p.Subs != nil {
-		q.Subs = append([]SubMsg(nil), p.Subs...)
+		q.Subs = append([]SubMsg(nil), p.Subs...) //nicwarp:alloc a heap copy, made only where no pool serves the caller (Pool.Clone)
 	}
 	return &q
 }

@@ -213,13 +213,16 @@ type port struct {
 	portFields
 }
 
-// portFields are a port's contents: the engine and lane of the NIC it
-// connects, the delivery callback, and the output-port serializer.
+// portFields are a port's contents: the engine, lane and packet pool of
+// the NIC it connects, the delivery callback, and the output-port
+// serializer.
 type portFields struct {
 	f       *Fabric
 	eng     *des.Engine
 	lane    uint32
-	deliver func(*proto.Packet)
+	pool    *proto.Pool // where the copies of packets this port sends come from
+	deliver func(arg interface{}, pkt *proto.Packet)
+	arg     interface{}
 	out     des.Resource // output-port serializer (switch -> NIC link)
 	// xfer memoizes link serialization times. Both its users — launch for
 	// the source port, portArrival for the destination — run on this port's
@@ -261,13 +264,22 @@ func (f *Fabric) Attach(portID int, eng *des.Engine, lane uint32, deliver func(*
 	if deliver == nil {
 		panic("simnet: nil deliver callback")
 	}
+	f.AttachArg(portID, eng, lane, nil, callDeliver, deliver)
+}
+
+// callDeliver is the threaded form of an Attach callback.
+func callDeliver(fn interface{}, pkt *proto.Packet) { fn.(func(*proto.Packet))(pkt) }
+
+// AttachArg is Attach with the callback threaded through arg, as
+// des.Engine.AtArg threads its argument, so a receiver needs no closure.
+// The broadcast replicas and fault-plane duplicates of packets the port
+// sends come from pool, the engine's (the heap when nil).
+func (f *Fabric) AttachArg(portID int, eng *des.Engine, lane uint32, pool *proto.Pool, deliver func(arg interface{}, pkt *proto.Packet), arg interface{}) {
 	if eng == nil {
 		panic("simnet: nil engine")
 	}
 	p := &f.ports[portID]
-	p.eng = eng
-	p.lane = lane
-	p.deliver = deliver
+	p.eng, p.lane, p.pool, p.deliver, p.arg = eng, lane, pool, deliver, arg
 	p.out.Init(eng, "switch-port")
 }
 
@@ -296,13 +308,21 @@ func (f *Fabric) Announce(srcPort int, pkt *proto.Packet, depart vtime.ModelTime
 		panic(fmt.Sprintf("simnet: departure %v is before now %v", depart, src.eng.Now()))
 	}
 	if pkt.DstNode == -1 {
+		// Replicas come from the port's pool; the last is the packet itself.
+		last := len(f.ports) - 1
+		if last == srcPort {
+			last--
+		}
 		for i := range f.ports {
 			if i == srcPort {
 				continue
 			}
-			copyPkt := pkt.Clone()
-			copyPkt.DstNode = int32(i)
-			f.launch(srcPort, i, copyPkt, depart)
+			replica := pkt
+			if i != last {
+				replica = src.pool.Clone(pkt)
+			}
+			replica.DstNode = int32(i)
+			f.launch(srcPort, i, replica, depart)
 		}
 		return
 	}
@@ -325,7 +345,7 @@ func (f *Fabric) launch(srcPort, dstPort int, pkt *proto.Packet, depart vtime.Mo
 	for f.tap != nil {
 		d := f.tap.OnRoute(srcPort, dstPort, pkt)
 		if d.Dup {
-			c := pkt.Clone()
+			c := f.ports[srcPort].pool.Clone(pkt)
 			c.WireDup = true // holds no rx slot at the receiver
 			f.launch(srcPort, dstPort, c, depart+d.DupDelay)
 		}
@@ -373,5 +393,6 @@ func portSerialized(a, b interface{}) {
 
 // portDeliver: the packet fully arrived at the destination NIC.
 func portDeliver(a, b interface{}) {
-	a.(*port).deliver(b.(*proto.Packet))
+	p := a.(*port)
+	p.deliver(p.arg, b.(*proto.Packet))
 }

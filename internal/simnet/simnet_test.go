@@ -209,6 +209,36 @@ func TestTapDuplicateClones(t *testing.T) {
 	}
 }
 
+// TestCopiesComeFromThePortsPool: a port attached with a pool takes the
+// broadcast replicas of what it sends from that pool, and hands the
+// broadcast packet itself to the last port.
+func TestCopiesComeFromThePortsPool(t *testing.T) {
+	e := des.NewEngine()
+	f := NewFabric(testConfig(), 4)
+	pools := make([]proto.Pool, 4)
+	got := map[*proto.Packet]int{}
+	for i := range pools {
+		f.AttachArg(i, e, uint32(i), &pools[i], func(_ interface{}, p *proto.Packet) { got[p] = int(p.DstNode) }, nil)
+	}
+	pooled := map[*proto.Packet]bool{}
+	for _, p := range []*proto.Packet{pools[1].Packet(), pools[1].Packet()} {
+		pooled[p] = true
+		pools[1].Release(p)
+	}
+	b := pkt(1, -1)
+	b.Kind = proto.KindGVTBroadcast
+	f.Announce(1, b, 0)
+	e.Run(vtime.ModelInfinity)
+	if len(got) != 3 || got[b] != 3 {
+		t.Fatalf("broadcast reached %v, want three replicas with the packet itself at port 3", got)
+	}
+	for p, port := range got {
+		if p != b && !pooled[p] {
+			t.Errorf("the replica for port %d came from neither the pool nor the packet", port)
+		}
+	}
+}
+
 func TestTapTrueLoss(t *testing.T) {
 	e := des.NewEngine()
 	f := NewFabric(testConfig(), 2)

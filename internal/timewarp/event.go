@@ -37,17 +37,18 @@ type Event struct {
 	Dst     ObjectID
 	SendTS  vtime.VTime
 	RecvTS  vtime.VTime
-	Sign    int8 // +1 positive, -1 anti
 	Payload uint64
+	Sign    int8 // +1 positive, -1 anti; beside pos, so an event is 56 bytes
 
 	// Kernel-internal queue plumbing. pos is the intrusive pendHeap slot
 	// (-1 outside the heap). inext chains a pending event into its bucket
-	// of the identity index, and an output copy (never pending) into its
-	// history entry's output chain. Both are overwritten on insertion, so
-	// events copied or recycled with stale values are safe, and neither
-	// participates in identity (sameIdentity) or the wire encoding.
+	// of the identity index, an output copy (never pending) into its
+	// history entry's output chain, and a zombie into its object's zombie
+	// list. Both are overwritten on insertion, so events copied or recycled
+	// with stale values are safe, and neither participates in identity
+	// (sameIdentity) or the wire encoding.
 	pos   int32
-	inext *Event //nicwarp:owns intrusive index or output chain; unlinked by pendIndex.del, overwritten on insert
+	inext *Event //nicwarp:owns intrusive index, output chain or zombie list; unlinked by pendIndex.del, overwritten on insert
 }
 
 // MakeEventID composes the deterministic event ID from the sending object

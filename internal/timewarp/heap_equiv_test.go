@@ -265,7 +265,7 @@ func TestPendingIndexConsistency(t *testing.T) {
 				if k.pindex.bucket(p.ID) != b {
 					t.Fatalf("%s: event %v chained in bucket %d, hashes to %d", when, p, b, k.pindex.bucket(p.ID))
 				}
-				o := &k.order[k.objs[p.Dst]]
+				o := k.local(p.Dst)
 				if int(p.pos) < 0 || int(p.pos) >= o.pending.Len() || o.pending.s[p.pos].ev != p {
 					t.Fatalf("%s: indexed event %v has stale pos %d", when, p, p.pos)
 				}

@@ -11,7 +11,8 @@ import (
 
 // Config parameterizes a Kernel (one LP).
 type Config struct {
-	// LP is this kernel's logical-process id (its node in the cluster).
+	// LP is this kernel's logical-process id (its node in the cluster):
+	// IsLocal compares an object's home in the directory with it.
 	LP int
 	// DisableEventPool turns off event reuse: every event is freshly
 	// allocated and released events go to the garbage collector. Pooling
@@ -76,8 +77,8 @@ type objRuntime struct {
 
 	sendSeq uint64
 
-	zombies     []*Event //nicwarp:owns unmatched anti-messages; recycled on annihilation or fossil collection
-	fossilCount int      // history entries already reclaimed
+	zombies     *Event //nicwarp:owns unmatched anti-messages chained through inext; recycled on annihilation or fossil collection
+	fossilCount int    // history entries already reclaimed
 
 	idx       uint32               // index in Kernel.order; the object's id in the scheduler heap
 	firstPend [firstSlots]pendSlot // where pending starts (Bootstrap)
@@ -170,14 +171,15 @@ type StepResult struct {
 
 // Kernel is one LP: a set of simulation objects executing optimistically.
 type Kernel struct {
-	objs map[ObjectID]int32 // index in order
+	lp  int32
+	dir *Directory // where each object lives: its LP and its index in order
 	// order holds every object's runtime by value, in registration order.
 	// AddObject precedes Bootstrap, so nothing holds an *objRuntime while
 	// the slice can still grow.
 	order  []objRuntime
 	sched  d4heap.Heap // every object, keyed schedKey, ids index order
 	pindex pendIndex   // identity index over every object's pending queue
-	pool   eventPool
+	pool   *EventPool
 
 	// Per-call scratch, reset by each public entry point. res aliases
 	// resVal so begin() allocates nothing; res.Remote views remote, which
@@ -215,23 +217,32 @@ type Kernel struct {
 // allocate: a step's sends and the antis of a shallow rollback.
 const scratchCap = 10
 
-// NewKernel creates an empty LP kernel.
+// NewKernel creates an empty LP kernel with a directory and an event pool
+// of its own.
 func NewKernel(cfg Config) *Kernel {
 	k := new(Kernel)
-	k.Init(cfg, 0)
+	k.Init(cfg, nil, nil)
 	return k
 }
 
-// Init sets k up in place as an empty LP kernel sized for objects calls of
-// AddObject, so registering them grows nothing. A Kernel must not be copied
-// once Init has run: its step scratch starts inside it.
-func (k *Kernel) Init(cfg Config, objects int) {
-	*k = Kernel{
-		objs:  make(map[ObjectID]int32, objects),
-		order: make([]objRuntime, 0, objects),
-		pool:  eventPool{disabled: cfg.DisableEventPool},
+// Init sets k up in place as an empty LP kernel taking events from pool.
+// With rows, its state starts on the next LP's rows, sized for the objects
+// it will register, and it shares their directory; with none, it keeps a
+// directory of its own and grows as objects arrive. A nil pool, or
+// cfg.DisableEventPool, gives it a pool of its own. A Kernel must not be
+// copied once Init has run: its step scratch starts inside it.
+func (k *Kernel) Init(cfg Config, rows *Rows, pool *EventPool) {
+	if pool == nil || cfg.DisableEventPool {
+		pool = &EventPool{disabled: cfg.DisableEventPool}
 	}
+	*k = Kernel{lp: int32(cfg.LP), pool: pool}
 	k.remote, k.localQ = k.remoteBuf[:0], k.localBuf[:0]
+	if rows == nil {
+		k.dir = new(Directory)
+		return
+	}
+	k.dir = &rows.Dir
+	rows.take(k)
 }
 
 // AddObject registers a local object. Must be called before Bootstrap.
@@ -242,18 +253,27 @@ func (k *Kernel) AddObject(id ObjectID, obj Object) {
 	if obj == nil {
 		panic("timewarp: AddObject with nil object")
 	}
-	if _, dup := k.objs[id]; dup {
+	if id < 0 {
+		panic(fmt.Sprintf("timewarp: negative object id %d", id))
+	}
+	k.dir.grow(int(id) + 1)
+	if k.dir.homes[id].lp >= 0 {
 		panic(fmt.Sprintf("timewarp: duplicate object %d", id))
 	}
 	reuser, _ := obj.(StateReuser)
-	k.objs[id] = int32(len(k.order))
+	k.dir.homes[id] = home{lp: k.lp, slot: int32(len(k.order))}
 	k.order = append(k.order, objRuntime{id: id, obj: obj, reuser: reuser, idx: uint32(len(k.order))})
 }
 
 // IsLocal reports whether the object lives on this LP.
-func (k *Kernel) IsLocal(id ObjectID) bool {
-	_, ok := k.objs[id]
-	return ok
+func (k *Kernel) IsLocal(id ObjectID) bool { return k.dir.Home(id) == int(k.lp) }
+
+// local returns the runtime of a local object, or nil.
+func (k *Kernel) local(id ObjectID) *objRuntime {
+	if !k.IsLocal(id) {
+		return nil
+	}
+	return &k.order[k.dir.homes[id].slot]
 }
 
 // begin resets per-call scratch and returns the result accumulator.
@@ -274,11 +294,10 @@ func (k *Kernel) Bootstrap() StepResult {
 	}
 	k.booted = true
 	res := k.begin()
-	// The object set is final: the scheduler takes its arrays at their one
-	// size, every object enters it idle, and every pending heap and history
+	// The object set is final: every object enters the scheduler idle (on
+	// its rows, sized for them all), and every pending heap and history
 	// ring starts on slots its runtime carries (one outgrowing them
 	// reallocates on its own). The runtimes stay put from here on.
-	k.sched.Grow(len(k.order))
 	for i := range k.order {
 		o := &k.order[i]
 		o.pending.s = append(o.firstPend[:0], o.pending.s...)
@@ -311,7 +330,7 @@ func (k *Kernel) NextTS() vtime.VTime {
 // anti-messages.
 func (k *Kernel) Quiescent() bool {
 	for i := range k.order {
-		if o := &k.order[i]; o.pending.Len() > 0 || len(o.zombies) > 0 {
+		if o := &k.order[i]; o.pending.Len() > 0 || o.zombies != nil {
 			return false
 		}
 	}
@@ -325,7 +344,9 @@ func (k *Kernel) Quiescent() bool {
 func (k *Kernel) ZombieCount() int {
 	total := 0
 	for i := range k.order {
-		total += len(k.order[i].zombies)
+		for z := k.order[i].zombies; z != nil; z = z.inext {
+			total++
+		}
 	}
 	return total
 }
@@ -410,7 +431,7 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) {
 		}
 		// A zombie below GVT means its positive can never arrive: a bug in
 		// the kernel or in whatever discarded the positive.
-		for _, z := range o.zombies {
+		for z := o.zombies; z != nil; z = z.inext {
 			if z.RecvTS < gvt {
 				panic(fmt.Sprintf("timewarp: zombie anti below GVT: %v (gvt=%v)", z, gvt))
 			}
@@ -420,11 +441,11 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) {
 
 // ObjectDigest returns the current state digest of one local object.
 func (k *Kernel) ObjectDigest(id ObjectID) uint64 {
-	i, ok := k.objs[id]
-	if !ok {
+	o := k.local(id)
+	if o == nil {
 		panic(fmt.Sprintf("timewarp: ObjectDigest of non-local object %d", id))
 	}
-	return k.order[i].obj.Digest()
+	return o.obj.Digest()
 }
 
 // CommittedDigest folds every object's current state into one hash. Only
@@ -529,11 +550,11 @@ func sameIdentity(a, b *Event) bool {
 // deliverOne integrates one inbound event (positive or anti) into its
 // destination object. The kernel owns ev.
 func (k *Kernel) deliverOne(ev *Event) {
-	i, ok := k.objs[ev.Dst]
-	if !ok {
+	o := k.local(ev.Dst)
+	if o == nil {
 		panic(fmt.Sprintf("timewarp: Deliver for non-local object %d", ev.Dst))
 	}
-	if o := &k.order[i]; ev.Sign > 0 {
+	if ev.Sign > 0 {
 		k.deliverPositive(o, ev)
 	} else {
 		k.deliverAnti(o, ev)
@@ -549,11 +570,9 @@ func (k *Kernel) deliverPositive(o *objRuntime, ev *Event) {
 	// An anti-message that arrived first (possible only when the positive
 	// was delayed past it, or when early cancellation misfired) annihilates
 	// the positive on sight.
-	for i, z := range o.zombies {
-		if sameIdentity(ev, z) {
-			copy(o.zombies[i:], o.zombies[i+1:])
-			o.zombies[len(o.zombies)-1] = nil
-			o.zombies = o.zombies[:len(o.zombies)-1]
+	for p := &o.zombies; *p != nil; p = &(*p).inext {
+		if z := *p; sameIdentity(ev, z) {
+			*p = z.inext
 			k.Stats.Annihilations.Inc()
 			k.release(z)
 			k.release(ev)
@@ -636,7 +655,10 @@ func (k *Kernel) deliverAnti(o *objRuntime, ev *Event) {
 		return
 	}
 	// No positive yet: store the zombie; the zombie list takes ownership.
-	o.zombies = append(o.zombies, ev)
+	// Zombies matching one positive are identical, so which one it meets
+	// first is invisible: the list is newest first.
+	ev.inext = o.zombies
+	o.zombies = ev
 	k.Stats.Zombies.Inc()
 }
 

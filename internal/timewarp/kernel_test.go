@@ -2,6 +2,7 @@ package timewarp
 
 import (
 	"testing"
+	"unsafe"
 
 	"nicwarp/internal/rng"
 	"nicwarp/internal/vtime"
@@ -151,6 +152,49 @@ func TestDeliverToUnknownObjectPanics(t *testing.T) {
 		}
 	}()
 	k.Deliver(&Event{Dst: 42, Sign: 1, RecvTS: 1})
+}
+
+// TestEventIs56Bytes: Sign sits beside pos, not before Payload, where it
+// left seven bytes of padding; every event slab is sized by this.
+func TestEventIs56Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 56 {
+		t.Fatalf("Event is %d bytes, want 56", size)
+	}
+}
+
+// TestDirectoryEdges: an object is local to the kernel that registered it
+// and to no other sharing the directory, and an id that is negative or past
+// the directory's end is local nowhere — the remote sink a test object
+// sends to is ObjectID(-1).
+func TestDirectoryEdges(t *testing.T) {
+	rows := NewRows([]int{1, 1}, []ObjectID{0, 3})
+	var k0, k1 Kernel
+	k0.Init(Config{LP: 0}, rows, nil)
+	k1.Init(Config{LP: 1}, rows, nil)
+	k0.AddObject(0, newTestObj(0, nil, false, 0, 1))
+	k1.AddObject(3, newTestObj(3, nil, false, 0, 1))
+	for _, c := range []struct {
+		k     *Kernel
+		id    ObjectID
+		local bool
+	}{
+		{&k0, 0, true}, {&k1, 0, false}, {&k0, 3, false}, {&k1, 3, true},
+		{&k0, 1, false}, {&k0, -1, false}, {&k1, -1, false}, {&k0, 4, false}, {&k1, 1 << 30, false},
+	} {
+		if got := c.k.IsLocal(c.id); got != c.local {
+			t.Errorf("LP %d: IsLocal(%d) = %v, want %v", c.k.lp, c.id, got, c.local)
+		}
+	}
+	if rows.Dir.Home(3) != 1 || rows.Dir.Home(2) != -1 || rows.Dir.Home(-5) != -1 {
+		t.Errorf("directory homes 3→%d, 2→%d, -5→%d; want 1, -1, -1", rows.Dir.Home(3), rows.Dir.Home(2), rows.Dir.Home(-5))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a kernel took LP 0's rows after LP 1's")
+		}
+	}()
+	var late Kernel
+	late.Init(Config{LP: 0}, rows, nil)
 }
 
 func TestStragglerTriggersRollback(t *testing.T) {
@@ -366,8 +410,9 @@ func TestAddObjectValidation(t *testing.T) {
 	k := NewKernel(Config{})
 	k.AddObject(0, newTestObj(0, nil, false, 0, 1))
 	for _, f := range []func(){
-		func() { k.AddObject(0, newTestObj(0, nil, false, 0, 1)) }, // dup
-		func() { k.AddObject(1, nil) },                             // nil
+		func() { k.AddObject(0, newTestObj(0, nil, false, 0, 1)) },   // dup
+		func() { k.AddObject(1, nil) },                               // nil
+		func() { k.AddObject(-1, newTestObj(-1, nil, false, 0, 1)) }, // no directory entry
 	} {
 		func() {
 			defer func() {

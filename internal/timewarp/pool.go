@@ -2,9 +2,11 @@ package timewarp
 
 import "nicwarp/internal/dense"
 
-// eventPool is a per-kernel free list of Event structs. The kernel is
-// single-threaded (one LP driven by one cluster loop), so the pool needs no
-// synchronization.
+// EventPool is a free list of Event structs. A cluster keeps one per shard
+// and hands it to every kernel on that shard's engine: a kernel's events
+// never leave its shard's goroutine, so the pool needs no synchronization.
+// A standalone kernel keeps a pool of its own. The zero EventPool is empty
+// and ready to use.
 //
 // Ownership discipline (the invariant that makes pooling safe in a Time
 // Warp kernel): every kernel-internal structure — an object's pending heap,
@@ -18,7 +20,7 @@ import "nicwarp/internal/dense"
 // outputs have routed their anti-messages. Every allocation fully
 // overwrites the struct, so a recycled event can never leak a stale field
 // into identity comparison.
-type eventPool struct {
+type EventPool struct {
 	free     []*Event //nicwarp:owns the pool free list is the release destination itself
 	made     int      // events the pool's slabs have allocated
 	disabled bool     // property tests disable reuse to prove observational equivalence
@@ -34,7 +36,7 @@ const eventSlab = 32
 // every field.
 //
 //nicwarp:hotpath per-event acquisition on the execution fast path (Fig4 allocs/op gate)
-func (p *eventPool) get() *Event {
+func (p *EventPool) get() *Event {
 	slab := eventSlab
 	if len(p.free) == 0 {
 		slab = max(eventSlab, p.made/8)
@@ -48,7 +50,7 @@ func (p *eventPool) get() *Event {
 //
 //nicwarp:owns the free list is the release destination: e may be handed out again at the next get
 //nicwarp:hotpath per-event release on the execution fast path (Fig4 allocs/op gate)
-func (p *eventPool) put(e *Event) {
+func (p *EventPool) put(e *Event) {
 	if p.disabled || e == nil {
 		return
 	}

@@ -111,7 +111,7 @@ func TestPoolingUnderRollbackPressure(t *testing.T) {
 // not handed out stays within an eighth of the pool plus one slab.
 func TestEventPoolSlabsGrowWithThePool(t *testing.T) {
 	for _, n := range []int{1, 100, 1000, 100_000} {
-		var p eventPool
+		var p EventPool
 		slabs := 0
 		for i := 0; i < n; i++ {
 			if len(p.free) == 0 {

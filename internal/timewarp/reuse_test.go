@@ -270,7 +270,7 @@ func runFanSchedule(t *testing.T) (*Kernel, *fanObj) {
 	k := NewKernel(Config{})
 	obj := newFanObj(remote, 400)
 	k.AddObject(self, obj)
-	o := &k.order[k.objs[self]]
+	o := k.local(self)
 	antis := 0
 	recycle := func(res StepResult) {
 		antis += res.AntisEmitted
@@ -379,7 +379,7 @@ func TestRollbackCancelsOutputsInSendOrder(t *testing.T) {
 // identity index is one per kernel, and so is the slice of object runtimes,
 // which carry each object's first pending-heap and history slots. What is
 // left is the object's own: the fanObj and its snapshot slab, and the
-// kernel's map entry and event slabs. Objects built the way the application
+// kernel's event slabs and the growth of its directory. Objects built the way the application
 // models build them — one slice of them, one snapshot list shared by every
 // object on the kernel — cost a fraction of one allocation each.
 func TestKernelAllocationsPerObject(t *testing.T) {

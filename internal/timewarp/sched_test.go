@@ -61,12 +61,15 @@ func TestSchedulerKeyOrderIsEventOrder(t *testing.T) {
 	// White box: timestamps at both ends of the signed range, at the sign
 	// change and at Infinity (which an idle object's key also carries),
 	// object ids of both signs, heads pushed, popped and removed at random.
+	// The directory takes no negative id, so the runtimes are given the
+	// corner ids after registration, before the scheduler first keys them.
 	ids := []ObjectID{math.MinInt32, -7, -1, 0, 1, 2, 1 << 20, math.MaxInt32}
 	stamps := []vtime.VTime{math.MinInt64, math.MinInt64 + 1, -5, -1, 0, 1, 5, vtime.Infinity - 1, vtime.Infinity}
 	for seed := uint64(1); seed <= 20; seed++ {
 		k := NewKernel(Config{})
-		for _, id := range ids {
-			k.AddObject(id, &nullTestObject{})
+		for i, id := range ids {
+			k.AddObject(ObjectID(i), &nullTestObject{})
+			k.order[i].id = id
 		}
 		k.Bootstrap()
 		checkSched(t, k)
@@ -103,5 +106,5 @@ func TestPendingEventBelongsToOwner(t *testing.T) {
 			t.Fatal("pendPush accepted an event addressed to another object")
 		}
 	}()
-	k.pendPush(&k.order[k.objs[1]], &Event{Dst: 2, Sign: 1, RecvTS: 1})
+	k.pendPush(k.local(1), &Event{Dst: 2, Sign: 1, RecvTS: 1})
 }

@@ -1,6 +1,9 @@
 package timewarp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SequentialResult is the outcome of an oracle run.
 type SequentialResult struct {
@@ -26,18 +29,14 @@ type SequentialResult struct {
 // maxEvents bounds the run as a safety net against diverging models; pass 0
 // for no bound. Sequential panics if the bound is exceeded.
 func Sequential(objects map[ObjectID]Object, maxEvents int) SequentialResult {
-	k := new(Kernel)
-	k.Init(Config{LP: 0}, len(objects))
 	// Deterministic registration order: ascending object ID.
 	ids := make([]ObjectID, 0, len(objects))
 	for id := range objects {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
+	k := new(Kernel)
+	k.Init(Config{}, NewRows([]int{len(ids)}, ids), nil)
 	for _, id := range ids {
 		k.AddObject(id, objects[id])
 	}

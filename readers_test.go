@@ -34,7 +34,6 @@ var readerAllowlist = map[string]string{
 	"runner.Result.Attempts":              "TestFailureIsolation, TestCacheWarmRerun",
 	// (b) Declared or set only in cmd/bench, which a change judged by the
 	// benchmark may not edit.
-	"timewarp.Config.LP": "cmd/bench's NewKernel probe sets it; nothing reads it",
 	"bench.probeSink":    "written by the probes so the compiler keeps their work",
 	"bench.workload.why": "read only by cmd/bench's TestHarnessMatchesBenchmarkFile",
 }

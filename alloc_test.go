@@ -3,9 +3,11 @@ package nicwarp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nicwarp/internal/core"
+	"nicwarp/internal/runner"
 	"nicwarp/internal/simnet"
 	"nicwarp/internal/timewarp"
 )
@@ -248,5 +250,70 @@ func TestClusterAllocationsPerNode(t *testing.T) {
 	}
 	if bytes > 20_400 {
 		t.Errorf("a run allocates %.0f B per extra node, want at most 20.4 KB", bytes)
+	}
+}
+
+// TestWarmPointBytes gates what a sweep point costs on a runner worker that
+// has already run one: a one-worker runner runs one copy of a fig5 point
+// and then six, and the bytes each extra copy allocates must stay well
+// below what the first one allocated. With every point growing its own
+// packet and event pools, node slice, peer tables, kernel rows, engine
+// arrays and fabric ports and dropping them, an extra copy cost as much as
+// the first (1.00×, 813 allocations).
+func TestWarmPointBytes(t *testing.T) {
+	exp, err := ExperimentByName("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "fig5/period=1/mattern"
+	i := slices.IndexFunc(exp.Jobs(FigureOpts{Scale: 0.02}), func(j runner.Job) bool { return j.Name == name })
+	if i < 0 {
+		t.Fatalf("fig5 has no point %s", name)
+	}
+	job := exp.Jobs(FigureOpts{Scale: 0.02})[i]
+	run := func(copies int) (mallocs, bytes uint64) {
+		jobs := make([]runner.Job, copies)
+		for k := range jobs {
+			jobs[k] = job
+			jobs[k].Name = fmt.Sprintf("%s#%d", name, k)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		results := (&runner.Runner{Workers: 1}).Run(jobs)
+		runtime.ReadMemStats(&m1)
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	}
+	const extra = 5
+	oneAllocs, oneBytes := run(1)
+	manyAllocs, manyBytes := run(1 + extra)
+	perAllocs := (float64(manyAllocs) - float64(oneAllocs)) / extra
+	perBytes := (float64(manyBytes) - float64(oneBytes)) / extra
+	ratio := perBytes / float64(oneBytes)
+	t.Logf("first point %d allocations (%d B); each extra point %.0f allocations (%.0f B, %.2f× the first)",
+		oneAllocs, oneBytes, perAllocs, perBytes, ratio)
+	if ratio > 0.6 {
+		t.Errorf("an extra point on a warm worker allocates %.2f× the first point's bytes, want at most 0.6×", ratio)
+	}
+}
+
+// TestOracleBytes gates what the sequential oracle holds: over POLICE with
+// 2000 stations on 8 LPs it must allocate at most 8 MiB beyond building the
+// objects. Without fossil collection the oracle kept every event, snapshot
+// and output copy of the run until it returned, and this read 52.6 MB.
+func TestOracleBytes(t *testing.T) {
+	objs, _ := Police(PoliceConfig(2000)).Build(8, 1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ref := timewarp.Sequential(objs, 0)
+	runtime.ReadMemStats(&m1)
+	bytes := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("%d events, %d allocations, %.1f MB", ref.TotalEvents, m1.Mallocs-m0.Mallocs, float64(bytes)/1e6)
+	if bytes > 8<<20 {
+		t.Errorf("the oracle allocated %.1f MB, want at most 8 MiB", float64(bytes)/1e6)
 	}
 }

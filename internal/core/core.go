@@ -417,19 +417,40 @@ type Cluster struct {
 	nextSample vtime.ModelTime // the SampleEvery boundary the next sample waits for
 }
 
-// shardPool is one engine's packet and event pools, padded so that the
-// pools of two shards, written by different goroutines on every packet,
-// never share a cache line.
-type shardPool struct {
+// shard is one event engine and its packet and event pools, padded so that
+// two shards, written by different goroutines on every event, never share a
+// cache line.
+type shard struct {
+	eng des.Engine
 	proto.Pool
 	events timewarp.EventPool
 	_      [64]byte
+}
+
+// Scratch is memory clusters assemble on, one after another: each shard's
+// engine and pools (free lists kept), and the fabric's, nodes', peer tables'
+// and kernels' arrays, reused cleared (dense.Reuse), so a cluster runs
+// exactly as on fresh memory. The zero Scratch is empty.
+type Scratch struct {
+	shards                  []shard
+	fabric                  *simnet.Fabric
+	rows                    *timewarp.Rows
+	nodes                   []node
+	nextSeq, expect         []uint64
+	credits, owed, txCredit []int32
 }
 
 // NewClusterExec assembles (but does not run) an experiment under the given
 // execution strategy. The strategy never changes what the run computes:
 // committed results and digests are byte-identical at every shard count.
 func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
+	return NewClusterOn(cfg, ex, new(Scratch)) // on the stack: a cluster keeps only what s points to
+}
+
+// NewClusterOn is NewClusterExec on s. The last cluster on s must have
+// returned from Run or never run; after a failed or panicked run, drop s:
+// its shard goroutines may still hold it.
+func NewClusterOn(cfg Config, ex Exec, s *Scratch) (*Cluster, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -438,13 +459,18 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		cfg.Costs.EventGrain = g.EventGrain()
 	}
 	cl := &Cluster{cfg: cfg, shards: ex.shards(cfg)}
+	s.shards = dense.Grow(s.shards, int32(cl.shards-1), shard{})
 	cl.engines = make([]*des.Engine, cl.shards)
 	for i := range cl.engines {
-		cl.engines[i] = des.NewEngine()
+		cl.engines[i] = &s.shards[i].eng
+		cl.engines[i].Init()
 	}
-	pools := make([]shardPool, cl.shards)
 	cl.group = des.NewGroup(cl.engines, Lookahead(cfg))
-	cl.fabric = simnet.NewFabric(cfg.Net, cfg.Nodes)
+	if s.fabric == nil {
+		s.fabric, s.rows = new(simnet.Fabric), new(timewarp.Rows)
+	}
+	cl.fabric, cl.rows = s.fabric, s.rows
+	cl.fabric.Init(cfg.Net, cfg.Nodes)
 
 	if cfg.Fault.Enabled() {
 		cl.plane = fault.NewPlane(cfg.Fault, cfg.Nodes)
@@ -469,7 +495,8 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 	if len(cl.objIDs) > 0 && cl.objIDs[0] < 0 {
 		return nil, fmt.Errorf("core: %s built object %d: object ids must not be negative", cfg.App.Name(), cl.objIDs[0])
 	}
-	cl.nodes = make([]node, cfg.Nodes)
+	s.nodes = dense.Reuse(s.nodes, cfg.Nodes)
+	cl.nodes = s.nodes
 	perLP := make([]int, cfg.Nodes)
 	for _, id := range cl.objIDs {
 		lp := place(id)
@@ -478,15 +505,15 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 		}
 		perLP[lp]++
 	}
-	cl.rows = timewarp.NewRows(perLP, cl.objIDs)
+	cl.rows.Init(perLP, cl.objIDs)
 
 	if cfg.GVT == GVTNIC || cfg.GVT == GVTNICTree {
 		cl.gvtFW = make([]firmware.GVTFirmware, cfg.Nodes)
 	}
 	// The per-peer tables: one array each, a row per node (peerTable).
 	nodes := cfg.Nodes
-	nextSeq, expect := peerTable[uint64](nodes), peerTable[uint64](nodes)
-	credits, owed, txCredit := peerTable[int32](nodes), peerTable[int32](nodes), peerTable[int32](nodes)
+	nextSeq, expect := peerTable(&s.nextSeq, nodes), peerTable(&s.expect, nodes)
+	credits, owed, txCredit := peerTable(&s.credits, nodes), peerTable(&s.owed, nodes), peerTable(&s.txCredit, nodes)
 	// BIP stamps only its own node's packets: one transmit serves all nodes.
 	transmit := func(p *proto.Packet) { cl.nodes[p.SrcNode].bipTransmit(p) }
 	dropCap := cmp.Or(cfg.DropBufferCap, nic.DefaultDropBufferCap)
@@ -497,7 +524,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			n.doorbells[tag] = doorbell{n: n, tag: nic.NotifyTag(tag)}
 		}
 		n.eng = cl.engines[i%cl.shards]
-		n.pool = &pools[i%cl.shards].Pool
+		n.pool = &s.shards[i%cl.shards].Pool
 		// The components' resources take the engine's current lane.
 		n.eng.SetLane(uint32(i))
 		n.cpu.Init(n.eng, cfg.Costs)
@@ -516,7 +543,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 			fw = firmware.NewCancel()
 		}
 		n.nicDev.Init(n.eng, i, cfg.NIC, cl.fabric, fw, n.pool, dropCap, peerRow(txCredit, i, nodes))
-		n.kernel.Init(timewarp.Config{LP: i}, cl.rows, &pools[i%cl.shards].events)
+		n.kernel.Init(timewarp.Config{LP: i}, cl.rows, &s.shards[i%cl.shards].events)
 		n.bipEnd.Init(i, peerRow(nextSeq, i, nodes), peerRow(expect, i, nodes))
 		if cfg.Fault.Enabled() {
 			// Wire faults duplicate, reorder and retransmit; the endpoint
@@ -568,11 +595,12 @@ func setManagers[M any, P interface {
 
 // peerTable returns a per-peer table of one row per node, each an entry per
 // node padded to a multiple of 64 bytes, so rows written by two shards never
-// share a cache line. An endpoint starts on its row empty (peerRow) and
-// grows into it as peers appear (dense.Grow) without allocating.
-func peerTable[T any](nodes int) []T {
+// share a cache line, on *buf's memory. An endpoint starts on its row empty
+// (peerRow) and grows into it as peers appear (dense.Grow) without allocating.
+func peerTable[T any](buf *[]T, nodes int) []T {
 	perLine := 64 / int(unsafe.Sizeof(*new(T)))
-	return make([]T, nodes*((nodes+perLine-1)/perLine*perLine))
+	*buf = dense.Reuse(*buf, nodes*((nodes+perLine-1)/perLine*perLine))
+	return *buf
 }
 
 // peerRow returns node i's row of a table of nodes rows: empty, with the row

@@ -27,13 +27,16 @@ func TestLayoutKeepsShardsOffEachOthersLines(t *testing.T) {
 		t.Errorf("simnet port is %d bytes, not a multiple of 64", size)
 	}
 	for _, nodes := range []int{1, 5, 8, 9, 256} {
-		checkRows(t, peerTable[uint64](nodes), nodes, 8)
-		checkRows(t, peerTable[int32](nodes), nodes, 16)
+		checkRows(t, peerTable(new([]uint64), nodes), nodes, 8)
+		checkRows(t, peerTable(new([]int32), nodes), nodes, 16)
 	}
-	for _, nodes := range []int{1, 5, 8, 9} {
+	// One scratch, largest cluster first: the smaller ones assemble on
+	// arrays it grew, which must keep their rows on whole lines too.
+	var scratch Scratch
+	for _, nodes := range []int{9, 1, 5, 8} {
 		cfg := baseConfig()
 		cfg.Nodes, cfg.App = nodes, pholdApp(3*nodes+2, 1)
-		cl, err := NewClusterExec(cfg, Exec{})
+		cl, err := NewClusterOn(cfg, Exec{}, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,6 +95,9 @@ func (h *Heap) On(k []Key, id []uint32, pos []int32) {
 	*h = Heap{k: k[:0], id: id[:0], pos: pos[:0]}
 }
 
+// Reset empties h, keeping its arrays for it to refill without allocating.
+func (h *Heap) Reset() { h.On(h.k, h.id, h.pos) }
+
 // Push inserts id under key k. A vacated root is refilled in place.
 //
 //nicwarp:hotpath one push per scheduled event

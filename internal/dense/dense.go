@@ -36,6 +36,18 @@ func grow[T any](s []T, i int32, fill T) []T {
 	return s
 }
 
+// Reuse returns what make([]T, n) would: n zeroed entries, on s's array
+// (resliced from its start, so at the same offsets) when it holds n, else
+// on a fresh one the caller keeps in s's place.
+func Reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n) //nicwarp:alloc the array grows to the largest n asked of it, once
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // At returns s[i], or the zero value for an index the table has not grown
 // to (or a negative one, such as the broadcast destination).
 func At[T any](s []T, i int32) T {

@@ -114,7 +114,16 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{laneSeq: make([]uint64, 1)}
+	e := new(Engine)
+	e.Init()
+	return e
+}
+
+// Init sets e up as NewEngine does, keeping the arena, free list, heap and
+// lane table an earlier run grew (append overwrites a slot before any read).
+func (e *Engine) Init() {
+	e.heap.Reset()
+	*e = Engine{heap: e.heap, arena: e.arena[:0], free: e.free[:0], laneSeq: append(e.laneSeq[:0], 0)}
 }
 
 // Now returns the current model time.

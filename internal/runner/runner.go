@@ -7,8 +7,10 @@
 // function of its core.Config. That shape admits three mechanical wins the
 // serial loops in the root package forgo:
 //
-//   - parallelism: points spread over GOMAXPROCS goroutines, each running
-//     its own single-goroutine Cluster;
+//   - parallelism: points spread over GOMAXPROCS worker goroutines; a
+//     worker's points assemble one after another on one core.Scratch for
+//     the Run call, and a failed or panicked point drops it, so the next
+//     point and every retry start empty;
 //   - caching: a point's Result is stored under the SHA-256 digest of its
 //     canonical Config (core.Config.Digest), so re-running a suite after
 //     editing one experiment re-executes only the changed points;
@@ -125,8 +127,9 @@ func (r *Runner) Run(jobs []Job) []Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			scratch := new(core.Scratch)
 			for i := range idx {
-				results[i] = r.runOne(jobs[i])
+				results[i] = r.runOne(jobs[i], &scratch)
 				mu.Lock()
 				done++
 				if r.OnProgress != nil {
@@ -149,7 +152,7 @@ func (r *Runner) Run(jobs []Job) []Result {
 }
 
 // runOne resolves one point: cache lookup, then bounded-retry execution.
-func (r *Runner) runOne(job Job) Result {
+func (r *Runner) runOne(job Job, scratch **core.Scratch) Result {
 	res := Result{Job: job, Key: job.Config.Digest()}
 	if r.Cache != nil {
 		if cached, ok := r.Cache.Get(res.Key); ok {
@@ -160,7 +163,7 @@ func (r *Runner) runOne(job Job) Result {
 	}
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
-		out, err := execute(job.Config, r.Exec)
+		out, err := execute(job.Config, r.Exec, *scratch)
 		if err == nil {
 			res.Res, res.Err = out, nil
 			if r.Cache != nil {
@@ -168,6 +171,7 @@ func (r *Runner) runOne(job Job) Result {
 			}
 			return res
 		}
+		*scratch = new(core.Scratch)
 		res.Err = fmt.Errorf("runner: point %q attempt %d: %w", job.Name, attempt, err)
 		if attempt > r.Retries {
 			return res
@@ -178,13 +182,13 @@ func (r *Runner) runOne(job Job) Result {
 // execute runs one cluster experiment, converting a panic anywhere in the
 // assembly or run into an error so a broken point cannot take the suite's
 // process down.
-func execute(cfg core.Config, ex core.Exec) (res *core.Result, err error) {
+func execute(cfg core.Config, ex core.Exec, scratch *core.Scratch) (res *core.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("experiment panicked: %v", p)
 		}
 	}()
-	cl, err := core.NewClusterExec(cfg, ex)
+	cl, err := core.NewClusterOn(cfg, ex, scratch)
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"nicwarp/internal/dense"
 	"nicwarp/internal/des"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
@@ -232,17 +233,24 @@ type portFields struct {
 
 // NewFabric creates a fabric with n unattached ports.
 func NewFabric(cfg Config, n int) *Fabric {
+	f := new(Fabric)
+	f.Init(cfg, n)
+	return f
+}
+
+// Init sets f up as NewFabric does, reusing the port array of an earlier
+// run on f when it holds n ports.
+func (f *Fabric) Init(cfg Config, n int) {
 	if n <= 0 {
 		panic("simnet: fabric needs at least one port")
 	}
 	if cfg.LinkBandwidth <= 0 {
 		panic("simnet: nonpositive link bandwidth")
 	}
-	f := &Fabric{cfg: cfg, ports: make([]port, n)}
+	*f = Fabric{cfg: cfg, ports: dense.Reuse(f.ports, n)}
 	for i := range f.ports {
 		f.ports[i].f = f
 	}
-	return f
 }
 
 // NumPorts returns the number of ports.

@@ -4,6 +4,7 @@ import (
 	"unsafe"
 
 	"nicwarp/internal/d4heap"
+	"nicwarp/internal/dense"
 )
 
 // Directory is a run's object directory: each ObjectID's LP and slot in
@@ -32,13 +33,15 @@ func (d *Directory) grow(ids int) {
 // Rows holds a cluster's kernels' fixed-size state: their shared
 // directory, and one array each, with a row per kernel, for the object
 // runtimes, the scheduler heap's three arrays and the first pending-index
-// buckets. Kernel.Init carves each kernel's rows off the front, in LP
-// order. Every row fills whole 64-byte lines, so kernels on different
-// shards never write the same line.
+// buckets. Kernel.Init carves each kernel's rows after those taken before
+// it, in LP order. Every row fills whole 64-byte lines, so kernels on
+// different shards never write the same line.
 type Rows struct {
 	Dir     Directory
 	objects []int // per LP, the objects its kernel will add
 	lp      int   // the next LP to take its rows
+	// The arrays, each as long as the rows taken so far: the next row
+	// starts at its end, and the next Init reuses its capacity.
 	objs    []objRuntime
 	keys    []d4heap.Key
 	ids     []uint32
@@ -49,6 +52,14 @@ type Rows struct {
 // NewRows returns the rows of kernels adding objects[lp] objects each, with
 // a directory for ids.
 func NewRows(objects []int, ids []ObjectID) *Rows {
+	r := new(Rows)
+	r.Init(objects, ids)
+	return r
+}
+
+// Init sets r up as NewRows does, zeroing and reusing the arrays and the
+// directory of an earlier cluster's rows where they are large enough.
+func (r *Rows) Init(objects []int, ids []ObjectID) {
 	var size, objs, keys, slots, pos int
 	for _, id := range ids {
 		size = max(size, int(id)+1)
@@ -59,11 +70,11 @@ func NewRows(objects []int, ids []ObjectID) *Rows {
 		slots += lineUp[uint32](d4heap.Slots(n))
 		pos += lineUp[int32](n)
 	}
-	r := &Rows{objects: objects, objs: make([]objRuntime, objs), keys: make([]d4heap.Key, keys),
-		ids: make([]uint32, slots), pos: make([]int32, pos), buckets: make([]*Event, len(objects)*pendIndexMinBuckets)}
-	r.Dir.homes = make([]home, 0, size)
+	r.objects, r.lp = objects, 0
+	r.objs, r.keys, r.ids = dense.Reuse(r.objs, objs)[:0], dense.Reuse(r.keys, keys)[:0], dense.Reuse(r.ids, slots)[:0]
+	r.pos, r.buckets = dense.Reuse(r.pos, pos)[:0], dense.Reuse(r.buckets, len(objects)*pendIndexMinBuckets)[:0]
+	r.Dir.homes = dense.Reuse(r.Dir.homes, size)[:0]
 	r.Dir.grow(size)
-	return r
 }
 
 // take starts k on the next LP's rows.
@@ -78,13 +89,12 @@ func (r *Rows) take(k *Kernel) {
 	k.pindex.buckets = carve(&r.buckets, pendIndexMinBuckets)[:pendIndexMinBuckets]
 }
 
-// carve cuts the next row of n entries, padded to whole lines, off the
-// front of *s and returns it empty, with the row as its capacity.
+// carve extends *s over the next row of n entries, padded to whole lines,
+// and returns the row empty, with the row as its capacity.
 func carve[T any](s *[]T, n int) []T {
-	n = lineUp[T](n)
-	row := (*s)[:0:n]
-	*s = (*s)[n:]
-	return row
+	i, j := len(*s), len(*s)+lineUp[T](n)
+	*s = (*s)[:j]
+	return (*s)[i:i:j]
 }
 
 // lineUp rounds n entries of T up to whole 64-byte lines. A T of 64 bytes

@@ -64,8 +64,13 @@ func TestSteadyStateAllocationsPerEvent(t *testing.T) {
 // a slab at a time from each object's free list and rollbacks hand theirs
 // back for re-execution to reuse. With one fresh snapshot per history entry
 // above the object's earlier depth this read about 2.
+//
+// Bytes are gated too, since here they are what a history entry and its
+// snapshot hold: with every centre snapshot its whole 432-byte state and a
+// 40-byte history entry this read about 182 bytes per extra committed
+// event.
 func TestDeepHistoryAllocationsPerEvent(t *testing.T) {
-	run := func(incidents int) (mallocs uint64, committed int) {
+	run := func(incidents int) (mallocs, bytes uint64, committed int) {
 		p := PoliceConfig(60)
 		p.IncidentsPerStation = incidents
 		cfg := Config{App: Police(p), Nodes: 8, Seed: 1, GVT: GVTHostMattern, GVTPeriod: 1_000_000_000}
@@ -76,18 +81,23 @@ func TestDeepHistoryAllocationsPerEvent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m1.Mallocs - m0.Mallocs, res.CommittedEvents
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, res.CommittedEvents
 	}
-	smallAllocs, smallEvents := run(5)
-	largeAllocs, largeEvents := run(20)
+	smallAllocs, smallBytes, smallEvents := run(5)
+	largeAllocs, largeBytes, largeEvents := run(20)
 	if largeEvents < 2*smallEvents {
 		t.Fatalf("the larger run committed %d events against %d: not a size sweep", largeEvents, smallEvents)
 	}
-	perEvent := (float64(largeAllocs) - float64(smallAllocs)) / float64(largeEvents-smallEvents)
-	t.Logf("%d allocations for %d events, %d for %d: %.3f per extra committed event",
-		smallAllocs, smallEvents, largeAllocs, largeEvents, perEvent)
+	extra := float64(largeEvents - smallEvents)
+	perEvent := (float64(largeAllocs) - float64(smallAllocs)) / extra
+	bytesPerEvent := (float64(largeBytes) - float64(smallBytes)) / extra
+	t.Logf("%d allocations (%d B) for %d events, %d (%d B) for %d: %.3f allocations and %.1f B per extra committed event",
+		smallAllocs, smallBytes, smallEvents, largeAllocs, largeBytes, largeEvents, perEvent, bytesPerEvent)
 	if perEvent > 1.0 {
 		t.Fatalf("%.2f heap allocations per extra committed event, want at most 1.0", perEvent)
+	}
+	if bytesPerEvent > 160 {
+		t.Fatalf("%.1f heap bytes per extra committed event, want at most 160", bytesPerEvent)
 	}
 }
 

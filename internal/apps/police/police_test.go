@@ -24,11 +24,17 @@ func TestParamsValidate(t *testing.T) {
 		{Stations: 10, Centres: 8, QueryFanout: 1, IncidentMean: 0},
 		{Stations: 10, Centres: 8, QueryFanout: 1, IncidentMean: 1, BusyFraction: 1.5},
 		{Stations: 1 << 25, Centres: 8, QueryFanout: 1, IncidentMean: 1},
+		// An incident counts its replies in a uint8: a burst of 256 would
+		// wrap it to 0 and never abandon an all-busy incident.
+		{Stations: 10, Centres: 8, QueryFanout: 256, IncidentMean: 1},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {
 			t.Fatalf("params %d accepted", i)
 		}
+	}
+	if err := (Params{Stations: 10, Centres: 8, QueryFanout: 255, IncidentMean: 1}).Validate(); err != nil {
+		t.Fatalf("a burst of 255 rejected: %v", err)
 	}
 }
 
@@ -171,23 +177,70 @@ func TestBuildSharesSnapshotsWithinAnLP(t *testing.T) {
 	keyOf := map[any]key{}
 	listOf := map[key]any{}
 	for id, obj := range objs {
-		var k key
-		var s any
+		lists := map[string]any{}
 		switch o := obj.(type) {
 		case *station:
-			k, s = key{"station", place(id)}, o.snaps
+			lists["station"] = o.snaps
 		case *centre:
-			k, s = key{"centre", place(id)}, o.snaps
+			lists["centre"], lists["small centre"] = o.snaps, o.small
 		}
-		if other, ok := keyOf[s]; ok && other != k {
-			t.Fatalf("object %d (%v) shares a snapshot list with a %v", id, k, other)
+		for kind, s := range lists {
+			k := key{kind, place(id)}
+			if other, ok := keyOf[s]; ok && other != k {
+				t.Fatalf("object %d (%v) shares a snapshot list with a %v", id, k, other)
+			}
+			if other, ok := listOf[k]; ok && other != s {
+				t.Fatalf("object %d has a snapshot list of its own (%v)", id, k)
+			}
+			keyOf[s], listOf[k] = k, s
 		}
-		if other, ok := listOf[k]; ok && other != s {
-			t.Fatalf("object %d has a snapshot list of its own (%v)", id, k)
-		}
-		keyOf[s], listOf[k] = k, s
 	}
-	if len(keyOf) != 2*numLPs {
-		t.Fatalf("%d snapshot lists for two object types on %d LPs", len(keyOf), numLPs)
+	if len(keyOf) != 3*numLPs {
+		t.Fatalf("%d snapshot lists for three snapshot kinds on %d LPs", len(keyOf), numLPs)
+	}
+}
+
+// TestCentreSnapshotRoundTrip drives a centre's open table through every
+// count from empty to full. At each count a snapshot is saved, the centre
+// is mutated (a slot dropped, every scalar and the generator moved) and the
+// snapshot restored: the state, the zero slots past openCount included,
+// and the digest must be the saved ones. A centre with at most smallOpen
+// open incidents saves a small snapshot, a fuller one a whole one, and a
+// released snapshot of either kind is what the next save of that kind
+// returns.
+func TestCentreSnapshotRoundTrip(t *testing.T) {
+	objs, _ := New(small(40)).Build(1, 1)
+	c := objs[0].(*centre)
+	for n := 0; n <= openTableSize; n++ {
+		if n > 0 {
+			c.st.nextIncident++
+			c.st.open[c.st.openCount] = openIncident{
+				id: c.st.nextIncident, origin: uint32(7 * n), assigned: n%2 == 0, replies: uint8(n % 3),
+			}
+			c.st.openCount++
+			c.st.acc = timewarp.DigestMix(c.st.acc, uint64(n))
+		}
+		want, digest := c.st, c.Digest()
+		v := c.SaveState()
+		if _, isSmall := v.(*smallCentreState); isSmall != (n <= smallOpen) {
+			t.Fatalf("%d open: small snapshot %v, want %v", n, isSmall, n <= smallOpen)
+		}
+		if n > 0 {
+			c.dropSlot(0)
+		}
+		c.st.resolved++
+		c.st.abandoned += 2
+		c.st.nextIncident += 3
+		c.st.acc ^= 0xFF
+		c.st.rnd.Uint64()
+		c.RestoreState(v)
+		if c.st != want || c.Digest() != digest {
+			t.Fatalf("%d open: restored %+v, want %+v", n, c.st, want)
+		}
+		c.ReleaseState(v)
+		if again := c.SaveState(); again != v {
+			t.Fatalf("%d open: the next save did not reuse the released snapshot", n)
+		}
+		c.ReleaseState(v)
 	}
 }

@@ -42,11 +42,12 @@ type Event struct {
 
 	// Kernel-internal queue plumbing. pos is the intrusive pendHeap slot
 	// (-1 outside the heap). inext chains a pending event into its bucket
-	// of the identity index, an output copy (never pending) into its
-	// history entry's output chain, and a zombie into its object's zombie
-	// list. Both are overwritten on insertion, so events copied or recycled
-	// with stale values are safe, and neither participates in identity
-	// (sameIdentity) or the wire encoding.
+	// of the identity index, and a zombie into its object's zombie list.
+	// An executed event in history heads the chain of the positives its
+	// execution sent, and each output copy links the next: neither is
+	// pending. Both fields are overwritten on insertion, so events copied
+	// or recycled with stale values are safe, and neither participates in
+	// identity (sameIdentity) or the wire encoding.
 	pos   int32
 	inext *Event //nicwarp:owns intrusive index, output chain or zombie list; unlinked by pendIndex.del, overwritten on insert
 }

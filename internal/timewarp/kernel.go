@@ -40,16 +40,16 @@ type snapshot struct {
 	sendSeq uint64
 }
 
-// histEntry is one execution-history record: the executed event, the state
-// snapshot taken before it ran, and the positives it sent, held for
-// anti-generation. Those form a chain in send order linked through
-// Event.inext, which an output copy never needs for the identity index
-// because it is never pending: the record holds no slice, so pushing one
+// histEntry is one execution-history record, 32 bytes: the executed event
+// and the state snapshot taken before it ran. The positives the execution
+// sent, held for anti-generation, form a chain in send order linked through
+// Event.inext and headed by the executed event's own inext: neither an
+// event in history nor an output copy is pending, so neither needs the
+// field for the identity index. The record holds no slice, so pushing one
 // never allocates, and a send links its copy without allocating either.
 type histEntry struct {
-	ev    *Event //nicwarp:owns history record; released by fossil collection or returned on rollback
+	ev    *Event //nicwarp:owns history record and, through its inext, its sent positives; released by fossil collection or returned on rollback
 	state snapshot
-	outs  *Event //nicwarp:owns sent positives held for anti-generation; released on commit or once their anti is routed
 }
 
 // objRuntime carries the kernel bookkeeping for one local object.
@@ -66,8 +66,8 @@ type objRuntime struct {
 
 	// hist is the execution history in execution (total) order: executions
 	// push at the tail, fossil collection drops from the head in
-	// O(reclaimed), rollback drops from the tail. Each entry carries its
-	// own output chain, so the sent positives move exactly as hist does.
+	// O(reclaimed), rollback drops from the tail. Each entry's event heads
+	// its own output chain, so the sent positives move exactly as hist does.
 	hist dense.Queue[histEntry]
 
 	// reuser is obj's StateReuser side (nil when obj does not implement
@@ -369,7 +369,8 @@ func (k *Kernel) ProcessOne() StepResult {
 	k.histCount++
 	k.Stats.Processed.Inc()
 
-	k.ctxScratch = Context{k: k, st: o, now: ev.RecvTS, out: &e.outs}
+	// pendPop left ev.inext nil: it heads the execution's output chain.
+	k.ctxScratch = Context{k: k, st: o, now: ev.RecvTS, out: &ev.inext}
 	o.obj.Execute(&k.ctxScratch, ev)
 	k.drainLocal()
 	return *res
@@ -419,12 +420,12 @@ func (k *Kernel) FossilCollect(gvt vtime.VTime) {
 			// drop them from the head — O(reclaimed), not O(remaining).
 			for j := 0; j < q; j++ {
 				e := o.hist.Front()
-				k.release(e.ev)
-				for out := e.outs; out != nil; {
+				for out := e.ev.inext; out != nil; {
 					next := out.inext
 					k.release(out)
 					out = next
 				}
+				k.release(e.ev)
 				o.vacate(e)
 				o.hist.Drop()
 			}
@@ -683,22 +684,23 @@ func (k *Kernel) rollback(o *objRuntime, p int) {
 	o.sendSeq = h[p].state.sendSeq
 	k.histCount -= undone
 
-	for i := n - 1; i >= p; i-- {
-		k.pendPush(o, h[i].ev)
-	}
 	// Cancel the undone entries' outputs oldest entry first, each chain in
 	// send order: each output copy dies here, right after its anti-message
-	// is built.
+	// is built. route only queues the antis, so cancelling before the
+	// events go back to pending sends them in the same order. The restore
+	// above has copied out of entry p's snapshot.
 	for i := p; i < n; i++ {
-		for out := h[i].outs; out != nil; {
+		for out := h[i].ev.inext; out != nil; {
 			next := out.inext
 			k.route(k.antiOf(out))
 			k.release(out)
 			out = next
 		}
-		// The event pointer now lives in pending and the restore above has
-		// copied out of entry p's snapshot.
 		o.vacate(&h[i])
+	}
+	// pendPush overwrites each event's inext, the head of a chain now gone.
+	for i := n - 1; i >= p; i-- {
+		k.pendPush(o, h[i].ev)
 	}
 	o.hist.DropTail(undone)
 	k.fixSched(o)

@@ -162,6 +162,19 @@ func TestEventIs56Bytes(t *testing.T) {
 	}
 }
 
+// TestHistEntryIs32Bytes: an entry is its event and the snapshot taken
+// before it, with the event's own inext heading its output chain. With the
+// chain head in a field of its own it was 40 bytes, and every object's
+// runtime, which carries its history's first eight entries, 576.
+func TestHistEntryIs32Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(histEntry{}); size != 32 {
+		t.Fatalf("histEntry is %d bytes, want 32", size)
+	}
+	if size := unsafe.Sizeof(objRuntime{}); size != 512 {
+		t.Fatalf("objRuntime is %d bytes, want 512", size)
+	}
+}
+
 // TestDirectoryEdges: an object is local to the kernel that registered it
 // and to no other sharing the directory, and an id that is negative or past
 // the directory's end is local nowhere — the remote sink a test object

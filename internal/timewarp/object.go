@@ -79,9 +79,9 @@ type Context struct {
 	k   *Kernel
 	st  *objRuntime
 	now vtime.VTime
-	// out is where the next send links into the executing history entry's
-	// output chain; nil during Init, whose sends are recorded nowhere.
-	out **Event //nicwarp:owns the tail link of histEntry.outs, whose chain owns what is linked there
+	// out is where the next send links into the executing event's output
+	// chain; nil during Init, whose sends are recorded nowhere.
+	out **Event //nicwarp:owns the tail link of the executing event's output chain, which owns what is linked there
 }
 
 // Self returns the executing object's ID.

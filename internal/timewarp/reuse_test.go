@@ -241,7 +241,7 @@ func checkChains(t *testing.T, o *objRuntime) {
 	t.Helper()
 	for _, e := range o.hist.Live() {
 		var got []string
-		for out := e.outs; out != nil; out = out.inext {
+		for out := e.ev.inext; out != nil; out = out.inext {
 			if out.Sign != 1 || out.Src != o.id || out.SendTS != e.ev.RecvTS {
 				t.Fatalf("entry at %v chains %v", e.ev.RecvTS, out)
 			}

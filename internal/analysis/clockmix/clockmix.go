@@ -43,8 +43,6 @@ const (
 
 func kindOf(t types.Type) clockKind {
 	switch {
-	case t == nil:
-		return notClock
 	case framework.IsNamed(t, VTimePkg, "VTime"):
 		return virtualClock
 	case framework.IsNamed(t, VTimePkg, "ModelTime"):
@@ -61,9 +59,9 @@ func (k clockKind) String() string {
 	return "vtime.ModelTime"
 }
 
-func run(pass *framework.Pass) error {
+func run(pass *framework.Pass) {
 	if pass.Pkg.Path() == VTimePkg {
-		return nil // the clock package itself converts for formatting
+		return // the clock package itself converts for formatting
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -90,12 +88,12 @@ func run(pass *framework.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
-// unwrapNumericConversions peels conversions to plain numeric types off e,
-// so that vtime.ModelTime(int64(v)) is analyzed as a conversion from v's
-// type, not from int64.
+// unwrapNumericConversions peels conversions to non-clock types off e, so
+// that vtime.ModelTime(int64(v)) is analyzed as a conversion from v's type,
+// not from int64. A conversion whose result converts to a clock is numeric
+// (or a type parameter over numbers), so no other kind needs excluding.
 func unwrapNumericConversions(pass *framework.Pass, e ast.Expr) ast.Expr {
 	for {
 		e = ast.Unparen(e)
@@ -105,10 +103,6 @@ func unwrapNumericConversions(pass *framework.Pass, e ast.Expr) ast.Expr {
 		}
 		tv, ok := pass.TypesInfo.Types[call.Fun]
 		if !ok || !tv.IsType() || kindOf(tv.Type) != notClock {
-			return e
-		}
-		basic, ok := tv.Type.Underlying().(*types.Basic)
-		if !ok || basic.Info()&types.IsNumeric == 0 {
 			return e
 		}
 		e = call.Args[0]

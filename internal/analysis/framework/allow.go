@@ -8,10 +8,6 @@ import "strings"
 // convention, shared by the analyzers with a package allowlist.
 func MatchPackage(allowlist, pkgPath string) bool {
 	for _, pat := range strings.Split(allowlist, ",") {
-		pat = strings.TrimSpace(pat)
-		if pat == "" {
-			continue
-		}
 		if base, ok := strings.CutSuffix(pat, "/..."); ok {
 			if pkgPath == base || strings.HasPrefix(pkgPath, base+"/") {
 				return true

@@ -8,8 +8,8 @@
 //
 //	for k := range m { // want `iteration over map`
 //
-// The expectation text is a regular expression, written either backquoted
-// or double-quoted; several expectations may follow one `want`. A fixture
+// The expectation text is a backquoted regular expression; several
+// expectations may follow one `want`. A fixture
 // package with no `want` comments asserts that the analyzer is silent on
 // it — the non-flagging half of each analyzer's test matrix.
 //
@@ -19,11 +19,9 @@
 package analysistest
 
 import (
-	"fmt"
-	"go/token"
 	"path/filepath"
 	"regexp"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,17 +40,9 @@ type expectation struct {
 // Run loads each fixture package below testdata/src, applies the analyzer,
 // and reports mismatches between diagnostics and `// want` expectations as
 // test errors.
-func Run(t *testing.T, testdata string, a *framework.Analyzer, paths ...string) {
+func Run(t testing.TB, testdata string, a *framework.Analyzer, paths ...string) {
 	t.Helper()
-	testdata, err := filepath.Abs(testdata)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	modRoot, err := framework.FindModuleRoot(testdata)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	loader, err := framework.NewLoader(modRoot, filepath.Join(testdata, "src"))
+	loader, err := framework.NewLoader(testdata, filepath.Join(testdata, "src"))
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
@@ -63,39 +53,34 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, paths ...string) 
 			continue
 		}
 		// Mirror the driver: dependency packages (fixture or module-local)
-		// contribute their exported facts before the target is analyzed, so
+		// contribute their facts before the target is analyzed, so
 		// cross-package annotation fixtures exercise the facts layer.
 		facts := framework.NewFactSet()
 		for _, dep := range framework.Toposort(loader.Loaded()) {
-			if dep.Path == path {
-				continue
-			}
-			if err := framework.RunFacts(a, dep, facts); err != nil {
-				t.Errorf("analysistest: facts for %s: %v", dep.Path, err)
+			if dep.Path != path {
+				framework.RunWith(a, dep, facts, false)
 			}
 		}
-		diags, err := framework.RunWith(a, pkg, facts)
-		if err != nil {
-			t.Errorf("analysistest: running %s on %s: %v", a.Name, path, err)
-			continue
-		}
-		checkPackage(t, pkg, diags)
+		check(t, pkg, framework.RunWith(a, pkg, facts, true))
 	}
 }
 
-// checkPackage matches diagnostics against expectations for one package.
-func checkPackage(t *testing.T, pkg *framework.Package, diags []framework.Diagnostic) {
+// check matches one package's diagnostics against its expectations: each
+// diagnostic consumes the first unmatched expectation on its line whose
+// regexp matches it.
+func check(t testing.TB, pkg *framework.Package, diags []framework.Diagnostic) {
 	t.Helper()
-	expects, err := collectExpectations(pkg)
-	if err != nil {
-		t.Errorf("analysistest: %v", err)
-		return
-	}
+	expects := expectations(t, pkg)
 	for _, d := range diags {
 		pos := pkg.Fset.Position(d.Pos)
-		if !consume(expects, pos.Filename, pos.Line, d.Message) {
+		i := slices.IndexFunc(expects, func(e *expectation) bool {
+			return !e.matched && e.file == pos.Filename && e.line == pos.Line && e.rx.MatchString(d.Message)
+		})
+		if i < 0 {
 			t.Errorf("%s:%d: unexpected diagnostic: %s", pos.Filename, pos.Line, d.Message)
+			continue
 		}
+		expects[i].matched = true
 	}
 	for _, e := range expects {
 		if !e.matched {
@@ -104,20 +89,10 @@ func checkPackage(t *testing.T, pkg *framework.Package, diags []framework.Diagno
 	}
 }
 
-// consume marks the first unmatched expectation at (file, line) whose
-// regexp matches msg, and reports whether one was found.
-func consume(expects []*expectation, file string, line int, msg string) bool {
-	for _, e := range expects {
-		if !e.matched && e.file == file && e.line == line && e.rx.MatchString(msg) {
-			e.matched = true
-			return true
-		}
-	}
-	return false
-}
-
-// collectExpectations parses every `// want` comment in the package.
-func collectExpectations(pkg *framework.Package) ([]*expectation, error) {
+// expectations parses every `// want` comment in the package: a sequence of
+// backquoted regular expressions. A malformed one is a test error.
+func expectations(t testing.TB, pkg *framework.Package) []*expectation {
+	t.Helper()
 	var out []*expectation
 	for _, f := range pkg.Files {
 		for _, group := range f.Comments {
@@ -128,63 +103,22 @@ func collectExpectations(pkg *framework.Package) ([]*expectation, error) {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Slash)
-				exps, err := parseWant(pos, text[idx+len("want "):])
-				if err != nil {
-					return nil, err
+				for rest := strings.TrimSpace(text[idx+len("want "):]); rest != ""; rest = strings.TrimSpace(rest) {
+					raw, after, ok := strings.Cut(strings.TrimPrefix(rest, "`"), "`")
+					if !ok || rest[0] != '`' {
+						t.Errorf("%s: want expects backquoted regexps, got %q", pos, rest)
+						break
+					}
+					rx, err := regexp.Compile(raw)
+					if err != nil {
+						t.Errorf("%s: bad want regexp %q: %v", pos, raw, err)
+						break
+					}
+					out = append(out, &expectation{rx: rx, raw: raw, line: pos.Line, file: pos.Filename})
+					rest = after
 				}
-				out = append(out, exps...)
 			}
 		}
 	}
-	return out, nil
-}
-
-// parseWant parses the payload of one want comment: a sequence of quoted
-// or backquoted regular expressions.
-func parseWant(pos token.Position, payload string) ([]*expectation, error) {
-	var out []*expectation
-	rest := strings.TrimSpace(payload)
-	for rest != "" {
-		var raw string
-		switch rest[0] {
-		case '`':
-			end := strings.Index(rest[1:], "`")
-			if end < 0 {
-				return nil, fmt.Errorf("%s: unterminated backquote in want", pos)
-			}
-			raw = rest[1 : 1+end]
-			rest = rest[end+2:]
-		case '"':
-			// Find the closing quote, honouring escapes.
-			end := -1
-			for i := 1; i < len(rest); i++ {
-				if rest[i] == '\\' {
-					i++
-					continue
-				}
-				if rest[i] == '"' {
-					end = i
-					break
-				}
-			}
-			if end < 0 {
-				return nil, fmt.Errorf("%s: unterminated quote in want", pos)
-			}
-			unq, err := strconv.Unquote(rest[:end+1])
-			if err != nil {
-				return nil, fmt.Errorf("%s: bad want string: %v", pos, err)
-			}
-			raw = unq
-			rest = rest[end+1:]
-		default:
-			return nil, fmt.Errorf("%s: want expects quoted or backquoted regexps, got %q", pos, rest)
-		}
-		rx, err := regexp.Compile(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad want regexp %q: %v", pos, raw, err)
-		}
-		out = append(out, &expectation{rx: rx, raw: raw, line: pos.Line, file: pos.Filename})
-		rest = strings.TrimSpace(rest)
-	}
-	return out, nil
+	return out
 }

@@ -76,9 +76,6 @@ func FuncKey(fn *types.Func) string {
 // FieldKey derives the stable symbol key for a struct field accessed on a
 // value of the named type owner: "pkgpath.(Type).field".
 func FieldKey(owner *types.Named, field string) string {
-	if owner == nil || owner.Obj() == nil || owner.Obj().Pkg() == nil {
-		return ""
-	}
 	return owner.Obj().Pkg().Path() + ".(" + owner.Obj().Name() + ")." + field
 }
 
@@ -103,17 +100,22 @@ func (fs *FactSet) EnsureFunc(fn *types.Func) *FuncFact {
 	return f
 }
 
-// FieldFact returns the recorded fact for owner.field, or nil.
-func (fs *FactSet) FieldFact(owner *types.Named, field string) *FieldFact {
-	return fs.fields[FieldKey(owner, field)]
+// FieldFact returns the recorded fact for field of owner, a named struct
+// type or a pointer to one, or nil.
+func (fs *FactSet) FieldFact(owner types.Type, field string) *FieldFact {
+	if p, ok := owner.(*types.Pointer); ok {
+		owner = p.Elem()
+	}
+	named, ok := owner.(*types.Named)
+	if !ok {
+		return nil
+	}
+	return fs.fields[FieldKey(named, field)]
 }
 
 // EnsureField returns the (created if absent) fact record for owner.field.
 func (fs *FactSet) EnsureField(owner *types.Named, field string) *FieldFact {
 	key := FieldKey(owner, field)
-	if key == "" {
-		return nil
-	}
 	f := fs.fields[key]
 	if f == nil {
 		f = &FieldFact{}

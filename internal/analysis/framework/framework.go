@@ -15,6 +15,10 @@
 //
 // placed either on the same line as the construct it sanctions or on the
 // line immediately above it. Pass.Annotated performs that lookup.
+//
+// The helpers more than one analyzer needs live here too: Callee resolves
+// a call's static callee, StoreTarget an assignment target's field and
+// root variable, IsPkgLevel and IsNamed classify objects and types.
 package framework
 
 import (
@@ -22,7 +26,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // Analyzer describes one static check, mirroring analysis.Analyzer.
@@ -31,15 +34,15 @@ type Analyzer struct {
 	Name string
 	// Doc is the analyzer's documentation, shown by `nicwarp-vet -list`.
 	Doc string
-	// Run applies the analyzer to one package, reporting diagnostics and
-	// (for fact-bearing analyzers) recording facts about the package's
-	// symbols in Pass.Facts.
-	Run func(*Pass) error
-	// FactsRun, when non-nil, computes only the analyzer's exported facts
-	// for a package — no diagnostics. The driver applies it to dependency
-	// packages that are loaded for type information but not themselves
-	// under analysis, so cross-package facts exist before Run needs them.
-	FactsRun func(*Pass) error
+	// Run applies the analyzer to one package under analysis, reporting
+	// diagnostics.
+	Run func(*Pass)
+	// FactsRun, when non-nil, records the analyzer's facts about a
+	// package's symbols in Pass.Facts, without diagnostics. The driver
+	// applies it to every loaded package in dependency order, and before
+	// Run on a package under analysis, so cross-package facts exist before
+	// Run needs them.
+	FactsRun func(*Pass)
 }
 
 // Diagnostic is one finding, mirroring analysis.Diagnostic.
@@ -94,38 +97,83 @@ func newPass(pkg *Package, facts *FactSet, sink *[]Diagnostic) *Pass {
 }
 
 // RunWith applies one analyzer to one loaded package against a shared fact
-// store and returns its diagnostics sorted by position.
-func RunWith(a *Analyzer, pkg *Package, facts *FactSet) ([]Diagnostic, error) {
+// store: FactsRun, when set, records the package's facts, and when report
+// is set Run reports its diagnostics, which RunWith returns unordered.
+func RunWith(a *Analyzer, pkg *Package, facts *FactSet, report bool) []Diagnostic {
 	var diags []Diagnostic
 	pass := newPass(pkg, facts, &diags)
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
+	if a.FactsRun != nil {
+		a.FactsRun(pass)
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		pi, pj := pkg.Fset.Position(diags[i].Pos), pkg.Fset.Position(diags[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		return pi.Column < pj.Column
-	})
-	return diags, nil
+	if report {
+		a.Run(pass)
+	}
+	return diags
 }
 
-// RunFacts applies the analyzer's facts-only pass (if any) to a dependency
-// package, recording facts into the shared store without diagnostics.
-func RunFacts(a *Analyzer, pkg *Package, facts *FactSet) error {
-	if a.FactsRun == nil {
-		return nil
-	}
-	var discard []Diagnostic
-	pass := newPass(pkg, facts, &discard)
-	if err := a.FactsRun(pass); err != nil {
-		return fmt.Errorf("%s: facts for %s: %v", a.Name, pkg.Path, err)
+// Callee resolves the static callee of a call (a function, or a method of
+// a concrete type called as x.M(...) or T.M(x, ...)), or nil for a dynamic
+// one: a function value, or a method of an interface that no fact names (a
+// method declared //nicwarp:hotpath on its interface has one).
+func Callee(pass *Pass, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		sel, ok := pass.TypesInfo.Selections[fun]
+		if !ok { // a package-qualified function
+			fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
+			return fn
+		}
+		fn, _ := sel.Obj().(*types.Func) // nil for a func-valued field
+		if types.IsInterface(sel.Recv()) && pass.Facts.FuncFact(fn) == nil {
+			return nil
+		}
+		return fn
 	}
 	return nil
+}
+
+// StoreTarget resolves an assignment target through index, slice, deref
+// and field steps to the outermost struct field it writes (nil when none)
+// and the package-level variable at its root (nil when it is rooted
+// elsewhere): `g.a.b[1:][i] = v` writes field b of package var g.
+func StoreTarget(info *types.Info, lhs ast.Expr) (field *types.Selection, root *types.Var) {
+	for {
+		switch e := ast.Unparen(lhs).(type) {
+		case *ast.IndexExpr:
+			lhs = e.X
+		case *ast.SliceExpr:
+			lhs = e.X
+		case *ast.StarExpr:
+			lhs = e.X
+		case *ast.SelectorExpr:
+			// Only a field selection can be written through; pkg.Var is the
+			// other selector an assignment target can hold.
+			sel, ok := info.Selections[e]
+			if !ok {
+				lhs = e.Sel
+				continue
+			}
+			if field == nil {
+				field = sel
+			}
+			lhs = e.X
+		case *ast.Ident:
+			if v, ok := info.Uses[e].(*types.Var); ok && IsPkgLevel(v) {
+				return field, v
+			}
+			return field, nil
+		default:
+			return field, nil
+		}
+	}
+}
+
+// IsPkgLevel reports whether v is a package-level variable.
+func IsPkgLevel(v *types.Var) bool {
+	return v.Parent() == v.Pkg().Scope()
 }
 
 // IsNamed reports whether t is the named type pkgPath.name (after

@@ -8,7 +8,9 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,114 +46,58 @@ type Loader struct {
 	inProgress map[string]bool
 }
 
-// NewLoader creates a loader for the module rooted at modRoot (which must
-// contain go.mod).
-func NewLoader(modRoot string, srcDirs ...string) (*Loader, error) {
-	modRoot, err := filepath.Abs(modRoot)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := modulePath(filepath.Join(modRoot, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:       fset,
-		ModPath:    modPath,
-		ModRoot:    modRoot,
-		SrcDirs:    srcDirs,
-		std:        importer.ForCompiler(fset, "source", nil),
-		pkgs:       make(map[string]*Package),
-		inProgress: make(map[string]bool),
-	}, nil
-}
-
-// FindModuleRoot walks upward from dir to the nearest directory containing
-// go.mod.
-func FindModuleRoot(dir string) (string, error) {
+// NewLoader creates a loader for the module enclosing dir: the nearest
+// directory at or above dir that holds a go.mod.
+func NewLoader(dir string, srcDirs ...string) (*Loader, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
+	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	for err != nil {
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
+			return nil, fmt.Errorf("no go.mod found above %s", dir)
 		}
 		dir = parent
-	}
-}
-
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
+		data, err = os.ReadFile(filepath.Join(dir, "go.mod"))
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			fset := token.NewFileSet()
+			return &Loader{
+				Fset:       fset,
+				ModPath:    strings.Trim(strings.TrimSpace(rest), `"`),
+				ModRoot:    dir,
+				SrcDirs:    srcDirs,
+				std:        importer.ForCompiler(fset, "source", nil),
+				pkgs:       make(map[string]*Package),
+				inProgress: make(map[string]bool),
+			}, nil
 		}
 	}
-	return "", fmt.Errorf("%s: no module directive", gomod)
+	return nil, fmt.Errorf("%s: no module directive", filepath.Join(dir, "go.mod"))
 }
 
-// Load loads and type-checks the package with the given import path.
-func (l *Loader) Load(path string) (*Package, error) {
-	dir, ok := l.dirFor(path)
-	if !ok {
-		return nil, fmt.Errorf("cannot resolve package %q", path)
-	}
-	return l.loadDir(path, dir)
-}
-
-// LoadPatterns expands the given patterns ("./...", "./dir/...", "./dir",
-// or plain import paths) and loads every matched package, in deterministic
-// import-path order.
+// LoadPatterns loads, in import-path order, the packages that patterns
+// name: each is a directory relative to the module root ("./internal/vtime",
+// "."), or one followed by "..." for every package at or below it
+// ("./...", "./internal/...").
 func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 	var paths []string
-	seen := make(map[string]bool)
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			paths = append(paths, p)
-		}
-	}
 	for _, pat := range patterns {
-		switch {
-		case pat == "all" || pat == "./...":
-			expanded, err := l.expandUnder(l.ModRoot, l.ModPath)
+		if dir, tree := strings.CutSuffix(pat, "..."); tree {
+			expanded, err := l.expandUnder(filepath.Join(l.ModRoot, filepath.FromSlash(dir)))
 			if err != nil {
 				return nil, err
 			}
-			for _, p := range expanded {
-				add(p)
-			}
-		case strings.HasPrefix(pat, "./") && strings.HasSuffix(pat, "/..."):
-			rel := strings.TrimSuffix(strings.TrimPrefix(pat, "./"), "/...")
-			expanded, err := l.expandUnder(
-				filepath.Join(l.ModRoot, filepath.FromSlash(rel)),
-				joinImport(l.ModPath, rel))
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range expanded {
-				add(p)
-			}
-		case pat == ".":
-			add(l.ModPath)
-		case strings.HasPrefix(pat, "./"):
-			add(joinImport(l.ModPath, strings.TrimPrefix(pat, "./")))
-		default:
-			add(pat)
+			paths = append(paths, expanded...)
+		} else {
+			paths = append(paths, path.Join(l.ModPath, pat))
 		}
 	}
 	sort.Strings(paths)
+	paths = slices.Compact(paths)
 	pkgs := make([]*Package, 0, len(paths))
 	for _, p := range paths {
 		pkg, err := l.Load(p)
@@ -181,67 +127,48 @@ func (l *Loader) Loaded() []*Package {
 // expandUnder walks root and returns the import paths of every directory
 // containing non-test Go files, applying the go command's conventions:
 // testdata, vendor and dot/underscore directories are skipped.
-func (l *Loader) expandUnder(root, rootImport string) ([]string, error) {
+func (l *Loader) expandUnder(root string) ([]string, error) {
 	var out []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
 		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" ||
+		if dir != root && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if names, _ := goFilesIn(path); len(names) > 0 {
-			rel, err := filepath.Rel(root, path)
-			if err != nil {
-				return err
-			}
-			out = append(out, joinImport(rootImport, filepath.ToSlash(rel)))
+		if len(goFilesIn(dir)) > 0 {
+			out = append(out, path.Join(l.ModPath, filepath.ToSlash(strings.TrimPrefix(dir, l.ModRoot))))
 		}
 		return nil
 	})
 	return out, err
 }
 
-func joinImport(base, rel string) string {
-	rel = strings.Trim(rel, "/")
-	if rel == "" || rel == "." {
-		return base
-	}
-	return base + "/" + rel
-}
-
-// dirFor resolves an import path to a source directory: the module tree
-// first, then the GOPATH-style SrcDirs.
-func (l *Loader) dirFor(path string) (string, bool) {
-	if path == l.ModPath {
-		return l.ModRoot, true
-	}
-	if rest, ok := strings.CutPrefix(path, l.ModPath+"/"); ok {
-		dir := filepath.Join(l.ModRoot, filepath.FromSlash(rest))
-		if names, _ := goFilesIn(dir); len(names) > 0 {
-			return dir, true
-		}
+// dirFor resolves an import path to its source directory and non-test Go
+// files: the module tree first, then the GOPATH-style SrcDirs. A path it
+// cannot resolve has no files.
+func (l *Loader) dirFor(importPath string) (string, []string) {
+	dirs := make([]string, 0, 1+len(l.SrcDirs))
+	if rest, ok := strings.CutPrefix(importPath+"/", l.ModPath+"/"); ok {
+		dirs = append(dirs, filepath.Join(l.ModRoot, filepath.FromSlash(rest)))
 	}
 	for _, sd := range l.SrcDirs {
-		dir := filepath.Join(sd, filepath.FromSlash(path))
-		if names, _ := goFilesIn(dir); len(names) > 0 {
-			return dir, true
+		dirs = append(dirs, filepath.Join(sd, filepath.FromSlash(importPath)))
+	}
+	for _, dir := range dirs {
+		if names := goFilesIn(dir); len(names) > 0 {
+			return dir, names
 		}
 	}
-	return "", false
+	return "", nil
 }
 
-// goFilesIn lists the buildable non-test Go files in dir, sorted.
-func goFilesIn(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
+// goFilesIn lists the buildable non-test Go files in dir, sorted; an
+// unreadable dir has none.
+func goFilesIn(dir string) []string {
+	entries, _ := os.ReadDir(dir)
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
@@ -252,48 +179,40 @@ func goFilesIn(dir string) ([]string, error) {
 		}
 		names = append(names, name)
 	}
-	sort.Strings(names)
-	return names, nil
+	return names
 }
 
 // Import implements types.Importer: module-local and fixture paths load
 // through this Loader; everything else falls back to the GOROOT source
 // importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
+func (l *Loader) Import(importPath string) (*types.Package, error) {
+	if _, names := l.dirFor(importPath); names == nil {
+		return l.std.Import(importPath)
 	}
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg.Types, nil
-	}
-	if dir, ok := l.dirFor(path); ok {
-		pkg, err := l.loadDir(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return l.std.Import(path)
-}
-
-// loadDir parses and type-checks the package in dir under import path path.
-func (l *Loader) loadDir(path, dir string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
-	if l.inProgress[path] {
-		return nil, fmt.Errorf("import cycle through %q", path)
-	}
-	l.inProgress[path] = true
-	defer delete(l.inProgress, path)
-
-	names, err := goFilesIn(dir)
+	pkg, err := l.Load(importPath)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
+	return pkg.Types, nil
+}
+
+// Load parses and type-checks the package with the given import path. A
+// package that does not type-check is an error, so every expression an
+// analyzer visits has a type and every defining identifier an object.
+func (l *Loader) Load(importPath string) (*Package, error) {
+	if pkg, ok := l.pkgs[importPath]; ok {
+		return pkg, nil
 	}
+	dir, names := l.dirFor(importPath)
+	if names == nil {
+		return nil, fmt.Errorf("cannot resolve package %q", importPath)
+	}
+	if l.inProgress[importPath] {
+		return nil, fmt.Errorf("import cycle through %q", importPath)
+	}
+	l.inProgress[importPath] = true
+	defer delete(l.inProgress, importPath)
+
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil,
@@ -307,17 +226,14 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.Fset, files, info)
+	tpkg, err := conf.Check(importPath, l.Fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
-	l.pkgs[path] = pkg
+	pkg := &Package{Path: importPath, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	l.pkgs[importPath] = pkg
 	return pkg, nil
 }

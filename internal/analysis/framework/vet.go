@@ -1,9 +1,10 @@
 package framework
 
 import (
+	"cmp"
 	"fmt"
 	"go/token"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -26,14 +27,12 @@ type Finding struct {
 }
 
 // RunVet applies analyzers to the packages matching patterns ("./...",
-// "./dir", import paths) in the module enclosing dir, and returns the
-// findings in file/line order. Any finding fails the build.
+// "./dir/...", "./dir"; see LoadPatterns) in the module enclosing dir, and
+// returns the findings in file/line order. Every loaded package, requested
+// or a dependency, contributes its facts; only requested packages report.
+// Any finding fails the build.
 func RunVet(dir string, analyzers []*Analyzer, patterns ...string) ([]Finding, error) {
-	modRoot, err := FindModuleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	loader, err := NewLoader(modRoot)
+	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -54,36 +53,20 @@ func RunVet(dir string, analyzers []*Analyzer, patterns ...string) ([]Finding, e
 		}
 	}
 	for _, pkg := range Toposort(loader.Loaded()) {
-		if !isRequested[pkg.Path] {
-			for _, a := range analyzers {
-				if err := RunFacts(a, pkg, facts); err != nil {
-					return nil, err
-				}
-			}
-			continue
+		report := isRequested[pkg.Path]
+		if report {
+			add(AnnotationAnalyzer, CheckAnnotations(pkg))
 		}
-		add(AnnotationAnalyzer, CheckAnnotations(pkg))
 		for _, a := range analyzers {
-			diags, err := RunWith(a, pkg, facts)
-			if err != nil {
-				return nil, err
-			}
-			add(a.Name, diags)
+			add(a.Name, RunWith(a, pkg, facts, report))
 		}
 	}
 
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Pos, findings[j].Pos
-		switch {
-		case a.Filename != b.Filename:
-			return a.Filename < b.Filename
-		case a.Line != b.Line:
-			return a.Line < b.Line
-		case a.Column != b.Column:
-			return a.Column < b.Column
-		default:
-			return findings[i].Analyzer < findings[j].Analyzer
-		}
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return findings, nil
 }
@@ -105,9 +88,6 @@ func SelectAnalyzers(all []*Analyzer, only string) ([]*Analyzer, error) {
 	seen := map[string]bool{}
 	for _, name := range strings.Split(only, ",") {
 		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
 		a, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("unknown analyzer %q (known: %s)", name, strings.Join(known, ", "))

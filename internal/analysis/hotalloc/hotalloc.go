@@ -82,7 +82,7 @@ type fnInfo struct {
 // if any callee's fact says it may. Unknown callees (outside the loaded
 // module, or dynamic) count as allocating — the analyzer is conservative at
 // the module boundary.
-func factsRun(pass *framework.Pass) error {
+func factsRun(pass *framework.Pass) {
 	infos := collect(pass)
 	// Package-local fixpoint over the call graph (handles any declaration
 	// order and mutual recursion).
@@ -90,9 +90,6 @@ func factsRun(pass *framework.Pass) error {
 		changed = false
 		for _, info := range infos {
 			fact := pass.Facts.EnsureFunc(info.fn)
-			if fact == nil {
-				continue
-			}
 			if fact.MayAlloc {
 				continue
 			}
@@ -119,13 +116,9 @@ func factsRun(pass *framework.Pass) error {
 			}
 		}
 	}
-	return nil
 }
 
-func run(pass *framework.Pass) error {
-	if err := factsRun(pass); err != nil {
-		return err
-	}
+func run(pass *framework.Pass) {
 	infos := collect(pass)
 	byFunc := make(map[*types.Func]*fnInfo, len(infos))
 	for _, info := range infos {
@@ -173,20 +166,18 @@ func run(pass *framework.Pass) error {
 			pass.Reportf(site.pos, "%s in hot path %s%s: %s",
 				site.what, info.fn.Name(), via, allocConsequence)
 		}
-		//nicwarp:ordered diagnostics are position-sorted by RunWith
+		// Cross-package edges only: a same-package callee's own sites are
+		// reported directly. An edge exists only for a non-exempt call to a
+		// callee with a fact (siteCollector.call).
+		//nicwarp:ordered diagnostics are position-sorted by RunVet
 		for callee, pos := range info.calls {
-			if byFunc[callee] != nil {
-				continue // same-package: its own sites are reported directly
-			}
-			cf := pass.Facts.FuncFact(callee)
-			if cf != nil && cf.MayAlloc && !pass.Annots.At(pass.Fset, pos, "alloc") {
+			if cf := pass.Facts.FuncFact(callee); byFunc[callee] == nil && cf.MayAlloc {
 				pass.Reportf(pos, "call to %s in hot path %s%s may allocate: %s; %s",
 					framework.FuncKey(callee), info.fn.Name(), via, cf.AllocWhat,
 					allocConsequence)
 			}
 		}
 	}
-	return nil
 }
 
 const allocConsequence = "per-event garbage turns into GC pauses that show " +
@@ -204,12 +195,8 @@ func collect(pass *framework.Pass) []*fnInfo {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
 			info := &fnInfo{
-				fn:    fn,
+				fn:    pass.TypesInfo.Defs[fd.Name].(*types.Func),
 				hot:   pass.Annotated(fd.Pos(), "hotpath"),
 				calls: make(map[*types.Func]token.Pos),
 			}
@@ -224,8 +211,8 @@ func collect(pass *framework.Pass) []*fnInfo {
 
 // hotInterfaceMethods summarizes each //nicwarp:hotpath-annotated method of
 // an interface declared in the package as a hot root whose callees are the
-// package's implementations of it, and registers its fact so calleeFunc
-// resolves calls through it.
+// package's implementations of it, and registers its fact so
+// framework.Callee resolves calls through it.
 func hotInterfaceMethods(pass *framework.Pass) []*fnInfo {
 	var out []*fnInfo
 	for _, file := range pass.Files {
@@ -238,13 +225,15 @@ func hotInterfaceMethods(pass *framework.Pass) []*fnInfo {
 			if !ok {
 				return true
 			}
-			iface, _ := pass.TypesInfo.TypeOf(ts.Name).Underlying().(*types.Interface)
+			iface := pass.TypesInfo.TypeOf(ts.Name).Underlying().(*types.Interface)
 			for _, field := range it.Methods.List {
-				if iface == nil || len(field.Names) != 1 || !pass.Annotated(field.Pos(), "hotpath") {
+				if len(field.Names) != 1 || !pass.Annotated(field.Pos(), "hotpath") {
 					continue
 				}
-				m, _ := pass.TypesInfo.Defs[field.Names[0]].(*types.Func)
-				if m == nil || pass.Facts.EnsureFunc(m) == nil {
+				// A method of an alias names no type, so it has no fact key,
+				// and calls through it stay dynamic.
+				m := pass.TypesInfo.Defs[field.Names[0]].(*types.Func)
+				if pass.Facts.EnsureFunc(m) == nil {
 					continue
 				}
 				out = append(out, &fnInfo{
@@ -352,20 +341,14 @@ func (sc *siteCollector) scan(body *ast.BlockStmt) {
 				}
 			}
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD {
-				if t := sc.pass.TypesInfo.TypeOf(n); t != nil {
-					if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						if !isConstExpr(sc.pass, n) {
-							sc.add(n.Pos(), "string concatenation")
-						}
-					}
-				}
+			tv := sc.pass.TypesInfo.Types[n]
+			if b, ok := tv.Type.Underlying().(*types.Basic); ok && n.Op == token.ADD &&
+				b.Info()&types.IsString != 0 && tv.Value == nil {
+				sc.add(n.Pos(), "string concatenation")
 			}
 		case *ast.RangeStmt:
-			if t := sc.pass.TypesInfo.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					sc.add(n.Pos(), "map iteration (hash-order walk)")
-				}
+			if _, ok := sc.pass.TypesInfo.TypeOf(n.X).Underlying().(*types.Map); ok {
+				sc.add(n.Pos(), "map iteration (hash-order walk)")
 			}
 		case *ast.CallExpr:
 			sc.call(n)
@@ -378,10 +361,8 @@ func (sc *siteCollector) scan(body *ast.BlockStmt) {
 		case *ast.ReturnStmt:
 			sc.returns(n)
 		case *ast.SendStmt:
-			if ch := sc.pass.TypesInfo.TypeOf(n.Chan); ch != nil {
-				if c, ok := ch.Underlying().(*types.Chan); ok {
-					sc.boxing(n.Value, c.Elem(), "channel send")
-				}
+			if c, ok := sc.pass.TypesInfo.TypeOf(n.Chan).Underlying().(*types.Chan); ok { // not a type parameter
+				sc.boxing(n.Value, c.Elem(), "channel send")
 			}
 		}
 		return true
@@ -392,11 +373,7 @@ func (sc *siteCollector) scan(body *ast.BlockStmt) {
 // store is heap-allocated. Value struct and array literals are stack
 // material and pass.
 func (sc *siteCollector) compositeLit(lit *ast.CompositeLit) {
-	t := sc.pass.TypesInfo.TypeOf(lit)
-	if t == nil {
-		return
-	}
-	switch t.Underlying().(type) {
+	switch sc.pass.TypesInfo.TypeOf(lit).Underlying().(type) {
 	case *types.Slice:
 		sc.add(lit.Pos(), "slice literal (heap allocation)")
 	case *types.Map:
@@ -437,7 +414,7 @@ func (sc *siteCollector) call(call *ast.CallExpr) {
 			return
 		}
 	}
-	fn := calleeFunc(sc.pass, call)
+	fn := framework.Callee(sc.pass, call)
 	if fn == nil {
 		// Dynamic call: function value or interface method.
 		if !sc.exempt(call.Pos()) {
@@ -446,7 +423,7 @@ func (sc *siteCollector) call(call *ast.CallExpr) {
 		}
 	} else if fn.Pkg() != nil && fn.Pkg() == sc.pass.Pkg {
 		sc.edge(fn, call)
-	} else if framework.FuncKey(fn) != "" && sc.pass.Facts.FuncFact(fn) != nil {
+	} else if sc.pass.Facts.FuncFact(fn) != nil {
 		// Cross-package callee with facts: judged by MayAlloc in run().
 		sc.edge(fn, call)
 	} else if !sc.exempt(call.Pos()) {
@@ -526,10 +503,7 @@ func (sc *siteCollector) boxing(expr ast.Expr, to types.Type, context string) {
 		return
 	}
 	from := sc.pass.TypesInfo.TypeOf(expr)
-	if from == nil || isIface(from) {
-		return
-	}
-	if tv, ok := sc.pass.TypesInfo.Types[expr]; ok && tv.IsNil() {
+	if isIface(from) || sc.pass.TypesInfo.Types[expr].IsNil() {
 		return
 	}
 	// Pointer-shaped values (pointers, maps, chans, funcs) fit directly in
@@ -549,9 +523,6 @@ func isIface(t types.Type) bool {
 // allocatingConversion reports string<->[]byte/[]rune conversions, which
 // copy.
 func allocatingConversion(from, to types.Type) bool {
-	if from == nil {
-		return false
-	}
 	fs, fok := from.Underlying().(*types.Basic)
 	ts, tok := to.Underlying().(*types.Basic)
 	fromString := fok && fs.Info()&types.IsString != 0
@@ -569,39 +540,4 @@ func isByteOrRuneSlice(t types.Type) bool {
 	b, ok := sl.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
 		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// isConstExpr reports whether the expression folded to a constant.
-func isConstExpr(pass *framework.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
-	return ok && tv.Value != nil
-}
-
-// calleeFunc resolves the static callee of a call, or nil for dynamic
-// calls. An interface-method call is dynamic unless the interface declared
-// the method //nicwarp:hotpath, which gave the method object a fact (see
-// hotInterfaceMethods).
-func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := pass.TypesInfo.Selections[fun]; ok {
-			if sel.Kind() == types.MethodVal {
-				if types.IsInterface(sel.Recv()) {
-					if fn, _ := sel.Obj().(*types.Func); pass.Facts.FuncFact(fn) != nil {
-						return fn
-					}
-					return nil // dynamic dispatch
-				}
-				fn, _ := sel.Obj().(*types.Func)
-				return fn
-			}
-			return nil // method value through a field, etc.
-		}
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

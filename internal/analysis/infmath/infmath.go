@@ -41,62 +41,40 @@ func isVTime(pass *framework.Pass, e ast.Expr) bool {
 	return framework.IsNamed(pass.TypesInfo.TypeOf(e), VTimePkg, "VTime")
 }
 
-func run(pass *framework.Pass) error {
+func run(pass *framework.Pass) {
 	if pass.Pkg.Path() == VTimePkg {
-		return nil // the checked helpers themselves live here
+		return // the checked helpers themselves live here
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			// op is the arithmetic n applies to a VTime operand, if any;
+			// constant-folded expressions are checked at compile time.
+			var op token.Token
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
-				switch n.Op {
-				case token.ADD, token.SUB, token.MUL:
-				default:
-					return true
+				if (isVTime(pass, n.X) || isVTime(pass, n.Y)) && pass.TypesInfo.Types[n].Value == nil {
+					op = n.Op
 				}
-				if !isVTime(pass, n.X) && !isVTime(pass, n.Y) {
-					return true
-				}
-				if tv, ok := pass.TypesInfo.Types[n]; ok && tv.Value != nil {
-					return true // constant-folded, checked at compile time
-				}
-				if pass.Annotated(n.Pos(), "finite") {
-					return true
-				}
-				pass.Reportf(n.Pos(),
-					"unchecked %q on vtime.VTime may wrap past Infinity; use "+
-						"vtime.AddSat/vtime.Advance or annotate //nicwarp:finite <reason>",
-					n.Op.String())
 			case *ast.AssignStmt:
-				switch n.Tok {
-				case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
-				default:
-					return true
+				if len(n.Lhs) == 1 && isVTime(pass, n.Lhs[0]) {
+					op = n.Tok
 				}
-				if len(n.Lhs) != 1 || !isVTime(pass, n.Lhs[0]) {
-					return true
-				}
-				if pass.Annotated(n.Pos(), "finite") {
-					return true
-				}
-				pass.Reportf(n.Pos(),
-					"unchecked %q on vtime.VTime may wrap past Infinity; use "+
-						"vtime.AddSat/vtime.Advance or annotate //nicwarp:finite <reason>",
-					n.Tok.String())
 			case *ast.IncDecStmt:
-				if !isVTime(pass, n.X) {
-					return true
+				if isVTime(pass, n.X) {
+					op = n.Tok
 				}
-				if pass.Annotated(n.Pos(), "finite") {
-					return true
+			}
+			switch op {
+			case token.ADD, token.SUB, token.MUL, token.ADD_ASSIGN, token.SUB_ASSIGN,
+				token.MUL_ASSIGN, token.INC, token.DEC:
+				if !pass.Annotated(n.Pos(), "finite") {
+					pass.Reportf(n.Pos(),
+						"unchecked %q on vtime.VTime may wrap past Infinity; use "+
+							"vtime.AddSat/vtime.Advance or annotate //nicwarp:finite <reason>",
+						op.String())
 				}
-				pass.Reportf(n.Pos(),
-					"unchecked %q on vtime.VTime may wrap past Infinity; use "+
-						"vtime.AddSat/vtime.Advance or annotate //nicwarp:finite <reason>",
-					n.Tok.String())
 			}
 			return true
 		})
 	}
-	return nil
 }

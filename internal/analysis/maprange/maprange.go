@@ -32,18 +32,14 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-func run(pass *framework.Pass) error {
+func run(pass *framework.Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			t := pass.TypesInfo.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
+			if _, isMap := pass.TypesInfo.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
 				return true
 			}
 			if pass.Annotated(rs.Pos(), "ordered") || collectionLoop(rs) {
@@ -57,7 +53,6 @@ func run(pass *framework.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // collectionLoop reports whether every statement in the loop body is a

@@ -76,49 +76,29 @@ var Analyzer = &framework.Analyzer{
 // factsRun records the package's ownership annotations as exported facts:
 // owns/grows on function declarations, owns on struct fields (an
 // owning field whose type is a slice of value structs is an arena).
-func factsRun(pass *framework.Pass) error {
+func factsRun(pass *framework.Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				fn, _ := pass.TypesInfo.Defs[d.Name].(*types.Func)
-				if fn == nil {
-					continue
+				fn := pass.TypesInfo.Defs[d.Name].(*types.Func)
+				if pass.Annotated(d.Pos(), "owns") {
+					pass.Facts.EnsureFunc(fn).Owns = true
 				}
-				for _, verb := range [...]string{"owns", "grows"} {
-					if !pass.Annotated(d.Pos(), verb) {
-						continue
-					}
-					fact := pass.Facts.EnsureFunc(fn)
-					if fact == nil {
-						continue
-					}
-					switch verb {
-					case "owns":
-						fact.Owns = true
-					case "grows":
-						fact.Grows = true
-					}
+				if pass.Annotated(d.Pos(), "grows") {
+					pass.Facts.EnsureFunc(fn).Grows = true
 				}
 			case *ast.GenDecl:
 				if d.Tok != token.TYPE {
 					continue
 				}
 				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
+					ts := spec.(*ast.TypeSpec)
 					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					named, _ := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
-					if named == nil {
-						continue
-					}
-					owner, _ := named.Type().(*types.Named)
-					if owner == nil {
+					// An alias names no type to key field facts on, so its
+					// fields cannot be declared owners.
+					owner, named := pass.TypesInfo.Defs[ts.Name].Type().(*types.Named)
+					if !ok || !named {
 						continue
 					}
 					for _, field := range st.Fields.List {
@@ -127,17 +107,15 @@ func factsRun(pass *framework.Pass) error {
 						}
 						arena := isArenaType(pass.TypesInfo.TypeOf(field.Type))
 						for _, name := range field.Names {
-							if fact := pass.Facts.EnsureField(owner, name.Name); fact != nil {
-								fact.Owns = true
-								fact.Arena = arena
-							}
+							fact := pass.Facts.EnsureField(owner, name.Name)
+							fact.Owns = true
+							fact.Arena = arena
 						}
 					}
 				}
 			}
 		}
 	}
-	return nil
 }
 
 // isArenaType reports whether t is a growable arena: a slice of value
@@ -155,10 +133,7 @@ type checker struct {
 	pass *framework.Pass
 }
 
-func run(pass *framework.Pass) error {
-	if err := factsRun(pass); err != nil {
-		return err
-	}
+func run(pass *framework.Pass) {
 	c := &checker{pass: pass}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -167,11 +142,9 @@ func run(pass *framework.Pass) error {
 				continue
 			}
 			c.checkStores(fn.Body)
-			st := newState()
-			c.walkBlock(fn.Body.List, st)
+			c.walkBlock(fn.Body.List, newState())
 		}
 	}
-	return nil
 }
 
 // isPooledPtr reports whether t is a pointer to a pooled type.
@@ -191,7 +164,7 @@ func (c *checker) isPooledPtr(t types.Type) bool {
 // (slices, arrays and maps of them — the shapes owning fields take).
 func (c *checker) containsPooled(t types.Type) bool {
 	if t == nil {
-		return false
+		return false // the `v := x.(type)` guard of a type switch has no type
 	}
 	if c.isPooledPtr(t) {
 		return true
@@ -217,14 +190,9 @@ func (c *checker) checkStores(body *ast.BlockStmt) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) && len(n.Rhs) != 1 {
-					break
-				}
-				var rhs ast.Expr
+				rhs := n.Rhs[0] // a multi-value call; per-result types below
 				if len(n.Rhs) == len(n.Lhs) {
 					rhs = n.Rhs[i]
-				} else {
-					rhs = n.Rhs[0] // multi-value call; per-result types below
 				}
 				c.checkStore(n, lhs, rhs)
 			}
@@ -234,7 +202,7 @@ func (c *checker) checkStores(body *ast.BlockStmt) {
 				c.pass.Reportf(n.Pos(),
 					"pooled %s sent on a channel: the pools are per-kernel and "+
 						"single-threaded, a cross-goroutine owner breaks the exclusive-"+
-						"ownership invariant", c.typeName(n.Value))
+						"ownership invariant", c.pass.TypesInfo.TypeOf(n.Value))
 			}
 		case *ast.CompositeLit:
 			c.checkCompositeLit(n)
@@ -247,149 +215,66 @@ func (c *checker) checkStores(body *ast.BlockStmt) {
 func (c *checker) checkStore(stmt *ast.AssignStmt, lhs, rhs ast.Expr) {
 	rt := c.pass.TypesInfo.TypeOf(rhs)
 	carries := c.containsPooled(rt)
-	// `x.f = append(x.f, ev)` carries pooled values even though the append
-	// result type check already catches it; the explicit case keeps the
-	// diagnostic anchored even if the slice type is opaque.
-	if !carries {
-		if call, ok := rhs.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
-				for _, arg := range call.Args[1:] {
-					if c.containsPooled(c.pass.TypesInfo.TypeOf(arg)) {
-						carries = true
-						break
-					}
-				}
+	// `x.f = append(x.f, ev)` carries a pooled value even when the slice's
+	// element type does not show it ([]interface{}).
+	if call, ok := rhs.(*ast.CallExpr); ok && !carries {
+		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
+			for _, arg := range call.Args[1:] {
+				carries = carries || c.containsPooled(c.pass.TypesInfo.TypeOf(arg))
 			}
 		}
 	}
-	if !carries || isNilIdent(rhs) {
+	if !carries || isNilIdent(rhs) || c.pass.Annotated(stmt.Pos(), "owns") {
 		return
 	}
-	root, field := c.storeTarget(lhs)
-	switch root {
-	case storeLocal:
-		return // local aliasing is what rules 1 and 3 track
-	case storePkgVar:
-		if !c.pass.Annotated(stmt.Pos(), "owns") {
+	switch field, root := framework.StoreTarget(c.pass.TypesInfo, lhs); {
+	case field != nil:
+		if f := c.pass.Facts.FieldFact(field.Recv(), field.Obj().Name()); f == nil || !f.Owns {
 			c.pass.Reportf(stmt.Pos(),
-				"pooled %s stored in package-level %s: a global owner outlives "+
-					"every release boundary; pooled objects may only be retained by "+
-					"//nicwarp:owns fields", c.typeName(rhs), types.ExprString(lhs))
+				"pooled %s stored in field %s, which is not declared an owner: a "+
+					"retained pointer read after release observes a recycled object; "+
+					"annotate the field declaration //nicwarp:owns <reason> if it "+
+					"participates in the release discipline", rt, types.ExprString(lhs))
 		}
-	case storeField:
-		if c.fieldOwns(field) || c.pass.Annotated(stmt.Pos(), "owns") {
-			return
-		}
+	case root != nil:
 		c.pass.Reportf(stmt.Pos(),
-			"pooled %s stored in field %s, which is not declared an owner: a "+
-				"retained pointer read after release observes a recycled object; "+
-				"annotate the field declaration //nicwarp:owns <reason> if it "+
-				"participates in the release discipline", c.typeName(rhs), types.ExprString(lhs))
+			"pooled %s stored in package-level %s: a global owner outlives "+
+				"every release boundary; pooled objects may only be retained by "+
+				"//nicwarp:owns fields", rt, types.ExprString(lhs))
 	}
+	// Otherwise a local: aliasing it is what rules 1 and 3 track.
 }
 
 // checkCompositeLit flags pooled pointers packed into composite-literal
 // fields that are not declared owners.
 func (c *checker) checkCompositeLit(lit *ast.CompositeLit) {
 	t := c.pass.TypesInfo.TypeOf(lit)
-	if t == nil {
-		return
-	}
 	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+		t = p.Elem() // the elided &T of an element in []*T{{...}}
 	}
-	named, _ := t.(*types.Named)
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
+	if _, ok := t.Underlying().(*types.Struct); !ok {
 		return
 	}
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
+		if !ok || isNilIdent(kv.Value) || !c.containsPooled(c.pass.TypesInfo.TypeOf(kv.Value)) {
 			continue
 		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || isNilIdent(kv.Value) {
+		key := kv.Key.(*ast.Ident).Name
+		if f := c.pass.Facts.FieldFact(t, key); f != nil && f.Owns ||
+			c.pass.Annotated(kv.Pos(), "owns") || c.pass.Annotated(lit.Pos(), "owns") {
 			continue
 		}
-		if !c.containsPooled(c.pass.TypesInfo.TypeOf(kv.Value)) {
-			continue
-		}
-		if named != nil {
-			if fact := c.pass.Facts.FieldFact(named, key.Name); fact != nil && fact.Owns {
-				continue
-			}
-		}
-		if c.pass.Annotated(kv.Pos(), "owns") || c.pass.Annotated(lit.Pos(), "owns") {
-			continue
-		}
-		_ = st
 		c.pass.Reportf(kv.Pos(),
 			"pooled %s packed into field %s.%s, which is not declared an owner; "+
 				"annotate the field declaration //nicwarp:owns <reason>",
-			c.typeName(kv.Value), typeLabel(named, t), key.Name)
+			c.pass.TypesInfo.TypeOf(kv.Value), types.TypeString(t, noQualifier), key)
 	}
 }
 
-type storeRoot int
-
-const (
-	storeLocal storeRoot = iota
-	storePkgVar
-	storeField
-)
-
-// storeTarget classifies an assignment target: local variable, package
-// variable, or struct field (returning the field's selection).
-func (c *checker) storeTarget(lhs ast.Expr) (storeRoot, *types.Selection) {
-	for {
-		switch e := ast.Unparen(lhs).(type) {
-		case *ast.IndexExpr:
-			lhs = e.X
-		case *ast.SliceExpr:
-			lhs = e.X
-		case *ast.StarExpr:
-			lhs = e.X
-		case *ast.SelectorExpr:
-			if sel, ok := c.pass.TypesInfo.Selections[e]; ok && sel.Kind() == types.FieldVal {
-				return storeField, sel
-			}
-			// Package-qualified var (pkg.Var = ...).
-			if id, ok := e.X.(*ast.Ident); ok {
-				if _, isPkg := c.pass.TypesInfo.Uses[id].(*types.PkgName); isPkg {
-					if v, ok := c.pass.TypesInfo.Uses[e.Sel].(*types.Var); ok && isPkgLevel(v) {
-						return storePkgVar, nil
-					}
-				}
-			}
-			return storeLocal, nil
-		case *ast.Ident:
-			if v, ok := c.pass.TypesInfo.Uses[e].(*types.Var); ok && isPkgLevel(v) {
-				return storePkgVar, nil
-			}
-			return storeLocal, nil
-		default:
-			return storeLocal, nil
-		}
-	}
-}
-
-// fieldOwns reports whether the selected field is a declared owner.
-func (c *checker) fieldOwns(sel *types.Selection) bool {
-	if sel == nil {
-		return false
-	}
-	recv := sel.Recv()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return false
-	}
-	fact := c.pass.Facts.FieldFact(named, sel.Obj().Name())
-	return fact != nil && fact.Owns
-}
+// noQualifier prints a type without package paths ("stash", not
+// "poolown_bad.stash").
+func noQualifier(*types.Package) string { return "" }
 
 // ---- rules 1 and 3: straight-line dataflow --------------------------------
 
@@ -442,11 +327,9 @@ func (c *checker) walkStmt(stmt ast.Stmt, st *state) {
 		exprs = append(exprs, s.Lhs...)
 		c.flow(s, exprs, s.Lhs, st)
 	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					c.flow(s, vs.Values, nil, st)
-				}
+		for _, spec := range s.Decl.(*ast.GenDecl).Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				c.flow(s, vs.Values, nil, st)
 			}
 		}
 	case *ast.ReturnStmt:
@@ -498,39 +381,29 @@ func (c *checker) walkStmt(stmt ast.Stmt, st *state) {
 			c.flow(s, []ast.Expr{s.Tag}, nil, st)
 		}
 		for _, cc := range s.Body.List {
-			if cs, ok := cc.(*ast.CaseClause); ok {
-				inner := st.clone()
-				c.flow(s, cs.List, nil, inner)
-				c.walkBlock(cs.Body, inner)
-			}
+			inner, cs := st.clone(), cc.(*ast.CaseClause)
+			c.flow(s, cs.List, nil, inner)
+			c.walkBlock(cs.Body, inner)
 		}
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			c.walkStmt(s.Init, st)
 		}
 		for _, cc := range s.Body.List {
-			if cs, ok := cc.(*ast.CaseClause); ok {
-				c.walkBlock(cs.Body, st.clone())
-			}
+			c.walkBlock(cc.(*ast.CaseClause).Body, st.clone())
 		}
 	case *ast.SelectStmt:
 		for _, cc := range s.Body.List {
-			if comm, ok := cc.(*ast.CommClause); ok {
-				c.walkBlock(comm.Body, st.clone())
-			}
+			c.walkBlock(cc.(*ast.CommClause).Body, st.clone())
 		}
 	case *ast.LabeledStmt:
 		c.walkStmt(s.Stmt, st)
-	case *ast.DeferStmt, *ast.GoStmt:
-		// Deferred/concurrent execution escapes straight-line order; the
-		// reads happen later, so only check them against the current state.
-		var call *ast.CallExpr
-		if d, ok := s.(*ast.DeferStmt); ok {
-			call = d.Call
-		} else {
-			call = s.(*ast.GoStmt).Call
-		}
-		c.reportDeadReads(call, st, nil)
+	// Deferred/concurrent execution escapes straight-line order; the reads
+	// happen later, so only check them against the current state.
+	case *ast.DeferStmt:
+		c.reportDeadReads(s.Call, st, nil)
+	case *ast.GoStmt:
+		c.reportDeadReads(s.Call, st, nil)
 	}
 }
 
@@ -547,18 +420,12 @@ func (c *checker) flow(stmt ast.Stmt, exprs []ast.Expr, assigns []ast.Expr, st *
 	skip := map[ast.Node]bool{}
 	grows := false
 	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
 		ast.Inspect(e, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			fn := c.calleeFunc(call)
-			if fn == nil {
-				return true
-			}
+			fn := framework.Callee(c.pass, call)
 			fact := c.pass.Facts.FuncFact(fn)
 			if fact == nil {
 				return true
@@ -592,9 +459,6 @@ func (c *checker) flow(stmt ast.Stmt, exprs []ast.Expr, assigns []ast.Expr, st *
 	}
 	// Exact assignment targets are writes, not reads.
 	for _, a := range assigns {
-		if a == nil {
-			continue
-		}
 		if id, ok := ast.Unparen(a).(*ast.Ident); ok {
 			skip[id] = true
 		} else if sel, ok := ast.Unparen(a).(*ast.SelectorExpr); ok {
@@ -602,16 +466,11 @@ func (c *checker) flow(stmt ast.Stmt, exprs []ast.Expr, assigns []ast.Expr, st *
 		}
 	}
 	for _, e := range exprs {
-		if e != nil {
-			c.reportDeadReads(e, st, skip)
-		}
+		c.reportDeadReads(e, st, skip)
 	}
 	// Revive assignment targets (the variable now holds a fresh value) and
 	// record new arena pointers.
 	for i, a := range assigns {
-		if a == nil {
-			continue
-		}
 		if p, ok := c.pathOf(a); ok {
 			delete(st.dead, p)
 			delete(st.arena, p)
@@ -623,7 +482,7 @@ func (c *checker) flow(stmt ast.Stmt, exprs []ast.Expr, assigns []ast.Expr, st *
 				}
 			}
 			if as, ok := stmt.(*ast.AssignStmt); ok && len(as.Rhs) == len(as.Lhs) {
-				if arenaExpr, ok := c.arenaElemAddr(as.Rhs[i]); ok {
+				if arenaExpr := c.arenaElemAddr(as.Rhs[i]); arenaExpr != "" {
 					st.arena[p] = arenaExpr
 				}
 			}
@@ -694,7 +553,7 @@ func (c *checker) pathOf(e ast.Expr) (string, bool) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := c.pass.TypesInfo.ObjectOf(e)
-		if v, ok := obj.(*types.Var); ok && !isPkgLevel(v) {
+		if v, ok := obj.(*types.Var); ok && !framework.IsPkgLevel(v) {
 			return e.Name, true
 		}
 		return "", false
@@ -720,75 +579,30 @@ func parentPath(p string) string {
 	return ""
 }
 
-// arenaElemAddr reports whether e takes the address of an element of an
-// arena field (`&x.f[i]` with f declared //nicwarp:owns and arena-shaped),
-// returning the arena expression text.
-func (c *checker) arenaElemAddr(e ast.Expr) (string, bool) {
+// arenaElemAddr returns the arena expression when e takes the address of
+// an element of an arena field (`&x.f[i]` with f declared //nicwarp:owns
+// and arena-shaped), and "" otherwise.
+func (c *checker) arenaElemAddr(e ast.Expr) string {
 	ue, ok := ast.Unparen(e).(*ast.UnaryExpr)
 	if !ok || ue.Op != token.AND {
-		return "", false
+		return ""
 	}
 	ix, ok := ast.Unparen(ue.X).(*ast.IndexExpr)
 	if !ok {
-		return "", false
+		return ""
 	}
-	sel, ok := ast.Unparen(ix.X).(*ast.SelectorExpr)
+	sel, _ := ast.Unparen(ix.X).(*ast.SelectorExpr)
+	field, ok := c.pass.TypesInfo.Selections[sel]
 	if !ok {
-		return "", false
+		return ""
 	}
-	selection, ok := c.pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return "", false
+	if f := c.pass.Facts.FieldFact(field.Recv(), field.Obj().Name()); f == nil || !f.Arena {
+		return ""
 	}
-	recv := selection.Recv()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	fact := c.pass.Facts.FieldFact(named, selection.Obj().Name())
-	if fact == nil || !fact.Arena {
-		return "", false
-	}
-	return types.ExprString(ix.X), true
-}
-
-// calleeFunc resolves the static callee of a call, or nil.
-func (c *checker) calleeFunc(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := c.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// typeName renders the pooled type of e for diagnostics.
-func (c *checker) typeName(e ast.Expr) string {
-	t := c.pass.TypesInfo.TypeOf(e)
-	if t == nil {
-		return "object"
-	}
-	return t.String()
-}
-
-func typeLabel(named *types.Named, t types.Type) string {
-	if named != nil {
-		return named.Obj().Name()
-	}
-	return t.String()
+	return types.ExprString(ix.X)
 }
 
 func isNilIdent(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-func isPkgLevel(v *types.Var) bool {
-	return v.Parent() != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

@@ -53,9 +53,9 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-func run(pass *framework.Pass) error {
+func run(pass *framework.Pass) {
 	if framework.MatchPackage(allowList, pass.Pkg.Path()) {
-		return nil
+		return
 	}
 	// Declarations of mutable-typed package vars.
 	for _, file := range pass.Files {
@@ -65,23 +65,9 @@ func run(pass *framework.Pass) error {
 				continue
 			}
 			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, name := range vs.Names {
-					if name.Name == "_" {
-						continue
-					}
-					v, _ := pass.TypesInfo.Defs[name].(*types.Var)
-					if v == nil {
-						continue
-					}
-					what := mutableThrough(v.Type(), nil)
-					if what == "" {
-						continue
-					}
-					if pass.Annotated(name.Pos(), "sharded") ||
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					what := mutableThrough(pass.TypesInfo.Defs[name].Type())
+					if what == "" || pass.Annotated(name.Pos(), "sharded") ||
 						pass.Annotated(gd.Pos(), "sharded") {
 						continue
 					}
@@ -99,30 +85,20 @@ func run(pass *framework.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fd.Recv == nil && fd.Name.Name == "init" {
+			if !ok || fd.Body == nil || fd.Recv == nil && fd.Name.Name == "init" {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var targets []ast.Expr
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if v := pkgLevelTarget(pass, lhs); v != nil &&
-							!pass.Annotated(n.Pos(), "sharded") &&
-							!pass.Annotated(v.Pos(), "sharded") {
-							pass.Reportf(n.Pos(),
-								"write to package-level var %s from %s: shards must not "+
-									"mutate shared package state; make it instance state or "+
-									"annotate //nicwarp:sharded <reason>",
-								v.Name(), fd.Name.Name)
-						}
-					}
+					targets = n.Lhs
 				case *ast.IncDecStmt:
-					if v := pkgLevelTarget(pass, n.X); v != nil &&
-						!pass.Annotated(n.Pos(), "sharded") &&
-						!pass.Annotated(v.Pos(), "sharded") {
+					targets = []ast.Expr{n.X}
+				}
+				for _, lhs := range targets {
+					if _, v := framework.StoreTarget(pass.TypesInfo, lhs); v != nil &&
+						!pass.Annotated(n.Pos(), "sharded") && !pass.Annotated(v.Pos(), "sharded") {
 						pass.Reportf(n.Pos(),
 							"write to package-level var %s from %s: shards must not "+
 								"mutate shared package state; make it instance state or "+
@@ -134,51 +110,14 @@ func run(pass *framework.Pass) error {
 			})
 		}
 	}
-	return nil
-}
-
-// pkgLevelTarget resolves an assignment target to the package-level var it
-// writes, unwrapping index/field/deref chains so `table[k] = v` and
-// `global.field = v` count as writes to the root variable.
-func pkgLevelTarget(pass *framework.Pass, lhs ast.Expr) *types.Var {
-	for {
-		switch e := ast.Unparen(lhs).(type) {
-		case *ast.IndexExpr:
-			lhs = e.X
-		case *ast.StarExpr:
-			lhs = e.X
-		case *ast.SelectorExpr:
-			if sel, ok := pass.TypesInfo.Selections[e]; ok && sel.Kind() == types.FieldVal {
-				lhs = e.X
-				continue
-			}
-			// pkg.Var: qualified reference to another package's variable.
-			if v, ok := pass.TypesInfo.Uses[e.Sel].(*types.Var); ok && isPkgLevel(v) {
-				return v
-			}
-			return nil
-		case *ast.Ident:
-			if v, ok := pass.TypesInfo.Uses[e].(*types.Var); ok && isPkgLevel(v) {
-				return v
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
 }
 
 // mutableThrough reports how a type can be mutated through a variable of
 // it: directly (map/slice/chan/pointer) or via a struct or array that
-// embeds such a component. Interfaces, funcs and basic types return "".
-func mutableThrough(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
+// embeds such a component. Interfaces, funcs and basic types return "". A
+// type can only contain itself through a reference kind, so the recursion
+// ends.
+func mutableThrough(t types.Type) string {
 	switch u := t.Underlying().(type) {
 	case *types.Map:
 		return "map"
@@ -190,18 +129,14 @@ func mutableThrough(t types.Type, seen map[types.Type]bool) string {
 		return "pointer"
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			if w := mutableThrough(u.Field(i).Type(), seen); w != "" {
+			if w := mutableThrough(u.Field(i).Type()); w != "" {
 				return "struct holding a " + w
 			}
 		}
 	case *types.Array:
-		if w := mutableThrough(u.Elem(), seen); w != "" {
+		if w := mutableThrough(u.Elem()); w != "" {
 			return "array of " + w
 		}
 	}
 	return ""
-}
-
-func isPkgLevel(v *types.Var) bool {
-	return v.Parent() != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

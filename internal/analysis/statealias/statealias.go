@@ -45,7 +45,7 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-func run(pass *framework.Pass) error {
+func run(pass *framework.Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -61,7 +61,6 @@ func run(pass *framework.Pass) error {
 			})
 		}
 	}
-	return nil
 }
 
 // checkReturn applies the rule to one `return expr` inside SaveState.
@@ -92,14 +91,8 @@ func checkReturn(pass *framework.Pass, ret *ast.ReturnStmt) {
 				types.ExprString(expr))
 			return
 		}
-	case *ast.Ident:
-		if e.Name == "nil" {
-			return
-		}
 	}
-	if t == nil {
-		return
-	}
+	// Untyped nil is a basic type, so `return nil` passes both checks.
 	if _, ok := t.Underlying().(*types.Pointer); ok {
 		pass.Reportf(ret.Pos(),
 			"SaveState returns a pointer-typed snapshot (%s) that aliases live "+
@@ -107,7 +100,7 @@ func checkReturn(pass *framework.Pass, ret *ast.ReturnStmt) {
 			types.ExprString(expr))
 		return
 	}
-	if path, shared := refField(t, nil); shared {
+	if path, shared := refField(t); shared {
 		pass.Reportf(ret.Pos(),
 			"SaveState snapshot shallow-copies reference state (field %s): the "+
 				"copy shares storage with the live object and rollback will alias "+
@@ -119,61 +112,39 @@ func checkReturn(pass *framework.Pass, ret *ast.ReturnStmt) {
 // snapshotsSave returns T when call is Save on a timewarp.Snapshots[T] (or
 // a pointer to one), and nil for any other call.
 func snapshotsSave(pass *framework.Pass, call *ast.CallExpr) types.Type {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Save" {
+	var t types.Type
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Save" {
+		t = pass.TypesInfo.TypeOf(sel.X)
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+	}
+	if !framework.IsNamed(t, "nicwarp/internal/timewarp", "Snapshots") {
 		return nil
 	}
-	t := pass.TypesInfo.TypeOf(sel.X)
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.TypeArgs().Len() != 1 {
-		return nil
-	}
-	if obj := named.Obj(); obj.Name() != "Snapshots" || obj.Pkg() == nil ||
-		obj.Pkg().Path() != "nicwarp/internal/timewarp" {
-		return nil
-	}
-	return named.TypeArgs().At(0)
+	return t.(*types.Named).TypeArgs().At(0)
 }
 
 // refField reports whether t transitively contains a field whose storage a
-// value copy would share, returning the path of the first such field.
-func refField(t types.Type, seen []*types.Named) (string, bool) {
-	if named, ok := t.(*types.Named); ok {
-		for _, s := range seen {
-			if s == named {
-				return "", false
-			}
-		}
-		seen = append(seen, named)
-	}
+// value copy would share, returning the path of the first such field. It
+// needs no cycle guard: a type can only contain itself through a reference
+// kind, which answers at once.
+func refField(t types.Type) (string, bool) {
 	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return "", true
-	case *types.Map:
-		return "", true
-	case *types.Pointer:
-		return "", true
-	case *types.Chan:
-		return "", true
-	case *types.Signature:
-		return "", true
-	case *types.Interface:
-		// An interface field can hold anything, including reference types;
-		// the kernel's own snapshot wrapper stores SaveState results in an
-		// interface, so only the concrete state type matters — but a state
-		// struct embedding an interface cannot be checked, so flag it.
+	// An interface field can hold anything, including reference types;
+	// the kernel's own snapshot wrapper stores SaveState results in an
+	// interface, so only the concrete state type matters — but a state
+	// struct embedding an interface cannot be checked, so flag it.
+	case *types.Slice, *types.Map, *types.Pointer, *types.Chan, *types.Signature, *types.Interface:
 		return "", true
 	case *types.Array:
-		if p, shared := refField(u.Elem(), seen); shared {
+		if p, shared := refField(u.Elem()); shared {
 			return "[i]" + p, true
 		}
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
 			f := u.Field(i)
-			if p, shared := refField(f.Type(), seen); shared {
+			if p, shared := refField(f.Type()); shared {
 				if p == "" {
 					return f.Name(), true
 				}

@@ -80,3 +80,15 @@ func record(s store, e event) event {
 	s.put(e)
 	return s.get() // want `dynamic call \(function value or interface method`
 }
+
+// An alias names no type to key a fact on, so a hotpath annotation on its
+// method moves no contract there and a call through it stays dynamic.
+type flusher = interface {
+	//nicwarp:hotpath has no effect on an alias's method
+	flush()
+}
+
+//nicwarp:hotpath flush fast path
+func flushAll(f flusher) {
+	f.flush() // want `dynamic call \(function value or interface method`
+}

@@ -51,3 +51,34 @@ func anyKey(m map[uint64]bool, e *timewarp.Event) {
 		break
 	}
 }
+
+// lastKey's loop has no body, yet the key it leaves behind is whichever
+// the walk visited last.
+func lastKey(m map[int]bool) int {
+	k := -1
+	for k = range m { // want `iteration over map m`
+	}
+	return k
+}
+
+// joined has the shape of a self-append, but its call is not append: the
+// string it builds follows visit order.
+func joined(m map[string]bool) string {
+	s := ""
+	for k := range m { // want `iteration over map m`
+		s = join(s, k)
+	}
+	return s
+}
+
+func join(a, b string) string { return a + "," + b }
+
+// lastOnto appends to another slice each time, so only the last key
+// visited survives.
+func lastOnto(m map[int]bool, base []int) []int {
+	var keys []int
+	for k := range m { // want `iteration over map m`
+		keys = append(base, k)
+	}
+	return keys
+}

@@ -35,6 +35,12 @@ func doubleRelease(p *pool, e *timewarp.Event) {
 	p.put(e) // want `use of e after release: ownership transferred to put`
 }
 
+// A method expression calls the same method: the transfer is the same.
+func releaseByMethodExpr(p *pool, e *timewarp.Event) uint64 {
+	(*pool).put(p, e)
+	return e.Payload // want `use of e.Payload after release: ownership transferred to put`
+}
+
 // A transfer before the branch poisons both arms.
 func releaseThenBranch(p *pool, e *timewarp.Event, anti bool) int8 {
 	p.put(e)
@@ -98,4 +104,66 @@ func danglingInterior(t *table, i int) int64 {
 	s := &t.arena[i]
 	t.alloc()
 	return s.val // want `use of s.val after arena growth: points into t.arena`
+}
+
+// A transfer before a select poisons every arm.
+func releaseThenSelect(p *pool, e *timewarp.Event, ch chan int) uint64 {
+	p.put(e)
+	select {
+	case <-ch:
+		return e.Payload // want `use of e.Payload after release: ownership transferred to put`
+	default:
+		return 0
+	}
+}
+
+// A labeled statement is walked like the statement it labels.
+func releaseThenLabeled(p *pool, e *timewarp.Event) {
+	p.put(e)
+retry:
+	for e.Payload > 0 { // want `use of e.Payload after release: ownership transferred to put`
+		continue retry
+	}
+}
+
+// The init statement of a type switch runs before every case.
+func releaseInTypeSwitchInit(p *pool, e *timewarp.Event, v interface{}) uint64 {
+	switch p.put(e); v.(type) {
+	case int:
+		return e.Payload // want `use of e.Payload after release: ownership transferred to put`
+	}
+	return 0
+}
+
+type window struct {
+	buf []*timewarp.Event // no //nicwarp:owns
+}
+
+// A store through a reslice still lands in the undeclared field.
+func retainThroughSlice(f *window, e *timewarp.Event) {
+	f.buf[1:][0] = e // want `pooled \*nicwarp/internal/timewarp.Event stored in field f.buf\[1:\]\[0\], which is not declared an owner`
+}
+
+// An element literal with an elided &stash is packed the same way.
+func retainInElidedLiteral(e *timewarp.Event) []*stash {
+	return []*stash{{last: e}} // want `pooled \*nicwarp/internal/timewarp.Event packed into field stash.last`
+}
+
+type boxes struct {
+	any []interface{} // no //nicwarp:owns
+}
+
+// Appending into an interface slice still stores the pooled pointer.
+func retainBoxed(b *boxes, e *timewarp.Event) {
+	b.any = append(b.any, e) // want `pooled \[\]interface\{\} stored in field b.any, which is not declared an owner`
+}
+
+// An alias names no type to key a field fact on, so its annotation
+// declares nothing and the store is flagged.
+type aliased = struct {
+	ev *timewarp.Event //nicwarp:owns has no effect on an alias's field
+}
+
+func retainInAlias(a *aliased, e *timewarp.Event) {
+	a.ev = e // want `pooled \*nicwarp/internal/timewarp.Event stored in field a.ev, which is not declared an owner`
 }

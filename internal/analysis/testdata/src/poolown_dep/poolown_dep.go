@@ -16,3 +16,6 @@ type Sink struct {
 func Consume(s *Sink, e *timewarp.Event) {
 	s.Held = append(s.Held, e)
 }
+
+// Last is package state an importer could write.
+var Last *timewarp.Event

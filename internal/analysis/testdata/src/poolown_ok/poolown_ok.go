@@ -94,3 +94,27 @@ func indexOnly(t *table) int64 {
 	j := t.alloc()
 	return t.arena[i].val + t.arena[j].val
 }
+
+// taker is a capability interface: a call through it is dynamic, names no
+// ownership fact, and so borrows like any unannotated callee.
+type taker interface {
+	take(e *timewarp.Event)
+}
+
+func readAfterInterfaceCall(t taker, e *timewarp.Event) uint64 {
+	t.take(e)
+	return e.Payload
+}
+
+// holder carries an event without owning it.
+type holder struct {
+	ev *timewarp.Event
+}
+
+// refreshHolder: releasing a field's event and then replacing the holder
+// revives every path under it.
+func refreshHolder(p *pool, h, next holder) uint64 {
+	p.put(h.ev)
+	h = next
+	return h.ev.Payload
+}

@@ -21,3 +21,8 @@ func useAfterForeignConsume(s *poolown_dep.Sink, e *timewarp.Event) uint64 {
 func storeInForeignOwner(s *poolown_dep.Sink, e *timewarp.Event) {
 	s.Held = append(s.Held, e)
 }
+
+// Another package's variable is as package-level as one's own.
+func retainInForeignGlobal(e *timewarp.Event) {
+	poolown_dep.Last = e // want `pooled \*nicwarp/internal/timewarp.Event stored in package-level poolown_dep.Last`
+}

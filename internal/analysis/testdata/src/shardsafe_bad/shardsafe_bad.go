@@ -9,6 +9,7 @@ var (
 	events   chan int           // want `package-level var events is mutable through its type \(channel\)`
 	current  *counters          // want `package-level var current is mutable through its type \(pointer\)`
 	stats    counters           // want `package-level var stats is mutable through its type \(struct holding a slice\)`
+	lanes    [4][]int           // want `package-level var lanes is mutable through its type \(array of slice\)`
 )
 
 type counters struct {
@@ -30,4 +31,12 @@ func reset() {
 // Indexed writes resolve to the root variable.
 func register(name string, id int) {
 	registry[name] = id // want `write to package-level var registry from register`
+}
+
+var slots [8]int
+
+// Writes through a slice of a package-level array land in the array.
+func bump(i int) {
+	slots[2:][i] = 1 // want `write to package-level var slots from bump`
+	slots[2:][i]++   // want `write to package-level var slots from bump`
 }

@@ -39,3 +39,9 @@ var runs int
 func bump() {
 	runs++ //nicwarp:sharded progress accounting, not simulation state
 }
+
+// init runs once, before any shard exists, so its writes are not shared
+// mutation.
+func init() {
+	maxDepth = 32
+}

@@ -91,3 +91,8 @@ type tabler struct {
 
 func (t *tabler) SaveState() interface{}     { return t.snaps.Save(&t.st) }
 func (t *tabler) ReleaseState(v interface{}) { t.snaps.Release(v) }
+
+type stateless struct{}
+
+// An object with no state saves none.
+func (stateless) SaveState() interface{} { return nil }

@@ -90,8 +90,8 @@ func main() {
 	}
 	cfg.App = build()
 
-	// Validate up front so flag mistakes (e.g. -cancel with -gvt pgvt) surface
-	// as field errors before any model is built.
+	// Validate up front so flag mistakes (e.g. -radix -1) surface as field
+	// errors before any model is built.
 	if err := cfg.WithDefaults().Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "invalid configuration:", err)
 		os.Exit(2)

@@ -32,7 +32,7 @@ func TestParallelAndCachedRunsMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-execution sweep comparison")
 	}
-	for _, name := range []string{"fig4", "fig78", "abl-gvt-algorithms"} {
+	for _, name := range []string{"fig4", "fig78", "abl-gvt-tree"} {
 		exp, err := ExperimentByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -80,9 +80,8 @@ func TestParallelAndCachedRunsMatchSerial(t *testing.T) {
 // exercised on every entry by TestRegistryMatchesOracle.
 func TestRegistryCoversSuite(t *testing.T) {
 	want := []string{"fig4", "fig5", "fig6", "fig78", "figscale",
-		"abl-nic-speed", "abl-drop-buffer", "abl-gvt-algorithms",
-		"abl-rx-buffer", "abl-gvt-tree", "abl-stress-faults",
-		"abl-piggyback-patience", "abl-batching"}
+		"abl-nic-speed", "abl-drop-buffer", "abl-rx-buffer", "abl-gvt-tree",
+		"abl-stress-faults", "abl-piggyback-patience", "abl-batching"}
 	got := ExperimentNames()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d: %v", len(got), len(want), got)

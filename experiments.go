@@ -284,20 +284,6 @@ func ablations() []Experiment {
 			},
 		},
 		{
-			Name:        "abl-gvt-algorithms",
-			Output:      "ablation_gvt_algorithms",
-			Description: "Ablation: GVT algorithms (pGVT vs Mattern vs NIC-GVT)",
-			header:      []string{"variant", "exec_sec", "ctrlMsgs", "computations"},
-			rows: func(o FigureOpts) []row {
-				return variants("%v", []GVTMode{GVTPGVT, GVTHostMattern, GVTNIC}, func(mode GVTMode) Config {
-					return o.point(RAID(RAIDGVTConfig(o.scaled(20000))), mode, 10)
-				})
-			},
-			cells: func(r []*Result) []interface{} {
-				return []interface{}{r[0].ExecTime.Seconds(), float64(r[0].GVTControlMsgs), float64(r[0].GVTComputations)}
-			},
-		},
-		{
 			Name:        "abl-rx-buffer",
 			Output:      "ablation_rx_buffer",
 			Description: "Ablation: NIC receive-buffer depth",

@@ -171,6 +171,21 @@ func StoreTarget(info *types.Info, lhs ast.Expr) (field *types.Selection, root *
 	}
 }
 
+// FieldOwner returns the type whose struct declares the field sel selects:
+// sel.Recv() for a direct field, the embedded type for a promoted one
+// (`o.ev` with `type outer struct{ inner }` selects inner's ev), so facts
+// keyed by the declaring type follow the field through embedding.
+func FieldOwner(sel *types.Selection) types.Type {
+	t, path := sel.Recv(), sel.Index()
+	for _, i := range path[:len(path)-1] {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		t = t.Underlying().(*types.Struct).Field(i).Type()
+	}
+	return t
+}
+
 // IsPkgLevel reports whether v is a package-level variable.
 func IsPkgLevel(v *types.Var) bool {
 	return v.Parent() == v.Pkg().Scope()

@@ -28,9 +28,11 @@
 //     package-level variable, or a channel creates a second owner. Fields
 //     that legitimately own pooled objects (an object's pending heap, the
 //     history outputs rows, the free list itself) carry `//nicwarp:owns`
-//     on the field declaration; everything else is flagged. Package-level
-//     variables and channel sends are never sanctioned — the pools are
-//     per-kernel and single-threaded by design.
+//     on the field declaration; everything else is flagged. A composite
+//     literal's elements are stores too, keyed or positional, and a field
+//     promoted through an embedded struct is judged by its declaration
+//     there. Package-level variables and channel sends are never
+//     sanctioned — the pools are per-kernel and single-threaded by design.
 //
 //  3. Arena interior pointers. A `//nicwarp:owns`-annotated arena (a slice
 //     of value structs addressed by slot index, as in internal/des) may
@@ -229,7 +231,7 @@ func (c *checker) checkStore(stmt *ast.AssignStmt, lhs, rhs ast.Expr) {
 	}
 	switch field, root := framework.StoreTarget(c.pass.TypesInfo, lhs); {
 	case field != nil:
-		if f := c.pass.Facts.FieldFact(field.Recv(), field.Obj().Name()); f == nil || !f.Owns {
+		if f := c.fieldFact(field); f == nil || !f.Owns {
 			c.pass.Reportf(stmt.Pos(),
 				"pooled %s stored in field %s, which is not declared an owner: a "+
 					"retained pointer read after release observes a recycled object; "+
@@ -245,30 +247,42 @@ func (c *checker) checkStore(stmt *ast.AssignStmt, lhs, rhs ast.Expr) {
 	// Otherwise a local: aliasing it is what rules 1 and 3 track.
 }
 
+// fieldFact returns the facts of the field sel selects, looked up on the
+// struct that declares it, so a promoted field keeps its annotation.
+func (c *checker) fieldFact(sel *types.Selection) *framework.FieldFact {
+	return c.pass.Facts.FieldFact(framework.FieldOwner(sel), sel.Obj().Name())
+}
+
 // checkCompositeLit flags pooled pointers packed into composite-literal
-// fields that are not declared owners.
+// fields that are not declared owners, keyed (`stash{last: e}`) or
+// positional (`stash{e, nil}`).
 func (c *checker) checkCompositeLit(lit *ast.CompositeLit) {
 	t := c.pass.TypesInfo.TypeOf(lit)
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem() // the elided &T of an element in []*T{{...}}
 	}
-	if _, ok := t.Underlying().(*types.Struct); !ok {
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
 		return
 	}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok || isNilIdent(kv.Value) || !c.containsPooled(c.pass.TypesInfo.TypeOf(kv.Value)) {
+	for i, elt := range lit.Elts {
+		val, key := elt, ""
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			val, key = kv.Value, kv.Key.(*ast.Ident).Name
+		} else {
+			key = st.Field(i).Name() // a positional literal lists every field in order
+		}
+		if isNilIdent(val) || !c.containsPooled(c.pass.TypesInfo.TypeOf(val)) {
 			continue
 		}
-		key := kv.Key.(*ast.Ident).Name
 		if f := c.pass.Facts.FieldFact(t, key); f != nil && f.Owns ||
-			c.pass.Annotated(kv.Pos(), "owns") || c.pass.Annotated(lit.Pos(), "owns") {
+			c.pass.Annotated(elt.Pos(), "owns") || c.pass.Annotated(lit.Pos(), "owns") {
 			continue
 		}
-		c.pass.Reportf(kv.Pos(),
+		c.pass.Reportf(elt.Pos(),
 			"pooled %s packed into field %s.%s, which is not declared an owner; "+
 				"annotate the field declaration //nicwarp:owns <reason>",
-			c.pass.TypesInfo.TypeOf(kv.Value), types.TypeString(t, noQualifier), key)
+			c.pass.TypesInfo.TypeOf(val), types.TypeString(t, noQualifier), key)
 	}
 }
 
@@ -596,7 +610,7 @@ func (c *checker) arenaElemAddr(e ast.Expr) string {
 	if !ok {
 		return ""
 	}
-	if f := c.pass.Facts.FieldFact(field.Recv(), field.Obj().Name()); f == nil || !f.Arena {
+	if f := c.fieldFact(field); f == nil || !f.Arena {
 		return ""
 	}
 	return types.ExprString(ix.X)

@@ -167,3 +167,27 @@ type aliased = struct {
 func retainInAlias(a *aliased, e *timewarp.Event) {
 	a.ev = e // want `pooled \*nicwarp/internal/timewarp.Event stored in field a.ev, which is not declared an owner`
 }
+
+// A positional element packs into its field just as a keyed one does.
+func retainPositionally(e *timewarp.Event) stash {
+	return stash{e, nil} // want `pooled \*nicwarp/internal/timewarp.Event packed into field stash.last, which is not declared an owner`
+}
+
+// wrapped promotes table's arena and stash's undeclared last.
+type wrapped struct {
+	table
+	stash
+}
+
+// A promoted arena is still an arena: its interior pointer dangles after a
+// growth call reached through the embedding.
+func danglingPromoted(w *wrapped, i int) int64 {
+	s := &w.arena[i]
+	w.alloc()
+	return s.val // want `use of s.val after arena growth: points into w.arena`
+}
+
+// A promoted undeclared field is as undeclared as a direct one.
+func retainPromoted(w *wrapped, e *timewarp.Event) {
+	w.last = e // want `pooled \*nicwarp/internal/timewarp.Event stored in field w.last, which is not declared an owner`
+}

@@ -118,3 +118,25 @@ func refreshHolder(p *pool, h, next holder) uint64 {
 	h = next
 	return h.ev.Payload
 }
+
+// keeper declares its event field an owner.
+type keeper struct {
+	ev *timewarp.Event //nicwarp:owns keeper holds the event until it releases it
+	n  int
+}
+
+// keepPositionally: a positional element into an owning field is sanctioned
+// like a keyed one.
+func keepPositionally(e *timewarp.Event) keeper {
+	return keeper{e, 1}
+}
+
+// outer promotes keeper's owning ev.
+type outer struct {
+	*keeper
+}
+
+// keepPromoted: the owner annotation follows the field through embedding.
+func keepPromoted(o outer, e *timewarp.Event) {
+	o.ev = e
+}

@@ -75,7 +75,7 @@ func Shards(fs *flag.FlagSet) *int {
 // core.ParseGVTMode field error listing the accepted names.
 func GVT(fs *flag.FlagSet, def core.GVTMode) *core.GVTMode {
 	v := gvtValue(def)
-	fs.Var(&v, "gvt", "GVT implementation: mattern, nic, pgvt, tree")
+	fs.Var(&v, "gvt", "GVT implementation: mattern, nic, tree")
 	return (*core.GVTMode)(&v)
 }
 

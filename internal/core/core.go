@@ -46,16 +46,14 @@ const (
 	GVTHostMattern GVTMode = iota
 	// GVTNIC is the paper's NIC-level GVT.
 	GVTNIC
-	// GVTPGVT is the pGVT-style centralized algorithm, WARPED's other GVT
-	// implementation, included as the high-overhead baseline the paper
-	// rejects ("we use Mattern's algorithm because it has a lower
-	// overhead").
-	GVTPGVT
 	// GVTNICTree is the tree-reduction variant of the NIC-level GVT: the
 	// NICs fold subtree partial sums up a static k-ary tree and broadcast
 	// the committed value back down, converging in O(log n) link hops
 	// instead of the ring's O(n) circulation (firmware.GVTFirmware.Init).
-	GVTNICTree
+	// Its value stays 3: Config.Digest hashes the mode as an integer, so
+	// renumbering it would move every tree config's cache key. 2 was the
+	// retired pGVT baseline and is rejected as unknown.
+	GVTNICTree GVTMode = 3
 )
 
 // String implements fmt.Stringer.
@@ -63,8 +61,6 @@ func (m GVTMode) String() string {
 	switch m {
 	case GVTNIC:
 		return "nic-gvt"
-	case GVTPGVT:
-		return "pgvt"
 	case GVTNICTree:
 		return "nic-tree"
 	default:
@@ -189,16 +185,10 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "GVTPeriod", Value: c.GVTPeriod, Reason: "GVT period must be >= 1"}
 	}
 	switch c.GVT {
-	case GVTHostMattern, GVTNIC, GVTPGVT, GVTNICTree:
+	case GVTHostMattern, GVTNIC, GVTNICTree:
 	default:
 		return &FieldError{Field: "GVT", Value: int(c.GVT),
 			Reason: "unknown GVT mode (want " + strings.Join(GVTModeNames(), ", ") + ")"}
-	}
-	if c.EarlyCancel && c.GVT == GVTPGVT {
-		// A packet dropped in place is never delivered, so it would pin the
-		// sender's unacknowledged-send set and stall pGVT forever.
-		return &FieldError{Field: "EarlyCancel", Value: true,
-			Reason: "early cancellation is incompatible with pGVT (dropped packets are never acknowledged)"}
 	}
 	if c.GVTFallbackDelay < 0 {
 		return &FieldError{Field: "GVTFallbackDelay", Value: c.GVTFallbackDelay,
@@ -565,8 +555,6 @@ func NewClusterOn(cfg Config, ex Exec, s *Scratch) (*Cluster, error) {
 		setManagers(cl.nodes, func(m *gvt.MatternManager) { m.Init(cfg.GVTPeriod) })
 	case GVTNIC, GVTNICTree:
 		setManagers(cl.nodes, func(m *gvt.NICGVTManager) { m.Init(cfg.GVTPeriod, cfg.GVTFallbackDelay) })
-	case GVTPGVT:
-		setManagers(cl.nodes, func(m *gvt.PGVTManager) { m.Init(cfg.GVTPeriod) })
 	}
 
 	// Backpressure lookup between NICs.
@@ -1122,9 +1110,6 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 		n.cpu.DoArg2(hostmodel.CatGVT, cost, nodeGVTControl, n, pkt)
 	case proto.KindGVTBroadcast:
 		n.mgr.OnControl(view{n}, pkt)
-	case proto.KindAck:
-		// Delivery acknowledgement for the pGVT manager.
-		n.cpu.DoArg2(hostmodel.CatGVT, n.cpu.Costs.GVTHostCompute, nodeGVTControl, n, pkt)
 	case proto.KindCredit:
 		// Flow control handled above; the packet is back in the pool.
 	default:
@@ -1132,9 +1117,8 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 	}
 }
 
-// nodeGVTControl is the CPU job charged for an inbound GVT token or pGVT
-// acknowledgement finishing: the manager handles the packet and the main
-// loop re-arms.
+// nodeGVTControl is the CPU job charged for an inbound host GVT token
+// finishing: the manager handles the packet and the main loop re-arms.
 //
 //nicwarp:hotpath one per inbound host GVT control packet
 func nodeGVTControl(x, p interface{}) {

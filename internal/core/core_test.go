@@ -166,47 +166,6 @@ func TestNICGVTFasterAtAggressivePeriod(t *testing.T) {
 	}
 }
 
-func TestPGVTMatchesOracle(t *testing.T) {
-	cfg := baseConfig()
-	cfg.GVT = GVTPGVT
-	res := mustRun(t, cfg)
-	if res.GVTComputations == 0 {
-		t.Fatal("pGVT never completed a computation")
-	}
-	// pGVT's acknowledgement traffic is its signature overhead.
-	if res.GVTControlMsgs == 0 {
-		t.Fatal("pGVT sent no control traffic")
-	}
-}
-
-func TestPGVTRejectsEarlyCancel(t *testing.T) {
-	cfg := baseConfig()
-	cfg.GVT = GVTPGVT
-	cfg.EarlyCancel = true
-	if _, err := NewClusterExec(cfg, Exec{}); err == nil {
-		t.Fatal("expected config rejection")
-	}
-}
-
-func TestPGVTCostsMoreThanMattern(t *testing.T) {
-	// The reason WARPED (and the paper) default to Mattern: pGVT
-	// acknowledges every message.
-	run := func(mode GVTMode) *Result {
-		cfg := baseConfig()
-		cfg.App = pholdApp(16, 120)
-		cfg.GVT = mode
-		cfg.GVTPeriod = 10
-		cfg.VerifyOracle = false
-		return mustRun(t, cfg)
-	}
-	mat := run(GVTHostMattern)
-	pg := run(GVTPGVT)
-	if pg.GVTControlMsgs <= mat.GVTControlMsgs {
-		t.Fatalf("pGVT control traffic %d not above Mattern's %d",
-			pg.GVTControlMsgs, mat.GVTControlMsgs)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},                               // no app

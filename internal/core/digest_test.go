@@ -129,15 +129,26 @@ func TestDigestStable(t *testing.T) {
 // TestDigestGolden pins the digest of a fixed config across processes and
 // builds: the on-disk cache (runner.DiskCache) is only sound if the key a
 // fresh process computes matches the key a previous process stored. The
-// constant must change exactly when Config's canonical shape changes — if
-// you extend Config (or a struct it embeds), update the constant AND clear
-// results/cache/.
+// constants must change exactly when Config's canonical shape changes — if
+// you extend Config (or a struct it embeds), update the constants AND clear
+// results/cache/. The tree-GVT row pins GVTNICTree's integer value, which
+// Digest hashes: renumbering the modes would serve a tree config another
+// mode's cached result.
 func TestDigestGolden(t *testing.T) {
 	cfg := Config{App: phold.New(phold.Params{Objects: 8, Population: 1, Hops: 40, MeanDelay: 50, Locality: 0.2}), Nodes: 4, Seed: 7}
-	const golden = "73ecb74c8aa71ea86d76c360e64d37f2efc57378a731b2ae5c758a46f50747a3"
-	if got := cfg.Digest(); got != golden {
-		t.Fatalf("digest of the pinned config changed:\n got  %s\n want %s\n"+
-			"(expected only when Config's shape changes; update the constant and clear results/cache/)", got, golden)
+	tree := cfg
+	tree.GVT = GVTNICTree
+	for _, c := range []struct {
+		cfg    Config
+		golden string
+	}{
+		{cfg, "73ecb74c8aa71ea86d76c360e64d37f2efc57378a731b2ae5c758a46f50747a3"},
+		{tree, "48db8fa9927a91a20d678d6708f387aff67f24fc2638f3541e7b1b8f22315502"},
+	} {
+		if got := c.cfg.Digest(); got != c.golden {
+			t.Fatalf("digest of the pinned %v config changed:\n got  %s\n want %s\n"+
+				"(expected only when Config's shape changes; update the constant and clear results/cache/)", c.cfg.GVT, got, c.golden)
+		}
 	}
 }
 
@@ -164,7 +175,8 @@ func TestValidateFieldErrors(t *testing.T) {
 		{Config{App: app, Nodes: 0, GVTPeriod: 10}, "Nodes"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 0}, "GVTPeriod"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, GVT: GVTMode(99)}, "GVT"},
-		{Config{App: app, Nodes: 4, GVTPeriod: 10, EarlyCancel: true, GVT: GVTPGVT}, "EarlyCancel"},
+		// 2 was the retired pGVT: out of range, not a valid mode.
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, GVT: GVTMode(2)}, "GVT"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.Config{BatchMax: proto.MaxBatchSubs + 1}}, "NIC.BatchMax"},
 		// 2 was the retired dragonfly: out of range, not a crossbar.
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, Net: simnet.Config{Topology: 2}}, "Net.Topology"},
@@ -196,7 +208,7 @@ func TestValidateFieldErrors(t *testing.T) {
 // produce a FieldError listing the choices.
 func TestParseGVTMode(t *testing.T) {
 	for name, want := range map[string]GVTMode{
-		"mattern": GVTHostMattern, "nic": GVTNIC, "nic-gvt": GVTNIC, "pgvt": GVTPGVT,
+		"mattern": GVTHostMattern, "nic": GVTNIC, "nic-gvt": GVTNIC,
 		"tree": GVTNICTree, "nic-tree": GVTNICTree,
 	} {
 		got, err := ParseGVTMode(name)
@@ -204,13 +216,16 @@ func TestParseGVTMode(t *testing.T) {
 			t.Errorf("ParseGVTMode(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	_, err := ParseGVTMode("fig9")
-	var fe *FieldError
-	if !errors.As(err, &fe) || fe.Field != "GVT" {
-		t.Fatalf("want GVT FieldError for unknown mode, got %v", err)
+	// "pgvt" named the retired pGVT baseline and is as unknown as "fig9".
+	for _, name := range []string{"fig9", "pgvt"} {
+		_, err := ParseGVTMode(name)
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != "GVT" {
+			t.Fatalf("want GVT FieldError for unknown mode %q, got %v", name, err)
+		}
 	}
 	// Modes round-trip through their String form.
-	for _, m := range []GVTMode{GVTHostMattern, GVTNIC, GVTPGVT, GVTNICTree} {
+	for _, m := range []GVTMode{GVTHostMattern, GVTNIC, GVTNICTree} {
 		got, err := ParseGVTMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseGVTMode(%v.String()) = %v, %v", m, got, err)

@@ -193,10 +193,6 @@ func (cl *Cluster) collect() *Result {
 			if mgr.ConvMax > r.GVTConvMax {
 				r.GVTConvMax = mgr.ConvMax
 			}
-		case *gvt.PGVTManager:
-			r.GVTComputations += mgr.Stats.Computations.Value()
-			r.GVTRounds += mgr.Stats.Rounds.Value()
-			r.GVTControlMsgs += mgr.Stats.ControlMsgs.Value() + mgr.Acks
 		}
 		if cl.gvtFW != nil {
 			fw := &cl.gvtFW[i]

@@ -34,7 +34,6 @@ var gvtModeNames = map[string]GVTMode{ //nicwarp:sharded init-only lookup table,
 	"mattern":  GVTHostMattern,
 	"nic":      GVTNIC,
 	"nic-gvt":  GVTNIC,
-	"pgvt":     GVTPGVT,
 	"tree":     GVTNICTree,
 	"nic-tree": GVTNICTree,
 }
@@ -49,7 +48,7 @@ func GVTModeNames() []string {
 	return names
 }
 
-// ParseGVTMode resolves a CLI spelling ("mattern", "nic", "pgvt") to a GVT
+// ParseGVTMode resolves a CLI spelling ("mattern", "nic", "tree") to a GVT
 // mode. Unknown names return a *FieldError listing the accepted values.
 func ParseGVTMode(s string) (GVTMode, error) {
 	if m, ok := gvtModeNames[strings.ToLower(strings.TrimSpace(s))]; ok {

@@ -39,11 +39,6 @@ const (
 	// KindCredit is an explicit MPICH credit-return message, sent when the
 	// receiver has no reverse traffic to piggyback credit on.
 	KindCredit
-	// KindAck acknowledges delivery of one event-like message; used by the
-	// pGVT manager, which tracks unacknowledged sends (D'Souza et al., the
-	// other GVT algorithm WARPED implements). RecvTS carries the
-	// acknowledged receive timestamp.
-	KindAck
 	// KindGVTReduce carries one subtree's partial GVT reduction up the
 	// node tree (tree-mode GVT): the accumulated white-message balance and
 	// min of LVTs/red sends over the sender's whole subtree, folded NIC to
@@ -74,8 +69,6 @@ func (k Kind) String() string {
 		return "gvt-control"
 	case KindCredit:
 		return "credit"
-	case KindAck:
-		return "ack"
 	case KindGVTReduce:
 		return "gvt-reduce"
 	case KindBatch:

@@ -167,8 +167,8 @@ func PointConfig(app string, o Options, scenario string, seed uint64) (core.Conf
 		cfg.NIC.BatchMax = o.Batch
 		cfg.NIC.FlushHorizon = 20 * vtime.Microsecond
 	}
-	// Every point sets EarlyCancel, so a GVT mode that rejects it (pGVT)
-	// fails here, before any point runs.
+	// An option the cluster rejects (an unknown GVT mode, a batch above
+	// proto.MaxBatchSubs) fails here, before any point runs.
 	if err := cfg.WithDefaults().Validate(); err != nil {
 		return core.Config{}, err
 	}

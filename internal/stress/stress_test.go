@@ -149,20 +149,20 @@ func TestPointConfigRejectsUnknownAxes(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsPGVT: every point enables early cancellation, which
-// pGVT cannot run with, so a pGVT sweep is a configuration error named by
-// field before any point runs, not a report of failed points.
-func TestSweepRejectsPGVT(t *testing.T) {
+// TestSweepRejectsUnknownGVT: a GVT mode the cluster does not know is a
+// configuration error named by field before any point runs, not a report
+// of failed points.
+func TestSweepRejectsUnknownGVT(t *testing.T) {
 	rep, err := Sweep(Options{
 		Apps:      []string{"phold"},
 		Scenarios: []string{"drop"},
 		Seeds:     []uint64{1},
-		GVT:       core.GVTPGVT,
+		GVT:       core.GVTMode(2),
 		Workers:   1,
 	})
 	var fe *core.FieldError
-	if !errors.As(err, &fe) || fe.Field != "EarlyCancel" {
-		t.Fatalf("Sweep error = %v, want a *core.FieldError naming EarlyCancel", err)
+	if !errors.As(err, &fe) || fe.Field != "GVT" {
+		t.Fatalf("Sweep error = %v, want a *core.FieldError naming GVT", err)
 	}
 	if rep != nil {
 		t.Fatalf("Sweep reported %d points for a rejected configuration", len(rep.Points))

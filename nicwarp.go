@@ -51,9 +51,6 @@ const (
 	GVTHostMattern = core.GVTHostMattern
 	// GVTNIC is the paper's NIC-level GVT.
 	GVTNIC = core.GVTNIC
-	// GVTPGVT is the pGVT-style centralized baseline (WARPED's other GVT
-	// algorithm).
-	GVTPGVT = core.GVTPGVT
 	// GVTNICTree is the NIC-level GVT with tree reduction instead of ring
 	// circulation: O(log n) convergence, built for large node counts.
 	GVTNICTree = core.GVTNICTree

@@ -187,7 +187,6 @@ func TestAblationsSmokeTiny(t *testing.T) {
 		{"abl-drop-buffer", 4},
 		{"abl-piggyback-patience", 5},
 		{"abl-rx-buffer", 4},
-		{"abl-gvt-algorithms", 3},
 	} {
 		if n := len(runExperiment(t, c.name, tiny())); n != c.rows {
 			t.Fatalf("%s: %d rows, want %d", c.name, n, c.rows)

@@ -29,7 +29,6 @@ var readerAllowlist = map[string]string{
 	"invariant.Report.Discarded":          "TestFaultFreeInvariantsHold: evidence the checker saw traffic",
 	"invariant.Report.Duplicates":         "TestConservationCatchesLeaksAndGhosts: evidence the checker saw duplicates",
 	"invariant.Report.GVTCommits":         "TestFaultFreeInvariantsHold: evidence the checker saw commits",
-	"gvt.PGVTManager.Retries":             "TestPGVTVetoRetries",
 	"timewarp.SequentialResult.Processed": "TestRequestQuotaDistribution and the kernel's oracle checks",
 	"runner.Result.Attempts":              "TestFailureIsolation, TestCacheWarmRerun",
 	// (b) Declared or set only in cmd/bench, which a change judged by the

@@ -138,17 +138,18 @@ func TestShapeFigure6(t *testing.T) {
 }
 
 // TestShapeGVTAlgorithms asserts the algorithm ordering that motivates the
-// paper's setup: pGVT costs more control traffic than Mattern, and NIC-GVT
-// is at least as fast as host Mattern at an aggressive period.
+// paper's setup: NIC-GVT is at least as fast as host Mattern at an
+// aggressive period (10, with 5% slack).
 func TestShapeGVTAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r := runExperiment(t, "abl-gvt-algorithms", shapeOpts())
-	pg, mat, nicr := r[0], r[1], r[2]
-	if pg.GVTControlMsgs <= mat.GVTControlMsgs {
-		t.Errorf("pGVT ctrl msgs %d <= mattern %d", pg.GVTControlMsgs, mat.GVTControlMsgs)
-	}
+	saved := GVTPeriods
+	GVTPeriods = []int{10}
+	defer func() { GVTPeriods = saved }()
+
+	r := runExperiment(t, "fig4", shapeOpts())
+	mat, nicr := r[0], r[1]
 	if nicr.ExecTime.Seconds() > mat.ExecTime.Seconds()*1.05 {
 		t.Errorf("nic-gvt %.4fs slower than mattern %.4fs at period 10",
 			nicr.ExecTime.Seconds(), mat.ExecTime.Seconds())

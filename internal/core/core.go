@@ -228,6 +228,28 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "NIC.ClockHz", Value: c.NIC.ClockHz,
 			Reason: "NIC clock must be positive (start a partial NIC config from nic.DefaultConfig)"}
 	}
+	if c.NIC != (nic.Config{}) && c.NIC.RxQueueCap < 1 {
+		return &FieldError{Field: "NIC.RxQueueCap", Value: c.NIC.RxQueueCap,
+			Reason: "receive buffer must hold at least one packet (start a partial NIC config from nic.DefaultConfig)"}
+	}
+	// A negative hardware timing schedules into the past or charges
+	// negative work.
+	for _, x := range []struct {
+		field string
+		v     int64
+	}{
+		{"NIC.SendCycles", c.NIC.SendCycles},
+		{"NIC.RecvCycles", c.NIC.RecvCycles},
+		{"NIC.PerSubMsgCycles", c.NIC.PerSubMsgCycles},
+		{"NIC.CreditReturnDelay", int64(c.NIC.CreditReturnDelay)},
+		{"Bus.DMASetup", int64(c.Bus.DMASetup)},
+		{"Net.LinkLatency", int64(c.Net.LinkLatency)},
+		{"Net.SwitchLatency", int64(c.Net.SwitchLatency)},
+	} {
+		if x.v < 0 {
+			return &FieldError{Field: x.field, Value: x.v, Reason: "hardware timing must be >= 0"}
+		}
+	}
 	// A topology is valid when its name parses back; an out-of-range value
 	// prints as "Topology(n)", which does not.
 	if _, err := ParseTopology(c.Net.Topology.String()); err != nil {
@@ -291,7 +313,7 @@ type nodeFields struct {
 	// how many of them each such job sends. The CPU resource completes jobs
 	// in submission order, so a FIFO pairs each nodeSendBatch job with the
 	// count pushed when it was submitted — no per-step closure — and an
-	// event leaves outgoing just before it is encoded, so outboundMin sees
+	// event leaves outgoing just before it is encoded, so OutboundMin sees
 	// exactly the events not yet handed to transmitEvent.
 	outgoing    dense.Queue[*timewarp.Event] //nicwarp:owns in flight toward the NIC; events recycled after encoding
 	sendBatches dense.Queue[int]
@@ -346,31 +368,20 @@ type inboundPkt struct {
 	holdsSlot bool
 }
 
-// view adapts a node to gvt.Host.
-type view struct{ n *node }
-
-func (v view) LP() int     { return v.n.id }
-func (v view) NumLPs() int { return len(v.n.cluster.nodes) }
-
-func (v view) LVT() vtime.VTime         { return v.n.kernel.NextTS() }
-func (v view) OutboundMin() vtime.VTime { return v.n.outboundMin() }
-func (v view) CommitGVT(g vtime.VTime) {
-	v.n.commitGVT(g)
-}
-func (v view) SendControl(pkt *proto.Packet) {
-	n := v.n
+// LVT, Now, SendControl, RingDoorbell, Schedule, OutboundMin and CommitGVT
+// make a node its GVT manager's gvt.Host.
+func (n *node) LVT() vtime.VTime     { return n.kernel.NextTS() }
+func (n *node) Now() vtime.ModelTime { return n.eng.Now() }
+func (n *node) SendControl(pkt *proto.Packet) {
 	c := n.cpu.Costs
 	n.cpu.DoArg2(hostmodel.CatGVT, c.GVTMsgBuild+c.SendOverhead, nodeTransmitHostPacket, n, pkt)
 }
-func (v view) Shared() *nic.SharedWindow { return v.n.nicDev.Shared() }
-func (v view) RingDoorbell() {
-	n := v.n
+func (n *node) RingDoorbell() {
 	n.cpu.DoArg(hostmodel.CatGVT, n.cpu.Costs.SharedWrite, nodeDoorbellWritten, n)
 }
-func (v view) Schedule(d vtime.ModelTime, fn func(interface{}), arg interface{}) des.TimerRef {
-	return v.n.eng.ScheduleArgRef(d, fn, arg)
+func (n *node) Schedule(d vtime.ModelTime, fn func(interface{}), arg interface{}) des.TimerRef {
+	return n.eng.ScheduleArgRef(d, fn, arg)
 }
-func (v view) Now() vtime.ModelTime { return v.n.eng.Now() }
 
 // nodeDoorbellWritten: the host finished its shared-window write; the
 // doorbell word crosses the bus.
@@ -552,9 +563,13 @@ func NewClusterOn(cfg Config, ex Exec, s *Scratch) (*Cluster, error) {
 	}
 	switch cfg.GVT {
 	case GVTHostMattern:
-		setManagers(cl.nodes, func(m *gvt.MatternManager) { m.Init(cfg.GVTPeriod) })
+		setManagers(cl.nodes, func(m *gvt.MatternManager, n *node) {
+			m.Init(n, n.id, len(cl.nodes), n.nicDev.Shared(), cfg.GVTPeriod)
+		})
 	case GVTNIC, GVTNICTree:
-		setManagers(cl.nodes, func(m *gvt.NICGVTManager) { m.Init(cfg.GVTPeriod, cfg.GVTFallbackDelay) })
+		setManagers(cl.nodes, func(m *gvt.NICGVTManager, n *node) {
+			m.Init(n, n.id, n.nicDev.Shared(), cfg.GVTPeriod, cfg.GVTFallbackDelay)
+		})
 	}
 
 	// Backpressure lookup between NICs.
@@ -569,14 +584,14 @@ func NewClusterOn(cfg Config, ex Exec, s *Scratch) (*Cluster, error) {
 }
 
 // setManagers gives every node its GVT manager from one slice, each set up
-// in place by init.
+// in place and bound to its node by init.
 func setManagers[M any, P interface {
 	*M
 	gvt.Manager
-}](nodes []node, init func(P)) {
+}](nodes []node, init func(P, *node)) {
 	mgrs := make([]M, len(nodes))
 	for i := range nodes {
-		init(&mgrs[i])
+		init(&mgrs[i], &nodes[i])
 		nodes[i].mgr = P(&mgrs[i])
 	}
 }
@@ -620,15 +635,9 @@ func (cl *Cluster) Now() vtime.ModelTime { return cl.group.Now() }
 
 // Run executes the experiment to quiescence and returns the results.
 func (cl *Cluster) Run() (*Result, error) {
-	// Boot: managers start, kernels bootstrap, initial sends dispatch. Each
-	// node's boot work runs under its own lane so the per-lane sequence
-	// draws — and therefore every tie-break — are identical at any shard
-	// count.
-	for i := range cl.nodes {
-		n := &cl.nodes[i]
-		n.eng.SetLane(uint32(n.id))
-		n.mgr.Start(view{n})
-	}
+	// Boot: kernels bootstrap, initial sends dispatch. Each node's boot
+	// work runs under its own lane so the per-lane sequence draws — and
+	// therefore every tie-break — are identical at any shard count.
 	for i := range cl.nodes {
 		n := &cl.nodes[i]
 		n.eng.SetLane(uint32(n.id))
@@ -810,7 +819,7 @@ func (n *node) pump() {
 	if !n.kernel.HasWork() {
 		if !n.idleNotified {
 			n.idleNotified = true
-			n.mgr.OnIdle(view{n}) //nicwarp:alloc GVT manager dispatch, once per idle transition; view is one pointer wide and boxes without a heap copy
+			n.mgr.OnIdle() //nicwarp:alloc GVT manager dispatch, once per idle transition
 		}
 		return
 	}
@@ -835,12 +844,12 @@ func nodePumpStep(x interface{}) {
 	}
 	res := n.kernel.ProcessOne()
 	// Park the step's remote sends before OnProcessed: a root manager can
-	// initiate a GVT computation there, which must bound them (outboundMin),
+	// initiate a GVT computation there, which must bound them (OutboundMin),
 	// and a commit there calls into the kernel, which reuses res.Remote. (A
 	// commit inside OnProcessed happens only on a one-LP cluster, where no
 	// step has remote output, so its count cannot overtake this step's.)
 	n.park(res.Remote)
-	n.mgr.OnProcessed(view{n})
+	n.mgr.OnProcessed()
 	n.finishStep(res, hostmodel.CatEvent)
 	n.pump()
 }
@@ -909,7 +918,7 @@ func (n *node) transmitEvent(ev *timewarp.Event) {
 	if ck := n.cluster.checker; ck != nil {
 		ck.OnSent(pkt)
 	}
-	n.mgr.OnSent(view{n}, pkt)
+	n.mgr.OnSent(pkt)
 	n.flow.Send(pkt)
 }
 
@@ -978,7 +987,7 @@ func nodeAbsorbPacket(x interface{}) {
 	n.pump()
 }
 
-// outboundMin returns the minimum send timestamp over every message the
+// OutboundMin returns the minimum send timestamp over every message the
 // kernel has emitted that has not yet reached the NIC's transmit-side GVT
 // accounting point: kernel output not yet encoded (outgoing — a GVT report
 // piggybacked on one event of a batch covers the rest of it), packets
@@ -986,7 +995,7 @@ func nodeAbsorbPacket(x interface{}) {
 // (outbox). The NIC covers its own transmit queue (firmware queuedSendMin);
 // past that, countSend and the receive ledger take over. Scanned only when
 // a GVT report is filled, never on the event hot path.
-func (n *node) outboundMin() vtime.VTime {
+func (n *node) OutboundMin() vtime.VTime {
 	min := vtime.Infinity
 	for _, ev := range n.outgoing.Live() {
 		min = vtime.MinV(min, ev.SendTS)
@@ -1032,7 +1041,7 @@ func doorbellInterrupt(x interface{}) {
 	if d.tag == nic.NotifyCreditRefund {
 		n.drainCreditRefunds()
 	} else {
-		n.mgr.OnNotify(view{n}, d.tag)
+		n.mgr.OnNotify(d.tag)
 	}
 	n.pump()
 }
@@ -1108,8 +1117,6 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 		// it, and the manager sends it on rewritten in place.
 		cost := c.GVTHostCompute + vtime.ModelTime(n.numObjects)*c.GVTScanPerObject
 		n.cpu.DoArg2(hostmodel.CatGVT, cost, nodeGVTControl, n, pkt)
-	case proto.KindGVTBroadcast:
-		n.mgr.OnControl(view{n}, pkt)
 	case proto.KindCredit:
 		// Flow control handled above; the packet is back in the pool.
 	default:
@@ -1123,7 +1130,7 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 //nicwarp:hotpath one per inbound host GVT control packet
 func nodeGVTControl(x, p interface{}) {
 	n := x.(*node)
-	n.mgr.OnControl(view{n}, p.(*proto.Packet)) //nicwarp:alloc GVT manager dispatch (view is one pointer wide and boxes without a heap copy)
+	n.mgr.OnControl(p.(*proto.Packet)) //nicwarp:alloc GVT manager dispatch
 	n.pump()
 }
 
@@ -1139,7 +1146,7 @@ func (n *node) deliverEventLike(pkt *proto.Packet) timewarp.StepResult {
 	if ck := n.cluster.checker; ck != nil {
 		ck.OnDelivered(n.id, pkt)
 	}
-	n.mgr.OnReceived(view{n}, pkt)
+	n.mgr.OnReceived(pkt)
 	n.scratchEv = timewarp.Event{
 		ID:      pkt.EventID,
 		Src:     timewarp.ObjectID(pkt.SrcObj),
@@ -1186,8 +1193,8 @@ func (n *node) hostReceiveBatch(frame *proto.Packet) {
 	n.pool.ReleaseFrame(frame)
 }
 
-// commitGVT installs a new GVT value on this node.
-func (n *node) commitGVT(g vtime.VTime) {
+// CommitGVT installs a new GVT value on this node.
+func (n *node) CommitGVT(g vtime.VTime) {
 	cl := n.cluster
 	if ck := cl.checker; ck != nil {
 		reported := g
@@ -1224,7 +1231,7 @@ func (n *node) commitGVT(g vtime.VTime) {
 func idleGVTKick(x interface{}) {
 	n := x.(*node)
 	if !n.kernel.HasWork() && !n.loopActive {
-		n.mgr.OnIdle(view{n})
+		n.mgr.OnIdle()
 	}
 }
 

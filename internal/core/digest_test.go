@@ -167,6 +167,12 @@ func TestDigestAllocations(t *testing.T) {
 // name the offending field.
 func TestValidateFieldErrors(t *testing.T) {
 	app := phold.New(phold.Params{Objects: 8, Population: 1, Hops: 40, MeanDelay: 50})
+	// hw returns a config on the default hardware with one value changed.
+	hw := func(set func(*Config)) Config {
+		c := Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.DefaultConfig(), Net: simnet.DefaultConfig(), Bus: iobus.DefaultConfig()}
+		set(&c)
+		return c
+	}
 	cases := []struct {
 		cfg   Config
 		field string
@@ -191,6 +197,15 @@ func TestValidateFieldErrors(t *testing.T) {
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, DropBufferCap: -1}, "DropBufferCap"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, GVTFallbackDelay: -5}, "GVTFallbackDelay"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, MaxModelTime: -1}, "MaxModelTime"},
+		// A negative hardware timing or an empty receive buffer cannot run.
+		{hw(func(c *Config) { c.NIC.SendCycles = -1000 }), "NIC.SendCycles"},
+		{hw(func(c *Config) { c.NIC.RecvCycles = -1 }), "NIC.RecvCycles"},
+		{hw(func(c *Config) { c.NIC.PerSubMsgCycles = -1 }), "NIC.PerSubMsgCycles"},
+		{hw(func(c *Config) { c.NIC.CreditReturnDelay = -1 }), "NIC.CreditReturnDelay"},
+		{hw(func(c *Config) { c.NIC.RxQueueCap = 0 }), "NIC.RxQueueCap"},
+		{hw(func(c *Config) { c.Bus.DMASetup = -1 }), "Bus.DMASetup"},
+		{hw(func(c *Config) { c.Net.LinkLatency = -1 }), "Net.LinkLatency"},
+		{hw(func(c *Config) { c.Net.SwitchLatency = -1 }), "Net.SwitchLatency"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

@@ -19,14 +19,11 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// Host is the capability surface a GVT manager sees on its LP. It is
+// Host is what the cluster does for a GVT manager on its LP. It is
 // implemented by the cluster layer, which charges the host CPU for the work
-// the manager performs.
+// the manager performs. A manager is bound to its Host, LP id and shared
+// window once, by its Init.
 type Host interface {
-	// LP returns this host's logical-process id.
-	LP() int
-	// NumLPs returns the cluster size.
-	NumLPs() int
 	// LVT returns the kernel's lower bound on future message timestamps.
 	LVT() vtime.VTime
 	// OutboundMin returns the minimum send timestamp over messages the
@@ -46,9 +43,6 @@ type Host interface {
 	// cluster charges the full host cost of building and sending a
 	// dedicated message — the cost the NIC implementation avoids.
 	SendControl(pkt *proto.Packet)
-	// Shared returns the host/NIC shared window (NIC-GVT only; nil when
-	// the node has no programmable firmware installed).
-	Shared() *nic.SharedWindow
 	// RingDoorbell pays the bus crossing and notifies the NIC that the
 	// shared window was updated (the no-outgoing-traffic fallback path).
 	RingDoorbell()
@@ -63,30 +57,29 @@ type Host interface {
 	Schedule(d vtime.ModelTime, fn func(interface{}), arg interface{}) des.TimerRef
 }
 
-// Manager is a host-side GVT algorithm. The cluster invokes the hooks; any
-// packets the manager wants sent go through Host.SendControl or by mutating
-// the outgoing packet in OnSent (piggybacking).
+// Manager is a host-side GVT algorithm, bound to its node by its Init. The
+// cluster invokes the hooks; any packets the manager wants sent go through
+// Host.SendControl or by mutating the outgoing packet in OnSent
+// (piggybacking).
 type Manager interface {
-	// Start runs once before the simulation begins.
-	Start(h Host)
 	// OnProcessed runs after each locally processed event; managers use it
 	// to count down their GVT period.
-	OnProcessed(h Host)
+	OnProcessed()
 	// OnSent runs for every outgoing event-like packet just before it is
 	// handed to the protocol stack. The manager stamps colours and may
 	// piggyback handshake values.
-	OnSent(h Host, pkt *proto.Packet)
+	OnSent(pkt *proto.Packet)
 	// OnReceived runs for every inbound event-like packet delivered to the
 	// kernel.
-	OnReceived(h Host, pkt *proto.Packet)
+	OnReceived(pkt *proto.Packet)
 	// OnControl handles an inbound GVT control packet addressed to the
 	// host (host-resident algorithms only).
-	OnControl(h Host, pkt *proto.Packet)
+	OnControl(pkt *proto.Packet)
 	// OnNotify handles a NIC doorbell.
-	OnNotify(h Host, tag nic.NotifyTag)
+	OnNotify(tag nic.NotifyTag)
 	// OnIdle runs when the LP transitions to idle (no kernel work); the
 	// root manager uses it to drive termination detection.
-	OnIdle(h Host)
+	OnIdle()
 }
 
 // Stats aggregates GVT-manager counters, comparable across algorithms.
@@ -169,6 +162,3 @@ func (l *Ledger) TakeRecvDelta() int64 {
 // MinRedSend returns the minimum send timestamp among messages sent since
 // joining the current computation (Infinity if none).
 func (l *Ledger) MinRedSend() vtime.VTime { return l.minRedSend }
-
-// next returns the successor of lp on the token ring.
-func next(lp, n int) int { return (lp + 1) % n }

@@ -14,7 +14,7 @@ import (
 // NIC-GVT against.
 //
 // Faithful to WARPED's behaviour at aggressive settings, the root launches
-// a new computation every Period processed events *without waiting for the
+// a new computation every period processed events *without waiting for the
 // previous one to complete*: computations pipeline as concurrent waves on
 // the FIFO ring (see WaveLedger). At GVT_COUNT=1 this makes control-message
 // volume proportional to the event rate — each wave costs every host a
@@ -23,13 +23,18 @@ import (
 // communication traffic overwhelms the host processor resources" and the
 // round counts of Figure 5b grow linearly in 1/GVT_COUNT.
 type MatternManager struct {
-	// Period is the GVT_COUNT parameter: the root initiates a new
-	// computation every Period locally processed events.
-	Period int
-	// MaxWaves caps concurrently outstanding computations as a safety
+	host   Host
+	shared *nic.SharedWindow
+	lp     int
+	succ   int // ring successor; lp itself on a one-LP ring
+
+	// period is the GVT_COUNT parameter: the root initiates a new
+	// computation every period locally processed events.
+	period int
+	// maxWaves caps concurrently outstanding computations as a safety
 	// valve; initiation is deferred (not dropped) at the cap. WARPED has
 	// no such cap; 64 is far above what the ring sustains.
-	MaxWaves int
+	maxWaves int
 
 	ledger WaveLedger
 
@@ -52,75 +57,74 @@ type MatternManager struct {
 // DefaultMaxWaves bounds concurrent GVT waves.
 const DefaultMaxWaves = 64
 
-// Init sets m up in place with the given GVT period (GVT_COUNT).
-func (m *MatternManager) Init(period int) {
+// Init binds m in place to LP lp of a lps-LP ring, its host h and the
+// node's host/NIC shared window, with the given GVT period (GVT_COUNT).
+func (m *MatternManager) Init(h Host, lp, lps int, shared *nic.SharedWindow, period int) {
 	if period < 1 {
 		panic("gvt: Mattern period must be >= 1")
 	}
-	*m = MatternManager{Period: period, MaxWaves: DefaultMaxWaves, lastGVT: -1}
+	*m = MatternManager{host: h, shared: shared, lp: lp, succ: (lp + 1) % lps,
+		period: period, maxWaves: DefaultMaxWaves, lastGVT: -1}
 }
-
-// Start implements Manager.
-func (m *MatternManager) Start(h Host) {}
 
 // isRoot reports whether this LP initiates computations (LP0, as in the
 // paper: "a designated root LP starts off the process").
-func (m *MatternManager) isRoot(h Host) bool { return h.LP() == 0 }
+func (m *MatternManager) isRoot() bool { return m.lp == 0 }
 
 // OnProcessed implements Manager: the root counts down the GVT period.
-func (m *MatternManager) OnProcessed(h Host) {
-	if !m.isRoot(h) {
+func (m *MatternManager) OnProcessed() {
+	if !m.isRoot() {
 		return
 	}
 	m.sinceGVT++
-	if m.sinceGVT >= m.Period && m.inFlight < m.MaxWaves {
-		m.initiate(h)
+	if m.sinceGVT >= m.period && m.inFlight < m.maxWaves {
+		m.initiate()
 	}
 }
 
 // OnIdle implements Manager: an idle root keeps GVT (and thus termination
-// detection) moving even when fewer than Period events remain.
-func (m *MatternManager) OnIdle(h Host) {
-	if !m.isRoot(h) || m.inFlight > 0 || m.lastGVT.IsInf() {
+// detection) moving even when fewer than period events remain.
+func (m *MatternManager) OnIdle() {
+	if !m.isRoot() || m.inFlight > 0 || m.lastGVT.IsInf() {
 		return
 	}
-	m.initiate(h)
+	m.initiate()
 }
 
 // initiate launches wave compSeq+1 at the root.
-func (m *MatternManager) initiate(h Host) {
+func (m *MatternManager) initiate() {
 	m.sinceGVT = 0
 	m.inFlight++
 	m.compSeq++
 	c := m.compSeq
 	m.ledger.Join(c)
-	m.drainNICDrops(h)
-	delta, floor := m.ledger.Visit(c, true, h.LVT())
-	if h.NumLPs() == 1 {
+	m.drainNICDrops()
+	delta, floor := m.ledger.Visit(c, true, m.host.LVT())
+	if m.succ == m.lp {
 		// Degenerate ring: the cut closes immediately when nothing is in
 		// transit; otherwise re-run on the next initiation.
 		if delta == 0 {
-			m.finish(h, floor, c)
+			m.finish(floor, c)
 		} else {
 			m.inFlight--
 			m.ledger.Retire(c)
 		}
 		return
 	}
-	tok := m.newControl(h, c)
+	tok := m.newControl(c)
 	tok.TokenCount = delta
 	tok.TokenMin = floor
-	m.sendOn(h, tok)
+	m.sendOn(tok)
 }
 
 // newControl returns a round-0 control packet of computation c originating
 // here, every other field zero: a retired packet when the root holds one, a
 // fresh one otherwise.
-func (m *MatternManager) newControl(h Host, c uint32) *proto.Packet {
+func (m *MatternManager) newControl(c uint32) *proto.Packet {
 	pkt := dense.Take(&m.spare, 1)
 	*pkt = proto.Packet{
 		Kind:        proto.KindGVTControl,
-		TokenOrigin: int32(h.LP()),
+		TokenOrigin: int32(m.lp),
 		TokenEpoch:  uint64(c),
 	}
 	return pkt
@@ -131,33 +135,32 @@ func (m *MatternManager) newControl(h Host, c uint32) *proto.Packet {
 // other field travels as the caller left it.
 //
 //nicwarp:hotpath one per control-packet hop
-func (m *MatternManager) sendOn(h Host, pkt *proto.Packet) {
-	lp := h.LP() //nicwarp:alloc gvt.Host dispatch: an accessor in core
-	pkt.SrcNode = int32(lp)
-	pkt.DstNode = int32(next(lp, h.NumLPs())) //nicwarp:alloc gvt.Host dispatch: an accessor in core
+func (m *MatternManager) sendOn(pkt *proto.Packet) {
+	pkt.SrcNode = int32(m.lp)
+	pkt.DstNode = int32(m.succ)
 	m.Stats.ControlMsgs.Inc()
-	h.SendControl(pkt) //nicwarp:alloc gvt.Host dispatch: core queues a closure-free CPU job
+	m.host.SendControl(pkt) //nicwarp:alloc gvt.Host dispatch: core queues a closure-free CPU job
 }
 
 // OnSent implements Manager: stamp the outgoing packet's colour.
-func (m *MatternManager) OnSent(h Host, pkt *proto.Packet) {
+func (m *MatternManager) OnSent(pkt *proto.Packet) {
 	m.ledger.OnSend(pkt)
 }
 
 // OnReceived implements Manager: account the inbound packet's colour.
-func (m *MatternManager) OnReceived(h Host, pkt *proto.Packet) {
+func (m *MatternManager) OnReceived(pkt *proto.Packet) {
 	m.ledger.OnRecv(pkt)
 }
 
 // OnControl implements Manager: handle a token or value-announcement visit.
 // The packet is the manager's from here on: it is sent on rewritten in
 // place, or retired at the root.
-func (m *MatternManager) OnControl(h Host, pkt *proto.Packet) {
+func (m *MatternManager) OnControl(pkt *proto.Packet) {
 	switch {
 	case pkt.Kind == proto.KindGVTControl && pkt.TokenRound >= 0:
-		m.onToken(h, pkt)
+		m.onToken(pkt)
 	case pkt.Kind == proto.KindGVTControl && pkt.TokenRound < 0:
-		m.onAnnounce(h, pkt)
+		m.onAnnounce(pkt)
 	default:
 		panic(fmt.Sprintf("gvt: mattern got unexpected control packet %v", pkt))
 	}
@@ -167,81 +170,79 @@ func (m *MatternManager) OnControl(h Host, pkt *proto.Packet) {
 // at the root — decides whether the wave has closed its cut.
 //
 //nicwarp:hotpath one per token hop — several per committed event at period 1
-func (m *MatternManager) onToken(h Host, pkt *proto.Packet) {
-	m.drainNICDrops(h)
+func (m *MatternManager) onToken(pkt *proto.Packet) {
+	m.drainNICDrops()
 
 	c := uint32(pkt.TokenEpoch)
 	first := !m.ledger.Joined(c)
 	m.ledger.Join(c)
-	delta, floor := m.ledger.Visit(c, first, h.LVT()) //nicwarp:alloc gvt.Host dispatch: the kernel's LVT read allocates nothing
+	delta, floor := m.ledger.Visit(c, first, m.host.LVT()) //nicwarp:alloc gvt.Host dispatch: the kernel's LVT read allocates nothing
 	pkt.TokenCount += delta
 	pkt.TokenMin = vtime.MinV(pkt.TokenMin, floor)
 
-	if int32(h.LP()) == pkt.TokenOrigin { //nicwarp:alloc gvt.Host dispatch: an accessor in core
+	if int32(m.lp) == pkt.TokenOrigin {
 		m.Stats.Rounds.Inc()
 		if pkt.TokenCount == 0 {
 			// The cut closed and the token retires here — ahead of finish,
 			// so the announcement leaves in it.
 			g := pkt.TokenMin
 			m.spare = append(m.spare, pkt) //nicwarp:alloc free-list growth, bounded by one packet per outstanding wave
-			m.finish(h, g, c)              //nicwarp:alloc once per computation, not per hop: CommitGVT runs fossil collection, which has hot roots of its own
+			m.finish(g, c)                 //nicwarp:alloc once per computation, not per hop: CommitGVT runs fossil collection, which has hot roots of its own
 			return
 		}
 		// Whites still in transit: another round.
 		pkt.TokenRound++
 	}
-	m.sendOn(h, pkt)
+	m.sendOn(pkt)
 }
 
 // finish completes wave c at the root: commit, retire, announce.
-func (m *MatternManager) finish(h Host, g vtime.VTime, c uint32) {
-	m.commit(h, g)
+func (m *MatternManager) finish(g vtime.VTime, c uint32) {
+	m.commit(g)
 	m.inFlight--
 	m.ledger.Retire(c)
 	m.Stats.Computations.Inc()
-	if h.NumLPs() == 1 {
+	if m.succ == m.lp {
 		return
 	}
-	ann := m.newControl(h, c)
+	ann := m.newControl(c)
 	ann.TokenRound = -1
 	ann.TokenGVT = g
-	m.sendOn(h, ann)
+	m.sendOn(ann)
 }
 
 // onAnnounce commits the announced value, retires the wave, and forwards
 // the announcement until it returns to the root, where it retires.
 //
 //nicwarp:hotpath one per announcement hop
-func (m *MatternManager) onAnnounce(h Host, pkt *proto.Packet) {
-	if int32(h.LP()) == pkt.TokenOrigin { //nicwarp:alloc gvt.Host dispatch: an accessor in core
+func (m *MatternManager) onAnnounce(pkt *proto.Packet) {
+	if int32(m.lp) == pkt.TokenOrigin {
 		m.spare = append(m.spare, pkt) //nicwarp:alloc free-list growth, bounded by one packet per outstanding wave
 		return
 	}
-	m.commit(h, pkt.TokenGVT) //nicwarp:alloc CommitGVT runs fossil collection, which has hot roots of its own
+	m.commit(pkt.TokenGVT) //nicwarp:alloc CommitGVT runs fossil collection, which has hot roots of its own
 	m.ledger.Retire(uint32(pkt.TokenEpoch))
-	m.sendOn(h, pkt)
+	m.sendOn(pkt)
 }
 
 // commit installs a new GVT value locally. Concurrent waves can complete
 // out of GVT order; stale (lower) values are skipped — both are safe lower
 // bounds, the larger is simply better.
-func (m *MatternManager) commit(h Host, g vtime.VTime) {
+func (m *MatternManager) commit(g vtime.VTime) {
 	if g <= m.lastGVT {
 		return
 	}
 	m.lastGVT = g
-	h.CommitGVT(g)
+	m.host.CommitGVT(g)
 }
 
 // OnNotify implements Manager; the host-resident algorithm uses no NIC
 // support.
-func (m *MatternManager) OnNotify(h Host, tag nic.NotifyTag) {}
+func (m *MatternManager) OnNotify(tag nic.NotifyTag) {}
 
 // drainNICDrops folds NIC-reported dropped-packet counts into the ledger.
 // Present for the early-cancellation firmware, which must tell the GVT
 // subsystem about packets it discarded in place.
-func (m *MatternManager) drainNICDrops(h Host) {
-	if w := h.Shared(); w != nil { //nicwarp:alloc gvt.Host dispatch: an accessor in core
-		m.ledger.DrainDropped(&w.DroppedWhite)
-	}
+func (m *MatternManager) drainNICDrops() {
+	m.ledger.DrainDropped(&m.shared.DroppedWhite)
 }

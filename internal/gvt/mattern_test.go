@@ -21,13 +21,10 @@ type ring struct {
 
 type fakeHost struct {
 	r         *ring
-	lp        int
 	lvt       vtime.VTime
 	committed []vtime.VTime
 }
 
-func (h *fakeHost) LP() int                  { return h.lp }
-func (h *fakeHost) NumLPs() int              { return len(h.r.hosts) }
 func (h *fakeHost) LVT() vtime.VTime         { return h.lvt }
 func (h *fakeHost) OutboundMin() vtime.VTime { return vtime.Infinity }
 func (h *fakeHost) CommitGVT(g vtime.VTime) {
@@ -36,9 +33,8 @@ func (h *fakeHost) CommitGVT(g vtime.VTime) {
 func (h *fakeHost) SendControl(pkt *proto.Packet) {
 	h.r.queue = append(h.r.queue, pkt)
 }
-func (h *fakeHost) Shared() *nic.SharedWindow { return nil }
-func (h *fakeHost) RingDoorbell()             { h.r.t.Fatal("mattern must not use the NIC") }
-func (h *fakeHost) Now() vtime.ModelTime      { return 0 }
+func (h *fakeHost) RingDoorbell()        { h.r.t.Fatal("mattern must not use the NIC") }
+func (h *fakeHost) Now() vtime.ModelTime { return 0 }
 func (h *fakeHost) Schedule(d vtime.ModelTime, fn func(interface{}), arg interface{}) des.TimerRef {
 	return des.TimerRef{}
 }
@@ -46,8 +42,11 @@ func (h *fakeHost) Schedule(d vtime.ModelTime, fn func(interface{}), arg interfa
 func newRing(t *testing.T, n, period int) *ring {
 	r := &ring{t: t}
 	for i := 0; i < n; i++ {
-		r.managers = append(r.managers, newMattern(period))
-		r.hosts = append(r.hosts, &fakeHost{r: r, lp: i, lvt: vtime.Infinity})
+		h := &fakeHost{r: r, lvt: vtime.Infinity}
+		m := new(MatternManager)
+		m.Init(h, i, n, new(nic.SharedWindow), period)
+		r.managers = append(r.managers, m)
+		r.hosts = append(r.hosts, h)
 	}
 	return r
 }
@@ -61,7 +60,7 @@ func (r *ring) drain() {
 		pkt := r.queue[0]
 		r.queue = r.queue[1:]
 		dst := int(pkt.DstNode)
-		r.managers[dst].OnControl(r.hosts[dst], pkt)
+		r.managers[dst].OnControl(pkt)
 	}
 }
 
@@ -69,17 +68,17 @@ func (r *ring) drain() {
 // transit (delivered later with deliver()).
 func (r *ring) send(a int, sendTS vtime.VTime) *proto.Packet {
 	p := &proto.Packet{Kind: proto.KindEvent, SendTS: sendTS}
-	r.managers[a].OnSent(r.hosts[a], p)
+	r.managers[a].OnSent(p)
 	return p
 }
 
 func (r *ring) deliver(b int, p *proto.Packet) {
-	r.managers[b].OnReceived(r.hosts[b], p)
+	r.managers[b].OnReceived(p)
 }
 
 func TestMatternIdleRingComputesInfinity(t *testing.T) {
 	r := newRing(t, 4, 10)
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	r.drain()
 	for i, h := range r.hosts {
 		if len(h.committed) != 1 || !h.committed[0].IsInf() {
@@ -94,7 +93,7 @@ func TestMatternIdleRingComputesInfinity(t *testing.T) {
 func TestMatternBoundsByLVT(t *testing.T) {
 	r := newRing(t, 4, 10)
 	r.hosts[2].lvt = 37
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	r.drain()
 	for i, h := range r.hosts {
 		if len(h.committed) != 1 || h.committed[0] != 37 {
@@ -114,13 +113,13 @@ func TestMatternWaitsForTransitMessage(t *testing.T) {
 	// message is still unreceived, so no commit may have happened with a
 	// value above the transit message's timestamp... deliver the message
 	// mid-computation and let the rounds close.
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	// Run a few hops, then deliver.
 	for i := 0; i < 4 && len(r.queue) > 0; i++ {
 		pkt := r.queue[0]
 		r.queue = r.queue[1:]
 		dst := int(pkt.DstNode)
-		r.managers[dst].OnControl(r.hosts[dst], pkt)
+		r.managers[dst].OnControl(pkt)
 	}
 	r.deliver(2, p)
 	r.hosts[2].lvt = 9 // the delivered message produced work at t=9
@@ -145,11 +144,11 @@ func TestMatternRedMinBoundsGVT(t *testing.T) {
 	// LP1 has pending work at t=12; physical invariant: an LP only sends
 	// at or above its reported LVT.
 	r.hosts[1].lvt = 12
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	// Pop the round-0 token to LP1 and process it; now LP1 is red.
 	pkt := r.queue[0]
 	r.queue = r.queue[1:]
-	r.managers[1].OnControl(r.hosts[1], pkt)
+	r.managers[1].OnControl(pkt)
 	// LP1 sends a red message at ts 12 after its token visit, then goes
 	// idle; GVT must not exceed the red message in transit.
 	p := r.send(1, 12)
@@ -161,7 +160,7 @@ func TestMatternRedMinBoundsGVT(t *testing.T) {
 	}
 	// Deliver so later computations can pass it.
 	r.deliver(2, p)
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	r.drain()
 	final = r.hosts[0].committed[len(r.hosts[0].committed)-1]
 	if !final.IsInf() {
@@ -173,11 +172,11 @@ func TestMatternPipelinedWaves(t *testing.T) {
 	r := newRing(t, 4, 1)
 	// Three initiations before any token processing: waves pipeline.
 	r.managers[0].sinceGVT = 1
-	r.managers[0].OnProcessed(r.hosts[0])
+	r.managers[0].OnProcessed()
 	r.managers[0].sinceGVT = 1
-	r.managers[0].OnProcessed(r.hosts[0])
+	r.managers[0].OnProcessed()
 	r.managers[0].sinceGVT = 1
-	r.managers[0].OnProcessed(r.hosts[0])
+	r.managers[0].OnProcessed()
 	if len(r.managers[0].ledger.waves) != 3 {
 		t.Fatalf("active waves = %d, want 3", len(r.managers[0].ledger.waves))
 	}
@@ -200,10 +199,10 @@ func TestMatternPipelinedWaves(t *testing.T) {
 
 func TestMatternMaxWavesDefersInitiation(t *testing.T) {
 	r := newRing(t, 2, 1)
-	r.managers[0].MaxWaves = 2
+	r.managers[0].maxWaves = 2
 	for i := 0; i < 5; i++ {
 		r.managers[0].sinceGVT = 1
-		r.managers[0].OnProcessed(r.hosts[0])
+		r.managers[0].OnProcessed()
 	}
 	if len(r.managers[0].ledger.waves) > 2 {
 		t.Fatalf("cap violated: %d waves", len(r.managers[0].ledger.waves))
@@ -213,11 +212,11 @@ func TestMatternMaxWavesDefersInitiation(t *testing.T) {
 
 func TestMatternIdleStopsAtInfinity(t *testing.T) {
 	r := newRing(t, 2, 10)
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	r.drain()
 	n := r.managers[0].Stats.Computations.Value()
 	// Once GVT is infinite, further idle notifications are ignored.
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	r.drain()
 	if r.managers[0].Stats.Computations.Value() != n {
 		t.Fatal("idle re-initiated after GVT reached infinity")
@@ -227,17 +226,11 @@ func TestMatternIdleStopsAtInfinity(t *testing.T) {
 func TestMatternSingleLP(t *testing.T) {
 	r := newRing(t, 1, 10)
 	r.hosts[0].lvt = 55
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	r.drain()
 	if len(r.hosts[0].committed) != 1 || r.hosts[0].committed[0] != 55 {
 		t.Fatalf("committed %v, want [55]", r.hosts[0].committed)
 	}
-}
-
-func newMattern(period int) *MatternManager {
-	m := new(MatternManager)
-	m.Init(period)
-	return m
 }
 
 func TestNewMatternValidation(t *testing.T) {
@@ -246,7 +239,7 @@ func TestNewMatternValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	newMattern(0)
+	new(MatternManager).Init(&fakeHost{}, 0, 1, new(nic.SharedWindow), 0)
 }
 
 // TestMatternTokenTravelsInOnePacket pins the ownership rule for control
@@ -260,7 +253,7 @@ func TestMatternTokenTravelsInOnePacket(t *testing.T) {
 	// A white message that stays in transit keeps the cut open, so the
 	// token keeps circulating for as long as the test wants.
 	white := r.send(1, 5)
-	r.managers[0].OnIdle(r.hosts[0])
+	r.managers[0].OnIdle()
 	tok := r.queue[0]
 	// hop delivers the one queued control packet and leaves the queue's
 	// backing array in place, so the harness itself allocates nothing.
@@ -268,7 +261,7 @@ func TestMatternTokenTravelsInOnePacket(t *testing.T) {
 		pkt := r.queue[0]
 		r.queue = r.queue[:0]
 		dst := int(pkt.DstNode)
-		r.managers[dst].OnControl(r.hosts[dst], pkt)
+		r.managers[dst].OnControl(pkt)
 		if len(r.queue) != 1 || r.queue[0] != pkt {
 			t.Fatalf("LP %d did not send on the packet it was handed", dst)
 		}
@@ -297,7 +290,7 @@ func TestMatternTokenTravelsInOnePacket(t *testing.T) {
 		t.Fatalf("root holds %d spare packets after one computation, want the one token/announcement packet", len(root.spare))
 	}
 	// The next computation goes out in it.
-	root.OnIdle(r.hosts[0])
+	root.OnIdle()
 	if r.queue[0] != tok || tok.TokenRound != 0 || tok.TokenEpoch != 2 || tok.WireDup || tok.Seq != 0 {
 		t.Fatalf("second computation's token is %v at %p, want a rewritten %p", r.queue[0], r.queue[0], tok)
 	}

@@ -20,21 +20,21 @@ import (
 // stages it in the shared window and notifies the host; the host processes the
 // colour change and piggybacks its (T, Tmin, V) values "in four unused
 // fields in the Basic Event Message" of the next outgoing message. If no
-// event traffic appears within FallbackDelay, the host writes the shared
+// event traffic appears within fallbackDelay, the host writes the shared
 // window directly and rings the NIC doorbell — the relaxed-consistency
 // handshake the paper's "lessons learned" recommends.
 type NICGVTManager struct {
-	// Period is the GVT_COUNT parameter at the root.
-	Period int
-	// FallbackDelay bounds how long the host waits for outgoing event
+	host   Host
+	shared *nic.SharedWindow
+	lp     int
+
+	// period is the GVT_COUNT parameter at the root.
+	period int
+	// fallbackDelay bounds how long the host waits for outgoing event
 	// traffic to piggyback on before paying a doorbell bus crossing.
-	FallbackDelay vtime.ModelTime
+	fallbackDelay vtime.ModelTime
 
 	ledger Ledger
-
-	// host is the LP capability surface, captured once in Start so the
-	// fallback callback can run closure-free (see armReport).
-	host Host
 
 	pendingReport bool
 	fallback      des.TimerRef
@@ -58,57 +58,50 @@ type NICGVTManager struct {
 // DefaultFallbackDelay is the default piggyback patience.
 const DefaultFallbackDelay = 150 * vtime.Microsecond
 
-// Init sets the host half up in place with the given GVT period and
-// piggyback patience (0 keeps DefaultFallbackDelay). The ring and the
-// tree-reduction NIC GVT share it: the host protocol — root-driven
-// initiation through the shared window, piggyback/doorbell handshake at
-// every node — is identical, and only the NIC firmware's arity differs
-// (firmware.GVTFirmware.Init).
-func (m *NICGVTManager) Init(period int, fallbackDelay vtime.ModelTime) {
+// Init binds the host half in place to LP lp, its host h and the node's
+// host/NIC shared window, with the given GVT period and piggyback patience
+// (0 keeps DefaultFallbackDelay). The ring and the tree-reduction NIC GVT
+// share it: the host protocol — root-driven initiation through the shared
+// window, piggyback/doorbell handshake at every node — is identical, and
+// only the NIC firmware's arity differs (firmware.GVTFirmware.Init).
+func (m *NICGVTManager) Init(h Host, lp int, shared *nic.SharedWindow, period int, fallbackDelay vtime.ModelTime) {
 	if period < 1 {
 		panic("gvt: NIC-GVT period must be >= 1")
 	}
-	*m = NICGVTManager{Period: period, FallbackDelay: cmp.Or(fallbackDelay, DefaultFallbackDelay), ledger: *NewLedger(), lastGVT: -1}
+	*m = NICGVTManager{host: h, shared: shared, lp: lp, period: period,
+		fallbackDelay: cmp.Or(fallbackDelay, DefaultFallbackDelay), ledger: *NewLedger(), lastGVT: -1}
 }
 
-// Start implements Manager.
-func (m *NICGVTManager) Start(h Host) {
-	m.host = h
-	if h.Shared() == nil {
-		panic("gvt: NIC-GVT requires a programmable NIC (no shared window)")
-	}
-}
-
-func (m *NICGVTManager) isRoot(h Host) bool { return h.LP() == 0 }
+func (m *NICGVTManager) isRoot() bool { return m.lp == 0 }
 
 // OnProcessed implements Manager.
-func (m *NICGVTManager) OnProcessed(h Host) {
-	if !m.isRoot(h) {
+func (m *NICGVTManager) OnProcessed() {
+	if !m.isRoot() {
 		return
 	}
 	m.sinceGVT++
-	if m.sinceGVT >= m.Period && !m.inProgress {
-		m.initiate(h)
+	if m.sinceGVT >= m.period && !m.inProgress {
+		m.initiate()
 	}
 }
 
 // OnIdle implements Manager.
-func (m *NICGVTManager) OnIdle(h Host) {
-	if !m.isRoot(h) || m.inProgress || m.lastGVT.IsInf() {
+func (m *NICGVTManager) OnIdle() {
+	if !m.isRoot() || m.inProgress || m.lastGVT.IsInf() {
 		return
 	}
-	m.initiate(h)
+	m.initiate()
 }
 
 // initiate stages computation compEpoch+1: the NIC will create the token as
 // soon as the host's variables reach it.
-func (m *NICGVTManager) initiate(h Host) {
+func (m *NICGVTManager) initiate() {
 	m.inProgress = true
-	m.convStart = h.Now()
+	m.convStart = m.host.Now()
 	m.sinceGVT = 0
 	m.compEpoch++
 	m.ledger.Join(m.compEpoch)
-	w := h.Shared()
+	w := m.shared
 	w.GVTTokenPending = true
 	w.ReceivedHostVariables = false
 	w.TokenIsInitiation = true
@@ -116,8 +109,8 @@ func (m *NICGVTManager) initiate(h Host) {
 	w.TokenCount = 0
 	w.TokenMin = vtime.Infinity
 	w.TokenEpoch = uint64(m.compEpoch)
-	w.TokenOrigin = int32(h.LP())
-	m.armReport(h)
+	w.TokenOrigin = int32(m.lp)
+	m.armReport()
 }
 
 // armReport requests that the host's (T, Tmin, V) reach the NIC: by
@@ -125,12 +118,12 @@ func (m *NICGVTManager) initiate(h Host) {
 // is armed closure-free (top-level callback, manager as the threaded
 // receiver): GVT rounds fire on every token visit, so a per-arm closure
 // would be a steady allocation stream.
-func (m *NICGVTManager) armReport(h Host) {
+func (m *NICGVTManager) armReport() {
 	m.pendingReport = true
-	m.fallback = h.Schedule(m.FallbackDelay, fallbackDoorbell, m)
+	m.fallback = m.host.Schedule(m.fallbackDelay, fallbackDoorbell, m)
 }
 
-// fallbackDoorbell is the FallbackDelay expiry: no event traffic appeared
+// fallbackDoorbell is the fallbackDelay expiry: no event traffic appeared
 // to piggyback on, so pay the doorbell bus crossing.
 func fallbackDoorbell(x interface{}) {
 	m := x.(*NICGVTManager)
@@ -138,12 +131,11 @@ func fallbackDoorbell(x interface{}) {
 		return
 	}
 	m.pendingReport = false
-	h := m.host
-	w := h.Shared()
-	m.fillReport(h, &w.HostT, &w.HostTMin, &w.HostV)
+	w := m.shared
+	m.fillReport(&w.HostT, &w.HostTMin, &w.HostV)
 	w.ReceivedHostVariables = true
 	m.Stats.Doorbells.Inc()
-	h.RingDoorbell()
+	m.host.RingDoorbell()
 }
 
 // fillReport computes the host's handshake values: T (LVT), Tmin (min red
@@ -157,14 +149,14 @@ func fallbackDoorbell(x interface{}) {
 // computation they are outside the token's count balance too — without the
 // fold a round can close with count == 0 over a low-timestamp message still
 // in the local stack, and the commit overshoots it.
-func (m *NICGVTManager) fillReport(h Host, t, tmin *vtime.VTime, v *int64) {
-	*t = vtime.MinV(h.LVT(), h.OutboundMin())
+func (m *NICGVTManager) fillReport(t, tmin *vtime.VTime, v *int64) {
+	*t = vtime.MinV(m.host.LVT(), m.host.OutboundMin())
 	*tmin = m.ledger.MinRedSend()
 	*v = m.ledger.TakeRecvDelta()
 }
 
 // OnSent implements Manager: stamp colour and piggyback a pending report.
-func (m *NICGVTManager) OnSent(h Host, pkt *proto.Packet) {
+func (m *NICGVTManager) OnSent(pkt *proto.Packet) {
 	m.ledger.OnSend(pkt)
 	if !m.pendingReport {
 		return
@@ -173,34 +165,34 @@ func (m *NICGVTManager) OnSent(h Host, pkt *proto.Packet) {
 	m.fallback.Cancel()
 	m.fallback = des.TimerRef{}
 	pkt.PiggyGVTValid = true
-	m.fillReport(h, &pkt.PiggyT, &pkt.PiggyTMin, &pkt.PiggyV)
+	m.fillReport(&pkt.PiggyT, &pkt.PiggyTMin, &pkt.PiggyV)
 	m.Stats.Piggybacks.Inc()
 }
 
 // OnReceived implements Manager.
-func (m *NICGVTManager) OnReceived(h Host, pkt *proto.Packet) {
+func (m *NICGVTManager) OnReceived(pkt *proto.Packet) {
 	m.ledger.OnRecv(pkt)
 }
 
 // OnControl implements Manager: NIC-GVT has no host-level control messages.
-func (m *NICGVTManager) OnControl(h Host, pkt *proto.Packet) {
+func (m *NICGVTManager) OnControl(pkt *proto.Packet) {
 	panic("gvt: NIC-GVT received a host control packet: " + pkt.String())
 }
 
 // OnNotify implements Manager: the NIC doorbells.
-func (m *NICGVTManager) OnNotify(h Host, tag nic.NotifyTag) {
-	w := h.Shared()
+func (m *NICGVTManager) OnNotify(tag nic.NotifyTag) {
+	w := m.shared
 	switch tag {
 	case nic.NotifyGVTControl:
 		// A token arrived on the NIC: join the computation (colour change)
 		// and stage the report.
 		m.ledger.Join(uint32(w.TokenEpoch))
-		m.armReport(h)
+		m.armReport()
 	case nic.NotifyGVTValue:
 		g := w.LatestGVT
-		if m.isRoot(h) {
+		if m.isRoot() {
 			if m.inProgress {
-				d := h.Now() - m.convStart
+				d := m.host.Now() - m.convStart
 				m.ConvSum += d
 				m.ConvCount++
 				if d > m.ConvMax {
@@ -211,6 +203,6 @@ func (m *NICGVTManager) OnNotify(h Host, tag nic.NotifyTag) {
 			m.Stats.Computations.Inc()
 		}
 		m.lastGVT = g
-		h.CommitGVT(g)
+		m.host.CommitGVT(g)
 	}
 }

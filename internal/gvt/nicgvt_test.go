@@ -12,8 +12,6 @@ import (
 // nicHost fakes the cluster host for NICGVTManager: it owns a shared window,
 // records doorbells and commits, and runs scheduled timers on demand.
 type nicHost struct {
-	lp        int
-	n         int
 	lvt       vtime.VTime
 	window    *nic.SharedWindow
 	doorbells int
@@ -27,19 +25,20 @@ type fakeTimer struct {
 	arg interface{}
 }
 
-func newNICHost(lp, n int) *nicHost {
-	h := &nicHost{lp: lp, n: n, lvt: vtime.Infinity, window: new(nic.SharedWindow)}
+// newNICGVT returns a manager of the given period on LP lp, bound to a fresh
+// fake host.
+func newNICGVT(lp, period int) (*NICGVTManager, *nicHost) {
+	h := &nicHost{lvt: vtime.Infinity, window: new(nic.SharedWindow)}
 	h.window.Init(nic.DefaultDropBufferCap)
-	return h
+	m := new(NICGVTManager)
+	m.Init(h, lp, h.window, period, 0)
+	return m, h
 }
 
-func (h *nicHost) LP() int                     { return h.lp }
-func (h *nicHost) NumLPs() int                 { return h.n }
 func (h *nicHost) LVT() vtime.VTime            { return h.lvt }
 func (h *nicHost) OutboundMin() vtime.VTime    { return vtime.Infinity }
 func (h *nicHost) CommitGVT(g vtime.VTime)     { h.committed = append(h.committed, g) }
 func (h *nicHost) SendControl(p *proto.Packet) { panic("nic-gvt must not send host control messages") }
-func (h *nicHost) Shared() *nic.SharedWindow   { return h.window }
 func (h *nicHost) RingDoorbell()               { h.doorbells++ }
 func (h *nicHost) Now() vtime.ModelTime        { return 0 }
 func (h *nicHost) Schedule(d vtime.ModelTime, fn func(interface{}), arg interface{}) des.TimerRef {
@@ -59,14 +58,12 @@ func (h *nicHost) fireTimers() {
 }
 
 func TestNICGVTInitiationStagesTokenAndPiggybacks(t *testing.T) {
-	h := newNICHost(0, 4)
-	m := newNICGVT(2)
-	m.Start(h)
-	m.OnProcessed(h) // 1 of 2
+	m, h := newNICGVT(0, 2)
+	m.OnProcessed() // 1 of 2
 	if h.window.GVTTokenPending {
 		t.Fatal("initiated before the period elapsed")
 	}
-	m.OnProcessed(h) // 2 of 2: initiate
+	m.OnProcessed() // 2 of 2: initiate
 	w := h.window
 	if !w.GVTTokenPending || !w.TokenIsInitiation || w.TokenEpoch != 1 || w.TokenOrigin != 0 {
 		t.Fatalf("initiation not staged: %+v", w)
@@ -74,7 +71,7 @@ func TestNICGVTInitiationStagesTokenAndPiggybacks(t *testing.T) {
 	// The next outgoing event message carries the handshake values.
 	h.lvt = 77
 	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 80}
-	m.OnSent(h, pkt)
+	m.OnSent(pkt)
 	if !pkt.PiggyGVTValid {
 		t.Fatal("handshake not piggybacked")
 	}
@@ -86,7 +83,7 @@ func TestNICGVTInitiationStagesTokenAndPiggybacks(t *testing.T) {
 	}
 	// Only the first message carries it.
 	pkt2 := &proto.Packet{Kind: proto.KindEvent, SendTS: 90}
-	m.OnSent(h, pkt2)
+	m.OnSent(pkt2)
 	if pkt2.PiggyGVTValid {
 		t.Fatal("handshake piggybacked twice")
 	}
@@ -96,10 +93,8 @@ func TestNICGVTInitiationStagesTokenAndPiggybacks(t *testing.T) {
 }
 
 func TestNICGVTDoorbellFallback(t *testing.T) {
-	h := newNICHost(0, 4)
-	m := newNICGVT(1)
-	m.Start(h)
-	m.OnProcessed(h) // initiate; fallback timer armed
+	m, h := newNICGVT(0, 1)
+	m.OnProcessed() // initiate; fallback timer armed
 	h.lvt = 42
 	h.fireTimers() // no outgoing traffic appeared
 	if h.doorbells != 1 {
@@ -113,51 +108,45 @@ func TestNICGVTDoorbellFallback(t *testing.T) {
 	}
 	// After the fallback fired, an outgoing message must not re-piggyback.
 	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 50}
-	m.OnSent(h, pkt)
+	m.OnSent(pkt)
 	if pkt.PiggyGVTValid {
 		t.Fatal("piggybacked after doorbell already delivered the report")
 	}
 }
 
 func TestNICGVTPiggybackCancelsFallback(t *testing.T) {
-	h := newNICHost(0, 4)
-	m := newNICGVT(1)
-	m.Start(h)
-	m.OnProcessed(h)
+	m, h := newNICGVT(0, 1)
+	m.OnProcessed()
 	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 10}
-	m.OnSent(h, pkt) // piggyback wins the race
-	h.fireTimers()   // cancelled timer must not doorbell
+	m.OnSent(pkt)  // piggyback wins the race
+	h.fireTimers() // cancelled timer must not doorbell
 	if h.doorbells != 0 {
 		t.Fatalf("doorbells = %d, want 0", h.doorbells)
 	}
 }
 
 func TestNICGVTTokenArrivalHandshake(t *testing.T) {
-	h := newNICHost(2, 4)
-	m := newNICGVT(100)
-	m.Start(h)
+	m, h := newNICGVT(2, 100)
 	// The firmware stored a token and rang NotifyGVTControl.
 	w := h.window
 	w.GVTTokenPending = true
 	w.TokenEpoch = 3
 	w.TokenRound = 0
-	m.OnNotify(h, nic.NotifyGVTControl)
+	m.OnNotify(nic.NotifyGVTControl)
 	// The handshake is staged: the next send answers it.
 	h.lvt = 12
 	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 15}
-	m.OnSent(h, pkt)
+	m.OnSent(pkt)
 	if !pkt.PiggyGVTValid || pkt.PiggyT != 12 {
 		t.Fatalf("handshake not delivered: %+v", pkt)
 	}
 }
 
 func TestNICGVTValueCommit(t *testing.T) {
-	h := newNICHost(0, 4)
-	m := newNICGVT(1)
-	m.Start(h)
-	m.OnProcessed(h) // root has a computation in flight
+	m, h := newNICGVT(0, 1)
+	m.OnProcessed() // root has a computation in flight
 	h.window.LatestGVT = 55
-	m.OnNotify(h, nic.NotifyGVTValue)
+	m.OnNotify(nic.NotifyGVTValue)
 	if len(h.committed) != 1 || h.committed[0] != 55 {
 		t.Fatalf("committed %v", h.committed)
 	}
@@ -168,25 +157,23 @@ func TestNICGVTValueCommit(t *testing.T) {
 		t.Fatal("computation completion not counted at the root")
 	}
 	// With the computation finished, the root may initiate again.
-	m.OnProcessed(h)
+	m.OnProcessed()
 	if !h.window.GVTTokenPending {
 		t.Fatal("root did not initiate after completion")
 	}
 }
 
 func TestNICGVTWhiteAccountingThroughPiggyback(t *testing.T) {
-	h := newNICHost(1, 4)
-	m := newNICGVT(100)
-	m.Start(h)
+	m, h := newNICGVT(1, 100)
 	// Receive two white messages (stamp 0) before joining wave 1.
-	m.OnReceived(h, &proto.Packet{Kind: proto.KindEvent, ColorEpoch: 0})
-	m.OnReceived(h, &proto.Packet{Kind: proto.KindEvent, ColorEpoch: 0})
+	m.OnReceived(&proto.Packet{Kind: proto.KindEvent, ColorEpoch: 0})
+	m.OnReceived(&proto.Packet{Kind: proto.KindEvent, ColorEpoch: 0})
 	w := h.window
 	w.GVTTokenPending = true
 	w.TokenEpoch = 1
-	m.OnNotify(h, nic.NotifyGVTControl)
+	m.OnNotify(nic.NotifyGVTControl)
 	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 5}
-	m.OnSent(h, pkt)
+	m.OnSent(pkt)
 	if pkt.PiggyV != 2 {
 		t.Fatalf("PiggyV = %d, want 2 white receives", pkt.PiggyV)
 	}
@@ -197,50 +184,29 @@ func TestNICGVTWhiteAccountingThroughPiggyback(t *testing.T) {
 }
 
 func TestNICGVTIdleStopsAtInfinity(t *testing.T) {
-	h := newNICHost(0, 4)
-	m := newNICGVT(100)
-	m.Start(h)
-	m.OnIdle(h)
+	m, h := newNICGVT(0, 100)
+	m.OnIdle()
 	if !h.window.GVTTokenPending {
 		t.Fatal("idle root did not initiate")
 	}
 	// Simulate completion at infinity.
 	h.window.GVTTokenPending = false
 	h.window.LatestGVT = vtime.Infinity
-	m.OnNotify(h, nic.NotifyGVTValue)
-	m.OnIdle(h)
+	m.OnNotify(nic.NotifyGVTValue)
+	m.OnIdle()
 	if h.window.GVTTokenPending {
 		t.Fatal("re-initiated after GVT reached infinity")
 	}
 }
 
 func TestNICGVTRejectsHostControl(t *testing.T) {
-	h := newNICHost(0, 4)
-	m := newNICGVT(100)
+	m, _ := newNICGVT(0, 100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.OnControl(h, &proto.Packet{Kind: proto.KindGVTControl})
-}
-
-func TestNICGVTRequiresSharedWindow(t *testing.T) {
-	m := newNICGVT(100)
-	bare := &fakeHost{r: &ring{}, lp: 0}
-	bare.r.hosts = []*fakeHost{bare}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic without a programmable NIC")
-		}
-	}()
-	m.Start(bare)
-}
-
-func newNICGVT(period int) *NICGVTManager {
-	m := new(NICGVTManager)
-	m.Init(period, 0)
-	return m
+	m.OnControl(&proto.Packet{Kind: proto.KindGVTControl})
 }
 
 func TestNewNICGVTValidation(t *testing.T) {
@@ -249,5 +215,5 @@ func TestNewNICGVTValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	newNICGVT(0)
+	newNICGVT(0, 0)
 }

@@ -6,12 +6,12 @@
 // Colour accounting generalizes Mattern's white/red to sequential
 // computations: every event-like packet is stamped with the sender's
 // computation epoch; a message is white for computation C when its stamp is
-// below C. The Ledger type implements this bookkeeping and is shared by both
-// implementations.
+// below C. Both managers keep this bookkeeping in one Ledger: host Mattern
+// with as many live computations as its ring carries, the NIC-GVT host half
+// with exactly one.
 package gvt
 
 import (
-	"nicwarp/internal/dense"
 	"nicwarp/internal/des"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
@@ -90,75 +90,3 @@ type Stats struct {
 	Piggybacks   stats.Counter // handshake values piggybacked on event traffic
 	Doorbells    stats.Counter // fallback doorbell handshakes
 }
-
-// Ledger is the white/red colour accounting for one LP.
-//
-// The arithmetic is cumulative: WhiteSent for computation C is the total
-// number of messages sent before joining C, and white receives are all
-// receives with stamp below C — ever, since the beginning of the run. To
-// keep memory bounded without breaking the cumulative sums, receive counts
-// for stamps already below the current epoch are folded into one "ancient"
-// bucket at Join time (epochs only grow, so such stamps stay white for
-// every future computation).
-type Ledger struct {
-	epoch        uint32            // computations joined; outgoing stamp
-	sentTotal    int64             // event-like packets sent, any stamp
-	sentAtJoin   int64             // sentTotal captured when joining the current epoch
-	recv         dense.EpochWindow // receives by stamp, based at epoch
-	reportedRecv int64             // white receives already reported this epoch
-	minRedSend   vtime.VTime       // min SendTS among packets sent since joining
-}
-
-// NewLedger returns an empty ledger at epoch zero.
-func NewLedger() *Ledger {
-	return &Ledger{minRedSend: vtime.Infinity}
-}
-
-// Epoch returns the current computation epoch (the outgoing colour stamp).
-func (l *Ledger) Epoch() uint32 { return l.epoch }
-
-// OnSend accounts one outgoing event-like packet and stamps its colour.
-func (l *Ledger) OnSend(pkt *proto.Packet) {
-	pkt.ColorEpoch = l.epoch
-	l.sentTotal++
-	l.minRedSend = vtime.MinV(l.minRedSend, pkt.SendTS)
-}
-
-// OnRecv accounts one inbound event-like packet by its colour stamp.
-func (l *Ledger) OnRecv(pkt *proto.Packet) {
-	l.recv.Add(pkt.ColorEpoch, 1)
-}
-
-// Join enters computation c: sends from now on are red with respect to c.
-// Joining an already-joined or older computation is a no-op.
-func (l *Ledger) Join(c uint32) {
-	if c <= l.epoch {
-		return
-	}
-	l.epoch = c
-	l.recv.Fold(c)
-	l.sentAtJoin = l.sentTotal
-	l.reportedRecv = 0
-	l.minRedSend = vtime.Infinity
-}
-
-// WhiteSent returns the number of messages this LP sent before joining the
-// current computation (all of them white with respect to it).
-func (l *Ledger) WhiteSent() int64 { return l.sentAtJoin }
-
-// whiteRecv returns the cumulative count of received messages with stamp
-// below the current epoch.
-func (l *Ledger) whiteRecv() int64 { return l.recv.Folded() }
-
-// TakeRecvDelta returns the white receives not yet reported to the token in
-// this computation and marks them reported.
-func (l *Ledger) TakeRecvDelta() int64 {
-	cur := l.whiteRecv()
-	d := cur - l.reportedRecv
-	l.reportedRecv = cur
-	return d
-}
-
-// MinRedSend returns the minimum send timestamp among messages sent since
-// joining the current computation (Infinity if none).
-func (l *Ledger) MinRedSend() vtime.VTime { return l.minRedSend }

@@ -8,15 +8,20 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// WaveLedger is colour accounting that supports several concurrent GVT
-// computations ("waves"), which is how WARPED behaves at aggressive
-// GVT_COUNT settings: the root launches a new computation every GVT_COUNT
-// events without waiting for the previous wave to complete, so at COUNT=1
-// the ring carries a token backlog proportional to the event rate — the
-// traffic that "overwhelms the host processor resources" in the paper's
-// Figures 4 and 5. (The NIC implementation is inherently single-wave: the
-// NIC holds one token until the host handshake completes, which is why its
-// round count stays flat in Figure 5b.)
+// Ledger is the white/red colour accounting of one LP, for both host
+// managers. It supports several concurrent GVT computations ("waves"),
+// which is how WARPED behaves at aggressive GVT_COUNT settings: the root
+// launches a new computation every GVT_COUNT events without waiting for the
+// previous wave to complete, so at COUNT=1 the ring carries a token backlog
+// proportional to the event rate — the traffic that "overwhelms the host
+// processor resources" in the paper's Figures 4 and 5. The NIC
+// implementation is single-wave: the NIC holds one token until the host
+// handshake completes, which is why its round count stays flat in Figure
+// 5b, and its host half retires each wave as it joins the next.
+//
+// The arithmetic is cumulative: a wave's white sends are every send made
+// before joining it, and its white receives are all receives with stamp
+// below it — ever, since the beginning of the run.
 //
 // Waves are identified by their epoch number, assigned in initiation order
 // by the root. The ring is FIFO, so every LP joins waves in ascending
@@ -31,15 +36,19 @@ import (
 // does not lower, because no older one can be higher.
 //
 // Receive counts are kept per stamp in a window based at the oldest live
-// wave; stamps below it fold into a single bucket when waves retire.
+// wave; stamps below it fold into a single bucket when waves retire (epochs
+// only grow, so such stamps stay white for every future wave).
 //
-// The zero value is an empty ledger at epoch zero.
-type WaveLedger struct {
+// The zero value is an empty ledger at epoch zero. The slice starts on the
+// ledger's own first slot, so a ledger that never holds two live waves
+// allocates nothing, and a ledger must not be copied once joined.
+type Ledger struct {
 	epoch     uint32 // highest wave joined; the outgoing stamp
 	sentTotal int64
 
 	recv  dense.EpochWindow // receives by stamp, based at the oldest live wave
 	waves []wave            // live waves, ascending by c
+	first [1]wave           // waves' backing array until a second wave is live
 }
 
 // wave is one live computation's bookkeeping.
@@ -50,11 +59,17 @@ type wave struct {
 	minRed   vtime.VTime // minimum send timestamp since joining (red with respect to c)
 }
 
+// NewLedger returns an empty ledger at epoch zero.
+func NewLedger() *Ledger { return new(Ledger) }
+
+// Epoch returns the highest wave joined: the outgoing colour stamp.
+func (l *Ledger) Epoch() uint32 { return l.epoch }
+
 // OnSend accounts one outgoing event-like packet: stamp it and fold its
 // send timestamp into every active wave's red minimum.
 //
-//nicwarp:hotpath runs for every outgoing event-like packet under host Mattern GVT
-func (l *WaveLedger) OnSend(pkt *proto.Packet) {
+//nicwarp:hotpath runs for every outgoing event-like packet
+func (l *Ledger) OnSend(pkt *proto.Packet) {
 	pkt.ColorEpoch = l.epoch
 	l.sentTotal++
 	for i := len(l.waves) - 1; i >= 0 && pkt.SendTS < l.waves[i].minRed; i-- {
@@ -64,8 +79,8 @@ func (l *WaveLedger) OnSend(pkt *proto.Packet) {
 
 // OnRecv accounts one inbound event-like packet by stamp.
 //
-//nicwarp:hotpath runs for every inbound event-like packet under host Mattern GVT
-func (l *WaveLedger) OnRecv(pkt *proto.Packet) {
+//nicwarp:hotpath runs for every inbound event-like packet
+func (l *Ledger) OnRecv(pkt *proto.Packet) {
 	l.recv.Add(pkt.ColorEpoch, 1)
 }
 
@@ -73,29 +88,32 @@ func (l *WaveLedger) OnRecv(pkt *proto.Packet) {
 // stamp in the shared window's DroppedWhite, as received — a deliberately
 // dropped message will never arrive anywhere, so otherwise the white
 // balance would never close and GVT would stall — and empties it.
-func (l *WaveLedger) DrainDropped(dropped *dense.EpochWindow) {
+func (l *Ledger) DrainDropped(dropped *dense.EpochWindow) {
 	dropped.MoveTo(&l.recv)
 }
 
 // Join enters wave c. Waves are numbered from 1 and must be joined in
 // ascending order (the FIFO ring guarantees it); joining an already-joined
 // wave is a no-op.
-func (l *WaveLedger) Join(c uint32) {
+func (l *Ledger) Join(c uint32) {
 	if l.Joined(c) {
 		return
 	}
 	if c < l.epoch {
 		panic(fmt.Sprintf("gvt: wave %d joined after wave %d (FIFO ring violated)", c, l.epoch))
 	}
+	if cap(l.waves) == 0 {
+		l.waves = l.first[:0]
+	}
 	l.epoch = c
 	l.waves = append(l.waves, wave{c: c, joinSent: l.sentTotal, minRed: vtime.Infinity}) //nicwarp:alloc wave-table growth to a new high-water count of live waves (at most MaxWaves), amortized
 }
 
 // Joined reports whether wave c has been joined.
-func (l *WaveLedger) Joined(c uint32) bool { return l.find(c) >= 0 }
+func (l *Ledger) Joined(c uint32) bool { return l.find(c) >= 0 }
 
 // find returns wave c's index in waves, or -1.
-func (l *WaveLedger) find(c uint32) int {
+func (l *Ledger) find(c uint32) int {
 	lo, hi := 0, len(l.waves)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -111,6 +129,15 @@ func (l *WaveLedger) find(c uint32) int {
 	return -1
 }
 
+// live returns wave c's bookkeeping; c must be joined and not retired.
+func (l *Ledger) live(c uint32) *wave {
+	i := l.find(c)
+	if i < 0 {
+		panic(fmt.Sprintf("gvt: wave %d is not live", c))
+	}
+	return &l.waves[i]
+}
+
 // Visit folds this LP's contribution into wave c's token: returns the count
 // delta (white sends on first visit, minus unreported white receives) and
 // the timestamp floor (min of lvt and the wave's red send minimum).
@@ -118,12 +145,8 @@ func (l *WaveLedger) find(c uint32) int {
 // arrival.
 //
 //nicwarp:hotpath runs on every token visit, several per event at GVT_COUNT=1
-func (l *WaveLedger) Visit(c uint32, firstVisit bool, lvt vtime.VTime) (countDelta int64, floor vtime.VTime) {
-	i := l.find(c)
-	if i < 0 {
-		panic(fmt.Sprintf("gvt: Visit of unjoined wave %d", c))
-	}
-	w := &l.waves[i]
+func (l *Ledger) Visit(c uint32, firstVisit bool, lvt vtime.VTime) (countDelta int64, floor vtime.VTime) {
+	w := l.live(c)
 	if firstVisit {
 		countDelta += w.joinSent
 	}
@@ -134,11 +157,26 @@ func (l *WaveLedger) Visit(c uint32, firstVisit bool, lvt vtime.VTime) (countDel
 	return countDelta, floor
 }
 
+// WhiteSent returns the number of messages this LP sent before joining the
+// current wave (all of them white with respect to it).
+func (l *Ledger) WhiteSent() int64 { return l.live(l.epoch).joinSent }
+
+// TakeRecvDelta returns the current wave's white receives not yet reported
+// to its token and marks them reported.
+func (l *Ledger) TakeRecvDelta() int64 {
+	d, _ := l.Visit(l.epoch, false, vtime.Infinity)
+	return -d
+}
+
+// MinRedSend returns the minimum send timestamp among messages sent since
+// joining the current wave (Infinity if none).
+func (l *Ledger) MinRedSend() vtime.VTime { return l.live(l.epoch).minRed }
+
 // Retire discards wave c's bookkeeping after its computation completes, and
 // folds receive stamps no active wave can reference.
 //
 //nicwarp:hotpath runs once per wave per LP, several per event at GVT_COUNT=1
-func (l *WaveLedger) Retire(c uint32) {
+func (l *Ledger) Retire(c uint32) {
 	if i := l.find(c); i >= 0 {
 		l.waves = l.waves[:i+copy(l.waves[i:], l.waves[i+1:])]
 	}

@@ -33,24 +33,25 @@ func TestLedgerWhiteBalanceSingleWave(t *testing.T) {
 	// Computation 1 starts: both join.
 	a.Join(1)
 	b.Join(1)
-	da, _ := NewLedgerVisit(a, 1, true, 100)
-	db, _ := NewLedgerVisit(b, 1, true, 200)
+	da, _ := readerVisit(a, true, 100)
+	db, _ := readerVisit(b, true, 200)
 	count := da + db
 	if count != 1 {
 		t.Fatalf("initial balance = %d, want 1 (one white in transit)", count)
 	}
 	// The last white arrives.
 	b.OnRecv(inTransit[0])
-	db2, _ := NewLedgerVisit(b, 1, false, 200)
+	db2, _ := readerVisit(b, false, 200)
 	count += db2
 	if count != 0 {
 		t.Fatalf("balance after delivery = %d, want 0", count)
 	}
 }
 
-// NewLedgerVisit adapts the single-wave Ledger to the Visit-style interface
-// for tests.
-func NewLedgerVisit(l *Ledger, c uint32, first bool, lvt vtime.VTime) (int64, vtime.VTime) {
+// readerVisit is Visit of the current wave spelled with the readers the
+// NIC-GVT host half uses: WhiteSent on the first visit, TakeRecvDelta and
+// MinRedSend on every visit.
+func readerVisit(l *Ledger, first bool, lvt vtime.VTime) (int64, vtime.VTime) {
 	var delta int64
 	if first {
 		delta += l.WhiteSent()
@@ -99,21 +100,21 @@ func TestLedgerDroppedCountsAsReceived(t *testing.T) {
 	a.OnSend(p)
 	a.Join(1)
 	b.Join(1)
-	da, _ := NewLedgerVisit(a, 1, true, 10)
-	db, _ := NewLedgerVisit(b, 1, true, 10)
+	da, _ := readerVisit(a, true, 10)
+	db, _ := readerVisit(b, true, 10)
 	if da+db != 1 {
 		t.Fatalf("balance = %d", da+db)
 	}
 	// The NIC drops the packet in place; the sender's ledger accounts it.
 	a.recv.Add(p.ColorEpoch, 1)
-	da2, _ := NewLedgerVisit(a, 1, false, 10)
+	da2, _ := readerVisit(a, false, 10)
 	if da+db+da2 != 0 {
 		t.Fatal("dropped packet did not close the balance")
 	}
 }
 
 func TestWaveLedgerConcurrentWaves(t *testing.T) {
-	l := new(WaveLedger)
+	l := new(Ledger)
 	// Three sends before any wave: white for every wave.
 	for i := 0; i < 3; i++ {
 		l.OnSend(evPkt(vtime.VTime(i)))
@@ -150,7 +151,7 @@ func TestWaveLedgerConcurrentWaves(t *testing.T) {
 }
 
 func TestWaveLedgerRecvAccounting(t *testing.T) {
-	l := new(WaveLedger)
+	l := new(Ledger)
 	white := evPkt(1) // stamp 0
 	l.Join(1)
 	l.OnRecv(white) // white wrt wave 1
@@ -166,7 +167,7 @@ func TestWaveLedgerRecvAccounting(t *testing.T) {
 }
 
 func TestWaveLedgerFoldAfterRetire(t *testing.T) {
-	l := new(WaveLedger)
+	l := new(Ledger)
 	l.Join(1)
 	l.OnRecv(evPkt(1)) // stamp 0
 	l.Visit(1, true, 10)
@@ -184,7 +185,7 @@ func TestWaveLedgerFoldAfterRetire(t *testing.T) {
 }
 
 func TestWaveLedgerJoinValidation(t *testing.T) {
-	l := new(WaveLedger)
+	l := new(Ledger)
 	l.Join(2)
 	l.Join(2) // no-op
 	defer func() {
@@ -201,7 +202,7 @@ func TestWaveLedgerVisitUnjoinedPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	new(WaveLedger).Visit(5, true, 0)
+	new(Ledger).Visit(5, true, 0)
 }
 
 // TestWaveLedgerBalanceProperty: for a random message pattern between two
@@ -209,7 +210,7 @@ func TestWaveLedgerVisitUnjoinedPanics(t *testing.T) {
 // accumulated wave balance is zero.
 func TestWaveLedgerBalanceProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		a, b := new(WaveLedger), new(WaveLedger)
+		a, b := new(Ledger), new(Ledger)
 		var transit []*proto.Packet
 		wave := uint32(0)
 		total := int64(0)
@@ -262,11 +263,11 @@ func TestWaveLedgerBalanceProperty(t *testing.T) {
 	}
 }
 
-// mapWaveLedger is the hash-map WaveLedger this package shipped before the
-// ordered-slice one, kept verbatim as the reference the differential test
-// below drives in lockstep with it: per-wave state in three maps keyed by
-// epoch, receive counts in a fourth keyed by stamp, every operation a map
-// walk.
+// mapWaveLedger is the hash-map multi-wave ledger this package shipped
+// before the ordered-slice one, kept verbatim as the reference the
+// differential test below drives in lockstep with it: per-wave state in
+// three maps keyed by epoch, receive counts in a fourth keyed by stamp,
+// every operation a map walk.
 type mapWaveLedger struct {
 	epoch     uint32 // highest wave joined; the outgoing stamp
 	sentTotal int64
@@ -311,7 +312,7 @@ func (l *mapWaveLedger) OnRecv(pkt *proto.Packet) {
 }
 
 // OnDropped accounts a NIC-cancelled packet as received (see
-// WaveLedger.DrainDropped).
+// Ledger.DrainDropped).
 func (l *mapWaveLedger) OnDropped(stamp uint32, n int64) {
 	l.account(stamp, n)
 }
@@ -403,11 +404,11 @@ func (l *mapWaveLedger) Retire(c uint32) {
 // ActiveWaves returns the number of waves with live bookkeeping.
 func (l *mapWaveLedger) ActiveWaves() int { return len(l.joinSent) }
 
-// waveOracle drives a WaveLedger and the map-based reference through the
+// waveOracle drives a Ledger and the map-based reference through the
 // same schedule and fails on the first observable difference.
 type waveOracle struct {
 	t    *testing.T
-	got  *WaveLedger
+	got  *Ledger
 	want *mapWaveLedger
 	step int
 }
@@ -444,7 +445,7 @@ func (o *waveOracle) check(op string) {
 func TestWaveLedgerMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		o := &waveOracle{t: t, got: new(WaveLedger), want: newMapWaveLedger()}
+		o := &waveOracle{t: t, got: new(Ledger), want: newMapWaveLedger()}
 		var dropped dense.EpochWindow // the shared window's DroppedWhite
 		var live []uint32             // joined and not yet retired, ascending
 		maxWaves := 1 + rng.Intn(64)
@@ -536,7 +537,7 @@ func (o *waveOracle) visit(c uint32, first bool, rng *rand.Rand) {
 // MaxWaves live waves (the raid-hostgvt regime) the per-packet and
 // per-token operations allocate nothing.
 func TestWaveLedgerSteadyStateAllocatesNothing(t *testing.T) {
-	l := new(WaveLedger)
+	l := new(Ledger)
 	for c := uint32(1); c <= DefaultMaxWaves; c++ {
 		l.Join(c)
 	}

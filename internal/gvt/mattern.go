@@ -16,7 +16,7 @@ import (
 // Faithful to WARPED's behaviour at aggressive settings, the root launches
 // a new computation every period processed events *without waiting for the
 // previous one to complete*: computations pipeline as concurrent waves on
-// the FIFO ring (see WaveLedger). At GVT_COUNT=1 this makes control-message
+// the FIFO ring (see Ledger). At GVT_COUNT=1 this makes control-message
 // volume proportional to the event rate — each wave costs every host a
 // dedicated message receive, token rebuild and send — which is exactly the
 // regime where the paper's host implementation "breaks down because the
@@ -36,12 +36,11 @@ type MatternManager struct {
 	// no such cap; 64 is far above what the ring sustains.
 	maxWaves int
 
-	ledger WaveLedger
+	ledger Ledger
 
 	// Root-only state.
 	sinceGVT int
 	inFlight int
-	compSeq  uint32
 	lastGVT  vtime.VTime
 	// spare holds the control packets that ended their journey at the root
 	// — a token whose cut closed, an announcement back from its lap — for
@@ -91,12 +90,12 @@ func (m *MatternManager) OnIdle() {
 	m.initiate()
 }
 
-// initiate launches wave compSeq+1 at the root.
+// initiate launches the root's next wave, one past the last it joined:
+// the root is first to join every wave, since it launches them all.
 func (m *MatternManager) initiate() {
 	m.sinceGVT = 0
 	m.inFlight++
-	m.compSeq++
-	c := m.compSeq
+	c := m.ledger.Epoch() + 1
 	m.ledger.Join(c)
 	m.drainNICDrops()
 	delta, floor := m.ledger.Visit(c, true, m.host.LVT())
@@ -112,8 +111,8 @@ func (m *MatternManager) initiate() {
 		return
 	}
 	tok := m.newControl(c)
-	tok.TokenCount = delta
-	tok.TokenMin = floor
+	tok.Token.Count = delta
+	tok.Token.Min = floor
 	m.sendOn(tok)
 }
 
@@ -123,9 +122,8 @@ func (m *MatternManager) initiate() {
 func (m *MatternManager) newControl(c uint32) *proto.Packet {
 	pkt := dense.Take(&m.spare, 1)
 	*pkt = proto.Packet{
-		Kind:        proto.KindGVTControl,
-		TokenOrigin: int32(m.lp),
-		TokenEpoch:  uint64(c),
+		Kind:  proto.KindGVTControl,
+		Token: proto.Token{Epoch: uint64(c), Origin: int32(m.lp)},
 	}
 	return pkt
 }
@@ -157,9 +155,9 @@ func (m *MatternManager) OnReceived(pkt *proto.Packet) {
 // place, or retired at the root.
 func (m *MatternManager) OnControl(pkt *proto.Packet) {
 	switch {
-	case pkt.Kind == proto.KindGVTControl && pkt.TokenRound >= 0:
+	case pkt.Kind == proto.KindGVTControl && pkt.Token.Round >= 0:
 		m.onToken(pkt)
-	case pkt.Kind == proto.KindGVTControl && pkt.TokenRound < 0:
+	case pkt.Kind == proto.KindGVTControl && pkt.Token.Round < 0:
 		m.onAnnounce(pkt)
 	default:
 		panic(fmt.Sprintf("gvt: mattern got unexpected control packet %v", pkt))
@@ -173,25 +171,26 @@ func (m *MatternManager) OnControl(pkt *proto.Packet) {
 func (m *MatternManager) onToken(pkt *proto.Packet) {
 	m.drainNICDrops()
 
-	c := uint32(pkt.TokenEpoch)
+	tok := &pkt.Token
+	c := uint32(tok.Epoch)
 	first := !m.ledger.Joined(c)
 	m.ledger.Join(c)
 	delta, floor := m.ledger.Visit(c, first, m.host.LVT()) //nicwarp:alloc gvt.Host dispatch: the kernel's LVT read allocates nothing
-	pkt.TokenCount += delta
-	pkt.TokenMin = vtime.MinV(pkt.TokenMin, floor)
+	tok.Count += delta
+	tok.Min = vtime.MinV(tok.Min, floor)
 
-	if int32(m.lp) == pkt.TokenOrigin {
+	if int32(m.lp) == tok.Origin {
 		m.Stats.Rounds.Inc()
-		if pkt.TokenCount == 0 {
+		if tok.Count == 0 {
 			// The cut closed and the token retires here — ahead of finish,
 			// so the announcement leaves in it.
-			g := pkt.TokenMin
+			g := tok.Min
 			m.spare = append(m.spare, pkt) //nicwarp:alloc free-list growth, bounded by one packet per outstanding wave
 			m.finish(g, c)                 //nicwarp:alloc once per computation, not per hop: CommitGVT runs fossil collection, which has hot roots of its own
 			return
 		}
 		// Whites still in transit: another round.
-		pkt.TokenRound++
+		tok.Round++
 	}
 	m.sendOn(pkt)
 }
@@ -206,7 +205,7 @@ func (m *MatternManager) finish(g vtime.VTime, c uint32) {
 		return
 	}
 	ann := m.newControl(c)
-	ann.TokenRound = -1
+	ann.Token.Round = -1
 	ann.TokenGVT = g
 	m.sendOn(ann)
 }
@@ -216,12 +215,12 @@ func (m *MatternManager) finish(g vtime.VTime, c uint32) {
 //
 //nicwarp:hotpath one per announcement hop
 func (m *MatternManager) onAnnounce(pkt *proto.Packet) {
-	if int32(m.lp) == pkt.TokenOrigin {
+	if int32(m.lp) == pkt.Token.Origin {
 		m.spare = append(m.spare, pkt) //nicwarp:alloc free-list growth, bounded by one packet per outstanding wave
 		return
 	}
 	m.commit(pkt.TokenGVT) //nicwarp:alloc CommitGVT runs fossil collection, which has hot roots of its own
-	m.ledger.Retire(uint32(pkt.TokenEpoch))
+	m.ledger.Retire(uint32(pkt.Token.Epoch))
 	m.sendOn(pkt)
 }
 

@@ -266,15 +266,15 @@ func TestMatternTokenTravelsInOnePacket(t *testing.T) {
 			t.Fatalf("LP %d did not send on the packet it was handed", dst)
 		}
 	}
-	// Once round the ring joins the wave at every LP (the wave table's one
-	// allocation); the second lap must then be allocation-free per hop.
+	// Once round the ring joins the wave at every LP; the second lap must
+	// then be allocation-free per hop.
 	for i := 0; i < 4; i++ {
 		hop()
 	}
 	if allocs := testing.AllocsPerRun(3, hop); allocs != 0 {
 		t.Fatalf("%v allocations per token hop, want 0", allocs)
 	}
-	if r.queue[0] != tok || tok.TokenRound != 2 || tok.DstNode != 1 {
+	if r.queue[0] != tok || tok.Token.Round != 2 || tok.DstNode != 1 {
 		t.Fatalf("after two laps the token is %v (initiated as %p, now %p)", tok, tok, r.queue[0])
 	}
 
@@ -291,7 +291,7 @@ func TestMatternTokenTravelsInOnePacket(t *testing.T) {
 	}
 	// The next computation goes out in it.
 	root.OnIdle()
-	if r.queue[0] != tok || tok.TokenRound != 0 || tok.TokenEpoch != 2 || tok.WireDup || tok.Seq != 0 {
+	if r.queue[0] != tok || tok.Token.Round != 0 || tok.Token.Epoch != 2 || tok.WireDup || tok.Seq != 0 {
 		t.Fatalf("second computation's token is %v at %p, want a rewritten %p", r.queue[0], r.queue[0], tok)
 	}
 	r.drain()

@@ -42,7 +42,6 @@ type NICGVTManager struct {
 	// Root-only state.
 	inProgress bool
 	sinceGVT   int
-	compEpoch  uint32
 	lastGVT    vtime.VTime
 
 	// Root-only convergence tracking: model time from staging a
@@ -69,7 +68,7 @@ func (m *NICGVTManager) Init(h Host, lp int, shared *nic.SharedWindow, period in
 		panic("gvt: NIC-GVT period must be >= 1")
 	}
 	*m = NICGVTManager{host: h, shared: shared, lp: lp, period: period,
-		fallbackDelay: cmp.Or(fallbackDelay, DefaultFallbackDelay), ledger: *NewLedger(), lastGVT: -1}
+		fallbackDelay: cmp.Or(fallbackDelay, DefaultFallbackDelay), lastGVT: -1}
 }
 
 func (m *NICGVTManager) isRoot() bool { return m.lp == 0 }
@@ -93,24 +92,31 @@ func (m *NICGVTManager) OnIdle() {
 	m.initiate()
 }
 
-// initiate stages computation compEpoch+1: the NIC will create the token as
+// initiate stages the next computation: the NIC will create the token as
 // soon as the host's variables reach it.
 func (m *NICGVTManager) initiate() {
 	m.inProgress = true
 	m.convStart = m.host.Now()
 	m.sinceGVT = 0
-	m.compEpoch++
-	m.ledger.Join(m.compEpoch)
+	c := m.ledger.Epoch() + 1
+	m.join(c)
 	w := m.shared
 	w.GVTTokenPending = true
 	w.ReceivedHostVariables = false
 	w.TokenIsInitiation = true
-	w.TokenRound = 0
-	w.TokenCount = 0
-	w.TokenMin = vtime.Infinity
-	w.TokenEpoch = uint64(m.compEpoch)
-	w.TokenOrigin = int32(m.lp)
+	w.Token = proto.Token{Min: vtime.Infinity, Epoch: uint64(c), Origin: int32(m.lp)}
 	m.armReport()
+}
+
+// join enters computation c as the ledger's one live wave: the NIC holds one
+// token at a time, so the computation joined last is over and its wave
+// retires. Rejoining it — a later ring round, a tree restage — is a no-op.
+func (m *NICGVTManager) join(c uint32) {
+	if c <= m.ledger.Epoch() {
+		return
+	}
+	m.ledger.Retire(m.ledger.Epoch())
+	m.ledger.Join(c)
 }
 
 // armReport requests that the host's (T, Tmin, V) reach the NIC: by
@@ -186,7 +192,7 @@ func (m *NICGVTManager) OnNotify(tag nic.NotifyTag) {
 	case nic.NotifyGVTControl:
 		// A token arrived on the NIC: join the computation (colour change)
 		// and stage the report.
-		m.ledger.Join(uint32(w.TokenEpoch))
+		m.join(uint32(w.Token.Epoch))
 		m.armReport()
 	case nic.NotifyGVTValue:
 		g := w.LatestGVT

@@ -65,7 +65,7 @@ func TestNICGVTInitiationStagesTokenAndPiggybacks(t *testing.T) {
 	}
 	m.OnProcessed() // 2 of 2: initiate
 	w := h.window
-	if !w.GVTTokenPending || !w.TokenIsInitiation || w.TokenEpoch != 1 || w.TokenOrigin != 0 {
+	if !w.GVTTokenPending || !w.TokenIsInitiation || w.Token != (proto.Token{Min: vtime.Infinity, Epoch: 1}) {
 		t.Fatalf("initiation not staged: %+v", w)
 	}
 	// The next outgoing event message carries the handshake values.
@@ -130,8 +130,7 @@ func TestNICGVTTokenArrivalHandshake(t *testing.T) {
 	// The firmware stored a token and rang NotifyGVTControl.
 	w := h.window
 	w.GVTTokenPending = true
-	w.TokenEpoch = 3
-	w.TokenRound = 0
+	w.Token = proto.Token{Epoch: 3}
 	m.OnNotify(nic.NotifyGVTControl)
 	// The handshake is staged: the next send answers it.
 	h.lvt = 12
@@ -170,7 +169,7 @@ func TestNICGVTWhiteAccountingThroughPiggyback(t *testing.T) {
 	m.OnReceived(&proto.Packet{Kind: proto.KindEvent, ColorEpoch: 0})
 	w := h.window
 	w.GVTTokenPending = true
-	w.TokenEpoch = 1
+	w.Token = proto.Token{Epoch: 1}
 	m.OnNotify(nic.NotifyGVTControl)
 	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 5}
 	m.OnSent(pkt)
@@ -180,6 +179,41 @@ func TestNICGVTWhiteAccountingThroughPiggyback(t *testing.T) {
 	// Stamps on sends now carry the joined epoch.
 	if pkt.ColorEpoch != 1 {
 		t.Fatalf("stamp = %d, want 1", pkt.ColorEpoch)
+	}
+}
+
+// TestNICGVTKeepsOneLiveWave: the NIC holds one token at a time, so the
+// host half retires each computation's wave as it joins the next one, and
+// a computation — initiation, piggybacked report, a restaged round that
+// rejoins the same computation, value — allocates nothing.
+func TestNICGVTKeepsOneLiveWave(t *testing.T) {
+	m, h := newNICGVT(0, 1)
+	w := h.window
+	pkt := &proto.Packet{Kind: proto.KindEvent, SendTS: 5}
+	computation := func() {
+		m.OnProcessed() // the root initiates the next computation
+		m.OnSent(pkt)
+		// The cut did not close: the NIC restages the root's handshake.
+		w.Token.Round++
+		m.OnNotify(nic.NotifyGVTControl)
+		m.OnSent(pkt)
+		w.GVTTokenPending = false
+		w.LatestGVT = vtime.VTime(w.Token.Epoch)
+		m.OnNotify(nic.NotifyGVTValue)
+		h.timers, h.committed = h.timers[:0], h.committed[:0]
+	}
+	for c := uint32(1); c <= 3; c++ {
+		computation()
+		if l := &m.ledger; l.Epoch() != c || len(l.waves) != 1 || l.waves[0].c != c {
+			t.Fatalf("after computation %d the ledger is at epoch %d with live waves %+v, want only wave %d",
+				c, l.Epoch(), l.waves, c)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, computation); allocs != 0 {
+		t.Fatalf("one computation allocates %.1f times, want 0", allocs)
+	}
+	if len(m.ledger.waves) != 1 {
+		t.Fatalf("%d live waves after %d computations, want 1", len(m.ledger.waves), m.Stats.Computations.Value())
 	}
 }
 

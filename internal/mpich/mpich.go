@@ -275,10 +275,14 @@ func (e *Endpoint) PendingMin() vtime.VTime {
 // drains.
 func (e *Endpoint) Congested() bool { return e.waitingTotal >= e.cfg.SendBufferPackets }
 
-// CreditsAvailable returns remaining credit toward dst (for tests).
+// CreditsAvailable returns remaining credit toward dst, opening dst's
+// window as every credit lookup does: the credit table grows to reach dst.
+// The cluster's quiescence checks read it, with the peer's OwedTo, for
+// every touched peer of every node in a run with the invariant checker on.
 func (e *Endpoint) CreditsAvailable(dst int32) int { return e.creditsFor(dst) }
 
-// OwedTo returns credit owed to src (for tests).
+// OwedTo returns credit owed to src and not yet returned (read by the
+// cluster's quiescence checks).
 func (e *Endpoint) OwedTo(src int32) int { return int(dense.At(e.owed, src)) }
 
 // TouchedPeers returns, ascending, every peer this endpoint may have

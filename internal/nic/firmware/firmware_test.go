@@ -103,7 +103,7 @@ func TestChainShortCircuits(t *testing.T) {
 	})
 	// A GVT token must be consumed by the gvt element even with the cancel
 	// element in front.
-	tok := &proto.Packet{Kind: proto.KindGVTToken, SrcNode: 1, DstNode: 0, TokenEpoch: 1, TokenOrigin: 1}
+	tok := &proto.Packet{Kind: proto.KindGVTToken, SrcNode: 1, DstNode: 0, Token: proto.Token{Epoch: 1, Origin: 1}}
 	r.nics[1].HostEnqueue(tok)
 	r.run()
 	if len(r.toHost[0]) != 0 {
@@ -157,11 +157,7 @@ func TestGVTFirmwareTokenRing(t *testing.T) {
 	w.GVTTokenPending = true
 	w.ReceivedHostVariables = true
 	w.TokenIsInitiation = true
-	w.TokenRound = 0
-	w.TokenCount = 0
-	w.TokenMin = vtime.Infinity
-	w.TokenEpoch = 1
-	w.TokenOrigin = 0
+	w.Token = proto.Token{Min: vtime.Infinity, Epoch: 1}
 	w.HostT = 50
 	w.HostTMin = vtime.Infinity
 	w.HostV = 0
@@ -245,8 +241,7 @@ func TestGVTFirmwareTokenTravelsInOnePacket(t *testing.T) {
 	w := r.nics[0].Shared()
 	w.GVTTokenPending = true
 	w.TokenIsInitiation = true
-	w.TokenMin = vtime.Infinity
-	w.TokenEpoch = 1
+	w.Token = proto.Token{Min: vtime.Infinity, Epoch: 1}
 	answer(0, 50)
 	tok := next(1)
 	if tok.Kind != proto.KindGVTToken || tok.SrcNode != 0 || tok.DstNode != 1 {
@@ -274,8 +269,9 @@ func TestGVTFirmwareTokenTravelsInOnePacket(t *testing.T) {
 	}
 }
 
-// gvtPrograms are the two GVT firmwares; both embed the one sendLedger and
-// share extractPiggy, so the ledger tests run over each.
+// gvtPrograms are the GVT program's two shapes, ring and tree; both count
+// sends in the one sendLedger and take the host handshake through
+// extractPiggy, so the ledger tests run over each.
 var gvtPrograms = []struct {
 	name string
 	fw   func(int) nic.Firmware
@@ -298,9 +294,7 @@ func TestGVTFirmwareWhiteCounting(t *testing.T) {
 			w.GVTTokenPending = true
 			w.ReceivedHostVariables = true
 			w.TokenIsInitiation = true
-			w.TokenEpoch = 1
-			w.TokenMin = vtime.Infinity
-			w.TokenOrigin = 0
+			w.Token = proto.Token{Min: vtime.Infinity, Epoch: 1}
 			w.HostT = vtime.Infinity
 			w.HostTMin = vtime.Infinity
 			w.HostV = 0 // host received none of them (they went to node 1)
@@ -320,9 +314,9 @@ func TestGVTFirmwareWhiteCounting(t *testing.T) {
 			w1.HostV = 0
 			r.nics[1].Doorbell()
 			r.run()
-			if !w.GVTTokenPending || w.TokenCount != 3 {
+			if !w.GVTTokenPending || w.Token.Count != 3 {
 				t.Fatalf("root window pending=%v count=%d, want 3 white transmits in transit",
-					w.GVTTokenPending, w.TokenCount)
+					w.GVTTokenPending, w.Token.Count)
 			}
 		})
 	}

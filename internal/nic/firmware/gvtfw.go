@@ -71,13 +71,9 @@ type GVTFirmware struct {
 	// variables and every child's partial sum. Unused on the ring, where
 	// the token itself carries the sum.
 	collecting   bool
-	round        int32
-	origin       int32
-	compEpoch    uint64
 	hostFolded   bool
 	childrenSeen int
-	accCount     int64
-	accMin       vtime.VTime
+	acc          proto.Token // the round in progress and its partial sum so far
 
 	// Statistics. TokensOnNIC counts the control packets this NIC originated
 	// or passed on (initiations, ring hops, tree starts and reduces);
@@ -121,24 +117,24 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 			panic(fmt.Sprintf("firmware: node %d received a token while one is pending", api.Node()))
 		}
 		api.Charge(CyclesTokenFold + CyclesNotify)
-		f.join(uint32(pkt.TokenEpoch))
+		f.join(uint32(pkt.Token.Epoch))
 		if f.arity > 0 {
 			// A start from the parent: relay it down first, then run the
 			// local host handshake.
-			f.beginRound(api, pkt.TokenRound, pkt.TokenOrigin, pkt.TokenEpoch)
+			f.beginRound(api, pkt.Token)
 		}
-		stageToken(w, pkt.TokenRound, pkt.TokenCount, pkt.TokenMin, pkt.TokenOrigin, pkt.TokenEpoch)
+		stageToken(w, pkt.Token)
 		api.NotifyHost(nic.NotifyGVTControl)
 		return nic.VerdictConsume
 	case proto.KindGVTReduce:
 		// One child subtree's partial sum.
-		if !f.collecting || pkt.TokenRound != f.round || pkt.TokenEpoch != f.compEpoch {
+		if !f.collecting || pkt.Token.Round != f.acc.Round || pkt.Token.Epoch != f.acc.Epoch {
 			panic(fmt.Sprintf("firmware: node %d got stray reduce %s during round %d epoch %d",
-				api.Node(), pkt, f.round, f.compEpoch))
+				api.Node(), pkt, f.acc.Round, f.acc.Epoch))
 		}
 		api.Charge(CyclesTokenFold)
-		f.accCount += pkt.TokenCount
-		f.accMin = vtime.MinV(f.accMin, pkt.TokenMin)
+		f.acc.Count += pkt.Token.Count
+		f.acc.Min = vtime.MinV(f.acc.Min, pkt.Token.Min)
 		f.childrenSeen++
 		f.maybeComplete(api)
 		return nic.VerdictConsume
@@ -146,7 +142,7 @@ func (f *GVTFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdict 
 		// The committed value: relay it to the subtree (the ring has
 		// none), then report to the local host.
 		api.Charge(CyclesNotify)
-		g, epoch := pkt.TokenGVT, pkt.TokenEpoch
+		g, epoch := pkt.TokenGVT, pkt.Token.Epoch
 		f.relayValue(api, g, epoch)
 		deliverValue(api, g)
 		return nic.VerdictConsume
@@ -173,21 +169,19 @@ func (f *GVTFirmware) advance(api nic.API) {
 		return
 	}
 	api.Charge(CyclesTokenFold)
-	f.join(uint32(w.TokenEpoch)) // no-op except at the initiating root
+	f.join(uint32(w.Token.Epoch)) // no-op except at the initiating root
 
-	count := w.TokenCount + f.takeSentDelta() - w.HostV
-	min := vtime.MinV(w.TokenMin, vtime.MinV(w.HostT, w.HostTMin))
-	min = vtime.MinV(min, queuedSendMin(api))
-	round := w.TokenRound
-	origin := w.TokenOrigin
-	epoch := w.TokenEpoch
+	tok := w.Token
+	tok.Count += f.takeSentDelta() - w.HostV
+	tok.Min = vtime.MinV(tok.Min, vtime.MinV(w.HostT, w.HostTMin))
+	tok.Min = vtime.MinV(tok.Min, queuedSendMin(api))
 	initiation := w.TokenIsInitiation
 
 	w.GVTTokenPending = false
 	w.ReceivedHostVariables = false
 	w.TokenIsInitiation = false
 
-	atRoot := origin == int32(api.Node())
+	atRoot := tok.Origin == int32(api.Node())
 	if f.arity > 0 {
 		if !f.collecting {
 			// Only the root reaches here: a host-staged initiation or a
@@ -195,15 +189,15 @@ func (f *GVTFirmware) advance(api nic.API) {
 			// receipt.
 			if !atRoot {
 				panic(fmt.Sprintf("firmware: node %d advanced a round it never opened (origin %d)",
-					api.Node(), origin))
+					api.Node(), tok.Origin))
 			}
 			if initiation {
 				f.TokensOnNIC.Inc()
 			}
-			f.beginRound(api, round, origin, epoch)
+			f.beginRound(api, tok)
 		}
-		f.accCount += count
-		f.accMin = vtime.MinV(f.accMin, min)
+		f.acc.Count += tok.Count
+		f.acc.Min = vtime.MinV(f.acc.Min, tok.Min)
 		f.hostFolded = true
 		f.maybeComplete(api)
 		return
@@ -218,59 +212,57 @@ func (f *GVTFirmware) advance(api nic.API) {
 			// if nothing is in flight. In-transit messages on a single
 			// node can only be in the local stack; re-run the handshake
 			// as round 1.
-			if count == 0 {
-				f.announce(api, min, epoch)
+			if tok.Count == 0 {
+				f.announce(api, tok.Min, tok.Epoch)
 			} else {
-				requeue(api, 1, count, min, origin, epoch)
+				tok.Round = 1
+				requeue(api, tok)
 			}
 			return
 		}
-		f.injectToken(api, proto.KindGVTToken, next, round, count, min, origin, epoch)
+		f.injectToken(api, proto.KindGVTToken, next, tok)
 	case atRoot:
 		// Token returned to the root: end of a circulation.
-		f.decide(api, round, count, min, origin, epoch)
+		f.decide(api, tok)
 	default:
 		// Intermediate hop: forward.
 		f.TokensOnNIC.Inc()
-		f.injectToken(api, proto.KindGVTToken, next, round, count, min, origin, epoch)
+		f.injectToken(api, proto.KindGVTToken, next, tok)
 	}
 }
 
 // decide closes a round at the root, whose sum now covers every node:
 // announce on a zero balance, otherwise start round+1 carrying the balance
 // and min forward.
-func (f *GVTFirmware) decide(api nic.API, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
+func (f *GVTFirmware) decide(api nic.API, tok proto.Token) {
 	f.RoundsAtRoot.Inc()
+	tok.Round++
 	switch {
-	case count == 0:
-		f.announce(api, min, epoch)
+	case tok.Count == 0:
+		f.announce(api, tok.Min, tok.Epoch)
 	case f.arity > 0:
 		// Nowhere to travel first: restage the root's own handshake; its
 		// completion opens the next reduction.
-		requeue(api, round+1, count, min, origin, epoch)
+		requeue(api, tok)
 	default:
-		f.injectToken(api, proto.KindGVTToken, (api.Node()+1)%api.NumNodes(), round+1, count, min, origin, epoch)
+		f.injectToken(api, proto.KindGVTToken, (api.Node()+1)%api.NumNodes(), tok)
 	}
 }
 
-// beginRound opens the tree collection state for one reduction round and
-// relays the start token to every child. At a non-root node this runs at
-// start receipt (children may report before the local host does); at the
-// root it runs when the host's initiation — or a re-reduce restage —
-// completes its handshake.
-func (f *GVTFirmware) beginRound(api nic.API, round, origin int32, epoch uint64) {
+// beginRound opens the tree collection state for round start.Round of
+// computation start.Epoch and relays the start token to every child. At a
+// non-root node this runs at start receipt (children may report before the
+// local host does); at the root it runs when the host's initiation — or a
+// re-reduce restage — completes its handshake.
+func (f *GVTFirmware) beginRound(api nic.API, start proto.Token) {
 	f.collecting = true
-	f.round = round
-	f.origin = origin
-	f.compEpoch = epoch
 	f.hostFolded = false
 	f.childrenSeen = 0
-	f.accCount = 0
-	f.accMin = vtime.Infinity
+	f.acc = proto.Token{Min: vtime.Infinity, Epoch: start.Epoch, Round: start.Round, Origin: start.Origin}
 
 	for c, end := f.children(api); c < end; c++ {
 		f.TokensOnNIC.Inc()
-		f.injectToken(api, proto.KindGVTToken, c, round, 0, vtime.Infinity, origin, epoch)
+		f.injectToken(api, proto.KindGVTToken, c, f.acc)
 	}
 }
 
@@ -284,12 +276,12 @@ func (f *GVTFirmware) maybeComplete(api nic.API) {
 		return
 	}
 	f.collecting = false
-	if f.origin == int32(api.Node()) {
-		f.decide(api, f.round, f.accCount, f.accMin, f.origin, f.compEpoch)
+	if f.acc.Origin == int32(api.Node()) {
+		f.decide(api, f.acc)
 		return
 	}
 	f.TokensOnNIC.Inc()
-	f.injectToken(api, proto.KindGVTReduce, (api.Node()-1)/f.arity, f.round, f.accCount, f.accMin, f.origin, f.compEpoch)
+	f.injectToken(api, proto.KindGVTReduce, (api.Node()-1)/f.arity, f.acc)
 }
 
 // newControl returns a zeroed control packet of the given kind from this
@@ -307,14 +299,10 @@ func newControl(api nic.API, kind proto.Kind, dst int) *proto.Packet {
 // a tree start, or a subtree's partial reduction.
 //
 //nicwarp:hotpath one per token hop, tree start and reduce
-func (f *GVTFirmware) injectToken(api nic.API, kind proto.Kind, dst int, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
+func (f *GVTFirmware) injectToken(api nic.API, kind proto.Kind, dst int, tok proto.Token) {
 	api.Charge(CyclesTokenBuild)
 	pkt := newControl(api, kind, dst)
-	pkt.TokenRound = round
-	pkt.TokenCount = count
-	pkt.TokenMin = min
-	pkt.TokenOrigin = origin
-	pkt.TokenEpoch = epoch
+	pkt.Token = tok
 	api.Inject(pkt) //nicwarp:alloc nic.API dispatch: the transmit ring's growth is amortized
 }
 
@@ -348,8 +336,8 @@ func (f *GVTFirmware) relayValue(api nic.API, g vtime.VTime, epoch uint64) {
 func (f *GVTFirmware) injectValue(api nic.API, dst int, g vtime.VTime, epoch uint64) {
 	pkt := newControl(api, proto.KindGVTBroadcast, dst)
 	pkt.TokenGVT = g
-	pkt.TokenOrigin = int32(api.Node())
-	pkt.TokenEpoch = epoch
+	pkt.Token.Origin = int32(api.Node())
+	pkt.Token.Epoch = epoch
 	api.Inject(pkt) //nicwarp:alloc nic.API dispatch: the transmit ring's growth is amortized
 }
 

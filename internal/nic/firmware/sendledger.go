@@ -7,9 +7,9 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// sendLedger is the transmit-side Mattern colour accounting both GVT
-// programs embed — the mirror image of gvt.Ledger's receive side. How the
-// balance travels (ring token or tree reduction) is the embedding
+// sendLedger is the transmit-side Mattern colour accounting of the GVT
+// program, in both its shapes — the mirror image of gvt.Ledger's receive
+// side. How the balance travels (ring token or tree reduction) is the
 // program's business.
 type sendLedger struct {
 	sent        dense.EpochWindow // transmitted, by stamp, based at the current computation
@@ -57,23 +57,19 @@ func extractPiggy(pkt *proto.Packet, api nic.API) bool {
 
 // stageToken parks a token in the shared window, waiting for the host's
 // handshake values.
-func stageToken(w *nic.SharedWindow, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
+func stageToken(w *nic.SharedWindow, tok proto.Token) {
 	w.GVTTokenPending = true
 	w.ReceivedHostVariables = false
 	w.TokenIsInitiation = false
-	w.TokenRound = round
-	w.TokenCount = count
-	w.TokenMin = min
-	w.TokenOrigin = origin
-	w.TokenEpoch = epoch
+	w.Token = tok
 }
 
 // requeue re-stages a token on this NIC and asks the host for fresh values:
 // the root's next round when messages were in transit across the cut and
 // the token has nowhere to travel first (a single-node ring, or the tree
 // root between reductions).
-func requeue(api nic.API, round int32, count int64, min vtime.VTime, origin int32, epoch uint64) {
-	stageToken(api.Shared(), round, count, min, origin, epoch)
+func requeue(api nic.API, tok proto.Token) {
+	stageToken(api.Shared(), tok)
 	api.Charge(CyclesNotify)
 	api.NotifyHost(nic.NotifyGVTControl)
 }

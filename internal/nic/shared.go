@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nicwarp/internal/dense"
+	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
 )
 
@@ -31,13 +32,9 @@ type SharedWindow struct {
 	HostT    vtime.VTime
 	HostTMin vtime.VTime
 	HostV    int64
-	// TokenRound/TokenCount/TokenMin/TokenEpoch/TokenOrigin hold the
-	// in-progress token while the NIC waits for the host variables.
-	TokenRound  int32
-	TokenCount  int64
-	TokenMin    vtime.VTime
-	TokenEpoch  uint64
-	TokenOrigin int32
+	// Token holds the in-progress token while the NIC waits for the host
+	// variables.
+	Token proto.Token
 	// TokenIsInitiation distinguishes a root initiation request staged by
 	// the host from a token received off the wire (both wait for host
 	// variables in the same fields).

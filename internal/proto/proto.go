@@ -133,13 +133,9 @@ type Packet struct {
 	// knowledge of the rollback.
 	PiggyAntiEpoch uint64
 
-	// ---- GVT token body (valid for KindGVTToken/Broadcast/Control) ----
-	TokenRound  int32       // 0 = first cut round
-	TokenCount  int64       // accumulated white-message balance
-	TokenMin    vtime.VTime // accumulated min of LVTs and red sends
-	TokenGVT    vtime.VTime // final value (broadcast only)
-	TokenOrigin int32       // root LP of this computation
-	TokenEpoch  uint64      // id of the GVT computation (root-local counter)
+	// ---- GVT token body (valid for KindGVTToken/Reduce/Broadcast/Control) ----
+	Token    Token
+	TokenGVT vtime.VTime // final value (announcements only)
 
 	// ---- Batch body (valid for KindBatch only) ----
 	// Sub-messages folded into this frame, in BIP sequence order. The
@@ -147,6 +143,19 @@ type Packet struct {
 	// sub carries its offset from that base (SeqDelta), so firmware drops
 	// at assembly time leave representable holes inside the range.
 	Subs []SubMsg
+}
+
+// Token is the GVT token body: one round's running white-message balance
+// and minimum, and the computation and round they belong to. It is the one
+// value every GVT shape moves — host Mattern's control packet LP to LP, the
+// NIC ring token, a tree start or one subtree's reduce — and the NIC parks
+// it in the shared window while it waits for the host's handshake.
+type Token struct {
+	Count  int64       // accumulated white-message balance
+	Min    vtime.VTime // accumulated min of LVTs and red sends
+	Epoch  uint64      // id of the GVT computation (root-local counter)
+	Round  int32       // 0 = first cut round; host Mattern's announcement is -1
+	Origin int32       // root LP of this computation
 }
 
 // SubMsg is one event-like message folded into a KindBatch frame. It
@@ -305,9 +314,9 @@ func (p *Packet) String() string {
 			p.Kind, p.SrcNode, p.DstNode, p.SrcObj, p.DstObj, p.SendTS, p.RecvTS, p.EventID)
 	case KindGVTToken, KindGVTReduce:
 		return fmt.Sprintf("%s n%d->n%d round=%d count=%d min=%v epoch=%d",
-			p.Kind, p.SrcNode, p.DstNode, p.TokenRound, p.TokenCount, p.TokenMin, p.TokenEpoch)
+			p.Kind, p.SrcNode, p.DstNode, p.Token.Round, p.Token.Count, p.Token.Min, p.Token.Epoch)
 	case KindGVTBroadcast:
-		return fmt.Sprintf("%s n%d->n%d gvt=%v epoch=%d", p.Kind, p.SrcNode, p.DstNode, p.TokenGVT, p.TokenEpoch)
+		return fmt.Sprintf("%s n%d->n%d gvt=%v epoch=%d", p.Kind, p.SrcNode, p.DstNode, p.TokenGVT, p.Token.Epoch)
 	default:
 		return fmt.Sprintf("%s n%d->n%d", p.Kind, p.SrcNode, p.DstNode)
 	}
@@ -359,12 +368,12 @@ func (p *Packet) MarshalAppend(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.PiggyV))
 	buf = binary.BigEndian.AppendUint32(buf, 0) // reserved
 	buf = binary.BigEndian.AppendUint64(buf, p.PiggyAntiEpoch)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.TokenRound))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.TokenCount))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.TokenMin))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Token.Round))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Token.Count))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Token.Min))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.TokenGVT))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.TokenOrigin))
-	buf = binary.BigEndian.AppendUint64(buf, p.TokenEpoch)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Token.Origin))
+	buf = binary.BigEndian.AppendUint64(buf, p.Token.Epoch)
 	buf = append(buf, uint8(p.Sign()))
 	if p.Kind == KindBatch {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Subs)))
@@ -443,12 +452,12 @@ func decodeFixed(data []byte) (*Packet, error) {
 		return nil, fmt.Errorf("proto: reserved piggyback word %#x, want 0", reserved)
 	}
 	p.PiggyAntiEpoch = get64()
-	p.TokenRound = int32(get32())
-	p.TokenCount = int64(get64())
-	p.TokenMin = vtime.VTime(get64())
+	p.Token.Round = int32(get32())
+	p.Token.Count = int64(get64())
+	p.Token.Min = vtime.VTime(get64())
 	p.TokenGVT = vtime.VTime(get64())
-	p.TokenOrigin = int32(get32())
-	p.TokenEpoch = get64()
+	p.Token.Origin = int32(get32())
+	p.Token.Epoch = get64()
 	sign := int8(get8())
 	if sign != p.Sign() {
 		return nil, fmt.Errorf("proto: sign byte %d inconsistent with kind %s", sign, p.Kind)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nicwarp/internal/vtime"
 )
@@ -27,12 +28,8 @@ func samplePacket() *Packet {
 		PiggyTMin:      vtime.Infinity,
 		PiggyV:         -4,
 		PiggyAntiEpoch: 7,
-		TokenRound:     1,
-		TokenCount:     -12,
-		TokenMin:       88,
+		Token:          Token{Count: -12, Min: 88, Epoch: 3, Round: 1, Origin: 0},
 		TokenGVT:       80,
-		TokenOrigin:    0,
-		TokenEpoch:     3,
 	}
 }
 
@@ -48,6 +45,16 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p, q) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", q, p)
+	}
+}
+
+// TestPacketIs168Bytes: the token body is one Token value with its two
+// int32 fields side by side at its end. Spelled out field by field in the
+// Packet, Round and Origin were each padded to eight bytes and the Packet
+// was 176 bytes. Every packet the pools hand out is sized by this.
+func TestPacketIs168Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size != 168 {
+		t.Fatalf("Packet is %d bytes, want 168", size)
 	}
 }
 

@@ -59,12 +59,14 @@ const (
 // String implements fmt.Stringer.
 func (m GVTMode) String() string {
 	switch m {
+	case GVTHostMattern:
+		return "mattern"
 	case GVTNIC:
 		return "nic-gvt"
 	case GVTNICTree:
 		return "nic-tree"
 	default:
-		return "mattern"
+		return fmt.Sprintf("GVTMode(%d)", int(m))
 	}
 }
 
@@ -450,7 +452,7 @@ func NewClusterExec(cfg Config, ex Exec) (*Cluster, error) {
 
 // NewClusterOn is NewClusterExec on s. The last cluster on s must have
 // returned from Run or never run; after a failed or panicked run, drop s:
-// its shard goroutines may still hold it.
+// no shard goroutine holds it any more, but what it holds is mid-run.
 func NewClusterOn(cfg Config, ex Exec, s *Scratch) (*Cluster, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {

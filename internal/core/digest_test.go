@@ -248,6 +248,27 @@ func TestParseGVTMode(t *testing.T) {
 	}
 }
 
+// TestGVTModeString asserts each valid mode has its own spelling and any
+// other value, the retired pGVT value 2 included, prints as its number
+// rather than passing for a valid mode.
+func TestGVTModeString(t *testing.T) {
+	for _, tc := range []struct {
+		m    GVTMode
+		want string
+	}{
+		{GVTHostMattern, "mattern"},
+		{GVTNIC, "nic-gvt"},
+		{GVTNICTree, "nic-tree"},
+		{GVTMode(2), "GVTMode(2)"},
+		{GVTMode(4), "GVTMode(4)"},
+		{GVTMode(-1), "GVTMode(-1)"},
+	} {
+		if got := tc.m.String(); got != tc.want {
+			t.Errorf("GVTMode(%d).String() = %q, want %q", int(tc.m), got, tc.want)
+		}
+	}
+}
+
 // TestParseTopology asserts the accepted spellings resolve, every name
 // round-trips through String, and an unknown name (the retired dragonfly
 // included) produces a Net.Topology FieldError.

@@ -370,32 +370,26 @@ func (e *Engine) insert(k d4heap.Key, lane uint32) uint32 {
 
 // Run executes callbacks in time order until the event list is empty or the
 // clock would pass limit. It returns the final clock value. Events exactly
-// at limit still run. Run may be called repeatedly with growing limits.
+// at limit still run, unless limit is ModelInfinity, which is also where
+// Group.Run's horizon saturates. Run may be called repeatedly with growing
+// limits.
 func (e *Engine) Run(limit vtime.ModelTime) vtime.ModelTime {
 	if e.running {
 		panic("des: reentrant Run")
 	}
 	e.running = true
-	defer func() {
-		e.running = false
-		e.heap.Settle() // a callback that panicked left the root vacated
-	}()
-	for e.heap.Len() > 0 {
-		at := e.minAt()
-		if at > limit {
-			break
-		}
-		e.fire(at)
-	}
+	defer func() { e.running = false }()
+	e.runWindow(addSatM(limit, 1))
 	return e.now
 }
 
-// runWindow executes callbacks strictly below horizon h. It is the
-// per-round body of the Group protocol: cross-shard events produced while
-// it runs are staged (never delivered), so engines in the same window never
+// runWindow executes callbacks strictly below horizon h. It is the one
+// event loop: Engine.Run is a window closing past its limit, and a Group
+// runs one per engine each round. Cross-shard events produced while it
+// runs are staged (never delivered), so engines in the same window never
 // touch each other's state.
 func (e *Engine) runWindow(h vtime.ModelTime) {
-	defer e.heap.Settle()
+	defer e.heap.Settle() // a callback that panicked left the root vacated
 	for e.heap.Len() > 0 {
 		at := e.minAt()
 		if at >= h {

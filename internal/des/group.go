@@ -12,7 +12,7 @@ import (
 // Group ties one or more engines into a run under a bounded-lag window
 // protocol. Each round the coordinator computes the global minimum pending
 // time M, opens a window [M, M+lookahead), and releases every engine to run
-// its own events strictly inside the window on its own goroutine.
+// its own events strictly inside the window, one goroutine per processor.
 // Cross-shard events produced during the window are staged in the source
 // engine's per-destination outbox; at the barrier the coordinator moves
 // each destination's inbound events into its heap before the next round
@@ -38,18 +38,19 @@ type Group struct {
 	round uint32
 }
 
-// shardWorker is the coordinator↔worker mailbox for one non-coordinator
-// shard. round/done carry the release/park handshake; horizon is written
-// by the coordinator before the round release store, so the worker's
-// acquiring load of round orders the horizon read correctly. The padding
-// keeps mailboxes on separate cache lines.
+// shardWorker is the coordinator↔worker mailbox for one worker goroutine.
+// round/done carry the release/park handshake; horizon and panicked are
+// plain, ordered by the round and done stores that follow their writes.
+// stop is atomic: a coordinator unwinding from a panic sets it mid-round.
+// The padding keeps mailboxes on separate cache lines.
 type shardWorker struct {
-	_       [64]byte
-	round   atomic.Uint32
-	done    atomic.Uint32
-	horizon vtime.ModelTime
-	stop    bool
-	_       [64]byte
+	_        [64]byte
+	round    atomic.Uint32
+	done     atomic.Uint32
+	horizon  vtime.ModelTime
+	stop     atomic.Bool
+	panicked interface{}
+	_        [64]byte
 }
 
 // NewGroup wires engines into a group with the given minimum cross-lane
@@ -130,26 +131,36 @@ func addSatM(a, b vtime.ModelTime) vtime.ModelTime {
 // lone engine with no barrier has nothing to close windows for: its whole
 // horizon is one window, which is exactly Engine.Run.
 //
-// A round's windows run back to back on the calling goroutine when there
-// is one engine, one processor (GOMAXPROCS=1, where the spin barrier could
-// only burn scheduler quanta) or one engine with work below the horizon;
-// otherwise on one worker goroutine per extra engine, spun up for the
-// duration of the call. Within a round every engine touches only its own
-// heap, arena and staging buffers, and what the merge leaves in each heap
-// does not depend on the order windows ran in, so the two are
-// indistinguishable.
+// The engines are dealt to k = min(engines, GOMAXPROCS) goroutines, the
+// caller and k−1 workers: goroutine i runs engines i, i+k, … in index
+// order. Within a round each engine touches only its own state, and the
+// merge does not depend on the order windows ran in: the deal is invisible.
+//
+// A panic in any engine's callback reaches the caller: a worker's as the
+// lowest-indexed panicking worker's value, re-panicked once its round is
+// done. Run stops and waits for every worker it started before unwinding.
 func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 	// Events staged before Run (boot-time cross-shard scheduling) must be
 	// merged before the first window opens.
 	g.merge()
-	parallel := len(g.engines) > 1 && runtime.GOMAXPROCS(0) > 1
+	k := min(len(g.engines), runtime.GOMAXPROCS(0))
+	ws := g.workers[:k-1]
 	var wg sync.WaitGroup
-	if parallel {
-		for i := 1; i < len(g.engines); i++ {
-			wg.Add(1)
-			go g.workerLoop(g.engines[i], &g.workers[i-1], g.round, &wg)
-		}
+	for i := range ws {
+		ws[i].stop.Store(false)
+		ws[i].panicked = nil
+		wg.Add(1)
+		go g.workerLoop(i+1, k, &ws[i], g.round, &wg)
 	}
+	defer func() {
+		g.round++
+		for i := range ws {
+			w := &ws[i]
+			w.stop.Store(true)
+			w.round.Store(g.round)
+		}
+		wg.Wait()
+	}()
 	// A lone engine may have no lookahead; one-tick windows still let its
 	// barrier see the run advance.
 	width := vtime.MaxM(g.lookahead, 1)
@@ -171,31 +182,22 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 		// Events exactly at limit must run (Engine.Run is inclusive), and
 		// runWindow is strict, so the horizon is capped at limit+1.
 		h := vtime.MinM(addSatM(m, width), addSatM(limit, 1))
-		active := 0
-		for _, e := range g.engines {
-			if e.heap.Len() > 0 && e.minAt() < h {
-				active++
-			}
+		g.round++
+		for i := range ws {
+			w := &ws[i]
+			w.horizon = h
+			w.round.Store(g.round)
 		}
-		if !parallel || active == 1 {
-			for _, e := range g.engines {
-				e.runWindow(h)
-			}
-		} else {
-			g.round++
-			for i := range g.workers {
-				w := &g.workers[i]
-				w.horizon = h
-				w.round.Store(g.round)
-			}
-			g.engines[0].runWindow(h)
-			for i := range g.workers {
-				w := &g.workers[i]
-				for spin := 0; w.done.Load() != g.round; spin++ {
-					if spin > 64 {
-						runtime.Gosched()
-					}
+		g.runShare(0, k, h)
+		for i := range ws {
+			w := &ws[i]
+			for spin := 0; w.done.Load() != g.round; spin++ {
+				if spin > 64 {
+					runtime.Gosched()
 				}
+			}
+			if w.panicked != nil {
+				panic(w.panicked)
 			}
 		}
 		g.merge()
@@ -203,23 +205,28 @@ func (g *Group) Run(limit vtime.ModelTime) vtime.ModelTime {
 			g.barrier()
 		}
 	}
-	if parallel {
-		g.round++
-		for i := range g.workers {
-			w := &g.workers[i]
-			w.stop = true
-			w.round.Store(g.round)
-		}
-		wg.Wait()
-	}
 	return g.align()
 }
 
-// workerLoop parks on the mailbox until the coordinator releases a round
-// after seen, runs the shard's window, and reports done. Plain loads of
-// horizon/stop are ordered by the acquiring load of round.
-func (g *Group) workerLoop(e *Engine, w *shardWorker, seen uint32, wg *sync.WaitGroup) {
+// runShare runs the windows of engines i, i+k, i+2k, … below horizon h.
+func (g *Group) runShare(i, k int, h vtime.ModelTime) {
+	for ; i < len(g.engines); i += k {
+		g.engines[i].runWindow(h)
+	}
+}
+
+// workerLoop is goroutine i of k: it parks on the mailbox until the
+// coordinator releases a round after seen, runs its share of the window,
+// and reports done. A panic is recorded, reported as done, and ends the
+// worker. Plain loads of horizon are ordered by the acquiring load of round.
+func (g *Group) workerLoop(i, k int, w *shardWorker, seen uint32, wg *sync.WaitGroup) {
 	defer wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			w.panicked = p
+			w.done.Store(seen)
+		}
+	}()
 	for {
 		for spin := 0; ; spin++ {
 			if r := w.round.Load(); r != seen {
@@ -230,11 +237,10 @@ func (g *Group) workerLoop(e *Engine, w *shardWorker, seen uint32, wg *sync.Wait
 				runtime.Gosched()
 			}
 		}
-		if w.stop {
-			w.stop = false // the next Run's worker starts afresh
+		if w.stop.Load() {
 			return
 		}
-		e.runWindow(w.horizon)
+		g.runShare(i, k, w.horizon)
 		w.done.Store(seen)
 	}
 }

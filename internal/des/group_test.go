@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"nicwarp/internal/vtime"
 )
@@ -60,13 +62,18 @@ func buildRing(engines []*Engine, nodes, tokens, hops int) []*ringNode {
 	return ring
 }
 
-func runRing(shards, nodes, tokens, hops int) [][]string {
+// runRing runs a ring on `shards` engines and returns its per-lane logs. A
+// non-nil probe runs as a callback on the first engine at time zero.
+func runRing(shards, nodes, tokens, hops int, probe func()) [][]string {
 	engines := make([]*Engine, shards)
 	for i := range engines {
 		engines[i] = NewEngine()
 	}
 	g := NewGroup(engines, ringLatency)
 	ring := buildRing(engines, nodes, tokens, hops)
+	if probe != nil {
+		engines[0].At(0, probe)
+	}
 	g.Run(vtime.ModelInfinity)
 	logs := make([][]string, nodes)
 	for i, n := range ring {
@@ -80,11 +87,77 @@ func runRing(shards, nodes, tokens, hops int) [][]string {
 // for every shard count.
 func TestGroupMatchesSerial(t *testing.T) {
 	const nodes, tokens, hops = 6, 4, 40
-	want := runRing(1, nodes, tokens, hops)
+	want := runRing(1, nodes, tokens, hops, nil)
 	for _, shards := range []int{2, 3, 4, 6} {
-		got := runRing(shards, nodes, tokens, hops)
+		got := runRing(shards, nodes, tokens, hops, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: per-lane logs differ from serial\nserial: %v\nsharded: %v", shards, want, got)
+		}
+	}
+}
+
+// goroutinesBackTo waits for the goroutine count to fall back to base. A
+// worker calls wg.Done just before it exits, so Run can return a moment
+// before the count does.
+func goroutinesBackTo(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Run, want %d", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestGroupDealsEnginesToProcessors: Run deals its engines to
+// min(engines, GOMAXPROCS) goroutines, the caller included, so it starts
+// one fewer, and the deal — even or uneven — never shows in the logs.
+func TestGroupDealsEnginesToProcessors(t *testing.T) {
+	const nodes, tokens, hops = 6, 4, 40
+	want := runRing(1, nodes, tokens, hops, nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	base := runtime.NumGoroutine()
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, engines := range []int{1, 2, 3, 5} {
+			started := -1
+			got := runRing(engines, nodes, tokens, hops, func() { started = runtime.NumGoroutine() - base })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("GOMAXPROCS=%d engines=%d: per-lane logs differ from one engine\none: %v\ndealt: %v",
+					procs, engines, want, got)
+			}
+			if k := min(engines, procs); started != k-1 {
+				t.Errorf("GOMAXPROCS=%d engines=%d: Run started %d goroutines, want %d", procs, engines, started, k-1)
+			}
+			goroutinesBackTo(t, base)
+		}
+	}
+}
+
+// TestGroupPanicReachesCaller: a panic in a callback on any engine, in the
+// caller's share or a worker's, reaches Run's caller, and no goroutine Run
+// started outlives it.
+func TestGroupPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := runtime.NumGoroutine()
+	for _, n := range []int{2, 3} {
+		for victim := 0; victim < n; victim++ {
+			engines := make([]*Engine, n)
+			for i := range engines {
+				engines[i] = NewEngine()
+			}
+			g := NewGroup(engines, ringLatency)
+			buildRing(engines, 6, 4, 40)
+			want := fmt.Sprintf("boom on engine %d", victim)
+			engines[victim].At(5*ringLatency, func() { panic(want) })
+			got := func() (p interface{}) {
+				defer func() { p = recover() }()
+				g.Run(vtime.ModelInfinity)
+				return nil
+			}()
+			if got != want {
+				t.Errorf("engines=%d victim=%d: recovered %v, want %q", n, victim, got, want)
+			}
+			goroutinesBackTo(t, base)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -234,6 +235,54 @@ func TestPanicIsolation(t *testing.T) {
 	res := (&Runner{Workers: 1, Retries: 0}).Run(jobs)
 	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "broken model") {
 		t.Fatalf("panic not converted to point error: %v", res[0].Err)
+	}
+}
+
+// panicOnLP1 is PHOLD with every object homed on LP 1 panicking when it
+// executes an event. With two shards LP 1 is the second shard's, which runs
+// on a worker goroutine of des.Group whenever GOMAXPROCS is 2 or more.
+type panicOnLP1 struct{ *phold.App }
+
+func (a panicOnLP1) Build(numLPs int, seed uint64) (map[timewarp.ObjectID]timewarp.Object, func(timewarp.ObjectID) int) {
+	objs, place := a.App.Build(numLPs, seed)
+	for id, o := range objs {
+		if place(id) == 1 {
+			objs[id] = panicObject{o}
+		}
+	}
+	return objs, place
+}
+
+type panicObject struct{ timewarp.Object }
+
+func (panicObject) Execute(*timewarp.Context, *timewarp.Event) { panic("object on LP 1") }
+
+// TestShardedPanicIsolation asserts a panic raised on a worker shard fails
+// its point like any other panic, and the next point on the same runner
+// worker still equals a fresh run.
+func TestShardedPanicIsolation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ex := core.Exec{Shards: 2}
+	jobs := testJobs(2)
+	jobs[0].Name = "phold/panics-on-lp1"
+	jobs[0].Config.App = panicOnLP1{jobs[0].Config.App.(*phold.App)}
+	res := (&Runner{Workers: 1, Exec: ex}).Run(jobs)
+	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "object on LP 1") {
+		t.Fatalf("worker-shard panic not converted to point error: %v", res[0].Err)
+	}
+	if res[1].Err != nil {
+		t.Fatalf("point after the panic failed: %v", res[1].Err)
+	}
+	cl, err := core.NewClusterExec(jobs[1].Config, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res[1].Res, fresh) {
+		t.Fatal("point after the panic differs from a fresh run")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // shardOpts mirrors detOpts: small enough that sweeping the whole registry
-// three times stays fast under -race, large enough that points roll back
+// four times stays fast under -race, large enough that points roll back
 // and exchange real cross-node (and, sharded, cross-shard) traffic.
 var shardOpts = FigureOpts{Nodes: 4, Seed: 3, Scale: 0.01}
 
@@ -38,10 +38,11 @@ func renderTable(t *testing.T, exp Experiment, results []runner.Result) string {
 
 // TestShardedRegistryIdentity is the suite-wide sharded-execution
 // contract: every registry experiment — the four figures and every
-// ablation — run at 2 and 4 shards must produce byte-identical tables and
-// per-point committed digests to the serial run, and a cache warmed by the
-// serial run must serve a sharded runner without executing a single point
-// (the shard count never reaches the cache key).
+// ablation — run at 2, 3 and 4 shards must produce byte-identical tables
+// and per-point committed digests to the serial run, and a cache warmed by
+// the serial run must serve a sharded runner without executing a single
+// point (the shard count never reaches the cache key). Three shards deal
+// unevenly, both nodes to shards and shards to processors.
 func TestShardedRegistryIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-execution sweep comparison")
@@ -56,7 +57,7 @@ func TestShardedRegistryIdentity(t *testing.T) {
 			serialTable := renderTable(t, exp, serialResults)
 			serialDigests := digestLine(t, serialResults)
 
-			for _, shards := range []int{2, 4} {
+			for _, shards := range []int{2, 3, 4} {
 				// Cold sharded execution: everything recomputed, nothing
 				// may differ.
 				cold := (&runner.Runner{Workers: 2, Exec: Exec{Shards: shards}}).Run(exp.Jobs(shardOpts))

@@ -63,10 +63,13 @@ func (v *gvtValue) Set(s string) error {
 // The default is 1 (serial); malformed or non-positive values fail flag
 // parsing with the core.ParseShards field error. Shard counts above the
 // node count are legal here and clamped at run time, where the cluster
-// size is known.
+// size is known. Sharding pays from about 64 nodes, where a window holds
+// enough events to pay for its barrier; the paper's 8-node points run
+// slower sharded (DESIGN.md §11, "Where sharding pays").
 func Shards(fs *flag.FlagSet) *int {
 	v := shardsValue(1)
-	fs.Var(&v, "shards", "event-scheduler shards per run (execution strategy; results and digests are identical at any value)")
+	fs.Var(&v, "shards", "event-scheduler shards per run (execution strategy; results and digests are identical at any value). "+
+		"Pays from about 64 nodes; 8-node runs are 1.5-2x slower at 2 shards")
 	return (*int)(&v)
 }
 

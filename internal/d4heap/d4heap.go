@@ -7,9 +7,14 @@
 // lexicographic compare of two machine words.
 //
 // Layout is structure-of-arrays. The keys live in their own densely packed
-// slice, four 16-byte keys per cache line, so a sift's child scan touches
-// one line per level and dereferences nothing; a parallel slice carries each
-// key's uint32 id, and an id-indexed pos slice the heap owns is the position
+// slice, four 16-byte keys per 64-byte cache line, so a sift's child scan
+// reads one contiguous 64-byte group per level and dereferences nothing.
+// The children of slot i are 4i+1…4i+4, so a group fills one line only
+// when the root sits in the last 16 bytes of a line; at any other offset,
+// the start of a line included, each group straddles two. Neither the
+// engine heap (grown by append) nor timewarp.Rows places its root that
+// way, so a level may cost two lines. A parallel slice carries each key's
+// uint32 id, and an id-indexed pos slice the heap owns is the position
 // index that makes Remove and Fix O(log n). No slice holds a pointer, so
 // slot moves are plain memory writes with no GC write barrier.
 //

@@ -66,10 +66,12 @@ type CancelFirmware struct {
 	// scanRoom starts at the free drop-ring slots of scan.obj and counts
 	// down once per cancellable packet, so a burst cannot over-reserve:
 	// the oldest matches take the slots, and a negative value is the
-	// number of matches the scan declined.
+	// number of matches the scan declined. scanAPI is the hook's API while
+	// the scan runs, where scanMatches books each drop.
 	scan     cancelEntry
 	scanRoom int
 	scanPred func(*proto.Packet) bool
+	scanAPI  nic.API
 }
 
 // cancelEntry is one active cancellation window: anti number seq for object
@@ -95,7 +97,8 @@ func (e cancelEntry) matches(p *proto.Packet) bool {
 }
 
 // scanMatches is the send-queue scan's predicate for the window in f.scan:
-// a cancellable packet is removed only if a drop-ring slot is left for it.
+// a cancellable packet is removed only if a drop-ring slot is left for it,
+// and its drop is booked before the NIC recycles it.
 func (f *CancelFirmware) scanMatches(p *proto.Packet) bool {
 	if p.Kind != proto.KindEvent ||
 		p.PiggyGVTValid || // never lose a GVT handshake in flight
@@ -103,7 +106,11 @@ func (f *CancelFirmware) scanMatches(p *proto.Packet) bool {
 		return false
 	}
 	f.scanRoom--
-	return f.scanRoom >= 0
+	if f.scanRoom < 0 {
+		return false
+	}
+	f.recordDrop(f.scanAPI, p)
+	return true
 }
 
 // OnWireReceive implements nic.Firmware: every inbound anti-message opens a
@@ -133,14 +140,13 @@ func (f *CancelFirmware) OnWireReceive(pkt *proto.Packet, api nic.API) nic.Verdi
 	queueLen := int64(api.SendQueueLen())
 	api.Charge(queueLen * CyclesQueueScanPerPacket)
 	f.scanRoom = api.Shared().Dropped.Room(f.scan.obj)
-	removed := api.RemoveFromSendQueue(f.scanPred)
+	f.scanAPI = api
+	dropped := api.RemoveFromSendQueue(f.scanPred)
+	f.scanAPI = nil
 	if f.scanRoom < 0 {
 		api.Stats().DropsDeclined.Add(int64(-f.scanRoom))
 	}
-	for _, p := range removed {
-		f.recordDrop(api, p)
-	}
-	if len(removed) > 0 {
+	if dropped > 0 {
 		api.Charge(CyclesNotify)
 		api.NotifyHost(nic.NotifyCreditRefund)
 	}

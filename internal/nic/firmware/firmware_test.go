@@ -468,21 +468,18 @@ func TestCancelFirmwareCreditRefund(t *testing.T) {
 	}
 }
 
+// TestCancelFirmwareDropAccountsWhiteBalance: a positive the send-queue
+// scan drops is booked in the white balance under its colour stamp.
 func TestCancelFirmwareDropAccountsWhiteBalance(t *testing.T) {
-	r := newRig(t, 2, func(int) nic.Firmware { return NewCancel() })
+	f, api := NewCancel(), newFakeAPI(nic.DefaultDropBufferCap)
 	p := ev(0, 1, 5, 9, 120, 125, 30)
 	p.ColorEpoch = 4
-	r.nics[0].HostEnqueue(p)
-	trigger := &proto.Packet{
-		Kind: proto.KindAnti, SrcNode: 1, DstNode: 0,
-		SrcObj: 9, DstObj: 5, SendTS: 90, RecvTS: 100, EventID: 77, Seq: 1,
+	api.queue = []*proto.Packet{p}
+	f.OnWireReceive(antiFor(5, 100), api)
+	if len(api.queue) != 0 || api.stats.DroppedInPlace.Value() != 1 {
+		t.Fatalf("scan left %d queued and dropped %d, want 0 and 1", len(api.queue), api.stats.DroppedInPlace.Value())
 	}
-	r.nics[1].HostEnqueue(trigger)
-	r.run()
-	if r.nics[0].Stats.DroppedInPlace.Value() == 0 {
-		t.Skip("timing did not produce a drop")
-	}
-	white := &r.nics[0].Shared().DroppedWhite
+	white := &api.shared.DroppedWhite
 	if at4, total := white.Below(5)-white.Below(4), white.Below(^uint32(0)); at4 != 1 || total != 1 {
 		t.Fatalf("DroppedWhite counts %d at stamp 4 of %d in all, want 1 of 1", at4, total)
 	}
@@ -507,22 +504,26 @@ func newFakeAPI(dropCap int) *fakeAPI {
 func (a *fakeAPI) Node() int                  { return 0 }
 func (a *fakeAPI) NumNodes() int              { return 2 }
 func (a *fakeAPI) Charge(int64)               {}
-func (a *fakeAPI) SendQueue() []*proto.Packet { return a.queue }
 func (a *fakeAPI) SendQueueLen() int          { return len(a.queue) }
 func (a *fakeAPI) Inject(*proto.Packet)       { panic("cancel firmware injects nothing") }
 func (a *fakeAPI) Packet() *proto.Packet      { panic("cancel firmware builds no packets") }
 func (a *fakeAPI) Shared() *nic.SharedWindow  { return a.shared }
 func (a *fakeAPI) NotifyHost(t nic.NotifyTag) { a.bells = append(a.bells, t) }
 func (a *fakeAPI) Stats() *nic.Stats          { return &a.stats }
-func (a *fakeAPI) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet {
-	var removed, kept []*proto.Packet
+func (a *fakeAPI) SendQueue(visit func(*proto.Packet)) {
 	for _, p := range a.queue {
-		if pred(p) {
-			removed = append(removed, p)
-		} else {
+		visit(p)
+	}
+}
+
+func (a *fakeAPI) RemoveFromSendQueue(pred func(*proto.Packet) bool) int {
+	var kept []*proto.Packet
+	for _, p := range a.queue {
+		if !pred(p) {
 			kept = append(kept, p)
 		}
 	}
+	removed := len(a.queue) - len(kept)
 	a.queue = kept
 	return removed
 }

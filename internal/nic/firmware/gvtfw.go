@@ -174,7 +174,7 @@ func (f *GVTFirmware) advance(api nic.API) {
 	tok := w.Token
 	tok.Count += f.takeSentDelta() - w.HostV
 	tok.Min = vtime.MinV(tok.Min, vtime.MinV(w.HostT, w.HostTMin))
-	tok.Min = vtime.MinV(tok.Min, queuedSendMin(api))
+	tok.Min = vtime.MinV(tok.Min, f.queuedSendMin(api))
 	initiation := w.TokenIsInitiation
 
 	w.GVTTokenPending = false

@@ -14,6 +14,12 @@ import (
 type sendLedger struct {
 	sent        dense.EpochWindow // transmitted, by stamp, based at the current computation
 	reportedOld int64             // white sends already folded into the current computation
+
+	// queuedMin is queuedSendMin's running minimum, and visitQueued is
+	// l.foldQueued bound on the first walk: a method value handed to the
+	// walk each time would allocate each time.
+	queuedMin   vtime.VTime
+	visitQueued func(*proto.Packet)
 }
 
 // countSend accounts one transmitted event-like packet by its stamp.
@@ -81,14 +87,19 @@ func requeue(api nic.API, tok proto.Token) {
 // balance nor the host's red-send minimum; the reported floor must bound it.
 // Red-stamped packets re-fold harmlessly — their stamp-time fold into the
 // host ledger already bounds them.
-func queuedSendMin(api nic.API) vtime.VTime {
-	q := api.SendQueue()
-	api.Charge(int64(len(q)) * CyclesQueueScanPerPacket)
-	min := vtime.Infinity
-	for _, pkt := range q {
-		if pkt.IsEventLike() {
-			min = vtime.MinV(min, pkt.SendTS)
-		}
+func (l *sendLedger) queuedSendMin(api nic.API) vtime.VTime {
+	if l.visitQueued == nil {
+		l.visitQueued = l.foldQueued
 	}
-	return min
+	api.Charge(int64(api.SendQueueLen()) * CyclesQueueScanPerPacket)
+	l.queuedMin = vtime.Infinity
+	api.SendQueue(l.visitQueued)
+	return l.queuedMin
+}
+
+// foldQueued is queuedSendMin's visit: it folds one queued packet.
+func (l *sendLedger) foldQueued(pkt *proto.Packet) {
+	if pkt.IsEventLike() {
+		l.queuedMin = vtime.MinV(l.queuedMin, pkt.SendTS)
+	}
 }

@@ -183,22 +183,22 @@ type API interface {
 	// Charge accounts n extra NIC processor cycles to the current hook.
 	//nicwarp:hotpath called several times per hook
 	Charge(n int64)
-	// SendQueue returns the packets queued for transmission and not yet
-	// in flight. The returned slice is scratch reused by the next
-	// SendQueue call — read it within the hook, never retain it; use
-	// RemoveFromSendQueue to mutate the queue.
-	SendQueue() []*proto.Packet
-	// SendQueueLen returns the number of packets SendQueue would return,
-	// without materializing the view.
+	// SendQueue calls visit with each packet queued for transmission and
+	// not yet in flight, host-submitted and NIC-injected alike, in queue
+	// order. The packet is visit's to read for that call only; visit must
+	// not change the queue.
+	SendQueue(visit func(*proto.Packet))
+	// SendQueueLen returns the number of packets SendQueue visits.
 	//nicwarp:hotpath sizes the cancel scan's cycle charge, once per anti-message
 	SendQueueLen() int
-	// RemoveFromSendQueue removes every queued packet matching pred and
-	// returns the removed packets in queue order. The returned slice is
-	// scratch reused by the next call; consume it within the hook. The
-	// removed packets are dead once the view is: event-like ones go back to
-	// the NIC's packet pool.
+	// RemoveFromSendQueue offers each queued host packet to pred, in queue
+	// order, and returns how many pred took. A packet pred takes leaves the
+	// queue, is shown to the discard observer and, if event-like, goes back
+	// to the NIC's packet pool before pred sees the next one: pred books
+	// what it needs from a packet before it returns true, and keeps no
+	// pointer to it. pred must not walk or change the send queue.
 	//nicwarp:hotpath the cancel scan, once per anti-message
-	RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet
+	RemoveFromSendQueue(pred func(*proto.Packet) bool) int
 	// Packet returns a packet from the NIC's pool for the hook to
 	// fill and Inject. Its contents are unspecified: the caller overwrites
 	// every field.
@@ -311,11 +311,9 @@ type NIC struct {
 
 	pendingCycles int64 // accumulated via API.Charge during a hook
 
-	// The scratch slices back the []*proto.Packet views handed to firmware
-	// hooks; they are valid only until the hook returns (clearScratch).
-	sqScratch hookScratch
-	rmScratch hookScratch
-	gbScratch hookScratch
+	// batch is the array assembleBatch gathers a frame's partners into; it
+	// holds no packet once assembleBatch returns.
+	batch []*proto.Packet //nicwarp:owns partners of the frame being assembled, nilled before assembleBatch returns
 
 	// pool is where batch frames and firmware-built packets come from, and
 	// where host packets that die here (dropped in place, or folded into a
@@ -644,7 +642,6 @@ func (n *NIC) txPump() {
 	verdict := VerdictForward
 	if !entry.fromNIC {
 		verdict = n.fw.OnHostSend(entry.pkt, apiImpl{n})
-		n.clearScratch()
 		// Batch assembly runs after the head has cleared firmware (so a
 		// piggybacked GVT snapshot has already been extracted and scrubbed)
 		// and substitutes a frame for the head in place; the frame then pays
@@ -653,7 +650,6 @@ func (n *NIC) txPump() {
 			if frame := n.assembleBatch(entry.pkt); frame != nil {
 				entry.pkt = frame
 			}
-			n.clearScratch()
 		}
 	}
 	// txPumping covers both transmit stages (processor, then wire), so the
@@ -758,7 +754,6 @@ func (n *NIC) rxPump() {
 	case VerdictConsume:
 		n.pool.Release(pkt)
 	}
-	n.clearScratch()
 	cost := n.cycles(n.cfg.RecvCycles + n.takeCharge())
 	n.proc.SubmitArg(cost, nicRxProcessed, n)
 }
@@ -800,58 +795,8 @@ func nicRxProcessed(x interface{}) {
 // after a shared-window update.
 func (n *NIC) Doorbell() {
 	n.fw.OnDoorbell(apiImpl{n})
-	n.clearScratch()
 	cost := n.cycles(n.takeCharge())
 	n.proc.SubmitArg(cost, nil, nil)
-}
-
-// hookScratch backs one []*proto.Packet view handed to firmware hooks. A
-// hook may take the view more than once, and a later one may be shorter
-// (the queue shrank in between), so the slots written since the last clear
-// are tracked as a high-water mark rather than read off the last view.
-type hookScratch struct {
-	view []*proto.Packet //nicwarp:owns hook-scoped view, emptied by clearScratch when the hook returns
-	high int             // longest view published since the last clear
-}
-
-// publish installs v — built by appending to view[:0] — as the current view.
-func (s *hookScratch) publish(v []*proto.Packet) []*proto.Packet {
-	s.view = v
-	s.high = max(s.high, len(v))
-	return v
-}
-
-// clear nils every slot written since the last clear. Clearing the whole
-// backing array instead would cost a pointer-memclr over the deepest queue
-// ever seen, after every hook.
-func (s *hookScratch) clear() {
-	clear(s.view[:s.high])
-	s.view = s.view[:0]
-	s.high = 0
-}
-
-// clearScratch empties the firmware-facing scratch slices after a hook
-// returns. The packets they point at go back to a packet pool as soon
-// as the destination host decodes them; a pointer lingering in a backing
-// array between hooks would resurface as a recycled object if any later
-// hook read a stale tail, and pins the packet against collection
-// meanwhile. (Surfaced by the poolown analyzer: latent pooled-pointer
-// retention. Regression-tested by TestScratchClearedAfterHooks.)
-func (n *NIC) clearScratch() {
-	n.recycleRemoved()
-	n.sqScratch.clear()
-	n.rmScratch.clear()
-	n.gbScratch.clear()
-}
-
-// recycleRemoved returns the packets of the current RemoveFromSendQueue
-// view to the packet pool. They left the send queue for good and the discard
-// observer has seen them; the view is the last reference, and it dies when
-// the hook returns or takes its next view.
-func (n *NIC) recycleRemoved() {
-	for _, pkt := range n.rmScratch.view {
-		n.recycleDead(pkt)
-	}
 }
 
 // recycleDead returns a host packet that dies on the NIC — discarded
@@ -880,38 +825,32 @@ func (a apiImpl) Charge(c int64) {
 	a.n.pendingCycles += c
 }
 
-func (a apiImpl) SendQueue() []*proto.Packet {
-	n := a.n
-	out := n.sqScratch.view[:0]
-	for _, e := range n.sendQ.Live() {
-		out = append(out, e.pkt)
+func (a apiImpl) SendQueue(visit func(*proto.Packet)) {
+	for _, e := range a.n.sendQ.Live() {
+		visit(e.pkt)
 	}
-	return n.sqScratch.publish(out)
 }
 
 func (a apiImpl) SendQueueLen() int { return a.n.sendQ.Len() }
 
-func (a apiImpl) RemoveFromSendQueue(pred func(*proto.Packet) bool) []*proto.Packet {
+func (a apiImpl) RemoveFromSendQueue(pred func(*proto.Packet) bool) int {
 	n := a.n
-	n.recycleRemoved() // the previous view is dead
-	removed := n.rmScratch.view[:0]
 	live := n.sendQ.Live()
 	kept := live[:0]
 	for _, e := range live {
 		//nicwarp:alloc firmware-supplied predicate; hot callers bind it once (CancelFirmware.scanPred)
-		if !e.fromNIC && pred(e.pkt) {
-			removed = append(removed, e.pkt) //nicwarp:alloc scratch growth, amortized across the run
-		} else {
+		if e.fromNIC || !pred(e.pkt) {
 			kept = append(kept, e) //nicwarp:alloc aliases live[:0], never exceeds its capacity
+			continue
 		}
-	}
-	n.sendQ.DropTail(len(live) - len(kept))
-	if n.onHostDiscard != nil {
-		for _, pkt := range removed {
-			n.onHostDiscard(pkt) //nicwarp:alloc invariant-checker observer, installed only under CheckInvariants
+		if n.onHostDiscard != nil {
+			n.onHostDiscard(e.pkt) //nicwarp:alloc invariant-checker observer, installed only under CheckInvariants
 		}
+		n.recycleDead(e.pkt)
 	}
-	return n.rmScratch.publish(removed)
+	removed := len(live) - len(kept)
+	n.sendQ.DropTail(removed)
+	return removed
 }
 
 func (a apiImpl) Packet() *proto.Packet { return a.n.pool.Packet() }
@@ -983,6 +922,8 @@ func (n *NIC) assembleBatch(head *proto.Packet) *proto.Packet {
 		frame.AppendSub(p)
 		n.recycleDead(p)
 	}
+	clear(partners)
+	n.batch = partners[:0]
 	n.pendingCycles += n.cfg.PerSubMsgCycles * int64(len(frame.Subs))
 	n.Stats.BatchFrames.Inc()
 	n.Stats.BatchSubs.Add(int64(len(frame.Subs)))
@@ -1016,20 +957,21 @@ func (n *NIC) expandBatch(frame *proto.Packet) {
 // dequeue on its own, and stopping there keeps the gathered sequence
 // numbers a contiguous prefix of the per-destination BIP stream.
 // Other-destination and NIC-originated entries are skipped and retained.
-// The returned slice is hook scratch (clearScratch). Unlike
-// RemoveFromSendQueue, gathered packets are NOT reported to the host
-// discard observer: their content travels on inside the frame.
+// The returned slice is on n.batch's array, which assembleBatch nils and
+// keeps for the next frame. Unlike RemoveFromSendQueue, gathered packets
+// are NOT reported to the host discard observer: their content travels on
+// inside the frame.
 //
 //nicwarp:hotpath batch gather, executed once per assembled frame
 func (n *NIC) gatherBatch(dst int32, max int) []*proto.Packet {
-	out := n.gbScratch.view[:0]
+	out := n.batch[:0]
 	live := n.sendQ.Live()
 	kept := live[:0]
 	stopped := false
 	for _, e := range live {
 		if !stopped && !e.fromNIC && e.pkt.DstNode == dst && len(out) < max {
 			if batchEligible(e.pkt) {
-				out = append(out, e.pkt) //nicwarp:alloc scratch growth, amortized across the run
+				out = append(out, e.pkt) //nicwarp:alloc grows to at most BatchMax-1 entries, then reused across the run
 				continue
 			}
 			stopped = true
@@ -1037,5 +979,5 @@ func (n *NIC) gatherBatch(dst int32, max int) []*proto.Packet {
 		kept = append(kept, e) //nicwarp:alloc aliases live[:0], never exceeds its capacity
 	}
 	n.sendQ.DropTail(len(live) - len(kept))
-	return n.gbScratch.publish(out)
+	return out
 }

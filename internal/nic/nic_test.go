@@ -284,56 +284,56 @@ func TestInjectBypassesOnHostSend(t *testing.T) {
 	}
 }
 
+// TestRemoveFromSendQueue: the walk offers pred the queued host packets in
+// queue order and never a NIC-injected one. A packet pred takes is shown to
+// the discard observer and then recycled, before pred sees the next packet
+// and never while pred holds it; what pred declines stays queued, in order.
 func TestRemoveFromSendQueue(t *testing.T) {
-	// Queue several packets behind a slow head, then cancel some from the
-	// receive path — the early-cancellation mechanic.
-	r := newRig(t, 2, func(i int) Firmware {
-		if i == 0 {
-			return &stubFirmware{onWireReceive: func(p *proto.Packet, a API) Verdict {
-				if p.IsAnti() {
-					removed := a.RemoveFromSendQueue(func(q *proto.Packet) bool {
-						return q.SendTS > p.RecvTS
-					})
-					for range removed {
-						a.Stats().DroppedInPlace.Inc()
-					}
-					return VerdictForward
-				}
-				return VerdictForward
-			}}
-		}
-		return &stubFirmware{}
-	})
-	// Enqueue packets with ascending timestamps; the head enters flight
-	// immediately, the rest are cancellable.
-	for k := 0; k < 5; k++ {
+	r := newRig(t, 2, func(int) Firmware { return &stubFirmware{} })
+	n := r.nics[0]
+	n.txPumping = true // build the queue by hand: no pump
+	for id := uint64(1); id <= 5; id++ {
 		p := evPkt(0, 1)
-		p.SendTS = vtime.VTime(100 + k*10) // 100,110,120,130,140
-		p.EventID = uint64(k)
-		r.nics[0].HostEnqueue(p)
-	}
-	// An anti-message with receive timestamp 115 arrives from node 1.
-	anti := &proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0, RecvTS: 115}
-	r.nics[1].HostEnqueue(anti)
-	r.eng.Run(vtime.ModelInfinity)
-	dropped := r.nics[0].Stats.DroppedInPlace.Value()
-	delivered := len(r.toHost[1])
-	if dropped == 0 {
-		t.Fatal("no packets cancelled in place")
-	}
-	if int64(delivered)+dropped != 5 {
-		t.Fatalf("delivered %d + dropped %d != 5", delivered, dropped)
-	}
-	// Every delivered event packet must have SendTS <= 115 unless it was
-	// already in flight when the anti arrived (the head).
-	late := 0
-	for _, p := range r.toHost[1] {
-		if p.SendTS > 115 {
-			late++
+		p.EventID = id
+		n.enqueue(outEntry{pkt: p})
+		if id == 2 {
+			tok := &proto.Packet{Kind: proto.KindGVTToken, SrcNode: 0, DstNode: 1, EventID: 9}
+			n.enqueue(outEntry{pkt: tok, fromNIC: true})
 		}
 	}
-	if late > 2 {
-		t.Fatalf("%d late packets escaped cancellation", late)
+	w := watchPool(n)
+	var events []string
+	note := func(what string, p *proto.Packet) {
+		for _, q := range w.released() {
+			events = append(events, "recycle "+string(rune('0'+q.EventID)))
+		}
+		if p != nil {
+			events = append(events, what+" "+string(rune('0'+p.EventID)))
+		}
+	}
+	n.SetHostDiscardHook(func(p *proto.Packet) { note("discard", p) })
+	taken := apiImpl{n}.RemoveFromSendQueue(func(p *proto.Packet) bool {
+		note("offer", p)
+		return p.EventID%2 == 0
+	})
+	note("", nil)
+
+	want := []string{
+		"offer 1",
+		"offer 2", "discard 2", "recycle 2",
+		"offer 3",
+		"offer 4", "discard 4", "recycle 4",
+		"offer 5",
+	}
+	if taken != 2 || !slices.Equal(events, want) {
+		t.Fatalf("took %d, events %v, want 2 and %v", taken, events, want)
+	}
+	var left []uint64
+	for _, e := range n.sendQ.Live() {
+		left = append(left, e.pkt.EventID)
+	}
+	if want := []uint64{1, 9, 3, 5}; !slices.Equal(left, want) {
+		t.Fatalf("queue after the walk %v, want %v", left, want)
 	}
 }
 
@@ -484,74 +484,50 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
+// TestScratchClearedAfterHooks: the array batch assembly gathers partners
+// into holds no packet pointer once the pump returns. The partners go back
+// to a packet pool as soon as the frame has copied them; a pointer lingering
+// there would pin a recycled packet, and resurface it to any code that read
+// the array's stale tail.
 func TestScratchClearedAfterHooks(t *testing.T) {
-	// Regression for a latent pooled-pointer retention surfaced by the
-	// poolown analyzer: the SendQueue/RemoveFromSendQueue scratch slices
-	// kept packet pointers in their backing arrays between firmware hooks,
-	// pinning packets the pool had long since recycled.
-	//
-	// The hook takes the send-queue view, shrinks the queue, and takes the
-	// view again: the second view is shorter than the first, so clearing
-	// only what the last view covers would leave the first view's tail
-	// behind. clearScratch clears the high-water prefix instead of the whole
-	// backing array; the assertions below still walk the whole array.
-	var views [2]int
-	r := newRig(t, 2, func(i int) Firmware {
-		if i == 0 {
-			return &stubFirmware{onWireReceive: func(p *proto.Packet, a API) Verdict {
-				if p.IsAnti() {
-					views[0] = len(a.SendQueue())
-					a.RemoveFromSendQueue(func(q *proto.Packet) bool {
-						return q.SendTS > p.RecvTS
-					})
-					views[1] = len(a.SendQueue())
-				}
-				return VerdictForward
-			}}
-		}
-		return &stubFirmware{}
-	})
-	for k := 0; k < 5; k++ {
-		p := evPkt(0, 1)
-		p.SendTS = vtime.VTime(100 + k*10)
-		p.EventID = uint64(k)
-		r.nics[0].HostEnqueue(p)
+	cfg := DefaultConfig()
+	cfg.BatchMax = 8
+	r := batchRig(t, cfg, func(int) Firmware { return &stubFirmware{} })
+	for s := uint64(1); s <= 6; s++ {
+		r.nics[0].HostEnqueue(seqPkt(0, 1, s))
 	}
-	anti := &proto.Packet{Kind: proto.KindAnti, SrcNode: 1, DstNode: 0, RecvTS: 125}
-	r.nics[1].HostEnqueue(anti)
 	r.eng.Run(vtime.ModelInfinity)
-	if views[1] == 0 || views[1] >= views[0] {
-		t.Fatalf("send-queue views %v: the hook must see a non-empty queue shrink", views)
+	if r.nics[0].Stats.BatchFrames.Value() == 0 {
+		t.Fatal("no frame assembled")
 	}
 	for _, n := range r.nics {
-		for name, s := range map[string]*hookScratch{"sq": &n.sqScratch, "rm": &n.rmScratch, "gb": &n.gbScratch} {
-			if len(s.view) != 0 || s.high != 0 {
-				t.Errorf("node %d: %sScratch not reset after hooks (len %d, high %d)", n.node, name, len(s.view), s.high)
-			}
-			for i, p := range s.view[:cap(s.view)] {
-				if p != nil {
-					t.Errorf("node %d: %sScratch[%d] retains %p after hooks", n.node, name, i, p)
-				}
+		if len(n.batch) != 0 {
+			t.Errorf("node %d: %d batch partners left after the pump", n.node, len(n.batch))
+		}
+		for i, p := range n.batch[:cap(n.batch)] {
+			if p != nil {
+				t.Errorf("node %d: batch[%d] retains %p after the pump", n.node, i, p)
 			}
 		}
+	}
+	if cap(r.nics[0].batch) == 0 {
+		t.Fatal("node 0 gathered into no array")
 	}
 }
 
 // TestDroppedHostPacketsAreRecycled: a host packet the NIC discards instead
 // of sending never reaches a destination host, so nothing downstream would
 // return it to a pool. The NIC releases event-like ones into its packet
-// pool itself — after the discard observer has read the packet, and for the
-// packets of a RemoveFromSendQueue view only once that view is dead (the
-// hook took its next view, or returned). Packets that travel, packets the
-// firmware consumed and control packets are not the NIC's to recycle.
+// pool itself, after the discard observer has read the packet. Packets
+// that travel, packets the firmware consumed and control packets are not
+// the NIC's to recycle.
 func TestDroppedHostPacketsAreRecycled(t *testing.T) {
 	const dropID, consumeID = 99, 98
 	var events []string // "discard <id>" / "recycle <id>", in call order
 	recycled := map[*proto.Packet]int{}
 	// note appends a "recycle" event for each packet released into the
-	// pool since the last note; every hook calls it first, so a release
-	// lands in events no later than the next thing the hooks see.
-	var note func()
+	// pool since the last note; the discard hook calls it first, so a
+	// release lands in events no later than the next discard.
 	r := newRig(t, 2, func(i int) Firmware {
 		if i != 0 {
 			return &stubFirmware{}
@@ -567,22 +543,8 @@ func TestDroppedHostPacketsAreRecycled(t *testing.T) {
 				return VerdictForward
 			},
 			onWireReceive: func(p *proto.Packet, a API) Verdict {
-				if !p.IsAnti() {
-					return VerdictForward
-				}
-				first := a.RemoveFromSendQueue(func(q *proto.Packet) bool { return q.EventID == 1 })
-				note()
-				if len(first) != 1 || recycled[first[0]] != 0 {
-					t.Errorf("first view: %d packets, recycled while live: %v", len(first), recycled)
-				}
-				gone := first[0]
-				second := a.RemoveFromSendQueue(func(q *proto.Packet) bool { return q.EventID == 2 })
-				note()
-				if recycled[gone] != 1 {
-					t.Error("the first view's packet must be recycled once the second view replaces it")
-				}
-				if len(second) != 1 || recycled[second[0]] != 0 {
-					t.Errorf("second view: %d packets, recycled while live: %v", len(second), recycled)
+				if p.IsAnti() {
+					a.RemoveFromSendQueue(func(q *proto.Packet) bool { return q.EventID == 1 || q.EventID == 2 })
 				}
 				return VerdictForward
 			},
@@ -595,7 +557,7 @@ func TestDroppedHostPacketsAreRecycled(t *testing.T) {
 		return string(rune('0' + p.EventID%10))
 	}
 	w := watchPool(r.nics[0])
-	note = func() {
+	note := func() {
 		for _, p := range w.released() {
 			events = append(events, "recycle "+name(p))
 			recycled[p]++

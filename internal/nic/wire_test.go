@@ -195,7 +195,7 @@ func TestTxDepartIsProcFinishPlusWire(t *testing.T) {
 				onWireReceive: func(pkt *proto.Packet, a API) Verdict {
 					if pkt.IsAnti() {
 						removed := a.RemoveFromSendQueue(func(q *proto.Packet) bool { return q.RecvTS == pkt.RecvTS })
-						a.Stats().DroppedInPlace.Add(int64(len(removed)))
+						a.Stats().DroppedInPlace.Add(int64(removed))
 					}
 					return VerdictForward
 				},

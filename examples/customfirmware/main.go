@@ -96,7 +96,7 @@ func main() {
 	fmt.Printf("node 1 received by kind:   %v\n", fws[1].received)
 	fmt.Printf("node 1 delivered to host:  %d packets\n", delivered[1])
 	fmt.Printf("modeled time on the wire:  %v\n", eng.Now())
-	fmt.Printf("NIC 0 processor util:      %.3f\n", nics[0].ProcUtilization())
+	fmt.Printf("NIC 0 processor util:      %.3f\n", nics[0].ProcUtilizationAt(eng.Now()))
 	fmt.Println()
 	fmt.Println("The filter ran on the modeled 66 MHz LanAI processor and was")
 	fmt.Println("charged per packet — the same accounting the GVT and early-")

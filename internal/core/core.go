@@ -382,7 +382,7 @@ func (n *node) RingDoorbell() {
 	n.cpu.DoArg(hostmodel.CatGVT, n.cpu.Costs.SharedWrite, nodeDoorbellWritten, n)
 }
 func (n *node) Schedule(d vtime.ModelTime, fn func(interface{}), arg interface{}) des.TimerRef {
-	return n.eng.ScheduleArgRef(d, fn, arg)
+	return n.eng.AtArgRef(n.eng.Now()+d, fn, arg)
 }
 
 // nodeDoorbellWritten: the host finished its shared-window write; the
@@ -1223,7 +1223,7 @@ func (n *node) CommitGVT(g vtime.VTime) {
 	// commit, let the manager decide whether another computation is needed
 	// (it stops at GVT = Infinity).
 	if !n.kernel.HasWork() && !g.IsInf() {
-		n.eng.ScheduleArg(idleGVTBackoff, idleGVTKick, n)
+		n.eng.AtArg(n.eng.Now()+idleGVTBackoff, idleGVTKick, n)
 	}
 }
 

@@ -15,13 +15,13 @@ import "testing"
 func TestCancelThenSameTickRescheduleDoesNotResurrect(t *testing.T) {
 	e := NewEngine()
 	oldFired, newFired := 0, 0
-	tm := e.At(10, func() { oldFired++ })
+	tm := atFunc(e, 10, func() { oldFired++ })
 	if !tm.Cancel() {
 		t.Fatal("first Cancel must take effect")
 	}
 	// Same-tick reschedule: alloc pops the just-recycled struct, so the new
 	// event shares the old event's memory but not its generation.
-	e.At(10, func() { newFired++ })
+	atFunc(e, 10, func() { newFired++ })
 	if tm.Cancel() {
 		t.Fatal("stale handle cancelled the recycled event's new incarnation")
 	}
@@ -41,7 +41,7 @@ func TestCancelThenSameTickScheduleArg(t *testing.T) {
 	e := NewEngine()
 	oldFired := 0
 	got := make([]int, 0, 1)
-	tm := e.At(5, func() { oldFired++ })
+	tm := atFunc(e, 5, func() { oldFired++ })
 	tm.Cancel()
 	e.AtArg(5, func(arg interface{}) { got = append(got, arg.(int)) }, 42)
 	if tm.Cancel() {
@@ -64,9 +64,9 @@ func TestFiredTimerHandleInertAfterSameTickReuse(t *testing.T) {
 	e := NewEngine()
 	chained := 0
 	var tm TimerRef
-	tm = e.At(7, func() {
+	tm = atFunc(e, 7, func() {
 		// fire() recycles before invoking, so this At reuses tm's event.
-		e.At(7, func() { chained++ })
+		atFunc(e, 7, func() { chained++ })
 		if tm.Cancel() {
 			t.Error("handle of a fired timer cancelled its event's reuse")
 		}
@@ -85,11 +85,11 @@ func TestFiredTimerHandleInertAfterSameTickReuse(t *testing.T) {
 // struct has been reissued and cancelled again under a new generation.
 func TestDoubleCancelIsNoOp(t *testing.T) {
 	e := NewEngine()
-	a := e.At(3, func() { t.Error("cancelled A fired") })
+	a := atFunc(e, 3, func() { t.Error("cancelled A fired") })
 	if !a.Cancel() || a.Cancel() {
 		t.Fatal("Cancel must report true exactly once")
 	}
-	b := e.At(3, func() { t.Error("cancelled B fired") })
+	b := atFunc(e, 3, func() { t.Error("cancelled B fired") })
 	if !b.Cancel() {
 		t.Fatal("second-generation Cancel must take effect")
 	}

@@ -22,8 +22,12 @@
 // reuse: events live in a per-engine arena slice and fired or cancelled
 // slots are recycled through an index free list, so steady-state scheduling
 // allocates nothing and handles carry 32-bit slot numbers instead of
-// pointers. Callers on hot paths use ScheduleArg/AtArg, which thread a
-// value receiver through the event instead of capturing a closure.
+// pointers. There are three ways onto an engine, all at an absolute time and
+// all closure-free: AtArg runs fn(arg), AtArgRef does the same and returns a
+// cancellable handle, and AtCross runs fn(a, b) on a named lane, possibly of
+// another engine of the same Group. The callback is a top-level function
+// and the receivers are threaded through the event, so scheduling captures
+// nothing.
 package des
 
 import (
@@ -40,6 +44,33 @@ const laneSeqBits = 48
 // maxLanes bounds the lane id so it fits above the sequence bits.
 const maxLanes = 1 << (64 - laneSeqBits)
 
+// callback is one scheduled continuation, the record an engine event and a
+// queued Resource job both carry: fnArg(arg), or fn2(arg, argB) for the
+// two-receiver form that threads a component and a payload without a
+// wrapper. The zero callback does nothing (a fire-and-forget job).
+type callback struct {
+	fnArg func(interface{})
+	fn2   func(interface{}, interface{})
+	arg   interface{}
+	argB  interface{}
+}
+
+// run takes the callback out of its record, leaving the record zero so it
+// pins no receiver, and then runs it: the callee's own scheduling may reuse
+// or move the record's storage. The fields are read one by one into
+// registers: copying the whole record is a memory move, and its wide loads
+// stall on an arena slot the engine has just written field by field.
+func (c *callback) run() {
+	fnArg, fn2, a, b := c.fnArg, c.fn2, c.arg, c.argB
+	*c = callback{}
+	switch {
+	case fn2 != nil:
+		fn2(a, b) //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
+	case fnArg != nil:
+		fnArg(a) //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
+	}
+}
+
 // event is one scheduled callback, stored in the engine's arena and
 // addressed by slot index everywhere (heap, TimerRef handles, free list) —
 // never by pointer, which may dangle across arena growth. seq is the
@@ -48,15 +79,11 @@ const maxLanes = 1 << (64 - laneSeqBits)
 // unique per incarnation, so it doubles as the generation counter that keeps
 // a stale TimerRef from cancelling the slot's next incarnation. The
 // event's time is not here: nothing reads it but the heap, whose key carries
-// it, and without it the record is one 64-byte cache line. A plain func()
-// callback rides in arg behind runClosure.
+// it, and without it the record is one 64-byte cache line.
 type event struct {
-	seq   uint64 // lane-keyed order key; unique per incarnation
-	lane  uint32 // execution lane, restored to curLane when the event fires
-	fnArg func(interface{})
-	fn2   func(interface{}, interface{}) // two-receiver variant (cross-shard handoff)
-	arg   interface{}
-	argB  interface{}
+	seq  uint64 // lane-keyed order key; unique per incarnation
+	lane uint32 // execution lane, restored to curLane when the event fires
+	cb   callback
 }
 
 // TimerRef is a by-value cancellable handle to a scheduled callback: hot
@@ -189,15 +216,10 @@ func (e *Engine) alloc(ord uint64, lane uint32) uint32 {
 	return ei
 }
 
-// recycle clears a slot's callback state and returns it to the free list.
-// Clearing the callbacks and receivers here is what guarantees a fired or
-// cancelled event never pins a captured closure or threaded receiver.
+// recycle returns slot ei to the free list. Its callback is cleared — by
+// cancel, or by run as the event fires — so a fired or cancelled event
+// never pins a threaded receiver.
 func (e *Engine) recycle(ei uint32) {
-	ev := &e.arena[ei]
-	ev.fnArg = nil
-	ev.fn2 = nil
-	ev.arg = nil
-	ev.argB = nil
 	e.free = append(e.free, ei) //nicwarp:alloc free-list growth, bounded by the arena's high-water size
 }
 
@@ -211,87 +233,33 @@ func (e *Engine) cancel(ei uint32, seq uint64) bool {
 	}
 	e.heap.Settle()
 	e.heap.Remove(ei)
+	e.arena[ei].cb = callback{}
 	e.recycle(ei)
 	return true
 }
 
-// Schedule runs fn after delay d (which may be zero but not negative) and
-// returns a cancelable handle. Callbacks at the same instant run in
-// lane-keyed scheduling order.
-func (e *Engine) Schedule(d vtime.ModelTime, fn func()) TimerRef {
-	if d < 0 {
-		panic(fmt.Sprintf("des: Schedule with negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// At runs fn at absolute model time t, which must not be in the past.
-func (e *Engine) At(t vtime.ModelTime, fn func()) TimerRef {
-	if fn == nil {
-		panic("des: nil callback")
-	}
-	return e.AtArgRef(t, runClosure, fn)
-}
-
-// runClosure adapts a plain closure to the (fnArg, arg) callback form.
-func runClosure(fn interface{}) { fn.(func())() }
-
-// ScheduleArg runs fn(arg) after delay d. Unlike Schedule it captures no
-// closure and returns no handle, so steady-state callers allocate nothing:
-// fn should be a top-level function and arg a pointer threaded through as
-// the receiver.
-func (e *Engine) ScheduleArg(d vtime.ModelTime, fn func(interface{}), arg interface{}) {
-	if d < 0 {
-		panic(fmt.Sprintf("des: ScheduleArg with negative delay %v", d))
-	}
-	e.AtArg(e.now+d, fn, arg)
-}
-
-// AtArg runs fn(arg) at absolute model time t. See ScheduleArg.
+// AtArg runs fn(arg) at absolute model time t, which must not be in the
+// past, on the current lane. Callbacks at the same instant run in
+// lane-keyed scheduling order. fn should be a top-level function and arg a
+// pointer threaded through as the receiver, so steady-state callers
+// allocate nothing.
 func (e *Engine) AtArg(t vtime.ModelTime, fn func(interface{}), arg interface{}) {
-	if fn == nil {
-		panic("des: nil callback")
-	}
-	ev := &e.arena[e.at(t)]
-	ev.fnArg = fn
-	ev.arg = arg
+	e.AtArgRef(t, fn, arg)
 }
 
-// ScheduleArgRef is ScheduleArg with a cancellable by-value handle: it
-// allocates nothing beyond the pooled event.
-func (e *Engine) ScheduleArgRef(d vtime.ModelTime, fn func(interface{}), arg interface{}) TimerRef {
-	if d < 0 {
-		panic(fmt.Sprintf("des: ScheduleArgRef with negative delay %v", d))
-	}
-	return e.AtArgRef(e.now+d, fn, arg)
-}
-
-// AtArgRef is AtArg with a cancellable by-value handle. See ScheduleArgRef.
+// AtArgRef is AtArg with a cancellable by-value handle: it allocates nothing
+// beyond the pooled event.
 func (e *Engine) AtArgRef(t vtime.ModelTime, fn func(interface{}), arg interface{}) TimerRef {
 	if fn == nil {
 		panic("des: nil callback")
 	}
-	ei := e.at(t)
-	ev := &e.arena[ei]
-	ev.fnArg = fn
-	ev.arg = arg
-	return TimerRef{eng: e, ei: ei, seq: ev.seq}
-}
-
-// ScheduleArg2 runs fn(a, b) after delay d on the current lane: the
-// two-receiver closure-free variant for pipelines that thread a component
-// and a payload without a wrapper struct.
-func (e *Engine) ScheduleArg2(d vtime.ModelTime, fn func(interface{}, interface{}), a, b interface{}) {
-	if d < 0 {
-		panic(fmt.Sprintf("des: ScheduleArg2 with negative delay %v", d))
+	if t < e.now {
+		panic(fmt.Sprintf("des: AtArg(%v) is before now (%v)", t, e.now))
 	}
-	if fn == nil {
-		panic("des: nil callback")
-	}
-	ev := &e.arena[e.at(e.now+d)]
-	ev.fn2 = fn
-	ev.arg = a
-	ev.argB = b
+	ord := e.nextOrd()
+	ei := e.insert(eventKey(t, ord), e.curLane)
+	e.arena[ei].cb = callback{fnArg: fn, arg: arg}
+	return TimerRef{eng: e, ei: ei, seq: ord}
 }
 
 // AtCross schedules fn(a, b) at absolute model time t on engine dst,
@@ -323,25 +291,13 @@ func (e *Engine) AtCross(dst *Engine, lane uint32, t vtime.ModelTime, fn func(in
 	ord := e.nextOrd()
 	if dst == e {
 		e.ensureLane(lane)
-		ei := e.insert(eventKey(t, ord), lane)
-		ev := &e.arena[ei]
-		ev.fn2 = fn
-		ev.arg = a
-		ev.argB = b
+		e.arena[e.insert(eventKey(t, ord), lane)].cb = callback{fn2: fn, arg: a, argB: b}
 		return
 	}
 	if e.group == nil || e.group != dst.group {
 		panic("des: AtCross between engines that do not share a Group")
 	}
 	e.staged[dst.shard] = append(e.staged[dst.shard], stagedEv{at: t, ord: ord, lane: lane, fn2: fn, a: a, b: b})
-}
-
-// at validates t and pushes a fresh event slot for it on the current lane.
-func (e *Engine) at(t vtime.ModelTime) uint32 {
-	if t < e.now {
-		panic(fmt.Sprintf("des: At(%v) is before now (%v)", t, e.now))
-	}
-	return e.insert(eventKey(t, e.nextOrd()), e.curLane)
 }
 
 // eventKey builds the heap key of an event at time t with order key ord.
@@ -357,9 +313,9 @@ func eventKey(t vtime.ModelTime, ord uint64) d4heap.Key {
 }
 
 // insert allocates a slot for key k on the given lane and pushes it on the
-// heap. The key need not be freshly drawn: a Resource reserves each job's
-// key at submit and inserts it only when the job reaches the head of the
-// line.
+// heap; the caller fills in the slot's callback. The key need not be
+// freshly drawn: a Resource reserves each job's key at submit and inserts
+// it only when the job reaches the head of the line.
 //
 //nicwarp:hotpath every scheduled event passes through here
 func (e *Engine) insert(k d4heap.Key, lane uint32) uint32 {
@@ -416,8 +372,8 @@ func (e *Engine) Step() bool {
 // scheduling did not refill is closed after it returns. Recycling first
 // lets that scheduling reuse the slot; a stale TimerRef stays inert
 // because the slot is off the heap until its next incarnation restamps seq.
-// The callback state is read out before the callback runs: its own
-// scheduling may grow the arena, which would invalidate any pointer into it.
+// ev stays valid across recycle, which touches only the free list, until
+// run has read the callback out.
 //
 //nicwarp:hotpath the event loop body
 func (e *Engine) fire(at vtime.ModelTime) {
@@ -425,13 +381,8 @@ func (e *Engine) fire(at vtime.ModelTime) {
 	e.now = at
 	e.processed++
 	ev := &e.arena[ei]
-	fnArg, fn2, a, b := ev.fnArg, ev.fn2, ev.arg, ev.argB
 	e.curLane = ev.lane
 	e.recycle(ei)
-	if fn2 != nil {
-		fn2(a, b) //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
-	} else {
-		fnArg(a) //nicwarp:alloc callback dispatch; the callee is held to its own hot root, not this one
-	}
+	ev.cb.run()
 	e.heap.Settle()
 }

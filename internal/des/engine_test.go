@@ -7,12 +7,19 @@ import (
 	"nicwarp/internal/vtime"
 )
 
+// call runs a closure threaded through as the receiver: how these tests
+// schedule and submit plain closures on the closure-free API.
+func call(fn interface{}) { fn.(func())() }
+
+// atFunc schedules the closure fn at absolute time t.
+func atFunc(e *Engine, t vtime.ModelTime, fn func()) TimerRef { return e.AtArgRef(t, call, fn) }
+
 func TestRunOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	atFunc(e, 30, func() { order = append(order, 3) })
+	atFunc(e, 10, func() { order = append(order, 1) })
+	atFunc(e, 20, func() { order = append(order, 2) })
 	e.Run(vtime.ModelInfinity)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -27,7 +34,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { order = append(order, i) })
+		atFunc(e, 5, func() { order = append(order, i) })
 	}
 	e.Run(vtime.ModelInfinity)
 	for i, v := range order {
@@ -40,9 +47,9 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var hits []vtime.ModelTime
-	e.Schedule(10, func() {
+	atFunc(e, 10, func() {
 		hits = append(hits, e.Now())
-		e.Schedule(5, func() {
+		atFunc(e, e.Now()+5, func() {
 			hits = append(hits, e.Now())
 		})
 	})
@@ -55,9 +62,9 @@ func TestNestedScheduling(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(10, func() { ran++ })
-	e.Schedule(20, func() { ran++ })
-	e.Schedule(30, func() { ran++ })
+	atFunc(e, 10, func() { ran++ })
+	atFunc(e, 20, func() { ran++ })
+	atFunc(e, 30, func() { ran++ })
 	e.Run(20)
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2 (event at limit must run)", ran)
@@ -74,9 +81,9 @@ func TestRunLimit(t *testing.T) {
 func TestZeroDelay(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(0, func() {
+	atFunc(e, 0, func() {
 		order = append(order, 1)
-		e.Schedule(0, func() { order = append(order, 2) })
+		atFunc(e, e.Now(), func() { order = append(order, 2) })
 	})
 	e.Run(vtime.ModelInfinity)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
@@ -87,24 +94,26 @@ func TestZeroDelay(t *testing.T) {
 	}
 }
 
+// TestNegativeDelayPanics: a delay is scheduled as Now()+d, so a negative
+// one lands before the clock and panics, at clock zero too.
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewEngine().Schedule(-1, func() {})
+	NewEngine().AtArg(-1, func(interface{}) {}, nil)
 }
 
 func TestAtInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	atFunc(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic for At in the past")
 			}
 		}()
-		e.At(5, func() {})
+		e.AtArg(5, func(interface{}) {}, nil)
 	})
 	e.Run(vtime.ModelInfinity)
 }
@@ -112,7 +121,7 @@ func TestAtInPastPanics(t *testing.T) {
 func TestTimerCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	timer := e.Schedule(10, func() { ran = true })
+	timer := atFunc(e, 10, func() { ran = true })
 	if !timer.Cancel() {
 		t.Fatal("first cancel should succeed")
 	}
@@ -130,7 +139,7 @@ func TestTimerCancel(t *testing.T) {
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := NewEngine()
-	timer := e.Schedule(1, func() {})
+	timer := atFunc(e, 1, func() {})
 	e.Run(vtime.ModelInfinity)
 	if timer.Cancel() {
 		t.Fatal("cancel after fire should report false")
@@ -140,9 +149,9 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 func TestCancelMiddleOfHeap(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(10, func() { order = append(order, 1) })
-	mid := e.Schedule(20, func() { order = append(order, 2) })
-	e.Schedule(30, func() { order = append(order, 3) })
+	atFunc(e, 10, func() { order = append(order, 1) })
+	mid := atFunc(e, 20, func() { order = append(order, 2) })
+	atFunc(e, 30, func() { order = append(order, 3) })
 	mid.Cancel()
 	e.Run(vtime.ModelInfinity)
 	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
@@ -153,8 +162,8 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 func TestStep(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(1, func() { ran++ })
-	e.Schedule(2, func() { ran++ })
+	atFunc(e, 1, func() { ran++ })
+	atFunc(e, 2, func() { ran++ })
 	if !e.Step() {
 		t.Fatal("Step should run first event")
 	}
@@ -170,7 +179,7 @@ func TestStep(t *testing.T) {
 func TestProcessedCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.Schedule(vtime.ModelTime(i), func() {})
+		atFunc(e, vtime.ModelTime(i), func() {})
 	}
 	e.Run(vtime.ModelInfinity)
 	if e.Processed() != 5 {
@@ -185,7 +194,7 @@ func TestMonotonicClock(t *testing.T) {
 		e := NewEngine()
 		var seen []vtime.ModelTime
 		for _, d := range delays {
-			e.Schedule(vtime.ModelTime(d), func() { seen = append(seen, e.Now()) })
+			atFunc(e, vtime.ModelTime(d), func() { seen = append(seen, e.Now()) })
 		}
 		e.Run(vtime.ModelInfinity)
 		for i := 1; i < len(seen); i++ {
@@ -202,7 +211,7 @@ func TestMonotonicClock(t *testing.T) {
 
 func TestReentrantRunPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1, func() {
+	atFunc(e, 1, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic for reentrant Run")

@@ -31,12 +31,16 @@ func checkHeap(t *testing.T, e *Engine) {
 	}
 }
 
-// TestEventIsOneCacheLine pins the event record's size: the arena is
-// walked by slot index on every fire, and a record that straddles two lines
-// doubles that traffic.
+// TestEventIsOneCacheLine pins the size of the two records that carry a
+// callback: the arena is walked by slot index on every fire and a
+// resource's ring entry on every completion, and a record that straddles
+// two lines doubles that traffic.
 func TestEventIsOneCacheLine(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n != 64 {
 		t.Fatalf("event is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(doneEntry{}); n != 64 {
+		t.Fatalf("doneEntry is %d bytes, want 64", n)
 	}
 }
 
@@ -78,7 +82,7 @@ func (m *heapModel) schedule() {
 	id := m.nextID
 	m.nextID++
 	at := m.e.Now() + vtime.ModelTime(m.rng.Intn(40))
-	tm := m.e.At(at, func() { m.callback(id) })
+	tm := atFunc(m.e, at, func() { m.callback(id) })
 	i := sort.Search(len(m.live), func(i int) bool { return m.live[i].at > at })
 	m.live = append(m.live, refEvent{})
 	copy(m.live[i+1:], m.live[i:])
@@ -191,7 +195,7 @@ func TestHeapMatchesSortedReference(t *testing.T) {
 func TestVacatedRootSingleElement(t *testing.T) {
 	e := NewEngine()
 	// No insert: the hole closes over an empty heap.
-	e.At(1, func() {
+	atFunc(e, 1, func() {
 		if e.heap.Len() != 0 {
 			t.Errorf("pending inside the only event = %d", e.heap.Len())
 		}
@@ -200,8 +204,8 @@ func TestVacatedRootSingleElement(t *testing.T) {
 	checkHeap(t, e)
 	// Insert: the successor refills the root of an otherwise empty heap.
 	ran := false
-	e.At(2, func() {
-		e.At(3, func() { ran = true })
+	atFunc(e, 2, func() {
+		atFunc(e, 3, func() { ran = true })
 		if e.heap.Len() != 1 {
 			t.Errorf("pending after refill = %d", e.heap.Len())
 		}
@@ -212,8 +216,8 @@ func TestVacatedRootSingleElement(t *testing.T) {
 		t.Fatalf("ran=%v now=%v pending=%d", ran, e.Now(), e.heap.Len())
 	}
 	// Cancel of the only other event while the root is vacant, then panic.
-	victim := e.At(9, func() { t.Error("cancelled event fired") })
-	e.At(5, func() {
+	victim := atFunc(e, 9, func() { t.Error("cancelled event fired") })
+	atFunc(e, 5, func() {
 		if !victim.Cancel() {
 			t.Error("cancel inside a callback had no effect")
 		}
@@ -232,7 +236,7 @@ func TestVacatedRootSingleElement(t *testing.T) {
 		t.Fatalf("pending after panic = %d", e.heap.Len())
 	}
 	// The engine is still usable.
-	e.At(6, func() { ran = false })
+	atFunc(e, 6, func() { ran = false })
 	e.Run(vtime.ModelInfinity)
 	if ran || e.Now() != 6 {
 		t.Fatalf("engine unusable after a recovered panic: ran=%v now=%v", ran, e.Now())

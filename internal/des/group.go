@@ -273,10 +273,7 @@ func (g *Group) merge() {
 				}
 				dst.ensureLane(se.lane)
 				ei := dst.insert(eventKey(se.at, se.ord), se.lane)
-				ev := &dst.arena[ei]
-				ev.fn2 = se.fn2
-				ev.arg = se.a
-				ev.argB = se.b
+				dst.arena[ei].cb = callback{fn2: se.fn2, arg: se.a, argB: se.b}
 				s[i] = stagedEv{}
 			}
 			src.staged[d] = s[:0]

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,8 +31,8 @@ func ringArrive(a, b interface{}) {
 	n.log = append(n.log, fmt.Sprintf("arrive@%d hops=%d", n.eng.Now(), hops))
 	// Two local events at the same instant: their relative order is fixed by
 	// the lane-keyed sequence, not by which engine hosts the lane.
-	n.eng.ScheduleArg(0, ringLocal, n)
-	n.eng.ScheduleArg(0, ringLocal, n)
+	n.eng.AtArg(n.eng.Now(), ringLocal, n)
+	n.eng.AtArg(n.eng.Now(), ringLocal, n)
 	if hops > 0 {
 		t := n.eng.Now() + ringLatency
 		n.eng.AtCross(n.next.eng, n.next.lane, t, ringArrive, n.next, hops-1)
@@ -72,7 +73,7 @@ func runRing(shards, nodes, tokens, hops int, probe func()) [][]string {
 	g := NewGroup(engines, ringLatency)
 	ring := buildRing(engines, nodes, tokens, hops)
 	if probe != nil {
-		engines[0].At(0, probe)
+		atFunc(engines[0], 0, probe)
 	}
 	g.Run(vtime.ModelInfinity)
 	logs := make([][]string, nodes)
@@ -96,14 +97,28 @@ func TestGroupMatchesSerial(t *testing.T) {
 	}
 }
 
-// goroutinesBackTo waits for the goroutine count to fall back to base. A
-// worker calls wg.Done just before it exits, so Run can return a moment
-// before the count does.
-func goroutinesBackTo(t *testing.T, base int) {
+// groupWorkers counts the goroutines a Group's Run started and that have
+// not exited, read off every goroutine's stack by their creation site: a
+// worker not yet scheduled shows no workerLoop frame, and a plain goroutine
+// count would also see runtime and test goroutines come and go.
+func groupWorkers() int {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	return strings.Count(string(buf[:n]), "created by nicwarp/internal/des.(*Group).Run ")
+}
+
+// workersGone waits for every Group worker to exit. A worker calls wg.Done
+// just before it returns, so Run can return a moment before its workers
+// are gone.
+func workersGone(t *testing.T) {
 	t.Helper()
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(time.Second); groupWorkers() > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines outlive Run, want %d", runtime.NumGoroutine(), base)
+			t.Fatalf("%d Group workers outlive Run, want 0", groupWorkers())
 		}
 	}
 }
@@ -115,32 +130,32 @@ func TestGroupDealsEnginesToProcessors(t *testing.T) {
 	const nodes, tokens, hops = 6, 4, 40
 	want := runRing(1, nodes, tokens, hops, nil)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	base := runtime.NumGoroutine()
 	for _, procs := range []int{1, 2, 3} {
 		runtime.GOMAXPROCS(procs)
 		for _, engines := range []int{1, 2, 3, 5} {
+			workersGone(t)
 			started := -1
-			got := runRing(engines, nodes, tokens, hops, func() { started = runtime.NumGoroutine() - base })
+			got := runRing(engines, nodes, tokens, hops, func() { started = groupWorkers() })
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("GOMAXPROCS=%d engines=%d: per-lane logs differ from one engine\none: %v\ndealt: %v",
 					procs, engines, want, got)
 			}
 			if k := min(engines, procs); started != k-1 {
-				t.Errorf("GOMAXPROCS=%d engines=%d: Run started %d goroutines, want %d", procs, engines, started, k-1)
+				t.Errorf("GOMAXPROCS=%d engines=%d: Run started %d workers, want %d", procs, engines, started, k-1)
 			}
-			goroutinesBackTo(t, base)
+			workersGone(t)
 		}
 	}
 }
 
 // TestGroupPanicReachesCaller: a panic in a callback on any engine, in the
-// caller's share or a worker's, reaches Run's caller, and no goroutine Run
+// caller's share or a worker's, reaches Run's caller, and no worker Run
 // started outlives it.
 func TestGroupPanicReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	base := runtime.NumGoroutine()
 	for _, n := range []int{2, 3} {
 		for victim := 0; victim < n; victim++ {
+			workersGone(t)
 			engines := make([]*Engine, n)
 			for i := range engines {
 				engines[i] = NewEngine()
@@ -148,7 +163,7 @@ func TestGroupPanicReachesCaller(t *testing.T) {
 			g := NewGroup(engines, ringLatency)
 			buildRing(engines, 6, 4, 40)
 			want := fmt.Sprintf("boom on engine %d", victim)
-			engines[victim].At(5*ringLatency, func() { panic(want) })
+			atFunc(engines[victim], 5*ringLatency, func() { panic(want) })
 			got := func() (p interface{}) {
 				defer func() { p = recover() }()
 				g.Run(vtime.ModelInfinity)
@@ -157,7 +172,7 @@ func TestGroupPanicReachesCaller(t *testing.T) {
 			if got != want {
 				t.Errorf("engines=%d victim=%d: recovered %v, want %q", n, victim, got, want)
 			}
-			goroutinesBackTo(t, base)
+			workersGone(t)
 		}
 	}
 }
@@ -228,8 +243,8 @@ func TestGroupRunLimitInclusive(t *testing.T) {
 	engines := []*Engine{NewEngine(), NewEngine()}
 	g := NewGroup(engines, 50)
 	var fired []string
-	engines[0].At(100, func() { fired = append(fired, "at-limit") })
-	engines[1].At(101, func() { fired = append(fired, "past-limit") })
+	atFunc(engines[0], 100, func() { fired = append(fired, "at-limit") })
+	atFunc(engines[1], 101, func() { fired = append(fired, "past-limit") })
 	g.Run(100)
 	if len(fired) != 1 || fired[0] != "at-limit" {
 		t.Fatalf("fired = %v, want [at-limit]", fired)
@@ -259,7 +274,7 @@ func TestGroupLookaheadViolationPanics(t *testing.T) {
 			}
 			g := NewGroup(engines, 100)
 			dst := engines[len(engines)-1]
-			engines[0].At(0, func() {
+			atFunc(engines[0], 0, func() {
 				// Claimed lookahead is 100, actual latency 1: a violation.
 				engines[0].AtCross(dst, 1, 1, func(a, b interface{}) {}, nil, nil)
 			})
@@ -312,10 +327,10 @@ func TestLaneTieBreak(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.SetLane(2)
-	e.At(10, func() { order = append(order, "lane2-a") })
-	e.At(10, func() { order = append(order, "lane2-b") })
+	atFunc(e, 10, func() { order = append(order, "lane2-a") })
+	atFunc(e, 10, func() { order = append(order, "lane2-b") })
 	e.SetLane(1)
-	e.At(10, func() { order = append(order, "lane1") })
+	atFunc(e, 10, func() { order = append(order, "lane1") })
 	e.Run(vtime.ModelInfinity)
 	want := []string{"lane1", "lane2-a", "lane2-b"}
 	if !reflect.DeepEqual(order, want) {

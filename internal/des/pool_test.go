@@ -13,11 +13,11 @@ import (
 func TestCancelDropsCallback(t *testing.T) {
 	e := NewEngine()
 	captured := make([]byte, 1<<20)
-	tm := e.Schedule(10, func() { captured[0]++ })
+	tm := atFunc(e, 10, func() { captured[0]++ })
 	if !tm.Cancel() {
 		t.Fatal("Cancel reported no effect on a pending timer")
 	}
-	if e.arena[tm.ei].arg != nil || e.arena[tm.ei].fnArg != nil {
+	if cb := e.arena[tm.ei].cb; cb.arg != nil || cb.fnArg != nil {
 		t.Fatal("cancelled event still holds its callback closure")
 	}
 	e.Run(100)
@@ -32,9 +32,9 @@ func TestCancelDropsCallback(t *testing.T) {
 func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	t1 := e.Schedule(1, func() { fired++ })
+	t1 := atFunc(e, 1, func() { fired++ })
 	e.Run(1) // t1 fires; its event is recycled
-	e.Schedule(2, func() { fired += 10 })
+	atFunc(e, 2, func() { fired += 10 })
 	if t1.Cancel() {
 		t.Fatal("stale handle cancelled a recycled event")
 	}
@@ -46,10 +46,10 @@ func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 
 func TestCancelledEventIsReused(t *testing.T) {
 	e := NewEngine()
-	tm := e.Schedule(5, func() {})
+	tm := atFunc(e, 5, func() {})
 	ei := tm.ei
 	tm.Cancel()
-	tm2 := e.Schedule(7, func() {})
+	tm2 := atFunc(e, 7, func() {})
 	if tm2.ei != ei {
 		t.Fatal("cancelled event slot was not recycled for the next schedule")
 	}
@@ -58,13 +58,13 @@ func TestCancelledEventIsReused(t *testing.T) {
 	}
 }
 
-func TestScheduleArg(t *testing.T) {
+func TestAtArg(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	fn := func(x interface{}) { got = append(got, *x.(*int)) }
 	a, b := 1, 2
-	e.ScheduleArg(5, fn, &b)
-	e.ScheduleArg(3, fn, &a)
+	e.AtArg(5, fn, &b)
+	e.AtArg(3, fn, &a)
 	e.Run(10)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("got %v, want [1 2]", got)
@@ -72,7 +72,7 @@ func TestScheduleArg(t *testing.T) {
 }
 
 // TestSteadyStateSchedulingDoesNotAllocate proves the free list works: after
-// warmup, a schedule/fire cycle through ScheduleArg and Resource.SubmitArg
+// warmup, a schedule/fire cycle through AtArg and Resource.SubmitArg
 // performs zero heap allocations.
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
@@ -81,12 +81,12 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	tick := func(interface{}) { n++ }
 	// Warm up the free list and the resource's completion ring.
 	for i := 0; i < 8; i++ {
-		e.ScheduleArg(1, tick, nil)
+		e.AtArg(e.Now()+1, tick, nil)
 		r.SubmitArg(1, tick, nil)
 		e.Run(e.Now() + 10)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		e.ScheduleArg(1, tick, nil)
+		e.AtArg(e.Now()+1, tick, nil)
 		r.SubmitArg(1, tick, nil)
 		e.Run(e.Now() + 10)
 	})
@@ -133,7 +133,7 @@ func TestCancelReleasesCapturedMemory(t *testing.T) {
 	tm := func() TimerRef {
 		big := new([1 << 16]byte)
 		runtime.SetFinalizer(big, func(*[1 << 16]byte) { close(collected) })
-		return e.Schedule(vtime.ModelTime(10), func() { _ = big[0] })
+		return atFunc(e, vtime.ModelTime(10), func() { _ = big[0] })
 	}()
 	tm.Cancel()
 	for i := 0; i < 10; i++ {

@@ -10,19 +10,14 @@ import (
 )
 
 // doneEntry is one submitted job waiting for its completion: the key
-// reserved for the completion event, and the callback — a closure-free
-// (fnArg, arg) pair or a two-receiver (fn2, arg, argB) triple; both nil
-// means fire-and-forget. One cache line; entries are filled and read in
-// place in the ring, because copying one per job shows in profiles.
+// reserved for the completion event, and the callback to run then. One
+// cache line; entries are filled and read in place in the ring, because
+// copying one per job shows in profiles.
 type doneEntry struct {
 	// key is (completion time, order key drawn at submit); the order key's
 	// lane bits are the lane the completion fires on.
 	key d4heap.Key
-
-	fnArg func(interface{})
-	fn2   func(interface{}, interface{})
-	arg   interface{}
-	argB  interface{}
+	cb  callback
 }
 
 // Resource models a single-server FIFO hardware resource: a host CPU, a NIC
@@ -83,8 +78,7 @@ func (r *Resource) Idle() bool { return r.done.Len() == 0 }
 // Returns the completion time. fn should be a top-level function and arg a
 // threaded receiver, so hot callers allocate nothing per job.
 func (r *Resource) SubmitArg(cost vtime.ModelTime, fn func(interface{}), arg interface{}) vtime.ModelTime {
-	d := r.submit(cost)
-	d.fnArg, d.arg = fn, arg
+	r.submit(cost).cb = callback{fnArg: fn, arg: arg}
 	return r.busyUntil
 }
 
@@ -92,8 +86,7 @@ func (r *Resource) SubmitArg(cost vtime.ModelTime, fn func(interface{}), arg int
 // fn(a, b) runs. Used by pipelines that pair a component with a payload
 // without a wrapper allocation.
 func (r *Resource) SubmitArg2(cost vtime.ModelTime, fn func(interface{}, interface{}), a, b interface{}) vtime.ModelTime {
-	d := r.submit(cost)
-	d.fn2, d.arg, d.argB = fn, a, b
+	r.submit(cost).cb = callback{fn2: fn, arg: a, argB: b}
 	return r.busyUntil
 }
 
@@ -125,9 +118,7 @@ func (r *Resource) submit(cost vtime.ModelTime) *doneEntry {
 func (r *Resource) arm(d *doneEntry) {
 	e := r.eng
 	r.armed = e.insert(d.key, uint32(d.key.Lo>>laneSeqBits))
-	ev := &e.arena[r.armed]
-	ev.fnArg = resourceComplete
-	ev.arg = r
+	e.arena[r.armed].cb = callback{fnArg: resourceComplete, arg: r}
 }
 
 // undercut restores key order after a submit whose key sorts before its
@@ -151,35 +142,25 @@ func (r *Resource) undercut(q []doneEntry) {
 // resourceComplete is the resource's one armed event firing: the
 // head-of-line job finishes now. The next job's reserved key goes on the
 // engine before the callback runs, so it is the insert that refills the
-// root this event vacated.
+// root this event vacated. The job's callback is copied out whole before
+// its ring entry is dropped; the entry was written at submit, normally long
+// before.
 //
 //nicwarp:hotpath one completion per job
 func resourceComplete(x interface{}) {
 	r := x.(*Resource)
-	d := r.done.Front()
-	fnArg, fn2, a, b := d.fnArg, d.fn2, d.arg, d.argB
+	cb := r.done.Front().cb
 	r.done.Drop()
 	r.Jobs.Inc()
 	if r.done.Len() > 0 {
 		r.arm(r.done.Front())
 	}
-	switch {
-	case fn2 != nil:
-		fn2(a, b) //nicwarp:alloc completion dispatch; the callee is held to its own hot root, not this one
-	case fnArg != nil:
-		fnArg(a) //nicwarp:alloc completion dispatch; the callee is held to its own hot root, not this one
-	}
+	cb.run()
 }
 
-// Utilization returns the fraction of elapsed model time this resource was
-// busy.
-func (r *Resource) Utilization() float64 {
-	return r.Busy.Utilization(r.eng.Now())
-}
-
-// UtilizationAt is Utilization against an explicit end-of-run clock. Sharded
-// runs use it with the group-wide final time, because a member engine's own
-// clock stops at its last local event.
+// UtilizationAt returns the fraction of model time up to end this resource
+// was busy. The caller passes the run's end clock (Group.Now in a sharded
+// run), because a member engine's own clock stops at its last local event.
 func (r *Resource) UtilizationAt(end vtime.ModelTime) float64 {
 	return r.Busy.Utilization(end)
 }

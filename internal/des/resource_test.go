@@ -17,9 +17,9 @@ func TestResourceSerializes(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu")
 	var done []vtime.ModelTime
-	r.SubmitArg(10, runClosure, func() { done = append(done, e.Now()) })
-	r.SubmitArg(10, runClosure, func() { done = append(done, e.Now()) })
-	r.SubmitArg(5, runClosure, func() { done = append(done, e.Now()) })
+	r.SubmitArg(10, call, func() { done = append(done, e.Now()) })
+	r.SubmitArg(10, call, func() { done = append(done, e.Now()) })
+	r.SubmitArg(5, call, func() { done = append(done, e.Now()) })
 	e.Run(vtime.ModelInfinity)
 	want := []vtime.ModelTime{10, 20, 25}
 	if len(done) != 3 {
@@ -38,8 +38,8 @@ func TestResourceQueueingAfterIdle(t *testing.T) {
 	var second vtime.ModelTime
 	r.SubmitArg(10, nil, nil)
 	// Submit more work at t=50, after the resource went idle at t=10.
-	e.Schedule(50, func() {
-		r.SubmitArg(10, runClosure, func() { second = e.Now() })
+	atFunc(e, 50, func() {
+		r.SubmitArg(10, call, func() { second = e.Now() })
 	})
 	e.Run(vtime.ModelInfinity)
 	if second != 60 {
@@ -51,7 +51,7 @@ func TestResourceZeroCost(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "wire")
 	ran := false
-	r.SubmitArg(0, runClosure, func() { ran = true })
+	r.SubmitArg(0, call, func() { ran = true })
 	e.Run(vtime.ModelInfinity)
 	if !ran || e.Now() != 0 {
 		t.Fatalf("zero-cost job: ran=%v now=%v", ran, e.Now())
@@ -80,7 +80,7 @@ func TestResourceMetrics(t *testing.T) {
 	if r.Busy.Total() != 60 {
 		t.Fatalf("busy = %v", r.Busy.Total())
 	}
-	if got := r.Utilization(); got != 1.0 {
+	if got := r.UtilizationAt(e.Now()); got != 1.0 {
 		t.Fatalf("utilization = %v, want 1.0", got)
 	}
 	if !r.Idle() {
@@ -95,7 +95,7 @@ func TestResourceQueueGauge(t *testing.T) {
 	r := NewResource(e, "cpu")
 	var seen []int
 	for i := 0; i < 5; i++ {
-		r.SubmitArg(10, runClosure, func() { seen = append(seen, r.InFlight()) })
+		r.SubmitArg(10, call, func() { seen = append(seen, r.InFlight()) })
 	}
 	if r.InFlight() != 5 {
 		t.Fatalf("in flight = %d", r.InFlight())
@@ -133,8 +133,8 @@ func TestResourceCompletionOrderFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "nic")
 	var order []string
-	r.SubmitArg(100, runClosure, func() { order = append(order, "big") })
-	r.SubmitArg(1, runClosure, func() { order = append(order, "small") })
+	r.SubmitArg(100, call, func() { order = append(order, "big") })
+	r.SubmitArg(1, call, func() { order = append(order, "small") })
 	e.Run(vtime.ModelInfinity)
 	if order[0] != "big" || order[1] != "small" {
 		t.Fatalf("order = %v", order)
@@ -332,14 +332,14 @@ func (s *schedRun) act(which int) {
 			s.e.SetLane(uint32(s.rng.Intn(schedLanes)))
 		case 4: // arm an unrelated timer
 			id := -1 - len(s.timers)
-			s.timers = append(s.timers, s.e.ScheduleArgRef(vtime.ModelTime(s.rng.Intn(30)),
+			s.timers = append(s.timers, s.e.AtArgRef(s.e.Now()+vtime.ModelTime(s.rng.Intn(30)),
 				func(x interface{}) { s.record(x.(int)); s.act(s.rng.Intn(2)) }, id))
 		case 5: // cancel an unrelated timer (fired or not) mid-callback
 			if len(s.timers) > 0 {
 				s.timers[s.rng.Intn(len(s.timers))].Cancel()
 			}
 		case 6: // a plain closure event
-			s.e.Schedule(vtime.ModelTime(s.rng.Intn(10)), func() { s.submit(s.rng.Intn(2), s.cost()) })
+			atFunc(s.e, s.e.Now()+vtime.ModelTime(s.rng.Intn(10)), func() { s.submit(s.rng.Intn(2), s.cost()) })
 		}
 	}
 }
@@ -359,7 +359,7 @@ func playSchedule(seed int64, budget int, mk func(e *Engine, name string) fifoSe
 	for i := 0; i < 6; i++ {
 		e.SetLane(uint32(s.rng.Intn(schedLanes)))
 		s.submit(i%2, s.cost())
-		e.Schedule(vtime.ModelTime(s.rng.Intn(50)), func() { s.act(s.rng.Intn(2)) })
+		atFunc(e, vtime.ModelTime(s.rng.Intn(50)), func() { s.act(s.rng.Intn(2)) })
 	}
 	// Drain in slices so a run that re-enters Run many times is covered too.
 	for limit := vtime.ModelTime(25); e.heap.Len() > 0; limit += 25 {

@@ -209,7 +209,7 @@ func jitter(r *rng.Source, period vtime.ModelTime) vtime.ModelTime {
 
 func (p *Plane) armRx(i int) {
 	ring := &p.rings[i]
-	ring.eng.Schedule(jitter(&ring.rng, p.spec.RxHoldEvery), func() { p.fireRx(i) })
+	ring.eng.AtArg(ring.eng.Now()+jitter(&ring.rng, p.spec.RxHoldEvery), func(interface{}) { p.fireRx(i) }, nil)
 }
 
 func (p *Plane) fireRx(i int) {
@@ -220,14 +220,14 @@ func (p *Plane) fireRx(i int) {
 	if held := ring.ctrl.FaultHoldRx(p.spec.RxHoldSlots); held > 0 {
 		ring.injected.Add(int64(held))
 		ctrl := ring.ctrl
-		ring.eng.Schedule(p.spec.RxHoldFor, func() { ctrl.FaultReleaseRx(held) })
+		ring.eng.AtArg(ring.eng.Now()+p.spec.RxHoldFor, func(interface{}) { ctrl.FaultReleaseRx(held) }, nil)
 	}
 	p.armRx(i)
 }
 
 func (p *Plane) armTx(i int) {
 	ring := &p.rings[i]
-	ring.eng.Schedule(jitter(&ring.rng, p.spec.TxStallEvery), func() { p.fireTx(i) })
+	ring.eng.AtArg(ring.eng.Now()+jitter(&ring.rng, p.spec.TxStallEvery), func(interface{}) { p.fireTx(i) }, nil)
 }
 
 func (p *Plane) fireTx(i int) {
@@ -238,7 +238,7 @@ func (p *Plane) fireTx(i int) {
 	ring.injected.Inc()
 	ctrl := ring.ctrl
 	ctrl.SetTxFaultStall(true)
-	ring.eng.Schedule(p.spec.TxStallFor, func() { ctrl.SetTxFaultStall(false) })
+	ring.eng.AtArg(ring.eng.Now()+p.spec.TxStallFor, func(interface{}) { ctrl.SetTxFaultStall(false) }, nil)
 	p.armTx(i)
 }
 

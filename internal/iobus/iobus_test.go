@@ -86,8 +86,8 @@ func TestIdleAndUtilization(t *testing.T) {
 		t.Fatal("bus with queued DMA should not be idle")
 	}
 	e.Run(vtime.ModelInfinity)
-	if !b.res.Idle() || b.res.Utilization() != 1.0 {
-		t.Fatalf("idle=%v utilization=%v", b.res.Idle(), b.res.Utilization())
+	if u := b.res.UtilizationAt(e.Now()); !b.res.Idle() || u != 1.0 {
+		t.Fatalf("idle=%v utilization=%v", b.res.Idle(), u)
 	}
 }
 

@@ -381,9 +381,9 @@ func TestFlushHorizonBatchesArrivals(t *testing.T) {
 	r := batchRig(t, cfg, func(i int) Firmware { return &stubFirmware{} })
 	for s := uint64(1); s <= 4; s++ {
 		s := s
-		r.eng.Schedule(vtime.ModelTime(s)*vtime.Microsecond, func() {
+		r.eng.AtArg(vtime.ModelTime(s)*vtime.Microsecond, func(interface{}) {
 			r.nics[0].HostEnqueue(seqPkt(0, 1, s))
-		})
+		}, nil)
 	}
 	// Run only to half the horizon: a full batch flushes as soon as the
 	// fourth arrival completes it, not at the (still armed, now stale)

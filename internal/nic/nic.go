@@ -503,7 +503,7 @@ func (n *NIC) armFlush(deadline vtime.ModelTime) {
 		return
 	}
 	n.flushAt = deadline
-	n.eng.ScheduleArg(deadline-now, nicFlushExpire, n)
+	n.eng.AtArg(deadline, nicFlushExpire, n)
 }
 
 // nicFlushExpire is the flush-horizon timer: the held head has waited long
@@ -555,12 +555,9 @@ func (n *NIC) SetTxFaultStall(v bool) {
 // Shared returns the host/NIC shared memory window.
 func (n *NIC) Shared() *SharedWindow { return &n.shared }
 
-// ProcUtilization returns the NIC processor utilization.
-func (n *NIC) ProcUtilization() float64 { return n.proc.Utilization() }
-
-// ProcUtilizationAt is ProcUtilization against an explicit end-of-run
-// clock, for sharded runs where a member engine's clock stops at its last
-// local event.
+// ProcUtilizationAt returns the NIC processor's utilization up to the
+// run's end clock (Group.Now in a sharded run, where a member engine's own
+// clock stops at its last local event).
 func (n *NIC) ProcUtilizationAt(end vtime.ModelTime) float64 { return n.proc.UtilizationAt(end) }
 
 // Idle reports whether the NIC has no queued or in-flight work.

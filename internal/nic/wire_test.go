@@ -202,21 +202,23 @@ func TestTxDepartIsProcFinishPlusWire(t *testing.T) {
 			})
 			eng, n0, n1 := p.r.eng, p.r.nics[0], p.r.nics[1]
 			// Node 1's host is slow, so node 0's window toward it keeps closing.
-			n1.Wire(func(_ *proto.Packet, done func()) { eng.Schedule(30*vtime.Microsecond, done) }, func(NotifyTag) {})
+			n1.Wire(func(_ *proto.Packet, done func()) {
+				eng.AtArg(eng.Now()+30*vtime.Microsecond, func(interface{}) { done() }, nil)
+			}, func(NotifyTag) {})
 			// Node 0's host outruns its NIC (6 us a packet); node 1 interleaves
 			// positives and antis that cancel what node 0 still has queued.
 			for k := uint64(1); k <= 120; k++ {
 				at := vtime.ModelTime(k) * 2 * vtime.Microsecond
-				eng.At(at, func() { n0.HostEnqueue(seqPkt(0, 1, k)) })
+				eng.AtArg(at, func(interface{}) { n0.HostEnqueue(seqPkt(0, 1, k)) }, nil)
 				if k%4 == 0 {
-					eng.At(at+700, func() {
+					eng.AtArg(at+700, func(interface{}) {
 						back := seqPkt(1, 0, k)
 						if k%8 == 0 {
 							back.Kind = proto.KindAnti
 							back.RecvTS = vtime.VTime(200 + k - 1) // seqPkt's RecvTS of packet k-1
 						}
 						n1.HostEnqueue(back)
-					})
+					}, nil)
 				}
 			}
 			p.run()
@@ -252,12 +254,12 @@ func TestIdleTracksPumpState(t *testing.T) {
 				eng, n0, n1 := p.r.eng, p.r.nics[0], p.r.nics[1]
 				for i, at := range sendAt {
 					seq := uint64(i + 1)
-					eng.At(at, func() { n0.HostEnqueue(seqPkt(0, 1, seq)) })
+					eng.AtArg(at, func(interface{}) { n0.HostEnqueue(seqPkt(0, 1, seq)) }, nil)
 				}
 				if withRx {
 					for i, at := range recvAt {
 						seq := uint64(i + 1)
-						eng.At(at, func() { n1.HostEnqueue(seqPkt(1, 0, seq)) })
+						eng.AtArg(at, func(interface{}) { n1.HostEnqueue(seqPkt(1, 0, seq)) }, nil)
 					}
 				}
 				p.run()

@@ -393,10 +393,12 @@ func portArrival(a, b interface{}) {
 }
 
 // portSerialized: the output port finished serializing; propagate down the
-// final link to the destination NIC.
+// final link to the destination NIC. The serializer job was submitted on
+// p.lane, so its completion runs there and the hop stays on the port's own
+// lane and engine, where AtCross asks for no lookahead.
 func portSerialized(a, b interface{}) {
 	p := a.(*port)
-	p.eng.ScheduleArg2(p.f.cfg.LinkLatency, portDeliver, p, b)
+	p.eng.AtCross(p.eng, p.lane, p.eng.Now()+p.f.cfg.LinkLatency, portDeliver, p, b)
 }
 
 // portDeliver: the packet fully arrived at the destination NIC.

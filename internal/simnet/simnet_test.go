@@ -266,7 +266,7 @@ func TestCrossEngineDelivery(t *testing.T) {
 	f.Attach(0, e0, 0, func(p *proto.Packet) { t.Error("port 0 got a packet") })
 	f.Attach(1, e1, 1, func(p *proto.Packet) { at = e1.Now(); n++ })
 	p := pkt(0, 1)
-	e0.At(0, func() { f.Announce(0, p, e0.Now()) })
+	e0.AtArg(0, func(interface{}) { f.Announce(0, p, e0.Now()) }, nil)
 	g.Run(vtime.ModelInfinity)
 	serialize := vtime.TransferTime(p.EncodedSize(), cfg.LinkBandwidth)
 	want := 100 + 50 + serialize + 100

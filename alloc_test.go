@@ -112,11 +112,9 @@ func TestDeepHistoryAllocationsPerEvent(t *testing.T) {
 // a time, this read about 60.
 func TestTreeGVTAllocationsPerComputation(t *testing.T) {
 	run := func(hops int) (mallocs uint64, computations int64) {
-		net := simnet.DefaultConfig()
-		net.Topology = TopoFatTree
 		cfg := Config{
 			App:   PHOLD(PHOLDParams{Objects: 128, Population: 1, Hops: hops, MeanDelay: 50, Locality: 0.2}),
-			Nodes: 64, Seed: 1, GVT: GVTNICTree, GVTPeriod: 100, Net: net,
+			Nodes: 64, Seed: 1, GVT: GVTNICTree, GVTPeriod: 100, Net: simnet.Config{Topology: TopoFatTree},
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -214,11 +212,9 @@ func TestEveryModelObjectReusesSnapshots(t *testing.T) {
 // the race detector).
 func TestClusterAllocationsPerNode(t *testing.T) {
 	config := func(nodes int) Config {
-		net := simnet.DefaultConfig()
-		net.Topology = TopoFatTree
 		return Config{
 			App:   PHOLD(PHOLDParams{Objects: 2 * nodes, Population: 1, Hops: 1, MeanDelay: 50, Locality: 0.2}),
-			Nodes: nodes, Seed: 1, GVT: GVTNICTree, GVTPeriod: 100, Net: net,
+			Nodes: nodes, Seed: 1, GVT: GVTNICTree, GVTPeriod: 100, Net: simnet.Config{Topology: TopoFatTree},
 		}
 	}
 	measure := func(f func()) (mallocs, bytes uint64) {

@@ -62,16 +62,10 @@ func main() {
 		GVTPeriod:    *period,
 		EarlyCancel:  *cancel,
 		VerifyOracle: *verify,
+		Net:          simnet.Config{Topology: *topo, Radix: *radix},
 	}
 	if *samples {
 		cfg.SampleEvery = 10 * vtime.Millisecond
-	}
-	if *topo != simnet.TopoCrossbar || *radix != 0 {
-		// Start from the full fabric defaults: a partially-filled Net would
-		// suppress WithDefaults' zero-struct check and zero the bandwidth.
-		cfg.Net = simnet.DefaultConfig()
-		cfg.Net.Topology = *topo
-		cfg.Net.Radix = *radix
 	}
 	builders := appBuilders(*requests, *stations, *objects, *hops)
 	build, ok := builders[*app]

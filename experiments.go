@@ -52,18 +52,8 @@ func (o FigureOpts) scaled(n int) int {
 	return v
 }
 
-// netFor builds the Config.Net for the opts topology: the zero value for
-// the crossbar (WithDefaults fills the fabric timing, keeping crossbar
-// digests identical to configs that predate the topology field), the full
-// fabric defaults plus the topology otherwise.
-func netFor(o FigureOpts) simnet.Config {
-	if o.Topology == TopoCrossbar {
-		return simnet.Config{}
-	}
-	net := simnet.DefaultConfig()
-	net.Topology = o.Topology
-	return net
-}
+// netFor builds the Config.Net for the opts topology.
+func netFor(o FigureOpts) simnet.Config { return simnet.Config{Topology: o.Topology} }
 
 // scaleNet is netFor with the fat tree as the fallback instead of the
 // crossbar: the scaling experiment sweeps to 1024 nodes, where a

@@ -111,12 +111,14 @@ type Config struct {
 	// (paper: 10). Zero keeps the default.
 	DropBufferCap int
 
-	// Hardware model parameters; zero values take defaults.
-	Costs hostmodel.CostTable
-	NIC   nic.Config
-	Net   simnet.Config
-	Bus   iobus.Config
-	Flow  mpich.Config
+	// NIC and Net are the hardware an experiment varies; a zero NIC takes
+	// nic.DefaultConfig. The rest of the testbed is the paper's fixed
+	// calibration, which assembly passes to the layers as constants:
+	// hostmodel.DefaultCostTable (with a Grained app's event grain),
+	// iobus.DefaultConfig, mpich.DefaultConfig, nic.SendCycles and
+	// simnet.LinkBandwidth and their siblings.
+	NIC nic.Config
+	Net simnet.Config
 
 	// MaxModelTime aborts runs that fail to quiesce. Zero means a generous
 	// default.
@@ -151,20 +153,8 @@ func (c Config) WithDefaults() Config {
 	if c.GVTPeriod == 0 {
 		c.GVTPeriod = 1000
 	}
-	if c.Costs == (hostmodel.CostTable{}) {
-		c.Costs = hostmodel.DefaultCostTable()
-	}
 	if c.NIC == (nic.Config{}) {
 		c.NIC = nic.DefaultConfig()
-	}
-	if c.Net == (simnet.Config{}) {
-		c.Net = simnet.DefaultConfig()
-	}
-	if c.Bus == (iobus.Config{}) {
-		c.Bus = iobus.DefaultConfig()
-	}
-	if c.Flow == (mpich.Config{}) {
-		c.Flow = mpich.DefaultConfig()
 	}
 	if c.MaxModelTime == 0 {
 		c.MaxModelTime = 24 * 3600 * vtime.Second
@@ -173,9 +163,9 @@ func (c Config) WithDefaults() Config {
 }
 
 // Validate rejects inconsistent configurations. Violations are reported as
-// *FieldError values naming the offending Config field. A hardware
-// sub-config that is entirely zero stands for its defaults (WithDefaults);
-// one that is set only in part must still be runnable.
+// *FieldError values naming the offending Config field. A NIC config that
+// is entirely zero stands for its defaults (WithDefaults); one that is set
+// only in part must still be runnable.
 func (c Config) Validate() error {
 	if c.App == nil {
 		return &FieldError{Field: "App", Value: nil, Reason: "no application configured"}
@@ -204,9 +194,6 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "MaxModelTime", Value: c.MaxModelTime,
 			Reason: "model-time limit must be >= 0 (0 keeps the default)"}
 	}
-	if err := c.Costs.Validate(); err != nil {
-		return &FieldError{Field: "Costs", Value: c.Costs, Reason: err.Error()}
-	}
 	if err := c.Fault.Validate(); err != nil {
 		return &FieldError{Field: "Fault", Value: c.Fault.Scenario, Reason: err.Error()}
 	}
@@ -234,24 +221,6 @@ func (c Config) Validate() error {
 		return &FieldError{Field: "NIC.RxQueueCap", Value: c.NIC.RxQueueCap,
 			Reason: "receive buffer must hold at least one packet (start a partial NIC config from nic.DefaultConfig)"}
 	}
-	// A negative hardware timing schedules into the past or charges
-	// negative work.
-	for _, x := range []struct {
-		field string
-		v     int64
-	}{
-		{"NIC.SendCycles", c.NIC.SendCycles},
-		{"NIC.RecvCycles", c.NIC.RecvCycles},
-		{"NIC.PerSubMsgCycles", c.NIC.PerSubMsgCycles},
-		{"NIC.CreditReturnDelay", int64(c.NIC.CreditReturnDelay)},
-		{"Bus.DMASetup", int64(c.Bus.DMASetup)},
-		{"Net.LinkLatency", int64(c.Net.LinkLatency)},
-		{"Net.SwitchLatency", int64(c.Net.SwitchLatency)},
-	} {
-		if x.v < 0 {
-			return &FieldError{Field: x.field, Value: x.v, Reason: "hardware timing must be >= 0"}
-		}
-	}
 	// A topology is valid when its name parses back; an out-of-range value
 	// prints as "Topology(n)", which does not.
 	if _, err := ParseTopology(c.Net.Topology.String()); err != nil {
@@ -260,19 +229,6 @@ func (c Config) Validate() error {
 	if c.Net.Radix < 0 {
 		return &FieldError{Field: "Net.Radix", Value: c.Net.Radix,
 			Reason: "switch radix must be >= 0 (0 means simnet.DefaultRadix)"}
-	}
-	if c.Net != (simnet.Config{}) && c.Net.LinkBandwidth <= 0 {
-		return &FieldError{Field: "Net.LinkBandwidth", Value: c.Net.LinkBandwidth,
-			Reason: "link bandwidth must be positive (start a partial Net config from simnet.DefaultConfig)"}
-	}
-	if c.Bus != (iobus.Config{}) && c.Bus.Bandwidth <= 0 {
-		return &FieldError{Field: "Bus.Bandwidth", Value: c.Bus.Bandwidth,
-			Reason: "bus bandwidth must be positive (start a partial Bus config from iobus.DefaultConfig)"}
-	}
-	if c.Flow != (mpich.Config{}) {
-		if err := c.Flow.Validate(); err != nil {
-			return &FieldError{Field: "Flow", Value: c.Flow, Reason: err.Error()}
-		}
 	}
 	return nil
 }
@@ -458,8 +414,9 @@ func NewClusterOn(cfg Config, ex Exec, s *Scratch) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	costs := hostmodel.DefaultCostTable()
 	if g, ok := cfg.App.(Grained); ok {
-		cfg.Costs.EventGrain = g.EventGrain()
+		costs.EventGrain = g.EventGrain()
 	}
 	cl := &Cluster{cfg: cfg, shards: ex.shards(cfg)}
 	s.shards = dense.Grow(s.shards, int32(cl.shards-1), shard{})
@@ -530,8 +487,8 @@ func NewClusterOn(cfg Config, ex Exec, s *Scratch) (*Cluster, error) {
 		n.pool = &s.shards[i%cl.shards].Pool
 		// The components' resources take the engine's current lane.
 		n.eng.SetLane(uint32(i))
-		n.cpu.Init(n.eng, cfg.Costs)
-		n.bus.Init(n.eng, cfg.Bus)
+		n.cpu.Init(n.eng, costs)
+		n.bus.Init(n.eng, iobus.DefaultConfig())
 
 		var fw nic.Firmware = firmware.NewForwarder()
 		if cl.gvtFW != nil {
@@ -554,7 +511,7 @@ func NewClusterOn(cfg Config, ex Exec, s *Scratch) (*Cluster, error) {
 			// bugs.
 			n.bipEnd.SetTolerant(true)
 		}
-		n.flow.Init(i, cfg.Flow, transmit, n.pool, peerRow(credits, i, nodes), peerRow(owed, i, nodes))
+		n.flow.Init(i, mpich.DefaultConfig(), transmit, n.pool, peerRow(credits, i, nodes), peerRow(owed, i, nodes))
 
 		n.nicDev.WireArg(nodeNICDeliver, nodeNICNotify, n)
 		if cl.checker != nil {
@@ -744,7 +701,7 @@ func (cl *Cluster) invariantFloor() vtime.VTime {
 // logs are already folded.
 func (cl *Cluster) runQuiescenceChecks() {
 	ck := cl.checker
-	window := cl.cfg.Flow.Window
+	window := mpich.DefaultConfig().Window
 	for i := range cl.nodes {
 		s := &cl.nodes[i]
 		for _, peer := range s.flow.TouchedPeers() {

@@ -21,6 +21,11 @@ import (
 // explicit default collide on purpose: Config{GVTPeriod: 0} and
 // Config{GVTPeriod: 1000} run the same experiment and must hit the same
 // cache entry.
+//
+// The encoding names every field, so a change in Config's shape (a field
+// added, removed or renamed, here or in a struct it embeds) moves every
+// digest: cache entries written by older builds are orphaned, never
+// served, and TestDigestGolden's constants change with it.
 func (c Config) Digest() string {
 	buf := appendCanonical(make([]byte, 0, 4096), "Config", reflect.ValueOf(c.WithDefaults()))
 	sum := sha256.Sum256(buf)

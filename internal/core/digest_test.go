@@ -6,9 +6,6 @@ import (
 	"testing"
 
 	"nicwarp/internal/apps/phold"
-	"nicwarp/internal/hostmodel"
-	"nicwarp/internal/iobus"
-	"nicwarp/internal/mpich"
 	"nicwarp/internal/nic"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/simnet"
@@ -27,11 +24,8 @@ func digestBase() Config {
 		GVTFallbackDelay: 55 * vtime.Microsecond,
 		EarlyCancel:      true,
 		DropBufferCap:    17,
-		Costs:            hostmodel.DefaultCostTable(),
 		NIC:              nic.DefaultConfig(),
-		Net:              simnet.DefaultConfig(),
-		Bus:              iobus.DefaultConfig(),
-		Flow:             mpich.DefaultConfig(),
+		Net:              simnet.Config{Topology: simnet.TopoFatTree, Radix: 4},
 		MaxModelTime:     3 * vtime.Second,
 		VerifyOracle:     true,
 		SampleEvery:      9 * vtime.Millisecond,
@@ -102,8 +96,7 @@ func TestDigestNormalizesDefaults(t *testing.T) {
 	app := phold.New(phold.Params{Objects: 8, Population: 1, Hops: 40, MeanDelay: 50})
 	zero := Config{App: app, Nodes: 4, Seed: 1}
 	expl := Config{App: app, Nodes: 4, Seed: 1, GVTPeriod: 1000,
-		Costs: hostmodel.DefaultCostTable(), NIC: nic.DefaultConfig(),
-		Net: simnet.DefaultConfig(), Bus: iobus.DefaultConfig(), Flow: mpich.DefaultConfig(),
+		NIC: nic.DefaultConfig(), Net: simnet.DefaultConfig(),
 		MaxModelTime: 24 * 3600 * vtime.Second}
 	if zero.Digest() != expl.Digest() {
 		t.Fatalf("zero config and explicit defaults digest differently:\n %s\n %s",
@@ -142,8 +135,8 @@ func TestDigestGolden(t *testing.T) {
 		cfg    Config
 		golden string
 	}{
-		{cfg, "73ecb74c8aa71ea86d76c360e64d37f2efc57378a731b2ae5c758a46f50747a3"},
-		{tree, "48db8fa9927a91a20d678d6708f387aff67f24fc2638f3541e7b1b8f22315502"},
+		{cfg, "4a849e7315fc86f2f50a056b6a3a95ac40d180e24b4c2128451f83ed6c051fe3"},
+		{tree, "a7e7bbee2b9764fc14f6650692dfa7282b0fbe5c2573a5f2457db6b094a56702"},
 	} {
 		if got := c.cfg.Digest(); got != c.golden {
 			t.Fatalf("digest of the pinned %v config changed:\n got  %s\n want %s\n"+
@@ -167,12 +160,6 @@ func TestDigestAllocations(t *testing.T) {
 // name the offending field.
 func TestValidateFieldErrors(t *testing.T) {
 	app := phold.New(phold.Params{Objects: 8, Population: 1, Hops: 40, MeanDelay: 50})
-	// hw returns a config on the default hardware with one value changed.
-	hw := func(set func(*Config)) Config {
-		c := Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.DefaultConfig(), Net: simnet.DefaultConfig(), Bus: iobus.DefaultConfig()}
-		set(&c)
-		return c
-	}
 	cases := []struct {
 		cfg   Config
 		field string
@@ -189,23 +176,12 @@ func TestValidateFieldErrors(t *testing.T) {
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, Net: simnet.Config{Radix: -1}}, "Net.Radix"},
 		// A sub-config set only in part is not filled with defaults.
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.Config{BatchMax: 8}}, "NIC.ClockHz"},
-		{Config{App: app, Nodes: 4, GVTPeriod: 10, Net: simnet.Config{Topology: simnet.TopoFatTree}}, "Net.LinkBandwidth"},
-		{Config{App: app, Nodes: 4, GVTPeriod: 10, Bus: iobus.Config{DMASetup: 1}}, "Bus.Bandwidth"},
-		{Config{App: app, Nodes: 4, GVTPeriod: 10, Costs: hostmodel.CostTable{EventGrain: -1}}, "Costs"},
-		{Config{App: app, Nodes: 4, GVTPeriod: 10, Flow: mpich.Config{Window: 4}}, "Flow"},
 		// Negative overrides are errors, not the defaults zero stands for.
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, DropBufferCap: -1}, "DropBufferCap"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, GVTFallbackDelay: -5}, "GVTFallbackDelay"},
 		{Config{App: app, Nodes: 4, GVTPeriod: 10, MaxModelTime: -1}, "MaxModelTime"},
-		// A negative hardware timing or an empty receive buffer cannot run.
-		{hw(func(c *Config) { c.NIC.SendCycles = -1000 }), "NIC.SendCycles"},
-		{hw(func(c *Config) { c.NIC.RecvCycles = -1 }), "NIC.RecvCycles"},
-		{hw(func(c *Config) { c.NIC.PerSubMsgCycles = -1 }), "NIC.PerSubMsgCycles"},
-		{hw(func(c *Config) { c.NIC.CreditReturnDelay = -1 }), "NIC.CreditReturnDelay"},
-		{hw(func(c *Config) { c.NIC.RxQueueCap = 0 }), "NIC.RxQueueCap"},
-		{hw(func(c *Config) { c.Bus.DMASetup = -1 }), "Bus.DMASetup"},
-		{hw(func(c *Config) { c.Net.LinkLatency = -1 }), "Net.LinkLatency"},
-		{hw(func(c *Config) { c.Net.SwitchLatency = -1 }), "Net.SwitchLatency"},
+		// An empty receive buffer cannot run.
+		{Config{App: app, Nodes: 4, GVTPeriod: 10, NIC: nic.Config{ClockHz: 66e6}}, "NIC.RxQueueCap"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

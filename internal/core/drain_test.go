@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"nicwarp/internal/mpich"
 	"nicwarp/internal/proto"
 	"nicwarp/internal/vtime"
 )
@@ -37,7 +38,7 @@ func TestDrainCreditRefundsAscendingDestination(t *testing.T) {
 			}
 			n := &cl.nodes[0]
 			var sent []*proto.Packet
-			flow := cl.cfg.Flow
+			flow := mpich.DefaultConfig()
 			n.flow.Init(0, flow, func(p *proto.Packet) { sent = append(sent, p) }, n.pool, nil, nil)
 
 			// Refunds: exhaust the window toward every destination and

@@ -1,6 +1,10 @@
 package core
 
-import "nicwarp/internal/vtime"
+import (
+	"nicwarp/internal/nic"
+	"nicwarp/internal/simnet"
+	"nicwarp/internal/vtime"
+)
 
 // Exec holds execution-strategy knobs: *how* a run is carried out, never
 // *what* it computes. It is deliberately a separate struct from Config:
@@ -22,12 +26,12 @@ type Exec struct {
 // bounded-window sharding sound. Two kinds of events cross nodes —
 // announced wire arrivals, bounded below by the NIC's minimum transmit
 // work plus link propagation and switch traversal, and stop/go credit
-// returns, which take exactly NIC.CreditReturnDelay — so the lookahead is
+// returns, which take exactly nic.CreditReturnDelay — so the lookahead is
 // the smaller of the two.
 func Lookahead(cfg Config) vtime.ModelTime {
 	cfg = cfg.WithDefaults()
-	wire := vtime.Cycles(cfg.NIC.SendCycles, cfg.NIC.ClockHz) + cfg.Net.MinTransitTime()
-	return vtime.MinM(wire, cfg.NIC.CreditReturnDelay)
+	wire := vtime.Cycles(nic.SendCycles, cfg.NIC.ClockHz) + simnet.MinTransitTime
+	return vtime.MinM(wire, nic.CreditReturnDelay)
 }
 
 // shards resolves the effective shard count for a defaulted config.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"nicwarp/internal/apps/phold"
+	"nicwarp/internal/nic"
+	"nicwarp/internal/simnet"
 	"nicwarp/internal/vtime"
 )
 
@@ -34,9 +36,9 @@ func TestLookaheadPositive(t *testing.T) {
 	if la <= 0 {
 		t.Fatalf("Lookahead = %v, want > 0 at default hardware parameters", la)
 	}
-	wire := vtime.Cycles(cfg.NIC.SendCycles, cfg.NIC.ClockHz) + cfg.Net.LinkLatency + cfg.Net.SwitchLatency
-	if want := vtime.MinM(wire, cfg.NIC.CreditReturnDelay); la != want {
-		t.Fatalf("Lookahead = %v, want min(wire %v, credit %v) = %v", la, wire, cfg.NIC.CreditReturnDelay, want)
+	wire := vtime.Cycles(nic.SendCycles, cfg.NIC.ClockHz) + simnet.LinkLatency + simnet.SwitchLatency
+	if want := vtime.MinM(wire, nic.CreditReturnDelay); la != want {
+		t.Fatalf("Lookahead = %v, want min(wire %v, credit %v) = %v", la, wire, nic.CreditReturnDelay, want)
 	}
 }
 

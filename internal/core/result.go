@@ -142,6 +142,10 @@ func (r *Result) String() string {
 		r.AntisBuilt, r.AntisFiltered)
 	fmt.Fprintf(&b, "gvt              %d computations, %d rounds, %d control msgs, final %v\n",
 		r.GVTComputations, r.GVTRounds, r.GVTControlMsgs, r.FinalGVT)
+	if r.GVTConvCount > 0 {
+		fmt.Fprintf(&b, "gvt convergence  avg %v, max %v over %d computations\n",
+			r.GVTConvAvg(), r.GVTConvMax, r.GVTConvCount)
+	}
 	fmt.Fprintf(&b, "utilization      host %.2f, bus %.2f, nic %.2f\n",
 		r.HostUtil, r.BusUtil, r.NICUtil)
 	return b.String()

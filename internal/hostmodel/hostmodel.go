@@ -4,10 +4,11 @@
 // extra work of generating GVT control messages in the host-only
 // implementation.
 //
-// Costs live in a CostTable so experiments and ablation benchmarks can vary
-// them; the defaults are calibrated so the modeled execution times land in
-// the same ranges as the paper's figures (tens to hundreds of modeled
-// seconds for the paper's workloads).
+// Costs live in a CostTable, a CPU's constructor parameter. Every cluster
+// runs DefaultCostTable, with only EventGrain taken from a core.Grained
+// app; the table is calibrated so the modeled execution times land in the
+// same ranges as the paper's figures (tens to hundreds of modeled seconds
+// for the paper's workloads).
 package hostmodel
 
 import (

@@ -202,10 +202,10 @@ func TestBatchAssemblyOnPump(t *testing.T) {
 	}
 	// Assembly and expansion are priced per sub-message, plus one header
 	// check for the inbound frame; the stub firmware charges nothing.
-	if got, want := r.nics[0].Stats.FirmwareCycles.Value(), 4*cfg.PerSubMsgCycles; got != want {
+	if got, want := r.nics[0].Stats.FirmwareCycles.Value(), 4*PerSubMsgCycles; got != want {
 		t.Fatalf("sender charged %d cycles, want %d", got, want)
 	}
-	if got, want := r.nics[1].Stats.FirmwareCycles.Value(), frameHeaderCycles+4*cfg.PerSubMsgCycles; got != want {
+	if got, want := r.nics[1].Stats.FirmwareCycles.Value(), frameHeaderCycles+4*PerSubMsgCycles; got != want {
 		t.Fatalf("receiver charged %d cycles, want %d", got, want)
 	}
 }

@@ -23,14 +23,35 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// Config holds NIC hardware parameters.
+// The paper's LanAI4 firmware timing: a per-packet firmware path (header
+// parsing, DMA programming, ring bookkeeping) on the order of ten
+// microseconds at 66 MHz — the "equivalent of 10 year old technology ...
+// already saddled with the other responsibilities". Every run uses it;
+// varying one is a model change with its own ablation, not a Config field.
+const (
+	// SendCycles is the base processor work to launch one packet (~6us).
+	SendCycles int64 = 400
+	// RecvCycles is the base processor work to accept one packet (~4.8us).
+	RecvCycles int64 = 320
+	// PerSubMsgCycles is the NIC processor work charged per sub-message
+	// folded into (transmit) or expanded from (receive) a batch frame, on
+	// top of SendCycles/RecvCycles (~0.9us). A frame therefore costs
+	// SendCycles + N*PerSubMsgCycles, which is what makes the batch-vs-
+	// latency tradeoff a real modeled curve rather than a free win.
+	PerSubMsgCycles int64 = 60
+	// CreditReturnDelay is the link-level round-trip cost of the stop/go
+	// credit coming back from the receiver: the time between the
+	// destination host consuming a packet and the sender learning its
+	// window reopened. It bounds how stale a sender's view of the receive
+	// buffer may be, and is the NIC's share of the cross-shard lookahead
+	// contract.
+	CreditReturnDelay = 8 * vtime.Microsecond
+)
+
+// Config holds the NIC parameters an experiment varies.
 type Config struct {
 	// ClockHz is the NIC processor clock (66 MHz LanAI4 in the paper).
 	ClockHz float64
-	// SendCycles is the base processor work to launch one packet.
-	SendCycles int64
-	// RecvCycles is the base processor work to accept one packet.
-	RecvCycles int64
 	// RxQueueCap is the receive-buffer capacity in packets (the paper's
 	// NIC has a 4 KB buffer, roughly 28 wire packets). Myrinet's link-level
 	// stop/go flow control propagates a full receive buffer back to the
@@ -42,13 +63,6 @@ type Config struct {
 	// of the destination's RxQueueCap as a credit window (see WirePeers)
 	// and stalls head-of-line when it closes.
 	RxQueueCap int
-	// CreditReturnDelay is the link-level round-trip cost of the stop/go
-	// credit coming back from the receiver: the time between the
-	// destination host consuming a packet and the sender learning its
-	// window reopened. It bounds how stale a sender's view of the receive
-	// buffer may be, and is the NIC's share of the cross-shard lookahead
-	// contract.
-	CreditReturnDelay vtime.ModelTime
 
 	// BatchMax, when > 1, enables NIC-side send batching under whatever
 	// firmware is installed: at dequeue time the NIC gathers up to
@@ -66,28 +80,12 @@ type Config struct {
 	// whatever is available. Zero means no waiting — batches form only
 	// from backlog already queued at dequeue time.
 	FlushHorizon vtime.ModelTime
-	// PerSubMsgCycles is the NIC processor work charged per sub-message
-	// folded into (transmit) or expanded from (receive) a batch frame, on
-	// top of SendCycles/RecvCycles. A frame therefore costs
-	// SendCycles + N*PerSubMsgCycles, which is what makes the batch-vs-
-	// latency tradeoff a real modeled curve rather than a free win.
-	PerSubMsgCycles int64
 }
 
-// DefaultConfig returns parameters for the paper's LanAI4 NIC: a 66 MHz
-// processor whose per-packet firmware path (header parsing, DMA programming,
-// ring bookkeeping) runs on the order of ten microseconds — the "equivalent
-// of 10 year old technology ... already saddled with the other
-// responsibilities" — and a 4 KB receive buffer holding eight BIP packets.
+// DefaultConfig returns the paper's LanAI4 NIC: a 66 MHz processor and a
+// six-packet receive buffer, with batching off.
 func DefaultConfig() Config {
-	return Config{
-		ClockHz:           66e6,
-		SendCycles:        400, // ~6us firmware transmit path
-		RecvCycles:        320, // ~4.8us firmware receive path
-		RxQueueCap:        6,
-		CreditReturnDelay: 8 * vtime.Microsecond, // stop/go credit round trip
-		PerSubMsgCycles:   60,                    // ~0.9us per folded/expanded sub-message
-	}
+	return Config{ClockHz: 66e6, RxQueueCap: 6}
 }
 
 // gated reports whether a packet kind consumes a receive-buffer slot at the
@@ -286,7 +284,7 @@ type NIC struct {
 	txEntry   outEntry
 	txVerdict Verdict
 	txDepart  vtime.ModelTime    // instant the announced packet finishes serializing onto the wire
-	xfer      vtime.TransferMemo // of linkBandwidth
+	xfer      vtime.TransferMemo // of simnet.LinkBandwidth
 	rxPkt     *proto.Packet      //nicwarp:owns in-flight receive bound for the host; nil once the firmware consumed or dropped it
 	rxVerdict Verdict
 	// rxSlotSrc is the sender owed a receive-buffer credit for the in-flight
@@ -441,7 +439,7 @@ func (n *NIC) returnCredit(src int32) {
 // shard learns of it at the next window merge.
 func (n *NIC) sendCredit(src int32) {
 	p := n.peer(int(src))
-	n.eng.AtCross(p.eng, uint32(p.node), n.eng.Now()+n.cfg.CreditReturnDelay, nicCreditArrive, p, n)
+	n.eng.AtCross(p.eng, uint32(p.node), n.eng.Now()+CreditReturnDelay, nicCreditArrive, p, n)
 }
 
 // nicCreditArrive runs on the sender's engine: one credit came back from
@@ -653,7 +651,7 @@ func (n *NIC) txPump() {
 	// in-flight entry rides on the NIC struct instead of a closure.
 	n.txEntry = entry
 	n.txVerdict = verdict
-	cost := n.cycles(n.cfg.SendCycles + n.takeCharge())
+	cost := n.cycles(SendCycles + n.takeCharge())
 	finishProc := n.proc.SubmitArg(cost, nicTxProcessed, n)
 	if verdict == VerdictForward {
 		if gated(entry.pkt.Kind) && entry.pkt.DstNode >= 0 {
@@ -661,7 +659,7 @@ func (n *NIC) txPump() {
 			// it comes back once the destination host consumes it.
 			n.txCredit[entry.pkt.DstNode]--
 		}
-		n.txDepart = finishProc + n.xfer.Time(entry.pkt.EncodedSize(), n.linkBandwidth())
+		n.txDepart = finishProc + n.xfer.Time(entry.pkt.EncodedSize(), simnet.LinkBandwidth)
 		n.fabric.Announce(n.node, entry.pkt, n.txDepart)
 		// The packet is the fabric's now, and then its receiver's, which may
 		// be rewriting it on another shard before the stages below finish.
@@ -714,10 +712,6 @@ func (n *NIC) txDone() {
 	n.txPump()
 }
 
-// linkBandwidth returns the NIC-to-switch link bandwidth. The NIC drives the
-// same links the fabric models.
-func (n *NIC) linkBandwidth() float64 { return n.fabric.LinkBandwidth() }
-
 // nicWireReceive accepts a packet the fabric delivered to NIC x.
 func nicWireReceive(x interface{}, pkt *proto.Packet) {
 	n := x.(*NIC)
@@ -751,7 +745,7 @@ func (n *NIC) rxPump() {
 	case VerdictConsume:
 		n.pool.Release(pkt)
 	}
-	cost := n.cycles(n.cfg.RecvCycles + n.takeCharge())
+	cost := n.cycles(RecvCycles + n.takeCharge())
 	n.proc.SubmitArg(cost, nicRxProcessed, n)
 }
 
@@ -921,7 +915,7 @@ func (n *NIC) assembleBatch(head *proto.Packet) *proto.Packet {
 	}
 	clear(partners)
 	n.batch = partners[:0]
-	n.pendingCycles += n.cfg.PerSubMsgCycles * int64(len(frame.Subs))
+	n.pendingCycles += PerSubMsgCycles * int64(len(frame.Subs))
 	n.Stats.BatchFrames.Inc()
 	n.Stats.BatchSubs.Add(int64(len(frame.Subs)))
 	return frame
@@ -934,7 +928,7 @@ func (n *NIC) assembleBatch(head *proto.Packet) *proto.Packet {
 // cancellation window exactly as a solo anti would. The frame itself is
 // always forwarded to the host, which unpacks it the same way.
 func (n *NIC) expandBatch(frame *proto.Packet) {
-	n.pendingCycles += frameHeaderCycles + n.cfg.PerSubMsgCycles*int64(len(frame.Subs))
+	n.pendingCycles += frameHeaderCycles + PerSubMsgCycles*int64(len(frame.Subs))
 	for i := range frame.Subs {
 		frame.SubPacket(i, &n.rxSub)
 		if v := n.fw.OnWireReceive(&n.rxSub, apiImpl{n}); v != VerdictForward {

@@ -27,7 +27,6 @@ type wireProbe struct {
 	t   *testing.T
 	r   *rig
 	n   *NIC
-	net simnet.Config
 	ref *des.Resource
 
 	// The forwarded packet between its pump and nicTxSerialized, if any.
@@ -58,7 +57,7 @@ func newWireProbe(t *testing.T, cfg Config, fw Firmware) *wireProbe {
 		}
 		return &stubFirmware{}
 	})
-	p := &wireProbe{t: t, r: r, n: r.nics[0], net: simnet.DefaultConfig(), ref: des.NewResource(r.eng, "parent-nic-tx-0")}
+	p := &wireProbe{t: t, r: r, n: r.nics[0], ref: des.NewResource(r.eng, "parent-nic-tx-0")}
 	r.fabric.SetTap(p)
 	r.fabric.Attach(1, r.eng, 1, func(pkt *proto.Packet) {
 		if len(p.wantArrive) == 0 || p.wantArrive[0] != r.eng.Now() {
@@ -86,7 +85,7 @@ func (p *wireProbe) OnRoute(src, dst int, pkt *proto.Packet) simnet.TapDecision 
 	// is behind other work exactly when a receive is in flight.
 	p.inFlight, p.procDone = true, false
 	p.procJob = p.n.proc.Jobs.Value() + 1
-	p.wire = vtime.TransferTime(pkt.EncodedSize(), p.net.LinkBandwidth)
+	p.wire = vtime.TransferTime(pkt.EncodedSize(), simnet.LinkBandwidth)
 	p.forwards++
 	if p.n.rxPumping {
 		p.procJob++
@@ -122,9 +121,9 @@ func (p *wireProbe) observe() {
 		p.procDone = true
 		p.depart = p.ref.SubmitArg(p.wire, nil, nil)
 		// The fabric's path for a packet announced to depart then.
-		atPort := p.depart + p.net.LinkLatency + p.net.SwitchLatency
+		atPort := p.depart + simnet.LinkLatency + simnet.SwitchLatency
 		p.portFree = vtime.MaxM(atPort, p.portFree) + p.wire
-		p.wantArrive = append(p.wantArrive, p.portFree+p.net.LinkLatency)
+		p.wantArrive = append(p.wantArrive, p.portFree+simnet.LinkLatency)
 	}
 	p.serialized()
 	if pumping := p.n.txPumping && p.n.txVerdict == VerdictForward; pumping != p.inFlight {

@@ -70,6 +70,10 @@ type DiskCache struct {
 // simply never read again; they are harmless stale files under
 // results/cache/ that a manual `rm -rf` reclaims.
 //
+// A change in Config's shape alone needs no bump: it moves every
+// Config.Digest, so every key, and the entries older builds wrote are
+// orphaned, never served.
+//
 //	v1: original layout (bare <digest>.gob, pre-fault-plane results)
 //	v2: fault-injection counters + invariant report added to core.Result
 //	v3: lane-keyed event ordering and the NIC credit window changed the

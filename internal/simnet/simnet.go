@@ -76,15 +76,25 @@ func TopologyNames() []string {
 	return names
 }
 
-// Config holds fabric timing parameters.
-type Config struct {
-	// LinkBandwidth is the per-link bandwidth in bytes per second.
-	LinkBandwidth float64
+// The paper's Myrinet fabric timing. Every run uses it; varying one is a
+// model change with its own ablation, not a Config field.
+const (
+	// LinkBandwidth is the per-link bandwidth in bytes per second (1.2 Gb/s).
+	LinkBandwidth = 150e6
 	// LinkLatency is the one-way propagation delay of a link.
-	LinkLatency vtime.ModelTime
+	LinkLatency = 500 * vtime.Nanosecond
 	// SwitchLatency is the fixed routing/arbitration delay inside the
 	// switch, per packet.
-	SwitchLatency vtime.ModelTime
+	SwitchLatency = 300 * vtime.Nanosecond
+	// MinTransitTime is the smallest possible announce-to-arrival delay of
+	// the fabric: the floor used when sizing the cross-shard window.
+	// Output-port serialization only adds to it.
+	MinTransitTime = LinkLatency + SwitchLatency
+)
+
+// Config selects the switching structure. The zero value is complete: the
+// paper's single crossbar.
+type Config struct {
 	// Topology selects the switching structure. The zero value models the
 	// paper's single crossbar; multi-stage topologies add deterministic
 	// per-stage latency and per-stage store-and-forward serialization on
@@ -146,22 +156,9 @@ func (c Config) LastStageFanIn(n int) int {
 	return n - 1
 }
 
-// DefaultConfig returns parameters calibrated to the paper's cluster: a
-// 1.2 Gb/s Myrinet switch with microsecond-scale latencies.
-func DefaultConfig() Config {
-	return Config{
-		LinkBandwidth: 150e6, // 1.2 Gb/s
-		LinkLatency:   500 * vtime.Nanosecond,
-		SwitchLatency: 300 * vtime.Nanosecond,
-	}
-}
-
-// MinTransitTime returns the smallest possible announce-to-arrival delay of
-// the fabric: the floor used when sizing the cross-shard window. Output-port
-// serialization only adds to it.
-func (c Config) MinTransitTime() vtime.ModelTime {
-	return c.LinkLatency + c.SwitchLatency
-}
+// DefaultConfig returns the paper's fabric, the single crossbar: the zero
+// Config.
+func DefaultConfig() Config { return Config{} }
 
 // Fabric is an N-port switch. Each port connects one NIC and lives on that
 // NIC's engine; senders announce departures and the fabric plants the
@@ -218,7 +215,6 @@ type port struct {
 // the NIC it connects, the delivery callback, and the output-port
 // serializer.
 type portFields struct {
-	f       *Fabric
 	eng     *des.Engine
 	lane    uint32
 	pool    *proto.Pool // where the copies of packets this port sends come from
@@ -244,13 +240,7 @@ func (f *Fabric) Init(cfg Config, n int) {
 	if n <= 0 {
 		panic("simnet: fabric needs at least one port")
 	}
-	if cfg.LinkBandwidth <= 0 {
-		panic("simnet: nonpositive link bandwidth")
-	}
 	*f = Fabric{cfg: cfg, ports: dense.Reuse(f.ports, n)}
-	for i := range f.ports {
-		f.ports[i].f = f
-	}
 }
 
 // NumPorts returns the number of ports.
@@ -260,10 +250,6 @@ func (f *Fabric) NumPorts() int { return len(f.ports) }
 // Config.LastStageFanIn): the number of senders the NICs size their
 // per-destination credit windows against.
 func (f *Fabric) FanIn() int { return f.cfg.LastStageFanIn(len(f.ports)) }
-
-// LinkBandwidth returns the per-link bandwidth in bytes per second, shared
-// with the NICs that drive the links.
-func (f *Fabric) LinkBandwidth() float64 { return f.cfg.LinkBandwidth }
 
 // Attach connects a port to the NIC it serves: the engine (shard) and lane
 // the NIC lives on, and the callback invoked when a packet fully arrives.
@@ -374,10 +360,9 @@ func (f *Fabric) launch(srcPort, dstPort int, pkt *proto.Packet, depart vtime.Mo
 	}
 	// Propagation to the switch plus routing latency; then the packet
 	// contends for the destination output port on the destination engine.
-	at := depart + f.cfg.LinkLatency + f.cfg.SwitchLatency + extra
+	at := depart + MinTransitTime + extra
 	if stages := f.cfg.ExtraStages(srcPort, dstPort); stages > 0 {
-		perStage := f.cfg.LinkLatency + f.cfg.SwitchLatency +
-			src.xfer.Time(pkt.EncodedSize(), f.cfg.LinkBandwidth)
+		perStage := MinTransitTime + src.xfer.Time(pkt.EncodedSize(), LinkBandwidth)
 		at += vtime.ModelTime(stages) * perStage
 	}
 	src.eng.AtCross(dst.eng, dst.lane, at, portArrival, dst, pkt)
@@ -388,7 +373,7 @@ func (f *Fabric) launch(srcPort, dstPort int, pkt *proto.Packet, depart vtime.Mo
 func portArrival(a, b interface{}) {
 	p := a.(*port)
 	pkt := b.(*proto.Packet)
-	serialize := p.xfer.Time(pkt.EncodedSize(), p.f.cfg.LinkBandwidth)
+	serialize := p.xfer.Time(pkt.EncodedSize(), LinkBandwidth)
 	p.out.SubmitArg2(serialize, portSerialized, p, pkt)
 }
 
@@ -398,7 +383,7 @@ func portArrival(a, b interface{}) {
 // lane and engine, where AtCross asks for no lookahead.
 func portSerialized(a, b interface{}) {
 	p := a.(*port)
-	p.eng.AtCross(p.eng, p.lane, p.eng.Now()+p.f.cfg.LinkLatency, portDeliver, p, b)
+	p.eng.AtCross(p.eng, p.lane, p.eng.Now()+LinkLatency, portDeliver, p, b)
 }
 
 // portDeliver: the packet fully arrived at the destination NIC.

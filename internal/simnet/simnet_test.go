@@ -8,14 +8,6 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-func testConfig() Config {
-	return Config{
-		LinkBandwidth: 100e6,
-		LinkLatency:   100 * vtime.Nanosecond,
-		SwitchLatency: 50 * vtime.Nanosecond,
-	}
-}
-
 func pkt(src, dst int32) *proto.Packet {
 	return &proto.Packet{Kind: proto.KindEvent, SrcNode: src, DstNode: dst}
 }
@@ -30,7 +22,7 @@ func attachAll(f *Fabric, e *des.Engine, deliver func(port int, p *proto.Packet)
 
 func TestUnicastDelivery(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 4)
+	f := NewFabric(Config{}, 4)
 	var got []*proto.Packet
 	var at vtime.ModelTime
 	attachAll(f, e, func(port int, p *proto.Packet) {
@@ -47,8 +39,8 @@ func TestUnicastDelivery(t *testing.T) {
 		t.Fatalf("delivered %d packets", len(got))
 	}
 	// Latency = linkLatency + switchLatency + serialize + linkLatency.
-	serialize := vtime.TransferTime(p.EncodedSize(), 100e6)
-	want := 100 + 50 + serialize + 100
+	serialize := vtime.TransferTime(p.EncodedSize(), LinkBandwidth)
+	want := MinTransitTime + serialize + LinkLatency
 	if at != want {
 		t.Fatalf("delivery at %v, want %v", at, want)
 	}
@@ -58,14 +50,14 @@ func TestFutureDeparture(t *testing.T) {
 	// An announced departure in the future delays the whole chain by the
 	// same amount: the fabric decides fate now but nothing moves early.
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 2)
+	f := NewFabric(Config{}, 2)
 	var at vtime.ModelTime
 	attachAll(f, e, func(port int, p *proto.Packet) { at = e.Now() })
 	p := pkt(0, 1)
 	f.Announce(0, p, 700)
 	e.Run(vtime.ModelInfinity)
-	serialize := vtime.TransferTime(p.EncodedSize(), 100e6)
-	want := 700 + 100 + 50 + serialize + 100
+	serialize := vtime.TransferTime(p.EncodedSize(), LinkBandwidth)
+	want := 700 + MinTransitTime + serialize + LinkLatency
 	if at != want {
 		t.Fatalf("delivery at %v, want %v", at, want)
 	}
@@ -73,7 +65,7 @@ func TestFutureDeparture(t *testing.T) {
 
 func TestFIFOPerPath(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 2)
+	f := NewFabric(Config{}, 2)
 	var seqs []uint64
 	attachAll(f, e, func(port int, p *proto.Packet) {
 		if port == 1 {
@@ -101,8 +93,7 @@ func TestOutputPortContention(t *testing.T) {
 	// the output port, so the last delivery is later than a single
 	// uncontended transfer.
 	e := des.NewEngine()
-	cfg := testConfig()
-	f := NewFabric(cfg, 3)
+	f := NewFabric(Config{}, 3)
 	var times []vtime.ModelTime
 	attachAll(f, e, func(port int, p *proto.Packet) { times = append(times, e.Now()) })
 	f.Announce(0, pkt(0, 2), 0)
@@ -111,7 +102,7 @@ func TestOutputPortContention(t *testing.T) {
 	if len(times) != 2 {
 		t.Fatalf("delivered %d", len(times))
 	}
-	serialize := vtime.TransferTime(pkt(0, 2).EncodedSize(), cfg.LinkBandwidth)
+	serialize := vtime.TransferTime(pkt(0, 2).EncodedSize(), LinkBandwidth)
 	gap := times[1] - times[0]
 	if gap != serialize {
 		t.Fatalf("second delivery gap %v, want one serialization %v", gap, serialize)
@@ -120,7 +111,7 @@ func TestOutputPortContention(t *testing.T) {
 
 func TestBroadcast(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 4)
+	f := NewFabric(Config{}, 4)
 	got := map[int]int{}
 	attachAll(f, e, func(port int, p *proto.Packet) {
 		got[port]++
@@ -161,7 +152,7 @@ func TestTapRetransmitDelaysDeparture(t *testing.T) {
 	// Drop with Redeliver re-offers the same packet after the retx delay;
 	// the tap is rolled again and the delivery lands one retx later.
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 2)
+	f := NewFabric(Config{}, 2)
 	tap := &scriptTap{decisions: []TapDecision{
 		{Drop: true, Redeliver: 400},
 		{},
@@ -174,8 +165,8 @@ func TestTapRetransmitDelaysDeparture(t *testing.T) {
 	p.Seq = 1 // non-control: taps apply
 	f.Announce(0, p, 0)
 	e.Run(vtime.ModelInfinity)
-	serialize := vtime.TransferTime(p.EncodedSize(), 100e6)
-	want := 400 + 100 + 50 + serialize + 100
+	serialize := vtime.TransferTime(p.EncodedSize(), LinkBandwidth)
+	want := 400 + MinTransitTime + serialize + LinkLatency
 	if n != 1 || at != want {
 		t.Fatalf("delivered %d at %v, want 1 at %v", n, at, want)
 	}
@@ -186,7 +177,7 @@ func TestTapRetransmitDelaysDeparture(t *testing.T) {
 
 func TestTapDuplicateClones(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 2)
+	f := NewFabric(Config{}, 2)
 	tap := &scriptTap{decisions: []TapDecision{
 		{Dup: true, DupDelay: 200},
 		{}, // the clone's own roll
@@ -214,7 +205,7 @@ func TestTapDuplicateClones(t *testing.T) {
 // broadcast packet itself to the last port.
 func TestCopiesComeFromThePortsPool(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 4)
+	f := NewFabric(Config{}, 4)
 	pools := make([]proto.Pool, 4)
 	got := map[*proto.Packet]int{}
 	for i := range pools {
@@ -241,7 +232,7 @@ func TestCopiesComeFromThePortsPool(t *testing.T) {
 
 func TestTapTrueLoss(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 2)
+	f := NewFabric(Config{}, 2)
 	f.SetTap(&scriptTap{decisions: []TapDecision{{Drop: true}}})
 	n := 0
 	attachAll(f, e, func(port int, p *proto.Packet) { n++ })
@@ -258,9 +249,8 @@ func TestCrossEngineDelivery(t *testing.T) {
 	// Ports on different engines of a shard group: the arrival crosses at
 	// the merge barrier and lands at the same time a serial run would see.
 	e0, e1 := des.NewEngine(), des.NewEngine()
-	cfg := testConfig()
-	g := des.NewGroup([]*des.Engine{e0, e1}, cfg.MinTransitTime())
-	f := NewFabric(cfg, 2)
+	g := des.NewGroup([]*des.Engine{e0, e1}, MinTransitTime)
+	f := NewFabric(Config{}, 2)
 	var at vtime.ModelTime
 	n := 0
 	f.Attach(0, e0, 0, func(p *proto.Packet) { t.Error("port 0 got a packet") })
@@ -268,8 +258,8 @@ func TestCrossEngineDelivery(t *testing.T) {
 	p := pkt(0, 1)
 	e0.AtArg(0, func(interface{}) { f.Announce(0, p, e0.Now()) }, nil)
 	g.Run(vtime.ModelInfinity)
-	serialize := vtime.TransferTime(p.EncodedSize(), cfg.LinkBandwidth)
-	want := 100 + 50 + serialize + 100
+	serialize := vtime.TransferTime(p.EncodedSize(), LinkBandwidth)
+	want := MinTransitTime + serialize + LinkLatency
 	if n != 1 || at != want {
 		t.Fatalf("delivered %d at %v, want 1 at %v", n, at, want)
 	}
@@ -277,7 +267,7 @@ func TestCrossEngineDelivery(t *testing.T) {
 
 func TestPanicsOnBadPort(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 2)
+	f := NewFabric(Config{}, 2)
 	attachAll(f, e, func(int, *proto.Packet) {})
 	for _, c := range []func(){
 		func() { f.Announce(5, pkt(0, 1), 0) },
@@ -297,7 +287,7 @@ func TestPanicsOnBadPort(t *testing.T) {
 
 func TestUnattachedPortPanics(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 2)
+	f := NewFabric(Config{}, 2)
 	f.Attach(0, e, 0, func(*proto.Packet) {})
 	defer func() {
 		if recover() == nil {
@@ -313,7 +303,7 @@ func TestUnattachedPortPanics(t *testing.T) {
 // serializer does nothing.
 func TestPortUtilizationGrows(t *testing.T) {
 	e := des.NewEngine()
-	f := NewFabric(testConfig(), 2)
+	f := NewFabric(Config{}, 2)
 	var last vtime.ModelTime
 	n := 0
 	attachAll(f, e, func(port int, p *proto.Packet) { last = e.Now(); n++ })
@@ -321,8 +311,8 @@ func TestPortUtilizationGrows(t *testing.T) {
 		f.Announce(0, pkt(0, 1), 0)
 	}
 	e.Run(vtime.ModelInfinity)
-	serialize := vtime.TransferTime(pkt(0, 1).EncodedSize(), 100e6)
-	if want := 100 + 50 + 50*serialize + 100; n != 50 || last != want {
+	serialize := vtime.TransferTime(pkt(0, 1).EncodedSize(), LinkBandwidth)
+	if want := MinTransitTime + 50*serialize + LinkLatency; n != 50 || last != want {
 		t.Fatalf("delivered %d, last at %v; want 50, last at %v", n, last, want)
 	}
 	if got := f.ports[1].out.Busy.Total(); got != 50*serialize {
@@ -334,14 +324,16 @@ func TestPortUtilizationGrows(t *testing.T) {
 }
 
 func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.LinkBandwidth != 150e6 {
-		t.Fatalf("default bandwidth %v, want 1.2Gb/s", cfg.LinkBandwidth)
+	if DefaultConfig() != (Config{}) {
+		t.Fatal("the default fabric is the zero Config, the crossbar")
 	}
-	if cfg.LinkLatency <= 0 || cfg.SwitchLatency <= 0 {
-		t.Fatal("default latencies must be positive")
+	if LinkBandwidth != 150e6 {
+		t.Fatalf("bandwidth %v, want 1.2Gb/s", LinkBandwidth)
 	}
-	if cfg.MinTransitTime() != cfg.LinkLatency+cfg.SwitchLatency {
+	if LinkLatency <= 0 || SwitchLatency <= 0 {
+		t.Fatal("latencies must be positive")
+	}
+	if MinTransitTime != LinkLatency+SwitchLatency {
 		t.Fatal("MinTransitTime must be link + switch latency")
 	}
 }

@@ -95,18 +95,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// net builds the Config.Net for the options topology: the zero value for
-// the crossbar (core.Config.WithDefaults fills the fabric timing), the
-// full fabric defaults plus the topology otherwise.
-func (o Options) net() simnet.Config {
-	if o.Topology == simnet.TopoCrossbar {
-		return simnet.Config{}
-	}
-	net := simnet.DefaultConfig()
-	net.Topology = o.Topology
-	return net
-}
-
 // AppNames returns the stress workload names, in sweep order.
 func AppNames() []string { return []string{"phold", "raid", "police"} }
 
@@ -160,7 +148,7 @@ func PointConfig(app string, o Options, scenario string, seed uint64) (core.Conf
 		VerifyOracle:    o.Verify,
 		CheckInvariants: true,
 		Fault:           plan,
-		Net:             o.net(),
+		Net:             simnet.Config{Topology: o.Topology},
 	}
 	if o.Batch > 1 {
 		cfg.NIC = nic.DefaultConfig()

@@ -5,8 +5,10 @@ import (
 	"go/token"
 	"go/types"
 	"path"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"nicwarp/internal/analysis/framework"
@@ -47,17 +49,13 @@ var readerAllowlist = map[string]string{
 // struct compared with == or !=, used as a map key, or carrying json tags
 // counts as read. The only exceptions are readerAllowlist's.
 func TestEveryFieldHasAReader(t *testing.T) {
-	l, err := framework.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadPatterns("./...")
+	pkgs, err := loadTree()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A broken scan finds nothing, and then every allowlist entry is stale.
 	seen := map[string]bool{}
-	for _, u := range unreadDeclarations(pkgs) {
+	for _, u := range scanUses(pkgs).unread(pkgs[0].Fset) {
 		seen[u.key] = true
 		if _, ok := readerAllowlist[u.key]; !ok {
 			t.Errorf("%s: %s has no reader in non-test code", u.pos, u.key)
@@ -70,6 +68,70 @@ func TestEveryFieldHasAReader(t *testing.T) {
 	}
 }
 
+// writerAllowlist is the closed list of Config fields the writer rule of
+// DESIGN.md §8 accepts without a write outside their own package. Each key
+// is "pkg.Config.Field" as the test reports it; each value names the
+// writer.
+var writerAllowlist = map[string]string{
+	"core.Config.MaxModelTime": "TestWarmWorkerMatchesFreshRuns, TestFailureIsolation: the abort path a liveness horizon will set",
+}
+
+// configPackages declare the Config structs the writer rule covers: what
+// an experiment varies.
+var configPackages = []string{"nicwarp/internal/core", "nicwarp/internal/nic", "nicwarp/internal/simnet"}
+
+// TestEveryConfigFieldHasAWriter holds the writer rule of DESIGN.md §8:
+// every field of core.Config, nic.Config and simnet.Config is written by
+// non-test code outside the package that declares it — a registry entry, a
+// workload, a CLI flag — with the writes TestEveryFieldHasAReader
+// classifies. A field only its own package and tests set is a fixed value
+// dressed as a knob: make it a constant. The only exceptions are
+// writerAllowlist's.
+func TestEveryConfigFieldHasAWriter(t *testing.T) {
+	pkgs, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := scanUses(pkgs)
+	seen, structs := map[string]bool{}, 0
+	for _, p := range pkgs {
+		if !slices.Contains(configPackages, p.Path) {
+			continue
+		}
+		structs++
+		st := p.Types.Scope().Lookup("Config").Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			key := path.Base(p.Path) + ".Config." + f.Name()
+			if s.written[f] {
+				continue
+			}
+			seen[key] = true
+			if _, ok := writerAllowlist[key]; !ok {
+				t.Errorf("%s: %s is set by no non-test code outside its package", p.Fset.Position(f.Pos()), key)
+			}
+		}
+	}
+	if structs != len(configPackages) {
+		t.Fatalf("found %d of the %d Config packages", structs, len(configPackages))
+	}
+	for key := range writerAllowlist {
+		if !seen[key] {
+			t.Errorf("writer allowlist entry %s is stale: it is gone or has a writer now", key)
+		}
+	}
+}
+
+// loadTree type-checks every non-test package of the module, once for
+// both rules.
+var loadTree = sync.OnceValues(func() ([]*framework.Package, error) {
+	l, err := framework.NewLoader(".")
+	if err != nil {
+		return nil, err
+	}
+	return l.LoadPatterns("./...")
+})
+
 type unreadDecl struct {
 	key string
 	pos token.Position
@@ -80,14 +142,16 @@ type unreadDecl struct {
 type readerScan struct {
 	declared map[types.Object]string // object -> reported key
 	read     map[types.Object]bool
-	writes   map[*ast.Ident]bool // identifiers used as write targets
+	written  map[types.Object]bool // written from outside the declaring package
+	writes   map[*ast.Ident]bool   // identifiers used as write targets
 	info     *types.Info
 }
 
-func unreadDeclarations(pkgs []*framework.Package) []unreadDecl {
+func scanUses(pkgs []*framework.Package) *readerScan {
 	s := &readerScan{
 		declared: map[types.Object]string{},
 		read:     map[types.Object]bool{},
+		written:  map[types.Object]bool{},
 		writes:   map[*ast.Ident]bool{},
 	}
 	fixed := fixedSignatures(pkgs)
@@ -102,8 +166,12 @@ func unreadDeclarations(pkgs []*framework.Package) []unreadDecl {
 		s.info = p.Info
 		s.classifyUses(p)
 	}
+	return s
+}
+
+// unread returns the declarations with no read, sorted by key.
+func (s *readerScan) unread(fset *token.FileSet) []unreadDecl {
 	var out []unreadDecl
-	fset := pkgs[0].Fset
 	for obj, key := range s.declared {
 		if !s.read[obj] {
 			out = append(out, unreadDecl{key: key, pos: fset.Position(obj.Pos())})
@@ -244,11 +312,15 @@ func (s *readerScan) markWrite(e ast.Expr) {
 
 // classifyUses marks every in-scope object used in a non-write position as
 // read, including embedded fields a promoted selection passes through and
-// every field of a struct compared with ==/!= or used as a map key.
+// every field of a struct compared with ==/!= or used as a map key, and
+// every object written from a package other than its own as written.
 func (s *readerScan) classifyUses(p *framework.Package) {
 	for id, obj := range p.Info.Uses {
-		if !s.writes[id] {
+		switch {
+		case !s.writes[id]:
 			s.read[origin(obj)] = true
+		case obj.Pkg() != p.Types:
+			s.written[origin(obj)] = true
 		}
 	}
 	for _, sel := range p.Info.Selections {

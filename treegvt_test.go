@@ -9,15 +9,6 @@ import (
 	"nicwarp/internal/vtime"
 )
 
-// netWith returns the full fabric defaults with the given topology, the
-// shape Config.Net must have for a non-crossbar run (a partially-filled
-// Net would suppress WithDefaults' zero-struct check).
-func netWith(topo simnet.Topology) simnet.Config {
-	net := simnet.DefaultConfig()
-	net.Topology = topo
-	return net
-}
-
 // treeTestConfig is a small PHOLD cluster configuration for the tree-GVT
 // property tests: big enough to roll back and keep tokens in flight,
 // small enough for -race.
@@ -45,7 +36,7 @@ func TestTreeCommitsRespectSerialOracle(t *testing.T) {
 		net   simnet.Config
 	}{
 		{"crossbar/8", 8, simnet.Config{}},
-		{"fattree/16", 16, netWith(simnet.TopoFatTree)},
+		{"fattree/16", 16, simnet.Config{Topology: simnet.TopoFatTree}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := treeTestConfig(tc.nodes, GVTNICTree, tc.net)
@@ -84,12 +75,12 @@ func TestTreeDigestMatchesRing(t *testing.T) {
 		cfg  func(GVTMode) Config
 	}{
 		{"phold/crossbar/8", func(m GVTMode) Config { return treeTestConfig(8, m, simnet.Config{}) }},
-		{"phold/fattree/16", func(m GVTMode) Config { return treeTestConfig(16, m, netWith(simnet.TopoFatTree)) }},
+		{"phold/fattree/16", func(m GVTMode) Config { return treeTestConfig(16, m, simnet.Config{Topology: simnet.TopoFatTree}) }},
 		{"raid/fattree/8", func(m GVTMode) Config {
 			return Config{
 				App:   RAID(RAIDGVTConfig(400)),
 				Nodes: 8, Seed: 1, GVT: m, GVTPeriod: 50,
-				Net: netWith(simnet.TopoFatTree),
+				Net: simnet.Config{Topology: simnet.TopoFatTree},
 			}
 		}},
 	}
@@ -117,7 +108,7 @@ func TestTreeDigestMatchesRing(t *testing.T) {
 // strategy at large-N: the 64-node fat-tree tree-GVT run commits the same
 // digest serially and at four shards.
 func TestTreeShardedMatchesSerial(t *testing.T) {
-	cfg := treeTestConfig(64, GVTNICTree, netWith(simnet.TopoFatTree))
+	cfg := treeTestConfig(64, GVTNICTree, simnet.Config{Topology: simnet.TopoFatTree})
 	serial, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +163,7 @@ func TestTreeGVTUnderFaults(t *testing.T) {
 // O(log n).
 func TestTreeConvergenceScalesSublinearly(t *testing.T) {
 	conv := func(nodes int, mode GVTMode) vtime.ModelTime {
-		res, err := Run(treeTestConfig(nodes, mode, netWith(simnet.TopoFatTree)))
+		res, err := Run(treeTestConfig(nodes, mode, simnet.Config{Topology: simnet.TopoFatTree}))
 		if err != nil {
 			t.Fatal(err)
 		}

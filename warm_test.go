@@ -33,11 +33,9 @@ func warmMix(t *testing.T) []runner.Job {
 		return runner.Job{}
 	}
 	fig4 := pick("fig4", "fig4/period=1/nic-gvt")
-	net := simnet.DefaultConfig()
-	net.Topology = TopoFatTree
 	tree := runner.Job{Name: "tree256", Config: Config{
 		App:   PHOLD(PHOLDParams{Objects: 512, Population: 1, Hops: 2, MeanDelay: 50, Locality: 0.2}),
-		Nodes: 256, Seed: 5, GVT: GVTNICTree, GVTPeriod: 100, Net: net,
+		Nodes: 256, Seed: 5, GVT: GVTNICTree, GVTPeriod: 100, Net: simnet.Config{Topology: TopoFatTree},
 	}}
 	plan, err := FaultScenario("chaos", 3)
 	if err != nil {
